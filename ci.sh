@@ -41,11 +41,12 @@ echo "== scheduling policy gate (predictive < fifo, edf deadline wins) =="
 # misses, and all three policies must export sched_predict_abs_err.
 cargo test --release -q -p cocopelia-xp --test serve_sched
 
-echo "== open-arrival gate (backpressure, coalescing, closed-queue identity) =="
+echo "== open-arrival gate (backpressure, coalescing, fault-plan replay) =="
 # The ServeSession acceptance bars: seeded Poisson overload sheds to a
 # bounded queue and replays bit-identically, coalescing uploads strictly
-# fewer h2d bytes and beats the non-coalesced makespan, and the deprecated
-# closed-queue Executor::run wrapper stays bit-identical to a session drain.
+# fewer h2d bytes and beats the non-coalesced makespan, and under random
+# fault plans same-seed drains replay bit-identically with one terminal
+# outcome per request and no buffer outside the residency caches.
 cargo test --release -q -p cocopelia-xp --test serve_open
 
 echo "== chaos soak gate (seeded fault injection) =="
@@ -96,5 +97,16 @@ echo "== microbench smoke (dispatch / residency / trace hot paths) =="
 # bench targets can't rot. Numbers are informational (the vendored harness
 # reports wall clock, not instruction counts).
 cargo bench --bench micro_hotpaths
+
+echo "== benchmark build gate (perfbench against the public API) =="
+# perfbench/ is a separate workspace that drives the crates through their
+# public serving API. Build and test it, then run one short workload, so
+# an API change that breaks the benchmark fails here instead of silently.
+# The build goes under target/ so nothing is written inside perfbench/.
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline -q \
+    --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_straggler --seconds 1 --trace 0 | tail -n 1
 
 echo "CI gate passed."

@@ -7,18 +7,30 @@
 //! and the per-dispatch decision points (adaptive hedge threshold,
 //! canary-probe due scan, prefetch admission).
 //!
+//! The serving benches drive the public `ServeSession` API only: each
+//! times a small drain shaped so that its hot path dominates.
+//!
 //! Uses the `iai_callgrind` harness (vendored wall-clock stand-in; the
 //! registry version counts instructions under callgrind). Each function
-//! is self-contained — setup inside, hot loop sized to dominate it.
+//! is self-contained — setup inside, hot loop sized to dominate it — apart
+//! from the deployed profile, which is built once per process.
+
+use std::sync::OnceLock;
 
 use iai_callgrind::{black_box, main};
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
-use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, NoiseSpec, SimTime, TraceEntry};
+use cocopelia_deploy::{deploy, DeployConfig};
+use cocopelia_gpusim::{
+    testbed_i, EngineKind, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec, TraceEntry,
+};
 use cocopelia_obs::{DeviceLane, FlightRecorder, ServeTrace, SpanLog, SpanPhase, WindowedMetrics};
-use cocopelia_runtime::serve::{ExecutorConfig, HedgeConfig, ServeOptions, ServeSession};
+use cocopelia_runtime::serve::{
+    ExecutorConfig, HedgeConfig, ProbationConfig, SchedulePolicy, ServeOptions, ServeSession,
+};
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
+use cocopelia_xp::straggler_fault_plans;
 
 fn dummy_profile() -> SystemProfile {
     SystemProfile::new(
@@ -32,10 +44,29 @@ fn dummy_profile() -> SystemProfile {
     )
 }
 
-fn shared_gemm() -> RoutineRequest {
+fn quiet() -> TestbedSpec {
+    let mut tb = testbed_i();
+    tb.noise = NoiseSpec::NONE;
+    tb
+}
+
+/// A deployed profile of the quiet testbed, so placement, hedging and
+/// prefetch have offload predictions to work with.
+fn deployed_profile() -> SystemProfile {
+    static PROFILE: OnceLock<SystemProfile> = OnceLock::new();
+    PROFILE
+        .get_or_init(|| {
+            deploy(&quiet(), &DeployConfig::quick())
+                .expect("deploy")
+                .profile
+        })
+        .clone()
+}
+
+fn gemm_on(a: &str, b: &str) -> RoutineRequest {
     GemmRequest::<f64>::new(
-        SharedMat::new("A", 1024, 1024),
-        SharedMat::new("B", 1024, 1024),
+        SharedMat::new(a, 1024, 1024),
+        SharedMat::new(b, 1024, 1024),
         MatOperand::HostGhost {
             rows: 1024,
             cols: 1024,
@@ -47,24 +78,45 @@ fn shared_gemm() -> RoutineRequest {
     .into()
 }
 
+fn shared_gemm() -> RoutineRequest {
+    gemm_on("A", "B")
+}
+
 fn quiet_session(devices: usize) -> ServeSession {
-    let mut tb = testbed_i();
-    tb.noise = NoiseSpec::NONE;
-    let pool = MultiGpu::new(&tb, devices, ExecMode::TimingOnly, 42, dummy_profile());
+    let pool = MultiGpu::new(&quiet(), devices, ExecMode::TimingOnly, 42, dummy_profile());
     ServeSession::new(pool, ExecutorConfig::default())
 }
 
-/// The scheduler's per-request decision: pop the next request and pick
-/// its device (affinity + ready-time heuristic) without executing it.
+/// A session over `plans.len()` devices with the deployed profile.
+fn deployed_session(plans: &[FaultSpec], opts: ServeOptions) -> ServeSession {
+    let pool = MultiGpu::with_fault_plans(
+        &quiet(),
+        ExecMode::TimingOnly,
+        42,
+        deployed_profile(),
+        plans,
+    );
+    ServeSession::with_options(pool, ExecutorConfig::default(), opts).expect("session")
+}
+
+/// The scheduler's per-request decision under `Predictive`: every
+/// dispatch prices each queued request × device pair with the model, so
+/// a 64-deep closed queue over 4 devices is dominated by pricing.
 #[inline(never)]
 fn next_dispatch() {
-    let mut exec = quiet_session(4);
-    for _ in 0..64 {
-        exec.submit(shared_gemm());
+    let mut session = deployed_session(
+        &[
+            FaultSpec::none(),
+            FaultSpec::none(),
+            FaultSpec::none(),
+            FaultSpec::none(),
+        ],
+        ServeOptions::new().policy(SchedulePolicy::Predictive),
+    );
+    for i in 0..64 {
+        session.submit(gemm_on(&format!("A{}", i % 8), "B"));
     }
-    while let Some(decision) = exec.executor_mut().next_dispatch_for_bench() {
-        black_box(decision);
-    }
+    black_box(session.drain());
 }
 
 /// The open-arrival event loop: `next_event` admitting scheduled
@@ -72,13 +124,11 @@ fn next_dispatch() {
 /// `ServeSession::drain` under a live arrival stream.
 #[inline(never)]
 fn next_event() {
-    let mut exec = quiet_session(4);
+    let mut session = quiet_session(4);
     for i in 0..64u64 {
-        exec.submit_at(shared_gemm(), SimTime::from_nanos(i * 1_000));
+        session.submit_at(shared_gemm(), SimTime::from_nanos(i * 1_000));
     }
-    while let Some(event) = exec.executor_mut().next_event_for_bench() {
-        black_box(event);
-    }
+    black_box(session.drain());
 }
 
 /// The admission probe against a residency cache populated by a real
@@ -184,77 +234,62 @@ fn window_rotate() {
 }
 
 /// The hedge decision every successful attempt pays when hedging is
-/// armed: the adaptive threshold (p95 over the drift accountant's error
-/// records) against an elapsed clock advance, without launching anything.
+/// armed — the adaptive threshold (p95 over the drift accountant's error
+/// records) against the attempt's clock advance — plus the races it
+/// launches: device 0's link is degraded, so its attempts overrun and
+/// hedge onto device 1.
 #[inline(never)]
 fn hedge_decision() {
-    let mut tb = testbed_i();
-    tb.noise = NoiseSpec::NONE;
-    let pool = MultiGpu::new(&tb, 2, ExecMode::TimingOnly, 42, dummy_profile());
-    let mut exec = ServeSession::with_options(
-        pool,
-        ExecutorConfig::default(),
+    let mut session = deployed_session(
+        &straggler_fault_plans(2, 11, 0.01),
         ServeOptions::new().hedge(HedgeConfig::default()),
-    )
-    .expect("session");
-    // A few drained requests seed the drift accountant the threshold
-    // consults.
-    for _ in 0..8 {
-        exec.submit(shared_gemm());
+    );
+    for i in 0..16 {
+        session.submit(gemm_on(&format!("A{}", i % 4), "B"));
     }
-    exec.drain();
-    let ex = exec.executor_mut();
-    for i in 0..100_000u64 {
-        // Alternate clear underruns and gross overruns of a 1 ms
-        // prediction so both decision branches stay hot.
-        let elapsed_ns = 500_000 + (i % 2) * 5_000_000;
-        black_box(ex.hedge_decision_for_bench(black_box(1e-3), black_box(elapsed_ns)));
-    }
+    let report = black_box(session.drain());
+    assert!(report.metrics.counter("hedge_attempts_total") > 0);
 }
 
 /// The prefetch admission decision every primary dispatch pays when
-/// cross-request prefetch is armed: effective h2d time for the candidate
-/// bytes against the predicted idle window plus the residency free-budget
-/// probe, without staging anything.
+/// cross-request prefetch is armed: effective h2d time of the next
+/// request's missing operands against the running attempt's predicted
+/// idle window, plus the residency free-budget probe. Rotating keys keep
+/// the next request cold, so every dispatch decides.
 #[inline(never)]
 fn prefetch_decision() {
-    let mut tb = testbed_i();
-    tb.noise = NoiseSpec::NONE;
-    let pool = MultiGpu::new(&tb, 2, ExecMode::TimingOnly, 42, dummy_profile());
-    let mut exec = ServeSession::with_options(
-        pool,
-        ExecutorConfig::default(),
+    let mut session = deployed_session(
+        &[FaultSpec::none(), FaultSpec::none()],
         ServeOptions::new().prefetch(),
-    )
-    .expect("session");
-    // A few drained requests leave the residency cache realistically
-    // populated for the free-budget probe.
-    for _ in 0..4 {
-        exec.submit(shared_gemm());
+    );
+    for i in 0..32 {
+        session.submit(gemm_on(&format!("A{}", i % 8), &format!("B{}", i % 3)));
     }
-    exec.drain();
-    let ex = exec.executor_mut();
-    for i in 0..100_000u64 {
-        // Alternate operand sets that hide inside and overflow a 1 ms
-        // window so both decision branches stay hot.
-        let bytes = 1 << (16 + (i % 2) * 12);
-        black_box(ex.prefetch_decision_for_bench(0, black_box(bytes as usize), black_box(1e-3)));
-    }
+    let report = black_box(session.drain());
+    let m = &report.metrics;
+    assert!(m.counter("prefetch_issued_total") + m.counter("prefetch_skipped_total") > 0);
 }
 
-/// Probe scheduling under a wide quarantine: the executor's "which canary
-/// is due next" scan, the per-event-loop-iteration cost probation adds.
+/// Probe scheduling under a wide quarantine: three of four devices are
+/// drained operationally with probation armed, so every event-loop
+/// iteration scans the canary schedule and probes run as they come due.
 #[inline(never)]
 fn probe_schedule() {
-    let mut exec = quiet_session(4);
-    for d in 0..4 {
-        exec.executor_mut()
-            .seed_probe_for_bench(d, (d as u64 + 1) * 1_000_000);
+    let pool = MultiGpu::new(&quiet(), 4, ExecMode::TimingOnly, 42, dummy_profile());
+    let opts = ServeOptions::new().probation(ProbationConfig {
+        backoff: SimTime::from_secs_f64(1e-3),
+        ..ProbationConfig::default()
+    });
+    let mut session =
+        ServeSession::with_options(pool, ExecutorConfig::default(), opts).expect("session");
+    for d in 0..3 {
+        session.force_quarantine(d);
     }
-    let ex = exec.executor_mut();
-    for _ in 0..100_000u64 {
-        black_box(ex.next_probe_for_bench());
+    for _ in 0..32 {
+        session.submit(shared_gemm());
     }
+    let report = black_box(session.drain());
+    assert!(report.metrics.counter("probe_attempts_total") > 0);
 }
 
 /// The flight recorder's per-span record under constant eviction

@@ -7,7 +7,7 @@ use crate::operand::{DeviceMatrix, DeviceVector, MatOperand, TileChoice, VecOper
 use crate::request::{
     AxpyRequest, DotRequest, GemmRequest, GemvRequest, MatArg, RoutineRequest, VecArg,
 };
-use crate::scheduler::{axpy, dot, gemm, gemv, Streams};
+use crate::scheduler::{axpy, dot, gemm, gemv, RunStats, Streams};
 use cocopelia_core::models::{ModelCtx, ModelKind};
 use cocopelia_core::params::{Loc, ProblemSpec, RoutineClass};
 use cocopelia_core::profile::SystemProfile;
@@ -308,9 +308,10 @@ impl Cocopelia {
         }
     }
 
-    /// Scores the finished call against every evaluable model, feeds the
-    /// observer, and returns the overlap stats and drift records for the
-    /// call's [`RoutineReport`].
+    /// Closes a finished call: scores it against every evaluable model,
+    /// feeds the observer, and assembles its [`RoutineReport`]. `t0` and
+    /// `trace_start` are the device clock and trace length when the call
+    /// began.
     #[allow(clippy::too_many_arguments)]
     fn finish_call(
         &mut self,
@@ -318,13 +319,12 @@ impl Cocopelia {
         call: u64,
         problem: &ProblemSpec,
         tile: usize,
-        selection: Option<&Selection>,
-        subkernels: usize,
-        elapsed: SimTime,
+        selection: Option<Selection>,
+        t0: SimTime,
         trace_start: usize,
-        tile_hits: u64,
-        tile_misses: u64,
-    ) -> (OverlapStats, Vec<DriftRecord>) {
+        run: RunStats,
+    ) -> RoutineReport {
+        let elapsed = self.gpu.now().saturating_since(t0);
         let actual_secs = elapsed.as_secs_f64();
         let drift = match self.profile.exec_table(problem.routine, problem.dtype) {
             Some(exec) => {
@@ -344,15 +344,26 @@ impl Cocopelia {
             routine,
             call,
             tile,
-            model: selection.map(|s| s.prediction.model),
-            subkernels,
+            model: selection.as_ref().map(|s| s.prediction.model),
+            subkernels: run.subkernels,
             elapsed_secs: actual_secs,
             entries,
-            tile_hits,
-            tile_misses,
+            tile_hits: run.tile_hits,
+            tile_misses: run.tile_misses,
             drift: drift.clone(),
         });
-        (overlap, drift)
+        RoutineReport {
+            elapsed,
+            tile,
+            subkernels: run.subkernels,
+            flops: problem.flops(),
+            selection,
+            overlap,
+            drift,
+            tile_hits: run.tile_hits,
+            tile_misses: run.tile_misses,
+            op_retries: run.retries,
+        }
     }
 
     /// Executes a [`GemmRequest`]: `C ← α·A·B + β·C` with 3-way overlap.
@@ -396,34 +407,17 @@ impl Cocopelia {
             c,
             tile,
         )?;
-        let elapsed = self.gpu.now().saturating_since(t0);
-        let (overlap, drift) = self.finish_call(
+        let report = self.finish_call(
             "gemm",
             call,
             &problem,
             tile,
-            selection.as_ref(),
-            run.subkernels,
-            elapsed,
+            selection,
+            t0,
             trace_start,
-            run.tile_hits,
-            run.tile_misses,
+            run.stats,
         );
-        Ok(GemmResult {
-            c: run.c,
-            report: RoutineReport {
-                elapsed,
-                tile,
-                subkernels: run.subkernels,
-                flops: problem.flops(),
-                selection,
-                overlap,
-                drift,
-                tile_hits: run.tile_hits,
-                tile_misses: run.tile_misses,
-                op_retries: run.retries,
-            },
-        })
+        Ok(GemmResult { c: run.c, report })
     }
 
     /// Executes an [`AxpyRequest`]: `y ← α·x + y` with 3-way overlap.
@@ -456,34 +450,17 @@ impl Cocopelia {
         let trace_start = self.gpu.trace().len();
         let t0 = self.gpu.now();
         let run = axpy::run(&mut self.gpu, streams, call, self.retry, alpha, x, y, tile)?;
-        let elapsed = self.gpu.now().saturating_since(t0);
-        let (overlap, drift) = self.finish_call(
+        let report = self.finish_call(
             "axpy",
             call,
             &problem,
             tile,
-            selection.as_ref(),
-            run.subkernels,
-            elapsed,
+            selection,
+            t0,
             trace_start,
-            run.tile_hits,
-            run.tile_misses,
+            run.stats,
         );
-        Ok(VecResult {
-            y: run.y,
-            report: RoutineReport {
-                elapsed,
-                tile,
-                subkernels: run.subkernels,
-                flops: problem.flops(),
-                selection,
-                overlap,
-                drift,
-                tile_hits: run.tile_hits,
-                tile_misses: run.tile_misses,
-                op_retries: run.retries,
-            },
-        })
+        Ok(VecResult { y: run.y, report })
     }
 
     /// Executes a [`DotRequest`]: tiled reduction `result ← xᵀy` with
@@ -514,49 +491,20 @@ impl Cocopelia {
         let trace_start = self.gpu.trace().len();
         let t0 = self.gpu.now();
         let run = dot::run(&mut self.gpu, streams, call, self.retry, x, y, tile)?;
-        let elapsed = self.gpu.now().saturating_since(t0);
-        let (overlap, drift) = self.finish_call(
+        let report = self.finish_call(
             "dot",
             call,
             &problem,
             tile,
-            selection.as_ref(),
-            run.subkernels,
-            elapsed,
+            selection,
+            t0,
             trace_start,
-            run.tile_hits,
-            run.tile_misses,
+            run.stats,
         );
         Ok(DotResult {
             value: run.value,
-            report: RoutineReport {
-                elapsed,
-                tile,
-                subkernels: run.subkernels,
-                flops: problem.flops(),
-                selection,
-                overlap,
-                drift,
-                tile_hits: run.tile_hits,
-                tile_misses: run.tile_misses,
-                op_retries: run.retries,
-            },
+            report,
         })
-    }
-
-    /// Double-precision dot (BLAS `ddot`). See [`run_dot`](Self::run_dot).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_dot`](Self::run_dot).
-    #[deprecated(note = "use DotRequest::new(x, y).tile(choice).run(ctx)")]
-    pub fn ddot(
-        &mut self,
-        x: VecOperand<f64>,
-        y: VecOperand<f64>,
-        choice: TileChoice,
-    ) -> Result<DotResult, RuntimeError> {
-        self.run_dot(DotRequest::new(x, y).tile(choice))
     }
 
     /// Executes a [`GemvRequest`]: `y ← α·A·x + β·y` with 3-way overlap
@@ -618,34 +566,17 @@ impl Cocopelia {
             y,
             tile,
         )?;
-        let elapsed = self.gpu.now().saturating_since(t0);
-        let (overlap, drift) = self.finish_call(
+        let report = self.finish_call(
             "gemv",
             call,
             &problem,
             tile,
-            selection.as_ref(),
-            run.subkernels,
-            elapsed,
+            selection,
+            t0,
             trace_start,
-            run.tile_hits,
-            run.tile_misses,
+            run.stats,
         );
-        Ok(VecResult {
-            y: run.y,
-            report: RoutineReport {
-                elapsed,
-                tile,
-                subkernels: run.subkernels,
-                flops: problem.flops(),
-                selection,
-                overlap,
-                drift,
-                tile_hits: run.tile_hits,
-                tile_misses: run.tile_misses,
-                op_retries: run.retries,
-            },
-        })
+        Ok(VecResult { y: run.y, report })
     }
 
     /// Executes a type-erased [`RoutineRequest`], returning its report.
@@ -667,168 +598,6 @@ impl Cocopelia {
             RoutineRequest::DotF64(r) => Ok(self.run_dot(r)?.report),
             RoutineRequest::GemvF64(r) => Ok(self.run_gemv(r)?.report),
         }
-    }
-
-    /// General matrix multiply `C ← α·A·B + β·C` with 3-way overlap.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemm`](Self::run_gemm).
-    #[deprecated(note = "use GemmRequest::new(a, b, c).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn gemm<T: SimScalar>(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<T>,
-        b: MatOperand<T>,
-        beta: f64,
-        c: MatOperand<T>,
-        choice: TileChoice,
-    ) -> Result<GemmResult<T>, RuntimeError> {
-        self.run_gemm(
-            GemmRequest::new(a, b, c)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
-    }
-
-    /// `y ← α·x + y` with 3-way overlap.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_axpy`](Self::run_axpy).
-    #[deprecated(note = "use AxpyRequest::new(x, y).alpha(..).tile(choice).run(ctx)")]
-    pub fn axpy<T: SimScalar>(
-        &mut self,
-        alpha: f64,
-        x: VecOperand<T>,
-        y: VecOperand<T>,
-        choice: TileChoice,
-    ) -> Result<VecResult<T>, RuntimeError> {
-        self.run_axpy(AxpyRequest::new(x, y).alpha(alpha).tile(choice))
-    }
-
-    /// Tiled reduction `result ← xᵀy` with 3-way overlap.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_dot`](Self::run_dot).
-    #[deprecated(note = "use DotRequest::new(x, y).tile(choice).run(ctx)")]
-    pub fn dot<T: SimScalar>(
-        &mut self,
-        x: VecOperand<T>,
-        y: VecOperand<T>,
-        choice: TileChoice,
-    ) -> Result<DotResult, RuntimeError> {
-        self.run_dot(DotRequest::new(x, y).tile(choice))
-    }
-
-    /// `y ← α·A·x + β·y` with 3-way overlap (the extension routine).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemv`](Self::run_gemv).
-    #[deprecated(note = "use GemvRequest::new(a, x, y).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn gemv<T: SimScalar>(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<T>,
-        x: VecOperand<T>,
-        beta: f64,
-        y: VecOperand<T>,
-        choice: TileChoice,
-    ) -> Result<VecResult<T>, RuntimeError> {
-        self.run_gemv(
-            GemvRequest::new(a, x, y)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
-    }
-
-    /// Double-precision gemm (BLAS `dgemm`). See [`run_gemm`](Self::run_gemm).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemm`](Self::run_gemm).
-    #[deprecated(note = "use GemmRequest::new(a, b, c).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn dgemm(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<f64>,
-        b: MatOperand<f64>,
-        beta: f64,
-        c: MatOperand<f64>,
-        choice: TileChoice,
-    ) -> Result<GemmResult<f64>, RuntimeError> {
-        self.run_gemm(
-            GemmRequest::new(a, b, c)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
-    }
-
-    /// Single-precision gemm (BLAS `sgemm`). See [`run_gemm`](Self::run_gemm).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemm`](Self::run_gemm).
-    #[deprecated(note = "use GemmRequest::new(a, b, c).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn sgemm(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<f32>,
-        b: MatOperand<f32>,
-        beta: f64,
-        c: MatOperand<f32>,
-        choice: TileChoice,
-    ) -> Result<GemmResult<f32>, RuntimeError> {
-        self.run_gemm(
-            GemmRequest::new(a, b, c)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
-    }
-
-    /// Double-precision axpy (BLAS `daxpy`). See [`run_axpy`](Self::run_axpy).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_axpy`](Self::run_axpy).
-    #[deprecated(note = "use AxpyRequest::new(x, y).alpha(..).tile(choice).run(ctx)")]
-    pub fn daxpy(
-        &mut self,
-        alpha: f64,
-        x: VecOperand<f64>,
-        y: VecOperand<f64>,
-        choice: TileChoice,
-    ) -> Result<VecResult<f64>, RuntimeError> {
-        self.run_axpy(AxpyRequest::new(x, y).alpha(alpha).tile(choice))
-    }
-
-    /// Double-precision gemv (BLAS `dgemv`). See [`run_gemv`](Self::run_gemv).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemv`](Self::run_gemv).
-    #[deprecated(note = "use GemvRequest::new(a, x, y).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn dgemv(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<f64>,
-        x: VecOperand<f64>,
-        beta: f64,
-        y: VecOperand<f64>,
-        choice: TileChoice,
-    ) -> Result<VecResult<f64>, RuntimeError> {
-        self.run_gemv(
-            GemvRequest::new(a, x, y)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
     }
 
     /// Copies a host matrix into device memory and returns a resident

@@ -13,7 +13,7 @@
 //! [`AxpyRequest`], [`DotRequest`], [`GemvRequest`] (the paper's "extension
 //! skeleton" routine) — executed either directly
 //! ([`GemmRequest::run`], [`Cocopelia::submit`]) or queued through the
-//! concurrent serving layer ([`serve::Executor`]). Each operand lives on
+//! concurrent serving layer ([`serve::ServeSession`]). Each operand lives on
 //! the host (with or without data), already on the device, or in the
 //! executor's cross-request residency cache, and each request carries a
 //! [`TileChoice`]: automatic model-driven selection, a specific model (for

@@ -1,7 +1,7 @@
 //! The level-1 tile schedule: `y ← α·x + y` split into 1-D chunks, each a
 //! textbook 3-way pipeline stage (fetch x/y → kernel → drain y).
 
-use super::{OperandStore, Streams, TileFetcher};
+use super::{OperandStore, RunStats, Streams, TileFetcher};
 use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::VecOperand;
@@ -12,11 +12,7 @@ use cocopelia_hostblas::tiling::split;
 #[derive(Debug)]
 pub(crate) struct AxpyRun<T> {
     pub y: Option<Vec<T>>,
-    pub subkernels: usize,
-    pub tile_hits: u64,
-    pub tile_misses: u64,
-    /// Transient-fault retries performed by the tile fetcher.
-    pub retries: u64,
+    pub stats: RunStats,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -98,10 +94,12 @@ pub(crate) fn run<T: SimScalar>(
     }
     Ok(AxpyRun {
         y: y_data,
-        subkernels,
-        tile_hits,
-        tile_misses,
-        retries,
+        stats: RunStats {
+            subkernels,
+            tile_hits,
+            tile_misses,
+            retries,
+        },
     })
 }
 
@@ -141,7 +139,7 @@ mod tests {
             256, // 4 tiles, last one short
         )
         .expect("runs");
-        assert_eq!(run.subkernels, 4);
+        assert_eq!(run.stats.subkernels, 4);
         assert_eq!(run.y.expect("functional y"), expect);
         assert_eq!(gpu.device_mem_used(), 0);
     }

@@ -6,7 +6,7 @@
 //! on a routine with a *reduction* dependency structure instead of the
 //! element-wise pipelines of axpy/gemm.
 
-use super::{OperandStore, Streams, TileFetcher};
+use super::{OperandStore, RunStats, Streams, TileFetcher};
 use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::VecOperand;
@@ -20,11 +20,7 @@ use cocopelia_hostblas::tiling::{split, TileRange};
 pub(crate) struct DotRun {
     /// The reduction value (functional mode only).
     pub value: Option<f64>,
-    pub subkernels: usize,
-    pub tile_hits: u64,
-    pub tile_misses: u64,
-    /// Transient-fault retries performed by the tile fetcher.
-    pub retries: u64,
+    pub stats: RunStats,
 }
 
 pub(crate) fn run<T: SimScalar>(
@@ -124,10 +120,12 @@ pub(crate) fn run<T: SimScalar>(
     }
     Ok(DotRun {
         value,
-        subkernels,
-        tile_hits,
-        tile_misses,
-        retries,
+        stats: RunStats {
+            subkernels,
+            tile_hits,
+            tile_misses,
+            retries,
+        },
     })
 }
 
@@ -166,7 +164,7 @@ mod tests {
             256,
         )
         .expect("runs");
-        assert_eq!(run.subkernels, 4);
+        assert_eq!(run.stats.subkernels, 4);
         let got = run.value.expect("functional");
         assert!((got - expect).abs() < 1e-9, "{got} vs {expect}");
         assert_eq!(gpu.device_mem_used(), 0);

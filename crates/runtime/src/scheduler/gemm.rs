@@ -7,7 +7,7 @@
 //! tile drains on the d2h stream. `A`/`B`/`C` tiles are fetched at most once
 //! each — the full-reuse behaviour Eq. 5 models.
 
-use super::{OperandStore, Streams, TileFetcher};
+use super::{OperandStore, RunStats, Streams, TileFetcher};
 use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::MatOperand;
@@ -20,11 +20,7 @@ use cocopelia_hostblas::Matrix;
 #[derive(Debug)]
 pub(crate) struct GemmRun<T> {
     pub c: Option<Matrix<T>>,
-    pub subkernels: usize,
-    pub tile_hits: u64,
-    pub tile_misses: u64,
-    /// Transient-fault retries performed by the tile fetcher.
-    pub retries: u64,
+    pub stats: RunStats,
 }
 
 /// Validates dimensions and returns `(m, n, k)`.
@@ -146,10 +142,12 @@ pub(crate) fn run<T: SimScalar>(
     }
     Ok(GemmRun {
         c: c_data.map(|v| Matrix::from_vec(c_rows, n, v)),
-        subkernels,
-        tile_hits,
-        tile_misses,
-        retries,
+        stats: RunStats {
+            subkernels,
+            tile_hits,
+            tile_misses,
+            retries,
+        },
     })
 }
 
@@ -222,7 +220,7 @@ mod tests {
             "max rel err {}",
             validate::max_rel_err(got.as_slice(), expect.as_slice())
         );
-        assert_eq!(run.subkernels, 3 * 2 * 3);
+        assert_eq!(run.stats.subkernels, 3 * 2 * 3);
         assert_eq!(gpu.device_mem_used(), 0);
     }
 
@@ -276,7 +274,7 @@ mod tests {
             16,
         )
         .expect("runs");
-        assert_eq!(run.subkernels, 4 * 4 * 4);
+        assert_eq!(run.stats.subkernels, 4 * 4 * 4);
         // h2d volume = exactly one copy of A + B + C.
         let h2d_bytes = gpu
             .trace()

@@ -2,7 +2,7 @@
 //! and 1-D tiling of the vectors — the "extension skeleton" routine of
 //! §IV-B, exercising the generalised per-level tile scheduler.
 
-use super::{OperandStore, Streams, TileFetcher};
+use super::{OperandStore, RunStats, Streams, TileFetcher};
 use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::{MatOperand, VecOperand};
@@ -13,11 +13,7 @@ use cocopelia_hostblas::tiling::{split, TileRange};
 #[derive(Debug)]
 pub(crate) struct GemvRun<T> {
     pub y: Option<Vec<T>>,
-    pub subkernels: usize,
-    pub tile_hits: u64,
-    pub tile_misses: u64,
-    /// Transient-fault retries performed by the tile fetcher.
-    pub retries: u64,
+    pub stats: RunStats,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -125,10 +121,12 @@ pub(crate) fn run<T: SimScalar>(
     }
     Ok(GemvRun {
         y: y_data,
-        subkernels,
-        tile_hits,
-        tile_misses,
-        retries,
+        stats: RunStats {
+            subkernels,
+            tile_hits,
+            tile_misses,
+            retries,
+        },
     })
 }
 
@@ -177,7 +175,7 @@ mod tests {
         for (g, e) in got.iter().zip(&expect) {
             assert!((g - e).abs() < 1e-10, "{g} vs {e}");
         }
-        assert_eq!(run.subkernels, 3 * 4);
+        assert_eq!(run.stats.subkernels, 3 * 4);
         assert_eq!(gpu.device_mem_used(), 0);
     }
 

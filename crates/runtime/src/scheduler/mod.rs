@@ -26,6 +26,16 @@ use cocopelia_gpusim::{
 use cocopelia_hostblas::tiling::TileRange;
 use std::collections::HashMap;
 
+/// Schedule facts every routine run reports.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunStats {
+    pub subkernels: usize,
+    pub tile_hits: u64,
+    pub tile_misses: u64,
+    /// Transient-fault retries performed by the tile fetcher.
+    pub retries: u64,
+}
+
 /// The three streams of the paper's library: "one stream per operation
 /// (h2d transfer, d2h transfer, kernel execution)".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

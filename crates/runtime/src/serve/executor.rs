@@ -1,17 +1,14 @@
-//! The queued request executor: admission, dispatch, residency, retry.
+//! The dispatch engine behind [`ServeSession`]: admission, placement,
+//! residency, retry, hedging, probation, and prefetch.
 
 use crate::ctx::{Cocopelia, RoutineReport};
 use crate::error::{FaultClass, RequestError, RequestId, RuntimeError};
-use crate::multigpu::MultiGpu;
 use crate::operand::{MatOperand, TileChoice, VecOperand};
 use crate::request::{GemmRequest, MatArg, RoutineRequest, SharedOperandSpec, VecArg};
 use crate::serve::residency::{ResidencyCache, ResidentHandle};
 use crate::serve::sched::SchedulePolicy;
-use crate::serve::session::ServeOptions;
-use crate::serve::telemetry::{
-    Telemetry, TelemetryConfig, TelemetryReport, TickState, WatchWindow,
-};
-use crate::serve::trace::ServeTracer;
+use crate::serve::session::ServeSession;
+use crate::serve::telemetry::{Telemetry, TelemetryReport, TickState};
 use cocopelia_core::models::Prediction;
 use cocopelia_gpusim::{
     DevBufId, EngineKind, HostBufId, OpTag, SimError, SimScalar, SimTime, TraceEntry,
@@ -19,7 +16,7 @@ use cocopelia_gpusim::{
 use cocopelia_hostblas::Dtype;
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Bucket bounds of the `serve_queue_depth` histogram.
@@ -34,16 +31,13 @@ pub struct ExecutorConfig {
     /// Admission ceiling: a request whose worst-case footprint exceeds
     /// this fraction of device memory is rejected at submission.
     pub admission_frac: f64,
-    /// Retry requests after transient device failures (out-of-memory,
-    /// injected faults), reclaiming the device in between. When false,
-    /// [`max_retries`](ExecutorConfig::max_retries) is ignored and every
-    /// fault is terminal for its request.
-    pub retry_transient: bool,
     /// Request-level retry budget: how many times one request may be
-    /// re-attempted (on the same device after reclaim, or re-dispatched to
-    /// a healthy device after a quarantine) before it fails.
+    /// re-attempted after a transient device failure (on the same device
+    /// after reclaim, or re-dispatched to a healthy device after a
+    /// quarantine) before it fails. `0` makes every fault terminal for
+    /// its request.
     pub max_retries: u32,
-    /// Consecutive faults on one device before the executor quarantines
+    /// Consecutive faults on one device before the session quarantines
     /// it: the device stops receiving work and its residency cache is
     /// invalidated.
     pub quarantine_after: u32,
@@ -58,7 +52,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             residency_frac: 0.5,
             admission_frac: 0.9,
-            retry_transient: true,
             max_retries: 3,
             quarantine_after: 2,
             host_gflops: 50.0,
@@ -72,14 +65,16 @@ impl Default for ExecutorConfig {
 /// When a dispatch attempt's virtual elapsed time exceeds its offload
 /// prediction (missing-operand upload plus
 /// [`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload))
-/// by an adaptive multiplier, the executor speculatively re-dispatches
+/// by an adaptive multiplier, the session speculatively re-dispatches
 /// the same request to the best *other* healthy device, starting at the
 /// virtual instant the overrun threshold was crossed. First completion
 /// wins; the loser is cancelled ([`cocopelia_gpusim::Gpu::cancel_to`])
 /// and its buffers freed, so device time, flops, and uploads are counted
 /// exactly once. The multiplier adapts to the drift accountant's observed
-/// error distribution — see [`Executor::hedge_decision_for_bench`] for
-/// the exact decision.
+/// error distribution: it is widened by the p95 absolute relative
+/// prediction error seen so far (doubled instead during the
+/// [`HEDGE_WARMUP`] cold start). An overrun also marks the device as a
+/// straggler for placement until it completes an attempt on prediction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
     /// Base overrun multiplier on the predicted attempt time before a
@@ -117,7 +112,7 @@ pub struct ProbationConfig {
     pub backoff: SimTime,
     /// Consecutive probe successes that re-admit the device.
     pub successes: u32,
-    /// Failed probe rounds before the executor stops probing the device
+    /// Failed probe rounds before the session stops probing the device
     /// (it stays quarantined for good).
     pub max_rounds: u32,
     /// Seed of the deterministic backoff jitter that de-synchronises
@@ -140,7 +135,7 @@ impl Default for ProbationConfig {
 /// [`ServeOptions::retry_budget`](crate::serve::ServeOptions::retry_budget)).
 ///
 /// Replaces unbounded per-request retry appetite with a *session-wide*
-/// token bucket: every executor-level retry spends a token (refilled at a
+/// token bucket: every session-level retry spends a token (refilled at a
 /// rate in virtual time), and when the bucket runs dry the circuit
 /// breaker opens — further faults fail fast to host fallback instead of
 /// burning device time on a sustained fault storm. After the cooldown
@@ -149,7 +144,7 @@ impl Default for ProbationConfig {
 /// it with a doubled cooldown.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudgetConfig {
-    /// Token-bucket capacity: executor-level retries the session may
+    /// Token-bucket capacity: request retries the session may
     /// spend before the breaker opens.
     pub tokens: f64,
     /// Bucket refill rate in tokens per virtual second.
@@ -171,7 +166,7 @@ impl Default for RetryBudgetConfig {
 
 /// Probation schedule of one quarantined device.
 #[derive(Debug, Clone, Copy)]
-struct DeviceProbe {
+pub(super) struct DeviceProbe {
     /// Raw virtual instant (device-clock axis) the next canary runs.
     next_due_ns: u64,
     /// Probe successes since the last failure.
@@ -199,7 +194,7 @@ enum Breaker {
 
 /// Live state of the session retry budget.
 #[derive(Debug, Clone, Copy)]
-struct BudgetState {
+pub(super) struct BudgetState {
     cfg: RetryBudgetConfig,
     tokens: f64,
     last_refill_ns: u64,
@@ -208,7 +203,7 @@ struct BudgetState {
 }
 
 impl BudgetState {
-    fn new(cfg: RetryBudgetConfig) -> Self {
+    pub(super) fn new(cfg: RetryBudgetConfig) -> Self {
         BudgetState {
             cfg,
             tokens: cfg.tokens.max(0.0),
@@ -250,7 +245,7 @@ fn canary_request() -> RoutineRequest {
 }
 
 /// Result of the retroactive hedge race run after a successful primary
-/// attempt (see `Executor::maybe_hedge`).
+/// attempt (see `ServeSession::maybe_hedge`).
 enum HedgeOutcome {
     /// No hedge fired (disarmed, no estimate, no overrun, or no healthy
     /// peer free early enough); the caller owns all span bookkeeping.
@@ -287,6 +282,19 @@ pub enum RequestStatus {
     },
     /// The routine failed; transient failures have already been retried.
     Failed(RequestError),
+}
+
+impl RequestStatus {
+    /// Short lowercase label of the terminal state (`completed`,
+    /// `rejected`, `timed-out`, `failed`), as recorded on trace spans.
+    pub fn label(&self) -> &'static str {
+        match self {
+            RequestStatus::Completed(_) => "completed",
+            RequestStatus::Rejected { .. } => "rejected",
+            RequestStatus::TimedOut { .. } => "timed-out",
+            RequestStatus::Failed(_) => "failed",
+        }
+    }
 }
 
 /// One request's terminal record.
@@ -334,8 +342,10 @@ impl RequestOutcome {
     }
 }
 
-/// One periodic interval sample of the executor's state during a drain
-/// (see [`Executor::set_snapshot_interval`]).
+/// One periodic interval sample of the session's state during a drain
+/// (see [`ServeOptions::snapshot_interval`]).
+///
+/// [`ServeOptions::snapshot_interval`]: crate::serve::ServeOptions::snapshot_interval
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeSnapshot {
     /// Virtual time of the sample, measured from the start of the drain.
@@ -349,7 +359,7 @@ pub struct ServeSnapshot {
     pub mean_abs_drift: f64,
 }
 
-/// Aggregate result of draining the executor queue once.
+/// Aggregate result of draining a [`ServeSession`] once.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Terminal records: submission-time rejections first (in submit
@@ -377,23 +387,30 @@ pub struct ServeReport {
     /// Predicted-vs-actual drift of the scheduler's per-dispatch offload
     /// predictions, when the deployed profile could predict the requests.
     pub drift: DriftAccountant,
-    /// Snapshot of the executor's metrics registry after the run.
+    /// Snapshot of the session's metrics registry after the run.
     pub metrics: Registry,
     /// Periodic interval samples of the drain, when
-    /// [`Executor::set_snapshot_interval`] armed them.
+    /// [`ServeOptions::snapshot_interval`](crate::serve::ServeOptions::snapshot_interval)
+    /// armed them.
     pub snapshots: Vec<ServeSnapshot>,
     /// The request-lifecycle trace of the drain, when
-    /// [`Executor::enable_tracing`] armed it.
+    /// [`ServeOptions::tracing`](crate::serve::ServeOptions::tracing) (or
+    /// telemetry) armed it.
     pub trace: Option<ServeTrace>,
     /// Spans dropped from [`trace`](ServeReport::trace) by the span
-    /// capacity cap ([`Executor::enable_tracing_with_cap`]); `0` when
-    /// tracing was uncapped or nothing overflowed.
+    /// capacity cap ([`TelemetryConfig::trace_cap`]); `0` when tracing
+    /// was uncapped or nothing overflowed.
+    ///
+    /// [`TelemetryConfig::trace_cap`]: crate::serve::TelemetryConfig::trace_cap
     pub trace_dropped: u64,
     /// Streaming telemetry summary (windows, SLO breaches, flight-recorder
-    /// dumps), when [`Executor::enable_telemetry`] armed it.
+    /// dumps), when
+    /// [`ServeOptions::telemetry`](crate::serve::ServeOptions::telemetry)
+    /// armed it.
     pub telemetry: Option<TelemetryReport>,
     /// Deepest the dispatch queue got during the drain — with a
-    /// [`ServeOptions::queue_cap`] this never exceeds the cap, the
+    /// [`ServeOptions::queue_cap`](crate::serve::ServeOptions::queue_cap)
+    /// this never exceeds the cap, the
     /// bounded-memory guarantee of backpressure.
     pub peak_queue_depth: usize,
 }
@@ -602,112 +619,11 @@ impl ServeReport {
     }
 }
 
-/// The request-serving executor over a [`MultiGpu`] pool.
-///
-/// Lifecycle: [`submit`](Self::submit) requests (admission happens here),
-/// then [`run`](Self::run) to drain the queue through the configured
-/// [`SchedulePolicy`] (FIFO by default; see
-/// [`set_policy`](Self::set_policy)). Under FIFO and EDF each request is
-/// pulled by the device with the lowest estimated ready time: its virtual
-/// clock plus the estimated upload time of the request's shared operands
-/// it does not hold resident. Residency affinity therefore wins only
-/// while the affine device's clock lead stays below the re-upload cost —
-/// a device that falls further behind loses the work to an idle peer
-/// instead of serialising the whole trace. The predictive policy extends
-/// the same ready-time estimate with the model-predicted offload time
-/// from each device's deployed profile and schedules longest-first to
-/// minimise the pool makespan.
-#[derive(Debug)]
-pub struct Executor {
-    pool: MultiGpu,
-    residency: Vec<ResidencyCache>,
-    cfg: ExecutorConfig,
-    policy: SchedulePolicy,
-    queue: VecDeque<(RequestId, RoutineRequest)>,
-    outcomes: Vec<RequestOutcome>,
-    metrics: Registry,
-    drift: DriftAccountant,
-    next_id: u64,
-    /// Devices removed from dispatch after repeated faults or loss.
-    quarantined: Vec<bool>,
-    /// Consecutive faults per device; reset by any successful request.
-    fault_streak: Vec<u32>,
-    /// Hedge-informed dispatch penalty, virtual seconds: a device whose
-    /// attempt overran its prediction carries the observed excess as
-    /// extra ready time, so dispatch stops feeding a straggler that a
-    /// winning hedge keeps rewinding to an attractive clock. Cleared by
-    /// any attempt that completes within its hedge threshold and on
-    /// quarantine/re-admission. Stays all-zero unless hedging is armed.
-    suspicion_secs: Vec<f64>,
-    /// Request-lifecycle span collector, armed by
-    /// [`enable_tracing`](Self::enable_tracing).
-    tracer: Option<ServeTracer>,
-    /// Per-device trace length when the drain began; the run's device
-    /// lanes are the entries recorded after these marks.
-    trace_mark: Vec<usize>,
-    /// Interval between periodic drain snapshots, armed by
-    /// [`set_snapshot_interval`](Self::set_snapshot_interval).
-    snapshot_every: Option<SimTime>,
-    /// Span-log capacity cap for long drains, armed by
-    /// [`enable_tracing_with_cap`](Self::enable_tracing_with_cap).
-    trace_cap: Option<usize>,
-    /// Streaming telemetry pipeline, armed by
-    /// [`enable_telemetry`](Self::enable_telemetry).
-    telemetry: Option<Telemetry>,
-    /// Open-arrival events not yet due, sorted by arrival offset (virtual
-    /// ns past the next drain's start), ties in submission order.
-    arrivals: VecDeque<(RequestId, RoutineRequest, u64)>,
-    /// Arrival offset (ns past drain start) per open-arrival request id;
-    /// closed-queue submissions are absent (offset zero).
-    arrival_offset: HashMap<u64, u64>,
-    /// Bounded-queue backpressure: an arrival finding the queue at this
-    /// depth is shed as [`RequestStatus::Rejected`].
-    queue_cap: Option<usize>,
-    /// Load-shed watermark: an arrival whose predicted flow time (queue
-    /// backlog spread over healthy devices plus its own service estimate)
-    /// exceeds this many seconds is shed.
-    shed_flow_secs: Option<f64>,
-    /// Request coalescing for identical problem shapes (open arrivals
-    /// only).
-    coalesce: bool,
-    /// Coalesce key of each *queued* request that can lead a coalition.
-    coalesce_leaders: HashMap<String, RequestId>,
-    /// Leader id → requests riding on its execution.
-    followers: HashMap<u64, Vec<Follower>>,
-    /// Estimated service seconds queued, maintained only while the
-    /// flow-time watermark is armed.
-    backlog_secs: f64,
-    /// Deepest queue observed during the current drain.
-    peak_queue: usize,
-    /// Hedged re-dispatch of straggling attempts, armed by
-    /// [`ServeOptions::hedge`](crate::serve::ServeOptions::hedge).
-    hedge: Option<HedgeConfig>,
-    /// Quarantine probation (canary probes that re-admit healed devices),
-    /// armed by
-    /// [`ServeOptions::probation`](crate::serve::ServeOptions::probation).
-    probation: Option<ProbationConfig>,
-    /// Per-device probe schedule while quarantined under probation.
-    probes: Vec<Option<DeviceProbe>>,
-    /// Session retry token bucket and circuit breaker, armed by
-    /// [`ServeOptions::retry_budget`](crate::serve::ServeOptions::retry_budget).
-    budget: Option<BudgetState>,
-    /// Cross-request operand prefetch on idle h2d engines, armed by
-    /// [`ServeOptions::prefetch`](crate::serve::ServeOptions::prefetch).
-    prefetch: bool,
-    /// Prefetched operands pinned in residency caches until their target
-    /// request claims them at dispatch (or a release path frees them).
-    prefetched: Vec<PrefetchEntry>,
-    /// Backlog seconds each queued request contributed at admission, so
-    /// the dispatch-time decrement returns exactly what admission added
-    /// even when residency (and thus the estimate) changed in between.
-    backlog_contrib: HashMap<u64, f64>,
-}
-
 /// A request coalesced onto a queued leader: it never executes itself,
 /// but completes (against its own arrival time and deadline) when the
 /// leader does.
 #[derive(Debug, Clone)]
-struct Follower {
+pub(super) struct Follower {
     id: RequestId,
     arrival_ns: u64,
     deadline: Option<f64>,
@@ -716,7 +632,7 @@ struct Follower {
 /// One prefetched operand pinned in a device's residency cache until its
 /// target request claims it at dispatch (or a release path frees it).
 #[derive(Debug, Clone)]
-struct PrefetchEntry {
+pub(super) struct PrefetchEntry {
     /// Device holding the prefetched operand.
     device: usize,
     /// Request id the operand was prefetched for.
@@ -760,238 +676,27 @@ fn footprint_reason(footprint: usize, limit: usize, frac: f64) -> String {
     )
 }
 
-impl Executor {
-    /// Wraps a device pool, carving each device's residency budget out of
-    /// its memory capacity per `cfg`.
-    pub fn new(pool: MultiGpu, cfg: ExecutorConfig) -> Self {
-        let residency = pool
-            .devices()
-            .iter()
-            .map(|dev| {
-                let cap = dev.gpu().device_mem_capacity() as f64;
-                ResidencyCache::new((cap * cfg.residency_frac.clamp(0.0, 1.0)) as usize)
-            })
-            .collect();
-        let count = pool.device_count();
-        Executor {
-            pool,
-            residency,
-            cfg,
-            policy: SchedulePolicy::default(),
-            queue: VecDeque::new(),
-            outcomes: Vec::new(),
-            metrics: Registry::new(),
-            drift: DriftAccountant::new(),
-            next_id: 0,
-            quarantined: vec![false; count],
-            fault_streak: vec![0; count],
-            suspicion_secs: vec![0.0; count],
-            tracer: None,
-            trace_mark: vec![0; count],
-            snapshot_every: None,
-            trace_cap: None,
-            telemetry: None,
-            arrivals: VecDeque::new(),
-            arrival_offset: HashMap::new(),
-            queue_cap: None,
-            shed_flow_secs: None,
-            coalesce: false,
-            coalesce_leaders: HashMap::new(),
-            followers: HashMap::new(),
-            backlog_secs: 0.0,
-            peak_queue: 0,
-            hedge: None,
-            probation: None,
-            probes: vec![None; count],
-            budget: None,
-            prefetch: false,
-            prefetched: Vec::new(),
-            backlog_contrib: HashMap::new(),
-        }
+/// Terminal status of an executed run with flow time `flow` (virtual
+/// seconds) against its deadline, if any.
+fn judge(report: RoutineReport, flow: f64, deadline: Option<f64>) -> RequestStatus {
+    match deadline {
+        Some(dl) if flow > dl => RequestStatus::TimedOut {
+            deadline: dl,
+            elapsed: flow,
+            report: Box::new(report),
+        },
+        _ => RequestStatus::Completed(report),
     }
+}
 
-    /// Builds an executor with the whole serving configuration applied up
-    /// front — scheduling policy, tracing, telemetry, snapshots, and the
-    /// open-arrival knobs (queue cap, shed watermark, coalescing). This is
-    /// the constructor behind [`ServeSession`](crate::serve::ServeSession)
-    /// and replaces the deprecated post-construction setters.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when a telemetry stream file cannot be
-    /// created.
-    pub fn with_options(
-        pool: MultiGpu,
-        cfg: ExecutorConfig,
-        opts: ServeOptions,
-    ) -> std::io::Result<Self> {
-        let mut exec = Executor::new(pool, cfg);
-        exec.policy = opts.policy;
-        if opts.tracing || opts.telemetry.is_some() {
-            exec.tracer = Some(ServeTracer::default());
-        }
-        exec.trace_cap = opts.trace_cap;
-        if let Some(tcfg) = opts.telemetry {
-            exec.trace_cap = tcfg.trace_cap;
-            let mut tele = Telemetry::new(tcfg)?;
-            if let Some(sink) = opts.watch_sink {
-                tele.set_sink(sink);
-            }
-            exec.telemetry = Some(tele);
-        }
-        exec.snapshot_every = opts.snapshot_interval.filter(|t| t.as_nanos() > 0);
-        exec.queue_cap = opts.queue_cap;
-        exec.shed_flow_secs = opts.shed_flow_secs.filter(|s| *s > 0.0);
-        exec.coalesce = opts.coalesce;
-        exec.hedge = opts.hedge.filter(|h| h.multiplier > 0.0);
-        exec.probation = opts.probation;
-        exec.budget = opts.retry_budget.map(BudgetState::new);
-        exec.prefetch = opts.prefetch;
-        Ok(exec)
-    }
+/// Device and host buffers alive on one device at an instant: the
+/// baseline a failed, cancelled, or probing attempt is rolled back to.
+struct LiveBuffers {
+    dev: BTreeSet<DevBufId>,
+    host: BTreeSet<HostBufId>,
+}
 
-    /// Arms request-lifecycle tracing: subsequent [`run`](Self::run) calls
-    /// collect a [`ServeTrace`] (spans plus per-device engine lanes) into
-    /// [`ServeReport::trace`]. Tracing changes no scheduling decision —
-    /// traced and untraced drains of the same trace are identical.
-    #[deprecated(note = "configure tracing via ServeOptions::tracing at construction")]
-    pub fn enable_tracing(&mut self) {
-        self.tracer = Some(ServeTracer::default());
-    }
-
-    /// Arms tracing like [`enable_tracing`](Self::enable_tracing) but with
-    /// a span capacity cap: once the log exceeds `cap` (plus a 25%
-    /// amortisation slack while the drain runs), the oldest spans are
-    /// dropped so a long trace cannot grow without bound. The final
-    /// [`ServeReport::trace`] holds at most `cap` spans and
-    /// [`ServeReport::trace_dropped`] counts the casualties. `None`
-    /// uncaps.
-    #[deprecated(note = "configure the cap via ServeOptions::tracing + ServeOptions::trace_cap")]
-    pub fn enable_tracing_with_cap(&mut self, cap: Option<usize>) {
-        self.tracer = Some(ServeTracer::default());
-        self.trace_cap = cap;
-    }
-
-    /// Arms streaming telemetry: windowed metrics, SLO evaluation, the
-    /// span flight recorder, and (when
-    /// [`TelemetryConfig::stream_path`] is set) incremental Perfetto
-    /// export. Implies tracing — a tracer is armed (with
-    /// [`TelemetryConfig::trace_cap`]) if none is active, so the flight
-    /// recorder has spans to record. Telemetry only *reads* device
-    /// clocks; traced/telemetered and plain drains of the same trace stay
-    /// bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when the stream file cannot be created.
-    #[deprecated(note = "configure telemetry via ServeOptions::telemetry at construction")]
-    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) -> std::io::Result<()> {
-        if self.tracer.is_none() {
-            self.tracer = Some(ServeTracer::default());
-        }
-        self.trace_cap = cfg.trace_cap;
-        self.telemetry = Some(Telemetry::new(cfg)?);
-        Ok(())
-    }
-
-    /// Installs the live-watch sink: called once per closed telemetry
-    /// window with the rendered [`WatchWindow`]. No-op until
-    /// [`enable_telemetry`](Self::enable_telemetry) armed telemetry.
-    #[deprecated(note = "configure the sink via ServeOptions::watch_sink at construction")]
-    pub fn set_watch_sink(&mut self, sink: Box<dyn FnMut(&WatchWindow)>) {
-        if let Some(tele) = self.telemetry.as_mut() {
-            tele.set_sink(sink);
-        }
-    }
-
-    /// Arms periodic drain snapshots: every `interval` of virtual time,
-    /// [`run`](Self::run) samples queue depth, per-device clock advance,
-    /// and prediction drift into [`ServeReport::snapshots`]. `None`
-    /// disarms.
-    #[deprecated(note = "configure via ServeOptions::snapshot_interval at construction")]
-    pub fn set_snapshot_interval(&mut self, interval: Option<SimTime>) {
-        self.snapshot_every = interval.filter(|t| t.as_nanos() > 0);
-    }
-
-    /// Policy dispatch pick, exposed for the microbenchmark harness.
-    #[doc(hidden)]
-    pub fn next_dispatch_for_bench(
-        &mut self,
-    ) -> Option<(RequestId, RoutineRequest, Option<usize>)> {
-        self.next_dispatch()
-    }
-
-    /// One open-arrival event step (due-arrival admission plus dispatch
-    /// pick), exposed for the microbenchmark harness.
-    #[doc(hidden)]
-    pub fn next_event_for_bench(&mut self) -> Option<(RequestId, RoutineRequest, Option<usize>)> {
-        let start: Vec<SimTime> = self.pool.devices().iter().map(|d| d.gpu().now()).collect();
-        self.next_event(&start)
-            .map(|(id, req, pref, _)| (id, req, pref))
-    }
-
-    /// Sets the queue-scheduling policy for subsequent [`run`](Self::run)
-    /// calls (the default is [`SchedulePolicy::Fifo`]).
-    #[deprecated(note = "configure the policy via ServeOptions::policy at construction")]
-    pub fn set_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// The active queue-scheduling policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
-    /// The wrapped pool.
-    pub fn pool(&self) -> &MultiGpu {
-        &self.pool
-    }
-
-    /// Consumes the executor and returns the pool.
-    pub fn into_pool(self) -> MultiGpu {
-        self.pool
-    }
-
-    /// The executor's metrics registry (counters, gauges, queue depth).
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// The residency cache of device `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is out of range.
-    pub fn residency(&self, d: usize) -> &ResidencyCache {
-        &self.residency[d]
-    }
-
-    /// Requests waiting for dispatch.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Devices currently quarantined, in index order.
-    pub fn quarantined(&self) -> Vec<usize> {
-        self.quarantined
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &q)| q.then_some(i))
-            .collect()
-    }
-
-    /// Operationally drains device `d`: quarantines it exactly as a fault
-    /// storm would (residency invalidated, allocations released, no new
-    /// work), without any fault having occurred. When probation is armed
-    /// ([`ProbationConfig`]) the device re-enters service automatically
-    /// once its canary probes pass — the maintenance-window workflow: pull
-    /// a device, let the prober re-admit it. Without probation the device
-    /// stays out until the session ends. Idempotent.
-    pub fn force_quarantine(&mut self, d: usize) {
-        assert!(d < self.quarantined.len(), "no such device: {d}");
-        self.quarantine(d);
-    }
-
+impl ServeSession {
     /// Submits a request, returning its id. Admission control runs here: a
     /// request whose worst-case footprint exceeds the configured fraction
     /// of device memory terminates immediately as
@@ -999,8 +704,9 @@ impl Executor {
     ///
     /// The limit is computed from the *smallest* device in the pool, so an
     /// admitted request fits whichever device dispatch later picks
-    /// ([`MultiGpu`] pools are homogeneous today, making this the only
-    /// capacity; a heterogeneous pool stays safe but under-admits).
+    /// ([`MultiGpu`](crate::MultiGpu) pools are homogeneous today, making
+    /// this the only capacity; a heterogeneous pool stays safe but
+    /// under-admits).
     pub fn submit(&mut self, req: impl Into<RoutineRequest>) -> RequestId {
         let req = req.into();
         let id = RequestId(self.next_id);
@@ -1052,11 +758,6 @@ impl Executor {
         let pos = self.arrivals.partition_point(|a| a.2 <= at_ns);
         self.arrivals.insert(pos, (id, req, at_ns));
         id
-    }
-
-    /// Open arrivals scheduled but not yet due in a drain.
-    pub fn pending_arrivals(&self) -> usize {
-        self.arrivals.len()
     }
 
     /// The footprint admission ceiling, from the *smallest* device in the
@@ -1113,7 +814,7 @@ impl Executor {
     /// device's deployed profile
     /// ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)).
     /// `None` when the profile cannot predict this routine/precision — the
-    /// scheduler then degrades to the upload-plus-clock heuristic.
+    /// placement price then carries no offload term.
     fn offload_estimate(&self, d: usize, req: &RoutineRequest) -> Option<Prediction> {
         let (model, tile) = match req.tile_choice() {
             TileChoice::Fixed(t) => (None, Some(t)),
@@ -1125,39 +826,49 @@ impl Executor {
             .predict_offload(&req.problem_spec(), model, tile)
     }
 
-    /// The healthy device that pulls `req`: lowest estimated ready time —
-    /// virtual clock plus the ideal h2d time of the shared operands the
-    /// device is missing, plus the hedge-informed straggler penalty —
-    /// then lowest index. Residency affinity is thus *bounded*: a device
-    /// holding the operands is preferred only while its clock lead over
-    /// an idle peer stays below the re-upload cost, so high-reuse traces
-    /// still spread across the pool. The straggler penalty matters when
+    /// Service time of `req` on device `d`, virtual seconds: the upload of
+    /// the shared operands the device is missing plus the model-predicted
+    /// offload time (zero when the profile cannot predict the request).
+    /// This is the one price of a request × device pair: placement adds
+    /// the device's clock and straggler penalty to it
+    /// ([`completion_secs`](Self::completion_secs)), the shed watermark
+    /// and the hedge threshold use it bare.
+    fn service_secs(&self, d: usize, req: &RoutineRequest) -> f64 {
+        self.upload_estimate(d, req) + self.offload_estimate(d, req).map_or(0.0, |p| p.total)
+    }
+
+    /// Estimated completion of `req` on device `d`: the device's virtual
+    /// clock, plus its hedge-informed straggler penalty, plus
+    /// [`service_secs`](Self::service_secs). The penalty matters when
     /// hedging is armed: a winning hedge rewinds the cancelled primary's
     /// clock, which would otherwise keep the degraded device looking
     /// *idle* and attractive; carrying its observed overrun as extra
     /// ready time steers work to healthy peers until the device
-    /// demonstrates an on-prediction attempt again. Quarantined devices
-    /// never pull work; `None` means the whole pool is quarantined.
-    fn choose_device(&self, req: &RoutineRequest) -> Option<usize> {
-        self.choose_device_excluding(req, usize::MAX)
+    /// demonstrates an on-prediction attempt again.
+    fn completion_secs(&self, d: usize, req: &RoutineRequest) -> f64 {
+        self.pool.devices()[d].gpu().now().as_secs_f64()
+            + self.suspicion_secs[d]
+            + self.service_secs(d, req)
     }
 
-    /// [`choose_device`](Self::choose_device) with one device barred —
-    /// the hedge-target pick, which must race a *different* device than
-    /// the straggling primary attempt.
-    fn choose_device_excluding(&self, req: &RoutineRequest, skip: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        let mut best_cost = f64::INFINITY;
-        for i in 0..self.pool.device_count() {
-            if i == skip || self.quarantined[i] {
+    /// The healthy device that pulls `req` — lowest
+    /// [`completion_secs`](Self::completion_secs), then lowest index —
+    /// with that completion. Residency affinity is thus *bounded*: a
+    /// device holding the operands is preferred only while its clock lead
+    /// over an idle peer stays below the re-upload cost, so high-reuse
+    /// traces still spread across the pool. `skip` bars one device (the
+    /// hedge-target pick must race a *different* device than the
+    /// straggling primary). Quarantined devices never pull work; `None`
+    /// means no candidate is healthy.
+    fn choose_device(&self, req: &RoutineRequest, skip: Option<usize>) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for d in 0..self.pool.device_count() {
+            if Some(d) == skip || self.quarantined[d] {
                 continue;
             }
-            let cost = self.pool.devices()[i].gpu().now().as_secs_f64()
-                + self.upload_estimate(i, req)
-                + self.suspicion_secs[i];
-            if cost < best_cost {
-                best = Some(i);
-                best_cost = cost;
+            let cost = self.completion_secs(d, req);
+            if cost < best.map_or(f64::INFINITY, |b| b.1) {
+                best = Some((d, cost));
             }
         }
         best
@@ -1190,44 +901,26 @@ impl Executor {
                 (best, None)
             }
             SchedulePolicy::Predictive => {
-                let healthy: Vec<usize> = (0..self.pool.device_count())
-                    .filter(|&i| !self.quarantined[i])
-                    .collect();
-                if healthy.is_empty() {
+                // Cost each request at its best device, then dispatch the
+                // request with the *largest* best-completion first —
+                // longest-processing-time list scheduling, so a straggler
+                // never lands on an already-loaded device at the tail of
+                // the trace. Strict comparisons keep submission order and
+                // lowest device index on ties.
+                let mut pick = (0, None);
+                let mut pick_completion = f64::NEG_INFINITY;
+                for (i, (_, r)) in self.queue.iter().enumerate() {
                     // Whole pool quarantined: order is irrelevant, every
                     // request degrades to the host.
-                    (0, None)
-                } else {
-                    // Cost each request at its best device (clock + missing
-                    // uploads + predicted offload time), then dispatch the
-                    // request with the *largest* best-completion first —
-                    // longest-processing-time list scheduling, so a
-                    // straggler never lands on an already-loaded device at
-                    // the tail of the trace. Strict comparisons keep
-                    // submission order and lowest device index on ties.
-                    let mut pick = 0;
-                    let mut pick_completion = f64::NEG_INFINITY;
-                    let mut pick_dev = None;
-                    for (i, (_, r)) in self.queue.iter().enumerate() {
-                        let mut best_dev = healthy[0];
-                        let mut best_c = f64::INFINITY;
-                        for &d in &healthy {
-                            let c = self.pool.devices()[d].gpu().now().as_secs_f64()
-                                + self.upload_estimate(d, r)
-                                + self.offload_estimate(d, r).map_or(0.0, |p| p.total);
-                            if c < best_c {
-                                best_dev = d;
-                                best_c = c;
-                            }
-                        }
-                        if best_c > pick_completion {
-                            pick = i;
-                            pick_completion = best_c;
-                            pick_dev = Some(best_dev);
-                        }
+                    let Some((dev, completion)) = self.choose_device(r, None) else {
+                        break;
+                    };
+                    if completion > pick_completion {
+                        pick = (i, Some(dev));
+                        pick_completion = completion;
                     }
-                    (pick, pick_dev)
                 }
+                pick
             }
         })
     }
@@ -1398,49 +1091,32 @@ impl Executor {
             host_fallback: false,
             coalesced: false,
         });
-        let quar_before = if self.telemetry.is_some() {
-            self.quarantined.clone()
-        } else {
-            Vec::new()
-        };
-        self.telemetry_tick(start, &quar_before);
+        self.telemetry_tick(start, &[]);
     }
 
     /// Service-time estimate of a request for the flow-time shed
-    /// watermark: the *best* healthy device's cost — the h2d time of the
-    /// shared operands that device is actually missing (residency-aware,
-    /// at effective link bandwidth) plus its model offload estimate. A
-    /// warm repeat request therefore prices near its compute time instead
-    /// of being charged cold uploads it will never perform — the old
-    /// residency-blind device-0 pricing spuriously shed exactly the
-    /// cheap, cache-friendly traffic the residency layer exists to serve.
-    /// When the whole pool is quarantined the estimate falls back to cold
-    /// device-0 pricing (the arrival would run on the host; the figure
-    /// only feeds the watermark). Residency changes between admission and
-    /// dispatch are reconciled through `backlog_contrib`: the backlog
-    /// decrement returns exactly what admission added.
+    /// watermark: the *best* healthy device's
+    /// [`service_secs`](Self::service_secs) — residency-aware, so a warm
+    /// repeat request prices near its compute time instead of being
+    /// charged cold uploads it will never perform (residency-blind
+    /// pricing would spuriously shed exactly the cheap, cache-friendly
+    /// traffic the residency layer exists to serve). When the whole pool
+    /// is quarantined, device 0's price stands in — quarantine cleared
+    /// its residency, so the price is cold (the arrival would run on the
+    /// host; the figure only feeds the watermark). Residency changes
+    /// between admission and dispatch are reconciled through
+    /// `backlog_contrib`: the backlog decrement returns exactly what
+    /// admission added.
     fn service_estimate(&self, req: &RoutineRequest) -> f64 {
-        let mut best = f64::INFINITY;
-        for d in 0..self.pool.device_count() {
-            if self.quarantined[d] {
-                continue;
-            }
-            let cost = self.upload_estimate(d, req)
-                + self.offload_estimate(d, req).map_or(0.0, |p| p.total);
-            if cost < best {
-                best = cost;
-            }
-        }
+        let best = (0..self.pool.device_count())
+            .filter(|&d| !self.quarantined[d])
+            .map(|d| self.service_secs(d, req))
+            .fold(f64::INFINITY, f64::min);
         if best.is_finite() {
-            return best;
+            best
+        } else {
+            self.service_secs(0, req)
         }
-        let h2d = self.pool.devices()[0].gpu().spec().link.h2d;
-        let upload: f64 = req
-            .shared_footprints()
-            .iter()
-            .map(|&(_, bytes)| h2d.ideal_time(bytes))
-            .sum();
-        upload + self.offload_estimate(0, req).map_or(0.0, |p| p.total)
     }
 
     /// Bumps the terminal-status counter for one outcome.
@@ -1474,25 +1150,22 @@ impl Executor {
             _ => self.tracer.as_ref().map(|t| t.host_now_ns()).unwrap_or(0),
         };
         for f in followers {
-            let status = match &leader.status {
-                RequestStatus::Completed(r) => self.follower_status(leader, r, &f, start),
-                RequestStatus::TimedOut { report, .. } => {
-                    self.follower_status(leader, report, &f, start)
+            let status = match leader.executed_report() {
+                Some(r) => {
+                    let flow = self.flow_secs(
+                        leader.device,
+                        leader.host_fallback,
+                        f.arrival_ns,
+                        r.elapsed,
+                        start,
+                    );
+                    judge(r.clone(), flow, f.deadline)
                 }
-                RequestStatus::Failed(e) => RequestStatus::Failed(e.clone()),
-                RequestStatus::Rejected { reason } => RequestStatus::Rejected {
-                    reason: reason.clone(),
-                },
+                None => leader.status.clone(),
             };
             self.count_status(&status);
             if let Some(t) = self.tracer.as_mut() {
-                let label = match &status {
-                    RequestStatus::Completed(_) => "completed",
-                    RequestStatus::TimedOut { .. } => "timed-out",
-                    RequestStatus::Failed(_) => "failed",
-                    RequestStatus::Rejected { .. } => "rejected",
-                };
-                t.complete(f.id.0, end_ns, label);
+                t.complete(f.id.0, end_ns, status.label());
             }
             self.outcomes.push(RequestOutcome {
                 id: f.id,
@@ -1503,60 +1176,45 @@ impl Executor {
                 host_fallback: leader.host_fallback,
                 coalesced: true,
             });
-            let quar_before = if self.telemetry.is_some() {
-                self.quarantined.clone()
-            } else {
-                Vec::new()
-            };
-            self.telemetry_tick(start, &quar_before);
+            self.telemetry_tick(start, &[]);
         }
     }
 
-    /// Terminal status of one follower given its leader's report: the
-    /// follower's flow time (leader completion minus the follower's own
-    /// arrival) judged against the follower's own deadline.
-    fn follower_status(
+    /// Flow time of a request that executed, virtual seconds: the serving
+    /// device's clock advance since the drain began, minus the request's
+    /// arrival offset (zero for closed-queue submissions), so queueing
+    /// delay counts against the deadline while an open arrival's budget
+    /// starts at arrival. Host runs advance no device clock; their own
+    /// `elapsed` is the closest flow measure available.
+    fn flow_secs(
         &self,
-        leader: &RequestOutcome,
-        report: &RoutineReport,
-        f: &Follower,
+        device: Option<usize>,
+        host_fallback: bool,
+        arrival_ns: u64,
+        elapsed: SimTime,
         start: &[SimTime],
-    ) -> RequestStatus {
-        let flow = match leader.device {
-            Some(d) if !leader.host_fallback => {
+    ) -> f64 {
+        match device {
+            Some(d) if !host_fallback => {
                 let raw = self.pool.devices()[d]
                     .gpu()
                     .now()
                     .saturating_since(start[d]);
-                SimTime::from_nanos(raw.as_nanos().saturating_sub(f.arrival_ns)).as_secs_f64()
+                SimTime::from_nanos(raw.as_nanos().saturating_sub(arrival_ns)).as_secs_f64()
             }
-            _ => report.elapsed.as_secs_f64(),
-        };
-        match f.deadline {
-            Some(dl) if flow > dl => RequestStatus::TimedOut {
-                deadline: dl,
-                elapsed: flow,
-                report: Box::new(report.clone()),
-            },
-            _ => RequestStatus::Completed(report.clone()),
+            _ => elapsed.as_secs_f64(),
         }
     }
 
-    /// Drains the queue, dispatching every request to a terminal status,
-    /// and reports the run.
-    #[deprecated(note = "construct a ServeSession and call drain(); run() is a thin wrapper")]
-    pub fn run(&mut self) -> ServeReport {
-        self.drain_queue()
-    }
-
-    /// Drains queued requests *and* scheduled open arrivals, dispatching
-    /// every request to a terminal status, and reports the run. Arrivals
-    /// interleave with dispatches in virtual time: before each dispatch
-    /// pick, every arrival whose offset the device clocks have passed is
-    /// admitted (and possibly shed or coalesced); when the queue is empty
-    /// but arrivals remain, admission jumps to the next arrival instant.
-    /// With no scheduled arrivals this is exactly the closed-queue drain.
-    pub(crate) fn drain_queue(&mut self) -> ServeReport {
+    /// Runs the drain event loop to quiescence — every queued request and
+    /// scheduled open arrival reaches a terminal status — and reports the
+    /// run. Arrivals interleave with dispatches in virtual time: before
+    /// each dispatch pick, every arrival whose offset the device clocks
+    /// have passed is admitted (and possibly shed or coalesced); when the
+    /// queue is empty but arrivals remain, admission jumps to the next
+    /// arrival instant. With no scheduled arrivals this is exactly the
+    /// closed-queue drain. The session remains usable afterwards.
+    pub fn drain(&mut self) -> ServeReport {
         let start: Vec<SimTime> = self.pool.devices().iter().map(|d| d.gpu().now()).collect();
         self.peak_queue = self.queue.len();
         if self.tracer.is_some() {
@@ -1732,11 +1390,7 @@ impl Executor {
     ) -> RequestOutcome {
         let routine = req.routine();
         let deadline = req.deadline();
-        let budget = if self.cfg.retry_transient {
-            self.cfg.max_retries
-        } else {
-            0
-        };
+        let budget = self.cfg.max_retries;
         let mut retries: u32 = 0;
         let mut host_fallback = false;
         let mut device: Option<usize> = None;
@@ -1757,7 +1411,7 @@ impl Executor {
                 preferred
                     .take()
                     .filter(|&p| !self.quarantined[p])
-                    .or_else(|| self.choose_device(&req))
+                    .or_else(|| self.choose_device(&req, None).map(|(d, _)| d))
             };
             let Some(d) = pick else {
                 // Probation may heal the pool before we give up on
@@ -1813,24 +1467,14 @@ impl Executor {
                     .gpu_mut()
                     .advance_clock(SimTime::from_nanos(behind));
             }
-            let pre_dev: BTreeSet<DevBufId> = self.pool.devices()[d]
-                .gpu()
-                .live_device_buffers()
-                .into_iter()
-                .collect();
-            let pre_host: BTreeSet<HostBufId> = self.pool.devices()[d]
-                .gpu()
-                .live_host_buffers()
-                .into_iter()
-                .collect();
-            // Predicted completion of this attempt: missing-operand upload
-            // plus the model's offload estimate. Recorded against the
-            // actual clock advance under every policy, so FIFO/EDF runs
-            // expose the same misprediction accounting the predictive
-            // policy schedules by.
+            let pre = self.live_buffers(d);
+            // Predicted duration of this attempt: the placement price
+            // without the clock. Recorded against the actual clock advance
+            // under every policy, so FIFO/EDF runs expose the same
+            // misprediction accounting the predictive policy schedules by.
             let estimate = self
                 .offload_estimate(d, &req)
-                .map(|p| (p, self.upload_estimate(d, &req)));
+                .map(|p| (p, self.service_secs(d, &req)));
             let clock_before = self.pool.devices()[d].gpu().now();
             let len_before = self.pool.devices()[d].gpu().trace().len();
             if !queued_recorded {
@@ -1874,9 +1518,8 @@ impl Executor {
                         clock_before,
                         clock_after,
                         len_before,
-                        &pre_dev,
-                        &pre_host,
-                        estimate.as_ref(),
+                        &pre,
+                        estimate.as_ref().map(|e| e.1),
                     );
                     if let HedgeOutcome::Won(hreport, hdev, hend_ns) = hedged {
                         device = Some(hdev);
@@ -1898,43 +1541,17 @@ impl Executor {
                         }
                     }
                     not_before_ns = clock_after.as_nanos();
-                    if let Some((pred, upload)) = estimate {
+                    if let Some((pred, predicted)) = estimate {
                         let actual = self.pool.devices()[d]
                             .gpu()
                             .now()
                             .saturating_since(clock_before)
                             .as_secs_f64();
-                        let rec = DriftRecord {
-                            routine,
-                            call: id.0,
-                            model: pred.model,
-                            tile: pred.tile,
-                            predicted_secs: upload + pred.total,
-                            actual_secs: actual,
-                        };
-                        let err = rec.abs_rel_err();
-                        self.metrics.histogram_observe(
-                            "sched_predict_abs_err",
-                            &ABS_ERROR_BOUNDS,
-                            err,
-                        );
-                        self.metrics.histogram_observe(
-                            &format!("sched_predict_abs_err_{}", self.policy.name()),
-                            &ABS_ERROR_BOUNDS,
-                            err,
-                        );
-                        self.drift.record(rec);
+                        self.record_drift(routine, id.0, &pred, predicted, actual);
                     }
                     break Ok(report);
                 }
                 Err(e) => {
-                    let class = e.fault_class();
-                    let name = match class {
-                        FaultClass::Transient => "fault_transient_total",
-                        FaultClass::Degraded => "fault_degraded_total",
-                        FaultClass::Fatal => "fault_fatal_total",
-                    };
-                    self.metrics.counter_add(name, 1);
                     let clock_after = self.pool.devices()[d].gpu().now();
                     if self.tracer.is_some() {
                         let entries = self.attempt_entries(d, len_before);
@@ -1951,40 +1568,17 @@ impl Executor {
                         }
                     }
                     not_before_ns = clock_after.as_nanos();
-                    if matches!(e, RuntimeError::Sim(SimError::DeviceLost)) {
-                        // The device is gone but the request is innocent:
-                        // quarantine the device and re-dispatch.
-                        self.quarantine(d);
-                        if let Some(t) = self.tracer.as_mut() {
-                            t.quarantine(id.0, d, clock_after.as_nanos());
-                        }
-                        if retries >= budget {
-                            break Err(e);
-                        }
-                    } else if class.retryable() {
-                        self.fault_streak[d] += 1;
-                        if self.fault_streak[d] >= self.cfg.quarantine_after {
-                            self.quarantine(d);
-                            if let Some(t) = self.tracer.as_mut() {
-                                t.quarantine(id.0, d, clock_after.as_nanos());
-                            }
-                        } else if retries < budget {
-                            // Only a retry justifies the scorched-earth
-                            // reclaim that evicts the whole residency
-                            // cache to make room.
-                            self.reclaim(d, &pre_dev, &pre_host);
-                        } else {
-                            // No retry will run: free only what the failed
-                            // attempt leaked and keep warm operands for
-                            // later requests.
-                            self.release_leaked(d, &pre_dev, &pre_host);
-                        }
-                        if retries >= budget {
-                            break Err(e);
-                        }
-                    } else {
-                        // Programming errors never improve on retry.
-                        self.release_leaked(d, &pre_dev, &pre_host);
+                    // A lost device is quarantined but the request is
+                    // innocent: it re-dispatches like a retryable fault.
+                    let retryable = self.on_attempt_fault(
+                        id.0,
+                        d,
+                        &e,
+                        clock_after.as_nanos(),
+                        retries < budget,
+                        &pre,
+                    );
+                    if !retryable || retries >= budget {
                         break Err(e);
                     }
                     if !self.budget_allow_retry(clock_after.as_nanos()) {
@@ -2005,35 +1599,8 @@ impl Executor {
             Ok(report) => {
                 self.metrics
                     .counter_add("retry_tile_ops_total", report.op_retries);
-                // Flow time: the serving device's clock advance since the
-                // drain began, so queueing delay counts against the
-                // deadline; an open arrival's offset is subtracted so its
-                // budget starts at arrival. Host runs advance no device
-                // clock; their own elapsed time is the closest flow
-                // measure available.
-                let flow = match device {
-                    Some(d) if !host_fallback => {
-                        let raw = self.pool.devices()[d]
-                            .gpu()
-                            .now()
-                            .saturating_since(start[d]);
-                        if arrival_ns > 0 {
-                            SimTime::from_nanos(raw.as_nanos().saturating_sub(arrival_ns))
-                                .as_secs_f64()
-                        } else {
-                            raw.as_secs_f64()
-                        }
-                    }
-                    _ => report.elapsed.as_secs_f64(),
-                };
-                match deadline {
-                    Some(dl) if flow > dl => RequestStatus::TimedOut {
-                        deadline: dl,
-                        elapsed: flow,
-                        report: Box::new(report),
-                    },
-                    _ => RequestStatus::Completed(report),
-                }
+                let flow = self.flow_secs(device, host_fallback, arrival_ns, report.elapsed, start);
+                judge(report, flow, deadline)
             }
             Err(e) => RequestStatus::Failed(RequestError::new(id, routine, e)),
         };
@@ -2043,13 +1610,7 @@ impl Executor {
             } else {
                 not_before_ns
             };
-            let label = match &status {
-                RequestStatus::Completed(_) => "completed",
-                RequestStatus::TimedOut { .. } => "timed-out",
-                RequestStatus::Failed(_) => "failed",
-                RequestStatus::Rejected { .. } => "rejected",
-            };
-            t.complete(id.0, end_ns, label);
+            t.complete(id.0, end_ns, status.label());
         }
         RequestOutcome {
             id,
@@ -2121,10 +1682,12 @@ impl Executor {
         }
     }
 
-    /// One telemetry step after a dispatch: drain lanes/spans, account the
+    /// One telemetry step after an outcome: drain lanes/spans, account the
     /// just-finished outcome (flow time from the serving device's clock,
-    /// so telemetry never *moves* a clock), dump on fresh quarantines, and
-    /// rotate windows. No-op when telemetry is off.
+    /// so telemetry never *moves* a clock), dump on quarantines fresh
+    /// since `quar_before` (the quarantine state before the dispatch;
+    /// empty for steps that cannot quarantine), and rotate windows. No-op
+    /// when telemetry is off.
     fn telemetry_tick(&mut self, start: &[SimTime], quar_before: &[bool]) {
         let Some(mut tele) = self.telemetry.take() else {
             return;
@@ -2137,26 +1700,14 @@ impl Executor {
                     tele.on_quarantine(d, o.id.0, elapsed.as_nanos());
                 }
             }
-            // Mirrors the flow computation in `dispatch` (including the
-            // open-arrival offset subtraction) so telemetry reports the
-            // same flow the deadline was judged on.
+            // The flow the deadline was judged on: a timed-out status
+            // carries it, a completed one is recomputed the same way.
             let flow_secs = match &o.status {
                 RequestStatus::TimedOut { elapsed, .. } => *elapsed,
-                RequestStatus::Completed(r) => match o.device {
-                    Some(d) if !o.host_fallback => {
-                        let raw = self.pool.devices()[d]
-                            .gpu()
-                            .now()
-                            .saturating_since(start[d]);
-                        match self.arrival_offset.get(&o.id.0) {
-                            Some(&a) if a > 0 => {
-                                SimTime::from_nanos(raw.as_nanos().saturating_sub(a)).as_secs_f64()
-                            }
-                            _ => raw.as_secs_f64(),
-                        }
-                    }
-                    _ => r.elapsed.as_secs_f64(),
-                },
+                RequestStatus::Completed(r) => {
+                    let arrival_ns = self.arrival_offset.get(&o.id.0).copied().unwrap_or(0);
+                    self.flow_secs(o.device, o.host_fallback, arrival_ns, r.elapsed, start)
+                }
                 _ => f64::NAN,
             };
             tele.on_outcome(o, flow_secs);
@@ -2196,7 +1747,7 @@ impl Executor {
     /// Quarantines device `d`: it stops pulling work, its residency cache
     /// is invalidated, and every live allocation is released (a lost
     /// device aborts in-flight work first). Idempotent.
-    fn quarantine(&mut self, d: usize) {
+    pub(super) fn quarantine(&mut self, d: usize) {
         if self.quarantined[d] {
             return;
         }
@@ -2259,19 +1810,17 @@ impl Executor {
         clock_before: SimTime,
         clock_after: SimTime,
         len_before: usize,
-        pre_dev: &BTreeSet<DevBufId>,
-        pre_host: &BTreeSet<HostBufId>,
-        estimate: Option<&(Prediction, f64)>,
+        pre: &LiveBuffers,
+        predicted: Option<f64>,
     ) -> HedgeOutcome {
         let Some(cfg) = self.hedge else {
             return HedgeOutcome::NotLaunched;
         };
-        let Some((pred, upload)) = estimate else {
+        let Some(predicted) = predicted else {
             // No offload estimate (e.g. an undeployed profile): there is
             // no prediction to overrun, so hedging never fires.
             return HedgeOutcome::NotLaunched;
         };
-        let predicted = upload + pred.total;
         let threshold_ns = (predicted * self.hedge_multiplier(cfg) * 1e9) as u64;
         let elapsed_ns = clock_after
             .as_nanos()
@@ -2283,11 +1832,11 @@ impl Executor {
             return HedgeOutcome::NotLaunched;
         }
         // Overrun detected — whether or not a hedge can launch, the
-        // device's observed excess becomes its dispatch penalty
-        // (`choose_device_excluding`), so later requests prefer peers
-        // even after a winning hedge rewinds this device's clock.
+        // device's observed excess becomes its placement penalty
+        // (`completion_secs`), so later requests prefer peers even after
+        // a winning hedge rewinds this device's clock.
         self.suspicion_secs[d] = SimTime::from_nanos(elapsed_ns).as_secs_f64() - predicted;
-        let Some(b) = self.choose_device_excluding(req, d) else {
+        let Some((b, _)) = self.choose_device(req, Some(d)) else {
             return HedgeOutcome::NotLaunched;
         };
         // The hedge starts when the overrun was detected — the primary's
@@ -2304,16 +1853,7 @@ impl Executor {
         // Snapshot the hedge device so a losing hedge rolls back
         // precisely: newly-cached operands evicted and freed, leaked
         // buffers released, everything predating the hedge untouched.
-        let pre_dev_b: BTreeSet<DevBufId> = self.pool.devices()[b]
-            .gpu()
-            .live_device_buffers()
-            .into_iter()
-            .collect();
-        let pre_host_b: BTreeSet<HostBufId> = self.pool.devices()[b]
-            .gpu()
-            .live_host_buffers()
-            .into_iter()
-            .collect();
+        let pre_b = self.live_buffers(b);
         let behind = b_start_ns.saturating_sub(b_now_ns);
         if behind > 0 {
             self.pool
@@ -2324,7 +1864,7 @@ impl Executor {
         let len_b_before = self.pool.devices()[b].gpu().trace().len();
         let estimate_b = self
             .offload_estimate(b, req)
-            .map(|p| (p, self.upload_estimate(b, req)));
+            .map(|p| (p, self.service_secs(b, req)));
         self.metrics.counter_add("hedge_attempts_total", 1);
         match self.execute_once(b, req.clone(), None) {
             Ok(hreport) => {
@@ -2336,7 +1876,7 @@ impl Executor {
                         .device_mut(d)
                         .gpu_mut()
                         .cancel_to(SimTime::from_nanos(b_after_ns));
-                    self.rollback_cancelled(d, req, pre_dev, pre_host);
+                    self.rollback_cancelled(d, req, pre);
                     // The rewind erased the primary's prefetch copies too:
                     // their data never arrived, so the cache entries must
                     // not survive to serve phantom hits.
@@ -2382,29 +1922,10 @@ impl Executor {
                     // hedge device's own prediction against what its run
                     // actually took (the cancelled primary's timing was
                     // erased, so recording it would poison the model).
-                    if let Some((hpred, hupload)) = estimate_b {
+                    if let Some((hpred, hpredicted)) = estimate_b {
                         let actual = SimTime::from_nanos(b_after_ns.saturating_sub(b_start_ns))
                             .as_secs_f64();
-                        let rec = DriftRecord {
-                            routine: req.routine(),
-                            call: id.0,
-                            model: hpred.model,
-                            tile: hpred.tile,
-                            predicted_secs: hupload + hpred.total,
-                            actual_secs: actual,
-                        };
-                        let err = rec.abs_rel_err();
-                        self.metrics.histogram_observe(
-                            "sched_predict_abs_err",
-                            &ABS_ERROR_BOUNDS,
-                            err,
-                        );
-                        self.metrics.histogram_observe(
-                            &format!("sched_predict_abs_err_{}", self.policy.name()),
-                            &ABS_ERROR_BOUNDS,
-                            err,
-                        );
-                        self.drift.record(rec);
+                        self.record_drift(req.routine(), id.0, &hpred, hpredicted, actual);
                     }
                     HedgeOutcome::Won(Box::new(hreport), b, b_after_ns)
                 } else {
@@ -2413,7 +1934,7 @@ impl Executor {
                     // rolled back; the time it burned until the
                     // cancellation stays charged to the hedge device.
                     self.pool.device_mut(b).gpu_mut().cancel_to(clock_after);
-                    self.rollback_cancelled(b, req, &pre_dev_b, &pre_host_b);
+                    self.rollback_cancelled(b, req, &pre_b);
                     self.metrics.counter_add("hedge_losses_total", 1);
                     self.metrics.counter_add("hedge_cancel_total", 1);
                     if self.tracer.is_some() {
@@ -2453,12 +1974,6 @@ impl Executor {
                 // compound failure (device lost mid-hedge) it is
                 // quarantined and scrubbed, so nothing leaks.
                 let b_after_ns = self.pool.devices()[b].gpu().now().as_nanos();
-                let name = match e.fault_class() {
-                    FaultClass::Transient => "fault_transient_total",
-                    FaultClass::Degraded => "fault_degraded_total",
-                    FaultClass::Fatal => "fault_fatal_total",
-                };
-                self.metrics.counter_add(name, 1);
                 self.metrics.counter_add("hedge_fail_total", 1);
                 if self.tracer.is_some() {
                     let entries_d = self.attempt_entries(d, len_before);
@@ -2487,24 +2002,7 @@ impl Executor {
                         );
                     }
                 }
-                if matches!(e, RuntimeError::Sim(SimError::DeviceLost)) {
-                    self.quarantine(b);
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.quarantine(id.0, b, b_after_ns);
-                    }
-                } else if e.fault_class().retryable() {
-                    self.fault_streak[b] += 1;
-                    if self.fault_streak[b] >= self.cfg.quarantine_after {
-                        self.quarantine(b);
-                        if let Some(t) = self.tracer.as_mut() {
-                            t.quarantine(id.0, b, b_after_ns);
-                        }
-                    } else {
-                        self.release_leaked(b, &pre_dev_b, &pre_host_b);
-                    }
-                } else {
-                    self.release_leaked(b, &pre_dev_b, &pre_host_b);
-                }
+                self.on_attempt_fault(id.0, b, &e, b_after_ns, false, &pre_b);
                 HedgeOutcome::PrimaryStands
             }
         }
@@ -2516,18 +2014,12 @@ impl Executor {
     /// removed and freed, then every remaining buffer the attempt
     /// allocated is released. Entries resident before the attempt — and
     /// the cache hits they served — survive untouched.
-    fn rollback_cancelled(
-        &mut self,
-        dev: usize,
-        req: &RoutineRequest,
-        pre_dev: &BTreeSet<DevBufId>,
-        pre_host: &BTreeSet<HostBufId>,
-    ) {
+    fn rollback_cancelled(&mut self, dev: usize, req: &RoutineRequest, pre: &LiveBuffers) {
         let mut rolled_back_bytes = 0u64;
         for key in req.shared_keys() {
             let fresh = self.residency[dev]
                 .buffer_of(key)
-                .is_some_and(|b| !pre_dev.contains(&b));
+                .is_some_and(|b| !pre.dev.contains(&b));
             if fresh {
                 if let Some(e) = self.residency[dev].remove(key) {
                     rolled_back_bytes += e.bytes as u64;
@@ -2542,7 +2034,91 @@ impl Executor {
             self.metrics
                 .counter_add("hedge_cancelled_bytes", rolled_back_bytes);
         }
-        self.release_leaked(dev, pre_dev, pre_host);
+        self.release_leaked(dev, pre);
+    }
+
+    /// Fault bookkeeping for a failed attempt (primary or hedge) on device
+    /// `d`: counts the fault class, then quarantines the device when it
+    /// was lost or its consecutive-fault streak reached
+    /// [`quarantine_after`](ExecutorConfig::quarantine_after). Otherwise
+    /// the attempt's leftovers are freed — with a full reclaim when
+    /// `retrying` (only a retry justifies the scorched-earth reclaim that
+    /// evicts the whole residency cache to make room), else only what the
+    /// attempt leaked, keeping warm operands for later requests. Returns
+    /// whether the request may be re-attempted: a lost device's request
+    /// is innocent, but programming errors never improve on retry.
+    fn on_attempt_fault(
+        &mut self,
+        id: u64,
+        d: usize,
+        e: &RuntimeError,
+        at_ns: u64,
+        retrying: bool,
+        pre: &LiveBuffers,
+    ) -> bool {
+        let class = e.fault_class();
+        self.metrics.counter_add(
+            match class {
+                FaultClass::Transient => "fault_transient_total",
+                FaultClass::Degraded => "fault_degraded_total",
+                FaultClass::Fatal => "fault_fatal_total",
+            },
+            1,
+        );
+        let lost = matches!(e, RuntimeError::Sim(SimError::DeviceLost));
+        if class.retryable() && !lost {
+            self.fault_streak[d] += 1;
+        }
+        if lost || (class.retryable() && self.fault_streak[d] >= self.cfg.quarantine_after) {
+            self.quarantine(d);
+            if let Some(t) = self.tracer.as_mut() {
+                t.quarantine(id, d, at_ns);
+            }
+        } else if class.retryable() && retrying {
+            self.reclaim(d, pre);
+        } else {
+            self.release_leaked(d, pre);
+        }
+        lost || class.retryable()
+    }
+
+    /// Records one attempt's predicted-vs-actual duration in the drift
+    /// accountant and the `sched_predict_abs_err` histograms (overall and
+    /// per policy).
+    fn record_drift(
+        &mut self,
+        routine: &'static str,
+        call: u64,
+        pred: &Prediction,
+        predicted_secs: f64,
+        actual_secs: f64,
+    ) {
+        let rec = DriftRecord {
+            routine,
+            call,
+            model: pred.model,
+            tile: pred.tile,
+            predicted_secs,
+            actual_secs,
+        };
+        let err = rec.abs_rel_err();
+        self.metrics
+            .histogram_observe("sched_predict_abs_err", &ABS_ERROR_BOUNDS, err);
+        self.metrics.histogram_observe(
+            &format!("sched_predict_abs_err_{}", self.policy.name()),
+            &ABS_ERROR_BOUNDS,
+            err,
+        );
+        self.drift.record(rec);
+    }
+
+    /// The buffers alive on device `d` right now.
+    fn live_buffers(&self, d: usize) -> LiveBuffers {
+        let gpu = self.pool.devices()[d].gpu();
+        LiveBuffers {
+            dev: gpu.live_device_buffers().into_iter().collect(),
+            host: gpu.live_host_buffers().into_iter().collect(),
+        }
     }
 
     /// Schedules the first canary probe of a freshly quarantined device,
@@ -2634,16 +2210,7 @@ impl Executor {
                 .gpu_mut()
                 .advance_clock(SimTime::from_nanos(behind));
         }
-        let pre_dev: BTreeSet<DevBufId> = self.pool.devices()[d]
-            .gpu()
-            .live_device_buffers()
-            .into_iter()
-            .collect();
-        let pre_host: BTreeSet<HostBufId> = self.pool.devices()[d]
-            .gpu()
-            .live_host_buffers()
-            .into_iter()
-            .collect();
+        let pre = self.live_buffers(d);
         let before_ns = self.pool.devices()[d].gpu().now().as_nanos();
         self.metrics.counter_add("probe_attempts_total", 1);
         let goal = cfg.successes.max(1);
@@ -2675,7 +2242,7 @@ impl Executor {
                 if let Some(t) = self.tracer.as_mut() {
                     t.probe(d, before_ns, after_ns, &format!("probe fault: {e}"));
                 }
-                self.release_leaked(d, &pre_dev, &pre_host);
+                self.release_leaked(d, &pre);
                 p.consecutive_ok = 0;
                 p.round += 1;
                 if p.round >= cfg.max_rounds.max(1) {
@@ -2708,7 +2275,7 @@ impl Executor {
         }
     }
 
-    /// Whether the session retry budget allows another executor-level
+    /// Whether the session retry budget allows another session-level
     /// retry at raw virtual instant `now_ns`. Closed: refill (in virtual
     /// time) then spend one token, or open the breaker when the bucket is
     /// dry. Open: fail fast until the cooldown expires, then half-open
@@ -2771,60 +2338,6 @@ impl Executor {
         }
     }
 
-    /// Devices currently on probation (a canary probe is scheduled), in
-    /// index order.
-    pub fn probation_pending(&self) -> Vec<usize> {
-        (0..self.pool.device_count())
-            .filter(|&i| self.probes[i].is_some())
-            .collect()
-    }
-
-    /// The hedge-overrun decision for one attempt, exposed for the
-    /// microbenchmark harness: would an attempt predicted at
-    /// `predicted_secs` that actually advanced the clock by `elapsed_ns`
-    /// trigger a hedge? This is the per-dispatch hot-path check (always
-    /// false with hedging disarmed).
-    #[doc(hidden)]
-    pub fn hedge_decision_for_bench(&self, predicted_secs: f64, elapsed_ns: u64) -> bool {
-        let Some(cfg) = self.hedge else {
-            return false;
-        };
-        let threshold_ns = (predicted_secs * self.hedge_multiplier(cfg) * 1e9) as u64;
-        threshold_ns > 0 && elapsed_ns > threshold_ns
-    }
-
-    /// The prefetch admission decision for one candidate operand set,
-    /// exposed for the microbenchmark harness: would `bytes` of missing
-    /// shared operands be staged on device `d` given `window_secs` of
-    /// predicted h2d idle time? This is the per-dispatch hot-path check
-    /// (always false with prefetch disarmed).
-    #[doc(hidden)]
-    pub fn prefetch_decision_for_bench(&self, d: usize, bytes: usize, window_secs: f64) -> bool {
-        self.prefetch
-            && self.effective_h2d_secs(d, bytes) <= window_secs
-            && self.residency[d].fits_now(bytes)
-    }
-
-    /// The probe-scheduling scan (earliest due probe, as `(due_ns,
-    /// device)`), exposed for the microbenchmark harness.
-    #[doc(hidden)]
-    pub fn next_probe_for_bench(&self) -> Option<(u64, usize)> {
-        (0..self.pool.device_count())
-            .filter_map(|i| self.probes[i].map(|p| (p.next_due_ns, i)))
-            .min()
-    }
-
-    /// Seeds a probe schedule directly, for the microbenchmark harness.
-    #[doc(hidden)]
-    pub fn seed_probe_for_bench(&mut self, d: usize, due_ns: u64) {
-        self.quarantined[d] = true;
-        self.probes[d] = Some(DeviceProbe {
-            next_due_ns: due_ns,
-            consecutive_ok: 0,
-            round: 0,
-        });
-    }
-
     /// Completes a request on the host at the configured
     /// [`host_gflops`](ExecutorConfig::host_gflops) rate — the graceful
     /// degradation path when every device is quarantined. Host time is
@@ -2852,9 +2365,9 @@ impl Executor {
     /// engine, run the routine, release bypass uploads.
     ///
     /// `prefetch_window` is the running attempt's predicted h2d idle time
-    /// (`total − k·t_in_tile`); `Some` only on primary dispatches with a
-    /// usable prediction — hedges and probes pass `None` and never
-    /// prefetch.
+    /// (predicted offload total minus the h2d time of the request's own
+    /// input operands); `Some` only on primary dispatches with a usable
+    /// prediction — hedges and probes pass `None` and never prefetch.
     fn execute_once(
         &mut self,
         d: usize,
@@ -2867,7 +2380,7 @@ impl Executor {
         // operand of the same request out from under its resolved handle.
         let pinned: Vec<String> = req.shared_keys().iter().map(|k| (*k).to_owned()).collect();
         let resolved = {
-            let Executor {
+            let ServeSession {
                 pool,
                 residency,
                 metrics,
@@ -3156,7 +2669,7 @@ impl Executor {
     /// for in-flight work, evicts its residency cache, and frees any
     /// buffer the failed attempt leaked (allocations alive now that were
     /// not alive before the attempt).
-    fn reclaim(&mut self, d: usize, pre_dev: &BTreeSet<DevBufId>, pre_host: &BTreeSet<HostBufId>) {
+    fn reclaim(&mut self, d: usize, pre: &LiveBuffers) {
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();
         let evicted = self.residency[d].clear();
@@ -3166,12 +2679,12 @@ impl Executor {
             free_resident(dev, e.handle);
         }
         for b in dev.gpu().live_device_buffers() {
-            if !pre_dev.contains(&b) {
+            if !pre.dev.contains(&b) {
                 let _ = dev.gpu_mut().free_device(b);
             }
         }
         for h in dev.gpu().live_host_buffers() {
-            if !pre_host.contains(&h) {
+            if !pre.host.contains(&h) {
                 let _ = dev.gpu_mut().take_host(h);
             }
         }
@@ -3185,22 +2698,17 @@ impl Executor {
     /// touching the residency cache: allocations alive now that were
     /// neither alive before the attempt nor adopted by the cache (operands
     /// the attempt successfully resolved stay warm for later requests).
-    fn release_leaked(
-        &mut self,
-        d: usize,
-        pre_dev: &BTreeSet<DevBufId>,
-        pre_host: &BTreeSet<HostBufId>,
-    ) {
+    fn release_leaked(&mut self, d: usize, pre: &LiveBuffers) {
         let cached: BTreeSet<DevBufId> = self.residency[d].device_buffers().into_iter().collect();
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();
         for b in dev.gpu().live_device_buffers() {
-            if !pre_dev.contains(&b) && !cached.contains(&b) {
+            if !pre.dev.contains(&b) && !cached.contains(&b) {
                 let _ = dev.gpu_mut().free_device(b);
             }
         }
         for h in dev.gpu().live_host_buffers() {
-            if !pre_host.contains(&h) {
+            if !pre.host.contains(&h) {
                 let _ = dev.gpu_mut().take_host(h);
             }
         }

@@ -1,5 +1,6 @@
-//! The request-serving layer: a queued, admission-controlled executor that
-//! dispatches heterogeneous routine requests across a [`MultiGpu`] pool.
+//! The request-serving layer: a long-lived, admission-controlled
+//! [`ServeSession`] that dispatches heterogeneous routine requests across
+//! a [`MultiGpu`] pool.
 //!
 //! The single-call library of §IV-C schedules one BLAS call at a time; a
 //! production deployment instead sees *traffic* — many requests, some
@@ -15,17 +16,18 @@
 //!    first, or the prediction-guided policy that costs every request ×
 //!    device pair with the paper's models
 //!    ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload))
-//!    and schedules to minimise pool makespan. Whatever the policy, the
-//!    device for a request is never worse than the bounded-affinity
-//!    ready-time heuristic: virtual clock plus the estimated upload time
-//!    of the request's shared operands the device is missing, so an idle
-//!    device steals work once the affine device falls far enough behind.
+//!    and schedules to minimise pool makespan. Whatever the policy, every
+//!    placement trusts one price per request × device pair: virtual
+//!    clock, plus the hedge-informed straggler penalty, plus the
+//!    estimated upload time of the shared operands the device is missing
+//!    and the model-predicted offload time — so an idle device steals
+//!    work once the affine device falls far enough behind.
 //! 3. **Cross-request residency.** Operands named by key
 //!    ([`MatArg::shared`](crate::MatArg::shared)) live in a per-device LRU
 //!    cache, so a matrix uploaded for request *N* is not re-transferred
 //!    for request *N+1*.
 //!
-//! Each request terminates in exactly one [`RequestStatus`]. The executor
+//! Each request terminates in exactly one [`RequestStatus`]. The session
 //! is fault-tolerant: retryable faults
 //! ([`RuntimeError::fault_class`](crate::RuntimeError::fault_class)) are
 //! retried up to [`ExecutorConfig::max_retries`] times after reclaiming
@@ -59,8 +61,8 @@ mod telemetry;
 mod trace;
 
 pub use executor::{
-    Executor, ExecutorConfig, HedgeConfig, ProbationConfig, RequestOutcome, RequestStatus,
-    RetryBudgetConfig, ServeReport, ServeSnapshot, HEDGE_WARMUP,
+    ExecutorConfig, HedgeConfig, ProbationConfig, RequestOutcome, RequestStatus, RetryBudgetConfig,
+    ServeReport, ServeSnapshot, HEDGE_WARMUP,
 };
 pub use residency::ResidencyCache;
 pub use sched::SchedulePolicy;

@@ -1,13 +1,14 @@
-//! Pluggable queue-scheduling policies for the serving [`Executor`].
+//! Pluggable queue-scheduling policies for the [`ServeSession`].
 //!
-//! The executor drains its queue through a [`SchedulePolicy`], which
+//! The session drains its queue through a [`SchedulePolicy`], which
 //! decides *which* queued request is dispatched next and (for the
 //! prediction-guided policy) *where*:
 //!
 //! * [`Fifo`](SchedulePolicy::Fifo) — strict submission order, the
-//!   baseline behaviour. The device is chosen by the bounded-affinity
-//!   ready-time heuristic alone (clock + re-upload cost of missing shared
-//!   operands).
+//!   baseline behaviour. The request goes to the device with the lowest
+//!   placement price: device clock + hedge-informed straggler penalty +
+//!   service time (h2d time of non-resident shared operands +
+//!   model-predicted offload time).
 //! * [`Edf`](SchedulePolicy::Edf) — earliest-deadline-first: the queued
 //!   request with the smallest deadline runs next; deadline-less requests
 //!   run after every deadline-carrying one, in submission order. Device
@@ -15,9 +16,9 @@
 //!   (device clock at completion, queue wait included), reordering the
 //!   queue is exactly what saves a tight deadline stuck behind bulk work.
 //! * [`Predictive`](SchedulePolicy::Predictive) — the paper's models close
-//!   the loop: for every queued request × healthy device the executor
-//!   estimates completion = device clock + h2d time of non-resident shared
-//!   operands + model-predicted offload time
+//!   the loop: every queued request × healthy device is priced with the
+//!   same placement price — device clock + straggler penalty + h2d time of
+//!   non-resident shared operands + model-predicted offload time
 //!   ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)
 //!   on the device's deployed profile). Each request is costed at its best
 //!   device, and the request with the *largest* best-completion is
@@ -33,11 +34,11 @@
 //! whenever the device profile can predict the request, so the three
 //! policies are comparable on the same misprediction accounting.
 //!
-//! [`Executor`]: crate::serve::Executor
+//! [`ServeSession`]: crate::serve::ServeSession
 
 use std::fmt;
 
-/// Queue-scheduling policy of the serving executor.
+/// Queue-scheduling policy of a serving session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
     /// Strict submission order (the default baseline).

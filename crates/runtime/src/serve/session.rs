@@ -1,32 +1,32 @@
 //! The long-lived serving session: construction-time configuration
-//! ([`ServeOptions`]) plus the open-arrival lifecycle ([`ServeSession`]).
+//! ([`ServeOptions`]) plus the session state ([`ServeSession`]).
 //!
-//! A session is the front door of the serving layer. Where the bare
-//! [`Executor`] grew one post-construction setter per feature, a session
-//! takes the whole serving configuration up front and exposes exactly the
-//! request lifecycle: submit (now or at a future virtual instant), drain,
-//! inspect. Closed-queue serving is the degenerate case — submit
-//! everything at offset zero and drain — and is bit-identical to the
-//! deprecated `Executor::run` path, which now wraps this one.
+//! A session takes the whole serving configuration up front and exposes
+//! exactly the request lifecycle: submit (now or at a future virtual
+//! instant), drain, inspect. Closed-queue serving is the degenerate case
+//! — submit everything at offset zero and drain. The dispatch engine
+//! behind the lifecycle (admission, placement, retry, hedging, probation,
+//! prefetch) lives in the sibling `executor` module.
 
 use crate::error::RequestId;
 use crate::multigpu::MultiGpu;
 use crate::request::RoutineRequest;
 use crate::serve::executor::{
-    Executor, ExecutorConfig, HedgeConfig, ProbationConfig, RetryBudgetConfig, ServeReport,
+    BudgetState, DeviceProbe, ExecutorConfig, Follower, HedgeConfig, PrefetchEntry,
+    ProbationConfig, RequestOutcome, RetryBudgetConfig,
 };
 use crate::serve::residency::ResidencyCache;
 use crate::serve::sched::SchedulePolicy;
-use crate::serve::telemetry::{TelemetryConfig, WatchSink, WatchWindow};
+use crate::serve::telemetry::{Telemetry, TelemetryConfig, WatchSink, WatchWindow};
+use crate::serve::trace::ServeTracer;
 use cocopelia_gpusim::SimTime;
-use cocopelia_obs::Registry;
+use cocopelia_obs::{DriftAccountant, Registry};
+use std::collections::{HashMap, VecDeque};
 
-/// Construction-time configuration of a [`ServeSession`] (and of
-/// [`Executor::with_options`]): scheduling policy, observability arms,
-/// and the open-arrival knobs. Replaces the deprecated post-construction
-/// setters (`set_policy`, `enable_tracing`, `enable_telemetry`, ...) with
-/// a builder consumed once, so a session's behaviour is fixed for its
-/// whole lifetime.
+/// Construction-time configuration of a [`ServeSession`]: scheduling
+/// policy, observability arms, and the open-arrival knobs. A builder
+/// consumed once, so a session's behaviour is fixed for its whole
+/// lifetime.
 ///
 /// ```
 /// use cocopelia_runtime::serve::{SchedulePolicy, ServeOptions};
@@ -41,7 +41,6 @@ use cocopelia_obs::Registry;
 pub struct ServeOptions {
     pub(crate) policy: SchedulePolicy,
     pub(crate) tracing: bool,
-    pub(crate) trace_cap: Option<usize>,
     pub(crate) telemetry: Option<TelemetryConfig>,
     pub(crate) watch_sink: Option<WatchSink>,
     pub(crate) snapshot_interval: Option<SimTime>,
@@ -59,7 +58,6 @@ impl std::fmt::Debug for ServeOptions {
         f.debug_struct("ServeOptions")
             .field("policy", &self.policy)
             .field("tracing", &self.tracing)
-            .field("trace_cap", &self.trace_cap)
             .field("telemetry", &self.telemetry)
             .field(
                 "watch_sink",
@@ -79,8 +77,8 @@ impl std::fmt::Debug for ServeOptions {
 
 impl ServeOptions {
     /// Defaults: FIFO policy, no tracing, no telemetry, no snapshots, an
-    /// unbounded queue, no shed watermark, no coalescing — exactly a bare
-    /// `Executor::new`.
+    /// unbounded queue, no shed watermark, no coalescing — exactly
+    /// [`ServeSession::new`].
     pub fn new() -> Self {
         ServeOptions::default()
     }
@@ -92,24 +90,17 @@ impl ServeOptions {
     }
 
     /// Arms request-lifecycle tracing: drains collect a
-    /// [`cocopelia_obs::ServeTrace`] into [`ServeReport::trace`]. Tracing
+    /// [`cocopelia_obs::ServeTrace`] into
+    /// [`ServeReport::trace`](crate::serve::ServeReport::trace). Tracing
     /// changes no scheduling decision.
     pub fn tracing(mut self) -> Self {
         self.tracing = true;
         self
     }
 
-    /// Span capacity cap for long drains (oldest spans dropped past it).
-    /// Implies nothing by itself — combine with [`tracing`](Self::tracing)
-    /// or [`telemetry`](Self::telemetry); a telemetry config's own
-    /// `trace_cap` takes precedence.
-    pub fn trace_cap(mut self, cap: usize) -> Self {
-        self.trace_cap = Some(cap);
-        self
-    }
-
     /// Arms streaming telemetry (windowed metrics, SLOs, flight recorder,
-    /// optional Perfetto stream). Implies tracing.
+    /// optional Perfetto stream). Implies tracing, with the span log
+    /// capped at [`TelemetryConfig::trace_cap`].
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = Some(cfg);
         self
@@ -123,7 +114,8 @@ impl ServeOptions {
     }
 
     /// Periodic drain snapshots every `interval` of virtual time into
-    /// [`ServeReport::snapshots`]. Zero disarms.
+    /// [`ServeReport::snapshots`](crate::serve::ServeReport::snapshots).
+    /// Zero disarms.
     pub fn snapshot_interval(mut self, interval: SimTime) -> Self {
         self.snapshot_interval = Some(interval);
         self
@@ -136,6 +128,7 @@ impl ServeOptions {
     /// queue; backpressure governs *arrivals*).
     ///
     /// [`RequestStatus::Rejected`]: crate::serve::RequestStatus::Rejected
+    /// [`ServeReport::peak_queue_depth`]: crate::serve::ServeReport::peak_queue_depth
     pub fn queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = Some(cap);
         self
@@ -195,7 +188,7 @@ impl ServeOptions {
     }
 
     /// Arms the per-session retry budget and circuit breaker: each
-    /// executor-level retry spends one token from a bucket refilled in
+    /// session-level retry spends one token from a bucket refilled in
     /// virtual time; an empty bucket opens the breaker and faulted
     /// requests fail fast to host fallback until a cooldown (doubling
     /// while faults persist) half-opens it again.
@@ -207,14 +200,26 @@ impl ServeOptions {
 
 /// A long-lived serving session over a [`MultiGpu`] pool.
 ///
-/// The session accepts submissions *while draining*: open arrivals
-/// scheduled with [`submit_at`](Self::submit_at) materialise at their
-/// virtual instant, interleaved with dispatches and completions inside
-/// the drain's event loop, where admission control (footprint ceiling,
-/// queue cap, shed watermark, coalescing) runs against the queue state of
-/// that moment. [`drain`](Self::drain) runs the loop to quiescence — the
-/// session itself stays alive, so a workload can alternate submission
-/// phases and drains indefinitely on warm residency caches.
+/// Lifecycle: [`submit`](Self::submit) requests (footprint admission
+/// happens here) or schedule open arrivals with
+/// [`submit_at`](Self::submit_at), then [`drain`](Self::drain) to run the
+/// event loop to quiescence through the configured [`SchedulePolicy`].
+/// Open arrivals materialise at their virtual instant, interleaved with
+/// dispatches and completions, where admission control (footprint
+/// ceiling, queue cap, shed watermark, coalescing) runs against the queue
+/// state of that moment. The session stays alive after a drain, so a
+/// workload can alternate submission phases and drains indefinitely on
+/// warm residency caches.
+///
+/// Every placement decision trusts one price per request × device pair:
+/// the device's virtual clock, plus its hedge-informed straggler penalty,
+/// plus the service time — the estimated upload of the shared operands
+/// the device is missing and the model-predicted offload time from the
+/// device's deployed profile. Under FIFO and EDF the cheapest device
+/// pulls the next request; residency affinity therefore wins only while
+/// the affine device's clock lead stays below the re-upload cost. The
+/// predictive policy additionally orders the queue longest-first by that
+/// price to minimise the pool makespan.
 ///
 /// ```no_run
 /// # use cocopelia_runtime::serve::{ExecutorConfig, ServeOptions, ServeSession};
@@ -231,18 +236,98 @@ impl ServeOptions {
 /// ```
 #[derive(Debug)]
 pub struct ServeSession {
-    exec: Executor,
+    pub(super) pool: MultiGpu,
+    pub(super) residency: Vec<ResidencyCache>,
+    pub(super) cfg: ExecutorConfig,
+    pub(super) policy: SchedulePolicy,
+    pub(super) queue: VecDeque<(RequestId, RoutineRequest)>,
+    pub(super) outcomes: Vec<RequestOutcome>,
+    pub(super) metrics: Registry,
+    pub(super) drift: DriftAccountant,
+    pub(super) next_id: u64,
+    /// Devices removed from dispatch after repeated faults or loss.
+    pub(super) quarantined: Vec<bool>,
+    /// Consecutive faults per device; reset by any successful request.
+    pub(super) fault_streak: Vec<u32>,
+    /// Hedge-informed dispatch penalty, virtual seconds: a device whose
+    /// attempt overran its prediction carries the observed excess as
+    /// extra ready time, so placement stops feeding a straggler that a
+    /// winning hedge keeps rewinding to an attractive clock. Cleared by
+    /// any attempt that completes within its hedge threshold and on
+    /// quarantine/re-admission. Stays all-zero unless hedging is armed.
+    pub(super) suspicion_secs: Vec<f64>,
+    /// Request-lifecycle span collector, armed by
+    /// [`ServeOptions::tracing`] or [`ServeOptions::telemetry`].
+    pub(super) tracer: Option<ServeTracer>,
+    /// Per-device trace length when the drain began; the run's device
+    /// lanes are the entries recorded after these marks.
+    pub(super) trace_mark: Vec<usize>,
+    /// Interval between periodic drain snapshots, armed by
+    /// [`ServeOptions::snapshot_interval`].
+    pub(super) snapshot_every: Option<SimTime>,
+    /// Span-log capacity cap for long drains, from
+    /// [`TelemetryConfig::trace_cap`].
+    pub(super) trace_cap: Option<usize>,
+    /// Streaming telemetry pipeline, armed by [`ServeOptions::telemetry`].
+    pub(super) telemetry: Option<Telemetry>,
+    /// Open-arrival events not yet due, sorted by arrival offset (virtual
+    /// ns past the next drain's start), ties in submission order.
+    pub(super) arrivals: VecDeque<(RequestId, RoutineRequest, u64)>,
+    /// Arrival offset (ns past drain start) per open-arrival request id;
+    /// closed-queue submissions are absent (offset zero).
+    pub(super) arrival_offset: HashMap<u64, u64>,
+    /// Bounded-queue backpressure: an arrival finding the queue at this
+    /// depth is shed.
+    pub(super) queue_cap: Option<usize>,
+    /// Load-shed watermark: an arrival whose predicted flow time (queue
+    /// backlog spread over healthy devices plus its own service estimate)
+    /// exceeds this many seconds is shed.
+    pub(super) shed_flow_secs: Option<f64>,
+    /// Request coalescing for identical problem shapes (open arrivals
+    /// only).
+    pub(super) coalesce: bool,
+    /// Coalesce key of each *queued* request that can lead a coalition.
+    pub(super) coalesce_leaders: HashMap<String, RequestId>,
+    /// Leader id → requests riding on its execution.
+    pub(super) followers: HashMap<u64, Vec<Follower>>,
+    /// Estimated service seconds queued, maintained only while the
+    /// flow-time watermark is armed.
+    pub(super) backlog_secs: f64,
+    /// Deepest queue observed during the current drain.
+    pub(super) peak_queue: usize,
+    /// Hedged re-dispatch of straggling attempts, armed by
+    /// [`ServeOptions::hedge`].
+    pub(super) hedge: Option<HedgeConfig>,
+    /// Quarantine probation (canary probes that re-admit healed devices),
+    /// armed by [`ServeOptions::probation`].
+    pub(super) probation: Option<ProbationConfig>,
+    /// Per-device probe schedule while quarantined under probation.
+    pub(super) probes: Vec<Option<DeviceProbe>>,
+    /// Session retry token bucket and circuit breaker, armed by
+    /// [`ServeOptions::retry_budget`].
+    pub(super) budget: Option<BudgetState>,
+    /// Cross-request operand prefetch on idle h2d engines, armed by
+    /// [`ServeOptions::prefetch`].
+    pub(super) prefetch: bool,
+    /// Prefetched operands pinned in residency caches until their target
+    /// request claims them at dispatch (or a release path frees them).
+    pub(super) prefetched: Vec<PrefetchEntry>,
+    /// Backlog seconds each queued request contributed at admission, so
+    /// the dispatch-time decrement returns exactly what admission added
+    /// even when residency (and thus the estimate) changed in between.
+    pub(super) backlog_contrib: HashMap<u64, f64>,
 }
 
 impl ServeSession {
     /// A session with default options (see [`ServeOptions::new`]).
     pub fn new(pool: MultiGpu, cfg: ExecutorConfig) -> Self {
-        ServeSession {
-            exec: Executor::new(pool, cfg),
-        }
+        Self::with_options(pool, cfg, ServeOptions::new())
+            .expect("default options open no telemetry stream")
     }
 
-    /// A session with the full serving configuration applied up front.
+    /// A session with the full serving configuration applied up front,
+    /// carving each device's residency budget out of its memory capacity
+    /// per `cfg`.
     ///
     /// # Errors
     ///
@@ -253,22 +338,61 @@ impl ServeSession {
         cfg: ExecutorConfig,
         opts: ServeOptions,
     ) -> std::io::Result<Self> {
+        let residency = pool
+            .devices()
+            .iter()
+            .map(|dev| {
+                let cap = dev.gpu().device_mem_capacity() as f64;
+                ResidencyCache::new((cap * cfg.residency_frac.clamp(0.0, 1.0)) as usize)
+            })
+            .collect();
+        let count = pool.device_count();
+        let trace_cap = opts.telemetry.as_ref().and_then(|t| t.trace_cap);
+        let telemetry = match opts.telemetry {
+            Some(tcfg) => {
+                let mut tele = Telemetry::new(tcfg)?;
+                if let Some(sink) = opts.watch_sink {
+                    tele.set_sink(sink);
+                }
+                Some(tele)
+            }
+            None => None,
+        };
         Ok(ServeSession {
-            exec: Executor::with_options(pool, cfg, opts)?,
+            pool,
+            residency,
+            cfg,
+            policy: opts.policy,
+            queue: VecDeque::new(),
+            outcomes: Vec::new(),
+            metrics: Registry::new(),
+            drift: DriftAccountant::new(),
+            next_id: 0,
+            quarantined: vec![false; count],
+            fault_streak: vec![0; count],
+            suspicion_secs: vec![0.0; count],
+            tracer: (opts.tracing || telemetry.is_some()).then(ServeTracer::default),
+            trace_mark: vec![0; count],
+            snapshot_every: opts.snapshot_interval.filter(|t| t.as_nanos() > 0),
+            trace_cap,
+            telemetry,
+            arrivals: VecDeque::new(),
+            arrival_offset: HashMap::new(),
+            queue_cap: opts.queue_cap,
+            shed_flow_secs: opts.shed_flow_secs.filter(|s| *s > 0.0),
+            coalesce: opts.coalesce,
+            coalesce_leaders: HashMap::new(),
+            followers: HashMap::new(),
+            backlog_secs: 0.0,
+            peak_queue: 0,
+            hedge: opts.hedge.filter(|h| h.multiplier > 0.0),
+            probation: opts.probation,
+            probes: vec![None; count],
+            budget: opts.retry_budget.map(BudgetState::new),
+            prefetch: opts.prefetch,
+            prefetched: Vec::new(),
+            backlog_contrib: HashMap::new(),
         })
-    }
-
-    /// Submits a request for the next drain (closed-queue: present from
-    /// the drain's first instant). Footprint admission runs immediately.
-    pub fn submit(&mut self, req: impl Into<RoutineRequest>) -> RequestId {
-        self.exec.submit(req)
-    }
-
-    /// Schedules an open arrival `at` virtual time past the next drain's
-    /// start; admission control runs at the arrival instant, against the
-    /// queue state of that moment.
-    pub fn submit_at(&mut self, req: impl Into<RoutineRequest>, at: SimTime) -> RequestId {
-        self.exec.submit_at(req, at)
     }
 
     /// Submits a batch for the next drain, returning the ids in order.
@@ -276,34 +400,27 @@ impl ServeSession {
         &mut self,
         reqs: impl IntoIterator<Item = impl Into<RoutineRequest>>,
     ) -> Vec<RequestId> {
-        reqs.into_iter().map(|r| self.exec.submit(r)).collect()
-    }
-
-    /// Runs the drain event loop to quiescence — every queued request and
-    /// scheduled arrival reaches a terminal status — and reports the run.
-    /// The session remains usable afterwards.
-    pub fn drain(&mut self) -> ServeReport {
-        self.exec.drain_queue()
+        reqs.into_iter().map(|r| self.submit(r)).collect()
     }
 
     /// Requests waiting for dispatch.
     pub fn queue_len(&self) -> usize {
-        self.exec.queue_len()
+        self.queue.len()
     }
 
     /// Open arrivals scheduled but not yet due.
     pub fn pending_arrivals(&self) -> usize {
-        self.exec.pending_arrivals()
+        self.arrivals.len()
     }
 
-    /// The session's metrics registry.
+    /// The session's metrics registry (counters, gauges, queue depth).
     pub fn metrics(&self) -> &Registry {
-        self.exec.metrics()
+        &self.metrics
     }
 
     /// The wrapped pool.
     pub fn pool(&self) -> &MultiGpu {
-        self.exec.pool()
+        &self.pool
     }
 
     /// The residency cache of device `d`.
@@ -312,31 +429,36 @@ impl ServeSession {
     ///
     /// Panics if `d` is out of range.
     pub fn residency(&self, d: usize) -> &ResidencyCache {
-        self.exec.residency(d)
+        &self.residency[d]
     }
 
     /// Devices currently quarantined, in index order.
     pub fn quarantined(&self) -> Vec<usize> {
-        self.exec.quarantined()
+        self.quarantined
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &q)| q.then_some(i))
+            .collect()
     }
 
     /// The active queue-scheduling policy.
     pub fn policy(&self) -> SchedulePolicy {
-        self.exec.policy()
+        self.policy
     }
 
-    /// The underlying executor (escape hatch for advanced inspection).
-    pub fn executor(&self) -> &Executor {
-        &self.exec
-    }
-
-    /// The underlying executor, mutably.
-    pub fn executor_mut(&mut self) -> &mut Executor {
-        &mut self.exec
-    }
-
-    /// Consumes the session and returns the executor.
-    pub fn into_executor(self) -> Executor {
-        self.exec
+    /// Operationally drains device `d`: quarantines it exactly as a fault
+    /// storm would (residency invalidated, allocations released, no new
+    /// work), without any fault having occurred. When probation is armed
+    /// ([`ProbationConfig`]) the device re-enters service automatically
+    /// once its canary probes pass — the maintenance-window workflow: pull
+    /// a device, let the prober re-admit it. Without probation the device
+    /// stays out until the session ends. Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is out of range.
+    pub fn force_quarantine(&mut self, d: usize) {
+        assert!(d < self.quarantined.len(), "no such device: {d}");
+        self.quarantine(d);
     }
 }

@@ -24,7 +24,7 @@ use cocopelia_runtime::{
 
 use crate::snapshot::SNAPSHOT_SEED;
 
-/// Executor run vs the sequential no-reuse replay of the same trace.
+/// Session drain vs the sequential no-reuse replay of the same trace.
 #[derive(Debug)]
 pub struct ServeComparison {
     /// The executor's aggregate report.

@@ -2,19 +2,20 @@
 //! `ServeSession` API. Seeded Poisson overload keeps the queue bounded
 //! through admission shedding and replays bit-identically; coalescing
 //! repeated identical-shape arrivals uploads strictly fewer h2d bytes
-//! and beats the non-coalesced makespan; and the closed-queue
-//! `Executor::run` wrapper stays bit-identical to a session drain.
+//! and beats the non-coalesced makespan; and under random fault plans a
+//! session drain replays bit-identically, gives every request exactly one
+//! terminal outcome, and leaks no buffer.
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec};
 use cocopelia_runtime::serve::{
-    Executor, ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession,
-    TelemetryConfig,
+    ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
 };
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
 use cocopelia_xp::ArrivalSpec;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const MB: usize = 1 << 20;
 
@@ -213,44 +214,6 @@ fn coalescing_uploads_strictly_fewer_bytes_and_beats_the_baseline_makespan() {
 }
 
 #[test]
-fn deprecated_run_wrapper_is_bit_identical_to_a_session_drain() {
-    // Acceptance bar (c): the closed-queue path through the open-arrival
-    // event loop changes nothing — `Executor::run` (now a deprecated
-    // wrapper) and `ServeSession::drain` agree bit for bit.
-    let trace = |n: usize| -> Vec<RoutineRequest> {
-        (0..n)
-            .map(|i| {
-                if i % 3 == 0 {
-                    shared_gemm()
-                } else {
-                    ghost_gemm(if i % 2 == 0 { 2048 } else { 1024 }).into()
-                }
-            })
-            .collect()
-    };
-
-    let mut legacy = Executor::new(pool(2), ExecutorConfig::default());
-    for req in trace(8) {
-        legacy.submit(req);
-    }
-    #[allow(deprecated)]
-    let old = legacy.run();
-
-    let mut session = ServeSession::new(pool(2), ExecutorConfig::default());
-    for req in trace(8) {
-        session.submit(req);
-    }
-    let new = session.drain();
-
-    assert_eq!(old.makespan.as_nanos(), new.makespan.as_nanos());
-    assert_eq!(old.per_device_busy, new.per_device_busy);
-    assert_eq!(old.total_flops.to_bits(), new.total_flops.to_bits());
-    assert_eq!(old.host_flops.to_bits(), new.host_flops.to_bits());
-    assert_eq!(old.render(), new.render());
-    assert_eq!(old.peak_queue_depth, new.peak_queue_depth);
-}
-
-#[test]
 fn rejections_land_in_windowed_counters_and_leak_no_buffers() {
     // Satellite: the telemetry pipeline sees every shed — the windowed
     // `rejected` counters sum to the report's count — and a rejected
@@ -284,13 +247,12 @@ fn rejections_land_in_windowed_counters_and_leak_no_buffers() {
     let report = session.drain();
     assert!(report.rejected() > 0);
     for d in 0..session.pool().device_count() {
-        let live: std::collections::BTreeSet<_> = session.pool().devices()[d]
+        let live: BTreeSet<_> = session.pool().devices()[d]
             .gpu()
             .live_device_buffers()
             .into_iter()
             .collect();
-        let cached: std::collections::BTreeSet<_> =
-            session.residency(d).device_buffers().into_iter().collect();
+        let cached: BTreeSet<_> = session.residency(d).device_buffers().into_iter().collect();
         assert_eq!(live, cached, "dev{d} must hold exactly its cached operands");
     }
 }
@@ -298,13 +260,15 @@ fn rejections_land_in_windowed_counters_and_leak_no_buffers() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Property form of the bit-identity bar: whatever seeded fault
-    /// pressure the pool is under — transient links, flaky kernels, even
-    /// devices that die outright — the deprecated `Executor::run` wrapper
-    /// and a `ServeSession` drain of the same trace agree bit for bit on
-    /// timing, accounting, outcomes, and quarantine state.
+    /// Whatever seeded fault pressure the pool is under — transient
+    /// links, flaky kernels, even devices that die outright — a
+    /// closed-queue drain is deterministic (two same-seed sessions agree
+    /// bit for bit on timing, accounting, outcomes, and quarantine
+    /// state), gives every submitted request exactly one terminal
+    /// outcome, and leaves no buffer beyond the residency caches (a
+    /// quarantined device holds nothing).
     #[test]
-    fn deprecated_run_matches_session_drain_under_fault_plans(
+    fn session_drain_is_deterministic_and_leak_free_under_fault_plans(
         seed in 0u64..1000,
         h2d in 0.0f64..0.3,
         kernel in 0.0f64..0.3,
@@ -320,48 +284,49 @@ proptest! {
             lost_after: (lost_after_n > 0).then_some(lost_after_n),
             ..FaultSpec::none()
         };
-        let faulty = || {
-            MultiGpu::with_faults(
-                &quiet(),
-                2,
-                ExecMode::TimingOnly,
-                42,
-                dummy_profile(),
-                &spec,
-            )
-        };
-        let trace = |n: usize| -> Vec<RoutineRequest> {
-            (0..n)
+        let run = || {
+            let pool =
+                MultiGpu::with_faults(&quiet(), 2, ExecMode::TimingOnly, 42, dummy_profile(), &spec);
+            let mut session = ServeSession::new(pool, ExecutorConfig::default());
+            let ids: Vec<u64> = (0..n)
                 .map(|i| {
-                    if i % 3 == 0 {
+                    let req = if i % 3 == 0 {
                         shared_gemm()
                     } else {
                         ghost_gemm(if i % 2 == 0 { 2048 } else { 1024 }).into()
-                    }
+                    };
+                    session.submit(req).0
                 })
-                .collect()
+                .collect();
+            let report = session.drain();
+            (session, ids, report)
         };
+        let (session, ids, a) = run();
+        let (_, _, b) = run();
 
-        let mut legacy = Executor::new(faulty(), ExecutorConfig::default());
-        for req in trace(n) {
-            legacy.submit(req);
+        prop_assert_eq!(a.makespan.as_nanos(), b.makespan.as_nanos());
+        prop_assert_eq!(&a.per_device_busy, &b.per_device_busy);
+        prop_assert_eq!(a.total_flops.to_bits(), b.total_flops.to_bits());
+        prop_assert_eq!(a.host_flops.to_bits(), b.host_flops.to_bits());
+        prop_assert_eq!(&a.outcomes, &b.outcomes);
+        prop_assert_eq!(&a.quarantined, &b.quarantined);
+        prop_assert_eq!(a.render(), b.render());
+        prop_assert_eq!(a.peak_queue_depth, b.peak_queue_depth);
+
+        let mut terminal: Vec<u64> = a.outcomes.iter().map(|o| o.id.0).collect();
+        terminal.sort_unstable();
+        prop_assert_eq!(terminal, ids, "exactly one terminal outcome per request");
+
+        let quarantined = session.quarantined();
+        for (d, dev) in session.pool().devices().iter().enumerate() {
+            let live: BTreeSet<_> = dev.gpu().live_device_buffers().into_iter().collect();
+            let expect: BTreeSet<_> = if quarantined.contains(&d) {
+                BTreeSet::new()
+            } else {
+                session.residency(d).device_buffers().into_iter().collect()
+            };
+            prop_assert_eq!(live, expect, "dev{} holds buffers beyond its cache", d);
+            prop_assert!(dev.gpu().live_host_buffers().is_empty(), "dev{} pins host buffers", d);
         }
-        #[allow(deprecated)]
-        let old = legacy.run();
-
-        let mut session = ServeSession::new(faulty(), ExecutorConfig::default());
-        for req in trace(n) {
-            session.submit(req);
-        }
-        let new = session.drain();
-
-        prop_assert_eq!(old.makespan.as_nanos(), new.makespan.as_nanos());
-        prop_assert_eq!(&old.per_device_busy, &new.per_device_busy);
-        prop_assert_eq!(old.total_flops.to_bits(), new.total_flops.to_bits());
-        prop_assert_eq!(old.host_flops.to_bits(), new.host_flops.to_bits());
-        prop_assert_eq!(&old.outcomes, &new.outcomes);
-        prop_assert_eq!(&old.quarantined, &new.quarantined);
-        prop_assert_eq!(old.render(), new.render());
-        prop_assert_eq!(old.peak_queue_depth, new.peak_queue_depth);
     }
 }

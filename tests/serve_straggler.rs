@@ -13,8 +13,8 @@ use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, SimTime, Testb
 use cocopelia_obs::{check_spans, SpanPhase};
 use cocopelia_runtime::serve::ServeOptions as SessionOptions;
 use cocopelia_runtime::serve::{
-    ExecutorConfig, HedgeConfig, ProbationConfig, RequestStatus, RetryBudgetConfig, ServeReport,
-    ServeSession,
+    ExecutorConfig, HedgeConfig, ProbationConfig, RequestStatus, RetryBudgetConfig, SchedulePolicy,
+    ServeReport, ServeSession,
 };
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
 use cocopelia_xp::{
@@ -174,8 +174,67 @@ fn hedging_improves_tail_flow_with_identical_flops() {
     }
 }
 
+/// Primary attempts (first-attempt `Dispatch` spans) each device received.
+fn primaries_on(report: &ServeReport, device: usize) -> usize {
+    let trace = report.trace.as_ref().expect("tracing armed");
+    trace
+        .spans
+        .iter()
+        .filter(|s| s.phase == SpanPhase::Dispatch && s.device == Some(device))
+        .count()
+}
+
+/// Predictive placement prices the same straggler penalty as the
+/// ready-time heuristic: once a hedge catches device 0 overrunning its
+/// prediction on the degraded link, the policy stops sending it primaries
+/// — even though each winning hedge rewinds device 0's clock to look idle.
+/// The requests carry private operands, so no residency affinity pulls
+/// work to device 1: only the penalty tells the two devices apart.
+#[test]
+fn predictive_placement_steers_primaries_off_a_caught_straggler() {
+    for seed in [11u64, 23, 47] {
+        let options = ServeOptions {
+            policy: SchedulePolicy::Predictive,
+            trace: true,
+            fault_plans: Some(straggler_fault_plans(2, seed, 0.01)),
+            hedge: Some(HedgeConfig::default()),
+            ..ServeOptions::default()
+        };
+        let run = run_serve_with_options(
+            &quiet(),
+            2,
+            straggler_request_trace(16)
+                .into_iter()
+                .map(RoutineRequest::without_sharing)
+                .collect(),
+            &FaultSpec::none(),
+            &options,
+        )
+        .expect("predictive hedged straggler run");
+        let dev0 = primaries_on(&run.report, 0);
+        let dev1 = primaries_on(&run.report, 1);
+        assert!(run
+            .report
+            .outcomes
+            .iter()
+            .all(|o| matches!(o.status, RequestStatus::Completed(_))));
+        assert_eq!(dev0 + dev1, 16, "seed {seed}: one primary per request");
+        // Without the penalty every rewound-idle primary lands on dev0
+        // again (16 of 16, each one hedged); with it, dev0 keeps only the
+        // first attempt or two that exposed it.
+        assert!(
+            dev0 <= 2,
+            "seed {seed}: {dev0} primaries still sent to the caught straggler"
+        );
+        assert!(
+            run.report.metrics.counter("hedge_attempts_total") <= dev0 as u64,
+            "seed {seed}: hedges fire only on dev0's overruns"
+        );
+    }
+}
+
 /// Probation end to end: a device drained operationally (the maintenance
-/// workflow behind [`cocopelia_runtime::serve::Executor::force_quarantine`])
+/// workflow behind [`ServeSession::force_quarantine`])
 /// is re-admitted after consecutive clean canary probes and then serves
 /// requests again.
 #[test]
@@ -197,7 +256,7 @@ fn probation_readmits_a_drained_device_that_then_serves() {
     let used: BTreeSet<_> = warm.outcomes.iter().filter_map(|o| o.device).collect();
     assert_eq!(used, BTreeSet::from([0, 1]), "warmup must use both devices");
 
-    exec.executor_mut().force_quarantine(0);
+    exec.force_quarantine(0);
     assert_eq!(exec.quarantined(), vec![0]);
 
     for _ in 0..10 {
@@ -238,7 +297,7 @@ fn probation_readmits_a_drained_device_that_then_serves() {
 fn force_quarantine_without_probation_is_permanent() {
     let pool = MultiGpu::new(&quiet(), 2, ExecMode::TimingOnly, 42, dummy_profile());
     let mut exec = ServeSession::new(pool, ExecutorConfig::default());
-    exec.executor_mut().force_quarantine(0);
+    exec.force_quarantine(0);
     for _ in 0..4 {
         exec.submit(shared_gemm(1024));
     }

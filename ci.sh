@@ -86,7 +86,7 @@ cargo test --release -q -p cocopelia-xp --test serve_trace
 
 echo "== streaming telemetry gate (watch windows, SLO dumps, bounded memory) =="
 # The serve --watch acceptance run at full size: a 50k-request drain under
-# telemetry keeps span memory bounded by the flight-recorder ring, emits a
+# telemetry keeps span memory bounded by the one span cap (--ring), emits a
 # deterministic window stream, streams a decodable Perfetto file, and fires
 # exactly one SLO-breach dump — while staying bit-identical to the
 # telemetry-off run. (Debug `cargo test` runs a 5k slice of the same test.)
@@ -108,5 +108,10 @@ CARGO_TARGET_DIR=target/perfbench cargo test --release --offline -q \
 CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
     --workload serve_straggler --seconds 1 --trace 0 | tail -n 1
+# serve_open_mixed is the only workload that arms telemetry (windows,
+# span cap, flight dumps), so it smoke-tests the observer wiring.
+CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_open_mixed --seconds 1 --trace 0 | tail -n 1
 
 echo "CI gate passed."

@@ -25,7 +25,7 @@ use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{
     testbed_i, EngineKind, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec, TraceEntry,
 };
-use cocopelia_obs::{DeviceLane, FlightRecorder, ServeTrace, SpanLog, SpanPhase, WindowedMetrics};
+use cocopelia_obs::{DeviceLane, FlightDump, ServeTrace, SpanLog, SpanPhase, WindowedMetrics};
 use cocopelia_runtime::serve::{
     ExecutorConfig, HedgeConfig, ProbationConfig, SchedulePolicy, ServeOptions, ServeSession,
 };
@@ -292,12 +292,16 @@ fn probe_schedule() {
     assert!(report.metrics.counter("probe_attempts_total") > 0);
 }
 
-/// The flight recorder's per-span record under constant eviction
-/// pressure: a full ring popping its oldest span for every push.
+/// The capped span log's record + dump path: 64k spans recorded under a
+/// 256-span cap (amortized enforcement after every record, as the
+/// telemetry tick does), with a flight dump of the log's tail every 4096
+/// spans.
 #[inline(never)]
 fn ring_record() {
+    const CAP: usize = 256;
     let mut log = SpanLog::default();
-    for i in 0..4_096u64 {
+    let mut dumped = 0usize;
+    for i in 0..65_536u64 {
         log.record(
             None,
             i,
@@ -308,16 +312,15 @@ fn ring_record() {
             i * 100 + 80,
             None,
         );
-    }
-    let spans = log.into_spans();
-    let mut ring = FlightRecorder::new(256);
-    for _ in 0..16 {
-        for s in &spans {
-            ring.record(s.clone());
+        log.enforce_cap_amortized(CAP);
+        if i % 4_096 == 4_095 {
+            dumped += FlightDump::capture(&log, CAP, "bench", 0, i * 100)
+                .spans
+                .len();
         }
     }
-    black_box(ring.len());
-    black_box(ring.dropped());
+    black_box(dumped);
+    black_box(log.dropped());
 }
 
 main!(

@@ -8,7 +8,7 @@
 //! cocopelia trace   --testbed ii --profile profile.json --routine dgemm --dims 8192 8192 8192 --out trace.json [--format chrome|jsonl]
 //! cocopelia gantt   --testbed i --dims 4096 4096 4096 --tile 1024
 //! cocopelia calib   --testbed i [--quick] [--json calib.json]
-//! cocopelia serve   --testbed i [--devices 2] [--trace requests.txt] [--faults seed=1,h2d=0.02,lost_after=20] [--trace-out out.perfetto] [--arrivals poisson:2000] [--seed 1] [--queue-cap 8] [--shed-flow-ms 50] [--coalesce] [--prefetch] [--snapshot-ms 5] [--watch] [--window-ms 5] [--slo deadline_miss<=0.1] [--ring 2048]
+//! cocopelia serve   --testbed i [--devices 2] [--trace requests.txt] [--faults seed=1,h2d=0.02,lost_after=20] [--trace-out out.perfetto] [--arrivals poisson:2000] [--seed 1] [--queue-cap 8] [--shed-flow-ms 50] [--coalesce] [--prefetch] [--watch] [--window-ms 5] [--slo deadline_miss<=0.1] [--ring 2048]
 //! cocopelia metrics --testbed i [--devices 2] [--trace requests.txt] [--format prom|text]
 //! cocopelia timeline --testbed i [--devices 2] [--trace requests.txt] [--faults ...] [--width 96] [--color]
 //! cocopelia snapshot --out BENCH_pr.json [--testbed i] [--label pr]
@@ -139,15 +139,14 @@ usage:
                     [--policy <fifo|edf|predictive>] [--trace-out <out.json|out.perfetto>]
                     [--arrivals <poisson:rate_hz|bursty:rate_hz:on_ms:off_ms>] [--seed <N>]
                     [--queue-cap <N>] [--shed-flow-ms <N>] [--coalesce] [--prefetch]
-                    [--snapshot-ms <N>] [--watch] [--window-ms <N>]
-                    [--slo <kind<=limit,...>] [--ring <spans>]
+                    [--watch] [--window-ms <N>] [--slo <kind<=limit,...>] [--ring <spans>]
                     [--hedge <mult|off>] [--probation <backoff_ms[:successes]|off>]
                     [--retry-budget <tokens[:refill_per_sec]|off>]
   cocopelia metrics --testbed <i|ii> [--devices <N>] [--trace <requests.txt>] [--faults <spec>]
                     [--policy <fifo|edf|predictive>] [--format <prom|text>]
   cocopelia timeline --testbed <i|ii> [--devices <N>] [--trace <requests.txt>] [--faults <spec>]
                     [--policy <fifo|edf|predictive>] [--width <cols>] [--color]
-                    [--trace-out <out.json|out.perfetto>] [--snapshot-ms <N>]
+                    [--trace-out <out.json|out.perfetto>]
   cocopelia snapshot --out <BENCH_label.json> [--testbed <i|ii>] [--label <label>]
   cocopelia compare <base.json> <new.json> [--threshold <frac>] [--json <diff.json>]
 
@@ -155,10 +154,11 @@ fault spec grammar (comma-separated, e.g. seed=1,h2d=0.02,kernel=0.05,lost_after
   seed=N h2d=P d2h=P kernel=P ecc=P lost_after=N degrade=START:END:FACTOR (repeatable)
 
 serve --watch streams one line per telemetry window (cadence = --window-ms of
-virtual time, default 5 ms; --snapshot-ms is accepted as a legacy alias under
---watch); --slo objectives (deadline_miss, flow_p95, flow_p99, fault_rate,
-quarantined, rejected) dump the span flight recorder on breach, and a
---trace-out ending in .perfetto/.pftrace streams packets incrementally.
+virtual time, default 5 ms; --snapshot-ms is an alias); --slo objectives
+(deadline_miss, flow_p95, flow_p99, fault_rate, quarantined, rejected) dump the
+newest --ring spans (default 2048, also the span log's cap) on breach and on
+quarantine, and a --trace-out ending in .perfetto/.pftrace streams packets
+incrementally.
 
 serve --arrivals turns the trace into an open-arrival stream (seeded by --seed,
 default 1) whose requests land mid-drain: poisson:<rate_hz> for memoryless
@@ -663,7 +663,10 @@ fn cmd_gantt(args: &Args) -> Result<(), CliError> {
     .beta(1.0)
     .tile(TileChoice::Fixed(tile))
     .run(&mut ctx)?;
-    println!("{}", ctx.gpu().trace().gantt(width));
+    println!(
+        "{}",
+        cocopelia_obs::gantt::render(ctx.gpu().trace().entries(), width)
+    );
     print!(
         "{}",
         cocopelia_obs::gantt::engine_summary(ctx.gpu().trace().entries())
@@ -692,7 +695,7 @@ fn cmd_calib(args: &Args) -> Result<(), CliError> {
 }
 
 /// Shared front half of `serve` and `timeline`: parses the pool size,
-/// request trace, fault plan, policy, and snapshot interval, then runs
+/// request trace, fault plan, policy, and watch options, then runs
 /// the executor comparison (span tracing on when `trace_spans`).
 fn serve_comparison(
     args: &Args,
@@ -734,9 +737,8 @@ fn serve_comparison(
             })
             .transpose()
     };
-    let snapshot_interval = parse_ms("snapshot-ms")?;
-    let window = parse_ms("window-ms")?;
-    let watch = watch_options(args, window.or(snapshot_interval))?;
+    let window = parse_ms("window-ms")?.or(parse_ms("snapshot-ms")?);
+    let watch = watch_options(args, window)?;
     let seed: u64 = args
         .get_opt("seed")
         .map(|s| {
@@ -800,13 +802,6 @@ fn serve_comparison(
     let options = cocopelia_xp::ServeOptions {
         policy,
         trace: trace_spans,
-        // Under --watch the per-window lines replace the end-only
-        // interval snapshots (--window-ms becomes the window length).
-        snapshot_interval: if watch.is_some() {
-            None
-        } else {
-            snapshot_interval
-        },
         watch,
         arrivals,
         queue_cap,
@@ -834,18 +829,18 @@ fn serve_comparison(
     Ok((cmp, fault_spec))
 }
 
-/// Builds the `--watch` telemetry config: `--window-ms` sets the window
-/// length (`--snapshot-ms` is accepted as a legacy alias under `--watch`),
-/// `--slo` the objectives, `--ring` the flight-recorder capacity, and a
-/// `--trace-out` with a Perfetto extension switches that export to
-/// incremental streaming. `--slo`/`--ring`/`--window-ms` without `--watch`
-/// is a usage error.
+/// Builds the `--watch` telemetry config: `--window-ms` (alias
+/// `--snapshot-ms`) sets the window length, `--slo` the objectives,
+/// `--ring` the span cap that bounds both the span log and each flight
+/// dump, and a `--trace-out` with a Perfetto extension switches that
+/// export to incremental streaming. Any of these but `--trace-out`
+/// without `--watch` is a usage error.
 fn watch_options(
     args: &Args,
     window: Option<cocopelia_gpusim::SimTime>,
 ) -> Result<Option<cocopelia_runtime::serve::TelemetryConfig>, CliError> {
     if !args.has_flag("watch") {
-        for key in ["slo", "ring", "window-ms"] {
+        for key in ["slo", "ring", "window-ms", "snapshot-ms"] {
             if args.get_opt(key).is_some() {
                 return Err(CliError::Usage(format!("--{key} requires --watch")));
             }
@@ -922,7 +917,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             c("fault_transient_total"),
             c("fault_degraded_total"),
             c("fault_fatal_total"),
-            c("retry_attempts_total"),
+            c("serve_retries_total"),
             c("retry_tile_ops_total"),
             c("quarantine_devices_total"),
             c("quarantine_redispatch_total"),
@@ -1297,11 +1292,14 @@ mod tests {
                 "`{flags}` must be a usage error"
             );
         }
-        // The watch window length is a --watch flag.
-        assert!(matches!(
-            super::run(&argv("serve --testbed i --window-ms 5")),
-            Err(CliError::Usage(_))
-        ));
+        // The watch window length (and its --snapshot-ms alias) is a
+        // --watch flag.
+        for flag in ["--window-ms 5", "--snapshot-ms 5"] {
+            assert!(matches!(
+                super::run(&argv(&format!("serve --testbed i {flag}"))),
+                Err(CliError::Usage(_))
+            ));
+        }
     }
 
     #[test]

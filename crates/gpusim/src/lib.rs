@@ -37,7 +37,8 @@
 //! gpu.memcpy_h2d_async(h2d, CopyDesc::contiguous(host, dev, 1 << 20))?;
 //! gpu.launch_kernel(exec, KernelShape::Gemm { dtype: Dtype::F64, m: 1024, n: 1024, k: 1024 }, None)?;
 //! gpu.synchronize()?;
-//! println!("{}", gpu.trace().gantt(60));
+//! // One entry per engine op; `cocopelia_obs::gantt` renders them.
+//! assert_eq!(gpu.trace().len(), 2);
 //! # Ok(())
 //! # }
 //! ```

@@ -1,13 +1,11 @@
 //! Execution traces: what ran where and when on the simulated device.
 //!
 //! Traces back the model-validation experiments (overlap can be inspected,
-//! not just trusted) and power the Gantt rendering used by the
-//! `pipeline_gantt` example, which reproduces the pipeline anatomy of the
-//! paper's Figure 2.
+//! not just trusted) and feed the Gantt renderer in `cocopelia_obs::gantt`,
+//! which reproduces the pipeline anatomy of the paper's Figure 2.
 
 use crate::op::StreamId;
 use crate::time::SimTime;
-use std::fmt::Write as _;
 
 /// The three hardware engines of the simulated device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -188,62 +186,6 @@ impl Trace {
             .filter_map(|e| e.bytes)
             .sum()
     }
-
-    /// Renders an ASCII Gantt chart, one row per engine, `width` columns
-    /// spanning the trace's time extent.
-    ///
-    /// `h2d` rows show `>`, `d2h` rows `<`, compute rows `#`. Overlapping
-    /// occupancy in a column keeps the busiest glyph.
-    pub fn gantt(&self, width: usize) -> String {
-        let width = width.max(10);
-        let t_end = self
-            .entries
-            .iter()
-            .map(|e| e.end.as_nanos())
-            .max()
-            .unwrap_or(0);
-        let t_start = self
-            .entries
-            .iter()
-            .map(|e| e.start.as_nanos())
-            .min()
-            .unwrap_or(0);
-        let span = (t_end - t_start).max(1) as f64;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "time span: {} .. {} ({})",
-            SimTime::from_nanos(t_start),
-            SimTime::from_nanos(t_end),
-            SimTime::from_nanos(t_end - t_start)
-        );
-        for engine in [
-            EngineKind::CopyH2d,
-            EngineKind::Compute,
-            EngineKind::CopyD2h,
-        ] {
-            let glyph = match engine {
-                EngineKind::CopyH2d => '>',
-                EngineKind::CopyD2h => '<',
-                EngineKind::Compute => '#',
-            };
-            let mut row = vec![' '; width];
-            for e in self.entries.iter().filter(|e| e.engine == engine) {
-                let a = ((e.start.as_nanos() - t_start) as f64 / span * width as f64) as usize;
-                let b = ((e.end.as_nanos() - t_start) as f64 / span * width as f64).ceil() as usize;
-                for cell in row.iter_mut().take(b.min(width)).skip(a.min(width)) {
-                    *cell = glyph;
-                }
-            }
-            let _ = writeln!(
-                out,
-                "{:>4} |{}|",
-                engine.name(),
-                row.iter().collect::<String>()
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -273,26 +215,5 @@ mod tests {
         assert_eq!(t.engine_busy(EngineKind::Compute).as_nanos(), 30);
         assert_eq!(t.bytes_moved(EngineKind::CopyH2d), 30);
         assert_eq!(t.bytes_moved(EngineKind::CopyD2h), 0);
-    }
-
-    #[test]
-    fn gantt_renders_rows() {
-        let mut t = Trace::default();
-        t.push(entry(EngineKind::CopyH2d, 0, 50, Some(1)));
-        t.push(entry(EngineKind::Compute, 50, 100, None));
-        let g = t.gantt(40);
-        assert!(g.contains("h2d"));
-        assert!(g.contains("exec"));
-        assert!(g.contains('>'));
-        assert!(g.contains('#'));
-    }
-
-    #[test]
-    fn empty_trace_gantt_does_not_panic() {
-        let t = Trace::default();
-        let g = t.gantt(20);
-        assert!(g.contains("time span"));
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
     }
 }

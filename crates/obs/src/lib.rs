@@ -25,8 +25,8 @@
 //!   neutral for CI gating.
 //! * [`window`]/[`slo`]/[`recorder`] — the streaming telemetry layer:
 //!   rolling virtual-time windowed aggregation, edge-triggered SLO
-//!   evaluation, and a fixed-capacity span flight recorder that dumps on
-//!   breach/quarantine. Memory is O(window + ring), not O(requests).
+//!   evaluation, and flight dumps of a capped span log's newest spans on
+//!   breach/quarantine. Memory is O(window + cap), not O(requests).
 //! * [`prom`] — Prometheus text-exposition rendering of a [`Registry`].
 //!
 //! ## Example: inspecting a synthetic trace
@@ -76,7 +76,7 @@ pub use drift::{score_models, DriftAccountant, DriftRecord, ModelErrorStats};
 pub use metrics::{Histogram, Registry};
 pub use observer::{CallObservation, CallSummary, Observer, EFFICIENCY_BOUNDS};
 pub use overlap::OverlapStats;
-pub use recorder::{FlightDump, FlightRecorder};
+pub use recorder::FlightDump;
 pub use slo::{SloBreach, SloEngine, SloKind, SloSpec, SloStatus};
 pub use snapshot::{Snapshot, SnapshotEntry, SNAPSHOT_SCHEMA_VERSION};
 pub use span::{check_spans, DeviceLane, ServeTrace, Span, SpanId, SpanLog, SpanPhase};

@@ -1,83 +1,15 @@
-//! Fixed-capacity span flight recorder.
+//! Span flight dumps.
 //!
-//! A [`FlightRecorder`] is a ring buffer over [`Span`]s: recording is
-//! O(1), memory is bounded by the configured capacity, and the oldest
-//! spans are dropped under pressure. When something goes wrong — an SLO
-//! breach, a device quarantine — the recorder's full contents are
-//! captured as a [`FlightDump`]: the last `capacity` spans leading up to
-//! the incident, exportable to Perfetto or JSONL for post-mortems even
-//! though the run itself keeps only O(ring) span memory.
+//! When something goes wrong — an SLO breach, a device quarantine — the
+//! newest spans of a capped [`SpanLog`] are captured as a [`FlightDump`]:
+//! the last `cap` spans leading up to the incident, exportable to
+//! Perfetto or JSONL for post-mortems even though the run itself keeps
+//! only O(cap) span memory.
 
-use crate::span::{ServeTrace, Span};
+use crate::span::{ServeTrace, Span, SpanLog};
 use crate::SpanPhase;
-use std::collections::VecDeque;
 
-/// Bounded ring buffer of the most recent spans.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    cap: usize,
-    ring: VecDeque<Span>,
-    dropped: u64,
-}
-
-impl FlightRecorder {
-    /// Creates a recorder holding at most `cap` spans (clamped to ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        FlightRecorder {
-            cap,
-            ring: VecDeque::with_capacity(cap),
-            dropped: 0,
-        }
-    }
-
-    /// Records a span, evicting the oldest if the ring is full. O(1).
-    pub fn record(&mut self, span: Span) {
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(span);
-    }
-
-    /// Spans currently held, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        self.ring.iter()
-    }
-
-    /// Number of spans currently held (≤ capacity, always).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Total spans evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Captures the ring's full contents as an incident dump.
-    pub fn dump(&self, reason: impl Into<String>, window: u64, at_ns: u64) -> FlightDump {
-        FlightDump {
-            reason: reason.into(),
-            window,
-            at_ns,
-            dropped_before: self.dropped,
-            spans: self.ring.iter().cloned().collect(),
-        }
-    }
-}
-
-/// A snapshot of the recorder ring at incident time.
+/// The newest spans of a span log at incident time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightDump {
     /// Human-readable trigger, e.g. `SLO breach …` or `quarantine dev0`.
@@ -86,14 +18,35 @@ pub struct FlightDump {
     pub window: u64,
     /// Virtual-time instant of the incident, nanoseconds.
     pub at_ns: u64,
-    /// Spans that had already been evicted before the dump (the ring's
-    /// blind spot; 0 means the dump is the complete history).
+    /// Spans recorded before the dumped ones (the dump's blind spot; 0
+    /// means the dump is the complete history).
     pub dropped_before: u64,
-    /// The ring's contents, oldest first.
+    /// The dumped spans, oldest first.
     pub spans: Vec<Span>,
 }
 
 impl FlightDump {
+    /// Captures the last `cap` spans of `log` (`cap` clamped to ≥ 1).
+    /// Span ids count every span the log ever recorded, so the blind spot
+    /// is exact even after the log dropped its oldest spans.
+    pub fn capture(
+        log: &SpanLog,
+        cap: usize,
+        reason: impl Into<String>,
+        window: u64,
+        at_ns: u64,
+    ) -> FlightDump {
+        let spans = log.spans();
+        let tail = &spans[spans.len().saturating_sub(cap.max(1))..];
+        FlightDump {
+            reason: reason.into(),
+            window,
+            at_ns,
+            dropped_before: log.next_id() - tail.len() as u64,
+            spans: tail.to_vec(),
+        }
+    }
+
     /// The dumped spans belonging to one request, in record order.
     pub fn request_spans(&self, request: u64) -> Vec<&Span> {
         self.spans.iter().filter(|s| s.request == request).collect()
@@ -176,9 +129,8 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanLog;
 
-    fn spans(n: u64) -> Vec<Span> {
+    fn log(n: u64) -> SpanLog {
         let mut log = SpanLog::default();
         for i in 0..n {
             log.record(
@@ -192,29 +144,28 @@ mod tests {
                 None,
             );
         }
-        log.into_spans()
+        log
     }
 
     #[test]
     fn ring_drops_oldest_and_stays_bounded() {
-        let mut r = FlightRecorder::new(4);
-        for s in spans(10) {
-            r.record(s);
-            assert!(r.len() <= 4, "ring never exceeds capacity");
+        let mut l = SpanLog::default();
+        for i in 0..10u64 {
+            l.record(None, i, Some(0), SpanPhase::Dispatch, "a", i, i + 1, None);
+            l.enforce_cap_amortized(4);
+            let d = FlightDump::capture(&l, 4, "x", 0, i);
+            assert!(d.spans.len() <= 4, "dump never exceeds the cap");
+            assert_eq!(d.dropped_before + d.spans.len() as u64, i + 1);
         }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.dropped(), 6);
-        let held: Vec<u64> = r.spans().map(|s| s.request).collect();
-        assert_eq!(held, vec![6, 7, 8, 9], "oldest spans evicted first");
+        let d = FlightDump::capture(&l, 4, "x", 0, 10);
+        assert_eq!(d.dropped_before, 6);
+        let held: Vec<u64> = d.spans.iter().map(|s| s.request).collect();
+        assert_eq!(held, vec![6, 7, 8, 9], "oldest spans left out first");
     }
 
     #[test]
     fn dump_captures_ring_in_order_with_blind_spot() {
-        let mut r = FlightRecorder::new(3);
-        for s in spans(5) {
-            r.record(s);
-        }
-        let d = r.dump("test incident", 7, 12345);
+        let d = FlightDump::capture(&log(5), 3, "test incident", 7, 12345);
         assert_eq!(d.spans.len(), 3);
         assert_eq!(d.dropped_before, 2);
         assert_eq!(d.window, 7);
@@ -239,11 +190,7 @@ mod tests {
             None,
         );
         log.record(None, 2, None, SpanPhase::Queued, "queued", 0, 5, None);
-        let mut r = FlightRecorder::new(8);
-        for s in log.into_spans() {
-            r.record(s);
-        }
-        let d = r.dump("x", 0, 10);
+        let d = FlightDump::capture(&log, 8, "x", 0, 10);
         assert!(d.has_request_chain(1));
         assert!(!d.has_request_chain(2), "queued-only is not a chain");
         assert!(!d.has_request_chain(99));
@@ -251,11 +198,7 @@ mod tests {
 
     #[test]
     fn dump_exports_decode_and_serialize() {
-        let mut r = FlightRecorder::new(8);
-        for s in spans(3) {
-            r.record(s);
-        }
-        let d = r.dump("slo breach: deadline_miss", 1, 50);
+        let d = FlightDump::capture(&log(3), 8, "slo breach: deadline_miss", 1, 50);
         let decoded =
             crate::perfetto::decode::decode_trace(&d.to_perfetto()).expect("dump decodes");
         assert!(decoded.packets > 0);
@@ -267,8 +210,11 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped() {
-        let r = FlightRecorder::new(0);
-        assert_eq!(r.capacity(), 1);
-        assert!(r.is_empty());
+        let d = FlightDump::capture(&log(3), 0, "x", 0, 0);
+        assert_eq!(d.spans.len(), 1);
+        assert_eq!(d.dropped_before, 2);
+        assert!(FlightDump::capture(&SpanLog::default(), 0, "x", 0, 0)
+            .spans
+            .is_empty());
     }
 }

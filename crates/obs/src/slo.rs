@@ -45,8 +45,9 @@ pub mod names {
     pub const QUEUE_DEPTH: &str = "queue_depth";
     /// Gauge: quarantined device count at the window's close.
     pub const QUARANTINED: &str = "quarantined_devices";
-    /// Gauge: mean absolute scheduling-prediction drift, seconds.
-    pub const DRIFT: &str = "drift_secs";
+    /// Gauge: mean absolute relative scheduling-prediction drift (a
+    /// ratio: 0.125 is 12.5%).
+    pub const DRIFT: &str = "drift_rel";
     /// Counter: hedged (speculative duplicate) attempts launched.
     pub const HEDGES: &str = "hedge_attempts";
     /// Counter: hedges that won their race against the primary attempt.

@@ -1,7 +1,7 @@
 //! Timetable-style per-device serve timeline.
 //!
 //! Renders a [`ServeTrace`] as device rows × virtual-time columns — the
-//! serve-level sibling of the single-run Gantt (`Trace::gantt`): one row
+//! serve-level sibling of the single-run Gantt ([`crate::gantt`]): one row
 //! per device engine (`h2d`/`exec`/`d2h`), one `events` row per device for
 //! the fault-tolerance detours (retry `!`, quarantine `Q`), a `queue` row
 //! showing waiting requests, and a `host` row when requests fell back to

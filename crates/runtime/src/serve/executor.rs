@@ -8,11 +8,10 @@ use crate::request::{GemmRequest, MatArg, RoutineRequest, SharedOperandSpec, Vec
 use crate::serve::residency::{ResidencyCache, ResidentHandle};
 use crate::serve::sched::SchedulePolicy;
 use crate::serve::session::ServeSession;
-use crate::serve::telemetry::{Telemetry, TelemetryReport, TickState};
+use crate::serve::telemetry::{TelemetryReport, TickState};
+use crate::serve::trace::{is_prefetch_entry, ServeTracer};
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::{
-    DevBufId, EngineKind, HostBufId, OpTag, SimError, SimScalar, SimTime, TraceEntry,
-};
+use cocopelia_gpusim::{DevBufId, EngineKind, HostBufId, OpTag, SimError, SimScalar, SimTime};
 use cocopelia_hostblas::Dtype;
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
@@ -248,7 +247,7 @@ fn canary_request() -> RoutineRequest {
 /// attempt (see `ServeSession::maybe_hedge`).
 enum HedgeOutcome {
     /// No hedge fired (disarmed, no estimate, no overrun, or no healthy
-    /// peer free early enough); the caller owns all span bookkeeping.
+    /// peer free early enough); the caller records the attempt span.
     NotLaunched,
     /// A hedge ran but lost or faulted; the primary result stands and the
     /// attempt/hedge/cancel spans are already recorded.
@@ -342,23 +341,6 @@ impl RequestOutcome {
     }
 }
 
-/// One periodic interval sample of the session's state during a drain
-/// (see [`ServeOptions::snapshot_interval`]).
-///
-/// [`ServeOptions::snapshot_interval`]: crate::serve::ServeOptions::snapshot_interval
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSnapshot {
-    /// Virtual time of the sample, measured from the start of the drain.
-    pub at: SimTime,
-    /// Requests still waiting for dispatch.
-    pub queue_depth: usize,
-    /// Each device's clock advance since the drain began.
-    pub device_clock: Vec<SimTime>,
-    /// Mean absolute relative error of the scheduler's offload
-    /// predictions recorded so far; `NaN`-free `0.0` when none exist yet.
-    pub mean_abs_drift: f64,
-}
-
 /// Aggregate result of draining a [`ServeSession`] once.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
@@ -389,22 +371,18 @@ pub struct ServeReport {
     pub drift: DriftAccountant,
     /// Snapshot of the session's metrics registry after the run.
     pub metrics: Registry,
-    /// Periodic interval samples of the drain, when
-    /// [`ServeOptions::snapshot_interval`](crate::serve::ServeOptions::snapshot_interval)
-    /// armed them.
-    pub snapshots: Vec<ServeSnapshot>,
     /// The request-lifecycle trace of the drain, when
     /// [`ServeOptions::tracing`](crate::serve::ServeOptions::tracing) (or
     /// telemetry) armed it.
     pub trace: Option<ServeTrace>,
-    /// Spans dropped from [`trace`](ServeReport::trace) by the span
-    /// capacity cap ([`TelemetryConfig::trace_cap`]); `0` when tracing
-    /// was uncapped or nothing overflowed.
+    /// Spans dropped from [`trace`](ServeReport::trace) by the span cap
+    /// ([`TelemetryConfig::recorder_cap`]); `0` when tracing was uncapped
+    /// or nothing overflowed.
     ///
-    /// [`TelemetryConfig::trace_cap`]: crate::serve::TelemetryConfig::trace_cap
+    /// [`TelemetryConfig::recorder_cap`]: crate::serve::TelemetryConfig::recorder_cap
     pub trace_dropped: u64,
-    /// Streaming telemetry summary (windows, SLO breaches, flight-recorder
-    /// dumps), when
+    /// Streaming telemetry summary (windows, SLO breaches, flight dumps),
+    /// when
     /// [`ServeOptions::telemetry`](crate::serve::ServeOptions::telemetry)
     /// armed it.
     pub telemetry: Option<TelemetryReport>,
@@ -586,24 +564,6 @@ impl ServeReport {
         if !self.drift.records().is_empty() {
             out.push_str(&self.drift.render());
         }
-        if !self.snapshots.is_empty() {
-            let _ = writeln!(out, "interval snapshots:");
-            for s in &self.snapshots {
-                let clocks: Vec<String> = s
-                    .device_clock
-                    .iter()
-                    .map(|c| format!("{:.3}", c.as_secs_f64() * 1e3))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "  t={:>9.3} ms  queue={:<4}  clocks=[{}] ms  drift={:.3}",
-                    s.at.as_secs_f64() * 1e3,
-                    s.queue_depth,
-                    clocks.join(", "),
-                    s.mean_abs_drift,
-                );
-            }
-        }
         if self.trace_dropped > 0 {
             let kept = self.trace.as_ref().map(|t| t.spans.len()).unwrap_or(0);
             let _ = writeln!(
@@ -655,14 +615,6 @@ struct StagedPrefetch {
     bytes: usize,
     handle: ResidentHandle,
     host: HostBufId,
-}
-
-/// True when a trace entry is a cross-request prefetch copy (tagged with
-/// the prefetcher's synthetic [`OpTag`]). Attempt flow accounting filters
-/// these out: they belong to the *target* request's lifecycle, recorded
-/// as its `Prefetch` span.
-fn is_prefetch_entry(e: &TraceEntry) -> bool {
-    e.tag.as_ref().is_some_and(|t| t.routine == "prefetch")
 }
 
 /// Rejection reason for the footprint admission ceiling — shared by the
@@ -1091,7 +1043,7 @@ impl ServeSession {
             host_fallback: false,
             coalesced: false,
         });
-        self.telemetry_tick(start, &[]);
+        self.telemetry_tick(start);
     }
 
     /// Service-time estimate of a request for the flow-time shed
@@ -1176,7 +1128,7 @@ impl ServeSession {
                 host_fallback: leader.host_fallback,
                 coalesced: true,
             });
-            self.telemetry_tick(start, &[]);
+            self.telemetry_tick(start);
         }
     }
 
@@ -1217,50 +1169,18 @@ impl ServeSession {
     pub fn drain(&mut self) -> ServeReport {
         let start: Vec<SimTime> = self.pool.devices().iter().map(|d| d.gpu().now()).collect();
         self.peak_queue = self.queue.len();
-        if self.tracer.is_some() {
-            self.trace_mark = self
-                .pool
-                .devices()
-                .iter()
-                .map(|d| d.gpu().trace().len())
-                .collect();
-            let t0 = start.iter().map(|t| t.as_nanos()).min().unwrap_or(0);
+        if let Some(t) = self.tracer.as_mut() {
             let queued: Vec<u64> = self.queue.iter().map(|(id, _)| id.0).collect();
-            if let Some(t) = self.tracer.as_mut() {
-                t.begin_drain(t0, &queued);
-            }
+            t.begin_drain(&self.pool, &queued, &self.metrics);
         }
-        if let Some(mut tele) = self.telemetry.take() {
-            tele.begin(self.trace_mark.clone(), &self.metrics);
-            self.telemetry = Some(tele);
-        }
-        let mut snapshots: Vec<ServeSnapshot> = Vec::new();
-        let mut next_snap = self.snapshot_every;
         while let Some((id, req, preferred, arrival_ns)) = self.next_event(&start) {
-            let quar_before = if self.telemetry.is_some() {
-                self.quarantined.clone()
-            } else {
-                Vec::new()
-            };
             let outcome = self.dispatch(id, req, preferred, &start, arrival_ns);
             self.count_status(&outcome.status);
             self.outcomes.push(outcome);
-            self.telemetry_tick(&start, &quar_before);
+            self.telemetry_tick(&start);
             if self.followers.contains_key(&id.0) {
                 let leader = self.outcomes.last().expect("just pushed").clone();
                 self.fan_out_followers(&leader, &start);
-            }
-            if let (Some(cap), Some(t)) = (self.trace_cap, self.tracer.as_mut()) {
-                t.enforce_cap(cap);
-            }
-            if let (Some(interval), Some(due)) = (self.snapshot_every, next_snap) {
-                let elapsed = self.elapsed_since(&start);
-                let mut due = due;
-                while elapsed >= due {
-                    snapshots.push(self.snapshot_at(due, &start));
-                    due += interval;
-                }
-                next_snap = Some(due);
             }
         }
         // Defensive: a prefetched entry whose target never claimed it by
@@ -1286,7 +1206,7 @@ impl ServeSession {
             .copied()
             .max()
             .expect("at least one device");
-        let telemetry = self.telemetry_finish(makespan);
+        let (trace, trace_dropped, telemetry) = self.finish_trace(makespan);
         let mut total_flops = 0.0;
         let mut host_flops_sum = 0.0;
         let mut host_time = SimTime::ZERO;
@@ -1306,31 +1226,6 @@ impl ServeSession {
                 total_flops += r.flops;
             }
         }
-        let mut tracer = self.tracer.take();
-        if let (Some(cap), Some(t)) = (self.trace_cap, tracer.as_mut()) {
-            t.trim_to(cap);
-        }
-        // `finish` resets the drop counter, so read it first.
-        let trace_dropped = tracer.as_ref().map(|t| t.dropped()).unwrap_or(0);
-        let trace = tracer.as_mut().map(|t| {
-            let lanes = self
-                .pool
-                .devices()
-                .iter()
-                .enumerate()
-                .map(|(i, d)| cocopelia_obs::DeviceLane {
-                    device: i,
-                    name: format!("dev{i}"),
-                    entries: d
-                        .gpu()
-                        .trace()
-                        .entries_since(self.trace_mark.get(i).copied().unwrap_or(0))
-                        .to_vec(),
-                })
-                .collect();
-            t.finish(lanes)
-        });
-        self.tracer = tracer;
         let report = ServeReport {
             outcomes: std::mem::take(&mut self.outcomes),
             makespan,
@@ -1341,7 +1236,6 @@ impl ServeSession {
             quarantined: self.quarantined(),
             drift: std::mem::take(&mut self.drift),
             metrics: Registry::new(),
-            snapshots,
             trace,
             trace_dropped,
             telemetry,
@@ -1499,18 +1393,18 @@ impl ServeSession {
                 .map(|o| self.effective_h2d_secs(d, o.bytes(spec.dtype)))
                 .sum();
             let window = estimate.as_ref().map(|(p, _)| (p.total - own_h2d).max(0.0));
-            match self.execute_once(d, req.clone(), window) {
-                Ok(report) => {
+            let attempt = self.execute_once(d, req.clone(), window);
+            let clock_after = self.pool.devices()[d].gpu().now();
+            // Straggler defense: a successful attempt that overran its
+            // prediction far enough races a speculative hedge on the best
+            // other healthy device. The race resolves retroactively in
+            // virtual time, so replay is bit-identical; a launched hedge
+            // records the attempt span itself, next to its own.
+            let hedged = match &attempt {
+                Ok(_) => {
                     self.fault_streak[d] = 0;
                     self.budget_note_success();
-                    let clock_after = self.pool.devices()[d].gpu().now();
-                    // Straggler defense: a successful attempt that overran
-                    // its prediction far enough races a speculative hedge
-                    // on the best other healthy device. The race resolves
-                    // retroactively in virtual time, so replay is
-                    // bit-identical; a winning hedge cancels this attempt
-                    // and completes the request itself.
-                    let hedged = self.maybe_hedge(
+                    self.maybe_hedge(
                         id,
                         &req,
                         d,
@@ -1520,27 +1414,35 @@ impl ServeSession {
                         len_before,
                         &pre,
                         estimate.as_ref().map(|e| e.1),
+                    )
+                }
+                Err(_) => HedgeOutcome::NotLaunched,
+            };
+            if matches!(hedged, HedgeOutcome::NotLaunched) {
+                if let Some(t) = self.tracer.as_mut() {
+                    let fault = attempt.as_ref().err().map(ToString::to_string);
+                    t.attempt(
+                        id.0,
+                        d,
+                        attempt_no,
+                        clock_before.as_nanos(),
+                        clock_after.as_nanos(),
+                        self.pool.devices()[d]
+                            .gpu()
+                            .trace()
+                            .entries_since(len_before),
+                        fault.as_deref(),
                     );
-                    if let HedgeOutcome::Won(hreport, hdev, hend_ns) = hedged {
-                        device = Some(hdev);
-                        not_before_ns = hend_ns;
-                        break Ok(*hreport);
-                    }
-                    if matches!(hedged, HedgeOutcome::NotLaunched) && self.tracer.is_some() {
-                        let entries = self.attempt_entries(d, len_before);
-                        if let Some(t) = self.tracer.as_mut() {
-                            t.attempt(
-                                id.0,
-                                d,
-                                attempt_no,
-                                clock_before.as_nanos(),
-                                clock_after.as_nanos(),
-                                &entries,
-                                None,
-                            );
-                        }
-                    }
-                    not_before_ns = clock_after.as_nanos();
+                }
+            }
+            not_before_ns = clock_after.as_nanos();
+            match (attempt, hedged) {
+                (_, HedgeOutcome::Won(hreport, hdev, hend_ns)) => {
+                    device = Some(hdev);
+                    not_before_ns = hend_ns;
+                    break Ok(*hreport);
+                }
+                (Ok(report), _) => {
                     if let Some((pred, predicted)) = estimate {
                         let actual = self.pool.devices()[d]
                             .gpu()
@@ -1551,23 +1453,7 @@ impl ServeSession {
                     }
                     break Ok(report);
                 }
-                Err(e) => {
-                    let clock_after = self.pool.devices()[d].gpu().now();
-                    if self.tracer.is_some() {
-                        let entries = self.attempt_entries(d, len_before);
-                        if let Some(t) = self.tracer.as_mut() {
-                            t.attempt(
-                                id.0,
-                                d,
-                                attempt_no,
-                                clock_before.as_nanos(),
-                                clock_after.as_nanos(),
-                                &entries,
-                                Some(&e.to_string()),
-                            );
-                        }
-                    }
-                    not_before_ns = clock_after.as_nanos();
+                (Err(e), _) => {
                     // A lost device is quarantined but the request is
                     // innocent: it re-dispatches like a retryable fault.
                     let retryable = self.on_attempt_fault(
@@ -1590,7 +1476,6 @@ impl ServeSession {
                         continue;
                     }
                     retries += 1;
-                    self.metrics.counter_add("retry_attempts_total", 1);
                     self.metrics.counter_add("serve_retries_total", 1);
                 }
             }
@@ -1623,26 +1508,8 @@ impl ServeSession {
         }
     }
 
-    /// Samples the drain state for one [`ServeSnapshot`] at virtual time
-    /// `at` past the drain start.
-    fn snapshot_at(&self, at: SimTime, start: &[SimTime]) -> ServeSnapshot {
-        let device_clock = self
-            .pool
-            .devices()
-            .iter()
-            .zip(start)
-            .map(|(d, &s)| d.gpu().now().saturating_since(s))
-            .collect();
-        ServeSnapshot {
-            at,
-            queue_depth: self.queue.len(),
-            device_clock,
-            mean_abs_drift: self.mean_abs_drift(),
-        }
-    }
-
     /// Max device-clock advance since the drain began — the virtual
-    /// "elapsed" that drives snapshots and telemetry windows.
+    /// "elapsed" that drives telemetry windows.
     fn elapsed_since(&self, start: &[SimTime]) -> SimTime {
         self.pool
             .devices()
@@ -1664,44 +1531,27 @@ impl ServeSession {
         }
     }
 
-    /// Feeds freshly produced engine-trace entries and spans into the
-    /// telemetry stream/ring, advancing the per-device and span
-    /// watermarks.
-    fn telemetry_drain(&self, tele: &mut Telemetry) {
-        for d in 0..self.pool.device_count() {
-            let mark = tele.lane_mark(d);
-            let trace = self.pool.devices()[d].gpu().trace();
-            let new_len = trace.len();
-            if new_len > mark {
-                tele.stream_lane(d, &format!("dev{d}"), trace.entries_since(mark), new_len);
-            }
-        }
-        if let Some(t) = self.tracer.as_ref() {
-            let mark = tele.span_mark();
-            tele.drain_spans(t.spans_since(mark), t.next_span_id());
+    /// The loop state a telemetry step reads at virtual `elapsed`.
+    fn tick_state(&self, elapsed: SimTime) -> TickState<'_> {
+        TickState {
+            elapsed_ns: elapsed.as_nanos(),
+            queue_depth: self.queue.len(),
+            quarantined: &self.quarantined,
+            mean_abs_drift: self.mean_abs_drift(),
+            metrics: &self.metrics,
         }
     }
 
-    /// One telemetry step after an outcome: drain lanes/spans, account the
-    /// just-finished outcome (flow time from the serving device's clock,
-    /// so telemetry never *moves* a clock), dump on quarantines fresh
-    /// since `quar_before` (the quarantine state before the dispatch;
-    /// empty for steps that cannot quarantine), and rotate windows. No-op
-    /// when telemetry is off.
-    fn telemetry_tick(&mut self, start: &[SimTime], quar_before: &[bool]) {
-        let Some(mut tele) = self.telemetry.take() else {
+    /// One telemetry step after an outcome: accounts the just-finished
+    /// outcome with the flow its deadline was judged on (from the serving
+    /// device's clock, so telemetry never *moves* a clock) and rotates
+    /// windows. No-op when telemetry is off.
+    fn telemetry_tick(&mut self, start: &[SimTime]) {
+        if !self.tracer.as_ref().is_some_and(ServeTracer::watching) {
             return;
-        };
-        self.telemetry_drain(&mut tele);
-        let elapsed = self.elapsed_since(start);
-        if let Some(o) = self.outcomes.last() {
-            for (d, &was) in quar_before.iter().enumerate() {
-                if !was && self.quarantined.get(d).copied().unwrap_or(false) {
-                    tele.on_quarantine(d, o.id.0, elapsed.as_nanos());
-                }
-            }
-            // The flow the deadline was judged on: a timed-out status
-            // carries it, a completed one is recomputed the same way.
+        }
+        let mut tracer = self.tracer.take().expect("checked above");
+        let outcome = self.outcomes.last().map(|o| {
             let flow_secs = match &o.status {
                 RequestStatus::TimedOut { elapsed, .. } => *elapsed,
                 RequestStatus::Completed(r) => {
@@ -1710,38 +1560,25 @@ impl ServeSession {
                 }
                 _ => f64::NAN,
             };
-            tele.on_outcome(o, flow_secs);
-            if o.host_fallback {
-                // Quarantine-to-empty-pool path: checkpoint the stream so
-                // a drain that never returns still leaves a valid trace.
-                tele.flush_stream();
-            }
-        }
-        tele.tick(&TickState {
-            elapsed_ns: elapsed.as_nanos(),
-            queue_depth: self.queue.len(),
-            quarantined: self.quarantined.iter().filter(|&&q| q).count(),
-            mean_abs_drift: self.mean_abs_drift(),
-            metrics: &self.metrics,
+            (o, flow_secs)
         });
-        self.telemetry = Some(tele);
+        let st = self.tick_state(self.elapsed_since(start));
+        tracer.tick(&self.pool, &st, outcome);
+        self.tracer = Some(tracer);
     }
 
-    /// Final telemetry rotation at drain end; returns the run summary and
-    /// re-arms telemetry for a subsequent drain. `None` when telemetry is
-    /// off.
-    fn telemetry_finish(&mut self, makespan: SimTime) -> Option<TelemetryReport> {
-        let mut tele = self.telemetry.take()?;
-        self.telemetry_drain(&mut tele);
-        let report = tele.finish(&TickState {
-            elapsed_ns: makespan.as_nanos(),
-            queue_depth: self.queue.len(),
-            quarantined: self.quarantined.iter().filter(|&&q| q).count(),
-            mean_abs_drift: self.mean_abs_drift(),
-            metrics: &self.metrics,
-        });
-        self.telemetry = Some(tele);
-        Some(report)
+    /// Ends the drain's trace at virtual `makespan`: the trace, the spans
+    /// its cap dropped, and the telemetry summary, as armed.
+    fn finish_trace(
+        &mut self,
+        makespan: SimTime,
+    ) -> (Option<ServeTrace>, u64, Option<TelemetryReport>) {
+        let Some(mut tracer) = self.tracer.take() else {
+            return (None, 0, None);
+        };
+        let (trace, dropped, telemetry) = tracer.finish(&self.pool, &self.tick_state(makespan));
+        self.tracer = Some(tracer);
+        (Some(trace), dropped, telemetry)
     }
 
     /// Quarantines device `d`: it stops pulling work, its residency cache
@@ -1866,142 +1703,95 @@ impl ServeSession {
             .offload_estimate(b, req)
             .map(|p| (p, self.service_secs(b, req)));
         self.metrics.counter_add("hedge_attempts_total", 1);
-        match self.execute_once(b, req.clone(), None) {
-            Ok(hreport) => {
-                let b_after_ns = self.pool.devices()[b].gpu().now().as_nanos();
-                if b_after_ns < clock_after.as_nanos() {
-                    // The hedge won: cancel the primary at the instant
-                    // the hedge completed and roll its work back.
-                    self.pool
-                        .device_mut(d)
-                        .gpu_mut()
-                        .cancel_to(SimTime::from_nanos(b_after_ns));
-                    self.rollback_cancelled(d, req, pre);
-                    // The rewind erased the primary's prefetch copies too:
-                    // their data never arrived, so the cache entries must
-                    // not survive to serve phantom hits.
-                    self.abort_prefetch_on_device(d);
-                    self.fault_streak[b] = 0;
-                    self.suspicion_secs[b] = 0.0;
-                    self.metrics.counter_add("hedge_wins_total", 1);
-                    self.metrics.counter_add("hedge_cancel_total", 1);
-                    if self.tracer.is_some() {
-                        let entries_d = self.attempt_entries(d, len_before);
-                        let entries_b = self.pool.devices()[b]
-                            .gpu()
-                            .trace()
-                            .entries_since(len_b_before)
-                            .to_vec();
-                        if let Some(t) = self.tracer.as_mut() {
-                            t.attempt(
-                                id.0,
-                                d,
-                                attempt_no,
-                                clock_before.as_nanos(),
-                                b_after_ns,
-                                &entries_d,
-                                Some("cancelled: hedge won"),
-                            );
-                            t.cancel(
-                                id.0,
-                                d,
-                                b_after_ns,
-                                &format!("cancelled by hedge on dev{b}"),
-                            );
-                            t.hedge(
-                                id.0,
-                                b,
-                                b_start_ns,
-                                b_after_ns,
-                                &entries_b,
-                                &format!("hedge on dev{b} (won)"),
-                            );
-                        }
-                    }
-                    // The surviving attempt carries the drift record: the
-                    // hedge device's own prediction against what its run
-                    // actually took (the cancelled primary's timing was
-                    // erased, so recording it would poison the model).
-                    if let Some((hpred, hpredicted)) = estimate_b {
-                        let actual = SimTime::from_nanos(b_after_ns.saturating_sub(b_start_ns))
-                            .as_secs_f64();
-                        self.record_drift(req.routine(), id.0, &hpred, hpredicted, actual);
-                    }
-                    HedgeOutcome::Won(Box::new(hreport), b, b_after_ns)
-                } else {
-                    // The hedge lost: cancel it at the instant the
-                    // primary finished. Its partial work is erased and
-                    // rolled back; the time it burned until the
-                    // cancellation stays charged to the hedge device.
-                    self.pool.device_mut(b).gpu_mut().cancel_to(clock_after);
-                    self.rollback_cancelled(b, req, &pre_b);
-                    self.metrics.counter_add("hedge_losses_total", 1);
-                    self.metrics.counter_add("hedge_cancel_total", 1);
-                    if self.tracer.is_some() {
-                        let entries_d = self.attempt_entries(d, len_before);
-                        let entries_b = self.pool.devices()[b]
-                            .gpu()
-                            .trace()
-                            .entries_since(len_b_before)
-                            .to_vec();
-                        if let Some(t) = self.tracer.as_mut() {
-                            t.attempt(
-                                id.0,
-                                d,
-                                attempt_no,
-                                clock_before.as_nanos(),
-                                clock_after.as_nanos(),
-                                &entries_d,
-                                None,
-                            );
-                            t.hedge(
-                                id.0,
-                                b,
-                                b_start_ns,
-                                clock_after.as_nanos(),
-                                &entries_b,
-                                &format!("hedge on dev{b} (lost)"),
-                            );
-                            t.cancel(id.0, b, clock_after.as_nanos(), "hedge lost");
-                        }
-                    }
-                    HedgeOutcome::PrimaryStands
-                }
+        let hedged = self.execute_once(b, req.clone(), None);
+        let b_after_ns = self.pool.devices()[b].gpu().now().as_nanos();
+        let after_ns = clock_after.as_nanos();
+        let won = hedged.is_ok() && b_after_ns < after_ns;
+        // Settle the race before tracing it: the losing side is cancelled
+        // and its work rolled back, so both attempts' spans read the
+        // timelines as they stand.
+        let verdict = match &hedged {
+            Ok(_) if won => {
+                // The hedge won: cancel the primary at the instant the
+                // hedge completed and roll its work back.
+                self.pool
+                    .device_mut(d)
+                    .gpu_mut()
+                    .cancel_to(SimTime::from_nanos(b_after_ns));
+                self.rollback_cancelled(d, req, pre);
+                // The rewind erased the primary's prefetch copies too:
+                // their data never arrived, so the cache entries must not
+                // survive to serve phantom hits.
+                self.abort_prefetch_on_device(d);
+                self.fault_streak[b] = 0;
+                self.suspicion_secs[b] = 0.0;
+                self.metrics.counter_add("hedge_wins_total", 1);
+                " (won)".to_owned()
             }
+            Ok(_) => {
+                // The hedge lost: cancel it at the instant the primary
+                // finished. Its partial work is erased and rolled back;
+                // the time it burned until the cancellation stays charged
+                // to the hedge device.
+                self.pool.device_mut(b).gpu_mut().cancel_to(clock_after);
+                self.rollback_cancelled(b, req, &pre_b);
+                self.metrics.counter_add("hedge_losses_total", 1);
+                " (lost)".to_owned()
+            }
+            Err(e) => {
+                self.metrics.counter_add("hedge_fail_total", 1);
+                format!(": {e}")
+            }
+        };
+        // The race ends where the surviving side completed; a faulted
+        // hedge ends where it faulted.
+        let end_ns = if won { b_after_ns } else { after_ns };
+        let hedge_end_ns = if hedged.is_ok() { end_ns } else { b_after_ns };
+        if let Some(t) = self.tracer.as_mut() {
+            let trace = |dev: usize| self.pool.devices()[dev].gpu().trace();
+            t.attempt(
+                id.0,
+                d,
+                attempt_no,
+                clock_before.as_nanos(),
+                end_ns,
+                trace(d).entries_since(len_before),
+                won.then_some("cancelled: hedge won"),
+            );
+            if won {
+                t.cancel(id.0, d, end_ns, &format!("cancelled by hedge on dev{b}"));
+            }
+            t.hedge(
+                id.0,
+                b,
+                b_start_ns,
+                hedge_end_ns,
+                trace(b).entries_since(len_b_before),
+                &format!("hedge on dev{b}{verdict}"),
+            );
+            if hedged.is_ok() && !won {
+                t.cancel(id.0, b, end_ns, "hedge lost");
+            }
+        }
+        match hedged {
+            Ok(hreport) if won => {
+                // The surviving attempt carries the drift record: the
+                // hedge device's own prediction against what its run
+                // actually took (the cancelled primary's timing was
+                // erased, so recording it would poison the model).
+                if let Some((hpred, hpredicted)) = estimate_b {
+                    let actual =
+                        SimTime::from_nanos(b_after_ns.saturating_sub(b_start_ns)).as_secs_f64();
+                    self.record_drift(req.routine(), id.0, &hpred, hpredicted, actual);
+                }
+                HedgeOutcome::Won(Box::new(hreport), b, b_after_ns)
+            }
+            Ok(_) => HedgeOutcome::PrimaryStands,
             Err(e) => {
                 // The hedge faulted: the primary's result stands; the
                 // hedge device gets ordinary fault bookkeeping — under a
                 // compound failure (device lost mid-hedge) it is
                 // quarantined and scrubbed, so nothing leaks.
-                let b_after_ns = self.pool.devices()[b].gpu().now().as_nanos();
-                self.metrics.counter_add("hedge_fail_total", 1);
-                if self.tracer.is_some() {
-                    let entries_d = self.attempt_entries(d, len_before);
-                    let entries_b = self.pool.devices()[b]
-                        .gpu()
-                        .trace()
-                        .entries_since(len_b_before)
-                        .to_vec();
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.attempt(
-                            id.0,
-                            d,
-                            attempt_no,
-                            clock_before.as_nanos(),
-                            clock_after.as_nanos(),
-                            &entries_d,
-                            None,
-                        );
-                        t.hedge(
-                            id.0,
-                            b,
-                            b_start_ns,
-                            b_after_ns,
-                            &entries_b,
-                            &format!("hedge on dev{b}: {e}"),
-                        );
-                    }
-                }
                 self.on_attempt_fault(id.0, b, &e, b_after_ns, false, &pre_b);
                 HedgeOutcome::PrimaryStands
             }
@@ -2513,11 +2303,7 @@ impl ServeSession {
         for s in &staged {
             let _ = self.pool.device_mut(d).gpu_mut().take_host(s.host);
         }
-        let entries: Vec<TraceEntry> = self.pool.devices()[d]
-            .gpu()
-            .trace()
-            .entries_since(mark)
-            .to_vec();
+        let entries = self.pool.devices()[d].gpu().trace().entries_since(mark);
         let computes: Vec<(u64, u64)> = entries
             .iter()
             .filter(|e| e.engine == EngineKind::Compute)
@@ -2530,7 +2316,7 @@ impl ServeSession {
                 .iter()
                 .map(|&(cs, ce)| e_ns.min(ce).saturating_sub(s_ns.max(cs)))
                 .sum::<u64>();
-            if self.tracer.is_some() {
+            if let Some(t) = self.tracer.as_mut() {
                 let label = e
                     .tag
                     .as_ref()
@@ -2540,9 +2326,7 @@ impl ServeSession {
                         |s| format!("prefetch {} ({} B)", s.key, s.bytes),
                     );
                 let target = e.tag.as_ref().map_or(0, |t| t.call);
-                if let Some(t) = self.tracer.as_mut() {
-                    t.prefetch(target, d, s_ns, e_ns, &label);
-                }
+                t.prefetch(target, d, s_ns, e_ns, &label);
             }
         }
         self.metrics
@@ -2649,20 +2433,6 @@ impl ServeSession {
         if dropped > 0 {
             self.metrics.counter_add("prefetch_aborted_total", dropped);
         }
-    }
-
-    /// Device `d`'s trace entries since `len_before`, with prefetch copies
-    /// filtered out: they belong to the *next* request's `Prefetch` spans,
-    /// not this attempt's per-engine children.
-    fn attempt_entries(&self, d: usize, len_before: usize) -> Vec<TraceEntry> {
-        self.pool.devices()[d]
-            .gpu()
-            .trace()
-            .entries_since(len_before)
-            .iter()
-            .filter(|e| !is_prefetch_entry(e))
-            .cloned()
-            .collect()
     }
 
     /// Returns device `d` to a clean state after a failed attempt: waits

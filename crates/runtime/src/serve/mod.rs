@@ -62,7 +62,7 @@ mod trace;
 
 pub use executor::{
     ExecutorConfig, HedgeConfig, ProbationConfig, RequestOutcome, RequestStatus, RetryBudgetConfig,
-    ServeReport, ServeSnapshot, HEDGE_WARMUP,
+    ServeReport, HEDGE_WARMUP,
 };
 pub use residency::ResidencyCache;
 pub use sched::SchedulePolicy;

@@ -19,7 +19,6 @@ use crate::serve::residency::ResidencyCache;
 use crate::serve::sched::SchedulePolicy;
 use crate::serve::telemetry::{Telemetry, TelemetryConfig, WatchSink, WatchWindow};
 use crate::serve::trace::ServeTracer;
-use cocopelia_gpusim::SimTime;
 use cocopelia_obs::{DriftAccountant, Registry};
 use std::collections::{HashMap, VecDeque};
 
@@ -43,7 +42,6 @@ pub struct ServeOptions {
     pub(crate) tracing: bool,
     pub(crate) telemetry: Option<TelemetryConfig>,
     pub(crate) watch_sink: Option<WatchSink>,
-    pub(crate) snapshot_interval: Option<SimTime>,
     pub(crate) queue_cap: Option<usize>,
     pub(crate) shed_flow_secs: Option<f64>,
     pub(crate) coalesce: bool,
@@ -63,7 +61,6 @@ impl std::fmt::Debug for ServeOptions {
                 "watch_sink",
                 &self.watch_sink.as_ref().map(|_| "FnMut(&WatchWindow)"),
             )
-            .field("snapshot_interval", &self.snapshot_interval)
             .field("queue_cap", &self.queue_cap)
             .field("shed_flow_secs", &self.shed_flow_secs)
             .field("coalesce", &self.coalesce)
@@ -76,8 +73,8 @@ impl std::fmt::Debug for ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults: FIFO policy, no tracing, no telemetry, no snapshots, an
-    /// unbounded queue, no shed watermark, no coalescing — exactly
+    /// Defaults: FIFO policy, no tracing, no telemetry, an unbounded
+    /// queue, no shed watermark, no coalescing — exactly
     /// [`ServeSession::new`].
     pub fn new() -> Self {
         ServeOptions::default()
@@ -98,9 +95,9 @@ impl ServeOptions {
         self
     }
 
-    /// Arms streaming telemetry (windowed metrics, SLOs, flight recorder,
+    /// Arms streaming telemetry (windowed metrics, SLOs, flight dumps,
     /// optional Perfetto stream). Implies tracing, with the span log
-    /// capped at [`TelemetryConfig::trace_cap`].
+    /// capped at [`TelemetryConfig::recorder_cap`].
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = Some(cfg);
         self
@@ -110,14 +107,6 @@ impl ServeOptions {
     /// meaningful together with [`telemetry`](Self::telemetry).
     pub fn watch_sink(mut self, sink: impl FnMut(&WatchWindow) + 'static) -> Self {
         self.watch_sink = Some(Box::new(sink));
-        self
-    }
-
-    /// Periodic drain snapshots every `interval` of virtual time into
-    /// [`ServeReport::snapshots`](crate::serve::ServeReport::snapshots).
-    /// Zero disarms.
-    pub fn snapshot_interval(mut self, interval: SimTime) -> Self {
-        self.snapshot_interval = Some(interval);
         self
     }
 
@@ -256,20 +245,10 @@ pub struct ServeSession {
     /// any attempt that completes within its hedge threshold and on
     /// quarantine/re-admission. Stays all-zero unless hedging is armed.
     pub(super) suspicion_secs: Vec<f64>,
-    /// Request-lifecycle span collector, armed by
-    /// [`ServeOptions::tracing`] or [`ServeOptions::telemetry`].
+    /// The one observer: request-lifecycle spans plus, when
+    /// [`ServeOptions::telemetry`] armed it, streaming telemetry. Armed
+    /// by [`ServeOptions::tracing`] or [`ServeOptions::telemetry`].
     pub(super) tracer: Option<ServeTracer>,
-    /// Per-device trace length when the drain began; the run's device
-    /// lanes are the entries recorded after these marks.
-    pub(super) trace_mark: Vec<usize>,
-    /// Interval between periodic drain snapshots, armed by
-    /// [`ServeOptions::snapshot_interval`].
-    pub(super) snapshot_every: Option<SimTime>,
-    /// Span-log capacity cap for long drains, from
-    /// [`TelemetryConfig::trace_cap`].
-    pub(super) trace_cap: Option<usize>,
-    /// Streaming telemetry pipeline, armed by [`ServeOptions::telemetry`].
-    pub(super) telemetry: Option<Telemetry>,
     /// Open-arrival events not yet due, sorted by arrival offset (virtual
     /// ns past the next drain's start), ties in submission order.
     pub(super) arrivals: VecDeque<(RequestId, RoutineRequest, u64)>,
@@ -347,7 +326,6 @@ impl ServeSession {
             })
             .collect();
         let count = pool.device_count();
-        let trace_cap = opts.telemetry.as_ref().and_then(|t| t.trace_cap);
         let telemetry = match opts.telemetry {
             Some(tcfg) => {
                 let mut tele = Telemetry::new(tcfg)?;
@@ -371,11 +349,7 @@ impl ServeSession {
             quarantined: vec![false; count],
             fault_streak: vec![0; count],
             suspicion_secs: vec![0.0; count],
-            tracer: (opts.tracing || telemetry.is_some()).then(ServeTracer::default),
-            trace_mark: vec![0; count],
-            snapshot_every: opts.snapshot_interval.filter(|t| t.as_nanos() > 0),
-            trace_cap,
-            telemetry,
+            tracer: (opts.tracing || telemetry.is_some()).then(|| ServeTracer::new(telemetry)),
             arrivals: VecDeque::new(),
             arrival_offset: HashMap::new(),
             queue_cap: opts.queue_cap,

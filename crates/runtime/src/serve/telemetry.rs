@@ -1,29 +1,30 @@
 //! Streaming telemetry for the serve executor: windowed metrics, SLO
-//! evaluation, the span flight recorder, and incremental Perfetto
-//! export — the `serve --watch` machinery.
+//! evaluation, flight dumps, and incremental Perfetto export — the
+//! `serve --watch` machinery.
 //!
-//! The executor drives a [`Telemetry`] instance from its dispatch loop:
-//! each finished request lands counters and a flow-time observation in
-//! the open [`WindowedMetrics`] window, freshly recorded spans are fed
-//! to the [`FlightRecorder`] ring and appended to the incremental
-//! Perfetto stream, and window rotation (driven by the *device clock*,
-//! never wall time) closes windows into [`WatchWindow`] lines and
-//! evaluates the SLO engine. SLO evaluation is edge-triggered and also
-//! runs intra-window, so a hard breach dumps the flight recorder while
-//! the offending request's spans are still in the ring.
+//! The session's [`ServeTracer`](super::trace::ServeTracer) owns a
+//! [`Telemetry`] and ticks it from the dispatch loop: each finished
+//! request lands counters and a flow-time observation in the open
+//! [`WindowedMetrics`] window, freshly recorded spans are appended to the
+//! incremental Perfetto stream, and window rotation (driven by the
+//! *device clock*, never wall time) closes windows into [`WatchWindow`]
+//! lines and evaluates the SLO engine. SLO evaluation is edge-triggered
+//! and also runs intra-window, so a hard breach dumps the span log's
+//! tail while the offending request's spans are still in it.
 //!
-//! Memory is O(window + ring + #closed windows): the open window holds a
-//! handful of counters and one bounded histogram, the ring holds at most
-//! its capacity in spans, and the streamed Perfetto file lives on disk,
-//! not in memory. Telemetry only *reads* device clocks, so telemetry-on
-//! and telemetry-off runs stay bit-identical in virtual time.
+//! Memory is O(window + cap + #closed windows): the open window holds a
+//! handful of counters and one bounded histogram, the tracer's span log
+//! keeps about [`TelemetryConfig::recorder_cap`] spans, and the streamed
+//! Perfetto file lives on disk, not in memory. Telemetry only *reads*
+//! device clocks, so telemetry-on and telemetry-off runs stay
+//! bit-identical in virtual time.
 
 use cocopelia_gpusim::SimTime;
 use cocopelia_obs::perfetto::StreamWriter;
 use cocopelia_obs::slo::names;
 use cocopelia_obs::{
-    FlightDump, FlightRecorder, Registry, SloBreach, SloEngine, SloSpec, SloStatus, Span,
-    WindowSnapshot, WindowedMetrics,
+    FlightDump, Registry, SloBreach, SloEngine, SloSpec, SloStatus, SpanLog, WindowSnapshot,
+    WindowedMetrics,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,13 +34,14 @@ use std::io::BufWriter;
 use std::path::PathBuf;
 
 use super::{RequestOutcome, RequestStatus};
+use crate::multigpu::MultiGpu;
 
 /// Flow-time histogram bounds (seconds) for per-window percentiles.
 pub const FLOW_SECS_BOUNDS: [f64; 14] = [
     1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5,
 ];
 
-/// Ceiling on stored flight-recorder dumps (each is O(ring) spans).
+/// Ceiling on stored flight dumps (each is O(cap) spans).
 const MAX_DUMPS: usize = 32;
 
 /// Configuration of the executor's streaming telemetry hook.
@@ -49,11 +51,10 @@ pub struct TelemetryConfig {
     pub window: SimTime,
     /// Objectives evaluated per window (empty = no SLO engine output).
     pub slos: Vec<SloSpec>,
-    /// Flight-recorder ring capacity, in spans.
+    /// The one span cap while telemetry is on (clamped to ≥ 1): the span
+    /// log keeps the newest `recorder_cap` spans (amortized while running,
+    /// exact in the report), and every flight dump copies them.
     pub recorder_cap: usize,
-    /// Span-log capacity cap applied to the tracer while telemetry is
-    /// on (`None` = unbounded, the pre-watch behaviour).
-    pub trace_cap: Option<usize>,
     /// Stream Perfetto packets incrementally to this file.
     pub stream_path: Option<PathBuf>,
 }
@@ -64,7 +65,6 @@ impl Default for TelemetryConfig {
             window: SimTime::from_secs_f64(5e-3),
             slos: Vec::new(),
             recorder_cap: 2048,
-            trace_cap: Some(8192),
             stream_path: None,
         }
     }
@@ -103,7 +103,8 @@ pub struct WatchWindow {
     pub faults: u64,
     /// Quarantined devices when the window closed.
     pub quarantined: usize,
-    /// Mean absolute scheduling-prediction drift, seconds.
+    /// Mean absolute relative scheduling-prediction drift, a ratio
+    /// (rendered as a percentage).
     pub mean_abs_drift: f64,
     /// Hedge attempts launched in the window.
     pub hedges: u64,
@@ -172,7 +173,7 @@ impl WatchWindow {
             let _ = write!(defense, " pf={}/{}", self.prefetch_hits, self.prefetches);
         }
         format!(
-            "[w{:03} {:9.3}-{:9.3}ms] q={} done={} miss={} fail={} rej={} coal={} p95={} hit={} faults={} quar={} drift={:.3}us{} slo={}",
+            "[w{:03} {:9.3}-{:9.3}ms] q={} done={} miss={} fail={} rej={} coal={} p95={} hit={} faults={} quar={} drift={:.1}%{} slo={}",
             self.index,
             ms(self.start),
             ms(self.end),
@@ -186,7 +187,7 @@ impl WatchWindow {
             hit,
             self.faults,
             self.quarantined,
-            self.mean_abs_drift * 1e6,
+            self.mean_abs_drift * 100.0,
             defense,
             slo,
         )
@@ -202,14 +203,10 @@ pub struct TelemetryReport {
     pub windows: Vec<WatchWindow>,
     /// Every ok→breached SLO transition, in firing order.
     pub breaches: Vec<SloBreach>,
-    /// Flight-recorder dumps captured at breach/quarantine instants.
+    /// Flight dumps captured at breach/quarantine instants.
     pub dumps: Vec<FlightDump>,
-    /// Spans left in the ring at end of run (≤ `recorder_cap`).
-    pub recorder_len: usize,
-    /// The ring's configured capacity.
+    /// The span cap in force ([`TelemetryConfig::recorder_cap`]).
     pub recorder_cap: usize,
-    /// Spans the ring evicted over the run.
-    pub recorder_dropped: u64,
     /// Perfetto packets streamed to disk (0 when streaming was off).
     pub stream_packets: u64,
     /// Bytes streamed to disk.
@@ -224,12 +221,10 @@ impl TelemetryReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "telemetry: {} windows of {:.3} ms, ring {}/{} spans ({} evicted), {} breach(es), {} dump(s)\n",
+            "telemetry: {} windows of {:.3} ms, span cap {}, {} breach(es), {} dump(s)\n",
             self.windows.len(),
             self.window.as_secs_f64() * 1e3,
-            self.recorder_len,
             self.recorder_cap,
-            self.recorder_dropped,
             self.breaches.len(),
             self.dumps.len(),
         ));
@@ -247,7 +242,7 @@ impl TelemetryReport {
         }
         for d in &self.dumps {
             out.push_str(&format!(
-                "  dump @ {:.3} ms: {} ({} spans, {} evicted before)\n",
+                "  dump @ {:.3} ms: {} ({} spans, {} recorded before)\n",
                 d.at_ns as f64 / 1e6,
                 d.reason,
                 d.spans.len(),
@@ -265,9 +260,9 @@ pub(crate) struct TickState<'a> {
     pub elapsed_ns: u64,
     /// Requests still queued.
     pub queue_depth: usize,
-    /// Quarantined device count.
-    pub quarantined: usize,
-    /// Mean absolute prediction drift so far, seconds.
+    /// Per-device quarantine flags.
+    pub quarantined: &'a [bool],
+    /// Mean absolute relative prediction drift so far.
     pub mean_abs_drift: f64,
     /// The run-lifetime registry (read-only; per-window deltas are
     /// derived against an internal baseline).
@@ -282,14 +277,16 @@ pub(crate) struct Telemetry {
     cfg: TelemetryConfig,
     win: WindowedMetrics,
     slo: SloEngine,
-    recorder: FlightRecorder,
     stream: Option<StreamWriter<BufWriter<File>>>,
     stream_error: Option<String>,
     sink: Option<WatchSink>,
     windows: Vec<WatchWindow>,
     breaches: Vec<SloBreach>,
     dumps: Vec<FlightDump>,
-    /// Span-id watermark into the tracer's log.
+    /// Quarantines (device, request) whose dump the next outcome tick
+    /// captures, in event order.
+    quarantines: Vec<(usize, u64)>,
+    /// Span-id watermark of the Perfetto stream.
     span_mark: u64,
     /// Per-device engine-trace watermark for lane streaming.
     lane_mark: Vec<usize>,
@@ -304,7 +301,6 @@ impl fmt::Debug for Telemetry {
             .field("windows", &self.windows.len())
             .field("breaches", &self.breaches.len())
             .field("dumps", &self.dumps.len())
-            .field("recorder_len", &self.recorder.len())
             .field("streaming", &self.stream.is_some())
             .finish()
     }
@@ -320,13 +316,13 @@ impl Telemetry {
         Ok(Telemetry {
             win: WindowedMetrics::new(cfg.window.as_nanos().max(1)),
             slo: SloEngine::new(cfg.slos.clone()),
-            recorder: FlightRecorder::new(cfg.recorder_cap),
             stream,
             stream_error: None,
             sink: None,
             windows: Vec::new(),
             breaches: Vec::new(),
             dumps: Vec::new(),
+            quarantines: Vec::new(),
             span_mark: 0,
             lane_mark: Vec::new(),
             base: BTreeMap::new(),
@@ -343,10 +339,10 @@ impl Telemetry {
     pub(crate) fn begin(&mut self, lane_marks: Vec<usize>, metrics: &Registry) {
         self.win = WindowedMetrics::new(self.cfg.window.as_nanos().max(1));
         self.slo = SloEngine::new(self.cfg.slos.clone());
-        self.recorder = FlightRecorder::new(self.cfg.recorder_cap);
         self.windows.clear();
         self.breaches.clear();
         self.dumps.clear();
+        self.quarantines.clear();
         self.span_mark = 0;
         self.lane_mark = lane_marks;
         self.base.clear();
@@ -357,44 +353,40 @@ impl Telemetry {
         }
     }
 
-    /// Feeds spans recorded since the last call into the ring and the
-    /// Perfetto stream; returns the new watermark.
-    pub(crate) fn drain_spans(&mut self, spans: &[Span], next_id: u64) {
+    /// The span cap ([`TelemetryConfig::recorder_cap`], clamped to ≥ 1).
+    pub(crate) fn cap(&self) -> usize {
+        self.cfg.recorder_cap.max(1)
+    }
+
+    /// Appends the engine entries and spans produced since the last call
+    /// to the Perfetto stream, advancing the per-device and span
+    /// watermarks. No-op without a stream.
+    pub(crate) fn stream_new(&mut self, pool: &MultiGpu, log: &SpanLog) {
+        if self.stream.is_none() {
+            return;
+        }
+        for (d, dev) in pool.devices().iter().enumerate() {
+            let trace = dev.gpu().trace();
+            let mark = self.lane_mark[d];
+            if trace.len() > mark {
+                self.lane_mark[d] = trace.len();
+                let entries = trace.entries_since(mark);
+                self.stream_op(|w| w.write_entries(d, &format!("dev{d}"), entries));
+            }
+        }
+        let spans = log.spans_since(self.span_mark);
         if !spans.is_empty() {
-            if self.stream.is_some() {
-                self.stream_op(|w| w.write_spans(spans));
-            }
-            for s in spans {
-                self.recorder.record(s.clone());
-            }
+            self.stream_op(|w| w.write_spans(spans));
         }
-        self.span_mark = next_id;
+        self.span_mark = log.next_id();
     }
 
-    /// The span-id watermark (spans with ids ≥ this are unseen).
-    pub(crate) fn span_mark(&self) -> u64 {
-        self.span_mark
-    }
-
-    /// Per-device engine-trace watermark.
-    pub(crate) fn lane_mark(&self, d: usize) -> usize {
-        self.lane_mark.get(d).copied().unwrap_or(0)
-    }
-
-    /// Streams freshly produced engine entries of device `d`.
-    pub(crate) fn stream_lane(
-        &mut self,
-        d: usize,
-        name: &str,
-        entries: &[cocopelia_gpusim::TraceEntry],
-        new_len: usize,
-    ) {
-        if self.lane_mark.len() <= d {
-            self.lane_mark.resize(d + 1, 0);
-        }
-        self.lane_mark[d] = new_len;
-        if !entries.is_empty() && self.stream.is_some() {
-            self.stream_op(|w| w.write_entries(d, name, entries));
+    /// Queues the dump of a fresh quarantine of `device` while serving
+    /// `request`; the next outcome tick captures it, so the dump holds
+    /// the request's completion.
+    pub(crate) fn queue_quarantine_dump(&mut self, device: usize, request: u64) {
+        if !self.quarantines.iter().any(|&(d, _)| d == device) {
+            self.quarantines.push((device, request));
         }
     }
 
@@ -426,15 +418,6 @@ impl Telemetry {
         }
     }
 
-    /// A device was quarantined: dump the ring (the incident's spans are
-    /// already in it) and flush the stream so the trace survives even a
-    /// quarantine-to-empty-pool drain or terminal DeviceLost.
-    pub(crate) fn on_quarantine(&mut self, device: usize, request: u64, at_ns: u64) {
-        let reason = format!("quarantine dev{device} (request {request})");
-        self.capture_dump(reason, at_ns);
-        self.flush_stream();
-    }
-
     /// Flushes the Perfetto stream (checkpoint on error paths and at
     /// window boundaries).
     pub(crate) fn flush_stream(&mut self) {
@@ -443,27 +426,53 @@ impl Telemetry {
         }
     }
 
-    /// Window rotation + SLO evaluation; call once per dispatch with the
-    /// current loop state. Closes every window the device clock has
-    /// passed, emits their `WatchWindow`s (sink + report), fires
-    /// edge-triggered breach dumps, and then fast-path-evaluates the
-    /// open window so a hard breach dumps immediately.
-    pub(crate) fn tick(&mut self, st: &TickState<'_>) {
+    /// One telemetry step with the current loop state: accounts the
+    /// just-finished `outcome` (with its flow seconds), dumps the
+    /// quarantines queued since the last outcome, then rotates windows.
+    /// Rotation closes every window the device clock has passed, emits
+    /// their `WatchWindow`s (sink + report), fires edge-triggered breach
+    /// dumps, and then fast-path-evaluates the open window so a hard
+    /// breach dumps immediately.
+    pub(crate) fn tick(
+        &mut self,
+        log: &SpanLog,
+        st: &TickState<'_>,
+        outcome: Option<(&RequestOutcome, f64)>,
+    ) {
+        if let Some((o, flow_secs)) = outcome {
+            // A device re-admitted by probation within the same dispatch
+            // is no incident any more.
+            for (d, request) in std::mem::take(&mut self.quarantines) {
+                if st.quarantined[d] {
+                    let reason = format!("quarantine dev{d} (request {request})");
+                    self.capture_dump(reason, st.elapsed_ns, log);
+                    // Flush so the trace survives even a
+                    // quarantine-to-empty-pool drain or terminal DeviceLost.
+                    self.flush_stream();
+                }
+            }
+            self.on_outcome(o, flow_secs);
+            if o.host_fallback {
+                // Quarantine-to-empty-pool path: checkpoint the stream so
+                // a drain that never returns still leaves a valid trace.
+                self.flush_stream();
+            }
+        }
         self.inject(st);
         let closed = self.win.advance_to(st.elapsed_ns);
         let rotated = !closed.is_empty();
         for snap in closed {
-            self.close_window(snap);
+            self.close_window(snap, log);
         }
         if rotated {
             self.flush_stream();
         }
         // Intra-window fast path: a breach observable mid-window fires
-        // now, while the breaching request's spans are still ringed.
+        // now, while the breaching request's spans are still in the log.
         let peek = self.win.peek(st.elapsed_ns);
         let partial = self.slo.evaluate_partial(&peek);
         for b in partial {
-            self.capture_dump(format!("{b}"), b.at_ns);
+            self.capture_dump(format!("{b}"), b.at_ns, log);
             self.breaches.push(b);
         }
     }
@@ -471,14 +480,14 @@ impl Telemetry {
     /// Final rotation at drain end: closes the partial window (if it has
     /// any content or time), evaluates it, flushes the stream, and
     /// returns the end-of-run summary.
-    pub(crate) fn finish(&mut self, st: &TickState<'_>) -> TelemetryReport {
+    pub(crate) fn finish(&mut self, log: &SpanLog, st: &TickState<'_>) -> TelemetryReport {
         self.inject(st);
         for snap in self.win.advance_to(st.elapsed_ns) {
-            self.close_window(snap);
+            self.close_window(snap, log);
         }
         if st.elapsed_ns > self.win.open_start_ns() {
             let snap = self.win.close_now(st.elapsed_ns);
-            self.close_window(snap);
+            self.close_window(snap, log);
         }
         self.flush_stream();
         TelemetryReport {
@@ -486,9 +495,7 @@ impl Telemetry {
             windows: std::mem::take(&mut self.windows),
             breaches: std::mem::take(&mut self.breaches),
             dumps: std::mem::take(&mut self.dumps),
-            recorder_len: self.recorder.len(),
-            recorder_cap: self.recorder.capacity(),
-            recorder_dropped: self.recorder.dropped(),
+            recorder_cap: self.cap(),
             stream_packets: self.stream.as_ref().map(|w| w.packets()).unwrap_or(0),
             stream_bytes: self.stream.as_ref().map(|w| w.bytes_written()).unwrap_or(0),
             stream_error: self.stream_error.clone(),
@@ -501,8 +508,8 @@ impl Telemetry {
     fn inject(&mut self, st: &TickState<'_>) {
         self.win
             .gauge_set(names::QUEUE_DEPTH, st.queue_depth as f64);
-        self.win
-            .gauge_set(names::QUARANTINED, st.quarantined as f64);
+        let quarantined = st.quarantined.iter().filter(|&&q| q).count();
+        self.win.gauge_set(names::QUARANTINED, quarantined as f64);
         self.win.gauge_set(names::DRIFT, st.mean_abs_drift);
         let faults = self.delta(st.metrics, "fault_transient_total")
             + self.delta(st.metrics, "fault_degraded_total")
@@ -534,7 +541,7 @@ impl Telemetry {
         d
     }
 
-    fn close_window(&mut self, snap: WindowSnapshot) {
+    fn close_window(&mut self, snap: WindowSnapshot, log: &SpanLog) {
         let (statuses, breaches) = self.slo.evaluate(&snap);
         let ww = watch_window(&snap, statuses);
         if let Some(sink) = self.sink.as_mut() {
@@ -542,17 +549,17 @@ impl Telemetry {
         }
         self.windows.push(ww);
         for b in breaches {
-            self.capture_dump(format!("{b}"), b.at_ns);
+            self.capture_dump(format!("{b}"), b.at_ns, log);
             self.breaches.push(b);
         }
     }
 
-    fn capture_dump(&mut self, reason: String, at_ns: u64) {
+    fn capture_dump(&mut self, reason: String, at_ns: u64, log: &SpanLog) {
         if self.dumps.len() >= MAX_DUMPS {
             return;
         }
-        self.dumps
-            .push(self.recorder.dump(reason, self.win.index(), at_ns));
+        let dump = FlightDump::capture(log, self.cap(), reason, self.win.index(), at_ns);
+        self.dumps.push(dump);
         self.flush_stream();
     }
 
@@ -638,7 +645,7 @@ mod tests {
             residency_hit_rate: Some(0.875),
             faults: 2,
             quarantined: 0,
-            mean_abs_drift: 1.25e-6,
+            mean_abs_drift: 0.125,
             hedges: 0,
             hedge_wins: 0,
             probes: 0,
@@ -649,7 +656,7 @@ mod tests {
         };
         assert_eq!(
             ww.render(),
-            "[w003    15.000-   20.000ms] q=4 done=9 miss=1 fail=0 rej=2 coal=1 p95=2.310ms hit=88% faults=2 quar=0 drift=1.250us slo=-"
+            "[w003    15.000-   20.000ms] q=4 done=9 miss=1 fail=0 rej=2 coal=1 p95=2.310ms hit=88% faults=2 quar=0 drift=12.5% slo=-"
         );
         let empty = WatchWindow {
             flow_p95_secs: None,
@@ -668,7 +675,7 @@ mod tests {
         };
         assert!(
             busy.render()
-                .contains("drift=1.250us hedge=3/1 probe=2 ff=4 slo=-"),
+                .contains("drift=12.5% hedge=3/1 probe=2 ff=4 slo=-"),
             "{}",
             busy.render()
         );
@@ -693,15 +700,16 @@ mod tests {
         let mut t = Telemetry::new(TelemetryConfig::default()).expect("no file needed");
         let reg = Registry::default();
         t.begin(vec![0, 0], &reg);
+        let log = SpanLog::default();
         let st = TickState {
             elapsed_ns: 12_000_000,
             queue_depth: 0,
-            quarantined: 0,
+            quarantined: &[false, false],
             mean_abs_drift: 0.0,
             metrics: &reg,
         };
-        t.tick(&st);
-        let report = t.finish(&st);
+        t.tick(&log, &st, None);
+        let report = t.finish(&log, &st);
         // 5 ms windows over 12 ms: two full + one partial.
         assert_eq!(report.windows.len(), 3);
         assert_eq!(report.windows[2].end, SimTime::from_nanos(12_000_000));

@@ -1,22 +1,39 @@
 //! Request-lifecycle tracing for the serve executor.
 //!
-//! [`ServeTracer`] turns the executor's dispatch loop into a
-//! [`ServeTrace`]: one queue-wait span per request, one span per dispatch
-//! attempt (with `h2d`/`exec`/`d2h` child spans aggregated from the trace
-//! entries the attempt produced), instants for quarantine and completion,
-//! and host-fallback spans on a serial host clock. The queue span and the
-//! first device attempt of a request share a flow id (the request id), so
-//! viewers draw the queue-to-device hand-off arrow.
+//! [`ServeTracer`] is the session's one observer. It turns the dispatch
+//! loop into a [`ServeTrace`]: one queue-wait span per request, one span
+//! per dispatch attempt (with `h2d`/`exec`/`d2h` child spans aggregated
+//! from the trace entries the attempt produced), instants for quarantine
+//! and completion, and host-fallback spans on a serial host clock. The
+//! queue span and the first device attempt of a request share a flow id
+//! (the request id), so viewers draw the queue-to-device hand-off arrow.
+//! When streaming telemetry is armed it rides inside the tracer: the span
+//! log is capped at [`TelemetryConfig::recorder_cap`] and flight dumps
+//! copy its tail, so every span is stored once.
 //!
 //! All timestamps are virtual nanoseconds on the same axis as the
 //! simulator's [`TraceEntry`] timestamps, so spans overlay the per-device
 //! engine lanes exactly.
+//!
+//! [`TelemetryConfig::recorder_cap`]: crate::serve::TelemetryConfig::recorder_cap
 
+use crate::multigpu::MultiGpu;
+use crate::serve::telemetry::{Telemetry, TelemetryReport, TickState};
+use crate::serve::RequestOutcome;
 use cocopelia_gpusim::{EngineKind, TraceEntry};
-use cocopelia_obs::{ServeTrace, SpanId, SpanLog, SpanPhase};
-use std::collections::HashMap;
+use cocopelia_obs::{DeviceLane, Registry, ServeTrace, SpanLog, SpanPhase};
+use std::collections::{HashMap, HashSet};
 
-/// Span collector driven by the executor's dispatch loop.
+/// True when a trace entry is a cross-request prefetch copy (tagged with
+/// the prefetcher's synthetic `OpTag`). Attempt spans skip these: they
+/// belong to the *target* request's lifecycle, recorded as its
+/// `Prefetch` span.
+pub(crate) fn is_prefetch_entry(e: &TraceEntry) -> bool {
+    e.tag.as_ref().is_some_and(|t| t.routine == "prefetch")
+}
+
+/// The session's span store and streaming-telemetry host, driven by the
+/// executor's dispatch loop.
 #[derive(Debug, Default)]
 pub(crate) struct ServeTracer {
     log: SpanLog,
@@ -24,18 +41,59 @@ pub(crate) struct ServeTracer {
     t0_ns: u64,
     /// Requests whose first device attempt has been recorded (their flow
     /// is already linked; later attempts carry no flow id).
-    flow_linked: HashMap<u64, ()>,
+    flow_linked: HashSet<u64>,
     /// Per-request queue origin for open arrivals: a request admitted at
     /// virtual time `t` has its queue span start there, not at `t0_ns`.
     queue_from: HashMap<u64, u64>,
     /// Serial virtual clock of host-fallback execution.
     host_ns: u64,
+    /// Per-device engine-trace length when the drain began; the run's
+    /// device lanes are the entries recorded after these marks.
+    lane_mark: Vec<usize>,
+    /// Streaming telemetry, armed by
+    /// [`ServeOptions::telemetry`](crate::serve::ServeOptions::telemetry).
+    telemetry: Option<Telemetry>,
 }
 
 impl ServeTracer {
+    /// A tracer, hosting `telemetry` when armed.
+    pub(crate) fn new(telemetry: Option<Telemetry>) -> Self {
+        ServeTracer {
+            telemetry,
+            ..ServeTracer::default()
+        }
+    }
+
+    /// True when streaming telemetry is armed.
+    pub(crate) fn watching(&self) -> bool {
+        self.telemetry.is_some()
+    }
+
+    /// Starts a drain over `pool`: marks each device's engine trace,
+    /// resets telemetry against the `metrics` baseline, and records a
+    /// submit instant for the queued requests at the earliest device
+    /// clock.
+    pub(crate) fn begin_drain(&mut self, pool: &MultiGpu, queued: &[u64], metrics: &Registry) {
+        self.lane_mark = pool
+            .devices()
+            .iter()
+            .map(|d| d.gpu().trace().len())
+            .collect();
+        if let Some(tele) = self.telemetry.as_mut() {
+            tele.begin(self.lane_mark.clone(), metrics);
+        }
+        let t0_ns = pool
+            .devices()
+            .iter()
+            .map(|d| d.gpu().now().as_nanos())
+            .min()
+            .unwrap_or(0);
+        self.open(t0_ns, queued);
+    }
+
     /// Starts a trace at drain time `t0_ns`, recording a submit instant
     /// and the queue origin for the queued requests.
-    pub(crate) fn begin_drain(&mut self, t0_ns: u64, queued: &[u64]) {
+    fn open(&mut self, t0_ns: u64, queued: &[u64]) {
         self.t0_ns = t0_ns;
         self.host_ns = t0_ns;
         for &req in queued {
@@ -114,9 +172,9 @@ impl ServeTracer {
 
     /// Records one dispatch attempt on a device: the attempt span
     /// (`Dispatch` for attempt 0, `Retry` after) plus per-engine child
-    /// spans aggregated from the trace entries the attempt produced,
-    /// clamped into the attempt interval. The first attempt closes the
-    /// request's queue flow.
+    /// spans aggregated from the trace entries the attempt produced
+    /// (prefetch copies skipped), clamped into the attempt interval. The
+    /// first attempt closes the request's queue flow.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn attempt(
         &mut self,
@@ -133,72 +191,12 @@ impl ServeTracer {
         } else {
             SpanPhase::Retry
         };
-        let flow = (!self.flow_linked.contains_key(&req)).then_some(req);
-        self.flow_linked.insert(req, ());
+        let flow = self.flow_linked.insert(req).then_some(req);
         let label = match faulted {
             Some(fault) => format!("attempt {attempt}: {fault}"),
             None => format!("attempt {attempt}"),
         };
-        let parent = self.log.record(
-            None,
-            req,
-            Some(device),
-            phase,
-            label,
-            start_ns,
-            end_ns,
-            flow,
-        );
-        for (engine, phase) in [
-            (EngineKind::CopyH2d, SpanPhase::H2d),
-            (EngineKind::Compute, SpanPhase::Exec),
-            (EngineKind::CopyD2h, SpanPhase::D2h),
-        ] {
-            self.engine_child(
-                parent, req, device, phase, engine, start_ns, end_ns, entries,
-            );
-        }
-    }
-
-    /// Aggregates one engine's entries into a child span of the attempt.
-    #[allow(clippy::too_many_arguments)]
-    fn engine_child(
-        &mut self,
-        parent: SpanId,
-        req: u64,
-        device: usize,
-        phase: SpanPhase,
-        engine: EngineKind,
-        start_ns: u64,
-        end_ns: u64,
-        entries: &[TraceEntry],
-    ) {
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        let mut n = 0usize;
-        for e in entries.iter().filter(|e| e.engine == engine) {
-            lo = lo.min(e.start.as_nanos());
-            hi = hi.max(e.end.as_nanos());
-            n += 1;
-        }
-        if n == 0 {
-            return;
-        }
-        // Clamp into the attempt interval so the child never escapes its
-        // parent (span invariant 4) even if an engine slot predates the
-        // dispatch clock sample.
-        let lo = lo.clamp(start_ns, end_ns);
-        let hi = hi.clamp(lo, end_ns);
-        self.log.record(
-            Some(parent),
-            req,
-            Some(device),
-            phase,
-            format!("{} ({n} ops)", engine.name()),
-            lo,
-            hi,
-            None,
-        );
+        self.device_run(req, device, phase, label, start_ns, end_ns, entries, flow);
     }
 
     /// Records a speculative hedge attempt on device `device`, racing the
@@ -214,23 +212,76 @@ impl ServeTracer {
         entries: &[TraceEntry],
         label: &str,
     ) {
-        let parent = self.log.record(
-            None,
+        self.device_run(
             req,
-            Some(device),
+            device,
             SpanPhase::Hedge,
             label.to_owned(),
             start_ns,
             end_ns,
+            entries,
             None,
+        );
+    }
+
+    /// Records a run on a device (an attempt or a hedge) plus one child
+    /// span per engine, aggregated from the run's trace entries with
+    /// prefetch copies skipped.
+    #[allow(clippy::too_many_arguments)]
+    fn device_run(
+        &mut self,
+        req: u64,
+        device: usize,
+        phase: SpanPhase,
+        label: String,
+        start_ns: u64,
+        end_ns: u64,
+        entries: &[TraceEntry],
+        flow: Option<u64>,
+    ) {
+        let parent = self.log.record(
+            None,
+            req,
+            Some(device),
+            phase,
+            label,
+            start_ns,
+            end_ns,
+            flow,
         );
         for (engine, phase) in [
             (EngineKind::CopyH2d, SpanPhase::H2d),
             (EngineKind::Compute, SpanPhase::Exec),
             (EngineKind::CopyD2h, SpanPhase::D2h),
         ] {
-            self.engine_child(
-                parent, req, device, phase, engine, start_ns, end_ns, entries,
+            let mut lo = u64::MAX;
+            let mut hi = 0u64;
+            let mut n = 0usize;
+            for e in entries
+                .iter()
+                .filter(|e| e.engine == engine && !is_prefetch_entry(e))
+            {
+                lo = lo.min(e.start.as_nanos());
+                hi = hi.max(e.end.as_nanos());
+                n += 1;
+            }
+            if n == 0 {
+                continue;
+            }
+            // Clamp into the run interval so the child never escapes its
+            // parent (span invariant 4) even if an engine slot predates
+            // the dispatch clock sample.
+            let lo = lo.clamp(start_ns, end_ns);
+            let hi = hi.clamp(lo, end_ns);
+            self.log.record(
+                Some(parent),
+                req,
+                Some(device),
+                phase,
+                format!("{} ({n} ops)", engine.name()),
+                lo,
+                hi,
+                None,
             );
         }
     }
@@ -292,8 +343,12 @@ impl ServeTracer {
         );
     }
 
-    /// Records a quarantine instant on the device that faulted out.
+    /// Records a quarantine instant on the device that faulted out and
+    /// queues its flight dump for the next telemetry tick.
     pub(crate) fn quarantine(&mut self, req: u64, device: usize, at_ns: u64) {
+        if let Some(tele) = self.telemetry.as_mut() {
+            tele.queue_quarantine_dump(device, req);
+        }
         self.log.record(
             None,
             req,
@@ -316,8 +371,7 @@ impl ServeTracer {
         // A request that never reached a device closes its queue flow
         // here, so the hand-off arrow points at the host lane instead of
         // dangling.
-        let flow = (!self.flow_linked.contains_key(&req)).then_some(req);
-        self.flow_linked.insert(req, ());
+        let flow = self.flow_linked.insert(req).then_some(req);
         self.log.record(
             None,
             req,
@@ -350,36 +404,59 @@ impl ServeTracer {
         self.host_ns
     }
 
-    /// Id the next span will get — the telemetry watermark for
-    /// [`SpanLog::spans_since`].
-    pub(crate) fn next_span_id(&self) -> u64 {
-        self.log.next_id()
+    /// One telemetry step after an outcome (or a shed or fan-out):
+    /// streams the engine entries and spans produced since the last step,
+    /// ticks telemetry with `outcome` and its flow seconds, and enforces
+    /// the span cap (amortized). No-op unless telemetry is armed.
+    pub(crate) fn tick(
+        &mut self,
+        pool: &MultiGpu,
+        st: &TickState<'_>,
+        outcome: Option<(&RequestOutcome, f64)>,
+    ) {
+        if let Some(tele) = self.telemetry.as_mut() {
+            tele.stream_new(pool, &self.log);
+            tele.tick(&self.log, st, outcome);
+            self.log.enforce_cap_amortized(tele.cap());
+        }
     }
 
-    /// Spans recorded at or after the id watermark `mark`.
-    pub(crate) fn spans_since(&self, mark: u64) -> &[cocopelia_obs::Span] {
-        self.log.spans_since(mark)
-    }
-
-    /// Amortized capacity enforcement (oldest spans dropped); call once
-    /// per dispatch, not per span.
-    pub(crate) fn enforce_cap(&mut self, cap: usize) {
-        self.log.enforce_cap_amortized(cap);
-    }
-
-    /// Exact cap enforcement for report time.
-    pub(crate) fn trim_to(&mut self, cap: usize) {
-        self.log.truncate_front_to(cap);
-    }
-
-    /// Spans dropped by cap enforcement so far.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.log.dropped()
+    /// Ends the drain: the final telemetry rotation, the exact span cap,
+    /// and the trace over each device's lane since the drain began.
+    /// Returns the trace, the spans the cap dropped, and the telemetry
+    /// summary when armed.
+    pub(crate) fn finish(
+        &mut self,
+        pool: &MultiGpu,
+        st: &TickState<'_>,
+    ) -> (ServeTrace, u64, Option<TelemetryReport>) {
+        let telemetry = self.telemetry.as_mut().map(|tele| {
+            tele.stream_new(pool, &self.log);
+            let report = tele.finish(&self.log, st);
+            self.log.truncate_front_to(tele.cap());
+            report
+        });
+        let dropped = self.log.dropped();
+        let lanes = pool
+            .devices()
+            .iter()
+            .enumerate()
+            .map(|(i, d)| DeviceLane {
+                device: i,
+                name: format!("dev{i}"),
+                entries: d
+                    .gpu()
+                    .trace()
+                    .entries_since(self.lane_mark.get(i).copied().unwrap_or(0))
+                    .to_vec(),
+            })
+            .collect();
+        (self.take_trace(lanes), dropped, telemetry)
     }
 
     /// Drains the collected spans into a [`ServeTrace`] over the given
     /// device lanes.
-    pub(crate) fn finish(&mut self, lanes: Vec<cocopelia_obs::DeviceLane>) -> ServeTrace {
+    fn take_trace(&mut self, lanes: Vec<DeviceLane>) -> ServeTrace {
         let log = std::mem::take(&mut self.log);
         self.flow_linked.clear();
         self.queue_from.clear();
@@ -398,7 +475,7 @@ mod tests {
     #[test]
     fn tracer_produces_invariant_clean_spans() {
         let mut t = ServeTracer::default();
-        t.begin_drain(1000, &[0, 1]);
+        t.open(1000, &[0, 1]);
         t.queue_wait(0, 2000);
         t.attempt(0, 0, 0, 2000, 5000, &[], None);
         t.complete(0, 5000, "completed");
@@ -407,7 +484,7 @@ mod tests {
         t.quarantine(1, 0, 6000);
         t.attempt(1, 1, 1, 6000, 9000, &[], None);
         t.complete(1, 9000, "completed");
-        let trace = t.finish(Vec::new());
+        let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("tracer spans satisfy invariants");
         assert_eq!(trace.request_spans(1).len(), 6);
     }
@@ -415,7 +492,7 @@ mod tests {
     #[test]
     fn arrival_queue_spans_start_at_arrival_instant() {
         let mut t = ServeTracer::default();
-        t.begin_drain(1000, &[]);
+        t.open(1000, &[]);
         t.arrive(1, 3000);
         t.queue_wait(1, 5000);
         t.attempt(1, 0, 0, 5000, 7000, &[], None);
@@ -425,7 +502,7 @@ mod tests {
         t.arrive(3, 4000);
         t.coalesce(3, 1, 4000);
         t.complete(3, 7000, "completed");
-        let trace = t.finish(Vec::new());
+        let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("clean");
         let q = trace
             .spans
@@ -440,7 +517,7 @@ mod tests {
     #[test]
     fn hedge_cancel_probe_spans_satisfy_invariants() {
         let mut t = ServeTracer::default();
-        t.begin_drain(0, &[4]);
+        t.open(0, &[4]);
         t.queue_wait(4, 100);
         // A hedge won the race: the primary attempt ends at the hedge's
         // completion instant with a cancel instant on its device, and the
@@ -452,7 +529,7 @@ mod tests {
         // Probation canaries on the quarantined device.
         t.probe(0, 900, 1000, "probe fault: kernel fault");
         t.probe(0, 1500, 1600, "probe ok (1/1)");
-        let trace = t.finish(Vec::new());
+        let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("hedge/cancel/probe spans are invariant-clean");
         assert!(trace.spans.iter().any(|s| s.phase == SpanPhase::Hedge));
         assert!(trace.spans.iter().any(|s| s.phase == SpanPhase::Cancel));
@@ -468,7 +545,7 @@ mod tests {
     #[test]
     fn prefetch_spans_overlap_the_running_attempt_cleanly() {
         let mut t = ServeTracer::default();
-        t.begin_drain(0, &[0, 1]);
+        t.open(0, &[0, 1]);
         t.queue_wait(0, 100);
         t.attempt(0, 0, 0, 100, 900, &[], None);
         // Request 1's operands prefetched under request 0's compute: the
@@ -479,7 +556,7 @@ mod tests {
         t.queue_wait(1, 900);
         t.attempt(1, 0, 0, 900, 1400, &[], None);
         t.complete(1, 1400, "completed");
-        let trace = t.finish(Vec::new());
+        let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("prefetch spans are invariant-clean");
         let p = trace
             .spans
@@ -494,7 +571,7 @@ mod tests {
     #[test]
     fn host_clock_is_serial_and_flows_link_once() {
         let mut t = ServeTracer::default();
-        t.begin_drain(0, &[7, 8]);
+        t.open(0, &[7, 8]);
         t.queue_wait(7, 100);
         t.attempt(7, 0, 0, 100, 200, &[], Some("lost"));
         t.host_fallback(7, 200, 500);
@@ -504,7 +581,7 @@ mod tests {
         // request 7's host run ends.
         t.host_fallback(8, 100, 300);
         t.complete(8, t.host_now_ns(), "completed");
-        let trace = t.finish(Vec::new());
+        let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("clean");
         let host: Vec<_> = trace
             .spans

@@ -398,8 +398,7 @@ fn unit_open(state: &mut u64) -> f64 {
 }
 
 /// Knobs beyond the fault plan for a serve run: scheduling policy,
-/// request-lifecycle tracing, periodic interval snapshots, streaming
-/// telemetry, and the open-arrival machinery (arrival process,
+/// request-lifecycle tracing, streaming telemetry, and the open-arrival machinery (arrival process,
 /// backpressure, coalescing).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -409,10 +408,7 @@ pub struct ServeOptions {
     /// (request spans plus per-device engine lanes) into
     /// [`ServeReport::trace`](cocopelia_runtime::serve::ServeReport).
     pub trace: bool,
-    /// Emit a queue-depth/clock/drift snapshot every interval of virtual
-    /// time (`None` disables them).
-    pub snapshot_interval: Option<SimTime>,
-    /// Streaming telemetry (windowed metrics, SLOs, flight recorder,
+    /// Streaming telemetry (windowed metrics, SLOs, flight dumps,
     /// incremental Perfetto export) — the `serve --watch` machinery.
     /// `None` keeps the end-only report.
     pub watch: Option<TelemetryConfig>,
@@ -446,7 +442,6 @@ impl Default for ServeOptions {
         ServeOptions {
             policy: SchedulePolicy::Fifo,
             trace: false,
-            snapshot_interval: None,
             watch: None,
             arrivals: None,
             queue_cap: None,
@@ -461,8 +456,8 @@ impl Default for ServeOptions {
     }
 }
 
-/// [`run_serve_with_policy`] with the full option set — tracing and
-/// interval snapshots on top of the policy. The default options reproduce
+/// [`run_serve_with_policy`] with the full option set — tracing,
+/// telemetry, arrivals, and defenses on top of the policy. The default options reproduce
 /// [`run_serve_with_policy`] bit-for-bit (tracing never perturbs virtual
 /// timing).
 ///
@@ -552,9 +547,6 @@ fn serve_impl(
         if let Some(sink) = sink {
             opts = opts.watch_sink(sink);
         }
-    }
-    if let Some(interval) = options.snapshot_interval {
-        opts = opts.snapshot_interval(interval);
     }
     if let Some(cap) = options.queue_cap {
         opts = opts.queue_cap(cap);

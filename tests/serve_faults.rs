@@ -104,7 +104,6 @@ fn none_spec_serving_is_fault_free_and_deterministic() {
         "fault_degraded_total",
         "fault_fatal_total",
         "fault_host_fallback_total",
-        "retry_attempts_total",
         "retry_tile_ops_total",
         "serve_retries_total",
         "quarantine_devices_total",
@@ -165,7 +164,7 @@ fn device_loss_quarantines_redispatches_and_degrades_to_host() {
     assert_eq!(report.metrics.counter("quarantine_redispatch_total"), 1);
     assert_eq!(report.metrics.counter("fault_fatal_total"), 2);
     assert_eq!(report.metrics.counter("fault_host_fallback_total"), 2);
-    assert_eq!(report.metrics.counter("retry_attempts_total"), 2);
+    assert_eq!(report.metrics.counter("serve_retries_total"), 2);
 
     for d in 0..2 {
         let gpu = exec.pool().devices()[d].gpu();

@@ -342,7 +342,7 @@ fn retry_budget_breaker_fails_fast_under_fault_storm() {
     assert_eq!(report.metrics.counter("budget_exhausted_total"), 1);
     assert!(report.metrics.counter("budget_fastfail_total") >= 2);
     // The breaker capped the retry bill at the bucket size.
-    assert_eq!(report.metrics.counter("retry_attempts_total"), 1);
+    assert_eq!(report.metrics.counter("serve_retries_total"), 1);
     assert_no_leaks(&exec);
 }
 

@@ -4,11 +4,11 @@
 //! expect, the timeline renders every device and the fault glyphs, and
 //! tracing never perturbs virtual timing.
 
-use cocopelia_gpusim::{testbed_i, FaultSpec};
+use cocopelia_gpusim::{testbed_i, FaultSpec, SimTime};
 use cocopelia_obs::perfetto::{decode::decode_trace, to_perfetto};
 use cocopelia_obs::timeline::{render, TimelineOptions};
 use cocopelia_obs::{check_spans, ServeTrace, SpanPhase};
-use cocopelia_runtime::serve::SchedulePolicy;
+use cocopelia_runtime::serve::{SchedulePolicy, TelemetryConfig};
 use cocopelia_xp::{
     chaos_fault_spec, chaos_request_trace, run_serve_with_options, standard_request_trace,
     ServeComparison, ServeOptions,
@@ -23,7 +23,6 @@ fn traced_run(
     let options = ServeOptions {
         policy,
         trace: true,
-        snapshot_interval: Some(cocopelia_gpusim::SimTime::from_secs_f64(5e-3)),
         ..ServeOptions::default()
     };
     run_serve_with_options(&testbed_i(), devices, trace, faults, &options)
@@ -210,45 +209,62 @@ fn chrome_export_gives_each_device_its_own_pid() {
 }
 
 #[test]
-fn snapshots_are_monotone_and_tracing_leaves_timing_unchanged() {
+fn windows_are_monotone_and_tracing_leaves_timing_unchanged() {
     let traced = traced_run(
         2,
         standard_request_trace(),
         &FaultSpec::none(),
         SchedulePolicy::Predictive,
     );
-    let plain = run_serve_with_options(
-        &testbed_i(),
-        2,
-        standard_request_trace(),
-        &FaultSpec::none(),
-        &ServeOptions {
-            policy: SchedulePolicy::Predictive,
-            trace: false,
-            snapshot_interval: None,
-            ..ServeOptions::default()
-        },
-    )
-    .expect("untraced run succeeds");
+    let run = |options: ServeOptions| {
+        run_serve_with_options(
+            &testbed_i(),
+            2,
+            standard_request_trace(),
+            &FaultSpec::none(),
+            &ServeOptions {
+                policy: SchedulePolicy::Predictive,
+                ..options
+            },
+        )
+        .expect("serve run succeeds")
+    };
+    let plain = run(ServeOptions::default());
+    let watched = run(ServeOptions {
+        watch: Some(TelemetryConfig {
+            window: SimTime::from_secs_f64(5e-3),
+            ..TelemetryConfig::default()
+        }),
+        ..ServeOptions::default()
+    });
     assert_eq!(
         traced.report.makespan, plain.report.makespan,
         "tracing must not perturb virtual timing"
     );
+    assert_eq!(
+        watched.report.makespan, plain.report.makespan,
+        "telemetry must not perturb virtual timing"
+    );
     assert!(plain.report.trace.is_none());
-    assert!(plain.report.snapshots.is_empty());
+    assert!(plain.report.telemetry.is_none());
 
-    let snaps = &traced.report.snapshots;
-    assert!(!snaps.is_empty(), "5 ms interval on a >5 ms run snapshots");
-    for pair in snaps.windows(2) {
-        assert!(pair[0].at < pair[1].at, "snapshot times strictly increase");
-        for d in 0..2 {
-            assert!(
-                pair[0].device_clock[d] <= pair[1].device_clock[d],
-                "device {d} clock regressed between snapshots"
-            );
-        }
+    // Telemetry windows are the one periodic sample of a drain.
+    let windows = &watched
+        .report
+        .telemetry
+        .as_ref()
+        .expect("telemetry armed")
+        .windows;
+    assert!(windows.len() > 1, "5 ms windows on a >5 ms run close");
+    for pair in windows.windows(2) {
+        assert_eq!(pair[0].end, pair[1].start, "windows tile the drain");
+        assert!(pair[0].start < pair[1].start, "window starts increase");
     }
-    let last = snaps.last().expect("non-empty");
-    assert!(last.at <= traced.report.makespan);
-    assert!(snaps[0].queue_depth <= standard_request_trace().len());
+    assert_eq!(
+        windows.last().expect("non-empty").end,
+        plain.report.makespan
+    );
+    assert!(windows[0].queue_depth <= standard_request_trace().len());
+    let finished: u64 = windows.iter().map(|w| w.finished).sum();
+    assert_eq!(finished as usize, plain.report.outcomes.len());
 }

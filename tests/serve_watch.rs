@@ -1,5 +1,5 @@
 //! Streaming telemetry end to end: a 50 000-request serve under watch
-//! keeps span memory bounded by the flight-recorder ring, emits a
+//! keeps span memory bounded by the span cap, emits a
 //! deterministic window stream, streams an openable Perfetto trace
 //! incrementally, fires exactly one SLO-breach dump containing the
 //! breaching request's spans — and leaves virtual timing bit-identical
@@ -95,7 +95,6 @@ fn watch_50k_is_bounded_streamed_and_bit_identical() {
     const REQUESTS: usize = 50_000;
     const BREACH_AT: usize = REQUESTS / 2;
     const RING: usize = 512;
-    const TRACE_CAP: usize = 2_048;
 
     // Reference run with telemetry fully disabled sizes the windows and
     // anchors the bit-identity check.
@@ -115,7 +114,6 @@ fn watch_50k_is_bounded_streamed_and_bit_identical() {
             window,
             slos: SloSpec::parse_list("deadline_miss<=0.0").expect("valid slo"),
             recorder_cap: RING,
-            trace_cap: Some(TRACE_CAP),
             stream_path: Some(stream_path.clone()),
         }),
     );
@@ -137,26 +135,24 @@ fn watch_50k_is_bounded_streamed_and_bit_identical() {
     let finished: u64 = tele.windows.iter().map(|w| w.finished).sum();
     assert_eq!(finished, REQUESTS as u64, "every request lands in a window");
 
-    // Span memory stays bounded by the ring and the trace cap, not by the
-    // request count.
-    assert!(tele.recorder_len <= RING);
-    assert!(
-        tele.recorder_dropped > 0,
-        "a {REQUESTS}-request run must overflow a {RING}-span ring"
-    );
+    // Span memory stays bounded by the one span cap, not by the request
+    // count.
     let trace = report.trace.as_ref().expect("telemetry implies tracing");
     assert!(
-        trace.spans.len() <= TRACE_CAP,
+        trace.spans.len() <= RING,
         "span log exceeded its cap: {}",
         trace.spans.len()
     );
-    assert!(report.trace_dropped > 0);
+    assert!(
+        report.trace_dropped > 0,
+        "a {REQUESTS}-request run must overflow a {RING}-span cap"
+    );
     let rendered = report.render();
     assert!(rendered.contains("trace capped:"), "{rendered}");
     assert!(rendered.contains("telemetry:"), "{rendered}");
 
     // Exactly one SLO breach, exactly one dump, and the dump holds the
-    // breaching request's span chain (it was ringed moments before).
+    // breaching request's span chain (it was logged moments before).
     assert_eq!(tele.breaches.len(), 1, "breaches: {:?}", tele.breaches);
     assert_eq!(tele.dumps.len(), 1, "dumps: {:?}", tele.dumps.len());
     let dump = &tele.dumps[0];
@@ -246,7 +242,7 @@ fn windowed_percentiles_match_whole_run_histogram() {
 fn quarantine_dump_contains_the_faulting_requests_span_chain() {
     // Every h2d enqueue faults and the first fault is terminal: request 0
     // loses dev0, re-dispatches to dev1, loses that too, and completes on
-    // the host — two quarantines, each dumping the flight recorder.
+    // the host — two quarantines, each dumping the span log's tail.
     let spec = FaultSpec {
         seed: 1,
         h2d: 1.0,
@@ -278,7 +274,7 @@ fn quarantine_dump_contains_the_faulting_requests_span_chain() {
             "dump at {dev} must hold request 0's attempts and completion"
         );
         // The chain is complete: the faulted attempts and the terminal
-        // completion marker all survived in the ring.
+        // completion marker all made it into the dump.
         assert!(!dump.request_spans(0).is_empty());
     }
 }
@@ -321,5 +317,54 @@ fn watch_line_stream_is_deterministic_across_runs() {
         for field in ["q=", "done=", "miss=", "p95=", "hit=", "faults=", "slo="] {
             assert!(line.contains(field), "{line}");
         }
+    }
+}
+
+#[test]
+fn telemetry_trace_and_dumps_are_tails_of_the_one_span_log() {
+    // The same chaos drain, once uncapped under plain tracing and once
+    // under telemetry with a small span cap: the capped run keeps the
+    // newest spans of the very same log, and every flight dump is a
+    // contiguous stretch of it.
+    const RING: usize = 64;
+    let spec = chaos_fault_spec(5);
+    let run = |opts: SessionOptions| {
+        let mut session =
+            ServeSession::with_options(pool(2, &spec), ExecutorConfig::default(), opts)
+                .expect("no stream file needed");
+        session.submit_all(chaos_request_trace(8));
+        session.drain()
+    };
+    let full = run(SessionOptions::new().tracing());
+    let watched = run(SessionOptions::new().telemetry(TelemetryConfig {
+        window: SimTime::from_secs_f64(1e-3),
+        slos: SloSpec::parse_list("fault_rate<=0.0").expect("valid slo"),
+        recorder_cap: RING,
+        ..TelemetryConfig::default()
+    }));
+    assert_eq!(full.makespan, watched.makespan);
+
+    let all = &full.trace.as_ref().expect("tracing armed").spans;
+    let kept = &watched
+        .trace
+        .as_ref()
+        .expect("telemetry implies tracing")
+        .spans;
+    assert!(all.len() > RING, "{} spans must overflow {RING}", all.len());
+    assert_eq!(full.trace_dropped, 0);
+    assert_eq!(kept.as_slice(), &all[all.len() - RING..]);
+    assert_eq!(watched.trace_dropped, (all.len() - RING) as u64);
+
+    let tele = watched.telemetry.as_ref().expect("telemetry armed");
+    assert!(!tele.dumps.is_empty(), "chaos faults must breach and dump");
+    for dump in &tele.dumps {
+        assert!(!dump.spans.is_empty() && dump.spans.len() <= RING);
+        let from = dump.dropped_before as usize;
+        assert_eq!(
+            dump.spans.as_slice(),
+            &all[from..from + dump.spans.len()],
+            "dump `{}` is not a contiguous stretch of the log",
+            dump.reason
+        );
     }
 }

@@ -92,9 +92,9 @@ echo "== streaming telemetry gate (watch windows, SLO dumps, bounded memory) =="
 # telemetry-off run. (Debug `cargo test` runs a 5k slice of the same test.)
 cargo test --release -q -p cocopelia-xp --test serve_watch
 
-echo "== microbench smoke (dispatch / residency / trace hot paths) =="
+echo "== microbench smoke (simulator / dispatch / residency / trace hot paths) =="
 # Builds and runs the iai-callgrind-style microbenches once so the hot-path
-# bench targets can't rot. Numbers are informational (the vendored harness
+# bench targets can't rot (sim_enqueue_sync asserts its trace length). Numbers are informational (the vendored harness
 # reports wall clock, not instruction counts).
 cargo bench --bench micro_hotpaths
 
@@ -113,5 +113,19 @@ CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
 CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
     --workload serve_open_mixed --seconds 1 --trace 0 | tail -n 1
+# paper_sweep's peak RSS is set by one cuBLASXt call that enqueues ~589k
+# simulator ops before its single synchronize, so it guards the simulator's
+# per-op footprint (slim ops, retired at idle; ~171 MiB before they were).
+sweep=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload paper_sweep --seconds 0 --trace 0 | tail -n 1)
+echo "$sweep"
+rss=$(echo "$sweep" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.e+-]*\).*/\1/p')
+awk -v rss="$rss" 'BEGIN {
+    if (rss == "" || rss + 0 > 120) {
+        print "paper_sweep peak_rss_mb " rss " MiB exceeds the 120 MiB bound"
+        exit 1
+    }
+}'
 
 echo "CI gate passed."

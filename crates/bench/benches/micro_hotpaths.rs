@@ -1,5 +1,5 @@
-//! Instruction-count-style microbenches for the serving hot paths: the
-//! scheduler's dispatch decision, the open-arrival event loop (arrival
+//! Instruction-count-style microbenches for the simulator's enqueue/sync
+//! loop and the serving hot paths: the scheduler's dispatch decision, the open-arrival event loop (arrival
 //! admission interleaved with dispatch), the residency-cache admission
 //! probe,
 //! the span-record / Perfetto-export trace path, the streaming
@@ -15,16 +15,20 @@
 //! is self-contained — setup inside, hot loop sized to dominate it — apart
 //! from the deployed profile, which is built once per process.
 
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
+use std::time::Instant;
 
 use iai_callgrind::{black_box, main};
 
+use cocopelia_baselines::cublasxt;
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{
-    testbed_i, EngineKind, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec, TraceEntry,
+    testbed_i, EngineKind, ExecMode, FaultSpec, Gpu, KernelShape, NoiseSpec, SimTime, TestbedSpec,
+    TraceEntry,
 };
+use cocopelia_hostblas::Dtype;
 use cocopelia_obs::{DeviceLane, FlightDump, ServeTrace, SpanLog, SpanPhase, WindowedMetrics};
 use cocopelia_runtime::serve::{
     ExecutorConfig, HedgeConfig, ProbationConfig, SchedulePolicy, ServeOptions, ServeSession,
@@ -97,6 +101,32 @@ fn deployed_session(plans: &[FaultSpec], opts: ServeOptions) -> ServeSession {
         plans,
     );
     ServeSession::with_options(pool, ExecutorConfig::default(), opts).expect("session")
+}
+
+/// The simulator's enqueue + synchronize loop on its own: a timing-only
+/// cuBLASXt dgemm 8192³ at T=512 on a fresh device is 16³ sub-kernels of
+/// five engine ops each (three fetches, the kernel, the write-back), plus
+/// the event records and waits that order them. Prints host ns per engine
+/// op once; the harness's best-of line divided by the same op count is the
+/// warm figure.
+#[inline(never)]
+fn sim_enqueue_sync() {
+    const N: usize = 8192;
+    const ENGINE_OPS: usize = 5 * 16 * 16 * 16;
+    static PRINT: Once = Once::new();
+    let ghost = || MatOperand::<f64>::HostGhost { rows: N, cols: N };
+    let mut gpu = Gpu::new(quiet(), ExecMode::TimingOnly, 42);
+    let t = Instant::now();
+    let out = cublasxt::gemm(&mut gpu, 1.0, ghost(), ghost(), 1.0, ghost(), 512).expect("gemm");
+    let ns = t.elapsed().as_nanos() as f64;
+    assert_eq!(gpu.trace().len(), ENGINE_OPS, "every engine op traced");
+    PRINT.call_once(|| {
+        println!(
+            "sim_enqueue_sync: {ENGINE_OPS} engine ops, {:.0} ns/op host (first run)",
+            ns / ENGINE_OPS as f64
+        );
+    });
+    black_box(out);
 }
 
 /// The scheduler's per-request decision under `Predictive`: every
@@ -197,11 +227,16 @@ fn perfetto_export() {
             op: i as usize,
             stream: cocopelia_gpusim::StreamId::from_raw(0),
             engine: EngineKind::Compute,
-            label: "gemm tile".to_owned(),
             start: SimTime::from_nanos(i * 200),
             end: SimTime::from_nanos(i * 200 + 150),
             bytes: None,
             tag: None,
+            kernel: Some(KernelShape::Gemm {
+                dtype: Dtype::F64,
+                m: 512,
+                n: 512,
+                k: 512,
+            }),
         });
     }
     let trace = ServeTrace {
@@ -326,6 +361,6 @@ fn ring_record() {
 main!(
     callgrind_args = "--simulate-wb=no", "--simulate-hwpref=yes",
         "--I1=32768,8,64", "--D1=32768,8,64", "--LL=8388608,16,64";
-    functions = next_dispatch, next_event, residency_probe, span_record, perfetto_export,
+    functions = sim_enqueue_sync, next_dispatch, next_event, residency_probe, span_record, perfetto_export,
         window_rotate, ring_record, hedge_decision, probe_schedule, prefetch_decision
 );

@@ -21,8 +21,18 @@
 //! and [`Sim::advance`] (move time to the earliest phase transition or
 //! completion). Rates are constant between consecutive events, so progress
 //! integration is exact piecewise-linear accounting.
+//!
+//! # Op lifecycle
+//!
+//! An enqueued op is a small `Copy` record ([`Op`]): stream, issued flag,
+//! interned tag and a slim kind whose kernel shapes and event slots live in
+//! side tables. Once the simulator is idle every op has completed, so the
+//! op, kernel, event and tag tables are retired together; a global `base`
+//! offset keeps op ids (and so [`TraceEntry::op`]) in enqueue order across
+//! retirements. Only the [`Trace`] outlives a batch.
 
-use crate::op::{Op, OpId, OpKind, StreamId};
+use crate::kernel::KernelShape;
+use crate::op::{EventId, Op, OpId, OpKind, StreamId};
 use crate::spec::{LinkSpec, NoiseSpec};
 use crate::time::SimTime;
 use crate::trace::{EngineKind, OpTag, Trace, TraceEntry};
@@ -33,6 +43,18 @@ use std::collections::VecDeque;
 /// Residual byte count below which a transfer counts as complete (absorbs
 /// nanosecond-rounding overshoot).
 const BYTES_EPS: f64 = 1e-6;
+
+/// Capacity the per-batch tables keep when they retire: small batches never
+/// reallocate, and one huge batch does not pin its footprint for the life
+/// of the device.
+const RETAINED_CAPACITY: usize = 4096;
+
+/// The engines in their fixed processing order.
+const ENGINES: [EngineKind; 3] = [
+    EngineKind::CopyH2d,
+    EngineKind::CopyD2h,
+    EngineKind::Compute,
+];
 
 #[derive(Debug, Clone, Copy)]
 enum Phase {
@@ -76,20 +98,43 @@ impl Engine {
     }
 }
 
+/// A table index or stream id as stored in the slim [`Op`].
+fn idx32(n: usize) -> u32 {
+    u32::try_from(n).expect("pending-table index exceeds u32")
+}
+
+/// Empties a per-batch table and trims its capacity to
+/// [`RETAINED_CAPACITY`].
+fn retire_table<T>(table: &mut Vec<T>) {
+    table.clear();
+    table.shrink_to(RETAINED_CAPACITY);
+}
+
 /// The simulator core. Crate-internal; users drive it through
 /// [`Gpu`](crate::Gpu).
 #[derive(Debug)]
 pub(crate) struct Sim {
     now_ns: u64,
+    /// Global id of `ops[0]`.
+    base: OpId,
+    /// Ops enqueued since the last retirement, indexed by `id - base`.
     ops: Vec<Op>,
-    /// `true` once the op has been handed to an engine or completed.
-    issued: Vec<bool>,
+    /// `(shape, noise-free seconds)` of each pending kernel.
+    kernels: Vec<(KernelShape, f64)>,
+    /// Interned routine tags of pending ops: op tag `i > 0` is
+    /// `tags[i - 1]`. The ambient tag, when set, is the last entry.
+    tags: Vec<OpTag>,
+    /// Interned index of the ambient tag (0 = untagged).
+    cur_tag: u32,
     streams: Vec<VecDeque<OpId>>,
     /// Per-stream background flag: ops from background streams queue on
     /// each engine's low-priority lane.
     background: Vec<bool>,
-    /// Completion time of each recorded event, `None` while pending.
-    events: Vec<Option<u64>>,
+    /// Global id of `events[0]`. Every older event was recorded before the
+    /// last retirement.
+    event_base: usize,
+    /// Whether each event since `event_base` has been recorded.
+    events: Vec<bool>,
     h2d: Engine,
     d2h: Engine,
     compute: Engine,
@@ -97,22 +142,25 @@ pub(crate) struct Sim {
     noise: NoiseSpec,
     rng: StdRng,
     trace: Trace,
-    /// Ambient routine tag stamped onto ops at enqueue time.
-    current_tag: Option<OpTag>,
-    /// Link degradation windows `(start_ns, end_ns, factor)` from the fault
-    /// spec; the factor multiplies both directions' bandwidth inside the
-    /// window.
-    degrade: Vec<(u64, u64, f64)>,
+    /// Link degradation as disjoint segments `(start_ns, factor)`, sorted
+    /// by start: `factor` multiplies both directions' bandwidth from
+    /// `start_ns` until the next segment's start. The last segment (and
+    /// everything before the first) runs at `1.0`.
+    degrade: Vec<(u64, f64)>,
 }
 
 impl Sim {
     pub(crate) fn new(link: LinkSpec, noise: NoiseSpec, seed: u64) -> Self {
         Sim {
             now_ns: 0,
+            base: 0,
             ops: Vec::new(),
-            issued: Vec::new(),
+            kernels: Vec::new(),
+            tags: Vec::new(),
+            cur_tag: 0,
             streams: Vec::new(),
             background: Vec::new(),
+            event_base: 0,
             events: Vec::new(),
             h2d: Engine::default(),
             d2h: Engine::default(),
@@ -121,33 +169,60 @@ impl Sim {
             noise,
             rng: StdRng::seed_from_u64(seed),
             trace: Trace::default(),
-            current_tag: None,
             degrade: Vec::new(),
         }
     }
 
     /// Installs the link degradation windows `(start_ns, end_ns, factor)`.
+    ///
+    /// Where windows overlap, the one with the earliest start wins, ties
+    /// going to the earlier window in `windows`. The windows are flattened
+    /// once into disjoint segments that keep every window edge as a segment
+    /// boundary (even where the factor does not change), so the engine
+    /// clamps its steps at exactly the instants the windows name.
     pub(crate) fn set_degrade(&mut self, mut windows: Vec<(u64, u64, f64)>) {
         windows.sort_by_key(|w| w.0);
-        self.degrade = windows;
+        let mut bounds: Vec<u64> = windows.iter().flat_map(|&(s, e, _)| [s, e]).collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        // The winner at `b` is the first window (in sorted order) that has
+        // started and not yet ended. Bounds only grow, so a window found
+        // ended stays ended: `head` skips past them once.
+        let mut head = 0;
+        self.degrade = bounds
+            .into_iter()
+            .map(|b| {
+                let started = windows.partition_point(|w| w.0 <= b);
+                while head < started && windows[head].1 <= b {
+                    head += 1;
+                }
+                let factor = if head < started { windows[head].2 } else { 1.0 };
+                (b, factor)
+            })
+            .collect();
     }
 
-    /// Bandwidth multiplier in effect at the current virtual time (first
-    /// matching window wins; `1.0` outside every window).
-    fn degrade_factor_now(&self) -> f64 {
+    /// Index of the first degrade segment starting after the current time.
+    fn degrade_idx(&self) -> usize {
         self.degrade
-            .iter()
-            .find(|&&(s, e, _)| self.now_ns >= s && self.now_ns < e)
-            .map_or(1.0, |&(_, _, f)| f)
+            .partition_point(|&(start, _)| start <= self.now_ns)
+    }
+
+    /// Bandwidth multiplier in effect at the current virtual time (`1.0`
+    /// outside every window; see [`set_degrade`](Self::set_degrade) for
+    /// which window wins an overlap).
+    fn degrade_factor_now(&self) -> f64 {
+        match self.degrade_idx() {
+            0 => 1.0,
+            i => self.degrade[i - 1].1,
+        }
     }
 
     /// The next degrade-window boundary strictly after the current time.
     fn next_degrade_boundary_ns(&self) -> Option<u64> {
         self.degrade
-            .iter()
-            .flat_map(|&(s, e, _)| [s, e])
-            .filter(|&b| b > self.now_ns)
-            .min()
+            .get(self.degrade_idx())
+            .map(|&(start, _)| start)
     }
 
     /// Advances the virtual clock by `ns` with no engine work in flight —
@@ -182,17 +257,14 @@ impl Sim {
 
     /// Aborts all queued and in-flight work (terminal device loss): stream
     /// and engine queues are dropped and active ops are cut short, their
-    /// trace entries ending now. Afterwards the simulator is idle.
+    /// trace entries ending now. Afterwards the simulator is idle and the
+    /// pending tables are retired.
     pub(crate) fn abort_all(&mut self) {
         for s in &mut self.streams {
             s.clear();
         }
         let now = self.now();
-        for kind in [
-            EngineKind::CopyH2d,
-            EngineKind::CopyD2h,
-            EngineKind::Compute,
-        ] {
+        for kind in ENGINES {
             let engine = self.engine_mut(kind);
             engine.queue.clear();
             engine.bg_queue.clear();
@@ -204,14 +276,44 @@ impl Sim {
                     .end = now;
             }
         }
+        self.retire();
     }
 
+    /// Retires every op of the finished batch. Only valid when idle: all
+    /// ops have completed, so nothing refers to the tables any more.
+    fn retire(&mut self) {
+        debug_assert!(self.idle(), "retire called with work in flight");
+        self.base += self.ops.len();
+        retire_table(&mut self.ops);
+        retire_table(&mut self.kernels);
+        self.event_base += self.events.len();
+        retire_table(&mut self.events);
+        // Keep the ambient tag (the last entry, when set) for later ops.
+        self.cur_tag = self.cur_tag.min(1);
+        self.tags.drain(..self.tags.len() - self.cur_tag as usize);
+        self.tags.shrink_to(RETAINED_CAPACITY);
+    }
+
+    /// Sets the ambient routine tag, interning it only when it differs from
+    /// the last interned tag.
     pub(crate) fn set_tag(&mut self, tag: Option<OpTag>) {
-        self.current_tag = tag;
+        self.cur_tag = match tag {
+            None => 0,
+            Some(tag) => {
+                if self.tags.last() != Some(&tag) {
+                    self.tags.push(tag);
+                }
+                idx32(self.tags.len())
+            }
+        };
     }
 
     pub(crate) fn tag(&self) -> Option<&OpTag> {
-        self.current_tag.as_ref()
+        self.interned_tag(self.cur_tag)
+    }
+
+    fn interned_tag(&self, idx: u32) -> Option<&OpTag> {
+        idx.checked_sub(1).map(|i| &self.tags[i as usize])
     }
 
     pub(crate) fn now(&self) -> SimTime {
@@ -248,26 +350,61 @@ impl Sim {
         s.0 < self.streams.len()
     }
 
-    pub(crate) fn create_event(&mut self) -> usize {
-        self.events.push(None);
-        self.events.len() - 1
+    pub(crate) fn event_exists(&self, ev: EventId) -> bool {
+        ev.0 < self.event_base + self.events.len()
     }
 
-    pub(crate) fn event_exists(&self, id: usize) -> bool {
-        id < self.events.len()
-    }
-
+    /// Enqueues an op and returns its global id. Copies come straight
+    /// here; kernels and events go through [`enqueue_kernel`](Self::enqueue_kernel),
+    /// [`record_event`](Self::record_event) and [`wait_event`](Self::wait_event),
+    /// which fill the side tables their kinds index.
     pub(crate) fn enqueue(&mut self, stream: StreamId, kind: OpKind) -> OpId {
         debug_assert!(self.stream_exists(stream));
-        let id = self.ops.len();
+        let id = self.base + self.ops.len();
         self.ops.push(Op {
-            stream,
             kind,
-            tag: self.current_tag.clone(),
+            stream: idx32(stream.0),
+            tag: self.cur_tag,
+            issued: false,
         });
-        self.issued.push(false);
         self.streams[stream.0].push_back(id);
         id
+    }
+
+    /// Enqueues a kernel whose noise-free duration is `base_secs`.
+    pub(crate) fn enqueue_kernel(
+        &mut self,
+        stream: StreamId,
+        shape: KernelShape,
+        base_secs: f64,
+    ) -> OpId {
+        let idx = idx32(self.kernels.len());
+        self.kernels.push((shape, base_secs));
+        self.enqueue(stream, OpKind::Kernel(idx))
+    }
+
+    /// Creates an event and enqueues its record on `stream`.
+    pub(crate) fn record_event(&mut self, stream: StreamId) -> EventId {
+        let slot = self.events.len();
+        self.events.push(false);
+        self.enqueue(stream, OpKind::EventRecord(idx32(slot)));
+        EventId(self.event_base + slot)
+    }
+
+    /// Enqueues a wait for `ev` on `stream`. An event retired with an
+    /// earlier batch was recorded then (or aborted with a lost device, which
+    /// runs nothing again), so its wait gets a fresh slot that is already
+    /// set.
+    pub(crate) fn wait_event(&mut self, stream: StreamId, ev: EventId) {
+        debug_assert!(self.event_exists(ev));
+        let slot = match ev.0.checked_sub(self.event_base) {
+            Some(slot) => slot,
+            None => {
+                self.events.push(true);
+                self.events.len() - 1
+            }
+        };
+        self.enqueue(stream, OpKind::EventWait(idx32(slot)));
     }
 
     /// True if no queued or active work remains.
@@ -284,19 +421,19 @@ impl Sim {
             && self.compute.bg_queue.is_empty()
     }
 
-    /// Runs the simulation until idle. Returns completed op ids in
-    /// completion order.
+    /// Runs the simulation until idle, calling `on_complete` with each op
+    /// id in completion order, then retires the finished batch.
     ///
     /// # Panics
     ///
     /// Panics if the enqueued schedule deadlocks (a stream waits on an event
     /// that can never be recorded).
-    pub(crate) fn run_to_idle(&mut self) -> Vec<OpId> {
-        let mut completed = Vec::new();
+    pub(crate) fn run_to_idle(&mut self, mut on_complete: impl FnMut(OpId)) {
         loop {
-            let progressed = self.stabilize(&mut completed);
+            let progressed = self.stabilize(&mut on_complete);
             if self.idle() {
-                return completed;
+                self.retire();
+                return;
             }
             let any_active = self.h2d.active.is_some()
                 || self.d2h.active.is_some()
@@ -309,17 +446,17 @@ impl Sim {
                 );
                 continue;
             }
-            self.advance(&mut completed);
+            self.advance(&mut on_complete);
         }
     }
 
     /// Processes everything that can happen without time passing: completes
     /// instant ops at stream heads and issues ready ops to idle engines.
     /// Returns whether any state changed.
-    fn stabilize(&mut self, completed: &mut Vec<OpId>) -> bool {
+    fn stabilize(&mut self, on_complete: &mut impl FnMut(OpId)) -> bool {
         let mut progressed_any = false;
         loop {
-            if self.stabilize_foreground(completed) {
+            if self.stabilize_foreground(on_complete) {
                 progressed_any = true;
             }
             // Only once the foreground schedule is fully settled (every
@@ -328,11 +465,7 @@ impl Sim {
             // the one-pass gap an instant op (event record/wait) opens at
             // a stream head and displace the foreground op behind it.
             let mut bg_started = false;
-            for engine_kind in [
-                EngineKind::CopyH2d,
-                EngineKind::CopyD2h,
-                EngineKind::Compute,
-            ] {
+            for engine_kind in ENGINES {
                 if self.engine(engine_kind).active.is_some() {
                     continue;
                 }
@@ -352,7 +485,7 @@ impl Sim {
 
     /// One settling pass over foreground work; see
     /// [`stabilize`](Self::stabilize). Returns whether any state changed.
-    fn stabilize_foreground(&mut self, completed: &mut Vec<OpId>) -> bool {
+    fn stabilize_foreground(&mut self, on_complete: &mut impl FnMut(OpId)) -> bool {
         let mut progressed_any = false;
         loop {
             let mut progressed = false;
@@ -361,51 +494,39 @@ impl Sim {
                 let Some(&head) = self.streams[s].front() else {
                     continue;
                 };
-                if self.issued[head] {
+                let op = &mut self.ops[head - self.base];
+                if op.issued {
                     continue; // already on an engine, waiting for completion
                 }
-                match self.ops[head].kind {
+                let engine = match op.kind {
                     OpKind::EventRecord(ev) => {
-                        self.events[ev.0] = Some(self.now_ns);
-                        self.issued[head] = true;
-                        self.streams[s].pop_front();
-                        completed.push(head);
-                        progressed = true;
+                        self.events[ev as usize] = true;
+                        None
                     }
                     OpKind::EventWait(ev) => {
-                        if self.events[ev.0].is_some() {
-                            self.issued[head] = true;
-                            self.streams[s].pop_front();
-                            completed.push(head);
-                            progressed = true;
+                        if !self.events[ev as usize] {
+                            continue;
                         }
+                        None
                     }
-                    OpKind::H2d { .. } => {
-                        self.issued[head] = true;
-                        let bg = self.background[s];
-                        self.h2d.enqueue_op(head, bg);
-                        progressed = true;
+                    OpKind::H2d { .. } => Some(&mut self.h2d),
+                    OpKind::D2h { .. } => Some(&mut self.d2h),
+                    OpKind::Kernel(_) => Some(&mut self.compute),
+                };
+                match engine {
+                    Some(engine) => {
+                        op.issued = true;
+                        engine.enqueue_op(head, self.background[s]);
                     }
-                    OpKind::D2h { .. } => {
-                        self.issued[head] = true;
-                        let bg = self.background[s];
-                        self.d2h.enqueue_op(head, bg);
-                        progressed = true;
-                    }
-                    OpKind::Kernel { .. } => {
-                        self.issued[head] = true;
-                        let bg = self.background[s];
-                        self.compute.enqueue_op(head, bg);
-                        progressed = true;
+                    None => {
+                        self.streams[s].pop_front();
+                        on_complete(head);
                     }
                 }
+                progressed = true;
             }
             // 2. Idle engines pick up queued work.
-            for engine_kind in [
-                EngineKind::CopyH2d,
-                EngineKind::CopyD2h,
-                EngineKind::Compute,
-            ] {
+            for engine_kind in ENGINES {
                 if self.engine(engine_kind).active.is_some() {
                     continue;
                 }
@@ -452,16 +573,11 @@ impl Sim {
     }
 
     fn start_op(&mut self, op_id: OpId, engine_kind: EngineKind) -> ActiveOp {
-        let stream = self.ops[op_id].stream;
-        let label = self.ops[op_id].kind.label();
-        let (phase, work_total, rate_factor, bytes) = match self.ops[op_id].kind {
-            OpKind::H2d {
-                bytes, pageable, ..
-            }
-            | OpKind::D2h {
-                bytes, pageable, ..
-            } => {
-                let dir = if matches!(self.ops[op_id].kind, OpKind::H2d { .. }) {
+        let op = self.ops[op_id - self.base];
+        let mut kernel = None;
+        let (phase, work_total, rate_factor, bytes) = match op.kind {
+            OpKind::H2d { bytes, pageable } | OpKind::D2h { bytes, pageable } => {
+                let dir = if matches!(op.kind, OpKind::H2d { .. }) {
                     self.link.h2d
                 } else {
                     self.link.d2h
@@ -484,7 +600,9 @@ impl Sim {
                 };
                 (phase, bytes as f64, rate_factor, Some(bytes))
             }
-            OpKind::Kernel { base_secs, .. } => {
+            OpKind::Kernel(idx) => {
+                let (shape, base_secs) = self.kernels[idx as usize];
+                kernel = Some(shape);
                 let secs = base_secs * self.noise_factor(self.noise.kernel_sigma);
                 (Phase::Work { remaining: secs }, secs, 1.0, None)
             }
@@ -495,13 +613,13 @@ impl Sim {
         let trace_idx = self.trace.len();
         self.trace.push(TraceEntry {
             op: op_id,
-            stream,
+            stream: StreamId(op.stream as usize),
             engine: engine_kind,
-            label,
             start: self.now(),
             end: self.now(), // patched at completion
             bytes,
-            tag: self.ops[op_id].tag.clone(),
+            tag: self.interned_tag(op.tag).cloned(),
+            kernel,
         });
         ActiveOp {
             op: op_id,
@@ -571,16 +689,11 @@ impl Sim {
 
     /// Advances virtual time to the earliest phase boundary among active
     /// ops, applying payload progress and completing finished ops.
-    fn advance(&mut self, completed: &mut Vec<OpId>) {
+    fn advance(&mut self, on_complete: &mut impl FnMut(OpId)) {
         // Snapshot rates *before* mutating anything: they are constant over
         // the interval we are about to traverse.
-        let kinds = [
-            EngineKind::CopyH2d,
-            EngineKind::CopyD2h,
-            EngineKind::Compute,
-        ];
-        let rates: Vec<f64> = kinds.iter().map(|&k| self.dir_rate(k)).collect();
-        let estimates: Vec<Option<u64>> = kinds.iter().map(|&k| self.estimate_ns(k)).collect();
+        let rates = ENGINES.map(|k| self.dir_rate(k));
+        let estimates = ENGINES.map(|k| self.estimate_ns(k));
         let mut dt = estimates
             .iter()
             .flatten()
@@ -597,7 +710,7 @@ impl Sim {
         self.now_ns += dt;
         let dt_secs = dt as f64 / 1e9;
 
-        for (idx, &kind) in kinds.iter().enumerate() {
+        for (idx, kind) in ENGINES.into_iter().enumerate() {
             let rate = rates[idx];
             let est = estimates[idx];
             let Some(active) = self.engine_mut(kind).active.as_mut() else {
@@ -626,7 +739,7 @@ impl Sim {
                     if est == Some(dt) || left <= BYTES_EPS {
                         // This op reached its completion boundary.
                         let finished = self.engine_mut(kind).active.take().expect("active");
-                        self.complete_op(finished, completed);
+                        self.complete_op(finished, on_complete);
                     } else {
                         active.phase = Phase::Work { remaining: left };
                     }
@@ -635,31 +748,30 @@ impl Sim {
         }
     }
 
-    fn complete_op(&mut self, active: ActiveOp, completed: &mut Vec<OpId>) {
+    /// Lengths of the pending op, kernel and tag tables.
+    #[cfg(test)]
+    pub(crate) fn table_lens(&self) -> [usize; 3] {
+        [self.ops.len(), self.kernels.len(), self.tags.len()]
+    }
+
+    fn complete_op(&mut self, active: ActiveOp, on_complete: &mut impl FnMut(OpId)) {
         let op_id = active.op;
-        let stream = self.ops[op_id].stream;
+        let stream = self.ops[op_id - self.base].stream as usize;
         // The op is necessarily at its stream head.
-        let popped = self.streams[stream.0].pop_front();
+        let popped = self.streams[stream].pop_front();
         debug_assert_eq!(popped, Some(op_id), "completed op must be its stream head");
         let now = self.now();
         self.trace
             .entry_mut(active.trace_idx)
             .expect("trace entry recorded at start")
             .end = now;
-        completed.push(op_id);
-    }
-
-    pub(crate) fn op_kind(&self, op: OpId) -> &OpKind {
-        &self.ops[op].kind
+        on_complete(op_id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelShape;
-    use crate::memory::{DevBufId, HostBufId};
-    use crate::op::{CopyDesc, EventId};
     use crate::spec::{testbed_i, DirLinkSpec};
     use cocopelia_hostblas::Dtype;
 
@@ -679,40 +791,37 @@ mod tests {
         }
     }
 
-    fn copy_kind(bytes: usize, h2d: bool) -> OpKind {
-        let desc = CopyDesc::contiguous(HostBufId(0), DevBufId(0), bytes / 8);
-        if h2d {
-            OpKind::H2d {
-                desc,
-                bytes,
-                pageable: false,
-            }
+    fn copy(sim: &mut Sim, s: StreamId, bytes: usize, h2d: bool) -> OpId {
+        let pageable = false;
+        let kind = if h2d {
+            OpKind::H2d { bytes, pageable }
         } else {
-            OpKind::D2h {
-                desc,
-                bytes,
-                pageable: false,
-            }
-        }
+            OpKind::D2h { bytes, pageable }
+        };
+        sim.enqueue(s, kind)
     }
 
-    fn kernel_kind(secs: f64) -> OpKind {
-        OpKind::Kernel {
-            shape: KernelShape::Axpy {
-                dtype: Dtype::F64,
-                n: 1,
-            },
-            args: None,
-            base_secs: secs,
-        }
+    fn kernel(sim: &mut Sim, s: StreamId, secs: f64) -> OpId {
+        let shape = KernelShape::Axpy {
+            dtype: Dtype::F64,
+            n: 1,
+        };
+        sim.enqueue_kernel(s, shape, secs)
+    }
+
+    /// Runs to idle and returns the completed op ids in completion order.
+    fn run_all(sim: &mut Sim) -> Vec<OpId> {
+        let mut done = Vec::new();
+        sim.run_to_idle(|op| done.push(op));
+        done
     }
 
     #[test]
     fn single_copy_takes_latency_plus_bytes() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s = sim.create_stream();
-        sim.enqueue(s, copy_kind(1_000_000, true)); // 1MB at 1GB/s = 1ms
-        sim.run_to_idle();
+        copy(&mut sim, s, 1_000_000, true); // 1MB at 1GB/s = 1ms
+        run_all(&mut sim);
         let total = sim.now().as_secs_f64();
         assert!((total - (1e-6 + 1e-3)).abs() < 1e-7, "total {total}");
     }
@@ -721,9 +830,9 @@ mod tests {
     fn stream_serialises_ops() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s = sim.create_stream();
-        sim.enqueue(s, kernel_kind(1e-3));
-        sim.enqueue(s, kernel_kind(2e-3));
-        sim.run_to_idle();
+        kernel(&mut sim, s, 1e-3);
+        kernel(&mut sim, s, 2e-3);
+        run_all(&mut sim);
         assert!((sim.now().as_secs_f64() - 3e-3).abs() < 1e-8);
     }
 
@@ -732,9 +841,9 @@ mod tests {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
-        sim.enqueue(s1, copy_kind(1_000_000, true));
-        sim.enqueue(s2, kernel_kind(1e-3));
-        sim.run_to_idle();
+        copy(&mut sim, s1, 1_000_000, true);
+        kernel(&mut sim, s2, 1e-3);
+        run_all(&mut sim);
         // Copy (~1.001ms) and kernel (1ms) run concurrently.
         assert!(sim.now().as_secs_f64() < 1.1e-3);
     }
@@ -744,9 +853,9 @@ mod tests {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
-        sim.enqueue(s1, copy_kind(1_000_000, true));
-        sim.enqueue(s2, copy_kind(1_000_000, true));
-        sim.run_to_idle();
+        copy(&mut sim, s1, 1_000_000, true);
+        copy(&mut sim, s2, 1_000_000, true);
+        run_all(&mut sim);
         // Both h2d copies share one engine: ~2 * (1ms + latency).
         assert!(sim.now().as_secs_f64() > 1.9e-3);
     }
@@ -757,9 +866,9 @@ mod tests {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
-        sim.enqueue(s1, copy_kind(10_000_000, true)); // ~10ms
-        sim.enqueue(s2, copy_kind(10_000_000, false)); // alone ~10ms
-        sim.run_to_idle();
+        copy(&mut sim, s1, 10_000_000, true); // ~10ms
+        copy(&mut sim, s2, 10_000_000, false); // alone ~10ms
+        run_all(&mut sim);
         let total = sim.now().as_secs_f64();
         // While h2d runs (10ms) the d2h moves 5MB at half rate; the
         // remaining 5MB then flows at full rate: 15ms total ± latency.
@@ -771,9 +880,9 @@ mod tests {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
-        sim.enqueue(s1, copy_kind(10_000_000, true));
-        sim.enqueue(s2, copy_kind(1_000_000, false));
-        sim.run_to_idle();
+        copy(&mut sim, s1, 10_000_000, true);
+        copy(&mut sim, s2, 1_000_000, false);
+        run_all(&mut sim);
         // h2d (sl=1.0) finishes in ~10ms regardless of the short d2h.
         let h2d_end = sim
             .trace()
@@ -794,9 +903,9 @@ mod tests {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
-        sim.enqueue(s1, copy_kind(1_000_000, true)); // 1ms work
-        sim.enqueue(s2, copy_kind(10_000_000, false));
-        sim.run_to_idle();
+        copy(&mut sim, s1, 1_000_000, true); // 1ms work
+        copy(&mut sim, s2, 10_000_000, false);
+        run_all(&mut sim);
         let total = sim.now().as_secs_f64();
         // d2h: ~0.5MB moved during the 1ms contended window (rate 0.5GB/s),
         // remaining 9.5MB at 1GB/s = 9.5ms; total ≈ 10.5ms.
@@ -808,12 +917,11 @@ mod tests {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
-        sim.enqueue(s1, kernel_kind(5e-3));
-        let ev = EventId(sim.create_event());
-        sim.enqueue(s1, OpKind::EventRecord(ev));
-        sim.enqueue(s2, OpKind::EventWait(ev));
-        sim.enqueue(s2, kernel_kind(1e-3));
-        sim.run_to_idle();
+        kernel(&mut sim, s1, 5e-3);
+        let ev = sim.record_event(s1);
+        sim.wait_event(s2, ev);
+        kernel(&mut sim, s2, 1e-3);
+        run_all(&mut sim);
         // s2's kernel cannot start before s1's finishes (same engine anyway,
         // but the wait also forbids queue-jumping): 6ms total.
         assert!((sim.now().as_secs_f64() - 6e-3).abs() < 1e-8);
@@ -826,13 +934,13 @@ mod tests {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
-        let ev = EventId(sim.create_event());
-        // s2 waits first; record comes later from s1 after a kernel.
-        sim.enqueue(s2, OpKind::EventWait(ev));
-        sim.enqueue(s2, copy_kind(1_000, true));
-        sim.enqueue(s1, kernel_kind(2e-3));
-        sim.enqueue(s1, OpKind::EventRecord(ev));
-        sim.run_to_idle();
+        // s2's wait reaches its stream head first; the record lands on s1
+        // only after a kernel.
+        kernel(&mut sim, s1, 2e-3);
+        let ev = sim.record_event(s1);
+        sim.wait_event(s2, ev);
+        copy(&mut sim, s2, 1_000, true);
+        run_all(&mut sim);
         let copy = sim
             .trace()
             .entries()
@@ -847,9 +955,10 @@ mod tests {
     fn waiting_on_never_recorded_event_deadlocks() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s = sim.create_stream();
-        let ev = EventId(sim.create_event());
-        sim.enqueue(s, OpKind::EventWait(ev));
-        sim.run_to_idle();
+        // An event slot no record op will ever set.
+        sim.events.push(false);
+        sim.enqueue(s, OpKind::EventWait(0));
+        run_all(&mut sim);
     }
 
     #[test]
@@ -858,10 +967,10 @@ mod tests {
             let mut sim = Sim::new(testbed_i().link, NoiseSpec::REALISTIC, seed);
             let s = sim.create_stream();
             for _ in 0..5 {
-                sim.enqueue(s, copy_kind(100_000, true));
-                sim.enqueue(s, kernel_kind(1e-4));
+                copy(&mut sim, s, 100_000, true);
+                kernel(&mut sim, s, 1e-4);
             }
-            sim.run_to_idle();
+            run_all(&mut sim);
             sim.now().as_nanos()
         };
         assert_eq!(run(42), run(42));
@@ -872,9 +981,9 @@ mod tests {
     fn completed_ops_reported_in_order() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s = sim.create_stream();
-        let a = sim.enqueue(s, kernel_kind(1e-3));
-        let b = sim.enqueue(s, kernel_kind(1e-3));
-        let done = sim.run_to_idle();
+        let a = kernel(&mut sim, s, 1e-3);
+        let b = kernel(&mut sim, s, 1e-3);
+        let done = run_all(&mut sim);
         assert_eq!(done, vec![a, b]);
         assert!(sim.idle());
     }
@@ -884,16 +993,14 @@ mod tests {
         let time_with = |pageable: bool| {
             let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
             let s = sim.create_stream();
-            let desc = CopyDesc::contiguous(HostBufId(0), DevBufId(0), 125_000);
             sim.enqueue(
                 s,
                 OpKind::H2d {
-                    desc,
                     bytes: 1_000_000,
                     pageable,
                 },
             );
-            sim.run_to_idle();
+            run_all(&mut sim);
             sim.now().as_secs_f64()
         };
         let pinned = time_with(false);
@@ -910,8 +1017,8 @@ mod tests {
         // 1 GB/s link; halve bandwidth during [1ms, 3ms).
         sim.set_degrade(vec![(1_000_000, 3_000_000, 0.5)]);
         let s = sim.create_stream();
-        sim.enqueue(s, copy_kind(4_000_000, true));
-        sim.run_to_idle();
+        copy(&mut sim, s, 4_000_000, true);
+        run_all(&mut sim);
         let total = sim.now().as_secs_f64();
         // 1µs latency, 0.999ms full rate (0.999MB), 2ms half rate (1MB),
         // then 2.001MB at full rate: 5.001ms total.
@@ -924,9 +1031,9 @@ mod tests {
             let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
             sim.set_degrade(windows);
             let s = sim.create_stream();
-            sim.enqueue(s, copy_kind(4_000_000, true));
-            sim.enqueue(s, kernel_kind(1e-3));
-            sim.run_to_idle();
+            copy(&mut sim, s, 4_000_000, true);
+            kernel(&mut sim, s, 1e-3);
+            run_all(&mut sim);
             sim.now().as_nanos()
         };
         // A window whose factor is 1.0 forces boundary clamping but must
@@ -938,12 +1045,12 @@ mod tests {
     fn abort_all_clears_everything() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s = sim.create_stream();
-        sim.enqueue(s, copy_kind(1_000_000, true));
-        sim.enqueue(s, kernel_kind(1e-3));
+        copy(&mut sim, s, 1_000_000, true);
+        kernel(&mut sim, s, 1e-3);
         assert!(!sim.idle());
         sim.abort_all();
         assert!(sim.idle());
-        assert!(sim.run_to_idle().is_empty());
+        assert!(run_all(&mut sim).is_empty());
         assert_eq!(sim.now().as_nanos(), 0);
     }
 
@@ -951,11 +1058,11 @@ mod tests {
     fn rewind_to_undoes_time_and_trace() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s = sim.create_stream();
-        sim.enqueue(s, copy_kind(1_000_000, true)); // ~1.001ms
-        sim.run_to_idle();
+        copy(&mut sim, s, 1_000_000, true); // ~1.001ms
+        run_all(&mut sim);
         let mid = sim.now().as_nanos() / 2;
-        sim.enqueue(s, kernel_kind(1e-3));
-        sim.run_to_idle();
+        kernel(&mut sim, s, 1e-3);
+        run_all(&mut sim);
         assert_eq!(sim.trace().len(), 2);
         sim.rewind_to(mid);
         assert_eq!(sim.now().as_nanos(), mid);
@@ -966,8 +1073,8 @@ mod tests {
             "the entry straddling the rewind point is clamped"
         );
         // The device resumes normal operation from the rewound instant.
-        sim.enqueue(s, kernel_kind(1e-3));
-        sim.run_to_idle();
+        kernel(&mut sim, s, 1e-3);
+        run_all(&mut sim);
         assert_eq!(sim.now().as_nanos(), mid + 1_000_000);
     }
 
@@ -975,8 +1082,8 @@ mod tests {
     fn rewind_to_current_time_is_a_no_op() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s = sim.create_stream();
-        sim.enqueue(s, kernel_kind(1e-3));
-        sim.run_to_idle();
+        kernel(&mut sim, s, 1e-3);
+        run_all(&mut sim);
         let now = sim.now().as_nanos();
         sim.rewind_to(now);
         assert_eq!(sim.now().as_nanos(), now);
@@ -989,8 +1096,8 @@ mod tests {
         sim.advance_by(1_500);
         assert_eq!(sim.now().as_nanos(), 1_500);
         let s = sim.create_stream();
-        sim.enqueue(s, kernel_kind(1e-3));
-        sim.run_to_idle();
+        kernel(&mut sim, s, 1e-3);
+        run_all(&mut sim);
         assert_eq!(sim.now().as_nanos(), 1_001_500);
     }
 
@@ -998,8 +1105,139 @@ mod tests {
     fn zero_byte_copy_costs_latency_only() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let s = sim.create_stream();
-        sim.enqueue(s, copy_kind(0, true));
-        sim.run_to_idle();
+        copy(&mut sim, s, 0, true);
+        run_all(&mut sim);
         assert!((sim.now().as_secs_f64() - 1e-6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slim_op_fits_32_bytes() {
+        assert!(
+            std::mem::size_of::<Op>() <= 32,
+            "{}",
+            std::mem::size_of::<Op>()
+        );
+    }
+
+    #[test]
+    fn tables_retire_at_idle_and_ids_stay_global() {
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        let s = sim.create_stream();
+        let first = copy(&mut sim, s, 1_000, true);
+        kernel(&mut sim, s, 1e-6);
+        assert_eq!(sim.table_lens(), [2, 1, 0]);
+        assert_eq!(run_all(&mut sim), vec![first, first + 1]);
+        assert_eq!(sim.table_lens(), [0, 0, 0]);
+        // The next batch continues the global numbering.
+        let next = copy(&mut sim, s, 1_000, false);
+        assert_eq!(next, first + 2);
+        assert_eq!(run_all(&mut sim), vec![next]);
+        let ops: Vec<OpId> = sim.trace().entries().iter().map(|e| e.op).collect();
+        assert_eq!(ops, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn abort_retires_pending_tables() {
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        let s = sim.create_stream();
+        copy(&mut sim, s, 1_000, true);
+        kernel(&mut sim, s, 1e-3);
+        sim.record_event(s);
+        sim.abort_all();
+        assert_eq!(sim.table_lens(), [0, 0, 0]);
+        // Ids continue after the aborted batch.
+        assert_eq!(copy(&mut sim, s, 1_000, true), 3);
+    }
+
+    #[test]
+    fn overlapping_degrade_windows_resolve_by_start_then_spec_order() {
+        // In spec order; by start the order is (100..300), (200..350),
+        // (200..400), (500..600), and (200..350) precedes (200..400) on
+        // the tie because it comes first in the spec.
+        let windows = vec![
+            (500, 600, 0.9),
+            (200, 350, 0.8),
+            (100, 300, 0.5),
+            (200, 400, 0.25),
+        ];
+        // `(t, factor at t, next boundary after t)` just before, at and
+        // just after every edge.
+        let expected: [(u64, f64, Option<u64>); 21] = [
+            (99, 1.0, Some(100)),
+            (100, 0.5, Some(200)),
+            (101, 0.5, Some(200)),
+            (199, 0.5, Some(200)),
+            (200, 0.5, Some(300)),
+            (201, 0.5, Some(300)),
+            (299, 0.5, Some(300)),
+            (300, 0.8, Some(350)),
+            (301, 0.8, Some(350)),
+            (349, 0.8, Some(350)),
+            (350, 0.25, Some(400)),
+            (351, 0.25, Some(400)),
+            (399, 0.25, Some(400)),
+            (400, 1.0, Some(500)),
+            (401, 1.0, Some(500)),
+            (499, 1.0, Some(500)),
+            (500, 0.9, Some(600)),
+            (501, 0.9, Some(600)),
+            (599, 0.9, Some(600)),
+            (600, 1.0, None),
+            (601, 1.0, None),
+        ];
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.set_degrade(windows);
+        let check = |sim: &Sim, t: u64, factor: f64, next: Option<u64>| {
+            assert_eq!(sim.now().as_nanos(), t);
+            assert_eq!(sim.degrade_factor_now(), factor, "factor at {t}");
+            assert_eq!(sim.next_degrade_boundary_ns(), next, "boundary after {t}");
+        };
+        for &(t, factor, next) in &expected {
+            sim.advance_by(t - sim.now().as_nanos());
+            check(&sim, t, factor, next);
+        }
+        // Walking back with rewinds reads the same segments.
+        for &(t, factor, next) in expected.iter().rev() {
+            sim.rewind_to(t);
+            check(&sim, t, factor, next);
+        }
+    }
+
+    #[test]
+    fn flattened_degrade_windows_match_the_window_scan() {
+        // The rule the flattened segments must reproduce: the first window
+        // containing `t` after a stable sort by start wins, and every edge
+        // of every window is a boundary.
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let n = rng.gen_range(0..6usize);
+            let mut windows: Vec<(u64, u64, f64)> = (0..n)
+                .map(|_| {
+                    let s = rng.gen_range(0..40u64);
+                    (
+                        s,
+                        s + rng.gen_range(0..20u64),
+                        rng.gen_range(1..10u64) as f64 / 10.0,
+                    )
+                })
+                .collect();
+            let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+            sim.set_degrade(windows.clone());
+            windows.sort_by_key(|w| w.0);
+            for t in 0..70 {
+                let factor = windows
+                    .iter()
+                    .find(|&&(s, e, _)| t >= s && t < e)
+                    .map_or(1.0, |w| w.2);
+                let next = windows
+                    .iter()
+                    .flat_map(|&(s, e, _)| [s, e])
+                    .filter(|&b| b > t)
+                    .min();
+                assert_eq!(sim.degrade_factor_now(), factor, "{windows:?} at {t}");
+                assert_eq!(sim.next_degrade_boundary_ns(), next, "{windows:?} at {t}");
+                sim.advance_by(1);
+            }
+        }
     }
 }

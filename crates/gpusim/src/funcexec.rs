@@ -3,11 +3,13 @@
 //! Invoked at op completion time by [`Gpu::synchronize`](crate::Gpu). The
 //! completion order produced by the engine respects all stream/event
 //! dependencies, so applying effects in that order yields the same values a
-//! real device would produce.
+//! real device would produce. Only functional devices keep [`Effect`]s;
+//! timing-only devices store nothing beyond the engine's slim op.
 
 use crate::error::SimError;
+use crate::kernel::KernelShape;
 use crate::memory::{DeviceMemory, HostArena, Payload};
-use crate::op::{CopyDesc, KernelArgs, OpKind, Region2d};
+use crate::op::{CopyDesc, KernelArgs, Region2d};
 use cocopelia_hostblas::{level1, level2, level3, MatrixView, MatrixViewMut, Scalar};
 
 /// Copies a strided 2-D region between two equally-typed slices.
@@ -85,11 +87,10 @@ fn gemm_typed<T: Scalar>(
 }
 
 fn apply_kernel(
-    shape: &crate::kernel::KernelShape,
+    shape: &KernelShape,
     args: &KernelArgs,
     dev: &mut DeviceMemory,
 ) -> Result<(), SimError> {
-    use crate::kernel::KernelShape;
     match (*shape, *args) {
         (
             KernelShape::Gemm { m, n, k, .. },
@@ -256,21 +257,24 @@ fn apply_kernel(
     }
 }
 
+/// The data effect of one functional-mode op.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Effect {
+    H2d(CopyDesc),
+    D2h(CopyDesc),
+    Kernel(KernelShape, KernelArgs),
+}
+
 /// Applies the functional effect of a completed op.
 pub(crate) fn apply(
-    kind: &OpKind,
+    effect: &Effect,
     host: &mut HostArena,
     dev: &mut DeviceMemory,
 ) -> Result<(), SimError> {
-    match kind {
-        OpKind::H2d { desc, .. } => apply_h2d(desc, host, dev),
-        OpKind::D2h { desc, .. } => apply_d2h(desc, host, dev),
-        OpKind::Kernel {
-            shape,
-            args: Some(args),
-            ..
-        } => apply_kernel(shape, args, dev),
-        OpKind::Kernel { args: None, .. } | OpKind::EventRecord(_) | OpKind::EventWait(_) => Ok(()),
+    match effect {
+        Effect::H2d(desc) => apply_h2d(desc, host, dev),
+        Effect::D2h(desc) => apply_d2h(desc, host, dev),
+        Effect::Kernel(shape, args) => apply_kernel(shape, args, dev),
     }
 }
 

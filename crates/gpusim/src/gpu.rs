@@ -4,14 +4,15 @@
 use crate::engine::Sim;
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSite, FaultSpec, FaultStats};
-use crate::funcexec;
+use crate::funcexec::{self, Effect};
 use crate::kernel::{kernel_time, KernelShape};
 use crate::memory::{DevBufId, DeviceMemory, HostArena, HostBufId, HostBuffer, Payload};
-use crate::op::{check_mat_ref, CopyDesc, EventId, KernelArgs, OpKind, StreamId};
+use crate::op::{check_mat_ref, CopyDesc, EventId, KernelArgs, OpId, OpKind, StreamId};
 use crate::spec::TestbedSpec;
 use crate::time::SimTime;
 use crate::trace::{OpTag, Trace};
 use cocopelia_hostblas::Dtype;
+use std::collections::HashMap;
 
 /// Whether simulated kernels and copies actually move and compute data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +58,9 @@ pub struct Gpu {
     host: HostArena,
     dev: DeviceMemory,
     faults: FaultPlan,
+    /// Data effects of pending ops, applied at completion. Only
+    /// [`ExecMode::Functional`] devices record any.
+    effects: HashMap<OpId, Effect>,
 }
 
 impl Gpu {
@@ -96,6 +100,7 @@ impl Gpu {
             host: HostArena::default(),
             dev,
             faults: FaultPlan::new(faults),
+            effects: HashMap::new(),
         }
     }
 
@@ -164,10 +169,23 @@ impl Gpu {
             None => Ok(()),
             Some(e) => {
                 if self.faults.is_lost() {
-                    self.sim.abort_all();
+                    self.abort_all();
                 }
                 Err(e)
             }
+        }
+    }
+
+    /// Drops all queued and in-flight work with its pending data effects.
+    fn abort_all(&mut self) {
+        self.sim.abort_all();
+        self.effects.clear();
+    }
+
+    /// Records the data effect of a just-enqueued op on functional devices.
+    fn keep_effect(&mut self, op: OpId, effect: Effect) {
+        if self.is_functional() {
+            self.effects.insert(op, effect);
         }
     }
 
@@ -330,14 +348,8 @@ impl Gpu {
         self.check_stream(stream)?;
         let (bytes, pageable) = self.check_copy(&desc)?;
         self.fault_gate(FaultSite::H2d)?;
-        self.sim.enqueue(
-            stream,
-            OpKind::H2d {
-                desc,
-                bytes,
-                pageable,
-            },
-        );
+        let op = self.sim.enqueue(stream, OpKind::H2d { bytes, pageable });
+        self.keep_effect(op, Effect::H2d(desc));
         Ok(())
     }
 
@@ -351,14 +363,8 @@ impl Gpu {
         self.check_stream(stream)?;
         let (bytes, pageable) = self.check_copy(&desc)?;
         self.fault_gate(FaultSite::D2h)?;
-        self.sim.enqueue(
-            stream,
-            OpKind::D2h {
-                desc,
-                bytes,
-                pageable,
-            },
-        );
+        let op = self.sim.enqueue(stream, OpKind::D2h { bytes, pageable });
+        self.keep_effect(op, Effect::D2h(desc));
         Ok(())
     }
 
@@ -495,14 +501,10 @@ impl Gpu {
         }
         self.fault_gate(FaultSite::Kernel)?;
         let base_secs = kernel_time(&self.spec.gpu, &shape);
-        self.sim.enqueue(
-            stream,
-            OpKind::Kernel {
-                shape,
-                args,
-                base_secs,
-            },
-        );
+        let op = self.sim.enqueue_kernel(stream, shape, base_secs);
+        if let Some(args) = args {
+            self.keep_effect(op, Effect::Kernel(shape, args));
+        }
         Ok(())
     }
 
@@ -514,9 +516,7 @@ impl Gpu {
     /// Returns [`SimError::UnknownStream`] for stale stream ids.
     pub fn record_event(&mut self, stream: StreamId) -> Result<EventId, SimError> {
         self.check_stream(stream)?;
-        let ev = EventId(self.sim.create_event());
-        self.sim.enqueue(stream, OpKind::EventRecord(ev));
-        Ok(ev)
+        Ok(self.sim.record_event(stream))
     }
 
     /// Makes `stream` wait until `event` has been recorded.
@@ -527,10 +527,10 @@ impl Gpu {
     /// stale ids.
     pub fn wait_event(&mut self, stream: StreamId, event: EventId) -> Result<(), SimError> {
         self.check_stream(stream)?;
-        if !self.sim.event_exists(event.0) {
+        if !self.sim.event_exists(event) {
             return Err(SimError::UnknownEvent { id: event.0 });
         }
-        self.sim.enqueue(stream, OpKind::EventWait(event));
+        self.sim.wait_event(stream, event);
         Ok(())
     }
 
@@ -550,17 +550,25 @@ impl Gpu {
             // In-flight work was already aborted at the loss transition;
             // clearing again keeps this idempotent for cleanup callers that
             // sync (ignoring the error) before freeing buffers.
-            self.sim.abort_all();
+            self.abort_all();
             return Err(SimError::DeviceLost);
         }
-        let completed = self.sim.run_to_idle();
-        if self.is_functional() {
-            for op in completed {
-                let kind = self.sim.op_kind(op).clone();
-                funcexec::apply(&kind, &mut self.host, &mut self.dev)?;
-            }
+        if !self.is_functional() {
+            self.sim.run_to_idle(|_| {});
+            return Ok(self.sim.now());
         }
-        Ok(self.sim.now())
+        // Every pending op completes here, so every effect is taken. They
+        // apply in completion order; the first error skips the rest.
+        let mut result = Ok(());
+        let (host, dev, effects) = (&mut self.host, &mut self.dev, &mut self.effects);
+        self.sim.run_to_idle(|op| {
+            if let Some(effect) = effects.remove(&op) {
+                if result.is_ok() {
+                    result = funcexec::apply(&effect, host, dev);
+                }
+            }
+        });
+        result.map(|()| self.sim.now())
     }
 
     /// Sets the ambient op tag: every op enqueued until the next
@@ -1046,5 +1054,210 @@ mod tests {
         assert_eq!(t.entries().len(), 2);
         // Both started at t=0 on separate engines — they overlap.
         assert_eq!(t.entries()[0].start, t.entries()[1].start);
+    }
+
+    fn tag(routine: &'static str, tile: (usize, usize)) -> OpTag {
+        OpTag {
+            routine,
+            call: 1,
+            tile,
+            operand: None,
+            get: true,
+            set: false,
+        }
+    }
+
+    #[test]
+    fn pending_tables_empty_after_sync_and_after_loss() {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::Functional, 1);
+        let s = gpu.create_stream();
+        let h = gpu.register_host(vec![1.0f64; 8], true);
+        let d = gpu.alloc_device(Dtype::F64, 8).expect("alloc");
+        gpu.set_op_tag(tag("gemm", (0, 0)));
+        gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, d, 8))
+            .expect("h2d");
+        gpu.record_event(s).expect("record");
+        gpu.clear_op_tag();
+        assert_eq!(gpu.sim.table_lens(), [2, 0, 1]);
+        assert_eq!(gpu.effects.len(), 1);
+        gpu.synchronize().expect("sync");
+        assert_eq!(gpu.sim.table_lens(), [0, 0, 0]);
+        assert!(gpu.effects.is_empty());
+
+        let spec = FaultSpec {
+            seed: 5,
+            kernel: 1.0,
+            lost_after: Some(1),
+            ..FaultSpec::none()
+        };
+        let mut gpu = Gpu::with_faults(quiet(testbed_i()), ExecMode::Functional, 1, spec);
+        let s = gpu.create_stream();
+        let h = gpu.register_host(vec![1.0f64; 8], true);
+        let d = gpu.alloc_device(Dtype::F64, 8).expect("alloc");
+        gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, d, 8))
+            .expect("h2d");
+        let y = gpu.alloc_device(Dtype::F64, 8).expect("alloc");
+        let args = KernelArgs::Axpy {
+            alpha: 1.0,
+            x: DevVecRef { buf: d, offset: 0 },
+            y: DevVecRef { buf: y, offset: 0 },
+        };
+        let axpy = KernelShape::Axpy {
+            dtype: Dtype::F64,
+            n: 8,
+        };
+        gpu.launch_kernel(s, axpy, Some(args)).expect_err("lost");
+        assert!(gpu.is_lost());
+        assert_eq!(gpu.sim.table_lens(), [0, 0, 0]);
+        assert!(gpu.effects.is_empty());
+    }
+
+    #[test]
+    fn trace_op_ids_stay_global_across_syncs() {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        let s = gpu.create_stream();
+        let h = gpu.register_host_ghost(Dtype::F64, 64, true);
+        let d = gpu.alloc_device(Dtype::F64, 64).expect("alloc");
+        let axpy = KernelShape::Axpy {
+            dtype: Dtype::F64,
+            n: 64,
+        };
+        let mut expected = Vec::new();
+        let mut enqueued = 0;
+        for _ in 0..3 {
+            // h2d, event record, kernel: the record takes an op id but
+            // leaves no trace entry.
+            gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, d, 64))
+                .expect("h2d");
+            gpu.record_event(s).expect("record");
+            gpu.launch_kernel(s, axpy, None).expect("launch");
+            expected.extend([enqueued, enqueued + 2]);
+            enqueued += 3;
+            gpu.synchronize().expect("sync");
+        }
+        let ops: Vec<usize> = gpu.trace().entries().iter().map(|e| e.op).collect();
+        assert_eq!(ops, expected);
+    }
+
+    #[test]
+    fn wait_on_event_recorded_before_earlier_sync_resolves() {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        let s1 = gpu.create_stream();
+        let s2 = gpu.create_stream();
+        let h = gpu.register_host_ghost(Dtype::F64, 64, true);
+        let d = gpu.alloc_device(Dtype::F64, 64).expect("alloc");
+        gpu.memcpy_h2d_async(s1, CopyDesc::contiguous(h, d, 64))
+            .expect("h2d");
+        let ev = gpu.record_event(s1).expect("record");
+        let first = gpu.synchronize().expect("sync");
+        gpu.wait_event(s2, ev).expect("wait on a retired event");
+        gpu.memcpy_d2h_async(s2, CopyDesc::contiguous(h, d, 64))
+            .expect("d2h");
+        gpu.synchronize().expect("the wait resolves");
+        let d2h = &gpu.trace().entries()[1];
+        assert_eq!(d2h.engine, crate::trace::EngineKind::CopyD2h);
+        assert_eq!(d2h.start, first, "the wait costs no time");
+    }
+
+    #[test]
+    fn functional_gemm_split_across_syncs_matches_reference() {
+        let mut gpu = Gpu::new(quiet(testbed_ii()), ExecMode::Functional, 1);
+        let s = gpu.create_stream();
+        let (m, n, k) = (6, 5, 4);
+        let a = Matrix::<f64>::from_fn(m, k, |i, j| (i * 3 + j) as f64 * 0.5);
+        let b = Matrix::<f64>::from_fn(k, n, |i, j| (i as f64) - (j as f64));
+        let c0 = Matrix::<f64>::from_fn(m, n, |i, j| (i + j) as f64);
+        let mut c_ref = c0.clone();
+        level3::gemm(2.0, &a.view(), &b.view(), 1.0, &mut c_ref.view_mut());
+
+        let ha = gpu.register_host(a.into_vec(), true);
+        let hb = gpu.register_host(b.into_vec(), true);
+        let hc = gpu.register_host(c0.into_vec(), true);
+        let da = gpu.alloc_device(Dtype::F64, m * k).expect("alloc");
+        let db = gpu.alloc_device(Dtype::F64, k * n).expect("alloc");
+        let dc = gpu.alloc_device(Dtype::F64, m * n).expect("alloc");
+        // First batch: the uploads.
+        for (h, dv, len) in [(ha, da, m * k), (hb, db, k * n), (hc, dc, m * n)] {
+            gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, dv, len))
+                .expect("h2d");
+        }
+        gpu.synchronize().expect("sync uploads");
+        // Second batch: the kernel and the write-back.
+        let mat = |buf, ld| DevMatRef { buf, offset: 0, ld };
+        gpu.launch_kernel(
+            s,
+            KernelShape::Gemm {
+                dtype: Dtype::F64,
+                m,
+                n,
+                k,
+            },
+            Some(KernelArgs::Gemm {
+                alpha: 2.0,
+                beta: 1.0,
+                a: mat(da, m),
+                b: mat(db, k),
+                c: mat(dc, m),
+            }),
+        )
+        .expect("launch");
+        gpu.memcpy_d2h_async(s, CopyDesc::contiguous(hc, dc, m * n))
+            .expect("d2h");
+        gpu.synchronize().expect("sync kernel");
+        let got = gpu.host_payload(hc).expect("buf").as_f64();
+        for (x, y) in got.iter().zip(c_ref.as_slice()) {
+            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn interned_tags_land_on_the_right_entries() {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        let s = gpu.create_stream();
+        let h = gpu.register_host_ghost(Dtype::F64, 64, true);
+        let d = gpu.alloc_device(Dtype::F64, 64).expect("alloc");
+        let (a, b) = (tag("gemm", (0, 0)), tag("gemm", (0, 1)));
+        let copy = |gpu: &mut Gpu| {
+            gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, d, 64))
+                .expect("h2d")
+        };
+        gpu.set_op_tag(a.clone());
+        copy(&mut gpu);
+        gpu.set_op_tag(a.clone()); // unchanged: not interned again
+        copy(&mut gpu);
+        gpu.set_op_tag(b.clone());
+        copy(&mut gpu);
+        gpu.set_op_tag(a.clone());
+        copy(&mut gpu);
+        gpu.clear_op_tag();
+        copy(&mut gpu);
+        assert_eq!(
+            gpu.sim.table_lens()[2],
+            3,
+            "A, B, A interned once per change"
+        );
+        gpu.set_op_tag(b.clone());
+        gpu.synchronize().expect("sync");
+        // The ambient tag survives the retirement of its table.
+        assert_eq!(gpu.op_tag(), Some(&b));
+        copy(&mut gpu);
+        gpu.synchronize().expect("sync");
+        let tags: Vec<Option<OpTag>> = gpu
+            .trace()
+            .entries()
+            .iter()
+            .map(|e| e.tag.clone())
+            .collect();
+        assert_eq!(
+            tags,
+            vec![
+                Some(a.clone()),
+                Some(a.clone()),
+                Some(b.clone()),
+                Some(a),
+                None,
+                Some(b)
+            ]
+        );
     }
 }

@@ -100,16 +100,17 @@ impl KernelShape {
             KernelShape::Gemv { m, n, .. } => m == 0 || n == 0,
         }
     }
+}
 
-    /// Short label for traces ("dgemm 512x512x512").
-    pub fn label(&self) -> String {
+/// Short label for traces ("dgemm 512x512x512").
+impl std::fmt::Display for KernelShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = self.dtype().blas_prefix();
         match *self {
-            KernelShape::Gemm { dtype, m, n, k } => {
-                format!("{}gemm {m}x{n}x{k}", dtype.blas_prefix())
-            }
-            KernelShape::Axpy { dtype, n } => format!("{}axpy {n}", dtype.blas_prefix()),
-            KernelShape::Dot { dtype, n } => format!("{}dot {n}", dtype.blas_prefix()),
-            KernelShape::Gemv { dtype, m, n } => format!("{}gemv {m}x{n}", dtype.blas_prefix()),
+            KernelShape::Gemm { m, n, k, .. } => write!(f, "{p}gemm {m}x{n}x{k}"),
+            KernelShape::Axpy { n, .. } => write!(f, "{p}axpy {n}"),
+            KernelShape::Dot { n, .. } => write!(f, "{p}dot {n}"),
+            KernelShape::Gemv { m, n, .. } => write!(f, "{p}gemv {m}x{n}"),
         }
     }
 }
@@ -304,19 +305,19 @@ mod tests {
 
     #[test]
     fn labels_mention_routine() {
-        assert!(dgemm(1, 2, 3).label().contains("dgemm"));
+        assert!(dgemm(1, 2, 3).to_string().contains("dgemm"));
         assert!(KernelShape::Axpy {
             dtype: Dtype::F64,
             n: 5
         }
-        .label()
+        .to_string()
         .contains("daxpy"));
         assert!(KernelShape::Gemv {
             dtype: Dtype::F32,
             m: 2,
             n: 2
         }
-        .label()
+        .to_string()
         .contains("sgemv"));
     }
 }

@@ -1,7 +1,6 @@
 //! Operation descriptors: the units of work enqueued on simulated streams.
 
 use crate::error::SimError;
-use crate::kernel::KernelShape;
 use crate::memory::{DevBufId, HostBufId, Payload};
 
 /// Identifier of a simulated stream (the CUDA-stream analogue).
@@ -154,7 +153,7 @@ pub struct DevVecRef {
 /// Functional-mode arguments of a kernel launch. `None` in timing-only mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelArgs {
-    /// Arguments for [`KernelShape::Gemm`].
+    /// Arguments for [`KernelShape::Gemm`](crate::KernelShape::Gemm).
     Gemm {
         /// Scale on `A·B`.
         alpha: f64,
@@ -167,7 +166,7 @@ pub enum KernelArgs {
         /// Output operand (`m × n`); must not alias `a` or `b`.
         c: DevMatRef,
     },
-    /// Arguments for [`KernelShape::Axpy`].
+    /// Arguments for [`KernelShape::Axpy`](crate::KernelShape::Axpy).
     Axpy {
         /// Scale on `x`.
         alpha: f64,
@@ -176,7 +175,7 @@ pub enum KernelArgs {
         /// In/out vector; must not alias `x`.
         y: DevVecRef,
     },
-    /// Arguments for [`KernelShape::Dot`].
+    /// Arguments for [`KernelShape::Dot`](crate::KernelShape::Dot).
     Dot {
         /// First input vector.
         x: DevVecRef,
@@ -186,7 +185,7 @@ pub enum KernelArgs {
         /// the inputs.
         out: DevVecRef,
     },
-    /// Arguments for [`KernelShape::Gemv`].
+    /// Arguments for [`KernelShape::Gemv`](crate::KernelShape::Gemv).
     Gemv {
         /// Scale on `A·x`.
         alpha: f64,
@@ -201,51 +200,41 @@ pub enum KernelArgs {
     },
 }
 
-/// What an enqueued op does. Crate-internal; users go through the `Gpu` API.
-#[derive(Debug, Clone)]
+/// What an enqueued op does, reduced to what timing needs. Crate-internal;
+/// users go through the `Gpu` API. Functional payloads (copy regions,
+/// kernel arguments) live with the `Gpu`, not here.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum OpKind {
     H2d {
-        desc: CopyDesc,
         bytes: usize,
         pageable: bool,
     },
     D2h {
-        desc: CopyDesc,
         bytes: usize,
         pageable: bool,
     },
-    Kernel {
-        shape: KernelShape,
-        args: Option<KernelArgs>,
-        /// Noise-free duration in seconds, fixed at enqueue time.
-        base_secs: f64,
-    },
-    EventRecord(EventId),
-    EventWait(EventId),
+    /// Index into the simulator's pending-kernel table
+    /// (`(KernelShape, base_secs)`).
+    Kernel(u32),
+    /// Index into the simulator's pending-event table.
+    EventRecord(u32),
+    /// Index into the simulator's pending-event table.
+    EventWait(u32),
 }
 
-impl OpKind {
-    pub(crate) fn label(&self) -> String {
-        match self {
-            OpKind::H2d { bytes, .. } => format!("h2d {bytes}B"),
-            OpKind::D2h { bytes, .. } => format!("d2h {bytes}B"),
-            OpKind::Kernel { shape, .. } => shape.label(),
-            OpKind::EventRecord(e) => format!("record ev{}", e.0),
-            OpKind::EventWait(e) => format!("wait ev{}", e.0),
-        }
-    }
-}
-
-/// Internal handle for an enqueued op.
+/// Internal handle for an enqueued op: its global enqueue index.
 pub(crate) type OpId = usize;
 
-/// One enqueued operation.
-#[derive(Debug, Clone)]
+/// One pending operation. Retired (with the kernel and tag tables) once
+/// the simulator is idle, so the table only ever holds the current batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Op {
-    pub stream: StreamId,
     pub kind: OpKind,
-    /// Snapshot of the ambient routine tag at enqueue time.
-    pub tag: Option<crate::trace::OpTag>,
+    pub stream: u32,
+    /// Interned ambient routine tag at enqueue time (0 = untagged).
+    pub tag: u32,
+    /// `true` once the op has been handed to an engine or completed.
+    pub issued: bool,
 }
 
 /// Validates that a matrix reference fits inside its payload.
@@ -331,11 +320,5 @@ mod tests {
             },
         };
         assert!(desc.check_shapes().is_err());
-    }
-
-    #[test]
-    fn op_labels() {
-        let k = OpKind::EventRecord(EventId(7));
-        assert!(k.label().contains("ev7"));
     }
 }

@@ -4,6 +4,7 @@
 //! not just trusted) and feed the Gantt renderer in `cocopelia_obs::gantt`,
 //! which reproduces the pipeline anatomy of the paper's Figure 2.
 
+use crate::kernel::KernelShape;
 use crate::op::StreamId;
 use crate::time::SimTime;
 
@@ -94,8 +95,6 @@ pub struct TraceEntry {
     pub stream: StreamId,
     /// Engine that executed it.
     pub engine: EngineKind,
-    /// Human-readable description.
-    pub label: String,
     /// Start of execution on the engine.
     pub start: SimTime,
     /// End of execution.
@@ -104,12 +103,35 @@ pub struct TraceEntry {
     pub bytes: Option<usize>,
     /// Routine-level identity, when a scheduler tagged the op.
     pub tag: Option<OpTag>,
+    /// Shape of the kernel, for compute entries.
+    pub kernel: Option<KernelShape>,
 }
 
 impl TraceEntry {
     /// Wall-clock duration of the entry.
     pub fn duration(&self) -> SimTime {
         self.end.saturating_since(self.start)
+    }
+
+    /// Human-readable description (`"h2d 4096B"`, `"dgemm 512x512x512"`),
+    /// built on demand so recording an entry formats nothing. A compute
+    /// entry without a kernel shape reads as its engine name.
+    pub fn label(&self) -> String {
+        let mut label = String::new();
+        self.write_label(&mut label);
+        label
+    }
+
+    /// Appends [`label`](Self::label) to `out`, for renderers that reuse
+    /// one buffer across many entries.
+    pub fn write_label(&self, out: &mut String) {
+        use std::fmt::Write;
+        let written = match (self.engine, self.kernel) {
+            (EngineKind::Compute, Some(shape)) => write!(out, "{shape}"),
+            (EngineKind::Compute, None) => write!(out, "{}", self.engine.name()),
+            (engine, _) => write!(out, "{} {}B", engine.name(), self.bytes.unwrap_or(0)),
+        };
+        written.expect("writing to a String cannot fail");
     }
 }
 
@@ -197,11 +219,61 @@ mod tests {
             op: 0,
             stream: StreamId(0),
             engine,
-            label: "t".to_owned(),
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
             bytes,
             tag: None,
+            kernel: None,
+        }
+    }
+
+    #[test]
+    fn labels_are_derived_from_engine_bytes_and_kernel() {
+        use cocopelia_hostblas::Dtype;
+        let copy = |engine, bytes| TraceEntry {
+            bytes: Some(bytes),
+            ..entry(engine, 0, 1, None)
+        };
+        assert_eq!(copy(EngineKind::CopyH2d, 4096).label(), "h2d 4096B");
+        assert_eq!(copy(EngineKind::CopyD2h, 64).label(), "d2h 64B");
+        let kernel = |shape| TraceEntry {
+            kernel: Some(shape),
+            ..entry(EngineKind::Compute, 0, 1, None)
+        };
+        for (shape, label) in [
+            (
+                KernelShape::Gemm {
+                    dtype: Dtype::F64,
+                    m: 512,
+                    n: 256,
+                    k: 128,
+                },
+                "dgemm 512x256x128",
+            ),
+            (
+                KernelShape::Axpy {
+                    dtype: Dtype::F32,
+                    n: 1000,
+                },
+                "saxpy 1000",
+            ),
+            (
+                KernelShape::Dot {
+                    dtype: Dtype::F64,
+                    n: 77,
+                },
+                "ddot 77",
+            ),
+            (
+                KernelShape::Gemv {
+                    dtype: Dtype::F32,
+                    m: 3,
+                    n: 4,
+                },
+                "sgemv 3x4",
+            ),
+        ] {
+            assert_eq!(kernel(shape).label(), label);
         }
     }
 

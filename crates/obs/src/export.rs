@@ -65,7 +65,7 @@ fn entry_value(e: &TraceEntry) -> Value {
         ("op".to_owned(), Value::U64(e.op as u64)),
         ("stream".to_owned(), Value::U64(e.stream.index() as u64)),
         ("engine".to_owned(), Value::Str(e.engine.name().to_owned())),
-        ("label".to_owned(), Value::Str(e.label.clone())),
+        ("label".to_owned(), Value::Str(e.label())),
         ("start_ns".to_owned(), Value::U64(e.start.as_nanos())),
         ("end_ns".to_owned(), Value::U64(e.end.as_nanos())),
     ];
@@ -141,7 +141,7 @@ fn push_device_events(events: &mut Vec<Value>, pid: u64, name: &str, entries: &[
             args.push(("tag".to_owned(), tag_value(tag)));
         }
         events.push(Value::Map(vec![
-            ("name".to_owned(), Value::Str(e.label.clone())),
+            ("name".to_owned(), Value::Str(e.label())),
             ("cat".to_owned(), Value::Str(e.engine.name().to_owned())),
             ("ph".to_owned(), Value::Str("X".to_owned())),
             ("ts".to_owned(), Value::F64(e.start.as_nanos() as f64 / 1e3)),
@@ -304,7 +304,6 @@ mod tests {
             op: 3,
             stream: StreamId::from_raw(1),
             engine,
-            label: "h2d 64B".to_owned(),
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
             bytes: Some(64),
@@ -316,6 +315,7 @@ mod tests {
                 get: true,
                 set: false,
             }),
+            kernel: None,
         }
     }
 

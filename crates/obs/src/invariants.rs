@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 
 /// Spans of one logical tile op, keyed by its rendered tag plus label,
 /// as `(start_ns, end_ns, op_id)` triples.
-type TileOpSpans<'a> = HashMap<(String, &'a str), Vec<(u64, u64, usize)>>;
+type TileOpSpans = HashMap<(String, String), Vec<(u64, u64, usize)>>;
 
 /// Checks the structural invariants of a batch of trace entries:
 ///
@@ -74,7 +74,7 @@ pub fn check_entries(entries: &[TraceEntry]) -> Result<(), Vec<String>> {
     for e in entries {
         if let Some(tag) = &e.tag {
             by_tile_op
-                .entry((format!("{tag:?}"), e.label.as_str()))
+                .entry((format!("{tag:?}"), e.label()))
                 .or_default()
                 .push((e.start.as_nanos(), e.end.as_nanos(), e.op));
         }
@@ -109,11 +109,11 @@ mod tests {
             op,
             stream: StreamId::from_raw(0),
             engine,
-            label: "t".to_owned(),
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
             bytes: None,
             tag: None,
+            kernel: None,
         }
     }
 
@@ -163,9 +163,9 @@ mod tests {
         assert!(check_entries(&e).is_err());
     }
 
-    fn tagged(op: usize, engine: EngineKind, start: u64, end: u64, label: &str) -> TraceEntry {
+    fn tagged(op: usize, engine: EngineKind, start: u64, end: u64) -> TraceEntry {
         TraceEntry {
-            label: label.to_owned(),
+            bytes: Some(64),
             tag: Some(cocopelia_gpusim::OpTag {
                 routine: "gemm",
                 call: 0,
@@ -181,19 +181,20 @@ mod tests {
     #[test]
     fn sequential_retries_of_a_tile_op_pass() {
         let e = [
-            tagged(0, EngineKind::CopyH2d, 0, 100, "get a[1][0]"),
-            tagged(1, EngineKind::CopyH2d, 100, 200, "get a[1][0]"),
+            tagged(0, EngineKind::CopyH2d, 0, 100),
+            tagged(1, EngineKind::CopyH2d, 100, 200),
         ];
         assert!(check_entries(&e).is_ok());
     }
 
     #[test]
     fn overlapping_retries_of_a_tile_op_reported() {
-        // Same tag and label on different engines: engine serialisation
-        // cannot catch this, only the retry invariant can.
+        // Same tag and label, overlapping: a retry enqueued before its
+        // failed predecessor left the pipeline. Labels name their engine,
+        // so engine serialisation flags the pair as well.
         let e = [
-            tagged(0, EngineKind::CopyH2d, 0, 100, "get a[1][0]"),
-            tagged(1, EngineKind::CopyD2h, 50, 150, "get a[1][0]"),
+            tagged(0, EngineKind::CopyH2d, 0, 100),
+            tagged(1, EngineKind::CopyH2d, 50, 150),
         ];
         let problems = check_entries(&e).expect_err("overlapping retry");
         assert!(problems.iter().any(|p| p.contains("overlapping retry")));
@@ -205,8 +206,8 @@ mod tests {
         // legitimately overlap with ops of other tiles (and untagged
         // entries never participate in the retry check).
         let e = [
-            tagged(0, EngineKind::CopyH2d, 0, 100, "get a[1][0]"),
-            tagged(1, EngineKind::Compute, 50, 150, "gemm tile"),
+            tagged(0, EngineKind::CopyH2d, 0, 100),
+            tagged(1, EngineKind::Compute, 50, 150),
             entry(2, EngineKind::CopyD2h, 60, 160),
         ];
         assert!(check_entries(&e).is_ok());

@@ -39,11 +39,11 @@
 //!     op: 0,
 //!     stream: StreamId::from_raw(0),
 //!     engine: EngineKind::CopyH2d,
-//!     label: "h2d".to_owned(),
 //!     start: SimTime::from_nanos(0),
 //!     end: SimTime::from_nanos(100),
 //!     bytes: Some(800),
 //!     tag: None,
+//!     kernel: None,
 //! }];
 //! let stats = OverlapStats::from_entries(&entries);
 //! assert_eq!(stats.makespan_ns, 100);

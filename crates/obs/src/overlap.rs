@@ -122,11 +122,11 @@ mod tests {
             op: 0,
             stream: StreamId::from_raw(0),
             engine,
-            label: "t".to_owned(),
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
             bytes: None,
             tag: None,
+            kernel: None,
         }
     }
 

@@ -217,8 +217,16 @@ struct PendingEvent<'a> {
     seq: usize,
     track: u64,
     event_type: u64,
-    name: Option<&'a str>,
+    name: Option<SliceName<'a>>,
     flow: Option<u64>,
+}
+
+/// The name of a pending slice: a span's label, or an engine entry whose
+/// label is rendered only as its packet is written.
+#[derive(Clone, Copy)]
+enum SliceName<'a> {
+    Str(&'a str),
+    Entry(&'a TraceEntry),
 }
 
 fn push_slice<'a>(
@@ -226,7 +234,7 @@ fn push_slice<'a>(
     track: u64,
     start: u64,
     end: u64,
-    name: &'a str,
+    name: SliceName<'a>,
     flow: Option<u64>,
 ) {
     let seq = events.len();
@@ -264,6 +272,25 @@ fn push_slice<'a>(
         name: None,
         flow: None,
     });
+}
+
+/// Sorts pending events into per-track emission order and writes their
+/// packets, rendering each engine entry's label into one reused buffer.
+fn write_events(out: &mut Vec<u8>, mut events: Vec<PendingEvent>) {
+    events.sort_by_key(|e| (e.ts, e.rank, e.nest, e.seq));
+    let mut label = String::new();
+    for e in events {
+        let name = match e.name {
+            None => None,
+            Some(SliceName::Str(s)) => Some(s),
+            Some(SliceName::Entry(entry)) => {
+                label.clear();
+                entry.write_label(&mut label);
+                Some(label.as_str())
+            }
+        };
+        event_packet(out, e.ts, e.track, e.event_type, name, e.flow);
+    }
 }
 
 /// Serialises a [`ServeTrace`] to Perfetto protobuf bytes.
@@ -345,7 +372,7 @@ pub fn to_perfetto(trace: &ServeTrace) -> Vec<u8> {
                 engine_uuid(lane.device, e.engine),
                 e.start.as_nanos(),
                 e.end.as_nanos(),
-                &e.label,
+                SliceName::Entry(e),
                 None,
             );
         }
@@ -356,14 +383,11 @@ pub fn to_perfetto(trace: &ServeTrace) -> Vec<u8> {
             span_track(s),
             s.start_ns,
             s.end_ns,
-            &s.label,
+            SliceName::Str(&s.label),
             s.flow,
         );
     }
-    events.sort_by_key(|e| (e.ts, e.rank, e.nest, e.seq));
-    for e in events {
-        event_packet(&mut out, e.ts, e.track, e.event_type, e.name, e.flow);
-    }
+    write_events(&mut out, events);
     out
 }
 
@@ -542,7 +566,7 @@ impl<W: std::io::Write> StreamWriter<W> {
                 span_track(s),
                 s.start_ns,
                 s.end_ns,
-                &s.label,
+                SliceName::Str(&s.label),
                 s.flow,
             );
         }
@@ -567,19 +591,16 @@ impl<W: std::io::Write> StreamWriter<W> {
                 engine_uuid(d, e.engine),
                 e.start.as_nanos(),
                 e.end.as_nanos(),
-                &e.label,
+                SliceName::Entry(e),
                 None,
             );
         }
         self.emit(events)
     }
 
-    fn emit(&mut self, mut events: Vec<PendingEvent>) -> std::io::Result<()> {
-        events.sort_by_key(|e| (e.ts, e.rank, e.nest, e.seq));
+    fn emit(&mut self, events: Vec<PendingEvent>) -> std::io::Result<()> {
         self.packets += events.len() as u64;
-        for e in events {
-            event_packet(&mut self.buf, e.ts, e.track, e.event_type, e.name, e.flow);
-        }
+        write_events(&mut self.buf, events);
         self.drain_buf()
     }
 
@@ -874,16 +895,16 @@ mod tests {
     use crate::span::SpanLog;
     use cocopelia_gpusim::{SimTime, StreamId};
 
-    fn entry(engine: EngineKind, start: u64, end: u64, label: &str) -> TraceEntry {
+    fn entry(engine: EngineKind, start: u64, end: u64) -> TraceEntry {
         TraceEntry {
             op: 0,
             stream: StreamId::from_raw(0),
             engine,
-            label: label.to_owned(),
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
             bytes: None,
             tag: None,
+            kernel: None,
         }
     }
 
@@ -948,9 +969,9 @@ mod tests {
                     device: d,
                     name: format!("dev{d}"),
                     entries: vec![
-                        entry(EngineKind::CopyH2d, 50, 150, "get A"),
-                        entry(EngineKind::Compute, 150, 280, "gemm tile"),
-                        entry(EngineKind::CopyD2h, 280, 300, "set C"),
+                        entry(EngineKind::CopyH2d, 50, 150),
+                        entry(EngineKind::Compute, 150, 280),
+                        entry(EngineKind::CopyD2h, 280, 300),
                     ],
                 })
                 .collect(),
@@ -1058,7 +1079,7 @@ mod tests {
 
     #[test]
     fn single_entry_export_has_one_process() {
-        let entries = [entry(EngineKind::Compute, 10, 20, "k")];
+        let entries = [entry(EngineKind::Compute, 10, 20)];
         let decoded = decode_trace(&to_perfetto_single(&entries)).expect("decodes");
         assert_eq!(decoded.process_tracks().len(), 1);
         assert_eq!(decoded.thread_tracks_of(device_pid(0)).len(), 3);

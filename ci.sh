@@ -109,10 +109,20 @@ CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
     --workload serve_straggler --seconds 1 --trace 0 | tail -n 1
 # serve_open_mixed is the only workload that arms telemetry (windows,
-# span cap, flight dumps), so it smoke-tests the observer wiring.
-CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
+# span cap, flight dumps), so it smoke-tests the observer wiring. Its peak
+# RSS guards engine-trace retirement: a drain keeps only the trace entries
+# some reader still needs (~85 MiB when every device kept its whole trace).
+mixed=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
-    --workload serve_open_mixed --seconds 1 --trace 0 | tail -n 1
+    --workload serve_open_mixed --seconds 1 --trace 0 | tail -n 1)
+echo "$mixed"
+rss=$(echo "$mixed" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.e+-]*\).*/\1/p')
+awk -v rss="$rss" 'BEGIN {
+    if (rss == "" || rss + 0 > 40) {
+        print "serve_open_mixed peak_rss_mb " rss " MiB exceeds the 40 MiB bound"
+        exit 1
+    }
+}'
 # paper_sweep's peak RSS is set by one cuBLASXt call that enqueues ~589k
 # simulator ops before its single synchronize, so it guards the simulator's
 # per-op footprint (slim ops, retired at idle; ~171 MiB before they were).

@@ -29,7 +29,9 @@
 //! side tables. Once the simulator is idle every op has completed, so the
 //! op, kernel, event and tag tables are retired together; a global `base`
 //! offset keeps op ids (and so [`TraceEntry::op`]) in enqueue order across
-//! retirements. Only the [`Trace`] outlives a batch.
+//! retirements. Only the [`Trace`] outlives a batch, and its consumed
+//! prefix is retired on demand into exact per-engine totals
+//! ([`Sim::retire_trace`]).
 
 use crate::kernel::KernelShape;
 use crate::op::{EventId, Op, OpId, OpKind, StreamId};
@@ -326,6 +328,14 @@ impl Sim {
 
     pub(crate) fn clear_trace(&mut self) {
         self.trace.clear();
+    }
+
+    /// Retires the trace before global index `upto` ([`Trace::retire`]).
+    /// Requires an idle simulator, so no in-flight op still patches a
+    /// retired entry.
+    pub(crate) fn retire_trace(&mut self, upto: usize) -> Vec<TraceEntry> {
+        assert!(self.idle(), "retire_trace called with work in flight");
+        self.trace.retire(upto)
     }
 
     pub(crate) fn create_stream(&mut self) -> StreamId {

@@ -10,7 +10,7 @@ use crate::memory::{DevBufId, DeviceMemory, HostArena, HostBufId, HostBuffer, Pa
 use crate::op::{check_mat_ref, CopyDesc, EventId, KernelArgs, OpId, OpKind, StreamId};
 use crate::spec::TestbedSpec;
 use crate::time::SimTime;
-use crate::trace::{OpTag, Trace};
+use crate::trace::{OpTag, Trace, TraceEntry};
 use cocopelia_hostblas::Dtype;
 use std::collections::HashMap;
 
@@ -157,6 +157,11 @@ impl Gpu {
     /// allocated. Only virtual time and the trace are rewound: in
     /// [`ExecMode::Functional`] any data effects of already-synchronised
     /// work remain applied.
+    ///
+    /// # Panics
+    ///
+    /// If `at` precedes the end of a trace entry already moved out by
+    /// [`retire_trace`](Gpu::retire_trace).
     pub fn cancel_to(&mut self, at: SimTime) {
         self.sim.rewind_to(at.as_nanos());
     }
@@ -592,12 +597,29 @@ impl Gpu {
     }
 
     /// Execution trace accumulated since construction or the last
-    /// [`clear_trace`](Gpu::clear_trace).
+    /// [`clear_trace`](Gpu::clear_trace); entries moved out by
+    /// [`retire_trace`](Gpu::retire_trace) still count in its length and
+    /// totals.
     pub fn trace(&self) -> &Trace {
         self.sim.trace()
     }
 
-    /// Discards the accumulated trace (keeps the clock running).
+    /// Moves out the trace entries before global index `upto` (a
+    /// [`Trace::len`] mark), in record order, folding them into the
+    /// trace's exact per-engine totals. A later
+    /// [`cancel_to`](Gpu::cancel_to) must not reach before the end of a
+    /// retired entry.
+    ///
+    /// # Panics
+    ///
+    /// If work is in flight (call between
+    /// [`synchronize`](Gpu::synchronize) calls).
+    pub fn retire_trace(&mut self, upto: usize) -> Vec<TraceEntry> {
+        self.sim.retire_trace(upto)
+    }
+
+    /// Discards the accumulated trace, retired totals included (keeps the
+    /// clock running).
     pub fn clear_trace(&mut self) {
         self.sim.clear_trace();
     }
@@ -608,6 +630,7 @@ mod tests {
     use super::*;
     use crate::op::{DevMatRef, DevVecRef, Region2d};
     use crate::spec::{testbed_i, testbed_ii, NoiseSpec};
+    use crate::trace::EngineKind;
     use cocopelia_hostblas::{level3, Matrix};
 
     fn quiet(mut tb: TestbedSpec) -> TestbedSpec {
@@ -1027,6 +1050,72 @@ mod tests {
         gpu.free_device(d).expect("free after cancel");
         gpu.take_host(h).expect("take host after cancel");
         assert_eq!(gpu.device_mem_used(), 0);
+    }
+
+    /// A device that ran one h2d copy then one dgemm on a single stream.
+    fn copy_then_kernel() -> Gpu {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        let s = gpu.create_stream();
+        let h = gpu.register_host_ghost(Dtype::F64, 1 << 20, true);
+        let d = gpu.alloc_device(Dtype::F64, 1 << 20).expect("alloc");
+        gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, d, 1 << 20))
+            .expect("h2d");
+        gpu.launch_kernel(
+            s,
+            KernelShape::Gemm {
+                dtype: Dtype::F64,
+                m: 512,
+                n: 512,
+                k: 512,
+            },
+            None,
+        )
+        .expect("launch");
+        gpu.synchronize().expect("sync");
+        gpu
+    }
+
+    #[test]
+    fn cancel_to_at_or_after_the_retired_end_works() {
+        let mut gpu = copy_then_kernel();
+        let copy_end = gpu.trace().entries()[0].end;
+        let h2d_busy = gpu.trace().engine_busy(EngineKind::CopyH2d);
+        let retired = gpu.retire_trace(1);
+        assert_eq!(retired.len(), 1);
+        assert_eq!(retired[0].engine, EngineKind::CopyH2d);
+        gpu.cancel_to(copy_end);
+        assert_eq!(gpu.now(), copy_end);
+        assert_eq!(
+            gpu.trace().len(),
+            1,
+            "the kernel is erased, the copy counted"
+        );
+        assert!(gpu.trace().entries().is_empty());
+        assert_eq!(gpu.trace().engine_busy(EngineKind::CopyH2d), h2d_busy);
+        assert_eq!(gpu.trace().engine_busy(EngineKind::Compute), SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches retired trace entries")]
+    fn cancel_to_into_retired_entries_panics() {
+        let mut gpu = copy_then_kernel();
+        let mid = gpu.trace().entries()[0].end;
+        let len = gpu.trace().len();
+        gpu.retire_trace(len);
+        gpu.cancel_to(mid);
+    }
+
+    #[test]
+    fn clear_trace_resets_retired_totals() {
+        let mut gpu = copy_then_kernel();
+        let len = gpu.trace().len();
+        gpu.retire_trace(len);
+        gpu.clear_trace();
+        assert!(gpu.trace().is_empty());
+        assert_eq!(gpu.trace().bytes_moved(EngineKind::CopyH2d), 0);
+        assert_eq!(gpu.trace().engine_busy(EngineKind::Compute), SimTime::ZERO);
+        // Nothing is retired any more, so a rewind to the start is legal.
+        gpu.cancel_to(SimTime::ZERO);
     }
 
     #[test]

@@ -136,51 +136,108 @@ impl TraceEntry {
 }
 
 /// Chronological record of everything the simulated device executed.
+///
+/// The trace is a window over a global entry index:
+/// [`Gpu::retire_trace`](crate::Gpu::retire_trace) moves a consumed prefix
+/// out and folds it into exact per-engine totals, so
+/// [`len`](Trace::len), [`entries_since`](Trace::entries_since),
+/// [`engine_busy`](Trace::engine_busy) and
+/// [`bytes_moved`](Trace::bytes_moved) keep covering the device's whole
+/// history while memory holds only the entries some reader still needs.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
+    /// Global index of `entries[0]`: the number of retired entries.
+    base: usize,
     entries: Vec<TraceEntry>,
+    /// Busy ns and bytes moved by the retired entries, per engine.
+    retired: [(u64, usize); 3],
+    /// Latest end of any retired entry: no rewind may reach before it.
+    retired_end: SimTime,
 }
 
 impl Trace {
-    /// All entries in completion order.
+    /// The retained entries (everything recorded since the last
+    /// [`Gpu::retire_trace`](crate::Gpu::retire_trace)), in record order.
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
     }
 
-    /// Number of recorded entries.
+    /// Number of entries ever recorded, retired ones included.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.base + self.entries.len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Entries recorded after the first `n` — the slice a caller that
     /// noted [`len`](Self::len) before issuing work can attribute to that
-    /// work (the serve executor tags each dispatch attempt this way).
+    /// work (the serve executor tags each dispatch attempt this way). The
+    /// mark is global, so it stays valid across retirements as long as it
+    /// is not older than the retired prefix.
     pub fn entries_since(&self, n: usize) -> &[TraceEntry] {
-        &self.entries[n.min(self.entries.len())..]
+        debug_assert!(
+            n >= self.base,
+            "trace mark {n} predates the {} retired entries",
+            self.base
+        );
+        &self.entries[n.saturating_sub(self.base).min(self.entries.len())..]
+    }
+
+    /// Moves out the entries before global index `upto` (clamped to the
+    /// retained window), in record order, folding them into the
+    /// per-engine totals. Later marks and totals are unaffected.
+    pub(crate) fn retire(&mut self, upto: usize) -> Vec<TraceEntry> {
+        let n = upto.saturating_sub(self.base).min(self.entries.len());
+        // Only the kept tail is copied; the retired prefix leaves with the
+        // allocation, so moving a whole lane out copies nothing.
+        let rest = self.entries.split_off(n);
+        let retired = std::mem::replace(&mut self.entries, rest);
+        for e in &retired {
+            let (busy, bytes) = &mut self.retired[e.engine as usize];
+            *busy += e.duration().as_nanos();
+            *bytes += e.bytes.unwrap_or(0);
+            self.retired_end = self.retired_end.max(e.end);
+        }
+        self.base += n;
+        retired
     }
 
     pub(crate) fn push(&mut self, entry: TraceEntry) {
         self.entries.push(entry);
     }
 
+    /// Forgets everything, retired totals included. The entries keep
+    /// their capacity for the next call on the same device.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.base = 0;
+        self.retired = Default::default();
+        self.retired_end = SimTime::ZERO;
     }
 
+    /// The entry at global index `idx`, if it is still retained.
     pub(crate) fn entry_mut(&mut self, idx: usize) -> Option<&mut TraceEntry> {
-        self.entries.get_mut(idx)
+        self.entries.get_mut(idx.checked_sub(self.base)?)
     }
 
     /// Discards every entry that starts at or after `at` and clamps the
     /// end of entries still running at `at` — the trace-side half of a
     /// clock rewind ([`Sim::rewind_to`](crate::engine::Sim)): after the
     /// rewind, the trace reads as if nothing past `at` ever happened.
+    ///
+    /// # Panics
+    ///
+    /// If `at` precedes the end of a retired entry: retired entries are
+    /// folded into totals and can no longer be rewound.
     pub(crate) fn clamp_to(&mut self, at: SimTime) {
+        assert!(
+            at >= self.retired_end,
+            "rewind to {at:?} reaches retired trace entries (retired through {:?})",
+            self.retired_end
+        );
         self.entries.retain(|e| e.start < at);
         for e in &mut self.entries {
             if e.end > at {
@@ -191,22 +248,24 @@ impl Trace {
 
     /// Total busy time per engine.
     pub fn engine_busy(&self, engine: EngineKind) -> SimTime {
-        let ns = self
+        let live: u64 = self
             .entries
             .iter()
             .filter(|e| e.engine == engine)
             .map(|e| e.duration().as_nanos())
             .sum();
-        SimTime::from_nanos(ns)
+        SimTime::from_nanos(self.retired[engine as usize].0 + live)
     }
 
     /// Total bytes moved in one copy direction.
     pub fn bytes_moved(&self, engine: EngineKind) -> usize {
-        self.entries
+        let live: usize = self
+            .entries
             .iter()
             .filter(|e| e.engine == engine)
             .filter_map(|e| e.bytes)
-            .sum()
+            .sum();
+        self.retired[engine as usize].1 + live
     }
 }
 
@@ -287,5 +346,78 @@ mod tests {
         assert_eq!(t.engine_busy(EngineKind::Compute).as_nanos(), 30);
         assert_eq!(t.bytes_moved(EngineKind::CopyH2d), 30);
         assert_eq!(t.bytes_moved(EngineKind::CopyD2h), 0);
+    }
+
+    fn mixed_trace(n: u64) -> Trace {
+        let mut t = Trace::default();
+        for i in 0..n {
+            let engine = [
+                EngineKind::CopyH2d,
+                EngineKind::Compute,
+                EngineKind::CopyD2h,
+            ][i as usize % 3];
+            let bytes = (engine != EngineKind::Compute).then_some(8 * i as usize + 1);
+            t.push(TraceEntry {
+                op: i as usize,
+                ..entry(engine, 10 * i, 10 * i + 3 + i % 5, bytes)
+            });
+        }
+        t
+    }
+
+    fn totals(t: &Trace) -> Vec<(u64, usize)> {
+        [
+            EngineKind::CopyH2d,
+            EngineKind::CopyD2h,
+            EngineKind::Compute,
+        ]
+        .map(|k| (t.engine_busy(k).as_nanos(), t.bytes_moved(k)))
+        .to_vec()
+    }
+
+    #[test]
+    fn stepwise_retirement_matches_a_never_retired_twin() {
+        let twin = mixed_trace(20);
+        let mut t = mixed_trace(20);
+        let mut retired = Vec::new();
+        for upto in [0, 3, 3, 11, 7, 19, 25] {
+            retired.extend(t.retire(upto));
+            assert_eq!(t.len(), twin.len(), "len counts retired entries");
+            assert_eq!(totals(&t), totals(&twin), "totals after retire({upto})");
+        }
+        assert_eq!(t.entries().len(), 0);
+        assert!(!t.is_empty());
+        let ops: Vec<usize> = retired.iter().map(|e| e.op).collect();
+        assert_eq!(
+            ops,
+            (0..20).collect::<Vec<_>>(),
+            "retire yields record order"
+        );
+        assert_eq!(retired, twin.entries());
+    }
+
+    #[test]
+    fn marks_survive_retirement() {
+        let twin = mixed_trace(12);
+        let mut t = mixed_trace(12);
+        let out = t.retire(5);
+        assert_eq!(out.len(), 5);
+        assert_eq!(t.entries().len(), 7);
+        for mark in 5..=12 {
+            assert_eq!(t.entries_since(mark), twin.entries_since(mark));
+        }
+        assert_eq!(t.entries_since(40), &[] as &[TraceEntry]);
+        assert_eq!(t.entry_mut(4), None, "retired entries are gone");
+        assert_eq!(t.entry_mut(5).map(|e| e.op), Some(5));
+    }
+
+    #[test]
+    fn clear_resets_the_window_and_totals() {
+        let mut t = mixed_trace(9);
+        t.retire(6);
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(totals(&t), totals(&Trace::default()));
+        t.clamp_to(SimTime::ZERO);
     }
 }

@@ -338,7 +338,7 @@ impl Cocopelia {
             }
             None => Vec::new(),
         };
-        let entries = &self.gpu.trace().entries()[trace_start..];
+        let entries = self.gpu.trace().entries_since(trace_start);
         let overlap = OverlapStats::from_entries(entries);
         self.obs.observe_call(CallObservation {
             routine,

@@ -156,23 +156,6 @@ impl MultiGpu {
         &mut self.devices
     }
 
-    /// Snapshots every device's trace as device-attributed lanes — the
-    /// merge path that keeps device identity, which a flat
-    /// `Vec<TraceEntry>` concatenation loses. Feed the result to
-    /// `cocopelia_obs::export::to_chrome_trace_multi` or
-    /// `cocopelia_obs::perfetto::to_perfetto`.
-    pub fn trace_lanes(&self) -> Vec<cocopelia_obs::DeviceLane> {
-        self.devices
-            .iter()
-            .enumerate()
-            .map(|(i, d)| cocopelia_obs::DeviceLane {
-                device: i,
-                name: format!("dev{i}"),
-                entries: d.gpu().trace().entries().to_vec(),
-            })
-            .collect()
-    }
-
     /// `C ← α·A·B + β·C` split column-wise across the device group, with
     /// host data (functional verification supported).
     ///

@@ -1182,6 +1182,7 @@ impl ServeSession {
                 let leader = self.outcomes.last().expect("just pushed").clone();
                 self.fan_out_followers(&leader, &start);
             }
+            self.retire_traces();
         }
         // Defensive: a prefetched entry whose target never claimed it by
         // drain end loses its pin and becomes an ordinary LRU entry (the
@@ -1567,6 +1568,19 @@ impl ServeSession {
         self.tracer = Some(tracer);
     }
 
+    /// Retires each device's engine trace up to the tracer's floor
+    /// ([`ServeTracer::retire_floor`]; everything when untraced), so a
+    /// device holds only the entries some reader still needs while
+    /// [`Trace::len`](cocopelia_gpusim::Trace::len) and the per-engine
+    /// totals keep counting all of them.
+    fn retire_traces(&mut self) {
+        for d in 0..self.pool.device_count() {
+            let len = self.pool.devices()[d].gpu().trace().len();
+            let floor = self.tracer.as_ref().map_or(len, |t| t.retire_floor(d, len));
+            self.pool.device_mut(d).gpu_mut().retire_trace(floor);
+        }
+    }
+
     /// Ends the drain's trace at virtual `makespan`: the trace, the spans
     /// its cap dropped, and the telemetry summary, as armed.
     fn finish_trace(
@@ -1576,7 +1590,8 @@ impl ServeSession {
         let Some(mut tracer) = self.tracer.take() else {
             return (None, 0, None);
         };
-        let (trace, dropped, telemetry) = tracer.finish(&self.pool, &self.tick_state(makespan));
+        let (dropped, telemetry) = tracer.finish(&self.pool, &self.tick_state(makespan));
+        let trace = tracer.take_trace(tracer.take_lanes(&mut self.pool));
         self.tracer = Some(tracer);
         (Some(trace), dropped, telemetry)
     }

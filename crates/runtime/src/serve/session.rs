@@ -349,7 +349,8 @@ impl ServeSession {
             quarantined: vec![false; count],
             fault_streak: vec![0; count],
             suspicion_secs: vec![0.0; count],
-            tracer: (opts.tracing || telemetry.is_some()).then(|| ServeTracer::new(telemetry)),
+            tracer: (opts.tracing || telemetry.is_some())
+                .then(|| ServeTracer::new(opts.tracing, telemetry)),
             arrivals: VecDeque::new(),
             arrival_offset: HashMap::new(),
             queue_cap: opts.queue_cap,

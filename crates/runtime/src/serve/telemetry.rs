@@ -358,6 +358,12 @@ impl Telemetry {
         self.cfg.recorder_cap.max(1)
     }
 
+    /// Device `d`'s engine-trace watermark while a Perfetto stream is
+    /// open: entries before it are already streamed.
+    pub(crate) fn stream_mark(&self, d: usize) -> Option<usize> {
+        self.stream.as_ref().map(|_| self.lane_mark[d])
+    }
+
     /// Appends the engine entries and spans produced since the last call
     /// to the Perfetto stream, advancing the per-device and span
     /// watermarks. No-op without a stream.

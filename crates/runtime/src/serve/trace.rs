@@ -11,6 +11,11 @@
 //! log is capped at [`TelemetryConfig::recorder_cap`] and flight dumps
 //! copy its tail, so every span is stored once.
 //!
+//! The tracer also sets how much of each device's engine trace the
+//! session must keep ([`ServeTracer::retire_floor`]): the whole drain when
+//! lanes are kept for the report, the not-yet-streamed tail when only a
+//! Perfetto stream reads it, and nothing otherwise.
+//!
 //! All timestamps are virtual nanoseconds on the same axis as the
 //! simulator's [`TraceEntry`] timestamps, so spans overlay the per-device
 //! engine lanes exactly.
@@ -47,6 +52,10 @@ pub(crate) struct ServeTracer {
     queue_from: HashMap<u64, u64>,
     /// Serial virtual clock of host-fallback execution.
     host_ns: u64,
+    /// Keep the drain's device lanes for the report
+    /// ([`ServeOptions::tracing`](crate::serve::ServeOptions::tracing));
+    /// a telemetry-only tracer returns none.
+    keep_lanes: bool,
     /// Per-device engine-trace length when the drain began; the run's
     /// device lanes are the entries recorded after these marks.
     lane_mark: Vec<usize>,
@@ -56,9 +65,11 @@ pub(crate) struct ServeTracer {
 }
 
 impl ServeTracer {
-    /// A tracer, hosting `telemetry` when armed.
-    pub(crate) fn new(telemetry: Option<Telemetry>) -> Self {
+    /// A tracer that keeps the drain's device lanes when `keep_lanes`,
+    /// hosting `telemetry` when armed.
+    pub(crate) fn new(keep_lanes: bool, telemetry: Option<Telemetry>) -> Self {
         ServeTracer {
+            keep_lanes,
             telemetry,
             ..ServeTracer::default()
         }
@@ -421,42 +432,62 @@ impl ServeTracer {
         }
     }
 
-    /// Ends the drain: the final telemetry rotation, the exact span cap,
-    /// and the trace over each device's lane since the drain began.
-    /// Returns the trace, the spans the cap dropped, and the telemetry
-    /// summary when armed.
+    /// The global index below which device `d`'s engine trace (now `len`
+    /// entries long) holds nothing this tracer still reads: the drain-start
+    /// mark while lanes are kept, the Perfetto stream's watermark while
+    /// streaming, and otherwise `len` itself.
+    pub(crate) fn retire_floor(&self, d: usize, len: usize) -> usize {
+        if self.keep_lanes {
+            self.lane_mark[d]
+        } else {
+            self.telemetry
+                .as_ref()
+                .and_then(|tele| tele.stream_mark(d))
+                .unwrap_or(len)
+        }
+    }
+
+    /// Ends the drain: the final telemetry rotation and the exact span
+    /// cap. Returns the spans the cap dropped and the telemetry summary
+    /// when armed.
     pub(crate) fn finish(
         &mut self,
         pool: &MultiGpu,
         st: &TickState<'_>,
-    ) -> (ServeTrace, u64, Option<TelemetryReport>) {
+    ) -> (u64, Option<TelemetryReport>) {
         let telemetry = self.telemetry.as_mut().map(|tele| {
             tele.stream_new(pool, &self.log);
             let report = tele.finish(&self.log, st);
             self.log.truncate_front_to(tele.cap());
             report
         });
-        let dropped = self.log.dropped();
-        let lanes = pool
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(i, d)| DeviceLane {
-                device: i,
-                name: format!("dev{i}"),
-                entries: d
-                    .gpu()
-                    .trace()
-                    .entries_since(self.lane_mark.get(i).copied().unwrap_or(0))
-                    .to_vec(),
+        (self.log.dropped(), telemetry)
+    }
+
+    /// Moves the finished drain's device lanes out of each device's engine
+    /// trace, which then retains none of the drain's entries. A tracer
+    /// that does not keep lanes takes none.
+    pub(crate) fn take_lanes(&self, pool: &mut MultiGpu) -> Vec<DeviceLane> {
+        if !self.keep_lanes {
+            return Vec::new();
+        }
+        (0..pool.device_count())
+            .map(|i| {
+                let gpu = pool.device_mut(i).gpu_mut();
+                gpu.retire_trace(self.lane_mark[i]);
+                let len = gpu.trace().len();
+                DeviceLane {
+                    device: i,
+                    name: format!("dev{i}"),
+                    entries: gpu.retire_trace(len),
+                }
             })
-            .collect();
-        (self.take_trace(lanes), dropped, telemetry)
+            .collect()
     }
 
     /// Drains the collected spans into a [`ServeTrace`] over the given
     /// device lanes.
-    fn take_trace(&mut self, lanes: Vec<DeviceLane>) -> ServeTrace {
+    pub(crate) fn take_trace(&mut self, lanes: Vec<DeviceLane>) -> ServeTrace {
         let log = std::mem::take(&mut self.log);
         self.flow_linked.clear();
         self.queue_from.clear();
@@ -470,6 +501,7 @@ impl ServeTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::TelemetryConfig;
     use cocopelia_obs::check_spans;
 
     #[test]
@@ -487,6 +519,38 @@ mod tests {
         let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("tracer spans satisfy invariants");
         assert_eq!(trace.request_spans(1).len(), 6);
+    }
+
+    #[test]
+    fn retire_floor_keeps_what_lanes_or_the_stream_still_read() {
+        let metrics = Registry::default();
+        let begin = |mut t: ServeTracer| {
+            t.lane_mark = vec![4, 6];
+            if let Some(tele) = t.telemetry.as_mut() {
+                tele.begin(vec![7, 9], &metrics);
+            }
+            t
+        };
+        let untraced = begin(ServeTracer::new(false, None));
+        assert_eq!(untraced.retire_floor(1, 20), 20, "nothing is read: all");
+        let traced = begin(ServeTracer::new(true, None));
+        assert_eq!(traced.retire_floor(1, 20), 6, "lanes keep the drain");
+        let tele = |cfg| Some(Telemetry::new(cfg).expect("stream file creatable"));
+        let watched = begin(ServeTracer::new(false, tele(TelemetryConfig::default())));
+        assert_eq!(watched.retire_floor(1, 20), 20, "no stream: all");
+        let path = std::env::temp_dir().join(format!(
+            "cocopelia_retire_floor_{}.pftrace",
+            std::process::id()
+        ));
+        let cfg = TelemetryConfig {
+            stream_path: Some(path.clone()),
+            ..TelemetryConfig::default()
+        };
+        let streamed = begin(ServeTracer::new(false, tele(cfg.clone())));
+        assert_eq!(streamed.retire_floor(1, 20), 9, "the unstreamed tail stays");
+        let both = begin(ServeTracer::new(true, tele(cfg)));
+        assert_eq!(both.retire_floor(1, 20), 6, "lanes outrank the stream");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

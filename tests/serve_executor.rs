@@ -5,8 +5,10 @@
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
-use cocopelia_gpusim::{testbed_i, ExecMode, Gpu, NoiseSpec, TestbedSpec};
-use cocopelia_runtime::serve::{ExecutorConfig, RequestStatus, ServeSession};
+use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, TestbedSpec};
+use cocopelia_runtime::serve::{
+    ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
+};
 use cocopelia_runtime::{
     AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, MultiGpu,
     RoutineRequest, SharedMat, SharedVec, TileChoice, VecOperand,
@@ -366,4 +368,74 @@ fn queue_depth_and_gauges_are_recorded() {
     let text = report.render();
     assert_eq!(text.lines().count(), 8 + 2);
     assert!(text.contains("completed 8"));
+}
+
+/// Drains `count` single-tile daxpys on private ghost vectors (every run
+/// records the same engine entries) over two devices.
+fn drain_axpys(opts: ServeOptions, count: usize) -> (ServeReport, ServeSession) {
+    let n = 1 << 12;
+    let mut exec = ServeSession::with_options(
+        pool(&small_tb(256 * MB), 2),
+        ExecutorConfig::default(),
+        opts,
+    )
+    .expect("no telemetry stream to open");
+    for _ in 0..count {
+        exec.submit(
+            AxpyRequest::<f64>::new(
+                VecOperand::HostGhost { len: n },
+                VecOperand::HostGhost { len: n },
+            )
+            .alpha(2.0)
+            .tile(TileChoice::Fixed(n)),
+        );
+    }
+    let report = exec.drain();
+    (report, exec)
+}
+
+#[test]
+fn drains_retire_device_traces_down_to_what_readers_need() {
+    const REQUESTS: usize = 2_000;
+    let (_, lone) = drain_axpys(ServeOptions::new(), 1);
+    let per_request = lone.pool().devices()[0].gpu().trace().len();
+    assert!(per_request > 0);
+
+    let (plain, untraced) = drain_axpys(ServeOptions::new(), REQUESTS);
+    let (report, traced) = drain_axpys(ServeOptions::new().tracing(), REQUESTS);
+    assert_eq!(plain.makespan, report.makespan, "tracing moves no clock");
+    let lanes = &report.trace.as_ref().expect("tracing armed").lanes;
+    assert_eq!(lanes.len(), 2);
+    let mut recorded = 0;
+    for (d, lane) in lanes.iter().enumerate() {
+        let kept = untraced.pool().devices()[d].gpu().trace();
+        assert!(
+            kept.entries().len() <= per_request,
+            "untraced dev{d} retains {} entries",
+            kept.entries().len()
+        );
+        let moved = traced.pool().devices()[d].gpu().trace();
+        assert!(moved.entries().is_empty(), "traced dev{d} retains entries");
+        assert_eq!(kept.len(), moved.len(), "dev{d} counts every entry");
+        assert_eq!(lane.entries.len(), moved.len(), "dev{d} lane is the drain");
+        // The retired totals are exact: they match the lane's own sums.
+        for engine in [
+            EngineKind::CopyH2d,
+            EngineKind::Compute,
+            EngineKind::CopyD2h,
+        ] {
+            let of = || lane.entries.iter().filter(move |e| e.engine == engine);
+            let busy: u64 = of().map(|e| e.duration().as_nanos()).sum();
+            let bytes: usize = of().filter_map(|e| e.bytes).sum();
+            assert_eq!(kept.engine_busy(engine).as_nanos(), busy);
+            assert_eq!(kept.bytes_moved(engine), bytes);
+        }
+        recorded += kept.len();
+    }
+    assert_eq!(recorded, REQUESTS * per_request, "no entry went uncounted");
+
+    let (watched, _) = drain_axpys(ServeOptions::new().telemetry(TelemetryConfig::default()), 8);
+    let trace = watched.trace.as_ref().expect("telemetry records spans");
+    assert!(!trace.spans.is_empty());
+    assert!(trace.lanes.is_empty(), "telemetry alone keeps no lanes");
 }

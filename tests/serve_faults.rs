@@ -12,7 +12,9 @@ use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, Gpu, NoiseSpec, TestbedSpec};
 use cocopelia_hostblas::{level3, validate, Matrix};
 use cocopelia_obs::invariants::check_entries;
-use cocopelia_runtime::serve::{ExecutorConfig, RequestStatus, ServeReport, ServeSession};
+use cocopelia_runtime::serve::{
+    ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession,
+};
 use cocopelia_runtime::{
     Cocopelia, GemmRequest, MatOperand, MultiGpu, RetryPolicy, RoutineRequest, SharedMat,
     TileChoice,
@@ -48,16 +50,31 @@ fn faulty_pool(devices: usize, faults: &FaultSpec) -> MultiGpu {
     )
 }
 
-/// Runs the chaos trace through an executor over a faulty pool and hands
-/// back both the report and the executor for post-mortem inspection.
-fn chaos_run(seed: u64, rounds: usize) -> (ServeReport, ServeSession) {
+/// Per-device engine-trace lengths (entries ever recorded).
+fn trace_lens(exec: &ServeSession) -> Vec<usize> {
+    let devices = exec.pool().devices();
+    devices.iter().map(|d| d.gpu().trace().len()).collect()
+}
+
+/// Runs the chaos trace through a traced executor over a faulty pool and
+/// hands back the report, the executor for post-mortem inspection, and
+/// how many engine entries each device recorded during the drain.
+fn chaos_run(seed: u64, rounds: usize) -> (ServeReport, ServeSession, Vec<usize>) {
     let pool = faulty_pool(2, &chaos_fault_spec(seed));
-    let mut exec = ServeSession::new(pool, ExecutorConfig::default());
+    let opts = ServeOptions::new().tracing();
+    let mut exec = ServeSession::with_options(pool, ExecutorConfig::default(), opts)
+        .expect("no telemetry stream to open");
     for req in chaos_request_trace(rounds) {
         exec.submit(req);
     }
+    let before = trace_lens(&exec);
     let report = exec.drain();
-    (report, exec)
+    let recorded = trace_lens(&exec)
+        .iter()
+        .zip(before)
+        .map(|(after, before)| after - before)
+        .collect();
+    (report, exec, recorded)
 }
 
 /// No device buffer outlives its reason to exist: a quarantined device
@@ -251,7 +268,7 @@ fn chaos_soak_over_fixed_seeds() {
     let mut redispatches = 0u64;
     let mut tile_retries = 0u64;
     for &seed in &seeds {
-        let (report, exec) = chaos_run(seed, 4);
+        let (report, exec, recorded) = chaos_run(seed, 4);
 
         // Every submitted request reached exactly one terminal state.
         assert_eq!(report.outcomes.len(), 16, "seed {seed}");
@@ -269,16 +286,26 @@ fn chaos_soak_over_fixed_seeds() {
 
         // The per-device traces stay structurally sound under fault
         // pressure: serial engines, monotone dispatch, no op re-executed,
-        // no overlapping retry of one logical tile op.
-        for d in 0..exec.pool().device_count() {
-            let entries = exec.pool().devices()[d].gpu().trace().entries();
-            if let Err(problems) = check_entries(entries) {
+        // no overlapping retry of one logical tile op. The drain retires
+        // the devices' traces, so the check reads the report's lanes,
+        // which must hold every entry each device recorded.
+        let lanes = &report.trace.as_ref().expect("tracing armed").lanes;
+        assert_eq!(lanes.len(), exec.pool().device_count());
+        for (d, lane) in lanes.iter().enumerate() {
+            assert_eq!(lane.device, d);
+            assert!(!lane.entries.is_empty(), "seed {seed} dev{d}: empty lane");
+            assert_eq!(
+                lane.entries.len(),
+                recorded[d],
+                "seed {seed} dev{d}: the lane holds every entry of the drain"
+            );
+            if let Err(problems) = check_entries(&lane.entries) {
                 panic!("seed {seed} dev{d} trace invariants: {problems:?}");
             }
         }
 
         // Determinism: the same seed replays to the same virtual schedule.
-        let (again, _) = chaos_run(seed, 4);
+        let (again, _, _) = chaos_run(seed, 4);
         assert_eq!(
             report.makespan.as_nanos(),
             again.makespan.as_nanos(),

@@ -66,11 +66,14 @@ fn watch_trace(count: usize, breach_at: usize) -> Vec<RoutineRequest> {
         .collect()
 }
 
+/// Serves the watch trace on two devices and returns the report plus, per
+/// device, how many engine entries the drain recorded and how many the
+/// device still retains.
 fn run_watch_trace(
     count: usize,
     breach_at: usize,
     telemetry: Option<TelemetryConfig>,
-) -> ServeReport {
+) -> (ServeReport, Vec<(usize, usize)>) {
     let mut opts = SessionOptions::new();
     if let Some(cfg) = telemetry {
         opts = opts.telemetry(cfg);
@@ -81,7 +84,19 @@ fn run_watch_trace(
     for req in watch_trace(count, breach_at) {
         exec.submit(req);
     }
-    exec.drain()
+    let lens = |exec: &ServeSession| -> Vec<usize> {
+        let devices = exec.pool().devices();
+        devices.iter().map(|d| d.gpu().trace().len()).collect()
+    };
+    let before = lens(&exec);
+    let report = exec.drain();
+    let traces = lens(&exec)
+        .into_iter()
+        .zip(before)
+        .zip(exec.pool().devices())
+        .map(|((after, before), d)| (after - before, d.gpu().trace().entries().len()))
+        .collect();
+    (report, traces)
 }
 
 #[test]
@@ -98,7 +113,7 @@ fn watch_50k_is_bounded_streamed_and_bit_identical() {
 
     // Reference run with telemetry fully disabled sizes the windows and
     // anchors the bit-identity check.
-    let plain = run_watch_trace(REQUESTS, BREACH_AT, None);
+    let (plain, plain_traces) = run_watch_trace(REQUESTS, BREACH_AT, None);
     assert_eq!(plain.completed(), REQUESTS - 1);
     assert_eq!(plain.timed_out(), 1);
     let window = SimTime::from_nanos((plain.makespan.as_nanos() / 32).max(1));
@@ -107,7 +122,7 @@ fn watch_50k_is_bounded_streamed_and_bit_identical() {
         "cocopelia_serve_watch_{}.pftrace",
         std::process::id()
     ));
-    let report = run_watch_trace(
+    let (report, traces) = run_watch_trace(
         REQUESTS,
         BREACH_AT,
         Some(TelemetryConfig {
@@ -117,6 +132,22 @@ fn watch_50k_is_bounded_streamed_and_bit_identical() {
             stream_path: Some(stream_path.clone()),
         }),
     );
+
+    // Engine traces stay bounded too: the drain retires every entry the
+    // stream has written, so a device retains at most one request's
+    // entries (a cold single-tile daxpy records four), while it still
+    // counts every entry it recorded.
+    assert_eq!(traces.len(), 2);
+    for (d, (&(recorded, retained), &(plain_recorded, _))) in
+        traces.iter().zip(&plain_traces).enumerate()
+    {
+        assert_eq!(recorded, plain_recorded, "dev{d} recorded entries");
+        assert!(recorded > REQUESTS, "dev{d} served its share");
+        assert!(
+            retained <= 4,
+            "dev{d} retains {retained} of {recorded} engine entries"
+        );
+    }
 
     // Telemetry only reads clocks: virtual timing is bit-identical.
     assert_eq!(plain.makespan.as_nanos(), report.makespan.as_nanos());
@@ -172,6 +203,21 @@ fn watch_50k_is_bounded_streamed_and_bit_identical() {
     let decoded = decode_trace(&bytes).expect("streamed trace decodes");
     assert!(!decoded.events.is_empty());
     assert!(!decoded.descriptors.is_empty());
+    // One engine event (a slice begin or an instant) per recorded entry:
+    // retirement never drops an entry before it is streamed.
+    let engine_tracks: Vec<u64> = decoded
+        .descriptors
+        .iter()
+        .filter(|t| matches!(t.thread_name.as_deref(), Some("h2d" | "exec" | "d2h")))
+        .map(|t| t.uuid)
+        .collect();
+    let engine_events = decoded
+        .events
+        .iter()
+        .filter(|e| engine_tracks.contains(&e.track_uuid) && e.event_type != 2)
+        .count();
+    let recorded: usize = traces.iter().map(|&(len, _)| len).sum();
+    assert_eq!(engine_events, recorded, "streamed engine events");
     let _ = std::fs::remove_file(&stream_path);
 }
 

@@ -38,15 +38,19 @@ target/release/cocopelia compare BENCH_seed.json target/BENCH_ci.json
 echo "== scheduling policy gate (predictive < fifo, edf deadline wins) =="
 # The policy-comparison acceptance tests: Predictive must strictly beat
 # FIFO's makespan on the skewed trace, EDF must meet the deadline FIFO
-# misses, and all three policies must export sched_predict_abs_err.
+# misses, all three policies must export sched_predict_abs_err, and the
+# degrade-aware upload estimate routes dispatch to the healthy peer at the
+# link factor the engine applies (also where degrade windows overlap).
 cargo test --release -q -p cocopelia-xp --test serve_sched
 
 echo "== open-arrival gate (backpressure, coalescing, fault-plan replay) =="
 # The ServeSession acceptance bars: seeded Poisson overload sheds to a
 # bounded queue and replays bit-identically, coalescing uploads strictly
-# fewer h2d bytes and beats the non-coalesced makespan, and under random
-# fault plans same-seed drains replay bit-identically with one terminal
-# outcome per request and no buffer outside the residency caches.
+# fewer h2d bytes and beats the non-coalesced makespan, the residency-aware
+# service estimate admits a warm repeat arrival that a cold twin's
+# watermark sheds, and under random fault plans same-seed drains replay
+# bit-identically with one terminal outcome per request and no buffer
+# outside the residency caches.
 cargo test --release -q -p cocopelia-xp --test serve_open
 
 echo "== chaos soak gate (seeded fault injection) =="
@@ -65,18 +69,6 @@ echo "== straggler defense gate (hedging, probation, retry budgets) =="
 # fully-defended run replays bit-identically. Seeds live in
 # tests/serve_straggler.rs.
 cargo test --release -q -p cocopelia-xp --test serve_straggler
-
-echo "== prefetch gate (prefetch beats baseline, estimate fixes, off-identity) =="
-# The cross-request prefetch acceptance bars: on the warm skewed trace,
-# --prefetch strictly beats the FIFO no-prefetch makespan through
-# measured h2d/exec overlap (staged copies drain on the background stream
-# under the running attempt's compute and their targets claim them as
-# residency hits), a prefetch-off run replays bit-identically to the
-# prefetch-unaware path, the residency-aware service estimate admits warm
-# repeat arrivals a cold twin's watermark sheds, the degrade-aware upload
-# estimate routes dispatch to the healthy peer, and a drained session
-# leaves no pinned or leaked staging buffers.
-cargo test --release -q -p cocopelia-xp --test serve_prefetch
 
 echo "== trace pipeline gate (spans, perfetto, timeline) =="
 # The serve tracing pipeline end to end: span invariants on chaos runs,

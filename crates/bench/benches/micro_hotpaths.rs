@@ -5,7 +5,7 @@
 //! the span-record / Perfetto-export trace path, the streaming
 //! telemetry primitives (window rotation, flight-recorder ring record),
 //! and the per-dispatch decision points (adaptive hedge threshold,
-//! canary-probe due scan, prefetch admission).
+//! canary-probe due scan).
 //!
 //! The serving benches drive the public `ServeSession` API only: each
 //! times a small drain shaped so that its hot path dominates.
@@ -54,8 +54,8 @@ fn quiet() -> TestbedSpec {
     tb
 }
 
-/// A deployed profile of the quiet testbed, so placement, hedging and
-/// prefetch have offload predictions to work with.
+/// A deployed profile of the quiet testbed, so placement and hedging
+/// have offload predictions to work with.
 fn deployed_profile() -> SystemProfile {
     static PROFILE: OnceLock<SystemProfile> = OnceLock::new();
     PROFILE
@@ -286,25 +286,6 @@ fn hedge_decision() {
     assert!(report.metrics.counter("hedge_attempts_total") > 0);
 }
 
-/// The prefetch admission decision every primary dispatch pays when
-/// cross-request prefetch is armed: effective h2d time of the next
-/// request's missing operands against the running attempt's predicted
-/// idle window, plus the residency free-budget probe. Rotating keys keep
-/// the next request cold, so every dispatch decides.
-#[inline(never)]
-fn prefetch_decision() {
-    let mut session = deployed_session(
-        &[FaultSpec::none(), FaultSpec::none()],
-        ServeOptions::new().prefetch(),
-    );
-    for i in 0..32 {
-        session.submit(gemm_on(&format!("A{}", i % 8), &format!("B{}", i % 3)));
-    }
-    let report = black_box(session.drain());
-    let m = &report.metrics;
-    assert!(m.counter("prefetch_issued_total") + m.counter("prefetch_skipped_total") > 0);
-}
-
 /// Probe scheduling under a wide quarantine: three of four devices are
 /// drained operationally with probation armed, so every event-loop
 /// iteration scans the canary schedule and probes run as they come due.
@@ -362,5 +343,5 @@ main!(
     callgrind_args = "--simulate-wb=no", "--simulate-hwpref=yes",
         "--I1=32768,8,64", "--D1=32768,8,64", "--LL=8388608,16,64";
     functions = sim_enqueue_sync, next_dispatch, next_event, residency_probe, span_record, perfetto_export,
-        window_rotate, ring_record, hedge_decision, probe_schedule, prefetch_decision
+        window_rotate, ring_record, hedge_decision, probe_schedule
 );

@@ -8,7 +8,7 @@
 //! cocopelia trace   --testbed ii --profile profile.json --routine dgemm --dims 8192 8192 8192 --out trace.json [--format chrome|jsonl]
 //! cocopelia gantt   --testbed i --dims 4096 4096 4096 --tile 1024
 //! cocopelia calib   --testbed i [--quick] [--json calib.json]
-//! cocopelia serve   --testbed i [--devices 2] [--trace requests.txt] [--faults seed=1,h2d=0.02,lost_after=20] [--trace-out out.perfetto] [--arrivals poisson:2000] [--seed 1] [--queue-cap 8] [--shed-flow-ms 50] [--coalesce] [--prefetch] [--watch] [--window-ms 5] [--slo deadline_miss<=0.1] [--ring 2048]
+//! cocopelia serve   --testbed i [--devices 2] [--trace requests.txt] [--faults seed=1,h2d=0.02,lost_after=20] [--trace-out out.perfetto] [--arrivals poisson:2000] [--seed 1] [--queue-cap 8] [--shed-flow-ms 50] [--coalesce] [--watch] [--window-ms 5] [--slo deadline_miss<=0.1] [--ring 2048]
 //! cocopelia metrics --testbed i [--devices 2] [--trace requests.txt] [--format prom|text]
 //! cocopelia timeline --testbed i [--devices 2] [--trace requests.txt] [--faults ...] [--width 96] [--color]
 //! cocopelia snapshot --out BENCH_pr.json [--testbed i] [--label pr]
@@ -138,7 +138,7 @@ usage:
   cocopelia serve   --testbed <i|ii> [--devices <N>] [--trace <requests.txt>] [--faults <spec>]
                     [--policy <fifo|edf|predictive>] [--trace-out <out.json|out.perfetto>]
                     [--arrivals <poisson:rate_hz|bursty:rate_hz:on_ms:off_ms>] [--seed <N>]
-                    [--queue-cap <N>] [--shed-flow-ms <N>] [--coalesce] [--prefetch]
+                    [--queue-cap <N>] [--shed-flow-ms <N>] [--coalesce]
                     [--watch] [--window-ms <N>] [--slo <kind<=limit,...>] [--ring <spans>]
                     [--hedge <mult|off>] [--probation <backoff_ms[:successes]|off>]
                     [--retry-budget <tokens[:refill_per_sec]|off>]
@@ -166,12 +166,6 @@ traffic, bursty:<rate_hz>:<on_ms>:<off_ms> for on/off bursts. --queue-cap and
 --shed-flow-ms shed arrivals under overload (reported as rejected); --coalesce
 folds identical queued shapes into one execution.
 
-serve --prefetch pre-uploads the next queued request's missing shared operands
-on the running device's idle h2d engine when the overlap predictor says the
-copies hide under the running attempt's remaining exec time and the bytes fit
-the residency budget without evicting anything; claimed prefetches land as
-warm residency hits (pf=hits/issued in --watch lines).
-
 straggler defense (serve/metrics/timeline): --hedge <mult> re-dispatches an
 attempt overrunning its prediction by mult x (adaptively widened by observed
 drift) to the best other healthy device, first completion wins; --probation
@@ -180,18 +174,73 @@ re-admits after the given consecutive successes (default 2); --retry-budget
 <tokens[:refill_per_sec]> bounds executor retries with a token bucket + circuit
 breaker that fails fast to host during fault storms. All three default off.";
 
+/// Flags of the routine-executing subcommands (`run`, `report`, `trace`).
+const ROUTINE_KEYS: &[&str] = &[
+    "testbed", "profile", "routine", "dims", "loc", "tile", "faults",
+];
+
+/// Flags of the serving subcommands (`serve`, `metrics`, `timeline`): what
+/// [`serve_comparison`] reads.
+const SERVE_KEYS: &[&str] = &[
+    "testbed",
+    "devices",
+    "trace",
+    "faults",
+    "policy",
+    "trace-out",
+    "arrivals",
+    "seed",
+    "queue-cap",
+    "shed-flow-ms",
+    "coalesce",
+    "watch",
+    "window-ms",
+    "snapshot-ms",
+    "slo",
+    "ring",
+    "hedge",
+    "probation",
+    "retry-budget",
+];
+
+/// The flags subcommand `cmd` accepts; `None` for an unknown subcommand.
+fn accepted_keys(cmd: &str) -> Option<Vec<&'static str>> {
+    let parts: &[&[&str]] = match cmd {
+        "deploy" => &[&["testbed", "out", "quick"]],
+        "predict" => &[&["profile", "routine", "dims", "loc", "model"]],
+        "run" => &[ROUTINE_KEYS],
+        "report" => &[ROUTINE_KEYS, &["json", "format"]],
+        "trace" => &[ROUTINE_KEYS, &["out", "format"]],
+        "gantt" => &[&["testbed", "dims", "tile", "width"]],
+        "calib" => &[&["testbed", "quick", "json"]],
+        "serve" => &[SERVE_KEYS],
+        "metrics" => &[SERVE_KEYS, &["format"]],
+        "timeline" => &[SERVE_KEYS, &["width", "color"]],
+        "snapshot" => &[&["out", "testbed", "label"]],
+        "compare" => &[&["threshold", "json"]],
+        _ => return None,
+    };
+    Some(parts.concat())
+}
+
 fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(CliError::Usage("missing subcommand".to_owned()));
     };
-    if cmd == "compare" {
-        // `compare` is the one positional-taking command (two snapshot
-        // paths) and the one command with a non-binary exit code.
-        let (pos, args) = Args::parse_with_positionals(rest).map_err(CliError::Usage)?;
-        return cmd_compare(&pos, &args);
+    let Some(accepted) = accepted_keys(cmd) else {
+        return Err(CliError::Usage(format!("unknown subcommand `{cmd}`")));
+    };
+    // `compare` is the one positional-taking command (two snapshot paths)
+    // and the one command with a non-binary exit code.
+    let (pos, args) = if cmd == "compare" {
+        Args::parse_with_positionals(rest)
+    } else {
+        Args::parse(rest).map(|args| (Vec::new(), args))
     }
-    let args = Args::parse(rest).map_err(CliError::Usage)?;
+    .map_err(CliError::Usage)?;
+    args.check_keys(&accepted).map_err(CliError::Usage)?;
     match cmd.as_str() {
+        "compare" => return cmd_compare(&pos, &args),
         "deploy" => cmd_deploy(&args),
         "predict" => cmd_predict(&args),
         "run" => cmd_run(&args),
@@ -203,7 +252,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         "metrics" => cmd_metrics(&args),
         "timeline" => cmd_timeline(&args),
         "snapshot" => cmd_snapshot(&args),
-        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+        other => unreachable!("`{other}` has accepted keys but no handler"),
     }
     .map(|()| ExitCode::SUCCESS)
 }
@@ -771,7 +820,6 @@ fn serve_comparison(
         })
         .transpose()?;
     let coalesce = args.has_flag("coalesce");
-    let prefetch = args.has_flag("prefetch");
     if arrivals.is_none() {
         if queue_cap.is_some() {
             return Err(CliError::Usage("--queue-cap requires --arrivals".into()));
@@ -807,7 +855,6 @@ fn serve_comparison(
         queue_cap,
         shed_flow_secs,
         coalesce,
-        prefetch,
         hedge,
         probation,
         retry_budget,
@@ -942,24 +989,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 c("probe_success_total"),
                 c("probe_readmit_total"),
                 fastfails,
-            );
-        }
-    }
-    {
-        let c = |name: &str| cmp.report.metrics.counter(name);
-        let issued = c("prefetch_issued_total");
-        let skipped = c("prefetch_skipped_total");
-        if issued + skipped > 0 {
-            println!(
-                "prefetch: issued {} (hits {}, released {}, aborted {}) | skipped {} | \
-                 staged {} B | overlapped {:.3} ms",
-                issued,
-                c("prefetch_hits_total"),
-                c("prefetch_released_total"),
-                c("prefetch_aborted_total"),
-                skipped,
-                c("prefetch_bytes_total"),
-                c("prefetch_overlap_ns") as f64 / 1e6,
             );
         }
     }
@@ -1101,6 +1130,8 @@ mod args_impl {
     pub struct Args {
         values: HashMap<String, Vec<String>>,
         flags: Vec<String>,
+        /// Every key, in argument order.
+        keys: Vec<String>,
     }
 
     impl Args {
@@ -1133,6 +1164,7 @@ mod args_impl {
                 } else {
                     out.values.insert(key.to_owned(), vals);
                 }
+                out.keys.push(key.to_owned());
                 i += 1;
             }
             Ok(out)
@@ -1161,6 +1193,15 @@ mod args_impl {
 
         pub fn has_flag(&self, key: &str) -> bool {
             self.flags.iter().any(|f| f == key)
+        }
+
+        /// Rejects the first key, in argument order, that `accepted` does
+        /// not list, so a misspelt or retired flag is never ignored.
+        pub fn check_keys(&self, accepted: &[&str]) -> Result<(), String> {
+            match self.keys.iter().find(|k| !accepted.contains(&k.as_str())) {
+                Some(key) => Err(format!("unknown flag `--{key}`")),
+                None => Ok(()),
+            }
         }
     }
 }
@@ -1381,6 +1422,76 @@ mod tests {
         match err {
             CliError::Usage(msg) => assert!(msg.contains("sjf"), "{msg}"),
             other => panic!("expected usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_usage_errors() {
+        for (cmd, key) in [
+            ("serve --testbed i --prefetch", "prefetch"),
+            ("serve --testbed i --devices 1 --hegde 2", "hegde"),
+            ("serve --testbed i --devices 1 --bogus-flag", "bogus-flag"),
+            ("metrics --testbed i --width 9", "width"),
+            ("deploy --testbed i --out p.json --quik", "quik"),
+            ("compare a.json b.json --treshold 0.1", "treshold"),
+        ] {
+            match super::run(&argv(cmd)) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(&format!("--{key}")), "{msg}"),
+                other => panic!("`{cmd}` must be a usage error, got {other:?}"),
+            }
+        }
+        // The first unknown key in argument order is the one named.
+        let a = Args::parse(&argv("--zeta 1 --testbed i --alpha")).expect("parses");
+        assert_eq!(
+            a.check_keys(&["testbed"]).expect_err("unknown keys"),
+            "unknown flag `--zeta`"
+        );
+    }
+
+    #[test]
+    fn every_documented_flag_is_accepted() {
+        let flags = |text: &str| -> Vec<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|w| w.strip_prefix("--"))
+                .filter(|w| !w.is_empty())
+                .map(str::to_owned)
+                .collect()
+        };
+        let (synopsis, notes) = super::USAGE
+            .split_once("fault spec grammar")
+            .expect("usage has notes");
+        // Each synopsis block: `cocopelia <cmd> ...` plus its
+        // continuation lines.
+        let mut checked = 0;
+        for block in synopsis.split("  cocopelia ").skip(1) {
+            let cmd = block.split_whitespace().next().expect("subcommand");
+            let accepted = super::accepted_keys(cmd).expect("documented subcommand");
+            for flag in flags(block) {
+                assert!(
+                    accepted.contains(&flag.as_str()),
+                    "{cmd} rejects its documented --{flag}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 40, "only {checked} synopsis flags found");
+        // The notes document serve's flags (and the serve flags that
+        // metrics and timeline share).
+        let serve = super::accepted_keys("serve").expect("serve");
+        for flag in flags(notes) {
+            assert!(serve.contains(&flag.as_str()), "serve rejects --{flag}");
+        }
+        // The module-level synopsis too.
+        for line in include_str!("main.rs")
+            .lines()
+            .take_while(|l| l.starts_with("//!"))
+            .filter_map(|l| l.strip_prefix("//! cocopelia "))
+        {
+            let cmd = line.split_whitespace().next().expect("subcommand");
+            let accepted = super::accepted_keys(cmd).expect("documented subcommand");
+            for flag in flags(line) {
+                assert!(accepted.contains(&flag.as_str()), "{cmd} rejects --{flag}");
+            }
         }
     }
 

@@ -83,21 +83,7 @@ struct ActiveOp {
 #[derive(Debug, Default)]
 struct Engine {
     queue: VecDeque<OpId>,
-    /// Ops from background streams: served only while `queue` is empty, so
-    /// background work drains strictly in the engine's idle gaps and never
-    /// delays foreground work already queued.
-    bg_queue: VecDeque<OpId>,
     active: Option<ActiveOp>,
-}
-
-impl Engine {
-    fn enqueue_op(&mut self, op: OpId, background: bool) {
-        if background {
-            self.bg_queue.push_back(op);
-        } else {
-            self.queue.push_back(op);
-        }
-    }
 }
 
 /// A table index or stream id as stored in the slim [`Op`].
@@ -129,9 +115,6 @@ pub(crate) struct Sim {
     /// Interned index of the ambient tag (0 = untagged).
     cur_tag: u32,
     streams: Vec<VecDeque<OpId>>,
-    /// Per-stream background flag: ops from background streams queue on
-    /// each engine's low-priority lane.
-    background: Vec<bool>,
     /// Global id of `events[0]`. Every older event was recorded before the
     /// last retirement.
     event_base: usize,
@@ -161,7 +144,6 @@ impl Sim {
             tags: Vec::new(),
             cur_tag: 0,
             streams: Vec::new(),
-            background: Vec::new(),
             event_base: 0,
             events: Vec::new(),
             h2d: Engine::default(),
@@ -213,7 +195,7 @@ impl Sim {
     /// Bandwidth multiplier in effect at the current virtual time (`1.0`
     /// outside every window; see [`set_degrade`](Self::set_degrade) for
     /// which window wins an overlap).
-    fn degrade_factor_now(&self) -> f64 {
+    pub(crate) fn degrade_factor_now(&self) -> f64 {
         match self.degrade_idx() {
             0 => 1.0,
             i => self.degrade[i - 1].1,
@@ -269,7 +251,6 @@ impl Sim {
         for kind in ENGINES {
             let engine = self.engine_mut(kind);
             engine.queue.clear();
-            engine.bg_queue.clear();
             let taken = engine.active.take();
             if let Some(active) = taken {
                 self.trace
@@ -341,18 +322,6 @@ impl Sim {
     pub(crate) fn create_stream(&mut self) -> StreamId {
         let id = StreamId(self.streams.len());
         self.streams.push(VecDeque::new());
-        self.background.push(false);
-        id
-    }
-
-    /// Creates a background (low-priority) stream: its engine ops start
-    /// only when the engine has no foreground op queued, so they fill the
-    /// engine's idle gaps without displacing foreground work. With no
-    /// background streams every schedule is bit-identical to the
-    /// foreground-only simulator.
-    pub(crate) fn create_stream_background(&mut self) -> StreamId {
-        let id = self.create_stream();
-        self.background[id.0] = true;
         id
     }
 
@@ -426,9 +395,6 @@ impl Sim {
             && self.h2d.queue.is_empty()
             && self.d2h.queue.is_empty()
             && self.compute.queue.is_empty()
-            && self.h2d.bg_queue.is_empty()
-            && self.d2h.bg_queue.is_empty()
-            && self.compute.bg_queue.is_empty()
     }
 
     /// Runs the simulation until idle, calling `on_complete` with each op
@@ -466,38 +432,6 @@ impl Sim {
     fn stabilize(&mut self, on_complete: &mut impl FnMut(OpId)) -> bool {
         let mut progressed_any = false;
         loop {
-            if self.stabilize_foreground(on_complete) {
-                progressed_any = true;
-            }
-            // Only once the foreground schedule is fully settled (every
-            // issueable op issued, engines loaded) may idle engines take
-            // background work — otherwise a background op could slip into
-            // the one-pass gap an instant op (event record/wait) opens at
-            // a stream head and displace the foreground op behind it.
-            let mut bg_started = false;
-            for engine_kind in ENGINES {
-                if self.engine(engine_kind).active.is_some() {
-                    continue;
-                }
-                let Some(op_id) = self.engine_mut(engine_kind).bg_queue.pop_front() else {
-                    continue;
-                };
-                let active = self.start_op(op_id, engine_kind);
-                self.engine_mut(engine_kind).active = Some(active);
-                bg_started = true;
-            }
-            if !bg_started {
-                return progressed_any;
-            }
-            progressed_any = true;
-        }
-    }
-
-    /// One settling pass over foreground work; see
-    /// [`stabilize`](Self::stabilize). Returns whether any state changed.
-    fn stabilize_foreground(&mut self, on_complete: &mut impl FnMut(OpId)) -> bool {
-        let mut progressed_any = false;
-        loop {
             let mut progressed = false;
             // 1. Stream heads: handle instant ops, dispatch engine ops.
             for s in 0..self.streams.len() {
@@ -526,7 +460,7 @@ impl Sim {
                 match engine {
                     Some(engine) => {
                         op.issued = true;
-                        engine.enqueue_op(head, self.background[s]);
+                        engine.queue.push_back(head);
                     }
                     None => {
                         self.streams[s].pop_front();

@@ -119,6 +119,13 @@ impl Gpu {
         self.sim.now()
     }
 
+    /// Link bandwidth multiplier the DMA engines apply at the current
+    /// virtual time: `1.0` outside every fault-plan degrade window, and
+    /// where windows overlap, the factor of the one that started first.
+    pub fn degrade_factor_now(&self) -> f64 {
+        self.sim.degrade_factor_now()
+    }
+
     /// The fault-injection spec this device was built with.
     pub fn fault_spec(&self) -> &FaultSpec {
         self.faults.spec()
@@ -197,16 +204,6 @@ impl Gpu {
     /// Creates a new stream.
     pub fn create_stream(&mut self) -> StreamId {
         self.sim.create_stream()
-    }
-
-    /// Creates a background (low-priority) stream: its engine ops start
-    /// only when the engine's foreground queue is empty, filling idle
-    /// gaps without displacing foreground work — the transport for
-    /// cross-request prefetch copies that must hide under the running
-    /// routine. Sessions that never create one are bit-identical to the
-    /// foreground-only simulator.
-    pub fn create_stream_background(&mut self) -> StreamId {
-        self.sim.create_stream_background()
     }
 
     /// Registers a host staging buffer holding `payload`.

@@ -56,10 +56,6 @@ pub mod names {
     pub const PROBES: &str = "probe_attempts";
     /// Counter: requests fast-failed by an exhausted retry budget.
     pub const BUDGET_FASTFAILS: &str = "budget_fastfails";
-    /// Counter: cross-request operand prefetches issued.
-    pub const PREFETCHES: &str = "prefetch_issued";
-    /// Counter: prefetched operands claimed by their target request.
-    pub const PREFETCH_HITS: &str = "prefetch_hits";
 }
 
 /// The objective kinds the engine understands.

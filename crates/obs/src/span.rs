@@ -32,7 +32,6 @@
 //! | [`Hedge`](SpanPhase::Hedge) | `~` | interval | speculative duplicate attempt on a peer device |
 //! | [`Probe`](SpanPhase::Probe) | `?` | interval | canary GEMM testing a quarantined device |
 //! | [`Cancel`](SpanPhase::Cancel) | `x` | instant | the losing side of a hedge race was undone |
-//! | [`Prefetch`](SpanPhase::Prefetch) | `+` | interval | speculative upload of a *queued* request's operands |
 //! | [`Complete`](SpanPhase::Complete) | `*` | instant | terminal status reached |
 //!
 //! A `Hedge` span deliberately *overlaps* the `Dispatch`/`Retry` span it
@@ -87,12 +86,6 @@ pub enum SpanPhase {
     /// The losing side of a hedge race was cancelled and its virtual time
     /// rewound (instant, placed at the end of the cancelled attempt).
     Cancel,
-    /// A speculative h2d upload of a *queued* request's shared operands,
-    /// riding the idle DMA engine under another request's compute
-    /// (cross-request prefetch). Carries the *target* request's id and
-    /// deliberately overlaps the running request's attempt span; it is
-    /// not an attempt itself, so the attempt invariants ignore it.
-    Prefetch,
     /// The request reached a terminal status (instant).
     Complete,
 }
@@ -115,7 +108,6 @@ impl SpanPhase {
             SpanPhase::Hedge => "hedge",
             SpanPhase::Probe => "probe",
             SpanPhase::Cancel => "cancel",
-            SpanPhase::Prefetch => "prefetch",
             SpanPhase::Complete => "complete",
         }
     }
@@ -137,7 +129,6 @@ impl SpanPhase {
             SpanPhase::Hedge => '~',
             SpanPhase::Probe => '?',
             SpanPhase::Cancel => 'x',
-            SpanPhase::Prefetch => '+',
             SpanPhase::Complete => '*',
         }
     }
@@ -972,7 +963,6 @@ mod tests {
             SpanPhase::Hedge,
             SpanPhase::Probe,
             SpanPhase::Cancel,
-            SpanPhase::Prefetch,
             SpanPhase::Complete,
         ];
         let names: std::collections::BTreeSet<&str> = phases.iter().map(|p| p.name()).collect();

@@ -165,8 +165,7 @@ pub fn render(trace: &ServeTrace, opts: &TimelineOptions) -> String {
                 | SpanPhase::Quarantine
                 | SpanPhase::Hedge
                 | SpanPhase::Probe
-                | SpanPhase::Cancel
-                | SpanPhase::Prefetch => {
+                | SpanPhase::Cancel => {
                     paint(&mut row, extent, s.start_ns, s.end_ns, s.phase.glyph());
                     any = true;
                 }
@@ -195,7 +194,7 @@ pub fn render(trace: &ServeTrace, opts: &TimelineOptions) -> String {
     let _ = writeln!(
         out,
         "legend: > h2d  # exec  < d2h  . queued  ! retry  Q quarantine  \
-         H host-fallback  ~ hedge  ? probe  x cancel  + prefetch"
+         H host-fallback  ~ hedge  ? probe  x cancel"
     );
     out
 }

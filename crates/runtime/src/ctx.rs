@@ -12,7 +12,7 @@ use cocopelia_core::models::{ModelCtx, ModelKind};
 use cocopelia_core::params::{Loc, ProblemSpec, RoutineClass};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::select::{Selection, TileSelector};
-use cocopelia_gpusim::{CopyDesc, Gpu, SimScalar, SimTime, StreamId};
+use cocopelia_gpusim::{CopyDesc, Gpu, SimScalar, SimTime};
 use cocopelia_hostblas::{Dtype, Matrix};
 use cocopelia_obs::{score_models, CallObservation, DriftRecord, Observer, OverlapStats};
 use std::collections::HashMap;
@@ -151,7 +151,6 @@ pub struct Cocopelia {
     profile: SystemProfile,
     selector: TileSelector,
     streams: Option<Streams>,
-    prefetch_stream: Option<StreamId>,
     cache: HashMap<SelectKey, Selection>,
     obs: Observer,
     retry: RetryPolicy,
@@ -165,7 +164,6 @@ impl Cocopelia {
             profile,
             selector: TileSelector::default(),
             streams: None,
-            prefetch_stream: None,
             cache: HashMap::new(),
             obs: Observer::new(),
             retry: RetryPolicy::default(),
@@ -226,22 +224,6 @@ impl Cocopelia {
             None => {
                 let s = Streams::create(&mut self.gpu);
                 self.streams = Some(s);
-                s
-            }
-        }
-    }
-
-    /// The dedicated background stream cross-request prefetch copies ride
-    /// on: the copy engine serves it only in its idle gaps, so staged
-    /// transfers drain in the h2d slack under the running routine's
-    /// compute and never delay its own uploads. Never created on
-    /// prefetch-off runs, so their schedules are untouched.
-    fn ensure_prefetch_stream(&mut self) -> StreamId {
-        match self.prefetch_stream {
-            Some(s) => s,
-            None => {
-                let s = self.gpu.create_stream_background();
-                self.prefetch_stream = Some(s);
                 s
             }
         }
@@ -654,91 +636,6 @@ impl Cocopelia {
             rows,
             cols,
         })
-    }
-
-    /// Enqueues the h2d transfer of a ghost matrix *without* synchronizing
-    /// — the copy is queued on the dedicated prefetch stream under `tag`
-    /// and overlaps whatever the device executes before its next
-    /// synchronize. The
-    /// returned [`HostBufId`](cocopelia_gpusim::HostBufId) names the
-    /// staging ghost; the caller must `take_host` it after a synchronize
-    /// (or free the device buffer and take the ghost on abandonment). The
-    /// cross-request prefetcher uses this to hide a queued request's
-    /// uploads under the running request's compute.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-memory and enqueue-time fault injection. On error nothing
-    /// stays allocated.
-    pub(crate) fn enqueue_ghost_matrix(
-        &mut self,
-        dtype: Dtype,
-        rows: usize,
-        cols: usize,
-        tag: cocopelia_gpusim::OpTag,
-    ) -> Result<(DeviceMatrix, cocopelia_gpusim::HostBufId), RuntimeError> {
-        let len = rows * cols;
-        let host = self.gpu.register_host_ghost(dtype, len, true);
-        let dev = match self.gpu.alloc_device(dtype, len) {
-            Ok(dev) => dev,
-            Err(e) => {
-                let _ = self.gpu.take_host(host);
-                return Err(e.into());
-            }
-        };
-        let stream = self.ensure_prefetch_stream();
-        self.gpu.set_op_tag(tag);
-        let res = self
-            .gpu
-            .memcpy_h2d_async(stream, CopyDesc::contiguous(host, dev, len));
-        self.gpu.clear_op_tag();
-        if let Err(e) = res {
-            let _ = self.gpu.free_device(dev);
-            let _ = self.gpu.take_host(host);
-            return Err(e.into());
-        }
-        Ok((
-            DeviceMatrix {
-                buf: dev,
-                rows,
-                cols,
-            },
-            host,
-        ))
-    }
-
-    /// Enqueues the h2d transfer of a ghost vector without synchronizing;
-    /// see [`enqueue_ghost_matrix`](Self::enqueue_ghost_matrix).
-    ///
-    /// # Errors
-    ///
-    /// As for [`enqueue_ghost_matrix`](Self::enqueue_ghost_matrix).
-    pub(crate) fn enqueue_ghost_vector(
-        &mut self,
-        dtype: Dtype,
-        len: usize,
-        tag: cocopelia_gpusim::OpTag,
-    ) -> Result<(DeviceVector, cocopelia_gpusim::HostBufId), RuntimeError> {
-        let host = self.gpu.register_host_ghost(dtype, len, true);
-        let dev = match self.gpu.alloc_device(dtype, len) {
-            Ok(dev) => dev,
-            Err(e) => {
-                let _ = self.gpu.take_host(host);
-                return Err(e.into());
-            }
-        };
-        let stream = self.ensure_prefetch_stream();
-        self.gpu.set_op_tag(tag);
-        let res = self
-            .gpu
-            .memcpy_h2d_async(stream, CopyDesc::contiguous(host, dev, len));
-        self.gpu.clear_op_tag();
-        if let Err(e) = res {
-            let _ = self.gpu.free_device(dev);
-            let _ = self.gpu.take_host(host);
-            return Err(e.into());
-        }
-        Ok((DeviceVector { buf: dev, len }, host))
     }
 
     /// Allocates a device-resident matrix without data (timing sweeps).

@@ -38,5 +38,5 @@ pub use multigpu::{MultiGemmResult, MultiGpu};
 pub use operand::{DeviceMatrix, DeviceVector, MatOperand, TileChoice, VecOperand};
 pub use request::{
     AxpyRequest, DotRequest, GemmRequest, GemvRequest, MatArg, RoutineRequest, SharedMat,
-    SharedOperandSpec, SharedVec, VecArg,
+    SharedVec, VecArg,
 };

@@ -533,54 +533,6 @@ impl<T: SimScalar> GemvRequest<T> {
     }
 }
 
-/// One shared operand of a request, described precisely enough for the
-/// serving layer to stage its upload *without* the request in hand: the
-/// residency key, element type, and full shape. Produced by
-/// [`RoutineRequest::shared_operand_specs`]; consumed by the executor's
-/// cross-request prefetcher.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SharedOperandSpec {
-    /// A shared matrix operand.
-    Mat {
-        /// Residency-cache key.
-        key: String,
-        /// Element type.
-        dtype: cocopelia_hostblas::Dtype,
-        /// Row count.
-        rows: usize,
-        /// Column count.
-        cols: usize,
-    },
-    /// A shared vector operand.
-    Vec {
-        /// Residency-cache key.
-        key: String,
-        /// Element type.
-        dtype: cocopelia_hostblas::Dtype,
-        /// Element count.
-        len: usize,
-    },
-}
-
-impl SharedOperandSpec {
-    /// The operand's residency-cache key.
-    pub fn key(&self) -> &str {
-        match self {
-            SharedOperandSpec::Mat { key, .. } | SharedOperandSpec::Vec { key, .. } => key,
-        }
-    }
-
-    /// Device bytes the operand occupies when resident in full.
-    pub fn bytes(&self) -> usize {
-        match self {
-            SharedOperandSpec::Mat {
-                dtype, rows, cols, ..
-            } => rows * cols * dtype.width(),
-            SharedOperandSpec::Vec { dtype, len, .. } => len * dtype.width(),
-        }
-    }
-}
-
 /// A type-erased routine request, the unit the serving layer queues.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -695,45 +647,6 @@ impl RoutineRequest {
                         .into_iter()
                         .filter_map(VecArg::shared_footprint),
                 );
-                out
-            }
-        }
-    }
-
-    /// Shape and dtype of every shared operand, in operand order — what
-    /// the cross-request prefetcher needs to stage an upload for a queued
-    /// request it does not yet hold: the residency key, the element type,
-    /// and the full operand extent.
-    pub fn shared_operand_specs(&self) -> Vec<SharedOperandSpec> {
-        fn mat<T: SimScalar>(arg: &MatArg<T>) -> Option<SharedOperandSpec> {
-            match arg {
-                MatArg::Shared(s) => Some(SharedOperandSpec::Mat {
-                    key: s.key.clone(),
-                    dtype: T::DTYPE,
-                    rows: s.rows,
-                    cols: s.cols,
-                }),
-                MatArg::Inline(_) => None,
-            }
-        }
-        fn vec<T: SimScalar>(arg: &VecArg<T>) -> Option<SharedOperandSpec> {
-            match arg {
-                VecArg::Shared(s) => Some(SharedOperandSpec::Vec {
-                    key: s.key.clone(),
-                    dtype: T::DTYPE,
-                    len: s.len,
-                }),
-                VecArg::Inline(_) => None,
-            }
-        }
-        match self {
-            RoutineRequest::GemmF64(r) => [&r.a, &r.b, &r.c].into_iter().filter_map(mat).collect(),
-            RoutineRequest::GemmF32(r) => [&r.a, &r.b, &r.c].into_iter().filter_map(mat).collect(),
-            RoutineRequest::AxpyF64(r) => [&r.x, &r.y].into_iter().filter_map(vec).collect(),
-            RoutineRequest::DotF64(r) => [&r.x, &r.y].into_iter().filter_map(vec).collect(),
-            RoutineRequest::GemvF64(r) => {
-                let mut out: Vec<SharedOperandSpec> = mat(&r.a).into_iter().collect();
-                out.extend([&r.x, &r.y].into_iter().filter_map(vec));
                 out
             }
         }

@@ -1,18 +1,17 @@
 //! The dispatch engine behind [`ServeSession`]: admission, placement,
-//! residency, retry, hedging, probation, and prefetch.
+//! residency, retry, hedging, and probation.
 
 use crate::ctx::{Cocopelia, RoutineReport};
 use crate::error::{FaultClass, RequestError, RequestId, RuntimeError};
 use crate::operand::{MatOperand, TileChoice, VecOperand};
-use crate::request::{GemmRequest, MatArg, RoutineRequest, SharedOperandSpec, VecArg};
+use crate::request::{GemmRequest, MatArg, RoutineRequest, VecArg};
 use crate::serve::residency::{ResidencyCache, ResidentHandle};
 use crate::serve::sched::SchedulePolicy;
 use crate::serve::session::ServeSession;
 use crate::serve::telemetry::{TelemetryReport, TickState};
-use crate::serve::trace::{is_prefetch_entry, ServeTracer};
+use crate::serve::trace::ServeTracer;
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::{DevBufId, EngineKind, HostBufId, OpTag, SimError, SimScalar, SimTime};
-use cocopelia_hostblas::Dtype;
+use cocopelia_gpusim::{DevBufId, HostBufId, SimError, SimScalar, SimTime};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
 use std::collections::BTreeSet;
@@ -589,34 +588,6 @@ pub(super) struct Follower {
     deadline: Option<f64>,
 }
 
-/// One prefetched operand pinned in a device's residency cache until its
-/// target request claims it at dispatch (or a release path frees it).
-#[derive(Debug, Clone)]
-pub(super) struct PrefetchEntry {
-    /// Device holding the prefetched operand.
-    device: usize,
-    /// Request id the operand was prefetched for.
-    target: u64,
-    /// Residency key of the operand.
-    key: String,
-    /// Operand size in bytes.
-    bytes: usize,
-}
-
-/// One staged prefetch upload: the copy is enqueued on the device's h2d
-/// stream but the running attempt's synchronize has not run yet, so the
-/// staging ghost cannot be reclaimed and the cache entry cannot be
-/// created. `finish_prefetch` settles it after a successful submit.
-#[derive(Debug)]
-struct StagedPrefetch {
-    target: u64,
-    key: String,
-    dtype: Dtype,
-    bytes: usize,
-    handle: ResidentHandle,
-    host: HostBufId,
-}
-
 /// Rejection reason for the footprint admission ceiling — shared by the
 /// closed-queue and open-arrival admission paths so the two reject
 /// identically.
@@ -741,24 +712,15 @@ impl ServeSession {
 
     /// Estimated h2d transfer time of `bytes` on device `d` at the
     /// *effective* link bandwidth of the device's current clock: the
-    /// first fault-plan degrade window covering the instant scales the
-    /// bandwidth by its factor, exactly like the engine. With no degrade
-    /// windows this returns
+    /// bandwidth scaled by the degrade factor the engine applies at that
+    /// instant ([`Gpu::degrade_factor_now`](cocopelia_gpusim::Gpu::degrade_factor_now)).
+    /// Outside every degrade window this is
     /// [`DirLinkSpec::ideal_time`](cocopelia_gpusim::DirLinkSpec::ideal_time)
     /// bit for bit, so fault-free schedules are unchanged.
     fn effective_h2d_secs(&self, d: usize, bytes: usize) -> f64 {
         let gpu = self.pool.devices()[d].gpu();
         let h2d = gpu.spec().link.h2d;
-        let degrade = &gpu.fault_spec().degrade;
-        if degrade.is_empty() {
-            return h2d.ideal_time(bytes);
-        }
-        let at = gpu.now().as_secs_f64();
-        let factor = degrade
-            .iter()
-            .find(|w| at >= w.start_s && at < w.end_s)
-            .map_or(1.0, |w| w.factor)
-            .max(1e-9);
+        let factor = gpu.degrade_factor_now().max(1e-9);
         h2d.latency_s + bytes as f64 / (h2d.bandwidth_bps * factor)
     }
 
@@ -827,10 +789,9 @@ impl ServeSession {
     }
 
     /// The queue position the active [`SchedulePolicy`] would dispatch
-    /// next, plus the predictive policy's preferred device. Pure: this is
-    /// both the dispatch pick ([`next_dispatch`](Self::next_dispatch))
-    /// and the prefetcher's peek at the request that will run *after* the
-    /// one about to execute. `None` on an empty queue.
+    /// next, plus the predictive policy's preferred device. Pure, and
+    /// called once per dispatch, by
+    /// [`next_dispatch`](Self::next_dispatch). `None` on an empty queue.
     fn select_index(&self) -> Option<(usize, Option<usize>)> {
         if self.queue.is_empty() {
             return None;
@@ -1184,17 +1145,6 @@ impl ServeSession {
             }
             self.retire_traces();
         }
-        // Defensive: a prefetched entry whose target never claimed it by
-        // drain end loses its pin and becomes an ordinary LRU entry (the
-        // data is valid — only the reservation lapses).
-        let leftovers = std::mem::take(&mut self.prefetched);
-        for e in &leftovers {
-            self.residency[e.device].unpin(&e.key);
-        }
-        if !leftovers.is_empty() {
-            self.metrics
-                .counter_add("prefetch_released_total", leftovers.len() as u64);
-        }
         let per_device_busy: Vec<SimTime> = self
             .pool
             .devices()
@@ -1317,9 +1267,6 @@ impl ServeSession {
                 }
                 // Graceful degradation: the whole pool is quarantined, so
                 // the request completes on the host instead of failing.
-                // Operands prefetched for this request sit on devices it
-                // will never touch: release them with accounting.
-                self.release_prefetch_for(id.0);
                 host_fallback = true;
                 device = None;
                 self.metrics.counter_add("fault_host_fallback_total", 1);
@@ -1338,10 +1285,6 @@ impl ServeSession {
                 self.metrics.counter_add("quarantine_redispatch_total", 1);
             }
             device = Some(d);
-            // Claim (on `d`) or release (elsewhere) whatever the
-            // prefetcher staged for this request before resolution runs,
-            // so a claimed entry serves the resolve as a warm hit.
-            self.settle_prefetch(id.0, d);
             // A request cannot restart before the fault that re-issued it
             // occurred: a re-dispatch target whose virtual clock lags the
             // previous attempt's end is lifted to it. (Per-device clocks
@@ -1379,22 +1322,7 @@ impl ServeSession {
                 }
             }
             let attempt_no = retries;
-            // Predicted h2d idle time within this attempt — the window a
-            // cross-request prefetch must hide in: the attempt's total
-            // predicted span minus the h2d occupancy of its own input
-            // operands. Computed from operand bytes at the effective link
-            // rate rather than the prediction's `t_in_tile` (whose meaning
-            // is model-specific: the data-reuse model stores the pipeline
-            // fill there, so `k * t_in_tile` would overcount by ~`k`).
-            let spec = req.problem_spec();
-            let own_h2d: f64 = spec
-                .operands
-                .iter()
-                .filter(|o| o.get())
-                .map(|o| self.effective_h2d_secs(d, o.bytes(spec.dtype)))
-                .sum();
-            let window = estimate.as_ref().map(|(p, _)| (p.total - own_h2d).max(0.0));
-            let attempt = self.execute_once(d, req.clone(), window);
+            let attempt = self.execute_once(d, req.clone());
             let clock_after = self.pool.devices()[d].gpu().now();
             // Straggler defense: a successful attempt that overran its
             // prediction far enough races a speculative hedge on the best
@@ -1607,7 +1535,6 @@ impl ServeSession {
         self.suspicion_secs[d] = 0.0;
         self.metrics.counter_add("quarantine_devices_total", 1);
         let evicted = self.residency[d].clear();
-        self.forget_prefetch_on_device(d);
         self.metrics
             .counter_add("quarantine_invalidated_total", evicted.len() as u64);
         let dev = self.pool.device_mut(d);
@@ -1718,7 +1645,7 @@ impl ServeSession {
             .offload_estimate(b, req)
             .map(|p| (p, self.service_secs(b, req)));
         self.metrics.counter_add("hedge_attempts_total", 1);
-        let hedged = self.execute_once(b, req.clone(), None);
+        let hedged = self.execute_once(b, req.clone());
         let b_after_ns = self.pool.devices()[b].gpu().now().as_nanos();
         let after_ns = clock_after.as_nanos();
         let won = hedged.is_ok() && b_after_ns < after_ns;
@@ -1734,10 +1661,6 @@ impl ServeSession {
                     .gpu_mut()
                     .cancel_to(SimTime::from_nanos(b_after_ns));
                 self.rollback_cancelled(d, req, pre);
-                // The rewind erased the primary's prefetch copies too:
-                // their data never arrived, so the cache entries must not
-                // survive to serve phantom hits.
-                self.abort_prefetch_on_device(d);
                 self.fault_streak[b] = 0;
                 self.suspicion_secs[b] = 0.0;
                 self.metrics.counter_add("hedge_wins_total", 1);
@@ -2019,7 +1942,7 @@ impl ServeSession {
         let before_ns = self.pool.devices()[d].gpu().now().as_nanos();
         self.metrics.counter_add("probe_attempts_total", 1);
         let goal = cfg.successes.max(1);
-        match self.execute_once(d, canary_request(), None) {
+        match self.execute_once(d, canary_request()) {
             Ok(_) => {
                 let after_ns = self.pool.devices()[d].gpu().now().as_nanos();
                 self.metrics.counter_add("probe_success_total", 1);
@@ -2166,18 +2089,11 @@ impl ServeSession {
     }
 
     /// One attempt: resolve shared operands against device `d`'s residency
-    /// cache, optionally stage a cross-request prefetch on the idle h2d
-    /// engine, run the routine, release bypass uploads.
-    ///
-    /// `prefetch_window` is the running attempt's predicted h2d idle time
-    /// (predicted offload total minus the h2d time of the request's own
-    /// input operands); `Some` only on primary dispatches with a usable
-    /// prediction — hedges and probes pass `None` and never prefetch.
+    /// cache, run the routine, release bypass uploads.
     fn execute_once(
         &mut self,
         d: usize,
         req: RoutineRequest,
-        prefetch_window: Option<f64>,
     ) -> Result<RoutineReport, RuntimeError> {
         let mut bypass = Vec::new();
         // Pin every shared key of this request for the whole resolution:
@@ -2195,259 +2111,12 @@ impl ServeSession {
             let cache = &mut residency[d];
             resolve_request(dev, cache, metrics, &mut bypass, &pinned, req)?
         };
-        // The trace mark must precede the staging enqueues so
-        // finish_prefetch sees its own copy entries.
-        let mark = self.pool.devices()[d].gpu().trace().len();
-        let staged = match prefetch_window {
-            Some(window) if self.prefetch => self.begin_prefetch(d, window),
-            _ => Vec::new(),
-        };
-        match self.pool.device_mut(d).submit(resolved) {
-            Ok(report) => {
-                self.finish_prefetch(d, staged, mark);
-                let dev = self.pool.device_mut(d);
-                for h in bypass {
-                    free_resident(dev, h);
-                }
-                Ok(report)
-            }
-            Err(e) => {
-                // The staged buffers were never adopted by the cache, so
-                // the caller's ordinary fault cleanup frees them exactly
-                // like the attempt's own leaked buffers.
-                if !staged.is_empty() {
-                    self.metrics
-                        .counter_add("prefetch_aborted_total", staged.len() as u64);
-                }
-                Err(e)
-            }
+        let dev = self.pool.device_mut(d);
+        let report = dev.submit(resolved)?;
+        for h in bypass {
+            free_resident(dev, h);
         }
-    }
-
-    /// Stages the next scheduled request's missing shared operands on
-    /// device `d`'s h2d engine, without synchronizing — the copies drain
-    /// during the running routine's own synchronize, overlapping its
-    /// compute. Stages nothing unless the overlap predictor says the
-    /// upload hides inside `window_secs` and the bytes fit in the
-    /// residency cache's free budget (a prefetch must never evict
-    /// demand-fetched state).
-    fn begin_prefetch(&mut self, d: usize, window_secs: f64) -> Vec<StagedPrefetch> {
-        if window_secs <= 0.0 || self.quarantined[d] {
-            return Vec::new();
-        }
-        let Some((idx, _)) = self.select_index() else {
-            return Vec::new();
-        };
-        let (target, specs) = {
-            let (tid, treq) = &self.queue[idx];
-            (tid.0, treq.shared_operand_specs())
-        };
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let plan: Vec<SharedOperandSpec> = specs
-            .into_iter()
-            .filter(|s| !self.residency[d].contains(s.key()) && seen.insert(s.key().to_owned()))
-            .collect();
-        if plan.is_empty() {
-            return Vec::new();
-        }
-        let upload: f64 = plan
-            .iter()
-            .map(|s| self.effective_h2d_secs(d, s.bytes()))
-            .sum();
-        let total_bytes: usize = plan.iter().map(SharedOperandSpec::bytes).sum();
-        if upload > window_secs || !self.residency[d].fits_now(total_bytes) {
-            self.metrics.counter_add("prefetch_skipped_total", 1);
-            return Vec::new();
-        }
-        let mut staged = Vec::with_capacity(plan.len());
-        for (i, spec) in plan.into_iter().enumerate() {
-            let tag = OpTag {
-                routine: "prefetch",
-                call: target,
-                tile: (i, 0),
-                operand: None,
-                get: true,
-                set: false,
-            };
-            let dtype = match &spec {
-                SharedOperandSpec::Mat { dtype, .. } | SharedOperandSpec::Vec { dtype, .. } => {
-                    *dtype
-                }
-            };
-            let bytes = spec.bytes();
-            let enqueued = match &spec {
-                SharedOperandSpec::Mat { rows, cols, .. } => self
-                    .pool
-                    .device_mut(d)
-                    .enqueue_ghost_matrix(dtype, *rows, *cols, tag)
-                    .map(|(m, h)| (ResidentHandle::Mat(m), h)),
-                SharedOperandSpec::Vec { len, .. } => self
-                    .pool
-                    .device_mut(d)
-                    .enqueue_ghost_vector(dtype, *len, tag)
-                    .map(|(v, h)| (ResidentHandle::Vec(v), h)),
-            };
-            match enqueued {
-                Ok((handle, host)) => staged.push(StagedPrefetch {
-                    target,
-                    key: spec.key().to_owned(),
-                    dtype,
-                    bytes,
-                    handle,
-                    host,
-                }),
-                Err(_) => {
-                    self.metrics.counter_add("prefetch_aborted_total", 1);
-                    break;
-                }
-            }
-        }
-        staged
-    }
-
-    /// Lands the copies staged by [`begin_prefetch`](Self::begin_prefetch)
-    /// after the running routine's synchronize drained them: releases the
-    /// staging ghosts, measures how much of each copy actually hid under
-    /// the routine's compute, records `Prefetch` trace spans, and adopts
-    /// the operands into the residency cache as pinned-until-claimed
-    /// entries.
-    fn finish_prefetch(&mut self, d: usize, staged: Vec<StagedPrefetch>, mark: usize) {
-        if staged.is_empty() {
-            return;
-        }
-        for s in &staged {
-            let _ = self.pool.device_mut(d).gpu_mut().take_host(s.host);
-        }
-        let entries = self.pool.devices()[d].gpu().trace().entries_since(mark);
-        let computes: Vec<(u64, u64)> = entries
-            .iter()
-            .filter(|e| e.engine == EngineKind::Compute)
-            .map(|e| (e.start.as_nanos(), e.end.as_nanos()))
-            .collect();
-        let mut overlap_ns = 0u64;
-        for e in entries.iter().filter(|e| is_prefetch_entry(e)) {
-            let (s_ns, e_ns) = (e.start.as_nanos(), e.end.as_nanos());
-            overlap_ns += computes
-                .iter()
-                .map(|&(cs, ce)| e_ns.min(ce).saturating_sub(s_ns.max(cs)))
-                .sum::<u64>();
-            if let Some(t) = self.tracer.as_mut() {
-                let label = e
-                    .tag
-                    .as_ref()
-                    .and_then(|t| staged.get(t.tile.0))
-                    .map_or_else(
-                        || "prefetch".to_owned(),
-                        |s| format!("prefetch {} ({} B)", s.key, s.bytes),
-                    );
-                let target = e.tag.as_ref().map_or(0, |t| t.call);
-                t.prefetch(target, d, s_ns, e_ns, &label);
-            }
-        }
-        self.metrics
-            .counter_add("prefetch_issued_total", staged.len() as u64);
-        self.metrics.counter_add("prefetch_overlap_ns", overlap_ns);
-        self.metrics.counter_add(
-            "prefetch_bytes_total",
-            staged.iter().map(|s| s.bytes as u64).sum(),
-        );
-        for s in staged {
-            let inserted = match s.handle {
-                ResidentHandle::Mat(m) => self.residency[d].insert_mat(&s.key, s.dtype, m, s.bytes),
-                ResidentHandle::Vec(v) => self.residency[d].insert_vec(&s.key, s.dtype, v, s.bytes),
-            };
-            if inserted {
-                self.residency[d].pin(&s.key);
-                self.prefetched.push(PrefetchEntry {
-                    device: d,
-                    target: s.target,
-                    key: s.key,
-                    bytes: s.bytes,
-                });
-            } else {
-                // A concurrent demand fetch won the key: drop the duplicate.
-                free_resident(self.pool.device_mut(d), s.handle);
-            }
-        }
-    }
-
-    /// Claims or releases the prefetched operands staged for request `id`
-    /// now that it is dispatching on device `d`: entries on `d` become
-    /// ordinary warm cache state (unpinned, counted as hits); entries
-    /// staged on any other device — the request was hedged elsewhere, or
-    /// its chosen device changed — are evicted and freed with accounting.
-    fn settle_prefetch(&mut self, id: u64, d: usize) {
-        if self.prefetched.is_empty() {
-            return;
-        }
-        let mut kept = Vec::with_capacity(self.prefetched.len());
-        for e in std::mem::take(&mut self.prefetched) {
-            if e.target != id {
-                kept.push(e);
-                continue;
-            }
-            self.residency[e.device].unpin(&e.key);
-            if e.device == d {
-                self.metrics.counter_add("prefetch_hits_total", 1);
-                self.metrics
-                    .counter_add("prefetch_hit_bytes_total", e.bytes as u64);
-            } else {
-                if let Some(r) = self.residency[e.device].remove(&e.key) {
-                    free_resident(self.pool.device_mut(e.device), r.handle);
-                }
-                self.metrics.counter_add("prefetch_released_total", 1);
-            }
-        }
-        self.prefetched = kept;
-    }
-
-    /// Releases every prefetched operand staged for request `id` without
-    /// claiming any — the request was rejected, coalesced, or fell back to
-    /// the host, so its staged bytes must not stay pinned.
-    fn release_prefetch_for(&mut self, id: u64) {
-        self.settle_prefetch(id, usize::MAX);
-    }
-
-    /// Evicts and frees every unclaimed prefetched operand on device `d`
-    /// after its timeline was rewound ([`cocopelia_gpusim::Gpu::cancel_to`]):
-    /// the copies never happened, so the cache entries must not survive to
-    /// serve phantom hits. The buffers are still allocated (the rewind is
-    /// timeline-only) and cache-tracked, so they are freed here, not by
-    /// the leak sweep.
-    fn abort_prefetch_on_device(&mut self, d: usize) {
-        if self.prefetched.is_empty() {
-            return;
-        }
-        let mut kept = Vec::with_capacity(self.prefetched.len());
-        let mut aborted = 0u64;
-        for e in std::mem::take(&mut self.prefetched) {
-            if e.device != d {
-                kept.push(e);
-                continue;
-            }
-            self.residency[d].unpin(&e.key);
-            if let Some(r) = self.residency[d].remove(&e.key) {
-                free_resident(self.pool.device_mut(d), r.handle);
-            }
-            aborted += 1;
-        }
-        self.prefetched = kept;
-        if aborted > 0 {
-            self.metrics.counter_add("prefetch_aborted_total", aborted);
-        }
-    }
-
-    /// Drops the tracking entries for device `d`'s unclaimed prefetches
-    /// after its residency cache was cleared wholesale (quarantine,
-    /// reclaim) — the buffers were already freed with the cache, so this
-    /// only forgets them.
-    fn forget_prefetch_on_device(&mut self, d: usize) {
-        let before = self.prefetched.len();
-        self.prefetched.retain(|e| e.device != d);
-        let dropped = (before - self.prefetched.len()) as u64;
-        if dropped > 0 {
-            self.metrics.counter_add("prefetch_aborted_total", dropped);
-        }
+        Ok(report)
     }
 
     /// Returns device `d` to a clean state after a failed attempt: waits
@@ -2473,10 +2142,6 @@ impl ServeSession {
                 let _ = dev.gpu_mut().take_host(h);
             }
         }
-        // The cache wipe above already freed any prefetched buffers; drop
-        // their tracking entries too so a later dispatch of the target
-        // request cannot claim a phantom hit.
-        self.forget_prefetch_on_device(d);
     }
 
     /// Frees buffers a failed attempt leaked on device `d` without

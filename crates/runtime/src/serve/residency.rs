@@ -4,7 +4,7 @@ use crate::error::RuntimeError;
 use crate::operand::{DeviceMatrix, DeviceVector};
 use cocopelia_gpusim::DevBufId;
 use cocopelia_hostblas::Dtype;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// A cached device allocation: either a matrix or a vector.
 #[derive(Debug, Clone, Copy)]
@@ -45,11 +45,6 @@ pub struct ResidencyCache {
     used_bytes: usize,
     clock: u64,
     entries: HashMap<String, Resident>,
-    /// Keys pinned *across* resolutions: speculatively prefetched entries
-    /// that must survive until their target request claims (or releases)
-    /// them. Unlike the per-resolution `pinned` slices threaded through
-    /// `fits_pinned`/`evict_for`, these pins persist between requests.
-    pinned_keys: BTreeSet<String>,
 }
 
 impl ResidencyCache {
@@ -60,29 +55,7 @@ impl ResidencyCache {
             used_bytes: 0,
             clock: 0,
             entries: HashMap::new(),
-            pinned_keys: BTreeSet::new(),
         }
-    }
-
-    /// Pins `key` until [`unpin`](Self::unpin): the entry is treated as
-    /// pinned by every eviction decision, on top of any per-resolution
-    /// pinned slice. The prefetcher pins staged entries so the running
-    /// request's own uploads cannot evict them before their target claims
-    /// them.
-    pub(crate) fn pin(&mut self, key: &str) {
-        self.pinned_keys.insert(key.to_owned());
-    }
-
-    /// Releases a persistent pin. The entry stays cached (ordinary LRU).
-    pub(crate) fn unpin(&mut self, key: &str) {
-        self.pinned_keys.remove(key);
-    }
-
-    /// True when an operand of `bytes` fits in the *free* budget right
-    /// now, with no eviction at all. Speculative prefetch uses this — a
-    /// prefetch must never evict demand-fetched state.
-    pub(crate) fn fits_now(&self, bytes: usize) -> bool {
-        self.used_bytes + bytes <= self.budget_bytes
     }
 
     /// The byte budget.
@@ -120,7 +93,7 @@ impl ResidencyCache {
         let pinned_bytes: usize = self
             .entries
             .values()
-            .filter(|e| pinned.contains(&e.key) || self.pinned_keys.contains(&e.key))
+            .filter(|e| pinned.contains(&e.key))
             .map(|e| e.bytes)
             .sum();
         bytes + pinned_bytes <= self.budget_bytes
@@ -199,7 +172,7 @@ impl ResidencyCache {
             let Some(key) = self
                 .entries
                 .values()
-                .filter(|e| !pinned.contains(&e.key) && !self.pinned_keys.contains(&e.key))
+                .filter(|e| !pinned.contains(&e.key))
                 .min_by_key(|e| e.last_use)
                 .map(|e| e.key.clone())
             else {
@@ -271,7 +244,6 @@ impl ResidencyCache {
     /// in LRU order (deterministic: `last_use` stamps are unique).
     pub(crate) fn clear(&mut self) -> Vec<Resident> {
         self.used_bytes = 0;
-        self.pinned_keys.clear();
         let mut all: Vec<Resident> = self.entries.drain().map(|(_, e)| e).collect();
         all.sort_by_key(|e| e.last_use);
         all
@@ -290,7 +262,6 @@ impl ResidencyCache {
     pub(crate) fn remove(&mut self, key: &str) -> Option<Resident> {
         let e = self.entries.remove(key)?;
         self.used_bytes -= e.bytes;
-        self.pinned_keys.remove(key);
         Some(e)
     }
 
@@ -380,39 +351,6 @@ mod tests {
         let evicted = cache.evict_for(400, &pinned);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].key, "D");
-    }
-
-    #[test]
-    fn persistent_pins_block_eviction_until_unpinned() {
-        let mut g = gpu();
-        let mut cache = ResidencyCache::new(2000);
-        cache.insert_mat("P", Dtype::F64, mat(&mut g, 10, 10), 800);
-        cache.insert_mat("B", Dtype::F64, mat(&mut g, 10, 10), 800);
-        cache.pin("P");
-        // P was inserted first (LRU victim by stamp), but the pin holds:
-        // eviction must take B instead.
-        let evicted = cache.evict_for(800, &[]);
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].key, "B");
-        assert!(cache.contains("P"));
-        // fits_pinned counts the persistent pin with no per-resolution
-        // slice; fits_now never evicts.
-        assert!(!cache.fits_pinned(1600, &[]));
-        assert!(cache.fits_pinned(1200, &[]));
-        assert!(cache.fits_now(1200));
-        assert!(!cache.fits_now(1201));
-        // Unpinning restores ordinary LRU behaviour; remove() drops a
-        // pin with its entry.
-        cache.unpin("P");
-        let evicted = cache.evict_for(2000, &[]);
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].key, "P");
-        cache.insert_mat("Q", Dtype::F64, mat(&mut g, 10, 10), 800);
-        cache.pin("Q");
-        cache.remove("Q").expect("resident");
-        cache.insert_mat("Q", Dtype::F64, mat(&mut g, 10, 10), 800);
-        let evicted = cache.evict_for(2000, &[]);
-        assert_eq!(evicted.len(), 1, "pin must not survive remove()");
     }
 
     #[test]

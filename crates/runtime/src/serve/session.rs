@@ -5,15 +5,15 @@
 //! exactly the request lifecycle: submit (now or at a future virtual
 //! instant), drain, inspect. Closed-queue serving is the degenerate case
 //! — submit everything at offset zero and drain. The dispatch engine
-//! behind the lifecycle (admission, placement, retry, hedging, probation,
-//! prefetch) lives in the sibling `executor` module.
+//! behind the lifecycle (admission, placement, retry, hedging, probation)
+//! lives in the sibling `executor` module.
 
 use crate::error::RequestId;
 use crate::multigpu::MultiGpu;
 use crate::request::RoutineRequest;
 use crate::serve::executor::{
-    BudgetState, DeviceProbe, ExecutorConfig, Follower, HedgeConfig, PrefetchEntry,
-    ProbationConfig, RequestOutcome, RetryBudgetConfig,
+    BudgetState, DeviceProbe, ExecutorConfig, Follower, HedgeConfig, ProbationConfig,
+    RequestOutcome, RetryBudgetConfig,
 };
 use crate::serve::residency::ResidencyCache;
 use crate::serve::sched::SchedulePolicy;
@@ -45,7 +45,6 @@ pub struct ServeOptions {
     pub(crate) queue_cap: Option<usize>,
     pub(crate) shed_flow_secs: Option<f64>,
     pub(crate) coalesce: bool,
-    pub(crate) prefetch: bool,
     pub(crate) hedge: Option<HedgeConfig>,
     pub(crate) probation: Option<ProbationConfig>,
     pub(crate) retry_budget: Option<RetryBudgetConfig>,
@@ -64,7 +63,6 @@ impl std::fmt::Debug for ServeOptions {
             .field("queue_cap", &self.queue_cap)
             .field("shed_flow_secs", &self.shed_flow_secs)
             .field("coalesce", &self.coalesce)
-            .field("prefetch", &self.prefetch)
             .field("hedge", &self.hedge)
             .field("probation", &self.probation)
             .field("retry_budget", &self.retry_budget)
@@ -141,17 +139,11 @@ impl ServeOptions {
         self
     }
 
-    /// Arms prediction-guided cross-request prefetch: while a request
-    /// runs on a device, the next scheduled request's missing shared
-    /// operands may be pre-uploaded on that device's idle h2d engine —
-    /// but only when the overlap predictor says the upload hides inside
-    /// the running attempt's predicted h2d idle time and the bytes fit
-    /// the residency cache's free budget without evicting anything.
-    /// Prefetched operands stay pinned until their target claims them at
-    /// dispatch; an unclaimed prefetch (target rejected, coalesced, or
-    /// hedged to another device) is released with accounting.
-    pub fn prefetch(mut self) -> Self {
-        self.prefetch = true;
+    /// Does nothing: cross-request prefetch was removed. Kept only so the
+    /// frozen benchmark harness under `perfbench/`, which still calls it,
+    /// keeps building; delete it together with that call.
+    #[doc(hidden)]
+    pub fn prefetch(self) -> Self {
         self
     }
 
@@ -285,12 +277,6 @@ pub struct ServeSession {
     /// Session retry token bucket and circuit breaker, armed by
     /// [`ServeOptions::retry_budget`].
     pub(super) budget: Option<BudgetState>,
-    /// Cross-request operand prefetch on idle h2d engines, armed by
-    /// [`ServeOptions::prefetch`].
-    pub(super) prefetch: bool,
-    /// Prefetched operands pinned in residency caches until their target
-    /// request claims them at dispatch (or a release path frees them).
-    pub(super) prefetched: Vec<PrefetchEntry>,
     /// Backlog seconds each queued request contributed at admission, so
     /// the dispatch-time decrement returns exactly what admission added
     /// even when residency (and thus the estimate) changed in between.
@@ -364,8 +350,6 @@ impl ServeSession {
             probation: opts.probation,
             probes: vec![None; count],
             budget: opts.retry_budget.map(BudgetState::new),
-            prefetch: opts.prefetch,
-            prefetched: Vec::new(),
             backlog_contrib: HashMap::new(),
         })
     }

@@ -114,10 +114,6 @@ pub struct WatchWindow {
     pub probes: u64,
     /// Retries refused fast (budget exhausted or breaker open).
     pub fastfails: u64,
-    /// Cross-request operand prefetches issued in the window.
-    pub prefetches: u64,
-    /// …of which were claimed by their target request at dispatch.
-    pub prefetch_hits: u64,
     /// Per-objective verdicts (empty when no SLOs are configured).
     pub slo: Vec<SloStatus>,
 }
@@ -166,11 +162,6 @@ impl WatchWindow {
         }
         if self.fastfails > 0 {
             let _ = write!(defense, " ff={}", self.fastfails);
-        }
-        // The prefetch hit-rate column follows the same only-when-active
-        // rule: `pf=hits/issued` is the window's prefetch hit rate.
-        if self.prefetches > 0 || self.prefetch_hits > 0 {
-            let _ = write!(defense, " pf={}/{}", self.prefetch_hits, self.prefetches);
         }
         format!(
             "[w{:03} {:9.3}-{:9.3}ms] q={} done={} miss={} fail={} rej={} coal={} p95={} hit={} faults={} quar={} drift={:.1}%{} slo={}",
@@ -533,10 +524,6 @@ impl Telemetry {
         self.win.counter_add(names::HEDGE_WINS, hedge_wins);
         self.win.counter_add(names::PROBES, probes);
         self.win.counter_add(names::BUDGET_FASTFAILS, fastfails);
-        let prefetches = self.delta(st.metrics, "prefetch_issued_total");
-        let prefetch_hits = self.delta(st.metrics, "prefetch_hits_total");
-        self.win.counter_add(names::PREFETCHES, prefetches);
-        self.win.counter_add(names::PREFETCH_HITS, prefetch_hits);
     }
 
     fn delta(&mut self, metrics: &Registry, name: &str) -> u64 {
@@ -594,8 +581,6 @@ const DELTA_COUNTERS: &[&str] = &[
     "hedge_wins_total",
     "probe_attempts_total",
     "budget_fastfail_total",
-    "prefetch_issued_total",
-    "prefetch_hits_total",
 ];
 
 fn watch_window(s: &WindowSnapshot, slo: Vec<SloStatus>) -> WatchWindow {
@@ -624,8 +609,6 @@ fn watch_window(s: &WindowSnapshot, slo: Vec<SloStatus>) -> WatchWindow {
         hedge_wins: s.counter(names::HEDGE_WINS),
         probes: s.counter(names::PROBES),
         fastfails: s.counter(names::BUDGET_FASTFAILS),
-        prefetches: s.counter(names::PREFETCHES),
-        prefetch_hits: s.counter(names::PREFETCH_HITS),
         slo,
     }
 }
@@ -656,8 +639,6 @@ mod tests {
             hedge_wins: 0,
             probes: 0,
             fastfails: 0,
-            prefetches: 0,
-            prefetch_hits: 0,
             slo: Vec::new(),
         };
         assert_eq!(
@@ -684,20 +665,6 @@ mod tests {
                 .contains("drift=12.5% hedge=3/1 probe=2 ff=4 slo=-"),
             "{}",
             busy.render()
-        );
-        // The prefetch hit-rate column rides with the defense columns,
-        // after fast-fails.
-        let prefetching = WatchWindow {
-            prefetches: 5,
-            prefetch_hits: 4,
-            ..busy
-        };
-        assert!(
-            prefetching
-                .render()
-                .contains("hedge=3/1 probe=2 ff=4 pf=4/5 slo=-"),
-            "{}",
-            prefetching.render()
         );
     }
 

@@ -29,14 +29,6 @@ use cocopelia_gpusim::{EngineKind, TraceEntry};
 use cocopelia_obs::{DeviceLane, Registry, ServeTrace, SpanLog, SpanPhase};
 use std::collections::{HashMap, HashSet};
 
-/// True when a trace entry is a cross-request prefetch copy (tagged with
-/// the prefetcher's synthetic `OpTag`). Attempt spans skip these: they
-/// belong to the *target* request's lifecycle, recorded as its
-/// `Prefetch` span.
-pub(crate) fn is_prefetch_entry(e: &TraceEntry) -> bool {
-    e.tag.as_ref().is_some_and(|t| t.routine == "prefetch")
-}
-
 /// The session's span store and streaming-telemetry host, driven by the
 /// executor's dispatch loop.
 #[derive(Debug, Default)]
@@ -183,9 +175,9 @@ impl ServeTracer {
 
     /// Records one dispatch attempt on a device: the attempt span
     /// (`Dispatch` for attempt 0, `Retry` after) plus per-engine child
-    /// spans aggregated from the trace entries the attempt produced
-    /// (prefetch copies skipped), clamped into the attempt interval. The
-    /// first attempt closes the request's queue flow.
+    /// spans aggregated from the trace entries the attempt produced,
+    /// clamped into the attempt interval. The first attempt closes the
+    /// request's queue flow.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn attempt(
         &mut self,
@@ -236,8 +228,7 @@ impl ServeTracer {
     }
 
     /// Records a run on a device (an attempt or a hedge) plus one child
-    /// span per engine, aggregated from the run's trace entries with
-    /// prefetch copies skipped.
+    /// span per engine, aggregated from the run's trace entries.
     #[allow(clippy::too_many_arguments)]
     fn device_run(
         &mut self,
@@ -268,10 +259,7 @@ impl ServeTracer {
             let mut lo = u64::MAX;
             let mut hi = 0u64;
             let mut n = 0usize;
-            for e in entries
-                .iter()
-                .filter(|e| e.engine == engine && !is_prefetch_entry(e))
-            {
+            for e in entries.iter().filter(|e| e.engine == engine) {
                 lo = lo.min(e.start.as_nanos());
                 hi = hi.max(e.end.as_nanos());
                 n += 1;
@@ -295,32 +283,6 @@ impl ServeTracer {
                 None,
             );
         }
-    }
-
-    /// Records a cross-request prefetch: a speculative h2d upload of the
-    /// *queued* request `target`'s shared operands on device `device`,
-    /// riding under another request's compute. The span carries the
-    /// target's request id but no flow (the target's queue flow closes at
-    /// its own first attempt) and deliberately overlaps the running
-    /// request's attempt span.
-    pub(crate) fn prefetch(
-        &mut self,
-        target: u64,
-        device: usize,
-        start_ns: u64,
-        end_ns: u64,
-        label: &str,
-    ) {
-        self.log.record(
-            None,
-            target,
-            Some(device),
-            SpanPhase::Prefetch,
-            label.to_owned(),
-            start_ns,
-            end_ns.max(start_ns),
-            None,
-        );
     }
 
     /// Records the cancellation instant of a hedge race's losing side on
@@ -604,32 +566,6 @@ mod tests {
             .collect();
         assert_eq!(probes.len(), 2);
         assert!(probes.iter().all(|s| s.request == u64::MAX));
-    }
-
-    #[test]
-    fn prefetch_spans_overlap_the_running_attempt_cleanly() {
-        let mut t = ServeTracer::default();
-        t.open(0, &[0, 1]);
-        t.queue_wait(0, 100);
-        t.attempt(0, 0, 0, 100, 900, &[], None);
-        // Request 1's operands prefetched under request 0's compute: the
-        // span belongs to request 1 and overlaps both request 0's attempt
-        // and request 1's own (still-open) queue wait.
-        t.prefetch(1, 0, 300, 600, "prefetch 2 operand(s) for r1");
-        t.complete(0, 900, "completed");
-        t.queue_wait(1, 900);
-        t.attempt(1, 0, 0, 900, 1400, &[], None);
-        t.complete(1, 1400, "completed");
-        let trace = t.take_trace(Vec::new());
-        check_spans(&trace.spans).expect("prefetch spans are invariant-clean");
-        let p = trace
-            .spans
-            .iter()
-            .find(|s| s.phase == SpanPhase::Prefetch)
-            .expect("prefetch span");
-        assert_eq!(p.request, 1);
-        assert_eq!(p.device, Some(0));
-        assert!(p.flow.is_none(), "prefetch never closes the queue flow");
     }
 
     #[test]

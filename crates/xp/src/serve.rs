@@ -421,9 +421,6 @@ pub struct ServeOptions {
     pub shed_flow_secs: Option<f64>,
     /// Coalesce identical-shape arrivals onto one execution.
     pub coalesce: bool,
-    /// Prediction-guided cross-request operand prefetch on idle h2d
-    /// engines (see `ServeOptions::prefetch` in the runtime crate).
-    pub prefetch: bool,
     /// Hedged re-dispatch of overrunning attempts.
     pub hedge: Option<HedgeConfig>,
     /// Quarantine probation (canary probes + re-admission).
@@ -447,7 +444,6 @@ impl Default for ServeOptions {
             queue_cap: None,
             shed_flow_secs: None,
             coalesce: false,
-            prefetch: false,
             hedge: None,
             probation: None,
             retry_budget: None,
@@ -556,9 +552,6 @@ fn serve_impl(
     }
     if options.coalesce {
         opts = opts.coalesce();
-    }
-    if options.prefetch {
-        opts = opts.prefetch();
     }
     if let Some(h) = options.hedge {
         opts = opts.hedge(h);

@@ -2,7 +2,8 @@
 //! `ServeSession` API. Seeded Poisson overload keeps the queue bounded
 //! through admission shedding and replays bit-identically; coalescing
 //! repeated identical-shape arrivals uploads strictly fewer h2d bytes
-//! and beats the non-coalesced makespan; and under random fault plans a
+//! and beats the non-coalesced makespan; the shed watermark prices warm
+//! operands as resident; and under random fault plans a
 //! session drain replays bit-identically, gives every request exactly one
 //! terminal outcome, and leaks no buffer.
 
@@ -255,6 +256,63 @@ fn rejections_land_in_windowed_counters_and_leak_no_buffers() {
         let cached: BTreeSet<_> = session.residency(d).device_buffers().into_iter().collect();
         assert_eq!(live, cached, "dev{d} must hold exactly its cached operands");
     }
+}
+
+/// The residency-aware service estimate: under a shed watermark sized
+/// between the warm and cold costs of the same request, the arrival whose
+/// shared operand is already resident is admitted while the identical-
+/// shape cold arrival is shed. (Pricing every shared operand as a fresh
+/// upload against device 0 would spuriously reject warm repeat traffic.)
+#[test]
+fn residency_warm_arrival_admitted_while_cold_twin_sheds() {
+    let tb = quiet();
+    let n = 2048usize; // 2 x 32 MiB shared inputs: upload dominates the estimate.
+    let upload_secs = 2.0 * tb.link.h2d.ideal_time(n * n * 8);
+    let gemm = |prefix: &str| -> RoutineRequest {
+        GemmRequest::<f64>::new(
+            SharedMat::new(format!("{prefix}_a"), n, n),
+            SharedMat::new(format!("{prefix}_b"), n, n),
+            ghost(n),
+        )
+        .alpha(1.0)
+        .beta(1.0)
+        .tile(TileChoice::Fixed(512))
+        .into()
+    };
+
+    let opts = ServeOptions::new().shed_flow_secs(upload_secs / 2.0);
+    let mut exec =
+        ServeSession::with_options(pool(1), ExecutorConfig::default(), opts).expect("session");
+
+    // Closed-queue warm-up (the watermark governs arrivals only).
+    exec.submit(gemm("warm"));
+    let warmup = exec.drain();
+    assert!(warmup
+        .outcomes
+        .iter()
+        .all(|o| matches!(o.status, RequestStatus::Completed(_))));
+
+    let warm_id = exec.submit_at(gemm("warm"), SimTime::from_nanos(0));
+    let cold_id = exec.submit_at(gemm("cold"), SimTime::from_nanos(1));
+    let report = exec.drain();
+    let status = |id| {
+        &report
+            .outcomes
+            .iter()
+            .find(|o| o.id == id)
+            .expect("outcome present")
+            .status
+    };
+    assert!(
+        matches!(status(warm_id), RequestStatus::Completed(_)),
+        "warm repeat arrival must be admitted: {:?}",
+        status(warm_id)
+    );
+    assert!(
+        matches!(status(cold_id), RequestStatus::Rejected { .. }),
+        "cold twin must shed on the same watermark: {:?}",
+        status(cold_id)
+    );
 }
 
 proptest! {

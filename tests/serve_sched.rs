@@ -2,12 +2,17 @@
 //! device/host flops split, queue-depth sampling, self-multiply residency,
 //! and the acceptance bars — `Predictive` strictly beats `Fifo` on the
 //! standard skewed trace, `Edf` strictly beats `Fifo` on the deadline
-//! trace, and every policy exports `sched_predict_abs_err`.
+//! trace, every policy exports `sched_predict_abs_err`, and placement
+//! prices uploads at the degraded link rate the engine applies.
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
-use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, TestbedSpec};
-use cocopelia_runtime::serve::{ExecutorConfig, SchedulePolicy, ServeOptions, ServeSession};
+use cocopelia_gpusim::{
+    testbed_i, DegradeWindow, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec,
+};
+use cocopelia_runtime::serve::{
+    ExecutorConfig, RequestStatus, SchedulePolicy, ServeOptions, ServeSession,
+};
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
 use cocopelia_xp::{deadline_request_trace, run_serve_with_policy, skewed_request_trace};
 
@@ -311,4 +316,91 @@ fn fifo_policy_reproduces_the_default_run() {
     assert_eq!(default_report.makespan, fifo_report.makespan);
     assert_eq!(default_report.per_device_busy, fifo_report.per_device_busy);
     assert_eq!(default_report.total_flops, fifo_report.total_flops);
+}
+
+/// The degrade-aware upload estimate: with device 0's h2d link inside a
+/// fault-plan degrade window, dispatch prices the shared-operand upload
+/// at the degraded bandwidth and routes the request to the healthy peer
+/// (ideal link time would leave the tie to fall on device 0). Where
+/// windows overlap, placement reads the factor the engine applies — the
+/// earliest-started window's — not the first window in spec order.
+#[test]
+fn degraded_link_dispatch_prefers_healthy_peer() {
+    let n = 2048;
+    let shared_gemm = || {
+        GemmRequest::<f64>::new(
+            SharedMat::new("A", n, n),
+            SharedMat::new("B", n, n),
+            ghost(n),
+        )
+        .alpha(1.0)
+        .beta(1.0)
+        .tile(TileChoice::Fixed(512))
+    };
+    let degraded = FaultSpec {
+        degrade: vec![DegradeWindow {
+            start_s: 0.0,
+            end_s: 1e6,
+            factor: 0.01,
+        }],
+        ..FaultSpec::none()
+    };
+    let plans = [degraded, FaultSpec::none()];
+    let pool =
+        MultiGpu::with_fault_plans(&quiet(), ExecMode::TimingOnly, 42, dummy_profile(), &plans);
+    let mut exec = ServeSession::new(pool, ExecutorConfig::default());
+    exec.submit(shared_gemm());
+    let report = exec.drain();
+    assert_eq!(report.outcomes.len(), 1);
+    assert!(matches!(
+        report.outcomes[0].status,
+        RequestStatus::Completed(_)
+    ));
+    assert_eq!(
+        report.outcomes[0].device,
+        Some(1),
+        "the degraded-link device must lose the upload-cost comparison"
+    );
+
+    // Overlapping windows listed out of start order: a late-start, mild
+    // window first, then the earlier-start 1% window, which the engine
+    // applies across the overlap. Device 1's clock trails device 0's by
+    // 100 ms, more than the mild factor's upload penalty but far less
+    // than the 1% factor's, so only the engine's factor sends the request
+    // to device 1.
+    let overlapping = FaultSpec {
+        degrade: vec![
+            DegradeWindow {
+                start_s: 0.5,
+                end_s: 1e6,
+                factor: 0.9,
+            },
+            DegradeWindow {
+                start_s: 0.0,
+                end_s: 1e6,
+                factor: 0.01,
+            },
+        ],
+        ..FaultSpec::none()
+    };
+    let plans = [overlapping, FaultSpec::none()];
+    let mut pool =
+        MultiGpu::with_fault_plans(&quiet(), ExecMode::TimingOnly, 42, dummy_profile(), &plans);
+    for (d, secs) in [(0, 1.0), (1, 1.1)] {
+        pool.device_mut(d)
+            .gpu_mut()
+            .advance_clock(SimTime::from_secs_f64(secs));
+    }
+    let mut exec = ServeSession::new(pool, ExecutorConfig::default());
+    exec.submit(shared_gemm());
+    let report = exec.drain();
+    assert!(matches!(
+        report.outcomes[0].status,
+        RequestStatus::Completed(_)
+    ));
+    assert_eq!(
+        report.outcomes[0].device,
+        Some(1),
+        "placement must apply the earliest-started overlapping window"
+    );
 }

@@ -84,9 +84,11 @@ echo "== streaming telemetry gate (watch windows, SLO dumps, bounded memory) =="
 # telemetry-off run. (Debug `cargo test` runs a 5k slice of the same test.)
 cargo test --release -q -p cocopelia-xp --test serve_watch
 
-echo "== microbench smoke (simulator / dispatch / residency / trace hot paths) =="
+echo "== microbench smoke (simulator / deploy / dispatch / residency / trace hot paths) =="
 # Builds and runs the iai-callgrind-style microbenches once so the hot-path
-# bench targets can't rot (sim_enqueue_sync asserts its trace length). Numbers are informational (the vendored harness
+# bench targets can't rot: sim_enqueue_sync asserts its trace length, and
+# deploy_paper times a full DeployConfig::paper() deployment and asserts
+# its five exec tables. Numbers are informational (the vendored harness
 # reports wall clock, not instruction counts).
 cargo bench --bench micro_hotpaths
 

@@ -1,5 +1,5 @@
 //! Instruction-count-style microbenches for the simulator's enqueue/sync
-//! loop and the serving hot paths: the scheduler's dispatch decision, the open-arrival event loop (arrival
+//! loop, a full paper deployment, and the serving hot paths: the scheduler's dispatch decision, the open-arrival event loop (arrival
 //! admission interleaved with dispatch), the residency-cache admission
 //! probe,
 //! the span-record / Perfetto-export trace path, the streaming
@@ -127,6 +127,32 @@ fn sim_enqueue_sync() {
         );
     });
     black_box(out);
+}
+
+/// A full paper deployment (`DeployConfig::paper()`) on Testbed I: the
+/// transfer micro-benchmark sweeps, whose CI-driven sampling runs every
+/// sample on a fresh stream (≥ 961 streams per sweep device), and the
+/// kernel exec tables of all five routine/precision pairs. Prints host ms
+/// per deploy once; the harness's best-of line is the warm figure.
+#[inline(never)]
+fn deploy_paper() {
+    static PRINT: Once = Once::new();
+    let cfg = DeployConfig::paper();
+    let t = Instant::now();
+    let report = deploy(&testbed_i(), &cfg).expect("deploy");
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    for &(routine, dtype) in &cfg.routines {
+        assert!(
+            report.profile.exec_table(routine, dtype).is_some(),
+            "{} exec table deployed",
+            routine.name(dtype)
+        );
+    }
+    assert_eq!(report.profile.exec.len(), 5, "five routine/precision pairs");
+    PRINT.call_once(|| {
+        println!("deploy_paper: {ms:.3} ms per deploy (first run)");
+    });
+    black_box(report);
 }
 
 /// The scheduler's per-request decision under `Predictive`: every
@@ -342,6 +368,6 @@ fn ring_record() {
 main!(
     callgrind_args = "--simulate-wb=no", "--simulate-hwpref=yes",
         "--I1=32768,8,64", "--D1=32768,8,64", "--LL=8388608,16,64";
-    functions = sim_enqueue_sync, next_dispatch, next_event, residency_probe, span_record, perfetto_export,
+    functions = sim_enqueue_sync, deploy_paper, next_dispatch, next_event, residency_probe, span_record, perfetto_export,
         window_rotate, ring_record, hedge_decision, probe_schedule
 );

@@ -65,10 +65,12 @@ fn measure_latency(gpu: &mut Gpu, dir: Direction, ci: &CiConfig) -> Result<Measu
             }
         }
     });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(m),
+    if let Some(e) = err {
+        return Err(e);
     }
+    gpu.free_device(dev)?;
+    gpu.take_host(host)?;
+    Ok(m)
 }
 
 /// Duration of one `d × d` double transfer in `dir`, optionally coupled
@@ -100,7 +102,7 @@ fn timed_square_transfer(
             Direction::H2d => gpu.memcpy_d2h_async(opp_stream, opp_desc)?,
             Direction::D2h => gpu.memcpy_h2d_async(opp_stream, opp_desc)?,
         }
-        Some(opp_dev)
+        Some((opp_host, opp_dev))
     } else {
         None
     };
@@ -117,9 +119,13 @@ fn timed_square_transfer(
         .find(|e| e.engine == dir.engine() && e.bytes == Some(elems * 8))
         .expect("measured transfer appears in trace");
     let secs = entry.duration().as_secs_f64();
+    // A sweep takes hundreds of samples: release each one's buffers.
+    // (Its fresh stream stays behind, idle; streams are never destroyed.)
     gpu.free_device(dev)?;
-    if let Some(opp) = opp_handles {
-        gpu.free_device(opp)?;
+    gpu.take_host(host)?;
+    if let Some((opp_host, opp_dev)) = opp_handles {
+        gpu.free_device(opp_dev)?;
+        gpu.take_host(opp_host)?;
     }
     Ok(secs)
 }
@@ -256,6 +262,18 @@ mod tests {
             "measured {}",
             m.mean
         );
+    }
+
+    #[test]
+    fn samples_release_their_buffers() {
+        let mut gpu = Gpu::new(testbed_i(), ExecMode::TimingOnly, 1);
+        measure_latency(&mut gpu, Direction::D2h, &CiConfig::default()).expect("probe");
+        for coupled in [false, true] {
+            timed_square_transfer(&mut gpu, Direction::H2d, 512, coupled).expect("sample");
+        }
+        assert!(gpu.live_device_buffers().is_empty());
+        assert!(gpu.live_host_buffers().is_empty());
+        assert_eq!(gpu.device_mem_used(), 0);
     }
 
     #[test]

@@ -32,6 +32,10 @@
 //! retirements. Only the [`Trace`] outlives a batch, and its consumed
 //! prefix is retired on demand into exact per-engine totals
 //! ([`Sim::retire_trace`]).
+//!
+//! Streams are never destroyed, so the loop keeps the ascending ids of the
+//! non-empty ones (`busy`): [`Sim::stabilize`], [`Sim::idle`] and
+//! [`Sim::abort_all`] cost O(busy streams), not O(streams ever created).
 
 use crate::kernel::KernelShape;
 use crate::op::{EventId, Op, OpId, OpKind, StreamId};
@@ -115,6 +119,8 @@ pub(crate) struct Sim {
     /// Interned index of the ambient tag (0 = untagged).
     cur_tag: u32,
     streams: Vec<VecDeque<OpId>>,
+    /// Ids of the non-empty streams, ascending (see the module docs).
+    busy: Vec<usize>,
     /// Global id of `events[0]`. Every older event was recorded before the
     /// last retirement.
     event_base: usize,
@@ -144,6 +150,7 @@ impl Sim {
             tags: Vec::new(),
             cur_tag: 0,
             streams: Vec::new(),
+            busy: Vec::new(),
             event_base: 0,
             events: Vec::new(),
             h2d: Engine::default(),
@@ -244,8 +251,8 @@ impl Sim {
     /// trace entries ending now. Afterwards the simulator is idle and the
     /// pending tables are retired.
     pub(crate) fn abort_all(&mut self) {
-        for s in &mut self.streams {
-            s.clear();
+        for s in self.busy.drain(..) {
+            self.streams[s].clear();
         }
         let now = self.now();
         for kind in ENGINES {
@@ -346,7 +353,13 @@ impl Sim {
             tag: self.cur_tag,
             issued: false,
         });
-        self.streams[stream.0].push_back(id);
+        let queue = &mut self.streams[stream.0];
+        if queue.is_empty() {
+            // Usually the newest stream, so the insert lands at the end.
+            let at = self.busy.partition_point(|&s| s < stream.0);
+            self.busy.insert(at, stream.0);
+        }
+        queue.push_back(id);
         id
     }
 
@@ -388,7 +401,7 @@ impl Sim {
 
     /// True if no queued or active work remains.
     pub(crate) fn idle(&self) -> bool {
-        self.streams.iter().all(VecDeque::is_empty)
+        self.busy.is_empty()
             && self.h2d.active.is_none()
             && self.d2h.active.is_none()
             && self.compute.active.is_none()
@@ -429,18 +442,22 @@ impl Sim {
     /// Processes everything that can happen without time passing: completes
     /// instant ops at stream heads and issues ready ops to idle engines.
     /// Returns whether any state changed.
+    ///
+    /// Stream heads are visited in ascending stream id, walking only the
+    /// busy streams: nothing is enqueued mid-pass, so this is the order a
+    /// scan over every stream would issue in.
     fn stabilize(&mut self, on_complete: &mut impl FnMut(OpId)) -> bool {
         let mut progressed_any = false;
         loop {
             let mut progressed = false;
             // 1. Stream heads: handle instant ops, dispatch engine ops.
-            for s in 0..self.streams.len() {
-                let Some(&head) = self.streams[s].front() else {
-                    continue;
-                };
+            // Streams an instant op empties leave `busy` in the same pass.
+            let mut busy = std::mem::take(&mut self.busy);
+            busy.retain(|&s| {
+                let head = *self.streams[s].front().expect("busy stream is non-empty");
                 let op = &mut self.ops[head - self.base];
                 if op.issued {
-                    continue; // already on an engine, waiting for completion
+                    return true; // already on an engine, waiting for completion
                 }
                 let engine = match op.kind {
                     OpKind::EventRecord(ev) => {
@@ -449,7 +466,7 @@ impl Sim {
                     }
                     OpKind::EventWait(ev) => {
                         if !self.events[ev as usize] {
-                            continue;
+                            return true;
                         }
                         None
                     }
@@ -457,18 +474,21 @@ impl Sim {
                     OpKind::D2h { .. } => Some(&mut self.d2h),
                     OpKind::Kernel(_) => Some(&mut self.compute),
                 };
+                progressed = true;
                 match engine {
                     Some(engine) => {
                         op.issued = true;
                         engine.queue.push_back(head);
+                        true
                     }
                     None => {
                         self.streams[s].pop_front();
                         on_complete(head);
+                        !self.streams[s].is_empty()
                     }
                 }
-                progressed = true;
-            }
+            });
+            self.busy = busy;
             // 2. Idle engines pick up queued work.
             for engine_kind in ENGINES {
                 if self.engine(engine_kind).active.is_some() {
@@ -704,6 +724,11 @@ impl Sim {
         // The op is necessarily at its stream head.
         let popped = self.streams[stream].pop_front();
         debug_assert_eq!(popped, Some(op_id), "completed op must be its stream head");
+        if self.streams[stream].is_empty() {
+            let at = self.busy.partition_point(|&s| s < stream);
+            debug_assert_eq!(self.busy.get(at), Some(&stream), "emptied stream was busy");
+            self.busy.remove(at);
+        }
         let now = self.now();
         self.trace
             .entry_mut(active.trace_idx)
@@ -1091,6 +1116,71 @@ mod tests {
         assert_eq!(sim.table_lens(), [0, 0, 0]);
         // Ids continue after the aborted batch.
         assert_eq!(copy(&mut sim, s, 1_000, true), 3);
+    }
+
+    #[test]
+    fn ready_heads_issue_in_ascending_stream_order() {
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        let s0 = sim.create_stream();
+        let s1 = sim.create_stream();
+        let s2 = sim.create_stream();
+        // Both heads are ready in the first pass; the higher stream was
+        // enqueued on first but the lower id issues first.
+        copy(&mut sim, s2, 1_000, true);
+        copy(&mut sim, s1, 1_000, true);
+        // Both heads become ready in the pass that records `ev`.
+        kernel(&mut sim, s0, 1e-3);
+        let ev = sim.record_event(s0);
+        sim.wait_event(s2, ev);
+        copy(&mut sim, s2, 2_000, false);
+        sim.wait_event(s1, ev);
+        copy(&mut sim, s1, 3_000, false);
+        run_all(&mut sim);
+        let issued = |engine| -> Vec<StreamId> {
+            sim.trace()
+                .entries()
+                .iter()
+                .filter(|e| e.engine == engine)
+                .map(|e| e.stream)
+                .collect()
+        };
+        assert_eq!(issued(EngineKind::CopyH2d), vec![s1, s2]);
+        assert_eq!(issued(EngineKind::CopyD2h), vec![s1, s2]);
+    }
+
+    #[test]
+    fn drained_streams_leave_timing_unchanged() {
+        // A fixed op sequence on fresh streams, returning each trace
+        // entry's (start, end).
+        let run = |sim: &mut Sim| -> Vec<(u64, u64)> {
+            let first = sim.trace().len();
+            let a = sim.create_stream();
+            let b = sim.create_stream();
+            for i in 0..4 {
+                copy(sim, a, 100_000 * (i + 1), true);
+                kernel(sim, a, 1e-4);
+                copy(sim, b, 50_000, false);
+                let ev = sim.record_event(a);
+                sim.wait_event(b, ev);
+            }
+            run_all(sim);
+            sim.trace().entries()[first..]
+                .iter()
+                .map(|e| (e.start.as_nanos(), e.end.as_nanos()))
+                .collect()
+        };
+        let link = testbed_i().link;
+        let fresh = run(&mut Sim::new(link, NoiseSpec::REALISTIC, 9));
+        // Instant ops take no time and draw no noise, so only the 10 000
+        // drained streams tell the two devices apart.
+        let mut used = Sim::new(link, NoiseSpec::REALISTIC, 9);
+        for _ in 0..10_000 {
+            let s = used.create_stream();
+            used.record_event(s);
+        }
+        run_all(&mut used);
+        assert!(used.busy.is_empty());
+        assert_eq!(run(&mut used), fresh);
     }
 
     #[test]

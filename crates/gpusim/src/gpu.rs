@@ -6,7 +6,7 @@ use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSite, FaultSpec, FaultStats};
 use crate::funcexec::{self, Effect};
 use crate::kernel::{kernel_time, KernelShape};
-use crate::memory::{DevBufId, DeviceMemory, HostArena, HostBufId, HostBuffer, Payload};
+use crate::memory::{AllocMark, DevBufId, DeviceMemory, HostArena, HostBufId, HostBuffer, Payload};
 use crate::op::{check_mat_ref, CopyDesc, EventId, KernelArgs, OpId, OpKind, StreamId};
 use crate::spec::TestbedSpec;
 use crate::time::SimTime;
@@ -305,18 +305,39 @@ impl Gpu {
 
     /// Ids of every live device buffer, in ascending allocation order.
     ///
-    /// Request executors snapshot this before dispatching a routine so that
-    /// buffers leaked by a mid-schedule failure can be identified and
-    /// reclaimed before a retry.
+    /// This scans every allocation the device ever made; to find what one
+    /// attempt left behind, take an [`alloc_mark`](Gpu::alloc_mark) before
+    /// it and query [`live_device_buffers_since`](Gpu::live_device_buffers_since).
     pub fn live_device_buffers(&self) -> Vec<DevBufId> {
-        self.dev.live()
+        self.dev.live_since(DevBufId(0))
     }
 
     /// Ids of every live host staging buffer, in ascending registration
     /// order (the host-side counterpart of
     /// [`live_device_buffers`](Gpu::live_device_buffers)).
     pub fn live_host_buffers(&self) -> Vec<HostBufId> {
-        self.host.live()
+        self.host.live_since(HostBufId(0))
+    }
+
+    /// The current point in this device's allocation history: the ids the
+    /// next device allocation and host registration will receive.
+    pub fn alloc_mark(&self) -> AllocMark {
+        AllocMark {
+            dev: self.dev.next_id(),
+            host: self.host.next_id(),
+        }
+    }
+
+    /// Ids of the device buffers alive now that were allocated at or after
+    /// `mark`, ascending. Scans only the allocations made since the mark.
+    pub fn live_device_buffers_since(&self, mark: AllocMark) -> Vec<DevBufId> {
+        self.dev.live_since(mark.dev)
+    }
+
+    /// Ids of the host buffers alive now that were registered at or after
+    /// `mark`, ascending. Scans only the registrations made since the mark.
+    pub fn live_host_buffers_since(&self, mark: AllocMark) -> Vec<HostBufId> {
+        self.host.live_since(mark.host)
     }
 
     fn check_copy(&self, desc: &CopyDesc) -> Result<(usize, bool), SimError> {
@@ -815,6 +836,47 @@ mod tests {
         assert_eq!(gpu.live_host_buffers(), vec![h]);
         gpu.take_host(h).expect("take");
         assert!(gpu.live_host_buffers().is_empty());
+    }
+
+    #[test]
+    fn alloc_mark_reports_only_later_live_buffers() {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        let alloc = |gpu: &mut Gpu| gpu.alloc_device(Dtype::F64, 10).expect("alloc");
+        let register = |gpu: &mut Gpu| gpu.register_host_ghost(Dtype::F64, 10, true);
+        // Before the mark: one buffer of each side freed, one kept alive.
+        let (d_freed, d_kept) = (alloc(&mut gpu), alloc(&mut gpu));
+        let (h_freed, h_kept) = (register(&mut gpu), register(&mut gpu));
+        gpu.free_device(d_freed).expect("free");
+        gpu.take_host(h_freed).expect("take");
+        let mark = gpu.alloc_mark();
+        assert!(gpu.live_device_buffers_since(mark).is_empty());
+        assert!(gpu.live_host_buffers_since(mark).is_empty());
+        // After it: buffers freed again are not reported, the rest are,
+        // ascending, and the pre-mark survivors never are.
+        let d = [alloc(&mut gpu), alloc(&mut gpu), alloc(&mut gpu)];
+        gpu.free_device(d[1]).expect("free");
+        assert_eq!(gpu.live_device_buffers_since(mark), vec![d[0], d[2]]);
+        assert!(d.iter().all(|&b| b >= mark.dev) && d_kept < mark.dev);
+        assert_eq!(gpu.live_device_buffers(), vec![d_kept, d[0], d[2]]);
+        // Device allocations do not move the host side, and vice versa.
+        assert!(gpu.live_host_buffers_since(mark).is_empty());
+        assert_eq!(gpu.alloc_mark().host, mark.host);
+        let dev_mark = gpu.alloc_mark();
+        let h = [register(&mut gpu), register(&mut gpu)];
+        gpu.take_host(h[0]).expect("take");
+        assert_eq!(gpu.live_host_buffers_since(mark), vec![h[1]]);
+        assert_eq!(gpu.alloc_mark().dev, dev_mark.dev);
+        assert!(gpu.live_device_buffers_since(dev_mark).is_empty());
+        assert_eq!(gpu.live_host_buffers(), vec![h_kept, h[1]]);
+        // Ids are never reused: stale ids stay unknown.
+        assert!(matches!(
+            gpu.free_device(d[1]),
+            Err(SimError::UnknownBuffer { .. })
+        ));
+        assert!(matches!(
+            gpu.take_host(h[0]),
+            Err(SimError::UnknownBuffer { .. })
+        ));
     }
 
     #[test]

@@ -17,6 +17,27 @@ pub struct HostBufId(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DevBufId(pub(crate) usize);
 
+/// A point in one device's allocation history: the next device and host
+/// buffer ids ([`Gpu::alloc_mark`](crate::Gpu::alloc_mark)). Ids are never
+/// reused, so a buffer was allocated at or after the mark exactly when its
+/// id is at least the mark's (`id >= mark.dev`, `id >= mark.host`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllocMark {
+    /// The id the next device allocation receives.
+    pub dev: DevBufId,
+    /// The id the next host registration receives.
+    pub host: HostBufId,
+}
+
+/// Ids of the occupied slots of `bufs` from index `from` on, ascending.
+fn live_from<T, Id>(bufs: &[Option<T>], from: usize, id: impl Fn(usize) -> Id) -> Vec<Id> {
+    bufs.iter()
+        .enumerate()
+        .skip(from)
+        .filter_map(|(i, b)| b.as_ref().map(|_| id(i)))
+        .collect()
+}
+
 /// Element storage of a buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
@@ -190,13 +211,15 @@ impl HostArena {
             })
     }
 
-    /// Ids of every live (registered, not yet taken) host buffer, ascending.
-    pub(crate) fn live(&self) -> Vec<HostBufId> {
-        self.bufs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.as_ref().map(|_| HostBufId(i)))
-            .collect()
+    /// The id the next registration receives.
+    pub(crate) fn next_id(&self) -> HostBufId {
+        HostBufId(self.bufs.len())
+    }
+
+    /// Ids of the live (registered, not yet taken) host buffers from
+    /// `from` on, ascending.
+    pub(crate) fn live_since(&self, from: HostBufId) -> Vec<HostBufId> {
+        live_from(&self.bufs, from.0, HostBufId)
     }
 }
 
@@ -229,13 +252,15 @@ impl DeviceMemory {
         self.capacity
     }
 
-    /// Ids of every live (not yet freed) device buffer, ascending.
-    pub(crate) fn live(&self) -> Vec<DevBufId> {
-        self.bufs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.as_ref().map(|_| DevBufId(i)))
-            .collect()
+    /// The id the next allocation receives.
+    pub(crate) fn next_id(&self) -> DevBufId {
+        DevBufId(self.bufs.len())
+    }
+
+    /// Ids of the live (not yet freed) device buffers from `from` on,
+    /// ascending.
+    pub(crate) fn live_since(&self, from: DevBufId) -> Vec<DevBufId> {
+        live_from(&self.bufs, from.0, DevBufId)
     }
 
     pub(crate) fn alloc(

@@ -1,7 +1,9 @@
 //! Property-based invariants of the discrete-event engine, checked over
 //! randomly generated schedules: engines never double-book, makespans are
 //! bounded by engine work, contention can only slow transfers down, and
-//! equal seeds replay identically.
+//! equal seeds replay identically. Schedules interleave stream creation
+//! and mid-schedule synchronizes with the enqueues, so streams drain and
+//! refill while new ones join.
 
 use cocopelia_gpusim::{
     testbed_i, testbed_ii, CopyDesc, EngineKind, ExecMode, Gpu, KernelShape, NoiseSpec, TestbedSpec,
@@ -14,12 +16,28 @@ fn quiet(mut tb: TestbedSpec) -> TestbedSpec {
     tb
 }
 
-/// One randomly-chosen op for the schedule generator.
+/// One randomly-chosen step for the schedule generator.
 #[derive(Debug, Clone, Copy)]
 enum RandOp {
-    H2d { elems: usize },
-    D2h { elems: usize },
-    Kernel { n: usize },
+    H2d {
+        elems: usize,
+    },
+    D2h {
+        elems: usize,
+    },
+    Kernel {
+        n: usize,
+    },
+    /// Creates a stream that joins the round-robin.
+    NewStream,
+    /// Synchronizes the device mid-schedule.
+    Sync,
+}
+
+impl RandOp {
+    fn is_engine_op(self) -> bool {
+        !matches!(self, RandOp::NewStream | RandOp::Sync)
+    }
 }
 
 fn rand_op() -> impl Strategy<Value = RandOp> {
@@ -30,15 +48,36 @@ fn rand_op() -> impl Strategy<Value = RandOp> {
     ]
 }
 
-/// Enqueues `ops` across `n_streams` round-robin and runs to completion.
+/// An engine op, or one time in five a stream creation or a synchronize.
+fn rand_step() -> impl Strategy<Value = RandOp> {
+    prop_oneof![
+        rand_op(),
+        rand_op(),
+        rand_op(),
+        rand_op(),
+        (0usize..2).prop_map(|k| if k == 0 {
+            RandOp::NewStream
+        } else {
+            RandOp::Sync
+        }),
+    ]
+}
+
+/// Enqueues the engine ops of `ops` round-robin across `n_streams`
+/// streams plus every stream a [`RandOp::NewStream`] step creates, and
+/// runs to completion.
 fn run_schedule(tb: TestbedSpec, ops: &[RandOp], n_streams: usize, seed: u64) -> Gpu {
     let mut gpu = Gpu::new(tb, ExecMode::TimingOnly, seed);
-    let streams: Vec<_> = (0..n_streams).map(|_| gpu.create_stream()).collect();
+    let mut streams: Vec<_> = (0..n_streams).map(|_| gpu.create_stream()).collect();
     let host = gpu.register_host_ghost(Dtype::F64, 200_000, true);
     let dev = gpu.alloc_device(Dtype::F64, 200_000).expect("alloc");
     for (i, op) in ops.iter().enumerate() {
-        let s = streams[i % n_streams];
+        let s = streams[i % streams.len()];
         match *op {
+            RandOp::NewStream => streams.push(gpu.create_stream()),
+            RandOp::Sync => {
+                gpu.synchronize().expect("sync");
+            }
             RandOp::H2d { elems } => gpu
                 .memcpy_h2d_async(s, CopyDesc::contiguous(host, dev, elems))
                 .expect("h2d"),
@@ -68,12 +107,12 @@ proptest! {
     /// disjoint in time and every op appears exactly once.
     #[test]
     fn engines_never_double_book(
-        ops in prop::collection::vec(rand_op(), 1..40),
+        ops in prop::collection::vec(rand_step(), 1..40),
         n_streams in 1usize..5,
     ) {
         let gpu = run_schedule(quiet(testbed_i()), &ops, n_streams, 1);
         let trace = gpu.trace();
-        prop_assert_eq!(trace.len(), ops.len());
+        prop_assert_eq!(trace.len(), ops.iter().filter(|op| op.is_engine_op()).count());
         for engine in [EngineKind::CopyH2d, EngineKind::CopyD2h, EngineKind::Compute] {
             let mut spans: Vec<(u64, u64)> = trace
                 .entries()
@@ -88,11 +127,26 @@ proptest! {
         }
     }
 
+    /// Each stream is a FIFO across drains and refills: its ops start in
+    /// enqueue order, each after the previous one ended.
+    #[test]
+    fn streams_stay_fifo(
+        ops in prop::collection::vec(rand_step(), 1..40),
+        n_streams in 1usize..5,
+    ) {
+        let gpu = run_schedule(quiet(testbed_ii()), &ops, n_streams, 4);
+        let mut entries = gpu.trace().entries().to_vec();
+        entries.sort_by_key(|e| (e.stream, e.op));
+        for w in entries.windows(2).filter(|w| w[0].stream == w[1].stream) {
+            prop_assert!(w[1].start >= w[0].end, "{:?} overlaps {:?}", w[1], w[0]);
+        }
+    }
+
     /// The makespan is at least the busiest engine's work and at most the
     /// serial sum of all engine work.
     #[test]
     fn makespan_bounds(
-        ops in prop::collection::vec(rand_op(), 1..40),
+        ops in prop::collection::vec(rand_step(), 1..40),
         n_streams in 1usize..5,
     ) {
         let gpu = run_schedule(quiet(testbed_ii()), &ops, n_streams, 2);
@@ -122,7 +176,7 @@ proptest! {
     /// the noise-free engine ignores the seed entirely.
     #[test]
     fn replay_is_deterministic(
-        ops in prop::collection::vec(rand_op(), 1..30),
+        ops in prop::collection::vec(rand_step(), 1..30),
         n_streams in 1usize..4,
         seed in 0u64..1_000_000,
     ) {

@@ -11,7 +11,7 @@ use crate::serve::session::ServeSession;
 use crate::serve::telemetry::{TelemetryReport, TickState};
 use crate::serve::trace::ServeTracer;
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::{DevBufId, HostBufId, SimError, SimScalar, SimTime};
+use cocopelia_gpusim::{AllocMark, DevBufId, SimError, SimScalar, SimTime};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
 use std::collections::BTreeSet;
@@ -610,13 +610,6 @@ fn judge(report: RoutineReport, flow: f64, deadline: Option<f64>) -> RequestStat
         },
         _ => RequestStatus::Completed(report),
     }
-}
-
-/// Device and host buffers alive on one device at an instant: the
-/// baseline a failed, cancelled, or probing attempt is rolled back to.
-struct LiveBuffers {
-    dev: BTreeSet<DevBufId>,
-    host: BTreeSet<HostBufId>,
 }
 
 impl ServeSession {
@@ -1305,7 +1298,9 @@ impl ServeSession {
                     .gpu_mut()
                     .advance_clock(SimTime::from_nanos(behind));
             }
-            let pre = self.live_buffers(d);
+            // Whatever this attempt allocates gets an id at or past the
+            // mark: leak checks and a cancelled hedge free back to it.
+            let mark = self.pool.devices()[d].gpu().alloc_mark();
             // Predicted duration of this attempt: the placement price
             // without the clock. Recorded against the actual clock advance
             // under every policy, so FIFO/EDF runs expose the same
@@ -1341,7 +1336,7 @@ impl ServeSession {
                         clock_before,
                         clock_after,
                         len_before,
-                        &pre,
+                        mark,
                         estimate.as_ref().map(|e| e.1),
                     )
                 }
@@ -1391,7 +1386,7 @@ impl ServeSession {
                         &e,
                         clock_after.as_nanos(),
                         retries < budget,
-                        &pre,
+                        mark,
                     );
                     if !retryable || retries >= budget {
                         break Err(e);
@@ -1589,7 +1584,7 @@ impl ServeSession {
         clock_before: SimTime,
         clock_after: SimTime,
         len_before: usize,
-        pre: &LiveBuffers,
+        mark: AllocMark,
         predicted: Option<f64>,
     ) -> HedgeOutcome {
         let Some(cfg) = self.hedge else {
@@ -1629,10 +1624,10 @@ impl ServeSession {
             // finished; there is nothing to race.
             return HedgeOutcome::NotLaunched;
         }
-        // Snapshot the hedge device so a losing hedge rolls back
+        // Mark the hedge device's allocations so a losing hedge rolls back
         // precisely: newly-cached operands evicted and freed, leaked
         // buffers released, everything predating the hedge untouched.
-        let pre_b = self.live_buffers(b);
+        let mark_b = self.pool.devices()[b].gpu().alloc_mark();
         let behind = b_start_ns.saturating_sub(b_now_ns);
         if behind > 0 {
             self.pool
@@ -1660,7 +1655,7 @@ impl ServeSession {
                     .device_mut(d)
                     .gpu_mut()
                     .cancel_to(SimTime::from_nanos(b_after_ns));
-                self.rollback_cancelled(d, req, pre);
+                self.rollback_cancelled(d, req, mark);
                 self.fault_streak[b] = 0;
                 self.suspicion_secs[b] = 0.0;
                 self.metrics.counter_add("hedge_wins_total", 1);
@@ -1672,7 +1667,7 @@ impl ServeSession {
                 // the time it burned until the cancellation stays charged
                 // to the hedge device.
                 self.pool.device_mut(b).gpu_mut().cancel_to(clock_after);
-                self.rollback_cancelled(b, req, &pre_b);
+                self.rollback_cancelled(b, req, mark_b);
                 self.metrics.counter_add("hedge_losses_total", 1);
                 " (lost)".to_owned()
             }
@@ -1730,7 +1725,7 @@ impl ServeSession {
                 // hedge device gets ordinary fault bookkeeping — under a
                 // compound failure (device lost mid-hedge) it is
                 // quarantined and scrubbed, so nothing leaks.
-                self.on_attempt_fault(id.0, b, &e, b_after_ns, false, &pre_b);
+                self.on_attempt_fault(id.0, b, &e, b_after_ns, false, mark_b);
                 HedgeOutcome::PrimaryStands
             }
         }
@@ -1738,16 +1733,16 @@ impl ServeSession {
 
     /// Rolls back the cancelled side of a hedge race on device `dev`:
     /// shared operands the attempt *newly* inserted into the residency
-    /// cache (their buffers were not alive before the attempt) are
+    /// cache (their buffers were allocated at or after `mark`) are
     /// removed and freed, then every remaining buffer the attempt
     /// allocated is released. Entries resident before the attempt — and
     /// the cache hits they served — survive untouched.
-    fn rollback_cancelled(&mut self, dev: usize, req: &RoutineRequest, pre: &LiveBuffers) {
+    fn rollback_cancelled(&mut self, dev: usize, req: &RoutineRequest, mark: AllocMark) {
         let mut rolled_back_bytes = 0u64;
         for key in req.shared_keys() {
             let fresh = self.residency[dev]
                 .buffer_of(key)
-                .is_some_and(|b| !pre.dev.contains(&b));
+                .is_some_and(|b| b >= mark.dev);
             if fresh {
                 if let Some(e) = self.residency[dev].remove(key) {
                     rolled_back_bytes += e.bytes as u64;
@@ -1762,7 +1757,7 @@ impl ServeSession {
             self.metrics
                 .counter_add("hedge_cancelled_bytes", rolled_back_bytes);
         }
-        self.release_leaked(dev, pre);
+        self.release_leaked(dev, mark);
     }
 
     /// Fault bookkeeping for a failed attempt (primary or hedge) on device
@@ -1782,7 +1777,7 @@ impl ServeSession {
         e: &RuntimeError,
         at_ns: u64,
         retrying: bool,
-        pre: &LiveBuffers,
+        mark: AllocMark,
     ) -> bool {
         let class = e.fault_class();
         self.metrics.counter_add(
@@ -1803,9 +1798,9 @@ impl ServeSession {
                 t.quarantine(id, d, at_ns);
             }
         } else if class.retryable() && retrying {
-            self.reclaim(d, pre);
+            self.reclaim(d, mark);
         } else {
-            self.release_leaked(d, pre);
+            self.release_leaked(d, mark);
         }
         lost || class.retryable()
     }
@@ -1838,15 +1833,6 @@ impl ServeSession {
             err,
         );
         self.drift.record(rec);
-    }
-
-    /// The buffers alive on device `d` right now.
-    fn live_buffers(&self, d: usize) -> LiveBuffers {
-        let gpu = self.pool.devices()[d].gpu();
-        LiveBuffers {
-            dev: gpu.live_device_buffers().into_iter().collect(),
-            host: gpu.live_host_buffers().into_iter().collect(),
-        }
     }
 
     /// Schedules the first canary probe of a freshly quarantined device,
@@ -1938,7 +1924,7 @@ impl ServeSession {
                 .gpu_mut()
                 .advance_clock(SimTime::from_nanos(behind));
         }
-        let pre = self.live_buffers(d);
+        let mark = self.pool.devices()[d].gpu().alloc_mark();
         let before_ns = self.pool.devices()[d].gpu().now().as_nanos();
         self.metrics.counter_add("probe_attempts_total", 1);
         let goal = cfg.successes.max(1);
@@ -1970,7 +1956,7 @@ impl ServeSession {
                 if let Some(t) = self.tracer.as_mut() {
                     t.probe(d, before_ns, after_ns, &format!("probe fault: {e}"));
                 }
-                self.release_leaked(d, &pre);
+                self.release_leaked(d, mark);
                 p.consecutive_ok = 0;
                 p.round += 1;
                 if p.round >= cfg.max_rounds.max(1) {
@@ -2122,8 +2108,8 @@ impl ServeSession {
     /// Returns device `d` to a clean state after a failed attempt: waits
     /// for in-flight work, evicts its residency cache, and frees any
     /// buffer the failed attempt leaked (allocations alive now that were
-    /// not alive before the attempt).
-    fn reclaim(&mut self, d: usize, pre: &LiveBuffers) {
+    /// made at or after `mark`).
+    fn reclaim(&mut self, d: usize, mark: AllocMark) {
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();
         let evicted = self.residency[d].clear();
@@ -2132,35 +2118,33 @@ impl ServeSession {
         for e in evicted {
             free_resident(dev, e.handle);
         }
-        for b in dev.gpu().live_device_buffers() {
-            if !pre.dev.contains(&b) {
-                let _ = dev.gpu_mut().free_device(b);
-            }
+        for b in dev.gpu().live_device_buffers_since(mark) {
+            let _ = dev.gpu_mut().free_device(b);
         }
-        for h in dev.gpu().live_host_buffers() {
-            if !pre.host.contains(&h) {
-                let _ = dev.gpu_mut().take_host(h);
-            }
+        for h in dev.gpu().live_host_buffers_since(mark) {
+            let _ = dev.gpu_mut().take_host(h);
         }
     }
 
     /// Frees buffers a failed attempt leaked on device `d` without
-    /// touching the residency cache: allocations alive now that were
-    /// neither alive before the attempt nor adopted by the cache (operands
-    /// the attempt successfully resolved stay warm for later requests).
-    fn release_leaked(&mut self, d: usize, pre: &LiveBuffers) {
-        let cached: BTreeSet<DevBufId> = self.residency[d].device_buffers().into_iter().collect();
+    /// touching the residency cache: allocations alive now that were made
+    /// at or after `mark` and not adopted by the cache (operands the
+    /// attempt successfully resolved stay warm for later requests).
+    fn release_leaked(&mut self, d: usize, mark: AllocMark) {
+        let cached: BTreeSet<DevBufId> = self.residency[d]
+            .device_buffers()
+            .into_iter()
+            .filter(|&b| b >= mark.dev)
+            .collect();
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();
-        for b in dev.gpu().live_device_buffers() {
-            if !pre.dev.contains(&b) && !cached.contains(&b) {
+        for b in dev.gpu().live_device_buffers_since(mark) {
+            if !cached.contains(&b) {
                 let _ = dev.gpu_mut().free_device(b);
             }
         }
-        for h in dev.gpu().live_host_buffers() {
-            if !pre.host.contains(&h) {
-                let _ = dev.gpu_mut().take_host(h);
-            }
+        for h in dev.gpu().live_host_buffers_since(mark) {
+            let _ = dev.gpu_mut().take_host(h);
         }
     }
 }

@@ -25,13 +25,21 @@
 //! # Op lifecycle
 //!
 //! An enqueued op is a small `Copy` record ([`Op`]): stream, issued flag,
-//! interned tag and a slim kind whose kernel shapes and event slots live in
-//! side tables. Once the simulator is idle every op has completed, so the
-//! op, kernel, event and tag tables are retired together; a global `base`
-//! offset keeps op ids (and so [`TraceEntry::op`]) in enqueue order across
-//! retirements. Only the [`Trace`] outlives a batch, and its consumed
-//! prefix is retired on demand into exact per-engine totals
-//! ([`Sim::retire_trace`]).
+//! interned tag, the link to the next op on its stream and a slim kind
+//! whose kernel shapes and event slots live in side tables. Once the
+//! simulator is idle every op has completed, so the op, kernel, event and
+//! tag tables are retired together; a global `base` offset keeps op ids
+//! (and so [`TraceEntry::op`]) in enqueue order across retirements. Only
+//! the [`Trace`] outlives a batch, and its consumed prefix is retired on
+//! demand into exact per-engine totals ([`Sim::retire_trace`]).
+//!
+//! A batch's storage grows without moving. The op table is a list of
+//! fixed [`OP_CHUNK`]-op chunks: the first grows like a `Vec` (small
+//! batches stay small) and is the only one kept at retirement, later ones
+//! are allocated full-size once. A stream owns no heap memory: it is the
+//! batch-relative `(head, tail)` of a FIFO linked through [`Op::next`].
+//! The engine ops a batch enqueues are counted, so [`Sim::run_to_idle`]
+//! reserves the trace entries they will record in one step.
 //!
 //! Streams are never destroyed, so the loop keeps the ascending ids of the
 //! non-empty ones (`busy`): [`Sim::stabilize`], [`Sim::idle`] and
@@ -50,10 +58,14 @@ use std::collections::VecDeque;
 /// nanosecond-rounding overshoot).
 const BYTES_EPS: f64 = 1e-6;
 
-/// Capacity the per-batch tables keep when they retire: small batches never
-/// reallocate, and one huge batch does not pin its footprint for the life
-/// of the device.
-const RETAINED_CAPACITY: usize = 4096;
+/// Capacity the per-batch tables (and a cleared trace) keep when they
+/// retire: small batches never reallocate, and one huge batch does not pin
+/// its footprint for the life of the device.
+pub(crate) const RETAINED_CAPACITY: usize = 4096;
+
+/// Ops per chunk of the op table. The first chunk is the one retirement
+/// keeps, so it is the retained capacity.
+const OP_CHUNK: usize = RETAINED_CAPACITY;
 
 /// The engines in their fixed processing order.
 const ENGINES: [EngineKind; 3] = [
@@ -102,6 +114,61 @@ fn retire_table<T>(table: &mut Vec<T>) {
     table.shrink_to(RETAINED_CAPACITY);
 }
 
+/// The pending ops of one batch, indexed by batch-relative position, in
+/// [`OP_CHUNK`]-op chunks so that appending never moves a stored op.
+#[derive(Debug)]
+struct OpTable {
+    /// Never empty; every chunk but the last is full.
+    chunks: Vec<Vec<Op>>,
+}
+
+impl OpTable {
+    fn new() -> Self {
+        OpTable {
+            chunks: vec![Vec::new()],
+        }
+    }
+
+    fn len(&self) -> usize {
+        let last = self.chunks.last().expect("op table has a first chunk");
+        (self.chunks.len() - 1) * OP_CHUNK + last.len()
+    }
+
+    /// Appends `op` and returns its batch-relative index.
+    fn push(&mut self, op: Op) -> u32 {
+        let idx = idx32(self.len());
+        let mut last = self.chunks.last_mut().expect("op table has a first chunk");
+        if last.len() == OP_CHUNK {
+            self.chunks.push(Vec::with_capacity(OP_CHUNK));
+            last = self.chunks.last_mut().expect("chunk just pushed");
+        }
+        last.push(op);
+        idx
+    }
+
+    /// Drops every op, keeping only the first chunk's storage.
+    fn retire(&mut self) {
+        self.chunks.truncate(1);
+        retire_table(&mut self.chunks[0]);
+    }
+}
+
+impl std::ops::Index<u32> for OpTable {
+    type Output = Op;
+
+    fn index(&self, idx: u32) -> &Op {
+        let idx = idx as usize;
+        &self.chunks[idx / OP_CHUNK][idx % OP_CHUNK]
+    }
+}
+
+impl std::ops::IndexMut<u32> for OpTable {
+    fn index_mut(&mut self, idx: u32) -> &mut Op {
+        let idx = idx as usize;
+        &mut self.chunks[idx / OP_CHUNK][idx % OP_CHUNK]
+    }
+}
+
 /// The simulator core. Crate-internal; users drive it through
 /// [`Gpu`](crate::Gpu).
 #[derive(Debug)]
@@ -110,7 +177,10 @@ pub(crate) struct Sim {
     /// Global id of `ops[0]`.
     base: OpId,
     /// Ops enqueued since the last retirement, indexed by `id - base`.
-    ops: Vec<Op>,
+    ops: OpTable,
+    /// Engine (non-instant) ops among `ops`: the trace entries the batch
+    /// will record.
+    engine_ops: usize,
     /// `(shape, noise-free seconds)` of each pending kernel.
     kernels: Vec<(KernelShape, f64)>,
     /// Interned routine tags of pending ops: op tag `i > 0` is
@@ -118,7 +188,10 @@ pub(crate) struct Sim {
     tags: Vec<OpTag>,
     /// Interned index of the ambient tag (0 = untagged).
     cur_tag: u32,
-    streams: Vec<VecDeque<OpId>>,
+    /// Each stream's pending FIFO as batch-relative `(head, tail)` op
+    /// indices, linked head to tail through [`Op::next`]; `None` when
+    /// empty, as every stream is at retirement.
+    streams: Vec<Option<(u32, u32)>>,
     /// Ids of the non-empty streams, ascending (see the module docs).
     busy: Vec<usize>,
     /// Global id of `events[0]`. Every older event was recorded before the
@@ -145,7 +218,8 @@ impl Sim {
         Sim {
             now_ns: 0,
             base: 0,
-            ops: Vec::new(),
+            ops: OpTable::new(),
+            engine_ops: 0,
             kernels: Vec::new(),
             tags: Vec::new(),
             cur_tag: 0,
@@ -252,7 +326,7 @@ impl Sim {
     /// pending tables are retired.
     pub(crate) fn abort_all(&mut self) {
         for s in self.busy.drain(..) {
-            self.streams[s].clear();
+            self.streams[s] = None;
         }
         let now = self.now();
         for kind in ENGINES {
@@ -274,7 +348,8 @@ impl Sim {
     fn retire(&mut self) {
         debug_assert!(self.idle(), "retire called with work in flight");
         self.base += self.ops.len();
-        retire_table(&mut self.ops);
+        self.ops.retire();
+        self.engine_ops = 0;
         retire_table(&mut self.kernels);
         self.event_base += self.events.len();
         retire_table(&mut self.events);
@@ -327,13 +402,13 @@ impl Sim {
     }
 
     pub(crate) fn create_stream(&mut self) -> StreamId {
-        let id = StreamId(self.streams.len());
-        self.streams.push(VecDeque::new());
+        let id = StreamId(idx32(self.streams.len()));
+        self.streams.push(None);
         id
     }
 
     pub(crate) fn stream_exists(&self, s: StreamId) -> bool {
-        s.0 < self.streams.len()
+        s.index() < self.streams.len()
     }
 
     pub(crate) fn event_exists(&self, ev: EventId) -> bool {
@@ -346,21 +421,30 @@ impl Sim {
     /// which fill the side tables their kinds index.
     pub(crate) fn enqueue(&mut self, stream: StreamId, kind: OpKind) -> OpId {
         debug_assert!(self.stream_exists(stream));
-        let id = self.base + self.ops.len();
-        self.ops.push(Op {
+        if !matches!(kind, OpKind::EventRecord(_) | OpKind::EventWait(_)) {
+            self.engine_ops += 1;
+        }
+        let idx = self.ops.push(Op {
             kind,
-            stream: idx32(stream.0),
+            stream: stream.0,
             tag: self.cur_tag,
+            next: 0,
             issued: false,
         });
-        let queue = &mut self.streams[stream.0];
-        if queue.is_empty() {
-            // Usually the newest stream, so the insert lands at the end.
-            let at = self.busy.partition_point(|&s| s < stream.0);
-            self.busy.insert(at, stream.0);
+        let s = stream.index();
+        match &mut self.streams[s] {
+            Some((_, tail)) => {
+                self.ops[*tail].next = idx;
+                *tail = idx;
+            }
+            empty @ None => {
+                *empty = Some((idx, idx));
+                // Usually the newest stream, so the insert lands at the end.
+                let at = self.busy.partition_point(|&b| b < s);
+                self.busy.insert(at, s);
+            }
         }
-        queue.push_back(id);
-        id
+        self.base + idx as usize
     }
 
     /// Enqueues a kernel whose noise-free duration is `base_secs`.
@@ -418,6 +502,7 @@ impl Sim {
     /// Panics if the enqueued schedule deadlocks (a stream waits on an event
     /// that can never be recorded).
     pub(crate) fn run_to_idle(&mut self, mut on_complete: impl FnMut(OpId)) {
+        self.trace.reserve(self.engine_ops);
         loop {
             let progressed = self.stabilize(&mut on_complete);
             if self.idle() {
@@ -454,8 +539,8 @@ impl Sim {
             // Streams an instant op empties leave `busy` in the same pass.
             let mut busy = std::mem::take(&mut self.busy);
             busy.retain(|&s| {
-                let head = *self.streams[s].front().expect("busy stream is non-empty");
-                let op = &mut self.ops[head - self.base];
+                let (head, tail) = self.streams[s].expect("busy stream is non-empty");
+                let op = &mut self.ops[head];
                 if op.issued {
                     return true; // already on an engine, waiting for completion
                 }
@@ -475,16 +560,17 @@ impl Sim {
                     OpKind::Kernel(_) => Some(&mut self.compute),
                 };
                 progressed = true;
+                let id = self.base + head as usize;
                 match engine {
                     Some(engine) => {
                         op.issued = true;
-                        engine.queue.push_back(head);
+                        engine.queue.push_back(id);
                         true
                     }
                     None => {
-                        self.streams[s].pop_front();
-                        on_complete(head);
-                        !self.streams[s].is_empty()
+                        self.streams[s] = (head != tail).then_some((op.next, tail));
+                        on_complete(id);
+                        head != tail
                     }
                 }
             });
@@ -537,7 +623,7 @@ impl Sim {
     }
 
     fn start_op(&mut self, op_id: OpId, engine_kind: EngineKind) -> ActiveOp {
-        let op = self.ops[op_id - self.base];
+        let op = self.ops[idx32(op_id - self.base)];
         let mut kernel = None;
         let (phase, work_total, rate_factor, bytes) = match op.kind {
             OpKind::H2d { bytes, pageable } | OpKind::D2h { bytes, pageable } => {
@@ -577,7 +663,7 @@ impl Sim {
         let trace_idx = self.trace.len();
         self.trace.push(TraceEntry {
             op: op_id,
-            stream: StreamId(op.stream as usize),
+            stream: StreamId(op.stream),
             engine: engine_kind,
             start: self.now(),
             end: self.now(), // patched at completion
@@ -720,11 +806,17 @@ impl Sim {
 
     fn complete_op(&mut self, active: ActiveOp, on_complete: &mut impl FnMut(OpId)) {
         let op_id = active.op;
-        let stream = self.ops[op_id - self.base].stream as usize;
+        let op = self.ops[idx32(op_id - self.base)];
+        let stream = op.stream as usize;
         // The op is necessarily at its stream head.
-        let popped = self.streams[stream].pop_front();
-        debug_assert_eq!(popped, Some(op_id), "completed op must be its stream head");
-        if self.streams[stream].is_empty() {
+        let (head, tail) = self.streams[stream].expect("completed op's stream is busy");
+        debug_assert_eq!(
+            self.base + head as usize,
+            op_id,
+            "completed op must be its stream head"
+        );
+        self.streams[stream] = (head != tail).then_some((op.next, tail));
+        if head == tail {
             let at = self.busy.partition_point(|&s| s < stream);
             debug_assert_eq!(self.busy.get(at), Some(&stream), "emptied stream was busy");
             self.busy.remove(at);
@@ -1086,6 +1178,83 @@ mod tests {
             "{}",
             std::mem::size_of::<Op>()
         );
+    }
+
+    #[test]
+    fn op_table_never_moves_and_streams_stay_fifo() {
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        let streams: Vec<StreamId> = (0..5).map(|_| sim.create_stream()).collect();
+        // A warm-up batch, so the big batch's ids start past zero.
+        copy(&mut sim, streams[0], 10, true);
+        run_all(&mut sim);
+        let first = sim.base;
+        // The reference model: each stream's op ids in enqueue order, and
+        // the stream of every op id since `first`.
+        let mut model: Vec<VecDeque<OpId>> = vec![VecDeque::new(); streams.len()];
+        let mut stream_of: Vec<usize> = Vec::new();
+        // Storage of every chunk that can no longer move: chunk 0 once it
+        // is full, later chunks from their creation.
+        let mut settled: Vec<*const Op> = Vec::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        // Books the op just enqueued on stream `s` in the model.
+        let mut expect = |sim: &Sim, s: usize| {
+            model[s].push_back(sim.base + sim.ops.len() - 1);
+            stream_of.push(s);
+        };
+        while sim.ops.len() < 3 * OP_CHUNK + 123 {
+            let s = rng.gen_range(0..streams.len());
+            match rng.gen_range(0..4usize) {
+                0 => {
+                    copy(&mut sim, streams[s], 64, true);
+                }
+                1 => {
+                    copy(&mut sim, streams[s], 64, false);
+                }
+                2 => {
+                    kernel(&mut sim, streams[s], 1e-7);
+                }
+                _ => {
+                    let other = (s + 1) % streams.len();
+                    let ev = sim.record_event(streams[other]);
+                    expect(&sim, other);
+                    sim.wait_event(streams[s], ev);
+                }
+            }
+            expect(&sim, s);
+            for (i, chunk) in sim.ops.chunks.iter().enumerate() {
+                if let Some(&addr) = settled.get(i) {
+                    assert_eq!(chunk.as_ptr(), addr, "chunk {i} moved");
+                } else if i > 0 || chunk.len() == OP_CHUNK {
+                    settled.push(chunk.as_ptr());
+                }
+            }
+        }
+        let total = sim.ops.len();
+        assert_eq!(sim.ops.chunks.len(), 4);
+        assert!(sim.ops.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
+        let engine_ids: Vec<OpId> = (0..idx32(total))
+            .filter(|&i| {
+                !matches!(
+                    sim.ops[i].kind,
+                    OpKind::EventRecord(_) | OpKind::EventWait(_)
+                )
+            })
+            .map(|i| first + i as usize)
+            .collect();
+        // Completion order, split by stream, is each stream's enqueue order.
+        let mut completed: Vec<VecDeque<OpId>> = vec![VecDeque::new(); streams.len()];
+        for id in run_all(&mut sim) {
+            completed[stream_of[id - first]].push_back(id);
+        }
+        assert_eq!(completed, model);
+        // Retirement keeps only the first chunk; ids continue globally.
+        assert_eq!(sim.ops.chunks.len(), 1);
+        assert_eq!(sim.ops.len(), 0);
+        assert!(sim.ops.chunks[0].capacity() <= RETAINED_CAPACITY);
+        assert_eq!(copy(&mut sim, streams[0], 10, true), first + total);
+        let mut traced: Vec<OpId> = sim.trace().entries()[1..].iter().map(|e| e.op).collect();
+        traced.sort_unstable();
+        assert_eq!(traced, engine_ids, "trace entries carry global op ids");
     }
 
     #[test]

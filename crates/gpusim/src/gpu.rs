@@ -395,7 +395,7 @@ impl Gpu {
         if self.sim.stream_exists(stream) {
             Ok(())
         } else {
-            Err(SimError::UnknownStream { id: stream.0 })
+            Err(SimError::UnknownStream { id: stream.index() })
         }
     }
 

@@ -5,19 +5,23 @@ use crate::memory::{DevBufId, HostBufId, Payload};
 
 /// Identifier of a simulated stream (the CUDA-stream analogue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StreamId(pub(crate) usize);
+pub struct StreamId(pub(crate) u32);
 
 impl StreamId {
     /// Raw index, for display purposes.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 
     /// Builds a stream id from a raw index, for synthesising trace entries
     /// in tests and tooling. Not a valid handle for enqueueing unless the
     /// index came from [`Gpu::create_stream`](crate::Gpu::create_stream).
+    ///
+    /// # Panics
+    ///
+    /// If `index` does not fit in `u32`.
     pub fn from_raw(index: usize) -> StreamId {
-        StreamId(index)
+        StreamId(u32::try_from(index).expect("stream index exceeds u32"))
     }
 }
 
@@ -233,6 +237,9 @@ pub(crate) struct Op {
     pub stream: u32,
     /// Interned ambient routine tag at enqueue time (0 = untagged).
     pub tag: u32,
+    /// Batch-relative index of the next op on the same stream; meaningless
+    /// while this op is its stream's tail.
+    pub next: u32,
     /// `true` once the op has been handed to an engine or completed.
     pub issued: bool,
 }

@@ -4,6 +4,7 @@
 //! not just trusted) and feed the Gantt renderer in `cocopelia_obs::gantt`,
 //! which reproduces the pipeline anatomy of the paper's Figure 2.
 
+use crate::engine::RETAINED_CAPACITY;
 use crate::kernel::KernelShape;
 use crate::op::StreamId;
 use crate::time::SimTime;
@@ -209,10 +210,19 @@ impl Trace {
         self.entries.push(entry);
     }
 
-    /// Forgets everything, retired totals included. The entries keep
-    /// their capacity for the next call on the same device.
+    /// Makes room for `additional` more entries, growing amortized so a
+    /// stream of small batches still doubles.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+    }
+
+    /// Forgets everything, retired totals included. The entries' storage
+    /// is trimmed to the capacity the simulator's per-batch tables retain,
+    /// so one huge batch does not pin its footprint for the life of the
+    /// device.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.entries.shrink_to(RETAINED_CAPACITY);
         self.base = 0;
         self.retired = Default::default();
         self.retired_end = SimTime::ZERO;
@@ -276,7 +286,7 @@ mod tests {
     fn entry(engine: EngineKind, start: u64, end: u64, bytes: Option<usize>) -> TraceEntry {
         TraceEntry {
             op: 0,
-            stream: StreamId(0),
+            stream: StreamId::from_raw(0),
             engine,
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
@@ -419,5 +429,27 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(totals(&t), totals(&Trace::default()));
         t.clamp_to(SimTime::ZERO);
+    }
+
+    #[test]
+    fn trace_entry_fits_128_bytes() {
+        assert!(
+            std::mem::size_of::<TraceEntry>() <= 128,
+            "{}",
+            std::mem::size_of::<TraceEntry>()
+        );
+    }
+
+    #[test]
+    fn clear_trims_a_huge_batch_to_the_retained_capacity() {
+        let mut t = mixed_trace(3 * RETAINED_CAPACITY as u64);
+        assert!(t.entries.capacity() > RETAINED_CAPACITY);
+        t.clear();
+        assert!(t.entries.capacity() <= RETAINED_CAPACITY);
+        // A small trace keeps its storage for the next call.
+        let mut t = mixed_trace(10);
+        let cap = t.entries.capacity();
+        t.clear();
+        assert_eq!(t.entries.capacity(), cap);
     }
 }

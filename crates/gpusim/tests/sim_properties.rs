@@ -3,7 +3,8 @@
 //! bounded by engine work, contention can only slow transfers down, and
 //! equal seeds replay identically. Schedules interleave stream creation
 //! and mid-schedule synchronizes with the enqueues, so streams drain and
-//! refill while new ones join.
+//! refill while new ones join; the long-batch cases run batches that
+//! span several simulator op-table chunks.
 
 use cocopelia_gpusim::{
     testbed_i, testbed_ii, CopyDesc, EngineKind, ExecMode, Gpu, KernelShape, NoiseSpec, TestbedSpec,
@@ -100,6 +101,71 @@ fn run_schedule(tb: TestbedSpec, ops: &[RandOp], n_streams: usize, seed: u64) ->
     gpu
 }
 
+/// Asserts that each stream's trace entries run in enqueue order, each
+/// after the previous one ended.
+fn check_fifo(gpu: &Gpu) -> Result<(), TestCaseError> {
+    let mut entries = gpu.trace().entries().to_vec();
+    entries.sort_by_key(|e| (e.stream, e.op));
+    for w in entries.windows(2).filter(|w| w[0].stream == w[1].stream) {
+        prop_assert!(w[1].start >= w[0].end, "{:?} overlaps {:?}", w[1], w[0]);
+    }
+    Ok(())
+}
+
+/// Asserts that a schedule replays identically under one seed, and that
+/// its noise-free timing ignores the seed.
+fn check_replay(ops: &[RandOp], n_streams: usize, seed: u64) -> Result<(), TestCaseError> {
+    let a = run_schedule(testbed_ii(), ops, n_streams, seed).now();
+    let b = run_schedule(testbed_ii(), ops, n_streams, seed).now();
+    prop_assert_eq!(a, b);
+    let c = run_schedule(quiet(testbed_ii()), ops, n_streams, seed).now();
+    let d = run_schedule(quiet(testbed_ii()), ops, n_streams, seed ^ 0xABCD).now();
+    prop_assert_eq!(c, d, "noise-free timing must not depend on the seed");
+    Ok(())
+}
+
+/// Ops per simulator op-table chunk: a longer batch spans several chunks.
+const OP_CHUNK: usize = 4096;
+
+/// Two to three batches of one to two op-table chunks each, split by
+/// synchronizes. Every batch past the first starts at a shifted op-id
+/// base, and streams carry over from one batch to the next.
+fn long_batches() -> impl Strategy<Value = Vec<RandOp>> {
+    prop::collection::vec(
+        prop::collection::vec(rand_op(), OP_CHUNK + 1..2 * OP_CHUNK),
+        2..4,
+    )
+    .prop_map(|batches| {
+        let mut ops = Vec::new();
+        for batch in batches {
+            ops.extend(batch);
+            ops.push(RandOp::Sync);
+        }
+        ops
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Streams stay FIFO when a batch outgrows one op-table chunk and
+    /// the next batch starts past a retirement.
+    #[test]
+    fn long_batches_stay_fifo(ops in long_batches(), n_streams in 1usize..5) {
+        check_fifo(&run_schedule(quiet(testbed_ii()), &ops, n_streams, 4))?;
+    }
+
+    /// Batches longer than one op-table chunk replay deterministically.
+    #[test]
+    fn long_batches_replay_deterministically(
+        ops in long_batches(),
+        n_streams in 1usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        check_replay(&ops, n_streams, seed)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -134,12 +200,7 @@ proptest! {
         ops in prop::collection::vec(rand_step(), 1..40),
         n_streams in 1usize..5,
     ) {
-        let gpu = run_schedule(quiet(testbed_ii()), &ops, n_streams, 4);
-        let mut entries = gpu.trace().entries().to_vec();
-        entries.sort_by_key(|e| (e.stream, e.op));
-        for w in entries.windows(2).filter(|w| w[0].stream == w[1].stream) {
-            prop_assert!(w[1].start >= w[0].end, "{:?} overlaps {:?}", w[1], w[0]);
-        }
+        check_fifo(&run_schedule(quiet(testbed_ii()), &ops, n_streams, 4))?;
     }
 
     /// The makespan is at least the busiest engine's work and at most the
@@ -180,12 +241,7 @@ proptest! {
         n_streams in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
-        let a = run_schedule(testbed_ii(), &ops, n_streams, seed).now();
-        let b = run_schedule(testbed_ii(), &ops, n_streams, seed).now();
-        prop_assert_eq!(a, b);
-        let c = run_schedule(quiet(testbed_ii()), &ops, n_streams, seed).now();
-        let d = run_schedule(quiet(testbed_ii()), &ops, n_streams, seed ^ 0xABCD).now();
-        prop_assert_eq!(c, d, "noise-free timing must not depend on the seed");
+        check_replay(&ops, n_streams, seed)?;
     }
 
     /// Bidirectional contention can only slow a transfer down, and by at

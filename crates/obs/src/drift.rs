@@ -150,6 +150,9 @@ impl ModelErrorStats {
 pub struct DriftAccountant {
     records: Vec<DriftRecord>,
     per_model: BTreeMap<&'static str, ModelErrorStats>,
+    /// Sum of every record's absolute relative error, added in record
+    /// order, so the running mean is the fold over `records` bit for bit.
+    sum_abs: f64,
 }
 
 impl DriftAccountant {
@@ -166,7 +169,18 @@ impl DriftAccountant {
         stats.sum_abs += rec.abs_rel_err();
         stats.signed_hist.observe(rec.signed_rel_err());
         stats.abs_hist.observe(rec.abs_rel_err());
+        self.sum_abs += rec.abs_rel_err();
         self.records.push(rec);
+    }
+
+    /// Mean absolute relative error over every record, all models
+    /// together; `0.0` before the first record. O(1): a running total.
+    pub fn mean_abs_err(&self) -> f64 {
+        if self.records.is_empty() {
+            0.0
+        } else {
+            self.sum_abs / self.records.len() as f64
+        }
     }
 
     /// Every record, in arrival order.
@@ -270,6 +284,21 @@ mod tests {
         assert!((dr.mean_signed() - 1.0).abs() < 1e-12);
         assert_eq!(acc.records().len(), 3);
         assert!(acc.model_stats(ModelKind::Cso).is_none());
+    }
+
+    #[test]
+    fn running_mean_matches_the_fold_over_records_bit_for_bit() {
+        let models = ModelKind::all();
+        let mut acc = DriftAccountant::new();
+        assert_eq!(acc.mean_abs_err(), 0.0);
+        for i in 0..1_000u32 {
+            let actual = 1.0 + f64::from(i % 37) * 0.013;
+            let predicted = actual * (0.5 + f64::from(i.wrapping_mul(7919) % 1000) / 997.0);
+            acc.record(rec(models[i as usize % models.len()], predicted, actual));
+        }
+        let recs = acc.records();
+        let fold = recs.iter().map(DriftRecord::abs_rel_err).sum::<f64>() / recs.len() as f64;
+        assert_eq!(acc.mean_abs_err().to_bits(), fold.to_bits());
     }
 
     #[test]

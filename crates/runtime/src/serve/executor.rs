@@ -9,11 +9,11 @@ use crate::serve::residency::{ResidencyCache, ResidentHandle};
 use crate::serve::sched::SchedulePolicy;
 use crate::serve::session::ServeSession;
 use crate::serve::telemetry::{TelemetryReport, TickState};
-use crate::serve::trace::ServeTracer;
 use cocopelia_core::models::Prediction;
 use cocopelia_gpusim::{AllocMark, DevBufId, SimError, SimScalar, SimTime};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -578,25 +578,48 @@ impl ServeReport {
     }
 }
 
-/// A request coalesced onto a queued leader: it never executes itself,
-/// but completes (against its own arrival time and deadline) when the
-/// leader does.
-#[derive(Debug, Clone)]
-pub(super) struct Follower {
-    id: RequestId,
-    arrival_ns: u64,
-    deadline: Option<f64>,
+/// One request on its way to dispatch: a scheduled open arrival, then a
+/// queue entry. The record carries all of the request's serving state, so
+/// nothing about it is kept in side tables keyed by its id.
+#[derive(Debug)]
+pub(super) struct Queued {
+    pub(super) id: RequestId,
+    pub(super) req: RoutineRequest,
+    /// Arrival offset, virtual ns past the drain start (zero for
+    /// closed-queue submissions). It floors the serving device's clock,
+    /// starts the request's flow time and places its queue span.
+    pub(super) arrival_ns: u64,
+    /// Service seconds admission added to the shed backlog for this
+    /// request (zero unless the flow-time watermark is armed). Dispatch
+    /// returns exactly this share, even when residency (and thus the
+    /// estimate) changed while the request waited.
+    pub(super) backlog_secs: f64,
 }
 
-/// Rejection reason for the footprint admission ceiling — shared by the
-/// closed-queue and open-arrival admission paths so the two reject
-/// identically.
-fn footprint_reason(footprint: usize, limit: usize, frac: f64) -> String {
-    format!(
-        "footprint {footprint} B exceeds admission limit {limit} B \
-         ({:.0}% of device memory)",
-        frac * 1e2
-    )
+/// A queued leader and the arrivals riding on its execution. A follower
+/// never executes itself, but completes (against its own arrival time and
+/// deadline) when the leader does. The coalition lives under its coalesce
+/// key until the leader is dispatched, which takes the followers with
+/// it; a later identical arrival starts a new one.
+#[derive(Debug)]
+pub(super) struct Coalition {
+    leader: RequestId,
+    followers: Vec<Queued>,
+}
+
+impl RequestOutcome {
+    /// The terminal record of a request refused at admission.
+    fn rejected(id: RequestId, req: &RoutineRequest, reason: String) -> Self {
+        RequestOutcome {
+            id,
+            routine: req.routine(),
+            device: None,
+            status: RequestStatus::Rejected { reason },
+            retries: 0,
+            host_fallback: false,
+            coalesced: false,
+        }
+    }
 }
 
 /// Terminal status of an executed run with flow time `flow` (virtual
@@ -625,36 +648,42 @@ impl ServeSession {
     /// under-admits).
     pub fn submit(&mut self, req: impl Into<RoutineRequest>) -> RequestId {
         let req = req.into();
+        let id = self.new_id();
+        if let Some(reason) = self.footprint_refusal(&req) {
+            // Settled (traced and fed to telemetry) when the drain starts.
+            self.metrics.counter_add("serve_rejected_total", 1);
+            self.outcomes
+                .push(RequestOutcome::rejected(id, &req, reason));
+            return id;
+        }
+        self.enqueue(Queued {
+            id,
+            req,
+            arrival_ns: 0,
+            backlog_secs: 0.0,
+        });
+        id
+    }
+
+    /// Assigns the next request id and counts the request.
+    fn new_id(&mut self) -> RequestId {
         let id = RequestId(self.next_id);
         self.next_id += 1;
         self.metrics.counter_add("serve_requests_total", 1);
-        let limit = self.admission_limit();
-        let footprint = req.footprint_bytes();
-        if footprint > limit {
-            self.metrics.counter_add("serve_rejected_total", 1);
-            self.outcomes.push(RequestOutcome {
-                id,
-                routine: req.routine(),
-                device: None,
-                status: RequestStatus::Rejected {
-                    reason: footprint_reason(footprint, limit, self.cfg.admission_frac),
-                },
-                retries: 0,
-                host_fallback: false,
-                coalesced: false,
-            });
-            return id;
-        }
-        self.queue.push_back((id, req));
+        id
+    }
+
+    /// Puts an admitted request on the dispatch queue. Depth is sampled
+    /// here (and again at each dispatch), so burst arrivals are visible
+    /// even if the queue drains quickly.
+    fn enqueue(&mut self, job: Queued) {
+        self.queue.push_back(job);
         self.peak_queue = self.peak_queue.max(self.queue.len());
-        // Depth is sampled on admission (and again at each dispatch), so
-        // burst arrivals are visible even if the queue drains quickly.
         self.metrics.histogram_observe(
             "serve_queue_depth",
             &QUEUE_DEPTH_BOUNDS,
             self.queue.len() as f64,
         );
-        id
     }
 
     /// Schedules an open arrival: the request materialises `at` virtual
@@ -666,19 +695,27 @@ impl ServeSession {
     /// moment. Flow time and deadlines for the request are measured from
     /// its arrival, not from drain start.
     pub fn submit_at(&mut self, req: impl Into<RoutineRequest>, at: SimTime) -> RequestId {
-        let req = req.into();
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        self.metrics.counter_add("serve_requests_total", 1);
-        let at_ns = at.as_nanos();
-        let pos = self.arrivals.partition_point(|a| a.2 <= at_ns);
-        self.arrivals.insert(pos, (id, req, at_ns));
+        let id = self.new_id();
+        let arrival_ns = at.as_nanos();
+        let pos = self
+            .arrivals
+            .partition_point(|a| a.arrival_ns <= arrival_ns);
+        let job = Queued {
+            id,
+            req: req.into(),
+            arrival_ns,
+            backlog_secs: 0.0,
+        };
+        self.arrivals.insert(pos, job);
         id
     }
 
-    /// The footprint admission ceiling, from the *smallest* device in the
+    /// The rejection reason when `req`'s worst-case footprint exceeds the
+    /// admission ceiling, which comes from the *smallest* device in the
     /// pool so an admitted request fits whichever device dispatch picks.
-    fn admission_limit(&self) -> usize {
+    /// Closed-queue and open-arrival admission share it, so the two
+    /// reject identically.
+    fn footprint_refusal(&self, req: &RoutineRequest) -> Option<String> {
         let cap = self
             .pool
             .devices()
@@ -686,7 +723,16 @@ impl ServeSession {
             .map(|d| d.gpu().device_mem_capacity())
             .min()
             .expect("at least one device");
-        (cap as f64 * self.cfg.admission_frac.clamp(0.0, 1.0)) as usize
+        let frac = self.cfg.admission_frac;
+        let limit = (cap as f64 * frac.clamp(0.0, 1.0)) as usize;
+        let footprint = req.footprint_bytes();
+        (footprint > limit).then(|| {
+            format!(
+                "footprint {footprint} B exceeds admission limit {limit} B \
+                 ({:.0}% of device memory)",
+                frac * 1e2
+            )
+        })
     }
 
     /// Estimated h2d time device `d` would spend uploading the shared
@@ -744,6 +790,16 @@ impl ServeSession {
         self.upload_estimate(d, req) + self.offload_estimate(d, req).map_or(0.0, |p| p.total)
     }
 
+    /// The offload prediction of an attempt of `req` on device `d`, with
+    /// the attempt's predicted duration: [`service_secs`](Self::service_secs)
+    /// from that one prediction. `None` when the profile cannot predict
+    /// the request (nothing to record drift against or to overrun).
+    fn attempt_price(&self, d: usize, req: &RoutineRequest) -> Option<(Prediction, f64)> {
+        let p = self.offload_estimate(d, req)?;
+        let secs = self.upload_estimate(d, req) + p.total;
+        Some((p, secs))
+    }
+
     /// Estimated completion of `req` on device `d`: the device's virtual
     /// clock, plus its hedge-informed straggler penalty, plus
     /// [`service_secs`](Self::service_secs). The penalty matters when
@@ -797,8 +853,8 @@ impl ServeSession {
                 // keeps submission order within equal deadlines.
                 let mut best = 0;
                 let mut best_dl = f64::INFINITY;
-                for (i, (_, r)) in self.queue.iter().enumerate() {
-                    let dl = r.deadline().unwrap_or(f64::INFINITY);
+                for (i, q) in self.queue.iter().enumerate() {
+                    let dl = q.req.deadline().unwrap_or(f64::INFINITY);
                     if dl < best_dl {
                         best = i;
                         best_dl = dl;
@@ -815,10 +871,10 @@ impl ServeSession {
                 // lowest device index on ties.
                 let mut pick = (0, None);
                 let mut pick_completion = f64::NEG_INFINITY;
-                for (i, (_, r)) in self.queue.iter().enumerate() {
+                for (i, q) in self.queue.iter().enumerate() {
                     // Whole pool quarantined: order is irrelevant, every
                     // request degrades to the host.
-                    let Some((dev, completion)) = self.choose_device(r, None) else {
+                    let Some((dev, completion)) = self.choose_device(&q.req, None) else {
                         break;
                     };
                     if completion > pick_completion {
@@ -832,97 +888,86 @@ impl ServeSession {
     }
 
     /// Pulls the next request per the active [`SchedulePolicy`], sampling
-    /// queue depth (the pulled request included) at dispatch time. The
-    /// third element is the predictive policy's preferred device, which
+    /// queue depth (the pulled request included) at dispatch time, and
+    /// takes the request's share back out of the shed backlog. The second
+    /// element is the predictive policy's preferred device, which
     /// [`dispatch`](Self::dispatch) tries first.
-    fn next_dispatch(&mut self) -> Option<(RequestId, RoutineRequest, Option<usize>)> {
+    fn next_dispatch(&mut self) -> Option<(Queued, Option<usize>)> {
         let (idx, preferred) = self.select_index()?;
         self.metrics.histogram_observe(
             "serve_queue_depth",
             &QUEUE_DEPTH_BOUNDS,
             self.queue.len() as f64,
         );
-        self.queue.remove(idx).map(|(id, r)| (id, r, preferred))
+        let job = self.queue.remove(idx)?;
+        self.backlog_secs = (self.backlog_secs - job.backlog_secs).max(0.0);
+        Some((job, preferred))
     }
 
     /// The drain's event step: admit every arrival due by the current
     /// virtual elapsed, then pull the next dispatch. When the queue is
     /// empty but arrivals remain, virtual admission time jumps forward to
     /// the next arrival instant (the pool is idle; nothing else can
-    /// happen first). Returns the dispatch pick plus the request's
-    /// arrival offset (ns past drain start; zero for closed-queue
-    /// submissions), or `None` when both queue and arrivals are
-    /// exhausted.
-    fn next_event(
-        &mut self,
-        start: &[SimTime],
-    ) -> Option<(RequestId, RoutineRequest, Option<usize>, u64)> {
+    /// happen first). `None` once both queue and arrivals are exhausted.
+    fn next_event(&mut self) -> Option<(Queued, Option<usize>)> {
         loop {
-            let now_ns = self.elapsed_since(start).as_nanos();
-            self.admit_due(now_ns, start);
+            self.admit_due(self.elapsed().as_nanos());
             self.run_due_probes();
-            if let Some((id, req, preferred)) = self.next_dispatch() {
-                let arrival_ns = self.arrival_offset.get(&id.0).copied().unwrap_or(0);
-                if self.coalesce {
-                    if let Some(key) = req.coalesce_key() {
-                        // Once dispatched the request can no longer absorb
-                        // followers — a later identical arrival starts a
-                        // fresh coalition.
-                        if self.coalesce_leaders.get(&key) == Some(&id) {
-                            self.coalesce_leaders.remove(&key);
-                        }
-                    }
-                }
-                if self.shed_flow_secs.is_some() {
-                    // Return exactly the contribution admission recorded:
-                    // re-estimating here would leak residue into the
-                    // backlog whenever residency warmed (or cooled) while
-                    // the request waited.
-                    let est = self.backlog_contrib.remove(&id.0).unwrap_or(0.0);
-                    self.backlog_secs = (self.backlog_secs - est).max(0.0);
-                }
-                return Some((id, req, preferred, arrival_ns));
+            if let Some(next) = self.next_dispatch() {
+                return Some(next);
             }
-            let next_at = self.arrivals.front().map(|a| a.2)?;
-            self.admit_due(next_at, start);
+            let next_at = self.arrivals.front()?.arrival_ns;
+            self.admit_due(next_at);
+        }
+    }
+
+    /// Dissolves the coalition `job` leads, returning its followers: once
+    /// dispatched, the leader can absorb no more arrivals, and a later
+    /// identical arrival starts a new coalition.
+    fn disband(&mut self, job: &Queued) -> Vec<Queued> {
+        if self.coalitions.is_empty() {
+            return Vec::new();
+        }
+        match job.req.coalesce_key().map(|key| self.coalitions.entry(key)) {
+            Some(Entry::Occupied(c)) if c.get().leader == job.id => c.remove().followers,
+            _ => Vec::new(),
         }
     }
 
     /// Admits every scheduled arrival with offset `<= now_ns`, in arrival
     /// order.
-    fn admit_due(&mut self, now_ns: u64, start: &[SimTime]) {
-        while self.arrivals.front().is_some_and(|a| a.2 <= now_ns) {
-            let (id, req, at_ns) = self.arrivals.pop_front().expect("front checked");
-            self.admit_arrival(id, req, at_ns, start);
+    fn admit_due(&mut self, now_ns: u64) {
+        while self
+            .arrivals
+            .front()
+            .is_some_and(|a| a.arrival_ns <= now_ns)
+        {
+            let job = self.arrivals.pop_front().expect("front checked");
+            self.admit_arrival(job);
         }
     }
 
     /// Open-arrival admission at the arrival instant: footprint ceiling,
     /// bounded-queue shed, flow-time watermark shed, coalescing onto a
     /// queued identical request, or enqueue.
-    fn admit_arrival(&mut self, id: RequestId, req: RoutineRequest, at_ns: u64, start: &[SimTime]) {
-        let t0 = start.iter().map(|t| t.as_nanos()).min().unwrap_or(0);
-        let abs_ns = t0 + at_ns;
-        self.arrival_offset.insert(id.0, at_ns);
+    fn admit_arrival(&mut self, mut job: Queued) {
         if let Some(t) = self.tracer.as_mut() {
-            t.arrive(id.0, abs_ns);
+            t.arrive(job.id.0, job.arrival_ns);
         }
-        let limit = self.admission_limit();
-        let footprint = req.footprint_bytes();
-        if footprint > limit {
-            let reason = footprint_reason(footprint, limit, self.cfg.admission_frac);
-            self.shed_arrival(id, &req, abs_ns, reason, false, start);
+        if let Some(reason) = self.footprint_refusal(&job.req) {
+            self.shed_arrival(job, reason, false);
             return;
         }
         if let Some(cap) = self.queue_cap {
             if self.queue.len() >= cap {
                 let reason = format!("queue full: depth {} at cap {cap}", self.queue.len());
-                self.shed_arrival(id, &req, abs_ns, reason, true, start);
+                self.shed_arrival(job, reason, true);
                 return;
             }
         }
+        let mut est = 0.0;
         if let Some(watermark) = self.shed_flow_secs {
-            let est = self.service_estimate(&req);
+            est = self.service_estimate(&job.req);
             let healthy = self.quarantined.iter().filter(|&&q| !q).count().max(1);
             let predicted = self.backlog_secs / healthy as f64 + est;
             if predicted > watermark {
@@ -931,73 +976,47 @@ impl ServeSession {
                     predicted * 1e3,
                     watermark * 1e3
                 );
-                self.shed_arrival(id, &req, abs_ns, reason, true, start);
+                self.shed_arrival(job, reason, true);
                 return;
             }
         }
         if self.coalesce {
-            if let Some(key) = req.coalesce_key() {
-                if let Some(&leader) = self.coalesce_leaders.get(&key) {
+            if let Some(key) = job.req.coalesce_key() {
+                if let Some(c) = self.coalitions.get_mut(&key) {
                     // Identical shape already queued: ride on its single
                     // execution instead of uploading and running again.
                     self.metrics.counter_add("serve_coalesced_total", 1);
                     if let Some(t) = self.tracer.as_mut() {
-                        t.coalesce(id.0, leader.0, abs_ns);
+                        t.coalesce(job.id.0, c.leader.0, job.arrival_ns);
                     }
-                    self.followers.entry(leader.0).or_default().push(Follower {
-                        id,
-                        arrival_ns: at_ns,
-                        deadline: req.deadline(),
-                    });
+                    c.followers.push(job);
                     return;
                 }
-                self.coalesce_leaders.insert(key, id);
+                let coalition = Coalition {
+                    leader: job.id,
+                    followers: Vec::new(),
+                };
+                self.coalitions.insert(key, coalition);
             }
         }
-        if self.shed_flow_secs.is_some() {
-            let est = self.service_estimate(&req);
-            self.backlog_secs += est;
-            self.backlog_contrib.insert(id.0, est);
-        }
-        self.queue.push_back((id, req));
-        self.peak_queue = self.peak_queue.max(self.queue.len());
-        self.metrics.histogram_observe(
-            "serve_queue_depth",
-            &QUEUE_DEPTH_BOUNDS,
-            self.queue.len() as f64,
-        );
+        job.backlog_secs = est;
+        self.backlog_secs += est;
+        self.enqueue(job);
     }
 
     /// Terminates an arrival as [`RequestStatus::Rejected`] at admission.
     /// `backpressure` distinguishes load shedding (queue cap, flow
     /// watermark — counted in `serve_shed_total`) from the static
     /// footprint ceiling.
-    fn shed_arrival(
-        &mut self,
-        id: RequestId,
-        req: &RoutineRequest,
-        abs_ns: u64,
-        reason: String,
-        backpressure: bool,
-        start: &[SimTime],
-    ) {
+    fn shed_arrival(&mut self, job: Queued, reason: String, backpressure: bool) {
         self.metrics.counter_add("serve_rejected_total", 1);
         if backpressure {
             self.metrics.counter_add("serve_shed_total", 1);
         }
         if let Some(t) = self.tracer.as_mut() {
-            t.reject(id.0, abs_ns, &reason);
+            t.reject(job.id.0, job.arrival_ns, &reason);
         }
-        self.outcomes.push(RequestOutcome {
-            id,
-            routine: req.routine(),
-            device: None,
-            status: RequestStatus::Rejected { reason },
-            retries: 0,
-            host_fallback: false,
-            coalesced: false,
-        });
-        self.telemetry_tick(start);
+        self.settle(RequestOutcome::rejected(job.id, &job.req, reason), f64::NAN);
     }
 
     /// Service-time estimate of a request for the flow-time shed
@@ -1010,9 +1029,8 @@ impl ServeSession {
     /// is quarantined, device 0's price stands in — quarantine cleared
     /// its residency, so the price is cold (the arrival would run on the
     /// host; the figure only feeds the watermark). Residency changes
-    /// between admission and dispatch are reconciled through
-    /// `backlog_contrib`: the backlog decrement returns exactly what
-    /// admission added.
+    /// between admission and dispatch are reconciled through the queue
+    /// record: the backlog decrement returns exactly what admission added.
     fn service_estimate(&self, req: &RoutineRequest) -> f64 {
         let best = (0..self.pool.device_count())
             .filter(|&d| !self.quarantined[d])
@@ -1025,55 +1043,55 @@ impl ServeSession {
         }
     }
 
-    /// Bumps the terminal-status counter for one outcome.
-    fn count_status(&mut self, status: &RequestStatus) {
-        match status {
-            RequestStatus::Completed(_) => {
-                self.metrics.counter_add("serve_completed_total", 1);
-            }
-            RequestStatus::TimedOut { .. } => {
-                self.metrics.counter_add("serve_timed_out_total", 1);
-            }
-            RequestStatus::Failed(_) => {
-                self.metrics.counter_add("serve_failed_total", 1);
-            }
-            RequestStatus::Rejected { .. } => {}
+    /// Settles one terminal outcome: bumps its status counter, appends it
+    /// to the drain's outcomes, and ticks telemetry with `flow_secs`, the
+    /// flow time its deadline was judged on (NaN when no run finished).
+    fn settle(&mut self, outcome: RequestOutcome, flow_secs: f64) {
+        let counter = match outcome.status {
+            RequestStatus::Completed(_) => Some("serve_completed_total"),
+            RequestStatus::TimedOut { .. } => Some("serve_timed_out_total"),
+            RequestStatus::Failed(_) => Some("serve_failed_total"),
+            RequestStatus::Rejected { .. } => None,
+        };
+        if let Some(name) = counter {
+            self.metrics.counter_add(name, 1);
         }
+        self.outcomes.push(outcome);
+        self.telemetry_tick(flow_secs);
     }
 
-    /// Completes every follower coalesced onto `leader` at the leader's
-    /// completion instant. Each follower gets a copy of the leader's
+    /// Completes `followers` at the completion instant of their leader,
+    /// the outcome settled last. Each follower gets a copy of the leader's
     /// report judged against the follower's *own* arrival time and
     /// deadline: a follower that arrived later has a shorter flow and may
     /// meet a deadline the leader missed — and vice versa. A failed
     /// leader fails its followers with the same error.
-    fn fan_out_followers(&mut self, leader: &RequestOutcome, start: &[SimTime]) {
-        let Some(followers) = self.followers.remove(&leader.id.0) else {
+    fn fan_out(&mut self, followers: Vec<Queued>) {
+        if followers.is_empty() {
             return;
-        };
+        }
+        let leader = self.outcomes.last().expect("leader settled").clone();
         let end_ns = match leader.device {
             Some(d) if !leader.host_fallback => self.pool.devices()[d].gpu().now().as_nanos(),
             _ => self.tracer.as_ref().map(|t| t.host_now_ns()).unwrap_or(0),
         };
         for f in followers {
-            let status = match leader.executed_report() {
+            let (status, flow) = match leader.executed_report() {
                 Some(r) => {
                     let flow = self.flow_secs(
                         leader.device,
                         leader.host_fallback,
                         f.arrival_ns,
                         r.elapsed,
-                        start,
                     );
-                    judge(r.clone(), flow, f.deadline)
+                    (judge(r.clone(), flow, f.req.deadline()), flow)
                 }
-                None => leader.status.clone(),
+                None => (leader.status.clone(), f64::NAN),
             };
-            self.count_status(&status);
             if let Some(t) = self.tracer.as_mut() {
                 t.complete(f.id.0, end_ns, status.label());
             }
-            self.outcomes.push(RequestOutcome {
+            let outcome = RequestOutcome {
                 id: f.id,
                 routine: leader.routine,
                 device: leader.device,
@@ -1081,8 +1099,8 @@ impl ServeSession {
                 retries: 0,
                 host_fallback: leader.host_fallback,
                 coalesced: true,
-            });
-            self.telemetry_tick(start);
+            };
+            self.settle(outcome, flow);
         }
     }
 
@@ -1098,14 +1116,13 @@ impl ServeSession {
         host_fallback: bool,
         arrival_ns: u64,
         elapsed: SimTime,
-        start: &[SimTime],
     ) -> f64 {
         match device {
             Some(d) if !host_fallback => {
                 let raw = self.pool.devices()[d]
                     .gpu()
                     .now()
-                    .saturating_since(start[d]);
+                    .saturating_since(self.drain_start[d]);
                 SimTime::from_nanos(raw.as_nanos().saturating_sub(arrival_ns)).as_secs_f64()
             }
             _ => elapsed.as_secs_f64(),
@@ -1121,28 +1138,36 @@ impl ServeSession {
     /// arrival instant. With no scheduled arrivals this is exactly the
     /// closed-queue drain. The session remains usable afterwards.
     pub fn drain(&mut self) -> ServeReport {
-        let start: Vec<SimTime> = self.pool.devices().iter().map(|d| d.gpu().now()).collect();
+        self.drain_start = self.pool.devices().iter().map(|d| d.gpu().now()).collect();
         self.peak_queue = self.queue.len();
         if let Some(t) = self.tracer.as_mut() {
-            let queued: Vec<u64> = self.queue.iter().map(|(id, _)| id.0).collect();
-            t.begin_drain(&self.pool, &queued, &self.metrics);
+            let refused = self.outcomes.iter().map(|o| o.id.0);
+            let mut submitted: Vec<u64> =
+                refused.chain(self.queue.iter().map(|q| q.id.0)).collect();
+            submitted.sort_unstable();
+            t.begin_drain(&self.pool, &submitted, &self.metrics);
         }
-        while let Some((id, req, preferred, arrival_ns)) = self.next_event(&start) {
-            let outcome = self.dispatch(id, req, preferred, &start, arrival_ns);
-            self.count_status(&outcome.status);
-            self.outcomes.push(outcome);
-            self.telemetry_tick(&start);
-            if self.followers.contains_key(&id.0) {
-                let leader = self.outcomes.last().expect("just pushed").clone();
-                self.fan_out_followers(&leader, &start);
+        // Closed-queue submissions refused before the drain settle at its
+        // start, so spans and telemetry see them like shed arrivals.
+        for o in std::mem::take(&mut self.outcomes) {
+            if let (Some(t), RequestStatus::Rejected { reason }) = (self.tracer.as_mut(), &o.status)
+            {
+                t.reject(o.id.0, 0, reason);
             }
+            self.settle(o, f64::NAN);
+        }
+        while let Some((job, preferred)) = self.next_event() {
+            let followers = self.disband(&job);
+            let (outcome, flow) = self.dispatch(job, preferred);
+            self.settle(outcome, flow);
+            self.fan_out(followers);
             self.retire_traces();
         }
         let per_device_busy: Vec<SimTime> = self
             .pool
             .devices()
             .iter()
-            .zip(&start)
+            .zip(&self.drain_start)
             .map(|(d, &s)| d.gpu().now().saturating_since(s))
             .collect();
         let makespan = per_device_busy
@@ -1185,13 +1210,10 @@ impl ServeSession {
             telemetry,
             peak_queue_depth: self.peak_queue,
         };
-        // Arrival bookkeeping is per-drain: every scheduled arrival has
-        // reached a terminal outcome by now, so reset for the next drain.
-        self.arrival_offset.clear();
-        self.coalesce_leaders.clear();
-        self.followers.clear();
+        // Every queued request was dispatched, disbanding every coalition;
+        // the backlog sum may hold float residue, so it restarts at zero.
+        debug_assert!(self.coalitions.is_empty());
         self.backlog_secs = 0.0;
-        self.backlog_contrib.clear();
         self.metrics
             .gauge_set("serve_makespan_secs", report.makespan.as_secs_f64());
         self.metrics
@@ -1210,22 +1232,21 @@ impl ServeSession {
     /// ([`RuntimeError::fault_class`]), quarantine devices that fault
     /// repeatedly or are lost (re-dispatching the request to a healthy
     /// peer), and degrade gracefully to host BLAS when no healthy device
-    /// remains. `start` holds each device's clock when the drain began:
-    /// deadlines are judged on *flow time* — the serving device's clock at
-    /// completion measured from that start — so time spent queued behind
-    /// other requests counts against the budget. For an open arrival,
-    /// `arrival_ns` (its offset past drain start) floors the serving
+    /// remains. Deadlines are judged on *flow time* — the serving device's
+    /// clock at completion measured from its clock at drain start — so
+    /// time spent queued behind other requests counts against the budget.
+    /// For an open arrival, the record's arrival offset floors the serving
     /// device's clock — work cannot begin before the request exists — and
     /// is subtracted from the flow so the deadline budget starts at
-    /// arrival, not at drain start.
-    fn dispatch(
-        &mut self,
-        id: RequestId,
-        req: RoutineRequest,
-        mut preferred: Option<usize>,
-        start: &[SimTime],
-        arrival_ns: u64,
-    ) -> RequestOutcome {
+    /// arrival, not at drain start. Returns the outcome with its flow
+    /// seconds (NaN when the request failed).
+    fn dispatch(&mut self, job: Queued, mut preferred: Option<usize>) -> (RequestOutcome, f64) {
+        let Queued {
+            id,
+            req,
+            arrival_ns,
+            ..
+        } = job;
         let routine = req.routine();
         let deadline = req.deadline();
         let budget = self.cfg.max_retries;
@@ -1265,10 +1286,13 @@ impl ServeSession {
                 self.metrics.counter_add("fault_host_fallback_total", 1);
                 let report = self.execute_host(&req);
                 if let Some(t) = self.tracer.as_mut() {
+                    // A request that never reached a device links its
+                    // queue flow to the host run.
                     if !queued_recorded {
-                        t.queue_wait(id.0, not_before_ns);
+                        t.queue_wait(id.0, arrival_ns, not_before_ns);
                     }
-                    t.host_fallback(id.0, not_before_ns, report.elapsed.as_nanos());
+                    let elapsed_ns = report.elapsed.as_nanos();
+                    t.host_fallback(id.0, not_before_ns, elapsed_ns, !queued_recorded);
                 }
                 break Ok(report);
             };
@@ -1287,8 +1311,8 @@ impl ServeSession {
             // instant: the device may be idle earlier, but the request
             // does not exist yet. Closed-queue submissions have offset 0,
             // making the floor a no-op (clocks never run backwards from
-            // `start`).
-            let floor_ns = start[d].as_nanos() + arrival_ns;
+            // the drain start).
+            let floor_ns = self.drain_start[d].as_nanos() + arrival_ns;
             let behind = not_before_ns
                 .max(floor_ns)
                 .saturating_sub(self.pool.devices()[d].gpu().now().as_nanos());
@@ -1305,15 +1329,13 @@ impl ServeSession {
             // without the clock. Recorded against the actual clock advance
             // under every policy, so FIFO/EDF runs expose the same
             // misprediction accounting the predictive policy schedules by.
-            let estimate = self
-                .offload_estimate(d, &req)
-                .map(|p| (p, self.service_secs(d, &req)));
+            let estimate = self.attempt_price(d, &req);
             let clock_before = self.pool.devices()[d].gpu().now();
             let len_before = self.pool.devices()[d].gpu().trace().len();
             if !queued_recorded {
                 queued_recorded = true;
                 if let Some(t) = self.tracer.as_mut() {
-                    t.queue_wait(id.0, clock_before.as_nanos());
+                    t.queue_wait(id.0, arrival_ns, clock_before.as_nanos());
                 }
             }
             let attempt_no = retries;
@@ -1404,14 +1426,17 @@ impl ServeSession {
                 }
             }
         };
-        let status = match result {
+        let (status, flow) = match result {
             Ok(report) => {
                 self.metrics
                     .counter_add("retry_tile_ops_total", report.op_retries);
-                let flow = self.flow_secs(device, host_fallback, arrival_ns, report.elapsed, start);
-                judge(report, flow, deadline)
+                let flow = self.flow_secs(device, host_fallback, arrival_ns, report.elapsed);
+                (judge(report, flow, deadline), flow)
             }
-            Err(e) => RequestStatus::Failed(RequestError::new(id, routine, e)),
+            Err(e) => {
+                let error = RequestError::new(id, routine, e);
+                (RequestStatus::Failed(error), f64::NAN)
+            }
         };
         if let Some(t) = self.tracer.as_mut() {
             let end_ns = if host_fallback {
@@ -1421,7 +1446,7 @@ impl ServeSession {
             };
             t.complete(id.0, end_ns, status.label());
         }
-        RequestOutcome {
+        let outcome = RequestOutcome {
             id,
             routine,
             device,
@@ -1429,30 +1454,20 @@ impl ServeSession {
             retries,
             host_fallback,
             coalesced: false,
-        }
+        };
+        (outcome, flow)
     }
 
     /// Max device-clock advance since the drain began — the virtual
     /// "elapsed" that drives telemetry windows.
-    fn elapsed_since(&self, start: &[SimTime]) -> SimTime {
+    fn elapsed(&self) -> SimTime {
         self.pool
             .devices()
             .iter()
-            .zip(start)
+            .zip(&self.drain_start)
             .map(|(d, &s)| d.gpu().now().saturating_since(s))
             .max()
             .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Mean absolute relative error of the scheduler's offload
-    /// predictions so far; `0.0` before the first prediction.
-    fn mean_abs_drift(&self) -> f64 {
-        let recs = self.drift.records();
-        if recs.is_empty() {
-            0.0
-        } else {
-            recs.iter().map(DriftRecord::abs_rel_err).sum::<f64>() / recs.len() as f64
-        }
     }
 
     /// The loop state a telemetry step reads at virtual `elapsed`.
@@ -1461,41 +1476,29 @@ impl ServeSession {
             elapsed_ns: elapsed.as_nanos(),
             queue_depth: self.queue.len(),
             quarantined: &self.quarantined,
-            mean_abs_drift: self.mean_abs_drift(),
+            mean_abs_drift: self.drift.mean_abs_err(),
             metrics: &self.metrics,
         }
     }
 
-    /// One telemetry step after an outcome: accounts the just-finished
-    /// outcome with the flow its deadline was judged on (from the serving
-    /// device's clock, so telemetry never *moves* a clock) and rotates
-    /// windows. No-op when telemetry is off.
-    fn telemetry_tick(&mut self, start: &[SimTime]) {
-        if !self.tracer.as_ref().is_some_and(ServeTracer::watching) {
+    /// One telemetry step after an outcome: accounts the outcome settled
+    /// last with `flow_secs`, the flow its deadline was judged on, and
+    /// rotates windows. No-op when telemetry is off.
+    fn telemetry_tick(&mut self, flow_secs: f64) {
+        let Some(mut tracer) = self.tracer.take_if(|t| t.watching()) else {
             return;
-        }
-        let mut tracer = self.tracer.take().expect("checked above");
-        let outcome = self.outcomes.last().map(|o| {
-            let flow_secs = match &o.status {
-                RequestStatus::TimedOut { elapsed, .. } => *elapsed,
-                RequestStatus::Completed(r) => {
-                    let arrival_ns = self.arrival_offset.get(&o.id.0).copied().unwrap_or(0);
-                    self.flow_secs(o.device, o.host_fallback, arrival_ns, r.elapsed, start)
-                }
-                _ => f64::NAN,
-            };
-            (o, flow_secs)
-        });
-        let st = self.tick_state(self.elapsed_since(start));
+        };
+        let st = self.tick_state(self.elapsed());
+        let outcome = self.outcomes.last().map(|o| (o, flow_secs));
         tracer.tick(&self.pool, &st, outcome);
         self.tracer = Some(tracer);
     }
 
     /// Retires each device's engine trace up to the tracer's floor
-    /// ([`ServeTracer::retire_floor`]; everything when untraced), so a
-    /// device holds only the entries some reader still needs while
-    /// [`Trace::len`](cocopelia_gpusim::Trace::len) and the per-engine
-    /// totals keep counting all of them.
+    /// ([`ServeTracer::retire_floor`](crate::serve::trace::ServeTracer::retire_floor);
+    /// everything when untraced), so a device holds only the entries some
+    /// reader still needs while [`Trace::len`](cocopelia_gpusim::Trace::len)
+    /// and the per-engine totals keep counting all of them.
     fn retire_traces(&mut self) {
         for d in 0..self.pool.device_count() {
             let len = self.pool.devices()[d].gpu().trace().len();
@@ -1636,9 +1639,7 @@ impl ServeSession {
                 .advance_clock(SimTime::from_nanos(behind));
         }
         let len_b_before = self.pool.devices()[b].gpu().trace().len();
-        let estimate_b = self
-            .offload_estimate(b, req)
-            .map(|p| (p, self.service_secs(b, req)));
+        let estimate_b = self.attempt_price(b, req);
         self.metrics.counter_add("hedge_attempts_total", 1);
         let hedged = self.execute_once(b, req.clone());
         let b_after_ns = self.pool.devices()[b].gpu().now().as_nanos();

@@ -12,13 +12,14 @@ use crate::error::RequestId;
 use crate::multigpu::MultiGpu;
 use crate::request::RoutineRequest;
 use crate::serve::executor::{
-    BudgetState, DeviceProbe, ExecutorConfig, Follower, HedgeConfig, ProbationConfig,
+    BudgetState, Coalition, DeviceProbe, ExecutorConfig, HedgeConfig, ProbationConfig, Queued,
     RequestOutcome, RetryBudgetConfig,
 };
 use crate::serve::residency::ResidencyCache;
 use crate::serve::sched::SchedulePolicy;
 use crate::serve::telemetry::{Telemetry, TelemetryConfig, WatchSink, WatchWindow};
 use crate::serve::trace::ServeTracer;
+use cocopelia_gpusim::SimTime;
 use cocopelia_obs::{DriftAccountant, Registry};
 use std::collections::{HashMap, VecDeque};
 
@@ -221,7 +222,12 @@ pub struct ServeSession {
     pub(super) residency: Vec<ResidencyCache>,
     pub(super) cfg: ExecutorConfig,
     pub(super) policy: SchedulePolicy,
-    pub(super) queue: VecDeque<(RequestId, RoutineRequest)>,
+    /// Admitted requests waiting for dispatch, in admission order. Each
+    /// record carries its request's whole serving state.
+    pub(super) queue: VecDeque<Queued>,
+    /// Terminal records of the current drain. Between drains it holds
+    /// only closed-queue submissions refused at admission; the next drain
+    /// settles them at its start.
     pub(super) outcomes: Vec<RequestOutcome>,
     pub(super) metrics: Registry,
     pub(super) drift: DriftAccountant,
@@ -241,12 +247,13 @@ pub struct ServeSession {
     /// [`ServeOptions::telemetry`] armed it, streaming telemetry. Armed
     /// by [`ServeOptions::tracing`] or [`ServeOptions::telemetry`].
     pub(super) tracer: Option<ServeTracer>,
-    /// Open-arrival events not yet due, sorted by arrival offset (virtual
-    /// ns past the next drain's start), ties in submission order.
-    pub(super) arrivals: VecDeque<(RequestId, RoutineRequest, u64)>,
-    /// Arrival offset (ns past drain start) per open-arrival request id;
-    /// closed-queue submissions are absent (offset zero).
-    pub(super) arrival_offset: HashMap<u64, u64>,
+    /// Open arrivals not yet due, sorted by arrival offset (virtual ns
+    /// past the next drain's start), ties in submission order. Admission
+    /// moves each record onto the queue, refuses it, or coalesces it.
+    pub(super) arrivals: VecDeque<Queued>,
+    /// Each device's clock when the current drain began: the origin of
+    /// arrival offsets, flow times and busy times. Set by `drain`.
+    pub(super) drain_start: Vec<SimTime>,
     /// Bounded-queue backpressure: an arrival finding the queue at this
     /// depth is shed.
     pub(super) queue_cap: Option<usize>,
@@ -257,12 +264,12 @@ pub struct ServeSession {
     /// Request coalescing for identical problem shapes (open arrivals
     /// only).
     pub(super) coalesce: bool,
-    /// Coalesce key of each *queued* request that can lead a coalition.
-    pub(super) coalesce_leaders: HashMap<String, RequestId>,
-    /// Leader id → requests riding on its execution.
-    pub(super) followers: HashMap<u64, Vec<Follower>>,
-    /// Estimated service seconds queued, maintained only while the
-    /// flow-time watermark is armed.
+    /// Open coalitions by coalesce key: a *queued* leader and the
+    /// arrivals riding on its execution. Dispatching the leader removes
+    /// its coalition, so the map never outlives the queue it mirrors.
+    pub(super) coalitions: HashMap<String, Coalition>,
+    /// Estimated service seconds queued: the sum of the queue records'
+    /// backlog shares (zero unless the flow-time watermark is armed).
     pub(super) backlog_secs: f64,
     /// Deepest queue observed during the current drain.
     pub(super) peak_queue: usize,
@@ -277,10 +284,6 @@ pub struct ServeSession {
     /// Session retry token bucket and circuit breaker, armed by
     /// [`ServeOptions::retry_budget`].
     pub(super) budget: Option<BudgetState>,
-    /// Backlog seconds each queued request contributed at admission, so
-    /// the dispatch-time decrement returns exactly what admission added
-    /// even when residency (and thus the estimate) changed in between.
-    pub(super) backlog_contrib: HashMap<u64, f64>,
 }
 
 impl ServeSession {
@@ -338,19 +341,17 @@ impl ServeSession {
             tracer: (opts.tracing || telemetry.is_some())
                 .then(|| ServeTracer::new(opts.tracing, telemetry)),
             arrivals: VecDeque::new(),
-            arrival_offset: HashMap::new(),
+            drain_start: Vec::new(),
             queue_cap: opts.queue_cap,
             shed_flow_secs: opts.shed_flow_secs.filter(|s| *s > 0.0),
             coalesce: opts.coalesce,
-            coalesce_leaders: HashMap::new(),
-            followers: HashMap::new(),
+            coalitions: HashMap::new(),
             backlog_secs: 0.0,
             peak_queue: 0,
             hedge: opts.hedge.filter(|h| h.multiplier > 0.0),
             probation: opts.probation,
             probes: vec![None; count],
             budget: opts.retry_budget.map(BudgetState::new),
-            backlog_contrib: HashMap::new(),
         })
     }
 

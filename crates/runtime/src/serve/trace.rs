@@ -6,19 +6,25 @@
 //! from the trace entries the attempt produced), instants for quarantine
 //! and completion, and host-fallback spans on a serial host clock. The
 //! queue span and the first device attempt of a request share a flow id
-//! (the request id), so viewers draw the queue-to-device hand-off arrow.
-//! When streaming telemetry is armed it rides inside the tracer: the span
-//! log is capped at [`TelemetryConfig::recorder_cap`] and flight dumps
-//! copy its tail, so every span is stored once.
+//! (the request id), so viewers draw the queue-to-device hand-off arrow;
+//! a request that never reached a device links its host run instead.
+//! The tracer keeps no per-request state: the session's queue record
+//! supplies each queue span's origin, and the dispatch loop knows which
+//! run is a request's first. When streaming telemetry is armed it rides
+//! inside the tracer: the span log is capped at
+//! [`TelemetryConfig::recorder_cap`] and flight dumps copy its tail, so
+//! every span is stored once.
 //!
 //! The tracer also sets how much of each device's engine trace the
 //! session must keep ([`ServeTracer::retire_floor`]): the whole drain when
 //! lanes are kept for the report, the not-yet-streamed tail when only a
 //! Perfetto stream reads it, and nothing otherwise.
 //!
-//! All timestamps are virtual nanoseconds on the same axis as the
+//! All span timestamps are virtual nanoseconds on the same axis as the
 //! simulator's [`TraceEntry`] timestamps, so spans overlay the per-device
-//! engine lanes exactly.
+//! engine lanes exactly. Arrival instants come in as the session keeps
+//! them, offsets past the drain start, and the tracer places them on that
+//! axis.
 //!
 //! [`TelemetryConfig::recorder_cap`]: crate::serve::TelemetryConfig::recorder_cap
 
@@ -27,21 +33,15 @@ use crate::serve::telemetry::{Telemetry, TelemetryReport, TickState};
 use crate::serve::RequestOutcome;
 use cocopelia_gpusim::{EngineKind, TraceEntry};
 use cocopelia_obs::{DeviceLane, Registry, ServeTrace, SpanLog, SpanPhase};
-use std::collections::{HashMap, HashSet};
 
 /// The session's span store and streaming-telemetry host, driven by the
 /// executor's dispatch loop.
 #[derive(Debug, Default)]
 pub(crate) struct ServeTracer {
     log: SpanLog,
-    /// Virtual time the drain started (the queue spans' origin).
+    /// Virtual time the drain started: the earliest device clock, and
+    /// the origin of arrival offsets.
     t0_ns: u64,
-    /// Requests whose first device attempt has been recorded (their flow
-    /// is already linked; later attempts carry no flow id).
-    flow_linked: HashSet<u64>,
-    /// Per-request queue origin for open arrivals: a request admitted at
-    /// virtual time `t` has its queue span start there, not at `t0_ns`.
-    queue_from: HashMap<u64, u64>,
     /// Serial virtual clock of host-fallback execution.
     host_ns: u64,
     /// Keep the drain's device lanes for the report
@@ -74,9 +74,9 @@ impl ServeTracer {
 
     /// Starts a drain over `pool`: marks each device's engine trace,
     /// resets telemetry against the `metrics` baseline, and records a
-    /// submit instant for the queued requests at the earliest device
-    /// clock.
-    pub(crate) fn begin_drain(&mut self, pool: &MultiGpu, queued: &[u64], metrics: &Registry) {
+    /// submit instant at the earliest device clock for the `submitted`
+    /// closed-queue requests (queued, or refused at admission).
+    pub(crate) fn begin_drain(&mut self, pool: &MultiGpu, submitted: &[u64], metrics: &Registry) {
         self.lane_mark = pool
             .devices()
             .iter()
@@ -91,76 +91,62 @@ impl ServeTracer {
             .map(|d| d.gpu().now().as_nanos())
             .min()
             .unwrap_or(0);
-        self.open(t0_ns, queued);
+        self.open(t0_ns, submitted);
     }
 
     /// Starts a trace at drain time `t0_ns`, recording a submit instant
-    /// and the queue origin for the queued requests.
-    fn open(&mut self, t0_ns: u64, queued: &[u64]) {
+    /// for the `submitted` closed-queue requests.
+    fn open(&mut self, t0_ns: u64, submitted: &[u64]) {
         self.t0_ns = t0_ns;
         self.host_ns = t0_ns;
-        for &req in queued {
-            self.log.record(
-                None,
-                req,
-                None,
-                SpanPhase::Submit,
-                "submitted",
-                t0_ns,
-                t0_ns,
-                None,
-            );
+        for &req in submitted {
+            self.instant(req, None, SpanPhase::Submit, "submitted", t0_ns);
         }
     }
 
-    /// Records an open-arrival instant: the request entered the executor
-    /// at virtual time `at_ns` (absolute, same axis as the device lanes),
-    /// which also becomes its queue span's origin.
-    pub(crate) fn arrive(&mut self, req: u64, at_ns: u64) {
-        let at = at_ns.max(self.t0_ns);
-        self.queue_from.insert(req, at);
+    /// Records a zero-length span of `phase` at virtual time `at_ns`.
+    fn instant(
+        &mut self,
+        req: u64,
+        device: Option<usize>,
+        phase: SpanPhase,
+        label: impl Into<String>,
+        at_ns: u64,
+    ) {
         self.log
-            .record(None, req, None, SpanPhase::Submit, "arrived", at, at, None);
+            .record(None, req, device, phase, label, at_ns, at_ns, None);
+    }
+
+    /// Records an open-arrival instant: the request entered the executor
+    /// `arrival_ns` past the drain start.
+    pub(crate) fn arrive(&mut self, req: u64, arrival_ns: u64) {
+        let at = self.t0_ns + arrival_ns;
+        self.instant(req, None, SpanPhase::Submit, "arrived", at);
     }
 
     /// Records a shed instant: admission control or backpressure refused
-    /// the request at arrival.
-    pub(crate) fn reject(&mut self, req: u64, at_ns: u64, reason: &str) {
-        let at = at_ns.max(self.t0_ns);
-        self.log.record(
-            None,
-            req,
-            None,
-            SpanPhase::Reject,
-            reason.to_owned(),
-            at,
-            at,
-            None,
-        );
+    /// the request at its arrival, `arrival_ns` past the drain start (zero
+    /// for a closed-queue submission).
+    pub(crate) fn reject(&mut self, req: u64, arrival_ns: u64, reason: &str) {
+        let at = self.t0_ns + arrival_ns;
+        self.instant(req, None, SpanPhase::Reject, reason, at);
     }
 
-    /// Records a coalesce instant: the request attached to the identical
-    /// queued request `leader` and will share its execution.
-    pub(crate) fn coalesce(&mut self, req: u64, leader: u64, at_ns: u64) {
-        let at = at_ns.max(self.t0_ns);
-        self.log.record(
-            None,
-            req,
-            None,
-            SpanPhase::Coalesce,
-            format!("coalesced into r{leader}"),
-            at,
-            at,
-            None,
-        );
+    /// Records a coalesce instant: the request, arriving `arrival_ns` past
+    /// the drain start, attached to the identical queued request `leader`
+    /// and will share its execution.
+    pub(crate) fn coalesce(&mut self, req: u64, leader: u64, arrival_ns: u64) {
+        let at = self.t0_ns + arrival_ns;
+        let label = format!("coalesced into r{leader}");
+        self.instant(req, None, SpanPhase::Coalesce, label, at);
     }
 
     /// Records the queue-wait span of a request, ending where its first
-    /// attempt starts. The span begins at the request's arrival instant
-    /// (drain start for closed-queue submissions) and carries the flow id
-    /// that the first device attempt will close.
-    pub(crate) fn queue_wait(&mut self, req: u64, dispatch_ns: u64) {
-        let from = self.queue_from.get(&req).copied().unwrap_or(self.t0_ns);
+    /// run starts. The span begins at the request's arrival, `arrival_ns`
+    /// past the drain start (zero for closed-queue submissions), and
+    /// carries the flow id that the first run will close.
+    pub(crate) fn queue_wait(&mut self, req: u64, arrival_ns: u64, dispatch_ns: u64) {
+        let from = self.t0_ns + arrival_ns;
         self.log.record(
             None,
             req,
@@ -176,8 +162,8 @@ impl ServeTracer {
     /// Records one dispatch attempt on a device: the attempt span
     /// (`Dispatch` for attempt 0, `Retry` after) plus per-engine child
     /// spans aggregated from the trace entries the attempt produced,
-    /// clamped into the attempt interval. The first attempt closes the
-    /// request's queue flow.
+    /// clamped into the attempt interval. Attempt 0 is the request's first
+    /// device run, so it closes the request's queue flow.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn attempt(
         &mut self,
@@ -194,7 +180,7 @@ impl ServeTracer {
         } else {
             SpanPhase::Retry
         };
-        let flow = self.flow_linked.insert(req).then_some(req);
+        let flow = (attempt == 0).then_some(req);
         let label = match faulted {
             Some(fault) => format!("attempt {attempt}: {fault}"),
             None => format!("attempt {attempt}"),
@@ -288,16 +274,7 @@ impl ServeTracer {
     /// Records the cancellation instant of a hedge race's losing side on
     /// device `device` — the moment the loser's clock was rewound to.
     pub(crate) fn cancel(&mut self, req: u64, device: usize, at_ns: u64, label: &str) {
-        self.log.record(
-            None,
-            req,
-            Some(device),
-            SpanPhase::Cancel,
-            label.to_owned(),
-            at_ns,
-            at_ns,
-            None,
-        );
+        self.instant(req, Some(device), SpanPhase::Cancel, label, at_ns);
     }
 
     /// Records a probation canary probe on quarantined device `device`.
@@ -322,29 +299,26 @@ impl ServeTracer {
         if let Some(tele) = self.telemetry.as_mut() {
             tele.queue_quarantine_dump(device, req);
         }
-        self.log.record(
-            None,
-            req,
-            Some(device),
-            SpanPhase::Quarantine,
-            format!("quarantined dev{device}"),
-            at_ns,
-            at_ns,
-            None,
-        );
+        let label = format!("quarantined dev{device}");
+        self.instant(req, Some(device), SpanPhase::Quarantine, label, at_ns);
     }
 
     /// Records a host-fallback run on the serial host clock, which never
     /// runs backwards and never starts before `not_before_ns` (the end of
-    /// the request's last device attempt).
-    pub(crate) fn host_fallback(&mut self, req: u64, not_before_ns: u64, elapsed_ns: u64) {
+    /// the request's last device attempt). A `first_run` (the request
+    /// never reached a device) closes the request's queue flow here, so
+    /// the hand-off arrow points at the host lane instead of dangling.
+    pub(crate) fn host_fallback(
+        &mut self,
+        req: u64,
+        not_before_ns: u64,
+        elapsed_ns: u64,
+        first_run: bool,
+    ) {
         let start = self.host_ns.max(not_before_ns);
         let end = start + elapsed_ns;
         self.host_ns = end;
-        // A request that never reached a device closes its queue flow
-        // here, so the hand-off arrow points at the host lane instead of
-        // dangling.
-        let flow = self.flow_linked.insert(req).then_some(req);
+        let flow = first_run.then_some(req);
         self.log.record(
             None,
             req,
@@ -360,16 +334,7 @@ impl ServeTracer {
     /// Records the terminal instant of a request (`completed`,
     /// `timed-out`, `failed`).
     pub(crate) fn complete(&mut self, req: u64, at_ns: u64, status: &str) {
-        self.log.record(
-            None,
-            req,
-            None,
-            SpanPhase::Complete,
-            status.to_owned(),
-            at_ns,
-            at_ns,
-            None,
-        );
+        self.instant(req, None, SpanPhase::Complete, status, at_ns);
     }
 
     /// End of the host clock so far (where the next fallback would start).
@@ -451,8 +416,6 @@ impl ServeTracer {
     /// device lanes.
     pub(crate) fn take_trace(&mut self, lanes: Vec<DeviceLane>) -> ServeTrace {
         let log = std::mem::take(&mut self.log);
-        self.flow_linked.clear();
-        self.queue_from.clear();
         ServeTrace {
             spans: log.into_spans(),
             lanes,
@@ -470,10 +433,10 @@ mod tests {
     fn tracer_produces_invariant_clean_spans() {
         let mut t = ServeTracer::default();
         t.open(1000, &[0, 1]);
-        t.queue_wait(0, 2000);
+        t.queue_wait(0, 0, 2000);
         t.attempt(0, 0, 0, 2000, 5000, &[], None);
         t.complete(0, 5000, "completed");
-        t.queue_wait(1, 5000);
+        t.queue_wait(1, 0, 5000);
         t.attempt(1, 0, 0, 5000, 6000, &[], Some("kernel fault"));
         t.quarantine(1, 0, 6000);
         t.attempt(1, 1, 1, 6000, 9000, &[], None);
@@ -519,14 +482,14 @@ mod tests {
     fn arrival_queue_spans_start_at_arrival_instant() {
         let mut t = ServeTracer::default();
         t.open(1000, &[]);
-        t.arrive(1, 3000);
-        t.queue_wait(1, 5000);
+        t.arrive(1, 2000);
+        t.queue_wait(1, 2000, 5000);
         t.attempt(1, 0, 0, 5000, 7000, &[], None);
         t.complete(1, 7000, "completed");
-        t.arrive(2, 3500);
-        t.reject(2, 3500, "queue full: depth 1 at cap 1");
-        t.arrive(3, 4000);
-        t.coalesce(3, 1, 4000);
+        t.arrive(2, 2500);
+        t.reject(2, 2500, "queue full: depth 1 at cap 1");
+        t.arrive(3, 3000);
+        t.coalesce(3, 1, 3000);
         t.complete(3, 7000, "completed");
         let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("clean");
@@ -544,7 +507,7 @@ mod tests {
     fn hedge_cancel_probe_spans_satisfy_invariants() {
         let mut t = ServeTracer::default();
         t.open(0, &[4]);
-        t.queue_wait(4, 100);
+        t.queue_wait(4, 0, 100);
         // A hedge won the race: the primary attempt ends at the hedge's
         // completion instant with a cancel instant on its device, and the
         // hedge span strictly overlaps the primary.
@@ -572,14 +535,14 @@ mod tests {
     fn host_clock_is_serial_and_flows_link_once() {
         let mut t = ServeTracer::default();
         t.open(0, &[7, 8]);
-        t.queue_wait(7, 100);
+        t.queue_wait(7, 0, 100);
         t.attempt(7, 0, 0, 100, 200, &[], Some("lost"));
-        t.host_fallback(7, 200, 500);
+        t.host_fallback(7, 200, 500, false);
         t.complete(7, t.host_now_ns(), "completed");
-        t.queue_wait(8, 100);
+        t.queue_wait(8, 0, 100);
         // Request 8 never reached a device; its fallback must start after
         // request 7's host run ends.
-        t.host_fallback(8, 100, 300);
+        t.host_fallback(8, 100, 300, true);
         t.complete(8, t.host_now_ns(), "completed");
         let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("clean");

@@ -6,6 +6,7 @@
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, TestbedSpec};
+use cocopelia_obs::{check_spans, SpanPhase};
 use cocopelia_runtime::serve::{
     ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
 };
@@ -117,6 +118,44 @@ fn admission_control_rejects_oversized_requests() {
     assert_eq!(report.outcomes[1].id, admitted_id);
     assert_eq!(report.metrics.counter("serve_requests_total"), 2);
     assert_eq!(report.metrics.counter("serve_rejected_total"), 1);
+}
+
+#[test]
+fn closed_queue_rejections_reach_tracing_and_telemetry() {
+    // A closed-queue submission refused at admission settles when the
+    // next drain starts, like a shed arrival: a submit and a reject span
+    // at the drain start, and one count in a window's `rejected`.
+    let opts = ServeOptions::new()
+        .tracing()
+        .telemetry(TelemetryConfig::default());
+    let mut exec =
+        ServeSession::with_options(pool(&small_tb(64 * MB), 1), ExecutorConfig::default(), opts)
+            .expect("session");
+    let big = GemmRequest::<f64>::new(ghost(2048, 2048), ghost(2048, 2048), ghost(2048, 2048))
+        .tile(TileChoice::Fixed(512));
+    let rejected_id = exec.submit(big);
+    exec.submit(shared_gemm());
+    assert_eq!(exec.queue_len(), 1, "the rejected request never queues");
+    let report = exec.drain();
+    assert_eq!(report.rejected(), 1);
+    assert_eq!(report.completed(), 1);
+    assert_eq!(report.outcomes[0].id, rejected_id, "rejections come first");
+    let tele = report.telemetry.as_ref().expect("telemetry armed");
+    let windowed: u64 = tele.windows.iter().map(|w| w.rejected).sum();
+    assert_eq!(windowed, 1, "the refusal lands in a window");
+    let trace = report.trace.as_ref().expect("tracing armed");
+    check_spans(&trace.spans).expect("spans satisfy the invariants");
+    let spans = trace.request_spans(rejected_id.0);
+    let phases: Vec<SpanPhase> = spans.iter().map(|s| s.phase).collect();
+    assert_eq!(phases, [SpanPhase::Submit, SpanPhase::Reject]);
+    assert!(spans[1].label.contains("admission"), "{}", spans[1].label);
+    let t0 = trace
+        .spans
+        .iter()
+        .find(|s| s.phase == SpanPhase::Queued)
+        .expect("the admitted request queued")
+        .start_ns;
+    assert!(spans.iter().all(|s| s.start_ns == t0 && s.end_ns == t0));
 }
 
 #[test]

@@ -10,6 +10,7 @@
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec};
+use cocopelia_obs::SpanPhase;
 use cocopelia_runtime::serve::{
     ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
 };
@@ -313,6 +314,95 @@ fn residency_warm_arrival_admitted_while_cold_twin_sheds() {
         "cold twin must shed on the same watermark: {:?}",
         status(cold_id)
     );
+}
+
+/// A session carries no request state from one drain into the next: the
+/// second of two seeded Poisson drains on one session (coalescing, the
+/// shed watermark and tracing armed) places every queue span at its own
+/// arrival, links each executed request's flow exactly once, coalesces
+/// only onto its own leaders, and settles exactly what it submitted.
+#[test]
+fn a_second_drain_inherits_no_request_state() {
+    let opts = ServeOptions::new()
+        .coalesce()
+        .shed_flow_secs(20e-3)
+        .tracing();
+    let mut session =
+        ServeSession::with_options(pool(2), ExecutorConfig::default(), opts).expect("session");
+    let submit = |session: &mut ServeSession, seed: u64| -> Vec<(u64, SimTime)> {
+        let times = ArrivalSpec::poisson(2e3, seed).times(24);
+        times
+            .into_iter()
+            .enumerate()
+            .map(|(i, at)| {
+                let req = if i % 3 == 0 {
+                    ghost_gemm(1024).into()
+                } else {
+                    shared_gemm()
+                };
+                (session.submit_at(req, at).0, at)
+            })
+            .collect()
+    };
+    submit(&mut session, 7);
+    let first = session.drain();
+    assert!(first.coalesced() > 0, "the first drain coalesces");
+
+    let arrivals = submit(&mut session, 8);
+    let t0 = session
+        .pool()
+        .devices()
+        .iter()
+        .map(|d| d.gpu().now().as_nanos())
+        .min()
+        .expect("devices");
+    let report = session.drain();
+    let trace = report.trace.as_ref().expect("tracing armed");
+    assert_eq!(report.outcomes.len(), arrivals.len(), "one outcome each");
+    assert!(report.coalesced() > 0, "the second drain coalesces too");
+    for s in trace.spans.iter().filter(|s| s.phase == SpanPhase::Queued) {
+        let &(_, at) = arrivals
+            .iter()
+            .find(|a| a.0 == s.request)
+            .expect("queue spans belong to this drain's requests");
+        assert_eq!(
+            s.start_ns,
+            t0 + at.as_nanos(),
+            "r{} queued from arrival",
+            s.request
+        );
+    }
+    for o in &report.outcomes {
+        if o.coalesced || matches!(o.status, RequestStatus::Rejected { .. }) {
+            continue;
+        }
+        let linked = trace
+            .spans
+            .iter()
+            .filter(|s| s.flow == Some(o.id.0))
+            .count();
+        assert_eq!(
+            linked, 2,
+            "r{}: queue span and first run share the flow",
+            o.id.0
+        );
+    }
+    for s in trace
+        .spans
+        .iter()
+        .filter(|s| s.phase == SpanPhase::Coalesce)
+    {
+        let leader: u64 = s
+            .label
+            .strip_prefix("coalesced into r")
+            .and_then(|l| l.parse().ok())
+            .expect("coalesce label names the leader");
+        assert!(
+            arrivals.iter().any(|a| a.0 == leader),
+            "r{} coalesced onto r{leader} from the previous drain",
+            s.request
+        );
+    }
 }
 
 proptest! {

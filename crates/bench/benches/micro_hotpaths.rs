@@ -29,7 +29,7 @@ use cocopelia_gpusim::{
     TraceEntry,
 };
 use cocopelia_hostblas::Dtype;
-use cocopelia_obs::{DeviceLane, FlightDump, ServeTrace, SpanLog, SpanPhase, WindowedMetrics};
+use cocopelia_obs::{DeviceLane, FlightDump, ServeTrace, SpanLog, SpanPhase, TelemetryWindow};
 use cocopelia_runtime::serve::{
     ExecutorConfig, HedgeConfig, ProbationConfig, SchedulePolicy, ServeOptions, ServeSession,
 };
@@ -281,17 +281,20 @@ fn perfetto_export() {
 #[inline(never)]
 fn window_rotate() {
     let bounds = [1e-4, 1e-3, 1e-2, 0.1, 1.0];
-    let mut win = WindowedMetrics::new(1_000);
+    let mut win = TelemetryWindow::new(1_000, &bounds);
     let mut closed = 0usize;
     for i in 0..50_000u64 {
-        win.counter_add("requests_finished", 1);
-        win.gauge_set("queue_depth", (i % 64) as f64);
-        win.histogram_observe("flow_secs", &bounds, (i % 97) as f64 * 1e-4);
+        win.finished += 1;
+        win.set_gauges((i % 64) as usize, 0, 0.0);
+        win.flow.observe((i % 97) as f64 * 1e-4);
         // One rotation every ~250 observations.
-        closed += win.advance_to(i * 4).len();
+        while win.due(i * 4).is_some() {
+            closed += 1;
+            win.roll();
+        }
     }
     black_box(closed);
-    black_box(win.index());
+    black_box(win.index);
 }
 
 /// The hedge decision every successful attempt pays when hedging is

@@ -155,10 +155,10 @@ fault spec grammar (comma-separated, e.g. seed=1,h2d=0.02,kernel=0.05,lost_after
 
 serve --watch streams one line per telemetry window (cadence = --window-ms of
 virtual time, default 5 ms; --snapshot-ms is an alias); --slo objectives
-(deadline_miss, flow_p95, flow_p99, fault_rate, quarantined, rejected) dump the
-newest --ring spans (default 2048, also the span log's cap) on breach and on
-quarantine, and a --trace-out ending in .perfetto/.pftrace streams packets
-incrementally.
+(deadline_miss, flow_p95, flow_p99, fault_rate, quarantined, rejected,
+hedge_rate) dump the newest --ring spans (default 2048, also the span log's
+cap) on breach and on quarantine, and a --trace-out ending in
+.perfetto/.pftrace streams packets incrementally.
 
 serve --arrivals turns the trace into an open-arrival stream (seeded by --seed,
 default 1) whose requests land mid-drain: poisson:<rate_hz> for memoryless
@@ -1446,6 +1446,16 @@ mod tests {
             a.check_keys(&["testbed"]).expect_err("unknown keys"),
             "unknown flag `--zeta`"
         );
+    }
+
+    #[test]
+    fn usage_lists_every_slo_kind() {
+        let (_, notes) = super::USAGE
+            .split_once("--slo objectives")
+            .expect("usage documents --slo");
+        for kind in cocopelia_obs::SloKind::ALL {
+            assert!(notes.contains(kind.name()), "usage omits `{}`", kind.name());
+        }
     }
 
     #[test]

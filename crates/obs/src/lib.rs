@@ -24,9 +24,10 @@
 //!   comparator that classifies entry deltas as regression / improvement /
 //!   neutral for CI gating.
 //! * [`window`]/[`slo`]/[`recorder`] — the streaming telemetry layer:
-//!   rolling virtual-time windowed aggregation, edge-triggered SLO
-//!   evaluation, and flight dumps of a capped span log's newest spans on
-//!   breach/quarantine. Memory is O(window + cap), not O(requests).
+//!   one typed record of the open virtual-time window (counters, gauges,
+//!   flow-time histogram), edge-triggered SLO evaluation that reads that
+//!   record in place, and flight dumps of a capped span log's newest spans
+//!   on breach/quarantine. Memory is O(window + cap), not O(requests).
 //! * [`prom`] — Prometheus text-exposition rendering of a [`Registry`].
 //!
 //! ## Example: inspecting a synthetic trace
@@ -80,4 +81,4 @@ pub use recorder::FlightDump;
 pub use slo::{SloBreach, SloEngine, SloKind, SloSpec, SloStatus};
 pub use snapshot::{Snapshot, SnapshotEntry, SNAPSHOT_SCHEMA_VERSION};
 pub use span::{check_spans, DeviceLane, ServeTrace, Span, SpanId, SpanLog, SpanPhase};
-pub use window::{WindowDigest, WindowSnapshot, WindowedMetrics};
+pub use window::TelemetryWindow;

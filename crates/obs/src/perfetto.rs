@@ -293,93 +293,25 @@ fn write_events(out: &mut Vec<u8>, mut events: Vec<PendingEvent>) {
     }
 }
 
-/// Serialises a [`ServeTrace`] to Perfetto protobuf bytes.
-///
-/// The output is a complete standalone trace: descriptor packets first
-/// (serve process, then one process + four threads per device), then every
-/// event packet in global timestamp order (per-track order is therefore
-/// monotone, which [`decode`]-based tests assert).
-pub fn to_perfetto(trace: &ServeTrace) -> Vec<u8> {
-    let mut out = Vec::new();
-    let has_spans = !trace.spans.is_empty();
-    if has_spans {
-        descriptor_packet(
-            &mut out,
-            SERVE_PROCESS_UUID,
-            "serve",
-            Some((SERVE_PID, "serve")),
-            None,
-        );
-        descriptor_packet(
-            &mut out,
-            SERVE_QUEUE_UUID,
-            "queue",
-            None,
-            Some((SERVE_PID, 1, "queue")),
-        );
-        if trace
-            .spans
-            .iter()
-            .any(|s| s.phase == SpanPhase::HostFallback)
-        {
-            descriptor_packet(
-                &mut out,
-                SERVE_HOST_UUID,
-                "host",
-                None,
-                Some((SERVE_PID, 2, "host")),
-            );
-        }
-    }
-    for lane in &trace.lanes {
-        let d = lane.device;
-        descriptor_packet(
-            &mut out,
-            device_process_uuid(d),
-            &lane.name,
-            Some((device_pid(d), &lane.name)),
-            None,
-        );
-        for engine in [
-            EngineKind::CopyH2d,
-            EngineKind::Compute,
-            EngineKind::CopyD2h,
-        ] {
-            descriptor_packet(
-                &mut out,
-                engine_uuid(d, engine),
-                engine.name(),
-                None,
-                Some((device_pid(d), engine_tid(engine), engine.name())),
-            );
-        }
-        if has_spans {
-            descriptor_packet(
-                &mut out,
-                lifecycle_uuid(d),
-                "requests",
-                None,
-                Some((device_pid(d), 4, "requests")),
-            );
-        }
-    }
-
-    let mut events: Vec<PendingEvent> = Vec::new();
-    for lane in &trace.lanes {
-        for e in &lane.entries {
-            push_slice(
-                &mut events,
-                engine_uuid(lane.device, e.engine),
-                e.start.as_nanos(),
-                e.end.as_nanos(),
-                SliceName::Entry(e),
-                None,
-            );
-        }
-    }
-    for s in &trace.spans {
+/// Queues device `d`'s engine entries on its engine tracks.
+fn push_entries<'a>(events: &mut Vec<PendingEvent<'a>>, d: usize, entries: &'a [TraceEntry]) {
+    for e in entries {
         push_slice(
-            &mut events,
+            events,
+            engine_uuid(d, e.engine),
+            e.start.as_nanos(),
+            e.end.as_nanos(),
+            SliceName::Entry(e),
+            None,
+        );
+    }
+}
+
+/// Queues lifecycle spans on their tracks.
+fn push_spans<'a>(events: &mut Vec<PendingEvent<'a>>, spans: &'a [Span]) {
+    for s in spans {
+        push_slice(
+            events,
             span_track(s),
             s.start_ns,
             s.end_ns,
@@ -387,8 +319,47 @@ pub fn to_perfetto(trace: &ServeTrace) -> Vec<u8> {
             s.flow,
         );
     }
-    write_events(&mut out, events);
-    out
+}
+
+/// Serialises a [`ServeTrace`] to Perfetto protobuf bytes.
+///
+/// The output is a complete standalone trace: descriptor packets first
+/// (serve process, then one process + four threads per device), then every
+/// event packet in global timestamp order (per-track order is therefore
+/// monotone, which [`decode`]-based tests assert). A span on a device
+/// without a lane (a flight dump has spans only) gets that device's tracks
+/// declared too, so every event lies on a declared track.
+pub fn to_perfetto(trace: &ServeTrace) -> Vec<u8> {
+    // Nothing is drained to the sink: the declarations and the one event
+    // batch accumulate in the writer's buffer, which is the trace.
+    let mut w = StreamWriter::new(std::io::sink());
+    let has_spans = !trace.spans.is_empty();
+    if has_spans {
+        w.ensure_serve();
+    }
+    if trace
+        .spans
+        .iter()
+        .any(|s| s.phase == SpanPhase::HostFallback)
+    {
+        w.ensure_host();
+    }
+    for lane in &trace.lanes {
+        w.ensure_device(lane.device, &lane.name);
+        if has_spans {
+            w.ensure_lifecycle(lane.device);
+        }
+    }
+    for s in &trace.spans {
+        w.declare_span_track(s);
+    }
+    let mut events: Vec<PendingEvent> = Vec::new();
+    for lane in &trace.lanes {
+        push_entries(&mut events, lane.device, &lane.entries);
+    }
+    push_spans(&mut events, &trace.spans);
+    write_events(&mut w.buf, events);
+    w.buf
 }
 
 /// Serialises one device's raw entries (no spans) — the single-run
@@ -547,29 +518,25 @@ impl<W: std::io::Write> StreamWriter<W> {
         Ok(())
     }
 
+    /// Declares the track span `s` is drawn on, if not yet declared.
+    fn declare_span_track(&mut self, s: &Span) {
+        match (s.phase, s.device) {
+            (SpanPhase::HostFallback, _) => self.ensure_host(),
+            (_, Some(d)) => self.ensure_lifecycle(d),
+            (_, None) => self.ensure_serve(),
+        }
+    }
+
     /// Appends one batch of lifecycle spans (sorted within the batch).
     pub fn write_spans(&mut self, spans: &[Span]) -> std::io::Result<()> {
         if spans.is_empty() {
             return Ok(());
         }
         for s in spans {
-            match (s.phase, s.device) {
-                (SpanPhase::HostFallback, _) => self.ensure_host(),
-                (_, Some(d)) => self.ensure_lifecycle(d),
-                (_, None) => self.ensure_serve(),
-            }
+            self.declare_span_track(s);
         }
         let mut events: Vec<PendingEvent> = Vec::new();
-        for s in spans {
-            push_slice(
-                &mut events,
-                span_track(s),
-                s.start_ns,
-                s.end_ns,
-                SliceName::Str(&s.label),
-                s.flow,
-            );
-        }
+        push_spans(&mut events, spans);
         self.emit(events)
     }
 
@@ -585,16 +552,7 @@ impl<W: std::io::Write> StreamWriter<W> {
         }
         self.ensure_device(d, name);
         let mut events: Vec<PendingEvent> = Vec::new();
-        for e in entries {
-            push_slice(
-                &mut events,
-                engine_uuid(d, e.engine),
-                e.start.as_nanos(),
-                e.end.as_nanos(),
-                SliceName::Entry(e),
-                None,
-            );
-        }
+        push_entries(&mut events, d, entries);
         self.emit(events)
     }
 

@@ -209,6 +209,29 @@ mod tests {
     }
 
     #[test]
+    fn dump_events_lie_on_declared_tracks() {
+        // Spans on two devices, the queue and the host: a dump has no
+        // engine lanes, so its device tracks come from the spans alone.
+        let mut log = log(3);
+        log.record(None, 3, Some(1), SpanPhase::Retry, "retry", 40, 45, None);
+        log.record(None, 4, None, SpanPhase::Queued, "queued", 0, 50, Some(4));
+        let fallback = SpanPhase::HostFallback;
+        log.record(None, 4, None, fallback, "host", 50, 60, None);
+        let d = FlightDump::capture(&log, 8, "x", 0, 60);
+        let decoded =
+            crate::perfetto::decode::decode_trace(&d.to_perfetto()).expect("dump decodes");
+        let declared: Vec<u64> = decoded.descriptors.iter().map(|t| t.uuid).collect();
+        assert_eq!(decoded.events.len(), 12, "six slices");
+        for e in &decoded.events {
+            assert!(
+                declared.contains(&e.track_uuid),
+                "event on undeclared track {} (declared {declared:?})",
+                e.track_uuid
+            );
+        }
+    }
+
+    #[test]
     fn zero_capacity_is_clamped() {
         let d = FlightDump::capture(&log(3), 0, "x", 0, 0);
         assert_eq!(d.spans.len(), 1);

@@ -1,10 +1,10 @@
 //! Declarative service-level objectives evaluated per telemetry window.
 //!
-//! An [`SloSpec`] names an objective over the well-known per-window
-//! metrics in [`names`] (deadline-miss rate, flow-time percentiles,
-//! fault-rate ceiling, quarantined-device ceiling). The [`SloEngine`]
-//! evaluates every spec against [`WindowSnapshot`]s and is
-//! *edge-triggered*: only an ok→breached transition emits an
+//! An [`SloSpec`] names an objective over the typed fields of a
+//! [`TelemetryWindow`] (deadline-miss rate, flow-time percentiles,
+//! fault-rate ceiling, quarantined-device ceiling, shed rate, hedge
+//! rate). The [`SloEngine`] evaluates every spec against a window in
+//! place and is *edge-triggered*: only an ok→breached transition emits an
 //! [`SloBreach`] event (the thing that arms a flight-recorder dump), and
 //! a breached spec recovers only when a *closed* window meets the
 //! objective again. Intra-window fast-path evaluation via
@@ -13,56 +13,14 @@
 //! request's spans are still in the recorder ring — without
 //! double-firing when the same window later closes.
 
-use crate::window::WindowSnapshot;
+use crate::window::TelemetryWindow;
 use std::fmt;
-
-/// Well-known per-window metric names shared between the telemetry
-/// producer (the serve executor) and the SLO engine.
-pub mod names {
-    /// Counter: requests that reached a terminal state in the window.
-    pub const FINISHED: &str = "requests_finished";
-    /// Counter: requests completed within their deadline.
-    pub const COMPLETED: &str = "requests_completed";
-    /// Counter: requests that finished past their deadline.
-    pub const DEADLINE_MISSED: &str = "deadline_missed";
-    /// Counter: requests that failed terminally.
-    pub const FAILED: &str = "requests_failed";
-    /// Counter: requests shed by admission control or backpressure.
-    pub const REJECTED: &str = "requests_rejected";
-    /// Counter: requests that coalesced onto an identical queued leader.
-    pub const COALESCED: &str = "requests_coalesced";
-    /// Counter: dispatch attempts (first tries plus retries).
-    pub const ATTEMPTS: &str = "attempts";
-    /// Counter: injected/observed device faults in the window.
-    pub const FAULTS: &str = "faults";
-    /// Counter: residency cache hits in the window.
-    pub const RESIDENCY_HITS: &str = "residency_hits";
-    /// Counter: residency cache misses in the window.
-    pub const RESIDENCY_MISSES: &str = "residency_misses";
-    /// Histogram: per-request flow time (submit→terminal), seconds.
-    pub const FLOW_SECS: &str = "flow_secs";
-    /// Gauge: queue depth at the window's close.
-    pub const QUEUE_DEPTH: &str = "queue_depth";
-    /// Gauge: quarantined device count at the window's close.
-    pub const QUARANTINED: &str = "quarantined_devices";
-    /// Gauge: mean absolute relative scheduling-prediction drift (a
-    /// ratio: 0.125 is 12.5%).
-    pub const DRIFT: &str = "drift_rel";
-    /// Counter: hedged (speculative duplicate) attempts launched.
-    pub const HEDGES: &str = "hedge_attempts";
-    /// Counter: hedges that won their race against the primary attempt.
-    pub const HEDGE_WINS: &str = "hedge_wins";
-    /// Counter: canary probes run against quarantined devices.
-    pub const PROBES: &str = "probe_attempts";
-    /// Counter: requests fast-failed by an exhausted retry budget.
-    pub const BUDGET_FASTFAILS: &str = "budget_fastfails";
-}
 
 /// The objective kinds the engine understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SloKind {
-    /// `deadline_missed / requests_finished ≤ limit`.
+    /// `deadline_missed / finished ≤ limit`.
     DeadlineMissRate,
     /// 95th-percentile flow time (seconds) `≤ limit`.
     FlowP95Secs,
@@ -72,16 +30,27 @@ pub enum SloKind {
     FaultRate,
     /// Quarantined device count `≤ limit`.
     QuarantinedDevices,
-    /// `requests_rejected / (requests_rejected + requests_finished) ≤
-    /// limit` — the backpressure shed rate of an open-arrival run.
+    /// `rejected / (rejected + finished) ≤ limit` — the backpressure shed
+    /// rate of an open-arrival run.
     RejectedRate,
-    /// `hedge_attempts / attempts ≤ limit` — the fraction of dispatch
+    /// `hedges / attempts ≤ limit` — the fraction of dispatch
     /// attempts that needed a speculative duplicate; a rising rate means
     /// predictions no longer bound the in-flight time of real attempts.
     HedgeRate,
 }
 
 impl SloKind {
+    /// Every kind, in `--slo` documentation order.
+    pub const ALL: [SloKind; 7] = [
+        SloKind::DeadlineMissRate,
+        SloKind::FlowP95Secs,
+        SloKind::FlowP99Secs,
+        SloKind::FaultRate,
+        SloKind::QuarantinedDevices,
+        SloKind::RejectedRate,
+        SloKind::HedgeRate,
+    ];
+
     /// Stable lowercase name, also the `--slo` grammar keyword.
     pub fn name(&self) -> &'static str {
         match self {
@@ -118,21 +87,17 @@ impl SloSpec {
             .split_once("<=")
             .or_else(|| s.split_once('='))
             .ok_or_else(|| format!("SLO clause `{s}` is not of the form kind<=limit"))?;
-        let kind = match name.trim() {
-            "deadline_miss" => SloKind::DeadlineMissRate,
-            "flow_p95" => SloKind::FlowP95Secs,
-            "flow_p99" => SloKind::FlowP99Secs,
-            "fault_rate" => SloKind::FaultRate,
-            "quarantined" => SloKind::QuarantinedDevices,
-            "rejected" => SloKind::RejectedRate,
-            "hedge_rate" => SloKind::HedgeRate,
-            other => {
-                return Err(format!(
-                    "unknown SLO kind `{other}` (expected deadline_miss, flow_p95, \
-                     flow_p99, fault_rate, quarantined, rejected, or hedge_rate)"
-                ))
-            }
-        };
+        let name = name.trim();
+        let kind = SloKind::ALL
+            .into_iter()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| {
+                let known: Vec<&str> = SloKind::ALL.iter().map(SloKind::name).collect();
+                format!(
+                    "unknown SLO kind `{name}` (expected one of {})",
+                    known.join(", ")
+                )
+            })?;
         let limit: f64 = value
             .trim()
             .parse()
@@ -157,34 +122,16 @@ impl SloSpec {
 
     /// The spec's observed value in a window, or `None` when the window
     /// carries no verdict (e.g. a rate whose denominator is zero).
-    pub fn observe(&self, w: &WindowSnapshot) -> Option<f64> {
+    pub fn observe(&self, w: &TelemetryWindow) -> Option<f64> {
+        let rate = |num: u64, den: u64| (den > 0).then(|| num as f64 / den as f64);
         match self.kind {
-            SloKind::DeadlineMissRate => {
-                let fin = w.counter(names::FINISHED);
-                (fin > 0).then(|| w.counter(names::DEADLINE_MISSED) as f64 / fin as f64)
-            }
-            SloKind::FaultRate => {
-                let att = w.counter(names::ATTEMPTS);
-                (att > 0).then(|| w.counter(names::FAULTS) as f64 / att as f64)
-            }
-            SloKind::FlowP95Secs => w
-                .digest(names::FLOW_SECS)
-                .filter(|d| d.count > 0)
-                .map(|d| d.p95),
-            SloKind::FlowP99Secs => w
-                .digest(names::FLOW_SECS)
-                .filter(|d| d.count > 0)
-                .map(|d| d.p99),
-            SloKind::QuarantinedDevices => w.gauge(names::QUARANTINED),
-            SloKind::RejectedRate => {
-                let rej = w.counter(names::REJECTED);
-                let offered = rej + w.counter(names::FINISHED);
-                (offered > 0).then(|| rej as f64 / offered as f64)
-            }
-            SloKind::HedgeRate => {
-                let att = w.counter(names::ATTEMPTS);
-                (att > 0).then(|| w.counter(names::HEDGES) as f64 / att as f64)
-            }
+            SloKind::DeadlineMissRate => rate(w.deadline_missed, w.finished),
+            SloKind::FaultRate => rate(w.faults, w.attempts),
+            SloKind::FlowP95Secs => w.flow.quantile(0.95),
+            SloKind::FlowP99Secs => w.flow.quantile(0.99),
+            SloKind::QuarantinedDevices => Some(w.quarantined as f64),
+            SloKind::RejectedRate => rate(w.rejected, w.rejected + w.finished),
+            SloKind::HedgeRate => rate(w.hedges, w.attempts),
         }
     }
 }
@@ -256,7 +203,8 @@ impl SloEngine {
 
     fn eval(
         &mut self,
-        w: &WindowSnapshot,
+        w: &TelemetryWindow,
+        at_ns: u64,
         allow_recovery: bool,
     ) -> (Vec<SloStatus>, Vec<SloBreach>) {
         let mut statuses = Vec::with_capacity(self.specs.len());
@@ -268,7 +216,7 @@ impl SloEngine {
                 self.breached[i] = true;
                 breaches.push(SloBreach {
                     window: w.index,
-                    at_ns: w.end_ns,
+                    at_ns,
                     spec: *spec,
                     observed: observed.unwrap_or(f64::NAN),
                 });
@@ -284,32 +232,39 @@ impl SloEngine {
         (statuses, breaches)
     }
 
-    /// Evaluates a *closed* window: breaches fire on ok→breached edges,
-    /// and a breached spec recovers when the window meets the objective
-    /// (with an actual observation — empty windows change nothing).
-    pub fn evaluate(&mut self, w: &WindowSnapshot) -> (Vec<SloStatus>, Vec<SloBreach>) {
-        self.eval(w, true)
+    /// Evaluates a window closing at `end_ns`: breaches fire on
+    /// ok→breached edges, and a breached spec recovers when the window
+    /// meets the objective (with an actual observation — empty windows
+    /// change nothing).
+    pub fn evaluate(
+        &mut self,
+        w: &TelemetryWindow,
+        end_ns: u64,
+    ) -> (Vec<SloStatus>, Vec<SloBreach>) {
+        self.eval(w, end_ns, true)
     }
 
-    /// Evaluates the *open* window mid-interval (a
-    /// [`WindowedMetrics::peek`](crate::window::WindowedMetrics::peek)
-    /// snapshot): breaches fire immediately, but nothing recovers — a
-    /// partial window is evidence of failure, never of health.
-    pub fn evaluate_partial(&mut self, w: &WindowSnapshot) -> Vec<SloBreach> {
-        self.eval(w, false).1
+    /// Evaluates the *open* window as of `now_ns`, in place: breaches fire
+    /// immediately, but nothing recovers — a partial window is evidence
+    /// of failure, never of health.
+    pub fn evaluate_partial(&mut self, w: &TelemetryWindow, now_ns: u64) -> Vec<SloBreach> {
+        self.eval(w, now_ns, false).1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::WindowedMetrics;
 
-    fn window_with(missed: u64, finished: u64, at: u64) -> WindowSnapshot {
-        let mut m = WindowedMetrics::new(1000);
-        m.counter_add(names::FINISHED, finished);
-        m.counter_add(names::DEADLINE_MISSED, missed);
-        m.peek(at)
+    fn empty() -> TelemetryWindow {
+        TelemetryWindow::new(1000, &[0.001, 0.01, 0.1])
+    }
+
+    fn window_with(missed: u64, finished: u64) -> TelemetryWindow {
+        let mut w = empty();
+        w.finished = finished;
+        w.deadline_missed = missed;
+        w
     }
 
     #[test]
@@ -325,7 +280,12 @@ mod tests {
             SloKind::RejectedRate
         );
         assert!(SloSpec::parse_one("deadline_miss").is_err());
-        assert!(SloSpec::parse_one("nope<=1").is_err());
+        let unknown = SloSpec::parse_one("nope<=1").expect_err("unknown kind");
+        for kind in SloKind::ALL {
+            assert!(unknown.contains(kind.name()), "{unknown}");
+            let spec = SloSpec::parse_one(&format!("{}<=1", kind.name()));
+            assert_eq!(spec.expect("every kind parses").kind, kind);
+        }
         assert!(SloSpec::parse_one("fault_rate<=-1").is_err());
         assert!(SloSpec::parse_one("fault_rate<=NaN").is_err());
         assert_eq!(
@@ -343,25 +303,25 @@ mod tests {
         let mut engine = SloEngine::new(vec![spec]);
 
         // Partial view with a miss: fires exactly once.
-        let breaches = engine.evaluate_partial(&window_with(1, 4, 500));
+        let breaches = engine.evaluate_partial(&window_with(1, 4), 500);
         assert_eq!(breaches.len(), 1);
         assert!(engine.any_breached());
-        assert!(engine.evaluate_partial(&window_with(1, 4, 600)).is_empty());
+        assert!(engine.evaluate_partial(&window_with(1, 4), 600).is_empty());
 
         // The same window closing does not re-fire.
-        let (statuses, breaches) = engine.evaluate(&window_with(1, 10, 1000));
+        let (statuses, breaches) = engine.evaluate(&window_with(1, 10), 1000);
         assert!(breaches.is_empty(), "no double fire at window close");
         assert!(!statuses[0].ok, "still breached");
 
         // A clean partial window cannot recover it…
-        assert!(engine.evaluate_partial(&window_with(0, 5, 1500)).is_empty());
+        assert!(engine.evaluate_partial(&window_with(0, 5), 1500).is_empty());
         assert!(engine.any_breached());
         // …but a clean closed window does.
-        let (statuses, _) = engine.evaluate(&window_with(0, 5, 2000));
+        let (statuses, _) = engine.evaluate(&window_with(0, 5), 2000);
         assert!(statuses[0].ok, "recovered on a clean closed window");
 
         // A second incident fires a second breach event.
-        let (_, breaches) = engine.evaluate(&window_with(2, 2, 3000));
+        let (_, breaches) = engine.evaluate(&window_with(2, 2), 3000);
         assert_eq!(breaches.len(), 1);
     }
 
@@ -377,8 +337,7 @@ mod tests {
                 limit: 0.001,
             },
         ]);
-        let empty = WindowedMetrics::new(1000).peek(100);
-        let (statuses, breaches) = engine.evaluate(&empty);
+        let (statuses, breaches) = engine.evaluate(&empty(), 100);
         assert!(breaches.is_empty());
         assert!(statuses.iter().all(|s| s.ok && s.observed.is_none()));
     }
@@ -390,16 +349,14 @@ mod tests {
             limit: 0.1,
         };
         // No offered requests: no verdict.
-        let empty = WindowedMetrics::new(1000).peek(100);
-        assert!(spec.observe(&empty).is_none());
+        assert!(spec.observe(&empty()).is_none());
         // 3 shed out of 3 + 9 finished = 25% > 10% ceiling.
-        let mut m = WindowedMetrics::new(1000);
-        m.counter_add(names::REJECTED, 3);
-        m.counter_add(names::FINISHED, 9);
-        let w = m.peek(500);
+        let mut w = empty();
+        w.rejected = 3;
+        w.finished = 9;
         assert_eq!(spec.observe(&w), Some(0.25));
         let mut engine = SloEngine::new(vec![spec]);
-        assert_eq!(engine.evaluate_partial(&w).len(), 1);
+        assert_eq!(engine.evaluate_partial(&w, 500).len(), 1);
     }
 
     #[test]
@@ -407,26 +364,23 @@ mod tests {
         let spec = SloSpec::parse_one("hedge_rate<=0.2").expect("parses");
         assert_eq!(spec.kind, SloKind::HedgeRate);
         // No attempts: no verdict.
-        let empty = WindowedMetrics::new(1000).peek(100);
-        assert!(spec.observe(&empty).is_none());
+        assert!(spec.observe(&empty()).is_none());
         // 3 hedges over 10 attempts = 30% > 20% ceiling.
-        let mut m = WindowedMetrics::new(1000);
-        m.counter_add(names::ATTEMPTS, 10);
-        m.counter_add(names::HEDGES, 3);
-        let w = m.peek(500);
+        let mut w = empty();
+        w.attempts = 10;
+        w.hedges = 3;
         assert_eq!(spec.observe(&w), Some(0.3));
         let mut engine = SloEngine::new(vec![spec]);
-        assert_eq!(engine.evaluate_partial(&w).len(), 1);
+        assert_eq!(engine.evaluate_partial(&w, 500).len(), 1);
     }
 
     #[test]
     fn flow_percentile_and_quarantine_objectives() {
-        let mut m = WindowedMetrics::new(1000);
+        let mut w = empty();
         for _ in 0..100 {
-            m.histogram_observe(names::FLOW_SECS, &[0.001, 0.01, 0.1], 0.05);
+            w.flow.observe(0.05);
         }
-        m.gauge_set(names::QUARANTINED, 2.0);
-        let w = m.peek(900);
+        w.set_gauges(0, 2, 0.0);
         let mut engine = SloEngine::new(vec![
             SloSpec {
                 kind: SloKind::FlowP95Secs,
@@ -437,7 +391,7 @@ mod tests {
                 limit: 1.0,
             },
         ]);
-        let breaches = engine.evaluate_partial(&w);
+        let breaches = engine.evaluate_partial(&w, 900);
         assert_eq!(breaches.len(), 2, "both objectives breach: {breaches:?}");
         assert!(breaches[0].observed > 0.001);
         assert_eq!(breaches[1].observed, 2.0);

@@ -3,17 +3,20 @@
 //! `serve --watch` machinery.
 //!
 //! The session's [`ServeTracer`](super::trace::ServeTracer) owns a
-//! [`Telemetry`] and ticks it from the dispatch loop: each finished
-//! request lands counters and a flow-time observation in the open
-//! [`WindowedMetrics`] window, freshly recorded spans are appended to the
-//! incremental Perfetto stream, and window rotation (driven by the
-//! *device clock*, never wall time) closes windows into [`WatchWindow`]
-//! lines and evaluates the SLO engine. SLO evaluation is edge-triggered
-//! and also runs intra-window, so a hard breach dumps the span log's
-//! tail while the offending request's spans are still in it.
+//! [`Telemetry`] and ticks it from the dispatch loop. Each finished
+//! request updates the open [`TelemetryWindow`] in place: its counters,
+//! the three gauges, the flow-time histogram, and the registry-fed
+//! counters (faults, residency, defenses) as differences of a typed
+//! running total. Freshly recorded spans are appended to the incremental
+//! Perfetto stream. Window rotation (driven by the *device clock*, never
+//! wall time) evaluates the SLO engine on the closing window and closes
+//! it straight into a [`WatchWindow`] line. SLO evaluation is
+//! edge-triggered and also runs intra-window on the open window, so a
+//! hard breach dumps the span log's tail while the offending request's
+//! spans are still in it.
 //!
-//! Memory is O(window + cap + #closed windows): the open window holds a
-//! handful of counters and one bounded histogram, the tracer's span log
+//! Memory is O(window + cap + #closed windows): the open window is one
+//! fixed-size record with one bounded histogram, the tracer's span log
 //! keeps about [`TelemetryConfig::recorder_cap`] spans, and the streamed
 //! Perfetto file lives on disk, not in memory. Telemetry only *reads*
 //! device clocks, so telemetry-on and telemetry-off runs stay
@@ -21,12 +24,9 @@
 
 use cocopelia_gpusim::SimTime;
 use cocopelia_obs::perfetto::StreamWriter;
-use cocopelia_obs::slo::names;
 use cocopelia_obs::{
-    FlightDump, Registry, SloBreach, SloEngine, SloSpec, SloStatus, SpanLog, WindowSnapshot,
-    WindowedMetrics,
+    FlightDump, Registry, SloBreach, SloEngine, SloSpec, SloStatus, SpanLog, TelemetryWindow,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -119,6 +119,33 @@ pub struct WatchWindow {
 }
 
 impl WatchWindow {
+    /// The line of window `w` closing at `end_ns`, with its SLO verdicts.
+    fn close(w: &TelemetryWindow, end_ns: u64, slo: Vec<SloStatus>) -> Self {
+        let lookups = w.residency_hits + w.residency_misses;
+        WatchWindow {
+            index: w.index,
+            start: SimTime::from_nanos(w.start_ns()),
+            end: SimTime::from_nanos(end_ns),
+            queue_depth: w.queue_depth,
+            finished: w.finished,
+            completed: w.completed,
+            deadline_missed: w.deadline_missed,
+            failed: w.failed,
+            rejected: w.rejected,
+            coalesced: w.coalesced,
+            flow_p95_secs: w.flow.quantile(0.95),
+            residency_hit_rate: (lookups > 0).then(|| w.residency_hits as f64 / lookups as f64),
+            faults: w.faults,
+            quarantined: w.quarantined,
+            mean_abs_drift: w.drift,
+            hedges: w.hedges,
+            hedge_wins: w.hedge_wins,
+            probes: w.probes,
+            fastfails: w.fastfails,
+            slo,
+        }
+    }
+
     /// The deterministic one-line rendering `serve --watch` prints.
     pub fn render(&self) -> String {
         let ms = |t: SimTime| t.as_secs_f64() * 1e3;
@@ -255,9 +282,38 @@ pub(crate) struct TickState<'a> {
     pub quarantined: &'a [bool],
     /// Mean absolute relative prediction drift so far.
     pub mean_abs_drift: f64,
-    /// The run-lifetime registry (read-only; per-window deltas are
-    /// derived against an internal baseline).
+    /// The run-lifetime registry (read-only; per-window counts are
+    /// differences of [`FedTotals`]).
     pub metrics: &'a Registry,
+}
+
+/// Running totals of the registry counters a window counts: each tick
+/// adds the difference from the previous totals to the open window.
+#[derive(Debug, Clone, Copy, Default)]
+struct FedTotals {
+    faults: u64,
+    residency_hits: u64,
+    residency_misses: u64,
+    hedges: u64,
+    hedge_wins: u64,
+    probes: u64,
+    fastfails: u64,
+}
+
+impl FedTotals {
+    fn read(m: &Registry) -> Self {
+        FedTotals {
+            faults: m.counter("fault_transient_total")
+                + m.counter("fault_degraded_total")
+                + m.counter("fault_fatal_total"),
+            residency_hits: m.counter("residency_hits_total"),
+            residency_misses: m.counter("residency_misses_total"),
+            hedges: m.counter("hedge_attempts_total"),
+            hedge_wins: m.counter("hedge_wins_total"),
+            probes: m.counter("probe_attempts_total"),
+            fastfails: m.counter("budget_fastfail_total"),
+        }
+    }
 }
 
 /// Callback receiving each closed window as it closes.
@@ -266,7 +322,7 @@ pub(crate) type WatchSink = Box<dyn FnMut(&WatchWindow)>;
 /// The executor's streaming telemetry state.
 pub(crate) struct Telemetry {
     cfg: TelemetryConfig,
-    win: WindowedMetrics,
+    win: TelemetryWindow,
     slo: SloEngine,
     stream: Option<StreamWriter<BufWriter<File>>>,
     stream_error: Option<String>,
@@ -281,8 +337,8 @@ pub(crate) struct Telemetry {
     span_mark: u64,
     /// Per-device engine-trace watermark for lane streaming.
     lane_mark: Vec<usize>,
-    /// Registry-counter baseline for per-window deltas.
-    base: BTreeMap<String, u64>,
+    /// Registry-counter totals as of the last tick.
+    fed: FedTotals,
 }
 
 impl fmt::Debug for Telemetry {
@@ -305,7 +361,7 @@ impl Telemetry {
             None => None,
         };
         Ok(Telemetry {
-            win: WindowedMetrics::new(cfg.window.as_nanos().max(1)),
+            win: TelemetryWindow::new(cfg.window.as_nanos(), &FLOW_SECS_BOUNDS),
             slo: SloEngine::new(cfg.slos.clone()),
             stream,
             stream_error: None,
@@ -316,7 +372,7 @@ impl Telemetry {
             quarantines: Vec::new(),
             span_mark: 0,
             lane_mark: Vec::new(),
-            base: BTreeMap::new(),
+            fed: FedTotals::default(),
             cfg,
         })
     }
@@ -328,7 +384,7 @@ impl Telemetry {
     /// Resets per-run state at drain start. `lane_marks` are the current
     /// per-device trace lengths (entries before the drain are not ours).
     pub(crate) fn begin(&mut self, lane_marks: Vec<usize>, metrics: &Registry) {
-        self.win = WindowedMetrics::new(self.cfg.window.as_nanos().max(1));
+        self.win = TelemetryWindow::new(self.cfg.window.as_nanos(), &FLOW_SECS_BOUNDS);
         self.slo = SloEngine::new(self.cfg.slos.clone());
         self.windows.clear();
         self.breaches.clear();
@@ -336,12 +392,9 @@ impl Telemetry {
         self.quarantines.clear();
         self.span_mark = 0;
         self.lane_mark = lane_marks;
-        self.base.clear();
-        // Baseline every delta-tracked counter so pre-run counts (e.g.
-        // from an earlier drain on the same executor) don't leak in.
-        for name in DELTA_COUNTERS {
-            self.base.insert((*name).to_owned(), metrics.counter(name));
-        }
+        // Pre-run counts (e.g. from an earlier drain on the same
+        // executor) must not leak into the first window.
+        self.fed = FedTotals::read(metrics);
     }
 
     /// The span cap ([`TelemetryConfig::recorder_cap`], clamped to ≥ 1).
@@ -389,30 +442,27 @@ impl Telemetry {
 
     /// Records one finished request into the open window. A rejected
     /// request never ran, so it counts only toward the window's
-    /// `rejected` (feeding the `rejected` SLO kind), not `finished`.
+    /// `rejected` (feeding the `rejected` SLO kind), not `finished`; a
+    /// coalesced follower never ran either, so it adds no `attempts`.
     pub(crate) fn on_outcome(&mut self, outcome: &RequestOutcome, flow_secs: f64) {
-        let (completed, missed, failed) = match &outcome.status {
-            RequestStatus::Completed(_) => (1, 0, 0),
-            RequestStatus::TimedOut { .. } => (0, 1, 0),
-            RequestStatus::Failed(_) => (0, 0, 1),
+        let w = &mut self.win;
+        match &outcome.status {
+            RequestStatus::Completed(_) => w.completed += 1,
+            RequestStatus::TimedOut { .. } => w.deadline_missed += 1,
+            RequestStatus::Failed(_) => w.failed += 1,
             RequestStatus::Rejected { .. } => {
-                self.win.counter_add(names::REJECTED, 1);
+                w.rejected += 1;
                 return;
             }
-        };
+        }
+        w.finished += 1;
         if outcome.coalesced {
-            self.win.counter_add(names::COALESCED, 1);
+            w.coalesced += 1;
+        } else {
+            w.attempts += u64::from(outcome.retries) + 1;
         }
-        self.win.counter_add(names::FINISHED, 1);
-        self.win.counter_add(names::COMPLETED, completed);
-        self.win.counter_add(names::DEADLINE_MISSED, missed);
-        self.win.counter_add(names::FAILED, failed);
-        self.win
-            .counter_add(names::ATTEMPTS, u64::from(outcome.retries) + 1);
-        if flow_secs.is_finite() {
-            self.win
-                .histogram_observe(names::FLOW_SECS, &FLOW_SECS_BOUNDS, flow_secs);
-        }
+        // A non-finite flow is skipped by the histogram.
+        w.flow.observe(flow_secs);
     }
 
     /// Flushes the Perfetto stream (checkpoint on error paths and at
@@ -456,22 +506,14 @@ impl Telemetry {
             }
         }
         self.inject(st);
-        let closed = self.win.advance_to(st.elapsed_ns);
-        let rotated = !closed.is_empty();
-        for snap in closed {
-            self.close_window(snap, log);
-        }
-        if rotated {
+        if self.rotate(st.elapsed_ns, log) {
             self.flush_stream();
         }
         // Intra-window fast path: a breach observable mid-window fires
         // now, while the breaching request's spans are still in the log.
-        let peek = self.win.peek(st.elapsed_ns);
-        let partial = self.slo.evaluate_partial(&peek);
-        for b in partial {
-            self.capture_dump(format!("{b}"), b.at_ns, log);
-            self.breaches.push(b);
-        }
+        let now = st.elapsed_ns.max(self.win.start_ns());
+        let partial = self.slo.evaluate_partial(&self.win, now);
+        self.record_breaches(partial, log);
     }
 
     /// Final rotation at drain end: closes the partial window (if it has
@@ -479,12 +521,10 @@ impl Telemetry {
     /// returns the end-of-run summary.
     pub(crate) fn finish(&mut self, log: &SpanLog, st: &TickState<'_>) -> TelemetryReport {
         self.inject(st);
-        for snap in self.win.advance_to(st.elapsed_ns) {
-            self.close_window(snap, log);
-        }
-        if st.elapsed_ns > self.win.open_start_ns() {
-            let snap = self.win.close_now(st.elapsed_ns);
-            self.close_window(snap, log);
+        self.rotate(st.elapsed_ns, log);
+        if st.elapsed_ns > self.win.start_ns() {
+            let breaches = self.close_window(st.elapsed_ns);
+            self.record_breaches(breaches, log);
         }
         self.flush_stream();
         TelemetryReport {
@@ -501,46 +541,51 @@ impl Telemetry {
 
     // ---- internals ----
 
-    /// Samples gauges and registry-counter deltas into the open window.
+    /// Samples the gauges and adds the registry counters' growth since
+    /// the last tick to the open window.
     fn inject(&mut self, st: &TickState<'_>) {
-        self.win
-            .gauge_set(names::QUEUE_DEPTH, st.queue_depth as f64);
         let quarantined = st.quarantined.iter().filter(|&&q| q).count();
-        self.win.gauge_set(names::QUARANTINED, quarantined as f64);
-        self.win.gauge_set(names::DRIFT, st.mean_abs_drift);
-        let faults = self.delta(st.metrics, "fault_transient_total")
-            + self.delta(st.metrics, "fault_degraded_total")
-            + self.delta(st.metrics, "fault_fatal_total");
-        self.win.counter_add(names::FAULTS, faults);
-        let hits = self.delta(st.metrics, "residency_hits_total");
-        let misses = self.delta(st.metrics, "residency_misses_total");
-        self.win.counter_add(names::RESIDENCY_HITS, hits);
-        self.win.counter_add(names::RESIDENCY_MISSES, misses);
-        let hedges = self.delta(st.metrics, "hedge_attempts_total");
-        let hedge_wins = self.delta(st.metrics, "hedge_wins_total");
-        let probes = self.delta(st.metrics, "probe_attempts_total");
-        let fastfails = self.delta(st.metrics, "budget_fastfail_total");
-        self.win.counter_add(names::HEDGES, hedges);
-        self.win.counter_add(names::HEDGE_WINS, hedge_wins);
-        self.win.counter_add(names::PROBES, probes);
-        self.win.counter_add(names::BUDGET_FASTFAILS, fastfails);
+        self.win
+            .set_gauges(st.queue_depth, quarantined, st.mean_abs_drift);
+        let now = FedTotals::read(st.metrics);
+        let was = std::mem::replace(&mut self.fed, now);
+        let w = &mut self.win;
+        w.faults += now.faults.saturating_sub(was.faults);
+        w.residency_hits += now.residency_hits.saturating_sub(was.residency_hits);
+        w.residency_misses += now.residency_misses.saturating_sub(was.residency_misses);
+        w.hedges += now.hedges.saturating_sub(was.hedges);
+        w.hedge_wins += now.hedge_wins.saturating_sub(was.hedge_wins);
+        w.probes += now.probes.saturating_sub(was.probes);
+        w.fastfails += now.fastfails.saturating_sub(was.fastfails);
     }
 
-    fn delta(&mut self, metrics: &Registry, name: &str) -> u64 {
-        let cur = metrics.counter(name);
-        let base = self.base.entry(name.to_owned()).or_insert(0);
-        let d = cur.saturating_sub(*base);
-        *base = cur;
-        d
+    /// Closes every window the device clock has passed, then dumps their
+    /// breaches. Returns whether any window closed.
+    fn rotate(&mut self, now_ns: u64, log: &SpanLog) -> bool {
+        let first = self.win.index;
+        let mut breaches = Vec::new();
+        while let Some(end) = self.win.due(now_ns) {
+            breaches.extend(self.close_window(end));
+        }
+        self.record_breaches(breaches, log);
+        self.win.index > first
     }
 
-    fn close_window(&mut self, snap: WindowSnapshot, log: &SpanLog) {
-        let (statuses, breaches) = self.slo.evaluate(&snap);
-        let ww = watch_window(&snap, statuses);
+    /// Evaluates the open window closing at `end_ns`, emits its
+    /// `WatchWindow` (sink + report) and opens the next window. Returns
+    /// the breaches, whose dumps the caller takes once rotation is done.
+    fn close_window(&mut self, end_ns: u64) -> Vec<SloBreach> {
+        let (statuses, breaches) = self.slo.evaluate(&self.win, end_ns);
+        let ww = WatchWindow::close(&self.win, end_ns, statuses);
         if let Some(sink) = self.sink.as_mut() {
             sink(&ww);
         }
         self.windows.push(ww);
+        self.win.roll();
+        breaches
+    }
+
+    fn record_breaches(&mut self, breaches: Vec<SloBreach>, log: &SpanLog) {
         for b in breaches {
             self.capture_dump(format!("{b}"), b.at_ns, log);
             self.breaches.push(b);
@@ -551,7 +596,7 @@ impl Telemetry {
         if self.dumps.len() >= MAX_DUMPS {
             return;
         }
-        let dump = FlightDump::capture(log, self.cap(), reason, self.win.index(), at_ns);
+        let dump = FlightDump::capture(log, self.cap(), reason, self.win.index, at_ns);
         self.dumps.push(dump);
         self.flush_stream();
     }
@@ -570,52 +615,10 @@ impl Telemetry {
     }
 }
 
-/// Registry counters whose per-window deltas telemetry tracks.
-const DELTA_COUNTERS: &[&str] = &[
-    "fault_transient_total",
-    "fault_degraded_total",
-    "fault_fatal_total",
-    "residency_hits_total",
-    "residency_misses_total",
-    "hedge_attempts_total",
-    "hedge_wins_total",
-    "probe_attempts_total",
-    "budget_fastfail_total",
-];
-
-fn watch_window(s: &WindowSnapshot, slo: Vec<SloStatus>) -> WatchWindow {
-    let hits = s.counter(names::RESIDENCY_HITS);
-    let misses = s.counter(names::RESIDENCY_MISSES);
-    WatchWindow {
-        index: s.index,
-        start: SimTime::from_nanos(s.start_ns),
-        end: SimTime::from_nanos(s.end_ns),
-        queue_depth: s.gauge(names::QUEUE_DEPTH).unwrap_or(0.0) as usize,
-        finished: s.counter(names::FINISHED),
-        completed: s.counter(names::COMPLETED),
-        deadline_missed: s.counter(names::DEADLINE_MISSED),
-        failed: s.counter(names::FAILED),
-        rejected: s.counter(names::REJECTED),
-        coalesced: s.counter(names::COALESCED),
-        flow_p95_secs: s
-            .digest(names::FLOW_SECS)
-            .filter(|d| d.count > 0)
-            .map(|d| d.p95),
-        residency_hit_rate: (hits + misses > 0).then(|| hits as f64 / (hits + misses) as f64),
-        faults: s.counter(names::FAULTS),
-        quarantined: s.gauge(names::QUARANTINED).unwrap_or(0.0) as usize,
-        mean_abs_drift: s.gauge(names::DRIFT).unwrap_or(0.0),
-        hedges: s.counter(names::HEDGES),
-        hedge_wins: s.counter(names::HEDGE_WINS),
-        probes: s.counter(names::PROBES),
-        fastfails: s.counter(names::BUDGET_FASTFAILS),
-        slo,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{RequestError, RequestId, RuntimeError};
 
     #[test]
     fn watch_window_render_is_stable() {
@@ -689,5 +692,36 @@ mod tests {
         assert!(report.breaches.is_empty());
         assert_eq!(report.stream_packets, 0);
         assert!(report.stream_error.is_none());
+    }
+
+    #[test]
+    fn coalesced_followers_add_no_attempts() {
+        let mut t = Telemetry::new(TelemetryConfig::default()).expect("no file needed");
+        t.begin(vec![0], &Registry::default());
+        let outcome = |id: u64, retries: u32, coalesced: bool| RequestOutcome {
+            id: RequestId(id),
+            routine: "dgemm",
+            device: Some(0),
+            status: RequestStatus::Failed(RequestError::new(
+                RequestId(id),
+                "dgemm",
+                RuntimeError::NotFunctional,
+            )),
+            retries,
+            host_fallback: false,
+            coalesced,
+        };
+        // One leader that needed a retry, and three followers fed by its
+        // single execution.
+        t.on_outcome(&outcome(0, 1, false), 1e-3);
+        for id in 1..4 {
+            t.on_outcome(&outcome(id, 0, true), 1e-3);
+        }
+        assert_eq!(t.win.finished, 4);
+        assert_eq!(t.win.coalesced, 3);
+        assert_eq!(
+            t.win.attempts, 2,
+            "the leader ran twice; followers never ran"
+        );
     }
 }

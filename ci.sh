@@ -119,17 +119,17 @@ awk -v rss="$rss" 'BEGIN {
 }'
 # paper_sweep's peak RSS is set by one cuBLASXt call that enqueues ~590k
 # simulator ops before its single synchronize, so it guards the simulator's
-# per-op footprint. That batch now grows in place, with no doubling copies:
-# a chunked op table, stream FIFOs linked through it and one trace
-# reservation per batch (~44 MiB; ~87 MiB while those three doubled).
+# per-op footprint: ~590k ops x 24 B in a chunked op table plus 163 840
+# trace entries x 64 B, reserved once per batch (~29 MiB; ~44 MiB with
+# 32-byte ops and 128-byte entries, ~87 MiB while the batch doubled).
 sweep=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
     --workload paper_sweep --seconds 0 --trace 0 | tail -n 1)
 echo "$sweep"
 rss=$(echo "$sweep" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.e+-]*\).*/\1/p')
 awk -v rss="$rss" 'BEGIN {
-    if (rss == "" || rss + 0 > 60) {
-        print "paper_sweep peak_rss_mb " rss " MiB exceeds the 60 MiB bound"
+    if (rss == "" || rss + 0 > 40) {
+        print "paper_sweep peak_rss_mb " rss " MiB exceeds the 40 MiB bound"
         exit 1
     }
 }'

@@ -249,21 +249,21 @@ fn perfetto_export() {
             i * 200 + 150,
             Some(i),
         );
-        entries.push(TraceEntry {
-            op: i as usize,
-            stream: cocopelia_gpusim::StreamId::from_raw(0),
-            engine: EngineKind::Compute,
-            start: SimTime::from_nanos(i * 200),
-            end: SimTime::from_nanos(i * 200 + 150),
-            bytes: None,
-            tag: None,
-            kernel: Some(KernelShape::Gemm {
+        entries.push(
+            TraceEntry::new(
+                i as usize,
+                cocopelia_gpusim::StreamId::from_raw(0),
+                EngineKind::Compute,
+                SimTime::from_nanos(i * 200),
+                SimTime::from_nanos(i * 200 + 150),
+            )
+            .with_kernel(KernelShape::Gemm {
                 dtype: Dtype::F64,
                 m: 512,
                 n: 512,
                 k: 512,
             }),
-        });
+        );
     }
     let trace = ServeTrace {
         spans: log.into_spans(),

@@ -116,7 +116,7 @@ fn timed_square_transfer(
         .trace()
         .entries()
         .iter()
-        .find(|e| e.engine == dir.engine() && e.bytes == Some(elems * 8))
+        .find(|e| e.engine == dir.engine() && e.bytes() == Some(elems * 8))
         .expect("measured transfer appears in trace");
     let secs = entry.duration().as_secs_f64();
     // A sweep takes hundreds of samples: release each one's buffers.

@@ -24,9 +24,10 @@
 //!
 //! # Op lifecycle
 //!
-//! An enqueued op is a small `Copy` record ([`Op`]): stream, issued flag,
-//! interned tag, the link to the next op on its stream and a slim kind
-//! whose kernel shapes and event slots live in side tables. Once the
+//! An enqueued op is a 24-byte `Copy` record ([`Op`]): stream, issued
+//! flag, interned tag, the link to the next op on its stream and its
+//! [`OpKind`] packed into a one-byte code plus a `u64` argument (a copy's
+//! bytes, or the side-table slot of a kernel shape or event). Once the
 //! simulator is idle every op has completed, so the op, kernel, event and
 //! tag tables are retired together; a global `base` offset keeps op ids
 //! (and so [`TraceEntry::op`]) in enqueue order across retirements. Only
@@ -373,12 +374,12 @@ impl Sim {
         };
     }
 
-    pub(crate) fn tag(&self) -> Option<&OpTag> {
+    pub(crate) fn tag(&self) -> Option<OpTag> {
         self.interned_tag(self.cur_tag)
     }
 
-    fn interned_tag(&self, idx: u32) -> Option<&OpTag> {
-        idx.checked_sub(1).map(|i| &self.tags[i as usize])
+    fn interned_tag(&self, idx: u32) -> Option<OpTag> {
+        idx.checked_sub(1).map(|i| self.tags[i as usize])
     }
 
     pub(crate) fn now(&self) -> SimTime {
@@ -424,13 +425,7 @@ impl Sim {
         if !matches!(kind, OpKind::EventRecord(_) | OpKind::EventWait(_)) {
             self.engine_ops += 1;
         }
-        let idx = self.ops.push(Op {
-            kind,
-            stream: stream.0,
-            tag: self.cur_tag,
-            next: 0,
-            issued: false,
-        });
+        let idx = self.ops.push(Op::new(kind, stream.0, self.cur_tag));
         let s = stream.index();
         match &mut self.streams[s] {
             Some((_, tail)) => {
@@ -544,7 +539,7 @@ impl Sim {
                 if op.issued {
                     return true; // already on an engine, waiting for completion
                 }
-                let engine = match op.kind {
+                let engine = match op.kind() {
                     OpKind::EventRecord(ev) => {
                         self.events[ev as usize] = true;
                         None
@@ -624,10 +619,13 @@ impl Sim {
 
     fn start_op(&mut self, op_id: OpId, engine_kind: EngineKind) -> ActiveOp {
         let op = self.ops[idx32(op_id - self.base)];
-        let mut kernel = None;
-        let (phase, work_total, rate_factor, bytes) = match op.kind {
+        let now = self.now();
+        let mut entry = TraceEntry::new(op_id, StreamId(op.stream), engine_kind, now, now);
+        entry.tag = self.interned_tag(op.tag);
+        let kind = op.kind();
+        let (phase, work_total, rate_factor) = match kind {
             OpKind::H2d { bytes, pageable } | OpKind::D2h { bytes, pageable } => {
-                let dir = if matches!(op.kind, OpKind::H2d { .. }) {
+                let dir = if matches!(kind, OpKind::H2d { .. }) {
                     self.link.h2d
                 } else {
                     self.link.d2h
@@ -648,29 +646,22 @@ impl Sim {
                         remaining: bytes as f64,
                     }
                 };
-                (phase, bytes as f64, rate_factor, Some(bytes))
+                entry = entry.with_bytes(bytes);
+                (phase, bytes as f64, rate_factor)
             }
             OpKind::Kernel(idx) => {
                 let (shape, base_secs) = self.kernels[idx as usize];
-                kernel = Some(shape);
+                entry = entry.with_kernel(shape);
                 let secs = base_secs * self.noise_factor(self.noise.kernel_sigma);
-                (Phase::Work { remaining: secs }, secs, 1.0, None)
+                (Phase::Work { remaining: secs }, secs, 1.0)
             }
             OpKind::EventRecord(_) | OpKind::EventWait(_) => {
                 unreachable!("instant ops never reach an engine")
             }
         };
         let trace_idx = self.trace.len();
-        self.trace.push(TraceEntry {
-            op: op_id,
-            stream: StreamId(op.stream),
-            engine: engine_kind,
-            start: self.now(),
-            end: self.now(), // patched at completion
-            bytes,
-            tag: self.interned_tag(op.tag).cloned(),
-            kernel,
-        });
+        // The entry's end is patched at completion.
+        self.trace.push(entry);
         ActiveOp {
             op: op_id,
             phase,
@@ -1172,15 +1163,6 @@ mod tests {
     }
 
     #[test]
-    fn slim_op_fits_32_bytes() {
-        assert!(
-            std::mem::size_of::<Op>() <= 32,
-            "{}",
-            std::mem::size_of::<Op>()
-        );
-    }
-
-    #[test]
     fn op_table_never_moves_and_streams_stay_fifo() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
         let streams: Vec<StreamId> = (0..5).map(|_| sim.create_stream()).collect();
@@ -1235,7 +1217,7 @@ mod tests {
         let engine_ids: Vec<OpId> = (0..idx32(total))
             .filter(|&i| {
                 !matches!(
-                    sim.ops[i].kind,
+                    sim.ops[i].kind(),
                     OpKind::EventRecord(_) | OpKind::EventWait(_)
                 )
             })

@@ -610,7 +610,7 @@ impl Gpu {
     }
 
     /// The ambient op tag currently in effect, if any.
-    pub fn op_tag(&self) -> Option<&OpTag> {
+    pub fn op_tag(&self) -> Option<OpTag> {
         self.sim.tag()
     }
 
@@ -648,7 +648,7 @@ mod tests {
     use super::*;
     use crate::op::{DevMatRef, DevVecRef, Region2d};
     use crate::spec::{testbed_i, testbed_ii, NoiseSpec};
-    use crate::trace::EngineKind;
+    use crate::trace::{EngineKind, Routine};
     use cocopelia_hostblas::{level3, Matrix};
 
     fn quiet(mut tb: TestbedSpec) -> TestbedSpec {
@@ -1204,14 +1204,10 @@ mod tests {
         assert_eq!(t.entries()[0].start, t.entries()[1].start);
     }
 
-    fn tag(routine: &'static str, tile: (usize, usize)) -> OpTag {
+    fn tag(routine: Routine, tile: (usize, usize)) -> OpTag {
         OpTag {
-            routine,
-            call: 1,
-            tile,
-            operand: None,
             get: true,
-            set: false,
+            ..OpTag::new(routine, 1, tile)
         }
     }
 
@@ -1221,7 +1217,7 @@ mod tests {
         let s = gpu.create_stream();
         let h = gpu.register_host(vec![1.0f64; 8], true);
         let d = gpu.alloc_device(Dtype::F64, 8).expect("alloc");
-        gpu.set_op_tag(tag("gemm", (0, 0)));
+        gpu.set_op_tag(tag(Routine::Gemm, (0, 0)));
         gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, d, 8))
             .expect("h2d");
         gpu.record_event(s).expect("record");
@@ -1364,18 +1360,18 @@ mod tests {
         let s = gpu.create_stream();
         let h = gpu.register_host_ghost(Dtype::F64, 64, true);
         let d = gpu.alloc_device(Dtype::F64, 64).expect("alloc");
-        let (a, b) = (tag("gemm", (0, 0)), tag("gemm", (0, 1)));
+        let (a, b) = (tag(Routine::Gemm, (0, 0)), tag(Routine::Gemm, (0, 1)));
         let copy = |gpu: &mut Gpu| {
             gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, d, 64))
                 .expect("h2d")
         };
-        gpu.set_op_tag(a.clone());
+        gpu.set_op_tag(a);
         copy(&mut gpu);
-        gpu.set_op_tag(a.clone()); // unchanged: not interned again
+        gpu.set_op_tag(a); // unchanged: not interned again
         copy(&mut gpu);
-        gpu.set_op_tag(b.clone());
+        gpu.set_op_tag(b);
         copy(&mut gpu);
-        gpu.set_op_tag(a.clone());
+        gpu.set_op_tag(a);
         copy(&mut gpu);
         gpu.clear_op_tag();
         copy(&mut gpu);
@@ -1384,28 +1380,16 @@ mod tests {
             3,
             "A, B, A interned once per change"
         );
-        gpu.set_op_tag(b.clone());
+        gpu.set_op_tag(b);
         gpu.synchronize().expect("sync");
         // The ambient tag survives the retirement of its table.
-        assert_eq!(gpu.op_tag(), Some(&b));
+        assert_eq!(gpu.op_tag(), Some(b));
         copy(&mut gpu);
         gpu.synchronize().expect("sync");
-        let tags: Vec<Option<OpTag>> = gpu
-            .trace()
-            .entries()
-            .iter()
-            .map(|e| e.tag.clone())
-            .collect();
+        let tags: Vec<Option<OpTag>> = gpu.trace().entries().iter().map(|e| e.tag).collect();
         assert_eq!(
             tags,
-            vec![
-                Some(a.clone()),
-                Some(a.clone()),
-                Some(b.clone()),
-                Some(a),
-                None,
-                Some(b)
-            ]
+            vec![Some(a), Some(a), Some(b), Some(a), None, Some(b)]
         );
     }
 }

@@ -69,4 +69,4 @@ pub use spec::{
     QuantProfile, TestbedSpec,
 };
 pub use time::SimTime;
-pub use trace::{EngineKind, OpTag, OperandRole, Trace, TraceEntry};
+pub use trace::{EngineKind, OpTag, OperandRole, Routine, Trace, TraceEntry};

@@ -206,7 +206,8 @@ pub enum KernelArgs {
 
 /// What an enqueued op does, reduced to what timing needs. Crate-internal;
 /// users go through the `Gpu` API. Functional payloads (copy regions,
-/// kernel arguments) live with the `Gpu`, not here.
+/// kernel arguments) live with the `Gpu`, not here. Stored packed in an
+/// [`Op`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum OpKind {
     H2d {
@@ -229,19 +230,92 @@ pub(crate) enum OpKind {
 /// Internal handle for an enqueued op: its global enqueue index.
 pub(crate) type OpId = usize;
 
-/// One pending operation. Retired (with the kernel and tag tables) once
-/// the simulator is idle, so the table only ever holds the current batch.
+/// An [`OpKind`]'s variant, with a copy's `pageable` flag folded in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum OpCode {
+    H2d,
+    H2dPageable,
+    D2h,
+    D2hPageable,
+    Kernel,
+    EventRecord,
+    EventWait,
+}
+
+/// One pending operation, in 24 bytes: [`Op::new`] packs its [`OpKind`]
+/// into `code` and `arg`, and [`Op::kind`] unpacks it. Retired (with the
+/// kernel and tag tables) once the simulator is idle, so the table only
+/// ever holds the current batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Op {
-    pub kind: OpKind,
+    /// A copy's byte count, or a kernel's or event's table index.
+    arg: u64,
     pub stream: u32,
     /// Interned ambient routine tag at enqueue time (0 = untagged).
     pub tag: u32,
     /// Batch-relative index of the next op on the same stream; meaningless
     /// while this op is its stream's tail.
     pub next: u32,
+    code: OpCode,
     /// `true` once the op has been handed to an engine or completed.
     pub issued: bool,
+}
+
+impl Op {
+    /// A not-yet-issued op of `kind` on `stream`.
+    #[inline]
+    pub fn new(kind: OpKind, stream: u32, tag: u32) -> Op {
+        let (code, arg) = match kind {
+            OpKind::H2d { bytes, pageable } => (
+                if pageable {
+                    OpCode::H2dPageable
+                } else {
+                    OpCode::H2d
+                },
+                bytes as u64,
+            ),
+            OpKind::D2h { bytes, pageable } => (
+                if pageable {
+                    OpCode::D2hPageable
+                } else {
+                    OpCode::D2h
+                },
+                bytes as u64,
+            ),
+            OpKind::Kernel(idx) => (OpCode::Kernel, u64::from(idx)),
+            OpKind::EventRecord(idx) => (OpCode::EventRecord, u64::from(idx)),
+            OpKind::EventWait(idx) => (OpCode::EventWait, u64::from(idx)),
+        };
+        Op {
+            arg,
+            stream,
+            tag,
+            next: 0,
+            code,
+            issued: false,
+        }
+    }
+
+    /// What the op does, as [`new`](Self::new) was given it.
+    #[inline]
+    pub fn kind(&self) -> OpKind {
+        // `arg` holds a `usize` byte count or a `u32` index, so each cast
+        // restores the value `new` stored.
+        let (bytes, idx) = (self.arg as usize, self.arg as u32);
+        match self.code {
+            OpCode::H2d | OpCode::H2dPageable => OpKind::H2d {
+                bytes,
+                pageable: self.code == OpCode::H2dPageable,
+            },
+            OpCode::D2h | OpCode::D2hPageable => OpKind::D2h {
+                bytes,
+                pageable: self.code == OpCode::D2hPageable,
+            },
+            OpCode::Kernel => OpKind::Kernel(idx),
+            OpCode::EventRecord => OpKind::EventRecord(idx),
+            OpCode::EventWait => OpKind::EventWait(idx),
+        }
+    }
 }
 
 /// Validates that a matrix reference fits inside its payload.
@@ -306,6 +380,44 @@ mod tests {
             cols: 1,
         };
         assert!(r.check(100, "x").is_err());
+    }
+
+    #[test]
+    fn op_fits_24_bytes() {
+        assert!(
+            std::mem::size_of::<Op>() <= 24,
+            "{}",
+            std::mem::size_of::<Op>()
+        );
+    }
+
+    #[test]
+    fn op_kinds_round_trip_through_the_packed_op() {
+        for kind in [
+            OpKind::H2d {
+                bytes: 0,
+                pageable: false,
+            },
+            OpKind::H2d {
+                bytes: usize::MAX,
+                pageable: true,
+            },
+            OpKind::D2h {
+                bytes: 4096,
+                pageable: false,
+            },
+            OpKind::D2h {
+                bytes: 1 << 40,
+                pageable: true,
+            },
+            OpKind::Kernel(u32::MAX),
+            OpKind::EventRecord(0),
+            OpKind::EventWait(7),
+        ] {
+            let op = Op::new(kind, 3, 2);
+            assert_eq!(op.kind(), kind);
+            assert_eq!((op.stream, op.tag, op.next, op.issued), (3, 2, 0, false));
+        }
     }
 
     #[test]

@@ -3,11 +3,18 @@
 //! Traces back the model-validation experiments (overlap can be inspected,
 //! not just trusted) and feed the Gantt renderer in `cocopelia_obs::gantt`,
 //! which reproduces the pipeline anatomy of the paper's Figure 2.
+//!
+//! One cuBLASXt-style call can record ~164k entries before anyone reads
+//! them, so an entry is kept to 64 bytes: its [`OpTag`] is a 16-byte
+//! `Copy` value, and a copy's byte count shares one 16-byte field with a
+//! kernel's packed shape (no entry has both), read through
+//! [`TraceEntry::bytes`] and [`TraceEntry::kernel`].
 
 use crate::engine::RETAINED_CAPACITY;
 use crate::kernel::KernelShape;
 use crate::op::StreamId;
 use crate::time::SimTime;
+use cocopelia_hostblas::Dtype;
 
 /// The three hardware engines of the simulated device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,22 +70,66 @@ impl OperandRole {
     }
 }
 
+/// Routine family that issued an op.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Routine {
+    /// Matrix-matrix multiply.
+    Gemm,
+    /// Matrix-vector multiply.
+    Gemv,
+    /// Scaled vector addition.
+    Axpy,
+    /// Dot product.
+    Dot,
+}
+
+impl Routine {
+    /// Short display name (`"gemm"`, `"gemv"`, `"axpy"`, `"dot"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Routine::Gemm => "gemm",
+            Routine::Gemv => "gemv",
+            Routine::Axpy => "axpy",
+            Routine::Dot => "dot",
+        }
+    }
+}
+
+/// Prints the quoted name, as the `&'static str` field it replaced did, so
+/// a rendered [`OpTag`] reads the same.
+impl std::fmt::Debug for Routine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}", self.name())
+    }
+}
+
+/// Narrows a count to `u32` for the packed trace records.
+///
+/// # Panics
+///
+/// If `n` does not fit in `u32`.
+fn narrow(n: impl TryInto<u32>, what: &str) -> u32 {
+    n.try_into()
+        .unwrap_or_else(|_| panic!("{what} exceeds u32"))
+}
+
 /// Logical identity of the routine-level work behind a low-level op.
 ///
 /// Schedulers set the ambient tag via
 /// [`Gpu::set_op_tag`](crate::Gpu::set_op_tag) before enqueueing; the
 /// simulator snapshots it into every op enqueued while it is set, and copies
 /// it into the op's [`TraceEntry`]. This is what turns an engine timeline
-/// into a per-tile pipeline anatomy (the paper's Fig. 2).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// into a per-tile pipeline anatomy (the paper's Fig. 2). It is a 16-byte
+/// value, so copying it into each entry costs no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpTag {
-    /// Routine family that issued the op (`"gemm"`, `"gemv"`, …).
-    pub routine: &'static str,
+    /// Routine family that issued the op.
+    pub routine: Routine,
     /// Routine invocation counter, distinguishing calls in one trace.
-    pub call: u64,
+    pub call: u32,
     /// Tile coordinates `(row, col)` within the routine's tile grid
     /// (vector routines use `(chunk, 0)`).
-    pub tile: (usize, usize),
+    pub tile: (u32, u32),
     /// Operand the op moves, `None` for kernel launches.
     pub operand: Option<OperandRole>,
     /// The op fetches data to the device (`get_i`).
@@ -87,28 +138,179 @@ pub struct OpTag {
     pub set: bool,
 }
 
-/// One completed operation occurrence.
+impl OpTag {
+    /// The tag of call `call` of `routine` on `tile`, naming no operand and
+    /// setting neither flag.
+    ///
+    /// # Panics
+    ///
+    /// If `call` or a tile coordinate does not fit in `u32`.
+    pub fn new(routine: Routine, call: u64, tile: (usize, usize)) -> OpTag {
+        OpTag {
+            routine,
+            call: narrow(call, "routine call counter"),
+            tile: (narrow(tile.0, "tile row"), narrow(tile.1, "tile column")),
+            operand: None,
+            get: false,
+            set: false,
+        }
+    }
+}
+
+/// What an entry moved or ran, in 16 bytes: a copy's byte count or a
+/// kernel's shape (no entry has both), the shape packed as `u32`
+/// dimensions behind a shape-and-dtype prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Work {
+    None,
+    Bytes(u64),
+    Gemm {
+        dtype: Dtype,
+        m: u32,
+        n: u32,
+        k: u32,
+    },
+    Axpy {
+        dtype: Dtype,
+        n: u32,
+    },
+    Dot {
+        dtype: Dtype,
+        n: u32,
+    },
+    Gemv {
+        dtype: Dtype,
+        m: u32,
+        n: u32,
+    },
+}
+
+impl Work {
+    /// # Panics
+    ///
+    /// If a dimension of `shape` does not fit in `u32`.
+    #[inline]
+    fn kernel(shape: KernelShape) -> Work {
+        let dim = |d: usize| narrow(d, "kernel dimension");
+        match shape {
+            KernelShape::Gemm { dtype, m, n, k } => Work::Gemm {
+                dtype,
+                m: dim(m),
+                n: dim(n),
+                k: dim(k),
+            },
+            KernelShape::Axpy { dtype, n } => Work::Axpy { dtype, n: dim(n) },
+            KernelShape::Dot { dtype, n } => Work::Dot { dtype, n: dim(n) },
+            KernelShape::Gemv { dtype, m, n } => Work::Gemv {
+                dtype,
+                m: dim(m),
+                n: dim(n),
+            },
+        }
+    }
+
+    #[inline]
+    fn shape(self) -> Option<KernelShape> {
+        let dim = |d: u32| d as usize;
+        Some(match self {
+            Work::None | Work::Bytes(_) => return None,
+            Work::Gemm { dtype, m, n, k } => KernelShape::Gemm {
+                dtype,
+                m: dim(m),
+                n: dim(n),
+                k: dim(k),
+            },
+            Work::Axpy { dtype, n } => KernelShape::Axpy { dtype, n: dim(n) },
+            Work::Dot { dtype, n } => KernelShape::Dot { dtype, n: dim(n) },
+            Work::Gemv { dtype, m, n } => KernelShape::Gemv {
+                dtype,
+                m: dim(m),
+                n: dim(n),
+            },
+        })
+    }
+}
+
+/// One completed operation occurrence, in 64 bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEntry {
     /// Op sequence number (global enqueue order).
     pub op: usize,
-    /// Stream the op was enqueued on.
-    pub stream: StreamId,
-    /// Engine that executed it.
-    pub engine: EngineKind,
     /// Start of execution on the engine.
     pub start: SimTime,
     /// End of execution.
     pub end: SimTime,
-    /// Bytes moved, for copies.
-    pub bytes: Option<usize>,
+    /// Bytes moved or kernel shape; read through [`bytes`](Self::bytes)
+    /// and [`kernel`](Self::kernel).
+    work: Work,
     /// Routine-level identity, when a scheduler tagged the op.
     pub tag: Option<OpTag>,
-    /// Shape of the kernel, for compute entries.
-    pub kernel: Option<KernelShape>,
+    /// Stream the op was enqueued on.
+    pub stream: StreamId,
+    /// Engine that executed it.
+    pub engine: EngineKind,
 }
 
 impl TraceEntry {
+    /// An untagged entry that records neither bytes nor a kernel shape;
+    /// [`with_bytes`](Self::with_bytes) and
+    /// [`with_kernel`](Self::with_kernel) add one.
+    #[inline]
+    pub fn new(
+        op: usize,
+        stream: StreamId,
+        engine: EngineKind,
+        start: SimTime,
+        end: SimTime,
+    ) -> TraceEntry {
+        TraceEntry {
+            op,
+            start,
+            end,
+            work: Work::None,
+            tag: None,
+            stream,
+            engine,
+        }
+    }
+
+    /// The entry, recording a copy of `bytes` bytes.
+    #[inline]
+    pub fn with_bytes(self, bytes: usize) -> TraceEntry {
+        TraceEntry {
+            work: Work::Bytes(bytes as u64),
+            ..self
+        }
+    }
+
+    /// The entry, recording a launch of `shape`.
+    ///
+    /// # Panics
+    ///
+    /// If a dimension of `shape` does not fit in `u32`.
+    #[inline]
+    pub fn with_kernel(self, shape: KernelShape) -> TraceEntry {
+        TraceEntry {
+            work: Work::kernel(shape),
+            ..self
+        }
+    }
+
+    /// Bytes moved, for copies.
+    #[inline]
+    pub fn bytes(&self) -> Option<usize> {
+        match self.work {
+            Work::Bytes(b) => Some(b as usize),
+            _ => None,
+        }
+    }
+
+    /// Shape of the kernel, for compute entries.
+    #[inline]
+    pub fn kernel(&self) -> Option<KernelShape> {
+        self.work.shape()
+    }
+
     /// Wall-clock duration of the entry.
     pub fn duration(&self) -> SimTime {
         self.end.saturating_since(self.start)
@@ -127,10 +329,10 @@ impl TraceEntry {
     /// one buffer across many entries.
     pub fn write_label(&self, out: &mut String) {
         use std::fmt::Write;
-        let written = match (self.engine, self.kernel) {
+        let written = match (self.engine, self.kernel()) {
             (EngineKind::Compute, Some(shape)) => write!(out, "{shape}"),
             (EngineKind::Compute, None) => write!(out, "{}", self.engine.name()),
-            (engine, _) => write!(out, "{} {}B", engine.name(), self.bytes.unwrap_or(0)),
+            (engine, _) => write!(out, "{} {}B", engine.name(), self.bytes().unwrap_or(0)),
         };
         written.expect("writing to a String cannot fail");
     }
@@ -178,13 +380,18 @@ impl Trace {
     /// work (the serve executor tags each dispatch attempt this way). The
     /// mark is global, so it stays valid across retirements as long as it
     /// is not older than the retired prefix.
+    ///
+    /// # Panics
+    ///
+    /// If `n` predates the retired prefix: those entries are gone, and
+    /// reading the whole retained window instead would misattribute it.
     pub fn entries_since(&self, n: usize) -> &[TraceEntry] {
-        debug_assert!(
+        assert!(
             n >= self.base,
             "trace mark {n} predates the {} retired entries",
             self.base
         );
-        &self.entries[n.saturating_sub(self.base).min(self.entries.len())..]
+        &self.entries[(n - self.base).min(self.entries.len())..]
     }
 
     /// Moves out the entries before global index `upto` (clamped to the
@@ -199,7 +406,7 @@ impl Trace {
         for e in &retired {
             let (busy, bytes) = &mut self.retired[e.engine as usize];
             *busy += e.duration().as_nanos();
-            *bytes += e.bytes.unwrap_or(0);
+            *bytes += e.bytes().unwrap_or(0);
             self.retired_end = self.retired_end.max(e.end);
         }
         self.base += n;
@@ -273,7 +480,7 @@ impl Trace {
             .entries
             .iter()
             .filter(|e| e.engine == engine)
-            .filter_map(|e| e.bytes)
+            .filter_map(TraceEntry::bytes)
             .sum();
         self.retired[engine as usize].1 + live
     }
@@ -284,31 +491,25 @@ mod tests {
     use super::*;
 
     fn entry(engine: EngineKind, start: u64, end: u64, bytes: Option<usize>) -> TraceEntry {
-        TraceEntry {
-            op: 0,
-            stream: StreamId::from_raw(0),
+        let e = TraceEntry::new(
+            0,
+            StreamId::from_raw(0),
             engine,
-            start: SimTime::from_nanos(start),
-            end: SimTime::from_nanos(end),
-            bytes,
-            tag: None,
-            kernel: None,
+            SimTime::from_nanos(start),
+            SimTime::from_nanos(end),
+        );
+        match bytes {
+            Some(b) => e.with_bytes(b),
+            None => e,
         }
     }
 
     #[test]
     fn labels_are_derived_from_engine_bytes_and_kernel() {
-        use cocopelia_hostblas::Dtype;
-        let copy = |engine, bytes| TraceEntry {
-            bytes: Some(bytes),
-            ..entry(engine, 0, 1, None)
-        };
+        let copy = |engine, bytes| entry(engine, 0, 1, Some(bytes));
         assert_eq!(copy(EngineKind::CopyH2d, 4096).label(), "h2d 4096B");
         assert_eq!(copy(EngineKind::CopyD2h, 64).label(), "d2h 64B");
-        let kernel = |shape| TraceEntry {
-            kernel: Some(shape),
-            ..entry(EngineKind::Compute, 0, 1, None)
-        };
+        let kernel = |shape| entry(EngineKind::Compute, 0, 1, None).with_kernel(shape);
         for (shape, label) in [
             (
                 KernelShape::Gemm {
@@ -342,8 +543,13 @@ mod tests {
                 "sgemv 3x4",
             ),
         ] {
-            assert_eq!(kernel(shape).label(), label);
+            let e = kernel(shape);
+            assert_eq!(e.label(), label);
+            assert_eq!((e.kernel(), e.bytes()), (Some(shape), None));
         }
+        let e = copy(EngineKind::CopyH2d, 4096);
+        assert_eq!((e.bytes(), e.kernel()), (Some(4096), None));
+        assert_eq!(entry(EngineKind::Compute, 0, 1, None).label(), "exec");
     }
 
     #[test]
@@ -432,12 +638,59 @@ mod tests {
     }
 
     #[test]
-    fn trace_entry_fits_128_bytes() {
+    #[should_panic(expected = "predates the 5 retired entries")]
+    fn a_mark_older_than_the_retired_prefix_panics() {
+        let mut t = mixed_trace(12);
+        t.retire(5);
+        t.entries_since(4);
+    }
+
+    #[test]
+    fn trace_entry_fits_64_bytes() {
         assert!(
-            std::mem::size_of::<TraceEntry>() <= 128,
+            std::mem::size_of::<TraceEntry>() <= 64,
             "{}",
             std::mem::size_of::<TraceEntry>()
         );
+    }
+
+    #[test]
+    fn op_tag_fits_16_bytes() {
+        assert!(
+            std::mem::size_of::<Option<OpTag>>() <= 16,
+            "{}",
+            std::mem::size_of::<Option<OpTag>>()
+        );
+    }
+
+    #[test]
+    fn kernel_shapes_round_trip_through_the_packed_entry() {
+        for dtype in [Dtype::F32, Dtype::F64] {
+            for shape in [
+                KernelShape::Gemm {
+                    dtype,
+                    m: 1,
+                    n: u32::MAX as usize,
+                    k: 7,
+                },
+                KernelShape::Axpy { dtype, n: 0 },
+                KernelShape::Dot { dtype, n: 1 << 31 },
+                KernelShape::Gemv { dtype, m: 3, n: 4 },
+            ] {
+                let e = entry(EngineKind::Compute, 0, 1, None).with_kernel(shape);
+                assert_eq!(e.kernel(), Some(shape));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel dimension exceeds u32")]
+    fn a_kernel_dimension_beyond_u32_panics() {
+        let shape = KernelShape::Axpy {
+            dtype: Dtype::F64,
+            n: u32::MAX as usize + 1,
+        };
+        entry(EngineKind::Compute, 0, 1, None).with_kernel(shape);
     }
 
     #[test]

@@ -39,13 +39,16 @@ fn device_pid(device: usize) -> u64 {
 
 fn tag_value(tag: &OpTag) -> Value {
     Value::Map(vec![
-        ("routine".to_owned(), Value::Str(tag.routine.to_owned())),
-        ("call".to_owned(), Value::U64(tag.call)),
+        (
+            "routine".to_owned(),
+            Value::Str(tag.routine.name().to_owned()),
+        ),
+        ("call".to_owned(), Value::U64(u64::from(tag.call))),
         (
             "tile".to_owned(),
             Value::Seq(vec![
-                Value::U64(tag.tile.0 as u64),
-                Value::U64(tag.tile.1 as u64),
+                Value::U64(u64::from(tag.tile.0)),
+                Value::U64(u64::from(tag.tile.1)),
             ]),
         ),
         (
@@ -69,7 +72,7 @@ fn entry_value(e: &TraceEntry) -> Value {
         ("start_ns".to_owned(), Value::U64(e.start.as_nanos())),
         ("end_ns".to_owned(), Value::U64(e.end.as_nanos())),
     ];
-    if let Some(b) = e.bytes {
+    if let Some(b) = e.bytes() {
         fields.push(("bytes".to_owned(), Value::U64(b as u64)));
     }
     if let Some(tag) = &e.tag {
@@ -134,7 +137,7 @@ fn push_device_events(events: &mut Vec<Value>, pid: u64, name: &str, entries: &[
             ("op".to_owned(), Value::U64(e.op as u64)),
             ("stream".to_owned(), Value::U64(e.stream.index() as u64)),
         ];
-        if let Some(b) = e.bytes {
+        if let Some(b) = e.bytes() {
             args.push(("bytes".to_owned(), Value::U64(b as u64)));
         }
         if let Some(tag) = &e.tag {
@@ -297,26 +300,23 @@ pub fn serve_trace_to_chrome(trace: &ServeTrace) -> Result<String, serde_json::E
 mod tests {
     use super::*;
     use crate::span::SpanLog;
-    use cocopelia_gpusim::{OperandRole, SimTime, StreamId};
+    use cocopelia_gpusim::{OperandRole, Routine, SimTime, StreamId};
 
     fn entry(engine: EngineKind, start: u64, end: u64, tagged: bool) -> TraceEntry {
-        TraceEntry {
-            op: 3,
-            stream: StreamId::from_raw(1),
+        let mut e = TraceEntry::new(
+            3,
+            StreamId::from_raw(1),
             engine,
-            start: SimTime::from_nanos(start),
-            end: SimTime::from_nanos(end),
-            bytes: Some(64),
-            tag: tagged.then_some(OpTag {
-                routine: "gemm",
-                call: 2,
-                tile: (1, 3),
-                operand: Some(OperandRole::A),
-                get: true,
-                set: false,
-            }),
-            kernel: None,
-        }
+            SimTime::from_nanos(start),
+            SimTime::from_nanos(end),
+        )
+        .with_bytes(64);
+        e.tag = tagged.then_some(OpTag {
+            operand: Some(OperandRole::A),
+            get: true,
+            ..OpTag::new(Routine::Gemm, 2, (1, 3))
+        });
+        e
     }
 
     #[test]

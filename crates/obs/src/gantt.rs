@@ -72,7 +72,7 @@ pub fn engine_summary(entries: &[TraceEntry]) -> String {
         let bytes: usize = entries
             .iter()
             .filter(|e| e.engine == engine)
-            .filter_map(|e| e.bytes)
+            .filter_map(TraceEntry::bytes)
             .sum();
         let _ = writeln!(
             out,
@@ -103,15 +103,16 @@ mod tests {
     use cocopelia_gpusim::{SimTime, StreamId};
 
     fn entry(engine: EngineKind, start: u64, end: u64, bytes: Option<usize>) -> TraceEntry {
-        TraceEntry {
-            op: 0,
-            stream: StreamId::from_raw(0),
+        let e = TraceEntry::new(
+            0,
+            StreamId::from_raw(0),
             engine,
-            start: SimTime::from_nanos(start),
-            end: SimTime::from_nanos(end),
-            bytes,
-            tag: None,
-            kernel: None,
+            SimTime::from_nanos(start),
+            SimTime::from_nanos(end),
+        );
+        match bytes {
+            Some(b) => e.with_bytes(b),
+            None => e,
         }
     }
 

@@ -2,12 +2,12 @@
 //! simulator trace must satisfy, usable both as test assertions and as a
 //! sanity gate before exporting or aggregating a trace.
 
-use cocopelia_gpusim::{EngineKind, TraceEntry};
+use cocopelia_gpusim::{EngineKind, KernelShape, OpTag, TraceEntry};
 use std::collections::{HashMap, HashSet};
 
-/// Spans of one logical tile op, keyed by its rendered tag plus label,
-/// as `(start_ns, end_ns, op_id)` triples.
-type TileOpSpans = HashMap<(String, String), Vec<(u64, u64, usize)>>;
+/// What makes two tagged entries the same logical tile op: the tag plus
+/// the engine, bytes and kernel shape the entry's label is rendered from.
+type TileOpKey = (OpTag, EngineKind, Option<usize>, Option<KernelShape>);
 
 /// Checks the structural invariants of a batch of trace entries:
 ///
@@ -70,24 +70,28 @@ pub fn check_entries(entries: &[TraceEntry]) -> Result<(), Vec<String>> {
             }
         }
     }
-    let mut by_tile_op: TileOpSpans = HashMap::new();
+    let mut by_tile_op: HashMap<TileOpKey, Vec<&TraceEntry>> = HashMap::new();
     for e in entries {
-        if let Some(tag) = &e.tag {
+        if let Some(tag) = e.tag {
             by_tile_op
-                .entry((format!("{tag:?}"), e.label()))
+                .entry((tag, e.engine, e.bytes(), e.kernel()))
                 .or_default()
-                .push((e.start.as_nanos(), e.end.as_nanos(), e.op));
+                .push(e);
         }
     }
-    for ((tag, label), mut spans) in by_tile_op {
-        spans.sort_unstable();
-        for w in spans.windows(2) {
-            let (_, e0, op0) = w[0];
-            let (s1, _, op1) = w[1];
-            if s1 < e0 {
+    for ((tag, ..), mut retries) in by_tile_op {
+        retries.sort_unstable_by_key(|e| (e.start, e.end, e.op));
+        for w in retries.windows(2) {
+            let (prev, next) = (w[0], w[1]);
+            if next.start < prev.end {
                 problems.push(format!(
-                    "overlapping retry of `{label}` ({tag}): op {op1} starts at {s1} \
-                     before op {op0} ends at {e0}"
+                    "overlapping retry of `{}` ({tag:?}): op {} starts at {} \
+                     before op {} ends at {}",
+                    prev.label(),
+                    next.op,
+                    next.start.as_nanos(),
+                    prev.op,
+                    prev.end.as_nanos()
                 ));
             }
         }
@@ -102,19 +106,16 @@ pub fn check_entries(entries: &[TraceEntry]) -> Result<(), Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cocopelia_gpusim::{SimTime, StreamId};
+    use cocopelia_gpusim::{Routine, SimTime, StreamId};
 
     fn entry(op: usize, engine: EngineKind, start: u64, end: u64) -> TraceEntry {
-        TraceEntry {
+        TraceEntry::new(
             op,
-            stream: StreamId::from_raw(0),
+            StreamId::from_raw(0),
             engine,
-            start: SimTime::from_nanos(start),
-            end: SimTime::from_nanos(end),
-            bytes: None,
-            tag: None,
-            kernel: None,
-        }
+            SimTime::from_nanos(start),
+            SimTime::from_nanos(end),
+        )
     }
 
     #[test]
@@ -164,18 +165,9 @@ mod tests {
     }
 
     fn tagged(op: usize, engine: EngineKind, start: u64, end: u64) -> TraceEntry {
-        TraceEntry {
-            bytes: Some(64),
-            tag: Some(cocopelia_gpusim::OpTag {
-                routine: "gemm",
-                call: 0,
-                tile: (1, 2),
-                operand: None,
-                get: false,
-                set: false,
-            }),
-            ..entry(op, engine, start, end)
-        }
+        let mut e = entry(op, engine, start, end).with_bytes(64);
+        e.tag = Some(OpTag::new(Routine::Gemm, 0, (1, 2)));
+        e
     }
 
     #[test]
@@ -197,7 +189,15 @@ mod tests {
             tagged(1, EngineKind::CopyH2d, 50, 150),
         ];
         let problems = check_entries(&e).expect_err("overlapping retry");
-        assert!(problems.iter().any(|p| p.contains("overlapping retry")));
+        assert!(
+            problems.contains(
+                &"overlapping retry of `h2d 64B` (OpTag { routine: \"gemm\", call: 0, \
+                  tile: (1, 2), operand: None, get: false, set: false }): op 1 starts at 50 \
+                  before op 0 ends at 100"
+                    .to_owned()
+            ),
+            "{problems:?}"
+        );
     }
 
     #[test]

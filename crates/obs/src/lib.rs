@@ -36,16 +36,14 @@
 //! use cocopelia_gpusim::{EngineKind, SimTime, StreamId, TraceEntry};
 //! use cocopelia_obs::OverlapStats;
 //!
-//! let entries = vec![TraceEntry {
-//!     op: 0,
-//!     stream: StreamId::from_raw(0),
-//!     engine: EngineKind::CopyH2d,
-//!     start: SimTime::from_nanos(0),
-//!     end: SimTime::from_nanos(100),
-//!     bytes: Some(800),
-//!     tag: None,
-//!     kernel: None,
-//! }];
+//! let entries = vec![TraceEntry::new(
+//!     0,
+//!     StreamId::from_raw(0),
+//!     EngineKind::CopyH2d,
+//!     SimTime::from_nanos(0),
+//!     SimTime::from_nanos(100),
+//! )
+//! .with_bytes(800)];
 //! let stats = OverlapStats::from_entries(&entries);
 //! assert_eq!(stats.makespan_ns, 100);
 //! assert_eq!(stats.efficiency(), 1.0);

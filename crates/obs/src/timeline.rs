@@ -206,16 +206,13 @@ mod tests {
     use cocopelia_gpusim::{StreamId, TraceEntry};
 
     fn entry(engine: EngineKind, start: u64, end: u64) -> TraceEntry {
-        TraceEntry {
-            op: 0,
-            stream: StreamId::from_raw(0),
+        TraceEntry::new(
+            0,
+            StreamId::from_raw(0),
             engine,
-            start: SimTime::from_nanos(start),
-            end: SimTime::from_nanos(end),
-            bytes: None,
-            tag: None,
-            kernel: None,
-        }
+            SimTime::from_nanos(start),
+            SimTime::from_nanos(end),
+        )
     }
 
     fn sample_trace() -> ServeTrace {

@@ -5,7 +5,9 @@ use super::{OperandStore, RunStats, Streams, TileFetcher};
 use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::VecOperand;
-use cocopelia_gpusim::{DevVecRef, Gpu, KernelArgs, KernelShape, OpTag, OperandRole, SimScalar};
+use cocopelia_gpusim::{
+    DevVecRef, Gpu, KernelArgs, KernelShape, OpTag, OperandRole, Routine, SimScalar,
+};
 use cocopelia_hostblas::tiling::split;
 
 /// Output of a scheduled axpy.
@@ -33,12 +35,10 @@ pub(crate) fn run<T: SimScalar>(
     }
     let n = x.len();
     let tag = |chunk: usize, operand: Option<OperandRole>, get: bool, set: bool| OpTag {
-        routine: "axpy",
-        call,
-        tile: (chunk, 0),
         operand,
         get,
         set,
+        ..OpTag::new(Routine::Axpy, call, (chunk, 0))
     };
     let store_x = OperandStore::from_vec(gpu, x);
     let store_y = OperandStore::from_vec(gpu, y);

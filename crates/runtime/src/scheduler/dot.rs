@@ -11,7 +11,7 @@ use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::VecOperand;
 use cocopelia_gpusim::{
-    CopyDesc, DevVecRef, Gpu, KernelArgs, KernelShape, OpTag, OperandRole, SimScalar,
+    CopyDesc, DevVecRef, Gpu, KernelArgs, KernelShape, OpTag, OperandRole, Routine, SimScalar,
 };
 use cocopelia_hostblas::tiling::{split, TileRange};
 
@@ -39,12 +39,10 @@ pub(crate) fn run<T: SimScalar>(
     }
     let n = x.len();
     let tag = |chunk: usize, operand: Option<OperandRole>, get: bool, set: bool| OpTag {
-        routine: "dot",
-        call,
-        tile: (chunk, 0),
         operand,
         get,
         set,
+        ..OpTag::new(Routine::Dot, call, (chunk, 0))
     };
     let tiles = split(n, tile);
     let num_tiles = tiles.len().max(1);

@@ -11,7 +11,7 @@ use super::{OperandStore, RunStats, Streams, TileFetcher};
 use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::MatOperand;
-use cocopelia_gpusim::{Gpu, KernelArgs, KernelShape, OpTag, OperandRole, SimScalar};
+use cocopelia_gpusim::{Gpu, KernelArgs, KernelShape, OpTag, OperandRole, Routine, SimScalar};
 use cocopelia_hostblas::tiling::split;
 use cocopelia_hostblas::Matrix;
 
@@ -59,12 +59,10 @@ pub(crate) fn run<T: SimScalar>(
 ) -> Result<GemmRun<T>, RuntimeError> {
     let (m, n, k) = check_dims(&a, &b, &c)?;
     let tag = |tile: (usize, usize), operand: Option<OperandRole>, get: bool, set: bool| OpTag {
-        routine: "gemm",
-        call,
-        tile,
         operand,
         get,
         set,
+        ..OpTag::new(Routine::Gemm, call, tile)
     };
     let c_rows = m;
     let store_a = OperandStore::from_mat(gpu, a);

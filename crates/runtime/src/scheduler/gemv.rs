@@ -6,7 +6,9 @@ use super::{OperandStore, RunStats, Streams, TileFetcher};
 use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::{MatOperand, VecOperand};
-use cocopelia_gpusim::{DevVecRef, Gpu, KernelArgs, KernelShape, OpTag, OperandRole, SimScalar};
+use cocopelia_gpusim::{
+    DevVecRef, Gpu, KernelArgs, KernelShape, OpTag, OperandRole, Routine, SimScalar,
+};
 use cocopelia_hostblas::tiling::{split, TileRange};
 
 /// Output of a scheduled gemv.
@@ -31,12 +33,10 @@ pub(crate) fn run<T: SimScalar>(
 ) -> Result<GemvRun<T>, RuntimeError> {
     let (m, n) = (a.rows(), a.cols());
     let tag = |tile: (usize, usize), operand: Option<OperandRole>, get: bool, set: bool| OpTag {
-        routine: "gemv",
-        call,
-        tile,
         operand,
         get,
         set,
+        ..OpTag::new(Routine::Gemv, call, tile)
     };
     if x.len() != n || y.len() != m {
         return Err(RuntimeError::DimensionMismatch {

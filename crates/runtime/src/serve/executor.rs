@@ -1195,6 +1195,7 @@ impl ServeSession {
                 total_flops += r.flops;
             }
         }
+        self.drift_errs.clear();
         let report = ServeReport {
             outcomes: std::mem::take(&mut self.outcomes),
             makespan,
@@ -1556,14 +1557,11 @@ impl ServeSession {
     /// [`HEDGE_WARMUP`] drift records the base is doubled instead (cold
     /// start: trust nothing, hedge only on gross overruns).
     fn hedge_multiplier(&self, cfg: HedgeConfig) -> f64 {
-        let recs = self.drift.records();
-        if recs.len() < HEDGE_WARMUP {
+        let errs = &self.drift_errs;
+        if errs.len() < HEDGE_WARMUP {
             return cfg.multiplier * 2.0;
         }
-        let mut errs: Vec<f64> = recs.iter().map(DriftRecord::abs_rel_err).collect();
-        errs.sort_by(f64::total_cmp);
-        let p95 = errs[(errs.len() - 1) * 95 / 100];
-        cfg.multiplier * (1.0 + p95)
+        cfg.multiplier * (1.0 + p95(errs))
     }
 
     /// The retroactive hedge race after a successful primary attempt on
@@ -1826,6 +1824,9 @@ impl ServeSession {
             actual_secs,
         };
         let err = rec.abs_rel_err();
+        if self.hedge.is_some() {
+            insert_sorted(&mut self.drift_errs, err);
+        }
         self.metrics
             .histogram_observe("sched_predict_abs_err", &ABS_ERROR_BOUNDS, err);
         self.metrics.histogram_observe(
@@ -2293,4 +2294,48 @@ fn resolve_request(
             RoutineRequest::GemvF64(r)
         }
     })
+}
+
+/// Inserts `err` into `errs`, which is sorted under [`f64::total_cmp`],
+/// keeping it sorted.
+fn insert_sorted(errs: &mut Vec<f64>, err: f64) {
+    let at = errs.partition_point(|e| e.total_cmp(&err).is_le());
+    errs.insert(at, err);
+}
+
+/// The 95th percentile of non-empty `sorted` (the lower rank, so
+/// `hedge_multiplier` reads the value a sort of the same errors gives).
+fn p95(sorted: &[f64]) -> f64 {
+    sorted[(sorted.len() - 1) * 95 / 100]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sorted_insertion_reads_the_p95_of_a_sort() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in 1..200 {
+            let mut errs = Vec::new();
+            let mut all = Vec::new();
+            for _ in 0..len {
+                // Few distinct values, so ties are common.
+                let err = (next() % 64) as f64 / 16.0;
+                insert_sorted(&mut errs, err);
+                all.push(err);
+                let mut sorted = all.clone();
+                sorted.sort_by(f64::total_cmp);
+                assert_eq!(p95(&errs).to_bits(), p95(&sorted).to_bits());
+            }
+            all.sort_by(f64::total_cmp);
+            assert_eq!(errs, all);
+        }
+    }
 }

@@ -231,6 +231,10 @@ pub struct ServeSession {
     pub(super) outcomes: Vec<RequestOutcome>,
     pub(super) metrics: Registry,
     pub(super) drift: DriftAccountant,
+    /// The absolute relative errors of `drift`'s records, sorted under
+    /// [`f64::total_cmp`], so the hedge threshold reads its p95 without
+    /// sorting. Kept only while hedging is armed; empty otherwise.
+    pub(super) drift_errs: Vec<f64>,
     pub(super) next_id: u64,
     /// Devices removed from dispatch after repeated faults or loss.
     pub(super) quarantined: Vec<bool>,
@@ -334,6 +338,7 @@ impl ServeSession {
             outcomes: Vec::new(),
             metrics: Registry::new(),
             drift: DriftAccountant::new(),
+            drift_errs: Vec::new(),
             next_id: 0,
             quarantined: vec![false; count],
             fault_streak: vec![0; count],

@@ -465,7 +465,7 @@ fn drains_retire_device_traces_down_to_what_readers_need() {
         ] {
             let of = || lane.entries.iter().filter(move |e| e.engine == engine);
             let busy: u64 = of().map(|e| e.duration().as_nanos()).sum();
-            let bytes: usize = of().filter_map(|e| e.bytes).sum();
+            let bytes: usize = of().filter_map(|e| e.bytes()).sum();
             assert_eq!(kept.engine_busy(engine).as_nanos(), busy);
             assert_eq!(kept.bytes_moved(engine), bytes);
         }

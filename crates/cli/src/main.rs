@@ -503,7 +503,7 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
         kind.name(),
         spec.routine.name(spec.dtype)
     );
-    for p in &sel.evaluated {
+    for p in sel.evaluated.iter() {
         let marker = if p.tile == sel.tile {
             "  <= T_best"
         } else {

@@ -7,6 +7,7 @@
 //! constraint `T ≤ min(D1, D2, D3)/1.5` (§V-B).
 
 use crate::models::{predict, ModelCtx, ModelError, ModelKind, Prediction};
+use std::sync::Arc;
 
 /// Tiling-size selection policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,8 +35,10 @@ pub struct Selection {
     /// The winning prediction.
     pub prediction: Prediction,
     /// Every candidate evaluated, in ascending tile order (exposed so
-    /// callers can plot the predicted curve — C-INTERMEDIATE).
-    pub evaluated: Vec<Prediction>,
+    /// callers can plot the predicted curve — C-INTERMEDIATE). Shared:
+    /// clones of one selection, such as every reuse of a cached one, point
+    /// at the same curve.
+    pub evaluated: Arc<[Prediction]>,
 }
 
 impl TileSelector {
@@ -89,7 +92,7 @@ impl TileSelector {
         Ok(Selection {
             tile: best.tile,
             prediction: best,
-            evaluated,
+            evaluated: evaluated.into(),
         })
     }
 }
@@ -160,10 +163,29 @@ mod tests {
             .select(crate::models::ModelKind::DataReuse, &ctx)
             .expect("selects");
         assert!(!sel.evaluated.is_empty());
-        for e in &sel.evaluated {
+        for e in sel.evaluated.iter() {
             assert!(sel.prediction.total <= e.total + 1e-15);
         }
         assert_eq!(sel.tile, sel.prediction.tile);
+    }
+
+    #[test]
+    fn clones_share_the_evaluated_curve() {
+        let p = gemm_problem(8192);
+        let tr = transfer();
+        let ex = gemm_exec();
+        let ctx = ModelCtx {
+            problem: &p,
+            transfer: &tr,
+            exec: &ex,
+            full_kernel_time: None,
+        };
+        let sel = TileSelector::default()
+            .select(crate::models::ModelKind::DataReuse, &ctx)
+            .expect("selects");
+        let copy = sel.clone();
+        assert!(Arc::ptr_eq(&sel.evaluated, &copy.evaluated));
+        assert_eq!(copy, sel);
     }
 
     #[test]

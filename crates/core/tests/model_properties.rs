@@ -136,7 +136,7 @@ proptest! {
         let cands = selector.candidates(&ctx);
         let sel = selector.select(ModelKind::DataReuse, &ctx).expect("selects");
         prop_assert!(cands.contains(&sel.tile));
-        for e in &sel.evaluated {
+        for e in sel.evaluated.iter() {
             prop_assert!(sel.prediction.total <= e.total + 1e-15);
         }
     }

@@ -272,7 +272,7 @@ impl Gpu {
     pub fn free_device(&mut self, id: DevBufId) -> Result<(), SimError> {
         if !self.sim.idle() {
             return Err(SimError::BufferInUse {
-                what: format!("device buffer {id:?} freed while work is queued"),
+                what: format!("device buffer {} freed while work is queued", id.0),
             });
         }
         self.dev.free(id)
@@ -303,39 +303,47 @@ impl Gpu {
         Ok(self.dev.get(id)?.bytes())
     }
 
-    /// Ids of every live device buffer, in ascending allocation order.
+    /// Ids of every live device buffer, in allocation order.
     ///
-    /// This scans every allocation the device ever made; to find what one
-    /// attempt left behind, take an [`alloc_mark`](Gpu::alloc_mark) before
-    /// it and query [`live_device_buffers_since`](Gpu::live_device_buffers_since).
+    /// To find what one attempt left behind, take an
+    /// [`alloc_mark`](Gpu::alloc_mark) before it and query
+    /// [`live_device_buffers_since`](Gpu::live_device_buffers_since).
     pub fn live_device_buffers(&self) -> Vec<DevBufId> {
-        self.dev.live_since(DevBufId(0))
+        self.dev.live_since(0)
     }
 
-    /// Ids of every live host staging buffer, in ascending registration
-    /// order (the host-side counterpart of
+    /// Ids of every live host staging buffer, in registration order (the
+    /// host-side counterpart of
     /// [`live_device_buffers`](Gpu::live_device_buffers)).
     pub fn live_host_buffers(&self) -> Vec<HostBufId> {
-        self.host.live_since(HostBufId(0))
+        self.host.live_since(0)
     }
 
-    /// The current point in this device's allocation history: the ids the
-    /// next device allocation and host registration will receive.
+    /// The current point in this device's allocation history: every
+    /// device allocation and host registration made from now on counts as
+    /// made at or after the mark, even when it reuses an older buffer's
+    /// slot.
     pub fn alloc_mark(&self) -> AllocMark {
         AllocMark {
-            dev: self.dev.next_id(),
-            host: self.host.next_id(),
+            dev: self.dev.next_seq(),
+            host: self.host.next_seq(),
         }
     }
 
+    /// Whether live device buffer `id` was allocated at or after `mark`;
+    /// `false` once it is freed.
+    pub fn allocated_since(&self, mark: AllocMark, id: DevBufId) -> bool {
+        self.dev.seq(id).is_some_and(|seq| seq >= mark.dev)
+    }
+
     /// Ids of the device buffers alive now that were allocated at or after
-    /// `mark`, ascending. Scans only the allocations made since the mark.
+    /// `mark`, in allocation order.
     pub fn live_device_buffers_since(&self, mark: AllocMark) -> Vec<DevBufId> {
         self.dev.live_since(mark.dev)
     }
 
     /// Ids of the host buffers alive now that were registered at or after
-    /// `mark`, ascending. Scans only the registrations made since the mark.
+    /// `mark`, in registration order.
     pub fn live_host_buffers_since(&self, mark: AllocMark) -> Vec<HostBufId> {
         self.host.live_since(mark.host)
     }
@@ -851,24 +859,33 @@ mod tests {
         let mark = gpu.alloc_mark();
         assert!(gpu.live_device_buffers_since(mark).is_empty());
         assert!(gpu.live_host_buffers_since(mark).is_empty());
-        // After it: buffers freed again are not reported, the rest are,
-        // ascending, and the pre-mark survivors never are.
+        // After it: buffers freed again are not reported, the rest are, in
+        // allocation order — also the first, which reuses the slot freed
+        // before the mark — and the pre-mark survivor never is.
         let d = [alloc(&mut gpu), alloc(&mut gpu), alloc(&mut gpu)];
+        assert_eq!(d[0].0.slot(), d_freed.0.slot());
         gpu.free_device(d[1]).expect("free");
         assert_eq!(gpu.live_device_buffers_since(mark), vec![d[0], d[2]]);
-        assert!(d.iter().all(|&b| b >= mark.dev) && d_kept < mark.dev);
+        assert!(gpu.allocated_since(mark, d[0]) && gpu.allocated_since(mark, d[2]));
+        assert!(
+            !gpu.allocated_since(mark, d_kept),
+            "allocated before the mark"
+        );
+        assert!(!gpu.allocated_since(mark, d[1]) && !gpu.allocated_since(mark, d_freed));
         assert_eq!(gpu.live_device_buffers(), vec![d_kept, d[0], d[2]]);
         // Device allocations do not move the host side, and vice versa.
         assert!(gpu.live_host_buffers_since(mark).is_empty());
         assert_eq!(gpu.alloc_mark().host, mark.host);
         let dev_mark = gpu.alloc_mark();
         let h = [register(&mut gpu), register(&mut gpu)];
+        assert_eq!(h[0].0.slot(), h_freed.0.slot());
         gpu.take_host(h[0]).expect("take");
         assert_eq!(gpu.live_host_buffers_since(mark), vec![h[1]]);
         assert_eq!(gpu.alloc_mark().dev, dev_mark.dev);
         assert!(gpu.live_device_buffers_since(dev_mark).is_empty());
         assert_eq!(gpu.live_host_buffers(), vec![h_kept, h[1]]);
-        // Ids are never reused: stale ids stay unknown.
+        // Stale ids stay unknown, also once a later buffer reuses their
+        // slot.
         assert!(matches!(
             gpu.free_device(d[1]),
             Err(SimError::UnknownBuffer { .. })
@@ -877,6 +894,27 @@ mod tests {
             gpu.take_host(h[0]),
             Err(SimError::UnknownBuffer { .. })
         ));
+        let reuse_d = alloc(&mut gpu);
+        let reuse_h = register(&mut gpu);
+        assert_eq!(reuse_d.0.slot(), d[1].0.slot());
+        assert_eq!(reuse_h.0.slot(), h[0].0.slot());
+        for stale in [d_freed, d[1]] {
+            assert!(matches!(
+                gpu.free_device(stale),
+                Err(SimError::UnknownBuffer { .. })
+            ));
+            assert!(gpu.device_buffer_bytes(stale).is_err());
+        }
+        for stale in [h_freed, h[0]] {
+            assert!(matches!(
+                gpu.take_host(stale),
+                Err(SimError::UnknownBuffer { .. })
+            ));
+        }
+        gpu.free_device(reuse_d).expect("free");
+        assert!(gpu.free_device(reuse_d).is_err(), "double free");
+        gpu.take_host(reuse_h).expect("take");
+        assert!(gpu.take_host(reuse_h).is_err(), "double take");
     }
 
     #[test]

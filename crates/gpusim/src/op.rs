@@ -423,14 +423,14 @@ mod tests {
     #[test]
     fn copy_shape_mismatch_rejected() {
         let desc = CopyDesc {
-            host: HostBufId(0),
+            host: HostBufId(Default::default()),
             host_region: Region2d {
                 offset: 0,
                 ld: 4,
                 rows: 4,
                 cols: 2,
             },
-            dev: DevBufId(0),
+            dev: DevBufId(Default::default()),
             dev_region: Region2d {
                 offset: 0,
                 ld: 4,

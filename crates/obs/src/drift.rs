@@ -148,10 +148,13 @@ impl ModelErrorStats {
 /// Accumulates [`DriftRecord`]s and aggregates them per model.
 #[derive(Debug, Clone, Default)]
 pub struct DriftAccountant {
+    /// Records not yet retired ([`retire_records`](Self::retire_records)).
     records: Vec<DriftRecord>,
+    /// Every record ever scored, retired or not.
+    count: u64,
     per_model: BTreeMap<&'static str, ModelErrorStats>,
     /// Sum of every record's absolute relative error, added in record
-    /// order, so the running mean is the fold over `records` bit for bit.
+    /// order, so the running mean is the fold over all records bit for bit.
     sum_abs: f64,
 }
 
@@ -170,22 +173,37 @@ impl DriftAccountant {
         stats.signed_hist.observe(rec.signed_rel_err());
         stats.abs_hist.observe(rec.abs_rel_err());
         self.sum_abs += rec.abs_rel_err();
+        self.count += 1;
         self.records.push(rec);
     }
 
-    /// Mean absolute relative error over every record, all models
-    /// together; `0.0` before the first record. O(1): a running total.
+    /// Mean absolute relative error over every record ever scored, all
+    /// models together, retired ones included; `0.0` before the first
+    /// record. O(1): a running total.
     pub fn mean_abs_err(&self) -> f64 {
-        if self.records.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            self.sum_abs / self.records.len() as f64
+            self.sum_abs / self.count as f64
         }
     }
 
-    /// Every record, in arrival order.
+    /// Records scored so far, retired ones included.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The records not yet retired, in arrival order: every record unless
+    /// [`retire_records`](Self::retire_records) ran.
     pub fn records(&self) -> &[DriftRecord] {
         &self.records
+    }
+
+    /// Drops the individual records, keeping the count and every
+    /// aggregate: [`mean_abs_err`](Self::mean_abs_err), the per-model
+    /// stats and [`render`](Self::render) read the same afterwards.
+    pub fn retire_records(&mut self) {
+        self.records.clear();
     }
 
     /// Aggregated stats for one model, if it was ever scored.
@@ -299,6 +317,26 @@ mod tests {
         let recs = acc.records();
         let fold = recs.iter().map(DriftRecord::abs_rel_err).sum::<f64>() / recs.len() as f64;
         assert_eq!(acc.mean_abs_err().to_bits(), fold.to_bits());
+    }
+
+    #[test]
+    fn retiring_records_keeps_count_and_aggregates() {
+        let mut acc = DriftAccountant::new();
+        let mut twin = DriftAccountant::new();
+        for (i, model) in ModelKind::all().into_iter().cycle().take(40).enumerate() {
+            let r = rec(model, 1.0 + i as f64 * 0.03, 1.1);
+            acc.record(r.clone());
+            twin.record(r);
+            if i % 9 == 0 {
+                acc.retire_records();
+            }
+        }
+        acc.retire_records();
+        assert!(acc.records().is_empty());
+        assert_eq!(acc.count(), 40);
+        assert_eq!(twin.count(), 40);
+        assert_eq!(acc.mean_abs_err().to_bits(), twin.mean_abs_err().to_bits());
+        assert_eq!(acc.render(), twin.render());
     }
 
     #[test]

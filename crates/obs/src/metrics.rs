@@ -172,7 +172,13 @@ impl Registry {
 
     /// Adds `v` to the counter `name`, creating it at zero if absent.
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += v;
+        // Look up before inserting: the key is allocated once, on first use.
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_owned(), v);
+            }
+        }
     }
 
     /// Current value of counter `name` (0 if never touched).
@@ -184,8 +190,14 @@ impl Registry {
     /// last-value-wins, unlike monotonic counters). Non-finite values are
     /// ignored, mirroring the histogram NaN policy.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        if v.is_finite() {
-            self.gauges.insert(name.to_owned(), v);
+        if !v.is_finite() {
+            return;
+        }
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(name.to_owned(), v);
+            }
         }
     }
 
@@ -202,10 +214,14 @@ impl Registry {
     /// Records `v` into histogram `name`, creating it with `bounds` if
     /// absent (later calls ignore `bounds`).
     pub fn histogram_observe(&mut self, name: &str, bounds: &[f64], v: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()))
-            .observe(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::new(bounds.to_vec());
+                h.observe(v);
+                self.histograms.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// The histogram `name`, if any observation created it.

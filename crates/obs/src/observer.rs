@@ -34,6 +34,8 @@ pub struct CallObservation<'a> {
     pub elapsed_secs: f64,
     /// Trace entries the call produced.
     pub entries: &'a [TraceEntry],
+    /// Overlap statistics of `entries`, computed once by the caller.
+    pub overlap: OverlapStats,
     /// Tile-cache hits during the call (reused device tiles).
     pub tile_hits: u64,
     /// Tile-cache misses during the call (fresh fetches/allocations).
@@ -66,8 +68,13 @@ pub struct CallSummary {
 pub struct Observer {
     metrics: Registry,
     drift: DriftAccountant,
+    /// Summaries of the calls since the last
+    /// [`retire_history`](Observer::retire_history).
     calls: Vec<CallSummary>,
     next_call: u64,
+    /// Scratch space for per-routine and per-model counter names, so a
+    /// call builds no new string once its counters exist.
+    key: String,
 }
 
 impl Observer {
@@ -86,10 +93,9 @@ impl Observer {
     /// Ingests one finished call: updates counters, histograms, drift
     /// aggregates, and the per-call summary list.
     pub fn observe_call(&mut self, obs: CallObservation<'_>) {
-        let overlap = OverlapStats::from_entries(obs.entries);
+        let overlap = obs.overlap;
         self.metrics.counter_add("calls_total", 1);
-        self.metrics
-            .counter_add(&format!("calls_{}", obs.routine), 1);
+        self.counter_add_named("calls_", obs.routine, 1);
         self.metrics
             .counter_add("subkernels_total", obs.subkernels as u64);
         let h2d_bytes: u64 = engine_bytes(obs.entries, EngineKind::CopyH2d);
@@ -111,8 +117,7 @@ impl Observer {
         self.metrics
             .counter_add("tile_cache_misses_total", obs.tile_misses);
         if let Some(model) = obs.model {
-            self.metrics
-                .counter_add(&format!("tile_selections_{}", model.name()), 1);
+            self.counter_add_named("tile_selections_", model.name(), 1);
         }
         self.metrics.histogram_observe(
             "overlap_efficiency",
@@ -131,6 +136,26 @@ impl Observer {
             elapsed_secs: obs.elapsed_secs,
             overlap,
         });
+    }
+
+    /// Adds `v` to the counter `{prefix}{name}`, spelling the name in the
+    /// reused scratch string.
+    fn counter_add_named(&mut self, prefix: &str, name: &str, v: u64) {
+        self.key.clear();
+        self.key.push_str(prefix);
+        self.key.push_str(name);
+        self.metrics.counter_add(&self.key, v);
+    }
+
+    /// Drops the per-call history — the call summaries and the drift
+    /// records — and keeps everything aggregated: counters, histograms,
+    /// the per-model drift stats with their record count, and the call-id
+    /// counter. For an observer whose calls nobody reads one by one, such
+    /// as a serving pool device's, whose history would otherwise grow with
+    /// every request.
+    pub fn retire_history(&mut self) {
+        self.calls.clear();
+        self.drift.retire_records();
     }
 
     /// Records a selection-cache lookup (model-reuse cache of §IV-C).
@@ -153,7 +178,8 @@ impl Observer {
         &self.drift
     }
 
-    /// Per-call summaries, in call order.
+    /// Per-call summaries since the last
+    /// [`retire_history`](Self::retire_history), in call order.
     pub fn calls(&self) -> &[CallSummary] {
         &self.calls
     }
@@ -220,7 +246,7 @@ impl Observer {
         }
         let _ = writeln!(out, "\n== metrics ==");
         out.push_str(&self.metrics.render());
-        if !self.drift.records().is_empty() {
+        if self.drift.count() > 0 {
             let _ = writeln!(out, "\n== prediction drift ==");
             out.push_str(&self.drift.render());
         }
@@ -273,6 +299,7 @@ mod tests {
             subkernels: 8,
             elapsed_secs: 1e-7,
             entries: &entries,
+            overlap: OverlapStats::from_entries(&entries),
             tile_hits: 3,
             tile_misses: 5,
             drift: vec![],
@@ -289,6 +316,48 @@ mod tests {
             .histogram("overlap_efficiency")
             .expect("observed");
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn retired_history_keeps_aggregates_and_call_ids() {
+        let observe = |obs: &mut Observer| {
+            let call = obs.next_call_id();
+            let entries = [entry(EngineKind::CopyH2d, 0, 100, Some(64))];
+            obs.observe_call(CallObservation {
+                routine: "dot",
+                call,
+                tile: 1024,
+                model: Some(ModelKind::Bts),
+                subkernels: 2,
+                elapsed_secs: 1e-7,
+                entries: &entries,
+                overlap: OverlapStats::from_entries(&entries),
+                tile_hits: 0,
+                tile_misses: 2,
+                drift: vec![DriftRecord {
+                    routine: "dot",
+                    call,
+                    model: ModelKind::Bts,
+                    tile: 1024,
+                    predicted_secs: 1.2e-7,
+                    actual_secs: 1e-7,
+                }],
+            });
+        };
+        let (mut retired, mut kept) = (Observer::new(), Observer::new());
+        for _ in 0..3 {
+            observe(&mut retired);
+            observe(&mut kept);
+            retired.retire_history();
+        }
+        assert!(retired.calls().is_empty());
+        assert!(retired.drift().records().is_empty());
+        assert_eq!(retired.drift().count(), 3);
+        assert_eq!(kept.calls().len(), 3);
+        assert_eq!(retired.metrics().render(), kept.metrics().render());
+        assert_eq!(retired.drift().render(), kept.drift().render());
+        assert!(retired.render().contains("== prediction drift =="));
+        assert_eq!(retired.next_call_id(), kept.next_call_id());
     }
 
     #[test]
@@ -321,6 +390,7 @@ mod tests {
             subkernels: 4,
             elapsed_secs: 0.001,
             entries: &[],
+            overlap: OverlapStats::default(),
             tile_hits: 0,
             tile_misses: 8,
             drift: vec![],

@@ -330,6 +330,7 @@ impl Cocopelia {
             subkernels: run.subkernels,
             elapsed_secs: actual_secs,
             entries,
+            overlap,
             tile_hits: run.tile_hits,
             tile_misses: run.tile_misses,
             drift: drift.clone(),

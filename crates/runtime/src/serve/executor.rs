@@ -1323,7 +1323,7 @@ impl ServeSession {
                     .gpu_mut()
                     .advance_clock(SimTime::from_nanos(behind));
             }
-            // Whatever this attempt allocates gets an id at or past the
+            // Whatever this attempt allocates counts as allocated since the
             // mark: leak checks and a cancelled hedge free back to it.
             let mark = self.pool.devices()[d].gpu().alloc_mark();
             // Predicted duration of this attempt: the placement price
@@ -1499,12 +1499,18 @@ impl ServeSession {
     /// ([`ServeTracer::retire_floor`](crate::serve::trace::ServeTracer::retire_floor);
     /// everything when untraced), so a device holds only the entries some
     /// reader still needs while [`Trace::len`](cocopelia_gpusim::Trace::len)
-    /// and the per-engine totals keep counting all of them.
+    /// and the per-engine totals keep counting all of them. Each device's
+    /// observer drops its per-call history the same way
+    /// ([`Observer::retire_history`](cocopelia_obs::Observer::retire_history)):
+    /// serving reads outcomes and the session's own drift, never a pool
+    /// device's call log, and its counters keep counting.
     fn retire_traces(&mut self) {
         for d in 0..self.pool.device_count() {
             let len = self.pool.devices()[d].gpu().trace().len();
             let floor = self.tracer.as_ref().map_or(len, |t| t.retire_floor(d, len));
-            self.pool.device_mut(d).gpu_mut().retire_trace(floor);
+            let dev = self.pool.device_mut(d);
+            dev.gpu_mut().retire_trace(floor);
+            dev.observer_mut().retire_history();
         }
     }
 
@@ -1739,9 +1745,10 @@ impl ServeSession {
     fn rollback_cancelled(&mut self, dev: usize, req: &RoutineRequest, mark: AllocMark) {
         let mut rolled_back_bytes = 0u64;
         for key in req.shared_keys() {
+            let gpu = self.pool.devices()[dev].gpu();
             let fresh = self.residency[dev]
                 .buffer_of(key)
-                .is_some_and(|b| b >= mark.dev);
+                .is_some_and(|b| gpu.allocated_since(mark, b));
             if fresh {
                 if let Some(e) = self.residency[dev].remove(key) {
                     rolled_back_bytes += e.bytes as u64;
@@ -2133,10 +2140,11 @@ impl ServeSession {
     /// at or after `mark` and not adopted by the cache (operands the
     /// attempt successfully resolved stay warm for later requests).
     fn release_leaked(&mut self, d: usize, mark: AllocMark) {
+        let gpu = self.pool.devices()[d].gpu();
         let cached: BTreeSet<DevBufId> = self.residency[d]
             .device_buffers()
             .into_iter()
-            .filter(|&b| b >= mark.dev)
+            .filter(|&b| gpu.allocated_since(mark, b))
             .collect();
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();

@@ -108,6 +108,18 @@ fn selection_cache_reuses_model_across_calls() {
         "same parameter set reuses the model"
     );
     assert_eq!(first.report.tile, second.report.tile);
+    // Every reuse shares the cached selection's curve instead of copying it.
+    let curve = |r: &cocopelia_runtime::RoutineReport| {
+        r.selection
+            .as_ref()
+            .expect("auto selects")
+            .evaluated
+            .clone()
+    };
+    assert!(std::sync::Arc::ptr_eq(
+        &curve(&first.report),
+        &curve(&second.report)
+    ));
     // A different location combination is a different model instance.
     let dev = ctx.alloc_matrix(Dtype::F64, 2048, 2048).expect("alloc");
     GemmRequest::<f64>::new(
@@ -301,7 +313,7 @@ fn select_tile_agrees_with_direct_model_evaluation() {
         .select_tile(&problem, ModelKind::DataReuse)
         .expect("selects");
     // The winner must be the argmin of the evaluated curve.
-    for e in &sel.evaluated {
+    for e in sel.evaluated.iter() {
         assert!(sel.prediction.total <= e.total + 1e-15);
     }
 }

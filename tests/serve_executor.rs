@@ -5,7 +5,9 @@
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
+use cocopelia_core::{ExecTable, RoutineClass};
 use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, TestbedSpec};
+use cocopelia_hostblas::Dtype;
 use cocopelia_obs::{check_spans, SpanPhase};
 use cocopelia_runtime::serve::{
     ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
@@ -431,6 +433,60 @@ fn drain_axpys(opts: ServeOptions, count: usize) -> (ServeReport, ServeSession) 
     }
     let report = exec.drain();
     (report, exec)
+}
+
+#[test]
+fn drains_retire_device_observer_history_but_keep_its_counts() {
+    const REQUESTS: usize = 2_000;
+    let n = 1 << 12;
+    let tb = small_tb(256 * MB);
+    // An axpy exec table, so every call is scored and leaves drift records.
+    let mut profile = dummy_profile();
+    profile.insert_exec(
+        RoutineClass::Axpy,
+        Dtype::F64,
+        ExecTable::new(vec![(n, 2e-6)]),
+    );
+    let axpy = || {
+        AxpyRequest::<f64>::new(
+            VecOperand::HostGhost { len: n },
+            VecOperand::HostGhost { len: n },
+        )
+        .alpha(2.0)
+        .tile(TileChoice::Fixed(n))
+    };
+    let devices = || MultiGpu::new(&tb, 2, ExecMode::TimingOnly, 42, profile.clone());
+    let mut exec = ServeSession::new(devices(), ExecutorConfig::default());
+    for _ in 0..REQUESTS {
+        exec.submit(axpy());
+    }
+    let report = exec.drain();
+    assert_eq!(report.completed(), REQUESTS);
+    // The twin keeps its history: the same calls, on the same devices,
+    // run straight through each device's handle.
+    let mut twin = devices();
+    for o in &report.outcomes {
+        let d = o.device.expect("every request ran");
+        twin.devices_mut()[d].submit(axpy()).expect("runs");
+    }
+    let mut kept_calls = 0;
+    for (d, (served, kept)) in exec.pool().devices().iter().zip(twin.devices()).enumerate() {
+        let (served, kept) = (served.observer(), kept.observer());
+        assert!(served.calls().is_empty(), "dev{d} keeps call summaries");
+        assert!(served.drift().records().is_empty(), "dev{d} keeps drift");
+        assert!(!kept.calls().is_empty(), "dev{d} served nothing");
+        assert_eq!(kept.drift().count(), kept.drift().records().len() as u64);
+        assert_eq!(served.drift().count(), kept.drift().count(), "dev{d}");
+        assert_eq!(
+            served.drift().mean_abs_err().to_bits(),
+            kept.drift().mean_abs_err().to_bits()
+        );
+        assert_eq!(served.drift().render(), kept.drift().render(), "dev{d}");
+        // Counters and histograms alike.
+        assert_eq!(served.metrics().render(), kept.metrics().render(), "dev{d}");
+        kept_calls += kept.calls().len();
+    }
+    assert_eq!(kept_calls, REQUESTS);
 }
 
 #[test]

@@ -13,6 +13,10 @@ use cocopelia_runtime::{
 };
 use serde::Value;
 
+#[path = "support/golden.rs"]
+mod golden;
+use golden::assert_golden;
+
 /// A deterministic pipeline with no deployed exec tables — fixed tiles only.
 fn pipeline_in(mode: ExecMode) -> Cocopelia {
     let mut tb = testbed_i();
@@ -308,27 +312,6 @@ fn tagged_functional_run() -> Vec<TraceEntry> {
     ctx.gpu().trace().entries().to_vec()
 }
 
-/// Compares `text` with the committed file `tests/golden/<name>` byte for
-/// byte. With `GOLDEN_BLESS=1` set, rewrites the file instead.
-fn assert_golden(name: &str, text: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden")
-        .join(name);
-    if std::env::var_os("GOLDEN_BLESS").is_some() {
-        std::fs::write(&path, text).expect("golden file written");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("golden file exists");
-    let first_diff = text.lines().zip(golden.lines()).position(|(a, b)| a != b);
-    assert!(
-        text == golden,
-        "{name} differs from the pinned export (first differing line: {first_diff:?}, \
-         lengths {} vs {})",
-        text.len(),
-        golden.len()
-    );
-}
-
 /// The JSON-lines and Chrome exports of a tagged run render the labels,
 /// byte counts and tags they rendered when the files were pinned.
 #[test]
@@ -341,5 +324,42 @@ fn pinned_trace_exports_are_unchanged() {
     assert_golden(
         "tagged_run.chrome.json",
         &export::to_chrome_trace(&entries).expect("exports"),
+    );
+}
+
+/// A noisy multi-stream baseline run on one device: cuBLASXt on a 4×4×4
+/// tile grid, then BLASX at the same tile. Its trace carries cross-stream
+/// event waits and seeded transfer and kernel noise.
+fn noisy_baseline_run() -> Vec<TraceEntry> {
+    let n = 1024;
+    let mut gpu = Gpu::new(testbed_i(), ExecMode::TimingOnly, 11);
+    cocopelia_baselines::cublasxt::gemm::<f64>(
+        &mut gpu,
+        1.0,
+        ghost(n, n),
+        ghost(n, n),
+        1.0,
+        ghost(n, n),
+        n / 4,
+    )
+    .expect("cublasxt runs");
+    let mut blasx = cocopelia_baselines::Blasx::with_tile(gpu, n / 4);
+    blasx
+        .gemm::<f64>(1.0, ghost(n, n), ghost(n, n), 1.0, ghost(n, n))
+        .expect("blasx runs");
+    blasx.gpu().trace().entries().to_vec()
+}
+
+/// The JSON-lines export of the noisy baseline run is what it was when
+/// pinned: op ids count every enqueue (event records and waits included),
+/// streams arbitrate in the same order and noise is drawn in the same
+/// order.
+#[test]
+fn pinned_noisy_baseline_trace_is_unchanged() {
+    let entries = noisy_baseline_run();
+    assert!(entries.len() > 64 * 4, "{} entries", entries.len());
+    assert_golden(
+        "noisy_baseline_run.jsonl",
+        &export::to_jsonl(&entries).expect("exports"),
     );
 }

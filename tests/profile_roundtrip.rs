@@ -6,8 +6,12 @@ use cocopelia_core::models::{predict, ModelCtx, ModelKind};
 use cocopelia_core::params::{Loc, ProblemSpec};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_deploy::{deploy, DeployConfig};
-use cocopelia_gpusim::{testbed_i, NoiseSpec};
+use cocopelia_gpusim::{testbed_i, testbed_ii, NoiseSpec};
 use cocopelia_hostblas::Dtype;
+
+#[path = "support/golden.rs"]
+mod golden;
+use golden::assert_golden;
 
 fn deployed_profile() -> SystemProfile {
     let mut tb = testbed_i();
@@ -114,4 +118,19 @@ fn deployment_is_reproducible_per_seed() {
         a.profile.transfer, c.profile.transfer,
         "different seed, different noise"
     );
+}
+
+/// The paper deployment (`DeployConfig::paper()`, noisy testbeds) still
+/// produces, byte for byte, the reports it produced when they were pinned:
+/// every transfer fit and exec-table entry comes out of the simulator, so
+/// any change to its timing or noise draws shows here.
+#[test]
+fn paper_deployment_reports_are_unchanged() {
+    for (name, tb) in [("i", testbed_i()), ("ii", testbed_ii())] {
+        let report = deploy(&tb, &DeployConfig::paper()).expect("deploys");
+        assert_golden(
+            &format!("paper_deployment_testbed_{name}.json"),
+            &serde_json::to_string_pretty(&report).expect("serializes"),
+        );
+    }
 }

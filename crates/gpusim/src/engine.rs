@@ -13,8 +13,8 @@
 //! * While both directions are in their work phase simultaneously, each
 //!   direction's rate drops by its configured bidirectional slowdown — this
 //!   is the ground-truth mechanism behind the paper's Eq. 3.
-//! * `EventRecord`/`EventWait` ops are instantaneous and provide
-//!   cross-stream ordering.
+//! * Event records and waits are *instant* ops: they take no time, use no
+//!   engine and provide cross-stream ordering.
 //!
 //! The loop alternates two steps: [`Sim::stabilize`] (process everything
 //! that can happen *now*: instant ops, issuing queued ops to idle engines)
@@ -24,30 +24,39 @@
 //!
 //! # Op lifecycle
 //!
-//! An enqueued op is a 24-byte `Copy` record ([`Op`]): stream, issued
-//! flag, interned tag, the link to the next op on its stream and its
-//! [`OpKind`] packed into a one-byte code plus a `u64` argument (a copy's
-//! bytes, or the side-table slot of a kernel shape or event). Once the
-//! simulator is idle every op has completed, so the op, kernel, event and
-//! tag tables are retired together; a global `base` offset keeps op ids
-//! (and so [`TraceEntry::op`]) in enqueue order across retirements. Only
-//! the [`Trace`] outlives a batch, and its consumed prefix is retired on
-//! demand into exact per-engine totals ([`Sim::retire_trace`]).
+//! An enqueued engine op (a copy or a kernel) is a 24-byte [`Op`]: its
+//! batch sequence number, issued flag, interned tag, the link to the next
+//! op on its stream and its [`OpKind`] packed into a one-byte code plus a
+//! `u64` argument (a copy's bytes, or the side-table slot of a kernel
+//! shape). An event record or wait is an 8-byte [`InstantOp`]: its event
+//! slot, with a record/wait bit, and its link. An op's global id is the
+//! batch's first id plus its sequence number, so ids (and so
+//! [`TraceEntry::op`]) count every enqueue, instants included. Once the
+//! simulator is idle every op has completed, so the op, instant, kernel,
+//! event and tag tables are retired together; a global `base` offset,
+//! advanced by the batch's enqueue count, keeps ids in enqueue order
+//! across retirements. Only the [`Trace`] outlives a batch, and its
+//! consumed prefix is retired on demand into exact per-engine totals
+//! ([`Sim::retire_trace`]).
 //!
-//! A batch's storage grows without moving. The op table is a list of
-//! fixed [`OP_CHUNK`]-op chunks: the first grows like a `Vec` (small
-//! batches stay small) and is the only one kept at retirement, later ones
-//! are allocated full-size once. A stream owns no heap memory: it is the
-//! batch-relative `(head, tail)` of a FIFO linked through [`Op::next`].
-//! The engine ops a batch enqueues are counted, so [`Sim::run_to_idle`]
-//! reserves the trace entries they will record in one step.
+//! A batch's storage grows without moving. Engine ops and instants live
+//! in two [`OpTable`]s, each a list of fixed [`OP_CHUNK`]-record chunks:
+//! the first is allocated at the table's first push and grows like a
+//! `Vec` (small batches stay small), and is the only one kept at
+//! retirement; later ones are allocated full-size once. A stream owns no
+//! heap memory: it is the `(head, tail)` of a FIFO of `u32` links, each a
+//! batch-relative index whose top bit ([`INSTANT_LINK`]) selects the
+//! instant table. An op's stream is not stored: the stream walk knows it,
+//! and it travels with the op on the engine queue. The engine table's
+//! length is the number of trace entries the batch will record, so
+//! [`Sim::run_to_idle`] reserves them in one step.
 //!
 //! Streams are never destroyed, so the loop keeps the ascending ids of the
 //! non-empty ones (`busy`): [`Sim::stabilize`], [`Sim::idle`] and
 //! [`Sim::abort_all`] cost O(busy streams), not O(streams ever created).
 
 use crate::kernel::KernelShape;
-use crate::op::{EventId, Op, OpId, OpKind, StreamId};
+use crate::op::{EventId, InstantOp, Op, OpId, OpKind, StreamId};
 use crate::spec::{LinkSpec, NoiseSpec};
 use crate::time::SimTime;
 use crate::trace::{EngineKind, OpTag, Trace, TraceEntry};
@@ -64,9 +73,13 @@ const BYTES_EPS: f64 = 1e-6;
 /// its footprint for the life of the device.
 pub(crate) const RETAINED_CAPACITY: usize = 4096;
 
-/// Ops per chunk of the op table. The first chunk is the one retirement
-/// keeps, so it is the retained capacity.
+/// Records per chunk of an [`OpTable`]. The first chunk is the one
+/// retirement keeps, so it is the retained capacity.
 const OP_CHUNK: usize = RETAINED_CAPACITY;
+
+/// The bit of a stream-FIFO link that selects the instant table; the
+/// other 31 bits are the batch-relative index into the selected table.
+const INSTANT_LINK: u32 = 1 << 31;
 
 /// The engines in their fixed processing order.
 const ENGINES: [EngineKind; 3] = [
@@ -84,9 +97,16 @@ enum Phase {
     Work { remaining: f64 },
 }
 
+/// An engine op off its stream: its op-table index and its stream.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    idx: u32,
+    stream: u32,
+}
+
 #[derive(Debug)]
 struct ActiveOp {
-    op: OpId,
+    op: Queued,
     phase: Phase,
     /// Bytes of the work phase (copies) or duration in seconds (kernels).
     work_total: f64,
@@ -99,7 +119,7 @@ struct ActiveOp {
 
 #[derive(Debug, Default)]
 struct Engine {
-    queue: VecDeque<OpId>,
+    queue: VecDeque<Queued>,
     active: Option<ActiveOp>,
 }
 
@@ -115,56 +135,67 @@ fn retire_table<T>(table: &mut Vec<T>) {
     table.shrink_to(RETAINED_CAPACITY);
 }
 
-/// The pending ops of one batch, indexed by batch-relative position, in
-/// [`OP_CHUNK`]-op chunks so that appending never moves a stored op.
+/// The pending records (engine ops or instants) of one batch, indexed by
+/// batch-relative position, in [`OP_CHUNK`]-record chunks so that
+/// appending never moves a stored record. Allocates nothing before its
+/// first push.
 #[derive(Debug)]
-struct OpTable {
-    /// Never empty; every chunk but the last is full.
-    chunks: Vec<Vec<Op>>,
+struct OpTable<T> {
+    /// Every chunk but the last is full.
+    chunks: Vec<Vec<T>>,
 }
 
-impl OpTable {
+impl<T> OpTable<T> {
     fn new() -> Self {
-        OpTable {
-            chunks: vec![Vec::new()],
-        }
+        OpTable { chunks: Vec::new() }
     }
 
     fn len(&self) -> usize {
-        let last = self.chunks.last().expect("op table has a first chunk");
-        (self.chunks.len() - 1) * OP_CHUNK + last.len()
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * OP_CHUNK + last.len())
     }
 
-    /// Appends `op` and returns its batch-relative index.
-    fn push(&mut self, op: Op) -> u32 {
+    /// Appends `rec` and returns its batch-relative index.
+    ///
+    /// # Panics
+    ///
+    /// If the index would not fit in a stream-FIFO link (31 bits).
+    fn push(&mut self, rec: T) -> u32 {
         let idx = idx32(self.len());
-        let mut last = self.chunks.last_mut().expect("op table has a first chunk");
-        if last.len() == OP_CHUNK {
-            self.chunks.push(Vec::with_capacity(OP_CHUNK));
-            last = self.chunks.last_mut().expect("chunk just pushed");
+        assert!(idx < INSTANT_LINK, "pending-table index exceeds 31 bits");
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < OP_CHUNK => last.push(rec),
+            Some(_) => {
+                let mut chunk = Vec::with_capacity(OP_CHUNK);
+                chunk.push(rec);
+                self.chunks.push(chunk);
+            }
+            None => self.chunks.push(vec![rec]),
         }
-        last.push(op);
         idx
     }
 
-    /// Drops every op, keeping only the first chunk's storage.
+    /// Drops every record, keeping only the first chunk's storage.
     fn retire(&mut self) {
         self.chunks.truncate(1);
-        retire_table(&mut self.chunks[0]);
+        if let Some(first) = self.chunks.first_mut() {
+            retire_table(first);
+        }
     }
 }
 
-impl std::ops::Index<u32> for OpTable {
-    type Output = Op;
+impl<T> std::ops::Index<u32> for OpTable<T> {
+    type Output = T;
 
-    fn index(&self, idx: u32) -> &Op {
+    fn index(&self, idx: u32) -> &T {
         let idx = idx as usize;
         &self.chunks[idx / OP_CHUNK][idx % OP_CHUNK]
     }
 }
 
-impl std::ops::IndexMut<u32> for OpTable {
-    fn index_mut(&mut self, idx: u32) -> &mut Op {
+impl<T> std::ops::IndexMut<u32> for OpTable<T> {
+    fn index_mut(&mut self, idx: u32) -> &mut T {
         let idx = idx as usize;
         &mut self.chunks[idx / OP_CHUNK][idx % OP_CHUNK]
     }
@@ -175,13 +206,15 @@ impl std::ops::IndexMut<u32> for OpTable {
 #[derive(Debug)]
 pub(crate) struct Sim {
     now_ns: u64,
-    /// Global id of `ops[0]`.
+    /// Global id of the batch's first op.
     base: OpId,
-    /// Ops enqueued since the last retirement, indexed by `id - base`.
-    ops: OpTable,
-    /// Engine (non-instant) ops among `ops`: the trace entries the batch
-    /// will record.
-    engine_ops: usize,
+    /// Ops (engine and instant) enqueued since the last retirement.
+    enqueued: usize,
+    /// Engine ops enqueued since the last retirement: the trace entries
+    /// the batch will record.
+    ops: OpTable<Op>,
+    /// Event records and waits enqueued since the last retirement.
+    instants: OpTable<InstantOp>,
     /// `(shape, noise-free seconds)` of each pending kernel.
     kernels: Vec<(KernelShape, f64)>,
     /// Interned routine tags of pending ops: op tag `i > 0` is
@@ -189,9 +222,10 @@ pub(crate) struct Sim {
     tags: Vec<OpTag>,
     /// Interned index of the ambient tag (0 = untagged).
     cur_tag: u32,
-    /// Each stream's pending FIFO as batch-relative `(head, tail)` op
-    /// indices, linked head to tail through [`Op::next`]; `None` when
-    /// empty, as every stream is at retirement.
+    /// Each stream's pending FIFO as `(head, tail)` links (see
+    /// [`INSTANT_LINK`]), linked head to tail through [`Op::next`] and
+    /// [`InstantOp::next`]; `None` when empty, as every stream is at
+    /// retirement.
     streams: Vec<Option<(u32, u32)>>,
     /// Ids of the non-empty streams, ascending (see the module docs).
     busy: Vec<usize>,
@@ -219,8 +253,9 @@ impl Sim {
         Sim {
             now_ns: 0,
             base: 0,
+            enqueued: 0,
             ops: OpTable::new(),
-            engine_ops: 0,
+            instants: OpTable::new(),
             kernels: Vec::new(),
             tags: Vec::new(),
             cur_tag: 0,
@@ -348,9 +383,10 @@ impl Sim {
     /// ops have completed, so nothing refers to the tables any more.
     fn retire(&mut self) {
         debug_assert!(self.idle(), "retire called with work in flight");
-        self.base += self.ops.len();
+        self.base += self.enqueued;
+        self.enqueued = 0;
         self.ops.retire();
-        self.engine_ops = 0;
+        self.instants.retire();
         retire_table(&mut self.kernels);
         self.event_base += self.events.len();
         retire_table(&mut self.events);
@@ -416,30 +452,51 @@ impl Sim {
         ev.0 < self.event_base + self.events.len()
     }
 
-    /// Enqueues an op and returns its global id. Copies come straight
-    /// here; kernels and events go through [`enqueue_kernel`](Self::enqueue_kernel),
-    /// [`record_event`](Self::record_event) and [`wait_event`](Self::wait_event),
-    /// which fill the side tables their kinds index.
+    /// Enqueues an engine op and returns its global id. Copies come
+    /// straight here; kernels go through
+    /// [`enqueue_kernel`](Self::enqueue_kernel), which fills the side table
+    /// their kind indexes.
     pub(crate) fn enqueue(&mut self, stream: StreamId, kind: OpKind) -> OpId {
+        let id = self.base + self.enqueued;
+        let idx = self
+            .ops
+            .push(Op::new(kind, idx32(self.enqueued), self.cur_tag));
+        self.append(stream, idx);
+        id
+    }
+
+    /// Enqueues an event record or wait.
+    fn enqueue_instant(&mut self, stream: StreamId, op: InstantOp) {
+        let idx = self.instants.push(op);
+        self.append(stream, idx | INSTANT_LINK);
+    }
+
+    /// Appends the op at `link` to `stream`'s FIFO and counts the enqueue.
+    fn append(&mut self, stream: StreamId, link: u32) {
         debug_assert!(self.stream_exists(stream));
-        if !matches!(kind, OpKind::EventRecord(_) | OpKind::EventWait(_)) {
-            self.engine_ops += 1;
-        }
-        let idx = self.ops.push(Op::new(kind, stream.0, self.cur_tag));
+        self.enqueued += 1;
         let s = stream.index();
-        match &mut self.streams[s] {
-            Some((_, tail)) => {
-                self.ops[*tail].next = idx;
-                *tail = idx;
+        match self.streams[s] {
+            Some((head, tail)) => {
+                *self.next_mut(tail) = link;
+                self.streams[s] = Some((head, link));
             }
-            empty @ None => {
-                *empty = Some((idx, idx));
+            None => {
+                self.streams[s] = Some((link, link));
                 // Usually the newest stream, so the insert lands at the end.
                 let at = self.busy.partition_point(|&b| b < s);
                 self.busy.insert(at, s);
             }
         }
-        self.base + idx as usize
+    }
+
+    /// The next-op link of the op at `link`.
+    fn next_mut(&mut self, link: u32) -> &mut u32 {
+        if link & INSTANT_LINK != 0 {
+            &mut self.instants[link & !INSTANT_LINK].next
+        } else {
+            &mut self.ops[link].next
+        }
     }
 
     /// Enqueues a kernel whose noise-free duration is `base_secs`.
@@ -458,7 +515,7 @@ impl Sim {
     pub(crate) fn record_event(&mut self, stream: StreamId) -> EventId {
         let slot = self.events.len();
         self.events.push(false);
-        self.enqueue(stream, OpKind::EventRecord(idx32(slot)));
+        self.enqueue_instant(stream, InstantOp::record(idx32(slot)));
         EventId(self.event_base + slot)
     }
 
@@ -475,7 +532,7 @@ impl Sim {
                 self.events.len() - 1
             }
         };
-        self.enqueue(stream, OpKind::EventWait(idx32(slot)));
+        self.enqueue_instant(stream, InstantOp::wait(idx32(slot)));
     }
 
     /// True if no queued or active work remains.
@@ -489,17 +546,19 @@ impl Sim {
             && self.compute.queue.is_empty()
     }
 
-    /// Runs the simulation until idle, calling `on_complete` with each op
-    /// id in completion order, then retires the finished batch.
+    /// Runs the simulation until idle, calling `on_complete` with each
+    /// engine op's id in completion order, then retires the finished
+    /// batch. Instants carry no functional effect, so they are not
+    /// reported.
     ///
     /// # Panics
     ///
     /// Panics if the enqueued schedule deadlocks (a stream waits on an event
     /// that can never be recorded).
     pub(crate) fn run_to_idle(&mut self, mut on_complete: impl FnMut(OpId)) {
-        self.trace.reserve(self.engine_ops);
+        self.trace.reserve(self.ops.len());
         loop {
-            let progressed = self.stabilize(&mut on_complete);
+            let progressed = self.stabilize();
             if self.idle() {
                 self.retire();
                 return;
@@ -525,8 +584,14 @@ impl Sim {
     ///
     /// Stream heads are visited in ascending stream id, walking only the
     /// busy streams: nothing is enqueued mid-pass, so this is the order a
-    /// scan over every stream would issue in.
-    fn stabilize(&mut self, on_complete: &mut impl FnMut(OpId)) -> bool {
+    /// scan over every stream would issue in. Each pass looks at one head
+    /// per busy stream, and an instant op uses its stream's turn: engines
+    /// start ops, and so draw noise, in an order fixed by this structure.
+    // Inlined into the generic `run_to_idle`, which is compiled where it is
+    // called: out of line, this cost a paper deployment (thousands of
+    // one-op batches) ~5% more host time.
+    #[inline(always)]
+    fn stabilize(&mut self) -> bool {
         let mut progressed_any = false;
         loop {
             let mut progressed = false;
@@ -535,39 +600,34 @@ impl Sim {
             let mut busy = std::mem::take(&mut self.busy);
             busy.retain(|&s| {
                 let (head, tail) = self.streams[s].expect("busy stream is non-empty");
+                if head & INSTANT_LINK != 0 {
+                    let op = self.instants[head & !INSTANT_LINK];
+                    let event = &mut self.events[op.slot() as usize];
+                    if !op.is_wait() {
+                        *event = true;
+                    } else if !*event {
+                        return true;
+                    }
+                    progressed = true;
+                    self.streams[s] = (head != tail).then_some((op.next, tail));
+                    return head != tail;
+                }
                 let op = &mut self.ops[head];
                 if op.issued {
                     return true; // already on an engine, waiting for completion
                 }
                 let engine = match op.kind() {
-                    OpKind::EventRecord(ev) => {
-                        self.events[ev as usize] = true;
-                        None
-                    }
-                    OpKind::EventWait(ev) => {
-                        if !self.events[ev as usize] {
-                            return true;
-                        }
-                        None
-                    }
-                    OpKind::H2d { .. } => Some(&mut self.h2d),
-                    OpKind::D2h { .. } => Some(&mut self.d2h),
-                    OpKind::Kernel(_) => Some(&mut self.compute),
+                    OpKind::H2d { .. } => &mut self.h2d,
+                    OpKind::D2h { .. } => &mut self.d2h,
+                    OpKind::Kernel(_) => &mut self.compute,
                 };
                 progressed = true;
-                let id = self.base + head as usize;
-                match engine {
-                    Some(engine) => {
-                        op.issued = true;
-                        engine.queue.push_back(id);
-                        true
-                    }
-                    None => {
-                        self.streams[s] = (head != tail).then_some((op.next, tail));
-                        on_complete(id);
-                        head != tail
-                    }
-                }
+                op.issued = true;
+                engine.queue.push_back(Queued {
+                    idx: head,
+                    stream: idx32(s),
+                });
+                true
             });
             self.busy = busy;
             // 2. Idle engines pick up queued work.
@@ -575,10 +635,10 @@ impl Sim {
                 if self.engine(engine_kind).active.is_some() {
                     continue;
                 }
-                let Some(op_id) = self.engine_mut(engine_kind).queue.pop_front() else {
+                let Some(queued) = self.engine_mut(engine_kind).queue.pop_front() else {
                     continue;
                 };
-                let active = self.start_op(op_id, engine_kind);
+                let active = self.start_op(queued, engine_kind);
                 self.engine_mut(engine_kind).active = Some(active);
                 progressed = true;
             }
@@ -617,10 +677,11 @@ impl Sim {
         (sigma * z).exp()
     }
 
-    fn start_op(&mut self, op_id: OpId, engine_kind: EngineKind) -> ActiveOp {
-        let op = self.ops[idx32(op_id - self.base)];
+    fn start_op(&mut self, queued: Queued, engine_kind: EngineKind) -> ActiveOp {
+        let op = self.ops[queued.idx];
         let now = self.now();
-        let mut entry = TraceEntry::new(op_id, StreamId(op.stream), engine_kind, now, now);
+        let op_id = self.base + op.seq as usize;
+        let mut entry = TraceEntry::new(op_id, StreamId(queued.stream), engine_kind, now, now);
         entry.tag = self.interned_tag(op.tag);
         let kind = op.kind();
         let (phase, work_total, rate_factor) = match kind {
@@ -655,15 +716,12 @@ impl Sim {
                 let secs = base_secs * self.noise_factor(self.noise.kernel_sigma);
                 (Phase::Work { remaining: secs }, secs, 1.0)
             }
-            OpKind::EventRecord(_) | OpKind::EventWait(_) => {
-                unreachable!("instant ops never reach an engine")
-            }
         };
         let trace_idx = self.trace.len();
         // The entry's end is patched at completion.
         self.trace.push(entry);
         ActiveOp {
-            op: op_id,
+            op: queued,
             phase,
             work_total,
             rate_factor,
@@ -789,23 +847,24 @@ impl Sim {
         }
     }
 
-    /// Lengths of the pending op, kernel and tag tables.
+    /// Lengths of the pending engine-op, instant, kernel and tag tables.
     #[cfg(test)]
-    pub(crate) fn table_lens(&self) -> [usize; 3] {
-        [self.ops.len(), self.kernels.len(), self.tags.len()]
+    pub(crate) fn table_lens(&self) -> [usize; 4] {
+        [
+            self.ops.len(),
+            self.instants.len(),
+            self.kernels.len(),
+            self.tags.len(),
+        ]
     }
 
     fn complete_op(&mut self, active: ActiveOp, on_complete: &mut impl FnMut(OpId)) {
-        let op_id = active.op;
-        let op = self.ops[idx32(op_id - self.base)];
-        let stream = op.stream as usize;
+        let Queued { idx, stream } = active.op;
+        let op = self.ops[idx];
+        let stream = stream as usize;
         // The op is necessarily at its stream head.
         let (head, tail) = self.streams[stream].expect("completed op's stream is busy");
-        debug_assert_eq!(
-            self.base + head as usize,
-            op_id,
-            "completed op must be its stream head"
-        );
+        debug_assert_eq!(head, idx, "completed op must be its stream head");
         self.streams[stream] = (head != tail).then_some((op.next, tail));
         if head == tail {
             let at = self.busy.partition_point(|&s| s < stream);
@@ -817,7 +876,7 @@ impl Sim {
             .entry_mut(active.trace_idx)
             .expect("trace entry recorded at start")
             .end = now;
-        on_complete(op_id);
+        on_complete(self.base + op.seq as usize);
     }
 }
 
@@ -1009,7 +1068,7 @@ mod tests {
         let s = sim.create_stream();
         // An event slot no record op will ever set.
         sim.events.push(false);
-        sim.enqueue(s, OpKind::EventWait(0));
+        sim.enqueue_instant(s, InstantOp::wait(0));
         run_all(&mut sim);
     }
 
@@ -1162,6 +1221,19 @@ mod tests {
         assert!((sim.now().as_secs_f64() - 1e-6).abs() < 1e-12);
     }
 
+    /// Addresses of the chunks of `table` that can no longer move, checked
+    /// against `settled` and appended to it: chunk 0 once it is full, later
+    /// chunks from their creation.
+    fn settle_chunks<T>(table: &OpTable<T>, settled: &mut Vec<*const T>) {
+        for (i, chunk) in table.chunks.iter().enumerate() {
+            if let Some(&addr) = settled.get(i) {
+                assert_eq!(chunk.as_ptr(), addr, "chunk {i} moved");
+            } else if i > 0 || chunk.len() == OP_CHUNK {
+                settled.push(chunk.as_ptr());
+            }
+        }
+    }
+
     #[test]
     fn op_table_never_moves_and_streams_stay_fifo() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
@@ -1170,20 +1242,21 @@ mod tests {
         copy(&mut sim, streams[0], 10, true);
         run_all(&mut sim);
         let first = sim.base;
-        // The reference model: each stream's op ids in enqueue order, and
-        // the stream of every op id since `first`.
-        let mut model: Vec<VecDeque<OpId>> = vec![VecDeque::new(); streams.len()];
-        let mut stream_of: Vec<usize> = Vec::new();
-        // Storage of every chunk that can no longer move: chunk 0 once it
-        // is full, later chunks from their creation.
-        let mut settled: Vec<*const Op> = Vec::new();
+        // The reference model: each stream's FIFO as `(op id, link)` in
+        // enqueue order, engine ops and instants mixed.
+        let mut model: Vec<VecDeque<(OpId, u32)>> = vec![VecDeque::new(); streams.len()];
+        let (mut settled_ops, mut settled_instants) = (Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(3);
         // Books the op just enqueued on stream `s` in the model.
-        let mut expect = |sim: &Sim, s: usize| {
-            model[s].push_back(sim.base + sim.ops.len() - 1);
-            stream_of.push(s);
+        let mut expect = |sim: &Sim, s: usize, instant: bool| {
+            let link = if instant {
+                idx32(sim.instants.len() - 1) | INSTANT_LINK
+            } else {
+                idx32(sim.ops.len() - 1)
+            };
+            model[s].push_back((sim.base + sim.enqueued - 1, link));
         };
-        while sim.ops.len() < 3 * OP_CHUNK + 123 {
+        while sim.ops.len() < 3 * OP_CHUNK + 123 || sim.instants.len() < 2 * OP_CHUNK {
             let s = rng.gen_range(0..streams.len());
             match rng.gen_range(0..4usize) {
                 0 => {
@@ -1198,45 +1271,130 @@ mod tests {
                 _ => {
                     let other = (s + 1) % streams.len();
                     let ev = sim.record_event(streams[other]);
-                    expect(&sim, other);
+                    expect(&sim, other, true);
                     sim.wait_event(streams[s], ev);
+                    expect(&sim, s, true);
+                    continue;
                 }
             }
-            expect(&sim, s);
-            for (i, chunk) in sim.ops.chunks.iter().enumerate() {
-                if let Some(&addr) = settled.get(i) {
-                    assert_eq!(chunk.as_ptr(), addr, "chunk {i} moved");
-                } else if i > 0 || chunk.len() == OP_CHUNK {
-                    settled.push(chunk.as_ptr());
-                }
-            }
+            expect(&sim, s, false);
+            settle_chunks(&sim.ops, &mut settled_ops);
+            settle_chunks(&sim.instants, &mut settled_instants);
         }
-        let total = sim.ops.len();
-        assert_eq!(sim.ops.chunks.len(), 4);
+        let total = sim.enqueued;
+        assert_eq!(sim.ops.len() + sim.instants.len(), total);
+        assert_eq!(sim.ops.chunks.len(), sim.ops.len().div_ceil(OP_CHUNK));
+        assert_eq!(
+            sim.instants.chunks.len(),
+            sim.instants.len().div_ceil(OP_CHUNK)
+        );
         assert!(sim.ops.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
-        let engine_ids: Vec<OpId> = (0..idx32(total))
-            .filter(|&i| {
-                !matches!(
-                    sim.ops[i].kind(),
-                    OpKind::EventRecord(_) | OpKind::EventWait(_)
-                )
+        assert!(sim.instants.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
+        // Each stream's links, walked head to tail, are its enqueue order.
+        for (s, fifo) in model.iter().enumerate() {
+            let mut links = Vec::new();
+            let mut at = sim.streams[s];
+            while let Some((head, tail)) = at {
+                links.push(head);
+                let next = if head & INSTANT_LINK != 0 {
+                    sim.instants[head & !INSTANT_LINK].next
+                } else {
+                    sim.ops[head].next
+                };
+                at = (head != tail).then_some((next, tail));
+            }
+            assert!(
+                links.iter().copied().eq(fifo.iter().map(|&(_, l)| l)),
+                "stream {s}"
+            );
+        }
+        // Engine ops report their global ids; split by stream, completion
+        // order is each stream's enqueue order of engine ops.
+        let engine_model: Vec<VecDeque<OpId>> = model
+            .iter()
+            .map(|fifo| {
+                fifo.iter()
+                    .filter(|&&(_, link)| link & INSTANT_LINK == 0)
+                    .map(|&(id, _)| id)
+                    .collect()
             })
-            .map(|i| first + i as usize)
             .collect();
-        // Completion order, split by stream, is each stream's enqueue order.
+        let stream_of: std::collections::HashMap<OpId, usize> = engine_model
+            .iter()
+            .enumerate()
+            .flat_map(|(s, ids)| ids.iter().map(move |&id| (id, s)))
+            .collect();
+        let mut engine_ids: Vec<OpId> = stream_of.keys().copied().collect();
+        engine_ids.sort_unstable();
         let mut completed: Vec<VecDeque<OpId>> = vec![VecDeque::new(); streams.len()];
         for id in run_all(&mut sim) {
-            completed[stream_of[id - first]].push_back(id);
+            completed[stream_of[&id]].push_back(id);
         }
-        assert_eq!(completed, model);
-        // Retirement keeps only the first chunk; ids continue globally.
-        assert_eq!(sim.ops.chunks.len(), 1);
-        assert_eq!(sim.ops.len(), 0);
-        assert!(sim.ops.chunks[0].capacity() <= RETAINED_CAPACITY);
+        assert_eq!(completed, engine_model);
+        // Retirement keeps only the first chunks; ids continue globally,
+        // counting the instants.
+        for (chunks, cap) in [
+            (sim.ops.chunks.len(), sim.ops.chunks[0].capacity()),
+            (sim.instants.chunks.len(), sim.instants.chunks[0].capacity()),
+        ] {
+            assert_eq!(chunks, 1);
+            assert!(cap <= RETAINED_CAPACITY);
+        }
+        assert_eq!(sim.table_lens(), [0; 4]);
         assert_eq!(copy(&mut sim, streams[0], 10, true), first + total);
         let mut traced: Vec<OpId> = sim.trace().entries()[1..].iter().map(|e| e.op).collect();
         traced.sort_unstable();
         assert_eq!(traced, engine_ids, "trace entries carry global op ids");
+    }
+
+    #[test]
+    fn event_heavy_batch_holds_8_bytes_per_instant() {
+        assert_eq!(std::mem::size_of::<Op>(), 24);
+        assert_eq!(std::mem::size_of::<InstantOp>(), 8);
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        let (s0, s1) = (sim.create_stream(), sim.create_stream());
+        // The cuBLASXt shape: per tile, a copy and a kernel on two streams
+        // that order each other through a record and two waits.
+        for _ in 0..3 * OP_CHUNK {
+            copy(&mut sim, s0, 64, true);
+            let ev = sim.record_event(s0);
+            sim.wait_event(s1, ev);
+            kernel(&mut sim, s1, 1e-7);
+            let done = sim.record_event(s1);
+            sim.wait_event(s0, done);
+        }
+        let (engine, instants) = (6 * OP_CHUNK, 12 * OP_CHUNK);
+        assert_eq!(sim.table_lens()[..2], [engine, instants]);
+        // Every chunk is full, so the reserved storage is the held records.
+        let reserved = |sim: &Sim| {
+            sim.ops.chunks.iter().map(Vec::capacity).sum::<usize>() * 24
+                + sim.instants.chunks.iter().map(Vec::capacity).sum::<usize>() * 8
+        };
+        assert_eq!(reserved(&sim), engine * 24 + instants * 8);
+        let done = run_all(&mut sim);
+        assert_eq!(done.len(), engine, "only engine ops are reported");
+        assert_eq!(sim.trace().len(), engine);
+        assert_eq!(sim.table_lens(), [0; 4]);
+        assert_eq!(
+            (sim.ops.chunks.len(), sim.instants.chunks.len()),
+            (1, 1),
+            "retires to the first chunks"
+        );
+        assert_eq!(reserved(&sim), OP_CHUNK * (24 + 8));
+    }
+
+    #[test]
+    fn instant_table_allocates_nothing_until_its_first_push() {
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        let s = sim.create_stream();
+        for _ in 0..3 {
+            copy(&mut sim, s, 64, true);
+            run_all(&mut sim);
+            assert_eq!(sim.instants.chunks.capacity(), 0);
+        }
+        sim.record_event(s);
+        run_all(&mut sim);
+        assert_eq!(sim.instants.chunks.len(), 1);
     }
 
     #[test]
@@ -1245,9 +1403,9 @@ mod tests {
         let s = sim.create_stream();
         let first = copy(&mut sim, s, 1_000, true);
         kernel(&mut sim, s, 1e-6);
-        assert_eq!(sim.table_lens(), [2, 1, 0]);
+        assert_eq!(sim.table_lens(), [2, 0, 1, 0]);
         assert_eq!(run_all(&mut sim), vec![first, first + 1]);
-        assert_eq!(sim.table_lens(), [0, 0, 0]);
+        assert_eq!(sim.table_lens(), [0, 0, 0, 0]);
         // The next batch continues the global numbering.
         let next = copy(&mut sim, s, 1_000, false);
         assert_eq!(next, first + 2);
@@ -1263,8 +1421,9 @@ mod tests {
         copy(&mut sim, s, 1_000, true);
         kernel(&mut sim, s, 1e-3);
         sim.record_event(s);
+        assert_eq!(sim.table_lens(), [2, 1, 1, 0]);
         sim.abort_all();
-        assert_eq!(sim.table_lens(), [0, 0, 0]);
+        assert_eq!(sim.table_lens(), [0, 0, 0, 0]);
         // Ids continue after the aborted batch.
         assert_eq!(copy(&mut sim, s, 1_000, true), 3);
     }

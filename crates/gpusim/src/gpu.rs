@@ -1260,10 +1260,10 @@ mod tests {
             .expect("h2d");
         gpu.record_event(s).expect("record");
         gpu.clear_op_tag();
-        assert_eq!(gpu.sim.table_lens(), [2, 0, 1]);
+        assert_eq!(gpu.sim.table_lens(), [1, 1, 0, 1]);
         assert_eq!(gpu.effects.len(), 1);
         gpu.synchronize().expect("sync");
-        assert_eq!(gpu.sim.table_lens(), [0, 0, 0]);
+        assert_eq!(gpu.sim.table_lens(), [0, 0, 0, 0]);
         assert!(gpu.effects.is_empty());
 
         let spec = FaultSpec {
@@ -1290,7 +1290,7 @@ mod tests {
         };
         gpu.launch_kernel(s, axpy, Some(args)).expect_err("lost");
         assert!(gpu.is_lost());
-        assert_eq!(gpu.sim.table_lens(), [0, 0, 0]);
+        assert_eq!(gpu.sim.table_lens(), [0, 0, 0, 0]);
         assert!(gpu.effects.is_empty());
     }
 
@@ -1414,7 +1414,7 @@ mod tests {
         gpu.clear_op_tag();
         copy(&mut gpu);
         assert_eq!(
-            gpu.sim.table_lens()[2],
+            gpu.sim.table_lens()[3],
             3,
             "A, B, A interned once per change"
         );

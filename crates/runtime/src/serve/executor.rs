@@ -321,6 +321,12 @@ pub struct RequestOutcome {
 
 impl RequestOutcome {
     /// The completed report, when the request completed.
+    ///
+    /// A served report carries no per-model drift records: its `drift` is
+    /// empty. The session scores each attempt's own prediction into
+    /// [`ServeReport::drift`], and the serving device's observer keeps its
+    /// per-model aggregates, so the records are dropped when the outcome
+    /// settles instead of being held for the whole drain.
     pub fn report(&self) -> Option<&RoutineReport> {
         match &self.status {
             RequestStatus::Completed(r) => Some(r),
@@ -333,6 +339,14 @@ impl RequestOutcome {
     /// toward work accounting even though the result missed its budget.
     pub fn executed_report(&self) -> Option<&RoutineReport> {
         match &self.status {
+            RequestStatus::Completed(r) => Some(r),
+            RequestStatus::TimedOut { report, .. } => Some(report),
+            _ => None,
+        }
+    }
+
+    fn executed_report_mut(&mut self) -> Option<&mut RoutineReport> {
+        match &mut self.status {
             RequestStatus::Completed(r) => Some(r),
             RequestStatus::TimedOut { report, .. } => Some(report),
             _ => None,
@@ -1043,10 +1057,15 @@ impl ServeSession {
         }
     }
 
-    /// Settles one terminal outcome: bumps its status counter, appends it
-    /// to the drain's outcomes, and ticks telemetry with `flow_secs`, the
-    /// flow time its deadline was judged on (NaN when no run finished).
-    fn settle(&mut self, outcome: RequestOutcome, flow_secs: f64) {
+    /// Settles one terminal outcome: bumps its status counter, drops its
+    /// report's per-model drift records (see [`RequestOutcome::report`]),
+    /// appends it to the drain's outcomes, and ticks telemetry with
+    /// `flow_secs`, the flow time its deadline was judged on (NaN when no
+    /// run finished).
+    fn settle(&mut self, mut outcome: RequestOutcome, flow_secs: f64) {
+        if let Some(report) = outcome.executed_report_mut() {
+            report.drift = Vec::new();
+        }
         let counter = match outcome.status {
             RequestStatus::Completed(_) => Some("serve_completed_total"),
             RequestStatus::TimedOut { .. } => Some("serve_timed_out_total"),

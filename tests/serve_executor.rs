@@ -490,6 +490,46 @@ fn drains_retire_device_observer_history_but_keep_its_counts() {
 }
 
 #[test]
+fn served_outcomes_carry_no_per_model_drift() {
+    const REQUESTS: usize = 64;
+    let n = 1 << 12;
+    let tb = small_tb(256 * MB);
+    // An axpy exec table, so every call is scored and every dispatch is
+    // priced.
+    let mut profile = dummy_profile();
+    profile.insert_exec(
+        RoutineClass::Axpy,
+        Dtype::F64,
+        ExecTable::new(vec![(n, 2e-6)]),
+    );
+    let axpy = || {
+        AxpyRequest::<f64>::new(
+            VecOperand::HostGhost { len: n },
+            VecOperand::HostGhost { len: n },
+        )
+        .alpha(2.0)
+        .tile(TileChoice::Fixed(n))
+    };
+    let devices = || MultiGpu::new(&tb, 2, ExecMode::TimingOnly, 42, profile.clone());
+    // A direct call keeps its per-model records.
+    let direct = devices().devices_mut()[0].submit(axpy()).expect("runs");
+    assert!(!direct.drift.is_empty());
+    let mut exec = ServeSession::new(devices(), ExecutorConfig::default());
+    for _ in 0..REQUESTS {
+        exec.submit(axpy());
+    }
+    let report = exec.drain();
+    assert_eq!(report.completed(), REQUESTS);
+    for o in &report.outcomes {
+        let served = o.executed_report().expect("every request ran");
+        assert!(served.drift.is_empty(), "{} keeps per-model drift", o.id);
+    }
+    // The session's own drift keeps one record per attempt.
+    assert_eq!(report.drift.count(), REQUESTS as u64);
+    assert_eq!(report.drift.records().len(), REQUESTS);
+}
+
+#[test]
 fn drains_retire_device_traces_down_to_what_readers_need() {
     const REQUESTS: usize = 2_000;
     let (_, lone) = drain_axpys(ServeOptions::new(), 1);

@@ -120,19 +120,21 @@ awk -v rss="$rss" 'BEGIN {
         exit 1
     }
 }'
-# paper_sweep's peak RSS is set by one cuBLASXt call that enqueues ~590k
+# paper_sweep's peak RSS is set by one cuBLASXt call that enqueues 588 789
 # simulator ops before its single synchronize, so it guards the simulator's
-# per-op footprint: ~590k ops x 24 B in a chunked op table plus 163 840
-# trace entries x 64 B, reserved once per batch (~29 MiB; ~44 MiB with
-# 32-byte ops and 128-byte entries, ~87 MiB while the batch doubled).
+# per-op footprint: 163 840 engine ops x 24 B and 424 949 event records
+# and waits x 8 B in chunked op tables, plus 163 840 trace entries x 64 B
+# reserved once per batch (~23 MiB; ~29 MiB while events took 24-byte op
+# slots, ~44 MiB with 32-byte ops and 128-byte entries, ~87 MiB while the
+# batch doubled).
 sweep=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
     --workload paper_sweep --seconds 0 --trace 0 | tail -n 1)
 echo "$sweep"
 rss=$(echo "$sweep" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.e+-]*\).*/\1/p')
 awk -v rss="$rss" 'BEGIN {
-    if (rss == "" || rss + 0 > 40) {
-        print "paper_sweep peak_rss_mb " rss " MiB exceeds the 40 MiB bound"
+    if (rss == "" || rss + 0 > 30) {
+        print "paper_sweep peak_rss_mb " rss " MiB exceeds the 30 MiB bound"
         exit 1
     }
 }'

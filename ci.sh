@@ -63,7 +63,9 @@ cargo test --release -q -p cocopelia-xp --test serve_faults
 echo "== straggler defense gate (hedging, probation, retry budgets) =="
 # The self-healing acceptance bars over the 3-seed straggler/probation
 # matrix: hedged re-dispatch strictly improves p99 flow on the degraded-
-# link scenario with bit-identical total flops, canary probation re-admits
+# link scenario with bit-identical total flops, Predictive placement stops
+# feeding a straggler once a hedge catches it and, with hedging off, once
+# its calibration factor prices its overrun, canary probation re-admits
 # a drained device that then serves again, the retry-budget breaker fails
 # fast under a fault storm, a device lost mid-hedge leaks nothing, and a
 # fully-defended run replays bit-identically. Seeds live in

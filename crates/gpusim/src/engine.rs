@@ -39,8 +39,9 @@
 //! consumed prefix is retired on demand into exact per-engine totals
 //! ([`Sim::retire_trace`]).
 //!
-//! A batch's storage grows without moving. Engine ops and instants live
-//! in two [`OpTable`]s, each a list of fixed [`OP_CHUNK`]-record chunks:
+//! A batch's storage grows without moving. Engine ops, instants and
+//! kernel shapes live in three [`OpTable`]s, each a list of fixed
+//! [`OP_CHUNK`]-record chunks:
 //! the first is allocated at the table's first push and grows like a
 //! `Vec` (small batches stay small), and is the only one kept at
 //! retirement; later ones are allocated full-size once. A stream owns no
@@ -135,7 +136,8 @@ fn retire_table<T>(table: &mut Vec<T>) {
     table.shrink_to(RETAINED_CAPACITY);
 }
 
-/// The pending records (engine ops or instants) of one batch, indexed by
+/// The pending records (engine ops, instants or kernel shapes) of one
+/// batch, indexed by
 /// batch-relative position, in [`OP_CHUNK`]-record chunks so that
 /// appending never moves a stored record. Allocates nothing before its
 /// first push.
@@ -216,7 +218,7 @@ pub(crate) struct Sim {
     /// Event records and waits enqueued since the last retirement.
     instants: OpTable<InstantOp>,
     /// `(shape, noise-free seconds)` of each pending kernel.
-    kernels: Vec<(KernelShape, f64)>,
+    kernels: OpTable<(KernelShape, f64)>,
     /// Interned routine tags of pending ops: op tag `i > 0` is
     /// `tags[i - 1]`. The ambient tag, when set, is the last entry.
     tags: Vec<OpTag>,
@@ -256,7 +258,7 @@ impl Sim {
             enqueued: 0,
             ops: OpTable::new(),
             instants: OpTable::new(),
-            kernels: Vec::new(),
+            kernels: OpTable::new(),
             tags: Vec::new(),
             cur_tag: 0,
             streams: Vec::new(),
@@ -387,7 +389,7 @@ impl Sim {
         self.enqueued = 0;
         self.ops.retire();
         self.instants.retire();
-        retire_table(&mut self.kernels);
+        self.kernels.retire();
         self.event_base += self.events.len();
         retire_table(&mut self.events);
         // Keep the ambient tag (the last entry, when set) for later ops.
@@ -506,8 +508,7 @@ impl Sim {
         shape: KernelShape,
         base_secs: f64,
     ) -> OpId {
-        let idx = idx32(self.kernels.len());
-        self.kernels.push((shape, base_secs));
+        let idx = self.kernels.push((shape, base_secs));
         self.enqueue(stream, OpKind::Kernel(idx))
     }
 
@@ -711,7 +712,7 @@ impl Sim {
                 (phase, bytes as f64, rate_factor)
             }
             OpKind::Kernel(idx) => {
-                let (shape, base_secs) = self.kernels[idx as usize];
+                let (shape, base_secs) = self.kernels[idx];
                 entry = entry.with_kernel(shape);
                 let secs = base_secs * self.noise_factor(self.noise.kernel_sigma);
                 (Phase::Work { remaining: secs }, secs, 1.0)
@@ -1245,7 +1246,8 @@ mod tests {
         // The reference model: each stream's FIFO as `(op id, link)` in
         // enqueue order, engine ops and instants mixed.
         let mut model: Vec<VecDeque<(OpId, u32)>> = vec![VecDeque::new(); streams.len()];
-        let (mut settled_ops, mut settled_instants) = (Vec::new(), Vec::new());
+        let (mut settled_ops, mut settled_instants, mut settled_kernels) =
+            (Vec::new(), Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(3);
         // Books the op just enqueued on stream `s` in the model.
         let mut expect = |sim: &Sim, s: usize, instant: bool| {
@@ -1280,6 +1282,7 @@ mod tests {
             expect(&sim, s, false);
             settle_chunks(&sim.ops, &mut settled_ops);
             settle_chunks(&sim.instants, &mut settled_instants);
+            settle_chunks(&sim.kernels, &mut settled_kernels);
         }
         let total = sim.enqueued;
         assert_eq!(sim.ops.len() + sim.instants.len(), total);
@@ -1290,6 +1293,7 @@ mod tests {
         );
         assert!(sim.ops.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
         assert!(sim.instants.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
+        assert!(sim.kernels.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
         // Each stream's links, walked head to tail, are its enqueue order.
         for (s, fifo) in model.iter().enumerate() {
             let mut links = Vec::new();
@@ -1336,6 +1340,7 @@ mod tests {
         for (chunks, cap) in [
             (sim.ops.chunks.len(), sim.ops.chunks[0].capacity()),
             (sim.instants.chunks.len(), sim.instants.chunks[0].capacity()),
+            (sim.kernels.chunks.len(), sim.kernels.chunks[0].capacity()),
         ] {
             assert_eq!(chunks, 1);
             assert!(cap <= RETAINED_CAPACITY);
@@ -1363,24 +1368,33 @@ mod tests {
             let done = sim.record_event(s1);
             sim.wait_event(s0, done);
         }
-        let (engine, instants) = (6 * OP_CHUNK, 12 * OP_CHUNK);
-        assert_eq!(sim.table_lens()[..2], [engine, instants]);
+        let (engine, instants, kernels) = (6 * OP_CHUNK, 12 * OP_CHUNK, 3 * OP_CHUNK);
+        assert_eq!(sim.table_lens()[..3], [engine, instants, kernels]);
         // Every chunk is full, so the reserved storage is the held records.
+        let kernel_bytes = std::mem::size_of::<(KernelShape, f64)>();
         let reserved = |sim: &Sim| {
             sim.ops.chunks.iter().map(Vec::capacity).sum::<usize>() * 24
                 + sim.instants.chunks.iter().map(Vec::capacity).sum::<usize>() * 8
+                + sim.kernels.chunks.iter().map(Vec::capacity).sum::<usize>() * kernel_bytes
         };
-        assert_eq!(reserved(&sim), engine * 24 + instants * 8);
+        assert_eq!(
+            reserved(&sim),
+            engine * 24 + instants * 8 + kernels * kernel_bytes
+        );
         let done = run_all(&mut sim);
         assert_eq!(done.len(), engine, "only engine ops are reported");
         assert_eq!(sim.trace().len(), engine);
         assert_eq!(sim.table_lens(), [0; 4]);
         assert_eq!(
-            (sim.ops.chunks.len(), sim.instants.chunks.len()),
-            (1, 1),
+            (
+                sim.ops.chunks.len(),
+                sim.instants.chunks.len(),
+                sim.kernels.chunks.len()
+            ),
+            (1, 1, 1),
             "retires to the first chunks"
         );
-        assert_eq!(reserved(&sim), OP_CHUNK * (24 + 8));
+        assert_eq!(reserved(&sim), OP_CHUNK * (24 + 8 + kernel_bytes));
     }
 
     #[test]

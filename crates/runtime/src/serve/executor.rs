@@ -71,8 +71,10 @@ impl Default for ExecutorConfig {
 /// exactly once. The multiplier adapts to the drift accountant's observed
 /// error distribution: it is widened by the p95 absolute relative
 /// prediction error seen so far (doubled instead during the
-/// [`HEDGE_WARMUP`] cold start). An overrun also marks the device as a
-/// straggler for placement until it completes an attempt on prediction.
+/// [`HEDGE_WARMUP`] cold start). The prediction is the device's
+/// calibrated one — the model's scaled by the device's observed
+/// actual/predicted ratio once that leaves its dead band — so a straggler
+/// the pool already prices as slow hedges only when it runs slower still.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
     /// Base overrun multiplier on the predicted attempt time before a
@@ -92,6 +94,53 @@ impl Default for HedgeConfig {
 /// observed error distribution; below this the base multiplier is doubled
 /// (cold start: hedging on a wild early estimate wastes a device).
 pub const HEDGE_WARMUP: usize = 8;
+
+/// Upper edge of the calibration dead band (the lower edge is its
+/// inverse). Fault-free serving runs read actual/predicted ratios of
+/// 0.87–1.06 per attempt, so inside the band the model's price stands
+/// exactly and fault-free schedules do not move.
+const CALIBRATION_BAND: f64 = 1.5;
+
+/// Weight of the newest attempt in a device's running actual/predicted
+/// ratio.
+const CALIBRATION_WEIGHT: f64 = 0.5;
+
+/// A device's running actual/predicted ratio over its completed
+/// attempts: the online correction of the offline-fitted profile that
+/// prices the device. The first attempt after a reset sets the ratio;
+/// later ones move it by [`CALIBRATION_WEIGHT`]. A primary cancelled by a
+/// winning hedge counts with the time it would have taken.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(super) struct Calibration {
+    /// `None` until an attempt was observed since the last reset.
+    ratio: Option<f64>,
+}
+
+impl Calibration {
+    /// Folds one completed attempt that was predicted to take
+    /// `predicted_secs` and took `actual_secs`. An attempt without a
+    /// positive finite prediction carries no evidence.
+    pub(super) fn observe(&mut self, predicted_secs: f64, actual_secs: f64) {
+        let ratio = actual_secs / predicted_secs;
+        if predicted_secs <= 0.0 || !ratio.is_finite() {
+            return;
+        }
+        self.ratio = Some(
+            self.ratio
+                .map_or(ratio, |r| r + CALIBRATION_WEIGHT * (ratio - r)),
+        );
+    }
+
+    /// The factor the device's model price is multiplied by: the running
+    /// ratio once it leaves the dead band
+    /// `[1 / CALIBRATION_BAND, CALIBRATION_BAND]`, else exactly `1.0`.
+    pub(super) fn factor(self) -> f64 {
+        match self.ratio {
+            Some(r) if !(1.0 / CALIBRATION_BAND..=CALIBRATION_BAND).contains(&r) => r,
+            _ => 1.0,
+        }
+    }
+}
 
 /// Quarantine probation configuration (see
 /// [`ServeOptions::probation`](crate::serve::ServeOptions::probation)).
@@ -796,10 +845,9 @@ impl ServeSession {
     /// Service time of `req` on device `d`, virtual seconds: the upload of
     /// the shared operands the device is missing plus the model-predicted
     /// offload time (zero when the profile cannot predict the request).
-    /// This is the one price of a request × device pair: placement adds
-    /// the device's clock and straggler penalty to it
-    /// ([`completion_secs`](Self::completion_secs)), the shed watermark
-    /// and the hedge threshold use it bare.
+    /// Placement scales it by the device's calibration factor and adds the
+    /// device's clock ([`completion_secs`](Self::completion_secs)); the
+    /// shed watermark uses it bare.
     fn service_secs(&self, d: usize, req: &RoutineRequest) -> f64 {
         self.upload_estimate(d, req) + self.offload_estimate(d, req).map_or(0.0, |p| p.total)
     }
@@ -815,17 +863,15 @@ impl ServeSession {
     }
 
     /// Estimated completion of `req` on device `d`: the device's virtual
-    /// clock, plus its hedge-informed straggler penalty, plus
-    /// [`service_secs`](Self::service_secs). The penalty matters when
-    /// hedging is armed: a winning hedge rewinds the cancelled primary's
-    /// clock, which would otherwise keep the degraded device looking
-    /// *idle* and attractive; carrying its observed overrun as extra
-    /// ready time steers work to healthy peers until the device
-    /// demonstrates an on-prediction attempt again.
+    /// clock plus [`service_secs`](Self::service_secs) scaled by the
+    /// device's calibration factor. A device whose attempts keep running
+    /// past the model (a degraded link) thus prices as slow before the
+    /// next request lands on it, even while a winning hedge has rewound
+    /// its clock to look idle. Inside the dead band the factor is exactly
+    /// `1.0`, so the price is the model's bit for bit.
     fn completion_secs(&self, d: usize, req: &RoutineRequest) -> f64 {
         self.pool.devices()[d].gpu().now().as_secs_f64()
-            + self.suspicion_secs[d]
-            + self.service_secs(d, req)
+            + self.service_secs(d, req) * self.calibration[d].factor()
     }
 
     /// The healthy device that pulls `req` — lowest
@@ -1370,7 +1416,7 @@ impl ServeSession {
                 Ok(_) => {
                     self.fault_streak[d] = 0;
                     self.budget_note_success();
-                    self.maybe_hedge(
+                    let hedged = self.maybe_hedge(
                         id,
                         &req,
                         d,
@@ -1380,7 +1426,15 @@ impl ServeSession {
                         len_before,
                         mark,
                         estimate.as_ref().map(|e| e.1),
-                    )
+                    );
+                    // The primary's whole run calibrates its device, also
+                    // when a winning hedge cancelled it: that overrun is
+                    // the evidence the device is slow.
+                    if let Some((_, predicted)) = estimate {
+                        let actual = clock_after.saturating_since(clock_before).as_secs_f64();
+                        self.calibration[d].observe(predicted, actual);
+                    }
+                    hedged
                 }
                 Err(_) => HedgeOutcome::NotLaunched,
             };
@@ -1556,7 +1610,7 @@ impl ServeSession {
             return;
         }
         self.quarantined[d] = true;
-        self.suspicion_secs[d] = 0.0;
+        self.calibration[d] = Calibration::default();
         self.metrics.counter_add("quarantine_devices_total", 1);
         let evicted = self.residency[d].clear();
         self.metrics
@@ -1621,21 +1675,17 @@ impl ServeSession {
             // no prediction to overrun, so hedging never fires.
             return HedgeOutcome::NotLaunched;
         };
-        let threshold_ns = (predicted * self.hedge_multiplier(cfg) * 1e9) as u64;
+        // The overrun is judged against the calibrated prediction, so a
+        // straggler already priced as slow does not hedge its on-model
+        // attempts.
+        let calibrated = predicted * self.calibration[d].factor();
+        let threshold_ns = (calibrated * self.hedge_multiplier(cfg) * 1e9) as u64;
         let elapsed_ns = clock_after
             .as_nanos()
             .saturating_sub(clock_before.as_nanos());
         if threshold_ns == 0 || elapsed_ns <= threshold_ns {
-            // On-prediction attempt: the device is demonstrably healthy,
-            // so any straggler penalty it carried is lifted.
-            self.suspicion_secs[d] = 0.0;
             return HedgeOutcome::NotLaunched;
         }
-        // Overrun detected — whether or not a hedge can launch, the
-        // device's observed excess becomes its placement penalty
-        // (`completion_secs`), so later requests prefer peers even after
-        // a winning hedge rewinds this device's clock.
-        self.suspicion_secs[d] = SimTime::from_nanos(elapsed_ns).as_secs_f64() - predicted;
         let Some((b, _)) = self.choose_device(req, Some(d)) else {
             return HedgeOutcome::NotLaunched;
         };
@@ -1681,7 +1731,6 @@ impl ServeSession {
                     .cancel_to(SimTime::from_nanos(b_after_ns));
                 self.rollback_cancelled(d, req, mark);
                 self.fault_streak[b] = 0;
-                self.suspicion_secs[b] = 0.0;
                 self.metrics.counter_add("hedge_wins_total", 1);
                 " (won)".to_owned()
             }
@@ -1740,6 +1789,7 @@ impl ServeSession {
                     let actual =
                         SimTime::from_nanos(b_after_ns.saturating_sub(b_start_ns)).as_secs_f64();
                     self.record_drift(req.routine(), id.0, &hpred, hpredicted, actual);
+                    self.calibration[b].observe(hpredicted, actual);
                 }
                 HedgeOutcome::Won(Box::new(hreport), b, b_after_ns)
             }
@@ -1855,11 +1905,8 @@ impl ServeSession {
         }
         self.metrics
             .histogram_observe("sched_predict_abs_err", &ABS_ERROR_BOUNDS, err);
-        self.metrics.histogram_observe(
-            &format!("sched_predict_abs_err_{}", self.policy.name()),
-            &ABS_ERROR_BOUNDS,
-            err,
-        );
+        self.metrics
+            .histogram_observe(self.policy.drift_metric(), &ABS_ERROR_BOUNDS, err);
         self.drift.record(rec);
     }
 
@@ -2007,7 +2054,7 @@ impl ServeSession {
     fn readmit(&mut self, d: usize) {
         self.quarantined[d] = false;
         self.fault_streak[d] = 0;
-        self.suspicion_secs[d] = 0.0;
+        self.calibration[d] = Calibration::default();
         self.metrics.counter_add("probe_readmit_total", 1);
         if let Some(bs) = self.budget.as_mut() {
             if matches!(bs.breaker, Breaker::Open { .. }) {
@@ -2339,6 +2386,90 @@ fn p95(sorted: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multigpu::MultiGpu;
+    use cocopelia_core::{ExecTable, LatBw, RoutineClass, SystemProfile, TransferModel};
+    use cocopelia_gpusim::{testbed_i, ExecMode};
+    use cocopelia_hostblas::Dtype;
+
+    /// A two-device session whose profile prices a 1024³ dgemm at tile
+    /// 512, and that request.
+    fn priced_session() -> (ServeSession, RoutineRequest) {
+        let link = LatBw {
+            t_l: 1e-5,
+            t_b: 1e-10,
+        };
+        let transfer = TransferModel {
+            h2d: link,
+            d2h: link,
+            sl_h2d: 1.0,
+            sl_d2h: 1.0,
+        };
+        let mut profile = SystemProfile::new("calibration", transfer);
+        profile.insert_exec(
+            RoutineClass::Gemm,
+            Dtype::F64,
+            ExecTable::new(vec![(512, 2e-3)]),
+        );
+        let pool = MultiGpu::new(&testbed_i(), 2, ExecMode::TimingOnly, 1, profile);
+        let ghost = || MatOperand::<f64>::HostGhost {
+            rows: 1024,
+            cols: 1024,
+        };
+        let req = GemmRequest::new(ghost(), ghost(), ghost())
+            .tile(TileChoice::Fixed(512))
+            .into();
+        (ServeSession::new(pool, ExecutorConfig::default()), req)
+    }
+
+    /// The calibrated price of `req` on `d`, without the clock.
+    fn price(s: &ServeSession, d: usize, req: &RoutineRequest) -> f64 {
+        s.service_secs(d, req) * s.calibration[d].factor()
+    }
+
+    #[test]
+    fn ratios_inside_the_dead_band_leave_the_price_bit_equal() {
+        let (mut s, req) = priced_session();
+        let service = s.service_secs(0, &req);
+        assert!(service > 0.0, "the profile prices the request");
+        for ratio in [0.87, 1.0, 1.06, 0.7, 1.45, 1.0] {
+            s.calibration[0].observe(service, service * ratio);
+            assert_eq!(s.calibration[0].factor(), 1.0, "ratio {ratio}");
+            assert_eq!(price(&s, 0, &req).to_bits(), service.to_bits());
+        }
+        // No prediction, no evidence.
+        s.calibration[1].observe(0.0, 1.0);
+        assert_eq!(s.calibration[1], Calibration::default());
+    }
+
+    #[test]
+    fn one_tenfold_overrun_lifts_the_factor() {
+        let (mut s, req) = priced_session();
+        let service = s.service_secs(0, &req);
+        s.calibration[0].observe(service, 10.0 * service);
+        assert!((s.calibration[0].factor() - 10.0).abs() < 1e-9);
+        assert!(price(&s, 0, &req) > 9.0 * service);
+        assert_eq!(price(&s, 1, &req).to_bits(), service.to_bits());
+        // Placement now prefers the peer although both clocks read zero.
+        assert_eq!(s.choose_device(&req, None).map(|c| c.0), Some(1));
+        // Later on-model attempts pull the running ratio back into the band.
+        for _ in 0..6 {
+            s.calibration[0].observe(service, service);
+        }
+        assert_eq!(s.calibration[0].factor(), 1.0);
+    }
+
+    #[test]
+    fn quarantine_and_readmission_reset_the_factor() {
+        let (mut s, req) = priced_session();
+        let service = s.service_secs(0, &req);
+        s.calibration[0].observe(service, 10.0 * service);
+        s.quarantine(0);
+        assert_eq!(s.calibration[0].factor(), 1.0);
+        s.calibration[0].observe(service, 10.0 * service);
+        s.readmit(0);
+        assert_eq!(s.calibration[0], Calibration::default());
+        assert_eq!(s.calibration[0].factor(), 1.0);
+    }
 
     #[test]
     fn sorted_insertion_reads_the_p95_of_a_sort() {

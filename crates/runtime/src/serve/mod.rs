@@ -18,10 +18,12 @@
 //!    ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload))
 //!    and schedules to minimise pool makespan. Whatever the policy, every
 //!    placement trusts one price per request × device pair: virtual
-//!    clock, plus the hedge-informed straggler penalty, plus the
-//!    estimated upload time of the shared operands the device is missing
-//!    and the model-predicted offload time — so an idle device steals
-//!    work once the affine device falls far enough behind.
+//!    clock, plus the estimated upload time of the shared operands the
+//!    device is missing and the model-predicted offload time, scaled by
+//!    the device's observed actual/predicted ratio once that leaves a
+//!    dead band around 1 — so an idle device steals work once the affine
+//!    device falls far enough behind, and a degraded one stops pulling
+//!    work after its first overrun.
 //! 3. **Cross-request residency.** Operands named by key
 //!    ([`MatArg::shared`](crate::MatArg::shared)) live in a per-device LRU
 //!    cache, so a matrix uploaded for request *N* is not re-transferred

@@ -6,9 +6,11 @@
 //!
 //! * [`Fifo`](SchedulePolicy::Fifo) — strict submission order, the
 //!   baseline behaviour. The request goes to the device with the lowest
-//!   placement price: device clock + hedge-informed straggler penalty +
-//!   service time (h2d time of non-resident shared operands +
-//!   model-predicted offload time).
+//!   placement price: device clock + service time (h2d time of
+//!   non-resident shared operands + model-predicted offload time), the
+//!   service time scaled by the device's calibration factor — its
+//!   observed actual/predicted ratio, or exactly 1 while that ratio stays
+//!   inside a dead band around 1.
 //! * [`Edf`](SchedulePolicy::Edf) — earliest-deadline-first: the queued
 //!   request with the smallest deadline runs next; deadline-less requests
 //!   run after every deadline-carrying one, in submission order. Device
@@ -17,9 +19,9 @@
 //!   queue is exactly what saves a tight deadline stuck behind bulk work.
 //! * [`Predictive`](SchedulePolicy::Predictive) — the paper's models close
 //!   the loop: every queued request × healthy device is priced with the
-//!   same placement price — device clock + straggler penalty + h2d time of
-//!   non-resident shared operands + model-predicted offload time
-//!   ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)
+//!   same placement price — device clock + calibrated service time (h2d
+//!   time of non-resident shared operands + model-predicted offload time,
+//!   [`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)
 //!   on the device's deployed profile). Each request is costed at its best
 //!   device, and the request with the *largest* best-completion is
 //!   dispatched there first — longest-processing-time list scheduling,
@@ -63,6 +65,16 @@ impl SchedulePolicy {
         }
     }
 
+    /// Name of the policy's `sched_predict_abs_err_<name>` drift
+    /// histogram.
+    pub(crate) fn drift_metric(self) -> &'static str {
+        match self {
+            SchedulePolicy::Fifo => "sched_predict_abs_err_fifo",
+            SchedulePolicy::Edf => "sched_predict_abs_err_edf",
+            SchedulePolicy::Predictive => "sched_predict_abs_err_predictive",
+        }
+    }
+
     /// Parses a policy name (`fifo`, `edf`, `predictive`;
     /// case-insensitive).
     ///
@@ -100,6 +112,10 @@ mod tests {
         ] {
             assert_eq!(SchedulePolicy::parse(p.name()), Ok(p));
             assert_eq!(p.to_string(), p.name());
+            assert_eq!(
+                p.drift_metric(),
+                format!("sched_predict_abs_err_{}", p.name())
+            );
         }
         assert_eq!(
             SchedulePolicy::parse("EDF"),

@@ -12,8 +12,8 @@ use crate::error::RequestId;
 use crate::multigpu::MultiGpu;
 use crate::request::RoutineRequest;
 use crate::serve::executor::{
-    BudgetState, Coalition, DeviceProbe, ExecutorConfig, HedgeConfig, ProbationConfig, Queued,
-    RequestOutcome, RetryBudgetConfig,
+    BudgetState, Calibration, Coalition, DeviceProbe, ExecutorConfig, HedgeConfig, ProbationConfig,
+    Queued, RequestOutcome, RetryBudgetConfig,
 };
 use crate::serve::residency::ResidencyCache;
 use crate::serve::sched::SchedulePolicy;
@@ -194,10 +194,11 @@ impl ServeOptions {
 /// warm residency caches.
 ///
 /// Every placement decision trusts one price per request × device pair:
-/// the device's virtual clock, plus its hedge-informed straggler penalty,
-/// plus the service time — the estimated upload of the shared operands
-/// the device is missing and the model-predicted offload time from the
-/// device's deployed profile. Under FIFO and EDF the cheapest device
+/// the device's virtual clock plus the service time — the estimated
+/// upload of the shared operands the device is missing and the
+/// model-predicted offload time from the device's deployed profile —
+/// scaled by the device's calibration factor, its observed
+/// actual/predicted ratio once that leaves a dead band around 1. Under FIFO and EDF the cheapest device
 /// pulls the next request; residency affinity therefore wins only while
 /// the affine device's clock lead stays below the re-upload cost. The
 /// predictive policy additionally orders the queue longest-first by that
@@ -240,13 +241,10 @@ pub struct ServeSession {
     pub(super) quarantined: Vec<bool>,
     /// Consecutive faults per device; reset by any successful request.
     pub(super) fault_streak: Vec<u32>,
-    /// Hedge-informed dispatch penalty, virtual seconds: a device whose
-    /// attempt overran its prediction carries the observed excess as
-    /// extra ready time, so placement stops feeding a straggler that a
-    /// winning hedge keeps rewinding to an attractive clock. Cleared by
-    /// any attempt that completes within its hedge threshold and on
-    /// quarantine/re-admission. Stays all-zero unless hedging is armed.
-    pub(super) suspicion_secs: Vec<f64>,
+    /// Per-device running actual/predicted ratio of completed attempts,
+    /// which scales the device's placement price outside a dead band (see
+    /// [`Calibration`]). Reset on quarantine and re-admission.
+    pub(super) calibration: Vec<Calibration>,
     /// The one observer: request-lifecycle spans plus, when
     /// [`ServeOptions::telemetry`] armed it, streaming telemetry. Armed
     /// by [`ServeOptions::tracing`] or [`ServeOptions::telemetry`].
@@ -342,7 +340,7 @@ impl ServeSession {
             next_id: 0,
             quarantined: vec![false; count],
             fault_streak: vec![0; count],
-            suspicion_secs: vec![0.0; count],
+            calibration: vec![Calibration::default(); count],
             tracer: (opts.tracing || telemetry.is_some())
                 .then(|| ServeTracer::new(opts.tracing, telemetry)),
             arrivals: VecDeque::new(),

@@ -184,12 +184,13 @@ fn primaries_on(report: &ServeReport, device: usize) -> usize {
         .count()
 }
 
-/// Predictive placement prices the same straggler penalty as the
-/// ready-time heuristic: once a hedge catches device 0 overrunning its
-/// prediction on the degraded link, the policy stops sending it primaries
-/// — even though each winning hedge rewinds device 0's clock to look idle.
-/// The requests carry private operands, so no residency affinity pulls
-/// work to device 1: only the penalty tells the two devices apart.
+/// Predictive placement prices the same calibration factor as the
+/// ready-time heuristic: once device 0 overruns its prediction on the
+/// degraded link (the hedge-cancelled primary counts), the policy stops
+/// sending it primaries — even though each winning hedge rewinds device
+/// 0's clock to look idle. The requests carry private operands, so no
+/// residency affinity pulls work to device 1: only the factor tells the
+/// two devices apart.
 #[test]
 fn predictive_placement_steers_primaries_off_a_caught_straggler() {
     for seed in [11u64, 23, 47] {
@@ -219,7 +220,7 @@ fn predictive_placement_steers_primaries_off_a_caught_straggler() {
             .iter()
             .all(|o| matches!(o.status, RequestStatus::Completed(_))));
         assert_eq!(dev0 + dev1, 16, "seed {seed}: one primary per request");
-        // Without the penalty every rewound-idle primary lands on dev0
+        // Without the factor every rewound-idle primary lands on dev0
         // again (16 of 16, each one hedged); with it, dev0 keeps only the
         // first attempt or two that exposed it.
         assert!(
@@ -229,6 +230,51 @@ fn predictive_placement_steers_primaries_off_a_caught_straggler() {
         assert!(
             run.report.metrics.counter("hedge_attempts_total") <= dev0 as u64,
             "seed {seed}: hedges fire only on dev0's overruns"
+        );
+    }
+}
+
+/// Drift calibration prices a straggler without any hedge: on the
+/// 5%-link trace with hedging off, device 0's first overrun lifts its
+/// calibration factor, so Predictive placement stops feeding it before
+/// its slow attempts stretch the makespan. An uncalibrated price sends it
+/// 4 of the 64 primaries for a 2.78 s makespan on every seed.
+#[test]
+fn calibration_steers_primaries_off_a_straggler_without_hedging() {
+    for seed in [11u64, 23, 47] {
+        let options = ServeOptions {
+            policy: SchedulePolicy::Predictive,
+            trace: true,
+            fault_plans: Some(straggler_fault_plans(2, seed, 0.05)),
+            ..ServeOptions::default()
+        };
+        let run = run_serve_with_options(
+            &quiet(),
+            2,
+            straggler_request_trace(64)
+                .into_iter()
+                .map(RoutineRequest::without_sharing)
+                .collect(),
+            &FaultSpec::none(),
+            &options,
+        )
+        .expect("predictive unhedged straggler run");
+        assert!(run
+            .report
+            .outcomes
+            .iter()
+            .all(|o| matches!(o.status, RequestStatus::Completed(_))));
+        assert_eq!(run.report.metrics.counter("hedge_attempts_total"), 0);
+        let dev0 = primaries_on(&run.report, 0);
+        assert_eq!(dev0 + primaries_on(&run.report, 1), 64, "seed {seed}");
+        assert!(
+            dev0 <= 3,
+            "seed {seed}: {dev0} primaries sent to the calibrated straggler"
+        );
+        let makespan = run.report.makespan.as_secs_f64();
+        assert!(
+            makespan < 2.6,
+            "seed {seed}: makespan {makespan:.3}s with the straggler priced"
         );
     }
 }

@@ -363,3 +363,109 @@ fn pinned_noisy_baseline_trace_is_unchanged() {
         &export::to_jsonl(&entries).expect("exports"),
     );
 }
+
+/// 64-bit FNV-1a digest of `text`: pins a long export in one line.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One golden line: a run's entry count and the digest of its JSON-lines
+/// export.
+fn digest_line(what: &str, count: usize, jsonl: &str) -> String {
+    format!("{what} {count} fnv1a64={:016x}\n", fnv1a64(jsonl))
+}
+
+/// A trace spanning many storage chunks: cuBLASXt on a 16×16×16 tile
+/// grid (20 480 entries), a retirement whose mark lies inside a chunk, a
+/// cancel whose instant lies several chunks further on, and a smaller call
+/// recorded after the cancel. Each stage's entries are pinned as a count
+/// and a digest of their JSON-lines export, alongside the trace's length
+/// and per-engine totals.
+#[test]
+fn pinned_multi_chunk_trace_is_unchanged() {
+    let n = 1024;
+    let mut gpu = Gpu::new(testbed_i(), ExecMode::TimingOnly, 5);
+    let xt = |gpu: &mut Gpu, n: usize, t: usize| {
+        cocopelia_baselines::cublasxt::gemm::<f64>(
+            gpu,
+            1.0,
+            ghost(n, n),
+            ghost(n, n),
+            1.0,
+            ghost(n, n),
+            t,
+        )
+        .expect("cublasxt runs");
+    };
+    xt(&mut gpu, n, n / 16);
+    let mut golden = String::new();
+    let mut line = |what: &str, count: usize, jsonl: String| {
+        golden.push_str(&digest_line(what, count, &jsonl));
+    };
+    let totals = |gpu: &Gpu| {
+        let t = gpu.trace();
+        [
+            EngineKind::CopyH2d,
+            EngineKind::Compute,
+            EngineKind::CopyD2h,
+        ]
+        .map(|k| {
+            format!(
+                "{} {} {}",
+                k.name(),
+                t.engine_busy(k).as_nanos(),
+                t.bytes_moved(k)
+            )
+        })
+        .join(" | ")
+    };
+    let full = gpu.trace().entries().len();
+    assert_eq!(full, 20_480);
+    line(
+        "full",
+        full,
+        export::to_jsonl(gpu.trace().entries()).expect("exports"),
+    );
+    let mark = 3 * 1536 + 500;
+    line(
+        "since-mark",
+        gpu.trace().len() - mark,
+        export::to_jsonl(gpu.trace().entries_since(mark)).expect("exports"),
+    );
+    let retired = gpu.retire_trace(mark);
+    line(
+        "retired",
+        retired.len(),
+        export::to_jsonl(&retired).expect("exports"),
+    );
+    let cut = 9 * 1536 + 1000;
+    let at = gpu
+        .trace()
+        .entries_since(cut)
+        .iter()
+        .next()
+        .expect("entry")
+        .start;
+    gpu.cancel_to(at);
+    line(
+        "after-cancel",
+        gpu.trace().entries().len(),
+        export::to_jsonl(gpu.trace().entries()).expect("exports"),
+    );
+    let resumed = gpu.trace().len();
+    xt(&mut gpu, 256, 64);
+    line(
+        "resumed",
+        gpu.trace().len() - resumed,
+        export::to_jsonl(gpu.trace().entries_since(resumed)).expect("exports"),
+    );
+    golden.push_str(&format!(
+        "len {} now {} | {}\n",
+        gpu.trace().len(),
+        gpu.now().as_nanos(),
+        totals(&gpu)
+    ));
+    assert_golden("multi_chunk_trace.txt", &golden);
+}

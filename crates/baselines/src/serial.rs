@@ -196,8 +196,8 @@ mod tests {
         .expect("runs");
         // Busy times tile the makespan exactly: no two entries overlap.
         let entries = gpu.trace().entries();
-        for w in entries.windows(2) {
-            assert!(w[1].start >= w[0].end, "serial schedule must not overlap");
+        for (a, b) in entries.iter().zip(entries.iter().skip(1)) {
+            assert!(b.start >= a.end, "serial schedule must not overlap");
         }
     }
 }

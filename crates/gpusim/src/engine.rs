@@ -31,26 +31,31 @@
 //! shape). An event record or wait is an 8-byte [`InstantOp`]: its event
 //! slot, with a record/wait bit, and its link. An op's global id is the
 //! batch's first id plus its sequence number, so ids (and so
-//! [`TraceEntry::op`]) count every enqueue, instants included. Once the
-//! simulator is idle every op has completed, so the op, instant, kernel,
-//! event and tag tables are retired together; a global `base` offset,
-//! advanced by the batch's enqueue count, keeps ids in enqueue order
-//! across retirements. Only the [`Trace`] outlives a batch, and its
-//! consumed prefix is retired on demand into exact per-engine totals
-//! ([`Sim::retire_trace`]).
+//! [`TraceEntry::op`]) count every enqueue, instants included. The run
+//! *passes* a record once nothing reads it again: an engine op when it
+//! completes, an instant when its stream head processes it, a kernel
+//! shape when its op starts. Once the simulator is idle every record has
+//! been passed, so the op, instant, kernel, event and tag tables are
+//! retired together; a global `base` offset, advanced by the batch's
+//! enqueue count, keeps ids in enqueue order across retirements. Only the
+//! [`Trace`] outlives a batch, and its consumed prefix is retired on
+//! demand into exact per-engine totals ([`Sim::retire_trace`]).
 //!
-//! A batch's storage grows without moving. Engine ops, instants and
-//! kernel shapes live in three [`OpTable`]s, each a list of fixed
-//! [`OP_CHUNK`]-record chunks:
-//! the first is allocated at the table's first push and grows like a
-//! `Vec` (small batches stay small), and is the only one kept at
-//! retirement; later ones are allocated full-size once. A stream owns no
-//! heap memory: it is the `(head, tail)` of a FIFO of `u32` links, each a
-//! batch-relative index whose top bit ([`INSTANT_LINK`]) selects the
-//! instant table. An op's stream is not stored: the stream walk knows it,
-//! and it travels with the op on the engine queue. The engine table's
-//! length is the number of trace entries the batch will record, so
-//! [`Sim::run_to_idle`] reserves them in one step.
+//! A batch's storage grows without moving, and peaks at the larger of its
+//! pending records and its trace rather than their sum. Engine ops,
+//! instants and kernel shapes live in three [`OpTable`]s, each a list of
+//! fixed [`OP_CHUNK`]-record chunks: the first is allocated at the
+//! table's first push and grows like a `Vec` (small batches stay small),
+//! and is the only one kept at retirement; later ones are allocated
+//! full-size once and dropped mid-run as soon as the run has passed their
+//! last record. The trace stores its entries in chunks of an engine-op
+//! chunk's byte size ([`TraceChunks`](crate::TraceChunks)), so as a
+//! one-batch cuBLASXt schedule runs, each new trace chunk reuses the heap
+//! space a passed op chunk just freed. A stream owns no heap memory: it
+//! is the `(head, tail)` of a FIFO of `u32` links, each a batch-relative
+//! index whose top bit ([`INSTANT_LINK`]) selects the instant table. An
+//! op's stream is not stored: the stream walk knows it, and it travels
+//! with the op on the engine queue.
 //!
 //! Streams are never destroyed, so the loop keeps the ascending ids of the
 //! non-empty ones (`busy`): [`Sim::stabilize`], [`Sim::idle`] and
@@ -60,7 +65,7 @@ use crate::kernel::KernelShape;
 use crate::op::{EventId, InstantOp, Op, OpId, OpKind, StreamId};
 use crate::spec::{LinkSpec, NoiseSpec};
 use crate::time::SimTime;
-use crate::trace::{EngineKind, OpTag, Trace, TraceEntry};
+use crate::trace::{EngineKind, OpTag, Trace, TraceChunks, TraceEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -76,7 +81,7 @@ pub(crate) const RETAINED_CAPACITY: usize = 4096;
 
 /// Records per chunk of an [`OpTable`]. The first chunk is the one
 /// retirement keeps, so it is the retained capacity.
-const OP_CHUNK: usize = RETAINED_CAPACITY;
+pub(crate) const OP_CHUNK: usize = RETAINED_CAPACITY;
 
 /// The bit of a stream-FIFO link that selects the instant table; the
 /// other 31 bits are the batch-relative index into the selected table.
@@ -136,26 +141,34 @@ fn retire_table<T>(table: &mut Vec<T>) {
     table.shrink_to(RETAINED_CAPACITY);
 }
 
+/// One [`OpTable`] chunk: its records and how many of them the run has
+/// passed.
+#[derive(Debug)]
+struct Chunk<T> {
+    recs: Vec<T>,
+    passed: usize,
+}
+
 /// The pending records (engine ops, instants or kernel shapes) of one
-/// batch, indexed by
-/// batch-relative position, in [`OP_CHUNK`]-record chunks so that
-/// appending never moves a stored record. Allocates nothing before its
-/// first push.
+/// batch, indexed by batch-relative position, in [`OP_CHUNK`]-record
+/// chunks so that appending never moves a stored record. Allocates
+/// nothing before its first push. A chunk after the first is dropped
+/// mid-run once the run has passed its last record
+/// ([`pass`](Self::pass)).
 #[derive(Debug)]
 struct OpTable<T> {
-    /// Every chunk but the last is full.
-    chunks: Vec<Vec<T>>,
+    /// Every chunk but the last is full (or dropped).
+    chunks: Vec<Chunk<T>>,
+    /// Records pushed this batch.
+    len: usize,
 }
 
 impl<T> OpTable<T> {
     fn new() -> Self {
-        OpTable { chunks: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.chunks
-            .last()
-            .map_or(0, |last| (self.chunks.len() - 1) * OP_CHUNK + last.len())
+        OpTable {
+            chunks: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Appends `rec` and returns its batch-relative index.
@@ -164,26 +177,49 @@ impl<T> OpTable<T> {
     ///
     /// If the index would not fit in a stream-FIFO link (31 bits).
     fn push(&mut self, rec: T) -> u32 {
-        let idx = idx32(self.len());
+        let idx = idx32(self.len);
         assert!(idx < INSTANT_LINK, "pending-table index exceeds 31 bits");
-        match self.chunks.last_mut() {
-            Some(last) if last.len() < OP_CHUNK => last.push(rec),
-            Some(_) => {
-                let mut chunk = Vec::with_capacity(OP_CHUNK);
-                chunk.push(rec);
-                self.chunks.push(chunk);
+        let c = self.len / OP_CHUNK;
+        match self.chunks.get_mut(c) {
+            Some(chunk) => chunk.recs.push(rec),
+            None => {
+                let recs = if c == 0 {
+                    vec![rec]
+                } else {
+                    let mut recs = Vec::with_capacity(OP_CHUNK);
+                    recs.push(rec);
+                    recs
+                };
+                self.chunks.push(Chunk { recs, passed: 0 });
             }
-            None => self.chunks.push(vec![rec]),
         }
+        self.len += 1;
         idx
+    }
+
+    /// Notes that the run is done with the record at `idx`: nothing reads
+    /// it again this batch. A chunk after the first is dropped when its
+    /// last record is passed; the first is kept for the next batch.
+    #[inline]
+    fn pass(&mut self, idx: u32) {
+        let c = idx as usize / OP_CHUNK;
+        if c == 0 {
+            return;
+        }
+        let chunk = &mut self.chunks[c];
+        chunk.passed += 1;
+        if chunk.passed == OP_CHUNK {
+            chunk.recs = Vec::new();
+        }
     }
 
     /// Drops every record, keeping only the first chunk's storage.
     fn retire(&mut self) {
         self.chunks.truncate(1);
         if let Some(first) = self.chunks.first_mut() {
-            retire_table(first);
+            retire_table(&mut first.recs);
         }
+        self.len = 0;
     }
 }
 
@@ -192,14 +228,14 @@ impl<T> std::ops::Index<u32> for OpTable<T> {
 
     fn index(&self, idx: u32) -> &T {
         let idx = idx as usize;
-        &self.chunks[idx / OP_CHUNK][idx % OP_CHUNK]
+        &self.chunks[idx / OP_CHUNK].recs[idx % OP_CHUNK]
     }
 }
 
 impl<T> std::ops::IndexMut<u32> for OpTable<T> {
     fn index_mut(&mut self, idx: u32) -> &mut T {
         let idx = idx as usize;
-        &mut self.chunks[idx / OP_CHUNK][idx % OP_CHUNK]
+        &mut self.chunks[idx / OP_CHUNK].recs[idx % OP_CHUNK]
     }
 }
 
@@ -248,6 +284,10 @@ pub(crate) struct Sim {
     /// `start_ns` until the next segment's start. The last segment (and
     /// everything before the first) runs at `1.0`.
     degrade: Vec<(u64, f64)>,
+    /// [`held_bytes`](Self::held_bytes) and the trace's share of it at
+    /// every engine-op completion.
+    #[cfg(test)]
+    held: Vec<(usize, usize)>,
 }
 
 impl Sim {
@@ -273,6 +313,8 @@ impl Sim {
             rng: StdRng::seed_from_u64(seed),
             trace: Trace::default(),
             degrade: Vec::new(),
+            #[cfg(test)]
+            held: Vec::new(),
         }
     }
 
@@ -435,7 +477,7 @@ impl Sim {
     /// Retires the trace before global index `upto` ([`Trace::retire`]).
     /// Requires an idle simulator, so no in-flight op still patches a
     /// retired entry.
-    pub(crate) fn retire_trace(&mut self, upto: usize) -> Vec<TraceEntry> {
+    pub(crate) fn retire_trace(&mut self, upto: usize) -> TraceChunks {
         assert!(self.idle(), "retire_trace called with work in flight");
         self.trace.retire(upto)
     }
@@ -557,7 +599,6 @@ impl Sim {
     /// Panics if the enqueued schedule deadlocks (a stream waits on an event
     /// that can never be recorded).
     pub(crate) fn run_to_idle(&mut self, mut on_complete: impl FnMut(OpId)) {
-        self.trace.reserve(self.ops.len());
         loop {
             let progressed = self.stabilize();
             if self.idle() {
@@ -610,6 +651,7 @@ impl Sim {
                         return true;
                     }
                     progressed = true;
+                    self.instants.pass(head & !INSTANT_LINK);
                     self.streams[s] = (head != tail).then_some((op.next, tail));
                     return head != tail;
                 }
@@ -713,6 +755,7 @@ impl Sim {
             }
             OpKind::Kernel(idx) => {
                 let (shape, base_secs) = self.kernels[idx];
+                self.kernels.pass(idx);
                 entry = entry.with_kernel(shape);
                 let secs = base_secs * self.noise_factor(self.noise.kernel_sigma);
                 (Phase::Work { remaining: secs }, secs, 1.0)
@@ -852,16 +895,27 @@ impl Sim {
     #[cfg(test)]
     pub(crate) fn table_lens(&self) -> [usize; 4] {
         [
-            self.ops.len(),
-            self.instants.len(),
-            self.kernels.len(),
+            self.ops.len,
+            self.instants.len,
+            self.kernels.len,
             self.tags.len(),
         ]
+    }
+
+    /// Bytes reserved by the pending tables and the trace.
+    #[cfg(test)]
+    fn held_bytes(&self) -> usize {
+        fn table<T>(t: &OpTable<T>) -> usize {
+            let recs: usize = t.chunks.iter().map(|c| c.recs.capacity()).sum();
+            recs * std::mem::size_of::<T>()
+        }
+        table(&self.ops) + table(&self.instants) + table(&self.kernels) + self.trace.held_bytes()
     }
 
     fn complete_op(&mut self, active: ActiveOp, on_complete: &mut impl FnMut(OpId)) {
         let Queued { idx, stream } = active.op;
         let op = self.ops[idx];
+        self.ops.pass(idx);
         let stream = stream as usize;
         // The op is necessarily at its stream head.
         let (head, tail) = self.streams[stream].expect("completed op's stream is busy");
@@ -877,6 +931,8 @@ impl Sim {
             .entry_mut(active.trace_idx)
             .expect("trace entry recorded at start")
             .end = now;
+        #[cfg(test)]
+        self.held.push((self.held_bytes(), self.trace.held_bytes()));
         on_complete(self.base + op.seq as usize);
     }
 }
@@ -885,6 +941,7 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::spec::{testbed_i, DirLinkSpec};
+    use crate::trace::TRACE_CHUNK;
     use cocopelia_hostblas::Dtype;
 
     fn quiet_link() -> LinkSpec {
@@ -1228,9 +1285,9 @@ mod tests {
     fn settle_chunks<T>(table: &OpTable<T>, settled: &mut Vec<*const T>) {
         for (i, chunk) in table.chunks.iter().enumerate() {
             if let Some(&addr) = settled.get(i) {
-                assert_eq!(chunk.as_ptr(), addr, "chunk {i} moved");
-            } else if i > 0 || chunk.len() == OP_CHUNK {
-                settled.push(chunk.as_ptr());
+                assert_eq!(chunk.recs.as_ptr(), addr, "chunk {i} moved");
+            } else if i > 0 || chunk.recs.len() == OP_CHUNK {
+                settled.push(chunk.recs.as_ptr());
             }
         }
     }
@@ -1252,13 +1309,13 @@ mod tests {
         // Books the op just enqueued on stream `s` in the model.
         let mut expect = |sim: &Sim, s: usize, instant: bool| {
             let link = if instant {
-                idx32(sim.instants.len() - 1) | INSTANT_LINK
+                idx32(sim.instants.len - 1) | INSTANT_LINK
             } else {
-                idx32(sim.ops.len() - 1)
+                idx32(sim.ops.len - 1)
             };
             model[s].push_back((sim.base + sim.enqueued - 1, link));
         };
-        while sim.ops.len() < 3 * OP_CHUNK + 123 || sim.instants.len() < 2 * OP_CHUNK {
+        while sim.ops.len < 3 * OP_CHUNK + 123 || sim.instants.len < 2 * OP_CHUNK {
             let s = rng.gen_range(0..streams.len());
             match rng.gen_range(0..4usize) {
                 0 => {
@@ -1285,15 +1342,23 @@ mod tests {
             settle_chunks(&sim.kernels, &mut settled_kernels);
         }
         let total = sim.enqueued;
-        assert_eq!(sim.ops.len() + sim.instants.len(), total);
-        assert_eq!(sim.ops.chunks.len(), sim.ops.len().div_ceil(OP_CHUNK));
+        assert_eq!(sim.ops.len + sim.instants.len, total);
+        assert_eq!(sim.ops.chunks.len(), sim.ops.len.div_ceil(OP_CHUNK));
         assert_eq!(
             sim.instants.chunks.len(),
-            sim.instants.len().div_ceil(OP_CHUNK)
+            sim.instants.len.div_ceil(OP_CHUNK)
         );
-        assert!(sim.ops.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
-        assert!(sim.instants.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
-        assert!(sim.kernels.chunks.iter().all(|c| c.capacity() == OP_CHUNK));
+        assert!(sim.ops.chunks.iter().all(|c| c.recs.capacity() == OP_CHUNK));
+        assert!(sim
+            .instants
+            .chunks
+            .iter()
+            .all(|c| c.recs.capacity() == OP_CHUNK));
+        assert!(sim
+            .kernels
+            .chunks
+            .iter()
+            .all(|c| c.recs.capacity() == OP_CHUNK));
         // Each stream's links, walked head to tail, are its enqueue order.
         for (s, fifo) in model.iter().enumerate() {
             let mut links = Vec::new();
@@ -1338,16 +1403,22 @@ mod tests {
         // Retirement keeps only the first chunks; ids continue globally,
         // counting the instants.
         for (chunks, cap) in [
-            (sim.ops.chunks.len(), sim.ops.chunks[0].capacity()),
-            (sim.instants.chunks.len(), sim.instants.chunks[0].capacity()),
-            (sim.kernels.chunks.len(), sim.kernels.chunks[0].capacity()),
+            (sim.ops.chunks.len(), sim.ops.chunks[0].recs.capacity()),
+            (
+                sim.instants.chunks.len(),
+                sim.instants.chunks[0].recs.capacity(),
+            ),
+            (
+                sim.kernels.chunks.len(),
+                sim.kernels.chunks[0].recs.capacity(),
+            ),
         ] {
             assert_eq!(chunks, 1);
             assert!(cap <= RETAINED_CAPACITY);
         }
         assert_eq!(sim.table_lens(), [0; 4]);
         assert_eq!(copy(&mut sim, streams[0], 10, true), first + total);
-        let mut traced: Vec<OpId> = sim.trace().entries()[1..].iter().map(|e| e.op).collect();
+        let mut traced: Vec<OpId> = sim.trace().entries_since(1).iter().map(|e| e.op).collect();
         traced.sort_unstable();
         assert_eq!(traced, engine_ids, "trace entries carry global op ids");
     }
@@ -1373,9 +1444,26 @@ mod tests {
         // Every chunk is full, so the reserved storage is the held records.
         let kernel_bytes = std::mem::size_of::<(KernelShape, f64)>();
         let reserved = |sim: &Sim| {
-            sim.ops.chunks.iter().map(Vec::capacity).sum::<usize>() * 24
-                + sim.instants.chunks.iter().map(Vec::capacity).sum::<usize>() * 8
-                + sim.kernels.chunks.iter().map(Vec::capacity).sum::<usize>() * kernel_bytes
+            sim.ops
+                .chunks
+                .iter()
+                .map(|c| c.recs.capacity())
+                .sum::<usize>()
+                * 24
+                + sim
+                    .instants
+                    .chunks
+                    .iter()
+                    .map(|c| c.recs.capacity())
+                    .sum::<usize>()
+                    * 8
+                + sim
+                    .kernels
+                    .chunks
+                    .iter()
+                    .map(|c| c.recs.capacity())
+                    .sum::<usize>()
+                    * kernel_bytes
         };
         assert_eq!(
             reserved(&sim),
@@ -1395,6 +1483,82 @@ mod tests {
             "retires to the first chunks"
         );
         assert_eq!(reserved(&sim), OP_CHUNK * (24 + 8 + kernel_bytes));
+    }
+
+    /// Enqueues `tiles` tiles of the cuBLASXt shape: per tile, a copy and
+    /// a kernel on two streams that order each other through a record and
+    /// two waits.
+    fn event_heavy_batch(sim: &mut Sim, tiles: usize) {
+        let (s0, s1) = (sim.create_stream(), sim.create_stream());
+        for _ in 0..tiles {
+            copy(sim, s0, 64, true);
+            let ev = sim.record_event(s0);
+            sim.wait_event(s1, ev);
+            kernel(sim, s1, 1e-7);
+            let done = sim.record_event(s1);
+            sim.wait_event(s0, done);
+        }
+    }
+
+    /// Bytes of one chunk of each pending table.
+    const PENDING_CHUNK_BYTES: usize = OP_CHUNK
+        * (std::mem::size_of::<Op>()
+            + std::mem::size_of::<InstantOp>()
+            + std::mem::size_of::<(KernelShape, f64)>());
+
+    #[test]
+    fn a_batch_holds_the_larger_of_its_pending_records_and_its_trace() {
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        event_heavy_batch(&mut sim, 3 * OP_CHUNK);
+        let pending = sim.held_bytes();
+        let trace_end = 6 * OP_CHUNK * std::mem::size_of::<TraceEntry>();
+        run_all(&mut sim);
+        assert_eq!(sim.held.len(), 6 * OP_CHUNK);
+        // Passed chunks are dropped as the trace grows, so the two never
+        // add up: at every completion the batch holds the larger of its
+        // pending records and its trace, plus the first chunk of each
+        // table, one chunk of each that the run is partway through and
+        // the trace's partly filled chunk.
+        let slack = 2 * PENDING_CHUNK_BYTES + TRACE_CHUNK * std::mem::size_of::<TraceEntry>();
+        for (i, &(held, trace)) in sim.held.iter().enumerate() {
+            assert!(
+                held <= pending.max(trace) + slack,
+                "completion {i}: {held} B held, {trace} B of trace, {pending} B pending at start"
+            );
+        }
+        // At the last completion only the first chunks and the chunk of
+        // the instants still to come remain; keeping every record to the
+        // end would have held their sum.
+        let &(held, trace) = sim.held.last().expect("completions");
+        assert!(trace >= trace_end);
+        assert!(
+            held <= trace + 2 * PENDING_CHUNK_BYTES,
+            "{held} B held at the end"
+        );
+        assert!(held + PENDING_CHUNK_BYTES < pending + trace_end);
+    }
+
+    #[test]
+    fn small_batches_hold_no_more_than_a_vec_would() {
+        // Four records of each table: the capacity a `Vec` first grows to,
+        // which is what a one-op batch held before the tables were chunked.
+        let small = 4 * (std::mem::size_of::<TraceEntry>() + std::mem::size_of::<Op>());
+        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        let s = sim.create_stream();
+        copy(&mut sim, s, 64, true);
+        run_all(&mut sim);
+        assert!(sim.held_bytes() <= small, "{} B", sim.held_bytes());
+        // A device that clears its trace before each sample, as transfer
+        // microbenchmarks do, keeps reusing the same small chunk.
+        let other = sim.create_stream();
+        for _ in 0..100 {
+            sim.clear_trace();
+            copy(&mut sim, s, 4096, true);
+            copy(&mut sim, other, 4096, false);
+            run_all(&mut sim);
+            assert!(sim.held_bytes() <= small, "{} B", sim.held_bytes());
+        }
+        assert!(sim.held.iter().all(|&(held, _)| held <= small));
     }
 
     #[test]
@@ -1488,7 +1652,8 @@ mod tests {
                 sim.wait_event(b, ev);
             }
             run_all(sim);
-            sim.trace().entries()[first..]
+            sim.trace()
+                .entries_since(first)
                 .iter()
                 .map(|e| (e.start.as_nanos(), e.end.as_nanos()))
                 .collect()

@@ -10,7 +10,7 @@ use crate::memory::{AllocMark, DevBufId, DeviceMemory, HostArena, HostBufId, Hos
 use crate::op::{check_mat_ref, CopyDesc, EventId, KernelArgs, OpId, OpKind, StreamId};
 use crate::spec::TestbedSpec;
 use crate::time::SimTime;
-use crate::trace::{OpTag, Trace, TraceEntry};
+use crate::trace::{OpTag, Trace, TraceChunks};
 use cocopelia_hostblas::Dtype;
 use std::collections::HashMap;
 
@@ -632,7 +632,8 @@ impl Gpu {
 
     /// Moves out the trace entries before global index `upto` (a
     /// [`Trace::len`] mark), in record order, folding them into the
-    /// trace's exact per-engine totals. A later
+    /// trace's exact per-engine totals. The chunks they fill leave whole;
+    /// only the consumed part of a chunk still in use is copied. A later
     /// [`cancel_to`](Gpu::cancel_to) must not reach before the end of a
     /// retired entry.
     ///
@@ -640,7 +641,7 @@ impl Gpu {
     ///
     /// If work is in flight (call between
     /// [`synchronize`](Gpu::synchronize) calls).
-    pub fn retire_trace(&mut self, upto: usize) -> Vec<TraceEntry> {
+    pub fn retire_trace(&mut self, upto: usize) -> TraceChunks {
         self.sim.retire_trace(upto)
     }
 
@@ -1179,7 +1180,7 @@ mod tests {
         let h2d_busy = gpu.trace().engine_busy(EngineKind::CopyH2d);
         let retired = gpu.retire_trace(1);
         assert_eq!(retired.len(), 1);
-        assert_eq!(retired[0].engine, EngineKind::CopyH2d);
+        assert_eq!(retired.view()[0].engine, EngineKind::CopyH2d);
         gpu.cancel_to(copy_end);
         assert_eq!(gpu.now(), copy_end);
         assert_eq!(

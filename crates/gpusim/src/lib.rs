@@ -69,4 +69,6 @@ pub use spec::{
     QuantProfile, TestbedSpec,
 };
 pub use time::SimTime;
-pub use trace::{EngineKind, OpTag, OperandRole, Routine, Trace, TraceEntry};
+pub use trace::{
+    EngineKind, OpTag, OperandRole, Routine, Trace, TraceChunks, TraceEntry, TraceView,
+};

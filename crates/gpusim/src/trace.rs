@@ -9,10 +9,17 @@
 //! `Copy` value, and a copy's byte count shares one 16-byte field with a
 //! kernel's packed shape (no entry has both), read through
 //! [`TraceEntry::bytes`] and [`TraceEntry::kernel`].
+//!
+//! Such a call's trace grows while its batch runs, so entries are stored
+//! in [`TraceChunks`]: fixed chunks of one engine-op chunk's byte size,
+//! each carved from the heap space the batch's passed op chunks free (see
+//! the engine's "A batch's storage"). The batch then peaks at the larger of
+//! its pending records and its trace, not their sum. Readers get a
+//! [`TraceView`] across the chunks, and retirement moves whole chunks out.
 
-use crate::engine::RETAINED_CAPACITY;
+use crate::engine::OP_CHUNK;
 use crate::kernel::KernelShape;
-use crate::op::StreamId;
+use crate::op::{Op, StreamId};
 use crate::time::SimTime;
 use cocopelia_hostblas::Dtype;
 
@@ -338,6 +345,303 @@ impl TraceEntry {
     }
 }
 
+/// Entries per trace chunk: the byte size of an engine-op chunk, so a
+/// trace chunk fits the heap space a passed op chunk frees mid-run (see
+/// the engine's "A batch's storage").
+pub(crate) const TRACE_CHUNK: usize =
+    OP_CHUNK * std::mem::size_of::<Op>() / std::mem::size_of::<TraceEntry>();
+
+/// Trace entries in fixed-size chunks (1 536 entries, 96 KiB), in record
+/// order: appending never moves a stored entry, and a consumed prefix
+/// leaves as whole chunks. Every chunk but the last is full. The first
+/// chunk grows like a `Vec` up to a chunk (a one-op device stays small);
+/// later ones are allocated full-size once.
+///
+/// [`Gpu::retire_trace`](crate::Gpu::retire_trace) returns the entries it
+/// moves out as one of these: the consumed chunks themselves, plus a copy
+/// of the consumed part of a chunk still in use.
+#[derive(Debug, Default, Clone)]
+pub struct TraceChunks {
+    chunks: Vec<Vec<TraceEntry>>,
+    /// Leading entries of the first chunk that were moved out earlier;
+    /// they are never read again.
+    skip: usize,
+}
+
+impl TraceChunks {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.end() - self.skip
+    }
+
+    /// True if there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entries, in record order.
+    pub fn view(&self) -> TraceView<'_> {
+        self.view_from(0)
+    }
+
+    /// Iterates over the entries in record order.
+    pub fn iter(&self) -> Iter<'_> {
+        self.view().iter()
+    }
+
+    /// The entries as one `Vec`; a single chunk is moved, not copied.
+    pub fn into_vec(mut self) -> Vec<TraceEntry> {
+        if self.chunks.len() > 1 {
+            return self.view().to_vec();
+        }
+        let mut entries = self.chunks.pop().unwrap_or_default();
+        entries.drain(..self.skip);
+        entries
+    }
+
+    /// Position one past the last entry, counting the skipped prefix.
+    fn end(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * TRACE_CHUNK + last.len())
+    }
+
+    /// The entries after the first `n` (none once `n` reaches the end).
+    fn view_from(&self, n: usize) -> TraceView<'_> {
+        let end = self.end();
+        let at = (self.skip + n).min(end);
+        let c = at / TRACE_CHUNK;
+        TraceView {
+            head: self
+                .chunks
+                .get(c)
+                .map_or(&[], |chunk| &chunk[at % TRACE_CHUNK..]),
+            rest: self.chunks.get(c + 1..).unwrap_or(&[]),
+            len: end - at,
+        }
+    }
+
+    fn push(&mut self, entry: TraceEntry) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < TRACE_CHUNK => {
+                if last.len() == last.capacity() {
+                    // A short chunk grows like a `Vec`, but never past a
+                    // chunk.
+                    last.reserve_exact((2 * last.len()).clamp(4, TRACE_CHUNK) - last.len());
+                }
+                last.push(entry);
+            }
+            _ => {
+                let cap = if self.chunks.is_empty() {
+                    4
+                } else {
+                    TRACE_CHUNK
+                };
+                let mut chunk = Vec::with_capacity(cap);
+                chunk.push(entry);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn get_mut(&mut self, n: usize) -> Option<&mut TraceEntry> {
+        let at = self.skip + n;
+        self.chunks
+            .get_mut(at / TRACE_CHUNK)?
+            .get_mut(at % TRACE_CHUNK)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut TraceEntry> {
+        self.chunks.iter_mut().flatten().skip(self.skip)
+    }
+
+    /// Keeps the first `n` entries, and the first chunk's storage.
+    fn truncate(&mut self, n: usize) {
+        let end = self.skip + n;
+        if end >= self.end() {
+            return;
+        }
+        self.chunks.truncate(end.div_ceil(TRACE_CHUNK).max(1));
+        let last_start = (self.chunks.len() - 1) * TRACE_CHUNK;
+        if let Some(last) = self.chunks.last_mut() {
+            last.truncate(end - last_start);
+        }
+    }
+
+    /// Empties the list, keeping only the first chunk's storage.
+    fn clear(&mut self) {
+        self.chunks.truncate(1);
+        if let Some(first) = self.chunks.first_mut() {
+            first.clear();
+        }
+        self.skip = 0;
+    }
+
+    /// Moves out the first `n` entries (all of them, past the end): the
+    /// chunks they fill are moved, and only the consumed part of a chunk
+    /// that stays is copied.
+    fn split_front(&mut self, n: usize) -> TraceChunks {
+        let n = n.min(self.len());
+        if n == 0 {
+            return TraceChunks::default();
+        }
+        if n == self.len() {
+            return std::mem::take(self);
+        }
+        // Entries remain past `end`, so the chunk holding `end` stays.
+        let end = self.skip + n;
+        let whole = end / TRACE_CHUNK;
+        let from = if whole == 0 { self.skip } else { 0 };
+        let mut out = TraceChunks {
+            chunks: self.chunks.drain(..whole).collect(),
+            skip: self.skip - from,
+        };
+        self.skip = end % TRACE_CHUNK;
+        if self.skip > from {
+            out.chunks.push(self.chunks[0][from..self.skip].to_vec());
+        }
+        out
+    }
+}
+
+impl<'a> IntoIterator for &'a TraceChunks {
+    type Item = &'a TraceEntry;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// A borrowed run of trace entries in record order, as
+/// [`Trace::entries`] and [`Trace::entries_since`] return it: it reads
+/// across the trace's chunks by index or by iteration, copying nothing.
+/// A slice converts into a view of itself.
+#[derive(Clone, Copy, Default)]
+pub struct TraceView<'a> {
+    /// The view's part of its first chunk.
+    head: &'a [TraceEntry],
+    /// Later chunks, every one but the last full.
+    rest: &'a [Vec<TraceEntry>],
+    /// Entries in the view: `head` and a prefix of `rest`.
+    len: usize,
+}
+
+impl<'a> TraceView<'a> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the view holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`th entry, if there is one.
+    pub fn get(&self, i: usize) -> Option<&'a TraceEntry> {
+        match i.checked_sub(self.head.len()) {
+            None => self.head.get(i),
+            Some(r) if i < self.len => Some(&self.rest[r / TRACE_CHUNK][r % TRACE_CHUNK]),
+            Some(_) => None,
+        }
+    }
+
+    /// Iterates over the entries in record order.
+    pub fn iter(&self) -> Iter<'a> {
+        Iter {
+            head: self.head.iter(),
+            rest: self.rest.iter(),
+            left: self.len - self.head.len(),
+        }
+    }
+
+    /// Copies the entries into a `Vec`.
+    pub fn to_vec(&self) -> Vec<TraceEntry> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl<'a> From<&'a [TraceEntry]> for TraceView<'a> {
+    fn from(entries: &'a [TraceEntry]) -> Self {
+        TraceView {
+            head: entries,
+            rest: &[],
+            len: entries.len(),
+        }
+    }
+}
+
+impl std::ops::Index<usize> for TraceView<'_> {
+    type Output = TraceEntry;
+
+    fn index(&self, i: usize) -> &TraceEntry {
+        self.get(i).unwrap_or_else(|| {
+            panic!(
+                "trace index {i} out of range for a view of {} entries",
+                self.len
+            )
+        })
+    }
+}
+
+impl PartialEq for TraceView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for TraceView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for TraceView<'a> {
+    type Item = &'a TraceEntry;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the entries of a [`TraceView`] or [`TraceChunks`].
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    head: std::slice::Iter<'a, TraceEntry>,
+    rest: std::slice::Iter<'a, Vec<TraceEntry>>,
+    /// Entries after `head`.
+    left: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a TraceEntry;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a TraceEntry> {
+        loop {
+            if let Some(e) = self.head.next() {
+                return Some(e);
+            }
+            if self.left == 0 {
+                return None;
+            }
+            let chunk = self.rest.next()?;
+            let n = chunk.len().min(self.left);
+            self.left -= n;
+            self.head = chunk[..n].iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.head.len() + self.left;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 /// Chronological record of everything the simulated device executed.
 ///
 /// The trace is a window over a global entry index:
@@ -349,9 +653,10 @@ impl TraceEntry {
 /// history while memory holds only the entries some reader still needs.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
-    /// Global index of `entries[0]`: the number of retired entries.
+    /// Global index of the first retained entry: the number of retired
+    /// entries.
     base: usize,
-    entries: Vec<TraceEntry>,
+    entries: TraceChunks,
     /// Busy ns and bytes moved by the retired entries, per engine.
     retired: [(u64, usize); 3],
     /// Latest end of any retired entry: no rewind may reach before it.
@@ -361,8 +666,8 @@ pub struct Trace {
 impl Trace {
     /// The retained entries (everything recorded since the last
     /// [`Gpu::retire_trace`](crate::Gpu::retire_trace)), in record order.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
+    pub fn entries(&self) -> TraceView<'_> {
+        self.entries.view()
     }
 
     /// Number of entries ever recorded, retired ones included.
@@ -375,7 +680,7 @@ impl Trace {
         self.len() == 0
     }
 
-    /// Entries recorded after the first `n` — the slice a caller that
+    /// Entries recorded after the first `n` — the run a caller that
     /// noted [`len`](Self::len) before issuing work can attribute to that
     /// work (the serve executor tags each dispatch attempt this way). The
     /// mark is global, so it stays valid across retirements as long as it
@@ -385,31 +690,27 @@ impl Trace {
     ///
     /// If `n` predates the retired prefix: those entries are gone, and
     /// reading the whole retained window instead would misattribute it.
-    pub fn entries_since(&self, n: usize) -> &[TraceEntry] {
+    pub fn entries_since(&self, n: usize) -> TraceView<'_> {
         assert!(
             n >= self.base,
             "trace mark {n} predates the {} retired entries",
             self.base
         );
-        &self.entries[(n - self.base).min(self.entries.len())..]
+        self.entries.view_from(n - self.base)
     }
 
     /// Moves out the entries before global index `upto` (clamped to the
     /// retained window), in record order, folding them into the
     /// per-engine totals. Later marks and totals are unaffected.
-    pub(crate) fn retire(&mut self, upto: usize) -> Vec<TraceEntry> {
-        let n = upto.saturating_sub(self.base).min(self.entries.len());
-        // Only the kept tail is copied; the retired prefix leaves with the
-        // allocation, so moving a whole lane out copies nothing.
-        let rest = self.entries.split_off(n);
-        let retired = std::mem::replace(&mut self.entries, rest);
+    pub(crate) fn retire(&mut self, upto: usize) -> TraceChunks {
+        let retired = self.entries.split_front(upto.saturating_sub(self.base));
         for e in &retired {
             let (busy, bytes) = &mut self.retired[e.engine as usize];
             *busy += e.duration().as_nanos();
             *bytes += e.bytes().unwrap_or(0);
             self.retired_end = self.retired_end.max(e.end);
         }
-        self.base += n;
+        self.base += retired.len();
         retired
     }
 
@@ -417,19 +718,11 @@ impl Trace {
         self.entries.push(entry);
     }
 
-    /// Makes room for `additional` more entries, growing amortized so a
-    /// stream of small batches still doubles.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.entries.reserve(additional);
-    }
-
-    /// Forgets everything, retired totals included. The entries' storage
-    /// is trimmed to the capacity the simulator's per-batch tables retain,
-    /// so one huge batch does not pin its footprint for the life of the
-    /// device.
+    /// Forgets everything, retired totals included. Only the first
+    /// chunk's storage is kept, so one huge batch does not pin its
+    /// footprint for the life of the device.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
-        self.entries.shrink_to(RETAINED_CAPACITY);
         self.base = 0;
         self.retired = Default::default();
         self.retired_end = SimTime::ZERO;
@@ -455,12 +748,26 @@ impl Trace {
             "rewind to {at:?} reaches retired trace entries (retired through {:?})",
             self.retired_end
         );
-        self.entries.retain(|e| e.start < at);
-        for e in &mut self.entries {
+        // Entries are recorded as they start, and the clock never runs
+        // backwards past a kept entry, so the discarded ones are a suffix.
+        let keep = self.entries().iter().take_while(|e| e.start < at).count();
+        debug_assert!(self
+            .entries_since(self.base + keep)
+            .iter()
+            .all(|e| e.start >= at));
+        self.entries.truncate(keep);
+        for e in self.entries.iter_mut() {
             if e.end > at {
                 e.end = at;
             }
         }
+    }
+
+    /// Bytes the entries' chunks reserve.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        let entries: usize = self.entries.chunks.iter().map(Vec::capacity).sum();
+        entries * std::mem::size_of::<TraceEntry>()
     }
 
     /// Total busy time per engine.
@@ -489,6 +796,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RETAINED_CAPACITY;
 
     fn entry(engine: EngineKind, start: u64, end: u64, bytes: Option<usize>) -> TraceEntry {
         let e = TraceEntry::new(
@@ -597,7 +905,7 @@ mod tests {
         let mut t = mixed_trace(20);
         let mut retired = Vec::new();
         for upto in [0, 3, 3, 11, 7, 19, 25] {
-            retired.extend(t.retire(upto));
+            retired.extend(t.retire(upto).into_vec());
             assert_eq!(t.len(), twin.len(), "len counts retired entries");
             assert_eq!(totals(&t), totals(&twin), "totals after retire({upto})");
         }
@@ -609,7 +917,7 @@ mod tests {
             (0..20).collect::<Vec<_>>(),
             "retire yields record order"
         );
-        assert_eq!(retired, twin.entries());
+        assert_eq!(retired, twin.entries().to_vec());
     }
 
     #[test]
@@ -622,7 +930,7 @@ mod tests {
         for mark in 5..=12 {
             assert_eq!(t.entries_since(mark), twin.entries_since(mark));
         }
-        assert_eq!(t.entries_since(40), &[] as &[TraceEntry]);
+        assert!(t.entries_since(40).is_empty());
         assert_eq!(t.entry_mut(4), None, "retired entries are gone");
         assert_eq!(t.entry_mut(5).map(|e| e.op), Some(5));
     }
@@ -694,15 +1002,108 @@ mod tests {
     }
 
     #[test]
+    fn trace_chunks_are_the_byte_size_of_op_chunks() {
+        assert_eq!(
+            TRACE_CHUNK * std::mem::size_of::<TraceEntry>(),
+            OP_CHUNK * std::mem::size_of::<Op>()
+        );
+    }
+
+    #[test]
     fn clear_trims_a_huge_batch_to_the_retained_capacity() {
         let mut t = mixed_trace(3 * RETAINED_CAPACITY as u64);
-        assert!(t.entries.capacity() > RETAINED_CAPACITY);
+        let caps: Vec<usize> = t.entries.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [TRACE_CHUNK; 8], "later chunks are allocated full");
+        // Only the first chunk is kept.
         t.clear();
-        assert!(t.entries.capacity() <= RETAINED_CAPACITY);
-        // A small trace keeps its storage for the next call.
+        assert_eq!(t.entries.chunks.len(), 1);
+        assert!(t.entries.chunks[0].capacity() <= TRACE_CHUNK.min(RETAINED_CAPACITY));
+        // The first chunk grows like a `Vec`, and a small trace keeps its
+        // storage for the next call.
         let mut t = mixed_trace(10);
-        let cap = t.entries.capacity();
+        let cap = t.entries.chunks[0].capacity();
+        assert_eq!(cap, 16);
         t.clear();
-        assert_eq!(t.entries.capacity(), cap);
+        assert_eq!(t.entries.chunks[0].capacity(), cap);
+    }
+
+    #[test]
+    fn retirement_moves_whole_chunks() {
+        let mut t = mixed_trace(4 * TRACE_CHUNK as u64);
+        // A prefix inside the first chunk is copied out; the chunk stays.
+        let first = t.entries.chunks[0].as_ptr();
+        let out = t.retire(10);
+        assert_eq!(out.len(), 10);
+        assert_ne!(out.chunks[0].as_ptr(), first);
+        assert_eq!(t.entries.chunks[0].as_ptr(), first);
+        // The rest of chunk 0 and all of chunk 1 leave as they are, and
+        // the consumed head of chunk 2 is copied.
+        let moved: Vec<*const TraceEntry> =
+            t.entries.chunks[..2].iter().map(|c| c.as_ptr()).collect();
+        let out = t.retire(2 * TRACE_CHUNK + 7);
+        assert_eq!(out.len(), 2 * TRACE_CHUNK - 3);
+        let out_ptrs: Vec<*const TraceEntry> = out.chunks.iter().map(|c| c.as_ptr()).collect();
+        assert_eq!(out_ptrs[..2], moved[..]);
+        assert_eq!(out.chunks.len(), 3);
+        let ops: Vec<usize> = out.iter().map(|e| e.op).collect();
+        assert_eq!(ops, (10..2 * TRACE_CHUNK + 7).collect::<Vec<_>>());
+        assert_eq!(t.entries().len(), 2 * TRACE_CHUNK - 7);
+        assert_eq!(t.entries()[0].op, 2 * TRACE_CHUNK + 7);
+    }
+
+    #[test]
+    fn chunked_trace_matches_a_flat_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut t = Trace::default();
+        // The model: every entry ever recorded and not rewound, plus the
+        // number retired.
+        let (mut model, mut base): (Vec<TraceEntry>, usize) = (Vec::new(), 0);
+        let mut next = 0u64;
+        for _ in 0..300 {
+            match rng.gen_range(0..6usize) {
+                0..=2 => {
+                    for _ in 0..rng.gen_range(0..TRACE_CHUNK + 200) {
+                        let e = TraceEntry {
+                            op: next as usize,
+                            ..entry(EngineKind::Compute, 10 * next, 10 * next + 25, None)
+                        };
+                        next += 1;
+                        t.push(e.clone());
+                        model.push(e);
+                    }
+                }
+                3 => {
+                    let upto = rng.gen_range(base..model.len() + 4);
+                    let out = t.retire(upto);
+                    let n = upto.min(model.len()) - base;
+                    assert_eq!(out.view(), TraceView::from(&model[base..base + n]));
+                    base += n;
+                }
+                4 if base < model.len() => {
+                    let lo = t.retired_end.as_nanos();
+                    let at = rng.gen_range(lo..10 * next + 31);
+                    let at = SimTime::from_nanos(at);
+                    t.clamp_to(at);
+                    let keep = base + model[base..].iter().filter(|e| e.start < at).count();
+                    model.truncate(keep);
+                    for e in &mut model[base..] {
+                        e.end = e.end.min(at);
+                    }
+                    next = model.len() as u64;
+                }
+                _ => {}
+            }
+            assert_eq!(t.len(), model.len());
+            let mark = rng.gen_range(base..model.len() + 1);
+            let since = t.entries_since(mark);
+            assert_eq!(since, TraceView::from(&model[mark..]));
+            assert_eq!(since.iter().len(), model.len() - mark);
+            for i in [0, since.len() / 2, since.len().saturating_sub(1)] {
+                assert_eq!(since.get(i), model[mark..].get(i));
+            }
+            assert_eq!(since.get(since.len()), None);
+        }
     }
 }

@@ -86,7 +86,9 @@ fn entry_value(e: &TraceEntry) -> Value {
 /// # Errors
 ///
 /// Propagates serialization failures (none occur for well-formed entries).
-pub fn to_jsonl(entries: &[TraceEntry]) -> Result<String, serde_json::Error> {
+pub fn to_jsonl<'a>(
+    entries: impl IntoIterator<Item = &'a TraceEntry>,
+) -> Result<String, serde_json::Error> {
     let mut out = String::new();
     for e in entries {
         out.push_str(&serde_json::to_string(&entry_value(e))?);
@@ -123,7 +125,12 @@ fn thread_name_event(pid: u64, tid: u64, name: &str) -> Value {
 }
 
 /// Pushes one device's metadata and entry slices under the given pid.
-fn push_device_events(events: &mut Vec<Value>, pid: u64, name: &str, entries: &[TraceEntry]) {
+fn push_device_events<'a>(
+    events: &mut Vec<Value>,
+    pid: u64,
+    name: &str,
+    entries: impl IntoIterator<Item = &'a TraceEntry>,
+) {
     events.push(process_name_event(pid, name));
     for engine in [
         EngineKind::CopyH2d,
@@ -175,12 +182,12 @@ fn chrome_doc(events: Vec<Value>) -> Result<String, serde_json::Error> {
 /// # Errors
 ///
 /// Propagates serialization failures (none occur for well-formed entries).
-pub fn to_chrome_trace(entries: &[TraceEntry]) -> Result<String, serde_json::Error> {
-    to_chrome_trace_multi(&[DeviceLane {
-        device: 0,
-        name: "dev0".to_owned(),
-        entries: entries.to_vec(),
-    }])
+pub fn to_chrome_trace<'a>(
+    entries: impl IntoIterator<Item = &'a TraceEntry>,
+) -> Result<String, serde_json::Error> {
+    let mut events = Vec::new();
+    push_device_events(&mut events, device_pid(0), "dev0", entries);
+    chrome_doc(events)
 }
 
 /// Renders multiple device lanes as one Chrome trace-event JSON document,

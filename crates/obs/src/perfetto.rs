@@ -27,7 +27,7 @@
 //! subset) so tests — and the `serve --trace-out` acceptance gate — can
 //! round-trip the emitted bytes without a protobuf dependency.
 
-use crate::span::{DeviceLane, ServeTrace, Span, SpanPhase};
+use crate::span::{ServeTrace, Span, SpanPhase};
 use cocopelia_gpusim::{EngineKind, TraceEntry};
 
 // ---- wire-format field numbers (upstream perfetto .proto schema) ----
@@ -294,7 +294,11 @@ fn write_events(out: &mut Vec<u8>, mut events: Vec<PendingEvent>) {
 }
 
 /// Queues device `d`'s engine entries on its engine tracks.
-fn push_entries<'a>(events: &mut Vec<PendingEvent<'a>>, d: usize, entries: &'a [TraceEntry]) {
+fn push_entries<'a>(
+    events: &mut Vec<PendingEvent<'a>>,
+    d: usize,
+    entries: impl IntoIterator<Item = &'a TraceEntry>,
+) {
     for e in entries {
         push_slice(
             events,
@@ -364,15 +368,15 @@ pub fn to_perfetto(trace: &ServeTrace) -> Vec<u8> {
 
 /// Serialises one device's raw entries (no spans) — the single-run
 /// `cocopelia trace --format perfetto` path.
-pub fn to_perfetto_single(entries: &[TraceEntry]) -> Vec<u8> {
-    to_perfetto(&ServeTrace {
-        spans: Vec::new(),
-        lanes: vec![DeviceLane {
-            device: 0,
-            name: "dev0".to_owned(),
-            entries: entries.to_vec(),
-        }],
-    })
+/// It writes what [`to_perfetto`] writes for one `dev0` lane and no
+/// spans, without copying the entries into a lane.
+pub fn to_perfetto_single<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> Vec<u8> {
+    let mut w = StreamWriter::new(std::io::sink());
+    w.ensure_device(0, "dev0");
+    let mut events: Vec<PendingEvent> = Vec::new();
+    push_entries(&mut events, 0, entries);
+    write_events(&mut w.buf, events);
+    w.buf
 }
 
 /// Incremental Perfetto writer: appends `TracePacket`s to a sink as
@@ -541,13 +545,14 @@ impl<W: std::io::Write> StreamWriter<W> {
     }
 
     /// Appends one batch of engine-level trace entries for device `d`.
-    pub fn write_entries(
+    pub fn write_entries<'a>(
         &mut self,
         d: usize,
         name: &str,
-        entries: &[TraceEntry],
+        entries: impl IntoIterator<Item = &'a TraceEntry>,
     ) -> std::io::Result<()> {
-        if entries.is_empty() {
+        let mut entries = entries.into_iter().peekable();
+        if entries.peek().is_none() {
             return Ok(());
         }
         self.ensure_device(d, name);
@@ -850,6 +855,7 @@ pub mod decode {
 mod tests {
     use super::decode::decode_trace;
     use super::*;
+    use crate::span::DeviceLane;
     use crate::span::SpanLog;
     use cocopelia_gpusim::{SimTime, StreamId};
 

@@ -31,7 +31,7 @@
 use crate::multigpu::MultiGpu;
 use crate::serve::telemetry::{Telemetry, TelemetryReport, TickState};
 use crate::serve::RequestOutcome;
-use cocopelia_gpusim::{EngineKind, TraceEntry};
+use cocopelia_gpusim::{EngineKind, TraceView};
 use cocopelia_obs::{DeviceLane, Registry, ServeTrace, SpanLog, SpanPhase};
 
 /// The session's span store and streaming-telemetry host, driven by the
@@ -172,7 +172,7 @@ impl ServeTracer {
         attempt: u32,
         start_ns: u64,
         end_ns: u64,
-        entries: &[TraceEntry],
+        entries: TraceView<'_>,
         faulted: Option<&str>,
     ) {
         let phase = if attempt == 0 {
@@ -198,7 +198,7 @@ impl ServeTracer {
         device: usize,
         start_ns: u64,
         end_ns: u64,
-        entries: &[TraceEntry],
+        entries: TraceView<'_>,
         label: &str,
     ) {
         self.device_run(
@@ -224,7 +224,7 @@ impl ServeTracer {
         label: String,
         start_ns: u64,
         end_ns: u64,
-        entries: &[TraceEntry],
+        entries: TraceView<'_>,
         flow: Option<u64>,
     ) {
         let parent = self.log.record(
@@ -406,7 +406,7 @@ impl ServeTracer {
                 DeviceLane {
                     device: i,
                     name: format!("dev{i}"),
-                    entries: gpu.retire_trace(len),
+                    entries: gpu.retire_trace(len).into_vec(),
                 }
             })
             .collect()
@@ -434,12 +434,20 @@ mod tests {
         let mut t = ServeTracer::default();
         t.open(1000, &[0, 1]);
         t.queue_wait(0, 0, 2000);
-        t.attempt(0, 0, 0, 2000, 5000, &[], None);
+        t.attempt(0, 0, 0, 2000, 5000, TraceView::default(), None);
         t.complete(0, 5000, "completed");
         t.queue_wait(1, 0, 5000);
-        t.attempt(1, 0, 0, 5000, 6000, &[], Some("kernel fault"));
+        t.attempt(
+            1,
+            0,
+            0,
+            5000,
+            6000,
+            TraceView::default(),
+            Some("kernel fault"),
+        );
         t.quarantine(1, 0, 6000);
-        t.attempt(1, 1, 1, 6000, 9000, &[], None);
+        t.attempt(1, 1, 1, 6000, 9000, TraceView::default(), None);
         t.complete(1, 9000, "completed");
         let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("tracer spans satisfy invariants");
@@ -484,7 +492,7 @@ mod tests {
         t.open(1000, &[]);
         t.arrive(1, 2000);
         t.queue_wait(1, 2000, 5000);
-        t.attempt(1, 0, 0, 5000, 7000, &[], None);
+        t.attempt(1, 0, 0, 5000, 7000, TraceView::default(), None);
         t.complete(1, 7000, "completed");
         t.arrive(2, 2500);
         t.reject(2, 2500, "queue full: depth 1 at cap 1");
@@ -511,9 +519,17 @@ mod tests {
         // A hedge won the race: the primary attempt ends at the hedge's
         // completion instant with a cancel instant on its device, and the
         // hedge span strictly overlaps the primary.
-        t.attempt(4, 0, 0, 100, 700, &[], Some("cancelled: hedge won"));
+        t.attempt(
+            4,
+            0,
+            0,
+            100,
+            700,
+            TraceView::default(),
+            Some("cancelled: hedge won"),
+        );
         t.cancel(4, 0, 700, "cancelled by hedge on dev1");
-        t.hedge(4, 1, 400, 700, &[], "hedge on dev1 (won)");
+        t.hedge(4, 1, 400, 700, TraceView::default(), "hedge on dev1 (won)");
         t.complete(4, 700, "completed");
         // Probation canaries on the quarantined device.
         t.probe(0, 900, 1000, "probe fault: kernel fault");
@@ -536,7 +552,7 @@ mod tests {
         let mut t = ServeTracer::default();
         t.open(0, &[7, 8]);
         t.queue_wait(7, 0, 100);
-        t.attempt(7, 0, 0, 100, 200, &[], Some("lost"));
+        t.attempt(7, 0, 0, 100, 200, TraceView::default(), Some("lost"));
         t.host_fallback(7, 200, 500, false);
         t.complete(7, t.host_now_ns(), "completed");
         t.queue_wait(8, 0, 100);

@@ -4,7 +4,9 @@
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
-use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, OperandRole, TraceEntry};
+use cocopelia_gpusim::{
+    testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, OperandRole, TraceEntry, TraceView,
+};
 use cocopelia_hostblas::Matrix;
 use cocopelia_obs::{export, invariants, OverlapStats};
 use cocopelia_runtime::{
@@ -189,7 +191,7 @@ fn jsonl_export_round_trips_every_entry() {
 /// Independent recomputation of the busy-interval union: an event sweep
 /// over +1/−1 coverage deltas, deliberately a different algorithm from the
 /// sort-and-merge inside `OverlapStats`.
-fn union_by_sweep(entries: &[TraceEntry]) -> u64 {
+fn union_by_sweep(entries: TraceView<'_>) -> u64 {
     let mut deltas: Vec<(u64, i64)> = Vec::new();
     for e in entries {
         deltas.push((e.start.as_nanos(), 1));

@@ -17,7 +17,7 @@ use serde::Value;
 
 #[path = "support/golden.rs"]
 mod golden;
-use golden::assert_golden;
+use golden::{assert_golden, fnv1a64};
 
 /// A deterministic pipeline with no deployed exec tables — fixed tiles only.
 fn pipeline_in(mode: ExecMode) -> Cocopelia {
@@ -366,17 +366,13 @@ fn pinned_noisy_baseline_trace_is_unchanged() {
     );
 }
 
-/// 64-bit FNV-1a digest of `text`: pins a long export in one line.
-fn fnv1a64(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// One golden line: a run's entry count and the digest of its JSON-lines
 /// export.
 fn digest_line(what: &str, count: usize, jsonl: &str) -> String {
-    format!("{what} {count} fnv1a64={:016x}\n", fnv1a64(jsonl))
+    format!(
+        "{what} {count} fnv1a64={:016x}\n",
+        fnv1a64(jsonl.as_bytes())
+    )
 }
 
 /// A trace spanning many storage chunks: cuBLASXt on a 16×16×16 tile

@@ -1,18 +1,26 @@
 //! The serve tracing pipeline end to end: request-lifecycle spans from
 //! real executor runs satisfy the span invariants, the Perfetto export
 //! round-trips through the decoder with the track topology viewers
-//! expect, the timeline renders every device and the fault glyphs, and
-//! tracing never perturbs virtual timing.
+//! expect, the timeline renders every device and the fault glyphs,
+//! tracing never perturbs virtual timing, and the three standard serve
+//! scenarios (chaos, straggler, open arrivals) replay to pinned goldens.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use cocopelia_gpusim::{testbed_i, FaultSpec, SimTime};
 use cocopelia_obs::perfetto::{decode::decode_trace, to_perfetto};
 use cocopelia_obs::timeline::{render, TimelineOptions};
-use cocopelia_obs::{check_spans, ServeTrace, SpanPhase};
-use cocopelia_runtime::serve::{SchedulePolicy, TelemetryConfig};
+use cocopelia_obs::{check_spans, ServeTrace, SloSpec, SpanPhase};
+use cocopelia_runtime::serve::{HedgeConfig, ProbationConfig, SchedulePolicy, TelemetryConfig};
 use cocopelia_xp::{
-    chaos_fault_spec, chaos_request_trace, run_serve_with_options, standard_request_trace,
-    ServeComparison, ServeOptions,
+    chaos_fault_spec, chaos_request_trace, run_serve_streaming, run_serve_with_options,
+    standard_request_trace, ArrivalSpec, ServeComparison, ServeOptions,
 };
+
+#[path = "support/golden.rs"]
+mod golden;
+use golden::{assert_golden, fnv1a64};
 
 fn traced_run(
     devices: usize,
@@ -267,4 +275,134 @@ fn windows_are_monotone_and_tracing_leaves_timing_unchanged() {
     assert!(windows[0].queue_depth <= standard_request_trace().len());
     let finished: u64 = windows.iter().map(|w| w.finished).sum();
     assert_eq!(finished as usize, plain.report.outcomes.len());
+}
+
+/// The seven SLO kinds the watched scenarios arm.
+const SCENARIO_SLOS: &str = "deadline_miss<=0,flow_p95<=0.05,flow_p99<=0.08,fault_rate<=0.2,\
+                             quarantined<=0,rejected<=0,hedge_rate<=0.1";
+
+/// Probation as `serve --probation 5` arms it: 5 ms backoff, seeded by
+/// the CLI's default seed.
+fn probation_5ms() -> ProbationConfig {
+    ProbationConfig {
+        backoff: SimTime::from_secs_f64(5e-3),
+        seed: 1,
+        ..ProbationConfig::default()
+    }
+}
+
+/// One export pinned as its length and digest.
+fn digest_line(what: &str, bytes: &[u8]) -> String {
+    format!("{what} {} fnv1a64={:016x}\n", bytes.len(), fnv1a64(bytes))
+}
+
+/// Serves the standard trace on Testbed I's two-device pool as `cocopelia
+/// serve` does for one scenario, and pins it in `tests/golden/<name>`:
+/// the traced run's report text, the baseline's exact seconds and both
+/// trace exports; with `slos`, also a `--watch` run's window lines,
+/// report text and streamed Perfetto file.
+fn pin_serve_scenario(name: &str, faults: &FaultSpec, options: ServeOptions, slos: Option<&str>) {
+    let traced = run_serve_with_options(
+        &testbed_i(),
+        2,
+        standard_request_trace(),
+        faults,
+        &ServeOptions {
+            trace: true,
+            ..options.clone()
+        },
+    )
+    .expect("traced scenario run succeeds");
+    let trace = serve_trace(&traced);
+    let chrome = cocopelia_obs::export::serve_trace_to_chrome(trace).expect("chrome export");
+    let mut golden = traced.report.render();
+    golden.push_str(&format!(
+        "sequential_secs bits={:016x}\n",
+        traced.sequential_secs.to_bits()
+    ));
+    golden.push_str(&digest_line("chrome", chrome.as_bytes()));
+    golden.push_str(&digest_line("perfetto", &to_perfetto(trace)));
+
+    if let Some(slos) = slos {
+        let stream = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("serve_{name}_{}.pftrace", std::process::id()));
+        let lines: Rc<RefCell<Vec<String>>> = Rc::default();
+        let sink_lines = Rc::clone(&lines);
+        let watched = run_serve_streaming(
+            &testbed_i(),
+            2,
+            standard_request_trace(),
+            faults,
+            &ServeOptions {
+                watch: Some(TelemetryConfig {
+                    slos: SloSpec::parse_list(slos).expect("valid slos"),
+                    stream_path: Some(stream.clone()),
+                    ..TelemetryConfig::default()
+                }),
+                ..options
+            },
+            Box::new(move |w| sink_lines.borrow_mut().push(w.render())),
+        )
+        .expect("watched scenario run succeeds");
+        golden.push_str("== watch ==\n");
+        for line in lines.borrow().iter() {
+            golden.push_str(line);
+            golden.push('\n');
+        }
+        golden.push_str(&watched.report.render());
+        let bytes = std::fs::read(&stream).expect("stream file exists");
+        let _ = std::fs::remove_file(&stream);
+        golden.push_str(&digest_line("pftrace", &bytes));
+    }
+    assert_golden(name, &golden);
+}
+
+/// `serve --faults seed=3,h2d=0.3,kernel=0.3,lost_after=6 --probation 5`:
+/// retries, quarantine, probes and host fallback.
+#[test]
+fn pinned_chaos_probation_scenario_is_unchanged() {
+    pin_serve_scenario(
+        "serve_chaos_probation.txt",
+        &FaultSpec::parse("seed=3,h2d=0.3,kernel=0.3,lost_after=6").expect("valid faults"),
+        ServeOptions {
+            probation: Some(probation_5ms()),
+            ..ServeOptions::default()
+        },
+        Some(SCENARIO_SLOS),
+    );
+}
+
+/// `serve --faults degrade=0:40:0.05 --hedge 1.5 --probation 5 --policy
+/// predictive`: hedged re-dispatch off a degraded link.
+#[test]
+fn pinned_degrade_hedge_scenario_is_unchanged() {
+    pin_serve_scenario(
+        "serve_degrade_hedge.txt",
+        &FaultSpec::parse("degrade=0:40:0.05").expect("valid faults"),
+        ServeOptions {
+            policy: SchedulePolicy::Predictive,
+            hedge: Some(HedgeConfig { multiplier: 1.5 }),
+            probation: Some(probation_5ms()),
+            ..ServeOptions::default()
+        },
+        Some(SCENARIO_SLOS),
+    );
+}
+
+/// `serve --arrivals poisson:3000 --seed 5 --coalesce --shed-flow-ms 60
+/// --queue-cap 6`: open arrivals with coalescing and shedding.
+#[test]
+fn pinned_open_arrivals_scenario_is_unchanged() {
+    pin_serve_scenario(
+        "serve_open_arrivals.txt",
+        &FaultSpec::none(),
+        ServeOptions {
+            arrivals: Some(ArrivalSpec::poisson(3000.0, 5)),
+            queue_cap: Some(6),
+            shed_flow_secs: Some(60e-3),
+            coalesce: true,
+            ..ServeOptions::default()
+        },
+        None,
+    );
 }

@@ -20,3 +20,11 @@ pub fn assert_golden(name: &str, text: &str) {
         golden.len()
     );
 }
+
+/// 64-bit FNV-1a digest of `bytes`: pins a long export in one line.
+#[allow(dead_code)] // not every test crate that includes this module digests
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}

@@ -847,31 +847,40 @@ fn serve_comparison(
         },
     );
     let (hedge, probation, retry_budget) = straggler_options(args, seed)?;
-    let options = cocopelia_xp::ServeOptions {
-        policy,
-        trace: trace_spans,
-        watch,
-        arrivals,
-        queue_cap,
-        shed_flow_secs,
-        coalesce,
-        hedge,
-        probation,
-        retry_budget,
-        fault_plans: None,
-    };
-    let cmp = if options.watch.is_some() {
-        cocopelia_xp::run_serve_streaming(
-            &tb,
-            devices,
-            trace,
-            &fault_spec,
-            &options,
-            Box::new(|w| println!("{}", w.render())),
-        )
-    } else {
-        cocopelia_xp::run_serve_with_options(&tb, devices, trace, &fault_spec, &options)
+    let mut options = cocopelia_runtime::serve::ServeOptions::new().policy(policy);
+    if trace_spans {
+        options = options.tracing();
     }
+    if let Some(watch) = watch {
+        options = options
+            .telemetry(watch)
+            .watch_sink(|w| println!("{}", w.render()));
+    }
+    if let Some(cap) = queue_cap {
+        options = options.queue_cap(cap);
+    }
+    if let Some(secs) = shed_flow_secs {
+        options = options.shed_flow_secs(secs);
+    }
+    if coalesce {
+        options = options.coalesce();
+    }
+    if let Some(h) = hedge {
+        options = options.hedge(h);
+    }
+    if let Some(p) = probation {
+        options = options.probation(p);
+    }
+    if let Some(b) = retry_budget {
+        options = options.retry_budget(b);
+    }
+    let cmp = cocopelia_xp::run_serve(
+        &tb,
+        &fault_spec.per_device(devices),
+        trace,
+        arrivals.as_ref(),
+        options,
+    )
     .map_err(CliError::Data)?;
     Ok((cmp, fault_spec))
 }
@@ -954,7 +963,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         "sequential no-reuse baseline {:.3} ms | speedup {:.2}x on {} device(s)",
         cmp.sequential_secs * 1e3,
         cmp.speedup(),
-        cmp.devices,
+        cmp.report.per_device_busy.len(),
     );
     if !fault_spec.is_none() {
         let c = |name: &str| cmp.report.metrics.counter(name);

@@ -74,6 +74,17 @@ impl FaultSpec {
         }
     }
 
+    /// This plan for each device of a `count`-device pool, re-seeded per
+    /// device (`seed + i`) so the devices fail independently.
+    pub fn per_device(&self, count: usize) -> Vec<FaultSpec> {
+        (0..count)
+            .map(|i| FaultSpec {
+                seed: self.seed.wrapping_add(i as u64),
+                ..self.clone()
+            })
+            .collect()
+    }
+
     /// True when this spec can never perturb an execution (all probabilities
     /// zero and no degrade windows).
     pub fn is_none(&self) -> bool {

@@ -63,44 +63,21 @@ impl MultiGpu {
         seed: u64,
         profile: SystemProfile,
     ) -> Self {
-        Self::with_faults(testbed, count, mode, seed, profile, &FaultSpec::none())
+        Self::with_fault_plans(
+            testbed,
+            mode,
+            seed,
+            profile,
+            &FaultSpec::none().per_device(count),
+        )
     }
 
-    /// Like [`MultiGpu::new`], but every device carries the given fault
-    /// plan, re-seeded per device (`faults.seed + i`) so the devices fail
-    /// independently. [`FaultSpec::none`] reproduces [`MultiGpu::new`]
-    /// bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count == 0`.
-    pub fn with_faults(
-        testbed: &TestbedSpec,
-        count: usize,
-        mode: ExecMode,
-        seed: u64,
-        profile: SystemProfile,
-        faults: &FaultSpec,
-    ) -> Self {
-        assert!(count > 0, "need at least one device");
-        let devices = (0..count)
-            .map(|i| {
-                let mut spec = faults.clone();
-                spec.seed = faults.seed.wrapping_add(i as u64);
-                Cocopelia::new(
-                    Gpu::with_faults(testbed.clone(), mode, seed.wrapping_add(i as u64), spec),
-                    profile.clone(),
-                )
-            })
-            .collect();
-        MultiGpu { devices }
-    }
-
-    /// Like [`MultiGpu::with_faults`], but every device carries its *own*
-    /// fault plan (`plans[i]`, used verbatim — no per-device re-seeding),
-    /// so asymmetric scenarios — one straggling device behind a degraded
-    /// link while its peers stay healthy — are expressible. The pool size
-    /// is `plans.len()`.
+    /// Like [`MultiGpu::new`], but every device carries its *own* fault
+    /// plan (`plans[i]`, used verbatim — no per-device re-seeding), so
+    /// asymmetric scenarios — one straggling device behind a degraded link
+    /// while its peers stay healthy — are expressible. The pool size is
+    /// `plans.len()`. [`FaultSpec::per_device`] spreads one plan over a
+    /// pool with independent per-device seeds.
     ///
     /// # Panics
     ///

@@ -6,7 +6,8 @@
 //! violin summaries ([`stats`]), plain-text table/figure rendering
 //! ([`table`]), the deterministic standard sweep behind
 //! `cocopelia snapshot` ([`snapshot`]), and the request-serving sweep and
-//! trace format behind `cocopelia serve` ([`serve`]).
+//! trace format behind `cocopelia serve` ([`serve`]), whose one runner,
+//! [`run_serve`], takes the runtime's serving options as they are.
 //!
 //! Every bench target in `cocopelia-bench` is a thin composition of this
 //! crate's pieces; the cross-crate integration tests in the repository's
@@ -25,10 +26,9 @@ pub mod table;
 pub use chaos::{chaos_fault_spec, chaos_request_trace};
 pub use runner::{AxpyLib, GemmLib, Lab, RunOut};
 pub use serve::{
-    deadline_request_trace, parse_request_trace, run_serve, run_serve_streaming,
-    run_serve_with_faults, run_serve_with_options, run_serve_with_policy, skewed_request_trace,
+    deadline_request_trace, parse_request_trace, run_serve, skewed_request_trace,
     standard_request_trace, straggler_fault_plans, straggler_request_trace, ArrivalKind,
-    ArrivalSpec, ServeComparison, ServeOptions,
+    ArrivalSpec, ServeComparison,
 };
 pub use sets::{AxpyProblem, GemmProblem, Scale};
 pub use snapshot::{collect_snapshot, standard_sweep, SweepPoint, SNAPSHOT_SEED};

@@ -40,13 +40,12 @@ fn dummy_profile() -> SystemProfile {
 }
 
 fn faulty_pool(devices: usize, faults: &FaultSpec) -> MultiGpu {
-    MultiGpu::with_faults(
+    MultiGpu::with_fault_plans(
         &quiet(),
-        devices,
         ExecMode::TimingOnly,
         42,
         dummy_profile(),
-        faults,
+        &faults.per_device(devices),
     )
 }
 

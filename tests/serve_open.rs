@@ -433,8 +433,13 @@ proptest! {
             ..FaultSpec::none()
         };
         let run = || {
-            let pool =
-                MultiGpu::with_faults(&quiet(), 2, ExecMode::TimingOnly, 42, dummy_profile(), &spec);
+            let pool = MultiGpu::with_fault_plans(
+                &quiet(),
+                ExecMode::TimingOnly,
+                42,
+                dummy_profile(),
+                &spec.per_device(2),
+            );
             let mut session = ServeSession::new(pool, ExecutorConfig::default());
             let ids: Vec<u64> = (0..n)
                 .map(|i| {

@@ -14,9 +14,25 @@ use cocopelia_runtime::serve::{
     ExecutorConfig, RequestStatus, SchedulePolicy, ServeOptions, ServeSession,
 };
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
-use cocopelia_xp::{deadline_request_trace, run_serve_with_policy, skewed_request_trace};
+use cocopelia_xp::{deadline_request_trace, run_serve, skewed_request_trace, ServeComparison};
 
 const MB: usize = 1 << 20;
+
+/// Serves `trace` on `devices` fault-free Testbed I devices under `policy`.
+fn serve_with_policy(
+    devices: usize,
+    trace: Vec<RoutineRequest>,
+    policy: SchedulePolicy,
+) -> ServeComparison {
+    run_serve(
+        &testbed_i(),
+        &FaultSpec::none().per_device(devices),
+        trace,
+        None,
+        ServeOptions::new().policy(policy),
+    )
+    .unwrap_or_else(|e| panic!("{policy} serve: {e}"))
+}
 
 fn quiet() -> TestbedSpec {
     let mut tb = testbed_i();
@@ -85,13 +101,12 @@ fn host_fallback_work_is_split_out_of_device_throughput() {
         lost_after: Some(1),
         ..FaultSpec::none()
     };
-    let pool = MultiGpu::with_faults(
+    let pool = MultiGpu::with_fault_plans(
         &quiet(),
-        2,
         ExecMode::TimingOnly,
         42,
         dummy_profile(),
-        &spec,
+        &spec.per_device(2),
     );
     let mut exec = ServeSession::new(pool, ExecutorConfig::default());
     exec.submit(gemm(1024));
@@ -203,31 +218,9 @@ fn predictive_beats_fifo_on_the_skewed_trace() {
     // prediction-guided policy must achieve a strictly lower pool
     // makespan than FIFO, and every policy must export the
     // predicted-vs-actual histogram.
-    let tb = testbed_i();
-    let fifo = run_serve_with_policy(
-        &tb,
-        2,
-        skewed_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Fifo,
-    )
-    .expect("fifo serve");
-    let edf = run_serve_with_policy(
-        &tb,
-        2,
-        skewed_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Edf,
-    )
-    .expect("edf serve");
-    let pred = run_serve_with_policy(
-        &tb,
-        2,
-        skewed_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Predictive,
-    )
-    .expect("predictive serve");
+    let fifo = serve_with_policy(2, skewed_request_trace(), SchedulePolicy::Fifo);
+    let edf = serve_with_policy(2, skewed_request_trace(), SchedulePolicy::Edf);
+    let pred = serve_with_policy(2, skewed_request_trace(), SchedulePolicy::Predictive);
     for cmp in [&fifo, &edf, &pred] {
         assert_eq!(cmp.report.completed(), 7);
         assert!(
@@ -263,23 +256,8 @@ fn predictive_beats_fifo_on_the_skewed_trace() {
 fn edf_beats_fifo_on_the_deadline_trace() {
     // The acceptance bar on a deployed profile: the standard deadline
     // trace served on one device misses under FIFO and meets under EDF.
-    let tb = testbed_i();
-    let fifo = run_serve_with_policy(
-        &tb,
-        1,
-        deadline_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Fifo,
-    )
-    .expect("fifo serve");
-    let edf = run_serve_with_policy(
-        &tb,
-        1,
-        deadline_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Edf,
-    )
-    .expect("edf serve");
+    let fifo = serve_with_policy(1, deadline_request_trace(), SchedulePolicy::Fifo);
+    let edf = serve_with_policy(1, deadline_request_trace(), SchedulePolicy::Edf);
     assert_eq!(fifo.report.timed_out(), 1);
     assert_eq!(edf.report.timed_out(), 0);
     assert!(edf.report.timed_out() < fifo.report.timed_out());

@@ -12,10 +12,12 @@ use cocopelia_gpusim::{testbed_i, FaultSpec, SimTime};
 use cocopelia_obs::perfetto::{decode::decode_trace, to_perfetto};
 use cocopelia_obs::timeline::{render, TimelineOptions};
 use cocopelia_obs::{check_spans, ServeTrace, SloSpec, SpanPhase};
-use cocopelia_runtime::serve::{HedgeConfig, ProbationConfig, SchedulePolicy, TelemetryConfig};
+use cocopelia_runtime::serve::{
+    HedgeConfig, ProbationConfig, SchedulePolicy, ServeOptions, TelemetryConfig,
+};
 use cocopelia_xp::{
-    chaos_fault_spec, chaos_request_trace, run_serve_streaming, run_serve_with_options,
-    standard_request_trace, ArrivalSpec, ServeComparison, ServeOptions,
+    chaos_fault_spec, chaos_request_trace, run_serve, standard_request_trace, ArrivalSpec,
+    ServeComparison,
 };
 
 #[path = "support/golden.rs"]
@@ -28,13 +30,14 @@ fn traced_run(
     faults: &FaultSpec,
     policy: SchedulePolicy,
 ) -> ServeComparison {
-    let options = ServeOptions {
-        policy,
-        trace: true,
-        ..ServeOptions::default()
-    };
-    run_serve_with_options(&testbed_i(), devices, trace, faults, &options)
-        .expect("traced serve run succeeds")
+    run_serve(
+        &testbed_i(),
+        &faults.per_device(devices),
+        trace,
+        None,
+        ServeOptions::new().policy(policy).tracing(),
+    )
+    .expect("traced serve run succeeds")
 }
 
 fn serve_trace(cmp: &ServeComparison) -> &ServeTrace {
@@ -225,26 +228,20 @@ fn windows_are_monotone_and_tracing_leaves_timing_unchanged() {
         SchedulePolicy::Predictive,
     );
     let run = |options: ServeOptions| {
-        run_serve_with_options(
+        run_serve(
             &testbed_i(),
-            2,
+            &FaultSpec::none().per_device(2),
             standard_request_trace(),
-            &FaultSpec::none(),
-            &ServeOptions {
-                policy: SchedulePolicy::Predictive,
-                ..options
-            },
+            None,
+            options.policy(SchedulePolicy::Predictive),
         )
         .expect("serve run succeeds")
     };
-    let plain = run(ServeOptions::default());
-    let watched = run(ServeOptions {
-        watch: Some(TelemetryConfig {
-            window: SimTime::from_secs_f64(5e-3),
-            ..TelemetryConfig::default()
-        }),
-        ..ServeOptions::default()
-    });
+    let plain = run(ServeOptions::new());
+    let watched = run(ServeOptions::new().telemetry(TelemetryConfig {
+        window: SimTime::from_secs_f64(5e-3),
+        ..TelemetryConfig::default()
+    }));
     assert_eq!(
         traced.report.makespan, plain.report.makespan,
         "tracing must not perturb virtual timing"
@@ -300,19 +297,26 @@ fn digest_line(what: &str, bytes: &[u8]) -> String {
 /// serve` does for one scenario, and pins it in `tests/golden/<name>`:
 /// the traced run's report text, the baseline's exact seconds and both
 /// trace exports; with `slos`, also a `--watch` run's window lines,
-/// report text and streamed Perfetto file.
-fn pin_serve_scenario(name: &str, faults: &FaultSpec, options: ServeOptions, slos: Option<&str>) {
-    let traced = run_serve_with_options(
-        &testbed_i(),
-        2,
-        standard_request_trace(),
-        faults,
-        &ServeOptions {
-            trace: true,
-            ..options.clone()
-        },
-    )
-    .expect("traced scenario run succeeds");
+/// report text and streamed Perfetto file. `options` builds the
+/// scenario's serving options afresh for each run.
+fn pin_serve_scenario(
+    name: &str,
+    faults: &FaultSpec,
+    arrivals: Option<&ArrivalSpec>,
+    options: impl Fn() -> ServeOptions,
+    slos: Option<&str>,
+) {
+    let serve = |options: ServeOptions| {
+        run_serve(
+            &testbed_i(),
+            &faults.per_device(2),
+            standard_request_trace(),
+            arrivals,
+            options,
+        )
+        .expect("scenario run succeeds")
+    };
+    let traced = serve(options().tracing());
     let trace = serve_trace(&traced);
     let chrome = cocopelia_obs::export::serve_trace_to_chrome(trace).expect("chrome export");
     let mut golden = traced.report.render();
@@ -328,22 +332,15 @@ fn pin_serve_scenario(name: &str, faults: &FaultSpec, options: ServeOptions, slo
             .join(format!("serve_{name}_{}.pftrace", std::process::id()));
         let lines: Rc<RefCell<Vec<String>>> = Rc::default();
         let sink_lines = Rc::clone(&lines);
-        let watched = run_serve_streaming(
-            &testbed_i(),
-            2,
-            standard_request_trace(),
-            faults,
-            &ServeOptions {
-                watch: Some(TelemetryConfig {
+        let watched = serve(
+            options()
+                .telemetry(TelemetryConfig {
                     slos: SloSpec::parse_list(slos).expect("valid slos"),
                     stream_path: Some(stream.clone()),
                     ..TelemetryConfig::default()
-                }),
-                ..options
-            },
-            Box::new(move |w| sink_lines.borrow_mut().push(w.render())),
-        )
-        .expect("watched scenario run succeeds");
+                })
+                .watch_sink(move |w| sink_lines.borrow_mut().push(w.render())),
+        );
         golden.push_str("== watch ==\n");
         for line in lines.borrow().iter() {
             golden.push_str(line);
@@ -364,10 +361,8 @@ fn pinned_chaos_probation_scenario_is_unchanged() {
     pin_serve_scenario(
         "serve_chaos_probation.txt",
         &FaultSpec::parse("seed=3,h2d=0.3,kernel=0.3,lost_after=6").expect("valid faults"),
-        ServeOptions {
-            probation: Some(probation_5ms()),
-            ..ServeOptions::default()
-        },
+        None,
+        || ServeOptions::new().probation(probation_5ms()),
         Some(SCENARIO_SLOS),
     );
 }
@@ -379,11 +374,12 @@ fn pinned_degrade_hedge_scenario_is_unchanged() {
     pin_serve_scenario(
         "serve_degrade_hedge.txt",
         &FaultSpec::parse("degrade=0:40:0.05").expect("valid faults"),
-        ServeOptions {
-            policy: SchedulePolicy::Predictive,
-            hedge: Some(HedgeConfig { multiplier: 1.5 }),
-            probation: Some(probation_5ms()),
-            ..ServeOptions::default()
+        None,
+        || {
+            ServeOptions::new()
+                .policy(SchedulePolicy::Predictive)
+                .hedge(HedgeConfig { multiplier: 1.5 })
+                .probation(probation_5ms())
         },
         Some(SCENARIO_SLOS),
     );
@@ -396,12 +392,12 @@ fn pinned_open_arrivals_scenario_is_unchanged() {
     pin_serve_scenario(
         "serve_open_arrivals.txt",
         &FaultSpec::none(),
-        ServeOptions {
-            arrivals: Some(ArrivalSpec::poisson(3000.0, 5)),
-            queue_cap: Some(6),
-            shed_flow_secs: Some(60e-3),
-            coalesce: true,
-            ..ServeOptions::default()
+        Some(&ArrivalSpec::poisson(3000.0, 5)),
+        || {
+            ServeOptions::new()
+                .queue_cap(6)
+                .shed_flow_secs(60e-3)
+                .coalesce()
         },
         None,
     );

@@ -14,13 +14,11 @@ use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, SimTime, Testb
 use cocopelia_obs::perfetto::decode::decode_trace;
 use cocopelia_obs::{Histogram, SloSpec, TelemetryWindow};
 use cocopelia_runtime::serve::{
-    ExecutorConfig, HedgeConfig, ProbationConfig, RetryBudgetConfig,
-    ServeOptions as SessionOptions, ServeReport, ServeSession, TelemetryConfig,
+    ExecutorConfig, HedgeConfig, ProbationConfig, RetryBudgetConfig, ServeOptions, ServeReport,
+    ServeSession, TelemetryConfig,
 };
 use cocopelia_runtime::{AxpyRequest, MultiGpu, RoutineRequest, SharedVec, TileChoice, VecOperand};
-use cocopelia_xp::{
-    chaos_fault_spec, chaos_request_trace, run_serve_streaming, straggler_fault_plans, ServeOptions,
-};
+use cocopelia_xp::{chaos_fault_spec, chaos_request_trace, run_serve, straggler_fault_plans};
 
 fn quiet() -> TestbedSpec {
     let mut tb = testbed_i();
@@ -41,13 +39,12 @@ fn dummy_profile() -> SystemProfile {
 }
 
 fn pool(devices: usize, faults: &FaultSpec) -> MultiGpu {
-    MultiGpu::with_faults(
+    MultiGpu::with_fault_plans(
         &quiet(),
-        devices,
         ExecMode::TimingOnly,
         42,
         dummy_profile(),
-        faults,
+        &faults.per_device(devices),
     )
 }
 
@@ -77,7 +74,7 @@ fn run_watch_trace(
     breach_at: usize,
     telemetry: Option<TelemetryConfig>,
 ) -> (ServeReport, Vec<(usize, usize)>) {
-    let mut opts = SessionOptions::new();
+    let mut opts = ServeOptions::new();
     if let Some(cfg) = telemetry {
         opts = opts.telemetry(cfg);
     }
@@ -304,7 +301,7 @@ fn quarantine_dump_contains_the_faulting_requests_span_chain() {
     let mut exec = ServeSession::with_options(
         pool(2, &spec),
         ExecutorConfig::default(),
-        SessionOptions::new().telemetry(TelemetryConfig::default()),
+        ServeOptions::new().telemetry(TelemetryConfig::default()),
     )
     .expect("no stream file needed");
     for req in watch_trace(2, usize::MAX) {
@@ -336,21 +333,17 @@ fn watch_line_stream_is_deterministic_across_runs() {
     let run = || {
         let lines: Rc<RefCell<Vec<String>>> = Rc::default();
         let sink_lines = Rc::clone(&lines);
-        let options = ServeOptions {
-            trace: false,
-            watch: Some(TelemetryConfig {
-                window: SimTime::from_secs_f64(2e-3),
-                ..TelemetryConfig::default()
-            }),
-            ..ServeOptions::default()
-        };
-        let cmp = run_serve_streaming(
+        let cmp = run_serve(
             &testbed_i(),
-            2,
+            &chaos_fault_spec(5).per_device(2),
             chaos_request_trace(2),
-            &chaos_fault_spec(5),
-            &options,
-            Box::new(move |w| sink_lines.borrow_mut().push(w.render())),
+            None,
+            ServeOptions::new()
+                .telemetry(TelemetryConfig {
+                    window: SimTime::from_secs_f64(2e-3),
+                    ..TelemetryConfig::default()
+                })
+                .watch_sink(move |w| sink_lines.borrow_mut().push(w.render())),
         )
         .expect("watched chaos run succeeds");
         let lines = lines.borrow().clone();
@@ -380,15 +373,15 @@ fn telemetry_trace_and_dumps_are_tails_of_the_one_span_log() {
     // contiguous stretch of it.
     const RING: usize = 64;
     let spec = chaos_fault_spec(5);
-    let run = |opts: SessionOptions| {
+    let run = |opts: ServeOptions| {
         let mut session =
             ServeSession::with_options(pool(2, &spec), ExecutorConfig::default(), opts)
                 .expect("no stream file needed");
         session.submit_all(chaos_request_trace(8));
         session.drain()
     };
-    let full = run(SessionOptions::new().tracing());
-    let watched = run(SessionOptions::new().telemetry(TelemetryConfig {
+    let full = run(ServeOptions::new().tracing());
+    let watched = run(ServeOptions::new().telemetry(TelemetryConfig {
         window: SimTime::from_secs_f64(1e-3),
         slos: SloSpec::parse_list("fault_rate<=0.0").expect("valid slo"),
         recorder_cap: RING,
@@ -430,30 +423,26 @@ fn pinned_watch_stream() -> Vec<String> {
     plans[1] = chaos_fault_spec(5);
     let lines: Rc<RefCell<Vec<String>>> = Rc::default();
     let sink_lines = Rc::clone(&lines);
-    let options = ServeOptions {
-        watch: Some(TelemetryConfig {
-            window: SimTime::from_secs_f64(32e-3),
-            slos: SloSpec::parse_list(
-                "deadline_miss<=0,flow_p95<=0.05,flow_p99<=0.08,fault_rate<=0.2,\
-                 quarantined<=0,rejected<=0,hedge_rate<=0.1",
-            )
-            .expect("valid slos"),
-            recorder_cap: 128,
-            ..TelemetryConfig::default()
-        }),
-        hedge: Some(HedgeConfig::default()),
-        probation: Some(ProbationConfig::default()),
-        retry_budget: Some(RetryBudgetConfig::default()),
-        fault_plans: Some(plans),
-        ..ServeOptions::default()
-    };
-    let cmp = run_serve_streaming(
+    let cmp = run_serve(
         &testbed_i(),
-        2,
+        &plans,
         chaos_request_trace(6),
-        &FaultSpec::none(),
-        &options,
-        Box::new(move |w| sink_lines.borrow_mut().push(w.render())),
+        None,
+        ServeOptions::new()
+            .telemetry(TelemetryConfig {
+                window: SimTime::from_secs_f64(32e-3),
+                slos: SloSpec::parse_list(
+                    "deadline_miss<=0,flow_p95<=0.05,flow_p99<=0.08,fault_rate<=0.2,\
+                     quarantined<=0,rejected<=0,hedge_rate<=0.1",
+                )
+                .expect("valid slos"),
+                recorder_cap: 128,
+                ..TelemetryConfig::default()
+            })
+            .watch_sink(move |w| sink_lines.borrow_mut().push(w.render()))
+            .hedge(HedgeConfig::default())
+            .probation(ProbationConfig::default())
+            .retry_budget(RetryBudgetConfig::default()),
     )
     .expect("watched chaos run succeeds");
     let tele = cmp.report.telemetry.as_ref().expect("telemetry armed");

@@ -1,10 +1,10 @@
 //! End-to-end tests of the perf-snapshot/regression subsystem: collect →
 //! serialize → parse → compare round trips, injected-slowdown detection,
-//! and the committed seed snapshot staying honest.
+//! and the committed seed snapshot matching this tree exactly.
 
 use cocopelia_gpusim::testbed_i;
 use cocopelia_obs::{DiffConfig, DiffReport, Snapshot, Verdict, SNAPSHOT_SCHEMA_VERSION};
-use cocopelia_xp::{collect_snapshot, standard_sweep};
+use cocopelia_xp::collect_snapshot;
 
 fn live_snapshot(label: &str) -> Snapshot {
     collect_snapshot(&testbed_i(), label).expect("standard sweep runs")
@@ -72,31 +72,25 @@ fn committed_seed_snapshot_matches_this_tree() {
     assert_eq!(seed.schema_version, SNAPSHOT_SCHEMA_VERSION);
     assert_eq!(seed.label, "seed");
 
-    let sweep = standard_sweep();
-    assert_eq!(
-        seed.entries.len(),
-        sweep.len(),
-        "seed snapshot must cover the full standard sweep"
-    );
-    for p in &sweep {
-        assert!(
-            seed.entry(&p.id).is_some(),
-            "seed snapshot is missing sweep point `{}` — regenerate with \
-             `cocopelia snapshot --out BENCH_seed.json`",
-            p.id
-        );
-    }
-
-    // The exact CI gate: the current tree must not regress against the
-    // committed baseline. If a change legitimately shifts performance,
+    // The exact gate: the standard sweep is deterministic (quiet testbed,
+    // fixed seeds), so every live entry must equal its committed entry
+    // field for field. If a change legitimately shifts a number,
     // regenerate BENCH_seed.json in the same PR.
     let live = live_snapshot("live");
-    let report = DiffReport::compare(&seed, &live, DiffConfig::default()).expect("compares");
-    assert!(
-        !report.has_regressions(),
-        "tree regressed against BENCH_seed.json:\n{}",
-        report.render()
+    assert_eq!(live.testbed, seed.testbed);
+    assert_eq!(
+        live.entries.len(),
+        seed.entries.len(),
+        "seed snapshot must cover the full standard sweep"
     );
+    for (live, committed) in live.entries.iter().zip(&seed.entries) {
+        assert_eq!(
+            live, committed,
+            "sweep point `{}` differs from BENCH_seed.json — regenerate with \
+             `cocopelia snapshot --out BENCH_seed.json`",
+            live.id
+        );
+    }
 }
 
 #[test]

@@ -72,10 +72,14 @@ echo "== straggler defense gate (hedging, probation, retry budgets) =="
 # tests/serve_straggler.rs.
 cargo test --release -q -p cocopelia-xp --test serve_straggler
 
-echo "== trace pipeline gate (spans, perfetto, timeline) =="
+echo "== trace pipeline gate (spans, perfetto, timeline, scenario goldens) =="
 # The serve tracing pipeline end to end: span invariants on chaos runs,
 # Perfetto round-trip decode (track counts, flows, per-track monotonicity),
-# timeline rendering, and traced-vs-untraced timing identity.
+# timeline rendering, and traced-vs-untraced timing identity. It also pins
+# the three standard serve scenarios (chaos + probation, degraded link +
+# hedge, open arrivals with coalescing and shedding) exactly: report text,
+# baseline bits, Chrome/Perfetto export digests and every --watch window
+# line, in tests/golden/serve_*.txt (re-bless with GOLDEN_BLESS=1).
 cargo test --release -q -p cocopelia-xp --test serve_trace
 
 echo "== streaming telemetry gate (watch windows, SLO dumps, bounded memory) =="

@@ -27,13 +27,13 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
-echo "== perf snapshot gate (vs BENCH_seed.json) =="
-# The standard sweep is deterministic (quiet testbed, fixed seeds): any
-# makespan drift against the committed baseline is a code change. If a
-# change legitimately shifts performance, regenerate the baseline in the
-# same PR: target/release/cocopelia snapshot --out BENCH_seed.json
-target/release/cocopelia snapshot --out target/BENCH_ci.json --label ci
-target/release/cocopelia compare BENCH_seed.json target/BENCH_ci.json
+echo "== perf snapshot gate (exact vs BENCH_seed.json) =="
+# The standard sweep is deterministic (quiet testbed, fixed seeds), so the
+# committed BENCH_seed.json must equal a release build's snapshot byte for
+# byte: any drift is a code change. If a change legitimately shifts a
+# number, re-bless the file in the same change and review the diff:
+# GOLDEN_BLESS=1 cargo test -p cocopelia-xp --test perf_snapshot
+cargo test --release -q -p cocopelia-xp --test perf_snapshot
 
 echo "== scheduling policy gate (predictive < fifo, edf deadline wins) =="
 # The policy-comparison acceptance tests: Predictive must strictly beat

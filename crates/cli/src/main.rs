@@ -11,12 +11,7 @@
 //! cocopelia serve   --testbed i [--devices 2] [--trace requests.txt] [--faults seed=1,h2d=0.02,lost_after=20] [--trace-out out.perfetto] [--arrivals poisson:2000] [--seed 1] [--queue-cap 8] [--shed-flow-ms 50] [--coalesce] [--watch] [--window-ms 5] [--slo deadline_miss<=0.1] [--ring 2048]
 //! cocopelia metrics --testbed i [--devices 2] [--trace requests.txt] [--format prom|text]
 //! cocopelia timeline --testbed i [--devices 2] [--trace requests.txt] [--faults ...] [--width 96] [--color]
-//! cocopelia snapshot --out BENCH_pr.json [--testbed i] [--label pr]
-//! cocopelia compare BENCH_seed.json BENCH_pr.json [--threshold 0.05] [--json diff.json]
 //! ```
-//!
-//! `compare` exits 0 when the candidate snapshot is clean and 2 when any
-//! sweep entry regressed, so it can gate CI directly.
 
 use cocopelia_core::models::{ModelCtx, ModelKind};
 use cocopelia_core::params::{Loc, ProblemSpec};
@@ -49,7 +44,7 @@ enum CliError {
     Runtime(RuntimeError),
     /// JSON (de)serialisation failed.
     Json(String),
-    /// Deployment, sweep, or snapshot data was unusable.
+    /// Deployment, sweep, or trace data was unusable.
     Data(String),
 }
 
@@ -105,16 +100,15 @@ fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), CliError> {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
-        Ok(code) => code,
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             if matches!(e, CliError::Usage(_)) {
                 eprintln!("{USAGE}");
             }
             // Exit 2 on every typed CLI error (bad flags, unreadable
-            // files, runtime refusals) — the same code `compare` uses for
-            // regressions — so scripts can tell "the invocation was
-            // wrong" (2) from a crash.
+            // files, runtime refusals), so scripts can tell "the
+            // invocation was wrong" (2) from a crash.
             ExitCode::from(2)
         }
     }
@@ -147,14 +141,12 @@ usage:
   cocopelia timeline --testbed <i|ii> [--devices <N>] [--trace <requests.txt>] [--faults <spec>]
                     [--policy <fifo|edf|predictive>] [--width <cols>] [--color]
                     [--trace-out <out.json|out.perfetto>]
-  cocopelia snapshot --out <BENCH_label.json> [--testbed <i|ii>] [--label <label>]
-  cocopelia compare <base.json> <new.json> [--threshold <frac>] [--json <diff.json>]
 
 fault spec grammar (comma-separated, e.g. seed=1,h2d=0.02,kernel=0.05,lost_after=20):
   seed=N h2d=P d2h=P kernel=P ecc=P lost_after=N degrade=START:END:FACTOR (repeatable)
 
 serve --watch streams one line per telemetry window (cadence = --window-ms of
-virtual time, default 5 ms; --snapshot-ms is an alias); --slo objectives
+virtual time, default 5 ms); --slo objectives
 (deadline_miss, flow_p95, flow_p99, fault_rate, quarantined, rejected,
 hedge_rate) dump the newest --ring spans (default 2048, also the span log's
 cap) on breach and on quarantine, and a --trace-out ending in
@@ -195,7 +187,6 @@ const SERVE_KEYS: &[&str] = &[
     "coalesce",
     "watch",
     "window-ms",
-    "snapshot-ms",
     "slo",
     "ring",
     "hedge",
@@ -216,31 +207,21 @@ fn accepted_keys(cmd: &str) -> Option<Vec<&'static str>> {
         "serve" => &[SERVE_KEYS],
         "metrics" => &[SERVE_KEYS, &["format"]],
         "timeline" => &[SERVE_KEYS, &["width", "color"]],
-        "snapshot" => &[&["out", "testbed", "label"]],
-        "compare" => &[&["threshold", "json"]],
         _ => return None,
     };
     Some(parts.concat())
 }
 
-fn run(argv: &[String]) -> Result<ExitCode, CliError> {
+fn run(argv: &[String]) -> Result<(), CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(CliError::Usage("missing subcommand".to_owned()));
     };
     let Some(accepted) = accepted_keys(cmd) else {
         return Err(CliError::Usage(format!("unknown subcommand `{cmd}`")));
     };
-    // `compare` is the one positional-taking command (two snapshot paths)
-    // and the one command with a non-binary exit code.
-    let (pos, args) = if cmd == "compare" {
-        Args::parse_with_positionals(rest)
-    } else {
-        Args::parse(rest).map(|args| (Vec::new(), args))
-    }
-    .map_err(CliError::Usage)?;
+    let args = Args::parse(rest).map_err(CliError::Usage)?;
     args.check_keys(&accepted).map_err(CliError::Usage)?;
     match cmd.as_str() {
-        "compare" => return cmd_compare(&pos, &args),
         "deploy" => cmd_deploy(&args),
         "predict" => cmd_predict(&args),
         "run" => cmd_run(&args),
@@ -251,10 +232,8 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         "serve" => cmd_serve(&args),
         "metrics" => cmd_metrics(&args),
         "timeline" => cmd_timeline(&args),
-        "snapshot" => cmd_snapshot(&args),
         other => unreachable!("`{other}` has accepted keys but no handler"),
     }
-    .map(|()| ExitCode::SUCCESS)
 }
 
 /// `--key value` lookup, with a missing key reported as a usage error.
@@ -786,8 +765,7 @@ fn serve_comparison(
             })
             .transpose()
     };
-    let window = parse_ms("window-ms")?.or(parse_ms("snapshot-ms")?);
-    let watch = watch_options(args, window)?;
+    let watch = watch_options(args, parse_ms("window-ms")?)?;
     let seed: u64 = args
         .get_opt("seed")
         .map(|s| {
@@ -885,18 +863,17 @@ fn serve_comparison(
     Ok((cmp, fault_spec))
 }
 
-/// Builds the `--watch` telemetry config: `--window-ms` (alias
-/// `--snapshot-ms`) sets the window length, `--slo` the objectives,
-/// `--ring` the span cap that bounds both the span log and each flight
-/// dump, and a `--trace-out` with a Perfetto extension switches that
-/// export to incremental streaming. Any of these but `--trace-out`
-/// without `--watch` is a usage error.
+/// Builds the `--watch` telemetry config: `--window-ms` sets the window
+/// length, `--slo` the objectives, `--ring` the span cap that bounds both
+/// the span log and each flight dump, and a `--trace-out` with a Perfetto
+/// extension switches that export to incremental streaming. Any of these
+/// but `--trace-out` without `--watch` is a usage error.
 fn watch_options(
     args: &Args,
     window: Option<cocopelia_gpusim::SimTime>,
 ) -> Result<Option<cocopelia_runtime::serve::TelemetryConfig>, CliError> {
     if !args.has_flag("watch") {
-        for key in ["slo", "ring", "window-ms", "snapshot-ms"] {
+        for key in ["slo", "ring", "window-ms"] {
             if args.get_opt(key).is_some() {
                 return Err(CliError::Usage(format!("--{key} requires --watch")));
             }
@@ -959,48 +936,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let streamed = args.has_flag("watch") && trace_out.as_deref().is_some_and(is_perfetto_path);
     let (cmp, fault_spec) = serve_comparison(args, trace_out.is_some() && !streamed)?;
     print!("{}", cmp.report.render());
-    println!(
-        "sequential no-reuse baseline {:.3} ms | speedup {:.2}x on {} device(s)",
-        cmp.sequential_secs * 1e3,
-        cmp.speedup(),
-        cmp.report.per_device_busy.len(),
-    );
-    if !fault_spec.is_none() {
-        let c = |name: &str| cmp.report.metrics.counter(name);
-        println!(
-            "faults: transient {} degraded {} fatal {} | retries {} (tile ops {}) | \
-             quarantined {} (re-dispatched {}, invalidated {}) | host fallbacks {}",
-            c("fault_transient_total"),
-            c("fault_degraded_total"),
-            c("fault_fatal_total"),
-            c("serve_retries_total"),
-            c("retry_tile_ops_total"),
-            c("quarantine_devices_total"),
-            c("quarantine_redispatch_total"),
-            c("quarantine_invalidated_total"),
-            c("fault_host_fallback_total"),
-        );
-    }
-    {
-        let c = |name: &str| cmp.report.metrics.counter(name);
-        let hedges = c("hedge_attempts_total");
-        let probes = c("probe_attempts_total");
-        let fastfails = c("budget_fastfail_total");
-        if hedges + probes + fastfails > 0 {
-            println!(
-                "defense: hedges {} (won {}, lost {}, faulted {}) | probes {} \
-                 (ok {}, readmitted {}) | budget fastfails {}",
-                hedges,
-                c("hedge_wins_total"),
-                c("hedge_losses_total"),
-                c("hedge_fail_total"),
-                probes,
-                c("probe_success_total"),
-                c("probe_readmit_total"),
-                fastfails,
-            );
-        }
-    }
+    print!("{}", cmp.render_summary(&fault_spec));
     if let Some(path) = trace_out {
         if streamed {
             println!("perfetto trace streamed to {path} (open in ui.perfetto.dev)");
@@ -1064,73 +1000,6 @@ fn cmd_timeline(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Derives a snapshot label from the output filename: `BENCH_pr2.json`
-/// labels the snapshot `pr2`.
-fn label_from_out(out: &str) -> String {
-    std::path::Path::new(out)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .map(|s| s.strip_prefix("BENCH_").unwrap_or(s))
-        .filter(|s| !s.is_empty())
-        .unwrap_or("snapshot")
-        .to_owned()
-}
-
-fn cmd_snapshot(args: &Args) -> Result<(), CliError> {
-    let out = get(args, "out")?;
-    let tb = if args.get_opt("testbed").is_some() {
-        testbed(args)?
-    } else {
-        testbed_i()
-    };
-    let label = args
-        .get_opt("label")
-        .unwrap_or_else(|| label_from_out(&out));
-    eprintln!("collecting the standard sweep on {} ...", tb.name);
-    let snap = cocopelia_xp::collect_snapshot(&tb, &label).map_err(CliError::Data)?;
-    print!("{}", snap.render());
-    let json = snap.to_json().map_err(|e| CliError::Json(e.to_string()))?;
-    write_file(&out, &json)?;
-    println!("snapshot written to {out}");
-    Ok(())
-}
-
-fn load_snapshot(path: &str) -> Result<cocopelia_obs::Snapshot, CliError> {
-    let text = read_file(path)?;
-    cocopelia_obs::Snapshot::from_json(&text)
-        .map_err(|e| CliError::Json(format!("parsing {path}: {e}")))
-}
-
-fn cmd_compare(pos: &[String], args: &Args) -> Result<ExitCode, CliError> {
-    let [base_path, new_path] = pos else {
-        return Err(CliError::Usage(
-            "compare needs exactly two snapshot files: <base.json> <new.json>".to_owned(),
-        ));
-    };
-    let base = load_snapshot(base_path)?;
-    let new = load_snapshot(new_path)?;
-    let mut cfg = cocopelia_obs::DiffConfig::default();
-    if let Some(t) = args.get_opt("threshold") {
-        cfg.makespan_threshold = t
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad --threshold value `{t}`")))?;
-    }
-    let report = cocopelia_obs::DiffReport::compare(&base, &new, cfg).map_err(CliError::Data)?;
-    print!("{}", report.render());
-    if let Some(path) = args.get_opt("json") {
-        let json =
-            serde_json::to_string(&report.to_value()).map_err(|e| CliError::Json(e.to_string()))?;
-        write_file(&path, &json)?;
-        println!("JSON diff written to {path}");
-    }
-    if report.has_regressions() {
-        eprintln!("performance regression detected");
-        Ok(ExitCode::from(2))
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
 /// Minimal `--key value` / `--flag` parser (kept dependency-free).
 mod args_impl {
     use super::HashMap;
@@ -1144,17 +1013,6 @@ mod args_impl {
     }
 
     impl Args {
-        /// Like [`parse`](Self::parse), but tokens before the first `--key`
-        /// are collected as positional arguments instead of rejected.
-        pub fn parse_with_positionals(argv: &[String]) -> Result<(Vec<String>, Args), String> {
-            let split = argv
-                .iter()
-                .position(|a| a.starts_with("--"))
-                .unwrap_or(argv.len());
-            let (pos, rest) = argv.split_at(split);
-            Ok((pos.to_vec(), Args::parse(rest)?))
-        }
-
         pub fn parse(argv: &[String]) -> Result<Args, String> {
             let mut out = Args::default();
             let mut i = 0;
@@ -1244,29 +1102,17 @@ mod tests {
     }
 
     #[test]
-    fn parse_with_positionals_splits_at_first_flag() {
-        let (pos, a) = Args::parse_with_positionals(&argv("base.json new.json --threshold 0.1"))
-            .expect("parses");
-        assert_eq!(pos, vec!["base.json".to_owned(), "new.json".to_owned()]);
-        assert_eq!(a.get("threshold").expect("present"), "0.1");
-        let (none, _) = Args::parse_with_positionals(&argv("--threshold 0.1")).expect("parses");
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn snapshot_label_derivation() {
-        assert_eq!(super::label_from_out("BENCH_seed.json"), "seed");
-        assert_eq!(super::label_from_out("out/BENCH_pr2.json"), "pr2");
-        assert_eq!(super::label_from_out("results.json"), "results");
-        assert_eq!(super::label_from_out("BENCH_.json"), "snapshot");
-    }
-
-    #[test]
     fn subcommand_dispatch_rejects_unknown() {
-        assert!(matches!(
-            super::run(&argv("frobnicate --x 1")),
-            Err(CliError::Usage(_))
-        ));
+        for cmd in [
+            "frobnicate --x 1",
+            "compare a.json b.json",
+            "snapshot --out x.json",
+        ] {
+            assert!(
+                matches!(super::run(&argv(cmd)), Err(CliError::Usage(_))),
+                "`{cmd}` must be a usage error"
+            );
+        }
         assert!(matches!(super::run(&[]), Err(CliError::Usage(_))));
     }
 
@@ -1307,7 +1153,7 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            super::run(&argv("serve --testbed i --snapshot-ms -3")),
+            super::run(&argv("serve --testbed i --window-ms -3")),
             Err(CliError::Usage(_))
         ));
     }
@@ -1342,14 +1188,11 @@ mod tests {
                 "`{flags}` must be a usage error"
             );
         }
-        // The watch window length (and its --snapshot-ms alias) is a
-        // --watch flag.
-        for flag in ["--window-ms 5", "--snapshot-ms 5"] {
-            assert!(matches!(
-                super::run(&argv(&format!("serve --testbed i {flag}"))),
-                Err(CliError::Usage(_))
-            ));
-        }
+        // The watch window length is a --watch flag.
+        assert!(matches!(
+            super::run(&argv("serve --testbed i --window-ms 5")),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]
@@ -1442,7 +1285,7 @@ mod tests {
             ("serve --testbed i --devices 1 --bogus-flag", "bogus-flag"),
             ("metrics --testbed i --width 9", "width"),
             ("deploy --testbed i --out p.json --quik", "quik"),
-            ("compare a.json b.json --treshold 0.1", "treshold"),
+            ("serve --testbed i --watch --snapshot-ms 5", "snapshot-ms"),
         ] {
             match super::run(&argv(cmd)) {
                 Err(CliError::Usage(msg)) => assert!(msg.contains(&format!("--{key}")), "{msg}"),

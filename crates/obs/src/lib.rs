@@ -19,10 +19,9 @@
 //! * [`calib`] — calibration diagnostics: fit quality (R², RMSE, slope CI)
 //!   for the §IV-A transfer/BTS models and a leave-one-out interpolation
 //!   audit of the empirical exec-time tables.
-//! * [`snapshot`]/[`diff`] — versioned machine-readable performance
-//!   snapshots of a standard sweep (`BENCH_<label>.json`) and the
-//!   comparator that classifies entry deltas as regression / improvement /
-//!   neutral for CI gating.
+//! * [`snapshot`] — the versioned machine-readable record of a standard
+//!   sweep (`BENCH_<label>.json`), pinned exactly by the repository's
+//!   tests.
 //! * [`window`]/[`slo`]/[`recorder`] — the streaming telemetry layer:
 //!   one typed record of the open virtual-time window (counters, gauges,
 //!   flow-time histogram), edge-triggered SLO evaluation that reads that
@@ -52,7 +51,6 @@
 #![deny(missing_docs)]
 
 pub mod calib;
-pub mod diff;
 pub mod drift;
 pub mod export;
 pub mod gantt;
@@ -70,7 +68,6 @@ pub mod timeline;
 pub mod window;
 
 pub use calib::{audit_exec_table, CalibReport, ExecAudit, FitRow, LatencyRow};
-pub use diff::{DiffConfig, DiffReport, EntryDiff, Verdict};
 pub use drift::{score_models, DriftAccountant, DriftRecord, ModelErrorStats};
 pub use metrics::{Histogram, Registry};
 pub use observer::{CallObservation, CallSummary, Observer, EFFICIENCY_BOUNDS};

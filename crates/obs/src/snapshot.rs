@@ -3,15 +3,15 @@
 //!
 //! A snapshot is the longitudinal counterpart of the per-run [`Observer`]
 //! report: the same pipeline metrics (makespan, overlap efficiency,
-//! per-model drift, selected tile, tile-cache hit rate), but keyed by a
-//! stable sweep-entry id so two snapshots taken from different builds can
-//! be diffed entry-by-entry (see [`crate::diff`]). The schema is versioned;
+//! per-model drift, selected tile, tile-cache hit rate), keyed by a
+//! stable sweep-entry id. The sweep is deterministic, so a committed
+//! snapshot pins it exactly. The schema is versioned;
 //! [`Snapshot::from_json`] rejects snapshots written by an incompatible
-//! schema so the comparator never silently mixes formats.
+//! schema so a file from another format is never read as this one.
 //!
 //! [`Observer`]: crate::Observer
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Version stamp written into every snapshot. Bump when the entry schema
@@ -69,11 +69,6 @@ impl Snapshot {
         }
     }
 
-    /// The entry with the given id, if present.
-    pub fn entry(&self, id: &str) -> Option<&SnapshotEntry> {
-        self.entries.iter().find(|e| e.id == id)
-    }
-
     /// Serialises to pretty JSON.
     ///
     /// # Errors
@@ -100,43 +95,6 @@ impl Snapshot {
             ));
         }
         Ok(snap)
-    }
-
-    /// The value-tree form, for embedding in larger JSON reports.
-    pub fn value_tree(&self) -> Value {
-        serde::Serialize::to_value(self)
-    }
-
-    /// Renders a one-line-per-entry human-readable summary.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "snapshot `{}` on `{}` (schema v{}, {} entries)",
-            self.label,
-            self.testbed,
-            self.schema_version,
-            self.entries.len()
-        );
-        let _ = writeln!(
-            out,
-            "{:<28} {:>7} {:>12} {:>10} {:>9} {:>7}",
-            "entry", "T", "makespan ms", "GFLOP/s", "overlap", "cache"
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>7} {:>12.3} {:>10.1} {:>8.2}x {:>6.0}%",
-                e.id,
-                e.tile,
-                e.makespan_ns as f64 / 1e6,
-                e.gflops,
-                e.overlap_efficiency,
-                e.cache_hit_rate * 100.0
-            );
-        }
-        out
     }
 }
 
@@ -166,8 +124,6 @@ mod tests {
         let json = s.to_json().expect("serializes");
         let back = Snapshot::from_json(&json).expect("parses");
         assert_eq!(s, back);
-        assert!(back.entry("gemm 1024x1024x1024").is_some());
-        assert!(back.entry("absent").is_none());
     }
 
     #[test]
@@ -182,14 +138,5 @@ mod tests {
     #[test]
     fn malformed_json_is_rejected() {
         assert!(Snapshot::from_json("{not json").is_err());
-    }
-
-    #[test]
-    fn render_lists_entries() {
-        let mut s = Snapshot::new("x", "tb");
-        s.entries.push(entry("gemm 1024x1024x1024", 2_000_000));
-        let text = s.render();
-        assert!(text.contains("gemm 1024x1024x1024"));
-        assert!(text.contains("schema v1"));
     }
 }

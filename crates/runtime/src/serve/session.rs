@@ -102,8 +102,9 @@ impl ServeOptions {
         self
     }
 
-    /// Live-watch sink, called once per closed telemetry window. Only
-    /// meaningful together with [`telemetry`](Self::telemetry).
+    /// Live-watch sink, called once per closed telemetry window. Requires
+    /// [`telemetry`](Self::telemetry): [`ServeSession::with_options`]
+    /// rejects a sink set without it.
     pub fn watch_sink(mut self, sink: impl FnMut(&WatchWindow) + 'static) -> Self {
         self.watch_sink = Some(Box::new(sink));
         self
@@ -302,7 +303,8 @@ impl ServeSession {
     /// # Errors
     ///
     /// Returns the I/O error when a telemetry stream file cannot be
-    /// created.
+    /// created, and an [`InvalidInput`](std::io::ErrorKind::InvalidInput)
+    /// error when `opts` sets a watch sink without telemetry.
     pub fn with_options(
         pool: MultiGpu,
         cfg: ExecutorConfig,
@@ -324,6 +326,12 @@ impl ServeSession {
                     tele.set_sink(sink);
                 }
                 Some(tele)
+            }
+            None if opts.watch_sink.is_some() => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "a watch sink needs telemetry: set ServeOptions::telemetry",
+                ));
             }
             None => None,
         };

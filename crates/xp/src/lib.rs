@@ -4,8 +4,8 @@
 //! validation and §V-E evaluation problem sets ([`sets`]), library/model
 //! runners on fresh simulated devices ([`runner`]), error statistics and
 //! violin summaries ([`stats`]), plain-text table/figure rendering
-//! ([`table`]), the deterministic standard sweep behind
-//! `cocopelia snapshot` ([`snapshot`]), and the request-serving sweep and
+//! ([`table`]), the deterministic standard sweep pinned by the committed
+//! `BENCH_seed.json` ([`snapshot`]), and the request-serving sweep and
 //! trace format behind `cocopelia serve` ([`serve`]), whose one runner,
 //! [`run_serve`], takes the runtime's serving options as they are.
 //!

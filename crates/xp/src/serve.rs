@@ -43,6 +43,53 @@ impl ServeComparison {
             0.0
         }
     }
+
+    /// The summary `cocopelia serve` prints after the report: the
+    /// sequential baseline and speedup; the fault and recovery counters
+    /// when `faults` is armed; and the straggler-defense counters when a
+    /// hedge, probe or budget fast-fail happened.
+    pub fn render_summary(&self, faults: &FaultSpec) -> String {
+        let c = |name: &str| self.report.metrics.counter(name);
+        let mut out = format!(
+            "sequential no-reuse baseline {:.3} ms | speedup {:.2}x on {} device(s)\n",
+            self.sequential_secs * 1e3,
+            self.speedup(),
+            self.report.per_device_busy.len(),
+        );
+        if !faults.is_none() {
+            out.push_str(&format!(
+                "faults: transient {} degraded {} fatal {} | retries {} (tile ops {}) | \
+                 quarantined {} (re-dispatched {}, invalidated {}) | host fallbacks {}\n",
+                c("fault_transient_total"),
+                c("fault_degraded_total"),
+                c("fault_fatal_total"),
+                c("serve_retries_total"),
+                c("retry_tile_ops_total"),
+                c("quarantine_devices_total"),
+                c("quarantine_redispatch_total"),
+                c("quarantine_invalidated_total"),
+                c("fault_host_fallback_total"),
+            ));
+        }
+        let hedges = c("hedge_attempts_total");
+        let probes = c("probe_attempts_total");
+        let fastfails = c("budget_fastfail_total");
+        if hedges + probes + fastfails > 0 {
+            out.push_str(&format!(
+                "defense: hedges {} (won {}, lost {}, faulted {}) | probes {} \
+                 (ok {}, readmitted {}) | budget fastfails {}\n",
+                hedges,
+                c("hedge_wins_total"),
+                c("hedge_losses_total"),
+                c("hedge_fail_total"),
+                probes,
+                c("probe_success_total"),
+                c("probe_readmit_total"),
+                fastfails,
+            ));
+        }
+        out
+    }
 }
 
 /// The standard mixed trace: ten requests across four routines, with the

@@ -1,12 +1,14 @@
-//! The standard perf-snapshot sweep behind `cocopelia snapshot`.
+//! The standard perf-snapshot sweep, pinned by the committed
+//! `BENCH_seed.json`.
 //!
 //! A fixed, versioned set of routine/size points is executed on a *quiet*
 //! testbed (noise forced to [`NoiseSpec::NONE`], fixed seeds, quick
-//! deployment grids) so two snapshots taken from different builds of this
-//! repository differ only through code changes — exactly what the
-//! [`cocopelia_obs::diff`] comparator needs for regression gating. Each
-//! point records the makespan, overlap efficiency, selected tile,
-//! tile-cache hit rate, and per-model prediction drift of one routine call.
+//! deployment grids), so two snapshots taken from different builds of this
+//! repository differ only through code changes: the repository's
+//! `perf_snapshot` test compares this tree's snapshot with the committed
+//! one byte for byte. Each point records the makespan, overlap efficiency,
+//! selected tile, tile-cache hit rate, and per-model prediction drift of
+//! one routine call.
 
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{ExecMode, Gpu, NoiseSpec, TestbedSpec};

@@ -297,7 +297,8 @@ fn digest_line(what: &str, bytes: &[u8]) -> String {
 /// serve` does for one scenario, and pins it in `tests/golden/<name>`:
 /// the traced run's report text, the baseline's exact seconds and both
 /// trace exports; with `slos`, also a `--watch` run's window lines,
-/// report text and streamed Perfetto file. `options` builds the
+/// report text and streamed Perfetto file; last, the summary lines the
+/// CLI prints after the traced run's report. `options` builds the
 /// scenario's serving options afresh for each run.
 fn pin_serve_scenario(
     name: &str,
@@ -351,6 +352,8 @@ fn pin_serve_scenario(
         let _ = std::fs::remove_file(&stream);
         golden.push_str(&digest_line("pftrace", &bytes));
     }
+    golden.push_str("== summary ==\n");
+    golden.push_str(&traced.render_summary(faults));
     assert_golden(name, &golden);
 }
 

@@ -366,6 +366,27 @@ fn watch_line_stream_is_deterministic_across_runs() {
 }
 
 #[test]
+fn watch_sink_without_telemetry_is_rejected() {
+    // A sink alone would never see a window: the session must say so
+    // instead of dropping it.
+    let opts = ServeOptions::new().watch_sink(|_| {});
+    let err =
+        ServeSession::with_options(pool(2, &FaultSpec::none()), ExecutorConfig::default(), opts)
+            .expect_err("a sink without telemetry is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    // With telemetry the same sink is accepted.
+    let opts = ServeOptions::new()
+        .telemetry(TelemetryConfig::default())
+        .watch_sink(|_| {});
+    assert!(ServeSession::with_options(
+        pool(2, &FaultSpec::none()),
+        ExecutorConfig::default(),
+        opts
+    )
+    .is_ok());
+}
+
+#[test]
 fn telemetry_trace_and_dumps_are_tails_of_the_one_span_log() {
     // The same chaos drain, once uncapped under plain tracing and once
     // under telemetry with a small span cap: the capped run keeps the

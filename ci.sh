@@ -100,9 +100,13 @@ cargo bench --bench micro_hotpaths
 
 echo "== benchmark build gate (perfbench against the public API) =="
 # perfbench/ is a separate workspace that drives the crates through their
-# public serving API. Build and test it, then run one short workload, so
-# an API change that breaks the benchmark fails here instead of silently.
-# The build goes under target/ so nothing is written inside perfbench/.
+# public serving API. Lint it like the main workspace, build and test it,
+# then run one short workload, so an API change that breaks the benchmark
+# fails here instead of silently. The build goes under target/ so nothing
+# is written inside perfbench/.
+cargo fmt --manifest-path perfbench/Cargo.toml --all --check
+CARGO_TARGET_DIR=target/perfbench cargo clippy --offline \
+    --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 CARGO_TARGET_DIR=target/perfbench cargo test --release --offline -q \
     --manifest-path perfbench/Cargo.toml
 CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \

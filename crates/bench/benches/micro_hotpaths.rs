@@ -270,7 +270,7 @@ fn perfetto_export() {
         lanes: vec![DeviceLane {
             device: 0,
             name: "dev0".to_owned(),
-            entries,
+            entries: entries.into(),
         }],
     };
     black_box(cocopelia_obs::perfetto::to_perfetto(black_box(&trace)));

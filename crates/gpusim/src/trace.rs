@@ -504,6 +504,20 @@ impl TraceChunks {
     }
 }
 
+impl From<Vec<TraceEntry>> for TraceChunks {
+    /// The entries in record order, cut into chunks so that every chunk
+    /// but the last is full. Entries that fit one chunk are moved, not
+    /// copied.
+    fn from(entries: Vec<TraceEntry>) -> Self {
+        let chunks = if entries.len() <= TRACE_CHUNK {
+            vec![entries]
+        } else {
+            entries.chunks(TRACE_CHUNK).map(<[_]>::to_vec).collect()
+        };
+        TraceChunks { chunks, skip: 0 }
+    }
+}
+
 impl<'a> IntoIterator for &'a TraceChunks {
     type Item = &'a TraceEntry;
     type IntoIter = Iter<'a>;
@@ -1049,6 +1063,20 @@ mod tests {
         assert_eq!(ops, (10..2 * TRACE_CHUNK + 7).collect::<Vec<_>>());
         assert_eq!(t.entries().len(), 2 * TRACE_CHUNK - 7);
         assert_eq!(t.entries()[0].op, 2 * TRACE_CHUNK + 7);
+    }
+
+    #[test]
+    fn chunks_from_a_vec_keep_every_chunk_but_the_last_full() {
+        let all = mixed_trace(2 * TRACE_CHUNK as u64 + 5).entries().to_vec();
+        let chunks = TraceChunks::from(all.clone());
+        let lens: Vec<usize> = chunks.chunks.iter().map(Vec::len).collect();
+        assert_eq!(lens, [TRACE_CHUNK, TRACE_CHUNK, 5]);
+        assert_eq!(chunks.view(), TraceView::from(&all[..]));
+        assert_eq!(chunks.view().get(TRACE_CHUNK + 3), all.get(TRACE_CHUNK + 3));
+        // Entries that fit one chunk are moved.
+        let small = all[..TRACE_CHUNK].to_vec();
+        let at = small.as_ptr();
+        assert_eq!(TraceChunks::from(small).chunks[0].as_ptr(), at);
     }
 
     #[test]

@@ -395,12 +395,12 @@ mod tests {
             DeviceLane {
                 device: 0,
                 name: "dev0 (testbed-i)".to_owned(),
-                entries: vec![entry(EngineKind::Compute, 0, 100, false)],
+                entries: vec![entry(EngineKind::Compute, 0, 100, false)].into(),
             },
             DeviceLane {
                 device: 1,
                 name: "dev1 (testbed-i)".to_owned(),
-                entries: vec![entry(EngineKind::Compute, 0, 80, false)],
+                entries: vec![entry(EngineKind::Compute, 0, 80, false)].into(),
             },
         ];
         let events = events_of(&to_chrome_trace_multi(&lanes).expect("serializes"));
@@ -437,7 +437,7 @@ mod tests {
             lanes: vec![DeviceLane {
                 device: 1,
                 name: "dev1".to_owned(),
-                entries: vec![entry(EngineKind::Compute, 100, 380, false)],
+                entries: vec![entry(EngineKind::Compute, 100, 380, false)].into(),
             }],
         };
         let events = events_of(&serve_trace_to_chrome(&trace).expect("serializes"));

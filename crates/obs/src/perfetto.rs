@@ -933,7 +933,8 @@ mod tests {
                         entry(EngineKind::CopyH2d, 50, 150),
                         entry(EngineKind::Compute, 150, 280),
                         entry(EngineKind::CopyD2h, 280, 300),
-                    ],
+                    ]
+                    .into(),
                 })
                 .collect(),
         }
@@ -1070,12 +1071,12 @@ mod tests {
             // Interleave lanes and spans in small batches, as the
             // executor's telemetry tick does.
             for lane in &trace.lanes {
-                w.write_entries(lane.device, &lane.name, &lane.entries[..1])
+                w.write_entries(lane.device, &lane.name, lane.entries.iter().take(1))
                     .expect("write");
             }
             w.write_spans(&trace.spans[..3]).expect("write");
             for lane in &trace.lanes {
-                w.write_entries(lane.device, &lane.name, &lane.entries[1..])
+                w.write_entries(lane.device, &lane.name, lane.entries.iter().skip(1))
                     .expect("write");
             }
             w.write_spans(&trace.spans[3..]).expect("write");
@@ -1142,5 +1143,39 @@ mod tests {
             .find(|e| e.event_type == TYPE_SLICE_BEGIN)
             .expect("has begins");
         assert_eq!(first_begin.name.as_deref(), Some("attempt 0"));
+    }
+
+    #[test]
+    fn a_multi_chunk_lane_exports_like_its_entries_in_one_slice() {
+        // 2 000 entries fill more than one 1 536-entry chunk.
+        let engines = [
+            EngineKind::CopyH2d,
+            EngineKind::Compute,
+            EngineKind::CopyD2h,
+        ];
+        let flat: Vec<TraceEntry> = (0..2000u64)
+            .map(|i| {
+                TraceEntry::new(
+                    i as usize,
+                    StreamId::from_raw(0),
+                    engines[i as usize % 3],
+                    SimTime::from_nanos(10 * i),
+                    SimTime::from_nanos(10 * i + 7),
+                )
+            })
+            .collect();
+        let lane = DeviceLane {
+            device: 0,
+            name: "dev0".into(),
+            entries: flat.clone().into(),
+        };
+        let chrome = crate::export::to_chrome_trace_multi(std::slice::from_ref(&lane));
+        let one_slice = crate::export::to_chrome_trace(&flat);
+        assert_eq!(chrome.expect("exports"), one_slice.expect("exports"));
+        let trace = ServeTrace {
+            spans: Vec::new(),
+            lanes: vec![lane],
+        };
+        assert_eq!(to_perfetto(&trace), to_perfetto_single(&flat));
     }
 }

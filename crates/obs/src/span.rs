@@ -1,12 +1,13 @@
 //! Request-lifecycle spans: the serve-native trace model.
 //!
-//! The simulator's [`TraceEntry`] records what each *engine* did; a span
-//! records what each *request* went through — submit, queue wait,
-//! dispatch, operand uploads, tile execution, downloads, and the
-//! fault-tolerance detours (retry, quarantine, host fallback). Spans and
-//! per-device engine entries together form a [`ServeTrace`], the input of
-//! every serve-side exporter: the Chrome-trace JSON writer, the Perfetto
-//! protobuf writer ([`crate::perfetto`]), and the timetable renderer
+//! The simulator's [`TraceEntry`](cocopelia_gpusim::TraceEntry) records
+//! what each *engine* did; a span records what each *request* went
+//! through — submit, queue wait, dispatch, operand uploads, tile
+//! execution, downloads, and the fault-tolerance detours (retry,
+//! quarantine, host fallback). Spans and per-device engine entries
+//! together form a [`ServeTrace`], the input of every serve-side
+//! exporter: the Chrome-trace JSON writer, the Perfetto protobuf writer
+//! ([`crate::perfetto`]), and the timetable renderer
 //! ([`crate::timeline`]).
 //!
 //! Flow linkage: a request's queue-wait span and its first device span
@@ -41,7 +42,7 @@
 //! `u64::MAX`: they belong to the executor's health machinery, not to any
 //! request.
 
-use cocopelia_gpusim::TraceEntry;
+use cocopelia_gpusim::TraceChunks;
 use serde::Value;
 use std::collections::HashMap;
 
@@ -293,8 +294,9 @@ pub struct DeviceLane {
     pub device: usize,
     /// Display name (`dev0 (testbed-i)`).
     pub name: String,
-    /// The device's entries, in its own record order.
-    pub entries: Vec<TraceEntry>,
+    /// The device's entries, in its own record order, in the chunks the
+    /// device's trace retired them in.
+    pub entries: TraceChunks,
 }
 
 /// The complete serve-side trace: request-lifecycle spans plus per-device
@@ -933,7 +935,7 @@ mod tests {
             lanes: vec![DeviceLane {
                 device: 0,
                 name: "dev0".into(),
-                entries: Vec::new(),
+                entries: TraceChunks::default(),
             }],
         };
         assert_eq!(trace.extent_ns(), 300);

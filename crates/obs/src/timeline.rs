@@ -269,12 +269,13 @@ mod tests {
                         entry(EngineKind::CopyH2d, 200, 320),
                         entry(EngineKind::Compute, 320, 470),
                         entry(EngineKind::CopyD2h, 470, 500),
-                    ],
+                    ]
+                    .into(),
                 },
                 DeviceLane {
                     device: 1,
                     name: "dev1".into(),
-                    entries: vec![entry(EngineKind::Compute, 500, 880)],
+                    entries: vec![entry(EngineKind::Compute, 500, 880)].into(),
                 },
             ],
         }
@@ -364,12 +365,12 @@ mod tests {
                 DeviceLane {
                     device: 0,
                     name: "dev0".into(),
-                    entries: vec![entry(EngineKind::Compute, 0, 600)],
+                    entries: vec![entry(EngineKind::Compute, 0, 600)].into(),
                 },
                 DeviceLane {
                     device: 1,
                     name: "dev1".into(),
-                    entries: vec![entry(EngineKind::Compute, 400, 600)],
+                    entries: vec![entry(EngineKind::Compute, 400, 600)].into(),
                 },
             ],
         };

@@ -12,7 +12,7 @@ use cocopelia_core::models::{ModelCtx, ModelKind};
 use cocopelia_core::params::{Loc, ProblemSpec, RoutineClass};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::select::{Selection, TileSelector};
-use cocopelia_gpusim::{CopyDesc, Gpu, SimScalar, SimTime};
+use cocopelia_gpusim::{CopyDesc, DevBufId, Gpu, SimScalar, SimTime};
 use cocopelia_hostblas::{Dtype, Matrix};
 use cocopelia_obs::{score_models, CallObservation, DriftRecord, Observer, OverlapStats};
 use std::collections::HashMap;
@@ -290,22 +290,30 @@ impl Cocopelia {
         }
     }
 
-    /// Closes a finished call: scores it against every evaluable model,
-    /// feeds the observer, and assembles its [`RoutineReport`]. `t0` and
-    /// `trace_start` are the device clock and trace length when the call
-    /// began.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_call(
+    /// The one path of a direct call whose operands passed their dimension
+    /// checks: resolves the tile, opens the call (streams, call id, trace
+    /// mark, start clock), runs `schedule` at the chosen tile, then scores
+    /// the call against every evaluable model, feeds the observer, and
+    /// assembles its [`RoutineReport`].
+    fn call<R>(
         &mut self,
         routine: &'static str,
-        call: u64,
         problem: &ProblemSpec,
-        tile: usize,
-        selection: Option<Selection>,
-        t0: SimTime,
-        trace_start: usize,
-        run: RunStats,
-    ) -> RoutineReport {
+        choice: TileChoice,
+        schedule: impl FnOnce(
+            &mut Gpu,
+            Streams,
+            u64,
+            RetryPolicy,
+            usize,
+        ) -> Result<(R, RunStats), RuntimeError>,
+    ) -> Result<(R, RoutineReport), RuntimeError> {
+        let (tile, selection) = self.resolve_tile(problem, choice)?;
+        let streams = self.ensure_streams();
+        let call = self.obs.next_call_id();
+        let trace_start = self.gpu.trace().len();
+        let t0 = self.gpu.now();
+        let (out, run) = schedule(&mut self.gpu, streams, call, self.retry, tile)?;
         let elapsed = self.gpu.now().saturating_since(t0);
         let actual_secs = elapsed.as_secs_f64();
         let drift = match self.profile.exec_table(problem.routine, problem.dtype) {
@@ -335,7 +343,7 @@ impl Cocopelia {
             tile_misses: run.tile_misses,
             drift: drift.clone(),
         });
-        RoutineReport {
+        let report = RoutineReport {
             elapsed,
             tile,
             subkernels: run.subkernels,
@@ -346,7 +354,8 @@ impl Cocopelia {
             tile_hits: run.tile_hits,
             tile_misses: run.tile_misses,
             op_retries: run.retries,
-        }
+        };
+        Ok((out, report))
     }
 
     /// Executes a [`GemmRequest`]: `C ← α·A·B + β·C` with 3-way overlap.
@@ -359,6 +368,7 @@ impl Cocopelia {
         &mut self,
         req: GemmRequest<T>,
     ) -> Result<GemmResult<T>, RuntimeError> {
+        let problem = req.problem_spec();
         let GemmRequest {
             a,
             b,
@@ -368,39 +378,12 @@ impl Cocopelia {
             tile: choice,
             deadline: _,
         } = req;
-        let a = inline_mat(a)?;
-        let b = inline_mat(b)?;
-        let c = inline_mat(c)?;
-        let (m, n, k) = gemm::check_dims(&a, &b, &c)?;
-        let problem = ProblemSpec::gemm(T::DTYPE, m, n, k, a.loc(), b.loc(), c.loc(), beta != 0.0);
-        let (tile, selection) = self.resolve_tile(&problem, choice)?;
-        let streams = self.ensure_streams();
-        let call = self.obs.next_call_id();
-        let trace_start = self.gpu.trace().len();
-        let t0 = self.gpu.now();
-        let run = gemm::run(
-            &mut self.gpu,
-            streams,
-            call,
-            self.retry,
-            alpha,
-            a,
-            b,
-            beta,
-            c,
-            tile,
-        )?;
-        let report = self.finish_call(
-            "gemm",
-            call,
-            &problem,
-            tile,
-            selection,
-            t0,
-            trace_start,
-            run.stats,
-        );
-        Ok(GemmResult { c: run.c, report })
+        let (a, b, c) = (inline_mat(a)?, inline_mat(b)?, inline_mat(c)?);
+        gemm::check_dims(&a, &b, &c)?;
+        let (c, report) = self.call("gemm", &problem, choice, |gpu, s, call, retry, t| {
+            gemm::run(gpu, s, call, retry, alpha, a, b, beta, c, t).map(|r| (r.c, r.stats))
+        })?;
+        Ok(GemmResult { c, report })
     }
 
     /// Executes an [`AxpyRequest`]: `y ← α·x + y` with 3-way overlap.
@@ -412,6 +395,7 @@ impl Cocopelia {
         &mut self,
         req: AxpyRequest<T>,
     ) -> Result<VecResult<T>, RuntimeError> {
+        let problem = req.problem_spec();
         let AxpyRequest {
             alpha,
             x,
@@ -419,31 +403,16 @@ impl Cocopelia {
             tile: choice,
             deadline: _,
         } = req;
-        let x = inline_vec(x)?;
-        let y = inline_vec(y)?;
+        let (x, y) = (inline_vec(x)?, inline_vec(y)?);
         if x.len() != y.len() {
             return Err(RuntimeError::DimensionMismatch {
                 what: format!("axpy: x has {} elements but y has {}", x.len(), y.len()),
             });
         }
-        let problem = ProblemSpec::axpy(T::DTYPE, x.len(), x.loc(), y.loc());
-        let (tile, selection) = self.resolve_tile(&problem, choice)?;
-        let streams = self.ensure_streams();
-        let call = self.obs.next_call_id();
-        let trace_start = self.gpu.trace().len();
-        let t0 = self.gpu.now();
-        let run = axpy::run(&mut self.gpu, streams, call, self.retry, alpha, x, y, tile)?;
-        let report = self.finish_call(
-            "axpy",
-            call,
-            &problem,
-            tile,
-            selection,
-            t0,
-            trace_start,
-            run.stats,
-        );
-        Ok(VecResult { y: run.y, report })
+        let (y, report) = self.call("axpy", &problem, choice, |gpu, s, call, retry, t| {
+            axpy::run(gpu, s, call, retry, alpha, x, y, t).map(|r| (r.y, r.stats))
+        })?;
+        Ok(VecResult { y, report })
     }
 
     /// Executes a [`DotRequest`]: tiled reduction `result ← xᵀy` with
@@ -454,40 +423,23 @@ impl Cocopelia {
     ///
     /// As for [`run_gemm`](Self::run_gemm).
     pub fn run_dot<T: SimScalar>(&mut self, req: DotRequest<T>) -> Result<DotResult, RuntimeError> {
+        let problem = req.problem_spec();
         let DotRequest {
             x,
             y,
             tile: choice,
             deadline: _,
         } = req;
-        let x = inline_vec(x)?;
-        let y = inline_vec(y)?;
+        let (x, y) = (inline_vec(x)?, inline_vec(y)?);
         if x.len() != y.len() {
             return Err(RuntimeError::DimensionMismatch {
                 what: format!("dot: x has {} elements but y has {}", x.len(), y.len()),
             });
         }
-        let problem = ProblemSpec::dot(T::DTYPE, x.len(), x.loc(), y.loc());
-        let (tile, selection) = self.resolve_tile(&problem, choice)?;
-        let streams = self.ensure_streams();
-        let call = self.obs.next_call_id();
-        let trace_start = self.gpu.trace().len();
-        let t0 = self.gpu.now();
-        let run = dot::run(&mut self.gpu, streams, call, self.retry, x, y, tile)?;
-        let report = self.finish_call(
-            "dot",
-            call,
-            &problem,
-            tile,
-            selection,
-            t0,
-            trace_start,
-            run.stats,
-        );
-        Ok(DotResult {
-            value: run.value,
-            report,
-        })
+        let (value, report) = self.call("dot", &problem, choice, |gpu, s, call, retry, t| {
+            dot::run(gpu, s, call, retry, x, y, t).map(|r| (r.value, r.stats))
+        })?;
+        Ok(DotResult { value, report })
     }
 
     /// Executes a [`GemvRequest`]: `y ← α·A·x + β·y` with 3-way overlap
@@ -500,6 +452,7 @@ impl Cocopelia {
         &mut self,
         req: GemvRequest<T>,
     ) -> Result<VecResult<T>, RuntimeError> {
+        let problem = req.problem_spec();
         let GemvRequest {
             alpha,
             a,
@@ -509,9 +462,7 @@ impl Cocopelia {
             tile: choice,
             deadline: _,
         } = req;
-        let a = inline_mat(a)?;
-        let x = inline_vec(x)?;
-        let y = inline_vec(y)?;
+        let (a, x, y) = (inline_mat(a)?, inline_vec(x)?, inline_vec(y)?);
         if x.len() != a.cols() || y.len() != a.rows() {
             return Err(RuntimeError::DimensionMismatch {
                 what: format!(
@@ -523,43 +474,10 @@ impl Cocopelia {
                 ),
             });
         }
-        let problem = ProblemSpec::gemv(
-            T::DTYPE,
-            a.rows(),
-            a.cols(),
-            a.loc(),
-            x.loc(),
-            y.loc(),
-            beta != 0.0,
-        );
-        let (tile, selection) = self.resolve_tile(&problem, choice)?;
-        let streams = self.ensure_streams();
-        let call = self.obs.next_call_id();
-        let trace_start = self.gpu.trace().len();
-        let t0 = self.gpu.now();
-        let run = gemv::run(
-            &mut self.gpu,
-            streams,
-            call,
-            self.retry,
-            alpha,
-            a,
-            x,
-            beta,
-            y,
-            tile,
-        )?;
-        let report = self.finish_call(
-            "gemv",
-            call,
-            &problem,
-            tile,
-            selection,
-            t0,
-            trace_start,
-            run.stats,
-        );
-        Ok(VecResult { y: run.y, report })
+        let (y, report) = self.call("gemv", &problem, choice, |gpu, s, call, retry, t| {
+            gemv::run(gpu, s, call, retry, alpha, a, x, beta, y, t).map(|r| (r.y, r.stats))
+        })?;
+        Ok(VecResult { y, report })
     }
 
     /// Executes a type-erased [`RoutineRequest`], returning its report.
@@ -607,35 +525,6 @@ impl Cocopelia {
             buf: dev,
             rows: m.rows(),
             cols: m.cols(),
-        })
-    }
-
-    /// Charges the h2d transfer of a `rows × cols` ghost matrix and returns
-    /// the resident handle — the timing-only twin of
-    /// [`upload_matrix`](Self::upload_matrix). The serving layer uses this
-    /// to pay upload cost for residency-cache fills without host data.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-memory and other simulator failures.
-    pub fn upload_ghost_matrix(
-        &mut self,
-        dtype: Dtype,
-        rows: usize,
-        cols: usize,
-    ) -> Result<DeviceMatrix, RuntimeError> {
-        let len = rows * cols;
-        let host = self.gpu.register_host_ghost(dtype, len, true);
-        let dev = self.gpu.alloc_device(dtype, len)?;
-        let streams = self.ensure_streams();
-        self.gpu
-            .memcpy_h2d_async(streams.h2d, CopyDesc::contiguous(host, dev, len))?;
-        self.gpu.synchronize()?;
-        self.gpu.take_host(host)?;
-        Ok(DeviceMatrix {
-            buf: dev,
-            rows,
-            cols,
         })
     }
 
@@ -716,18 +605,15 @@ impl Cocopelia {
         })
     }
 
-    /// Charges the h2d transfer of a ghost vector of `len` elements and
-    /// returns the resident handle. See
-    /// [`upload_ghost_matrix`](Self::upload_ghost_matrix).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-memory and other simulator failures.
-    pub fn upload_ghost_vector(
+    /// Charges the h2d transfer of `len` ghost elements into a fresh
+    /// device buffer and returns it — the timing-only twin of the uploads
+    /// above, which the serving layer pays for residency-cache fills
+    /// without host data.
+    pub(crate) fn upload_ghost(
         &mut self,
         dtype: Dtype,
         len: usize,
-    ) -> Result<DeviceVector, RuntimeError> {
+    ) -> Result<DevBufId, RuntimeError> {
         let host = self.gpu.register_host_ghost(dtype, len, true);
         let dev = self.gpu.alloc_device(dtype, len)?;
         let streams = self.ensure_streams();
@@ -735,7 +621,7 @@ impl Cocopelia {
             .memcpy_h2d_async(streams.h2d, CopyDesc::contiguous(host, dev, len))?;
         self.gpu.synchronize()?;
         self.gpu.take_host(host)?;
-        Ok(DeviceVector { buf: dev, len })
+        Ok(dev)
     }
 
     /// Allocates a device-resident vector without data.

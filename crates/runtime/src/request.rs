@@ -12,8 +12,9 @@
 use crate::ctx::{Cocopelia, DotResult, GemmResult, VecResult};
 use crate::error::RuntimeError;
 use crate::operand::{DeviceMatrix, DeviceVector, MatOperand, TileChoice, VecOperand};
-use cocopelia_gpusim::SimScalar;
-use cocopelia_hostblas::Matrix;
+use cocopelia_core::params::ProblemSpec;
+use cocopelia_gpusim::{DevBufId, SimScalar};
+use cocopelia_hostblas::{Dtype, Matrix};
 
 /// A named matrix operand kept device-resident by the serving layer and
 /// shared across requests (the BLASX-style residency cache).
@@ -93,23 +94,6 @@ impl<T: SimScalar> MatArg<T> {
         }
     }
 
-    /// Device bytes the argument occupies once scheduled. Inline
-    /// device-resident operands contribute 0 (already charged).
-    pub fn footprint_bytes(&self) -> usize {
-        match self {
-            MatArg::Inline(MatOperand::Device(_)) => 0,
-            _ => self.rows() * self.cols() * T::DTYPE.width(),
-        }
-    }
-
-    /// The shared key, when this argument references the residency cache.
-    pub fn shared_key(&self) -> Option<&str> {
-        match self {
-            MatArg::Inline(_) => None,
-            MatArg::Shared(s) => Some(&s.key),
-        }
-    }
-
     /// Initial residence as the prediction models see it. Shared operands
     /// count as device-resident: the executor resolves them onto the
     /// device before the routine runs, and the dispatch cost model charges
@@ -118,41 +102,6 @@ impl<T: SimScalar> MatArg<T> {
         match self {
             MatArg::Inline(op) => op.loc(),
             MatArg::Shared(_) => cocopelia_core::params::Loc::Device,
-        }
-    }
-
-    /// The shared key and its device footprint in bytes, when this
-    /// argument references the residency cache.
-    pub fn shared_footprint(&self) -> Option<(&str, usize)> {
-        match self {
-            MatArg::Inline(_) => None,
-            MatArg::Shared(s) => Some((&s.key, s.rows * s.cols * T::DTYPE.width())),
-        }
-    }
-
-    /// Replaces a shared reference with an inline ghost of the same shape
-    /// (the no-residency-reuse baseline).
-    pub fn without_sharing(self) -> Self {
-        match self {
-            MatArg::Inline(op) => MatArg::Inline(op),
-            MatArg::Shared(s) => MatArg::Inline(MatOperand::HostGhost {
-                rows: s.rows,
-                cols: s.cols,
-            }),
-        }
-    }
-
-    /// Coalescing identity of the argument: `Some` for shared keys and
-    /// anonymous host ghosts (whose device work is fully shape-determined),
-    /// `None` for concrete host data or device handles — those make the
-    /// whole request non-coalescable.
-    fn coalesce_token(&self) -> Option<String> {
-        match self {
-            MatArg::Shared(s) => Some(format!("s:{}:{}x{}", s.key, s.rows, s.cols)),
-            MatArg::Inline(MatOperand::HostGhost { rows, cols }) => {
-                Some(format!("g:{rows}x{cols}"))
-            }
-            MatArg::Inline(_) => None,
         }
     }
 }
@@ -209,54 +158,12 @@ impl<T: SimScalar> VecArg<T> {
         self.len() == 0
     }
 
-    /// Device bytes the argument occupies once scheduled.
-    pub fn footprint_bytes(&self) -> usize {
-        match self {
-            VecArg::Inline(VecOperand::Device(_)) => 0,
-            _ => self.len() * T::DTYPE.width(),
-        }
-    }
-
-    /// The shared key, when this argument references the residency cache.
-    pub fn shared_key(&self) -> Option<&str> {
-        match self {
-            VecArg::Inline(_) => None,
-            VecArg::Shared(s) => Some(&s.key),
-        }
-    }
-
     /// Initial residence as the prediction models see it; see
     /// [`MatArg::loc`].
     pub fn loc(&self) -> cocopelia_core::params::Loc {
         match self {
             VecArg::Inline(op) => op.loc(),
             VecArg::Shared(_) => cocopelia_core::params::Loc::Device,
-        }
-    }
-
-    /// The shared key and its device footprint in bytes, when this
-    /// argument references the residency cache.
-    pub fn shared_footprint(&self) -> Option<(&str, usize)> {
-        match self {
-            VecArg::Inline(_) => None,
-            VecArg::Shared(s) => Some((&s.key, s.len * T::DTYPE.width())),
-        }
-    }
-
-    /// Replaces a shared reference with an inline ghost of the same length.
-    pub fn without_sharing(self) -> Self {
-        match self {
-            VecArg::Inline(op) => VecArg::Inline(op),
-            VecArg::Shared(s) => VecArg::Inline(VecOperand::HostGhost { len: s.len }),
-        }
-    }
-
-    /// Coalescing identity of the argument; see [`MatArg::coalesce_token`].
-    fn coalesce_token(&self) -> Option<String> {
-        match self {
-            VecArg::Shared(s) => Some(format!("s:{}:{}", s.key, s.len)),
-            VecArg::Inline(VecOperand::HostGhost { len }) => Some(format!("g:{len}")),
-            VecArg::Inline(_) => None,
         }
     }
 }
@@ -282,6 +189,149 @@ impl<T> From<DeviceVector> for VecArg<T> {
 impl<T> From<SharedVec> for VecArg<T> {
     fn from(s: SharedVec) -> Self {
         VecArg::Shared(s)
+    }
+}
+
+/// The shape of an operand. A 10×10 matrix and a 100-element vector hold
+/// as many elements but are different shapes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// A `rows × cols` matrix.
+    Mat(usize, usize),
+    /// A vector of `len` elements.
+    Vec(usize),
+}
+
+impl Shape {
+    /// Element count.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Shape::Mat(rows, cols) => rows * cols,
+            Shape::Vec(len) => len,
+        }
+    }
+}
+
+/// A shared operand as the residency cache keys it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SharedRef<'a> {
+    pub(crate) key: &'a str,
+    pub(crate) dtype: Dtype,
+    pub(crate) shape: Shape,
+}
+
+impl SharedRef<'_> {
+    /// Device bytes of the operand.
+    pub(crate) fn bytes(&self) -> usize {
+        self.shape.len() * self.dtype.width()
+    }
+}
+
+/// One argument of a routine request, matrix or vector alike: everything
+/// the serving layer reads of an operand and the two ways it rewrites one.
+pub(crate) trait Operand {
+    /// Device bytes the argument occupies once scheduled. Inline
+    /// device-resident operands contribute 0 (already charged).
+    fn footprint_bytes(&self) -> usize;
+
+    /// The shared key, dtype and shape, when the argument references the
+    /// residency cache.
+    fn shared(&self) -> Option<SharedRef<'_>>;
+
+    /// Replaces a shared reference with an inline ghost of the same shape
+    /// (the no-residency-reuse baseline).
+    fn inline_ghost(&mut self);
+
+    /// Makes the argument the device-resident operand in `buf`, keeping
+    /// its shape.
+    fn bind(&mut self, buf: DevBufId);
+
+    /// Coalescing identity of the argument: `Some` for shared keys and
+    /// anonymous host ghosts (whose device work is fully shape-determined),
+    /// `None` for concrete host data or device handles — those make the
+    /// whole request non-coalescable.
+    fn coalesce_token(&self) -> Option<String>;
+}
+
+impl<T: SimScalar> Operand for MatArg<T> {
+    fn footprint_bytes(&self) -> usize {
+        match self {
+            MatArg::Inline(MatOperand::Device(_)) => 0,
+            _ => self.rows() * self.cols() * T::DTYPE.width(),
+        }
+    }
+
+    fn shared(&self) -> Option<SharedRef<'_>> {
+        match self {
+            MatArg::Inline(_) => None,
+            MatArg::Shared(s) => Some(SharedRef {
+                key: &s.key,
+                dtype: T::DTYPE,
+                shape: Shape::Mat(s.rows, s.cols),
+            }),
+        }
+    }
+
+    fn inline_ghost(&mut self) {
+        if let MatArg::Shared(s) = self {
+            let (rows, cols) = (s.rows, s.cols);
+            *self = MatArg::Inline(MatOperand::HostGhost { rows, cols });
+        }
+    }
+
+    fn bind(&mut self, buf: DevBufId) {
+        let (rows, cols) = (self.rows(), self.cols());
+        *self = MatArg::Inline(MatOperand::Device(DeviceMatrix { buf, rows, cols }));
+    }
+
+    fn coalesce_token(&self) -> Option<String> {
+        match self {
+            MatArg::Shared(s) => Some(format!("s:{}:{}x{}", s.key, s.rows, s.cols)),
+            MatArg::Inline(MatOperand::HostGhost { rows, cols }) => {
+                Some(format!("g:{rows}x{cols}"))
+            }
+            MatArg::Inline(_) => None,
+        }
+    }
+}
+
+impl<T: SimScalar> Operand for VecArg<T> {
+    fn footprint_bytes(&self) -> usize {
+        match self {
+            VecArg::Inline(VecOperand::Device(_)) => 0,
+            _ => self.len() * T::DTYPE.width(),
+        }
+    }
+
+    fn shared(&self) -> Option<SharedRef<'_>> {
+        match self {
+            VecArg::Inline(_) => None,
+            VecArg::Shared(s) => Some(SharedRef {
+                key: &s.key,
+                dtype: T::DTYPE,
+                shape: Shape::Vec(s.len),
+            }),
+        }
+    }
+
+    fn inline_ghost(&mut self) {
+        if let VecArg::Shared(s) = self {
+            let len = s.len;
+            *self = VecArg::Inline(VecOperand::HostGhost { len });
+        }
+    }
+
+    fn bind(&mut self, buf: DevBufId) {
+        let len = self.len();
+        *self = VecArg::Inline(VecOperand::Device(DeviceVector { buf, len }));
+    }
+
+    fn coalesce_token(&self) -> Option<String> {
+        match self {
+            VecArg::Shared(s) => Some(format!("s:{}:{}", s.key, s.len)),
+            VecArg::Inline(VecOperand::HostGhost { len }) => Some(format!("g:{len}")),
+            VecArg::Inline(_) => None,
+        }
     }
 }
 
@@ -366,6 +416,21 @@ impl<T: SimScalar> GemmRequest<T> {
     pub fn run(self, ctx: &mut Cocopelia) -> Result<GemmResult<T>, RuntimeError> {
         ctx.run_gemm(self)
     }
+
+    /// The request as the prediction models see it; see
+    /// [`RoutineRequest::problem_spec`].
+    pub(crate) fn problem_spec(&self) -> ProblemSpec {
+        ProblemSpec::gemm(
+            T::DTYPE,
+            self.a.rows(),
+            self.b.cols(),
+            self.a.cols(),
+            self.a.loc(),
+            self.b.loc(),
+            self.c.loc(),
+            self.beta != 0.0,
+        )
+    }
 }
 
 /// Builder for `y ← α·x + y`.
@@ -420,6 +485,11 @@ impl<T: SimScalar> AxpyRequest<T> {
     pub fn run(self, ctx: &mut Cocopelia) -> Result<VecResult<T>, RuntimeError> {
         ctx.run_axpy(self)
     }
+
+    /// The request as the prediction models see it.
+    pub(crate) fn problem_spec(&self) -> ProblemSpec {
+        ProblemSpec::axpy(T::DTYPE, self.x.len(), self.x.loc(), self.y.loc())
+    }
 }
 
 /// Builder for the tiled reduction `result ← xᵀy`.
@@ -465,6 +535,11 @@ impl<T: SimScalar> DotRequest<T> {
     /// As for [`GemmRequest::run`].
     pub fn run(self, ctx: &mut Cocopelia) -> Result<DotResult, RuntimeError> {
         ctx.run_dot(self)
+    }
+
+    /// The request as the prediction models see it.
+    pub(crate) fn problem_spec(&self) -> ProblemSpec {
+        ProblemSpec::dot(T::DTYPE, self.x.len(), self.x.loc(), self.y.loc())
     }
 }
 
@@ -531,6 +606,19 @@ impl<T: SimScalar> GemvRequest<T> {
     pub fn run(self, ctx: &mut Cocopelia) -> Result<VecResult<T>, RuntimeError> {
         ctx.run_gemv(self)
     }
+
+    /// The request as the prediction models see it.
+    pub(crate) fn problem_spec(&self) -> ProblemSpec {
+        ProblemSpec::gemv(
+            T::DTYPE,
+            self.a.rows(),
+            self.a.cols(),
+            self.a.loc(),
+            self.x.loc(),
+            self.y.loc(),
+            self.beta != 0.0,
+        )
+    }
 }
 
 /// A type-erased routine request, the unit the serving layer queues.
@@ -561,23 +649,46 @@ impl RoutineRequest {
         }
     }
 
+    /// The request's arguments in operand order (a, b, c or a, x, y); a
+    /// two-operand routine leaves the last slot empty.
+    pub(crate) fn operands(&self) -> [Option<&dyn Operand>; 3] {
+        match self {
+            RoutineRequest::GemmF64(r) => [Some(&r.a), Some(&r.b), Some(&r.c)],
+            RoutineRequest::GemmF32(r) => [Some(&r.a), Some(&r.b), Some(&r.c)],
+            RoutineRequest::AxpyF64(r) => [Some(&r.x), Some(&r.y), None],
+            RoutineRequest::DotF64(r) => [Some(&r.x), Some(&r.y), None],
+            RoutineRequest::GemvF64(r) => [Some(&r.a), Some(&r.x), Some(&r.y)],
+        }
+    }
+
+    /// [`operands`](Self::operands), for rewriting in place.
+    pub(crate) fn operands_mut(&mut self) -> [Option<&mut dyn Operand>; 3] {
+        match self {
+            RoutineRequest::GemmF64(r) => [Some(&mut r.a), Some(&mut r.b), Some(&mut r.c)],
+            RoutineRequest::GemmF32(r) => [Some(&mut r.a), Some(&mut r.b), Some(&mut r.c)],
+            RoutineRequest::AxpyF64(r) => [Some(&mut r.x), Some(&mut r.y), None],
+            RoutineRequest::DotF64(r) => [Some(&mut r.x), Some(&mut r.y), None],
+            RoutineRequest::GemvF64(r) => [Some(&mut r.a), Some(&mut r.x), Some(&mut r.y)],
+        }
+    }
+
+    /// The shared arguments, in operand order.
+    pub(crate) fn shared_operands(&self) -> impl Iterator<Item = SharedRef<'_>> {
+        self.operands()
+            .into_iter()
+            .flatten()
+            .filter_map(Operand::shared)
+    }
+
     /// Worst-case device bytes the request needs resident at once (every
     /// non-device operand uploaded in full, per §IV-C full tile reuse).
     /// Admission control compares this against device capacity.
     pub fn footprint_bytes(&self) -> usize {
-        match self {
-            RoutineRequest::GemmF64(r) => {
-                r.a.footprint_bytes() + r.b.footprint_bytes() + r.c.footprint_bytes()
-            }
-            RoutineRequest::GemmF32(r) => {
-                r.a.footprint_bytes() + r.b.footprint_bytes() + r.c.footprint_bytes()
-            }
-            RoutineRequest::AxpyF64(r) => r.x.footprint_bytes() + r.y.footprint_bytes(),
-            RoutineRequest::DotF64(r) => r.x.footprint_bytes() + r.y.footprint_bytes(),
-            RoutineRequest::GemvF64(r) => {
-                r.a.footprint_bytes() + r.x.footprint_bytes() + r.y.footprint_bytes()
-            }
-        }
+        self.operands()
+            .into_iter()
+            .flatten()
+            .map(Operand::footprint_bytes)
+            .sum()
     }
 
     /// The request's virtual-time budget, if any.
@@ -593,29 +704,7 @@ impl RoutineRequest {
 
     /// Residency-cache keys the request references, in operand order.
     pub fn shared_keys(&self) -> Vec<&str> {
-        match self {
-            RoutineRequest::GemmF64(r) => [&r.a, &r.b, &r.c]
-                .into_iter()
-                .filter_map(MatArg::shared_key)
-                .collect(),
-            RoutineRequest::GemmF32(r) => [&r.a, &r.b, &r.c]
-                .into_iter()
-                .filter_map(MatArg::shared_key)
-                .collect(),
-            RoutineRequest::AxpyF64(r) => [&r.x, &r.y]
-                .into_iter()
-                .filter_map(VecArg::shared_key)
-                .collect(),
-            RoutineRequest::DotF64(r) => [&r.x, &r.y]
-                .into_iter()
-                .filter_map(VecArg::shared_key)
-                .collect(),
-            RoutineRequest::GemvF64(r) => {
-                let mut keys: Vec<&str> = r.a.shared_key().into_iter().collect();
-                keys.extend([&r.x, &r.y].into_iter().filter_map(VecArg::shared_key));
-                keys
-            }
-        }
+        self.shared_operands().map(|s| s.key).collect()
     }
 
     /// Residency-cache keys the request references, with each key's device
@@ -623,33 +712,7 @@ impl RoutineRequest {
     /// model charges a device the estimated upload time of the keys it is
     /// missing.
     pub fn shared_footprints(&self) -> Vec<(&str, usize)> {
-        match self {
-            RoutineRequest::GemmF64(r) => [&r.a, &r.b, &r.c]
-                .into_iter()
-                .filter_map(MatArg::shared_footprint)
-                .collect(),
-            RoutineRequest::GemmF32(r) => [&r.a, &r.b, &r.c]
-                .into_iter()
-                .filter_map(MatArg::shared_footprint)
-                .collect(),
-            RoutineRequest::AxpyF64(r) => [&r.x, &r.y]
-                .into_iter()
-                .filter_map(VecArg::shared_footprint)
-                .collect(),
-            RoutineRequest::DotF64(r) => [&r.x, &r.y]
-                .into_iter()
-                .filter_map(VecArg::shared_footprint)
-                .collect(),
-            RoutineRequest::GemvF64(r) => {
-                let mut out: Vec<(&str, usize)> = r.a.shared_footprint().into_iter().collect();
-                out.extend(
-                    [&r.x, &r.y]
-                        .into_iter()
-                        .filter_map(VecArg::shared_footprint),
-                );
-                out
-            }
-        }
+        self.shared_operands().map(|s| (s.key, s.bytes())).collect()
     }
 
     /// The request's tiling-size policy.
@@ -667,45 +730,13 @@ impl RoutineRequest {
     /// the serving layer and `core::models::predict`. Shared operands
     /// count as device-resident ([`MatArg::loc`]); the scheduler charges
     /// their upload through its own cost model.
-    pub fn problem_spec(&self) -> cocopelia_core::params::ProblemSpec {
-        use cocopelia_core::params::ProblemSpec;
-        use cocopelia_hostblas::Dtype;
+    pub fn problem_spec(&self) -> ProblemSpec {
         match self {
-            RoutineRequest::GemmF64(r) => ProblemSpec::gemm(
-                Dtype::F64,
-                r.a.rows(),
-                r.b.cols(),
-                r.a.cols(),
-                r.a.loc(),
-                r.b.loc(),
-                r.c.loc(),
-                r.beta != 0.0,
-            ),
-            RoutineRequest::GemmF32(r) => ProblemSpec::gemm(
-                Dtype::F32,
-                r.a.rows(),
-                r.b.cols(),
-                r.a.cols(),
-                r.a.loc(),
-                r.b.loc(),
-                r.c.loc(),
-                r.beta != 0.0,
-            ),
-            RoutineRequest::AxpyF64(r) => {
-                ProblemSpec::axpy(Dtype::F64, r.x.len(), r.x.loc(), r.y.loc())
-            }
-            RoutineRequest::DotF64(r) => {
-                ProblemSpec::dot(Dtype::F64, r.x.len(), r.x.loc(), r.y.loc())
-            }
-            RoutineRequest::GemvF64(r) => ProblemSpec::gemv(
-                Dtype::F64,
-                r.a.rows(),
-                r.a.cols(),
-                r.a.loc(),
-                r.x.loc(),
-                r.y.loc(),
-                r.beta != 0.0,
-            ),
+            RoutineRequest::GemmF64(r) => r.problem_spec(),
+            RoutineRequest::GemmF32(r) => r.problem_spec(),
+            RoutineRequest::AxpyF64(r) => r.problem_spec(),
+            RoutineRequest::DotF64(r) => r.problem_spec(),
+            RoutineRequest::GemvF64(r) => r.problem_spec(),
         }
     }
 
@@ -722,44 +753,20 @@ impl RoutineRequest {
     /// deadline is deliberately excluded: followers are judged against
     /// their own budgets at fan-out.
     pub fn coalesce_key(&self) -> Option<String> {
-        if self.shared_keys().is_empty() {
-            return None;
-        }
-        let (scalars, tokens): (String, Vec<Option<String>>) = match self {
-            RoutineRequest::GemmF64(r) => (
-                format!("alpha={};beta={}", r.alpha, r.beta),
-                vec![
-                    r.a.coalesce_token(),
-                    r.b.coalesce_token(),
-                    r.c.coalesce_token(),
-                ],
-            ),
-            RoutineRequest::GemmF32(r) => (
-                format!("alpha={};beta={}", r.alpha, r.beta),
-                vec![
-                    r.a.coalesce_token(),
-                    r.b.coalesce_token(),
-                    r.c.coalesce_token(),
-                ],
-            ),
-            RoutineRequest::AxpyF64(r) => (
-                format!("alpha={}", r.alpha),
-                vec![r.x.coalesce_token(), r.y.coalesce_token()],
-            ),
-            RoutineRequest::DotF64(r) => (
-                String::new(),
-                vec![r.x.coalesce_token(), r.y.coalesce_token()],
-            ),
-            RoutineRequest::GemvF64(r) => (
-                format!("alpha={};beta={}", r.alpha, r.beta),
-                vec![
-                    r.a.coalesce_token(),
-                    r.x.coalesce_token(),
-                    r.y.coalesce_token(),
-                ],
-            ),
+        self.shared_operands().next()?;
+        let scalars = match self {
+            RoutineRequest::GemmF64(r) => format!("alpha={};beta={}", r.alpha, r.beta),
+            RoutineRequest::GemmF32(r) => format!("alpha={};beta={}", r.alpha, r.beta),
+            RoutineRequest::AxpyF64(r) => format!("alpha={}", r.alpha),
+            RoutineRequest::DotF64(_) => String::new(),
+            RoutineRequest::GemvF64(r) => format!("alpha={};beta={}", r.alpha, r.beta),
         };
-        let tokens: Option<Vec<String>> = tokens.into_iter().collect();
+        let tokens: Option<Vec<String>> = self
+            .operands()
+            .into_iter()
+            .flatten()
+            .map(Operand::coalesce_token)
+            .collect();
         Some(format!(
             "{}|{:?}|{}|{}",
             self.routine(),
@@ -772,37 +779,11 @@ impl RoutineRequest {
     /// Rewrites every shared operand to an inline ghost of the same shape —
     /// the "no residency reuse" baseline the throughput acceptance test
     /// submits sequentially.
-    pub fn without_sharing(self) -> Self {
-        match self {
-            RoutineRequest::GemmF64(mut r) => {
-                r.a = r.a.without_sharing();
-                r.b = r.b.without_sharing();
-                r.c = r.c.without_sharing();
-                RoutineRequest::GemmF64(r)
-            }
-            RoutineRequest::GemmF32(mut r) => {
-                r.a = r.a.without_sharing();
-                r.b = r.b.without_sharing();
-                r.c = r.c.without_sharing();
-                RoutineRequest::GemmF32(r)
-            }
-            RoutineRequest::AxpyF64(mut r) => {
-                r.x = r.x.without_sharing();
-                r.y = r.y.without_sharing();
-                RoutineRequest::AxpyF64(r)
-            }
-            RoutineRequest::DotF64(mut r) => {
-                r.x = r.x.without_sharing();
-                r.y = r.y.without_sharing();
-                RoutineRequest::DotF64(r)
-            }
-            RoutineRequest::GemvF64(mut r) => {
-                r.a = r.a.without_sharing();
-                r.x = r.x.without_sharing();
-                r.y = r.y.without_sharing();
-                RoutineRequest::GemvF64(r)
-            }
+    pub fn without_sharing(mut self) -> Self {
+        for arg in self.operands_mut().into_iter().flatten() {
+            arg.inline_ghost();
         }
+        self
     }
 }
 
@@ -979,7 +960,10 @@ mod tests {
         let _: MatArg<f32> = Matrix::<f32>::zeros(2, 2).into();
         let m: MatArg<f64> = SharedMat::new("A", 3, 4).into();
         assert_eq!((m.rows(), m.cols()), (3, 4));
-        assert_eq!(m.shared_key(), Some("A"));
+        assert_eq!(
+            m.shared().map(|s| (s.key, s.shape)),
+            Some(("A", Shape::Mat(3, 4)))
+        );
         let v: VecArg<f64> = SharedVec::new("x", 9).into();
         assert_eq!(v.len(), 9);
         assert!(!v.is_empty());

@@ -3,14 +3,14 @@
 
 use crate::ctx::{Cocopelia, RoutineReport};
 use crate::error::{FaultClass, RequestError, RequestId, RuntimeError};
-use crate::operand::{MatOperand, TileChoice, VecOperand};
-use crate::request::{GemmRequest, MatArg, RoutineRequest, VecArg};
-use crate::serve::residency::{ResidencyCache, ResidentHandle};
+use crate::operand::{MatOperand, TileChoice};
+use crate::request::{GemmRequest, RoutineRequest};
+use crate::serve::residency::ResidencyCache;
 use crate::serve::sched::SchedulePolicy;
 use crate::serve::session::ServeSession;
 use crate::serve::telemetry::{TelemetryReport, TickState};
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::{AllocMark, DevBufId, SimError, SimScalar, SimTime};
+use cocopelia_gpusim::{AllocMark, DevBufId, SimError, SimTime};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
 use std::collections::hash_map::Entry;
@@ -1618,7 +1618,7 @@ impl ServeSession {
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();
         for e in evicted {
-            free_resident(dev, e.handle);
+            free_resident(dev, e.buf);
         }
         for b in dev.gpu().live_device_buffers() {
             let _ = dev.gpu_mut().free_device(b);
@@ -1821,7 +1821,7 @@ impl ServeSession {
             if fresh {
                 if let Some(e) = self.residency[dev].remove(key) {
                     rolled_back_bytes += e.bytes as u64;
-                    free_resident(self.pool.device_mut(dev), e.handle);
+                    free_resident(self.pool.device_mut(dev), e.buf);
                 }
             }
         }
@@ -2133,7 +2133,7 @@ impl ServeSession {
     /// reported in the request's outcome but advances no device clock, so
     /// it does not count toward the pool makespan.
     fn execute_host(&mut self, req: &RoutineRequest) -> RoutineReport {
-        let flops = host_flops(req);
+        let flops = req.problem_spec().flops();
         let elapsed = SimTime::from_secs_f64(flops / (self.cfg.host_gflops.max(1e-9) * 1e9));
         RoutineReport {
             elapsed,
@@ -2160,7 +2160,7 @@ impl ServeSession {
         // Pin every shared key of this request for the whole resolution:
         // resolving a later operand must never evict (and free) an earlier
         // operand of the same request out from under its resolved handle.
-        let pinned: Vec<String> = req.shared_keys().iter().map(|k| (*k).to_owned()).collect();
+        let pinned: Vec<String> = req.shared_operands().map(|s| s.key.to_owned()).collect();
         let resolved = {
             let ServeSession {
                 pool,
@@ -2174,8 +2174,8 @@ impl ServeSession {
         };
         let dev = self.pool.device_mut(d);
         let report = dev.submit(resolved)?;
-        for h in bypass {
-            free_resident(dev, h);
+        for buf in bypass {
+            free_resident(dev, buf);
         }
         Ok(report)
     }
@@ -2191,7 +2191,7 @@ impl ServeSession {
         self.metrics
             .counter_add("residency_evictions_total", evicted.len() as u64);
         for e in evicted {
-            free_resident(dev, e.handle);
+            free_resident(dev, e.buf);
         }
         for b in dev.gpu().live_device_buffers_since(mark) {
             let _ = dev.gpu_mut().free_device(b);
@@ -2225,149 +2225,56 @@ impl ServeSession {
     }
 }
 
-/// Useful floating-point operations of a request, for host-fallback time
-/// accounting (mirrors `ProblemSpec::flops` without needing a profile).
-fn host_flops(req: &RoutineRequest) -> f64 {
-    match req {
-        RoutineRequest::GemmF64(r) => {
-            2.0 * r.a.rows() as f64 * r.b.cols() as f64 * r.a.cols() as f64
-        }
-        RoutineRequest::GemmF32(r) => {
-            2.0 * r.a.rows() as f64 * r.b.cols() as f64 * r.a.cols() as f64
-        }
-        RoutineRequest::AxpyF64(r) => 2.0 * r.x.len() as f64,
-        RoutineRequest::DotF64(r) => 2.0 * r.x.len() as f64,
-        RoutineRequest::GemvF64(r) => 2.0 * r.a.rows() as f64 * r.a.cols() as f64,
-    }
-}
-
-/// Frees a cached or bypass device allocation, ignoring stale handles
+/// Frees a cached or bypass device allocation, ignoring stale buffers
 /// (reclaim may already have freed them).
-fn free_resident(dev: &mut Cocopelia, h: ResidentHandle) {
-    let _ = match h {
-        ResidentHandle::Mat(m) => dev.free_matrix(m),
-        ResidentHandle::Vec(v) => dev.free_vector(v),
-    };
+fn free_resident(dev: &mut Cocopelia, buf: DevBufId) {
+    let _ = dev.gpu_mut().free_device(buf);
 }
 
-/// Resolves one matrix argument: shared keys become device-resident
-/// operands via the residency cache (hit) or a ghost upload (miss).
-/// `pinned` names the whole request's shared keys, which eviction must
-/// not touch; an operand that cannot fit alongside them bypasses the
-/// cache instead.
-fn resolve_mat<T: SimScalar>(
-    dev: &mut Cocopelia,
-    cache: &mut ResidencyCache,
-    metrics: &mut Registry,
-    bypass: &mut Vec<ResidentHandle>,
-    pinned: &[String],
-    arg: MatArg<T>,
-) -> Result<MatArg<T>, RuntimeError> {
-    let MatArg::Shared(s) = arg else {
-        return Ok(arg);
-    };
-    if let Some(m) = cache.lookup_mat(&s.key, T::DTYPE, s.rows, s.cols)? {
-        metrics.counter_add("residency_hits_total", 1);
-        return Ok(MatArg::Inline(MatOperand::Device(m)));
-    }
-    metrics.counter_add("residency_misses_total", 1);
-    let bytes = s.rows * s.cols * T::DTYPE.width();
-    let cacheable = cache.fits_pinned(bytes, pinned);
-    if cacheable {
-        for e in cache.evict_for(bytes, pinned) {
-            metrics.counter_add("residency_evictions_total", 1);
-            free_resident(dev, e.handle);
-        }
-    } else {
-        metrics.counter_add("residency_bypass_total", 1);
-    }
-    let m = dev.upload_ghost_matrix(T::DTYPE, s.rows, s.cols)?;
-    metrics.counter_add("residency_bytes_uploaded", bytes as u64);
-    if cacheable {
-        cache.insert_mat(&s.key, T::DTYPE, m, bytes);
-    } else {
-        bypass.push(ResidentHandle::Mat(m));
-    }
-    Ok(MatArg::Inline(MatOperand::Device(m)))
-}
-
-/// Resolves one vector argument; see [`resolve_mat`].
-fn resolve_vec<T: SimScalar>(
-    dev: &mut Cocopelia,
-    cache: &mut ResidencyCache,
-    metrics: &mut Registry,
-    bypass: &mut Vec<ResidentHandle>,
-    pinned: &[String],
-    arg: VecArg<T>,
-) -> Result<VecArg<T>, RuntimeError> {
-    let VecArg::Shared(s) = arg else {
-        return Ok(arg);
-    };
-    if let Some(v) = cache.lookup_vec(&s.key, T::DTYPE, s.len)? {
-        metrics.counter_add("residency_hits_total", 1);
-        return Ok(VecArg::Inline(VecOperand::Device(v)));
-    }
-    metrics.counter_add("residency_misses_total", 1);
-    let bytes = s.len * T::DTYPE.width();
-    let cacheable = cache.fits_pinned(bytes, pinned);
-    if cacheable {
-        for e in cache.evict_for(bytes, pinned) {
-            metrics.counter_add("residency_evictions_total", 1);
-            free_resident(dev, e.handle);
-        }
-    } else {
-        metrics.counter_add("residency_bypass_total", 1);
-    }
-    let v = dev.upload_ghost_vector(T::DTYPE, s.len)?;
-    metrics.counter_add("residency_bytes_uploaded", bytes as u64);
-    if cacheable {
-        cache.insert_vec(&s.key, T::DTYPE, v, bytes);
-    } else {
-        bypass.push(ResidentHandle::Vec(v));
-    }
-    Ok(VecArg::Inline(VecOperand::Device(v)))
-}
-
-/// Resolves every shared operand of a request against one device, with
-/// the request's own keys pinned against eviction.
+/// Resolves every shared operand of a request against one device, in
+/// operand order: a hit binds the cached buffer; a miss uploads a ghost,
+/// evicting least-recently-used entries to make room. `pinned` names the
+/// whole request's shared keys, which eviction must not touch; an operand
+/// that cannot fit alongside them bypasses the cache instead, and its
+/// buffer goes to `bypass` for the caller to free after the run.
 fn resolve_request(
     dev: &mut Cocopelia,
     cache: &mut ResidencyCache,
     metrics: &mut Registry,
-    bypass: &mut Vec<ResidentHandle>,
+    bypass: &mut Vec<DevBufId>,
     pinned: &[String],
-    req: RoutineRequest,
+    mut req: RoutineRequest,
 ) -> Result<RoutineRequest, RuntimeError> {
-    Ok(match req {
-        RoutineRequest::GemmF64(mut r) => {
-            r.a = resolve_mat(dev, cache, metrics, bypass, pinned, r.a)?;
-            r.b = resolve_mat(dev, cache, metrics, bypass, pinned, r.b)?;
-            r.c = resolve_mat(dev, cache, metrics, bypass, pinned, r.c)?;
-            RoutineRequest::GemmF64(r)
+    for arg in req.operands_mut().into_iter().flatten() {
+        let Some(s) = arg.shared() else {
+            continue;
+        };
+        if let Some(buf) = cache.lookup(s.key, s.dtype, s.shape)? {
+            metrics.counter_add("residency_hits_total", 1);
+            arg.bind(buf);
+            continue;
         }
-        RoutineRequest::GemmF32(mut r) => {
-            r.a = resolve_mat(dev, cache, metrics, bypass, pinned, r.a)?;
-            r.b = resolve_mat(dev, cache, metrics, bypass, pinned, r.b)?;
-            r.c = resolve_mat(dev, cache, metrics, bypass, pinned, r.c)?;
-            RoutineRequest::GemmF32(r)
+        metrics.counter_add("residency_misses_total", 1);
+        let bytes = s.bytes();
+        let cacheable = cache.fits_pinned(bytes, pinned);
+        if cacheable {
+            for e in cache.evict_for(bytes, pinned) {
+                metrics.counter_add("residency_evictions_total", 1);
+                free_resident(dev, e.buf);
+            }
+        } else {
+            metrics.counter_add("residency_bypass_total", 1);
         }
-        RoutineRequest::AxpyF64(mut r) => {
-            r.x = resolve_vec(dev, cache, metrics, bypass, pinned, r.x)?;
-            r.y = resolve_vec(dev, cache, metrics, bypass, pinned, r.y)?;
-            RoutineRequest::AxpyF64(r)
+        let buf = dev.upload_ghost(s.dtype, s.shape.len())?;
+        metrics.counter_add("residency_bytes_uploaded", bytes as u64);
+        if cacheable {
+            cache.insert(s.key, s.dtype, s.shape, buf);
+        } else {
+            bypass.push(buf);
         }
-        RoutineRequest::DotF64(mut r) => {
-            r.x = resolve_vec(dev, cache, metrics, bypass, pinned, r.x)?;
-            r.y = resolve_vec(dev, cache, metrics, bypass, pinned, r.y)?;
-            RoutineRequest::DotF64(r)
-        }
-        RoutineRequest::GemvF64(mut r) => {
-            r.a = resolve_mat(dev, cache, metrics, bypass, pinned, r.a)?;
-            r.x = resolve_vec(dev, cache, metrics, bypass, pinned, r.x)?;
-            r.y = resolve_vec(dev, cache, metrics, bypass, pinned, r.y)?;
-            RoutineRequest::GemvF64(r)
-        }
-    })
+        arg.bind(buf);
+    }
+    Ok(req)
 }
 
 /// Inserts `err` into `errs`, which is sorted under [`f64::total_cmp`],

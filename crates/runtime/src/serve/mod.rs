@@ -25,9 +25,12 @@
 //!    device falls far enough behind, and a degraded one stops pulling
 //!    work after its first overrun.
 //! 3. **Cross-request residency.** Operands named by key
-//!    ([`MatArg::shared`](crate::MatArg::shared)) live in a per-device LRU
-//!    cache, so a matrix uploaded for request *N* is not re-transferred
-//!    for request *N+1*.
+//!    ([`MatArg::shared`](crate::MatArg::shared),
+//!    [`VecArg::shared`](crate::VecArg::shared)) live in a per-device LRU
+//!    [`ResidencyCache`], so an operand uploaded for request *N* is not
+//!    re-transferred for request *N+1*. Matrices and vectors share one
+//!    kind of entry, matched on key, dtype and shape, and one resolution
+//!    walk over the request's operands.
 //!
 //! Each request terminates in exactly one [`RequestStatus`]. The session
 //! is fault-tolerant: retryable faults

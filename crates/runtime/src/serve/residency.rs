@@ -1,26 +1,19 @@
 //! Per-device LRU cache of shared, device-resident operands.
 
 use crate::error::RuntimeError;
-use crate::operand::{DeviceMatrix, DeviceVector};
+use crate::request::Shape;
 use cocopelia_gpusim::DevBufId;
 use cocopelia_hostblas::Dtype;
 use std::collections::HashMap;
 
-/// A cached device allocation: either a matrix or a vector.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ResidentHandle {
-    /// A resident matrix.
-    Mat(DeviceMatrix),
-    /// A resident vector.
-    Vec(DeviceVector),
-}
-
-/// One cache entry.
+/// One cache entry: a shared operand, matrix or vector alike, and the
+/// device buffer that holds it.
 #[derive(Debug, Clone)]
 pub(crate) struct Resident {
     pub(crate) key: String,
-    pub(crate) dtype: Dtype,
-    pub(crate) handle: ResidentHandle,
+    dtype: Dtype,
+    shape: Shape,
+    pub(crate) buf: DevBufId,
     pub(crate) bytes: usize,
     last_use: u64,
 }
@@ -28,10 +21,13 @@ pub(crate) struct Resident {
 /// An LRU cache of shared operands resident on one device, bounded by a
 /// byte budget carved out of device memory.
 ///
-/// The cache tracks *handles*; the executor owns the device and performs
-/// the actual allocation/free calls with the handles this cache evicts.
+/// The cache tracks device buffers; the executor owns the device and
+/// performs the actual allocation/free calls with the buffers this cache
+/// evicts. An entry is keyed by its key and must match the dtype and
+/// shape a request declares, so a matrix entry never serves a vector of
+/// the same element count.
 ///
-/// Entries are indexed by key in a `HashMap`, so `lookup_*`/`contains` —
+/// Entries are indexed by key in a `HashMap`, so `lookup`/`contains` —
 /// which dispatch calls per shared key × device × queued request — are
 /// O(1) instead of a `Vec` scan. LRU order lives in each entry's
 /// `last_use` stamp (strictly increasing, hence unique), and every path
@@ -99,68 +95,36 @@ impl ResidencyCache {
         bytes + pinned_bytes <= self.budget_bytes
     }
 
-    /// Looks up a shared matrix, refreshing its LRU position on a hit.
+    /// Looks up a shared operand, refreshing its LRU position on a hit.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::DimensionMismatch`] when `key` is cached with a
     /// different dtype or shape than the request declares.
-    pub(crate) fn lookup_mat(
+    pub(crate) fn lookup(
         &mut self,
         key: &str,
         dtype: Dtype,
-        rows: usize,
-        cols: usize,
-    ) -> Result<Option<DeviceMatrix>, RuntimeError> {
+        shape: Shape,
+    ) -> Result<Option<DevBufId>, RuntimeError> {
         let Some(e) = self.entries.get_mut(key) else {
             return Ok(None);
         };
-        match e.handle {
-            ResidentHandle::Mat(m) if e.dtype == dtype && m.rows() == rows && m.cols() == cols => {
-                self.clock += 1;
-                e.last_use = self.clock;
-                Ok(Some(m))
-            }
-            _ => Err(RuntimeError::DimensionMismatch {
+        if e.dtype != dtype || e.shape != shape {
+            return Err(RuntimeError::DimensionMismatch {
                 what: format!(
                     "shared operand '{key}' is cached with a different dtype or shape \
                      than the request declares"
                 ),
-            }),
+            });
         }
-    }
-
-    /// Looks up a shared vector, refreshing its LRU position on a hit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`lookup_mat`](Self::lookup_mat).
-    pub(crate) fn lookup_vec(
-        &mut self,
-        key: &str,
-        dtype: Dtype,
-        len: usize,
-    ) -> Result<Option<DeviceVector>, RuntimeError> {
-        let Some(e) = self.entries.get_mut(key) else {
-            return Ok(None);
-        };
-        match e.handle {
-            ResidentHandle::Vec(v) if e.dtype == dtype && v.len() == len => {
-                self.clock += 1;
-                e.last_use = self.clock;
-                Ok(Some(v))
-            }
-            _ => Err(RuntimeError::DimensionMismatch {
-                what: format!(
-                    "shared operand '{key}' is cached with a different dtype or shape \
-                     than the request declares"
-                ),
-            }),
-        }
+        self.clock += 1;
+        e.last_use = self.clock;
+        Ok(Some(e.buf))
     }
 
     /// Evicts least-recently-used entries until `bytes` more would fit in
-    /// the budget, returning the evicted handles for the executor to free.
+    /// the budget, returning the evicted entries for the executor to free.
     /// `pinned` keys are never evicted (the current request's operands);
     /// call only after a miss, and only when
     /// [`fits_pinned`](Self::fits_pinned) said the bytes can be made to fit.
@@ -185,28 +149,24 @@ impl ResidencyCache {
         evicted
     }
 
-    /// Caches a matrix under `key`, returning whether the entry was
-    /// inserted. A duplicate key is *rejected* (`false`) rather than
-    /// shadowing or double-counting the resident entry — the caller still
-    /// owns the handle it tried to insert.
-    pub(crate) fn insert_mat(
-        &mut self,
-        key: &str,
-        dtype: Dtype,
-        m: DeviceMatrix,
-        bytes: usize,
-    ) -> bool {
+    /// Caches the operand held in `buf` under `key`, returning whether the
+    /// entry was inserted. A duplicate key is *rejected* (`false`) rather
+    /// than shadowing or double-counting the resident entry — the caller
+    /// still owns the buffer it tried to insert.
+    pub(crate) fn insert(&mut self, key: &str, dtype: Dtype, shape: Shape, buf: DevBufId) -> bool {
         if self.entries.contains_key(key) {
             return false;
         }
         self.clock += 1;
+        let bytes = shape.len() * dtype.width();
         self.used_bytes += bytes;
         self.entries.insert(
             key.to_owned(),
             Resident {
                 key: key.to_owned(),
                 dtype,
-                handle: ResidentHandle::Mat(m),
+                shape,
+                buf,
                 bytes,
                 last_use: self.clock,
             },
@@ -214,33 +174,7 @@ impl ResidencyCache {
         true
     }
 
-    /// Caches a vector under `key`; as [`insert_mat`](Self::insert_mat).
-    pub(crate) fn insert_vec(
-        &mut self,
-        key: &str,
-        dtype: Dtype,
-        v: DeviceVector,
-        bytes: usize,
-    ) -> bool {
-        if self.entries.contains_key(key) {
-            return false;
-        }
-        self.clock += 1;
-        self.used_bytes += bytes;
-        self.entries.insert(
-            key.to_owned(),
-            Resident {
-                key: key.to_owned(),
-                dtype,
-                handle: ResidentHandle::Vec(v),
-                bytes,
-                last_use: self.clock,
-            },
-        );
-        true
-    }
-
-    /// Empties the cache, returning every handle for the executor to free
+    /// Empties the cache, returning every entry for the executor to free
     /// in LRU order (deterministic: `last_use` stamps are unique).
     pub(crate) fn clear(&mut self) -> Vec<Resident> {
         self.used_bytes = 0;
@@ -255,7 +189,7 @@ impl ResidencyCache {
         self.entries.contains_key(key)
     }
 
-    /// Removes one entry by key, returning its handle for the executor to
+    /// Removes one entry by key, returning it for the executor to
     /// free. Hedged re-dispatch uses this for precise rollback: only the
     /// keys the cancelled attempt *newly* inserted are removed, so
     /// operands that were resident before the attempt survive it.
@@ -271,10 +205,7 @@ impl ResidencyCache {
     /// were *newly* uploaded — their buffers were not alive before the
     /// attempt — and must be rolled back via [`remove`](Self::remove).
     pub(crate) fn buffer_of(&self, key: &str) -> Option<DevBufId> {
-        self.entries.get(key).map(|e| match e.handle {
-            ResidentHandle::Mat(m) => m.raw_buf(),
-            ResidentHandle::Vec(v) => v.raw_buf(),
-        })
+        self.entries.get(key).map(|e| e.buf)
     }
 
     /// Device buffers currently tracked by the cache, in LRU order. The
@@ -285,13 +216,7 @@ impl ResidencyCache {
     pub fn device_buffers(&self) -> Vec<DevBufId> {
         let mut entries: Vec<&Resident> = self.entries.values().collect();
         entries.sort_by_key(|e| e.last_use);
-        entries
-            .into_iter()
-            .map(|e| match e.handle {
-                ResidentHandle::Mat(m) => m.raw_buf(),
-                ResidentHandle::Vec(v) => v.raw_buf(),
-            })
-            .collect()
+        entries.into_iter().map(|e| e.buf).collect()
     }
 }
 
@@ -300,9 +225,12 @@ mod tests {
     use super::*;
     use cocopelia_gpusim::{testbed_i, ExecMode, Gpu};
 
-    fn mat(gpu: &mut Gpu, rows: usize, cols: usize) -> DeviceMatrix {
-        let buf = gpu.alloc_device(Dtype::F64, rows * cols).expect("alloc");
-        DeviceMatrix::from_raw(buf, rows, cols)
+    const MAT: Shape = Shape::Mat(10, 10);
+
+    /// Caches a fresh f64 device buffer of `shape` under `key`.
+    fn put(cache: &mut ResidencyCache, gpu: &mut Gpu, key: &str, shape: Shape) -> bool {
+        let buf = gpu.alloc_device(Dtype::F64, shape.len()).expect("alloc");
+        cache.insert(key, Dtype::F64, shape, buf)
     }
 
     fn gpu() -> Gpu {
@@ -313,12 +241,12 @@ mod tests {
     fn lru_eviction_order_and_budget() {
         let mut g = gpu();
         let mut cache = ResidencyCache::new(2000);
-        assert!(cache.insert_mat("A", Dtype::F64, mat(&mut g, 10, 10), 800));
-        assert!(cache.insert_mat("B", Dtype::F64, mat(&mut g, 10, 10), 800));
+        assert!(put(&mut cache, &mut g, "A", MAT));
+        assert!(put(&mut cache, &mut g, "B", MAT));
         assert_eq!(cache.used_bytes(), 1600);
         // Touch A so B becomes the LRU entry.
         cache
-            .lookup_mat("A", Dtype::F64, 10, 10)
+            .lookup("A", Dtype::F64, MAT)
             .expect("shape ok")
             .expect("hit");
         let evicted = cache.evict_for(800, &[]);
@@ -326,7 +254,7 @@ mod tests {
         assert_eq!(evicted[0].key, "B");
         assert_eq!(cache.used_bytes(), 800);
         assert!(cache
-            .lookup_mat("B", Dtype::F64, 10, 10)
+            .lookup("B", Dtype::F64, MAT)
             .expect("shape ok")
             .is_none());
     }
@@ -335,8 +263,8 @@ mod tests {
     fn pinned_entries_are_never_evicted() {
         let mut g = gpu();
         let mut cache = ResidencyCache::new(2000);
-        cache.insert_mat("A", Dtype::F64, mat(&mut g, 10, 10), 800);
-        cache.insert_mat("B", Dtype::F64, mat(&mut g, 10, 10), 800);
+        put(&mut cache, &mut g, "A", MAT);
+        put(&mut cache, &mut g, "B", MAT);
         let pinned = vec!["A".to_owned(), "B".to_owned(), "C".to_owned()];
         // C (800 B) cannot join A+B (1600 B pinned) under a 2000 B budget.
         assert!(!cache.fits_pinned(800, &pinned));
@@ -347,7 +275,7 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.used_bytes(), 1600);
         // An unpinned entry is still fair game.
-        cache.insert_mat("D", Dtype::F64, mat(&mut g, 5, 5), 200);
+        put(&mut cache, &mut g, "D", Shape::Mat(5, 5));
         let evicted = cache.evict_for(400, &pinned);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].key, "D");
@@ -357,22 +285,18 @@ mod tests {
     fn duplicate_key_inserts_are_rejected() {
         let mut g = gpu();
         let mut cache = ResidencyCache::new(10_000);
-        assert!(cache.insert_mat("A", Dtype::F64, mat(&mut g, 10, 10), 800));
+        assert!(put(&mut cache, &mut g, "A", MAT));
         // Same key again — even with a different shape, dtype, or kind —
         // is refused and changes nothing.
-        assert!(!cache.insert_mat("A", Dtype::F64, mat(&mut g, 10, 10), 800));
-        assert!(!cache.insert_mat("A", Dtype::F32, mat(&mut g, 3, 3), 36));
-        assert!(!cache.insert_vec(
-            "A",
-            Dtype::F64,
-            DeviceVector::from_raw(g.alloc_device(Dtype::F64, 5).expect("alloc"), 5),
-            40,
-        ));
+        assert!(!put(&mut cache, &mut g, "A", MAT));
+        let f32_buf = g.alloc_device(Dtype::F32, 9).expect("alloc");
+        assert!(!cache.insert("A", Dtype::F32, Shape::Mat(3, 3), f32_buf));
+        assert!(!put(&mut cache, &mut g, "A", Shape::Vec(5)));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), 800);
         // The original entry is intact.
         assert!(cache
-            .lookup_mat("A", Dtype::F64, 10, 10)
+            .lookup("A", Dtype::F64, MAT)
             .expect("shape ok")
             .is_some());
     }
@@ -381,24 +305,20 @@ mod tests {
     fn shape_mismatch_is_an_error() {
         let mut g = gpu();
         let mut cache = ResidencyCache::new(10_000);
-        cache.insert_mat("A", Dtype::F64, mat(&mut g, 10, 10), 800);
-        assert!(cache.lookup_mat("A", Dtype::F64, 10, 11).is_err());
-        assert!(cache.lookup_mat("A", Dtype::F32, 10, 10).is_err());
-        // A vector lookup against a matrix entry is also a mismatch.
-        assert!(cache.lookup_vec("A", Dtype::F64, 100).is_err());
+        put(&mut cache, &mut g, "A", MAT);
+        assert!(cache.lookup("A", Dtype::F64, Shape::Mat(10, 11)).is_err());
+        assert!(cache.lookup("A", Dtype::F32, MAT).is_err());
+        // A vector lookup against a matrix entry is also a mismatch, even
+        // at the same element count.
+        assert!(cache.lookup("A", Dtype::F64, Shape::Vec(100)).is_err());
     }
 
     #[test]
     fn contains_sees_resident_keys() {
         let mut g = gpu();
         let mut cache = ResidencyCache::new(10_000);
-        cache.insert_mat("A", Dtype::F64, mat(&mut g, 10, 10), 800);
-        cache.insert_vec(
-            "x",
-            Dtype::F64,
-            DeviceVector::from_raw(g.alloc_device(Dtype::F64, 5).expect("alloc"), 5),
-            40,
-        );
+        put(&mut cache, &mut g, "A", MAT);
+        put(&mut cache, &mut g, "x", Shape::Vec(5));
         assert!(cache.contains("A"));
         assert!(cache.contains("x"));
         assert!(!cache.contains("missing"));
@@ -409,8 +329,8 @@ mod tests {
     fn remove_releases_budget_and_spares_other_entries() {
         let mut g = gpu();
         let mut cache = ResidencyCache::new(10_000);
-        cache.insert_mat("A", Dtype::F64, mat(&mut g, 10, 10), 800);
-        cache.insert_mat("B", Dtype::F64, mat(&mut g, 10, 10), 800);
+        put(&mut cache, &mut g, "A", MAT);
+        put(&mut cache, &mut g, "B", MAT);
         let removed = cache.remove("A").expect("resident");
         assert_eq!(removed.key, "A");
         assert_eq!(cache.used_bytes(), 800);
@@ -424,11 +344,11 @@ mod tests {
     fn clear_returns_everything_in_lru_order() {
         let mut g = gpu();
         let mut cache = ResidencyCache::new(10_000);
-        cache.insert_mat("A", Dtype::F64, mat(&mut g, 10, 10), 800);
-        cache.insert_mat("B", Dtype::F64, mat(&mut g, 10, 10), 800);
+        put(&mut cache, &mut g, "A", MAT);
+        put(&mut cache, &mut g, "B", MAT);
         // Touch A so the LRU order is B, then A.
         cache
-            .lookup_mat("A", Dtype::F64, 10, 10)
+            .lookup("A", Dtype::F64, MAT)
             .expect("shape ok")
             .expect("hit");
         let all = cache.clear();

@@ -406,7 +406,7 @@ impl ServeTracer {
                 DeviceLane {
                     device: i,
                     name: format!("dev{i}"),
-                    entries: gpu.retire_trace(len).into_vec(),
+                    entries: gpu.retire_trace(len),
                 }
             })
             .collect()

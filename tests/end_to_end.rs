@@ -5,7 +5,7 @@ use cocopelia_core::models::ModelKind;
 use cocopelia_core::params::{Loc, ProblemSpec};
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{testbed_i, testbed_ii, ExecMode, Gpu, NoiseSpec, TestbedSpec};
-use cocopelia_hostblas::{level3, validate, Dtype, Matrix};
+use cocopelia_hostblas::{level1, level2, level3, validate, Dtype, Matrix};
 use cocopelia_runtime::{
     AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, TileChoice,
     VecOperand,
@@ -238,6 +238,52 @@ fn device_resident_round_trip_through_uploads() {
     ctx.free_matrix(da).expect("free");
     ctx.free_matrix(db).expect("free");
     ctx.free_matrix(dc).expect("free");
+}
+
+#[test]
+fn device_resident_vectors_round_trip_through_uploads() {
+    let mut ctx = ctx(testbed_ii(), true);
+    let (m, n) = (96, 80);
+    let a = rand_matrix(m, n, 11);
+    let x = rand_matrix(n, 1, 12).as_slice().to_vec();
+    let y = rand_matrix(n, 1, 13).as_slice().to_vec();
+
+    // axpy on two resident vectors updates y in place on the device.
+    let mut expect_axpy = y.clone();
+    level1::axpy(1.5, &x, &mut expect_axpy);
+    let dx = ctx.upload_vector(&x).expect("upload x");
+    let dy = ctx.upload_vector(&y).expect("upload y");
+    let out = AxpyRequest::<f64>::new(VecOperand::Device(dx), VecOperand::Device(dy))
+        .alpha(1.5)
+        .tile(TileChoice::Fixed(32))
+        .run(&mut ctx)
+        .expect("axpy runs");
+    assert!(out.y.is_none(), "a resident y is not returned inline");
+    let got: Vec<f64> = ctx.download_vector(&dy).expect("download y");
+    assert_eq!(got, expect_axpy);
+
+    // gemv reads the resident x and writes a freshly allocated y.
+    let mut expect_gemv = vec![0.0; m];
+    level2::gemv(1.0, &a.view(), &x, 0.0, &mut expect_gemv);
+    let da = ctx.upload_matrix(&a).expect("upload a");
+    let dz = ctx.alloc_vector(Dtype::F64, m).expect("alloc z");
+    let out = GemvRequest::<f64>::new(
+        MatOperand::Device(da),
+        VecOperand::Device(dx),
+        VecOperand::Device(dz),
+    )
+    .tile(TileChoice::Fixed(32))
+    .run(&mut ctx)
+    .expect("gemv runs");
+    assert!(out.y.is_none());
+    let got: Vec<f64> = ctx.download_vector(&dz).expect("download z");
+    assert!(validate::max_abs_err(&got, &expect_gemv) < 1e-12);
+
+    ctx.free_matrix(da).expect("free");
+    for v in [dx, dy, dz] {
+        ctx.free_vector(v).expect("free");
+    }
+    assert_eq!(ctx.gpu().device_mem_used(), 0);
 }
 
 #[test]

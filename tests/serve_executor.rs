@@ -14,7 +14,7 @@ use cocopelia_runtime::serve::{
 };
 use cocopelia_runtime::{
     AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, MultiGpu,
-    RoutineRequest, SharedMat, SharedVec, TileChoice, VecOperand,
+    RoutineRequest, RuntimeError, SharedMat, SharedVec, TileChoice, VecOperand,
 };
 
 /// A quiet testbed with device memory clamped to `mem` bytes, so the
@@ -390,6 +390,52 @@ fn non_transient_failure_keeps_cache_warm() {
     // Nothing leaked beyond the two cached operands.
     let dev = &exec.pool().devices()[0];
     assert_eq!(dev.gpu().live_device_buffers().len(), 2);
+}
+
+#[test]
+fn a_key_serves_only_the_dtype_and_shape_it_was_cached_as() {
+    // "K" is cached as a 64 x 64 f64 matrix. A 4096-element vector has
+    // the same element count and an f32 matrix the same shape, but
+    // neither may read that buffer: each fails on its own, once, and the
+    // device stays healthy with nothing live beyond the cache.
+    let cached = GemmRequest::<f64>::new(SharedMat::new("K", 64, 64), ghost(64, 64), ghost(64, 64))
+        .tile(TileChoice::Fixed(64));
+    let f32_ghost = || MatOperand::<f32>::HostGhost { rows: 64, cols: 64 };
+    let misdeclared: [RoutineRequest; 2] = [
+        AxpyRequest::<f64>::new(
+            SharedVec::new("K", 4096),
+            VecOperand::HostGhost { len: 4096 },
+        )
+        .tile(TileChoice::Fixed(4096))
+        .into(),
+        GemmRequest::<f32>::new(SharedMat::new("K", 64, 64), f32_ghost(), f32_ghost())
+            .tile(TileChoice::Fixed(64))
+            .into(),
+    ];
+    for req in misdeclared {
+        let mut exec = ServeSession::new(pool(&small_tb(256 * MB), 1), ExecutorConfig::default());
+        exec.submit(cached.clone());
+        exec.submit(req);
+        let report = exec.drain();
+        assert_eq!(report.completed(), 1, "{}", report.render());
+        let failed = &report.outcomes[1];
+        assert!(
+            matches!(
+                &failed.status,
+                RequestStatus::Failed(e) if matches!(e.source, RuntimeError::DimensionMismatch { .. })
+            ),
+            "{:?}",
+            failed.status
+        );
+        assert_eq!(failed.retries, 0, "a shape mismatch is not retried");
+        assert!(exec.quarantined().is_empty());
+        assert_eq!(report.metrics.counter("fault_fatal_total"), 1);
+        let dev = &exec.pool().devices()[0];
+        assert_eq!(
+            dev.gpu().live_device_buffers(),
+            exec.residency(0).device_buffers()
+        );
+    }
 }
 
 #[test]

@@ -35,6 +35,15 @@ echo "== perf snapshot gate (exact vs BENCH_seed.json) =="
 # GOLDEN_BLESS=1 cargo test -p cocopelia-xp --test perf_snapshot
 cargo test --release -q -p cocopelia-xp --test perf_snapshot
 
+echo "== allocation-count gate (exact heap allocations of the hot paths) =="
+# A counting global allocator pins the exact allocations of a direct
+# single-tile dgemm, one FIFO-served request, and Predictive drains at
+# 250 and 500 queued (tests/alloc_counts.rs). Counts are deterministic, so
+# a change that adds an allocation to a hot path, or makes Predictive
+# dispatch allocate more per queued request, fails here whatever the
+# machine's load. A change that lowers a count re-pins it.
+cargo test --release -q -p cocopelia-xp --test alloc_counts
+
 echo "== scheduling policy gate (predictive < fifo, edf deadline wins) =="
 # The policy-comparison acceptance tests: Predictive must strictly beat
 # FIFO's makespan on the skewed trace, EDF must meet the deadline FIFO

@@ -12,7 +12,7 @@ use cocopelia_core::models::{ModelCtx, ModelKind};
 use cocopelia_core::params::{Loc, ProblemSpec, RoutineClass};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::select::{Selection, TileSelector};
-use cocopelia_gpusim::{CopyDesc, DevBufId, Gpu, SimScalar, SimTime};
+use cocopelia_gpusim::{CopyDesc, DevBufId, Gpu, HostBufId, SimScalar, SimTime};
 use cocopelia_hostblas::{Dtype, Matrix};
 use cocopelia_obs::{score_models, CallObservation, DriftRecord, Observer, OverlapStats};
 use std::collections::HashMap;
@@ -511,18 +511,11 @@ impl Cocopelia {
         &mut self,
         m: &Matrix<T>,
     ) -> Result<DeviceMatrix, RuntimeError> {
-        let len = m.rows() * m.cols();
         let host = self
             .gpu
             .register_host(T::into_payload(m.as_slice().to_vec()), true);
-        let dev = self.gpu.alloc_device(T::DTYPE, len)?;
-        let streams = self.ensure_streams();
-        self.gpu
-            .memcpy_h2d_async(streams.h2d, CopyDesc::contiguous(host, dev, len))?;
-        self.gpu.synchronize()?;
-        self.gpu.take_host(host)?;
         Ok(DeviceMatrix {
-            buf: dev,
+            buf: self.upload(host, T::DTYPE, m.rows() * m.cols())?,
             rows: m.rows(),
             cols: m.cols(),
         })
@@ -557,23 +550,8 @@ impl Cocopelia {
         &mut self,
         d: &DeviceMatrix,
     ) -> Result<Matrix<T>, RuntimeError> {
-        if !self.gpu.is_functional() {
-            return Err(RuntimeError::NotFunctional);
-        }
-        let len = d.rows * d.cols;
-        let host = self
-            .gpu
-            .register_host(T::into_payload(vec![T::ZERO; len]), true);
-        let streams = self.ensure_streams();
-        self.gpu
-            .memcpy_d2h_async(streams.d2h, CopyDesc::contiguous(host, d.buf, len))?;
-        self.gpu.synchronize()?;
-        let buf = self.gpu.take_host(host)?;
-        Ok(Matrix::from_vec(
-            d.rows,
-            d.cols,
-            T::payload_into_vec(buf.payload),
-        ))
+        let data = self.download(d.buf, d.rows * d.cols)?;
+        Ok(Matrix::from_vec(d.rows, d.cols, data))
     }
 
     /// Releases a device-resident matrix.
@@ -593,14 +571,8 @@ impl Cocopelia {
     /// Out-of-memory and other simulator failures.
     pub fn upload_vector<T: SimScalar>(&mut self, v: &[T]) -> Result<DeviceVector, RuntimeError> {
         let host = self.gpu.register_host(T::into_payload(v.to_vec()), true);
-        let dev = self.gpu.alloc_device(T::DTYPE, v.len())?;
-        let streams = self.ensure_streams();
-        self.gpu
-            .memcpy_h2d_async(streams.h2d, CopyDesc::contiguous(host, dev, v.len()))?;
-        self.gpu.synchronize()?;
-        self.gpu.take_host(host)?;
         Ok(DeviceVector {
-            buf: dev,
+            buf: self.upload(host, T::DTYPE, v.len())?,
             len: v.len(),
         })
     }
@@ -615,6 +587,18 @@ impl Cocopelia {
         len: usize,
     ) -> Result<DevBufId, RuntimeError> {
         let host = self.gpu.register_host_ghost(dtype, len, true);
+        self.upload(host, dtype, len)
+    }
+
+    /// Copies the `len` elements of registered host buffer `host` into a
+    /// fresh device buffer, waits for the copy, and releases the host
+    /// side.
+    fn upload(
+        &mut self,
+        host: HostBufId,
+        dtype: Dtype,
+        len: usize,
+    ) -> Result<DevBufId, RuntimeError> {
         let dev = self.gpu.alloc_device(dtype, len)?;
         let streams = self.ensure_streams();
         self.gpu
@@ -643,18 +627,28 @@ impl Cocopelia {
         &mut self,
         d: &DeviceVector,
     ) -> Result<Vec<T>, RuntimeError> {
+        self.download(d.buf, d.len)
+    }
+
+    /// Copies the first `len` elements of device buffer `buf` back to the
+    /// host, failing with [`RuntimeError::NotFunctional`] in timing-only
+    /// mode (there is no data to download).
+    fn download<T: SimScalar>(
+        &mut self,
+        buf: DevBufId,
+        len: usize,
+    ) -> Result<Vec<T>, RuntimeError> {
         if !self.gpu.is_functional() {
             return Err(RuntimeError::NotFunctional);
         }
         let host = self
             .gpu
-            .register_host(T::into_payload(vec![T::ZERO; d.len]), true);
+            .register_host(T::into_payload(vec![T::ZERO; len]), true);
         let streams = self.ensure_streams();
         self.gpu
-            .memcpy_d2h_async(streams.d2h, CopyDesc::contiguous(host, d.buf, d.len))?;
+            .memcpy_d2h_async(streams.d2h, CopyDesc::contiguous(host, buf, len))?;
         self.gpu.synchronize()?;
-        let buf = self.gpu.take_host(host)?;
-        Ok(T::payload_into_vec(buf.payload))
+        Ok(T::payload_into_vec(self.gpu.take_host(host)?.payload))
     }
 
     /// Releases a device-resident vector.

@@ -97,12 +97,7 @@ pub(crate) fn run<T: SimScalar>(
         streams.d2h,
         CopyDesc::contiguous(partials_host, partials_dev, num_tiles),
     )?;
-    gpu.clear_op_tag();
-
-    gpu.synchronize()?;
-    let (tile_hits, tile_misses) = fetcher.hit_miss();
-    let retries = fetcher.retries();
-    fetcher.release(gpu)?;
+    let stats = fetcher.finish(gpu, subkernels)?;
     gpu.free_device(partials_dev)?;
     let partials = gpu.take_host(partials_host)?;
     let value = partials.payload.is_functional().then(|| {
@@ -116,15 +111,7 @@ pub(crate) fn run<T: SimScalar>(
             gpu.take_host(h)?;
         }
     }
-    Ok(DotRun {
-        value,
-        stats: RunStats {
-            subkernels,
-            tile_hits,
-            tile_misses,
-            retries,
-        },
-    })
+    Ok(DotRun { value, stats })
 }
 
 #[cfg(test)]

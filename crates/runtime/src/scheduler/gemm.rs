@@ -125,12 +125,7 @@ pub(crate) fn run<T: SimScalar>(
             }
         }
     }
-    gpu.clear_op_tag();
-
-    gpu.synchronize()?;
-    let (tile_hits, tile_misses) = fetcher.hit_miss();
-    let retries = fetcher.retries();
-    fetcher.release(gpu)?;
+    let stats = fetcher.finish(gpu, subkernels)?;
     let c_data = super::take_host_data::<T>(gpu, store_c)?;
     // Release the A/B staging registrations too (drop host copies).
     for s in [store_a, store_b] {
@@ -140,12 +135,7 @@ pub(crate) fn run<T: SimScalar>(
     }
     Ok(GemmRun {
         c: c_data.map(|v| Matrix::from_vec(c_rows, n, v)),
-        stats: RunStats {
-            subkernels,
-            tile_hits,
-            tile_misses,
-            retries,
-        },
+        stats,
     })
 }
 

@@ -107,27 +107,14 @@ pub(crate) fn run<T: SimScalar>(
             fetcher.write_back(gpu, streams.d2h, store_y, y_tile, ri, one)?;
         }
     }
-    gpu.clear_op_tag();
-
-    gpu.synchronize()?;
-    let (tile_hits, tile_misses) = fetcher.hit_miss();
-    let retries = fetcher.retries();
-    fetcher.release(gpu)?;
+    let stats = fetcher.finish(gpu, subkernels)?;
     let y_data = super::take_host_data::<T>(gpu, store_y)?;
     for s in [store_a, store_x] {
         if let Some(h) = s.host_id() {
             gpu.take_host(h)?;
         }
     }
-    Ok(GemvRun {
-        y: y_data,
-        stats: RunStats {
-            subkernels,
-            tile_hits,
-            tile_misses,
-            retries,
-        },
-    })
+    Ok(GemvRun { y: y_data, stats })
 }
 
 #[cfg(test)]

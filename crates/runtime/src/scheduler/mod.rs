@@ -142,11 +142,6 @@ impl TileFetcher {
         }
     }
 
-    /// Transient-fault retries performed so far in this call.
-    pub(crate) fn retries(&self) -> u64 {
-        self.retries
-    }
-
     /// Runs an enqueue-level device call, retrying transient faults with the
     /// policy's capped exponential backoff. Backoff waits advance the
     /// device's virtual clock, so retry latency shows up in timing results
@@ -301,18 +296,21 @@ impl TileFetcher {
         )
     }
 
-    /// Frees every tile buffer this fetcher allocated. Call after
-    /// synchronisation.
-    pub(crate) fn release(self, gpu: &mut Gpu) -> Result<(), RuntimeError> {
+    /// Ends a routine's schedule of `subkernels` launches: clears the op
+    /// tag, waits for the device, frees every tile buffer this fetcher
+    /// allocated, and reports the run.
+    pub(crate) fn finish(self, gpu: &mut Gpu, subkernels: usize) -> Result<RunStats, RuntimeError> {
+        gpu.clear_op_tag();
+        gpu.synchronize()?;
         for buf in self.allocated {
             gpu.free_device(buf)?;
         }
-        Ok(())
-    }
-
-    /// `(hits, misses)` of the tile cache so far.
-    pub(crate) fn hit_miss(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        Ok(RunStats {
+            subkernels,
+            tile_hits: self.hits,
+            tile_misses: self.misses,
+            retries: self.retries,
+        })
     }
 
     /// Number of distinct cached (host-operand) tiles.
@@ -408,8 +406,8 @@ mod tests {
             .expect("other tile");
         assert_ne!(t1.mat.buf, t3.mat.buf);
         assert_eq!(f.cached_tiles(), 2);
-        gpu.synchronize().expect("sync");
-        f.release(&mut gpu).expect("release");
+        let stats = f.finish(&mut gpu, 0).expect("finish");
+        assert_eq!((stats.tile_hits, stats.tile_misses), (1, 2));
         assert_eq!(gpu.device_mem_used(), 0);
     }
 

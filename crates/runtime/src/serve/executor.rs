@@ -3,14 +3,16 @@
 
 use crate::ctx::{Cocopelia, RoutineReport};
 use crate::error::{FaultClass, RequestError, RequestId, RuntimeError};
+use crate::multigpu::MultiGpu;
 use crate::operand::{MatOperand, TileChoice};
 use crate::request::{GemmRequest, RoutineRequest};
+use crate::serve::placement::{DeviceProbe, Health};
 use crate::serve::residency::ResidencyCache;
 use crate::serve::sched::SchedulePolicy;
 use crate::serve::session::ServeSession;
 use crate::serve::telemetry::{TelemetryReport, TickState};
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::{AllocMark, DevBufId, SimError, SimTime};
+use cocopelia_gpusim::{AllocMark, DevBufId, SimError, SimTime, TraceView};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
 use std::collections::hash_map::Entry;
@@ -90,57 +92,42 @@ impl Default for HedgeConfig {
     }
 }
 
+/// Armed hedging: its configuration and the evidence its threshold reads.
+#[derive(Debug)]
+pub(super) struct Hedging {
+    cfg: HedgeConfig,
+    /// The absolute relative errors of the session's drift records,
+    /// sorted under [`f64::total_cmp`], so the threshold reads their p95
+    /// without sorting.
+    drift_errs: Vec<f64>,
+}
+
+impl Hedging {
+    pub(super) fn new(cfg: HedgeConfig) -> Self {
+        Hedging {
+            cfg,
+            drift_errs: Vec::new(),
+        }
+    }
+
+    /// The adaptive threshold multiplier: the configured base widened by
+    /// the 95th percentile of the observed absolute relative prediction
+    /// error, so a model that routinely misses by 40% does not trigger
+    /// hedges on ordinary 40% overruns. With fewer than [`HEDGE_WARMUP`]
+    /// drift records the base is doubled instead (cold start: trust
+    /// nothing, hedge only on gross overruns).
+    fn multiplier(&self) -> f64 {
+        if self.drift_errs.len() < HEDGE_WARMUP {
+            return self.cfg.multiplier * 2.0;
+        }
+        self.cfg.multiplier * (1.0 + p95(&self.drift_errs))
+    }
+}
+
 /// Drift records required before the adaptive hedge threshold trusts the
 /// observed error distribution; below this the base multiplier is doubled
 /// (cold start: hedging on a wild early estimate wastes a device).
 pub const HEDGE_WARMUP: usize = 8;
-
-/// Upper edge of the calibration dead band (the lower edge is its
-/// inverse). Fault-free serving runs read actual/predicted ratios of
-/// 0.87–1.06 per attempt, so inside the band the model's price stands
-/// exactly and fault-free schedules do not move.
-const CALIBRATION_BAND: f64 = 1.5;
-
-/// Weight of the newest attempt in a device's running actual/predicted
-/// ratio.
-const CALIBRATION_WEIGHT: f64 = 0.5;
-
-/// A device's running actual/predicted ratio over its completed
-/// attempts: the online correction of the offline-fitted profile that
-/// prices the device. The first attempt after a reset sets the ratio;
-/// later ones move it by [`CALIBRATION_WEIGHT`]. A primary cancelled by a
-/// winning hedge counts with the time it would have taken.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(super) struct Calibration {
-    /// `None` until an attempt was observed since the last reset.
-    ratio: Option<f64>,
-}
-
-impl Calibration {
-    /// Folds one completed attempt that was predicted to take
-    /// `predicted_secs` and took `actual_secs`. An attempt without a
-    /// positive finite prediction carries no evidence.
-    pub(super) fn observe(&mut self, predicted_secs: f64, actual_secs: f64) {
-        let ratio = actual_secs / predicted_secs;
-        if predicted_secs <= 0.0 || !ratio.is_finite() {
-            return;
-        }
-        self.ratio = Some(
-            self.ratio
-                .map_or(ratio, |r| r + CALIBRATION_WEIGHT * (ratio - r)),
-        );
-    }
-
-    /// The factor the device's model price is multiplied by: the running
-    /// ratio once it leaves the dead band
-    /// `[1 / CALIBRATION_BAND, CALIBRATION_BAND]`, else exactly `1.0`.
-    pub(super) fn factor(self) -> f64 {
-        match self.ratio {
-            Some(r) if !(1.0 / CALIBRATION_BAND..=CALIBRATION_BAND).contains(&r) => r,
-            _ => 1.0,
-        }
-    }
-}
 
 /// Quarantine probation configuration (see
 /// [`ServeOptions::probation`](crate::serve::ServeOptions::probation)).
@@ -178,6 +165,18 @@ impl Default for ProbationConfig {
     }
 }
 
+impl ProbationConfig {
+    /// Raw instant of device `d`'s next canary after `round` failed probe
+    /// rounds, counted from `now_ns`: the backoff doubled per failed
+    /// round, plus deterministic jitter that de-synchronises devices.
+    fn next_due_ns(&self, d: usize, round: u32, now_ns: u64) -> u64 {
+        let backoff = self.backoff.as_nanos().max(1) << round.min(20);
+        let jitter = splitmix64(self.seed ^ ((d as u64) << 32) ^ u64::from(round))
+            % (self.backoff.as_nanos() / 4).max(1);
+        now_ns + backoff + jitter
+    }
+}
+
 /// Retry-budget / circuit-breaker configuration (see
 /// [`ServeOptions::retry_budget`](crate::serve::ServeOptions::retry_budget)).
 ///
@@ -209,17 +208,6 @@ impl Default for RetryBudgetConfig {
             cooldown: SimTime::from_secs_f64(0.05),
         }
     }
-}
-
-/// Probation schedule of one quarantined device.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct DeviceProbe {
-    /// Raw virtual instant (device-clock axis) the next canary runs.
-    next_due_ns: u64,
-    /// Probe successes since the last failure.
-    consecutive_ok: u32,
-    /// Failed probe rounds so far (drives the exponential backoff).
-    round: u32,
 }
 
 /// Circuit-breaker state of the session retry budget.
@@ -291,18 +279,58 @@ fn canary_request() -> RoutineRequest {
     .into()
 }
 
-/// Result of the retroactive hedge race run after a successful primary
-/// attempt (see `ServeSession::maybe_hedge`).
-enum HedgeOutcome {
-    /// No hedge fired (disarmed, no estimate, no overrun, or no healthy
-    /// peer free early enough); the caller records the attempt span.
-    NotLaunched,
-    /// A hedge ran but lost or faulted; the primary result stands and the
-    /// attempt/hedge/cancel spans are already recorded.
-    PrimaryStands,
-    /// The hedge won: the primary was cancelled; the request completes
-    /// with this report, on this device, at this raw virtual instant.
-    Won(Box<RoutineReport>, usize, u64),
+/// One run of a request (or a canary) on one device, as
+/// `ServeSession::attempt` ran it.
+#[derive(Debug)]
+pub(super) struct Attempt {
+    pub(super) device: usize,
+    /// The device's allocations before the run: leak release and a
+    /// cancelled hedge free back to it.
+    mark: AllocMark,
+    /// The run's [`price`](ServeSession::price) at its start.
+    price: (Option<Prediction>, f64),
+    /// Raw virtual instants (device-clock axis) the run started and
+    /// ended. A run cancelled by a hedge race ends where the cancel
+    /// rewound its device's clock.
+    pub(super) start_ns: u64,
+    pub(super) end_ns: u64,
+    /// The device's engine-trace length at the start: the run's entries
+    /// follow it.
+    trace_len: usize,
+    result: Result<RoutineReport, RuntimeError>,
+}
+
+impl Attempt {
+    /// The engine-trace entries the run left on its device.
+    fn entries<'a>(&self, pool: &'a MultiGpu) -> TraceView<'a> {
+        pool.devices()[self.device]
+            .gpu()
+            .trace()
+            .entries_since(self.trace_len)
+    }
+
+    /// Virtual seconds from the run's start to its end.
+    fn secs(&self) -> f64 {
+        SimTime::from_nanos(self.end_ns.saturating_sub(self.start_ns)).as_secs_f64()
+    }
+}
+
+#[cfg(test)]
+impl Attempt {
+    /// A faulted run on `device` over `[start_ns, end_ns]` that left no
+    /// trace entries: what the tracer reads of a run.
+    pub(super) fn spanning(device: usize, start_ns: u64, end_ns: u64) -> Self {
+        use cocopelia_gpusim::{testbed_i, ExecMode, Gpu};
+        Attempt {
+            device,
+            mark: Gpu::new(testbed_i(), ExecMode::TimingOnly, 1).alloc_mark(),
+            price: (None, 0.0),
+            start_ns,
+            end_ns,
+            trace_len: 0,
+            result: Err(RuntimeError::NotFunctional),
+        }
+    }
 }
 
 /// Terminal state of a served request.
@@ -369,6 +397,19 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
+    /// The terminal record of a request refused at admission.
+    fn rejected(id: RequestId, req: &RoutineRequest, reason: String) -> Self {
+        RequestOutcome {
+            id,
+            routine: req.routine(),
+            device: None,
+            status: RequestStatus::Rejected { reason },
+            retries: 0,
+            host_fallback: false,
+            coalesced: false,
+        }
+    }
+
     /// The completed report, when the request completed.
     ///
     /// A served report carries no per-model drift records: its `drift` is
@@ -532,7 +573,8 @@ impl ServeReport {
             } else {
                 String::new()
             };
-            match &o.status {
+            let _ = write!(out, "{:<8} {:<6} {dev:<5} ", o.id.to_string(), o.routine);
+            let _ = match &o.status {
                 RequestStatus::Completed(r) => {
                     // Host runs never tiled, so rendering their fabricated
                     // `tile: 0` as a real tiling size would be misleading.
@@ -541,48 +583,24 @@ impl ServeReport {
                     } else {
                         r.tile.to_string()
                     };
-                    let _ = writeln!(
+                    let (ms, gflops) = (r.elapsed.as_secs_f64() * 1e3, r.gflops());
+                    writeln!(
                         out,
-                        "{:<8} {:<6} {:<5} completed  T={tile:<5} {:>9.3} ms {:>8.1} GF/s{retried}",
-                        o.id.to_string(),
-                        o.routine,
-                        dev,
-                        r.elapsed.as_secs_f64() * 1e3,
-                        r.gflops(),
-                    );
+                        "completed  T={tile:<5} {ms:>9.3} ms {gflops:>8.1} GF/s{retried}"
+                    )
                 }
-                RequestStatus::Rejected { reason } => {
-                    let _ = writeln!(
-                        out,
-                        "{:<8} {:<6} {:<5} rejected   {reason}",
-                        o.id.to_string(),
-                        o.routine,
-                        dev
-                    );
-                }
+                RequestStatus::Rejected { reason } => writeln!(out, "rejected   {reason}"),
                 RequestStatus::TimedOut {
                     deadline, elapsed, ..
                 } => {
-                    let _ = writeln!(
+                    let (ms, budget) = (elapsed * 1e3, deadline * 1e3);
+                    writeln!(
                         out,
-                        "{:<8} {:<6} {:<5} timed-out  {:.3} ms > {:.3} ms budget{retried}",
-                        o.id.to_string(),
-                        o.routine,
-                        dev,
-                        elapsed * 1e3,
-                        deadline * 1e3,
-                    );
+                        "timed-out  {ms:.3} ms > {budget:.3} ms budget{retried}"
+                    )
                 }
-                RequestStatus::Failed(e) => {
-                    let _ = writeln!(
-                        out,
-                        "{:<8} {:<6} {:<5} failed     {e}{retried}",
-                        o.id.to_string(),
-                        o.routine,
-                        dev
-                    );
-                }
-            }
+                RequestStatus::Failed(e) => writeln!(out, "failed     {e}{retried}"),
+            };
         }
         let coalesced = if self.coalesced() > 0 {
             format!(" coalesced {}", self.coalesced())
@@ -668,21 +686,6 @@ pub(super) struct Queued {
 pub(super) struct Coalition {
     leader: RequestId,
     followers: Vec<Queued>,
-}
-
-impl RequestOutcome {
-    /// The terminal record of a request refused at admission.
-    fn rejected(id: RequestId, req: &RoutineRequest, reason: String) -> Self {
-        RequestOutcome {
-            id,
-            routine: req.routine(),
-            device: None,
-            status: RequestStatus::Rejected { reason },
-            retries: 0,
-            host_fallback: false,
-            coalesced: false,
-        }
-    }
 }
 
 /// Terminal status of an executed run with flow time `flow` (virtual
@@ -786,8 +789,8 @@ impl ServeSession {
             .map(|d| d.gpu().device_mem_capacity())
             .min()
             .expect("at least one device");
-        let frac = self.cfg.admission_frac;
-        let limit = (cap as f64 * frac.clamp(0.0, 1.0)) as usize;
+        let frac = self.cfg.admission_frac.clamp(0.0, 1.0);
+        let limit = (cap as f64 * frac) as usize;
         let footprint = req.footprint_bytes();
         (footprint > limit).then(|| {
             format!(
@@ -796,105 +799,6 @@ impl ServeSession {
                 frac * 1e2
             )
         })
-    }
-
-    /// Estimated h2d time device `d` would spend uploading the shared
-    /// operands of `req` it does not hold resident, at the link bandwidth
-    /// in effect at the device's current clock — a fault-plan
-    /// [`DegradeWindow`](cocopelia_gpusim::DegradeWindow) covering the
-    /// instant slows the estimate the same way it slows the copy, so
-    /// dispatch stops treating a degraded link as full-rate.
-    fn upload_estimate(&self, d: usize, req: &RoutineRequest) -> f64 {
-        req.shared_footprints()
-            .iter()
-            .filter(|(k, _)| !self.residency[d].contains(k))
-            .map(|&(_, bytes)| self.effective_h2d_secs(d, bytes))
-            .sum()
-    }
-
-    /// Estimated h2d transfer time of `bytes` on device `d` at the
-    /// *effective* link bandwidth of the device's current clock: the
-    /// bandwidth scaled by the degrade factor the engine applies at that
-    /// instant ([`Gpu::degrade_factor_now`](cocopelia_gpusim::Gpu::degrade_factor_now)).
-    /// Outside every degrade window this is
-    /// [`DirLinkSpec::ideal_time`](cocopelia_gpusim::DirLinkSpec::ideal_time)
-    /// bit for bit, so fault-free schedules are unchanged.
-    fn effective_h2d_secs(&self, d: usize, bytes: usize) -> f64 {
-        let gpu = self.pool.devices()[d].gpu();
-        let h2d = gpu.spec().link.h2d;
-        let factor = gpu.degrade_factor_now().max(1e-9);
-        h2d.latency_s + bytes as f64 / (h2d.bandwidth_bps * factor)
-    }
-
-    /// Model-predicted offload time of `req` on device `d`, through the
-    /// device's deployed profile
-    /// ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)).
-    /// `None` when the profile cannot predict this routine/precision — the
-    /// placement price then carries no offload term.
-    fn offload_estimate(&self, d: usize, req: &RoutineRequest) -> Option<Prediction> {
-        let (model, tile) = match req.tile_choice() {
-            TileChoice::Fixed(t) => (None, Some(t)),
-            TileChoice::Model(m) => (Some(m), None),
-            TileChoice::Auto => (None, None),
-        };
-        self.pool.devices()[d]
-            .profile()
-            .predict_offload(&req.problem_spec(), model, tile)
-    }
-
-    /// Service time of `req` on device `d`, virtual seconds: the upload of
-    /// the shared operands the device is missing plus the model-predicted
-    /// offload time (zero when the profile cannot predict the request).
-    /// Placement scales it by the device's calibration factor and adds the
-    /// device's clock ([`completion_secs`](Self::completion_secs)); the
-    /// shed watermark uses it bare.
-    fn service_secs(&self, d: usize, req: &RoutineRequest) -> f64 {
-        self.upload_estimate(d, req) + self.offload_estimate(d, req).map_or(0.0, |p| p.total)
-    }
-
-    /// The offload prediction of an attempt of `req` on device `d`, with
-    /// the attempt's predicted duration: [`service_secs`](Self::service_secs)
-    /// from that one prediction. `None` when the profile cannot predict
-    /// the request (nothing to record drift against or to overrun).
-    fn attempt_price(&self, d: usize, req: &RoutineRequest) -> Option<(Prediction, f64)> {
-        let p = self.offload_estimate(d, req)?;
-        let secs = self.upload_estimate(d, req) + p.total;
-        Some((p, secs))
-    }
-
-    /// Estimated completion of `req` on device `d`: the device's virtual
-    /// clock plus [`service_secs`](Self::service_secs) scaled by the
-    /// device's calibration factor. A device whose attempts keep running
-    /// past the model (a degraded link) thus prices as slow before the
-    /// next request lands on it, even while a winning hedge has rewound
-    /// its clock to look idle. Inside the dead band the factor is exactly
-    /// `1.0`, so the price is the model's bit for bit.
-    fn completion_secs(&self, d: usize, req: &RoutineRequest) -> f64 {
-        self.pool.devices()[d].gpu().now().as_secs_f64()
-            + self.service_secs(d, req) * self.calibration[d].factor()
-    }
-
-    /// The healthy device that pulls `req` — lowest
-    /// [`completion_secs`](Self::completion_secs), then lowest index —
-    /// with that completion. Residency affinity is thus *bounded*: a
-    /// device holding the operands is preferred only while its clock lead
-    /// over an idle peer stays below the re-upload cost, so high-reuse
-    /// traces still spread across the pool. `skip` bars one device (the
-    /// hedge-target pick must race a *different* device than the
-    /// straggling primary). Quarantined devices never pull work; `None`
-    /// means no candidate is healthy.
-    fn choose_device(&self, req: &RoutineRequest, skip: Option<usize>) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for d in 0..self.pool.device_count() {
-            if Some(d) == skip || self.quarantined[d] {
-                continue;
-            }
-            let cost = self.completion_secs(d, req);
-            if cost < best.map_or(f64::INFINITY, |b| b.1) {
-                best = Some((d, cost));
-            }
-        }
-        best
     }
 
     /// The queue position the active [`SchedulePolicy`] would dispatch
@@ -1028,8 +932,8 @@ impl ServeSession {
         let mut est = 0.0;
         if let Some(watermark) = self.shed_flow_secs {
             est = self.service_estimate(&job.req);
-            let healthy = self.quarantined.iter().filter(|&&q| !q).count().max(1);
-            let predicted = self.backlog_secs / healthy as f64 + est;
+            let healthy = self.devices.iter().filter(|d| !d.is_quarantined()).count();
+            let predicted = self.backlog_secs / healthy.max(1) as f64 + est;
             if predicted > watermark {
                 let reason = format!(
                     "predicted flow {:.3} ms exceeds shed watermark {:.3} ms",
@@ -1077,30 +981,6 @@ impl ServeSession {
             t.reject(job.id.0, job.arrival_ns, &reason);
         }
         self.settle(RequestOutcome::rejected(job.id, &job.req, reason), f64::NAN);
-    }
-
-    /// Service-time estimate of a request for the flow-time shed
-    /// watermark: the *best* healthy device's
-    /// [`service_secs`](Self::service_secs) — residency-aware, so a warm
-    /// repeat request prices near its compute time instead of being
-    /// charged cold uploads it will never perform (residency-blind
-    /// pricing would spuriously shed exactly the cheap, cache-friendly
-    /// traffic the residency layer exists to serve). When the whole pool
-    /// is quarantined, device 0's price stands in — quarantine cleared
-    /// its residency, so the price is cold (the arrival would run on the
-    /// host; the figure only feeds the watermark). Residency changes
-    /// between admission and dispatch are reconciled through the queue
-    /// record: the backlog decrement returns exactly what admission added.
-    fn service_estimate(&self, req: &RoutineRequest) -> f64 {
-        let best = (0..self.pool.device_count())
-            .filter(|&d| !self.quarantined[d])
-            .map(|d| self.service_secs(d, req))
-            .fold(f64::INFINITY, f64::min);
-        if best.is_finite() {
-            best
-        } else {
-            self.service_secs(0, req)
-        }
     }
 
     /// Settles one terminal outcome: bumps its status counter, drops its
@@ -1187,7 +1067,7 @@ impl ServeSession {
                 let raw = self.pool.devices()[d]
                     .gpu()
                     .now()
-                    .saturating_since(self.drain_start[d]);
+                    .saturating_since(self.devices[d].drain_start);
                 SimTime::from_nanos(raw.as_nanos().saturating_sub(arrival_ns)).as_secs_f64()
             }
             _ => elapsed.as_secs_f64(),
@@ -1203,7 +1083,9 @@ impl ServeSession {
     /// arrival instant. With no scheduled arrivals this is exactly the
     /// closed-queue drain. The session remains usable afterwards.
     pub fn drain(&mut self) -> ServeReport {
-        self.drain_start = self.pool.devices().iter().map(|d| d.gpu().now()).collect();
+        for (state, dev) in self.devices.iter_mut().zip(self.pool.devices()) {
+            state.drain_start = dev.gpu().now();
+        }
         self.peak_queue = self.queue.len();
         if let Some(t) = self.tracer.as_mut() {
             let refused = self.outcomes.iter().map(|o| o.id.0);
@@ -1228,13 +1110,7 @@ impl ServeSession {
             self.fan_out(followers);
             self.retire_traces();
         }
-        let per_device_busy: Vec<SimTime> = self
-            .pool
-            .devices()
-            .iter()
-            .zip(&self.drain_start)
-            .map(|(d, &s)| d.gpu().now().saturating_since(s))
-            .collect();
+        let per_device_busy: Vec<SimTime> = self.busy().collect();
         let makespan = per_device_busy
             .iter()
             .copied()
@@ -1260,7 +1136,9 @@ impl ServeSession {
                 total_flops += r.flops;
             }
         }
-        self.drift_errs.clear();
+        if let Some(h) = self.hedge.as_mut() {
+            h.drift_errs.clear();
+        }
         let report = ServeReport {
             outcomes: std::mem::take(&mut self.outcomes),
             makespan,
@@ -1335,7 +1213,7 @@ impl ServeSession {
             } else {
                 preferred
                     .take()
-                    .filter(|&p| !self.quarantined[p])
+                    .filter(|&p| !self.devices[p].is_quarantined())
                     .or_else(|| self.choose_device(&req, None).map(|(d, _)| d))
             };
             let Some(d) = pick else {
@@ -1362,7 +1240,7 @@ impl ServeSession {
                 }
                 break Ok(report);
             };
-            if device.is_some_and(|prev| self.quarantined[prev]) {
+            if device.is_some_and(|prev| self.devices[prev].is_quarantined()) {
                 // The previous attempt's device was quarantined under the
                 // request; it is now re-dispatched to a healthy peer.
                 self.metrics.counter_add("quarantine_redispatch_total", 1);
@@ -1378,127 +1256,69 @@ impl ServeSession {
             // does not exist yet. Closed-queue submissions have offset 0,
             // making the floor a no-op (clocks never run backwards from
             // the drain start).
-            let floor_ns = self.drain_start[d].as_nanos() + arrival_ns;
-            let behind = not_before_ns
-                .max(floor_ns)
-                .saturating_sub(self.pool.devices()[d].gpu().now().as_nanos());
-            if behind > 0 {
-                self.pool
-                    .device_mut(d)
-                    .gpu_mut()
-                    .advance_clock(SimTime::from_nanos(behind));
-            }
-            // Whatever this attempt allocates counts as allocated since the
-            // mark: leak checks and a cancelled hedge free back to it.
-            let mark = self.pool.devices()[d].gpu().alloc_mark();
-            // Predicted duration of this attempt: the placement price
-            // without the clock. Recorded against the actual clock advance
-            // under every policy, so FIFO/EDF runs expose the same
-            // misprediction accounting the predictive policy schedules by.
-            let estimate = self.attempt_price(d, &req);
-            let clock_before = self.pool.devices()[d].gpu().now();
-            let len_before = self.pool.devices()[d].gpu().trace().len();
+            let floor_ns = self.devices[d].drain_start.as_nanos() + arrival_ns;
+            let attempt_no = retries;
+            let mut run = self.attempt(d, not_before_ns.max(floor_ns), req.clone());
             if !queued_recorded {
                 queued_recorded = true;
                 if let Some(t) = self.tracer.as_mut() {
-                    t.queue_wait(id.0, arrival_ns, clock_before.as_nanos());
+                    t.queue_wait(id.0, arrival_ns, run.start_ns);
                 }
             }
-            let attempt_no = retries;
-            let attempt = self.execute_once(d, req.clone());
-            let clock_after = self.pool.devices()[d].gpu().now();
             // Straggler defense: a successful attempt that overran its
             // prediction far enough races a speculative hedge on the best
             // other healthy device. The race resolves retroactively in
-            // virtual time, so replay is bit-identical; a launched hedge
-            // records the attempt span itself, next to its own.
-            let hedged = match &attempt {
-                Ok(_) => {
-                    self.fault_streak[d] = 0;
-                    self.budget_note_success();
-                    let hedged = self.maybe_hedge(
-                        id,
-                        &req,
-                        d,
-                        attempt_no,
-                        clock_before,
-                        clock_after,
-                        len_before,
-                        mark,
-                        estimate.as_ref().map(|e| e.1),
-                    );
-                    // The primary's whole run calibrates its device, also
-                    // when a winning hedge cancelled it: that overrun is
-                    // the evidence the device is slow.
-                    if let Some((_, predicted)) = estimate {
-                        let actual = clock_after.saturating_since(clock_before).as_secs_f64();
-                        self.calibration[d].observe(predicted, actual);
-                    }
-                    hedged
-                }
-                Err(_) => HedgeOutcome::NotLaunched,
-            };
-            if matches!(hedged, HedgeOutcome::NotLaunched) {
+            // virtual time, so replay is bit-identical; the hedge path
+            // records the attempt span, next to any hedge's own.
+            let won = if let Err(e) = &run.result {
                 if let Some(t) = self.tracer.as_mut() {
-                    let fault = attempt.as_ref().err().map(ToString::to_string);
-                    t.attempt(
-                        id.0,
-                        d,
-                        attempt_no,
-                        clock_before.as_nanos(),
-                        clock_after.as_nanos(),
-                        self.pool.devices()[d]
-                            .gpu()
-                            .trace()
-                            .entries_since(len_before),
-                        fault.as_deref(),
-                    );
+                    let (fault, entries) = (e.to_string(), run.entries(&self.pool));
+                    t.attempt(id.0, attempt_no, &run, entries, Some(&fault));
                 }
+                None
+            } else {
+                self.devices[d].succeeded();
+                self.budget_note_success();
+                // The primary's whole run calibrates its device, also
+                // when a winning hedge cancels it: that overrun is the
+                // evidence the device is slow.
+                let actual = run.secs();
+                let won = self.maybe_hedge(id, &req, attempt_no, &mut run);
+                if let (Some(_), predicted) = run.price {
+                    self.devices[d].calibrate(predicted, actual);
+                }
+                won
+            };
+            not_before_ns = run.end_ns;
+            if let Some((report, hedge_device)) = won {
+                device = Some(hedge_device);
+                break Ok(report);
             }
-            not_before_ns = clock_after.as_nanos();
-            match (attempt, hedged) {
-                (_, HedgeOutcome::Won(hreport, hdev, hend_ns)) => {
-                    device = Some(hdev);
-                    not_before_ns = hend_ns;
-                    break Ok(*hreport);
+            if run.result.is_ok() {
+                // Predicted duration against the actual clock advance,
+                // under every policy, so FIFO/EDF runs expose the same
+                // misprediction accounting the predictive policy
+                // schedules by.
+                if let (Some(pred), predicted) = run.price {
+                    self.record_drift(routine, id.0, &pred, predicted, run.secs());
                 }
-                (Ok(report), _) => {
-                    if let Some((pred, predicted)) = estimate {
-                        let actual = self.pool.devices()[d]
-                            .gpu()
-                            .now()
-                            .saturating_since(clock_before)
-                            .as_secs_f64();
-                        self.record_drift(routine, id.0, &pred, predicted, actual);
-                    }
-                    break Ok(report);
-                }
-                (Err(e), _) => {
-                    // A lost device is quarantined but the request is
-                    // innocent: it re-dispatches like a retryable fault.
-                    let retryable = self.on_attempt_fault(
-                        id.0,
-                        d,
-                        &e,
-                        clock_after.as_nanos(),
-                        retries < budget,
-                        mark,
-                    );
-                    if !retryable || retries >= budget {
-                        break Err(e);
-                    }
-                    if !self.budget_allow_retry(clock_after.as_nanos()) {
-                        // The session retry budget ran dry (or its
-                        // breaker is open): fail fast to host fallback
-                        // instead of burning more device time on a
-                        // sustained fault storm.
-                        budget_fastfail = true;
-                        continue;
-                    }
-                    retries += 1;
-                    self.metrics.counter_add("serve_retries_total", 1);
-                }
+                break run.result;
             }
+            // A lost device is quarantined but the request is innocent:
+            // it re-dispatches like a retryable fault.
+            let retryable = self.on_attempt_fault(id.0, &run, retries < budget);
+            if !retryable || retries >= budget {
+                break run.result;
+            }
+            if !self.budget_allow_retry(run.end_ns) {
+                // The session retry budget ran dry (or its breaker is
+                // open): fail fast to host fallback instead of burning
+                // more device time on a sustained fault storm.
+                budget_fastfail = true;
+                continue;
+            }
+            retries += 1;
+            self.metrics.counter_add("serve_retries_total", 1);
         };
         let (status, flow) = match result {
             Ok(report) => {
@@ -1535,13 +1355,15 @@ impl ServeSession {
     /// Max device-clock advance since the drain began — the virtual
     /// "elapsed" that drives telemetry windows.
     fn elapsed(&self) -> SimTime {
-        self.pool
-            .devices()
-            .iter()
-            .zip(&self.drain_start)
-            .map(|(d, &s)| d.gpu().now().saturating_since(s))
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        self.busy().max().unwrap_or(SimTime::ZERO)
+    }
+
+    /// Each device's clock advance since the drain began.
+    fn busy(&self) -> impl Iterator<Item = SimTime> + '_ {
+        let clocks = self.pool.devices().iter().map(|d| d.gpu().now());
+        clocks
+            .zip(&self.devices)
+            .map(|(now, s)| now.saturating_since(s.drain_start))
     }
 
     /// The loop state a telemetry step reads at virtual `elapsed`.
@@ -1549,7 +1371,7 @@ impl ServeSession {
         TickState {
             elapsed_ns: elapsed.as_nanos(),
             queue_depth: self.queue.len(),
-            quarantined: &self.quarantined,
+            devices: &self.devices,
             mean_abs_drift: self.drift.mean_abs_err(),
             metrics: &self.metrics,
         }
@@ -1604,133 +1426,126 @@ impl ServeSession {
 
     /// Quarantines device `d`: it stops pulling work, its residency cache
     /// is invalidated, and every live allocation is released (a lost
-    /// device aborts in-flight work first). Idempotent.
+    /// device aborts in-flight work first). When probation is armed, the
+    /// first canary is scheduled one backoff (plus deterministic jitter)
+    /// past the device's clock. Idempotent.
     pub(super) fn quarantine(&mut self, d: usize) {
-        if self.quarantined[d] {
+        if self.devices[d].is_quarantined() {
             return;
         }
-        self.quarantined[d] = true;
-        self.calibration[d] = Calibration::default();
         self.metrics.counter_add("quarantine_devices_total", 1);
-        let evicted = self.residency[d].clear();
+        let evicted = self.scrub(d, None, true);
         self.metrics
-            .counter_add("quarantine_invalidated_total", evicted.len() as u64);
-        let dev = self.pool.device_mut(d);
-        let _ = dev.gpu_mut().synchronize();
-        for e in evicted {
-            free_resident(dev, e.buf);
-        }
-        for b in dev.gpu().live_device_buffers() {
-            let _ = dev.gpu_mut().free_device(b);
-        }
-        for h in dev.gpu().live_host_buffers() {
-            let _ = dev.gpu_mut().take_host(h);
-        }
-        self.schedule_probe(d);
+            .counter_add("quarantine_invalidated_total", evicted as u64);
+        let now_ns = self.pool.devices()[d].gpu().now().as_nanos();
+        let probe = self.probation.map(|cfg| DeviceProbe {
+            next_due_ns: cfg.next_due_ns(d, 0, now_ns),
+            consecutive_ok: 0,
+            round: 0,
+        });
+        self.devices[d].health = Health::Quarantined { probe };
     }
 
-    /// The adaptive hedge threshold multiplier: the configured base
-    /// widened by the 95th percentile of the drift accountant's observed
-    /// absolute relative error, so a model that routinely misses by 40%
-    /// does not trigger hedges on ordinary 40% overruns. With fewer than
-    /// [`HEDGE_WARMUP`] drift records the base is doubled instead (cold
-    /// start: trust nothing, hedge only on gross overruns).
-    fn hedge_multiplier(&self, cfg: HedgeConfig) -> f64 {
-        let errs = &self.drift_errs;
-        if errs.len() < HEDGE_WARMUP {
-            return cfg.multiplier * 2.0;
+    /// Runs `req` once on device `d`, starting no earlier than raw
+    /// instant `floor_ns`: lifts a lagging device clock to the floor,
+    /// marks the device's allocations, prices the run, and samples the
+    /// clock and engine-trace length around
+    /// [`execute_once`](Self::execute_once).
+    fn attempt(&mut self, d: usize, floor_ns: u64, req: RoutineRequest) -> Attempt {
+        let behind = floor_ns.saturating_sub(self.pool.devices()[d].gpu().now().as_nanos());
+        if behind > 0 {
+            self.pool
+                .device_mut(d)
+                .gpu_mut()
+                .advance_clock(SimTime::from_nanos(behind));
         }
-        cfg.multiplier * (1.0 + p95(errs))
+        let gpu = self.pool.devices()[d].gpu();
+        let (mark, start_ns, trace_len) =
+            (gpu.alloc_mark(), gpu.now().as_nanos(), gpu.trace().len());
+        let price = self.price(d, &req);
+        let result = self.execute_once(d, req);
+        Attempt {
+            device: d,
+            mark,
+            price,
+            start_ns,
+            end_ns: self.pool.devices()[d].gpu().now().as_nanos(),
+            trace_len,
+            result,
+        }
     }
 
-    /// The retroactive hedge race after a successful primary attempt on
-    /// device `d`. When the attempt's elapsed exceeded the adaptive
-    /// overrun threshold, the same request is speculatively re-executed
-    /// on the best other healthy device, starting at the virtual instant
-    /// the overrun was detected (or the peer's own clock if later).
-    /// Whichever attempt finishes first in virtual time wins; the loser
-    /// is cancelled ([`cocopelia_gpusim::Gpu::cancel_to`]) and rolled
-    /// back, so device time, flops, and residency effects are charged
-    /// exactly once. A hedge that *faults* gets the ordinary fault
-    /// bookkeeping on its device (streak, quarantine, leak release) while
-    /// the primary's result stands.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_hedge(
-        &mut self,
-        id: RequestId,
-        req: &RoutineRequest,
-        d: usize,
-        attempt_no: u32,
-        clock_before: SimTime,
-        clock_after: SimTime,
-        len_before: usize,
-        mark: AllocMark,
-        predicted: Option<f64>,
-    ) -> HedgeOutcome {
-        let Some(cfg) = self.hedge else {
-            return HedgeOutcome::NotLaunched;
-        };
-        let Some(predicted) = predicted else {
-            // No offload estimate (e.g. an undeployed profile): there is
-            // no prediction to overrun, so hedging never fires.
-            return HedgeOutcome::NotLaunched;
+    /// Where and when a hedge of the successful `primary` attempt starts:
+    /// the best other healthy device, at the virtual instant the attempt's
+    /// elapsed crossed the adaptive overrun threshold (its calibrated
+    /// prediction times [`Hedging::multiplier`]), or at that device's own
+    /// clock if later. `None` when hedging is disarmed or nothing overran
+    /// early enough to race.
+    fn hedge_target(&self, req: &RoutineRequest, primary: &Attempt) -> Option<(usize, u64)> {
+        // Without an offload estimate (e.g. an undeployed profile) there
+        // is no prediction to overrun, so hedging never fires.
+        let (Some(hedging), (Some(_), predicted)) = (&self.hedge, primary.price) else {
+            return None;
         };
         // The overrun is judged against the calibrated prediction, so a
         // straggler already priced as slow does not hedge its on-model
         // attempts.
-        let calibrated = predicted * self.calibration[d].factor();
-        let threshold_ns = (calibrated * self.hedge_multiplier(cfg) * 1e9) as u64;
-        let elapsed_ns = clock_after
-            .as_nanos()
-            .saturating_sub(clock_before.as_nanos());
+        let d = primary.device;
+        let calibrated = predicted * self.devices[d].factor();
+        let threshold_ns = (calibrated * hedging.multiplier() * 1e9) as u64;
+        let elapsed_ns = primary.end_ns.saturating_sub(primary.start_ns);
         if threshold_ns == 0 || elapsed_ns <= threshold_ns {
-            return HedgeOutcome::NotLaunched;
+            return None;
         }
-        let Some((b, _)) = self.choose_device(req, Some(d)) else {
-            return HedgeOutcome::NotLaunched;
-        };
+        let (b, _) = self.choose_device(req, Some(d))?;
         // The hedge starts when the overrun was detected — the primary's
         // clock crossing the threshold — or at the hedge device's own
-        // clock if that is later (it may be busy with earlier work).
-        let trigger_ns = clock_before.as_nanos() + threshold_ns;
+        // clock if that is later (it may be busy with earlier work). A
+        // hedge that could not have started before the primary finished
+        // has nothing to race.
+        let trigger_ns = primary.start_ns + threshold_ns;
         let b_now_ns = self.pool.devices()[b].gpu().now().as_nanos();
-        let b_start_ns = b_now_ns.max(trigger_ns);
-        if b_start_ns >= clock_after.as_nanos() {
-            // The hedge could not have started before the primary
-            // finished; there is nothing to race.
-            return HedgeOutcome::NotLaunched;
-        }
-        // Mark the hedge device's allocations so a losing hedge rolls back
-        // precisely: newly-cached operands evicted and freed, leaked
-        // buffers released, everything predating the hedge untouched.
-        let mark_b = self.pool.devices()[b].gpu().alloc_mark();
-        let behind = b_start_ns.saturating_sub(b_now_ns);
-        if behind > 0 {
-            self.pool
-                .device_mut(b)
-                .gpu_mut()
-                .advance_clock(SimTime::from_nanos(behind));
-        }
-        let len_b_before = self.pool.devices()[b].gpu().trace().len();
-        let estimate_b = self.attempt_price(b, req);
+        (b_now_ns.max(trigger_ns) < primary.end_ns).then_some((b, trigger_ns))
+    }
+
+    /// The retroactive hedge race after a successful `primary` attempt,
+    /// which records the primary's attempt span. When
+    /// [`hedge_target`](Self::hedge_target) finds a target, the same
+    /// request is speculatively re-executed there. Whichever attempt
+    /// finishes first in virtual time wins; the loser is cancelled
+    /// ([`cocopelia_gpusim::Gpu::cancel_to`]) at the winner's end, which
+    /// becomes the loser's end too, and rolled back, so device time,
+    /// flops, and residency effects are charged exactly once. A hedge
+    /// that *faults* gets the ordinary fault bookkeeping on its device
+    /// (streak, quarantine, leak release) while the primary's result
+    /// stands. Returns a winning hedge's report and device.
+    fn maybe_hedge(
+        &mut self,
+        id: RequestId,
+        req: &RoutineRequest,
+        attempt_no: u32,
+        primary: &mut Attempt,
+    ) -> Option<(RoutineReport, usize)> {
+        let Some((b, trigger_ns)) = self.hedge_target(req, primary) else {
+            if let Some(t) = self.tracer.as_mut() {
+                t.attempt(id.0, attempt_no, primary, primary.entries(&self.pool), None);
+            }
+            return None;
+        };
+        let d = primary.device;
         self.metrics.counter_add("hedge_attempts_total", 1);
-        let hedged = self.execute_once(b, req.clone());
-        let b_after_ns = self.pool.devices()[b].gpu().now().as_nanos();
-        let after_ns = clock_after.as_nanos();
-        let won = hedged.is_ok() && b_after_ns < after_ns;
+        let mut hedge = self.attempt(b, trigger_ns, req.clone());
+        let won = hedge.result.is_ok() && hedge.end_ns < primary.end_ns;
         // Settle the race before tracing it: the losing side is cancelled
         // and its work rolled back, so both attempts' spans read the
         // timelines as they stand.
-        let verdict = match &hedged {
+        let verdict = match &hedge.result {
             Ok(_) if won => {
                 // The hedge won: cancel the primary at the instant the
                 // hedge completed and roll its work back.
-                self.pool
-                    .device_mut(d)
-                    .gpu_mut()
-                    .cancel_to(SimTime::from_nanos(b_after_ns));
-                self.rollback_cancelled(d, req, mark);
-                self.fault_streak[b] = 0;
+                primary.end_ns = hedge.end_ns;
+                self.cancel(primary, req);
+                self.devices[b].succeeded();
                 self.metrics.counter_add("hedge_wins_total", 1);
                 " (won)".to_owned()
             }
@@ -1739,8 +1554,8 @@ impl ServeSession {
                 // finished. Its partial work is erased and rolled back;
                 // the time it burned until the cancellation stays charged
                 // to the hedge device.
-                self.pool.device_mut(b).gpu_mut().cancel_to(clock_after);
-                self.rollback_cancelled(b, req, mark_b);
+                hedge.end_ns = primary.end_ns;
+                self.cancel(&hedge, req);
                 self.metrics.counter_add("hedge_losses_total", 1);
                 " (lost)".to_owned()
             }
@@ -1749,77 +1564,63 @@ impl ServeSession {
                 format!(": {e}")
             }
         };
-        // The race ends where the surviving side completed; a faulted
-        // hedge ends where it faulted.
-        let end_ns = if won { b_after_ns } else { after_ns };
-        let hedge_end_ns = if hedged.is_ok() { end_ns } else { b_after_ns };
         if let Some(t) = self.tracer.as_mut() {
-            let trace = |dev: usize| self.pool.devices()[dev].gpu().trace();
-            t.attempt(
-                id.0,
-                d,
-                attempt_no,
-                clock_before.as_nanos(),
-                end_ns,
-                trace(d).entries_since(len_before),
-                won.then_some("cancelled: hedge won"),
-            );
+            let cancelled = won.then_some("cancelled: hedge won");
+            let entries = primary.entries(&self.pool);
+            t.attempt(id.0, attempt_no, primary, entries, cancelled);
             if won {
-                t.cancel(id.0, d, end_ns, &format!("cancelled by hedge on dev{b}"));
+                let label = format!("cancelled by hedge on dev{b}");
+                t.cancel(id.0, d, primary.end_ns, &label);
             }
-            t.hedge(
-                id.0,
-                b,
-                b_start_ns,
-                hedge_end_ns,
-                trace(b).entries_since(len_b_before),
-                &format!("hedge on dev{b}{verdict}"),
-            );
-            if hedged.is_ok() && !won {
-                t.cancel(id.0, b, end_ns, "hedge lost");
+            let label = format!("hedge on dev{b}{verdict}");
+            t.hedge(id.0, &hedge, hedge.entries(&self.pool), &label);
+            if hedge.result.is_ok() && !won {
+                t.cancel(id.0, b, hedge.end_ns, "hedge lost");
             }
         }
-        match hedged {
-            Ok(hreport) if won => {
-                // The surviving attempt carries the drift record: the
-                // hedge device's own prediction against what its run
-                // actually took (the cancelled primary's timing was
-                // erased, so recording it would poison the model).
-                if let Some((hpred, hpredicted)) = estimate_b {
-                    let actual =
-                        SimTime::from_nanos(b_after_ns.saturating_sub(b_start_ns)).as_secs_f64();
-                    self.record_drift(req.routine(), id.0, &hpred, hpredicted, actual);
-                    self.calibration[b].observe(hpredicted, actual);
-                }
-                HedgeOutcome::Won(Box::new(hreport), b, b_after_ns)
-            }
-            Ok(_) => HedgeOutcome::PrimaryStands,
-            Err(e) => {
+        if !won {
+            if hedge.result.is_err() {
                 // The hedge faulted: the primary's result stands; the
                 // hedge device gets ordinary fault bookkeeping — under a
                 // compound failure (device lost mid-hedge) it is
                 // quarantined and scrubbed, so nothing leaks.
-                self.on_attempt_fault(id.0, b, &e, b_after_ns, false, mark_b);
-                HedgeOutcome::PrimaryStands
+                self.on_attempt_fault(id.0, &hedge, false);
             }
+            return None;
         }
+        // The surviving attempt carries the drift record: the hedge
+        // device's own prediction against what its run actually took (the
+        // cancelled primary's timing was erased, so recording it would
+        // poison the model).
+        if let (Some(pred), predicted) = hedge.price {
+            let actual = hedge.secs();
+            self.record_drift(req.routine(), id.0, &pred, predicted, actual);
+            self.devices[b].calibrate(predicted, actual);
+        }
+        Some((hedge.result.expect("a won hedge completed"), b))
     }
 
-    /// Rolls back the cancelled side of a hedge race on device `dev`:
-    /// shared operands the attempt *newly* inserted into the residency
-    /// cache (their buffers were allocated at or after `mark`) are
-    /// removed and freed, then every remaining buffer the attempt
-    /// allocated is released. Entries resident before the attempt — and
-    /// the cache hits they served — survive untouched.
-    fn rollback_cancelled(&mut self, dev: usize, req: &RoutineRequest, mark: AllocMark) {
+    /// Cancels the losing side of a hedge race at its (rewound) end and
+    /// rolls it back: shared operands the run *newly* inserted into the
+    /// residency cache (their buffers were allocated at or after its
+    /// mark) are removed and freed, then every remaining buffer the run
+    /// allocated is released. Entries resident before the run — and the
+    /// cache hits they served — survive untouched.
+    fn cancel(&mut self, run: &Attempt, req: &RoutineRequest) {
+        let (dev, mark) = (run.device, run.mark);
+        self.pool
+            .device_mut(dev)
+            .gpu_mut()
+            .cancel_to(SimTime::from_nanos(run.end_ns));
         let mut rolled_back_bytes = 0u64;
         for key in req.shared_keys() {
             let gpu = self.pool.devices()[dev].gpu();
-            let fresh = self.residency[dev]
+            let cache = &mut self.devices[dev].residency;
+            let fresh = cache
                 .buffer_of(key)
                 .is_some_and(|b| gpu.allocated_since(mark, b));
             if fresh {
-                if let Some(e) = self.residency[dev].remove(key) {
+                if let Some(e) = cache.remove(key) {
                     rolled_back_bytes += e.bytes as u64;
                     free_resident(self.pool.device_mut(dev), e.buf);
                 }
@@ -1832,12 +1633,12 @@ impl ServeSession {
             self.metrics
                 .counter_add("hedge_cancelled_bytes", rolled_back_bytes);
         }
-        self.release_leaked(dev, mark);
+        self.scrub(dev, Some(mark), false);
     }
 
-    /// Fault bookkeeping for a failed attempt (primary or hedge) on device
-    /// `d`: counts the fault class, then quarantines the device when it
-    /// was lost or its consecutive-fault streak reached
+    /// Fault bookkeeping for a failed attempt `run` (primary or hedge):
+    /// counts the fault class, then quarantines the device when it was
+    /// lost or its consecutive-fault streak reached
     /// [`quarantine_after`](ExecutorConfig::quarantine_after). Otherwise
     /// the attempt's leftovers are freed — with a full reclaim when
     /// `retrying` (only a retry justifies the scorched-earth reclaim that
@@ -1845,15 +1646,10 @@ impl ServeSession {
     /// attempt leaked, keeping warm operands for later requests. Returns
     /// whether the request may be re-attempted: a lost device's request
     /// is innocent, but programming errors never improve on retry.
-    fn on_attempt_fault(
-        &mut self,
-        id: u64,
-        d: usize,
-        e: &RuntimeError,
-        at_ns: u64,
-        retrying: bool,
-        mark: AllocMark,
-    ) -> bool {
+    fn on_attempt_fault(&mut self, id: u64, run: &Attempt, retrying: bool) -> bool {
+        let Err(e) = &run.result else {
+            return false;
+        };
         let class = e.fault_class();
         self.metrics.counter_add(
             match class {
@@ -1863,21 +1659,22 @@ impl ServeSession {
             },
             1,
         );
+        let d = run.device;
         let lost = matches!(e, RuntimeError::Sim(SimError::DeviceLost));
-        if class.retryable() && !lost {
-            self.fault_streak[d] += 1;
-        }
-        if lost || (class.retryable() && self.fault_streak[d] >= self.cfg.quarantine_after) {
+        let retryable = class.retryable();
+        if lost || (retryable && self.devices[d].faulted() >= self.cfg.quarantine_after) {
             self.quarantine(d);
             if let Some(t) = self.tracer.as_mut() {
-                t.quarantine(id, d, at_ns);
+                t.quarantine(id, d, run.end_ns);
             }
-        } else if class.retryable() && retrying {
-            self.reclaim(d, mark);
+        } else if retryable && retrying {
+            let evicted = self.scrub(d, Some(run.mark), true);
+            self.metrics
+                .counter_add("residency_evictions_total", evicted as u64);
         } else {
-            self.release_leaked(d, mark);
+            self.scrub(d, Some(run.mark), false);
         }
-        lost || class.retryable()
+        lost || retryable
     }
 
     /// Records one attempt's predicted-vs-actual duration in the drift
@@ -1900,34 +1697,14 @@ impl ServeSession {
             actual_secs,
         };
         let err = rec.abs_rel_err();
-        if self.hedge.is_some() {
-            insert_sorted(&mut self.drift_errs, err);
+        if let Some(h) = self.hedge.as_mut() {
+            insert_sorted(&mut h.drift_errs, err);
         }
         self.metrics
             .histogram_observe("sched_predict_abs_err", &ABS_ERROR_BOUNDS, err);
         self.metrics
             .histogram_observe(self.policy.drift_metric(), &ABS_ERROR_BOUNDS, err);
         self.drift.record(rec);
-    }
-
-    /// Schedules the first canary probe of a freshly quarantined device,
-    /// one backoff (plus deterministic jitter) past its current clock.
-    /// No-op unless probation is armed.
-    fn schedule_probe(&mut self, d: usize) {
-        let Some(cfg) = self.probation else {
-            return;
-        };
-        if self.probes[d].is_some() {
-            return;
-        }
-        let now_ns = self.pool.devices()[d].gpu().now().as_nanos();
-        let jitter =
-            splitmix64(cfg.seed ^ ((d as u64) << 32)) % (cfg.backoff.as_nanos() / 4).max(1);
-        self.probes[d] = Some(DeviceProbe {
-            next_due_ns: now_ns + cfg.backoff.as_nanos().max(1) + jitter,
-            consecutive_ok: 0,
-            round: 0,
-        });
     }
 
     /// Runs every canary probe that has come due on the pool's virtual
@@ -1946,7 +1723,10 @@ impl ServeSession {
             .max()
             .unwrap_or(0);
         for d in 0..self.pool.device_count() {
-            if self.probes[d].is_some_and(|p| p.next_due_ns <= pool_now) {
+            let due = self.devices[d]
+                .probe()
+                .is_some_and(|p| p.next_due_ns <= pool_now);
+            if due {
                 self.run_probe(d);
             }
         }
@@ -1963,13 +1743,13 @@ impl ServeSession {
         }
         loop {
             let next = (0..self.pool.device_count())
-                .filter_map(|i| self.probes[i].map(|p| (p.next_due_ns, i)))
+                .filter_map(|i| self.devices[i].probe().map(|p| (p.next_due_ns, i)))
                 .min();
             let Some((_, d)) = next else {
                 return false;
             };
             self.run_probe(d);
-            if !self.quarantined[d] {
+            if !self.devices[d].is_quarantined() {
                 return true;
             }
         }
@@ -1985,76 +1765,51 @@ impl ServeSession {
         let Some(cfg) = self.probation else {
             return;
         };
-        let Some(mut p) = self.probes[d].take() else {
+        let Some(mut p) = self.devices[d].probe() else {
             return;
         };
-        if !self.quarantined[d] {
-            return;
-        }
-        let now_ns = self.pool.devices()[d].gpu().now().as_nanos();
-        let behind = p.next_due_ns.saturating_sub(now_ns);
-        if behind > 0 {
-            self.pool
-                .device_mut(d)
-                .gpu_mut()
-                .advance_clock(SimTime::from_nanos(behind));
-        }
-        let mark = self.pool.devices()[d].gpu().alloc_mark();
-        let before_ns = self.pool.devices()[d].gpu().now().as_nanos();
         self.metrics.counter_add("probe_attempts_total", 1);
+        let run = self.attempt(d, p.next_due_ns, canary_request());
         let goal = cfg.successes.max(1);
-        match self.execute_once(d, canary_request()) {
-            Ok(_) => {
-                let after_ns = self.pool.devices()[d].gpu().now().as_nanos();
-                self.metrics.counter_add("probe_success_total", 1);
-                p.consecutive_ok += 1;
-                if let Some(t) = self.tracer.as_mut() {
-                    t.probe(
-                        d,
-                        before_ns,
-                        after_ns,
-                        &format!("probe ok ({}/{goal})", p.consecutive_ok),
-                    );
-                }
-                if p.consecutive_ok >= goal {
-                    self.readmit(d);
-                } else {
-                    // The device looks healthy — confirm soon, after a
-                    // plain (un-doubled) backoff.
-                    p.next_due_ns = after_ns + cfg.backoff.as_nanos().max(1);
-                    self.probes[d] = Some(p);
-                }
-            }
-            Err(e) => {
-                let after_ns = self.pool.devices()[d].gpu().now().as_nanos();
-                self.metrics.counter_add("probe_fail_total", 1);
-                if let Some(t) = self.tracer.as_mut() {
-                    t.probe(d, before_ns, after_ns, &format!("probe fault: {e}"));
-                }
-                self.release_leaked(d, mark);
-                p.consecutive_ok = 0;
-                p.round += 1;
-                if p.round >= cfg.max_rounds.max(1) {
-                    self.metrics.counter_add("probe_giveup_total", 1);
-                } else {
-                    let backoff = cfg.backoff.as_nanos().max(1) << p.round.min(20);
-                    let jitter = splitmix64(cfg.seed ^ ((d as u64) << 32) ^ u64::from(p.round))
-                        % (cfg.backoff.as_nanos() / 4).max(1);
-                    p.next_due_ns = after_ns + backoff + jitter;
-                    self.probes[d] = Some(p);
-                }
-            }
+        if let Some(t) = self.tracer.as_mut() {
+            let label = match &run.result {
+                Ok(_) => format!("probe ok ({}/{goal})", p.consecutive_ok + 1),
+                Err(e) => format!("probe fault: {e}"),
+            };
+            t.probe(d, run.start_ns, run.end_ns, &label);
         }
+        if run.result.is_ok() {
+            self.metrics.counter_add("probe_success_total", 1);
+            p.consecutive_ok += 1;
+            if p.consecutive_ok >= goal {
+                self.readmit(d);
+                return;
+            }
+            // The device looks healthy — confirm soon, after a plain
+            // (un-doubled) backoff.
+            p.next_due_ns = run.end_ns + cfg.backoff.as_nanos().max(1);
+        } else {
+            self.metrics.counter_add("probe_fail_total", 1);
+            self.scrub(d, Some(run.mark), false);
+            p.consecutive_ok = 0;
+            p.round += 1;
+            if p.round >= cfg.max_rounds.max(1) {
+                self.metrics.counter_add("probe_giveup_total", 1);
+                self.devices[d].health = Health::Quarantined { probe: None };
+                return;
+            }
+            p.next_due_ns = cfg.next_due_ns(d, p.round, run.end_ns);
+        }
+        self.devices[d].health = Health::Quarantined { probe: Some(p) };
     }
 
     /// Re-admits a healed device: it pulls work again, with a cold
-    /// residency cache (quarantine cleared it) and a clean fault streak.
-    /// An open retry-budget breaker moves to half-open — the canary that
-    /// healed the pool is evidence the fault storm passed.
+    /// residency cache (quarantine cleared it), a clean fault streak and
+    /// no calibration evidence. An open retry-budget breaker moves to
+    /// half-open — the canary that healed the pool is evidence the fault
+    /// storm passed.
     fn readmit(&mut self, d: usize) {
-        self.quarantined[d] = false;
-        self.fault_streak[d] = 0;
-        self.calibration[d] = Calibration::default();
+        self.devices[d].health = Health::SERVING;
         self.metrics.counter_add("probe_readmit_total", 1);
         if let Some(bs) = self.budget.as_mut() {
             if matches!(bs.breaker, Breaker::Open { .. }) {
@@ -2164,12 +1919,12 @@ impl ServeSession {
         let resolved = {
             let ServeSession {
                 pool,
-                residency,
+                devices,
                 metrics,
                 ..
             } = &mut *self;
             let dev = pool.device_mut(d);
-            let cache = &mut residency[d];
+            let cache = &mut devices[d].residency;
             resolve_request(dev, cache, metrics, &mut bypass, &pinned, req)?
         };
         let dev = self.pool.device_mut(d);
@@ -2180,48 +1935,40 @@ impl ServeSession {
         Ok(report)
     }
 
-    /// Returns device `d` to a clean state after a failed attempt: waits
-    /// for in-flight work, evicts its residency cache, and frees any
-    /// buffer the failed attempt leaked (allocations alive now that were
-    /// made at or after `mark`).
-    fn reclaim(&mut self, d: usize, mark: AllocMark) {
-        let dev = self.pool.device_mut(d);
-        let _ = dev.gpu_mut().synchronize();
-        let evicted = self.residency[d].clear();
-        self.metrics
-            .counter_add("residency_evictions_total", evicted.len() as u64);
-        for e in evicted {
-            free_resident(dev, e.buf);
-        }
-        for b in dev.gpu().live_device_buffers_since(mark) {
-            let _ = dev.gpu_mut().free_device(b);
-        }
-        for h in dev.gpu().live_host_buffers_since(mark) {
-            let _ = dev.gpu_mut().take_host(h);
-        }
-    }
-
-    /// Frees buffers a failed attempt leaked on device `d` without
-    /// touching the residency cache: allocations alive now that were made
-    /// at or after `mark` and not adopted by the cache (operands the
-    /// attempt successfully resolved stay warm for later requests).
-    fn release_leaked(&mut self, d: usize, mark: AllocMark) {
+    /// Frees device `d`'s buffers once its in-flight work is done: every
+    /// live allocation made at or after `mark` (every live one when
+    /// `None`), except the buffers its residency cache holds. With
+    /// `evict`, the cache is emptied first and its entries freed too;
+    /// returns how many entries it held.
+    fn scrub(&mut self, d: usize, mark: Option<AllocMark>, evict: bool) -> usize {
+        let cache = &mut self.devices[d].residency;
+        let evicted = if evict { cache.clear() } else { Vec::new() };
         let gpu = self.pool.devices()[d].gpu();
-        let cached: BTreeSet<DevBufId> = self.residency[d]
+        let cached: BTreeSet<DevBufId> = cache
             .device_buffers()
             .into_iter()
-            .filter(|&b| gpu.allocated_since(mark, b))
+            .filter(|&b| mark.is_none_or(|m| gpu.allocated_since(m, b)))
             .collect();
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();
-        for b in dev.gpu().live_device_buffers_since(mark) {
-            if !cached.contains(&b) {
-                let _ = dev.gpu_mut().free_device(b);
-            }
+        for e in &evicted {
+            free_resident(dev, e.buf);
         }
-        for h in dev.gpu().live_host_buffers_since(mark) {
+        let gpu = dev.gpu();
+        let (bufs, hosts) = match mark {
+            Some(m) => (
+                gpu.live_device_buffers_since(m),
+                gpu.live_host_buffers_since(m),
+            ),
+            None => (gpu.live_device_buffers(), gpu.live_host_buffers()),
+        };
+        for b in bufs.into_iter().filter(|b| !cached.contains(b)) {
+            let _ = dev.gpu_mut().free_device(b);
+        }
+        for h in hosts {
             let _ = dev.gpu_mut().take_host(h);
         }
+        evicted.len()
     }
 }
 
@@ -2330,52 +2077,54 @@ mod tests {
 
     /// The calibrated price of `req` on `d`, without the clock.
     fn price(s: &ServeSession, d: usize, req: &RoutineRequest) -> f64 {
-        s.service_secs(d, req) * s.calibration[d].factor()
+        s.price(d, req).1 * s.devices[d].factor()
     }
 
     #[test]
     fn ratios_inside_the_dead_band_leave_the_price_bit_equal() {
         let (mut s, req) = priced_session();
-        let service = s.service_secs(0, &req);
+        let service = s.price(0, &req).1;
         assert!(service > 0.0, "the profile prices the request");
         for ratio in [0.87, 1.0, 1.06, 0.7, 1.45, 1.0] {
-            s.calibration[0].observe(service, service * ratio);
-            assert_eq!(s.calibration[0].factor(), 1.0, "ratio {ratio}");
+            s.devices[0].calibrate(service, service * ratio);
+            assert_eq!(s.devices[0].factor(), 1.0, "ratio {ratio}");
             assert_eq!(price(&s, 0, &req).to_bits(), service.to_bits());
         }
         // No prediction, no evidence.
-        s.calibration[1].observe(0.0, 1.0);
-        assert_eq!(s.calibration[1], Calibration::default());
+        s.devices[1].calibrate(0.0, 1.0);
+        assert_eq!(s.devices[1].health, Health::SERVING);
     }
 
     #[test]
     fn one_tenfold_overrun_lifts_the_factor() {
         let (mut s, req) = priced_session();
-        let service = s.service_secs(0, &req);
-        s.calibration[0].observe(service, 10.0 * service);
-        assert!((s.calibration[0].factor() - 10.0).abs() < 1e-9);
+        let service = s.price(0, &req).1;
+        s.devices[0].calibrate(service, 10.0 * service);
+        assert!((s.devices[0].factor() - 10.0).abs() < 1e-9);
         assert!(price(&s, 0, &req) > 9.0 * service);
         assert_eq!(price(&s, 1, &req).to_bits(), service.to_bits());
         // Placement now prefers the peer although both clocks read zero.
         assert_eq!(s.choose_device(&req, None).map(|c| c.0), Some(1));
         // Later on-model attempts pull the running ratio back into the band.
         for _ in 0..6 {
-            s.calibration[0].observe(service, service);
+            s.devices[0].calibrate(service, service);
         }
-        assert_eq!(s.calibration[0].factor(), 1.0);
+        assert_eq!(s.devices[0].factor(), 1.0);
     }
 
     #[test]
     fn quarantine_and_readmission_reset_the_factor() {
         let (mut s, req) = priced_session();
-        let service = s.service_secs(0, &req);
-        s.calibration[0].observe(service, 10.0 * service);
+        let service = s.price(0, &req).1;
+        s.devices[0].calibrate(service, 10.0 * service);
         s.quarantine(0);
-        assert_eq!(s.calibration[0].factor(), 1.0);
-        s.calibration[0].observe(service, 10.0 * service);
+        assert_eq!(s.devices[0].factor(), 1.0);
+        // A quarantined device keeps no calibration to observe into.
+        s.devices[0].calibrate(service, 10.0 * service);
+        assert_eq!(s.devices[0].factor(), 1.0);
         s.readmit(0);
-        assert_eq!(s.calibration[0], Calibration::default());
-        assert_eq!(s.calibration[0].factor(), 1.0);
+        assert_eq!(s.devices[0].health, Health::SERVING);
+        assert_eq!(s.devices[0].factor(), 1.0);
     }
 
     #[test]

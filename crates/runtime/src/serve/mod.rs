@@ -13,17 +13,21 @@
 //!    instead of failing mid-flight.
 //! 2. **Policy-driven dispatch.** The queue drains through a pluggable
 //!    [`SchedulePolicy`]: FIFO (the default baseline), earliest-deadline-
-//!    first, or the prediction-guided policy that costs every request ×
-//!    device pair with the paper's models
-//!    ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload))
-//!    and schedules to minimise pool makespan. Whatever the policy, every
-//!    placement trusts one price per request × device pair: virtual
-//!    clock, plus the estimated upload time of the shared operands the
-//!    device is missing and the model-predicted offload time, scaled by
-//!    the device's observed actual/predicted ratio once that leaves a
-//!    dead band around 1 — so an idle device steals work once the affine
+//!    first, or the prediction-guided policy that orders the queue by the
+//!    paper's models to minimise pool makespan. Whatever the policy, every
+//!    placement reads one price per request × device pair (the private
+//!    `placement` module): the estimated upload time of the shared
+//!    operands the device is missing plus the model-predicted offload time
+//!    ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)).
+//!    The device scan scales it by the device's observed actual/predicted
+//!    ratio once that leaves a dead band around 1 and adds the device's
+//!    virtual clock — so an idle device steals work once the affine
 //!    device falls far enough behind, and a degraded one stops pulling
-//!    work after its first overrun.
+//!    work after its first overrun. The session keeps one record per
+//!    device (residency cache, drain-start clock, and health: serving
+//!    with a fault streak and calibration, or quarantined with an
+//!    optional probation probe), so quarantine and readmission are one
+//!    transition each.
 //! 3. **Cross-request residency.** Operands named by key
 //!    ([`MatArg::shared`](crate::MatArg::shared),
 //!    [`VecArg::shared`](crate::VecArg::shared)) live in a per-device LRU
@@ -59,6 +63,7 @@
 //! [`MultiGpu`]: crate::MultiGpu
 
 mod executor;
+mod placement;
 mod residency;
 mod sched;
 mod session;

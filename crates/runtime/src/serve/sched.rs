@@ -6,11 +6,8 @@
 //!
 //! * [`Fifo`](SchedulePolicy::Fifo) — strict submission order, the
 //!   baseline behaviour. The request goes to the device with the lowest
-//!   placement price: device clock + service time (h2d time of
-//!   non-resident shared operands + model-predicted offload time), the
-//!   service time scaled by the device's calibration factor — its
-//!   observed actual/predicted ratio, or exactly 1 while that ratio stays
-//!   inside a dead band around 1.
+//!   placement price (the session's one request × device price; see the
+//!   [serve module docs](crate::serve)).
 //! * [`Edf`](SchedulePolicy::Edf) — earliest-deadline-first: the queued
 //!   request with the smallest deadline runs next; deadline-less requests
 //!   run after every deadline-carrying one, in submission order. Device
@@ -19,12 +16,9 @@
 //!   queue is exactly what saves a tight deadline stuck behind bulk work.
 //! * [`Predictive`](SchedulePolicy::Predictive) — the paper's models close
 //!   the loop: every queued request × healthy device is priced with the
-//!   same placement price — device clock + calibrated service time (h2d
-//!   time of non-resident shared operands + model-predicted offload time,
-//!   [`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)
-//!   on the device's deployed profile). Each request is costed at its best
-//!   device, and the request with the *largest* best-completion is
-//!   dispatched there first — longest-processing-time list scheduling,
+//!   same placement price. Each request is costed at its best device,
+//!   and the request with the *largest* best-completion is dispatched
+//!   there first — longest-processing-time list scheduling,
 //!   which keeps one straggler from landing on an already-loaded device at
 //!   the end and stretching the pool makespan. Residency-affine requests
 //!   still batch naturally: a device holding the operands wins the

@@ -6,20 +6,21 @@
 //! instant), drain, inspect. Closed-queue serving is the degenerate case
 //! — submit everything at offset zero and drain. The dispatch engine
 //! behind the lifecycle (admission, placement, retry, hedging, probation)
-//! lives in the sibling `executor` module.
+//! lives in the sibling `executor` module; the per-device records and
+//! the one request × device price live in `placement`.
 
 use crate::error::RequestId;
 use crate::multigpu::MultiGpu;
 use crate::request::RoutineRequest;
 use crate::serve::executor::{
-    BudgetState, Calibration, Coalition, DeviceProbe, ExecutorConfig, HedgeConfig, ProbationConfig,
-    Queued, RequestOutcome, RetryBudgetConfig,
+    BudgetState, Coalition, ExecutorConfig, HedgeConfig, Hedging, ProbationConfig, Queued,
+    RequestOutcome, RetryBudgetConfig,
 };
+use crate::serve::placement::DeviceState;
 use crate::serve::residency::ResidencyCache;
 use crate::serve::sched::SchedulePolicy;
 use crate::serve::telemetry::{Telemetry, TelemetryConfig, WatchSink, WatchWindow};
 use crate::serve::trace::ServeTracer;
-use cocopelia_gpusim::SimTime;
 use cocopelia_obs::{DriftAccountant, Registry};
 use std::collections::{HashMap, VecDeque};
 
@@ -194,16 +195,12 @@ impl ServeOptions {
 /// workload can alternate submission phases and drains indefinitely on
 /// warm residency caches.
 ///
-/// Every placement decision trusts one price per request × device pair:
-/// the device's virtual clock plus the service time — the estimated
-/// upload of the shared operands the device is missing and the
-/// model-predicted offload time from the device's deployed profile —
-/// scaled by the device's calibration factor, its observed
-/// actual/predicted ratio once that leaves a dead band around 1. Under FIFO and EDF the cheapest device
-/// pulls the next request; residency affinity therefore wins only while
-/// the affine device's clock lead stays below the re-upload cost. The
-/// predictive policy additionally orders the queue longest-first by that
-/// price to minimise the pool makespan.
+/// Every placement decision trusts one price per request × device pair
+/// (see the [module docs](crate::serve)). Under FIFO and EDF the cheapest
+/// device pulls the next request; residency affinity therefore wins only
+/// while the affine device's clock lead stays below the re-upload cost.
+/// The predictive policy additionally orders the queue longest-first by
+/// that price to minimise the pool makespan.
 ///
 /// ```no_run
 /// # use cocopelia_runtime::serve::{ExecutorConfig, ServeOptions, ServeSession};
@@ -221,7 +218,9 @@ impl ServeOptions {
 #[derive(Debug)]
 pub struct ServeSession {
     pub(super) pool: MultiGpu,
-    pub(super) residency: Vec<ResidencyCache>,
+    /// The session's record of each pool device, by index: residency,
+    /// drain-start clock and health.
+    pub(super) devices: Vec<DeviceState>,
     pub(super) cfg: ExecutorConfig,
     pub(super) policy: SchedulePolicy,
     /// Admitted requests waiting for dispatch, in admission order. Each
@@ -233,19 +232,7 @@ pub struct ServeSession {
     pub(super) outcomes: Vec<RequestOutcome>,
     pub(super) metrics: Registry,
     pub(super) drift: DriftAccountant,
-    /// The absolute relative errors of `drift`'s records, sorted under
-    /// [`f64::total_cmp`], so the hedge threshold reads its p95 without
-    /// sorting. Kept only while hedging is armed; empty otherwise.
-    pub(super) drift_errs: Vec<f64>,
     pub(super) next_id: u64,
-    /// Devices removed from dispatch after repeated faults or loss.
-    pub(super) quarantined: Vec<bool>,
-    /// Consecutive faults per device; reset by any successful request.
-    pub(super) fault_streak: Vec<u32>,
-    /// Per-device running actual/predicted ratio of completed attempts,
-    /// which scales the device's placement price outside a dead band (see
-    /// [`Calibration`]). Reset on quarantine and re-admission.
-    pub(super) calibration: Vec<Calibration>,
     /// The one observer: request-lifecycle spans plus, when
     /// [`ServeOptions::telemetry`] armed it, streaming telemetry. Armed
     /// by [`ServeOptions::tracing`] or [`ServeOptions::telemetry`].
@@ -254,9 +241,6 @@ pub struct ServeSession {
     /// past the next drain's start), ties in submission order. Admission
     /// moves each record onto the queue, refuses it, or coalesces it.
     pub(super) arrivals: VecDeque<Queued>,
-    /// Each device's clock when the current drain began: the origin of
-    /// arrival offsets, flow times and busy times. Set by `drain`.
-    pub(super) drain_start: Vec<SimTime>,
     /// Bounded-queue backpressure: an arrival finding the queue at this
     /// depth is shed.
     pub(super) queue_cap: Option<usize>,
@@ -278,12 +262,10 @@ pub struct ServeSession {
     pub(super) peak_queue: usize,
     /// Hedged re-dispatch of straggling attempts, armed by
     /// [`ServeOptions::hedge`].
-    pub(super) hedge: Option<HedgeConfig>,
+    pub(super) hedge: Option<Hedging>,
     /// Quarantine probation (canary probes that re-admit healed devices),
     /// armed by [`ServeOptions::probation`].
     pub(super) probation: Option<ProbationConfig>,
-    /// Per-device probe schedule while quarantined under probation.
-    pub(super) probes: Vec<Option<DeviceProbe>>,
     /// Session retry token bucket and circuit breaker, armed by
     /// [`ServeOptions::retry_budget`].
     pub(super) budget: Option<BudgetState>,
@@ -310,15 +292,14 @@ impl ServeSession {
         cfg: ExecutorConfig,
         opts: ServeOptions,
     ) -> std::io::Result<Self> {
-        let residency = pool
+        let devices = pool
             .devices()
             .iter()
             .map(|dev| {
                 let cap = dev.gpu().device_mem_capacity() as f64;
-                ResidencyCache::new((cap * cfg.residency_frac.clamp(0.0, 1.0)) as usize)
+                DeviceState::new((cap * cfg.residency_frac.clamp(0.0, 1.0)) as usize)
             })
             .collect();
-        let count = pool.device_count();
         let telemetry = match opts.telemetry {
             Some(tcfg) => {
                 let mut tele = Telemetry::new(tcfg)?;
@@ -337,31 +318,25 @@ impl ServeSession {
         };
         Ok(ServeSession {
             pool,
-            residency,
+            devices,
             cfg,
             policy: opts.policy,
             queue: VecDeque::new(),
             outcomes: Vec::new(),
             metrics: Registry::new(),
             drift: DriftAccountant::new(),
-            drift_errs: Vec::new(),
             next_id: 0,
-            quarantined: vec![false; count],
-            fault_streak: vec![0; count],
-            calibration: vec![Calibration::default(); count],
             tracer: (opts.tracing || telemetry.is_some())
                 .then(|| ServeTracer::new(opts.tracing, telemetry)),
             arrivals: VecDeque::new(),
-            drain_start: Vec::new(),
             queue_cap: opts.queue_cap,
             shed_flow_secs: opts.shed_flow_secs.filter(|s| *s > 0.0),
             coalesce: opts.coalesce,
             coalitions: HashMap::new(),
             backlog_secs: 0.0,
             peak_queue: 0,
-            hedge: opts.hedge.filter(|h| h.multiplier > 0.0),
+            hedge: opts.hedge.filter(|h| h.multiplier > 0.0).map(Hedging::new),
             probation: opts.probation,
-            probes: vec![None; count],
             budget: opts.retry_budget.map(BudgetState::new),
         })
     }
@@ -400,15 +375,13 @@ impl ServeSession {
     ///
     /// Panics if `d` is out of range.
     pub fn residency(&self, d: usize) -> &ResidencyCache {
-        &self.residency[d]
+        &self.devices[d].residency
     }
 
     /// Devices currently quarantined, in index order.
     pub fn quarantined(&self) -> Vec<usize> {
-        self.quarantined
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &q)| q.then_some(i))
+        (0..self.devices.len())
+            .filter(|&d| self.devices[d].is_quarantined())
             .collect()
     }
 
@@ -429,7 +402,7 @@ impl ServeSession {
     ///
     /// Panics if `d` is out of range.
     pub fn force_quarantine(&mut self, d: usize) {
-        assert!(d < self.quarantined.len(), "no such device: {d}");
+        assert!(d < self.devices.len(), "no such device: {d}");
         self.quarantine(d);
     }
 }

@@ -35,6 +35,7 @@ use std::path::PathBuf;
 
 use super::{RequestOutcome, RequestStatus};
 use crate::multigpu::MultiGpu;
+use crate::serve::placement::DeviceState;
 
 /// Flow-time histogram bounds (seconds) for per-window percentiles.
 pub const FLOW_SECS_BOUNDS: [f64; 14] = [
@@ -278,8 +279,8 @@ pub(crate) struct TickState<'a> {
     pub elapsed_ns: u64,
     /// Requests still queued.
     pub queue_depth: usize,
-    /// Per-device quarantine flags.
-    pub quarantined: &'a [bool],
+    /// The session's device records (for their quarantine state).
+    pub devices: &'a [DeviceState],
     /// Mean absolute relative prediction drift so far.
     pub mean_abs_drift: f64,
     /// The run-lifetime registry (read-only; per-window counts are
@@ -490,7 +491,7 @@ impl Telemetry {
             // A device re-admitted by probation within the same dispatch
             // is no incident any more.
             for (d, request) in std::mem::take(&mut self.quarantines) {
-                if st.quarantined[d] {
+                if st.devices[d].is_quarantined() {
                     let reason = format!("quarantine dev{d} (request {request})");
                     self.capture_dump(reason, st.elapsed_ns, log);
                     // Flush so the trace survives even a
@@ -544,7 +545,7 @@ impl Telemetry {
     /// Samples the gauges and adds the registry counters' growth since
     /// the last tick to the open window.
     fn inject(&mut self, st: &TickState<'_>) {
-        let quarantined = st.quarantined.iter().filter(|&&q| q).count();
+        let quarantined = st.devices.iter().filter(|d| d.is_quarantined()).count();
         self.win
             .set_gauges(st.queue_depth, quarantined, st.mean_abs_drift);
         let now = FedTotals::read(st.metrics);
@@ -680,7 +681,7 @@ mod tests {
         let st = TickState {
             elapsed_ns: 12_000_000,
             queue_depth: 0,
-            quarantined: &[false, false],
+            devices: &[],
             mean_abs_drift: 0.0,
             metrics: &reg,
         };

@@ -29,6 +29,7 @@
 //! [`TelemetryConfig::recorder_cap`]: crate::serve::TelemetryConfig::recorder_cap
 
 use crate::multigpu::MultiGpu;
+use crate::serve::executor::Attempt;
 use crate::serve::telemetry::{Telemetry, TelemetryReport, TickState};
 use crate::serve::RequestOutcome;
 use cocopelia_gpusim::{EngineKind, TraceView};
@@ -159,19 +160,16 @@ impl ServeTracer {
         );
     }
 
-    /// Records one dispatch attempt on a device: the attempt span
-    /// (`Dispatch` for attempt 0, `Retry` after) plus per-engine child
-    /// spans aggregated from the trace entries the attempt produced,
-    /// clamped into the attempt interval. Attempt 0 is the request's first
-    /// device run, so it closes the request's queue flow.
-    #[allow(clippy::too_many_arguments)]
+    /// Records one dispatch attempt `run`: the attempt span (`Dispatch`
+    /// for attempt 0, `Retry` after) plus per-engine child spans
+    /// aggregated from the `entries` the run left on its device, clamped
+    /// into the run's interval. Attempt 0 is the request's first device
+    /// run, so it closes the request's queue flow.
     pub(crate) fn attempt(
         &mut self,
         req: u64,
-        device: usize,
         attempt: u32,
-        start_ns: u64,
-        end_ns: u64,
+        run: &Attempt,
         entries: TraceView<'_>,
         faulted: Option<&str>,
     ) {
@@ -185,58 +183,33 @@ impl ServeTracer {
             Some(fault) => format!("attempt {attempt}: {fault}"),
             None => format!("attempt {attempt}"),
         };
-        self.device_run(req, device, phase, label, start_ns, end_ns, entries, flow);
+        self.device_run(req, run, phase, label, entries, flow);
     }
 
-    /// Records a speculative hedge attempt on device `device`, racing the
-    /// request's primary attempt. The span carries no flow id (the
-    /// primary attempt owns the queue hand-off) but gets the same
-    /// per-engine child spans as a regular attempt.
-    pub(crate) fn hedge(
-        &mut self,
-        req: u64,
-        device: usize,
-        start_ns: u64,
-        end_ns: u64,
-        entries: TraceView<'_>,
-        label: &str,
-    ) {
-        self.device_run(
-            req,
-            device,
-            SpanPhase::Hedge,
-            label.to_owned(),
-            start_ns,
-            end_ns,
-            entries,
-            None,
-        );
+    /// Records a speculative hedge `run`, racing the request's primary
+    /// attempt. The span carries no flow id (the primary attempt owns the
+    /// queue hand-off) but gets the same per-engine child spans as a
+    /// regular attempt.
+    pub(crate) fn hedge(&mut self, req: u64, run: &Attempt, entries: TraceView<'_>, label: &str) {
+        let label = label.to_owned();
+        self.device_run(req, run, SpanPhase::Hedge, label, entries, None);
     }
 
     /// Records a run on a device (an attempt or a hedge) plus one child
     /// span per engine, aggregated from the run's trace entries.
-    #[allow(clippy::too_many_arguments)]
     fn device_run(
         &mut self,
         req: u64,
-        device: usize,
+        run: &Attempt,
         phase: SpanPhase,
         label: String,
-        start_ns: u64,
-        end_ns: u64,
         entries: TraceView<'_>,
         flow: Option<u64>,
     ) {
-        let parent = self.log.record(
-            None,
-            req,
-            Some(device),
-            phase,
-            label,
-            start_ns,
-            end_ns,
-            flow,
-        );
+        let (device, start_ns, end_ns) = (Some(run.device), run.start_ns, run.end_ns);
+        let parent = self
+            .log
+            .record(None, req, device, phase, label, start_ns, end_ns, flow);
         for (engine, phase) in [
             (EngineKind::CopyH2d, SpanPhase::H2d),
             (EngineKind::Compute, SpanPhase::Exec),
@@ -261,7 +234,7 @@ impl ServeTracer {
             self.log.record(
                 Some(parent),
                 req,
-                Some(device),
+                device,
                 phase,
                 format!("{} ({n} ops)", engine.name()),
                 lo,
@@ -429,25 +402,28 @@ mod tests {
     use crate::serve::TelemetryConfig;
     use cocopelia_obs::check_spans;
 
+    /// A run on `device` over `[start_ns, end_ns]`.
+    fn run(device: usize, start_ns: u64, end_ns: u64) -> Attempt {
+        Attempt::spanning(device, start_ns, end_ns)
+    }
+
     #[test]
     fn tracer_produces_invariant_clean_spans() {
         let mut t = ServeTracer::default();
         t.open(1000, &[0, 1]);
         t.queue_wait(0, 0, 2000);
-        t.attempt(0, 0, 0, 2000, 5000, TraceView::default(), None);
+        t.attempt(0, 0, &run(0, 2000, 5000), TraceView::default(), None);
         t.complete(0, 5000, "completed");
         t.queue_wait(1, 0, 5000);
         t.attempt(
             1,
             0,
-            0,
-            5000,
-            6000,
+            &run(0, 5000, 6000),
             TraceView::default(),
             Some("kernel fault"),
         );
         t.quarantine(1, 0, 6000);
-        t.attempt(1, 1, 1, 6000, 9000, TraceView::default(), None);
+        t.attempt(1, 1, &run(1, 6000, 9000), TraceView::default(), None);
         t.complete(1, 9000, "completed");
         let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("tracer spans satisfy invariants");
@@ -492,7 +468,7 @@ mod tests {
         t.open(1000, &[]);
         t.arrive(1, 2000);
         t.queue_wait(1, 2000, 5000);
-        t.attempt(1, 0, 0, 5000, 7000, TraceView::default(), None);
+        t.attempt(1, 0, &run(0, 5000, 7000), TraceView::default(), None);
         t.complete(1, 7000, "completed");
         t.arrive(2, 2500);
         t.reject(2, 2500, "queue full: depth 1 at cap 1");
@@ -522,14 +498,17 @@ mod tests {
         t.attempt(
             4,
             0,
-            0,
-            100,
-            700,
+            &run(0, 100, 700),
             TraceView::default(),
             Some("cancelled: hedge won"),
         );
         t.cancel(4, 0, 700, "cancelled by hedge on dev1");
-        t.hedge(4, 1, 400, 700, TraceView::default(), "hedge on dev1 (won)");
+        t.hedge(
+            4,
+            &run(1, 400, 700),
+            TraceView::default(),
+            "hedge on dev1 (won)",
+        );
         t.complete(4, 700, "completed");
         // Probation canaries on the quarantined device.
         t.probe(0, 900, 1000, "probe fault: kernel fault");
@@ -552,7 +531,7 @@ mod tests {
         let mut t = ServeTracer::default();
         t.open(0, &[7, 8]);
         t.queue_wait(7, 0, 100);
-        t.attempt(7, 0, 0, 100, 200, TraceView::default(), Some("lost"));
+        t.attempt(7, 0, &run(0, 100, 200), TraceView::default(), Some("lost"));
         t.host_fallback(7, 200, 500, false);
         t.complete(7, t.host_now_ns(), "completed");
         t.queue_wait(8, 0, 100);

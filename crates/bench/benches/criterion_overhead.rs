@@ -43,7 +43,7 @@ fn overhead_benches(c: &mut Criterion) {
                 exec: &exec,
                 full_kernel_time: None,
             };
-            TileSelector::default()
+            TileSelector
                 .select(ModelKind::DataReuse, &ctx)
                 .expect("selects")
                 .tile

@@ -19,13 +19,10 @@ use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::select::TileSelector;
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{testbed_i, testbed_ii, ExecMode, FaultSpec, Gpu, TestbedSpec};
-use cocopelia_hostblas::Dtype;
-use cocopelia_runtime::{
-    AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, RuntimeError,
-    TileChoice, VecOperand,
-};
+use cocopelia_runtime::{Cocopelia, RoutineReport, RuntimeError, TileChoice};
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use args::Args;
 
@@ -264,59 +261,50 @@ type DefenseConfigs = (
 );
 
 fn straggler_options(args: &Args, seed: u64) -> Result<DefenseConfigs, CliError> {
-    let pos_num = |v: &str, flag: &str| -> Result<f64, CliError> {
-        v.parse::<f64>()
-            .ok()
-            .filter(|x| x.is_finite() && *x > 0.0)
-            .ok_or_else(|| CliError::Usage(format!("bad --{flag} value `{v}`")))
-    };
     let hedge = match args.get_opt("hedge").as_deref() {
         None | Some("off") => None,
         Some(v) => Some(cocopelia_runtime::serve::HedgeConfig {
-            multiplier: pos_num(v, "hedge")?,
+            multiplier: parse_value("hedge", v, positive)?,
         }),
     };
     let probation = match args.get_opt("probation").as_deref() {
         None | Some("off") => None,
         Some(v) => {
+            let defaults = cocopelia_runtime::serve::ProbationConfig::default();
             let (ms, successes) = match v.split_once(':') {
-                Some((ms, n)) => (
-                    ms,
-                    n.parse::<u32>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                        CliError::Usage(format!("bad --probation successes `{n}`"))
-                    })?,
-                ),
-                None => (
-                    v,
-                    cocopelia_runtime::serve::ProbationConfig::default().successes,
-                ),
+                Some((ms, n)) => (ms, parse_value("probation", n, |n: &u32| *n > 0)?),
+                None => (v, defaults.successes),
             };
+            let ms: f64 = parse_value("probation", ms, positive)?;
             Some(cocopelia_runtime::serve::ProbationConfig {
-                backoff: cocopelia_gpusim::SimTime::from_secs_f64(pos_num(ms, "probation")? * 1e-3),
+                backoff: cocopelia_gpusim::SimTime::from_secs_f64(ms * 1e-3),
                 successes,
                 seed,
-                ..Default::default()
+                ..defaults
             })
         }
     };
     let retry_budget = match args.get_opt("retry-budget").as_deref() {
         None | Some("off") => None,
         Some(v) => {
-            let (tokens, refill) = match v.split_once(':') {
-                Some((t, r)) => (t, pos_num(r, "retry-budget")?),
-                None => (
-                    v,
-                    cocopelia_runtime::serve::RetryBudgetConfig::default().refill_per_sec,
-                ),
+            let defaults = cocopelia_runtime::serve::RetryBudgetConfig::default();
+            let (tokens, refill_per_sec) = match v.split_once(':') {
+                Some((t, r)) => (t, parse_value("retry-budget", r, positive)?),
+                None => (v, defaults.refill_per_sec),
             };
             Some(cocopelia_runtime::serve::RetryBudgetConfig {
-                tokens: pos_num(tokens, "retry-budget")?,
-                refill_per_sec: refill,
-                ..Default::default()
+                tokens: parse_value("retry-budget", tokens, positive)?,
+                refill_per_sec,
+                ..defaults
             })
         }
     };
     Ok((hedge, probation, retry_budget))
+}
+
+/// Whether a float flag value is finite and positive.
+fn positive(x: &f64) -> bool {
+    x.is_finite() && *x > 0.0
 }
 
 /// Parses `--faults <spec>` (absent means no injected faults).
@@ -335,7 +323,7 @@ fn load_profile(args: &Args) -> Result<SystemProfile, CliError> {
     SystemProfile::from_json(&text).map_err(|e| CliError::Json(format!("parsing {path}: {e}")))
 }
 
-/// `(routine, dtype, dims)` from `--routine`/`--dims`.
+/// The problem `--routine`, `--dims` and `--loc` describe.
 fn problem(args: &Args) -> Result<ProblemSpec, CliError> {
     let routine = get(args, "routine")?;
     let dims = args.get_usize_list("dims").map_err(CliError::Usage)?;
@@ -349,58 +337,7 @@ fn problem(args: &Args) -> Result<ProblemSpec, CliError> {
             other => Err(CliError::Usage(format!("bad loc flag `{other}` (H or D)"))),
         })
         .collect::<Result<_, _>>()?;
-    let loc = |i: usize| locs.get(i).copied().unwrap_or(Loc::Host);
-    let need = |n: usize| {
-        if dims.len() == n {
-            Ok(())
-        } else {
-            Err(CliError::Usage(format!(
-                "{routine} needs {n} dims, got {}",
-                dims.len()
-            )))
-        }
-    };
-    match routine.as_str() {
-        "dgemm" | "sgemm" => {
-            need(3)?;
-            let dt = if routine == "dgemm" {
-                Dtype::F64
-            } else {
-                Dtype::F32
-            };
-            Ok(ProblemSpec::gemm(
-                dt,
-                dims[0],
-                dims[1],
-                dims[2],
-                loc(0),
-                loc(1),
-                loc(2),
-                true,
-            ))
-        }
-        "daxpy" => {
-            need(1)?;
-            Ok(ProblemSpec::axpy(Dtype::F64, dims[0], loc(0), loc(1)))
-        }
-        "ddot" => {
-            need(1)?;
-            Ok(ProblemSpec::dot(Dtype::F64, dims[0], loc(0), loc(1)))
-        }
-        "dgemv" => {
-            need(2)?;
-            Ok(ProblemSpec::gemv(
-                Dtype::F64,
-                dims[0],
-                dims[1],
-                loc(0),
-                loc(1),
-                loc(2),
-                true,
-            ))
-        }
-        other => Err(CliError::Usage(format!("unknown routine `{other}`"))),
-    }
+    ProblemSpec::parse(&routine, &dims, &locs).map_err(CliError::Usage)
 }
 
 fn model(args: &Args) -> Result<Option<ModelKind>, CliError> {
@@ -474,7 +411,7 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
         exec,
         full_kernel_time: None,
     };
-    let sel = TileSelector::default()
+    let sel = TileSelector
         .select(kind, &ctx)
         .map_err(|e| CliError::Data(e.to_string()))?;
     println!(
@@ -498,77 +435,36 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds a timing-only pipeline from `--testbed`/`--profile`, runs the
-/// requested routine once, and returns the handle (trace + observer
+/// Builds a timing-only pipeline on `--testbed` with `profile`, runs the
+/// `--routine` problem once, and returns the handle (trace + observer
 /// populated) with the call's report.
-fn execute(args: &Args) -> Result<(Cocopelia, cocopelia_runtime::RoutineReport), CliError> {
+fn execute(args: &Args, profile: SystemProfile) -> Result<(Cocopelia, RoutineReport), CliError> {
     let tb = testbed(args)?;
-    let profile = load_profile(args)?;
     let spec = problem(args)?;
-    let choice = match args.get_opt("tile").as_deref() {
+    let tile = match args.get_opt("tile").as_deref() {
         None | Some("auto") => TileChoice::Auto,
-        Some(t) => TileChoice::Fixed(
-            t.parse()
-                .map_err(|_| CliError::Usage(format!("bad tile `{t}`")))?,
-        ),
+        Some(t) => TileChoice::Fixed(parse_value("tile", t, |_| true)?),
     };
-    let fault_spec = faults(args)?;
-    let mut ctx = Cocopelia::new(
-        Gpu::with_faults(tb, ExecMode::TimingOnly, 0xC11, fault_spec),
-        profile,
-    );
-    let dims = spec.dims();
-    let ghost_mat = |r: usize, c: usize| MatOperand::<f64>::HostGhost { rows: r, cols: c };
-    let report = match spec.routine {
-        cocopelia_core::params::RoutineClass::Gemm => {
-            let (m, n, k) = (dims[0], dims[1], dims[2]);
-            GemmRequest::new(ghost_mat(m, k), ghost_mat(k, n), ghost_mat(m, n))
-                .alpha(1.0)
-                .beta(1.0)
-                .tile(choice)
-                .run(&mut ctx)?
-                .report
-        }
-        cocopelia_core::params::RoutineClass::Axpy => {
-            let n = dims[0];
-            AxpyRequest::new(
-                VecOperand::<f64>::HostGhost { len: n },
-                VecOperand::HostGhost { len: n },
-            )
-            .alpha(1.0)
-            .tile(choice)
-            .run(&mut ctx)?
-            .report
-        }
-        cocopelia_core::params::RoutineClass::Dot => {
-            let n = dims[0];
-            DotRequest::new(
-                VecOperand::<f64>::HostGhost { len: n },
-                VecOperand::HostGhost { len: n },
-            )
-            .tile(choice)
-            .run(&mut ctx)?
-            .report
-        }
-        cocopelia_core::params::RoutineClass::Gemv => {
-            let (m, n) = (dims[0], dims[1]);
-            GemvRequest::new(
-                ghost_mat(m, n),
-                VecOperand::HostGhost { len: n },
-                VecOperand::HostGhost { len: m },
-            )
-            .alpha(1.0)
-            .beta(1.0)
-            .tile(choice)
-            .run(&mut ctx)?
-            .report
-        }
-    };
+    let gpu = Gpu::with_faults(tb, ExecMode::TimingOnly, 0xC11, faults(args)?);
+    run_problem(gpu, profile, &spec, tile)
+}
+
+/// Runs `spec` once on a handle over `gpu`, through the one request
+/// constructor.
+fn run_problem(
+    gpu: Gpu,
+    profile: SystemProfile,
+    spec: &ProblemSpec,
+    tile: TileChoice,
+) -> Result<(Cocopelia, RoutineReport), CliError> {
+    let mut ctx = Cocopelia::new(gpu, profile);
+    let req = ctx.ghost_request(spec, tile)?;
+    let report = ctx.submit(req)?;
     Ok((ctx, report))
 }
 
 fn cmd_run(args: &Args) -> Result<(), CliError> {
-    let (ctx, report) = execute(args)?;
+    let (ctx, report) = execute(args, load_profile(args)?)?;
     println!(
         "T = {}  elapsed {:.3} ms  {:.1} GFLOP/s  ({} sub-kernels)  overlap {:.2}x",
         report.tile,
@@ -598,7 +494,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_report(args: &Args) -> Result<(), CliError> {
-    let (ctx, _report) = execute(args)?;
+    let (ctx, _report) = execute(args, load_profile(args)?)?;
     match args.get_opt("format").as_deref() {
         None | Some("text") => print!("{}", ctx.observer().render()),
         Some("prom") => print!(
@@ -621,7 +517,7 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_trace(args: &Args) -> Result<(), CliError> {
-    let (ctx, _report) = execute(args)?;
+    let (ctx, _report) = execute(args, load_profile(args)?)?;
     let out = get(args, "out")?;
     let entries = ctx.gpu().trace().entries();
     match args.get_opt("format").as_deref() {
@@ -646,51 +542,29 @@ fn cmd_trace(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_gantt(args: &Args) -> Result<(), CliError> {
-    let tb = testbed(args)?;
-    let dims = args.get_usize_list("dims").map_err(CliError::Usage)?;
-    if dims.len() != 3 {
-        return Err(CliError::Usage("gantt needs --dims M N K".into()));
-    }
-    let tile: usize = get(args, "tile")?
-        .parse()
-        .map_err(|_| CliError::Usage("bad tile".to_owned()))?;
-    let width: usize = args
-        .get_opt("width")
-        .map(|w| {
-            w.parse()
-                .map_err(|_| CliError::Usage("bad width".to_owned()))
-        })
-        .transpose()?
-        .unwrap_or(100);
-    let dummy = SystemProfile::new(
+/// A profile without exec tables, for runs at a fixed tile.
+fn dummy_profile() -> SystemProfile {
+    let zero = cocopelia_core::transfer::LatBw { t_l: 0.0, t_b: 0.0 };
+    SystemProfile::new(
         "cli",
         cocopelia_core::transfer::TransferModel {
-            h2d: cocopelia_core::transfer::LatBw { t_l: 0.0, t_b: 0.0 },
-            d2h: cocopelia_core::transfer::LatBw { t_l: 0.0, t_b: 0.0 },
+            h2d: zero,
+            d2h: zero,
             sl_h2d: 1.0,
             sl_d2h: 1.0,
         },
-    );
-    let mut ctx = Cocopelia::new(Gpu::new(tb, ExecMode::TimingOnly, 3), dummy);
-    GemmRequest::new(
-        MatOperand::<f64>::HostGhost {
-            rows: dims[0],
-            cols: dims[2],
-        },
-        MatOperand::HostGhost {
-            rows: dims[2],
-            cols: dims[1],
-        },
-        MatOperand::HostGhost {
-            rows: dims[0],
-            cols: dims[1],
-        },
     )
-    .alpha(1.0)
-    .beta(1.0)
-    .tile(TileChoice::Fixed(tile))
-    .run(&mut ctx)?;
+}
+
+fn cmd_gantt(args: &Args) -> Result<(), CliError> {
+    let tb = testbed(args)?;
+    let dims = args.get_usize_list("dims").map_err(CliError::Usage)?;
+    let spec = ProblemSpec::parse("dgemm", &dims, &[])
+        .map_err(|_| CliError::Usage("gantt needs --dims M N K".into()))?;
+    let tile = parse_value("tile", &get(args, "tile")?, |_| true)?;
+    let width = args.value("width", |_| true)?.unwrap_or(100);
+    let gpu = Gpu::new(tb, ExecMode::TimingOnly, 3);
+    let (ctx, _report) = run_problem(gpu, dummy_profile(), &spec, TileChoice::Fixed(tile))?;
     println!(
         "{}",
         cocopelia_obs::gantt::render(ctx.gpu().trace().entries(), width)
@@ -730,17 +604,7 @@ fn serve_comparison(
     trace_spans: bool,
 ) -> Result<(cocopelia_xp::ServeComparison, FaultSpec), CliError> {
     let tb = testbed(args)?;
-    let devices: usize = args
-        .get_opt("devices")
-        .map(|d| {
-            d.parse()
-                .map_err(|_| CliError::Usage(format!("bad --devices value `{d}`")))
-        })
-        .transpose()?
-        .unwrap_or(2);
-    if devices == 0 {
-        return Err(CliError::Usage("--devices must be at least 1".into()));
-    }
+    let devices = args.value("devices", |n: &usize| *n > 0)?.unwrap_or(2);
     let trace = match args.get_opt("trace") {
         Some(path) => {
             let text = read_file(&path)?;
@@ -754,49 +618,14 @@ fn serve_comparison(
         Some(p) => cocopelia_runtime::serve::SchedulePolicy::parse(&p).map_err(CliError::Usage)?,
         None => cocopelia_runtime::serve::SchedulePolicy::Fifo,
     };
-    let parse_ms = |key: &str| -> Result<Option<cocopelia_gpusim::SimTime>, CliError> {
-        args.get_opt(key)
-            .map(|ms| {
-                ms.parse::<f64>()
-                    .ok()
-                    .filter(|v| *v > 0.0)
-                    .map(|v| cocopelia_gpusim::SimTime::from_secs_f64(v * 1e-3))
-                    .ok_or_else(|| CliError::Usage(format!("bad --{key} value `{ms}`")))
-            })
-            .transpose()
-    };
-    let watch = watch_options(args, parse_ms("window-ms")?)?;
-    let seed: u64 = args
-        .get_opt("seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage(format!("bad --seed value `{s}`")))
-        })
-        .transpose()?
-        .unwrap_or(1);
+    let watch = watch_options(args)?;
+    let seed = args.value("seed", |_| true)?.unwrap_or(1);
     let arrivals = args
         .get_opt("arrivals")
         .map(|s| cocopelia_xp::ArrivalSpec::parse(&s, seed).map_err(CliError::Usage))
         .transpose()?;
-    let queue_cap = args
-        .get_opt("queue-cap")
-        .map(|s| {
-            s.parse::<usize>()
-                .ok()
-                .filter(|n| *n > 0)
-                .ok_or_else(|| CliError::Usage(format!("bad --queue-cap value `{s}`")))
-        })
-        .transpose()?;
-    let shed_flow_secs = args
-        .get_opt("shed-flow-ms")
-        .map(|s| {
-            s.parse::<f64>()
-                .ok()
-                .filter(|v| *v > 0.0)
-                .map(|v| v * 1e-3)
-                .ok_or_else(|| CliError::Usage(format!("bad --shed-flow-ms value `{s}`")))
-        })
-        .transpose()?;
+    let queue_cap = args.value("queue-cap", |n: &usize| *n > 0)?;
+    let shed_flow_secs = args.value("shed-flow-ms", positive)?.map(|ms| ms * 1e-3);
     let coalesce = args.has_flag("coalesce");
     if arrivals.is_none() {
         if queue_cap.is_some() {
@@ -870,8 +699,8 @@ fn serve_comparison(
 /// but `--trace-out` without `--watch` is a usage error.
 fn watch_options(
     args: &Args,
-    window: Option<cocopelia_gpusim::SimTime>,
 ) -> Result<Option<cocopelia_runtime::serve::TelemetryConfig>, CliError> {
+    let window_ms = args.value("window-ms", positive)?;
     if !args.has_flag("watch") {
         for key in ["slo", "ring", "window-ms"] {
             if args.get_opt(key).is_some() {
@@ -881,18 +710,14 @@ fn watch_options(
         return Ok(None);
     }
     let mut cfg = cocopelia_runtime::serve::TelemetryConfig::default();
-    if let Some(window) = window {
-        cfg.window = window;
+    if let Some(ms) = window_ms {
+        cfg.window = cocopelia_gpusim::SimTime::from_secs_f64(ms * 1e-3);
     }
     if let Some(slos) = args.get_opt("slo") {
         cfg.slos = cocopelia_obs::SloSpec::parse_list(&slos).map_err(CliError::Usage)?;
     }
-    if let Some(ring) = args.get_opt("ring") {
-        cfg.recorder_cap = ring
-            .parse::<usize>()
-            .ok()
-            .filter(|n| *n > 0)
-            .ok_or_else(|| CliError::Usage(format!("bad --ring value `{ring}`")))?;
+    if let Some(ring) = args.value("ring", |n: &usize| *n > 0)? {
+        cfg.recorder_cap = ring;
     }
     if let Some(path) = args.get_opt("trace-out") {
         if is_perfetto_path(&path) {
@@ -975,16 +800,8 @@ fn cmd_metrics(args: &Args) -> Result<(), CliError> {
 /// time columns with glyphs for copies, kernels, retries, and
 /// quarantines. `--trace-out` exports the trace alongside.
 fn cmd_timeline(args: &Args) -> Result<(), CliError> {
-    let width: usize = args
-        .get_opt("width")
-        .map(|w| {
-            w.parse()
-                .map_err(|_| CliError::Usage(format!("bad --width value `{w}`")))
-        })
-        .transpose()?
-        .unwrap_or(96);
     let opts = cocopelia_obs::timeline::TimelineOptions {
-        width,
+        width: args.value("width", |_| true)?.unwrap_or(96),
         color: args.has_flag("color"),
     };
     let (cmp, _fault_spec) = serve_comparison(args, true)?;
@@ -1000,9 +817,18 @@ fn cmd_timeline(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `v` parsed as the value of `--key` and accepted by `valid`; anything
+/// else is the usage error "bad --key value `v`".
+fn parse_value<T: FromStr>(key: &str, v: &str, valid: impl Fn(&T) -> bool) -> Result<T, CliError> {
+    v.parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| CliError::Usage(format!("bad --{key} value `{v}`")))
+}
+
 /// Minimal `--key value` / `--flag` parser (kept dependency-free).
-mod args_impl {
-    use super::HashMap;
+mod args {
+    use super::{parse_value, CliError, FromStr, HashMap};
 
     #[derive(Debug, Default)]
     pub struct Args {
@@ -1045,6 +871,17 @@ mod args_impl {
             self.values.get(key).map(|v| v.join(" "))
         }
 
+        /// `--key` through [`parse_value`], or `None` when absent.
+        pub fn value<T: FromStr>(
+            &self,
+            key: &str,
+            valid: impl Fn(&T) -> bool,
+        ) -> Result<Option<T>, CliError> {
+            self.get_opt(key)
+                .map(|v| parse_value(key, &v, valid))
+                .transpose()
+        }
+
         pub fn get_usize_list(&self, key: &str) -> Result<Vec<usize>, String> {
             let vals = self
                 .values
@@ -1071,11 +908,6 @@ mod args_impl {
             }
         }
     }
-}
-
-mod args {
-    //! Re-export of the dependency-free argument parser.
-    pub use super::args_impl::Args;
 }
 
 #[cfg(test)]
@@ -1355,6 +1187,47 @@ mod tests {
                 assert!(accepted.contains(&flag.as_str()), "{cmd} rejects --{flag}");
             }
         }
+    }
+
+    /// The routine `flags` name, run as `run` runs it at `--tile 512` on
+    /// Testbed I with the exec-table-free profile `gantt` runs on.
+    fn executed(flags: &str) -> cocopelia_runtime::Cocopelia {
+        let args = Args::parse(&argv(&format!("--testbed i --tile 512 {flags}"))).expect("parses");
+        super::execute(&args, super::dummy_profile())
+            .expect("runs")
+            .0
+    }
+
+    #[test]
+    fn sgemm_runs_single_precision_kernels() {
+        use cocopelia_gpusim::KernelShape;
+        let ctx = executed("--routine sgemm --dims 1024 1024 1024");
+        let dtypes: Vec<_> = ctx
+            .gpu()
+            .trace()
+            .entries()
+            .iter()
+            .filter_map(|e| match e.kernel() {
+                Some(KernelShape::Gemm { dtype, .. }) => Some(dtype),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(dtypes.len(), 8, "2x2x2 sub-kernels");
+        assert!(dtypes.iter().all(|d| *d == cocopelia_hostblas::Dtype::F32));
+    }
+
+    #[test]
+    fn device_resident_operands_move_no_h2d_bytes() {
+        let h2d = |loc: &str| {
+            executed(&format!(
+                "--routine dgemm --dims 1024 1024 1024 --loc {loc}"
+            ))
+            .gpu()
+            .trace()
+            .bytes_moved(cocopelia_gpusim::EngineKind::CopyH2d)
+        };
+        assert_eq!(h2d("DDD"), 0);
+        assert_eq!(h2d("HHH"), 3 * 1024 * 1024 * 8);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! let exec = ExecTable::new(vec![(512, 4e-4), (1024, 2.9e-3), (2048, 2.2e-2)]);
 //! let ctx = ModelCtx { problem: &problem, transfer: &transfer, exec: &exec,
 //!     full_kernel_time: None };
-//! let best = TileSelector::default().select(ModelKind::DataReuse, &ctx)?;
+//! let best = TileSelector.select(ModelKind::DataReuse, &ctx)?;
 //! println!("T_best = {} (predicted {:.3}s)", best.tile, best.prediction.total);
 //! # Ok(())
 //! # }

@@ -54,6 +54,17 @@ impl RoutineClass {
     }
 }
 
+/// The routine/precision pairs [`ProblemSpec::parse`] accepts by their
+/// canonical names (`dgemm`, `sgemm`, `daxpy`, `ddot`, `dgemv`): the
+/// pairs the runtime has a request for.
+pub const ROUTINES: [(RoutineClass, Dtype); 5] = [
+    (RoutineClass::Gemm, Dtype::F64),
+    (RoutineClass::Gemm, Dtype::F32),
+    (RoutineClass::Axpy, Dtype::F64),
+    (RoutineClass::Dot, Dtype::F64),
+    (RoutineClass::Gemv, Dtype::F64),
+];
+
 /// Initial residence of an operand's data (§III-A2: iterative workloads may
 /// leave operands on the device).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -300,6 +311,38 @@ impl ProblemSpec {
         }
     }
 
+    /// Describes the routine named `routine` (one of [`ROUTINES`]) over
+    /// `dims` (`M N K` for gemm, `M N` for gemv, `N` for the level-1
+    /// routines). Operand `i` starts at `locs[i]`, or on the host past the
+    /// end of `locs`. Gemm's `C` and gemv's `y` are inputs (`β ≠ 0`).
+    ///
+    /// # Errors
+    ///
+    /// An unknown routine name, or a dims count the routine does not take.
+    pub fn parse(routine: &str, dims: &[usize], locs: &[Loc]) -> Result<Self, String> {
+        let &(class, dtype) = ROUTINES
+            .iter()
+            .find(|(class, dtype)| class.name(*dtype) == routine)
+            .ok_or_else(|| format!("unknown routine `{routine}`"))?;
+        let need = match class {
+            RoutineClass::Axpy | RoutineClass::Dot => 1,
+            RoutineClass::Gemv => 2,
+            RoutineClass::Gemm => 3,
+        };
+        if dims.len() != need {
+            return Err(format!("{routine} needs {need} dims, got {}", dims.len()));
+        }
+        let l = |i: usize| locs.get(i).copied().unwrap_or(Loc::Host);
+        Ok(match class {
+            RoutineClass::Axpy => Self::axpy(dtype, dims[0], l(0), l(1)),
+            RoutineClass::Dot => Self::dot(dtype, dims[0], l(0), l(1)),
+            RoutineClass::Gemv => Self::gemv(dtype, dims[0], dims[1], l(0), l(1), l(2), true),
+            RoutineClass::Gemm => {
+                Self::gemm(dtype, dims[0], dims[1], dims[2], l(0), l(1), l(2), true)
+            }
+        })
+    }
+
     /// Problem dimensions as a compact vector (`D1[, D2[, D3]]`).
     pub fn dims(&self) -> Vec<usize> {
         let mut v = vec![self.d1];
@@ -450,6 +493,29 @@ mod tests {
         assert_eq!(RoutineClass::Gemm.name(Dtype::F64), "dgemm");
         assert_eq!(RoutineClass::Axpy.name(Dtype::F32), "saxpy");
         assert_eq!(RoutineClass::Gemm.level(), BlasLevel::L3);
+    }
+
+    #[test]
+    fn parse_names_dims_and_locations() {
+        let p = ProblemSpec::parse("sgemm", &[64, 32, 16], &[Loc::Host, Loc::Device]);
+        let want = ProblemSpec::gemm(
+            Dtype::F32,
+            64,
+            32,
+            16,
+            Loc::Host,
+            Loc::Device,
+            Loc::Host,
+            true,
+        );
+        assert_eq!(p, Ok(want));
+        for (routine, dims, err) in [
+            ("zgemm", &[1][..], "unknown routine `zgemm`"),
+            ("saxpy", &[1], "unknown routine `saxpy`"),
+            ("dgemv", &[8], "dgemv needs 2 dims, got 1"),
+        ] {
+            assert_eq!(ProblemSpec::parse(routine, dims, &[]), Err(err.to_owned()));
+        }
     }
 
     #[test]

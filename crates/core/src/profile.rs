@@ -78,10 +78,7 @@ impl SystemProfile {
         };
         match tile {
             Some(t) => predict(model, &ctx, t).ok(),
-            None => TileSelector::default()
-                .select(model, &ctx)
-                .ok()
-                .map(|s| s.prediction),
+            None => TileSelector.select(model, &ctx).ok().map(|s| s.prediction),
         }
     }
 

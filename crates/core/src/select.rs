@@ -9,23 +9,16 @@
 use crate::models::{predict, ModelCtx, ModelError, ModelKind, Prediction};
 use std::sync::Arc;
 
-/// Tiling-size selection policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TileSelector {
-    /// Smallest tiling size ever considered (paper sweeps from 256).
-    pub min_tile: usize,
-    /// `T ≤ min_dim / constraint_divisor` (paper uses 1.5).
-    pub constraint_divisor: f64,
-}
+/// Smallest tiling size ever considered (the paper sweeps from 256).
+const MIN_TILE: usize = 256;
 
-impl Default for TileSelector {
-    fn default() -> Self {
-        TileSelector {
-            min_tile: 256,
-            constraint_divisor: 1.5,
-        }
-    }
-}
+/// `T ≤ min_dim / CONSTRAINT_DIVISOR` (§V-B).
+const CONSTRAINT_DIVISOR: f64 = 1.5;
+
+/// The `CoCoPeLia_select` policy: the exec table's grid from `T = 256`
+/// under the paper's `T ≤ min_dim / 1.5` constraint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TileSelector;
 
 /// Outcome of a tile selection.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,11 +42,11 @@ impl TileSelector {
     /// problems still get a usable tile.
     pub fn candidates(&self, ctx: &ModelCtx<'_>) -> Vec<usize> {
         let min_dim = ctx.problem.min_dim();
-        let cap = (min_dim as f64 / self.constraint_divisor).floor() as usize;
+        let cap = (min_dim as f64 / CONSTRAINT_DIVISOR).floor() as usize;
         let mut grid: Vec<usize> = ctx
             .exec
             .tile_sizes()
-            .filter(|&t| t >= self.min_tile && t <= cap)
+            .filter(|&t| t >= MIN_TILE && t <= cap)
             .collect();
         if !grid.is_empty() {
             // Non-square problems: a tile spanning the whole short dimension
@@ -113,7 +106,7 @@ mod tests {
             exec: &ex,
             full_kernel_time: None,
         };
-        let sel = TileSelector::default();
+        let sel = TileSelector;
         let cands = sel.candidates(&ctx);
         // 1024/1.5 = 682 -> only 256 and 512 qualify.
         assert_eq!(cands, vec![256, 512]);
@@ -130,7 +123,7 @@ mod tests {
             exec: &ex,
             full_kernel_time: None,
         };
-        let cands = TileSelector::default().candidates(&ctx);
+        let cands = TileSelector.candidates(&ctx);
         assert_eq!(cands, vec![256]);
     }
 
@@ -145,7 +138,7 @@ mod tests {
             exec: &ex,
             full_kernel_time: None,
         };
-        assert_eq!(TileSelector::default().candidates(&ctx), vec![100]);
+        assert_eq!(TileSelector.candidates(&ctx), vec![100]);
     }
 
     #[test]
@@ -159,7 +152,7 @@ mod tests {
             exec: &ex,
             full_kernel_time: None,
         };
-        let sel = TileSelector::default()
+        let sel = TileSelector
             .select(crate::models::ModelKind::DataReuse, &ctx)
             .expect("selects");
         assert!(!sel.evaluated.is_empty());
@@ -180,7 +173,7 @@ mod tests {
             exec: &ex,
             full_kernel_time: None,
         };
-        let sel = TileSelector::default()
+        let sel = TileSelector
             .select(crate::models::ModelKind::DataReuse, &ctx)
             .expect("selects");
         let copy = sel.clone();
@@ -199,7 +192,7 @@ mod tests {
             exec: &ex,
             full_kernel_time: None,
         };
-        let sel = TileSelector::default()
+        let sel = TileSelector
             .select(crate::models::ModelKind::Bts, &ctx)
             .expect("selects");
         let tiles: Vec<usize> = sel.evaluated.iter().map(|e| e.tile).collect();

@@ -132,7 +132,7 @@ proptest! {
         let ex = exec_table(1.0 / 5e12);
         let tr = transfer(bw, 1.2, 1.4);
         let ctx = ModelCtx { problem: &p, transfer: &tr, exec: &ex, full_kernel_time: None };
-        let selector = TileSelector::default();
+        let selector = TileSelector;
         let cands = selector.candidates(&ctx);
         let sel = selector.select(ModelKind::DataReuse, &ctx).expect("selects");
         prop_assert!(cands.contains(&sel.tile));

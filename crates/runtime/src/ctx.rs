@@ -9,7 +9,7 @@ use crate::request::{
 };
 use crate::scheduler::{axpy, dot, gemm, gemv, RunStats, Streams};
 use cocopelia_core::models::{ModelCtx, ModelKind};
-use cocopelia_core::params::{Loc, ProblemSpec, RoutineClass};
+use cocopelia_core::params::{Loc, Operand, ProblemSpec, RoutineClass};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::select::{Selection, TileSelector};
 use cocopelia_gpusim::{CopyDesc, DevBufId, Gpu, HostBufId, SimScalar, SimTime};
@@ -149,7 +149,6 @@ pub struct VecResult<T> {
 pub struct Cocopelia {
     gpu: Gpu,
     profile: SystemProfile,
-    selector: TileSelector,
     streams: Option<Streams>,
     cache: HashMap<SelectKey, Selection>,
     obs: Observer,
@@ -162,17 +161,11 @@ impl Cocopelia {
         Cocopelia {
             gpu,
             profile,
-            selector: TileSelector::default(),
             streams: None,
             cache: HashMap::new(),
             obs: Observer::new(),
             retry: RetryPolicy::default(),
         }
-    }
-
-    /// Replaces the tile-selection policy.
-    pub fn set_selector(&mut self, selector: TileSelector) {
-        self.selector = selector;
     }
 
     /// Replaces the tile-level retry/backoff policy applied to transient
@@ -259,7 +252,7 @@ impl Cocopelia {
             exec,
             full_kernel_time: None,
         };
-        let sel = self.selector.select(model, &ctx)?;
+        let sel = TileSelector.select(model, &ctx)?;
         self.cache.insert(key, sel.clone());
         Ok(sel)
     }
@@ -499,6 +492,67 @@ impl Cocopelia {
             RoutineRequest::DotF64(r) => Ok(self.run_dot(r)?.report),
             RoutineRequest::GemvF64(r) => Ok(self.run_gemv(r)?.report),
         }
+    }
+
+    /// The request `spec` describes, on operands without data: each
+    /// operand is built by [`MatOperand::ghost`]/[`VecOperand::ghost`] on
+    /// this handle's device, in operand order. Gemm and gemv get `β = 1`
+    /// exactly when `C`/`y` is an input; `α` is 1. The inverse of
+    /// [`RoutineRequest::problem_spec`].
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::UnsupportedRoutine`] when no request variant runs
+    /// `spec`'s routine at its precision (or `spec` lists the wrong number
+    /// of operands), and out-of-memory for device-resident operands.
+    pub fn ghost_request(
+        &mut self,
+        spec: &ProblemSpec,
+        tile: TileChoice,
+    ) -> Result<RoutineRequest, RuntimeError> {
+        let gpu = &mut self.gpu;
+        let beta = |out: &Operand| if out.input { 1.0 } else { 0.0 };
+        Ok(match (spec.routine, spec.dtype, spec.operands.as_slice()) {
+            (RoutineClass::Gemm, Dtype::F64, [a, b, c]) => GemmRequest::<f64>::new(
+                MatOperand::ghost(gpu, a)?,
+                MatOperand::ghost(gpu, b)?,
+                MatOperand::ghost(gpu, c)?,
+            )
+            .beta(beta(c))
+            .tile(tile)
+            .into(),
+            (RoutineClass::Gemm, Dtype::F32, [a, b, c]) => GemmRequest::<f32>::new(
+                MatOperand::ghost(gpu, a)?,
+                MatOperand::ghost(gpu, b)?,
+                MatOperand::ghost(gpu, c)?,
+            )
+            .beta(beta(c))
+            .tile(tile)
+            .into(),
+            (RoutineClass::Axpy, Dtype::F64, [x, y]) => {
+                AxpyRequest::<f64>::new(VecOperand::ghost(gpu, x)?, VecOperand::ghost(gpu, y)?)
+                    .tile(tile)
+                    .into()
+            }
+            (RoutineClass::Dot, Dtype::F64, [x, y]) => {
+                DotRequest::<f64>::new(VecOperand::ghost(gpu, x)?, VecOperand::ghost(gpu, y)?)
+                    .tile(tile)
+                    .into()
+            }
+            (RoutineClass::Gemv, Dtype::F64, [a, x, y]) => GemvRequest::<f64>::new(
+                MatOperand::ghost(gpu, a)?,
+                VecOperand::ghost(gpu, x)?,
+                VecOperand::ghost(gpu, y)?,
+            )
+            .beta(beta(y))
+            .tile(tile)
+            .into(),
+            _ => {
+                return Err(RuntimeError::UnsupportedRoutine {
+                    routine: spec.routine.name(spec.dtype),
+                })
+            }
+        })
     }
 
     /// Copies a host matrix into device memory and returns a resident

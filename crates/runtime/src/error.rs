@@ -26,6 +26,11 @@ pub enum RuntimeError {
     NotFunctional,
     /// The underlying simulated device reported a failure.
     Sim(SimError),
+    /// No request variant runs the routine at the requested precision.
+    UnsupportedRoutine {
+        /// Canonical routine name, e.g. `"saxpy"`.
+        routine: String,
+    },
     /// A request referenced a shared residency-cache operand outside an
     /// executor (direct `submit`/`run` calls take inline operands only).
     SharedOperand {
@@ -92,6 +97,9 @@ impl fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::Sim(e) => write!(f, "device error: {e}"),
+            RuntimeError::UnsupportedRoutine { routine } => {
+                write!(f, "no routine request runs {routine}")
+            }
             RuntimeError::SharedOperand { key } => {
                 write!(
                     f,

@@ -1,8 +1,9 @@
 //! User-facing operand descriptions: where each matrix/vector lives and
 //! whether it carries data.
 
-use cocopelia_core::params::Loc;
-use cocopelia_gpusim::DevBufId;
+use crate::error::RuntimeError;
+use cocopelia_core::params::{Loc, Operand};
+use cocopelia_gpusim::{DevBufId, Gpu, SimScalar};
 use cocopelia_hostblas::Matrix;
 
 /// A matrix already resident in device memory (packed column-major,
@@ -115,6 +116,26 @@ impl<T: cocopelia_hostblas::Scalar> MatOperand<T> {
     }
 }
 
+impl<T: SimScalar> MatOperand<T> {
+    /// The matrix `op` describes, without data: a host ghost, or a fresh
+    /// allocation on `gpu` when `op` starts on the device.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-memory (and device loss) for a device-resident `op`.
+    pub fn ghost(gpu: &mut Gpu, op: &Operand) -> Result<Self, RuntimeError> {
+        let (rows, cols) = (op.rows, op.cols);
+        Ok(match op.loc {
+            Loc::Host => MatOperand::HostGhost { rows, cols },
+            Loc::Device => MatOperand::Device(DeviceMatrix {
+                buf: gpu.alloc_device(T::DTYPE, rows * cols)?,
+                rows,
+                cols,
+            }),
+        })
+    }
+}
+
 /// A vector operand of a routine call.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VecOperand<T> {
@@ -150,6 +171,25 @@ impl<T: cocopelia_hostblas::Scalar> VecOperand<T> {
             VecOperand::Host(_) | VecOperand::HostGhost { .. } => Loc::Host,
             VecOperand::Device(_) => Loc::Device,
         }
+    }
+}
+
+impl<T: SimScalar> VecOperand<T> {
+    /// The vector `op` describes (`op.rows` elements), without data; see
+    /// [`MatOperand::ghost`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`MatOperand::ghost`].
+    pub fn ghost(gpu: &mut Gpu, op: &Operand) -> Result<Self, RuntimeError> {
+        let len = op.rows;
+        Ok(match op.loc {
+            Loc::Host => VecOperand::HostGhost { len },
+            Loc::Device => VecOperand::Device(DeviceVector {
+                buf: gpu.alloc_device(T::DTYPE, len)?,
+                len,
+            }),
+        })
     }
 }
 

@@ -3,13 +3,12 @@
 
 use crate::sets::{AxpyProblem, GemmProblem};
 use cocopelia_core::models::{predict, ModelCtx, ModelKind, Prediction};
+use cocopelia_core::params::ProblemSpec;
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_deploy::{measure_full_kernel, CiConfig, DeployConfig};
 use cocopelia_gpusim::{ExecMode, Gpu, KernelShape, TestbedSpec};
 use cocopelia_hostblas::Dtype;
-use cocopelia_runtime::{
-    Cocopelia, DeviceMatrix, DeviceVector, MatOperand, RuntimeError, TileChoice, VecOperand,
-};
+use cocopelia_runtime::{Cocopelia, MatOperand, RuntimeError, TileChoice, VecOperand};
 
 /// A deployed laboratory: a testbed plus its fitted profile.
 #[derive(Debug, Clone)]
@@ -115,40 +114,14 @@ impl Lab {
         seed: u64,
     ) -> Result<RunOut, RuntimeError> {
         let mut gpu = Gpu::new(self.testbed.clone(), ExecMode::TimingOnly, seed);
-        let mk = |gpu: &mut Gpu,
-                  loc: cocopelia_core::params::Loc,
-                  rows: usize,
-                  cols: usize|
-         -> Result<MatOperand<T>, RuntimeError> {
-            match loc {
-                cocopelia_core::params::Loc::Host => Ok(MatOperand::HostGhost { rows, cols }),
-                cocopelia_core::params::Loc::Device => {
-                    let buf = gpu.alloc_device(T::DTYPE, rows * cols)?;
-                    Ok(MatOperand::Device(DeviceMatrix::from_raw(buf, rows, cols)))
-                }
-            }
-        };
+        let spec = p.spec();
+        let ops = &spec.operands;
         match lib {
-            GemmLib::Cocopelia(choice) => {
-                let mut ctx = Cocopelia::new(gpu, self.profile.clone());
-                let a = mk(ctx.gpu_mut(), p.loc_a, p.m, p.k)?;
-                let b = mk(ctx.gpu_mut(), p.loc_b, p.k, p.n)?;
-                let c = mk(ctx.gpu_mut(), p.loc_c, p.m, p.n)?;
-                let out = cocopelia_runtime::GemmRequest::new(a, b, c)
-                    .alpha(1.0)
-                    .beta(1.0)
-                    .tile(choice)
-                    .run(&mut ctx)?;
-                Ok(RunOut {
-                    secs: out.report.elapsed.as_secs_f64(),
-                    gflops: out.report.gflops(),
-                    tile: out.report.tile,
-                })
-            }
+            GemmLib::Cocopelia(choice) => self.run_cocopelia(gpu, &spec, choice),
             GemmLib::CublasXt(tile) => {
-                let a = mk(&mut gpu, p.loc_a, p.m, p.k)?;
-                let b = mk(&mut gpu, p.loc_b, p.k, p.n)?;
-                let c = mk(&mut gpu, p.loc_c, p.m, p.n)?;
+                let a = MatOperand::ghost(&mut gpu, &ops[0])?;
+                let b = MatOperand::ghost(&mut gpu, &ops[1])?;
+                let c = MatOperand::ghost(&mut gpu, &ops[2])?;
                 let out =
                     cocopelia_baselines::cublasxt::gemm::<T>(&mut gpu, 1.0, a, b, 1.0, c, tile)?;
                 Ok(RunOut {
@@ -159,9 +132,9 @@ impl Lab {
             }
             GemmLib::Blasx => {
                 let mut blasx = cocopelia_baselines::Blasx::new(gpu);
-                let a = mk(blasx.gpu_mut(), p.loc_a, p.m, p.k)?;
-                let b = mk(blasx.gpu_mut(), p.loc_b, p.k, p.n)?;
-                let c = mk(blasx.gpu_mut(), p.loc_c, p.m, p.n)?;
+                let a = MatOperand::ghost(blasx.gpu_mut(), &ops[0])?;
+                let b = MatOperand::ghost(blasx.gpu_mut(), &ops[1])?;
+                let c = MatOperand::ghost(blasx.gpu_mut(), &ops[2])?;
                 let tile = blasx.tile();
                 let out = blasx.gemm::<T>(1.0, a, b, 1.0, c)?;
                 Ok(RunOut {
@@ -171,9 +144,9 @@ impl Lab {
                 })
             }
             GemmLib::Serial => {
-                let a = mk(&mut gpu, p.loc_a, p.m, p.k)?;
-                let b = mk(&mut gpu, p.loc_b, p.k, p.n)?;
-                let c = mk(&mut gpu, p.loc_c, p.m, p.n)?;
+                let a = MatOperand::ghost(&mut gpu, &ops[0])?;
+                let b = MatOperand::ghost(&mut gpu, &ops[1])?;
+                let c = MatOperand::ghost(&mut gpu, &ops[2])?;
                 let out = cocopelia_baselines::serial::gemm::<T>(&mut gpu, 1.0, a, b, 1.0, c)?;
                 Ok(RunOut {
                     secs: out.elapsed.as_secs_f64(),
@@ -196,36 +169,12 @@ impl Lab {
         seed: u64,
     ) -> Result<RunOut, RuntimeError> {
         let mut gpu = Gpu::new(self.testbed.clone(), ExecMode::TimingOnly, seed);
-        let mk = |gpu: &mut Gpu,
-                  loc: cocopelia_core::params::Loc,
-                  len: usize|
-         -> Result<VecOperand<f64>, RuntimeError> {
-            match loc {
-                cocopelia_core::params::Loc::Host => Ok(VecOperand::HostGhost { len }),
-                cocopelia_core::params::Loc::Device => {
-                    let buf = gpu.alloc_device(Dtype::F64, len)?;
-                    Ok(VecOperand::Device(DeviceVector::from_raw(buf, len)))
-                }
-            }
-        };
+        let spec = p.spec();
         match lib {
-            AxpyLib::Cocopelia(choice) => {
-                let mut ctx = Cocopelia::new(gpu, self.profile.clone());
-                let x = mk(ctx.gpu_mut(), p.loc_x, p.n)?;
-                let y = mk(ctx.gpu_mut(), p.loc_y, p.n)?;
-                let out = cocopelia_runtime::AxpyRequest::new(x, y)
-                    .alpha(1.5)
-                    .tile(choice)
-                    .run(&mut ctx)?;
-                Ok(RunOut {
-                    secs: out.report.elapsed.as_secs_f64(),
-                    gflops: out.report.gflops(),
-                    tile: out.report.tile,
-                })
-            }
+            AxpyLib::Cocopelia(choice) => self.run_cocopelia(gpu, &spec, choice),
             AxpyLib::UnifiedPrefetch => {
-                let x = mk(&mut gpu, p.loc_x, p.n)?;
-                let y = mk(&mut gpu, p.loc_y, p.n)?;
+                let x = VecOperand::ghost(&mut gpu, &spec.operands[0])?;
+                let y = VecOperand::ghost(&mut gpu, &spec.operands[1])?;
                 let out = cocopelia_baselines::unified::daxpy_prefetch(
                     &mut gpu,
                     1.5,
@@ -240,6 +189,24 @@ impl Lab {
                 })
             }
         }
+    }
+
+    /// Runs `spec` through the CoCoPeLia runtime on `gpu`, built by the one
+    /// request constructor.
+    fn run_cocopelia(
+        &self,
+        gpu: Gpu,
+        spec: &ProblemSpec,
+        tile: TileChoice,
+    ) -> Result<RunOut, RuntimeError> {
+        let mut ctx = Cocopelia::new(gpu, self.profile.clone());
+        let req = ctx.ghost_request(spec, tile)?;
+        let report = ctx.submit(req)?;
+        Ok(RunOut {
+            secs: report.elapsed.as_secs_f64(),
+            gflops: report.gflops(),
+            tile: report.tile,
+        })
     }
 
     /// Evaluates `model` for gemm problem `p` at tiling size `t`.

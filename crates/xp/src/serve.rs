@@ -11,6 +11,7 @@
 //! own [`ServeOptions`]; `run_serve` adds only what a session cannot know:
 //! the pool's fault plans, the arrival process and the trace.
 
+use cocopelia_core::params::ProblemSpec;
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{
     DegradeWindow, ExecMode, FaultSpec, NoiseSpec, SimScalar, SimTime, TestbedSpec,
@@ -528,16 +529,11 @@ fn parse_request_line(line: &str) -> Result<RoutineRequest, String> {
     let deadline: Option<f64> = opt(opts, "deadline=")
         .map(|d| d.parse().map_err(|_| format!("bad deadline `{d}`")))
         .transpose()?;
-    let need = |n: usize| {
-        if dims.len() == n {
-            Ok(())
-        } else {
-            Err(format!("{routine} needs {n} dims, got {}", dims.len()))
-        }
-    };
+    // Shared operands have no `ProblemSpec` form: the parse only checks
+    // the routine name and its dims count.
+    ProblemSpec::parse(routine, &dims, &[])?;
     let req: RoutineRequest = match *routine {
         "dgemm" | "sgemm" => {
-            need(3)?;
             let (m, n, k) = (dims[0], dims[1], dims[2]);
             let (a, b, c) = (opt(opts, "a="), opt(opts, "b="), opt(opts, "c="));
             if *routine == "dgemm" {
@@ -561,7 +557,6 @@ fn parse_request_line(line: &str) -> Result<RoutineRequest, String> {
             }
         }
         "daxpy" => {
-            need(1)?;
             let n = dims[0];
             let mut r =
                 AxpyRequest::<f64>::new(vec_arg(opt(opts, "x="), n), vec_arg(opt(opts, "y="), n))
@@ -573,7 +568,6 @@ fn parse_request_line(line: &str) -> Result<RoutineRequest, String> {
             r.into()
         }
         "ddot" => {
-            need(1)?;
             let n = dims[0];
             let mut r =
                 DotRequest::<f64>::new(vec_arg(opt(opts, "x="), n), vec_arg(opt(opts, "y="), n))
@@ -584,7 +578,6 @@ fn parse_request_line(line: &str) -> Result<RoutineRequest, String> {
             r.into()
         }
         "dgemv" => {
-            need(2)?;
             let (m, n) = (dims[0], dims[1]);
             let mut r = GemvRequest::<f64>::new(
                 mat(opt(opts, "a="), m, n),
@@ -599,7 +592,7 @@ fn parse_request_line(line: &str) -> Result<RoutineRequest, String> {
             }
             r.into()
         }
-        other => return Err(format!("unknown routine `{other}`")),
+        other => return Err(format!("no request for `{other}`")),
     };
     Ok(req)
 }

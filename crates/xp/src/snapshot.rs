@@ -10,13 +10,11 @@
 //! selected tile, tile-cache hit rate, and per-model prediction drift of
 //! one routine call.
 
+use cocopelia_core::params::ProblemSpec;
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{ExecMode, Gpu, NoiseSpec, TestbedSpec};
 use cocopelia_obs::{Snapshot, SnapshotEntry};
-use cocopelia_runtime::{
-    AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, RoutineReport,
-    TileChoice, VecOperand,
-};
+use cocopelia_runtime::{Cocopelia, RoutineReport, TileChoice};
 use std::collections::BTreeMap;
 
 /// Seed for every simulated device in the sweep. The sweep also disables
@@ -60,48 +58,13 @@ pub fn standard_sweep() -> Vec<SweepPoint> {
     ]
 }
 
+/// Runs `p` once, host-resident, at the model-selected tile.
 fn run_point(ctx: &mut Cocopelia, p: &SweepPoint) -> Result<RoutineReport, String> {
-    let ghost = |r: usize, c: usize| MatOperand::<f64>::HostGhost { rows: r, cols: c };
-    let gvec = |n: usize| VecOperand::<f64>::HostGhost { len: n };
-    let report = match p.routine {
-        "dgemm" => {
-            let (m, n, k) = (p.dims[0], p.dims[1], p.dims[2]);
-            GemmRequest::new(ghost(m, k), ghost(k, n), ghost(m, n))
-                .alpha(1.0)
-                .beta(1.0)
-                .tile(TileChoice::Auto)
-                .run(ctx)
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        "daxpy" => {
-            AxpyRequest::new(gvec(p.dims[0]), gvec(p.dims[0]))
-                .alpha(1.5)
-                .tile(TileChoice::Auto)
-                .run(ctx)
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        "ddot" => {
-            DotRequest::new(gvec(p.dims[0]), gvec(p.dims[0]))
-                .tile(TileChoice::Auto)
-                .run(ctx)
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        "dgemv" => {
-            let (m, n) = (p.dims[0], p.dims[1]);
-            GemvRequest::new(ghost(m, n), gvec(n), gvec(m))
-                .alpha(1.0)
-                .beta(1.0)
-                .tile(TileChoice::Auto)
-                .run(ctx)
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        other => return Err(format!("standard sweep has no runner for `{other}`")),
-    };
-    Ok(report)
+    let spec = ProblemSpec::parse(p.routine, &p.dims, &[])?;
+    let req = ctx
+        .ghost_request(&spec, TileChoice::Auto)
+        .map_err(|e| e.to_string())?;
+    ctx.submit(req).map_err(|e| e.to_string())
 }
 
 fn entry_from_report(p: &SweepPoint, report: &RoutineReport) -> SnapshotEntry {

@@ -1,13 +1,16 @@
 //! Contract of the request builders: builder defaults, type-erased
 //! `submit`, and auto selection all produce the same report as the
 //! explicit typed builder on a same-seed fresh device — bit-for-bit in
-//! virtual time, selection, and overlap accounting — and a direct call
-//! refuses shared operands.
+//! virtual time, selection, and overlap accounting — a direct call
+//! refuses shared operands, and `Cocopelia::ghost_request` inverts
+//! `RoutineRequest::problem_spec`.
 
+use cocopelia_core::params::{Loc, ProblemSpec, ROUTINES};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{testbed_i, ExecMode, Gpu, NoiseSpec, TestbedSpec};
+use cocopelia_hostblas::Dtype;
 use cocopelia_runtime::{
     Cocopelia, GemmRequest, MatOperand, RoutineReport, RuntimeError, SharedMat, TileChoice,
 };
@@ -117,5 +120,73 @@ fn direct_submit_rejects_shared_operands() {
     assert!(
         matches!(&err, RuntimeError::SharedOperand { key } if key == "A"),
         "unexpected error: {err}"
+    );
+}
+
+/// Every routine × precision × operand location the name parser accepts
+/// comes back from the one request constructor as the same problem, and
+/// runs.
+#[test]
+fn ghost_request_inverts_problem_spec() {
+    let mut checked = 0;
+    for (class, dtype) in ROUTINES {
+        let name = class.name(dtype);
+        let dims: &[usize] = match name.as_str() {
+            "dgemm" | "sgemm" => &[96, 64, 32],
+            "dgemv" => &[96, 64],
+            _ => &[4096],
+        };
+        let operands = ProblemSpec::parse(&name, dims, &[])
+            .expect("parses")
+            .operands
+            .len();
+        for mask in 0..1u32 << operands {
+            let locs: Vec<Loc> = (0..operands)
+                .map(|i| {
+                    if mask >> i & 1 == 1 {
+                        Loc::Device
+                    } else {
+                        Loc::Host
+                    }
+                })
+                .collect();
+            let spec = ProblemSpec::parse(&name, dims, &locs).expect("parses");
+            let mut ctx = ctx(7);
+            let req = ctx
+                .ghost_request(&spec, TileChoice::Fixed(32))
+                .expect("builds");
+            assert_eq!(req.routine(), name);
+            assert_eq!(req.problem_spec(), spec, "{name} {locs:?}");
+            assert_eq!(req.tile_choice(), TileChoice::Fixed(32));
+            ctx.submit(req).expect("runs");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 8 + 8 + 4 + 4 + 8);
+    // A write-only C (beta = 0) round-trips too.
+    let spec = ProblemSpec::gemm(
+        Dtype::F64,
+        64,
+        64,
+        64,
+        Loc::Host,
+        Loc::Host,
+        Loc::Host,
+        false,
+    );
+    let req = ctx(7)
+        .ghost_request(&spec, TileChoice::Auto)
+        .expect("builds");
+    assert_eq!(req.problem_spec(), spec);
+}
+
+#[test]
+fn ghost_request_names_a_routine_it_cannot_build() {
+    let spec = ProblemSpec::axpy(Dtype::F32, 64, Loc::Host, Loc::Host);
+    assert_eq!(
+        ctx(7).ghost_request(&spec, TileChoice::Auto),
+        Err(RuntimeError::UnsupportedRoutine {
+            routine: "saxpy".to_owned()
+        })
     );
 }

@@ -2,8 +2,9 @@
 //! real executor runs satisfy the span invariants, the Perfetto export
 //! round-trips through the decoder with the track topology viewers
 //! expect, the timeline renders every device and the fault glyphs,
-//! tracing never perturbs virtual timing, and the three standard serve
-//! scenarios (chaos, straggler, open arrivals) replay to pinned goldens.
+//! tracing never perturbs virtual timing, and the standard serve
+//! scenarios (chaos, degraded link, open arrivals, plus a won hedge and a
+//! probation readmission) replay to pinned goldens.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -15,9 +16,10 @@ use cocopelia_obs::{check_spans, ServeTrace, SloSpec, SpanPhase};
 use cocopelia_runtime::serve::{
     HedgeConfig, ProbationConfig, SchedulePolicy, ServeOptions, TelemetryConfig,
 };
+use cocopelia_runtime::RoutineRequest;
 use cocopelia_xp::{
-    chaos_fault_spec, chaos_request_trace, run_serve, standard_request_trace, ArrivalSpec,
-    ServeComparison,
+    chaos_fault_spec, chaos_request_trace, run_serve, standard_request_trace,
+    straggler_fault_plans, straggler_request_trace, ArrivalSpec, ServeComparison,
 };
 
 #[path = "support/golden.rs"]
@@ -293,29 +295,25 @@ fn digest_line(what: &str, bytes: &[u8]) -> String {
     format!("{what} {} fnv1a64={:016x}\n", bytes.len(), fnv1a64(bytes))
 }
 
-/// Serves the standard trace on Testbed I's two-device pool as `cocopelia
-/// serve` does for one scenario, and pins it in `tests/golden/<name>`:
-/// the traced run's report text, the baseline's exact seconds and both
-/// trace exports; with `slos`, also a `--watch` run's window lines,
-/// report text and streamed Perfetto file; last, the summary lines the
-/// CLI prints after the traced run's report. `options` builds the
-/// scenario's serving options afresh for each run.
+/// Serves `trace` on Testbed I's pool under the per-device fault `plans`
+/// as `cocopelia serve` does for one scenario, and pins it in
+/// `tests/golden/<name>`: the traced run's report text, the baseline's
+/// exact seconds and both trace exports; with `slos`, also a `--watch`
+/// run's window lines, report text and streamed Perfetto file; last, the
+/// summary lines the CLI prints after the traced run's report, as for
+/// `--faults` `faults`. `options` builds the scenario's serving options
+/// afresh for each run.
 fn pin_serve_scenario(
     name: &str,
     faults: &FaultSpec,
+    plans: &[FaultSpec],
+    trace: fn() -> Vec<RoutineRequest>,
     arrivals: Option<&ArrivalSpec>,
     options: impl Fn() -> ServeOptions,
     slos: Option<&str>,
 ) {
     let serve = |options: ServeOptions| {
-        run_serve(
-            &testbed_i(),
-            &faults.per_device(2),
-            standard_request_trace(),
-            arrivals,
-            options,
-        )
-        .expect("scenario run succeeds")
+        run_serve(&testbed_i(), plans, trace(), arrivals, options).expect("scenario run succeeds")
     };
     let traced = serve(options().tracing());
     let trace = serve_trace(&traced);
@@ -361,9 +359,12 @@ fn pin_serve_scenario(
 /// retries, quarantine, probes and host fallback.
 #[test]
 fn pinned_chaos_probation_scenario_is_unchanged() {
+    let faults = FaultSpec::parse("seed=3,h2d=0.3,kernel=0.3,lost_after=6").expect("valid faults");
     pin_serve_scenario(
         "serve_chaos_probation.txt",
-        &FaultSpec::parse("seed=3,h2d=0.3,kernel=0.3,lost_after=6").expect("valid faults"),
+        &faults,
+        &faults.per_device(2),
+        standard_request_trace,
         None,
         || ServeOptions::new().probation(probation_5ms()),
         Some(SCENARIO_SLOS),
@@ -374,9 +375,12 @@ fn pinned_chaos_probation_scenario_is_unchanged() {
 /// predictive`: hedged re-dispatch off a degraded link.
 #[test]
 fn pinned_degrade_hedge_scenario_is_unchanged() {
+    let faults = FaultSpec::parse("degrade=0:40:0.05").expect("valid faults");
     pin_serve_scenario(
         "serve_degrade_hedge.txt",
-        &FaultSpec::parse("degrade=0:40:0.05").expect("valid faults"),
+        &faults,
+        &faults.per_device(2),
+        standard_request_trace,
         None,
         || {
             ServeOptions::new()
@@ -395,6 +399,8 @@ fn pinned_open_arrivals_scenario_is_unchanged() {
     pin_serve_scenario(
         "serve_open_arrivals.txt",
         &FaultSpec::none(),
+        &FaultSpec::none().per_device(2),
+        standard_request_trace,
         Some(&ArrivalSpec::poisson(3000.0, 5)),
         || {
             ServeOptions::new()
@@ -402,6 +408,40 @@ fn pinned_open_arrivals_scenario_is_unchanged() {
                 .shed_flow_secs(60e-3)
                 .coalesce()
         },
+        None,
+    );
+}
+
+/// `serve --faults seed=3,h2d=0.3,kernel=0.3 --probation 5`: the chaos
+/// scenario without device loss, so quarantined devices pass their canary
+/// probes and are readmitted.
+#[test]
+fn pinned_transient_readmission_scenario_is_unchanged() {
+    let faults = FaultSpec::parse("seed=3,h2d=0.3,kernel=0.3").expect("valid faults");
+    pin_serve_scenario(
+        "serve_transient_readmission.txt",
+        &faults,
+        &faults.per_device(2),
+        standard_request_trace,
+        None,
+        || ServeOptions::new().probation(probation_5ms()),
+        Some(SCENARIO_SLOS),
+    );
+}
+
+/// The straggler scenario (device 0's link at 1% inside repeating degrade
+/// windows, 16 shared-operand dgemms) with default hedging: the hedge
+/// fires and wins. Not expressible on the CLI (per-device fault plans).
+#[test]
+fn pinned_straggler_hedge_win_scenario_is_unchanged() {
+    let plans = straggler_fault_plans(2, 11, 0.01);
+    pin_serve_scenario(
+        "serve_straggler_hedge_win.txt",
+        &plans[0],
+        &plans,
+        || straggler_request_trace(16),
+        None,
+        || ServeOptions::new().hedge(HedgeConfig::default()),
         None,
     );
 }

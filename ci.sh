@@ -48,18 +48,26 @@ echo "== scheduling policy gate (predictive < fifo, edf deadline wins) =="
 # The policy-comparison acceptance tests: Predictive must strictly beat
 # FIFO's makespan on the skewed trace, EDF must meet the deadline FIFO
 # misses, all three policies must export sched_predict_abs_err, and the
-# degrade-aware upload estimate routes dispatch to the healthy peer at the
-# link factor the engine applies (also where degrade windows overlap).
+# degrade-aware price routes dispatch to the healthy peer at the link
+# factor the engine applies (also where degrade windows overlap): a
+# missing shared operand costs its degraded-link excess over the ideal
+# link on top of the prediction, or its degraded upload time when the
+# profile cannot predict.
 cargo test --release -q -p cocopelia-xp --test serve_sched
 
-echo "== open-arrival gate (backpressure, coalescing, fault-plan replay) =="
+echo "== open-arrival gate (backpressure, coalescing, fault-plan replay, fills) =="
 # The ServeSession acceptance bars: seeded Poisson overload sheds to a
 # bounded queue and replays bit-identically, coalescing uploads strictly
 # fewer h2d bytes and beats the non-coalesced makespan, the residency-aware
 # service estimate admits a warm repeat arrival that a cold twin's
 # watermark sheds, and under random fault plans same-seed drains replay
 # bit-identically with one terminal outcome per request and no buffer
-# outside the residency caches.
+# outside the residency caches. A residency miss fills through the
+# request's tile pipeline: it moves exactly the operand's bytes in tagged
+# tile copies, copies each region once when one key is named twice, and
+# no kernel starts before the fill copies of the tiles it reads end; a
+# fault mid-fill leaves no cache entry and leaks nothing, and a won hedge
+# keeps only the entries its cancelled primary finished filling.
 cargo test --release -q -p cocopelia-xp --test serve_open
 
 echo "== chaos soak gate (seeded fault injection) =="

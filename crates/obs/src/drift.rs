@@ -23,7 +23,7 @@ pub const ABS_ERROR_BOUNDS: [f64; 6] = [0.01, 0.05, 0.1, 0.25, 0.5, 1.0];
 /// One model's verdict on one routine call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftRecord {
-    /// Routine family (`"gemm"`, `"axpy"`, …).
+    /// Canonical BLAS name of the routine (`"dgemm"`, `"sgemm"`, …).
     pub routine: &'static str,
     /// Routine invocation counter (shared with the trace's `OpTag::call`).
     pub call: u64,

@@ -20,7 +20,7 @@ pub const EFFICIENCY_BOUNDS: [f64; 7] = [1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0];
 /// Everything the runtime knows about one finished routine call.
 #[derive(Debug, Clone)]
 pub struct CallObservation<'a> {
-    /// Routine family (`"gemm"`, `"axpy"`, …).
+    /// Canonical BLAS name of the routine (`"dgemm"`, `"sgemm"`, …).
     pub routine: &'static str,
     /// Routine invocation counter (shared with the trace's `OpTag::call`).
     pub call: u64,

@@ -361,7 +361,7 @@ impl Cocopelia {
         &mut self,
         req: GemmRequest<T>,
     ) -> Result<GemmResult<T>, RuntimeError> {
-        let problem = req.problem_spec();
+        let (routine, problem) = (req.routine(), req.problem_spec());
         let GemmRequest {
             a,
             b,
@@ -373,7 +373,7 @@ impl Cocopelia {
         } = req;
         let (a, b, c) = (inline_mat(a)?, inline_mat(b)?, inline_mat(c)?);
         gemm::check_dims(&a, &b, &c)?;
-        let (c, report) = self.call("gemm", &problem, choice, |gpu, s, call, retry, t| {
+        let (c, report) = self.call(routine, &problem, choice, |gpu, s, call, retry, t| {
             gemm::run(gpu, s, call, retry, alpha, a, b, beta, c, t).map(|r| (r.c, r.stats))
         })?;
         Ok(GemmResult { c, report })
@@ -388,7 +388,7 @@ impl Cocopelia {
         &mut self,
         req: AxpyRequest<T>,
     ) -> Result<VecResult<T>, RuntimeError> {
-        let problem = req.problem_spec();
+        let (routine, problem) = (req.routine(), req.problem_spec());
         let AxpyRequest {
             alpha,
             x,
@@ -402,7 +402,7 @@ impl Cocopelia {
                 what: format!("axpy: x has {} elements but y has {}", x.len(), y.len()),
             });
         }
-        let (y, report) = self.call("axpy", &problem, choice, |gpu, s, call, retry, t| {
+        let (y, report) = self.call(routine, &problem, choice, |gpu, s, call, retry, t| {
             axpy::run(gpu, s, call, retry, alpha, x, y, t).map(|r| (r.y, r.stats))
         })?;
         Ok(VecResult { y, report })
@@ -416,7 +416,7 @@ impl Cocopelia {
     ///
     /// As for [`run_gemm`](Self::run_gemm).
     pub fn run_dot<T: SimScalar>(&mut self, req: DotRequest<T>) -> Result<DotResult, RuntimeError> {
-        let problem = req.problem_spec();
+        let (routine, problem) = (req.routine(), req.problem_spec());
         let DotRequest {
             x,
             y,
@@ -429,7 +429,7 @@ impl Cocopelia {
                 what: format!("dot: x has {} elements but y has {}", x.len(), y.len()),
             });
         }
-        let (value, report) = self.call("dot", &problem, choice, |gpu, s, call, retry, t| {
+        let (value, report) = self.call(routine, &problem, choice, |gpu, s, call, retry, t| {
             dot::run(gpu, s, call, retry, x, y, t).map(|r| (r.value, r.stats))
         })?;
         Ok(DotResult { value, report })
@@ -445,7 +445,7 @@ impl Cocopelia {
         &mut self,
         req: GemvRequest<T>,
     ) -> Result<VecResult<T>, RuntimeError> {
-        let problem = req.problem_spec();
+        let (routine, problem) = (req.routine(), req.problem_spec());
         let GemvRequest {
             alpha,
             a,
@@ -467,7 +467,7 @@ impl Cocopelia {
                 ),
             });
         }
-        let (y, report) = self.call("gemv", &problem, choice, |gpu, s, call, retry, t| {
+        let (y, report) = self.call(routine, &problem, choice, |gpu, s, call, retry, t| {
             gemv::run(gpu, s, call, retry, alpha, a, x, beta, y, t).map(|r| (r.y, r.stats))
         })?;
         Ok(VecResult { y, report })
@@ -568,11 +568,8 @@ impl Cocopelia {
         let host = self
             .gpu
             .register_host(T::into_payload(m.as_slice().to_vec()), true);
-        Ok(DeviceMatrix {
-            buf: self.upload(host, T::DTYPE, m.rows() * m.cols())?,
-            rows: m.rows(),
-            cols: m.cols(),
-        })
+        let buf = self.upload(host, T::DTYPE, m.rows() * m.cols())?;
+        Ok(DeviceMatrix::from_raw(buf, m.rows(), m.cols()))
     }
 
     /// Allocates a device-resident matrix without data (timing sweeps).
@@ -587,11 +584,7 @@ impl Cocopelia {
         cols: usize,
     ) -> Result<DeviceMatrix, RuntimeError> {
         let dev = self.gpu.alloc_device(dtype, rows * cols)?;
-        Ok(DeviceMatrix {
-            buf: dev,
-            rows,
-            cols,
-        })
+        Ok(DeviceMatrix::from_raw(dev, rows, cols))
     }
 
     /// Copies a device-resident matrix back to the host.
@@ -625,23 +618,8 @@ impl Cocopelia {
     /// Out-of-memory and other simulator failures.
     pub fn upload_vector<T: SimScalar>(&mut self, v: &[T]) -> Result<DeviceVector, RuntimeError> {
         let host = self.gpu.register_host(T::into_payload(v.to_vec()), true);
-        Ok(DeviceVector {
-            buf: self.upload(host, T::DTYPE, v.len())?,
-            len: v.len(),
-        })
-    }
-
-    /// Charges the h2d transfer of `len` ghost elements into a fresh
-    /// device buffer and returns it — the timing-only twin of the uploads
-    /// above, which the serving layer pays for residency-cache fills
-    /// without host data.
-    pub(crate) fn upload_ghost(
-        &mut self,
-        dtype: Dtype,
-        len: usize,
-    ) -> Result<DevBufId, RuntimeError> {
-        let host = self.gpu.register_host_ghost(dtype, len, true);
-        self.upload(host, dtype, len)
+        let buf = self.upload(host, T::DTYPE, v.len())?;
+        Ok(DeviceVector::from_raw(buf, v.len()))
     }
 
     /// Copies the `len` elements of registered host buffer `host` into a
@@ -669,7 +647,7 @@ impl Cocopelia {
     /// Out-of-memory.
     pub fn alloc_vector(&mut self, dtype: Dtype, len: usize) -> Result<DeviceVector, RuntimeError> {
         let dev = self.gpu.alloc_device(dtype, len)?;
-        Ok(DeviceVector { buf: dev, len })
+        Ok(DeviceVector::from_raw(dev, len))
     }
 
     /// Copies a device-resident vector back to the host.

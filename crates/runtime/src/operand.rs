@@ -3,7 +3,7 @@
 
 use crate::error::RuntimeError;
 use cocopelia_core::params::{Loc, Operand};
-use cocopelia_gpusim::{DevBufId, Gpu, SimScalar};
+use cocopelia_gpusim::{DevBufId, Gpu, HostBufId, SimScalar};
 use cocopelia_hostblas::Matrix;
 
 /// A matrix already resident in device memory (packed column-major,
@@ -14,6 +14,10 @@ pub struct DeviceMatrix {
     pub(crate) buf: DevBufId,
     pub(crate) rows: usize,
     pub(crate) cols: usize,
+    /// The host ghost the buffer is filled from, when the serving layer
+    /// bound a residency miss here: the routine's tile schedule copies
+    /// each region on its first read. `None` once the data is resident.
+    pub(crate) fill: Option<HostBufId>,
 }
 
 impl DeviceMatrix {
@@ -21,7 +25,12 @@ impl DeviceMatrix {
     /// resident matrix. For alternative schedulers and harnesses that
     /// allocate through [`Gpu`](cocopelia_gpusim::Gpu) directly.
     pub fn from_raw(buf: DevBufId, rows: usize, cols: usize) -> Self {
-        DeviceMatrix { buf, rows, cols }
+        DeviceMatrix {
+            buf,
+            rows,
+            cols,
+            fill: None,
+        }
     }
 
     /// Number of rows.
@@ -47,12 +56,18 @@ impl DeviceMatrix {
 pub struct DeviceVector {
     pub(crate) buf: DevBufId,
     pub(crate) len: usize,
+    /// The host ghost the buffer is filled from; see [`DeviceMatrix`].
+    pub(crate) fill: Option<HostBufId>,
 }
 
 impl DeviceVector {
     /// Wraps a raw device buffer as a resident vector.
     pub fn from_raw(buf: DevBufId, len: usize) -> Self {
-        DeviceVector { buf, len }
+        DeviceVector {
+            buf,
+            len,
+            fill: None,
+        }
     }
 
     /// Number of elements.
@@ -107,11 +122,12 @@ impl<T: cocopelia_hostblas::Scalar> MatOperand<T> {
         }
     }
 
-    /// Initial residence, as the models see it.
+    /// Initial residence, as the models see it. A device buffer still to
+    /// be filled from the host holds host data.
     pub fn loc(&self) -> Loc {
         match self {
-            MatOperand::Host(_) | MatOperand::HostGhost { .. } => Loc::Host,
-            MatOperand::Device(_) => Loc::Device,
+            MatOperand::Device(d) if d.fill.is_none() => Loc::Device,
+            _ => Loc::Host,
         }
     }
 }
@@ -127,11 +143,11 @@ impl<T: SimScalar> MatOperand<T> {
         let (rows, cols) = (op.rows, op.cols);
         Ok(match op.loc {
             Loc::Host => MatOperand::HostGhost { rows, cols },
-            Loc::Device => MatOperand::Device(DeviceMatrix {
-                buf: gpu.alloc_device(T::DTYPE, rows * cols)?,
+            Loc::Device => MatOperand::Device(DeviceMatrix::from_raw(
+                gpu.alloc_device(T::DTYPE, rows * cols)?,
                 rows,
                 cols,
-            }),
+            )),
         })
     }
 }
@@ -165,11 +181,11 @@ impl<T: cocopelia_hostblas::Scalar> VecOperand<T> {
         self.len() == 0
     }
 
-    /// Initial residence, as the models see it.
+    /// Initial residence, as the models see it; see [`MatOperand::loc`].
     pub fn loc(&self) -> Loc {
         match self {
-            VecOperand::Host(_) | VecOperand::HostGhost { .. } => Loc::Host,
-            VecOperand::Device(_) => Loc::Device,
+            VecOperand::Device(d) if d.fill.is_none() => Loc::Device,
+            _ => Loc::Host,
         }
     }
 }
@@ -185,10 +201,10 @@ impl<T: SimScalar> VecOperand<T> {
         let len = op.rows;
         Ok(match op.loc {
             Loc::Host => VecOperand::HostGhost { len },
-            Loc::Device => VecOperand::Device(DeviceVector {
-                buf: gpu.alloc_device(T::DTYPE, len)?,
+            Loc::Device => VecOperand::Device(DeviceVector::from_raw(
+                gpu.alloc_device(T::DTYPE, len)?,
                 len,
-            }),
+            )),
         })
     }
 }

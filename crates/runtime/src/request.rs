@@ -12,8 +12,8 @@
 use crate::ctx::{Cocopelia, DotResult, GemmResult, VecResult};
 use crate::error::RuntimeError;
 use crate::operand::{DeviceMatrix, DeviceVector, MatOperand, TileChoice, VecOperand};
-use cocopelia_core::params::ProblemSpec;
-use cocopelia_gpusim::{DevBufId, SimScalar};
+use cocopelia_core::params::{ProblemSpec, RoutineClass};
+use cocopelia_gpusim::{DevBufId, HostBufId, OperandRole, SimScalar};
 use cocopelia_hostblas::{Dtype, Matrix};
 
 /// A named matrix operand kept device-resident by the serving layer and
@@ -96,8 +96,8 @@ impl<T: SimScalar> MatArg<T> {
 
     /// Initial residence as the prediction models see it. Shared operands
     /// count as device-resident: the executor resolves them onto the
-    /// device before the routine runs, and the dispatch cost model charges
-    /// any upload separately.
+    /// device before the routine runs, and the dispatch price moves each
+    /// one a device is missing back to the host.
     pub fn loc(&self) -> cocopelia_core::params::Loc {
         match self {
             MatArg::Inline(op) => op.loc(),
@@ -242,9 +242,11 @@ pub(crate) trait Operand {
     /// (the no-residency-reuse baseline).
     fn inline_ghost(&mut self);
 
-    /// Makes the argument the device-resident operand in `buf`, keeping
-    /// its shape.
-    fn bind(&mut self, buf: DevBufId);
+    /// Makes the argument the device operand in `buf`, keeping its shape.
+    /// With `fill`, the buffer still has to be filled from that host
+    /// ghost: the routine's tile schedule copies each region on its first
+    /// read, and the operand counts as host data until then.
+    fn bind(&mut self, buf: DevBufId, fill: Option<HostBufId>);
 
     /// Coalescing identity of the argument: `Some` for shared keys and
     /// anonymous host ghosts (whose device work is fully shape-determined),
@@ -279,9 +281,14 @@ impl<T: SimScalar> Operand for MatArg<T> {
         }
     }
 
-    fn bind(&mut self, buf: DevBufId) {
+    fn bind(&mut self, buf: DevBufId, fill: Option<HostBufId>) {
         let (rows, cols) = (self.rows(), self.cols());
-        *self = MatArg::Inline(MatOperand::Device(DeviceMatrix { buf, rows, cols }));
+        *self = MatArg::Inline(MatOperand::Device(DeviceMatrix {
+            buf,
+            rows,
+            cols,
+            fill,
+        }));
     }
 
     fn coalesce_token(&self) -> Option<String> {
@@ -321,9 +328,9 @@ impl<T: SimScalar> Operand for VecArg<T> {
         }
     }
 
-    fn bind(&mut self, buf: DevBufId) {
+    fn bind(&mut self, buf: DevBufId, fill: Option<HostBufId>) {
         let len = self.len();
-        *self = VecArg::Inline(VecOperand::Device(DeviceVector { buf, len }));
+        *self = VecArg::Inline(VecOperand::Device(DeviceVector { buf, len, fill }));
     }
 
     fn coalesce_token(&self) -> Option<String> {
@@ -332,6 +339,20 @@ impl<T: SimScalar> Operand for VecArg<T> {
             VecArg::Inline(VecOperand::HostGhost { len }) => Some(format!("g:{len}")),
             VecArg::Inline(_) => None,
         }
+    }
+}
+
+/// Canonical BLAS name of `routine` at `T`'s precision.
+fn blas_name<T: SimScalar>(routine: RoutineClass) -> &'static str {
+    match (routine, T::DTYPE) {
+        (RoutineClass::Gemm, Dtype::F64) => "dgemm",
+        (RoutineClass::Gemm, Dtype::F32) => "sgemm",
+        (RoutineClass::Gemv, Dtype::F64) => "dgemv",
+        (RoutineClass::Gemv, Dtype::F32) => "sgemv",
+        (RoutineClass::Axpy, Dtype::F64) => "daxpy",
+        (RoutineClass::Axpy, Dtype::F32) => "saxpy",
+        (RoutineClass::Dot, Dtype::F64) => "ddot",
+        (RoutineClass::Dot, Dtype::F32) => "sdot",
     }
 }
 
@@ -417,6 +438,11 @@ impl<T: SimScalar> GemmRequest<T> {
         ctx.run_gemm(self)
     }
 
+    /// Canonical BLAS name of the request ("dgemm", "sgemm").
+    pub(crate) fn routine(&self) -> &'static str {
+        blas_name::<T>(RoutineClass::Gemm)
+    }
+
     /// The request as the prediction models see it; see
     /// [`RoutineRequest::problem_spec`].
     pub(crate) fn problem_spec(&self) -> ProblemSpec {
@@ -486,6 +512,11 @@ impl<T: SimScalar> AxpyRequest<T> {
         ctx.run_axpy(self)
     }
 
+    /// Canonical BLAS name of the request ("daxpy", "saxpy").
+    pub(crate) fn routine(&self) -> &'static str {
+        blas_name::<T>(RoutineClass::Axpy)
+    }
+
     /// The request as the prediction models see it.
     pub(crate) fn problem_spec(&self) -> ProblemSpec {
         ProblemSpec::axpy(T::DTYPE, self.x.len(), self.x.loc(), self.y.loc())
@@ -535,6 +566,11 @@ impl<T: SimScalar> DotRequest<T> {
     /// As for [`GemmRequest::run`].
     pub fn run(self, ctx: &mut Cocopelia) -> Result<DotResult, RuntimeError> {
         ctx.run_dot(self)
+    }
+
+    /// Canonical BLAS name of the request ("ddot", "sdot").
+    pub(crate) fn routine(&self) -> &'static str {
+        blas_name::<T>(RoutineClass::Dot)
     }
 
     /// The request as the prediction models see it.
@@ -607,6 +643,11 @@ impl<T: SimScalar> GemvRequest<T> {
         ctx.run_gemv(self)
     }
 
+    /// Canonical BLAS name of the request ("dgemv", "sgemv").
+    pub(crate) fn routine(&self) -> &'static str {
+        blas_name::<T>(RoutineClass::Gemv)
+    }
+
     /// The request as the prediction models see it.
     pub(crate) fn problem_spec(&self) -> ProblemSpec {
         ProblemSpec::gemv(
@@ -641,11 +682,11 @@ impl RoutineRequest {
     /// Canonical BLAS name of the routine ("dgemm", "sgemm", …).
     pub fn routine(&self) -> &'static str {
         match self {
-            RoutineRequest::GemmF64(_) => "dgemm",
-            RoutineRequest::GemmF32(_) => "sgemm",
-            RoutineRequest::AxpyF64(_) => "daxpy",
-            RoutineRequest::DotF64(_) => "ddot",
-            RoutineRequest::GemvF64(_) => "dgemv",
+            RoutineRequest::GemmF64(r) => r.routine(),
+            RoutineRequest::GemmF32(r) => r.routine(),
+            RoutineRequest::AxpyF64(r) => r.routine(),
+            RoutineRequest::DotF64(r) => r.routine(),
+            RoutineRequest::GemvF64(r) => r.routine(),
         }
     }
 
@@ -658,6 +699,17 @@ impl RoutineRequest {
             RoutineRequest::AxpyF64(r) => [Some(&r.x), Some(&r.y), None],
             RoutineRequest::DotF64(r) => [Some(&r.x), Some(&r.y), None],
             RoutineRequest::GemvF64(r) => [Some(&r.a), Some(&r.x), Some(&r.y)],
+        }
+    }
+
+    /// The role each of [`operands`](Self::operands) plays in the tile
+    /// schedule's op tags.
+    pub(crate) fn roles(&self) -> [Option<OperandRole>; 3] {
+        use OperandRole::{A, B, C, X, Y};
+        match self {
+            RoutineRequest::GemmF64(_) | RoutineRequest::GemmF32(_) => [Some(A), Some(B), Some(C)],
+            RoutineRequest::AxpyF64(_) | RoutineRequest::DotF64(_) => [Some(X), Some(Y), None],
+            RoutineRequest::GemvF64(_) => [Some(A), Some(X), Some(Y)],
         }
     }
 
@@ -707,14 +759,6 @@ impl RoutineRequest {
         self.shared_operands().map(|s| s.key).collect()
     }
 
-    /// Residency-cache keys the request references, with each key's device
-    /// footprint in bytes, in operand order. The executor's dispatch cost
-    /// model charges a device the estimated upload time of the keys it is
-    /// missing.
-    pub fn shared_footprints(&self) -> Vec<(&str, usize)> {
-        self.shared_operands().map(|s| (s.key, s.bytes())).collect()
-    }
-
     /// The request's tiling-size policy.
     pub fn tile_choice(&self) -> TileChoice {
         match self {
@@ -728,8 +772,9 @@ impl RoutineRequest {
 
     /// The request as the prediction models see it — the bridge between
     /// the serving layer and `core::models::predict`. Shared operands
-    /// count as device-resident ([`MatArg::loc`]); the scheduler charges
-    /// their upload through its own cost model.
+    /// count as device-resident ([`MatArg::loc`]); the dispatch price
+    /// relocates the ones a device is missing to the host, where the
+    /// routine's tile schedule fetches them.
     pub fn problem_spec(&self) -> ProblemSpec {
         match self {
             RoutineRequest::GemmF64(r) => r.problem_spec(),

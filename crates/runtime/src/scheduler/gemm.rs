@@ -309,16 +309,8 @@ mod tests {
             0,
             RetryPolicy::default(),
             1.0,
-            MatOperand::Device(crate::operand::DeviceMatrix {
-                buf: da,
-                rows: n,
-                cols: n,
-            }),
-            MatOperand::Device(crate::operand::DeviceMatrix {
-                buf: db,
-                rows: n,
-                cols: n,
-            }),
+            MatOperand::Device(crate::operand::DeviceMatrix::from_raw(da, n, n)),
+            MatOperand::Device(crate::operand::DeviceMatrix::from_raw(db, n, n)),
             0.0,
             MatOperand::Host(c),
             16,

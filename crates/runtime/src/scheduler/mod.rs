@@ -8,6 +8,10 @@
 //! * host operands get a packed device buffer per tile, fetched **once** on
 //!   the h2d stream (this is the "full reuse" of Eq. 5 — subsequent
 //!   sub-kernels find the tile in the cache);
+//! * operands being filled into a whole-operand device buffer (a serving
+//!   residency miss) get a view into that buffer, and each region is
+//!   copied into place on its first read, once, however many operands
+//!   name the buffer;
 //! * each fetch carries an event the exec stream waits on, which is what
 //!   produces the 3-way pipeline.
 
@@ -62,6 +66,14 @@ pub(crate) enum OperandStore {
     Host { host: HostBufId, rows: usize },
     /// Already resident in a packed device buffer (`ld == rows`).
     Device { buf: DevBufId, rows: usize },
+    /// Bound to a packed device buffer (`ld == rows`) that still has to be
+    /// filled from a registered host buffer of the same layout. The
+    /// caller owns both buffers.
+    Fill {
+        host: HostBufId,
+        buf: DevBufId,
+        rows: usize,
+    },
 }
 
 impl OperandStore {
@@ -76,10 +88,7 @@ impl OperandStore {
                 let host = gpu.register_host_ghost(T::DTYPE, rows * cols, true);
                 OperandStore::Host { host, rows }
             }
-            MatOperand::Device(d) => OperandStore::Device {
-                buf: d.buf,
-                rows: d.rows,
-            },
+            MatOperand::Device(d) => OperandStore::device(d.buf, d.rows, d.fill),
         }
     }
 
@@ -94,18 +103,24 @@ impl OperandStore {
                 let host = gpu.register_host_ghost(T::DTYPE, len, true);
                 OperandStore::Host { host, rows: len }
             }
-            VecOperand::Device(d) => OperandStore::Device {
-                buf: d.buf,
-                rows: d.len,
-            },
+            VecOperand::Device(d) => OperandStore::device(d.buf, d.len, d.fill),
         }
     }
 
-    /// Host buffer id, if staged on the host.
+    /// The store of device buffer `buf`: resident, or filled from `fill`.
+    fn device(buf: DevBufId, rows: usize, fill: Option<HostBufId>) -> OperandStore {
+        match fill {
+            Some(host) => OperandStore::Fill { host, buf, rows },
+            None => OperandStore::Device { buf, rows },
+        }
+    }
+
+    /// Host buffer id, if staged on the host for this call alone (results
+    /// drain back to it, and the call releases it).
     pub(crate) fn host_id(&self) -> Option<HostBufId> {
         match self {
             OperandStore::Host { host, .. } => Some(*host),
-            OperandStore::Device { .. } => None,
+            OperandStore::Device { .. } | OperandStore::Fill { .. } => None,
         }
     }
 }
@@ -117,10 +132,27 @@ pub(crate) struct TileRef {
     pub ready: Option<EventId>,
 }
 
+/// What a fetched tile is cached under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum TileKey {
+    /// Tile `(row, col)` of host-staged operand `op_idx`, in its own
+    /// packed buffer.
+    Staged { op_idx: u8, row: usize, col: usize },
+    /// A `rows × cols` region at element `offset` of a buffer being
+    /// filled. Every operand bound to one buffer tiles it with the same
+    /// split, so two regions of a buffer are either equal or disjoint.
+    Filled {
+        buf: DevBufId,
+        offset: usize,
+        rows: usize,
+        cols: usize,
+    },
+}
+
 /// Per-call tile cache and allocator.
 #[derive(Debug, Default)]
 pub(crate) struct TileFetcher {
-    cache: HashMap<(u8, usize, usize), TileRef>,
+    cache: HashMap<TileKey, TileRef>,
     allocated: Vec<DevBufId>,
     /// Requests served from the cache (a tile already on the device).
     hits: u64,
@@ -192,6 +224,19 @@ impl TileFetcher {
     ) -> Result<(), RuntimeError> {
         self.retry_sim(gpu, |g| g.memcpy_d2h_async(stream, desc))
     }
+
+    /// Enqueues the h2d copy `desc` with transient-fault retry and
+    /// returns the event recorded behind it.
+    fn copy_h2d(
+        &mut self,
+        gpu: &mut Gpu,
+        h2d: StreamId,
+        desc: CopyDesc,
+    ) -> Result<EventId, RuntimeError> {
+        self.retry_sim(gpu, |g| g.memcpy_h2d_async(h2d, desc))?;
+        Ok(gpu.record_event(h2d)?)
+    }
+
     /// Returns a device reference for tile `(ri, ci)` of operand `op_idx`.
     ///
     /// `fetch` controls whether host data is actually copied (false for
@@ -216,8 +261,56 @@ impl TileFetcher {
                 },
                 ready: None,
             }),
+            OperandStore::Fill { host, buf, rows } => {
+                // A view into the buffer being filled; its region is copied
+                // into place on the first read, keyed by region so operands
+                // bound to one buffer share the copy. A write-only tile
+                // copies nothing.
+                let region = Region2d {
+                    offset: rr.start + cr.start * rows,
+                    ld: rows,
+                    rows: rr.len,
+                    cols: cr.len,
+                };
+                let key = TileKey::Filled {
+                    buf,
+                    offset: region.offset,
+                    rows: rr.len,
+                    cols: cr.len,
+                };
+                if let Some(t) = self.cache.get(&key) {
+                    self.hits += 1;
+                    return Ok(*t);
+                }
+                let mat = DevMatRef {
+                    buf,
+                    offset: region.offset,
+                    ld: rows,
+                };
+                if !fetch {
+                    return Ok(TileRef { mat, ready: None });
+                }
+                self.misses += 1;
+                let desc = CopyDesc {
+                    host,
+                    host_region: region,
+                    dev: buf,
+                    dev_region: region,
+                };
+                let t = TileRef {
+                    mat,
+                    ready: Some(self.copy_h2d(gpu, h2d, desc)?),
+                };
+                self.cache.insert(key, t);
+                Ok(t)
+            }
             OperandStore::Host { host, rows } => {
-                if let Some(t) = self.cache.get(&(op_idx, ri, ci)) {
+                let key = TileKey::Staged {
+                    op_idx,
+                    row: ri,
+                    col: ci,
+                };
+                if let Some(t) = self.cache.get(&key) {
                     self.hits += 1;
                     return Ok(*t);
                 }
@@ -241,8 +334,7 @@ impl TileFetcher {
                             cols: cr.len,
                         },
                     };
-                    self.retry_sim(gpu, |g| g.memcpy_h2d_async(h2d, desc))?;
-                    Some(gpu.record_event(h2d)?)
+                    Some(self.copy_h2d(gpu, h2d, desc)?)
                 } else {
                     None
                 };
@@ -254,7 +346,7 @@ impl TileFetcher {
                     },
                     ready,
                 };
-                self.cache.insert((op_idx, ri, ci), t);
+                self.cache.insert(key, t);
                 Ok(t)
             }
         }
@@ -335,7 +427,7 @@ pub(crate) fn take_host_data<T: SimScalar>(
                 Ok(None)
             }
         }
-        OperandStore::Device { .. } => Ok(None),
+        OperandStore::Device { .. } | OperandStore::Fill { .. } => Ok(None),
     }
 }
 

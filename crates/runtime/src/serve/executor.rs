@@ -12,7 +12,7 @@ use crate::serve::sched::SchedulePolicy;
 use crate::serve::session::ServeSession;
 use crate::serve::telemetry::{TelemetryReport, TickState};
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::{AllocMark, DevBufId, SimError, SimTime, TraceView};
+use cocopelia_gpusim::{AllocMark, DevBufId, EngineKind, HostBufId, SimError, SimTime, TraceView};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
 use std::collections::hash_map::Entry;
@@ -63,9 +63,10 @@ impl Default for ExecutorConfig {
 /// [`ServeOptions::hedge`](crate::serve::ServeOptions::hedge)).
 ///
 /// When a dispatch attempt's virtual elapsed time exceeds its offload
-/// prediction (missing-operand upload plus
-/// [`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload))
-/// by an adaptive multiplier, the session speculatively re-dispatches
+/// prediction
+/// ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload),
+/// with the operands the device was missing fetched from the host) by an
+/// adaptive multiplier, the session speculatively re-dispatches
 /// the same request to the best *other* healthy device, starting at the
 /// virtual instant the overrun threshold was crossed. First completion
 /// wins; the loser is cancelled ([`cocopelia_gpusim::Gpu::cancel_to`])
@@ -1601,26 +1602,40 @@ impl ServeSession {
     }
 
     /// Cancels the losing side of a hedge race at its (rewound) end and
-    /// rolls it back: shared operands the run *newly* inserted into the
-    /// residency cache (their buffers were allocated at or after its
-    /// mark) are removed and freed, then every remaining buffer the run
-    /// allocated is released. Entries resident before the run — and the
-    /// cache hits they served — survive untouched.
+    /// rolls it back. A shared operand the run *newly* inserted into the
+    /// residency cache (its buffer was allocated at or after the run's
+    /// mark) stays only when every fill copy of it ended strictly before
+    /// the cancel instant; otherwise its entry is removed and freed. Then
+    /// every remaining buffer the run allocated is released. Entries
+    /// resident before the run — and the cache hits they served — survive
+    /// untouched.
     fn cancel(&mut self, run: &Attempt, req: &RoutineRequest) {
         let (dev, mark) = (run.device, run.mark);
+        // Read the fills before the rewind, which clamps a copy that
+        // straddles the instant to end exactly there.
+        let entries = run.entries(&self.pool);
+        let filled = req.roles().map(|role| {
+            entries
+                .iter()
+                .filter(|e| {
+                    e.engine == EngineKind::CopyH2d && e.tag.and_then(|t| t.operand) == role
+                })
+                .all(|e| e.end.as_nanos() < run.end_ns)
+        });
         self.pool
             .device_mut(dev)
             .gpu_mut()
             .cancel_to(SimTime::from_nanos(run.end_ns));
         let mut rolled_back_bytes = 0u64;
-        for key in req.shared_keys() {
+        let args = req.operands().into_iter().zip(filled);
+        for (s, filled) in args.filter_map(|(arg, f)| Some((arg?.shared()?, f))) {
             let gpu = self.pool.devices()[dev].gpu();
             let cache = &mut self.devices[dev].residency;
             let fresh = cache
-                .buffer_of(key)
+                .buffer_of(s.key)
                 .is_some_and(|b| gpu.allocated_since(mark, b));
-            if fresh {
-                if let Some(e) = cache.remove(key) {
+            if fresh && !filled {
+                if let Some(e) = cache.remove(s.key) {
                     rolled_back_bytes += e.bytes as u64;
                     free_resident(self.pool.device_mut(dev), e.buf);
                 }
@@ -1905,34 +1920,46 @@ impl ServeSession {
     }
 
     /// One attempt: resolve shared operands against device `d`'s residency
-    /// cache, run the routine, release bypass uploads.
+    /// cache and run the routine, whose tile schedule fills each miss.
+    /// After a run, each fill's host ghost is released and each bypass
+    /// buffer freed. A failed attempt instead takes the entries its fills
+    /// inserted out of the cache, so a partly filled buffer never serves a
+    /// hit; the failure's [`scrub`](Self::scrub) frees them, and the
+    /// ghosts, once the device is idle.
     fn execute_once(
         &mut self,
         d: usize,
         req: RoutineRequest,
     ) -> Result<RoutineReport, RuntimeError> {
-        let mut bypass = Vec::new();
         // Pin every shared key of this request for the whole resolution:
         // resolving a later operand must never evict (and free) an earlier
         // operand of the same request out from under its resolved handle.
         let pinned: Vec<String> = req.shared_operands().map(|s| s.key.to_owned()).collect();
-        let resolved = {
-            let ServeSession {
-                pool,
-                devices,
-                metrics,
-                ..
-            } = &mut *self;
-            let dev = pool.device_mut(d);
-            let cache = &mut devices[d].residency;
-            resolve_request(dev, cache, metrics, &mut bypass, &pinned, req)?
-        };
-        let dev = self.pool.device_mut(d);
-        let report = dev.submit(resolved)?;
-        for buf in bypass {
-            free_resident(dev, buf);
+        let mut fills = [None; 3];
+        let ServeSession {
+            pool,
+            devices,
+            metrics,
+            ..
+        } = &mut *self;
+        let dev = pool.device_mut(d);
+        let cache = &mut devices[d].residency;
+        let result = resolve_request(dev, cache, metrics, &mut fills, &pinned, req)
+            .and_then(|resolved| dev.submit(resolved));
+        for (key, fill) in pinned.iter().zip(fills) {
+            let Some(fill) = fill else {
+                continue;
+            };
+            if result.is_ok() {
+                let _ = dev.gpu_mut().take_host(fill.ghost);
+                if !fill.cached {
+                    free_resident(dev, fill.buf);
+                }
+            } else if fill.cached {
+                cache.remove(key);
+            }
         }
-        Ok(report)
+        result
     }
 
     /// Frees device `d`'s buffers once its in-flight work is done: every
@@ -1978,27 +2005,42 @@ fn free_resident(dev: &mut Cocopelia, buf: DevBufId) {
     let _ = dev.gpu_mut().free_device(buf);
 }
 
+/// One residency miss of an attempt: the device buffer the request's tile
+/// schedule fills, and the host ghost it fills from.
+#[derive(Debug, Clone, Copy)]
+struct Fill {
+    buf: DevBufId,
+    ghost: HostBufId,
+    /// Whether the buffer joined the residency cache; a bypass buffer is
+    /// freed after the run.
+    cached: bool,
+}
+
 /// Resolves every shared operand of a request against one device, in
-/// operand order: a hit binds the cached buffer; a miss uploads a ghost,
-/// evicting least-recently-used entries to make room. `pinned` names the
-/// whole request's shared keys, which eviction must not touch; an operand
-/// that cannot fit alongside them bypasses the cache instead, and its
-/// buffer goes to `bypass` for the caller to free after the run.
+/// operand order. A hit binds the cached buffer. A miss allocates the
+/// operand's buffer, evicting least-recently-used entries to make room,
+/// registers a host ghost of the operand, binds the argument to both and
+/// records the [`Fill`] in `fills` at the key's index in `pinned`: the
+/// routine's tile schedule copies each region on its first read. A key
+/// the request already missed on binds to that same fill, so each region
+/// is copied once. `pinned` names the request's shared keys in operand
+/// order, which eviction must not touch; an operand that cannot fit
+/// alongside them bypasses the cache instead.
 fn resolve_request(
     dev: &mut Cocopelia,
     cache: &mut ResidencyCache,
     metrics: &mut Registry,
-    bypass: &mut Vec<DevBufId>,
+    fills: &mut [Option<Fill>; 3],
     pinned: &[String],
     mut req: RoutineRequest,
 ) -> Result<RoutineRequest, RuntimeError> {
-    for arg in req.operands_mut().into_iter().flatten() {
-        let Some(s) = arg.shared() else {
-            continue;
-        };
+    let args = req.operands_mut().into_iter().flatten();
+    for (k, arg) in args.filter(|a| a.shared().is_some()).enumerate() {
+        let s = arg.shared().expect("filtered to shared operands");
         if let Some(buf) = cache.lookup(s.key, s.dtype, s.shape)? {
             metrics.counter_add("residency_hits_total", 1);
-            arg.bind(buf);
+            let filling = fills.iter().flatten().find(|f| f.buf == buf);
+            arg.bind(buf, filling.map(|f| f.ghost));
             continue;
         }
         metrics.counter_add("residency_misses_total", 1);
@@ -2012,14 +2054,19 @@ fn resolve_request(
         } else {
             metrics.counter_add("residency_bypass_total", 1);
         }
-        let buf = dev.upload_ghost(s.dtype, s.shape.len())?;
+        let gpu = dev.gpu_mut();
+        let buf = gpu.alloc_device(s.dtype, s.shape.len())?;
+        let ghost = gpu.register_host_ghost(s.dtype, s.shape.len(), true);
         metrics.counter_add("residency_bytes_uploaded", bytes as u64);
         if cacheable {
             cache.insert(s.key, s.dtype, s.shape, buf);
-        } else {
-            bypass.push(buf);
         }
-        arg.bind(buf);
+        fills[k] = Some(Fill {
+            buf,
+            ghost,
+            cached: cacheable,
+        });
+        arg.bind(buf, Some(ghost));
     }
     Ok(req)
 }

@@ -16,9 +16,10 @@
 //!    first, or the prediction-guided policy that orders the queue by the
 //!    paper's models to minimise pool makespan. Whatever the policy, every
 //!    placement reads one price per request × device pair (the private
-//!    `placement` module): the estimated upload time of the shared
-//!    operands the device is missing plus the model-predicted offload time
-//!    ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)).
+//!    `placement` module): the model-predicted offload time
+//!    ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload))
+//!    with the shared operands the device is missing fetched from the
+//!    host, plus what a degraded link adds to those fetches.
 //!    The device scan scales it by the device's observed actual/predicted
 //!    ratio once that leaves a dead band around 1 and adds the device's
 //!    virtual clock — so an idle device steals work once the affine
@@ -32,9 +33,11 @@
 //!    ([`MatArg::shared`](crate::MatArg::shared),
 //!    [`VecArg::shared`](crate::VecArg::shared)) live in a per-device LRU
 //!    [`ResidencyCache`], so an operand uploaded for request *N* is not
-//!    re-transferred for request *N+1*. Matrices and vectors share one
-//!    kind of entry, matched on key, dtype and shape, and one resolution
-//!    walk over the request's operands.
+//!    re-transferred for request *N+1*. A miss is filled by request *N*'s
+//!    own tile schedule, each tile copied once on first read and
+//!    overlapped with its kernels. Matrices and vectors share one kind of
+//!    entry, matched on key, dtype and shape, and one resolution walk
+//!    over the request's operands.
 //!
 //! Each request terminates in exactly one [`RequestStatus`]. The session
 //! is fault-tolerant: retryable faults

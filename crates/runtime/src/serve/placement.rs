@@ -10,6 +10,7 @@ use crate::request::RoutineRequest;
 use crate::serve::residency::ResidencyCache;
 use crate::serve::session::ServeSession;
 use cocopelia_core::models::Prediction;
+use cocopelia_core::params::Loc;
 use cocopelia_gpusim::SimTime;
 
 /// Upper edge of the calibration dead band (the lower edge is its
@@ -172,10 +173,13 @@ impl ServeSession {
     /// The price of `req` on device `d`: the model's offload prediction
     /// through the device's deployed profile
     /// ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)),
-    /// and the service seconds, the upload of the shared operands the
-    /// device is missing plus that prediction's total. `None` when the
-    /// profile cannot predict this routine/precision; the service time
-    /// then carries no offload term, and there is nothing to record drift
+    /// and the service seconds. Each shared operand the device is missing
+    /// is predicted at [`Loc::Host`], because the routine's own tile
+    /// schedule fills it; the service seconds are the prediction's total
+    /// plus, on a degraded link, the excess of those uploads over the
+    /// ideal link time the profile was fitted on. `None` when the profile
+    /// cannot predict this routine/precision; the service seconds are
+    /// then the uploads alone, and there is nothing to record drift
     /// against or to overrun.
     pub(super) fn price(&self, d: usize, req: &RoutineRequest) -> (Option<Prediction>, f64) {
         let (model, tile) = match req.tile_choice() {
@@ -183,32 +187,37 @@ impl ServeSession {
             TileChoice::Model(m) => (Some(m), None),
             TileChoice::Auto => (None, None),
         };
-        let prediction =
-            self.pool.devices()[d]
-                .profile()
-                .predict_offload(&req.problem_spec(), model, tile);
-        let upload: f64 = req
-            .shared_footprints()
-            .iter()
-            .filter(|(k, _)| !self.devices[d].residency.contains(k))
-            .map(|&(_, bytes)| self.effective_h2d_secs(d, bytes))
-            .sum();
-        (prediction, upload + prediction.map_or(0.0, |p| p.total))
+        let mut spec = req.problem_spec();
+        let (mut upload, mut excess) = (0.0, 0.0);
+        let args = spec.operands.iter_mut().zip(req.operands());
+        for (op, s) in args.filter_map(|(op, arg)| Some((op, arg?.shared()?))) {
+            if self.devices[d].residency.contains(s.key) {
+                continue;
+            }
+            op.loc = Loc::Host;
+            let (effective, ideal) = self.h2d_secs(d, s.bytes());
+            upload += effective;
+            excess += effective - ideal;
+        }
+        let prediction = self.pool.devices()[d]
+            .profile()
+            .predict_offload(&spec, model, tile);
+        (prediction, prediction.map_or(upload, |p| p.total + excess))
     }
 
-    /// Estimated h2d transfer time of `bytes` on device `d` at the
-    /// *effective* link bandwidth of the device's current clock: the
+    /// Estimated h2d transfer time of `bytes` on device `d`: at the
+    /// *effective* link bandwidth of the device's current clock (the
     /// bandwidth scaled by the degrade factor the engine applies at that
-    /// instant ([`Gpu::degrade_factor_now`](cocopelia_gpusim::Gpu::degrade_factor_now)),
-    /// so dispatch stops treating a degraded link as full-rate. Outside
-    /// every degrade window this is
-    /// [`DirLinkSpec::ideal_time`](cocopelia_gpusim::DirLinkSpec::ideal_time)
-    /// bit for bit, so fault-free schedules are unchanged.
-    fn effective_h2d_secs(&self, d: usize, bytes: usize) -> f64 {
+    /// instant, [`Gpu::degrade_factor_now`](cocopelia_gpusim::Gpu::degrade_factor_now)),
+    /// so dispatch stops treating a degraded link as full-rate, and at the
+    /// ideal link ([`DirLinkSpec::ideal_time`](cocopelia_gpusim::DirLinkSpec::ideal_time)).
+    /// Outside every degrade window the two are equal bit for bit.
+    fn h2d_secs(&self, d: usize, bytes: usize) -> (f64, f64) {
         let gpu = self.pool.devices()[d].gpu();
         let h2d = gpu.spec().link.h2d;
         let factor = gpu.degrade_factor_now().max(1e-9);
-        h2d.latency_s + bytes as f64 / (h2d.bandwidth_bps * factor)
+        let effective = h2d.latency_s + bytes as f64 / (h2d.bandwidth_bps * factor);
+        (effective, h2d.ideal_time(bytes))
     }
 
     /// The healthy device that pulls `req` — lowest estimated completion,

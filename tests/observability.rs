@@ -251,7 +251,7 @@ fn observer_totals_match_trace_byte_counts() {
     assert_eq!(m.counter("h2d_bytes_total"), trace_h2d);
     assert_eq!(m.counter("d2h_bytes_total"), trace_d2h);
     assert_eq!(m.counter("calls_total"), 1);
-    assert_eq!(m.counter("calls_gemm"), 1);
+    assert_eq!(m.counter("calls_dgemm"), 1);
     assert_eq!(m.counter("subkernels_total"), 64);
     // Fixed tile: no drift scored (no exec tables in the dummy profile).
     assert!(ctx.observer().drift().records().is_empty());

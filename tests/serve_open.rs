@@ -5,19 +5,30 @@
 //! and beats the non-coalesced makespan; the shed watermark prices warm
 //! operands as resident; and under random fault plans a
 //! session drain replays bit-identically, gives every request exactly one
-//! terminal outcome, and leaks no buffer.
+//! terminal outcome, and leaks no buffer. A residency miss fills through
+//! the request's own tile pipeline: exactly the operand's bytes, each
+//! region once, ahead of every kernel that reads it; a failed fill is
+//! never cached, and a won hedge keeps only what its primary finished.
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
-use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec};
+use cocopelia_deploy::{deploy, DeployConfig};
+use cocopelia_gpusim::{
+    testbed_i, DegradeWindow, EngineKind, ExecMode, FaultSpec, NoiseSpec, OperandRole, Routine,
+    SimTime, TestbedSpec, TraceEntry,
+};
 use cocopelia_obs::SpanPhase;
 use cocopelia_runtime::serve::{
-    ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
+    ExecutorConfig, HedgeConfig, RequestStatus, ServeOptions, ServeReport, ServeSession,
+    TelemetryConfig,
 };
-use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
+use cocopelia_runtime::{
+    AxpyRequest, GemmRequest, MatArg, MatOperand, MultiGpu, RetryPolicy, RoutineRequest, SharedMat,
+    SharedVec, TileChoice, VecOperand,
+};
 use cocopelia_xp::ArrivalSpec;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 const MB: usize = 1 << 20;
 
@@ -481,5 +492,289 @@ proptest! {
             prop_assert_eq!(live, expect, "dev{} holds buffers beyond its cache", d);
             prop_assert!(dev.gpu().live_host_buffers().is_empty(), "dev{} pins host buffers", d);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Residency misses fill through the request's own tile pipeline.
+// ---------------------------------------------------------------------------
+
+/// The engine entries device `d` ran in a traced drain.
+fn lane(report: &ServeReport, d: usize) -> Vec<TraceEntry> {
+    let trace = report.trace.as_ref().expect("tracing armed");
+    trace.lanes[d].entries.iter().cloned().collect()
+}
+
+/// The h2d copies in `entries` that move operand `role`.
+fn copies_of(entries: &[TraceEntry], role: OperandRole) -> Vec<TraceEntry> {
+    entries
+        .iter()
+        .filter(|e| e.engine == EngineKind::CopyH2d && e.tag.and_then(|t| t.operand) == Some(role))
+        .cloned()
+        .collect()
+}
+
+/// Bytes the copies in `entries` moved.
+fn bytes<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> usize {
+    entries.into_iter().filter_map(TraceEntry::bytes).sum()
+}
+
+/// Drains `reqs` through a traced one-device session on `pool`.
+fn traced_drain(pool: MultiGpu, reqs: Vec<RoutineRequest>) -> (ServeReport, ServeSession) {
+    let opts = ServeOptions::new().tracing();
+    let mut session = ServeSession::with_options(pool, ExecutorConfig::default(), opts).unwrap();
+    for req in reqs {
+        session.submit(req);
+    }
+    let report = session.drain();
+    assert!(report
+        .outcomes
+        .iter()
+        .all(|o| matches!(o.status, RequestStatus::Completed(_))));
+    (report, session)
+}
+
+/// A 1024³ dgemm at tile 512 over `a` and `b`, with a private `C`.
+fn gemm_over(a: impl Into<MatArg<f64>>, b: impl Into<MatArg<f64>>) -> RoutineRequest {
+    GemmRequest::<f64>::new(a, b, ghost(1024))
+        .alpha(1.0)
+        .beta(1.0)
+        .tile(TileChoice::Fixed(512))
+        .into()
+}
+
+#[test]
+fn a_miss_moves_exactly_the_operands_bytes_in_tagged_tile_copies() {
+    let (report, session) = traced_drain(
+        pool(1),
+        vec![gemm_over(SharedMat::new("A", 1024, 1024), ghost(1024))],
+    );
+    let entries = lane(&report, 0);
+    let operand = 1024 * 1024 * 8;
+    let a = copies_of(&entries, OperandRole::A);
+    assert_eq!(a.len(), 4, "one copy per 512² tile of A");
+    assert_eq!(bytes(&a), operand, "the fill moves A's bytes once");
+    let h2d: Vec<_> = entries
+        .iter()
+        .filter(|e| e.engine == EngineKind::CopyH2d)
+        .collect();
+    assert!(
+        h2d.iter()
+            .all(|e| e.tag.is_some_and(|t| t.operand.is_some())),
+        "no untagged whole-operand upload remains"
+    );
+    assert_eq!(
+        bytes(h2d),
+        3 * operand,
+        "A filled, B and C fetched, once each"
+    );
+    assert_eq!(report.metrics.counter("residency_misses_total"), 1);
+    assert_eq!(session.residency(0).used_bytes(), operand);
+}
+
+#[test]
+fn one_key_used_twice_copies_each_region_once() {
+    let m = || SharedMat::new("M", 1024, 1024);
+    let (report, session) = traced_drain(pool(1), vec![gemm_over(m(), m())]);
+    let entries = lane(&report, 0);
+    let (a, b) = (
+        copies_of(&entries, OperandRole::A),
+        copies_of(&entries, OperandRole::B),
+    );
+    assert_eq!(a.len() + b.len(), 4, "each 512² region of M copied once");
+    assert_eq!(bytes(&a) + bytes(&b), 1024 * 1024 * 8);
+    assert_eq!(report.metrics.counter("residency_misses_total"), 1);
+    assert_eq!(report.metrics.counter("residency_hits_total"), 1);
+    assert_eq!(session.residency(0).len(), 1);
+}
+
+#[test]
+fn no_kernel_starts_before_the_fill_copies_of_its_tiles_end() {
+    let n = 1 << 20;
+    let m = || SharedMat::new("M", 1024, 1024);
+    let daxpy = AxpyRequest::<f64>::new(SharedVec::new("X", n), VecOperand::HostGhost { len: n })
+        .tile(TileChoice::Fixed(n / 4))
+        .into();
+    let reqs = vec![
+        gemm_over(
+            SharedMat::new("A", 1024, 1024),
+            SharedMat::new("B", 1024, 1024),
+        ),
+        gemm_over(m(), m()),
+        daxpy,
+    ];
+    let (report, _) = traced_drain(pool(1), reqs);
+    let entries = lane(&report, 0);
+    let fill = |call: u32, role: OperandRole, tile: (u32, u32)| {
+        entries.iter().find(|e| {
+            e.engine == EngineKind::CopyH2d
+                && e.tag
+                    .is_some_and(|t| (t.call, t.operand, t.tile) == (call, Some(role), tile))
+        })
+    };
+    // The gemm kernels on output tile (i, j) run p = 0, 1 in order and
+    // read A(i, p) and B(p, j); M·M copies each region of M under
+    // whichever role read it first. The daxpy kernel on chunk i reads X(i).
+    let mut depth: HashMap<(u32, (u32, u32)), u32> = HashMap::new();
+    let mut kernels = 0;
+    for k in entries.iter().filter(|e| e.engine == EngineKind::Compute) {
+        let t = k.tag.expect("scheduled kernels are tagged");
+        let reads = if t.routine == Routine::Gemm {
+            let p = depth.entry((t.call, t.tile)).or_insert(0);
+            let (a, b) = ((t.tile.0, *p), (*p, t.tile.1));
+            *p += 1;
+            let (ra, rb) = (OperandRole::A, OperandRole::B);
+            vec![
+                fill(t.call, ra, a).or(fill(t.call, rb, a)),
+                fill(t.call, rb, b).or(fill(t.call, ra, b)),
+            ]
+        } else {
+            vec![fill(t.call, OperandRole::X, t.tile)]
+        };
+        for c in reads {
+            let c = c.unwrap_or_else(|| panic!("no fill copy of a tile kernel {k:?} reads"));
+            assert!(
+                c.end <= k.start,
+                "kernel {k:?} starts before fill {c:?} ends"
+            );
+        }
+        kernels += 1;
+    }
+    assert_eq!(kernels, 8 + 8 + 4);
+}
+
+#[test]
+fn a_fault_mid_fill_leaves_no_entry_and_the_retry_fills_again() {
+    let spec = FaultSpec {
+        seed: FAULT_SEED,
+        h2d: 0.15,
+        ..FaultSpec::none()
+    };
+    let mut pool =
+        MultiGpu::with_fault_plans(&quiet(), ExecMode::TimingOnly, 42, dummy_profile(), &[spec]);
+    pool.device_mut(0).set_retry_policy(RetryPolicy::none());
+    let cfg = ExecutorConfig {
+        max_retries: 0,
+        ..ExecutorConfig::default()
+    };
+    let opts = ServeOptions::new().tracing();
+    let mut session = ServeSession::with_options(pool, cfg, opts).unwrap();
+    let req = || gemm_over(SharedMat::new("A", 1024, 1024), ghost(1024));
+
+    session.submit(req());
+    let failed = session.drain();
+    assert!(matches!(
+        failed.outcomes[0].status,
+        RequestStatus::Failed(_)
+    ));
+    let filled = copies_of(&lane(&failed, 0), OperandRole::A);
+    assert!(
+        !filled.is_empty() && filled.len() < 4,
+        "the fault lands mid-fill ({} of 4 copies)",
+        filled.len()
+    );
+    assert!(
+        session.residency(0).is_empty(),
+        "a partial fill is never cached"
+    );
+    let gpu = session.pool().devices()[0].gpu();
+    assert!(
+        gpu.live_device_buffers().is_empty(),
+        "the partial buffer is freed"
+    );
+    assert!(
+        gpu.live_host_buffers().is_empty(),
+        "the fill's ghost is released"
+    );
+
+    session.submit(req());
+    let served = session.drain();
+    assert!(matches!(
+        served.outcomes[0].status,
+        RequestStatus::Completed(_)
+    ));
+    assert_eq!(served.metrics.counter("residency_misses_total"), 2);
+    let refill = copies_of(&lane(&served, 0), OperandRole::A);
+    assert_eq!(bytes(&refill), 1024 * 1024 * 8, "the retry fills A again");
+    let live: BTreeSet<_> = session.pool().devices()[0]
+        .gpu()
+        .live_device_buffers()
+        .into_iter()
+        .collect();
+    let cached: BTreeSet<_> = session.residency(0).device_buffers().into_iter().collect();
+    assert_eq!(live, cached);
+    assert_eq!(session.residency(0).len(), 1);
+}
+
+/// Seed of [`a_fault_mid_fill_leaves_no_entry_and_the_retry_fills_again`]'s
+/// h2d faults: its first attempt faults after two of A's four fill copies
+/// and its second runs clean.
+const FAULT_SEED: u64 = 35;
+
+#[test]
+fn a_won_hedge_keeps_only_the_entries_its_primary_finished_filling() {
+    // dev0's link drops to 1% at 10 ms, after the primary's first row
+    // block has filled all of B but one tile of A; dev1 stays clean, so
+    // the hedge it runs wins and cancels the primary mid-fill.
+    let tb = quiet();
+    let profile = deploy(&tb, &DeployConfig::quick()).unwrap().profile;
+    let slow = FaultSpec {
+        degrade: vec![DegradeWindow {
+            start_s: 0.01,
+            end_s: 100.0,
+            factor: 0.01,
+        }],
+        ..FaultSpec::none()
+    };
+    let plans = [slow, FaultSpec::none()];
+    let pool = MultiGpu::with_fault_plans(&tb, ExecMode::TimingOnly, 42, profile, &plans);
+    let opts = ServeOptions::new().tracing().hedge(HedgeConfig::default());
+    let mut session = ServeSession::with_options(pool, ExecutorConfig::default(), opts).unwrap();
+    session.submit(
+        GemmRequest::<f64>::new(
+            SharedMat::new("A", 4096, 1024),
+            SharedMat::new("B", 1024, 1024),
+            MatOperand::HostGhost {
+                rows: 4096,
+                cols: 1024,
+            },
+        )
+        .alpha(1.0)
+        .beta(1.0)
+        .tile(TileChoice::Fixed(1024)),
+    );
+    let report = session.drain();
+    assert_eq!(report.metrics.counter("hedge_wins_total"), 1);
+    assert_eq!(report.outcomes[0].device, Some(1));
+    let trace = report.trace.as_ref().unwrap();
+    let cancel_ns = trace
+        .spans
+        .iter()
+        .find(|s| s.phase == SpanPhase::Cancel && s.device == Some(0))
+        .expect("the primary on dev0 was cancelled")
+        .start_ns;
+
+    // The primary filled B's one tile before the instant, but not all four
+    // of A's: B stays resident on dev0, A is rolled back.
+    let entries = lane(&report, 0);
+    let (a, b) = (
+        copies_of(&entries, OperandRole::A),
+        copies_of(&entries, OperandRole::B),
+    );
+    assert_eq!(b.len(), 1);
+    assert!(b.iter().all(|c| c.end.as_nanos() < cancel_ns));
+    let a_done = a.iter().filter(|c| c.end.as_nanos() < cancel_ns).count();
+    assert!(a_done < 4, "A's fill was cut off ({a_done} of 4 tiles)");
+    assert_eq!(session.residency(0).len(), 1);
+    assert_eq!(session.residency(0).used_bytes(), 1024 * 1024 * 8);
+    assert_eq!(session.residency(1).len(), 2, "the winner keeps both");
+    for (d, dev) in session.pool().devices().iter().enumerate() {
+        let live: BTreeSet<_> = dev.gpu().live_device_buffers().into_iter().collect();
+        let cached: BTreeSet<_> = session.residency(d).device_buffers().into_iter().collect();
+        assert_eq!(live, cached, "dev{d} holds buffers beyond its cache");
+        assert!(
+            dev.gpu().live_host_buffers().is_empty(),
+            "dev{d} pins host buffers"
+        );
     }
 }

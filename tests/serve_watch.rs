@@ -492,54 +492,54 @@ fn pinned_watch_stream_is_unchanged() {
 /// refactor of the telemetry path must leave every line unchanged.
 #[rustfmt::skip]
 const PINNED_WATCH_STREAM: &[&str] = &[
-    "[w000     0.000-   32.000ms] q=23 done=1 miss=0 fail=0 rej=0 coal=0 p95=242.500ms hit=0% faults=1 quar=0 drift=87.9% hedge=1/0 slo=BREACH(flow_p95 0.2425>0.05,flow_p99 0.2485>0.08,fault_rate 1.0000>0.2,hedge_rate 1.0000>0.1)",
-    "[w001    32.000-   64.000ms] q=23 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=0 drift=87.9% slo=BREACH(flow_p95,flow_p99,fault_rate,hedge_rate)",
-    "[w002    64.000-   96.000ms] q=23 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=0 drift=87.9% slo=BREACH(flow_p95,flow_p99,fault_rate,hedge_rate)",
-    "[w003    96.000-  128.000ms] q=23 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=0 drift=87.9% slo=BREACH(flow_p95,flow_p99,fault_rate,hedge_rate)",
-    "[w004   128.000-  160.000ms] q=23 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=0 drift=87.9% slo=BREACH(flow_p95,flow_p99,fault_rate,hedge_rate)",
-    "[w005   160.000-  192.000ms] q=19 done=4 miss=0 fail=0 rej=0 coal=0 p95=220.000ms hit=78% faults=1 quar=1 drift=37.0% slo=BREACH(flow_p95 0.2200>0.05,flow_p99 0.2440>0.08,quarantined 1.0000>0)",
-    "[w006   192.000-  224.000ms] q=19 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=37.0% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w007   224.000-  256.000ms] q=18 done=1 miss=0 fail=0 rej=0 coal=0 p95=487.500ms hit=100% faults=0 quar=1 drift=43.5% probe=1 slo=BREACH(flow_p95 0.4875>0.05,flow_p99 0.4975>0.08,quarantined 1.0000>0)",
-    "[w008   256.000-  288.000ms] q=18 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=43.5% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w009   288.000-  320.000ms] q=17 done=1 miss=0 fail=0 rej=0 coal=0 p95=487.500ms hit=0% faults=0 quar=1 drift=45.0% probe=1 slo=BREACH(flow_p95 0.4875>0.05,flow_p99 0.4975>0.08,quarantined 1.0000>0)",
-    "[w010   320.000-  352.000ms] q=17 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=45.0% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w011   352.000-  384.000ms] q=17 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=45.0% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w012   384.000-  416.000ms] q=16 done=1 miss=0 fail=0 rej=0 coal=0 p95=487.500ms hit=50% faults=0 quar=1 drift=39.4% probe=1 slo=BREACH(flow_p95 0.4875>0.05,flow_p99 0.4975>0.08,quarantined 1.0000>0)",
-    "[w013   416.000-  448.000ms] q=16 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=39.4% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w014   448.000-  480.000ms] q=15 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=43.4% probe=1 slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
-    "[w015   480.000-  512.000ms] q=15 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=43.4% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w016   512.000-  544.000ms] q=14 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=46.7% probe=1 slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
-    "[w017   544.000-  576.000ms] q=14 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=46.7% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w018   576.000-  608.000ms] q=13 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=51.1% probe=1 slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
-    "[w019   608.000-  640.000ms] q=13 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=51.1% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w020   640.000-  672.000ms] q=11 done=2 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=52.4% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
-    "[w021   672.000-  704.000ms] q=11 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=52.4% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w022   704.000-  736.000ms] q=10 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=54.1% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
-    "[w023   736.000-  768.000ms] q=10 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=54.1% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w024   768.000-  800.000ms] q=9 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=56.8% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
-    "[w025   800.000-  832.000ms] q=9 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=56.8% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w026   832.000-  864.000ms] q=7 done=2 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=57.2% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
-    "[w027   864.000-  896.000ms] q=7 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=57.2% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w028   896.000-  928.000ms] q=6 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=58.2% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
-    "[w029   928.000-  960.000ms] q=6 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=58.2% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w030   960.000-  992.000ms] q=5 done=1 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=60.1% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
-    "[w031   992.000- 1024.000ms] q=5 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=60.1% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w032  1024.000- 1056.000ms] q=3 done=2 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=60.1% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
-    "[w033  1056.000- 1088.000ms] q=3 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=60.1% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w034  1088.000- 1120.000ms] q=2 done=1 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=60.8% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
-    "[w035  1120.000- 1152.000ms] q=2 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=60.8% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w036  1152.000- 1184.000ms] q=1 done=1 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=62.3% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
-    "[w037  1184.000- 1216.000ms] q=1 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=62.3% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
-    "[w038  1216.000- 1240.426ms] q=0 done=1 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=61.5% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
+    "[w000     0.000-   32.000ms] q=23 done=1 miss=0 fail=0 rej=0 coal=0 p95=242.500ms hit=0% faults=1 quar=0 drift=90.7% hedge=1/0 slo=BREACH(flow_p95 0.2425>0.05,flow_p99 0.2485>0.08,fault_rate 1.0000>0.2,hedge_rate 1.0000>0.1)",
+    "[w001    32.000-   64.000ms] q=23 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=0 drift=90.7% slo=BREACH(flow_p95,flow_p99,fault_rate,hedge_rate)",
+    "[w002    64.000-   96.000ms] q=23 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=0 drift=90.7% slo=BREACH(flow_p95,flow_p99,fault_rate,hedge_rate)",
+    "[w003    96.000-  128.000ms] q=23 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=0 drift=90.7% slo=BREACH(flow_p95,flow_p99,fault_rate,hedge_rate)",
+    "[w004   128.000-  160.000ms] q=23 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=0 drift=90.7% slo=BREACH(flow_p95,flow_p99,fault_rate,hedge_rate)",
+    "[w005   160.000-  192.000ms] q=19 done=4 miss=0 fail=0 rej=0 coal=0 p95=220.000ms hit=56% faults=1 quar=1 drift=38.5% slo=BREACH(flow_p95 0.2200>0.05,flow_p99 0.2440>0.08,quarantined 1.0000>0)",
+    "[w006   192.000-  224.000ms] q=19 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=38.5% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w007   224.000-  256.000ms] q=18 done=1 miss=0 fail=0 rej=0 coal=0 p95=487.500ms hit=100% faults=0 quar=1 drift=44.8% probe=1 slo=BREACH(flow_p95 0.4875>0.05,flow_p99 0.4975>0.08,quarantined 1.0000>0)",
+    "[w008   256.000-  288.000ms] q=17 done=1 miss=0 fail=0 rej=0 coal=0 p95=487.500ms hit=0% faults=0 quar=1 drift=45.9% probe=1 slo=BREACH(flow_p95 0.4875>0.05,flow_p99 0.4975>0.08,quarantined 1.0000>0)",
+    "[w009   288.000-  320.000ms] q=17 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=45.9% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w010   320.000-  352.000ms] q=17 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=45.9% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w011   352.000-  384.000ms] q=17 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=45.9% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w012   384.000-  416.000ms] q=16 done=1 miss=0 fail=0 rej=0 coal=0 p95=487.500ms hit=50% faults=0 quar=1 drift=40.1% probe=1 slo=BREACH(flow_p95 0.4875>0.05,flow_p99 0.4975>0.08,quarantined 1.0000>0)",
+    "[w013   416.000-  448.000ms] q=16 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=40.1% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w014   448.000-  480.000ms] q=15 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=44.1% probe=1 slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
+    "[w015   480.000-  512.000ms] q=15 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=44.1% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w016   512.000-  544.000ms] q=14 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=47.3% probe=1 slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
+    "[w017   544.000-  576.000ms] q=14 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=47.3% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w018   576.000-  608.000ms] q=13 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=51.6% probe=1 slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
+    "[w019   608.000-  640.000ms] q=13 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=51.6% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w020   640.000-  672.000ms] q=11 done=2 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=52.9% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
+    "[w021   672.000-  704.000ms] q=11 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=52.9% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w022   704.000-  736.000ms] q=10 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=54.5% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
+    "[w023   736.000-  768.000ms] q=10 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=54.5% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w024   768.000-  800.000ms] q=9 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=57.2% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
+    "[w025   800.000-  832.000ms] q=9 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=57.2% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w026   832.000-  864.000ms] q=7 done=2 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=57.5% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
+    "[w027   864.000-  896.000ms] q=7 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=57.5% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w028   896.000-  928.000ms] q=6 done=1 miss=0 fail=0 rej=0 coal=0 p95=975.000ms hit=100% faults=0 quar=1 drift=58.5% slo=BREACH(flow_p95 0.9750>0.05,flow_p99 0.9950>0.08,quarantined 1.0000>0)",
+    "[w029   928.000-  960.000ms] q=6 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=58.5% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w030   960.000-  992.000ms] q=5 done=1 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=60.4% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
+    "[w031   992.000- 1024.000ms] q=5 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=60.4% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w032  1024.000- 1056.000ms] q=3 done=2 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=60.4% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
+    "[w033  1056.000- 1088.000ms] q=3 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=60.4% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w034  1088.000- 1120.000ms] q=2 done=1 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=61.1% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
+    "[w035  1120.000- 1152.000ms] q=2 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=61.1% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w036  1152.000- 1184.000ms] q=1 done=1 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=62.6% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
+    "[w037  1184.000- 1216.000ms] q=1 done=0 miss=0 fail=0 rej=0 coal=0 p95=- hit=- faults=0 quar=1 drift=62.6% slo=BREACH(flow_p95,flow_p99,quarantined 1.0000>0)",
+    "[w038  1216.000- 1232.483ms] q=0 done=1 miss=0 fail=0 rej=0 coal=0 p95=2425.000ms hit=100% faults=0 quar=1 drift=61.8% slo=BREACH(flow_p95 2.4250>0.05,flow_p99 2.4850>0.08,quarantined 1.0000>0)",
     "SLO breach in window 0: flow_p95 observed 0.242500 > 0.05",
     "SLO breach in window 0: flow_p99 observed 0.248500 > 0.08",
     "SLO breach in window 0: fault_rate observed 1.000000 > 0.2",
     "SLO breach in window 0: hedge_rate observed 1.000000 > 0.1",
     "SLO breach in window 5: quarantined observed 1.000000 > 0",
-    "dump \"SLO breach in window 0: flow_p95 observed 0.242500 > 0.05\" window=5 at_ns=32000000 dropped_before=0 spans=32",
-    "dump \"SLO breach in window 0: flow_p99 observed 0.248500 > 0.08\" window=5 at_ns=32000000 dropped_before=0 spans=32",
-    "dump \"SLO breach in window 0: fault_rate observed 1.000000 > 0.2\" window=5 at_ns=32000000 dropped_before=0 spans=32",
-    "dump \"SLO breach in window 0: hedge_rate observed 1.000000 > 0.1\" window=5 at_ns=32000000 dropped_before=0 spans=32",
-    "dump \"quarantine dev1 (request 4)\" window=5 at_ns=228841608 dropped_before=0 spans=58",
-    "dump \"SLO breach in window 5: quarantined observed 1.000000 > 0\" window=7 at_ns=192000000 dropped_before=0 spans=58",
+    "dump \"SLO breach in window 0: flow_p95 observed 0.242500 > 0.05\" window=5 at_ns=32000000 dropped_before=0 spans=31",
+    "dump \"SLO breach in window 0: flow_p99 observed 0.248500 > 0.08\" window=5 at_ns=32000000 dropped_before=0 spans=31",
+    "dump \"SLO breach in window 0: fault_rate observed 1.000000 > 0.2\" window=5 at_ns=32000000 dropped_before=0 spans=31",
+    "dump \"SLO breach in window 0: hedge_rate observed 1.000000 > 0.1\" window=5 at_ns=32000000 dropped_before=0 spans=31",
+    "dump \"quarantine dev1 (request 4)\" window=5 at_ns=224792424 dropped_before=0 spans=57",
+    "dump \"SLO breach in window 5: quarantined observed 1.000000 > 0\" window=7 at_ns=192000000 dropped_before=0 spans=57",
 ];

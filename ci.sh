@@ -35,6 +35,13 @@ echo "== perf snapshot gate (exact vs BENCH_seed.json) =="
 # GOLDEN_BLESS=1 cargo test -p cocopelia-xp --test perf_snapshot
 cargo test --release -q -p cocopelia-xp --test perf_snapshot
 
+echo "== paper figure goldens (every figure and table bench, exact) =="
+# Each figure/table bench's reduced-scale text is pinned byte for byte in
+# tests/golden/paper/ (tests/paper_figures.rs). Debug `cargo test` runs
+# eight of them; table4_improvement and fig4_model_error_noreuse take 46 s
+# and 7.5 s in debug, so they run here in release, with the other eight.
+cargo test --release -q -p cocopelia-xp --test paper_figures
+
 echo "== allocation-count gate (exact heap allocations of the hot paths) =="
 # A counting global allocator pins the exact allocations of a direct
 # single-tile dgemm, one FIFO-served request, and Predictive drains at

@@ -7,79 +7,13 @@
 //! of the selected tiling size against the empirical optimum and against
 //! static `T = 2048`. Shows which model term (location, bidirectional
 //! slowdown, reuse) earns its keep as the machine balance shifts.
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/ablation_model_terms.txt`.
 
-use cocopelia_core::models::ModelKind;
-use cocopelia_core::params::Loc;
-use cocopelia_gpusim::synthetic_testbed;
-use cocopelia_hostblas::Dtype;
-use cocopelia_runtime::TileChoice;
-use cocopelia_xp::sets::gemm_tile_grid;
-use cocopelia_xp::{GemmLib, GemmProblem, Lab, Scale, TextTable};
+use cocopelia_xp::figures;
+use cocopelia_xp::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
-    println!("=== Ablation: model terms across machine balance (dgemm 8192^3, A,C on host) ===\n");
-    let p = GemmProblem {
-        dtype: Dtype::F64,
-        m: 8192,
-        n: 8192,
-        k: 8192,
-        loc_a: Loc::Host,
-        loc_b: Loc::Device,
-        loc_c: Loc::Host,
-    };
-    let scales: &[f64] = match scale {
-        Scale::Full => &[0.25, 0.5, 1.0, 2.0, 4.0],
-        Scale::Reduced => &[0.25, 1.0, 4.0],
-    };
-    let models = [
-        ModelKind::Baseline,
-        ModelKind::DataLoc,
-        ModelKind::Bts,
-        ModelKind::DataReuse,
-    ];
-    let mut table = TextTable::new(vec![
-        "link x",
-        "static 2048",
-        "T_opt",
-        "Eq.1",
-        "Eq.2",
-        "Eq.4",
-        "Eq.5(DR)",
-    ]);
-    for &bw in scales {
-        let lab = Lab::deploy(synthetic_testbed(bw));
-        let static_run = lab
-            .run_gemm(&p, GemmLib::Cocopelia(TileChoice::Fixed(2048)), 89)
-            .expect("static run");
-        let mut best = static_run;
-        for t in gemm_tile_grid(8192, scale) {
-            let out = lab
-                .run_gemm(&p, GemmLib::Cocopelia(TileChoice::Fixed(t)), 91 + t as u64)
-                .expect("grid run");
-            if out.gflops > best.gflops {
-                best = out;
-            }
-        }
-        let mut cells = vec![
-            format!("{bw:.2}"),
-            format!("{:.0}", static_run.gflops),
-            format!("T={} {:.0}", best.tile, best.gflops),
-        ];
-        for model in models {
-            let out = lab
-                .run_gemm(&p, GemmLib::Cocopelia(TileChoice::Model(model)), 97)
-                .expect("model run");
-            cells.push(format!(
-                "T={} {:.0} ({:.1}% of opt)",
-                out.tile,
-                out.gflops,
-                100.0 * out.gflops / best.gflops
-            ));
-        }
-        table.row(cells);
-    }
-    println!("{}", table.render());
-    println!("(expected: the DR selection tracks T_opt across the bandwidth sweep; the");
-    println!(" location-blind Eq.1 and static tile degrade as the link slows)");
+    print!("{}", figures::ablation_model_terms(Scale::from_env()));
 }

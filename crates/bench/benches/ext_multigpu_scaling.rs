@@ -5,53 +5,13 @@
 //! links, DGX-style). `A` is replicated, so the transfer volume grows with
 //! the device count and strong scaling is sub-linear — the autotuner
 //! responds by shrinking the tile as the per-device sub-problem narrows.
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/ext_multigpu_scaling.txt`.
 
-use cocopelia_gpusim::{testbed_ii, ExecMode};
-use cocopelia_runtime::{MultiGpu, TileChoice};
-use cocopelia_xp::{Lab, Scale, TextTable};
+use cocopelia_xp::figures;
+use cocopelia_xp::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
-    println!("=== Extension: multi-GPU strong scaling (dgemm, Testbed II devices) ===\n");
-    let lab = Lab::deploy(testbed_ii());
-    let sizes: Vec<usize> = match scale {
-        Scale::Full => vec![8192, 16384],
-        Scale::Reduced => vec![8192],
-    };
-    for n in sizes {
-        let mut table = TextTable::new(vec![
-            "devices",
-            "makespan (ms)",
-            "aggregate GFLOP/s",
-            "speedup",
-            "efficiency",
-            "tiles used",
-        ]);
-        let mut base = None;
-        for g in [1usize, 2, 4, 8] {
-            let mut mg = MultiGpu::new(
-                &lab.testbed,
-                g,
-                ExecMode::TimingOnly,
-                21,
-                lab.profile.clone(),
-            );
-            let out = mg.gemm_ghost(n, n, n, TileChoice::Auto).expect("runs");
-            let secs = out.elapsed.as_secs_f64();
-            let base_secs = *base.get_or_insert(secs);
-            let tiles: Vec<String> = out.per_device.iter().map(|r| r.tile.to_string()).collect();
-            table.row(vec![
-                g.to_string(),
-                format!("{:.1}", secs * 1e3),
-                format!("{:.0}", out.gflops()),
-                format!("{:.2}x", base_secs / secs),
-                format!("{:.0}%", 100.0 * base_secs / secs / g as f64),
-                tiles.join(","),
-            ]);
-        }
-        println!("dgemm {n}x{n}x{n}, full offload:");
-        println!("{}", table.render());
-    }
-    println!("(A replication makes strong scaling sub-linear; the selector narrows T as");
-    println!(" the per-device column block shrinks)");
+    print!("{}", figures::ext_multigpu_scaling(Scale::from_env()));
 }

@@ -6,58 +6,13 @@
 //! the break-points move across testbeds and problem sizes; and the static
 //! `T = 4096` choice loses against the per-problem best (up to 9.4 % /
 //! 14.7 % on the paper's testbeds).
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/fig1_tiling_sweep.txt`.
 
-use cocopelia_core::params::Loc;
-use cocopelia_gpusim::{testbed_i, testbed_ii};
-use cocopelia_hostblas::Dtype;
-use cocopelia_xp::sets::gemm_tile_grid;
-use cocopelia_xp::{bar_chart, GemmLib, GemmProblem, Lab, Scale};
+use cocopelia_xp::figures;
+use cocopelia_xp::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
-    println!("=== Figure 1: cuBLASXt dgemm performance vs tiling size T ===\n");
-    let sizes: Vec<usize> = match scale {
-        Scale::Full => vec![8192, 12288, 16384],
-        Scale::Reduced => vec![8192, 16384],
-    };
-
-    for testbed in [testbed_i(), testbed_ii()] {
-        let lab = Lab::deploy(testbed);
-        println!("--- {} ---", lab.testbed.name);
-        for &s in &sizes {
-            let p = GemmProblem {
-                dtype: Dtype::F64,
-                m: s,
-                n: s,
-                k: s,
-                loc_a: Loc::Host,
-                loc_b: Loc::Host,
-                loc_c: Loc::Host,
-            };
-            let grid = gemm_tile_grid(s, scale);
-            let mut series = Vec::new();
-            for &t in &grid {
-                let out = lab
-                    .run_gemm(&p, GemmLib::CublasXt(t), 0xF16 + t as u64)
-                    .expect("sweep run");
-                series.push((format!("T={t}"), out.gflops));
-            }
-            let (best_t, best) = series
-                .iter()
-                .map(|(l, g)| (l.clone(), *g))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                .expect("nonempty grid");
-            println!("\n{} (full offload):", p.label());
-            println!("{}", bar_chart(&series, 48, "GFLOP/s"));
-            println!("  best: {best_t} at {best:.1} GFLOP/s");
-            if let Some((_, static_g)) = series.iter().find(|(l, _)| l == "T=4096") {
-                println!(
-                    "  static T=4096: {static_g:.1} GFLOP/s ({:.1}% slowdown vs best)",
-                    (1.0 - static_g / best) * 100.0
-                );
-            }
-        }
-        println!();
-    }
-    println!("(paper: maxima shift across testbeds/problem sizes; static tiles lose up to ~14.7%)");
+    print!("{}", figures::fig1_tiling_sweep(Scale::from_env()));
 }

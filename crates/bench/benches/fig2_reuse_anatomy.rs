@@ -6,90 +6,12 @@
 //! resident, compute saturated, the link going quiet). This bench
 //! reproduces the figure quantitatively from the simulator's execution
 //! trace: per-time-window engine utilisation across the makespan.
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/fig2_reuse_anatomy.txt`.
 
-use cocopelia_core::profile::SystemProfile;
-use cocopelia_core::transfer::{LatBw, TransferModel};
-use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, Trace};
-use cocopelia_runtime::{Cocopelia, GemmRequest, MatOperand, TileChoice};
-use cocopelia_xp::TextTable;
-
-/// Fraction of `[w0, w1)` during which `engine` was busy.
-fn utilisation(trace: &Trace, engine: EngineKind, w0: u64, w1: u64) -> f64 {
-    let mut busy = 0u64;
-    for e in trace.entries().iter().filter(|e| e.engine == engine) {
-        let s = e.start.as_nanos().max(w0);
-        let t = e.end.as_nanos().min(w1);
-        if t > s {
-            busy += t - s;
-        }
-    }
-    busy as f64 / (w1 - w0) as f64
-}
+use cocopelia_xp::figures;
 
 fn main() {
-    println!("=== Figure 2: reuse pipeline anatomy (dgemm 8192^3, T=1024, Testbed I) ===\n");
-    let mut tb = testbed_i();
-    tb.noise = NoiseSpec::NONE;
-    let dummy = SystemProfile::new(
-        "fig2",
-        TransferModel {
-            h2d: LatBw { t_l: 0.0, t_b: 0.0 },
-            d2h: LatBw { t_l: 0.0, t_b: 0.0 },
-            sl_h2d: 1.0,
-            sl_d2h: 1.0,
-        },
-    );
-    let mut ctx = Cocopelia::new(Gpu::new(tb, ExecMode::TimingOnly, 2), dummy);
-    let n = 8192;
-    GemmRequest::new(
-        MatOperand::<f64>::HostGhost { rows: n, cols: n },
-        MatOperand::HostGhost { rows: n, cols: n },
-        MatOperand::HostGhost { rows: n, cols: n },
-    )
-    .alpha(1.0)
-    .beta(1.0)
-    .tile(TileChoice::Fixed(1024))
-    .run(&mut ctx)
-    .expect("runs");
-    let trace = ctx.gpu().trace();
-    let end = trace
-        .entries()
-        .iter()
-        .map(|e| e.end.as_nanos())
-        .max()
-        .expect("entries");
-
-    let windows = 10usize;
-    let mut table = TextTable::new(vec!["window", "h2d busy", "exec busy", "d2h busy", "phase"]);
-    let mut first_phase = None;
-    let mut last_phase = None;
-    for w in 0..windows {
-        let w0 = end * w as u64 / windows as u64;
-        let w1 = end * (w as u64 + 1) / windows as u64;
-        let h2d = utilisation(trace, EngineKind::CopyH2d, w0, w1);
-        let exec = utilisation(trace, EngineKind::Compute, w0, w1);
-        let d2h = utilisation(trace, EngineKind::CopyD2h, w0, w1);
-        let phase = if h2d > exec {
-            "transfer-bound"
-        } else {
-            "execution-bound"
-        };
-        first_phase.get_or_insert(phase);
-        last_phase = Some(phase);
-        table.row(vec![
-            format!("{}-{}%", w * 10, (w + 1) * 10),
-            format!("{:5.1}%", h2d * 100.0),
-            format!("{:5.1}%", exec * 100.0),
-            format!("{:5.1}%", d2h * 100.0),
-            phase.to_owned(),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "start: {}  ->  end: {}",
-        first_phase.expect("windows"),
-        last_phase.expect("windows")
-    );
-    println!("(paper Fig. 2: initially transfer-bound; h2d transfers decrease due to data");
-    println!(" reuse and the problem becomes execution-bound)");
+    print!("{}", figures::fig2_reuse_anatomy());
 }

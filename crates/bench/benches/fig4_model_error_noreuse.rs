@@ -6,92 +6,19 @@
 //! Paper shape to reproduce: daxpy — BTS median error ~1–2 %, CSO
 //! underpredicts at −3…−7 %; gemm — CSO underpredicts heavily (−20…−34 %
 //! medians), BTS markedly closer with less underprediction bias.
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/fig4_model_error_noreuse.txt`.
 
-use cocopelia_core::models::ModelKind;
-use cocopelia_gpusim::{testbed_i, testbed_ii};
-use cocopelia_hostblas::Dtype;
-use cocopelia_runtime::TileChoice;
-use cocopelia_xp::sets::{
-    daxpy_tile_grid, daxpy_validation, gemm_tile_grid, gemm_validation_shapes,
-    gemm_validation_square,
-};
-use cocopelia_xp::{rel_err_pct, AxpyLib, GemmLib, Lab, Scale, ViolinSummary};
+use cocopelia_xp::figures;
+use cocopelia_xp::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
-    println!("=== Figure 4: model error on non-reuse implementations ===");
-    println!("    (error% = 100*(predicted - measured)/measured)\n");
-
-    for testbed in [testbed_i(), testbed_ii()] {
-        let lab = Lab::deploy(testbed);
-        println!("--- {} ---", lab.testbed.name);
-
-        // daxpy: measured through the CoCoPeLia pipeline (no reuse exists).
-        let mut errs: Vec<(ModelKind, Vec<f64>)> =
-            vec![(ModelKind::Bts, Vec::new()), (ModelKind::Cso, Vec::new())];
-        for p in daxpy_validation(scale) {
-            let full = lab.full_kernel_daxpy(&p, 7);
-            for t in daxpy_tile_grid(p.n, scale) {
-                let measured = lab
-                    .run_daxpy(&p, AxpyLib::Cocopelia(TileChoice::Fixed(t)), 11 + t as u64)
-                    .expect("measured run")
-                    .secs;
-                for (model, samples) in &mut errs {
-                    let fk = (*model == ModelKind::Cso).then_some(full);
-                    let pred = lab.predict_daxpy(&p, *model, t, fk).expect("prediction");
-                    samples.push(rel_err_pct(pred.total, measured));
-                }
-            }
-        }
-        println!("daxpy:");
-        for (model, samples) in &errs {
-            println!(
-                "  {:<15} {}",
-                model.name(),
-                ViolinSummary::of(samples).render()
-            );
-        }
-
-        // s/dgemm through the cuBLASXt policy (no reuse).
-        for dtype in [Dtype::F64, Dtype::F32] {
-            let mut errs: Vec<(ModelKind, Vec<f64>)> =
-                vec![(ModelKind::Bts, Vec::new()), (ModelKind::Cso, Vec::new())];
-            let mut problems = gemm_validation_square(dtype, scale);
-            problems.extend(gemm_validation_shapes(dtype, scale));
-            let debug = std::env::var("COCOPELIA_DEBUG").is_ok();
-            for p in problems {
-                let full = lab.full_kernel_gemm(&p, 13);
-                for t in gemm_tile_grid(p.m.min(p.n).min(p.k), scale) {
-                    let measured = lab
-                        .run_gemm(&p, GemmLib::CublasXt(t), 17 + t as u64)
-                        .expect("measured run")
-                        .secs;
-                    for (model, samples) in &mut errs {
-                        let fk = (*model == ModelKind::Cso).then_some(full);
-                        let pred = lab.predict_gemm(&p, *model, t, fk).expect("prediction");
-                        let e = rel_err_pct(pred.total, measured);
-                        if debug && e.abs() > 25.0 {
-                            println!(
-                                "    [{}] {} T={t}: pred {:.4}s meas {measured:.4}s err {e:+.1}%",
-                                model.name(),
-                                p.label(),
-                                pred.total
-                            );
-                        }
-                        samples.push(e);
-                    }
-                }
-            }
-            println!("{}gemm (cuBLASXt policy):", dtype.blas_prefix());
-            for (model, samples) in &errs {
-                println!(
-                    "  {:<15} {}",
-                    model.name(),
-                    ViolinSummary::of(samples).render()
-                );
-            }
-        }
-        println!();
-    }
-    println!("(paper: daxpy BTS med 1-2%, CSO med -3..-7%; gemm CSO med -20..-34%, BTS -10..-15%)");
+    print!(
+        "{}",
+        figures::fig4_model_error_noreuse(
+            Scale::from_env(),
+            std::env::var_os("COCOPELIA_DEBUG").is_some(),
+        )
+    );
 }

@@ -7,53 +7,13 @@
 //! overestimation tails; errors are larger for sgemm (smaller footprint →
 //! more second-order noise) and on Testbed II (V100 kernel spikes the
 //! model does not capture).
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/fig5_model_error_reuse.txt`.
 
-use cocopelia_core::models::ModelKind;
-use cocopelia_gpusim::{testbed_i, testbed_ii};
-use cocopelia_hostblas::Dtype;
-use cocopelia_runtime::TileChoice;
-use cocopelia_xp::sets::{gemm_tile_grid, gemm_validation_shapes, gemm_validation_square};
-use cocopelia_xp::{rel_err_pct, GemmLib, Lab, Scale, ViolinSummary};
+use cocopelia_xp::figures;
+use cocopelia_xp::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
-    println!("=== Figure 5: model error on the CoCoPeLia (reuse) implementation ===");
-    println!("    (error% = 100*(predicted - measured)/measured)\n");
-
-    for testbed in [testbed_i(), testbed_ii()] {
-        let lab = Lab::deploy(testbed);
-        println!("--- {} ---", lab.testbed.name);
-        for dtype in [Dtype::F64, Dtype::F32] {
-            let mut errs: Vec<(ModelKind, Vec<f64>)> = vec![
-                (ModelKind::DataReuse, Vec::new()),
-                (ModelKind::Cso, Vec::new()),
-            ];
-            let mut problems = gemm_validation_square(dtype, scale);
-            problems.extend(gemm_validation_shapes(dtype, scale));
-            for p in problems {
-                let full = lab.full_kernel_gemm(&p, 29);
-                for t in gemm_tile_grid(p.m.min(p.n).min(p.k), scale) {
-                    let measured = lab
-                        .run_gemm(&p, GemmLib::Cocopelia(TileChoice::Fixed(t)), 31 + t as u64)
-                        .expect("measured run")
-                        .secs;
-                    for (model, samples) in &mut errs {
-                        let fk = (*model == ModelKind::Cso).then_some(full);
-                        let pred = lab.predict_gemm(&p, *model, t, fk).expect("prediction");
-                        samples.push(rel_err_pct(pred.total, measured));
-                    }
-                }
-            }
-            println!("{}gemm (CoCoPeLia implementation):", dtype.blas_prefix());
-            for (model, samples) in &errs {
-                println!(
-                    "  {:<15} {}",
-                    model.name(),
-                    ViolinSummary::of(samples).render()
-                );
-            }
-        }
-        println!();
-    }
-    println!("(paper: DR med +2..+5%; CSO med -7..-15% with tails to -60%)");
+    print!("{}", figures::fig5_model_error_reuse(Scale::from_env()));
 }

@@ -6,96 +6,13 @@
 //! Paper shape to reproduce: `T_opt` improves a median of ~13.5 % (up to
 //! ~20 %) over static; each model generation closes more of that gap, with
 //! the DR selection landing near the `T_opt` median.
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/fig6_tile_selection.txt`.
 
-use cocopelia_core::models::ModelKind;
-use cocopelia_gpusim::testbed_ii;
-use cocopelia_hostblas::Dtype;
-use cocopelia_runtime::TileChoice;
-use cocopelia_xp::sets::{gemm_tile_grid, gemm_validation_shapes, gemm_validation_square};
-use cocopelia_xp::{GemmLib, Lab, Scale, TextTable, ViolinSummary};
+use cocopelia_xp::figures;
+use cocopelia_xp::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
-    println!("=== Figure 6: tiling-size selection quality (Testbed II) ===\n");
-    let lab = Lab::deploy(testbed_ii());
-    let models = [
-        ModelKind::Baseline,
-        ModelKind::DataLoc,
-        ModelKind::Bts,
-        ModelKind::DataReuse,
-    ];
-
-    for dtype in [Dtype::F64, Dtype::F32] {
-        let mut problems = gemm_validation_square(dtype, scale);
-        problems.extend(gemm_validation_shapes(dtype, scale));
-        let mut table = TextTable::new(vec![
-            "problem",
-            "static T=2048",
-            "T_opt",
-            "gain%",
-            "Eq.1",
-            "Eq.2",
-            "Eq.4",
-            "Eq.5(DR)",
-        ]);
-        // Per-model speedup-vs-static samples for the summary.
-        let mut gains: Vec<Vec<f64>> = vec![Vec::new(); models.len() + 1];
-        for p in &problems {
-            let min_dim = p.m.min(p.n).min(p.k);
-            let static_t = 2048.min(min_dim);
-            let static_run = lab
-                .run_gemm(p, GemmLib::Cocopelia(TileChoice::Fixed(static_t)), 41)
-                .expect("static run");
-            // Exhaustive search over the measured grid, plus the short-
-            // dimension tile the selector may also consider.
-            let mut grid = gemm_tile_grid(min_dim, scale);
-            if !grid.contains(&min_dim) {
-                grid.push(min_dim);
-            }
-            let mut best = static_run;
-            for t in grid {
-                let out = lab
-                    .run_gemm(p, GemmLib::Cocopelia(TileChoice::Fixed(t)), 43 + t as u64)
-                    .expect("grid run");
-                if out.gflops > best.gflops {
-                    best = out;
-                }
-            }
-            gains[0].push((best.gflops / static_run.gflops - 1.0) * 100.0);
-            let mut cells = vec![
-                p.label(),
-                format!("{:.0}", static_run.gflops),
-                format!("T={} {:.0}", best.tile, best.gflops),
-                format!("{:+.1}", (best.gflops / static_run.gflops - 1.0) * 100.0),
-            ];
-            for (mi, model) in models.iter().enumerate() {
-                let out = lab
-                    .run_gemm(p, GemmLib::Cocopelia(TileChoice::Model(*model)), 47)
-                    .expect("model-selected run");
-                gains[mi + 1].push((out.gflops / static_run.gflops - 1.0) * 100.0);
-                cells.push(format!("T={} {:.0}", out.tile, out.gflops));
-            }
-            table.row(cells);
-        }
-        println!(
-            "{}gemm — measured GFLOP/s per selection policy:",
-            dtype.blas_prefix()
-        );
-        println!("{}", table.render());
-        println!("improvement over static T=2048 (%):");
-        println!(
-            "  {:<12} {}",
-            "T_opt",
-            ViolinSummary::of(&gains[0]).render()
-        );
-        for (mi, model) in models.iter().enumerate() {
-            println!(
-                "  {:<12} {}",
-                model.name(),
-                ViolinSummary::of(&gains[mi + 1]).render()
-            );
-        }
-        println!();
-    }
-    println!("(paper: T_opt median +13.5%/max +20%; Eq.1 +7%, Eq.2 +12%, DR near T_opt)");
+    print!("{}", figures::fig6_tile_selection(Scale::from_env()));
 }

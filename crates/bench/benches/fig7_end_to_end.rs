@@ -8,120 +8,13 @@
 //! cuBLASXt wins on low-transfer; CoCoPeLia matches or beats both
 //! everywhere, with the largest margins on full offload and fat-by-thin and
 //! on the testbed with the lower bandwidth/FLOP ratio.
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/fig7_end_to_end.txt`.
 
-use cocopelia_core::params::Loc;
-use cocopelia_gpusim::{testbed_i, testbed_ii};
-use cocopelia_hostblas::Dtype;
-use cocopelia_runtime::TileChoice;
-use cocopelia_xp::sets::{gemm_tile_grid, gemm_validation_shapes};
-use cocopelia_xp::{GemmLib, GemmProblem, Lab, Scale, TextTable};
-
-/// cuBLASXt gets a near-exhaustive tile search, as in §V-E ("we test 10
-/// different tiling sizes and choose the best for each problem").
-fn cublasxt_best(lab: &Lab, p: &GemmProblem, scale: Scale) -> (usize, f64) {
-    let grid = gemm_tile_grid(p.m.min(p.n).min(p.k), scale);
-    let picks: Vec<usize> = if grid.len() <= 10 {
-        grid
-    } else {
-        let stride = grid.len() as f64 / 10.0;
-        (0..10)
-            .map(|i| grid[(i as f64 * stride) as usize])
-            .collect()
-    };
-    let mut best = (0usize, 0.0f64);
-    for t in picks {
-        let out = lab
-            .run_gemm(p, GemmLib::CublasXt(t), 53 + t as u64)
-            .expect("xt run");
-        if out.gflops > best.1 {
-            best = (t, out.gflops);
-        }
-    }
-    best
-}
-
-fn scenario_problems(dtype: Dtype, scale: Scale) -> Vec<(&'static str, GemmProblem)> {
-    let sizes: Vec<usize> = match scale {
-        Scale::Full => (8..=32).step_by(4).map(|i| i * 512).collect(),
-        Scale::Reduced => vec![6144, 8192, 12288],
-    };
-    let mut v = Vec::new();
-    for &s in &sizes {
-        v.push((
-            "full offload",
-            GemmProblem {
-                dtype,
-                m: s,
-                n: s,
-                k: s,
-                loc_a: Loc::Host,
-                loc_b: Loc::Host,
-                loc_c: Loc::Host,
-            },
-        ));
-        v.push((
-            "low transfer (C on CPU)",
-            GemmProblem {
-                dtype,
-                m: s,
-                n: s,
-                k: s,
-                loc_a: Loc::Device,
-                loc_b: Loc::Device,
-                loc_c: Loc::Host,
-            },
-        ));
-    }
-    for p in gemm_validation_shapes(dtype, scale) {
-        if p.m > p.k {
-            v.push(("fat-by-thin", p));
-        }
-    }
-    v
-}
+use cocopelia_xp::figures;
+use cocopelia_xp::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
-    println!("=== Figure 7: end-to-end library comparison ===\n");
-    for testbed in [testbed_i(), testbed_ii()] {
-        let lab = Lab::deploy(testbed);
-        println!("--- {} ---", lab.testbed.name);
-        for dtype in [Dtype::F64, Dtype::F32] {
-            let mut table = TextTable::new(vec![
-                "scenario",
-                "problem",
-                "CoCoPeLia (auto)",
-                "cuBLASXt (best T)",
-                "BLASX (T=2048)",
-                "winner",
-            ]);
-            for (scenario, p) in scenario_problems(dtype, scale) {
-                let coco = lab
-                    .run_gemm(&p, GemmLib::Cocopelia(TileChoice::Auto), 59)
-                    .expect("cocopelia run");
-                let (xt_t, xt_g) = cublasxt_best(&lab, &p, scale);
-                let blasx = lab.run_gemm(&p, GemmLib::Blasx, 61).expect("blasx run");
-                let winner = if coco.gflops >= xt_g && coco.gflops >= blasx.gflops {
-                    "CoCoPeLia"
-                } else if xt_g >= blasx.gflops {
-                    "cuBLASXt"
-                } else {
-                    "BLASX"
-                };
-                table.row(vec![
-                    scenario.to_owned(),
-                    p.label(),
-                    format!("{:.0} (T={})", coco.gflops, coco.tile),
-                    format!("{:.0} (T={})", xt_g, xt_t),
-                    format!("{:.0}", blasx.gflops),
-                    winner.to_owned(),
-                ]);
-            }
-            println!("{}gemm GFLOP/s:", dtype.blas_prefix());
-            println!("{}", table.render());
-        }
-    }
-    println!(
-        "(paper: CoCoPeLia >= both everywhere; biggest margins on full offload & fat-by-thin)"
-    );
+    print!("{}", figures::fig7_end_to_end(Scale::from_env()));
 }

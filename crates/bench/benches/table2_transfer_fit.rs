@@ -2,65 +2,12 @@
 //! sub-models for the two testbeds, produced by the §IV-A micro-benchmark +
 //! least-squares deployment pipeline, compared against the simulator's
 //! ground-truth link parameters.
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/table2_transfer_fit.txt`.
 
-use cocopelia_gpusim::{testbed_i, testbed_ii};
-use cocopelia_xp::{Lab, TextTable};
+use cocopelia_xp::figures;
 
 fn main() {
-    println!("=== Table III: testbed description ===\n");
-    let mut spec_table = TextTable::new(vec![
-        "testbed",
-        "GPU",
-        "FP64 peak",
-        "FP32 peak",
-        "mem BW",
-        "capacity",
-        "SMs",
-    ]);
-    for tb in [testbed_i(), testbed_ii()] {
-        spec_table.row(vec![
-            tb.name.clone(),
-            tb.gpu.name.clone(),
-            format!("{:.2} TF/s", tb.gpu.fp64_peak_flops / 1e12),
-            format!("{:.2} TF/s", tb.gpu.fp32_peak_flops / 1e12),
-            format!("{:.0} GB/s", tb.gpu.mem_bandwidth_bps / 1e9),
-            format!("{} GiB", tb.gpu.mem_capacity_bytes >> 30),
-            tb.gpu.sm_count.to_string(),
-        ]);
-    }
-    println!("{}", spec_table.render());
-
-    println!("=== Table II: fitted transfer sub-models ===\n");
-    let mut table = TextTable::new(vec![
-        "system",
-        "dir",
-        "t_l (us)",
-        "1/t_b (GB/s)",
-        "RSE",
-        "1/t_b bid (GB/s)",
-        "RSE bid",
-        "sl",
-        "sl truth",
-    ]);
-    for tb in [testbed_i(), testbed_ii()] {
-        let truth_sl = [tb.link.sl_h2d_bid, tb.link.sl_d2h_bid];
-        let (lab, fit) = Lab::deploy_with_fit(tb);
-        for (i, (dir, f)) in [("h2d", fit.h2d), ("d2h", fit.d2h)].into_iter().enumerate() {
-            table.row(vec![
-                lab.testbed.name.clone(),
-                dir.to_owned(),
-                format!("{:.2}", f.t_l * 1e6),
-                format!("{:.2}", 1.0 / f.t_b / 1e9),
-                format!("{:.1e}", f.rse),
-                format!("{:.2}", 1.0 / f.t_b_bid / 1e9),
-                format!("{:.1e}", f.rse_bid),
-                format!("{:.2}", f.sl),
-                format!("{:.2}", truth_sl[i]),
-            ]);
-        }
-    }
-    println!("{}", table.render());
-    println!(
-        "(paper Table II: TB-I 3.15/3.29 GB/s, sl 1.0/1.16; TB-II 12.18/12.98 GB/s, sl 1.27/1.41)"
-    );
+    print!("{}", figures::table2_transfer_fit());
 }

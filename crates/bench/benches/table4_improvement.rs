@@ -6,107 +6,13 @@
 //! Paper shape to reproduce: +16…33 % on full offload, +5…15 % on partial
 //! offload; daxpy (vs the unified-memory prefetch comparator) improves on
 //! both testbeds.
+//!
+//! The text comes from [`cocopelia_xp::figures`]; its reduced-scale output
+//! is pinned by `tests/golden/paper/table4_improvement.txt`.
 
-use cocopelia_gpusim::{testbed_i, testbed_ii};
-use cocopelia_hostblas::Dtype;
-use cocopelia_runtime::TileChoice;
-use cocopelia_xp::sets::{daxpy_eval_set, gemm_eval_set, gemm_tile_grid};
-use cocopelia_xp::{geomean_improvement_pct, AxpyLib, GemmLib, GemmProblem, Lab, Scale, TextTable};
-
-/// cuBLASXt best-of-N tiling sizes, as in §V-E.
-fn cublasxt_best_secs(lab: &Lab, p: &GemmProblem, scale: Scale) -> f64 {
-    let grid = gemm_tile_grid(p.m.min(p.n).min(p.k), scale);
-    let picks: Vec<usize> = if grid.len() <= 10 {
-        grid
-    } else {
-        let stride = grid.len() as f64 / 10.0;
-        (0..10)
-            .map(|i| grid[(i as f64 * stride) as usize])
-            .collect()
-    };
-    picks
-        .into_iter()
-        .map(|t| {
-            lab.run_gemm(p, GemmLib::CublasXt(t), 67 + t as u64)
-                .expect("xt run")
-                .secs
-        })
-        .fold(f64::INFINITY, f64::min)
-}
+use cocopelia_xp::figures;
+use cocopelia_xp::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
-    println!("=== Table IV: geo-mean % improvement of CoCoPeLia over the best other library ===\n");
-    let mut table = TextTable::new(vec![
-        "testbed",
-        "routine",
-        "full offload",
-        "partial offload",
-    ]);
-    for testbed in [testbed_i(), testbed_ii()] {
-        let lab = Lab::deploy(testbed);
-        for dtype in [Dtype::F64, Dtype::F32] {
-            let mut full = Vec::new();
-            let mut partial = Vec::new();
-            for p in gemm_eval_set(dtype, scale) {
-                let coco = lab
-                    .run_gemm(&p, GemmLib::Cocopelia(TileChoice::Auto), 71)
-                    .expect("cocopelia run")
-                    .secs;
-                let xt = cublasxt_best_secs(&lab, &p, scale);
-                let blasx = lab
-                    .run_gemm(&p, GemmLib::Blasx, 73)
-                    .expect("blasx run")
-                    .secs;
-                let best_other = xt.min(blasx);
-                let speedup = best_other / coco;
-                if p.full_offload() {
-                    full.push(speedup);
-                } else {
-                    partial.push(speedup);
-                }
-            }
-            table.row(vec![
-                lab.testbed.name.clone(),
-                format!("{}gemm", dtype.blas_prefix()),
-                format!("{:+.1}%", geomean_improvement_pct(&full)),
-                format!("{:+.1}%", geomean_improvement_pct(&partial)),
-            ]);
-        }
-        // daxpy vs the unified-memory prefetch comparator.
-        let mut full = Vec::new();
-        let mut partial = Vec::new();
-        for p in daxpy_eval_set(scale) {
-            let coco = lab
-                .run_daxpy(&p, AxpyLib::Cocopelia(TileChoice::Auto), 79)
-                .expect("cocopelia daxpy")
-                .secs;
-            // The UM comparator only exists for host-resident managed data.
-            if !p.full_offload() {
-                continue;
-            }
-            let um = lab
-                .run_daxpy(&p, AxpyLib::UnifiedPrefetch, 83)
-                .expect("um daxpy")
-                .secs;
-            let speedup = um / coco;
-            if p.full_offload() {
-                full.push(speedup);
-            } else {
-                partial.push(speedup);
-            }
-        }
-        table.row(vec![
-            lab.testbed.name.clone(),
-            "daxpy (vs UM+prefetch)".to_owned(),
-            format!("{:+.1}%", geomean_improvement_pct(&full)),
-            if partial.is_empty() {
-                "n/a".to_owned()
-            } else {
-                format!("{:+.1}%", geomean_improvement_pct(&partial))
-            },
-        ]);
-    }
-    println!("{}", table.render());
-    println!("(paper Table IV: gemm +16..33% full offload, +5..15% partial offload)");
+    print!("{}", figures::table4_improvement(Scale::from_env()));
 }

@@ -16,6 +16,7 @@
 #![deny(missing_docs)]
 
 pub mod chaos;
+pub mod figures;
 pub mod runner;
 pub mod serve;
 pub mod sets;

@@ -294,3 +294,109 @@ fn lab_cached() -> (TestbedSpec, cocopelia_core::profile::SystemProfile) {
     static LAB: OnceLock<(TestbedSpec, cocopelia_core::profile::SystemProfile)> = OnceLock::new();
     LAB.get_or_init(lab).clone()
 }
+
+/// The counts every model assumes hold on the executed schedule: over
+/// dgemm, sgemm, dgemv, daxpy and ddot at dividing and non-dividing sizes
+/// and tiles, every Host/Device location mix, and `C`/`y` both read
+/// (`β ≠ 0`) and write-only, a direct call moves Σ get_i·bytes_i h2d in
+/// Σ get_i·tiles_i copies (each tile fetched once), Σ set_i·bytes_i d2h
+/// (ddot drains only its `subkernels(t)` partials), and launches
+/// `subkernels(t)` kernels.
+#[test]
+fn executed_volumes_match_the_model_counts() {
+    use cocopelia_core::params::RoutineClass;
+    use cocopelia_core::profile::SystemProfile;
+    use cocopelia_core::transfer::{LatBw, TransferModel};
+    use cocopelia_gpusim::EngineKind;
+
+    let unfit = LatBw { t_l: 0.0, t_b: 0.0 };
+    let profile = SystemProfile::new(
+        "volumes",
+        TransferModel {
+            h2d: unfit,
+            d2h: unfit,
+            sl_h2d: 1.0,
+            sl_d2h: 1.0,
+        },
+    );
+    let mut ctx = Cocopelia::new(Gpu::new(quiet(), ExecMode::TimingOnly, 3), profile);
+    let locs = |n: usize| -> Vec<Vec<Loc>> {
+        (0..1usize << n)
+            .map(|bits| {
+                (0..n)
+                    .map(|i| match bits >> i & 1 {
+                        0 => Loc::Host,
+                        _ => Loc::Device,
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let mut problems = Vec::new();
+    for beta in [true, false] {
+        for dtype in [Dtype::F64, Dtype::F32] {
+            for (m, n, k) in [(64, 64, 64), (100, 70, 45)] {
+                for l in locs(3) {
+                    problems.push(ProblemSpec::gemm(dtype, m, n, k, l[0], l[1], l[2], beta));
+                }
+            }
+        }
+        for (m, n) in [(64, 64), (100, 45)] {
+            for l in locs(3) {
+                problems.push(ProblemSpec::gemv(Dtype::F64, m, n, l[0], l[1], l[2], beta));
+            }
+        }
+    }
+    for n in [1024, 1000] {
+        for l in locs(2) {
+            problems.push(ProblemSpec::axpy(Dtype::F64, n, l[0], l[1]));
+            problems.push(ProblemSpec::dot(Dtype::F64, n, l[0], l[1]));
+        }
+    }
+    for spec in &problems {
+        let tiles: &[usize] = match spec.routine {
+            RoutineClass::Gemm | RoutineClass::Gemv => &[16, 24, 64],
+            RoutineClass::Axpy | RoutineClass::Dot => &[128, 300, 1024],
+        };
+        for &t in tiles {
+            let start = ctx.gpu().trace().len();
+            let req = ctx
+                .ghost_request(spec, TileChoice::Fixed(t))
+                .expect("request");
+            let report = ctx.submit(req).expect("runs");
+            let (mut h2d_bytes, mut h2d_copies, mut d2h_bytes, mut kernels) = (0, 0, 0, 0);
+            for e in ctx.gpu().trace().entries_since(start).iter() {
+                match e.engine {
+                    EngineKind::CopyH2d => {
+                        h2d_bytes += e.bytes().expect("copy bytes");
+                        h2d_copies += 1;
+                    }
+                    EngineKind::CopyD2h => d2h_bytes += e.bytes().expect("copy bytes"),
+                    EngineKind::Compute => kernels += 1,
+                }
+            }
+            let ops = &spec.operands;
+            let width = spec.dtype.width();
+            let get_bytes: usize = ops
+                .iter()
+                .filter(|o| o.get())
+                .map(|o| o.bytes(spec.dtype))
+                .sum();
+            let get_tiles: usize = ops.iter().filter(|o| o.get()).map(|o| o.tiles(t)).sum();
+            let set_bytes: usize = match spec.routine {
+                RoutineClass::Dot => spec.subkernels(t) * width,
+                _ => ops
+                    .iter()
+                    .filter(|o| o.set())
+                    .map(|o| o.bytes(spec.dtype))
+                    .sum(),
+            };
+            let what = format!("{spec:?} at T={t}");
+            assert_eq!(h2d_bytes, get_bytes, "h2d bytes of {what}");
+            assert_eq!(h2d_copies, get_tiles, "h2d copies of {what}");
+            assert_eq!(d2h_bytes, set_bytes, "d2h bytes of {what}");
+            assert_eq!(kernels, spec.subkernels(t), "kernels of {what}");
+            assert_eq!(report.subkernels, spec.subkernels(t), "{what}");
+        }
+    }
+}

@@ -7,12 +7,12 @@ use crate::operand::{DeviceMatrix, DeviceVector, MatOperand, TileChoice, VecOper
 use crate::request::{
     AxpyRequest, DotRequest, GemmRequest, GemvRequest, MatArg, RoutineRequest, VecArg,
 };
-use crate::scheduler::{axpy, dot, gemm, gemv, RunStats, Streams};
+use crate::scheduler::{OperandStore, Streams, TileFetcher, TilePlan};
 use cocopelia_core::models::{ModelCtx, ModelKind};
 use cocopelia_core::params::{Loc, Operand, ProblemSpec, RoutineClass};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::select::{Selection, TileSelector};
-use cocopelia_gpusim::{CopyDesc, DevBufId, Gpu, HostBufId, SimScalar, SimTime};
+use cocopelia_gpusim::{CopyDesc, DevBufId, Gpu, HostBufId, Routine, SimScalar, SimTime};
 use cocopelia_hostblas::{Dtype, Matrix};
 use cocopelia_obs::{score_models, CallObservation, DriftRecord, Observer, OverlapStats};
 use std::collections::HashMap;
@@ -284,29 +284,27 @@ impl Cocopelia {
     }
 
     /// The one path of a direct call whose operands passed their dimension
-    /// checks: resolves the tile, opens the call (streams, call id, trace
-    /// mark, start clock), runs `schedule` at the chosen tile, then scores
-    /// the call against every evaluable model, feeds the observer, and
-    /// assembles its [`RoutineReport`].
-    fn call<R>(
+    /// checks (building `plan`): resolves the tile, opens the call
+    /// (streams, call id, trace mark, start clock), stages the operands
+    /// with `stores` and runs `plan` at the chosen tile, then scores the
+    /// call against every evaluable model, feeds the observer, and
+    /// assembles its [`RoutineReport`]. Returns the plan's output data.
+    fn call<T: SimScalar, const N: usize>(
         &mut self,
         routine: &'static str,
         problem: &ProblemSpec,
         choice: TileChoice,
-        schedule: impl FnOnce(
-            &mut Gpu,
-            Streams,
-            u64,
-            RetryPolicy,
-            usize,
-        ) -> Result<(R, RunStats), RuntimeError>,
-    ) -> Result<(R, RoutineReport), RuntimeError> {
+        plan: TilePlan,
+        stores: impl FnOnce(&mut Gpu) -> [OperandStore; N],
+    ) -> Result<(Option<Vec<T>>, RoutineReport), RuntimeError> {
         let (tile, selection) = self.resolve_tile(problem, choice)?;
         let streams = self.ensure_streams();
         let call = self.obs.next_call_id();
         let trace_start = self.gpu.trace().len();
         let t0 = self.gpu.now();
-        let (out, run) = schedule(&mut self.gpu, streams, call, self.retry, tile)?;
+        let stores = stores(&mut self.gpu);
+        let fetcher = TileFetcher::new(self.retry, streams);
+        let (out, run) = plan.run::<T>(&mut self.gpu, fetcher, call, tile, &stores)?;
         let elapsed = self.gpu.now().saturating_since(t0);
         let actual_secs = elapsed.as_secs_f64();
         let drift = match self.profile.exec_table(problem.routine, problem.dtype) {
@@ -372,11 +370,21 @@ impl Cocopelia {
             deadline: _,
         } = req;
         let (a, b, c) = (inline_mat(a)?, inline_mat(b)?, inline_mat(c)?);
-        gemm::check_dims(&a, &b, &c)?;
-        let (c, report) = self.call(routine, &problem, choice, |gpu, s, call, retry, t| {
-            gemm::run(gpu, s, call, retry, alpha, a, b, beta, c, t).map(|r| (r.c, r.stats))
+        let shape = |m: &MatOperand<T>| (m.rows(), m.cols());
+        let plan = TilePlan::new(
+            Routine::Gemm,
+            alpha,
+            beta,
+            &[shape(&a), shape(&b), shape(&c)],
+        )?;
+        let (m, n) = shape(&c);
+        let (c, report) = self.call(routine, &problem, choice, plan, |gpu| {
+            [a, b, c].map(|op| OperandStore::from_mat(gpu, op))
         })?;
-        Ok(GemmResult { c, report })
+        Ok(GemmResult {
+            c: c.map(|v| Matrix::from_vec(m, n, v)),
+            report,
+        })
     }
 
     /// Executes an [`AxpyRequest`]: `y ← α·x + y` with 3-way overlap.
@@ -397,13 +405,9 @@ impl Cocopelia {
             deadline: _,
         } = req;
         let (x, y) = (inline_vec(x)?, inline_vec(y)?);
-        if x.len() != y.len() {
-            return Err(RuntimeError::DimensionMismatch {
-                what: format!("axpy: x has {} elements but y has {}", x.len(), y.len()),
-            });
-        }
-        let (y, report) = self.call(routine, &problem, choice, |gpu, s, call, retry, t| {
-            axpy::run(gpu, s, call, retry, alpha, x, y, t).map(|r| (r.y, r.stats))
+        let plan = TilePlan::new(Routine::Axpy, alpha, 1.0, &[(x.len(), 1), (y.len(), 1)])?;
+        let (y, report) = self.call(routine, &problem, choice, plan, |gpu| {
+            [x, y].map(|op| OperandStore::from_vec(gpu, op))
         })?;
         Ok(VecResult { y, report })
     }
@@ -424,14 +428,11 @@ impl Cocopelia {
             deadline: _,
         } = req;
         let (x, y) = (inline_vec(x)?, inline_vec(y)?);
-        if x.len() != y.len() {
-            return Err(RuntimeError::DimensionMismatch {
-                what: format!("dot: x has {} elements but y has {}", x.len(), y.len()),
-            });
-        }
-        let (value, report) = self.call(routine, &problem, choice, |gpu, s, call, retry, t| {
-            dot::run(gpu, s, call, retry, x, y, t).map(|r| (r.value, r.stats))
+        let plan = TilePlan::new(Routine::Dot, 1.0, 1.0, &[(x.len(), 1), (y.len(), 1)])?;
+        let (partials, report) = self.call::<T, 2>(routine, &problem, choice, plan, |gpu| {
+            [x, y].map(|op| OperandStore::from_vec(gpu, op))
         })?;
+        let value = partials.map(|p| p.iter().map(|v| v.to_f64()).sum());
         Ok(DotResult { value, report })
     }
 
@@ -456,19 +457,15 @@ impl Cocopelia {
             deadline: _,
         } = req;
         let (a, x, y) = (inline_mat(a)?, inline_vec(x)?, inline_vec(y)?);
-        if x.len() != a.cols() || y.len() != a.rows() {
-            return Err(RuntimeError::DimensionMismatch {
-                what: format!(
-                    "gemv: A is {}x{} but x has {} and y has {} elements",
-                    a.rows(),
-                    a.cols(),
-                    x.len(),
-                    y.len()
-                ),
-            });
-        }
-        let (y, report) = self.call(routine, &problem, choice, |gpu, s, call, retry, t| {
-            gemv::run(gpu, s, call, retry, alpha, a, x, beta, y, t).map(|r| (r.y, r.stats))
+        let shapes = [(a.rows(), a.cols()), (x.len(), 1), (y.len(), 1)];
+        let plan = TilePlan::new(Routine::Gemv, alpha, beta, &shapes)?;
+        let (y, report) = self.call(routine, &problem, choice, plan, |gpu| {
+            let a = OperandStore::from_mat(gpu, a);
+            [
+                a,
+                OperandStore::from_vec(gpu, x),
+                OperandStore::from_vec(gpu, y),
+            ]
         })?;
         Ok(VecResult { y, report })
     }

@@ -1,37 +1,41 @@
 //! The tile scheduler (§IV-C): square tiling, address matching, lazy tile
 //! fetching with full reuse, and stream assignment.
 //!
-//! One instance of [`TileFetcher`] lives for the duration of a routine call.
-//! It hands out device-side tile references on demand:
+//! Every routine is a [`TilePlan`]: which loop axes name each operand's
+//! tile, and which kernel each step launches. One interpreter,
+//! [`TilePlan::run`], issues any plan through a [`TileFetcher`], so the
+//! tag → fetch → wait → launch → write-back sequence exists once.
+//!
+//! A [`TileFetcher`] lives for one routine call and hands out device-side
+//! tile references on demand:
 //!
 //! * operands already resident on the device yield zero-cost views;
 //! * host operands get a packed device buffer per tile, fetched **once** on
-//!   the h2d stream (this is the "full reuse" of Eq. 5 — subsequent
-//!   sub-kernels find the tile in the cache);
+//!   the h2d stream (the "full reuse" of Eq. 5: later sub-kernels find the
+//!   tile in the cache);
 //! * operands being filled into a whole-operand device buffer (a serving
-//!   residency miss) get a view into that buffer, and each region is
-//!   copied into place on its first read, once, however many operands
-//!   name the buffer;
+//!   residency miss) get views into it, each region copied into place on
+//!   its first read, once, however many operands name the buffer;
 //! * each fetch carries an event the exec stream waits on, which is what
 //!   produces the 3-way pipeline.
 
-pub(crate) mod axpy;
-pub(crate) mod dot;
-pub(crate) mod gemm;
-pub(crate) mod gemv;
+mod plan;
+
+pub(crate) use plan::TilePlan;
 
 use crate::error::RuntimeError;
 use crate::fault::RetryPolicy;
 use crate::operand::{MatOperand, VecOperand};
 use cocopelia_gpusim::{
-    CopyDesc, DevBufId, DevMatRef, EventId, Gpu, HostBufId, KernelArgs, KernelShape, Region2d,
-    SimError, SimScalar, SimTime, StreamId,
+    CopyDesc, DevBufId, DevMatRef, EventId, Gpu, HostBufId, KernelArgs, KernelShape, OpTag,
+    Region2d, SimError, SimScalar, SimTime, StreamId,
 };
 use cocopelia_hostblas::tiling::TileRange;
+use cocopelia_hostblas::Matrix;
 use std::collections::HashMap;
 
 /// Schedule facts every routine run reports.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RunStats {
     pub subkernels: usize,
     pub tile_hits: u64,
@@ -92,19 +96,14 @@ impl OperandStore {
         }
     }
 
+    /// The store of a vector: an `n × 1` matrix.
     pub(crate) fn from_vec<T: SimScalar>(gpu: &mut Gpu, op: VecOperand<T>) -> OperandStore {
-        match op {
-            VecOperand::Host(v) => {
-                let rows = v.len();
-                let host = gpu.register_host(T::into_payload(v), true);
-                OperandStore::Host { host, rows }
-            }
-            VecOperand::HostGhost { len } => {
-                let host = gpu.register_host_ghost(T::DTYPE, len, true);
-                OperandStore::Host { host, rows: len }
-            }
-            VecOperand::Device(d) => OperandStore::device(d.buf, d.len, d.fill),
-        }
+        let mat = match op {
+            VecOperand::Host(v) => MatOperand::Host(Matrix::from_vec(v.len(), 1, v)),
+            VecOperand::HostGhost { len } => MatOperand::HostGhost { rows: len, cols: 1 },
+            VecOperand::Device(d) => return OperandStore::device(d.buf, d.len, d.fill),
+        };
+        OperandStore::from_mat(gpu, mat)
     }
 
     /// The store of device buffer `buf`: resident, or filled from `fill`.
@@ -132,45 +131,38 @@ pub(crate) struct TileRef {
     pub ready: Option<EventId>,
 }
 
-/// What a fetched tile is cached under.
+/// What a fetched tile is cached under: its source and the element offset
+/// of its region there. Every operand bound to one buffer tiles it with the
+/// same split, so two regions of a source are either equal or disjoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TileKey {
-    /// Tile `(row, col)` of host-staged operand `op_idx`, in its own
-    /// packed buffer.
-    Staged { op_idx: u8, row: usize, col: usize },
-    /// A `rows × cols` region at element `offset` of a buffer being
-    /// filled. Every operand bound to one buffer tiles it with the same
-    /// split, so two regions of a buffer are either equal or disjoint.
-    Filled {
-        buf: DevBufId,
-        offset: usize,
-        rows: usize,
-        cols: usize,
-    },
+    /// A host-staged operand; each tile gets its own packed buffer.
+    Staged(HostBufId, usize),
+    /// A buffer being filled; its tiles are views into it.
+    Filled(DevBufId, usize),
 }
 
 /// Per-call tile cache and allocator.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct TileFetcher {
+    streams: Streams,
     cache: HashMap<TileKey, TileRef>,
     allocated: Vec<DevBufId>,
-    /// Requests served from the cache (a tile already on the device).
-    hits: u64,
-    /// Requests that allocated and (possibly) fetched a fresh tile.
-    misses: u64,
     /// Retry/backoff policy for transient enqueue faults.
     policy: RetryPolicy,
-    /// Transient-fault retries performed so far in this call.
-    retries: u64,
+    stats: RunStats,
 }
 
 impl TileFetcher {
-    /// Creates a fetcher with an explicit retry policy (the default policy
-    /// is [`RetryPolicy::default`]).
-    pub(crate) fn with_policy(policy: RetryPolicy) -> Self {
+    /// A fetcher that enqueues on `streams` and retries transient faults
+    /// under `policy`.
+    pub(crate) fn new(policy: RetryPolicy, streams: Streams) -> Self {
         TileFetcher {
+            streams,
+            cache: HashMap::new(),
+            allocated: Vec::new(),
             policy,
-            ..TileFetcher::default()
+            stats: RunStats::default(),
         }
     }
 
@@ -188,258 +180,187 @@ impl TileFetcher {
     ) -> Result<R, RuntimeError> {
         let mut attempt: u32 = 0;
         loop {
-            match f(gpu) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    let err = RuntimeError::Sim(e);
-                    if !err.fault_class().retryable() || attempt + 1 >= self.policy.max_attempts {
-                        return Err(err);
-                    }
+            match f(gpu).map_err(RuntimeError::Sim) {
+                Err(e) if e.fault_class().retryable() && attempt + 1 < self.policy.max_attempts => {
                     gpu.advance_clock(SimTime::from_secs_f64(self.policy.backoff_secs(attempt)));
                     attempt += 1;
-                    self.retries += 1;
+                    self.stats.retries += 1;
                 }
+                done => return done,
             }
         }
     }
 
-    /// Launches a kernel with transient-fault retry.
+    /// Launches a kernel on the exec stream with transient-fault retry.
     pub(crate) fn launch(
         &mut self,
         gpu: &mut Gpu,
-        stream: StreamId,
         shape: KernelShape,
-        args: Option<KernelArgs>,
+        args: KernelArgs,
     ) -> Result<(), RuntimeError> {
-        self.retry_sim(gpu, |g| g.launch_kernel(stream, shape, args))
+        let exec = self.streams.exec;
+        self.retry_sim(gpu, |g| g.launch_kernel(exec, shape, Some(args)))?;
+        self.stats.subkernels += 1;
+        Ok(())
     }
 
-    /// Enqueues a raw d2h copy with transient-fault retry (used for
-    /// partial-result drains that bypass the tile write-back path).
-    pub(crate) fn copy_d2h(
-        &mut self,
-        gpu: &mut Gpu,
-        stream: StreamId,
-        desc: CopyDesc,
-    ) -> Result<(), RuntimeError> {
-        self.retry_sim(gpu, |g| g.memcpy_d2h_async(stream, desc))
-    }
-
-    /// Enqueues the h2d copy `desc` with transient-fault retry and
-    /// returns the event recorded behind it.
-    fn copy_h2d(
-        &mut self,
-        gpu: &mut Gpu,
-        h2d: StreamId,
-        desc: CopyDesc,
-    ) -> Result<EventId, RuntimeError> {
-        self.retry_sim(gpu, |g| g.memcpy_h2d_async(h2d, desc))?;
-        Ok(gpu.record_event(h2d)?)
-    }
-
-    /// Returns a device reference for tile `(ri, ci)` of operand `op_idx`.
+    /// Returns a device reference for the `rr × cr` tile of `store`.
     ///
     /// `fetch` controls whether host data is actually copied (false for
     /// write-only output tiles, which only need backing storage).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn tile<T: SimScalar>(
         &mut self,
         gpu: &mut Gpu,
-        h2d: StreamId,
-        op_idx: u8,
         store: OperandStore,
-        (ri, rr): (usize, TileRange),
-        (ci, cr): (usize, TileRange),
+        (rr, cr): (TileRange, TileRange),
         fetch: bool,
     ) -> Result<TileRef, RuntimeError> {
-        match store {
-            OperandStore::Device { buf, rows } => Ok(TileRef {
-                mat: DevMatRef {
-                    buf,
-                    offset: rr.start + cr.start * rows,
-                    ld: rows,
-                },
-                ready: None,
-            }),
-            OperandStore::Fill { host, buf, rows } => {
-                // A view into the buffer being filled; its region is copied
-                // into place on the first read, keyed by region so operands
-                // bound to one buffer share the copy. A write-only tile
-                // copies nothing.
-                let region = Region2d {
-                    offset: rr.start + cr.start * rows,
-                    ld: rows,
-                    rows: rr.len,
-                    cols: cr.len,
-                };
-                let key = TileKey::Filled {
-                    buf,
-                    offset: region.offset,
-                    rows: rr.len,
-                    cols: cr.len,
-                };
-                if let Some(t) = self.cache.get(&key) {
-                    self.hits += 1;
-                    return Ok(*t);
-                }
-                let mat = DevMatRef {
-                    buf,
-                    offset: region.offset,
-                    ld: rows,
-                };
+        let (host, rows) = match store {
+            OperandStore::Device { buf, rows } => {
+                let mat = view(buf, region(rows, rr, cr));
+                return Ok(TileRef { mat, ready: None });
+            }
+            OperandStore::Fill { host, rows, .. } | OperandStore::Host { host, rows } => {
+                (host, rows)
+            }
+        };
+        let host_region = region(rows, rr, cr);
+        let key = match store {
+            // Operands bound to one buffer share its copies.
+            OperandStore::Fill { buf, .. } => TileKey::Filled(buf, host_region.offset),
+            _ => TileKey::Staged(host, host_region.offset),
+        };
+        if let Some(t) = self.cache.get(&key) {
+            self.stats.tile_hits += 1;
+            return Ok(*t);
+        }
+        let (mat, dev_region) = match store {
+            // A view into the buffer being filled; a write-only tile
+            // copies nothing and is not cached.
+            OperandStore::Fill { buf, .. } => {
+                let mat = view(buf, host_region);
                 if !fetch {
                     return Ok(TileRef { mat, ready: None });
                 }
-                self.misses += 1;
-                let desc = CopyDesc {
-                    host,
-                    host_region: region,
-                    dev: buf,
-                    dev_region: region,
-                };
-                let t = TileRef {
-                    mat,
-                    ready: Some(self.copy_h2d(gpu, h2d, desc)?),
-                };
-                self.cache.insert(key, t);
-                Ok(t)
+                (mat, host_region)
             }
-            OperandStore::Host { host, rows } => {
-                let key = TileKey::Staged {
-                    op_idx,
-                    row: ri,
-                    col: ci,
-                };
-                if let Some(t) = self.cache.get(&key) {
-                    self.hits += 1;
-                    return Ok(*t);
-                }
-                self.misses += 1;
+            _ => {
                 let buf = gpu.alloc_device(T::DTYPE, rr.len * cr.len)?;
                 self.allocated.push(buf);
-                let ready = if fetch {
-                    let desc = CopyDesc {
-                        host,
-                        host_region: Region2d {
-                            offset: rr.start + cr.start * rows,
-                            ld: rows,
-                            rows: rr.len,
-                            cols: cr.len,
-                        },
-                        dev: buf,
-                        dev_region: Region2d {
-                            offset: 0,
-                            ld: rr.len,
-                            rows: rr.len,
-                            cols: cr.len,
-                        },
-                    };
-                    Some(self.copy_h2d(gpu, h2d, desc)?)
-                } else {
-                    None
-                };
-                let t = TileRef {
-                    mat: DevMatRef {
-                        buf,
-                        offset: 0,
-                        ld: rr.len,
-                    },
-                    ready,
-                };
-                self.cache.insert(key, t);
-                Ok(t)
+                let packed = region(rr.len, span(rr.len), span(cr.len));
+                (view(buf, packed), packed)
             }
-        }
+        };
+        self.stats.tile_misses += 1;
+        let ready = if fetch {
+            let (h2d, dev) = (self.streams.h2d, mat.buf);
+            let desc = CopyDesc {
+                host,
+                host_region,
+                dev,
+                dev_region,
+            };
+            self.retry_sim(gpu, |g| g.memcpy_h2d_async(h2d, desc))?;
+            Some(gpu.record_event(h2d)?)
+        } else {
+            None
+        };
+        let t = TileRef { mat, ready };
+        self.cache.insert(key, t);
+        Ok(t)
     }
 
     /// Writes a (host-operand) tile back to its host region on the d2h
-    /// stream. No-op for device-resident stores.
+    /// stream, tagged `tag`, behind everything enqueued on the exec stream
+    /// so far. No-op for device-resident stores.
     pub(crate) fn write_back(
         &mut self,
         gpu: &mut Gpu,
-        d2h: StreamId,
+        tag: OpTag,
         store: OperandStore,
         tile: TileRef,
-        rr: TileRange,
-        cr: TileRange,
+        (rr, cr): (TileRange, TileRange),
     ) -> Result<(), RuntimeError> {
         let OperandStore::Host { host, rows } = store else {
             return Ok(());
         };
-        self.copy_d2h(
-            gpu,
-            d2h,
-            CopyDesc {
-                host,
-                host_region: Region2d {
-                    offset: rr.start + cr.start * rows,
-                    ld: rows,
-                    rows: rr.len,
-                    cols: cr.len,
-                },
-                dev: tile.mat.buf,
-                dev_region: Region2d {
-                    offset: tile.mat.offset,
-                    ld: tile.mat.ld,
-                    rows: rr.len,
-                    cols: cr.len,
-                },
-            },
-        )
+        let Streams { exec, d2h, .. } = self.streams;
+        let done = gpu.record_event(exec)?;
+        gpu.wait_event(d2h, done)?;
+        gpu.set_op_tag(tag);
+        let host_region = region(rows, rr, cr);
+        let dev_region = Region2d {
+            offset: tile.mat.offset,
+            ld: tile.mat.ld,
+            ..host_region
+        };
+        let desc = CopyDesc {
+            host,
+            host_region,
+            dev: tile.mat.buf,
+            dev_region,
+        };
+        self.retry_sim(gpu, |g| g.memcpy_d2h_async(d2h, desc))
     }
 
-    /// Ends a routine's schedule of `subkernels` launches: clears the op
-    /// tag, waits for the device, frees every tile buffer this fetcher
-    /// allocated, and reports the run.
-    pub(crate) fn finish(self, gpu: &mut Gpu, subkernels: usize) -> Result<RunStats, RuntimeError> {
+    /// Ends a routine's schedule: clears the op tag, waits for the device,
+    /// frees every tile buffer this fetcher allocated, and reports the run.
+    pub(crate) fn finish(self, gpu: &mut Gpu) -> Result<RunStats, RuntimeError> {
         gpu.clear_op_tag();
         gpu.synchronize()?;
         for buf in self.allocated {
             gpu.free_device(buf)?;
         }
-        Ok(RunStats {
-            subkernels,
-            tile_hits: self.hits,
-            tile_misses: self.misses,
-            retries: self.retries,
-        })
-    }
-
-    /// Number of distinct cached (host-operand) tiles.
-    #[cfg(test)]
-    pub(crate) fn cached_tiles(&self) -> usize {
-        self.cache.len()
+        Ok(self.stats)
     }
 }
 
-/// Reads back the payload of a host-staged operand as a typed vector, if
-/// data is present (functional mode).
-pub(crate) fn take_host_data<T: SimScalar>(
-    gpu: &mut Gpu,
-    store: OperandStore,
-) -> Result<Option<Vec<T>>, RuntimeError> {
-    match store {
-        OperandStore::Host { host, .. } => {
-            let buf = gpu.take_host(host)?;
-            if buf.payload.is_functional() {
-                Ok(Some(T::payload_into_vec(buf.payload)))
-            } else {
-                Ok(None)
-            }
-        }
-        OperandStore::Device { .. } | OperandStore::Fill { .. } => Ok(None),
+/// The `rr × cr` tile of a packed `ld == rows` layout.
+fn region(rows: usize, rr: TileRange, cr: TileRange) -> Region2d {
+    Region2d {
+        offset: rr.start + cr.start * rows,
+        ld: rows,
+        rows: rr.len,
+        cols: cr.len,
     }
+}
+
+/// The first `len` elements of an extent.
+fn span(len: usize) -> TileRange {
+    TileRange { start: 0, len }
+}
+
+/// Device buffer `buf` viewed at `region`.
+fn view(buf: DevBufId, region: Region2d) -> DevMatRef {
+    let Region2d { offset, ld, .. } = region;
+    DevMatRef { buf, offset, ld }
+}
+
+// Each routine's cases run its plan through the interpreter.
+#[cfg(test)]
+mod axpy {
+    mod tests;
+}
+#[cfg(test)]
+mod dot {
+    mod tests;
+}
+#[cfg(test)]
+mod gemm {
+    mod tests;
+}
+#[cfg(test)]
+mod gemv {
+    mod tests;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cocopelia_gpusim::{testbed_i, ExecMode, NoiseSpec, TestbedSpec};
-    use cocopelia_hostblas::tiling::split;
-    use cocopelia_hostblas::Matrix;
+    use cocopelia_gpusim::{testbed_i, ExecMode, NoiseSpec};
 
-    fn quiet_gpu(functional: bool) -> Gpu {
-        let mut tb: TestbedSpec = testbed_i();
+    pub(super) fn quiet_gpu(functional: bool) -> Gpu {
+        let mut tb = testbed_i();
         tb.noise = NoiseSpec::NONE;
         let mode = if functional {
             ExecMode::Functional
@@ -449,56 +370,52 @@ mod tests {
         Gpu::new(tb, mode, 1)
     }
 
+    /// Runs `plan` over `stores` at tile `tile` on fresh streams, as call 0
+    /// under the default retry policy.
+    pub(super) fn run_plan<T: SimScalar>(
+        gpu: &mut Gpu,
+        plan: TilePlan,
+        stores: &[OperandStore],
+        tile: usize,
+    ) -> Result<(Option<Vec<T>>, RunStats), RuntimeError> {
+        let fetcher = fetcher(gpu);
+        plan.run::<T>(gpu, fetcher, 0, tile, stores)
+    }
+
+    fn fetcher(gpu: &mut Gpu) -> TileFetcher {
+        TileFetcher::new(RetryPolicy::default(), Streams::create(gpu))
+    }
+
+    /// Tile `(i, j)` of an `n × n` matrix split into tiles of 4.
+    fn of4((i, j): (usize, usize), n: usize) -> (TileRange, TileRange) {
+        let range = |idx: usize| TileRange {
+            start: idx * 4,
+            len: 4.min(n - idx * 4),
+        };
+        (range(i), range(j))
+    }
+
     #[test]
     fn fetch_caches_tiles() {
         let mut gpu = quiet_gpu(false);
-        let streams = Streams::create(&mut gpu);
-        let store = OperandStore::from_mat::<f64>(
-            &mut gpu,
-            crate::operand::MatOperand::HostGhost { rows: 8, cols: 8 },
-        );
-        let mut f = TileFetcher::default();
-        let rows = split(8, 4);
-        let cols = split(8, 4);
+        let op = crate::operand::MatOperand::<f64>::HostGhost { rows: 8, cols: 8 };
+        let store = OperandStore::from_mat(&mut gpu, op);
+        let mut f = fetcher(&mut gpu);
         let t1 = f
-            .tile::<f64>(
-                &mut gpu,
-                streams.h2d,
-                0,
-                store,
-                (0, rows[0]),
-                (1, cols[1]),
-                true,
-            )
+            .tile::<f64>(&mut gpu, store, of4((0, 1), 8), true)
             .expect("tile");
         let t2 = f
-            .tile::<f64>(
-                &mut gpu,
-                streams.h2d,
-                0,
-                store,
-                (0, rows[0]),
-                (1, cols[1]),
-                true,
-            )
+            .tile::<f64>(&mut gpu, store, of4((0, 1), 8), true)
             .expect("tile again");
         assert_eq!(t1.mat.buf, t2.mat.buf);
-        assert_eq!(f.cached_tiles(), 1);
+        assert_eq!(f.cache.len(), 1);
         // Different tile indices allocate a new buffer.
         let t3 = f
-            .tile::<f64>(
-                &mut gpu,
-                streams.h2d,
-                0,
-                store,
-                (1, rows[1]),
-                (1, cols[1]),
-                true,
-            )
+            .tile::<f64>(&mut gpu, store, of4((1, 1), 8), true)
             .expect("other tile");
         assert_ne!(t1.mat.buf, t3.mat.buf);
-        assert_eq!(f.cached_tiles(), 2);
-        let stats = f.finish(&mut gpu, 0).expect("finish");
+        assert_eq!(f.cache.len(), 2);
+        let stats = f.finish(&mut gpu).expect("finish");
         assert_eq!((stats.tile_hits, stats.tile_misses), (1, 2));
         assert_eq!(gpu.device_mem_used(), 0);
     }
@@ -506,61 +423,40 @@ mod tests {
     #[test]
     fn device_store_yields_views_without_alloc() {
         let mut gpu = quiet_gpu(false);
-        let streams = Streams::create(&mut gpu);
         let dev = gpu
             .alloc_device(cocopelia_hostblas::Dtype::F64, 64)
             .expect("alloc");
         let store = OperandStore::Device { buf: dev, rows: 8 };
-        let mut f = TileFetcher::default();
-        let rows = split(8, 4);
+        let mut f = fetcher(&mut gpu);
         let t = f
-            .tile::<f64>(
-                &mut gpu,
-                streams.h2d,
-                0,
-                store,
-                (1, rows[1]),
-                (1, rows[1]),
-                true,
-            )
+            .tile::<f64>(&mut gpu, store, of4((1, 1), 8), true)
             .expect("view");
         assert_eq!(t.mat.offset, 4 + 4 * 8);
         assert_eq!(t.mat.ld, 8);
         assert!(t.ready.is_none());
-        assert_eq!(f.cached_tiles(), 0);
+        assert_eq!(f.cache.len(), 0);
     }
 
     #[test]
     fn round_trip_tile_fetch_and_write_back() {
         let mut gpu = quiet_gpu(true);
-        let streams = Streams::create(&mut gpu);
         let m = Matrix::<f64>::from_fn(6, 6, |i, j| (i * 10 + j) as f64);
-        let store =
-            OperandStore::from_mat::<f64>(&mut gpu, crate::operand::MatOperand::Host(m.clone()));
-        let mut f = TileFetcher::default();
-        let rows = split(6, 4);
-        let cols = split(6, 4);
+        let op = crate::operand::MatOperand::Host(m.clone());
+        let store = OperandStore::from_mat::<f64>(&mut gpu, op);
+        let mut f = fetcher(&mut gpu);
         // Fetch tile (1,1) — the 2x2 remainder corner — and write it back.
         let t = f
-            .tile::<f64>(
-                &mut gpu,
-                streams.h2d,
-                0,
-                store,
-                (1, rows[1]),
-                (1, cols[1]),
-                true,
-            )
+            .tile::<f64>(&mut gpu, store, of4((1, 1), 6), true)
             .expect("tile");
-        // Order the write-back after the fetch, as the schedulers do.
-        gpu.wait_event(streams.d2h, t.ready.expect("host fetch has event"))
-            .expect("wait");
-        f.write_back(&mut gpu, streams.d2h, store, t, rows[1], cols[1])
+        // Order the write-back after the fetch.
+        let ready = t.ready.expect("host fetch has event");
+        gpu.wait_event(f.streams.d2h, ready).expect("wait");
+        let tag = OpTag::new(cocopelia_gpusim::Routine::Gemm, 0, (1, 1));
+        f.write_back(&mut gpu, tag, store, t, of4((1, 1), 6))
             .expect("wb");
         gpu.synchronize().expect("sync");
-        let back = take_host_data::<f64>(&mut gpu, store)
-            .expect("data")
-            .expect("functional");
-        assert_eq!(back, m.as_slice());
+        let host = store.host_id().expect("staged on the host");
+        let back = gpu.take_host(host).expect("registered").payload;
+        assert_eq!(f64::payload_into_vec(back), m.as_slice());
     }
 }

@@ -1641,9 +1641,11 @@ impl ServeSession {
                 }
             }
         }
-        // `residency_bytes_uploaded` already counted the cancelled
-        // attempt's uploads; this correction term keeps "bytes usefully
-        // uploaded" computable without a decrementable counter.
+        // The cancelled attempt completed, so `residency_bytes_uploaded`
+        // counted each of its fills whole, including the entries rolled
+        // back here, whose copies had not all ended at the cancel instant.
+        // This correction term keeps "bytes left resident" computable
+        // without a decrementable counter.
         if rolled_back_bytes > 0 {
             self.metrics
                 .counter_add("hedge_cancelled_bytes", rolled_back_bytes);
@@ -1921,8 +1923,8 @@ impl ServeSession {
 
     /// One attempt: resolve shared operands against device `d`'s residency
     /// cache and run the routine, whose tile schedule fills each miss.
-    /// After a run, each fill's host ghost is released and each bypass
-    /// buffer freed. A failed attempt instead takes the entries its fills
+    /// After a run, each fill's bytes count as uploaded, its host ghost is
+    /// released and each bypass buffer freed. A failed attempt instead takes the entries its fills
     /// inserted out of the cache, so a partly filled buffer never serves a
     /// hit; the failure's [`scrub`](Self::scrub) frees them, and the
     /// ghosts, once the device is idle.
@@ -1951,6 +1953,7 @@ impl ServeSession {
                 continue;
             };
             if result.is_ok() {
+                metrics.counter_add("residency_bytes_uploaded", fill.bytes as u64);
                 let _ = dev.gpu_mut().take_host(fill.ghost);
                 if !fill.cached {
                     free_resident(dev, fill.buf);
@@ -2011,6 +2014,8 @@ fn free_resident(dev: &mut Cocopelia, buf: DevBufId) {
 struct Fill {
     buf: DevBufId,
     ghost: HostBufId,
+    /// The operand's bytes, counted as uploaded once the attempt succeeds.
+    bytes: usize,
     /// Whether the buffer joined the residency cache; a bypass buffer is
     /// freed after the run.
     cached: bool,
@@ -2057,13 +2062,13 @@ fn resolve_request(
         let gpu = dev.gpu_mut();
         let buf = gpu.alloc_device(s.dtype, s.shape.len())?;
         let ghost = gpu.register_host_ghost(s.dtype, s.shape.len(), true);
-        metrics.counter_add("residency_bytes_uploaded", bytes as u64);
         if cacheable {
             cache.insert(s.key, s.dtype, s.shape, buf);
         }
         fills[k] = Some(Fill {
             buf,
             ghost,
+            bytes,
             cached: cacheable,
         });
         arg.bind(buf, Some(ghost));

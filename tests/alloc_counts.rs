@@ -75,13 +75,13 @@ fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Pinned counts. Debug and release builds allocate identically on these
 /// paths, so one figure serves both.
-const DIRECT_CALL: u64 = 60;
-const FIFO_REQUEST: u64 = 233;
+const DIRECT_CALL: u64 = 57;
+const FIFO_REQUEST: u64 = 230;
 /// A Predictive dispatch prices every queued request on every device, so
 /// its allocations grow with the queue: about 7 100 per request at 250
 /// queued and 14 100 at 500.
-const PREDICTIVE_250: u64 = 1_777_502;
-const PREDICTIVE_500: u64 = 7_054_755;
+const PREDICTIVE_250: u64 = 1_776_752;
+const PREDICTIVE_500: u64 = 7_053_255;
 
 fn quiet_testbed() -> TestbedSpec {
     let mut tb = testbed_i();

@@ -686,6 +686,11 @@ fn a_fault_mid_fill_leaves_no_entry_and_the_retry_fills_again() {
         gpu.live_host_buffers().is_empty(),
         "the fill's ghost is released"
     );
+    assert_eq!(
+        failed.metrics.counter("residency_bytes_uploaded"),
+        0,
+        "a failed fill uploads nothing"
+    );
 
     session.submit(req());
     let served = session.drain();
@@ -696,6 +701,11 @@ fn a_fault_mid_fill_leaves_no_entry_and_the_retry_fills_again() {
     assert_eq!(served.metrics.counter("residency_misses_total"), 2);
     let refill = copies_of(&lane(&served, 0), OperandRole::A);
     assert_eq!(bytes(&refill), 1024 * 1024 * 8, "the retry fills A again");
+    assert_eq!(
+        served.metrics.counter("residency_bytes_uploaded"),
+        1024 * 1024 * 8,
+        "only the fill that completed counts as uploaded"
+    );
     let live: BTreeSet<_> = session.pool().devices()[0]
         .gpu()
         .live_device_buffers()

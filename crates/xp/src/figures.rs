@@ -58,10 +58,10 @@ pub fn fig1_tiling_sweep(scale: Scale) -> String {
             let grid = gemm_tile_grid(s, scale);
             let mut series = Vec::new();
             for &t in &grid {
-                let out = lab
+                let run = lab
                     .run_gemm(&p, GemmLib::CublasXt(t), 0xF16 + t as u64)
                     .expect("sweep run");
-                series.push((format!("T={t}"), out.gflops));
+                series.push((format!("T={t}"), run.gflops));
             }
             let (best_t, best) = series
                 .iter()
@@ -397,11 +397,11 @@ pub fn fig6_tile_selection(scale: Scale) -> String {
             }
             let mut best = static_run;
             for t in grid {
-                let out = lab
+                let run = lab
                     .run_gemm(p, GemmLib::Cocopelia(TileChoice::Fixed(t)), 43 + t as u64)
                     .expect("grid run");
-                if out.gflops > best.gflops {
-                    best = out;
+                if run.gflops > best.gflops {
+                    best = run;
                 }
             }
             gains[0].push((best.gflops / static_run.gflops - 1.0) * 100.0);
@@ -412,11 +412,11 @@ pub fn fig6_tile_selection(scale: Scale) -> String {
                 format!("{:+.1}", (best.gflops / static_run.gflops - 1.0) * 100.0),
             ];
             for (mi, model) in models.iter().enumerate() {
-                let out = lab
+                let run = lab
                     .run_gemm(p, GemmLib::Cocopelia(TileChoice::Model(*model)), 47)
                     .expect("model-selected run");
-                gains[mi + 1].push((out.gflops / static_run.gflops - 1.0) * 100.0);
-                cells.push(format!("T={} {:.0}", out.tile, out.gflops));
+                gains[mi + 1].push((run.gflops / static_run.gflops - 1.0) * 100.0);
+                cells.push(format!("T={} {:.0}", run.tile, run.gflops));
             }
             table.row(cells);
         }
@@ -469,11 +469,11 @@ fn cublasxt_picks(p: &GemmProblem, scale: Scale) -> Vec<usize> {
 fn cublasxt_best(lab: &Lab, p: &GemmProblem, scale: Scale) -> (usize, f64) {
     let mut best = (0usize, 0.0f64);
     for t in cublasxt_picks(p, scale) {
-        let out = lab
+        let run = lab
             .run_gemm(p, GemmLib::CublasXt(t), 53 + t as u64)
             .expect("xt run");
-        if out.gflops > best.1 {
-            best = (t, out.gflops);
+        if run.gflops > best.1 {
+            best = (t, run.gflops);
         }
     }
     best
@@ -797,11 +797,11 @@ pub fn ablation_model_terms(scale: Scale) -> String {
             .expect("static run");
         let mut best = static_run;
         for t in gemm_tile_grid(8192, scale) {
-            let out = lab
+            let run = lab
                 .run_gemm(&p, GemmLib::Cocopelia(TileChoice::Fixed(t)), 91 + t as u64)
                 .expect("grid run");
-            if out.gflops > best.gflops {
-                best = out;
+            if run.gflops > best.gflops {
+                best = run;
             }
         }
         let mut cells = vec![
@@ -810,14 +810,14 @@ pub fn ablation_model_terms(scale: Scale) -> String {
             format!("T={} {:.0}", best.tile, best.gflops),
         ];
         for model in models {
-            let out = lab
+            let run = lab
                 .run_gemm(&p, GemmLib::Cocopelia(TileChoice::Model(model)), 97)
                 .expect("model run");
             cells.push(format!(
                 "T={} {:.0} ({:.1}% of opt)",
-                out.tile,
-                out.gflops,
-                100.0 * out.gflops / best.gflops
+                run.tile,
+                run.gflops,
+                100.0 * run.gflops / best.gflops
             ));
         }
         table.row(cells);
@@ -870,14 +870,14 @@ pub fn ext_multigpu_scaling(scale: Scale) -> String {
                 21,
                 lab.profile.clone(),
             );
-            let out = mg.gemm_ghost(n, n, n, TileChoice::Auto).expect("runs");
-            let secs = out.elapsed.as_secs_f64();
+            let run = mg.gemm_ghost(n, n, n, TileChoice::Auto).expect("runs");
+            let secs = run.elapsed.as_secs_f64();
             let base_secs = *base.get_or_insert(secs);
-            let tiles: Vec<String> = out.per_device.iter().map(|r| r.tile.to_string()).collect();
+            let tiles: Vec<String> = run.per_device.iter().map(|r| r.tile.to_string()).collect();
             table.row(vec![
                 g.to_string(),
                 format!("{:.1}", secs * 1e3),
-                format!("{:.0}", out.gflops()),
+                format!("{:.0}", run.gflops()),
                 format!("{:.2}x", base_secs / secs),
                 format!("{:.0}%", 100.0 * base_secs / secs / g as f64),
                 tiles.join(","),

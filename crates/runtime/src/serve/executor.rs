@@ -1924,10 +1924,11 @@ impl ServeSession {
     /// One attempt: resolve shared operands against device `d`'s residency
     /// cache and run the routine, whose tile schedule fills each miss.
     /// After a run, each fill's bytes count as uploaded, its host ghost is
-    /// released and each bypass buffer freed. A failed attempt instead takes the entries its fills
-    /// inserted out of the cache, so a partly filled buffer never serves a
-    /// hit; the failure's [`scrub`](Self::scrub) frees them, and the
-    /// ghosts, once the device is idle.
+    /// released and each bypass buffer freed. A failed attempt instead
+    /// takes the entries its fills inserted out of the cache, so a partly
+    /// filled buffer never serves a hit; the failure's
+    /// [`scrub`](Self::scrub) frees them, and the ghosts, once the device
+    /// is idle.
     fn execute_once(
         &mut self,
         d: usize,

@@ -136,6 +136,10 @@ CARGO_TARGET_DIR=target/perfbench cargo test --release --offline -q \
 CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
     --workload serve_straggler --seconds 1 --trace 0 | tail -n 1
+# serve_deep_predictive smoke: its host time is almost all Predictive dispatch.
+CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_deep_predictive --seconds 0 --trace 0 | tail -n 1
 # serve_open_mixed is the only workload that arms telemetry (windows,
 # span cap, flight dumps), so it smoke-tests the observer wiring. Its peak
 # RSS guards per-request retention: a drain keeps only the trace entries

@@ -21,17 +21,12 @@ pub const BLASX_DEFAULT_TILE: usize = 2048;
 #[derive(Debug)]
 pub struct Blasx {
     ctx: Cocopelia,
-    tile: usize,
 }
 
 impl Blasx {
-    /// Wraps a device with the default static tiling size (2048).
+    /// Wraps a device with the static tiling size
+    /// [`BLASX_DEFAULT_TILE`].
     pub fn new(gpu: Gpu) -> Self {
-        Self::with_tile(gpu, BLASX_DEFAULT_TILE)
-    }
-
-    /// Wraps a device with a custom static tiling size.
-    pub fn with_tile(gpu: Gpu, tile: usize) -> Self {
         // BLASX never consults a performance model; the profile is inert.
         let dummy = SystemProfile::new(
             "blasx-static",
@@ -44,13 +39,12 @@ impl Blasx {
         );
         Blasx {
             ctx: Cocopelia::new(gpu, dummy),
-            tile,
         }
     }
 
     /// The static tiling size in use.
     pub fn tile(&self) -> usize {
-        self.tile
+        BLASX_DEFAULT_TILE
     }
 
     /// The wrapped device.
@@ -84,7 +78,7 @@ impl Blasx {
         // BLASX clamps its static tile to the problem when the problem is
         // smaller than the tile (a single-tile schedule).
         let min_dim = a.rows().min(b.cols()).min(a.cols());
-        let tile = self.tile.min(min_dim.max(1));
+        let tile = BLASX_DEFAULT_TILE.min(min_dim.max(1));
         let out = GemmRequest::new(a, b, c)
             .alpha(alpha)
             .beta(beta)
@@ -137,7 +131,8 @@ mod tests {
 
     #[test]
     fn reuse_moves_each_tile_once() {
-        let mut blasx = Blasx::with_tile(quiet_gpu(), 1024);
+        // A 2×2×2 grid of 2048 tiles: each of A, B and C moves once.
+        let mut blasx = Blasx::new(quiet_gpu());
         let n = 4096;
         blasx
             .gemm::<f64>(

@@ -12,11 +12,12 @@ use cocopelia_gpusim::{CopyDesc, DevVecRef, Gpu, KernelArgs, KernelShape, Region
 use cocopelia_hostblas::tiling::split;
 use cocopelia_runtime::{RuntimeError, VecOperand};
 
-/// Default prefetch granularity in elements (2 Mi elements ≈ 16 MB of f64,
-/// a typical prefetch window).
+/// Prefetch granularity in elements (2 Mi elements ≈ 16 MB of f64, a
+/// typical prefetch window).
 pub const DEFAULT_PREFETCH_CHUNK: usize = 1 << 21;
 
-/// Runs `y ← α·x + y` through the unified-memory-with-prefetch model.
+/// Runs `y ← α·x + y` through the unified-memory-with-prefetch model, in
+/// chunks of [`DEFAULT_PREFETCH_CHUNK`] elements.
 ///
 /// # Errors
 ///
@@ -26,16 +27,10 @@ pub fn daxpy_prefetch(
     alpha: f64,
     x: VecOperand<f64>,
     y: VecOperand<f64>,
-    chunk: usize,
 ) -> Result<BaselineResult<Vec<f64>>, RuntimeError> {
     if x.len() != y.len() {
         return Err(RuntimeError::DimensionMismatch {
             what: format!("daxpy: x has {} elements but y has {}", x.len(), y.len()),
-        });
-    }
-    if chunk == 0 {
-        return Err(RuntimeError::DimensionMismatch {
-            what: "prefetch chunk must be positive".to_owned(),
         });
     }
     let n = x.len();
@@ -63,7 +58,7 @@ pub fn daxpy_prefetch(
     let dy = gpu.alloc_device(cocopelia_hostblas::Dtype::F64, n)?;
     let mut subkernels = 0usize;
 
-    for t in split(n, chunk) {
+    for t in split(n, DEFAULT_PREFETCH_CHUNK) {
         let region = Region2d {
             offset: t.start,
             ld: t.len.max(1),
@@ -155,21 +150,16 @@ mod tests {
 
     #[test]
     fn numerically_correct() {
-        let n = 5000;
+        // One full chunk and a 5 000-element remainder.
+        let n = DEFAULT_PREFETCH_CHUNK + 5000;
         let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let y: Vec<f64> = vec![1.0; n];
         let expect: Vec<f64> = x.iter().map(|v| 2.0 * v + 1.0).collect();
         let mut gpu = Gpu::new(quiet(), ExecMode::Functional, 1);
-        let res = daxpy_prefetch(
-            &mut gpu,
-            2.0,
-            VecOperand::Host(x),
-            VecOperand::Host(y),
-            1024,
-        )
-        .expect("runs");
+        let res =
+            daxpy_prefetch(&mut gpu, 2.0, VecOperand::Host(x), VecOperand::Host(y)).expect("runs");
         assert_eq!(res.output.expect("functional"), expect);
-        assert_eq!(res.subkernels, 5);
+        assert_eq!(res.subkernels, 2);
     }
 
     #[test]
@@ -183,7 +173,6 @@ mod tests {
             1.0,
             VecOperand::HostGhost { len: n },
             VecOperand::HostGhost { len: n },
-            DEFAULT_PREFETCH_CHUNK,
         )
         .expect("runs");
 
@@ -230,7 +219,6 @@ mod tests {
             1.0,
             VecOperand::HostGhost { len: 8 },
             VecOperand::HostGhost { len: 9 },
-            4,
         )
         .expect_err("mismatch");
         assert!(matches!(err, RuntimeError::DimensionMismatch { .. }));

@@ -280,7 +280,6 @@ fn straggler_options(args: &Args, seed: u64) -> Result<DefenseConfigs, CliError>
                 backoff: cocopelia_gpusim::SimTime::from_secs_f64(ms * 1e-3),
                 successes,
                 seed,
-                ..defaults
             })
         }
     };
@@ -295,7 +294,6 @@ fn straggler_options(args: &Args, seed: u64) -> Result<DefenseConfigs, CliError>
             Some(cocopelia_runtime::serve::RetryBudgetConfig {
                 tokens: parse_value("retry-budget", tokens, positive)?,
                 refill_per_sec,
-                ..defaults
             })
         }
     };

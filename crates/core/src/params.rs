@@ -378,17 +378,6 @@ impl ProblemSpec {
         }
     }
 
-    /// Floating-point operations of one full `T`-cubed sub-problem of this
-    /// routine (`2T³` for gemm, `2T²` for gemv, `2T` for axpy).
-    pub fn tile_flops(&self, t: usize) -> f64 {
-        let tf = t as f64;
-        match self.routine {
-            RoutineClass::Axpy | RoutineClass::Dot => 2.0 * tf,
-            RoutineClass::Gemv => 2.0 * tf * tf,
-            RoutineClass::Gemm => 2.0 * tf * tf * tf,
-        }
-    }
-
     /// True if every operand already resides on the device (no overlap to
     /// schedule — the paper excludes this case from its validation sets).
     pub fn fully_resident(&self) -> bool {

@@ -283,11 +283,6 @@ impl Gpu {
         self.dev.used()
     }
 
-    /// Bytes of device memory still available.
-    pub fn device_mem_available(&self) -> usize {
-        self.dev.available()
-    }
-
     /// Total device memory capacity in bytes (the testbed's HBM/GDDR size).
     pub fn device_mem_capacity(&self) -> usize {
         self.dev.capacity()

@@ -281,18 +281,6 @@ impl Payload {
             other => panic!("payload is {:?}, not functional f32", other.dtype()),
         }
     }
-
-    /// Mutably borrow as `f32` data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is not functional `f32` storage.
-    pub fn as_f32_mut(&mut self) -> &mut [f32] {
-        match self {
-            Payload::F32(v) => v,
-            other => panic!("payload is {:?}, not functional f32", other.dtype()),
-        }
-    }
 }
 
 impl From<Vec<f32>> for Payload {

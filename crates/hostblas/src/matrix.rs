@@ -358,16 +358,6 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
         );
         self.data[i + j * self.ld] = v;
     }
-
-    /// Reborrows as an immutable view.
-    pub fn as_view(&self) -> MatrixView<'_, T> {
-        MatrixView {
-            rows: self.rows,
-            cols: self.cols,
-            ld: self.ld,
-            data: self.data,
-        }
-    }
 }
 
 #[cfg(test)]

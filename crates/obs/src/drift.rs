@@ -211,11 +211,6 @@ impl DriftAccountant {
         self.per_model.get(model.name())
     }
 
-    /// All scored models with their aggregates, name-ordered.
-    pub fn all_stats(&self) -> impl Iterator<Item = (&'static str, &ModelErrorStats)> {
-        self.per_model.iter().map(|(&k, v)| (k, v))
-    }
-
     /// The value-tree form, for JSON reports.
     pub fn to_value(&self) -> Value {
         Value::Map(vec![

@@ -38,7 +38,7 @@ pub struct CallObservation<'a> {
     pub overlap: OverlapStats,
     /// Tile-cache hits during the call (reused device tiles).
     pub tile_hits: u64,
-    /// Tile-cache misses during the call (fresh fetches/allocations).
+    /// Tile-cache misses during the call (tiles copied from the host).
     pub tile_misses: u64,
     /// Per-model drift records scored for this call.
     pub drift: Vec<DriftRecord>,

@@ -2,7 +2,6 @@
 //! selection with model reuse, and device-residency management.
 
 use crate::error::RuntimeError;
-use crate::fault::RetryPolicy;
 use crate::operand::{DeviceMatrix, DeviceVector, MatOperand, TileChoice, VecOperand};
 use crate::request::{
     AxpyRequest, DotRequest, GemmRequest, GemvRequest, MatArg, RoutineRequest, VecArg,
@@ -68,7 +67,9 @@ pub struct RoutineReport {
     pub drift: Vec<DriftRecord>,
     /// Tile-buffer reuse hits during the call (§IV-C full tile reuse).
     pub tile_hits: u64,
-    /// Tile-buffer fetches that missed the reuse cache.
+    /// Tiles copied from the host because the reuse cache missed. A
+    /// write-only output tile (gemm's C or gemv's y at `beta = 0`) copies
+    /// nothing and is not counted.
     pub tile_misses: u64,
     /// Tile-level operation retries the scheduler performed against
     /// transient device faults (0 when the device is healthy).
@@ -152,7 +153,6 @@ pub struct Cocopelia {
     streams: Option<Streams>,
     cache: HashMap<SelectKey, Selection>,
     obs: Observer,
-    retry: RetryPolicy,
 }
 
 impl Cocopelia {
@@ -164,19 +164,7 @@ impl Cocopelia {
             streams: None,
             cache: HashMap::new(),
             obs: Observer::new(),
-            retry: RetryPolicy::default(),
         }
-    }
-
-    /// Replaces the tile-level retry/backoff policy applied to transient
-    /// device faults ([`RetryPolicy::none`] disables retrying).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The retry/backoff policy in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// The wrapped device.
@@ -303,7 +291,7 @@ impl Cocopelia {
         let trace_start = self.gpu.trace().len();
         let t0 = self.gpu.now();
         let stores = stores(&mut self.gpu);
-        let fetcher = TileFetcher::new(self.retry, streams);
+        let fetcher = TileFetcher::new(streams);
         let (out, run) = plan.run::<T>(&mut self.gpu, fetcher, call, tile, &stores)?;
         let elapsed = self.gpu.now().saturating_since(t0);
         let actual_secs = elapsed.as_secs_f64();

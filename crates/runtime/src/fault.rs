@@ -1,50 +1,23 @@
-//! Retry/backoff policy for fault-tolerant execution in virtual time.
+//! Retry/backoff of transient device faults in virtual time.
+//!
+//! The tile schedulers retry an enqueue that fails with a retryable fault
+//! (see [`RuntimeError::fault_class`](crate::RuntimeError::fault_class))
+//! up to [`MAX_ATTEMPTS`] times in all, waiting [`backoff_secs`] before
+//! each retry. Backoff waits advance the device's *virtual* clock
+//! ([`Gpu::advance_clock`](cocopelia_gpusim::Gpu::advance_clock)), so retry
+//! latency is visible in every simulated timing result exactly as a real
+//! host-side `usleep` loop would be.
 
-/// Capped exponential backoff policy applied by the tile schedulers to
-/// transient device faults (see
-/// [`RuntimeError::fault_class`](crate::RuntimeError::fault_class)).
-///
-/// Backoff waits advance the device's *virtual* clock
-/// ([`Gpu::advance_clock`](cocopelia_gpusim::Gpu::advance_clock)), so retry
-/// latency is visible in every simulated timing result exactly as a real
-/// host-side `usleep` loop would be.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per tile-level operation (1 disables retrying).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in virtual seconds.
-    pub base_secs: f64,
-    /// Ceiling on a single backoff wait, in virtual seconds.
-    pub cap_secs: f64,
-}
+/// Attempts per tile-level operation, the first included.
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
 
-impl RetryPolicy {
-    /// The no-retry policy: a single attempt, faults propagate immediately.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_secs: 0.0,
-            cap_secs: 0.0,
-        }
-    }
+/// Backoff before the first retry, in virtual seconds.
+const BACKOFF_BASE_SECS: f64 = 1e-4;
 
-    /// Backoff before retry number `retry` (0-based): `base · 2^retry`,
-    /// capped at [`cap_secs`](RetryPolicy::cap_secs).
-    pub fn backoff_secs(&self, retry: u32) -> f64 {
-        let exp = 2f64.powi(retry.min(62) as i32);
-        (self.base_secs * exp).min(self.cap_secs)
-    }
-}
-
-impl Default for RetryPolicy {
-    /// Three attempts with 100µs base backoff capped at 10ms.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_secs: 1e-4,
-            cap_secs: 1e-2,
-        }
-    }
+/// Backoff before retry number `retry` (0-based): `base · 2^retry`. With
+/// [`MAX_ATTEMPTS`] attempts the longest wait is 200 µs.
+pub(crate) fn backoff_secs(retry: u32) -> f64 {
+    BACKOFF_BASE_SECS * 2f64.powi(retry as i32)
 }
 
 #[cfg(test)]
@@ -53,23 +26,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_then_caps() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_secs: 1e-4,
-            cap_secs: 1e-3,
-        };
-        assert_eq!(p.backoff_secs(0), 1e-4);
-        assert_eq!(p.backoff_secs(1), 2e-4);
-        assert_eq!(p.backoff_secs(2), 4e-4);
-        assert_eq!(p.backoff_secs(3), 8e-4);
-        assert_eq!(p.backoff_secs(4), 1e-3); // capped
-        assert_eq!(p.backoff_secs(40), 1e-3); // stays capped, no overflow
-    }
-
-    #[test]
-    fn none_policy_is_single_attempt() {
-        let p = RetryPolicy::none();
-        assert_eq!(p.max_attempts, 1);
-        assert_eq!(p.backoff_secs(0), 0.0);
+        // The two retries three attempts allow wait 100 µs, then 200 µs.
+        assert_eq!(MAX_ATTEMPTS, 3);
+        assert_eq!(backoff_secs(0), 1e-4);
+        assert_eq!(backoff_secs(1), 2e-4);
     }
 }

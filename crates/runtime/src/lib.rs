@@ -33,7 +33,6 @@ pub mod serve;
 
 pub use ctx::{Cocopelia, DotResult, GemmResult, RoutineReport, VecResult};
 pub use error::{FaultClass, RequestError, RequestId, RuntimeError};
-pub use fault::RetryPolicy;
 pub use multigpu::{MultiGemmResult, MultiGpu};
 pub use operand::{DeviceMatrix, DeviceVector, MatOperand, TileChoice, VecOperand};
 pub use request::{

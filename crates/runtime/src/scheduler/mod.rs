@@ -24,7 +24,7 @@ mod plan;
 pub(crate) use plan::TilePlan;
 
 use crate::error::RuntimeError;
-use crate::fault::RetryPolicy;
+use crate::fault::{backoff_secs, MAX_ATTEMPTS};
 use crate::operand::{MatOperand, VecOperand};
 use cocopelia_gpusim::{
     CopyDesc, DevBufId, DevMatRef, EventId, Gpu, HostBufId, KernelArgs, KernelShape, OpTag,
@@ -148,26 +148,22 @@ pub(crate) struct TileFetcher {
     streams: Streams,
     cache: HashMap<TileKey, TileRef>,
     allocated: Vec<DevBufId>,
-    /// Retry/backoff policy for transient enqueue faults.
-    policy: RetryPolicy,
     stats: RunStats,
 }
 
 impl TileFetcher {
-    /// A fetcher that enqueues on `streams` and retries transient faults
-    /// under `policy`.
-    pub(crate) fn new(policy: RetryPolicy, streams: Streams) -> Self {
+    /// A fetcher that enqueues on `streams`.
+    pub(crate) fn new(streams: Streams) -> Self {
         TileFetcher {
             streams,
             cache: HashMap::new(),
             allocated: Vec::new(),
-            policy,
             stats: RunStats::default(),
         }
     }
 
-    /// Runs an enqueue-level device call, retrying transient faults with the
-    /// policy's capped exponential backoff. Backoff waits advance the
+    /// Runs an enqueue-level device call, retrying transient faults with
+    /// exponential backoff (see [`crate::fault`]). Backoff waits advance the
     /// device's virtual clock, so retry latency shows up in timing results
     /// (and delays everything enqueued afterwards, as a host-side sleep
     /// would). Out-of-memory never reaches this helper — allocations are not
@@ -181,8 +177,8 @@ impl TileFetcher {
         let mut attempt: u32 = 0;
         loop {
             match f(gpu).map_err(RuntimeError::Sim) {
-                Err(e) if e.fault_class().retryable() && attempt + 1 < self.policy.max_attempts => {
-                    gpu.advance_clock(SimTime::from_secs_f64(self.policy.backoff_secs(attempt)));
+                Err(e) if e.fault_class().retryable() && attempt + 1 < MAX_ATTEMPTS => {
+                    gpu.advance_clock(SimTime::from_secs_f64(backoff_secs(attempt)));
                     attempt += 1;
                     self.stats.retries += 1;
                 }
@@ -251,8 +247,8 @@ impl TileFetcher {
                 (view(buf, packed), packed)
             }
         };
-        self.stats.tile_misses += 1;
         let ready = if fetch {
+            self.stats.tile_misses += 1;
             let (h2d, dev) = (self.streams.h2d, mat.buf);
             let desc = CopyDesc {
                 host,
@@ -370,8 +366,7 @@ mod tests {
         Gpu::new(tb, mode, 1)
     }
 
-    /// Runs `plan` over `stores` at tile `tile` on fresh streams, as call 0
-    /// under the default retry policy.
+    /// Runs `plan` over `stores` at tile `tile` on fresh streams, as call 0.
     pub(super) fn run_plan<T: SimScalar>(
         gpu: &mut Gpu,
         plan: TilePlan,
@@ -383,7 +378,7 @@ mod tests {
     }
 
     fn fetcher(gpu: &mut Gpu) -> TileFetcher {
-        TileFetcher::new(RetryPolicy::default(), Streams::create(gpu))
+        TileFetcher::new(Streams::create(gpu))
     }
 
     /// Tile `(i, j)` of an `n × n` matrix split into tiles of 4.

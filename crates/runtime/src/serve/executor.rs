@@ -22,42 +22,35 @@ use std::fmt::Write as _;
 /// Bucket bounds of the `serve_queue_depth` histogram.
 const QUEUE_DEPTH_BOUNDS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
-/// Tuning knobs of the serving layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecutorConfig {
-    /// Fraction of each device's memory reserved for the cross-request
-    /// residency cache.
-    pub residency_frac: f64,
-    /// Admission ceiling: a request whose worst-case footprint exceeds
-    /// this fraction of device memory is rejected at submission.
-    pub admission_frac: f64,
-    /// Request-level retry budget: how many times one request may be
-    /// re-attempted after a transient device failure (on the same device
-    /// after reclaim, or re-dispatched to a healthy device after a
-    /// quarantine) before it fails. `0` makes every fault terminal for
-    /// its request.
-    pub max_retries: u32,
-    /// Consecutive faults on one device before the session quarantines
-    /// it: the device stops receiving work and its residency cache is
-    /// invalidated.
-    pub quarantine_after: u32,
-    /// Host-BLAS throughput (GFLOP/s) assumed for graceful degradation:
-    /// when every device in the pool is quarantined, requests complete on
-    /// the host at this rate instead of failing.
-    pub host_gflops: f64,
-}
+/// Carries nothing: the serving layer's tuning values are constants.
+/// Kept only so the frozen benchmark harness under `perfbench/`, which
+/// still passes `ExecutorConfig::default()` to
+/// [`ServeSession::with_options`], keeps building; delete it together
+/// with that argument.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ExecutorConfig {}
 
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig {
-            residency_frac: 0.5,
-            admission_frac: 0.9,
-            max_retries: 3,
-            quarantine_after: 2,
-            host_gflops: 50.0,
-        }
-    }
-}
+/// Admission ceiling: a request whose worst-case footprint exceeds this
+/// fraction of the smallest pool device's memory is rejected at
+/// submission.
+const ADMISSION_FRAC: f64 = 0.9;
+
+/// Request-level retry budget: how many times one request may be
+/// re-attempted after a transient device failure (on the same device
+/// after reclaim, or re-dispatched to a healthy device after a
+/// quarantine) before it fails.
+const MAX_RETRIES: u32 = 3;
+
+/// Consecutive faults on one device before the session quarantines it:
+/// the device stops receiving work and its residency cache is
+/// invalidated.
+const QUARANTINE_AFTER: u32 = 2;
+
+/// Host-BLAS throughput (GFLOP/s) assumed for graceful degradation: when
+/// every device in the pool is quarantined, requests complete on the host
+/// at this rate instead of failing.
+const HOST_GFLOPS: f64 = 50.0;
 
 /// Hedged re-dispatch configuration (see
 /// [`ServeOptions::hedge`](crate::serve::ServeOptions::hedge)).
@@ -138,8 +131,8 @@ pub const HEDGE_WARMUP: usize = 8;
 /// passes. Probation schedules tiny canary GEMMs after a seeded backoff:
 /// enough consecutive successes re-admit the device (with a cold
 /// residency cache — quarantine invalidated it), each failure extends the
-/// backoff exponentially, and [`max_rounds`](ProbationConfig::max_rounds)
-/// failed rounds retire the device for good.
+/// backoff exponentially, and six failed rounds retire the device for
+/// good.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbationConfig {
     /// Backoff before the first canary probe of a freshly quarantined
@@ -147,9 +140,6 @@ pub struct ProbationConfig {
     pub backoff: SimTime,
     /// Consecutive probe successes that re-admit the device.
     pub successes: u32,
-    /// Failed probe rounds before the session stops probing the device
-    /// (it stays quarantined for good).
-    pub max_rounds: u32,
     /// Seed of the deterministic backoff jitter that de-synchronises
     /// probes of devices quarantined at the same instant.
     pub seed: u64,
@@ -160,7 +150,6 @@ impl Default for ProbationConfig {
         ProbationConfig {
             backoff: SimTime::from_secs_f64(5e-3),
             successes: 2,
-            max_rounds: 6,
             seed: 0,
         }
     }
@@ -178,6 +167,10 @@ impl ProbationConfig {
     }
 }
 
+/// Failed probe rounds before the session stops probing a device (it
+/// stays quarantined for good).
+const PROBE_MAX_ROUNDS: u32 = 6;
+
 /// Retry-budget / circuit-breaker configuration (see
 /// [`ServeOptions::retry_budget`](crate::serve::ServeOptions::retry_budget)).
 ///
@@ -185,7 +178,7 @@ impl ProbationConfig {
 /// token bucket: every session-level retry spends a token (refilled at a
 /// rate in virtual time), and when the bucket runs dry the circuit
 /// breaker opens — further faults fail fast to host fallback instead of
-/// burning device time on a sustained fault storm. After the cooldown
+/// burning device time on a sustained fault storm. After a 50 ms cooldown
 /// (or when a probation canary re-admits a device) the breaker half-opens
 /// and one trial retry decides: success closes it, another fault reopens
 /// it with a doubled cooldown.
@@ -196,9 +189,6 @@ pub struct RetryBudgetConfig {
     pub tokens: f64,
     /// Bucket refill rate in tokens per virtual second.
     pub refill_per_sec: f64,
-    /// How long the breaker stays open after the bucket empties; doubles
-    /// every time a half-open trial faults again.
-    pub cooldown: SimTime,
 }
 
 impl Default for RetryBudgetConfig {
@@ -206,10 +196,14 @@ impl Default for RetryBudgetConfig {
         RetryBudgetConfig {
             tokens: 8.0,
             refill_per_sec: 2.0,
-            cooldown: SimTime::from_secs_f64(0.05),
         }
     }
 }
+
+/// How long, in virtual ns, the retry-budget breaker stays open after the
+/// bucket empties (50 ms); doubles every time a half-open trial faults
+/// again.
+const BUDGET_COOLDOWN_NS: u64 = 50_000_000;
 
 /// Circuit-breaker state of the session retry budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -244,7 +238,7 @@ impl BudgetState {
             cfg,
             tokens: cfg.tokens.max(0.0),
             last_refill_ns: 0,
-            cooldown_ns: cfg.cooldown.as_nanos().max(1),
+            cooldown_ns: BUDGET_COOLDOWN_NS,
             breaker: Breaker::Closed,
         }
     }
@@ -790,14 +784,13 @@ impl ServeSession {
             .map(|d| d.gpu().device_mem_capacity())
             .min()
             .expect("at least one device");
-        let frac = self.cfg.admission_frac.clamp(0.0, 1.0);
-        let limit = (cap as f64 * frac) as usize;
+        let limit = (cap as f64 * ADMISSION_FRAC) as usize;
         let footprint = req.footprint_bytes();
         (footprint > limit).then(|| {
             format!(
                 "footprint {footprint} B exceeds admission limit {limit} B \
                  ({:.0}% of device memory)",
-                frac * 1e2
+                ADMISSION_FRAC * 1e2
             )
         })
     }
@@ -1194,7 +1187,6 @@ impl ServeSession {
         } = job;
         let routine = req.routine();
         let deadline = req.deadline();
-        let budget = self.cfg.max_retries;
         let mut retries: u32 = 0;
         let mut host_fallback = false;
         let mut device: Option<usize> = None;
@@ -1307,8 +1299,8 @@ impl ServeSession {
             }
             // A lost device is quarantined but the request is innocent:
             // it re-dispatches like a retryable fault.
-            let retryable = self.on_attempt_fault(id.0, &run, retries < budget);
-            if !retryable || retries >= budget {
+            let retryable = self.on_attempt_fault(id.0, &run, retries < MAX_RETRIES);
+            if !retryable || retries >= MAX_RETRIES {
                 break run.result;
             }
             if !self.budget_allow_retry(run.end_ns) {
@@ -1655,14 +1647,13 @@ impl ServeSession {
 
     /// Fault bookkeeping for a failed attempt `run` (primary or hedge):
     /// counts the fault class, then quarantines the device when it was
-    /// lost or its consecutive-fault streak reached
-    /// [`quarantine_after`](ExecutorConfig::quarantine_after). Otherwise
-    /// the attempt's leftovers are freed — with a full reclaim when
-    /// `retrying` (only a retry justifies the scorched-earth reclaim that
-    /// evicts the whole residency cache to make room), else only what the
-    /// attempt leaked, keeping warm operands for later requests. Returns
-    /// whether the request may be re-attempted: a lost device's request
-    /// is innocent, but programming errors never improve on retry.
+    /// lost or its consecutive-fault streak reached [`QUARANTINE_AFTER`].
+    /// Otherwise the attempt's leftovers are freed — with a full reclaim
+    /// when `retrying` (only a retry justifies the scorched-earth reclaim
+    /// that evicts the whole residency cache to make room), else only what
+    /// the attempt leaked, keeping warm operands for later requests.
+    /// Returns whether the request may be re-attempted: a lost device's
+    /// request is innocent, but programming errors never improve on retry.
     fn on_attempt_fault(&mut self, id: u64, run: &Attempt, retrying: bool) -> bool {
         let Err(e) = &run.result else {
             return false;
@@ -1679,7 +1670,7 @@ impl ServeSession {
         let d = run.device;
         let lost = matches!(e, RuntimeError::Sim(SimError::DeviceLost));
         let retryable = class.retryable();
-        if lost || (retryable && self.devices[d].faulted() >= self.cfg.quarantine_after) {
+        if lost || (retryable && self.devices[d].faulted() >= QUARANTINE_AFTER) {
             self.quarantine(d);
             if let Some(t) = self.tracer.as_mut() {
                 t.quarantine(id, d, run.end_ns);
@@ -1753,7 +1744,7 @@ impl ServeSession {
     /// device remains: runs probes in due order until one re-admits a
     /// device (`true`) or every probationary device gives up (`false`).
     /// Bounded: each failed round extends the backoff and
-    /// [`ProbationConfig::max_rounds`] retires the probe entirely.
+    /// [`PROBE_MAX_ROUNDS`] retires the probe entirely.
     fn try_heal_pool(&mut self) -> bool {
         if self.probation.is_none() {
             return false;
@@ -1777,7 +1768,7 @@ impl ServeSession {
     /// lifted to it). Enough consecutive successes re-admit the device
     /// with a cold residency cache; a failure resets the streak and
     /// extends the backoff exponentially (with deterministic jitter)
-    /// until [`ProbationConfig::max_rounds`] gives the device up.
+    /// until [`PROBE_MAX_ROUNDS`] gives the device up.
     fn run_probe(&mut self, d: usize) {
         let Some(cfg) = self.probation else {
             return;
@@ -1810,7 +1801,7 @@ impl ServeSession {
             self.scrub(d, Some(run.mark), false);
             p.consecutive_ok = 0;
             p.round += 1;
-            if p.round >= cfg.max_rounds.max(1) {
+            if p.round >= PROBE_MAX_ROUNDS {
                 self.metrics.counter_add("probe_giveup_total", 1);
                 self.devices[d].health = Health::Quarantined { probe: None };
                 return;
@@ -1887,26 +1878,26 @@ impl ServeSession {
 
     /// Notes a successful device attempt for the circuit breaker: a
     /// success while half-open closes the breaker, refills the bucket,
-    /// and resets the cooldown to its configured base.
+    /// and resets the cooldown to [`BUDGET_COOLDOWN_NS`].
     fn budget_note_success(&mut self) {
         if let Some(bs) = self.budget.as_mut() {
             if bs.breaker == Breaker::HalfOpen {
                 bs.breaker = Breaker::Closed;
                 bs.tokens = bs.cfg.tokens.max(0.0);
-                bs.cooldown_ns = bs.cfg.cooldown.as_nanos().max(1);
+                bs.cooldown_ns = BUDGET_COOLDOWN_NS;
                 self.metrics.counter_add("budget_close_total", 1);
             }
         }
     }
 
-    /// Completes a request on the host at the configured
-    /// [`host_gflops`](ExecutorConfig::host_gflops) rate — the graceful
+    /// Completes a request on the host at the [`HOST_GFLOPS`] rate — the
+    /// graceful
     /// degradation path when every device is quarantined. Host time is
     /// reported in the request's outcome but advances no device clock, so
     /// it does not count toward the pool makespan.
     fn execute_host(&mut self, req: &RoutineRequest) -> RoutineReport {
         let flops = req.problem_spec().flops();
-        let elapsed = SimTime::from_secs_f64(flops / (self.cfg.host_gflops.max(1e-9) * 1e9));
+        let elapsed = SimTime::from_secs_f64(flops / (HOST_GFLOPS * 1e9));
         RoutineReport {
             elapsed,
             tile: 0,

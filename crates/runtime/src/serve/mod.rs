@@ -9,8 +9,8 @@
 //! cache and dynamic device dispatch):
 //!
 //! 1. **Admission control.** A request whose worst-case device footprint
-//!    cannot fit on the pool's smallest device is rejected at submission
-//!    instead of failing mid-flight.
+//!    exceeds 90% of the pool's smallest device memory is rejected at
+//!    submission instead of failing mid-flight.
 //! 2. **Policy-driven dispatch.** The queue drains through a pluggable
 //!    [`SchedulePolicy`]: FIFO (the default baseline), earliest-deadline-
 //!    first, or the prediction-guided policy that orders the queue by the
@@ -32,25 +32,24 @@
 //! 3. **Cross-request residency.** Operands named by key
 //!    ([`MatArg::shared`](crate::MatArg::shared),
 //!    [`VecArg::shared`](crate::VecArg::shared)) live in a per-device LRU
-//!    [`ResidencyCache`], so an operand uploaded for request *N* is not
-//!    re-transferred for request *N+1*. A miss is filled by request *N*'s
-//!    own tile schedule, each tile copied once on first read and
-//!    overlapped with its kernels. Matrices and vectors share one kind of
+//!    [`ResidencyCache`] of half the device's memory, so an operand
+//!    uploaded for request *N* is not re-transferred for request *N+1*. A
+//!    miss is filled by request *N*'s own tile schedule, each tile copied
+//!    once on first read and overlapped with its kernels. Matrices and vectors share one kind of
 //!    entry, matched on key, dtype and shape, and one resolution walk
 //!    over the request's operands.
 //!
 //! Each request terminates in exactly one [`RequestStatus`]. The session
 //! is fault-tolerant: retryable faults
 //! ([`RuntimeError::fault_class`](crate::RuntimeError::fault_class)) are
-//! retried up to [`ExecutorConfig::max_retries`] times after reclaiming
-//! the device; a device that faults
-//! [`ExecutorConfig::quarantine_after`] times in a row — or is lost
-//! outright — is quarantined (its residency cache invalidated, its
-//! allocations released) and the request re-dispatches to a healthy peer;
-//! when every device is quarantined, requests degrade gracefully to host
-//! BLAS at [`ExecutorConfig::host_gflops`]. Aggregate throughput,
-//! queue-depth, occupancy, and `fault_*`/`retry_*`/`quarantine_*` metrics
-//! flow through a [`cocopelia_obs::Registry`].
+//! retried up to three times after reclaiming the device; a device that
+//! faults twice in a row — or is lost outright — is quarantined (its
+//! residency cache invalidated, its allocations released) and the request
+//! re-dispatches to a healthy peer; when every device is quarantined,
+//! requests degrade gracefully to host BLAS at 50 GFLOP/s. Aggregate
+//! throughput, queue-depth, occupancy, and
+//! `fault_*`/`retry_*`/`quarantine_*` metrics flow through a
+//! [`cocopelia_obs::Registry`].
 //!
 //! On top of that baseline sits the straggler-defense and self-healing
 //! tier, armed per session: hedged re-dispatch races a slow attempt

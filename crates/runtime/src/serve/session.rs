@@ -24,6 +24,10 @@ use crate::serve::trace::ServeTracer;
 use cocopelia_obs::{DriftAccountant, Registry};
 use std::collections::{HashMap, VecDeque};
 
+/// Fraction of each device's memory reserved for the cross-request
+/// residency cache.
+const RESIDENCY_FRAC: f64 = 0.5;
+
 /// Construction-time configuration of a [`ServeSession`]: scheduling
 /// policy, observability arms, and the open-arrival knobs. A builder
 /// consumed once, so a session's behaviour is fixed for its whole
@@ -164,8 +168,8 @@ impl ServeOptions {
     /// Arms quarantine probation: a quarantined device is periodically
     /// probed with a tiny canary GEMM after a seeded exponential backoff;
     /// [`ProbationConfig::successes`] consecutive clean probes re-admit it
-    /// (cold residency cache), and [`ProbationConfig::max_rounds`] failed
-    /// rounds give it up for the rest of the session.
+    /// (cold residency cache), and six failed rounds give it up for the
+    /// rest of the session.
     pub fn probation(mut self, cfg: ProbationConfig) -> Self {
         self.probation = Some(cfg);
         self
@@ -174,8 +178,8 @@ impl ServeOptions {
     /// Arms the per-session retry budget and circuit breaker: each
     /// session-level retry spends one token from a bucket refilled in
     /// virtual time; an empty bucket opens the breaker and faulted
-    /// requests fail fast to host fallback until a cooldown (doubling
-    /// while faults persist) half-opens it again.
+    /// requests fail fast to host fallback until a 50 ms cooldown
+    /// (doubling while faults persist) half-opens it again.
     pub fn retry_budget(mut self, cfg: RetryBudgetConfig) -> Self {
         self.retry_budget = Some(cfg);
         self
@@ -221,7 +225,6 @@ pub struct ServeSession {
     /// The session's record of each pool device, by index: residency,
     /// drain-start clock and health.
     pub(super) devices: Vec<DeviceState>,
-    pub(super) cfg: ExecutorConfig,
     pub(super) policy: SchedulePolicy,
     /// Admitted requests waiting for dispatch, in admission order. Each
     /// record carries its request's whole serving state.
@@ -272,15 +275,17 @@ pub struct ServeSession {
 }
 
 impl ServeSession {
-    /// A session with default options (see [`ServeOptions::new`]).
+    /// A session with default options (see [`ServeOptions::new`]). The
+    /// `ExecutorConfig` argument carries nothing and is ignored.
     pub fn new(pool: MultiGpu, cfg: ExecutorConfig) -> Self {
         Self::with_options(pool, cfg, ServeOptions::new())
             .expect("default options open no telemetry stream")
     }
 
     /// A session with the full serving configuration applied up front,
-    /// carving each device's residency budget out of its memory capacity
-    /// per `cfg`.
+    /// reserving half of each device's memory capacity for its residency
+    /// cache. The `ExecutorConfig` argument carries nothing and is
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -289,7 +294,7 @@ impl ServeSession {
     /// error when `opts` sets a watch sink without telemetry.
     pub fn with_options(
         pool: MultiGpu,
-        cfg: ExecutorConfig,
+        _: ExecutorConfig,
         opts: ServeOptions,
     ) -> std::io::Result<Self> {
         let devices = pool
@@ -297,7 +302,7 @@ impl ServeSession {
             .iter()
             .map(|dev| {
                 let cap = dev.gpu().device_mem_capacity() as f64;
-                DeviceState::new((cap * cfg.residency_frac.clamp(0.0, 1.0)) as usize)
+                DeviceState::new((cap * RESIDENCY_FRAC) as usize)
             })
             .collect();
         let telemetry = match opts.telemetry {
@@ -319,7 +324,6 @@ impl ServeSession {
         Ok(ServeSession {
             pool,
             devices,
-            cfg,
             policy: opts.policy,
             queue: VecDeque::new(),
             outcomes: Vec::new(),
@@ -352,11 +356,6 @@ impl ServeSession {
     /// Requests waiting for dispatch.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Open arrivals scheduled but not yet due.
-    pub fn pending_arrivals(&self) -> usize {
-        self.arrivals.len()
     }
 
     /// The session's metrics registry (counters, gauges, queue depth).

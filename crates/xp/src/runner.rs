@@ -175,13 +175,7 @@ impl Lab {
             AxpyLib::UnifiedPrefetch => {
                 let x = VecOperand::ghost(&mut gpu, &spec.operands[0])?;
                 let y = VecOperand::ghost(&mut gpu, &spec.operands[1])?;
-                let out = cocopelia_baselines::unified::daxpy_prefetch(
-                    &mut gpu,
-                    1.5,
-                    x,
-                    y,
-                    cocopelia_baselines::unified::DEFAULT_PREFETCH_CHUNK,
-                )?;
+                let out = cocopelia_baselines::unified::daxpy_prefetch(&mut gpu, 1.5, x, y)?;
                 Ok(RunOut {
                     secs: out.elapsed.as_secs_f64(),
                     gflops: out.gflops(),

@@ -136,7 +136,6 @@ fn unified_memory_daxpy_pays_the_migration_penalty() {
         1.0,
         VecOperand::HostGhost { len: n },
         VecOperand::HostGhost { len: n },
-        1 << 21,
     )
     .expect("runs")
     .elapsed

@@ -299,8 +299,9 @@ fn lab_cached() -> (TestbedSpec, cocopelia_core::profile::SystemProfile) {
 /// dgemm, sgemm, dgemv, daxpy and ddot at dividing and non-dividing sizes
 /// and tiles, every Host/Device location mix, and `C`/`y` both read
 /// (`β ≠ 0`) and write-only, a direct call moves Σ get_i·bytes_i h2d in
-/// Σ get_i·tiles_i copies (each tile fetched once), Σ set_i·bytes_i d2h
-/// (ddot drains only its `subkernels(t)` partials), and launches
+/// Σ get_i·tiles_i copies (each tile fetched once), each of them one tile
+/// miss (a write-only tile copies nothing and is not one), Σ set_i·bytes_i
+/// d2h (ddot drains only its `subkernels(t)` partials), and launches
 /// `subkernels(t)` kernels.
 #[test]
 fn executed_volumes_match_the_model_counts() {
@@ -394,6 +395,10 @@ fn executed_volumes_match_the_model_counts() {
             let what = format!("{spec:?} at T={t}");
             assert_eq!(h2d_bytes, get_bytes, "h2d bytes of {what}");
             assert_eq!(h2d_copies, get_tiles, "h2d copies of {what}");
+            assert_eq!(
+                report.tile_misses, get_tiles as u64,
+                "tile misses of {what}"
+            );
             assert_eq!(d2h_bytes, set_bytes, "d2h bytes of {what}");
             assert_eq!(kernels, spec.subkernels(t), "kernels of {what}");
             assert_eq!(report.subkernels, spec.subkernels(t), "{what}");

@@ -19,11 +19,9 @@ use serde::Value;
 mod golden;
 use golden::{assert_golden, fnv1a64};
 
-/// A deterministic pipeline with no deployed exec tables — fixed tiles only.
-fn pipeline_in(mode: ExecMode) -> Cocopelia {
-    let mut tb = testbed_i();
-    tb.noise = NoiseSpec::NONE;
-    let dummy = SystemProfile::new(
+/// A profile with no deployed exec tables — fixed tiles only.
+fn dummy_profile() -> SystemProfile {
+    SystemProfile::new(
         "obs-test",
         TransferModel {
             h2d: LatBw { t_l: 0.0, t_b: 0.0 },
@@ -31,8 +29,14 @@ fn pipeline_in(mode: ExecMode) -> Cocopelia {
             sl_h2d: 1.0,
             sl_d2h: 1.0,
         },
-    );
-    Cocopelia::new(Gpu::new(tb, mode, 7), dummy)
+    )
+}
+
+/// A deterministic pipeline with no deployed exec tables — fixed tiles only.
+fn pipeline_in(mode: ExecMode) -> Cocopelia {
+    let mut tb = testbed_i();
+    tb.noise = NoiseSpec::NONE;
+    Cocopelia::new(Gpu::new(tb, mode, 7), dummy_profile())
 }
 
 fn pipeline() -> Cocopelia {
@@ -330,8 +334,10 @@ fn pinned_trace_exports_are_unchanged() {
 }
 
 /// A noisy multi-stream baseline run on one device: cuBLASXt on a 4×4×4
-/// tile grid, then BLASX at the same tile. Its trace carries cross-stream
-/// event waits and seeded transfer and kernel noise.
+/// tile grid, then the BLASX policy at the same tile: the runtime's reuse
+/// schedule at a fixed tile under an inert profile, which is all
+/// `Blasx::gemm` runs. Its trace carries cross-stream event waits and
+/// seeded transfer and kernel noise.
 fn noisy_baseline_run() -> Vec<TraceEntry> {
     let n = 1024;
     let mut gpu = Gpu::new(testbed_i(), ExecMode::TimingOnly, 11);
@@ -345,10 +351,13 @@ fn noisy_baseline_run() -> Vec<TraceEntry> {
         n / 4,
     )
     .expect("cublasxt runs");
-    let mut blasx = cocopelia_baselines::Blasx::with_tile(gpu, n / 4);
-    blasx
-        .gemm::<f64>(1.0, ghost(n, n), ghost(n, n), 1.0, ghost(n, n))
-        .expect("blasx runs");
+    let mut blasx = Cocopelia::new(gpu, dummy_profile());
+    GemmRequest::<f64>::new(ghost(n, n), ghost(n, n), ghost(n, n))
+        .alpha(1.0)
+        .beta(1.0)
+        .tile(TileChoice::Fixed(n / 4))
+        .run(&mut blasx)
+        .expect("blasx policy runs");
     blasx.gpu().trace().entries().to_vec()
 }
 

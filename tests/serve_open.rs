@@ -23,8 +23,8 @@ use cocopelia_runtime::serve::{
     TelemetryConfig,
 };
 use cocopelia_runtime::{
-    AxpyRequest, GemmRequest, MatArg, MatOperand, MultiGpu, RetryPolicy, RoutineRequest, SharedMat,
-    SharedVec, TileChoice, VecOperand,
+    AxpyRequest, GemmRequest, MatArg, MatOperand, MultiGpu, RoutineRequest, SharedMat, SharedVec,
+    TileChoice, VecOperand,
 };
 use cocopelia_xp::ArrivalSpec;
 use proptest::prelude::*;
@@ -643,83 +643,77 @@ fn no_kernel_starts_before_the_fill_copies_of_its_tiles_end() {
     assert_eq!(kernels, 8 + 8 + 4);
 }
 
+/// `A`'s fill copies per attempt, in call order.
+fn fills_per_call(report: &ServeReport) -> Vec<Vec<TraceEntry>> {
+    let mut calls: Vec<(u32, Vec<TraceEntry>)> = Vec::new();
+    for c in copies_of(&lane(report, 0), OperandRole::A) {
+        let call = c.tag.expect("fill copies are tagged").call;
+        match calls.iter_mut().find(|(k, _)| *k == call) {
+            Some((_, v)) => v.push(c),
+            None => calls.push((call, vec![c])),
+        }
+    }
+    calls.into_iter().map(|(_, v)| v).collect()
+}
+
 #[test]
 fn a_fault_mid_fill_leaves_no_entry_and_the_retry_fills_again() {
+    // One request over shared `A` (four 512² fill copies) on one device.
     let spec = FaultSpec {
         seed: FAULT_SEED,
-        h2d: 0.15,
+        h2d: 0.3,
         ..FaultSpec::none()
     };
-    let mut pool =
+    let pool =
         MultiGpu::with_fault_plans(&quiet(), ExecMode::TimingOnly, 42, dummy_profile(), &[spec]);
-    pool.device_mut(0).set_retry_policy(RetryPolicy::none());
-    let cfg = ExecutorConfig {
-        max_retries: 0,
-        ..ExecutorConfig::default()
-    };
     let opts = ServeOptions::new().tracing();
-    let mut session = ServeSession::with_options(pool, cfg, opts).unwrap();
-    let req = || gemm_over(SharedMat::new("A", 1024, 1024), ghost(1024));
+    let mut session = ServeSession::with_options(pool, ExecutorConfig::default(), opts).unwrap();
+    session.submit(gemm_over(SharedMat::new("A", 1024, 1024), ghost(1024)));
+    let report = session.drain();
+    let outcome = &report.outcomes[0];
+    assert!(
+        matches!(outcome.status, RequestStatus::Completed(_)),
+        "{:?}",
+        outcome.status
+    );
+    assert_eq!(outcome.retries, 1, "one request-level retry");
+    assert!(!outcome.host_fallback, "the device serves the retry");
 
-    session.submit(req());
-    let failed = session.drain();
-    assert!(matches!(
-        failed.outcomes[0].status,
-        RequestStatus::Failed(_)
-    ));
-    let filled = copies_of(&lane(&failed, 0), OperandRole::A);
+    let fills = fills_per_call(&report);
+    assert_eq!(fills.len(), 2, "two attempts copy A");
     assert!(
-        !filled.is_empty() && filled.len() < 4,
-        "the fault lands mid-fill ({} of 4 copies)",
-        filled.len()
-    );
-    assert!(
-        session.residency(0).is_empty(),
-        "a partial fill is never cached"
-    );
-    let gpu = session.pool().devices()[0].gpu();
-    assert!(
-        gpu.live_device_buffers().is_empty(),
-        "the partial buffer is freed"
-    );
-    assert!(
-        gpu.live_host_buffers().is_empty(),
-        "the fill's ghost is released"
+        !fills[0].is_empty() && fills[0].len() < 4,
+        "attempt 1 exhausts a copy's three tries mid-fill ({} of 4 copies)",
+        fills[0].len()
     );
     assert_eq!(
-        failed.metrics.counter("residency_bytes_uploaded"),
-        0,
-        "a failed fill uploads nothing"
+        report.metrics.counter("residency_misses_total"),
+        2,
+        "a partial fill is never cached, so the retry misses again"
     );
-
-    session.submit(req());
-    let served = session.drain();
-    assert!(matches!(
-        served.outcomes[0].status,
-        RequestStatus::Completed(_)
-    ));
-    assert_eq!(served.metrics.counter("residency_misses_total"), 2);
-    let refill = copies_of(&lane(&served, 0), OperandRole::A);
-    assert_eq!(bytes(&refill), 1024 * 1024 * 8, "the retry fills A again");
+    assert_eq!(bytes(&fills[1]), 1024 * 1024 * 8, "the retry fills A again");
     assert_eq!(
-        served.metrics.counter("residency_bytes_uploaded"),
+        report.metrics.counter("residency_bytes_uploaded"),
         1024 * 1024 * 8,
         "only the fill that completed counts as uploaded"
     );
-    let live: BTreeSet<_> = session.pool().devices()[0]
-        .gpu()
-        .live_device_buffers()
-        .into_iter()
-        .collect();
+
+    let gpu = session.pool().devices()[0].gpu();
+    assert!(gpu.fault_stats().h2d_faults >= 3);
+    let live: BTreeSet<_> = gpu.live_device_buffers().into_iter().collect();
     let cached: BTreeSet<_> = session.residency(0).device_buffers().into_iter().collect();
-    assert_eq!(live, cached);
+    assert_eq!(live, cached, "the partial buffer is freed");
     assert_eq!(session.residency(0).len(), 1);
+    assert!(
+        gpu.live_host_buffers().is_empty(),
+        "both fills' ghosts are released"
+    );
 }
 
 /// Seed of [`a_fault_mid_fill_leaves_no_entry_and_the_retry_fills_again`]'s
-/// h2d faults: its first attempt faults after two of A's four fill copies
-/// and its second runs clean.
-const FAULT_SEED: u64 = 35;
+/// h2d faults: its first attempt faults three times in a row after two of
+/// A's four fill copies, and its retry fills A.
+const FAULT_SEED: u64 = 32;
 
 #[test]
 fn a_won_hedge_keeps_only_the_entries_its_primary_finished_filling() {

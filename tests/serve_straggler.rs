@@ -266,7 +266,6 @@ fn probation_readmits_a_drained_device_that_then_serves() {
     let opts = ServeOptions::new().tracing().probation(ProbationConfig {
         backoff: SimTime::from_secs_f64(1e-3),
         successes: 2,
-        max_rounds: 6,
         seed: 9,
     });
     let mut exec = ServeSession::with_options(pool, ExecutorConfig::default(), opts)
@@ -333,6 +332,8 @@ fn force_quarantine_without_probation_is_permanent() {
 /// A sustained fault storm drains the session retry budget: the breaker
 /// opens, later faulting requests skip further device picks and fail
 /// fast to host BLAS instead of burning device time on doomed retries.
+/// The storm spans 0.9 ms of device time, inside the breaker's 50 ms
+/// cooldown, so the breaker never half-opens.
 #[test]
 fn retry_budget_breaker_fails_fast_under_fault_storm() {
     let storm = FaultSpec {
@@ -346,7 +347,6 @@ fn retry_budget_breaker_fails_fast_under_fault_storm() {
     let opts = ServeOptions::new().retry_budget(RetryBudgetConfig {
         tokens: 1.0,
         refill_per_sec: 0.0,
-        cooldown: SimTime::from_secs_f64(10.0),
     });
     let mut exec = ServeSession::with_options(pool, ExecutorConfig::default(), opts)
         .expect("session with retry budget");

@@ -13,6 +13,24 @@
 //! Staging uses small rings of device buffers (as the real library's
 //! bounded workspace does): deep enough to pipeline, shallow enough that
 //! device memory stays bounded by a few tiles regardless of problem size.
+//!
+//! The host side is bounded the same way: like the real library's host
+//! thread, which blocks on its workspace instead of queueing the whole
+//! problem, the schedule waits ([`Gpu::synchronize_event`]) for the kernel
+//! of sub-kernel `q − INPUT_RING − 1` before it enqueues sub-kernel `q`.
+//! The simulator then holds about five sub-kernels of pending records
+//! rather than the whole schedule.
+//!
+//! The window is one sub-kernel deeper than the input ring on purpose.
+//! When the host returns at that kernel's instant, sub-kernel `q − 1`'s
+//! input copies have only just been released (their slots waited on that
+//! very kernel), so every stream still has unfinished work ahead of the
+//! ops enqueued next, and none of those ops can start at the instant the
+//! host returned at. The run is therefore identical to enqueueing the whole
+//! schedule before one synchronize. Waiting on the reused slot's own
+//! kernel instead (ring depth, not ring depth + 1) can leave the copy
+//! stream empty at that instant, so a newly enqueued copy starts there and
+//! draws its noise in a different order than it would have.
 
 use crate::BaselineResult;
 use cocopelia_gpusim::{
@@ -22,6 +40,7 @@ use cocopelia_gpusim::{
 use cocopelia_hostblas::tiling::{split, TileRange};
 use cocopelia_hostblas::Matrix;
 use cocopelia_runtime::{MatOperand, RuntimeError};
+use std::collections::VecDeque;
 
 /// Ring depth for the input (`A`/`B`) staging buffers.
 const INPUT_RING: usize = 4;
@@ -234,10 +253,17 @@ pub fn gemm<T: SimScalar>(
     // start before the previous round trip's d2h landed.
     let mut c_written: std::collections::HashMap<(usize, usize), cocopelia_gpusim::EventId> =
         std::collections::HashMap::new();
+    // The host window: the kernel events of the last `INPUT_RING + 1`
+    // sub-kernels (see the module docs).
+    let mut window: VecDeque<EventId> = VecDeque::with_capacity(INPUT_RING + 1);
 
     for (p, &kp) in depth_tiles.iter().enumerate() {
         for (i, &ri) in row_tiles.iter().enumerate() {
             for (j, &cj) in col_tiles.iter().enumerate() {
+                if window.len() > INPUT_RING {
+                    let oldest = window.pop_front().expect("window is full");
+                    gpu.synchronize_event(oldest)?;
+                }
                 // Re-fetch C every sub-kernel (after step 0 the partial
                 // result lives on the host again). β = 0 skips only the
                 // very first fetch.
@@ -275,6 +301,7 @@ pub fn gemm<T: SimScalar>(
                 )?;
                 subkernels += 1;
                 let after_kernel = gpu.record_event(exec)?;
+                window.push_back(after_kernel);
                 if let Some(s) = a_t.slot {
                     a_ring.mark(s, after_kernel);
                 }

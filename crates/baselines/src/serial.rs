@@ -176,6 +176,7 @@ mod tests {
     #[test]
     fn no_overlap_in_trace() {
         let mut gpu = quiet_gpu(false);
+        gpu.keep_trace_from(0);
         gemm::<f64>(
             &mut gpu,
             1.0,

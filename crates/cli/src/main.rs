@@ -448,13 +448,15 @@ fn execute(args: &Args, profile: SystemProfile) -> Result<(Cocopelia, RoutineRep
 }
 
 /// Runs `spec` once on a handle over `gpu`, through the one request
-/// constructor.
+/// constructor. The device holds the run's trace entries, which `trace`
+/// and `gantt` render.
 fn run_problem(
-    gpu: Gpu,
+    mut gpu: Gpu,
     profile: SystemProfile,
     spec: &ProblemSpec,
     tile: TileChoice,
 ) -> Result<(Cocopelia, RoutineReport), CliError> {
+    gpu.keep_trace_from(0);
     let mut ctx = Cocopelia::new(gpu, profile);
     let req = ctx.ghost_request(spec, tile)?;
     let report = ctx.submit(req)?;

@@ -75,8 +75,9 @@ fn measure_latency(gpu: &mut Gpu, dir: Direction, ci: &CiConfig) -> Result<Measu
 
 /// Duration of one `d × d` double transfer in `dir`, optionally coupled
 /// with a saturating opposite-direction transfer. Reads the measured
-/// transfer's own start/end from the trace, so queueing artefacts and the
-/// partner transfer's tail do not pollute the sample.
+/// engine's busy time across the sample: the transfer is the one op that
+/// engine runs, so queueing artefacts and the partner transfer's tail do
+/// not pollute the sample.
 fn timed_square_transfer(
     gpu: &mut Gpu,
     dir: Direction,
@@ -88,7 +89,7 @@ fn timed_square_transfer(
     let host = gpu.register_host_ghost(Dtype::F64, elems, true);
     let dev = gpu.alloc_device(Dtype::F64, elems)?;
     let desc = CopyDesc::contiguous(host, dev, elems);
-    gpu.clear_trace();
+    let busy_before = gpu.trace().engine_busy(dir.engine());
 
     let opp_handles = if coupled {
         // A partner transfer 4x larger guarantees the opposite link stays
@@ -112,13 +113,11 @@ fn timed_square_transfer(
         Direction::D2h => gpu.memcpy_d2h_async(stream, desc)?,
     }
     gpu.synchronize()?;
-    let entry = gpu
+    let secs = gpu
         .trace()
-        .entries()
-        .iter()
-        .find(|e| e.engine == dir.engine() && e.bytes() == Some(elems * 8))
-        .expect("measured transfer appears in trace");
-    let secs = entry.duration().as_secs_f64();
+        .engine_busy(dir.engine())
+        .saturating_since(busy_before)
+        .as_secs_f64();
     // A sweep takes hundreds of samples: release each one's buffers.
     // (Its fresh stream stays behind, idle; streams are never destroyed.)
     gpu.free_device(dev)?;

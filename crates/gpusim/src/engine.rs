@@ -38,24 +38,36 @@
 //! been passed, so the op, instant, kernel, event and tag tables are
 //! retired together; a global `base` offset, advanced by the batch's
 //! enqueue count, keeps ids in enqueue order across retirements. Only the
-//! [`Trace`] outlives a batch, and its consumed prefix is retired on
-//! demand into exact per-engine totals ([`Sim::retire_trace`]).
+//! [`Trace`] outlives a batch, and it holds an op's entry only when the op
+//! starts at or past the trace's retention floor (a new device's floor
+//! holds nothing): an op below the floor carries its start time in its
+//! `ActiveOp` and folds into exact per-engine totals as it completes, and
+//! a held prefix folds on demand ([`Sim::retire_trace`],
+//! [`Sim::keep_trace_from`]).
 //!
-//! A batch's storage grows without moving, and peaks at the larger of its
-//! pending records and its trace rather than their sum. Engine ops,
-//! instants and kernel shapes live in three [`OpTable`]s, each a list of
-//! fixed [`OP_CHUNK`]-record chunks: the first is allocated at the
-//! table's first push and grows like a `Vec` (small batches stay small),
-//! and is the only one kept at retirement; later ones are allocated
-//! full-size once and dropped mid-run as soon as the run has passed their
-//! last record. The trace stores its entries in chunks of an engine-op
-//! chunk's byte size ([`TraceChunks`](crate::TraceChunks)), so as a
-//! one-batch cuBLASXt schedule runs, each new trace chunk reuses the heap
-//! space a passed op chunk just freed. A stream owns no heap memory: it
-//! is the `(head, tail)` of a FIFO of `u32` links, each a batch-relative
-//! index whose top bit ([`INSTANT_LINK`]) selects the instant table. An
-//! op's stream is not stored: the stream walk knows it, and it travels
-//! with the op on the engine queue.
+//! The loop runs until idle, or until an event is recorded and its instant
+//! stabilized ([`Sim::run`]); the second leaves later work queued or in
+//! flight, so a host that waits on an event before it enqueues more work
+//! (`Gpu::synchronize_event`) bounds the pending records by its window.
+//!
+//! A batch's storage grows without moving. Engine ops, instants and kernel
+//! shapes live in three [`OpTable`]s, each a list of fixed
+//! [`OP_CHUNK`]-record chunks: the first is allocated at the table's first
+//! push and grows like a `Vec` (small batches stay small), and is the only
+//! one kept at retirement; later ones are allocated full-size once and
+//! dropped mid-run as soon as the run has passed their last record, so a
+//! windowed host holds a few chunks, not its schedule. A held trace stores
+//! its entries in chunks of an engine-op chunk's byte size
+//! ([`TraceChunks`](crate::TraceChunks)), so as a one-batch schedule whose
+//! entries are held runs, each new trace chunk reuses the heap space a
+//! passed op chunk just freed, and the batch peaks at the larger of its
+//! pending records and its trace rather than their sum.
+//!
+//! A stream owns no heap memory: it is the `(head, tail)` of a FIFO of
+//! `u32` links, each a batch-relative index whose top bit
+//! ([`INSTANT_LINK`]) selects the instant table. An op's stream is not
+//! stored: the stream walk knows it, and it travels with the op on the
+//! engine queue.
 //!
 //! Streams are never destroyed, so the loop keeps the ascending ids of the
 //! non-empty ones (`busy`): [`Sim::stabilize`], [`Sim::idle`] and
@@ -119,8 +131,11 @@ struct ActiveOp {
     /// Per-op multiplicative noise on the transfer rate (1.0 for kernels —
     /// their noise lands in the duration instead).
     rate_factor: f64,
-    /// Index of this op's entry in the trace (end time patched at completion).
-    trace_idx: usize,
+    /// When the op started. Its engine is the one running it.
+    start: SimTime,
+    /// Global index of this op's entry when the trace holds it (end time
+    /// patched at completion); `None` when it folds into the totals.
+    trace_idx: Option<usize>,
 }
 
 #[derive(Debug, Default)]
@@ -132,6 +147,19 @@ struct Engine {
 /// A table index or stream id as stored in the slim [`Op`].
 fn idx32(n: usize) -> u32 {
     u32::try_from(n).expect("pending-table index exceeds u32")
+}
+
+/// The tag at interned index `idx` of `tags` (0 = untagged).
+fn interned(tags: &[OpTag], idx: u32) -> Option<OpTag> {
+    idx.checked_sub(1).map(|i| tags[i as usize])
+}
+
+/// Bytes a copy moves; none for a kernel.
+fn copy_bytes(kind: OpKind) -> usize {
+    match kind {
+        OpKind::H2d { bytes, .. } | OpKind::D2h { bytes, .. } => bytes,
+        OpKind::Kernel(_) => 0,
+    }
 }
 
 /// Empties a per-batch table and trims its capacity to
@@ -371,9 +399,10 @@ impl Sim {
     }
 
     /// Advances the virtual clock by `ns` with no engine work in flight —
-    /// the host-side wait primitive behind retry backoff. Engines only hold
-    /// active ops inside [`Sim::run_to_idle`], so between public calls the
-    /// clock can move freely.
+    /// the host-side wait primitive behind retry backoff. Engines hold
+    /// active ops only inside [`Sim::run`] and after a run that stopped at
+    /// an event with later work running, so after a full run the clock can
+    /// move freely.
     pub(crate) fn advance_by(&mut self, ns: u64) {
         debug_assert!(
             self.h2d.active.is_none() && self.d2h.active.is_none() && self.compute.active.is_none(),
@@ -386,9 +415,8 @@ impl Sim {
     /// record past it — the cancellation primitive behind hedged
     /// re-dispatch: a speculative attempt that lost its race is undone as
     /// if the device had sat idle since `at_ns`. Requires an idle
-    /// simulator (engines only hold work inside [`Sim::run_to_idle`], so
-    /// any point between public calls qualifies) and `at_ns` at or before
-    /// the current time.
+    /// simulator (any point after a full [`Sim::run`] qualifies) and
+    /// `at_ns` at or before the current time.
     pub(crate) fn rewind_to(&mut self, at_ns: u64) {
         debug_assert!(self.idle(), "rewind_to called with work in flight");
         debug_assert!(
@@ -408,16 +436,13 @@ impl Sim {
         for s in self.busy.drain(..) {
             self.streams[s] = None;
         }
-        let now = self.now();
         for kind in ENGINES {
             let engine = self.engine_mut(kind);
             engine.queue.clear();
             let taken = engine.active.take();
             if let Some(active) = taken {
-                self.trace
-                    .entry_mut(active.trace_idx)
-                    .expect("trace entry recorded at start")
-                    .end = now;
+                let op = self.ops[active.op.idx];
+                self.end_entry(&active, op, kind);
             }
         }
         self.retire();
@@ -455,11 +480,7 @@ impl Sim {
     }
 
     pub(crate) fn tag(&self) -> Option<OpTag> {
-        self.interned_tag(self.cur_tag)
-    }
-
-    fn interned_tag(&self, idx: u32) -> Option<OpTag> {
-        idx.checked_sub(1).map(|i| self.tags[i as usize])
+        interned(&self.tags, self.cur_tag)
     }
 
     pub(crate) fn now(&self) -> SimTime {
@@ -470,16 +491,24 @@ impl Sim {
         &self.trace
     }
 
-    pub(crate) fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
     /// Retires the trace before global index `upto` ([`Trace::retire`]).
     /// Requires an idle simulator, so no in-flight op still patches a
     /// retired entry.
     pub(crate) fn retire_trace(&mut self, upto: usize) -> TraceChunks {
         assert!(self.idle(), "retire_trace called with work in flight");
         self.trace.retire(upto)
+    }
+
+    /// Sets the trace's retention floor ([`Trace::keep_from`]) and returns
+    /// the floor it replaces. Raising it requires that no op is running,
+    /// so none still patches an entry it folds; lowering it is always
+    /// allowed, and only ops started afterwards are held.
+    pub(crate) fn keep_trace_from(&mut self, mark: usize) -> usize {
+        assert!(
+            mark <= self.trace.floor() || ENGINES.iter().all(|&k| self.engine(k).active.is_none()),
+            "trace floor raised with ops running"
+        );
+        self.trace.keep_from(mark)
     }
 
     pub(crate) fn create_stream(&mut self) -> StreamId {
@@ -589,20 +618,31 @@ impl Sim {
             && self.compute.queue.is_empty()
     }
 
-    /// Runs the simulation until idle, calling `on_complete` with each
-    /// engine op's id in completion order, then retires the finished
-    /// batch. Instants carry no functional effect, so they are not
-    /// reported.
+    /// Whether `ev` has been recorded: an event retired with an earlier
+    /// batch was.
+    pub(crate) fn recorded(&self, ev: EventId) -> bool {
+        ev.0.checked_sub(self.event_base)
+            .is_none_or(|slot| self.events[slot])
+    }
+
+    /// Runs the simulation until idle, or, with `until`, until that event
+    /// is recorded and the instant it is recorded at is stabilized; later
+    /// work stays queued or in flight. Calls `on_complete` with each engine
+    /// op's id in completion order, and retires the batch once idle.
+    /// Instants carry no functional effect, so they are not reported.
     ///
     /// # Panics
     ///
     /// Panics if the enqueued schedule deadlocks (a stream waits on an event
     /// that can never be recorded).
-    pub(crate) fn run_to_idle(&mut self, mut on_complete: impl FnMut(OpId)) {
+    pub(crate) fn run(&mut self, until: Option<EventId>, mut on_complete: impl FnMut(OpId)) {
         loop {
             let progressed = self.stabilize();
             if self.idle() {
                 self.retire();
+                return;
+            }
+            if until.is_some_and(|ev| self.recorded(ev)) {
                 return;
             }
             let any_active = self.h2d.active.is_some()
@@ -629,7 +669,7 @@ impl Sim {
     /// scan over every stream would issue in. Each pass looks at one head
     /// per busy stream, and an instant op uses its stream's turn: engines
     /// start ops, and so draw noise, in an order fixed by this structure.
-    // Inlined into the generic `run_to_idle`, which is compiled where it is
+    // Inlined into the generic `run`, which is compiled where it is
     // called: out of line, this cost a paper deployment (thousands of
     // one-op batches) ~5% more host time.
     #[inline(always)]
@@ -723,11 +763,8 @@ impl Sim {
     fn start_op(&mut self, queued: Queued, engine_kind: EngineKind) -> ActiveOp {
         let op = self.ops[queued.idx];
         let now = self.now();
-        let op_id = self.base + op.seq as usize;
-        let mut entry = TraceEntry::new(op_id, StreamId(queued.stream), engine_kind, now, now);
-        entry.tag = self.interned_tag(op.tag);
         let kind = op.kind();
-        let (phase, work_total, rate_factor) = match kind {
+        let (phase, work_total, rate_factor, shape) = match kind {
             OpKind::H2d { bytes, pageable } | OpKind::D2h { bytes, pageable } => {
                 let dir = if matches!(kind, OpKind::H2d { .. }) {
                     self.link.h2d
@@ -750,25 +787,31 @@ impl Sim {
                         remaining: bytes as f64,
                     }
                 };
-                entry = entry.with_bytes(bytes);
-                (phase, bytes as f64, rate_factor)
+                (phase, bytes as f64, rate_factor, None)
             }
             OpKind::Kernel(idx) => {
                 let (shape, base_secs) = self.kernels[idx];
                 self.kernels.pass(idx);
-                entry = entry.with_kernel(shape);
                 let secs = base_secs * self.noise_factor(self.noise.kernel_sigma);
-                (Phase::Work { remaining: secs }, secs, 1.0)
+                (Phase::Work { remaining: secs }, secs, 1.0, Some(shape))
             }
         };
-        let trace_idx = self.trace.len();
-        // The entry's end is patched at completion.
-        self.trace.push(entry);
+        // A held entry's end is patched at completion.
+        let trace_idx = self.trace.record(|| {
+            let op_id = self.base + op.seq as usize;
+            let mut entry = TraceEntry::new(op_id, StreamId(queued.stream), engine_kind, now, now);
+            entry.tag = interned(&self.tags, op.tag);
+            match shape {
+                Some(shape) => entry.with_kernel(shape),
+                None => entry.with_bytes(copy_bytes(kind)),
+            }
+        });
         ActiveOp {
             op: queued,
             phase,
             work_total,
             rate_factor,
+            start: now,
             trace_idx,
         }
     }
@@ -882,7 +925,7 @@ impl Sim {
                     if est == Some(dt) || left <= BYTES_EPS {
                         // This op reached its completion boundary.
                         let finished = self.engine_mut(kind).active.take().expect("active");
-                        self.complete_op(finished, on_complete);
+                        self.complete_op(finished, kind, on_complete);
                     } else {
                         active.phase = Phase::Work { remaining: left };
                     }
@@ -912,7 +955,29 @@ impl Sim {
         table(&self.ops) + table(&self.instants) + table(&self.kernels) + self.trace.held_bytes()
     }
 
-    fn complete_op(&mut self, active: ActiveOp, on_complete: &mut impl FnMut(OpId)) {
+    /// Ends `active`'s trace entry now: patches a held entry's end, or
+    /// folds the op into the trace's totals. `op` is its record.
+    fn end_entry(&mut self, active: &ActiveOp, op: Op, engine: EngineKind) {
+        let now = self.now();
+        match active.trace_idx {
+            Some(idx) => {
+                self.trace
+                    .entry_mut(idx)
+                    .expect("held entry recorded at start")
+                    .end = now;
+            }
+            None => self
+                .trace
+                .fold(engine, active.start, now, copy_bytes(op.kind())),
+        }
+    }
+
+    fn complete_op(
+        &mut self,
+        active: ActiveOp,
+        engine: EngineKind,
+        on_complete: &mut impl FnMut(OpId),
+    ) {
         let Queued { idx, stream } = active.op;
         let op = self.ops[idx];
         self.ops.pass(idx);
@@ -926,11 +991,7 @@ impl Sim {
             debug_assert_eq!(self.busy.get(at), Some(&stream), "emptied stream was busy");
             self.busy.remove(at);
         }
-        let now = self.now();
-        self.trace
-            .entry_mut(active.trace_idx)
-            .expect("trace entry recorded at start")
-            .end = now;
+        self.end_entry(&active, op, engine);
         #[cfg(test)]
         self.held.push((self.held_bytes(), self.trace.held_bytes()));
         on_complete(self.base + op.seq as usize);
@@ -981,7 +1042,7 @@ mod tests {
     /// Runs to idle and returns the completed op ids in completion order.
     fn run_all(sim: &mut Sim) -> Vec<OpId> {
         let mut done = Vec::new();
-        sim.run_to_idle(|op| done.push(op));
+        sim.run(None, |op| done.push(op));
         done
     }
 
@@ -1047,6 +1108,7 @@ mod tests {
     #[test]
     fn h2d_unaffected_when_sl_is_one() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.keep_trace_from(0);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
         copy(&mut sim, s1, 10_000_000, true);
@@ -1084,6 +1146,7 @@ mod tests {
     #[test]
     fn events_order_across_streams() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.keep_trace_from(0);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
         kernel(&mut sim, s1, 5e-3);
@@ -1101,6 +1164,7 @@ mod tests {
     #[test]
     fn wait_before_record_blocks_until_recorded() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.keep_trace_from(0);
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
         // s2's wait reaches its stream head first; the record lands on s1
@@ -1226,6 +1290,7 @@ mod tests {
     #[test]
     fn rewind_to_undoes_time_and_trace() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.keep_trace_from(0);
         let s = sim.create_stream();
         copy(&mut sim, s, 1_000_000, true); // ~1.001ms
         run_all(&mut sim);
@@ -1295,6 +1360,7 @@ mod tests {
     #[test]
     fn op_table_never_moves_and_streams_stay_fifo() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.keep_trace_from(0);
         let streams: Vec<StreamId> = (0..5).map(|_| sim.create_stream()).collect();
         // A warm-up batch, so the big batch's ids start past zero.
         copy(&mut sim, streams[0], 10, true);
@@ -1509,6 +1575,7 @@ mod tests {
     #[test]
     fn a_batch_holds_the_larger_of_its_pending_records_and_its_trace() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.keep_trace_from(0);
         event_heavy_batch(&mut sim, 3 * OP_CHUNK);
         let pending = sim.held_bytes();
         let trace_end = 6 * OP_CHUNK * std::mem::size_of::<TraceEntry>();
@@ -1548,15 +1615,18 @@ mod tests {
         copy(&mut sim, s, 64, true);
         run_all(&mut sim);
         assert!(sim.held_bytes() <= small, "{} B", sim.held_bytes());
-        // A device that clears its trace before each sample, as transfer
-        // microbenchmarks do, keeps reusing the same small chunk.
+        // A device that holds each sample's entries only while reading
+        // them, as a direct runtime call does, keeps reusing the same
+        // small chunks.
         let other = sim.create_stream();
         for _ in 0..100 {
-            sim.clear_trace();
+            let found = sim.keep_trace_from(sim.trace().len());
             copy(&mut sim, s, 4096, true);
             copy(&mut sim, other, 4096, false);
             run_all(&mut sim);
+            assert_eq!(sim.trace().entries().len(), 2);
             assert!(sim.held_bytes() <= small, "{} B", sim.held_bytes());
+            sim.keep_trace_from(found);
         }
         assert!(sim.held.iter().all(|&(held, _)| held <= small));
     }
@@ -1578,6 +1648,7 @@ mod tests {
     #[test]
     fn tables_retire_at_idle_and_ids_stay_global() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.keep_trace_from(0);
         let s = sim.create_stream();
         let first = copy(&mut sim, s, 1_000, true);
         kernel(&mut sim, s, 1e-6);
@@ -1609,6 +1680,7 @@ mod tests {
     #[test]
     fn ready_heads_issue_in_ascending_stream_order() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+        sim.keep_trace_from(0);
         let s0 = sim.create_stream();
         let s1 = sim.create_stream();
         let s2 = sim.create_stream();
@@ -1642,6 +1714,7 @@ mod tests {
         // entry's (start, end).
         let run = |sim: &mut Sim| -> Vec<(u64, u64)> {
             let first = sim.trace().len();
+            sim.keep_trace_from(first);
             let a = sim.create_stream();
             let b = sim.create_stream();
             for i in 0..4 {

@@ -167,8 +167,10 @@ impl Gpu {
     ///
     /// # Panics
     ///
-    /// If `at` precedes the end of a trace entry already moved out by
-    /// [`retire_trace`](Gpu::retire_trace).
+    /// If `at` precedes the end of a trace entry the trace no longer
+    /// holds: one moved out by [`retire_trace`](Gpu::retire_trace), or
+    /// folded below the retention floor
+    /// ([`keep_trace_from`](Gpu::keep_trace_from)).
     pub fn cancel_to(&mut self, at: SimTime) {
         self.sim.rewind_to(at.as_nanos());
     }
@@ -572,6 +574,42 @@ impl Gpu {
     ///
     /// Panics if the schedule deadlocks on an event that is never recorded.
     pub fn synchronize(&mut self) -> Result<SimTime, SimError> {
+        self.run(None)
+    }
+
+    /// Runs the device until `event` is recorded (`cudaEventSynchronize`)
+    /// and returns the virtual time it stopped at. Everything that happens
+    /// at the instant of the record happens before it returns; later work
+    /// stays queued or in flight, so the device need not be idle
+    /// afterwards. Data effects of the ops that completed are applied, in
+    /// completion order. An event already recorded returns at once.
+    ///
+    /// A host that blocks here before enqueueing more work bounds the
+    /// simulator's pending records by its window instead of by the whole
+    /// schedule. The run is identical to enqueueing everything before one
+    /// [`synchronize`](Gpu::synchronize) when no op enqueued after the
+    /// return can start at the instant it returned at.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownEvent`] for stale ids, [`SimError::DeviceLost`]
+    /// on a lost device, and functional-execution errors as for
+    /// [`synchronize`](Gpu::synchronize): the first one skips the effects
+    /// of the ops that complete after it in this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule deadlocks before `event` is recorded.
+    pub fn synchronize_event(&mut self, event: EventId) -> Result<SimTime, SimError> {
+        if !self.sim.event_exists(event) {
+            return Err(SimError::UnknownEvent { id: event.0 });
+        }
+        self.run(Some(event))
+    }
+
+    /// Runs the device until idle, or until `until` is recorded, applying
+    /// the data effects of the ops that complete.
+    fn run(&mut self, until: Option<EventId>) -> Result<SimTime, SimError> {
         if self.faults.is_lost() {
             // In-flight work was already aborted at the loss transition;
             // clearing again keeps this idempotent for cleanup callers that
@@ -580,14 +618,15 @@ impl Gpu {
             return Err(SimError::DeviceLost);
         }
         if !self.is_functional() {
-            self.sim.run_to_idle(|_| {});
+            self.sim.run(until, |_| {});
             return Ok(self.sim.now());
         }
-        // Every pending op completes here, so every effect is taken. They
-        // apply in completion order; the first error skips the rest.
+        // Effects apply in completion order; the first error skips the
+        // rest. A full run completes every pending op, so it takes every
+        // effect.
         let mut result = Ok(());
         let (host, dev, effects) = (&mut self.host, &mut self.dev, &mut self.effects);
-        self.sim.run_to_idle(|op| {
+        self.sim.run(until, |op| {
             if let Some(effect) = effects.remove(&op) {
                 if result.is_ok() {
                     result = funcexec::apply(&effect, host, dev);
@@ -617,18 +656,44 @@ impl Gpu {
         self.sim.tag()
     }
 
-    /// Execution trace accumulated since construction or the last
-    /// [`clear_trace`](Gpu::clear_trace); entries moved out by
-    /// [`retire_trace`](Gpu::retire_trace) still count in its length and
-    /// totals.
+    /// The device's execution trace. Its length and per-engine totals
+    /// count every engine op the device ever started; it holds the entries
+    /// themselves only from its retention floor on, which a new device
+    /// sets past every mark: a reader asks for entries with
+    /// [`keep_trace_from`](Gpu::keep_trace_from).
     pub fn trace(&self) -> &Trace {
         self.sim.trace()
     }
 
-    /// Moves out the trace entries before global index `upto` (a
+    /// Sets the trace's retention floor to `mark` (a [`Trace::len`] mark)
+    /// and returns the floor it replaces; `usize::MAX` holds nothing, and
+    /// is a new device's floor. Every entry recorded at or past the floor
+    /// is held for [`Trace::entries`] and [`Trace::entries_since`]; an
+    /// earlier one only counts in the trace's length and exact totals,
+    /// folded in as its op completes.
+    ///
+    /// A reader lowers the floor to the mark it will read from, typically
+    /// `trace().len()` before issuing the work it wants to see, and hands
+    /// back the floor it found when done. Raising the floor folds the held
+    /// entries below it, keeping their first chunk's storage for later
+    /// entries. A later [`cancel_to`](Gpu::cancel_to) must not reach
+    /// before the end of a folded entry.
+    ///
+    /// # Panics
+    ///
+    /// If `mark` predates the held entries (folded entries cannot be held
+    /// again), or if it raises the floor while an op is running (after a
+    /// [`synchronize_event`](Gpu::synchronize_event) that left work in
+    /// flight).
+    pub fn keep_trace_from(&mut self, mark: usize) -> usize {
+        self.sim.keep_trace_from(mark)
+    }
+
+    /// Moves out the held trace entries before global index `upto` (a
     /// [`Trace::len`] mark), in record order, folding them into the
-    /// trace's exact per-engine totals. The chunks they fill leave whole;
-    /// only the consumed part of a chunk still in use is copied. A later
+    /// trace's exact per-engine totals and raising the retention floor
+    /// past them. The chunks they fill leave whole; only the consumed part
+    /// of a chunk still in use is copied. A later
     /// [`cancel_to`](Gpu::cancel_to) must not reach before the end of a
     /// retired entry.
     ///
@@ -638,12 +703,6 @@ impl Gpu {
     /// [`synchronize`](Gpu::synchronize) calls).
     pub fn retire_trace(&mut self, upto: usize) -> TraceChunks {
         self.sim.retire_trace(upto)
-    }
-
-    /// Discards the accumulated trace, retired totals included (keeps the
-    /// clock running).
-    pub fn clear_trace(&mut self) {
-        self.sim.clear_trace();
     }
 }
 
@@ -1114,6 +1173,7 @@ mod tests {
     #[test]
     fn cancel_to_rewinds_clock_and_trace_and_leaves_device_usable() {
         let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        gpu.keep_trace_from(0);
         let s = gpu.create_stream();
         let h = gpu.register_host_ghost(Dtype::F64, 1 << 20, true);
         let d = gpu.alloc_device(Dtype::F64, 1 << 20).expect("alloc");
@@ -1145,9 +1205,8 @@ mod tests {
         assert_eq!(gpu.device_mem_used(), 0);
     }
 
-    /// A device that ran one h2d copy then one dgemm on a single stream.
-    fn copy_then_kernel() -> Gpu {
-        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+    /// Runs one h2d copy then one dgemm on a single stream of `gpu`.
+    fn run_copy_then_kernel(gpu: &mut Gpu) {
         let s = gpu.create_stream();
         let h = gpu.register_host_ghost(Dtype::F64, 1 << 20, true);
         let d = gpu.alloc_device(Dtype::F64, 1 << 20).expect("alloc");
@@ -1165,6 +1224,14 @@ mod tests {
         )
         .expect("launch");
         gpu.synchronize().expect("sync");
+    }
+
+    /// A device that holds its whole trace and ran
+    /// [`run_copy_then_kernel`].
+    fn copy_then_kernel() -> Gpu {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        gpu.keep_trace_from(0);
+        run_copy_then_kernel(&mut gpu);
         gpu
     }
 
@@ -1199,21 +1266,103 @@ mod tests {
     }
 
     #[test]
-    fn clear_trace_resets_retired_totals() {
+    fn a_new_device_holds_no_entries_yet_counts_them() {
+        let held = copy_then_kernel();
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        run_copy_then_kernel(&mut gpu);
+        assert_eq!(gpu.now(), held.now());
+        assert!(gpu.trace().entries().is_empty());
+        assert_eq!(gpu.trace().len(), 2);
+        for e in [
+            EngineKind::CopyH2d,
+            EngineKind::CopyD2h,
+            EngineKind::Compute,
+        ] {
+            assert_eq!(gpu.trace().engine_busy(e), held.trace().engine_busy(e));
+            assert_eq!(gpu.trace().bytes_moved(e), held.trace().bytes_moved(e));
+        }
+        // A rewind may reach the end of the folded entries.
+        gpu.cancel_to(held.now());
+    }
+
+    #[test]
+    fn handing_back_the_floor_folds_the_held_entries() {
         let mut gpu = copy_then_kernel();
-        let len = gpu.trace().len();
-        gpu.retire_trace(len);
-        gpu.clear_trace();
-        assert!(gpu.trace().is_empty());
-        assert_eq!(gpu.trace().bytes_moved(EngineKind::CopyH2d), 0);
-        assert_eq!(gpu.trace().engine_busy(EngineKind::Compute), SimTime::ZERO);
-        // Nothing is retired any more, so a rewind to the start is legal.
-        gpu.cancel_to(SimTime::ZERO);
+        let h2d_busy = gpu.trace().engine_busy(EngineKind::CopyH2d);
+        assert_eq!(gpu.keep_trace_from(usize::MAX), 0);
+        assert!(gpu.trace().entries().is_empty());
+        assert_eq!(gpu.trace().len(), 2);
+        assert_eq!(gpu.trace().engine_busy(EngineKind::CopyH2d), h2d_busy);
+        assert_eq!(gpu.trace().bytes_moved(EngineKind::CopyH2d), 8 << 20);
+        // Lowering it again holds what runs from then on.
+        assert_eq!(gpu.keep_trace_from(2), usize::MAX);
+        let s = gpu.create_stream();
+        let h = gpu.register_host_ghost(Dtype::F64, 64, true);
+        let d = gpu.alloc_device(Dtype::F64, 64).expect("alloc");
+        gpu.memcpy_d2h_async(s, CopyDesc::contiguous(h, d, 64))
+            .expect("d2h");
+        gpu.synchronize().expect("sync");
+        let held: Vec<usize> = gpu.trace().entries().iter().map(|e| e.op).collect();
+        assert_eq!(held, vec![2]);
+    }
+
+    /// A functional device with an h2d copy, an event record and a d2h
+    /// copy of the same 100 elements queued on one stream.
+    fn copy_record_copy_back() -> (Gpu, EventId, DevBufId, HostBufId) {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::Functional, 1);
+        gpu.keep_trace_from(0);
+        let s = gpu.create_stream();
+        let data: Vec<f64> = (0..100).map(|v| v as f64).collect();
+        let h_src = gpu.register_host(data, true);
+        let h_dst = gpu.register_host(vec![0.0f64; 100], true);
+        let d = gpu.alloc_device(Dtype::F64, 100).expect("alloc");
+        gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h_src, d, 100))
+            .expect("h2d");
+        let ev = gpu.record_event(s).expect("record");
+        gpu.memcpy_d2h_async(s, CopyDesc::contiguous(h_dst, d, 100))
+            .expect("d2h");
+        (gpu, ev, d, h_dst)
+    }
+
+    #[test]
+    fn synchronize_event_stops_at_the_record_and_leaves_later_work_running() {
+        let (mut gpu, ev, d, h_dst) = copy_record_copy_back();
+        let at = gpu.synchronize_event(ev).expect("sync to the event");
+        // The copy ended, the record followed at that instant, and the
+        // copy back started there too: it is in flight, not done.
+        let entries = gpu.trace().entries().to_vec();
+        assert_eq!(entries.len(), 2);
+        assert_eq!((entries[0].end, entries[1].start), (at, at));
+        assert_eq!(gpu.now(), at);
+        assert!(gpu.host_payload(h_dst).expect("buf").as_f64()[99] == 0.0);
+        assert!(matches!(
+            gpu.free_device(d),
+            Err(SimError::BufferInUse { .. })
+        ));
+        // A recorded event returns at once.
+        assert_eq!(gpu.synchronize_event(ev).expect("recorded"), at);
+        assert!(matches!(
+            gpu.synchronize_event(EventId(ev.0 + 1)),
+            Err(SimError::UnknownEvent { .. })
+        ));
+        let end = gpu.synchronize().expect("sync");
+        assert!(end > at);
+        assert_eq!(gpu.host_payload(h_dst).expect("buf").as_f64()[99], 99.0);
+        gpu.free_device(d).expect("idle after the full sync");
+    }
+
+    #[test]
+    #[should_panic(expected = "trace floor raised with ops running")]
+    fn raising_the_floor_with_an_op_in_flight_panics() {
+        let (mut gpu, ev, _, _) = copy_record_copy_back();
+        gpu.synchronize_event(ev).expect("sync to the event");
+        gpu.keep_trace_from(usize::MAX);
     }
 
     #[test]
     fn trace_records_overlap() {
         let mut gpu = Gpu::new(quiet(testbed_ii()), ExecMode::TimingOnly, 1);
+        gpu.keep_trace_from(0);
         let s_copy = gpu.create_stream();
         let s_exec = gpu.create_stream();
         let h = gpu.register_host_ghost(Dtype::F64, 1 << 22, true);
@@ -1293,6 +1442,7 @@ mod tests {
     #[test]
     fn trace_op_ids_stay_global_across_syncs() {
         let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        gpu.keep_trace_from(0);
         let s = gpu.create_stream();
         let h = gpu.register_host_ghost(Dtype::F64, 64, true);
         let d = gpu.alloc_device(Dtype::F64, 64).expect("alloc");
@@ -1320,6 +1470,7 @@ mod tests {
     #[test]
     fn wait_on_event_recorded_before_earlier_sync_resolves() {
         let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        gpu.keep_trace_from(0);
         let s1 = gpu.create_stream();
         let s2 = gpu.create_stream();
         let h = gpu.register_host_ghost(Dtype::F64, 64, true);
@@ -1391,6 +1542,7 @@ mod tests {
     #[test]
     fn interned_tags_land_on_the_right_entries() {
         let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        gpu.keep_trace_from(0);
         let s = gpu.create_stream();
         let h = gpu.register_host_ghost(Dtype::F64, 64, true);
         let d = gpu.alloc_device(Dtype::F64, 64).expect("alloc");

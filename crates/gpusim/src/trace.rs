@@ -4,16 +4,19 @@
 //! not just trusted) and feed the Gantt renderer in `cocopelia_obs::gantt`,
 //! which reproduces the pipeline anatomy of the paper's Figure 2.
 //!
-//! One cuBLASXt-style call can record ~164k entries before anyone reads
-//! them, so an entry is kept to 64 bytes: its [`OpTag`] is a 16-byte
-//! `Copy` value, and a copy's byte count shares one 16-byte field with a
-//! kernel's packed shape (no entry has both), read through
+//! A device holds entries only for a reader that asked
+//! ([`Gpu::keep_trace_from`](crate::Gpu::keep_trace_from)); otherwise each
+//! op folds into the trace's exact totals as it completes, so a trace
+//! nobody reads costs no memory. One cuBLASXt-style call can record ~164k
+//! entries, so a held entry is kept to 64 bytes: its [`OpTag`] is a
+//! 16-byte `Copy` value, and a copy's byte count shares one 16-byte field
+//! with a kernel's packed shape (no entry has both), read through
 //! [`TraceEntry::bytes`] and [`TraceEntry::kernel`].
 //!
-//! Such a call's trace grows while its batch runs, so entries are stored
-//! in [`TraceChunks`]: fixed chunks of one engine-op chunk's byte size,
-//! each carved from the heap space the batch's passed op chunks free (see
-//! the engine's "A batch's storage"). The batch then peaks at the larger of
+//! A held trace grows while its batch runs, so entries are stored in
+//! [`TraceChunks`]: fixed chunks of one engine-op chunk's byte size, each
+//! carved from the heap space the batch's passed op chunks free (see the
+//! engine's "A batch's storage"). The batch then peaks at the larger of
 //! its pending records and its trace, not their sum. Readers get a
 //! [`TraceView`] across the chunks, and retirement moves whole chunks out.
 
@@ -468,13 +471,22 @@ impl TraceChunks {
         }
     }
 
-    /// Empties the list, keeping only the first chunk's storage.
-    fn clear(&mut self) {
-        self.chunks.truncate(1);
-        if let Some(first) = self.chunks.first_mut() {
-            first.clear();
+    /// Drops the first `n` entries (all of them, past the end) without
+    /// moving any: the chunks they fill are freed, and the storage of the
+    /// chunk holding the next entry, or of the first chunk when none is
+    /// left, is kept.
+    fn drop_front(&mut self, n: usize) {
+        if n >= self.len() {
+            self.chunks.truncate(1);
+            if let Some(first) = self.chunks.first_mut() {
+                first.clear();
+            }
+            self.skip = 0;
+            return;
         }
-        self.skip = 0;
+        let end = self.skip + n;
+        self.chunks.drain(..end / TRACE_CHUNK);
+        self.skip = end % TRACE_CHUNK;
     }
 
     /// Moves out the first `n` entries (all of them, past the end): the
@@ -656,35 +668,73 @@ impl<'a> Iterator for Iter<'a> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
+/// Busy time, bytes moved and latest end of the entries a trace no
+/// longer holds.
+#[derive(Debug, Default, Clone, Copy)]
+struct Folded {
+    /// Busy ns and bytes moved, per engine.
+    engines: [(u64, usize); 3],
+    /// Latest end of any folded entry: no rewind may reach before it.
+    end: SimTime,
+}
+
+impl Folded {
+    fn add(&mut self, engine: EngineKind, start: SimTime, end: SimTime, bytes: usize) {
+        let (busy, moved) = &mut self.engines[engine as usize];
+        *busy += end.saturating_since(start).as_nanos();
+        *moved += bytes;
+        self.end = self.end.max(end);
+    }
+
+    fn add_entry(&mut self, e: &TraceEntry) {
+        self.add(e.engine, e.start, e.end, e.bytes().unwrap_or(0));
+    }
+}
+
 /// Chronological record of everything the simulated device executed.
 ///
-/// The trace is a window over a global entry index:
+/// The trace is a window over a global entry index, bounded below by a
+/// *retention floor*: an entry recorded at or past the floor is held, an
+/// earlier one is folded into exact per-engine totals as it completes. A
+/// new trace's floor is `usize::MAX`, so it holds nothing; a reader lowers
+/// it to the mark it will read from
+/// ([`Gpu::keep_trace_from`](crate::Gpu::keep_trace_from)), and
 /// [`Gpu::retire_trace`](crate::Gpu::retire_trace) moves a consumed prefix
-/// out and folds it into exact per-engine totals, so
-/// [`len`](Trace::len), [`entries_since`](Trace::entries_since),
+/// out and raises the floor past it. [`len`](Trace::len),
 /// [`engine_busy`](Trace::engine_busy) and
-/// [`bytes_moved`](Trace::bytes_moved) keep covering the device's whole
-/// history while memory holds only the entries some reader still needs.
-#[derive(Debug, Default, Clone)]
+/// [`bytes_moved`](Trace::bytes_moved) cover the device's whole history
+/// either way, while memory holds only the entries some reader asked for.
+#[derive(Debug, Clone)]
 pub struct Trace {
-    /// Global index of the first retained entry: the number of retired
-    /// entries.
+    /// Global index of the first held entry: the number of folded ones.
     base: usize,
     entries: TraceChunks,
-    /// Busy ns and bytes moved by the retired entries, per engine.
-    retired: [(u64, usize); 3],
-    /// Latest end of any retired entry: no rewind may reach before it.
-    retired_end: SimTime,
+    /// Global index from which entries are held (`usize::MAX`: none).
+    /// While it is at or below [`len`](Self::len), it equals `base`.
+    floor: usize,
+    folded: Folded,
+}
+
+impl Default for Trace {
+    /// A trace that holds no entries.
+    fn default() -> Self {
+        Trace {
+            base: 0,
+            entries: TraceChunks::default(),
+            floor: usize::MAX,
+            folded: Folded::default(),
+        }
+    }
 }
 
 impl Trace {
-    /// The retained entries (everything recorded since the last
-    /// [`Gpu::retire_trace`](crate::Gpu::retire_trace)), in record order.
+    /// The held entries (everything recorded since the retention floor),
+    /// in record order.
     pub fn entries(&self) -> TraceView<'_> {
         self.entries.view()
     }
 
-    /// Number of entries ever recorded, retired ones included.
+    /// Number of entries ever recorded, folded ones included.
     pub fn len(&self) -> usize {
         self.base + self.entries.len()
     }
@@ -698,12 +748,12 @@ impl Trace {
     /// noted [`len`](Self::len) before issuing work can attribute to that
     /// work (the serve executor tags each dispatch attempt this way). The
     /// mark is global, so it stays valid across retirements as long as it
-    /// is not older than the retired prefix.
+    /// is not below the retention floor.
     ///
     /// # Panics
     ///
-    /// If `n` predates the retired prefix: those entries are gone, and
-    /// reading the whole retained window instead would misattribute it.
+    /// If `n` predates the held entries: those are folded, and reading
+    /// the whole held window instead would misattribute it.
     pub fn entries_since(&self, n: usize) -> TraceView<'_> {
         assert!(
             n >= self.base,
@@ -713,36 +763,70 @@ impl Trace {
         self.entries.view_from(n - self.base)
     }
 
-    /// Moves out the entries before global index `upto` (clamped to the
-    /// retained window), in record order, folding them into the
-    /// per-engine totals. Later marks and totals are unaffected.
+    /// The retention floor.
+    pub(crate) fn floor(&self) -> usize {
+        self.floor
+    }
+
+    /// Sets the retention floor to `mark` and returns the floor it
+    /// replaces. Raising it folds the held entries below `mark` into the
+    /// totals, keeping the first chunk's storage for later entries.
+    ///
+    /// # Panics
+    ///
+    /// If `mark` predates the held entries: folded entries cannot be
+    /// held again.
+    pub(crate) fn keep_from(&mut self, mark: usize) -> usize {
+        assert!(
+            mark >= self.base,
+            "trace mark {mark} predates the {} retired entries",
+            self.base
+        );
+        let n = mark.min(self.len()) - self.base;
+        for e in self.entries.iter().take(n) {
+            self.folded.add_entry(e);
+        }
+        self.entries.drop_front(n);
+        self.base += n;
+        std::mem::replace(&mut self.floor, mark)
+    }
+
+    /// Moves out the held entries before global index `upto` (clamped to
+    /// the held window), in record order, folding them into the
+    /// per-engine totals and raising the floor past them. Later marks and
+    /// totals are unaffected.
     pub(crate) fn retire(&mut self, upto: usize) -> TraceChunks {
         let retired = self.entries.split_front(upto.saturating_sub(self.base));
         for e in &retired {
-            let (busy, bytes) = &mut self.retired[e.engine as usize];
-            *busy += e.duration().as_nanos();
-            *bytes += e.bytes().unwrap_or(0);
-            self.retired_end = self.retired_end.max(e.end);
+            self.folded.add_entry(e);
         }
         self.base += retired.len();
+        self.floor = self.floor.max(self.base);
         retired
     }
 
-    pub(crate) fn push(&mut self, entry: TraceEntry) {
-        self.entries.push(entry);
+    /// Records the start of an engine op: holds `entry()` and returns its
+    /// global index when the floor keeps it, else only counts it (its
+    /// totals fold in at [`fold`](Self::fold) when it completes).
+    #[inline]
+    pub(crate) fn record(&mut self, entry: impl FnOnce() -> TraceEntry) -> Option<usize> {
+        let idx = self.len();
+        if idx < self.floor {
+            debug_assert!(self.entries.is_empty(), "entries held below the floor");
+            self.base += 1;
+            return None;
+        }
+        self.entries.push(entry());
+        Some(idx)
     }
 
-    /// Forgets everything, retired totals included. Only the first
-    /// chunk's storage is kept, so one huge batch does not pin its
-    /// footprint for the life of the device.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.base = 0;
-        self.retired = Default::default();
-        self.retired_end = SimTime::ZERO;
+    /// Folds the completion of an op [`record`](Self::record) did not
+    /// hold into the totals.
+    pub(crate) fn fold(&mut self, engine: EngineKind, start: SimTime, end: SimTime, bytes: usize) {
+        self.folded.add(engine, start, end, bytes);
     }
 
-    /// The entry at global index `idx`, if it is still retained.
+    /// The entry at global index `idx`, if it is held.
     pub(crate) fn entry_mut(&mut self, idx: usize) -> Option<&mut TraceEntry> {
         self.entries.get_mut(idx.checked_sub(self.base)?)
     }
@@ -754,13 +838,13 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// If `at` precedes the end of a retired entry: retired entries are
-    /// folded into totals and can no longer be rewound.
+    /// If `at` precedes the end of a folded entry: folded entries are
+    /// only totals and can no longer be rewound.
     pub(crate) fn clamp_to(&mut self, at: SimTime) {
         assert!(
-            at >= self.retired_end,
-            "rewind to {at:?} reaches retired trace entries (retired through {:?})",
-            self.retired_end
+            at >= self.folded.end,
+            "rewind to {at:?} reaches retired trace entries (folded through {:?})",
+            self.folded.end
         );
         // Entries are recorded as they start, and the clock never runs
         // backwards past a kept entry, so the discarded ones are a suffix.
@@ -792,7 +876,7 @@ impl Trace {
             .filter(|e| e.engine == engine)
             .map(|e| e.duration().as_nanos())
             .sum();
-        SimTime::from_nanos(self.retired[engine as usize].0 + live)
+        SimTime::from_nanos(self.folded.engines[engine as usize].0 + live)
     }
 
     /// Total bytes moved in one copy direction.
@@ -803,7 +887,7 @@ impl Trace {
             .filter(|e| e.engine == engine)
             .filter_map(TraceEntry::bytes)
             .sum();
-        self.retired[engine as usize].1 + live
+        self.folded.engines[engine as usize].1 + live
     }
 }
 
@@ -874,32 +958,53 @@ mod tests {
         assert_eq!(entry(EngineKind::Compute, 0, 1, None).label(), "exec");
     }
 
+    /// A trace that holds every entry.
+    fn holding() -> Trace {
+        let mut t = Trace::default();
+        assert_eq!(t.keep_from(0), usize::MAX, "a new trace holds nothing");
+        t
+    }
+
+    /// Records the completed entry `e`: held, or folded at once.
+    fn push(t: &mut Trace, e: TraceEntry) {
+        if t.record(|| e.clone()).is_none() {
+            t.fold(e.engine, e.start, e.end, e.bytes().unwrap_or(0));
+        }
+    }
+
     #[test]
     fn busy_time_sums_per_engine() {
-        let mut t = Trace::default();
-        t.push(entry(EngineKind::CopyH2d, 0, 100, Some(10)));
-        t.push(entry(EngineKind::CopyH2d, 150, 250, Some(20)));
-        t.push(entry(EngineKind::Compute, 50, 80, None));
+        let mut t = holding();
+        push(&mut t, entry(EngineKind::CopyH2d, 0, 100, Some(10)));
+        push(&mut t, entry(EngineKind::CopyH2d, 150, 250, Some(20)));
+        push(&mut t, entry(EngineKind::Compute, 50, 80, None));
         assert_eq!(t.engine_busy(EngineKind::CopyH2d).as_nanos(), 200);
         assert_eq!(t.engine_busy(EngineKind::Compute).as_nanos(), 30);
         assert_eq!(t.bytes_moved(EngineKind::CopyH2d), 30);
         assert_eq!(t.bytes_moved(EngineKind::CopyD2h), 0);
     }
 
-    fn mixed_trace(n: u64) -> Trace {
-        let mut t = Trace::default();
-        for i in 0..n {
+    /// Entries `ops` of a fixed mix over the three engines, recorded into
+    /// `t`.
+    fn record_mixed(t: &mut Trace, ops: std::ops::Range<u64>) {
+        for i in ops {
             let engine = [
                 EngineKind::CopyH2d,
                 EngineKind::Compute,
                 EngineKind::CopyD2h,
             ][i as usize % 3];
             let bytes = (engine != EngineKind::Compute).then_some(8 * i as usize + 1);
-            t.push(TraceEntry {
+            let e = TraceEntry {
                 op: i as usize,
                 ..entry(engine, 10 * i, 10 * i + 3 + i % 5, bytes)
-            });
+            };
+            push(t, e);
         }
+    }
+
+    fn mixed_trace(n: u64) -> Trace {
+        let mut t = holding();
+        record_mixed(&mut t, 0..n);
         t
     }
 
@@ -950,13 +1055,46 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_the_window_and_totals() {
+    fn an_unheld_trace_counts_and_totals_like_a_held_twin() {
+        let twin = mixed_trace(20);
+        let mut t = Trace::default();
+        record_mixed(&mut t, 0..20);
+        assert_eq!(t.len(), 20);
+        assert!(t.entries().is_empty());
+        assert_eq!(t.held_bytes(), 0, "an unheld trace allocates nothing");
+        assert_eq!(totals(&t), totals(&twin));
+        assert_eq!(t.folded.end, SimTime::from_nanos(10 * 19 + 3 + 19 % 5));
+    }
+
+    #[test]
+    fn raising_the_floor_folds_held_entries_into_the_totals() {
+        let twin = mixed_trace(12);
         let mut t = mixed_trace(9);
         t.retire(6);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(totals(&t), totals(&Trace::default()));
-        t.clamp_to(SimTime::ZERO);
+        assert_eq!(t.keep_from(usize::MAX), 6, "retire raised the floor");
+        assert!(t.entries().is_empty());
+        assert_eq!(t.len(), 9);
+        // Entries recorded below the new floor are not held, yet count.
+        record_mixed(&mut t, 9..10);
+        assert!(t.entries().is_empty());
+        assert_eq!(t.len(), 10);
+        // Lowering the floor again holds what is recorded from then on.
+        assert_eq!(t.keep_from(10), usize::MAX);
+        record_mixed(&mut t, 10..12);
+        assert_eq!(t.entries_since(10), twin.entries_since(10));
+        assert_eq!(totals(&t), totals(&twin));
+        // Raising it inside the held window folds only the entries below.
+        assert_eq!(t.keep_from(11), 10);
+        assert_eq!(t.entries_since(11), twin.entries_since(11));
+        assert_eq!(totals(&t), totals(&twin));
+    }
+
+    #[test]
+    #[should_panic(expected = "predates the 9 retired entries")]
+    fn lowering_the_floor_below_folded_entries_panics() {
+        let mut t = Trace::default();
+        record_mixed(&mut t, 0..9);
+        t.keep_from(8);
     }
 
     #[test]
@@ -1024,20 +1162,29 @@ mod tests {
     }
 
     #[test]
-    fn clear_trims_a_huge_batch_to_the_retained_capacity() {
+    fn raising_the_floor_keeps_only_the_first_chunks_storage() {
         let mut t = mixed_trace(3 * RETAINED_CAPACITY as u64);
         let caps: Vec<usize> = t.entries.chunks.iter().map(Vec::capacity).collect();
         assert_eq!(caps, [TRACE_CHUNK; 8], "later chunks are allocated full");
-        // Only the first chunk is kept.
-        t.clear();
+        // Folding a prefix frees the chunks it fills, moving nothing.
+        let kept = t.entries.chunks[2].as_ptr();
+        t.keep_from(2 * TRACE_CHUNK + 5);
+        assert_eq!(t.entries.chunks.len(), 6);
+        assert_eq!(t.entries.chunks[0].as_ptr(), kept);
+        assert_eq!(t.entries()[0].op, 2 * TRACE_CHUNK + 5);
+        // Folding everything keeps one chunk's storage.
+        t.keep_from(usize::MAX);
         assert_eq!(t.entries.chunks.len(), 1);
         assert!(t.entries.chunks[0].capacity() <= TRACE_CHUNK.min(RETAINED_CAPACITY));
         // The first chunk grows like a `Vec`, and a small trace keeps its
-        // storage for the next call.
+        // storage for the next reader.
         let mut t = mixed_trace(10);
         let cap = t.entries.chunks[0].capacity();
         assert_eq!(cap, 16);
-        t.clear();
+        t.keep_from(usize::MAX);
+        assert_eq!(t.entries.chunks[0].capacity(), cap);
+        t.keep_from(10);
+        record_mixed(&mut t, 10..20);
         assert_eq!(t.entries.chunks[0].capacity(), cap);
     }
 
@@ -1085,12 +1232,13 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         let mut t = Trace::default();
-        // The model: every entry ever recorded and not rewound, plus the
-        // number retired.
-        let (mut model, mut base): (Vec<TraceEntry>, usize) = (Vec::new(), 0);
+        // The model: every entry ever recorded and not rewound, the number
+        // folded, and the retention floor.
+        let (mut model, mut base, mut floor): (Vec<TraceEntry>, usize, usize) =
+            (Vec::new(), 0, usize::MAX);
         let mut next = 0u64;
         for _ in 0..300 {
-            match rng.gen_range(0..6usize) {
+            match rng.gen_range(0..7usize) {
                 0..=2 => {
                     for _ in 0..rng.gen_range(0..TRACE_CHUNK + 200) {
                         let e = TraceEntry {
@@ -1098,7 +1246,10 @@ mod tests {
                             ..entry(EngineKind::Compute, 10 * next, 10 * next + 25, None)
                         };
                         next += 1;
-                        t.push(e.clone());
+                        if model.len() < floor {
+                            base += 1;
+                        }
+                        push(&mut t, e.clone());
                         model.push(e);
                     }
                 }
@@ -1108,9 +1259,10 @@ mod tests {
                     let n = upto.min(model.len()) - base;
                     assert_eq!(out.view(), TraceView::from(&model[base..base + n]));
                     base += n;
+                    floor = floor.max(base);
                 }
                 4 if base < model.len() => {
-                    let lo = t.retired_end.as_nanos();
+                    let lo = t.folded.end.as_nanos();
                     let at = rng.gen_range(lo..10 * next + 31);
                     let at = SimTime::from_nanos(at);
                     t.clamp_to(at);
@@ -1121,8 +1273,17 @@ mod tests {
                     }
                     next = model.len() as u64;
                 }
+                5 => {
+                    let mark = rng.gen_range(base..model.len() + 4);
+                    assert_eq!(t.keep_from(mark), floor);
+                    base = base.max(mark.min(model.len()));
+                    floor = mark;
+                }
                 _ => {}
             }
+            assert_eq!(t.entries().len(), model.len() - base);
+            let busy: u64 = model.iter().map(|e| e.duration().as_nanos()).sum();
+            assert_eq!(t.engine_busy(EngineKind::Compute).as_nanos(), busy);
             assert_eq!(t.len(), model.len());
             let mark = rng.gen_range(base..model.len() + 1);
             let since = t.entries_since(mark);

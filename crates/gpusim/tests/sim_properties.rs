@@ -69,6 +69,7 @@ fn rand_step() -> impl Strategy<Value = RandOp> {
 /// runs to completion.
 fn run_schedule(tb: TestbedSpec, ops: &[RandOp], n_streams: usize, seed: u64) -> Gpu {
     let mut gpu = Gpu::new(tb, ExecMode::TimingOnly, seed);
+    gpu.keep_trace_from(0);
     let mut streams: Vec<_> = (0..n_streams).map(|_| gpu.create_stream()).collect();
     let host = gpu.register_host_ghost(Dtype::F64, 200_000, true);
     let dev = gpu.alloc_device(Dtype::F64, 200_000).expect("alloc");
@@ -260,6 +261,7 @@ proptest! {
 
         // Against a saturating opposite stream.
         let mut gpu = Gpu::new(tb.clone(), ExecMode::TimingOnly, 1);
+        gpu.keep_trace_from(0);
         let s1 = gpu.create_stream();
         let s2 = gpu.create_stream();
         let big_host = gpu.register_host_ghost(Dtype::F64, elems * 8, true);

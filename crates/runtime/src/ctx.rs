@@ -272,11 +272,15 @@ impl Cocopelia {
     }
 
     /// The one path of a direct call whose operands passed their dimension
-    /// checks (building `plan`): resolves the tile, opens the call
-    /// (streams, call id, trace mark, start clock), stages the operands
-    /// with `stores` and runs `plan` at the chosen tile, then scores the
-    /// call against every evaluable model, feeds the observer, and
-    /// assembles its [`RoutineReport`]. Returns the plan's output data.
+    /// checks (building `plan`): resolves the tile, holds the call's trace
+    /// entries while it reads them, and runs it ([`run_held`](Self::run_held)).
+    /// Returns the plan's output data.
+    ///
+    /// The device holds the entries only while the call computes its
+    /// overlap and feeds the observer: unless the caller already holds
+    /// entries from before the call, the call lowers the trace floor to
+    /// its own mark and hands back the floor it found when done, so it
+    /// never raises or lowers a floor a caller set.
     fn call<T: SimScalar, const N: usize>(
         &mut self,
         routine: &'static str,
@@ -285,7 +289,32 @@ impl Cocopelia {
         plan: TilePlan,
         stores: impl FnOnce(&mut Gpu) -> [OperandStore; N],
     ) -> Result<(Option<Vec<T>>, RoutineReport), RuntimeError> {
-        let (tile, selection) = self.resolve_tile(problem, choice)?;
+        let chosen = self.resolve_tile(problem, choice)?;
+        let mark = self.gpu.trace().len();
+        let found = if self.gpu.trace().entries().is_empty() {
+            Some(self.gpu.keep_trace_from(mark))
+        } else {
+            None
+        };
+        let result = self.run_held(routine, problem, chosen, plan, stores);
+        if let Some(found) = found {
+            self.gpu.keep_trace_from(found);
+        }
+        result
+    }
+
+    /// Runs a call at its `(tile, selection)`: opens it (streams, call id,
+    /// trace mark, start clock), stages the operands with `stores` and runs
+    /// `plan` at the tile, then scores the call against every evaluable
+    /// model, feeds the observer, and assembles its [`RoutineReport`].
+    fn run_held<T: SimScalar, const N: usize>(
+        &mut self,
+        routine: &'static str,
+        problem: &ProblemSpec,
+        (tile, selection): (usize, Option<Selection>),
+        plan: TilePlan,
+        stores: impl FnOnce(&mut Gpu) -> [OperandStore; N],
+    ) -> Result<(Option<Vec<T>>, RoutineReport), RuntimeError> {
         let streams = self.ensure_streams();
         let call = self.obs.next_call_id();
         let trace_start = self.gpu.trace().len();

@@ -128,11 +128,11 @@ fn device_resident_inputs_transfer_nothing() {
     };
     let (da, db) = (upload(&a), upload(&b));
     gpu.synchronize().expect("sync uploads");
-    gpu.clear_trace();
+    let uploaded = gpu.trace().bytes_moved(EngineKind::CopyH2d);
 
     let ops = [da, db, MatOperand::Host(c)];
     let (got, _) = gemm(&mut gpu, 1.0, ops, 0.0, 16).expect("runs");
-    assert_eq!(gpu.trace().bytes_moved(EngineKind::CopyH2d), 0);
+    assert_eq!(gpu.trace().bytes_moved(EngineKind::CopyH2d), uploaded);
     assert!(validate::matrices_close(
         &got.expect("functional C"),
         &expect,
@@ -156,6 +156,7 @@ fn dimension_mismatch_rejected() {
 fn overlap_actually_happens() {
     // A transfer-heavy schedule must show h2d busy while exec is busy.
     let mut gpu = quiet_gpu(false);
+    gpu.keep_trace_from(0);
     let ops = [ghost(2048, 2048), ghost(2048, 2048), ghost(2048, 2048)];
     gemm(&mut gpu, 1.0, ops, 1.0, 512).expect("runs");
     let trace = gpu.trace();

@@ -1077,8 +1077,13 @@ impl ServeSession {
     /// arrival instant. With no scheduled arrivals this is exactly the
     /// closed-queue drain. The session remains usable afterwards.
     pub fn drain(&mut self) -> ServeReport {
-        for (state, dev) in self.devices.iter_mut().zip(self.pool.devices()) {
+        for (state, dev) in self.devices.iter_mut().zip(self.pool.devices_mut()) {
             state.drain_start = dev.gpu().now();
+            // The tracer and telemetry read each attempt's engine entries,
+            // so every device holds them from the drain's start;
+            // `retire_traces` folds each one once no reader needs it.
+            let gpu = dev.gpu_mut();
+            gpu.keep_trace_from(gpu.trace().len());
         }
         self.peak_queue = self.queue.len();
         if let Some(t) = self.tracer.as_mut() {

@@ -127,6 +127,7 @@ pub fn fig2_reuse_anatomy() -> String {
         },
     );
     let mut ctx = Cocopelia::new(Gpu::new(tb, ExecMode::TimingOnly, 2), dummy);
+    ctx.gpu_mut().keep_trace_from(0);
     let n = 8192;
     GemmRequest::new(
         MatOperand::<f64>::HostGhost { rows: n, cols: n },

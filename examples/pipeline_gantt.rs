@@ -28,6 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
     let mut ctx = Cocopelia::new(Gpu::new(tb, ExecMode::TimingOnly, 1), dummy);
+    ctx.gpu_mut().keep_trace_from(0);
 
     let n = 4096;
     let t = 1024;

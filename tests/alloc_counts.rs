@@ -75,7 +75,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Pinned counts. Debug and release builds allocate identically on these
 /// paths, so one figure serves both.
-const DIRECT_CALL: u64 = 57;
+const DIRECT_CALL: u64 = 56;
 const FIFO_REQUEST: u64 = 230;
 /// A Predictive dispatch prices every queued request on every device, so
 /// its allocations grow with the queue: about 7 100 per request at 250

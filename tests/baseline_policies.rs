@@ -194,6 +194,7 @@ fn makespan_bounded_by_engine_work_and_critical_path() {
         Gpu::new(quiet(testbed_ii()), ExecMode::TimingOnly, 1),
         dummy_profile(),
     );
+    ctx.gpu_mut().keep_trace_from(0);
     GemmRequest::new(ghost(n), ghost(n), ghost(n))
         .alpha(1.0)
         .beta(1.0)

@@ -321,6 +321,7 @@ fn executed_volumes_match_the_model_counts() {
         },
     );
     let mut ctx = Cocopelia::new(Gpu::new(quiet(), ExecMode::TimingOnly, 3), profile);
+    ctx.gpu_mut().keep_trace_from(0);
     let locs = |n: usize| -> Vec<Vec<Loc>> {
         (0..1usize << n)
             .map(|bits| {

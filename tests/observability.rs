@@ -36,7 +36,9 @@ fn dummy_profile() -> SystemProfile {
 fn pipeline_in(mode: ExecMode) -> Cocopelia {
     let mut tb = testbed_i();
     tb.noise = NoiseSpec::NONE;
-    Cocopelia::new(Gpu::new(tb, mode, 7), dummy_profile())
+    let mut gpu = Gpu::new(tb, mode, 7);
+    gpu.keep_trace_from(0);
+    Cocopelia::new(gpu, dummy_profile())
 }
 
 fn pipeline() -> Cocopelia {
@@ -285,6 +287,43 @@ fn calls_share_one_trace_but_separate_summaries() {
     assert_eq!(calls_in_trace.into_iter().collect::<Vec<_>>(), vec![0, 1]);
 }
 
+/// A long-lived direct context holds none of its calls' trace entries,
+/// yet its trace counts them all and totals them exactly; each call still
+/// reads its own entries, and a caller's own hold survives a direct call.
+#[test]
+fn direct_calls_hold_no_entries_yet_count_them_all() {
+    let mut tb = testbed_i();
+    tb.noise = NoiseSpec::NONE;
+    let mut ctx = Cocopelia::new(Gpu::new(tb, ExecMode::TimingOnly, 7), dummy_profile());
+    // The twin holds every entry from the start.
+    let mut twin = pipeline();
+    for _ in 0..1_000 {
+        let report = run_dgemm(&mut ctx, 512, 512);
+        assert_eq!(report.overlap, run_dgemm(&mut twin, 512, 512).overlap);
+    }
+    let (trace, held) = (ctx.gpu().trace(), twin.gpu().trace());
+    assert_eq!(trace.entries().len(), 0);
+    assert_eq!(trace.len(), 5_000);
+    assert_eq!(held.entries().len(), 5_000);
+    for engine in [
+        EngineKind::CopyH2d,
+        EngineKind::Compute,
+        EngineKind::CopyD2h,
+    ] {
+        assert_eq!(trace.engine_busy(engine), held.engine_busy(engine));
+        assert_eq!(trace.bytes_moved(engine), held.bytes_moved(engine));
+    }
+    let mark = trace.len();
+    assert_eq!(ctx.gpu_mut().keep_trace_from(mark), usize::MAX);
+    run_dgemm(&mut ctx, 512, 512);
+    assert_eq!(ctx.gpu().trace().entries_since(mark).len(), 5);
+    assert_eq!(
+        ctx.gpu_mut().keep_trace_from(usize::MAX),
+        mark,
+        "the call handed back the caller's floor"
+    );
+}
+
 /// One small tagged functional run on a 2×2 tile grid: a dgemm, daxpy,
 /// ddot and dgemv, each split in two along every tiled dimension.
 fn tagged_functional_run() -> Vec<TraceEntry> {
@@ -341,6 +380,7 @@ fn pinned_trace_exports_are_unchanged() {
 fn noisy_baseline_run() -> Vec<TraceEntry> {
     let n = 1024;
     let mut gpu = Gpu::new(testbed_i(), ExecMode::TimingOnly, 11);
+    gpu.keep_trace_from(0);
     cocopelia_baselines::cublasxt::gemm::<f64>(
         &mut gpu,
         1.0,
@@ -394,6 +434,7 @@ fn digest_line(what: &str, count: usize, jsonl: &str) -> String {
 fn pinned_multi_chunk_trace_is_unchanged() {
     let n = 1024;
     let mut gpu = Gpu::new(testbed_i(), ExecMode::TimingOnly, 5);
+    gpu.keep_trace_from(0);
     let xt = |gpu: &mut Gpu, n: usize, t: usize| {
         cocopelia_baselines::cublasxt::gemm::<f64>(
             gpu,

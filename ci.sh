@@ -181,5 +181,17 @@ awk -v rss="$rss" 'BEGIN {
         exit 1
     }
 }'
+# paper_sweep with --trace 1 times traced sweeps beside untraced ones, and
+# is the benchmark path that holds a whole large call's trace entries
+# (36 864 for one dgemm 8192^3); nothing else in this script runs a
+# --trace 1 workload. Its checks must pass.
+traced=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload paper_sweep --seconds 0 --trace 1 | tail -n 1)
+echo "$traced"
+case "$traced" in
+    *'"correct": true'*) ;;
+    *) echo "paper_sweep --trace 1 is not correct"; exit 1 ;;
+esac
 
 echo "CI gate passed."

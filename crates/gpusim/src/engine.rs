@@ -42,8 +42,8 @@
 //! starts at or past the trace's retention floor (a new device's floor
 //! holds nothing): an op below the floor carries its start time in its
 //! `ActiveOp` and folds into exact per-engine totals as it completes, and
-//! a held prefix folds on demand ([`Sim::retire_trace`],
-//! [`Sim::keep_trace_from`]).
+//! a held prefix folds on demand ([`Sim::keep_trace_from`],
+//! [`Sim::take_trace`]).
 //!
 //! The loop runs until idle, or until an event is recorded and its instant
 //! stabilized ([`Sim::run`]); the second leaves later work queued or in
@@ -56,12 +56,9 @@
 //! push and grows like a `Vec` (small batches stay small), and is the only
 //! one kept at retirement; later ones are allocated full-size once and
 //! dropped mid-run as soon as the run has passed their last record, so a
-//! windowed host holds a few chunks, not its schedule. A held trace stores
-//! its entries in chunks of an engine-op chunk's byte size
-//! ([`TraceChunks`](crate::TraceChunks)), so as a one-batch schedule whose
-//! entries are held runs, each new trace chunk reuses the heap space a
-//! passed op chunk just freed, and the batch peaks at the larger of its
-//! pending records and its trace rather than their sum.
+//! windowed host holds a few chunks, not its schedule. The [`Trace`]
+//! outlives the batch: its held entries are one `Vec`, which grows only
+//! while a reader holds entries.
 //!
 //! A stream owns no heap memory: it is the `(head, tail)` of a FIFO of
 //! `u32` links, each a batch-relative index whose top bit
@@ -77,7 +74,7 @@ use crate::kernel::KernelShape;
 use crate::op::{EventId, InstantOp, Op, OpId, OpKind, StreamId};
 use crate::spec::{LinkSpec, NoiseSpec};
 use crate::time::SimTime;
-use crate::trace::{EngineKind, OpTag, Trace, TraceChunks, TraceEntry};
+use crate::trace::{EngineKind, OpTag, Trace, TraceEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -86,14 +83,14 @@ use std::collections::VecDeque;
 /// nanosecond-rounding overshoot).
 const BYTES_EPS: f64 = 1e-6;
 
-/// Capacity the per-batch tables (and a cleared trace) keep when they
-/// retire: small batches never reallocate, and one huge batch does not pin
-/// its footprint for the life of the device.
-pub(crate) const RETAINED_CAPACITY: usize = 4096;
+/// Capacity the per-batch tables keep when they retire: small batches
+/// never reallocate, and one huge batch does not pin its footprint for the
+/// life of the device.
+const RETAINED_CAPACITY: usize = 4096;
 
 /// Records per chunk of an [`OpTable`]. The first chunk is the one
 /// retirement keeps, so it is the retained capacity.
-pub(crate) const OP_CHUNK: usize = RETAINED_CAPACITY;
+const OP_CHUNK: usize = RETAINED_CAPACITY;
 
 /// The bit of a stream-FIFO link that selects the instant table; the
 /// other 31 bits are the batch-relative index into the selected table.
@@ -312,10 +309,9 @@ pub(crate) struct Sim {
     /// `start_ns` until the next segment's start. The last segment (and
     /// everything before the first) runs at `1.0`.
     degrade: Vec<(u64, f64)>,
-    /// [`held_bytes`](Self::held_bytes) and the trace's share of it at
-    /// every engine-op completion.
+    /// [`held_bytes`](Self::held_bytes) at every engine-op completion.
     #[cfg(test)]
-    held: Vec<(usize, usize)>,
+    held: Vec<usize>,
 }
 
 impl Sim {
@@ -491,12 +487,11 @@ impl Sim {
         &self.trace
     }
 
-    /// Retires the trace before global index `upto` ([`Trace::retire`]).
-    /// Requires an idle simulator, so no in-flight op still patches a
-    /// retired entry.
-    pub(crate) fn retire_trace(&mut self, upto: usize) -> TraceChunks {
-        assert!(self.idle(), "retire_trace called with work in flight");
-        self.trace.retire(upto)
+    /// Moves every held trace entry out ([`Trace::take`]). Requires an
+    /// idle simulator, so no in-flight op still patches a taken entry.
+    pub(crate) fn take_trace(&mut self) -> Vec<TraceEntry> {
+        assert!(self.idle(), "take_trace called with work in flight");
+        self.trace.take()
     }
 
     /// Sets the trace's retention floor ([`Trace::keep_from`]) and returns
@@ -993,7 +988,7 @@ impl Sim {
         }
         self.end_entry(&active, op, engine);
         #[cfg(test)]
-        self.held.push((self.held_bytes(), self.trace.held_bytes()));
+        self.held.push(self.held_bytes());
         on_complete(self.base + op.seq as usize);
     }
 }
@@ -1002,7 +997,6 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::spec::{testbed_i, DirLinkSpec};
-    use crate::trace::TRACE_CHUNK;
     use cocopelia_hostblas::Dtype;
 
     fn quiet_link() -> LinkSpec {
@@ -1551,60 +1545,6 @@ mod tests {
         assert_eq!(reserved(&sim), OP_CHUNK * (24 + 8 + kernel_bytes));
     }
 
-    /// Enqueues `tiles` tiles of the cuBLASXt shape: per tile, a copy and
-    /// a kernel on two streams that order each other through a record and
-    /// two waits.
-    fn event_heavy_batch(sim: &mut Sim, tiles: usize) {
-        let (s0, s1) = (sim.create_stream(), sim.create_stream());
-        for _ in 0..tiles {
-            copy(sim, s0, 64, true);
-            let ev = sim.record_event(s0);
-            sim.wait_event(s1, ev);
-            kernel(sim, s1, 1e-7);
-            let done = sim.record_event(s1);
-            sim.wait_event(s0, done);
-        }
-    }
-
-    /// Bytes of one chunk of each pending table.
-    const PENDING_CHUNK_BYTES: usize = OP_CHUNK
-        * (std::mem::size_of::<Op>()
-            + std::mem::size_of::<InstantOp>()
-            + std::mem::size_of::<(KernelShape, f64)>());
-
-    #[test]
-    fn a_batch_holds_the_larger_of_its_pending_records_and_its_trace() {
-        let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
-        sim.keep_trace_from(0);
-        event_heavy_batch(&mut sim, 3 * OP_CHUNK);
-        let pending = sim.held_bytes();
-        let trace_end = 6 * OP_CHUNK * std::mem::size_of::<TraceEntry>();
-        run_all(&mut sim);
-        assert_eq!(sim.held.len(), 6 * OP_CHUNK);
-        // Passed chunks are dropped as the trace grows, so the two never
-        // add up: at every completion the batch holds the larger of its
-        // pending records and its trace, plus the first chunk of each
-        // table, one chunk of each that the run is partway through and
-        // the trace's partly filled chunk.
-        let slack = 2 * PENDING_CHUNK_BYTES + TRACE_CHUNK * std::mem::size_of::<TraceEntry>();
-        for (i, &(held, trace)) in sim.held.iter().enumerate() {
-            assert!(
-                held <= pending.max(trace) + slack,
-                "completion {i}: {held} B held, {trace} B of trace, {pending} B pending at start"
-            );
-        }
-        // At the last completion only the first chunks and the chunk of
-        // the instants still to come remain; keeping every record to the
-        // end would have held their sum.
-        let &(held, trace) = sim.held.last().expect("completions");
-        assert!(trace >= trace_end);
-        assert!(
-            held <= trace + 2 * PENDING_CHUNK_BYTES,
-            "{held} B held at the end"
-        );
-        assert!(held + PENDING_CHUNK_BYTES < pending + trace_end);
-    }
-
     #[test]
     fn small_batches_hold_no_more_than_a_vec_would() {
         // Four records of each table: the capacity a `Vec` first grows to,
@@ -1628,7 +1568,7 @@ mod tests {
             assert!(sim.held_bytes() <= small, "{} B", sim.held_bytes());
             sim.keep_trace_from(found);
         }
-        assert!(sim.held.iter().all(|&(held, _)| held <= small));
+        assert!(sim.held.iter().all(|&held| held <= small));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::memory::{AllocMark, DevBufId, DeviceMemory, HostArena, HostBufId, Hos
 use crate::op::{check_mat_ref, CopyDesc, EventId, KernelArgs, OpId, OpKind, StreamId};
 use crate::spec::TestbedSpec;
 use crate::time::SimTime;
-use crate::trace::{OpTag, Trace, TraceChunks};
+use crate::trace::{OpTag, Trace, TraceEntry};
 use cocopelia_hostblas::Dtype;
 use std::collections::HashMap;
 
@@ -168,7 +168,7 @@ impl Gpu {
     /// # Panics
     ///
     /// If `at` precedes the end of a trace entry the trace no longer
-    /// holds: one moved out by [`retire_trace`](Gpu::retire_trace), or
+    /// holds: one moved out by [`take_trace`](Gpu::take_trace), or
     /// folded below the retention floor
     /// ([`keep_trace_from`](Gpu::keep_trace_from)).
     pub fn cancel_to(&mut self, at: SimTime) {
@@ -675,9 +675,9 @@ impl Gpu {
     /// A reader lowers the floor to the mark it will read from, typically
     /// `trace().len()` before issuing the work it wants to see, and hands
     /// back the floor it found when done. Raising the floor folds the held
-    /// entries below it, keeping their first chunk's storage for later
-    /// entries. A later [`cancel_to`](Gpu::cancel_to) must not reach
-    /// before the end of a folded entry.
+    /// entries below it, keeping their storage for later entries. A later
+    /// [`cancel_to`](Gpu::cancel_to) must not reach before the end of a
+    /// folded entry.
     ///
     /// # Panics
     ///
@@ -689,20 +689,19 @@ impl Gpu {
         self.sim.keep_trace_from(mark)
     }
 
-    /// Moves out the held trace entries before global index `upto` (a
-    /// [`Trace::len`] mark), in record order, folding them into the
-    /// trace's exact per-engine totals and raising the retention floor
-    /// past them. The chunks they fill leave whole; only the consumed part
-    /// of a chunk still in use is copied. A later
+    /// Moves out every held trace entry, in record order, folding them
+    /// into the trace's exact per-engine totals and raising the retention
+    /// floor past them; entries recorded later are held as before. The
+    /// trace's own buffer is moved out, not copied. A later
     /// [`cancel_to`](Gpu::cancel_to) must not reach before the end of a
-    /// retired entry.
+    /// taken entry.
     ///
     /// # Panics
     ///
     /// If work is in flight (call between
     /// [`synchronize`](Gpu::synchronize) calls).
-    pub fn retire_trace(&mut self, upto: usize) -> TraceChunks {
-        self.sim.retire_trace(upto)
+    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
+        self.sim.take_trace()
     }
 }
 
@@ -1240,9 +1239,8 @@ mod tests {
         let mut gpu = copy_then_kernel();
         let copy_end = gpu.trace().entries()[0].end;
         let h2d_busy = gpu.trace().engine_busy(EngineKind::CopyH2d);
-        let retired = gpu.retire_trace(1);
-        assert_eq!(retired.len(), 1);
-        assert_eq!(retired.view()[0].engine, EngineKind::CopyH2d);
+        assert_eq!(gpu.trace().entries()[0].engine, EngineKind::CopyH2d);
+        assert_eq!(gpu.keep_trace_from(1), 0);
         gpu.cancel_to(copy_end);
         assert_eq!(gpu.now(), copy_end);
         assert_eq!(
@@ -1260,8 +1258,7 @@ mod tests {
     fn cancel_to_into_retired_entries_panics() {
         let mut gpu = copy_then_kernel();
         let mid = gpu.trace().entries()[0].end;
-        let len = gpu.trace().len();
-        gpu.retire_trace(len);
+        assert_eq!(gpu.take_trace().len(), 2);
         gpu.cancel_to(mid);
     }
 
@@ -1304,6 +1301,28 @@ mod tests {
         gpu.synchronize().expect("sync");
         let held: Vec<usize> = gpu.trace().entries().iter().map(|e| e.op).collect();
         assert_eq!(held, vec![2]);
+    }
+
+    #[test]
+    fn take_trace_hands_over_the_held_buffer_uncopied() {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        gpu.keep_trace_from(0);
+        let s = gpu.create_stream();
+        let h = gpu.register_host_ghost(Dtype::F64, 64, true);
+        let d = gpu.alloc_device(Dtype::F64, 64).expect("alloc");
+        for _ in 0..2000 {
+            gpu.memcpy_h2d_async(s, CopyDesc::contiguous(h, d, 64))
+                .expect("h2d");
+        }
+        gpu.synchronize().expect("sync");
+        let held = gpu.trace().entries().to_vec();
+        let at = gpu.trace().entries().as_ptr();
+        let taken = gpu.take_trace();
+        assert_eq!(taken.as_ptr(), at, "the buffer moves, no entry is copied");
+        assert_eq!(taken, held);
+        assert!(gpu.trace().entries().is_empty());
+        assert_eq!(gpu.trace().len(), 2000);
+        assert_eq!(gpu.trace().bytes_moved(EngineKind::CopyH2d), 2000 * 64 * 8);
     }
 
     /// A functional device with an h2d copy, an event record and a d2h

@@ -69,6 +69,4 @@ pub use spec::{
     QuantProfile, TestbedSpec,
 };
 pub use time::SimTime;
-pub use trace::{
-    EngineKind, OpTag, OperandRole, Routine, Trace, TraceChunks, TraceEntry, TraceView,
-};
+pub use trace::{EngineKind, OpTag, OperandRole, Routine, Trace, TraceEntry};

@@ -13,16 +13,13 @@
 //! with a kernel's packed shape (no entry has both), read through
 //! [`TraceEntry::bytes`] and [`TraceEntry::kernel`].
 //!
-//! A held trace grows while its batch runs, so entries are stored in
-//! [`TraceChunks`]: fixed chunks of one engine-op chunk's byte size, each
-//! carved from the heap space the batch's passed op chunks free (see the
-//! engine's "A batch's storage"). The batch then peaks at the larger of
-//! its pending records and its trace, not their sum. Readers get a
-//! [`TraceView`] across the chunks, and retirement moves whole chunks out.
+//! A held trace stores its entries in one `Vec`, in record order, and
+//! readers get them as a slice. Raising the retention floor drains the
+//! `Vec`'s front and keeps its capacity for later entries, and
+//! [`Gpu::take_trace`](crate::Gpu::take_trace) moves the whole buffer out.
 
-use crate::engine::OP_CHUNK;
 use crate::kernel::KernelShape;
-use crate::op::{Op, StreamId};
+use crate::op::StreamId;
 use crate::time::SimTime;
 use cocopelia_hostblas::Dtype;
 
@@ -348,326 +345,6 @@ impl TraceEntry {
     }
 }
 
-/// Entries per trace chunk: the byte size of an engine-op chunk, so a
-/// trace chunk fits the heap space a passed op chunk frees mid-run (see
-/// the engine's "A batch's storage").
-pub(crate) const TRACE_CHUNK: usize =
-    OP_CHUNK * std::mem::size_of::<Op>() / std::mem::size_of::<TraceEntry>();
-
-/// Trace entries in fixed-size chunks (1 536 entries, 96 KiB), in record
-/// order: appending never moves a stored entry, and a consumed prefix
-/// leaves as whole chunks. Every chunk but the last is full. The first
-/// chunk grows like a `Vec` up to a chunk (a one-op device stays small);
-/// later ones are allocated full-size once.
-///
-/// [`Gpu::retire_trace`](crate::Gpu::retire_trace) returns the entries it
-/// moves out as one of these: the consumed chunks themselves, plus a copy
-/// of the consumed part of a chunk still in use.
-#[derive(Debug, Default, Clone)]
-pub struct TraceChunks {
-    chunks: Vec<Vec<TraceEntry>>,
-    /// Leading entries of the first chunk that were moved out earlier;
-    /// they are never read again.
-    skip: usize,
-}
-
-impl TraceChunks {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.end() - self.skip
-    }
-
-    /// True if there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The entries, in record order.
-    pub fn view(&self) -> TraceView<'_> {
-        self.view_from(0)
-    }
-
-    /// Iterates over the entries in record order.
-    pub fn iter(&self) -> Iter<'_> {
-        self.view().iter()
-    }
-
-    /// The entries as one `Vec`; a single chunk is moved, not copied.
-    pub fn into_vec(mut self) -> Vec<TraceEntry> {
-        if self.chunks.len() > 1 {
-            return self.view().to_vec();
-        }
-        let mut entries = self.chunks.pop().unwrap_or_default();
-        entries.drain(..self.skip);
-        entries
-    }
-
-    /// Position one past the last entry, counting the skipped prefix.
-    fn end(&self) -> usize {
-        self.chunks
-            .last()
-            .map_or(0, |last| (self.chunks.len() - 1) * TRACE_CHUNK + last.len())
-    }
-
-    /// The entries after the first `n` (none once `n` reaches the end).
-    fn view_from(&self, n: usize) -> TraceView<'_> {
-        let end = self.end();
-        let at = (self.skip + n).min(end);
-        let c = at / TRACE_CHUNK;
-        TraceView {
-            head: self
-                .chunks
-                .get(c)
-                .map_or(&[], |chunk| &chunk[at % TRACE_CHUNK..]),
-            rest: self.chunks.get(c + 1..).unwrap_or(&[]),
-            len: end - at,
-        }
-    }
-
-    fn push(&mut self, entry: TraceEntry) {
-        match self.chunks.last_mut() {
-            Some(last) if last.len() < TRACE_CHUNK => {
-                if last.len() == last.capacity() {
-                    // A short chunk grows like a `Vec`, but never past a
-                    // chunk.
-                    last.reserve_exact((2 * last.len()).clamp(4, TRACE_CHUNK) - last.len());
-                }
-                last.push(entry);
-            }
-            _ => {
-                let cap = if self.chunks.is_empty() {
-                    4
-                } else {
-                    TRACE_CHUNK
-                };
-                let mut chunk = Vec::with_capacity(cap);
-                chunk.push(entry);
-                self.chunks.push(chunk);
-            }
-        }
-    }
-
-    fn get_mut(&mut self, n: usize) -> Option<&mut TraceEntry> {
-        let at = self.skip + n;
-        self.chunks
-            .get_mut(at / TRACE_CHUNK)?
-            .get_mut(at % TRACE_CHUNK)
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut TraceEntry> {
-        self.chunks.iter_mut().flatten().skip(self.skip)
-    }
-
-    /// Keeps the first `n` entries, and the first chunk's storage.
-    fn truncate(&mut self, n: usize) {
-        let end = self.skip + n;
-        if end >= self.end() {
-            return;
-        }
-        self.chunks.truncate(end.div_ceil(TRACE_CHUNK).max(1));
-        let last_start = (self.chunks.len() - 1) * TRACE_CHUNK;
-        if let Some(last) = self.chunks.last_mut() {
-            last.truncate(end - last_start);
-        }
-    }
-
-    /// Drops the first `n` entries (all of them, past the end) without
-    /// moving any: the chunks they fill are freed, and the storage of the
-    /// chunk holding the next entry, or of the first chunk when none is
-    /// left, is kept.
-    fn drop_front(&mut self, n: usize) {
-        if n >= self.len() {
-            self.chunks.truncate(1);
-            if let Some(first) = self.chunks.first_mut() {
-                first.clear();
-            }
-            self.skip = 0;
-            return;
-        }
-        let end = self.skip + n;
-        self.chunks.drain(..end / TRACE_CHUNK);
-        self.skip = end % TRACE_CHUNK;
-    }
-
-    /// Moves out the first `n` entries (all of them, past the end): the
-    /// chunks they fill are moved, and only the consumed part of a chunk
-    /// that stays is copied.
-    fn split_front(&mut self, n: usize) -> TraceChunks {
-        let n = n.min(self.len());
-        if n == 0 {
-            return TraceChunks::default();
-        }
-        if n == self.len() {
-            return std::mem::take(self);
-        }
-        // Entries remain past `end`, so the chunk holding `end` stays.
-        let end = self.skip + n;
-        let whole = end / TRACE_CHUNK;
-        let from = if whole == 0 { self.skip } else { 0 };
-        let mut out = TraceChunks {
-            chunks: self.chunks.drain(..whole).collect(),
-            skip: self.skip - from,
-        };
-        self.skip = end % TRACE_CHUNK;
-        if self.skip > from {
-            out.chunks.push(self.chunks[0][from..self.skip].to_vec());
-        }
-        out
-    }
-}
-
-impl From<Vec<TraceEntry>> for TraceChunks {
-    /// The entries in record order, cut into chunks so that every chunk
-    /// but the last is full. Entries that fit one chunk are moved, not
-    /// copied.
-    fn from(entries: Vec<TraceEntry>) -> Self {
-        let chunks = if entries.len() <= TRACE_CHUNK {
-            vec![entries]
-        } else {
-            entries.chunks(TRACE_CHUNK).map(<[_]>::to_vec).collect()
-        };
-        TraceChunks { chunks, skip: 0 }
-    }
-}
-
-impl<'a> IntoIterator for &'a TraceChunks {
-    type Item = &'a TraceEntry;
-    type IntoIter = Iter<'a>;
-
-    fn into_iter(self) -> Iter<'a> {
-        self.iter()
-    }
-}
-
-/// A borrowed run of trace entries in record order, as
-/// [`Trace::entries`] and [`Trace::entries_since`] return it: it reads
-/// across the trace's chunks by index or by iteration, copying nothing.
-/// A slice converts into a view of itself.
-#[derive(Clone, Copy, Default)]
-pub struct TraceView<'a> {
-    /// The view's part of its first chunk.
-    head: &'a [TraceEntry],
-    /// Later chunks, every one but the last full.
-    rest: &'a [Vec<TraceEntry>],
-    /// Entries in the view: `head` and a prefix of `rest`.
-    len: usize,
-}
-
-impl<'a> TraceView<'a> {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the view holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The `i`th entry, if there is one.
-    pub fn get(&self, i: usize) -> Option<&'a TraceEntry> {
-        match i.checked_sub(self.head.len()) {
-            None => self.head.get(i),
-            Some(r) if i < self.len => Some(&self.rest[r / TRACE_CHUNK][r % TRACE_CHUNK]),
-            Some(_) => None,
-        }
-    }
-
-    /// Iterates over the entries in record order.
-    pub fn iter(&self) -> Iter<'a> {
-        Iter {
-            head: self.head.iter(),
-            rest: self.rest.iter(),
-            left: self.len - self.head.len(),
-        }
-    }
-
-    /// Copies the entries into a `Vec`.
-    pub fn to_vec(&self) -> Vec<TraceEntry> {
-        self.iter().cloned().collect()
-    }
-}
-
-impl<'a> From<&'a [TraceEntry]> for TraceView<'a> {
-    fn from(entries: &'a [TraceEntry]) -> Self {
-        TraceView {
-            head: entries,
-            rest: &[],
-            len: entries.len(),
-        }
-    }
-}
-
-impl std::ops::Index<usize> for TraceView<'_> {
-    type Output = TraceEntry;
-
-    fn index(&self, i: usize) -> &TraceEntry {
-        self.get(i).unwrap_or_else(|| {
-            panic!(
-                "trace index {i} out of range for a view of {} entries",
-                self.len
-            )
-        })
-    }
-}
-
-impl PartialEq for TraceView<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl std::fmt::Debug for TraceView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<'a> IntoIterator for TraceView<'a> {
-    type Item = &'a TraceEntry;
-    type IntoIter = Iter<'a>;
-
-    fn into_iter(self) -> Iter<'a> {
-        self.iter()
-    }
-}
-
-/// Iterator over the entries of a [`TraceView`] or [`TraceChunks`].
-#[derive(Debug, Clone)]
-pub struct Iter<'a> {
-    head: std::slice::Iter<'a, TraceEntry>,
-    rest: std::slice::Iter<'a, Vec<TraceEntry>>,
-    /// Entries after `head`.
-    left: usize,
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a TraceEntry;
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a TraceEntry> {
-        loop {
-            if let Some(e) = self.head.next() {
-                return Some(e);
-            }
-            if self.left == 0 {
-                return None;
-            }
-            let chunk = self.rest.next()?;
-            let n = chunk.len().min(self.left);
-            self.left -= n;
-            self.head = chunk[..n].iter();
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.head.len() + self.left;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for Iter<'_> {}
-
 /// Busy time, bytes moved and latest end of the entries a trace no
 /// longer holds.
 #[derive(Debug, Default, Clone, Copy)]
@@ -699,8 +376,8 @@ impl Folded {
 /// new trace's floor is `usize::MAX`, so it holds nothing; a reader lowers
 /// it to the mark it will read from
 /// ([`Gpu::keep_trace_from`](crate::Gpu::keep_trace_from)), and
-/// [`Gpu::retire_trace`](crate::Gpu::retire_trace) moves a consumed prefix
-/// out and raises the floor past it. [`len`](Trace::len),
+/// [`Gpu::take_trace`](crate::Gpu::take_trace) moves every held entry out
+/// and raises the floor past them. [`len`](Trace::len),
 /// [`engine_busy`](Trace::engine_busy) and
 /// [`bytes_moved`](Trace::bytes_moved) cover the device's whole history
 /// either way, while memory holds only the entries some reader asked for.
@@ -708,7 +385,7 @@ impl Folded {
 pub struct Trace {
     /// Global index of the first held entry: the number of folded ones.
     base: usize,
-    entries: TraceChunks,
+    entries: Vec<TraceEntry>,
     /// Global index from which entries are held (`usize::MAX`: none).
     /// While it is at or below [`len`](Self::len), it equals `base`.
     floor: usize,
@@ -720,7 +397,7 @@ impl Default for Trace {
     fn default() -> Self {
         Trace {
             base: 0,
-            entries: TraceChunks::default(),
+            entries: Vec::new(),
             floor: usize::MAX,
             folded: Folded::default(),
         }
@@ -730,8 +407,8 @@ impl Default for Trace {
 impl Trace {
     /// The held entries (everything recorded since the retention floor),
     /// in record order.
-    pub fn entries(&self) -> TraceView<'_> {
-        self.entries.view()
+    pub fn entries(&self) -> &[TraceEntry] {
+        &self.entries
     }
 
     /// Number of entries ever recorded, folded ones included.
@@ -754,13 +431,13 @@ impl Trace {
     ///
     /// If `n` predates the held entries: those are folded, and reading
     /// the whole held window instead would misattribute it.
-    pub fn entries_since(&self, n: usize) -> TraceView<'_> {
+    pub fn entries_since(&self, n: usize) -> &[TraceEntry] {
         assert!(
             n >= self.base,
             "trace mark {n} predates the {} retired entries",
             self.base
         );
-        self.entries.view_from(n - self.base)
+        &self.entries[(n - self.base).min(self.entries.len())..]
     }
 
     /// The retention floor.
@@ -770,7 +447,7 @@ impl Trace {
 
     /// Sets the retention floor to `mark` and returns the floor it
     /// replaces. Raising it folds the held entries below `mark` into the
-    /// totals, keeping the first chunk's storage for later entries.
+    /// totals, keeping their storage for later entries.
     ///
     /// # Panics
     ///
@@ -783,26 +460,24 @@ impl Trace {
             self.base
         );
         let n = mark.min(self.len()) - self.base;
-        for e in self.entries.iter().take(n) {
-            self.folded.add_entry(e);
+        for e in self.entries.drain(..n) {
+            self.folded.add_entry(&e);
         }
-        self.entries.drop_front(n);
         self.base += n;
         std::mem::replace(&mut self.floor, mark)
     }
 
-    /// Moves out the held entries before global index `upto` (clamped to
-    /// the held window), in record order, folding them into the
+    /// Moves out every held entry, in record order, folding them into the
     /// per-engine totals and raising the floor past them. Later marks and
     /// totals are unaffected.
-    pub(crate) fn retire(&mut self, upto: usize) -> TraceChunks {
-        let retired = self.entries.split_front(upto.saturating_sub(self.base));
-        for e in &retired {
+    pub(crate) fn take(&mut self) -> Vec<TraceEntry> {
+        let taken = std::mem::take(&mut self.entries);
+        for e in &taken {
             self.folded.add_entry(e);
         }
-        self.base += retired.len();
+        self.base += taken.len();
         self.floor = self.floor.max(self.base);
-        retired
+        taken
     }
 
     /// Records the start of an engine op: holds `entry()` and returns its
@@ -848,24 +523,20 @@ impl Trace {
         );
         // Entries are recorded as they start, and the clock never runs
         // backwards past a kept entry, so the discarded ones are a suffix.
-        let keep = self.entries().iter().take_while(|e| e.start < at).count();
-        debug_assert!(self
-            .entries_since(self.base + keep)
-            .iter()
-            .all(|e| e.start >= at));
+        let keep = self.entries.iter().take_while(|e| e.start < at).count();
+        debug_assert!(self.entries[keep..].iter().all(|e| e.start >= at));
         self.entries.truncate(keep);
-        for e in self.entries.iter_mut() {
+        for e in &mut self.entries {
             if e.end > at {
                 e.end = at;
             }
         }
     }
 
-    /// Bytes the entries' chunks reserve.
+    /// Bytes the entries' storage reserves.
     #[cfg(test)]
     pub(crate) fn held_bytes(&self) -> usize {
-        let entries: usize = self.entries.chunks.iter().map(Vec::capacity).sum();
-        entries * std::mem::size_of::<TraceEntry>()
+        self.entries.capacity() * std::mem::size_of::<TraceEntry>()
     }
 
     /// Total busy time per engine.
@@ -894,7 +565,6 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RETAINED_CAPACITY;
 
     fn entry(engine: EngineKind, start: u64, end: u64, bytes: Option<usize>) -> TraceEntry {
         let e = TraceEntry::new(
@@ -1023,28 +693,32 @@ mod tests {
         let twin = mixed_trace(20);
         let mut t = mixed_trace(20);
         let mut retired = Vec::new();
-        for upto in [0, 3, 3, 11, 7, 19, 25] {
-            retired.extend(t.retire(upto).into_vec());
+        for mark in [0, 3, 3, 11, 19] {
+            // A reader reads the prefix it is done with, then raises the
+            // floor past it.
+            retired.extend_from_slice(&t.entries()[..mark - t.base]);
+            t.keep_from(mark);
             assert_eq!(t.len(), twin.len(), "len counts retired entries");
-            assert_eq!(totals(&t), totals(&twin), "totals after retire({upto})");
+            assert_eq!(totals(&t), totals(&twin), "totals after keep_from({mark})");
         }
+        retired.extend(t.take());
+        assert_eq!(totals(&t), totals(&twin), "totals after take");
         assert_eq!(t.entries().len(), 0);
         assert!(!t.is_empty());
         let ops: Vec<usize> = retired.iter().map(|e| e.op).collect();
         assert_eq!(
             ops,
             (0..20).collect::<Vec<_>>(),
-            "retire yields record order"
+            "retirement yields record order"
         );
-        assert_eq!(retired, twin.entries().to_vec());
+        assert_eq!(retired, twin.entries());
     }
 
     #[test]
     fn marks_survive_retirement() {
         let twin = mixed_trace(12);
         let mut t = mixed_trace(12);
-        let out = t.retire(5);
-        assert_eq!(out.len(), 5);
+        t.keep_from(5);
         assert_eq!(t.entries().len(), 7);
         for mark in 5..=12 {
             assert_eq!(t.entries_since(mark), twin.entries_since(mark));
@@ -1070,8 +744,8 @@ mod tests {
     fn raising_the_floor_folds_held_entries_into_the_totals() {
         let twin = mixed_trace(12);
         let mut t = mixed_trace(9);
-        t.retire(6);
-        assert_eq!(t.keep_from(usize::MAX), 6, "retire raised the floor");
+        t.keep_from(6);
+        assert_eq!(t.keep_from(usize::MAX), 6, "the floor was raised to 6");
         assert!(t.entries().is_empty());
         assert_eq!(t.len(), 9);
         // Entries recorded below the new floor are not held, yet count.
@@ -1101,7 +775,7 @@ mod tests {
     #[should_panic(expected = "predates the 5 retired entries")]
     fn a_mark_older_than_the_retired_prefix_panics() {
         let mut t = mixed_trace(12);
-        t.retire(5);
+        t.keep_from(5);
         t.entries_since(4);
     }
 
@@ -1154,93 +828,58 @@ mod tests {
     }
 
     #[test]
-    fn trace_chunks_are_the_byte_size_of_op_chunks() {
-        assert_eq!(
-            TRACE_CHUNK * std::mem::size_of::<TraceEntry>(),
-            OP_CHUNK * std::mem::size_of::<Op>()
-        );
+    fn taking_the_trace_moves_its_buffer_and_holds_on() {
+        let twin = mixed_trace(12);
+        let mut t = mixed_trace(8);
+        t.keep_from(3);
+        let at = t.entries().as_ptr();
+        let taken = t.take();
+        assert_eq!(taken.as_ptr(), at, "the held buffer moves out uncopied");
+        assert_eq!(taken, twin.entries()[3..8]);
+        assert_eq!(t.len(), 8);
+        assert!(t.entries().is_empty());
+        // The floor stays at or below the length, so later entries are
+        // held; an unheld trace stays unheld.
+        record_mixed(&mut t, 8..12);
+        assert_eq!(t.entries(), &twin.entries()[8..]);
+        assert_eq!(totals(&t), totals(&twin));
+        let mut unheld = Trace::default();
+        record_mixed(&mut unheld, 0..4);
+        assert!(unheld.take().is_empty());
+        record_mixed(&mut unheld, 4..5);
+        assert!(unheld.entries().is_empty());
     }
 
     #[test]
-    fn raising_the_floor_keeps_only_the_first_chunks_storage() {
-        let mut t = mixed_trace(3 * RETAINED_CAPACITY as u64);
-        let caps: Vec<usize> = t.entries.chunks.iter().map(Vec::capacity).collect();
-        assert_eq!(caps, [TRACE_CHUNK; 8], "later chunks are allocated full");
-        // Folding a prefix frees the chunks it fills, moving nothing.
-        let kept = t.entries.chunks[2].as_ptr();
-        t.keep_from(2 * TRACE_CHUNK + 5);
-        assert_eq!(t.entries.chunks.len(), 6);
-        assert_eq!(t.entries.chunks[0].as_ptr(), kept);
-        assert_eq!(t.entries()[0].op, 2 * TRACE_CHUNK + 5);
-        // Folding everything keeps one chunk's storage.
+    fn raising_the_floor_keeps_the_storage() {
+        let mut t = mixed_trace(100);
+        let (at, cap) = (t.entries().as_ptr(), t.entries.capacity());
+        t.keep_from(40);
+        assert_eq!(t.entries()[0].op, 40);
         t.keep_from(usize::MAX);
-        assert_eq!(t.entries.chunks.len(), 1);
-        assert!(t.entries.chunks[0].capacity() <= TRACE_CHUNK.min(RETAINED_CAPACITY));
-        // The first chunk grows like a `Vec`, and a small trace keeps its
-        // storage for the next reader.
-        let mut t = mixed_trace(10);
-        let cap = t.entries.chunks[0].capacity();
-        assert_eq!(cap, 16);
-        t.keep_from(usize::MAX);
-        assert_eq!(t.entries.chunks[0].capacity(), cap);
-        t.keep_from(10);
-        record_mixed(&mut t, 10..20);
-        assert_eq!(t.entries.chunks[0].capacity(), cap);
+        assert!(t.entries().is_empty());
+        t.keep_from(100);
+        record_mixed(&mut t, 100..150);
+        assert_eq!((t.entries().as_ptr(), t.entries.capacity()), (at, cap));
     }
 
     #[test]
-    fn retirement_moves_whole_chunks() {
-        let mut t = mixed_trace(4 * TRACE_CHUNK as u64);
-        // A prefix inside the first chunk is copied out; the chunk stays.
-        let first = t.entries.chunks[0].as_ptr();
-        let out = t.retire(10);
-        assert_eq!(out.len(), 10);
-        assert_ne!(out.chunks[0].as_ptr(), first);
-        assert_eq!(t.entries.chunks[0].as_ptr(), first);
-        // The rest of chunk 0 and all of chunk 1 leave as they are, and
-        // the consumed head of chunk 2 is copied.
-        let moved: Vec<*const TraceEntry> =
-            t.entries.chunks[..2].iter().map(|c| c.as_ptr()).collect();
-        let out = t.retire(2 * TRACE_CHUNK + 7);
-        assert_eq!(out.len(), 2 * TRACE_CHUNK - 3);
-        let out_ptrs: Vec<*const TraceEntry> = out.chunks.iter().map(|c| c.as_ptr()).collect();
-        assert_eq!(out_ptrs[..2], moved[..]);
-        assert_eq!(out.chunks.len(), 3);
-        let ops: Vec<usize> = out.iter().map(|e| e.op).collect();
-        assert_eq!(ops, (10..2 * TRACE_CHUNK + 7).collect::<Vec<_>>());
-        assert_eq!(t.entries().len(), 2 * TRACE_CHUNK - 7);
-        assert_eq!(t.entries()[0].op, 2 * TRACE_CHUNK + 7);
-    }
-
-    #[test]
-    fn chunks_from_a_vec_keep_every_chunk_but_the_last_full() {
-        let all = mixed_trace(2 * TRACE_CHUNK as u64 + 5).entries().to_vec();
-        let chunks = TraceChunks::from(all.clone());
-        let lens: Vec<usize> = chunks.chunks.iter().map(Vec::len).collect();
-        assert_eq!(lens, [TRACE_CHUNK, TRACE_CHUNK, 5]);
-        assert_eq!(chunks.view(), TraceView::from(&all[..]));
-        assert_eq!(chunks.view().get(TRACE_CHUNK + 3), all.get(TRACE_CHUNK + 3));
-        // Entries that fit one chunk are moved.
-        let small = all[..TRACE_CHUNK].to_vec();
-        let at = small.as_ptr();
-        assert_eq!(TraceChunks::from(small).chunks[0].as_ptr(), at);
-    }
-
-    #[test]
-    fn chunked_trace_matches_a_flat_model() {
+    fn floored_trace_matches_a_flat_model() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         let mut t = Trace::default();
-        // The model: every entry ever recorded and not rewound, the number
-        // folded, and the retention floor.
+        // A trace that never raises its floor, and the model: every entry
+        // ever recorded and not rewound, the number folded, and the
+        // retention floor.
+        let mut twin = holding();
         let (mut model, mut base, mut floor): (Vec<TraceEntry>, usize, usize) =
             (Vec::new(), 0, usize::MAX);
         let mut next = 0u64;
         for _ in 0..300 {
             match rng.gen_range(0..7usize) {
                 0..=2 => {
-                    for _ in 0..rng.gen_range(0..TRACE_CHUNK + 200) {
+                    for _ in 0..rng.gen_range(0..200usize) {
                         let e = TraceEntry {
                             op: next as usize,
                             ..entry(EngineKind::Compute, 10 * next, 10 * next + 25, None)
@@ -1250,15 +889,13 @@ mod tests {
                             base += 1;
                         }
                         push(&mut t, e.clone());
+                        push(&mut twin, e.clone());
                         model.push(e);
                     }
                 }
                 3 => {
-                    let upto = rng.gen_range(base..model.len() + 4);
-                    let out = t.retire(upto);
-                    let n = upto.min(model.len()) - base;
-                    assert_eq!(out.view(), TraceView::from(&model[base..base + n]));
-                    base += n;
+                    assert_eq!(t.take(), model[base..]);
+                    base = model.len();
                     floor = floor.max(base);
                 }
                 4 if base < model.len() => {
@@ -1266,6 +903,7 @@ mod tests {
                     let at = rng.gen_range(lo..10 * next + 31);
                     let at = SimTime::from_nanos(at);
                     t.clamp_to(at);
+                    twin.clamp_to(at);
                     let keep = base + model[base..].iter().filter(|e| e.start < at).count();
                     model.truncate(keep);
                     for e in &mut model[base..] {
@@ -1281,18 +919,11 @@ mod tests {
                 }
                 _ => {}
             }
-            assert_eq!(t.entries().len(), model.len() - base);
-            let busy: u64 = model.iter().map(|e| e.duration().as_nanos()).sum();
-            assert_eq!(t.engine_busy(EngineKind::Compute).as_nanos(), busy);
-            assert_eq!(t.len(), model.len());
+            assert_eq!(t.entries(), &model[base..]);
+            assert_eq!((t.len(), twin.len()), (model.len(), model.len()));
+            assert_eq!(totals(&t), totals(&twin));
             let mark = rng.gen_range(base..model.len() + 1);
-            let since = t.entries_since(mark);
-            assert_eq!(since, TraceView::from(&model[mark..]));
-            assert_eq!(since.iter().len(), model.len() - mark);
-            for i in [0, since.len() / 2, since.len().saturating_sub(1)] {
-                assert_eq!(since.get(i), model[mark..].get(i));
-            }
-            assert_eq!(since.get(since.len()), None);
+            assert_eq!(t.entries_since(mark), &model[mark..]);
         }
     }
 }

@@ -86,9 +86,7 @@ fn entry_value(e: &TraceEntry) -> Value {
 /// # Errors
 ///
 /// Propagates serialization failures (none occur for well-formed entries).
-pub fn to_jsonl<'a>(
-    entries: impl IntoIterator<Item = &'a TraceEntry>,
-) -> Result<String, serde_json::Error> {
+pub fn to_jsonl(entries: &[TraceEntry]) -> Result<String, serde_json::Error> {
     let mut out = String::new();
     for e in entries {
         out.push_str(&serde_json::to_string(&entry_value(e))?);
@@ -125,12 +123,7 @@ fn thread_name_event(pid: u64, tid: u64, name: &str) -> Value {
 }
 
 /// Pushes one device's metadata and entry slices under the given pid.
-fn push_device_events<'a>(
-    events: &mut Vec<Value>,
-    pid: u64,
-    name: &str,
-    entries: impl IntoIterator<Item = &'a TraceEntry>,
-) {
+fn push_device_events(events: &mut Vec<Value>, pid: u64, name: &str, entries: &[TraceEntry]) {
     events.push(process_name_event(pid, name));
     for engine in [
         EngineKind::CopyH2d,
@@ -182,9 +175,7 @@ fn chrome_doc(events: Vec<Value>) -> Result<String, serde_json::Error> {
 /// # Errors
 ///
 /// Propagates serialization failures (none occur for well-formed entries).
-pub fn to_chrome_trace<'a>(
-    entries: impl IntoIterator<Item = &'a TraceEntry>,
-) -> Result<String, serde_json::Error> {
+pub fn to_chrome_trace(entries: &[TraceEntry]) -> Result<String, serde_json::Error> {
     let mut events = Vec::new();
     push_device_events(&mut events, device_pid(0), "dev0", entries);
     chrome_doc(events)
@@ -395,12 +386,12 @@ mod tests {
             DeviceLane {
                 device: 0,
                 name: "dev0 (testbed-i)".to_owned(),
-                entries: vec![entry(EngineKind::Compute, 0, 100, false)].into(),
+                entries: vec![entry(EngineKind::Compute, 0, 100, false)],
             },
             DeviceLane {
                 device: 1,
                 name: "dev1 (testbed-i)".to_owned(),
-                entries: vec![entry(EngineKind::Compute, 0, 80, false)].into(),
+                entries: vec![entry(EngineKind::Compute, 0, 80, false)],
             },
         ];
         let events = events_of(&to_chrome_trace_multi(&lanes).expect("serializes"));
@@ -437,7 +428,7 @@ mod tests {
             lanes: vec![DeviceLane {
                 device: 1,
                 name: "dev1".to_owned(),
-                entries: vec![entry(EngineKind::Compute, 100, 380, false)].into(),
+                entries: vec![entry(EngineKind::Compute, 100, 380, false)],
             }],
         };
         let events = events_of(&serve_trace_to_chrome(&trace).expect("serializes"));

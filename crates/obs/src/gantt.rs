@@ -23,21 +23,14 @@ fn glyph(engine: EngineKind) -> char {
 /// Renders an ASCII Gantt chart over `entries`: one row per engine, `width`
 /// columns spanning the batch's time extent. `h2d` rows show `>`, compute
 /// rows `#`, `d2h` rows `<`.
-pub fn render<'a>(
-    entries: impl IntoIterator<Item = &'a TraceEntry> + Copy,
-    width: usize,
-) -> String {
+pub fn render(entries: &[TraceEntry], width: usize) -> String {
     let width = width.max(10);
     let t_start = entries
-        .into_iter()
+        .iter()
         .map(|e| e.start.as_nanos())
         .min()
         .unwrap_or(0);
-    let t_end = entries
-        .into_iter()
-        .map(|e| e.end.as_nanos())
-        .max()
-        .unwrap_or(0);
+    let t_end = entries.iter().map(|e| e.end.as_nanos()).max().unwrap_or(0);
     let span = (t_end - t_start).max(1) as f64;
     let mut out = String::new();
     let _ = writeln!(
@@ -50,7 +43,7 @@ pub fn render<'a>(
     for engine in ENGINES {
         let g = glyph(engine);
         let mut row = vec![' '; width];
-        for e in entries.into_iter().filter(|e| e.engine == engine) {
+        for e in entries.iter().filter(|e| e.engine == engine) {
             let a = ((e.start.as_nanos() - t_start) as f64 / span * width as f64) as usize;
             let b = ((e.end.as_nanos() - t_start) as f64 / span * width as f64).ceil() as usize;
             for cell in row.iter_mut().take(b.min(width)).skip(a.min(width)) {
@@ -70,14 +63,14 @@ pub fn render<'a>(
 /// Renders the per-engine busy/volume summary lines that accompany the
 /// chart: busy time, share of the makespan, and bytes moved per engine,
 /// plus the overlap-efficiency line derived from the same entries.
-pub fn engine_summary<'a>(entries: impl IntoIterator<Item = &'a TraceEntry> + Copy) -> String {
+pub fn engine_summary(entries: &[TraceEntry]) -> String {
     let stats = OverlapStats::from_entries(entries);
     let makespan = stats.makespan_ns as f64 / 1e9;
     let mut out = String::new();
     for engine in ENGINES {
         let busy = stats.engine_busy_ns(engine) as f64 / 1e9;
         let bytes: usize = entries
-            .into_iter()
+            .iter()
             .filter(|e| e.engine == engine)
             .filter_map(TraceEntry::bytes)
             .sum();

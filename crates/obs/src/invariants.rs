@@ -24,9 +24,7 @@ type TileOpKey = (OpTag, EngineKind, Option<usize>, Option<KernelShape>);
 /// # Errors
 ///
 /// Returns every violated invariant as a human-readable message.
-pub fn check_entries<'a>(
-    entries: impl IntoIterator<Item = &'a TraceEntry> + Copy,
-) -> Result<(), Vec<String>> {
+pub fn check_entries(entries: &[TraceEntry]) -> Result<(), Vec<String>> {
     let mut problems = Vec::new();
     let mut seen_ops = HashSet::new();
     let mut prev_start = 0u64;
@@ -56,7 +54,7 @@ pub fn check_entries<'a>(
         EngineKind::CopyD2h,
     ] {
         let mut spans: Vec<(u64, u64, usize)> = entries
-            .into_iter()
+            .iter()
             .filter(|e| e.engine == engine)
             .map(|e| (e.start.as_nanos(), e.end.as_nanos(), e.op))
             .collect();

@@ -10,7 +10,7 @@ use crate::drift::{DriftAccountant, DriftRecord};
 use crate::metrics::Registry;
 use crate::overlap::OverlapStats;
 use cocopelia_core::models::ModelKind;
-use cocopelia_gpusim::{EngineKind, TraceEntry, TraceView};
+use cocopelia_gpusim::{EngineKind, TraceEntry};
 use serde::Value;
 use std::fmt::Write as _;
 
@@ -33,7 +33,7 @@ pub struct CallObservation<'a> {
     /// Virtual wall time of the call, in seconds.
     pub elapsed_secs: f64,
     /// Trace entries the call produced.
-    pub entries: TraceView<'a>,
+    pub entries: &'a [TraceEntry],
     /// Overlap statistics of `entries`, computed once by the caller.
     pub overlap: OverlapStats,
     /// Tile-cache hits during the call (reused device tiles).
@@ -254,7 +254,7 @@ impl Observer {
     }
 }
 
-fn engine_bytes(entries: TraceView<'_>, engine: EngineKind) -> u64 {
+fn engine_bytes(entries: &[TraceEntry], engine: EngineKind) -> u64 {
     entries
         .iter()
         .filter(|e| e.engine == engine)
@@ -298,7 +298,7 @@ mod tests {
             model: Some(ModelKind::DataReuse),
             subkernels: 8,
             elapsed_secs: 1e-7,
-            entries: TraceView::from(&entries[..]),
+            entries: &entries,
             overlap: OverlapStats::from_entries(&entries),
             tile_hits: 3,
             tile_misses: 5,
@@ -330,7 +330,7 @@ mod tests {
                 model: Some(ModelKind::Bts),
                 subkernels: 2,
                 elapsed_secs: 1e-7,
-                entries: TraceView::from(&entries[..]),
+                entries: &entries,
                 overlap: OverlapStats::from_entries(&entries),
                 tile_hits: 0,
                 tile_misses: 2,
@@ -389,7 +389,7 @@ mod tests {
             model: None,
             subkernels: 4,
             elapsed_secs: 0.001,
-            entries: TraceView::default(),
+            entries: &[],
             overlap: OverlapStats::default(),
             tile_hits: 0,
             tile_misses: 8,

@@ -28,12 +28,10 @@ pub struct OverlapStats {
 }
 
 impl OverlapStats {
-    /// Computes the statistics over `entries` (a trace view, a slice or
-    /// any other run of entries), in one pass.
-    pub fn from_entries<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> Self {
-        let entries = entries.into_iter();
+    /// Computes the statistics over `entries`, in one pass.
+    pub fn from_entries(entries: &[TraceEntry]) -> Self {
         let mut stats = OverlapStats::default();
-        let mut intervals: Vec<(u64, u64)> = Vec::with_capacity(entries.size_hint().0);
+        let mut intervals: Vec<(u64, u64)> = Vec::with_capacity(entries.len());
         let mut t_min = u64::MAX;
         let mut t_max = 0u64;
         for e in entries {

@@ -294,11 +294,7 @@ fn write_events(out: &mut Vec<u8>, mut events: Vec<PendingEvent>) {
 }
 
 /// Queues device `d`'s engine entries on its engine tracks.
-fn push_entries<'a>(
-    events: &mut Vec<PendingEvent<'a>>,
-    d: usize,
-    entries: impl IntoIterator<Item = &'a TraceEntry>,
-) {
+fn push_entries<'a>(events: &mut Vec<PendingEvent<'a>>, d: usize, entries: &'a [TraceEntry]) {
     for e in entries {
         push_slice(
             events,
@@ -370,7 +366,7 @@ pub fn to_perfetto(trace: &ServeTrace) -> Vec<u8> {
 /// `cocopelia trace --format perfetto` path.
 /// It writes what [`to_perfetto`] writes for one `dev0` lane and no
 /// spans, without copying the entries into a lane.
-pub fn to_perfetto_single<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> Vec<u8> {
+pub fn to_perfetto_single(entries: &[TraceEntry]) -> Vec<u8> {
     let mut w = StreamWriter::new(std::io::sink());
     w.ensure_device(0, "dev0");
     let mut events: Vec<PendingEvent> = Vec::new();
@@ -545,14 +541,13 @@ impl<W: std::io::Write> StreamWriter<W> {
     }
 
     /// Appends one batch of engine-level trace entries for device `d`.
-    pub fn write_entries<'a>(
+    pub fn write_entries(
         &mut self,
         d: usize,
         name: &str,
-        entries: impl IntoIterator<Item = &'a TraceEntry>,
+        entries: &[TraceEntry],
     ) -> std::io::Result<()> {
-        let mut entries = entries.into_iter().peekable();
-        if entries.peek().is_none() {
+        if entries.is_empty() {
             return Ok(());
         }
         self.ensure_device(d, name);
@@ -933,8 +928,7 @@ mod tests {
                         entry(EngineKind::CopyH2d, 50, 150),
                         entry(EngineKind::Compute, 150, 280),
                         entry(EngineKind::CopyD2h, 280, 300),
-                    ]
-                    .into(),
+                    ],
                 })
                 .collect(),
         }
@@ -1071,12 +1065,12 @@ mod tests {
             // Interleave lanes and spans in small batches, as the
             // executor's telemetry tick does.
             for lane in &trace.lanes {
-                w.write_entries(lane.device, &lane.name, lane.entries.iter().take(1))
+                w.write_entries(lane.device, &lane.name, &lane.entries[..1])
                     .expect("write");
             }
             w.write_spans(&trace.spans[..3]).expect("write");
             for lane in &trace.lanes {
-                w.write_entries(lane.device, &lane.name, lane.entries.iter().skip(1))
+                w.write_entries(lane.device, &lane.name, &lane.entries[1..])
                     .expect("write");
             }
             w.write_spans(&trace.spans[3..]).expect("write");
@@ -1167,7 +1161,7 @@ mod tests {
         let lane = DeviceLane {
             device: 0,
             name: "dev0".into(),
-            entries: flat.clone().into(),
+            entries: flat.clone(),
         };
         let chrome = crate::export::to_chrome_trace_multi(std::slice::from_ref(&lane));
         let one_slice = crate::export::to_chrome_trace(&flat);

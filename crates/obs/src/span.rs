@@ -1,6 +1,6 @@
 //! Request-lifecycle spans: the serve-native trace model.
 //!
-//! The simulator's [`TraceEntry`](cocopelia_gpusim::TraceEntry) records
+//! The simulator's [`TraceEntry`] records
 //! what each *engine* did; a span records what each *request* went
 //! through — submit, queue wait, dispatch, operand uploads, tile
 //! execution, downloads, and the fault-tolerance detours (retry,
@@ -42,7 +42,7 @@
 //! `u64::MAX`: they belong to the executor's health machinery, not to any
 //! request.
 
-use cocopelia_gpusim::TraceChunks;
+use cocopelia_gpusim::TraceEntry;
 use serde::Value;
 use std::collections::HashMap;
 
@@ -294,9 +294,8 @@ pub struct DeviceLane {
     pub device: usize,
     /// Display name (`dev0 (testbed-i)`).
     pub name: String,
-    /// The device's entries, in its own record order, in the chunks the
-    /// device's trace retired them in.
-    pub entries: TraceChunks,
+    /// The device's entries, in its own record order.
+    pub entries: Vec<TraceEntry>,
 }
 
 /// The complete serve-side trace: request-lifecycle spans plus per-device
@@ -935,7 +934,7 @@ mod tests {
             lanes: vec![DeviceLane {
                 device: 0,
                 name: "dev0".into(),
-                entries: TraceChunks::default(),
+                entries: Vec::new(),
             }],
         };
         assert_eq!(trace.extent_ns(), 300);

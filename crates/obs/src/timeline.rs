@@ -269,13 +269,12 @@ mod tests {
                         entry(EngineKind::CopyH2d, 200, 320),
                         entry(EngineKind::Compute, 320, 470),
                         entry(EngineKind::CopyD2h, 470, 500),
-                    ]
-                    .into(),
+                    ],
                 },
                 DeviceLane {
                     device: 1,
                     name: "dev1".into(),
-                    entries: vec![entry(EngineKind::Compute, 500, 880)].into(),
+                    entries: vec![entry(EngineKind::Compute, 500, 880)],
                 },
             ],
         }
@@ -365,12 +364,12 @@ mod tests {
                 DeviceLane {
                     device: 0,
                     name: "dev0".into(),
-                    entries: vec![entry(EngineKind::Compute, 0, 600)].into(),
+                    entries: vec![entry(EngineKind::Compute, 0, 600)],
                 },
                 DeviceLane {
                     device: 1,
                     name: "dev1".into(),
-                    entries: vec![entry(EngineKind::Compute, 400, 600)].into(),
+                    entries: vec![entry(EngineKind::Compute, 400, 600)],
                 },
             ],
         };

@@ -12,7 +12,7 @@ use crate::serve::sched::SchedulePolicy;
 use crate::serve::session::ServeSession;
 use crate::serve::telemetry::{TelemetryReport, TickState};
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::{AllocMark, DevBufId, EngineKind, HostBufId, SimError, SimTime, TraceView};
+use cocopelia_gpusim::{AllocMark, DevBufId, EngineKind, HostBufId, SimError, SimTime, TraceEntry};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
 use std::collections::hash_map::Entry;
@@ -297,7 +297,7 @@ pub(super) struct Attempt {
 
 impl Attempt {
     /// The engine-trace entries the run left on its device.
-    fn entries<'a>(&self, pool: &'a MultiGpu) -> TraceView<'a> {
+    fn entries<'a>(&self, pool: &'a MultiGpu) -> &'a [TraceEntry] {
         pool.devices()[self.device]
             .gpu()
             .trace()
@@ -1388,12 +1388,13 @@ impl ServeSession {
         self.tracer = Some(tracer);
     }
 
-    /// Retires each device's engine trace up to the tracer's floor
+    /// Raises each device's trace retention floor to the tracer's floor
     /// ([`ServeTracer::retire_floor`](crate::serve::trace::ServeTracer::retire_floor);
-    /// everything when untraced), so a device holds only the entries some
-    /// reader still needs while [`Trace::len`](cocopelia_gpusim::Trace::len)
-    /// and the per-engine totals keep counting all of them. Each device's
-    /// observer drops its per-call history the same way
+    /// the trace's length when untraced), folding the entries below it, so
+    /// a device holds only the entries some reader still needs while
+    /// [`Trace::len`](cocopelia_gpusim::Trace::len) and the per-engine
+    /// totals keep counting all of them. Each device's observer drops its
+    /// per-call history the same way
     /// ([`Observer::retire_history`](cocopelia_obs::Observer::retire_history)):
     /// serving reads outcomes and the session's own drift, never a pool
     /// device's call log, and its counters keep counting.
@@ -1402,7 +1403,7 @@ impl ServeSession {
             let len = self.pool.devices()[d].gpu().trace().len();
             let floor = self.tracer.as_ref().map_or(len, |t| t.retire_floor(d, len));
             let dev = self.pool.device_mut(d);
-            dev.gpu_mut().retire_trace(floor);
+            dev.gpu_mut().keep_trace_from(floor);
             dev.observer_mut().retire_history();
         }
     }

@@ -32,7 +32,7 @@ use crate::multigpu::MultiGpu;
 use crate::serve::executor::Attempt;
 use crate::serve::telemetry::{Telemetry, TelemetryReport, TickState};
 use crate::serve::RequestOutcome;
-use cocopelia_gpusim::{EngineKind, TraceView};
+use cocopelia_gpusim::{EngineKind, TraceEntry};
 use cocopelia_obs::{DeviceLane, Registry, ServeTrace, SpanLog, SpanPhase};
 
 /// The session's span store and streaming-telemetry host, driven by the
@@ -170,7 +170,7 @@ impl ServeTracer {
         req: u64,
         attempt: u32,
         run: &Attempt,
-        entries: TraceView<'_>,
+        entries: &[TraceEntry],
         faulted: Option<&str>,
     ) {
         let phase = if attempt == 0 {
@@ -190,7 +190,7 @@ impl ServeTracer {
     /// attempt. The span carries no flow id (the primary attempt owns the
     /// queue hand-off) but gets the same per-engine child spans as a
     /// regular attempt.
-    pub(crate) fn hedge(&mut self, req: u64, run: &Attempt, entries: TraceView<'_>, label: &str) {
+    pub(crate) fn hedge(&mut self, req: u64, run: &Attempt, entries: &[TraceEntry], label: &str) {
         let label = label.to_owned();
         self.device_run(req, run, SpanPhase::Hedge, label, entries, None);
     }
@@ -203,7 +203,7 @@ impl ServeTracer {
         run: &Attempt,
         phase: SpanPhase,
         label: String,
-        entries: TraceView<'_>,
+        entries: &[TraceEntry],
         flow: Option<u64>,
     ) {
         let (device, start_ns, end_ns) = (Some(run.device), run.start_ns, run.end_ns);
@@ -365,8 +365,9 @@ impl ServeTracer {
     }
 
     /// Moves the finished drain's device lanes out of each device's engine
-    /// trace, which then retains none of the drain's entries. A tracer
-    /// that does not keep lanes takes none.
+    /// trace, which then retains none of the drain's entries: each lane is
+    /// the trace's own buffer, not a copy. A tracer that does not keep
+    /// lanes takes none.
     pub(crate) fn take_lanes(&self, pool: &mut MultiGpu) -> Vec<DeviceLane> {
         if !self.keep_lanes {
             return Vec::new();
@@ -374,12 +375,11 @@ impl ServeTracer {
         (0..pool.device_count())
             .map(|i| {
                 let gpu = pool.device_mut(i).gpu_mut();
-                gpu.retire_trace(self.lane_mark[i]);
-                let len = gpu.trace().len();
+                gpu.keep_trace_from(self.lane_mark[i]);
                 DeviceLane {
                     device: i,
                     name: format!("dev{i}"),
-                    entries: gpu.retire_trace(len),
+                    entries: gpu.take_trace(),
                 }
             })
             .collect()
@@ -412,18 +412,12 @@ mod tests {
         let mut t = ServeTracer::default();
         t.open(1000, &[0, 1]);
         t.queue_wait(0, 0, 2000);
-        t.attempt(0, 0, &run(0, 2000, 5000), TraceView::default(), None);
+        t.attempt(0, 0, &run(0, 2000, 5000), &[], None);
         t.complete(0, 5000, "completed");
         t.queue_wait(1, 0, 5000);
-        t.attempt(
-            1,
-            0,
-            &run(0, 5000, 6000),
-            TraceView::default(),
-            Some("kernel fault"),
-        );
+        t.attempt(1, 0, &run(0, 5000, 6000), &[], Some("kernel fault"));
         t.quarantine(1, 0, 6000);
-        t.attempt(1, 1, &run(1, 6000, 9000), TraceView::default(), None);
+        t.attempt(1, 1, &run(1, 6000, 9000), &[], None);
         t.complete(1, 9000, "completed");
         let trace = t.take_trace(Vec::new());
         check_spans(&trace.spans).expect("tracer spans satisfy invariants");
@@ -468,7 +462,7 @@ mod tests {
         t.open(1000, &[]);
         t.arrive(1, 2000);
         t.queue_wait(1, 2000, 5000);
-        t.attempt(1, 0, &run(0, 5000, 7000), TraceView::default(), None);
+        t.attempt(1, 0, &run(0, 5000, 7000), &[], None);
         t.complete(1, 7000, "completed");
         t.arrive(2, 2500);
         t.reject(2, 2500, "queue full: depth 1 at cap 1");
@@ -495,20 +489,9 @@ mod tests {
         // A hedge won the race: the primary attempt ends at the hedge's
         // completion instant with a cancel instant on its device, and the
         // hedge span strictly overlaps the primary.
-        t.attempt(
-            4,
-            0,
-            &run(0, 100, 700),
-            TraceView::default(),
-            Some("cancelled: hedge won"),
-        );
+        t.attempt(4, 0, &run(0, 100, 700), &[], Some("cancelled: hedge won"));
         t.cancel(4, 0, 700, "cancelled by hedge on dev1");
-        t.hedge(
-            4,
-            &run(1, 400, 700),
-            TraceView::default(),
-            "hedge on dev1 (won)",
-        );
+        t.hedge(4, &run(1, 400, 700), &[], "hedge on dev1 (won)");
         t.complete(4, 700, "completed");
         // Probation canaries on the quarantined device.
         t.probe(0, 900, 1000, "probe fault: kernel fault");
@@ -531,7 +514,7 @@ mod tests {
         let mut t = ServeTracer::default();
         t.open(0, &[7, 8]);
         t.queue_wait(7, 0, 100);
-        t.attempt(7, 0, &run(0, 100, 200), TraceView::default(), Some("lost"));
+        t.attempt(7, 0, &run(0, 100, 200), &[], Some("lost"));
         t.host_fallback(7, 200, 500, false);
         t.complete(7, t.host_now_ns(), "completed");
         t.queue_wait(8, 0, 100);

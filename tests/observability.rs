@@ -4,9 +4,7 @@
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
-use cocopelia_gpusim::{
-    testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, OperandRole, TraceEntry, TraceView,
-};
+use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, OperandRole, TraceEntry};
 use cocopelia_hostblas::Matrix;
 use cocopelia_obs::{export, invariants, OverlapStats};
 use cocopelia_runtime::{
@@ -197,7 +195,7 @@ fn jsonl_export_round_trips_every_entry() {
 /// Independent recomputation of the busy-interval union: an event sweep
 /// over +1/−1 coverage deltas, deliberately a different algorithm from the
 /// sort-and-merge inside `OverlapStats`.
-fn union_by_sweep(entries: TraceView<'_>) -> u64 {
+fn union_by_sweep(entries: &[TraceEntry]) -> u64 {
     let mut deltas: Vec<(u64, i64)> = Vec::new();
     for e in entries {
         deltas.push((e.start.as_nanos(), 1));
@@ -424,10 +422,10 @@ fn digest_line(what: &str, count: usize, jsonl: &str) -> String {
     )
 }
 
-/// A trace spanning many storage chunks: cuBLASXt on a 16×16×16 tile
-/// grid (20 480 entries), a retirement whose mark lies inside a chunk, a
-/// cancel whose instant lies several chunks further on, and a smaller call
-/// recorded after the cancel. Each stage's entries are pinned as a count
+/// A long trace: cuBLASXt on a 16×16×16 tile grid (20 480 entries), the
+/// retirement of a prefix a reader reads out before raising the floor past
+/// it, a cancel whose instant lies far beyond that floor, and a smaller
+/// call recorded after the cancel. Each stage's entries are pinned as a count
 /// and a digest of their JSON-lines export, alongside the trace's length
 /// and per-engine totals.
 #[test]
@@ -482,12 +480,15 @@ fn pinned_multi_chunk_trace_is_unchanged() {
         gpu.trace().len() - mark,
         export::to_jsonl(gpu.trace().entries_since(mark)).expect("exports"),
     );
-    let retired = gpu.retire_trace(mark);
+    // The reader is done with the entries before the mark: read them,
+    // then raise the floor past them.
+    let retired = &gpu.trace().entries()[..mark];
     line(
         "retired",
         retired.len(),
-        export::to_jsonl(&retired).expect("exports"),
+        export::to_jsonl(retired).expect("exports"),
     );
+    assert_eq!(gpu.keep_trace_from(mark), 0);
     let cut = 9 * 1536 + 1000;
     let at = gpu
         .trace()

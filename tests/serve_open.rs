@@ -500,9 +500,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// The engine entries device `d` ran in a traced drain.
-fn lane(report: &ServeReport, d: usize) -> Vec<TraceEntry> {
+fn lane(report: &ServeReport, d: usize) -> &[TraceEntry] {
     let trace = report.trace.as_ref().expect("tracing armed");
-    trace.lanes[d].entries.iter().cloned().collect()
+    &trace.lanes[d].entries
 }
 
 /// The h2d copies in `entries` that move operand `role`.
@@ -551,7 +551,7 @@ fn a_miss_moves_exactly_the_operands_bytes_in_tagged_tile_copies() {
     );
     let entries = lane(&report, 0);
     let operand = 1024 * 1024 * 8;
-    let a = copies_of(&entries, OperandRole::A);
+    let a = copies_of(entries, OperandRole::A);
     assert_eq!(a.len(), 4, "one copy per 512² tile of A");
     assert_eq!(bytes(&a), operand, "the fill moves A's bytes once");
     let h2d: Vec<_> = entries
@@ -578,8 +578,8 @@ fn one_key_used_twice_copies_each_region_once() {
     let (report, session) = traced_drain(pool(1), vec![gemm_over(m(), m())]);
     let entries = lane(&report, 0);
     let (a, b) = (
-        copies_of(&entries, OperandRole::A),
-        copies_of(&entries, OperandRole::B),
+        copies_of(entries, OperandRole::A),
+        copies_of(entries, OperandRole::B),
     );
     assert_eq!(a.len() + b.len(), 4, "each 512² region of M copied once");
     assert_eq!(bytes(&a) + bytes(&b), 1024 * 1024 * 8);
@@ -646,7 +646,7 @@ fn no_kernel_starts_before_the_fill_copies_of_its_tiles_end() {
 /// `A`'s fill copies per attempt, in call order.
 fn fills_per_call(report: &ServeReport) -> Vec<Vec<TraceEntry>> {
     let mut calls: Vec<(u32, Vec<TraceEntry>)> = Vec::new();
-    for c in copies_of(&lane(report, 0), OperandRole::A) {
+    for c in copies_of(lane(report, 0), OperandRole::A) {
         let call = c.tag.expect("fill copies are tagged").call;
         match calls.iter_mut().find(|(k, _)| *k == call) {
             Some((_, v)) => v.push(c),
@@ -762,8 +762,8 @@ fn a_won_hedge_keeps_only_the_entries_its_primary_finished_filling() {
     // of A's: B stays resident on dev0, A is rolled back.
     let entries = lane(&report, 0);
     let (a, b) = (
-        copies_of(&entries, OperandRole::A),
-        copies_of(&entries, OperandRole::B),
+        copies_of(entries, OperandRole::A),
+        copies_of(entries, OperandRole::B),
     );
     assert_eq!(b.len(), 1);
     assert!(b.iter().all(|c| c.end.as_nanos() < cancel_ns));

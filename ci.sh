@@ -137,9 +137,24 @@ CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
     --workload serve_straggler --seconds 1 --trace 0 | tail -n 1
 # serve_deep_predictive smoke: its host time is almost all Predictive dispatch.
-CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
+# Each pool device overlaps a window of requests on its three streams, so
+# the makespan is bound by the busiest engine, not by the engines' sum
+# (~175 ms; 398 ms while each device ran one request at a time).
+deep=$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline -q \
     --manifest-path perfbench/Cargo.toml -- \
-    --workload serve_deep_predictive --seconds 0 --trace 0 | tail -n 1
+    --workload serve_deep_predictive --seconds 0 --trace 0 | tail -n 1)
+echo "$deep"
+case "$deep" in
+    *'"correct": true'*) ;;
+    *) echo "serve_deep_predictive is not correct"; exit 1 ;;
+esac
+makespan=$(echo "$deep" | sed -n 's/.*"virt_makespan_ms": {"value": \([0-9.e+-]*\).*/\1/p')
+awk -v ms="$makespan" 'BEGIN {
+    if (ms == "" || ms + 0 > 250) {
+        print "serve_deep_predictive virt_makespan_ms " ms " exceeds the 250 ms bound"
+        exit 1
+    }
+}'
 # serve_open_mixed is the only workload that arms telemetry (windows,
 # span cap, flight dumps), so it smoke-tests the observer wiring. Its peak
 # RSS guards per-request retention: a drain keeps only the trace entries

@@ -45,10 +45,14 @@
 //! a held prefix folds on demand ([`Sim::keep_trace_from`],
 //! [`Sim::take_trace`]).
 //!
-//! The loop runs until idle, or until an event is recorded and its instant
-//! stabilized ([`Sim::run`]); the second leaves later work queued or in
-//! flight, so a host that waits on an event before it enqueues more work
-//! (`Gpu::synchronize_event`) bounds the pending records by its window.
+//! The loop runs until idle, until an event is recorded and its instant
+//! stabilized, or until a virtual instant (a host wait, [`Stop`]); the
+//! last two leave later work queued or in flight, so a host that waits on
+//! an event before it enqueues more work (`Gpu::synchronize_event`)
+//! bounds the pending records by its window. A device that never goes
+//! idle never retires its batch, so a run that stops with work pending
+//! also drops the event slots and interned tags nothing pending can still
+//! name ([`Sim::trim`]): their tables hold the window, not the history.
 //!
 //! A batch's storage grows without moving. Engine ops, instants and kernel
 //! shapes live in three [`OpTable`]s, each a list of fixed
@@ -146,9 +150,40 @@ fn idx32(n: usize) -> u32 {
     u32::try_from(n).expect("pending-table index exceeds u32")
 }
 
-/// The tag at interned index `idx` of `tags` (0 = untagged).
-fn interned(tags: &[OpTag], idx: u32) -> Option<OpTag> {
-    idx.checked_sub(1).map(|i| tags[i as usize])
+/// The tag at interned index `idx` (0 = untagged) of a batch whose first
+/// `dropped` tags are no longer in `tags`.
+fn interned(tags: &[OpTag], dropped: u32, idx: u32) -> Option<OpTag> {
+    idx.checked_sub(1).map(|i| tags[(i - dropped) as usize])
+}
+
+/// Where a [`Sim::run`] stops.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stop {
+    /// When no queued or running work remains.
+    Idle,
+    /// Once the event is recorded and its instant stabilized.
+    Event(EventId),
+    /// At virtual instant `at_ns`, or once `event` is recorded if that
+    /// comes first: a host wait. Without an event and with no op running,
+    /// only the clock moves (see [`Sim::run`]).
+    Time { at_ns: u64, event: Option<EventId> },
+}
+
+impl Stop {
+    fn event(self) -> Option<EventId> {
+        match self {
+            Stop::Idle => None,
+            Stop::Event(ev) => Some(ev),
+            Stop::Time { event, .. } => event,
+        }
+    }
+
+    fn at_ns(self) -> Option<u64> {
+        match self {
+            Stop::Time { at_ns, .. } => Some(at_ns),
+            _ => None,
+        }
+    }
 }
 
 /// Bytes a copy moves; none for a kernel.
@@ -281,8 +316,12 @@ pub(crate) struct Sim {
     /// `(shape, noise-free seconds)` of each pending kernel.
     kernels: OpTable<(KernelShape, f64)>,
     /// Interned routine tags of pending ops: op tag `i > 0` is
-    /// `tags[i - 1]`. The ambient tag, when set, is the last entry.
+    /// `tags[i - 1 - tags_dropped]`. The ambient tag, when set, is the
+    /// last entry.
     tags: Vec<OpTag>,
+    /// Tags of this batch dropped from the front of `tags` because no
+    /// pending op names them any more.
+    tags_dropped: u32,
     /// Interned index of the ambient tag (0 = untagged).
     cur_tag: u32,
     /// Each stream's pending FIFO as `(head, tail)` links (see
@@ -292,9 +331,12 @@ pub(crate) struct Sim {
     streams: Vec<Option<(u32, u32)>>,
     /// Ids of the non-empty streams, ascending (see the module docs).
     busy: Vec<usize>,
-    /// Global id of `events[0]`. Every older event was recorded before the
-    /// last retirement.
+    /// Global id of `events[0]`. Every older event has been recorded.
     event_base: usize,
+    /// Global id of event slot 0 of this batch: an [`InstantOp`] names
+    /// event `event_origin + slot`. Slots between it and `event_base` were
+    /// recorded and dropped mid-batch ([`Sim::trim`]).
+    event_origin: usize,
     /// Whether each event since `event_base` has been recorded.
     events: Vec<bool>,
     h2d: Engine,
@@ -324,10 +366,12 @@ impl Sim {
             instants: OpTable::new(),
             kernels: OpTable::new(),
             tags: Vec::new(),
+            tags_dropped: 0,
             cur_tag: 0,
             streams: Vec::new(),
             busy: Vec::new(),
             event_base: 0,
+            event_origin: 0,
             events: Vec::new(),
             h2d: Engine::default(),
             d2h: Engine::default(),
@@ -394,19 +438,6 @@ impl Sim {
             .map(|&(start, _)| start)
     }
 
-    /// Advances the virtual clock by `ns` with no engine work in flight —
-    /// the host-side wait primitive behind retry backoff. Engines hold
-    /// active ops only inside [`Sim::run`] and after a run that stopped at
-    /// an event with later work running, so after a full run the clock can
-    /// move freely.
-    pub(crate) fn advance_by(&mut self, ns: u64) {
-        debug_assert!(
-            self.h2d.active.is_none() && self.d2h.active.is_none() && self.compute.active.is_none(),
-            "advance_by called with active engine work"
-        );
-        self.now_ns += ns;
-    }
-
     /// Rewinds the idle virtual clock to `at_ns` and erases every trace
     /// record past it — the cancellation primitive behind hedged
     /// re-dispatch: a speculative attempt that lost its race is undone as
@@ -454,11 +485,80 @@ impl Sim {
         self.instants.retire();
         self.kernels.retire();
         self.event_base += self.events.len();
+        self.event_origin = self.event_base;
         retire_table(&mut self.events);
         // Keep the ambient tag (the last entry, when set) for later ops.
-        self.cur_tag = self.cur_tag.min(1);
-        self.tags.drain(..self.tags.len() - self.cur_tag as usize);
+        let keep = usize::from(self.cur_tag != 0);
+        self.cur_tag = keep as u32;
+        self.tags_dropped = 0;
+        self.tags.drain(..self.tags.len() - keep);
         self.tags.shrink_to(RETAINED_CAPACITY);
+    }
+
+    /// Drops the bookkeeping of a batch still running that nothing pending
+    /// can name again: the leading event slots already recorded (a wait
+    /// that names one reads it as recorded, and a record only names an
+    /// unrecorded slot), and the interned tags older than the oldest
+    /// pending op's (tags are interned in enqueue order, and a stream's
+    /// pending ops are its FIFO). The ambient tag stays.
+    fn trim(&mut self) {
+        let recorded = self.events.iter().take_while(|&&e| e).count();
+        if recorded > 0 {
+            self.events.drain(..recorded);
+            self.event_base += recorded;
+        }
+        let mut oldest = if self.cur_tag != 0 {
+            self.cur_tag
+        } else {
+            self.tags_dropped + idx32(self.tags.len()) + 1
+        };
+        for &s in &self.busy {
+            let (mut link, tail) = self.streams[s].expect("busy stream is non-empty");
+            loop {
+                if link & INSTANT_LINK == 0 && self.ops[link].tag != 0 {
+                    oldest = oldest.min(self.ops[link].tag);
+                    break;
+                }
+                if link == tail {
+                    break;
+                }
+                link = if link & INSTANT_LINK != 0 {
+                    self.instants[link & !INSTANT_LINK].next
+                } else {
+                    self.ops[link].next
+                };
+            }
+        }
+        let drop = (oldest - 1 - self.tags_dropped) as usize;
+        if drop > 0 {
+            self.tags.drain(..drop);
+            self.tags_dropped += idx32(drop);
+        }
+    }
+
+    /// Global id of the oldest engine op not yet completed, if any: the
+    /// first engine op of some stream's FIFO (an op leaves its stream when
+    /// it completes).
+    pub(crate) fn oldest_pending_op(&self) -> Option<OpId> {
+        self.busy
+            .iter()
+            .filter_map(|&s| {
+                let (mut link, tail) = self.streams[s].expect("busy stream is non-empty");
+                while link & INSTANT_LINK != 0 {
+                    if link == tail {
+                        return None;
+                    }
+                    link = self.instants[link & !INSTANT_LINK].next;
+                }
+                Some(self.base + self.ops[link].seq as usize)
+            })
+            .min()
+    }
+
+    /// Whether an engine op is running: started on an engine by an earlier
+    /// run and not yet completed.
+    pub(crate) fn running(&self) -> bool {
+        ENGINES.iter().any(|&k| self.engine(k).active.is_some())
     }
 
     /// Sets the ambient routine tag, interning it only when it differs from
@@ -470,13 +570,13 @@ impl Sim {
                 if self.tags.last() != Some(&tag) {
                     self.tags.push(tag);
                 }
-                idx32(self.tags.len())
+                self.tags_dropped + idx32(self.tags.len())
             }
         };
     }
 
     pub(crate) fn tag(&self) -> Option<OpTag> {
-        interned(&self.tags, self.cur_tag)
+        interned(&self.tags, self.tags_dropped, self.cur_tag)
     }
 
     pub(crate) fn now(&self) -> SimTime {
@@ -495,14 +595,19 @@ impl Sim {
     }
 
     /// Sets the trace's retention floor ([`Trace::keep_from`]) and returns
-    /// the floor it replaces. Raising it requires that no op is running,
-    /// so none still patches an entry it folds; lowering it is always
-    /// allowed, and only ops started afterwards are held.
+    /// the floor it replaces. A raise stops at the held entry of the
+    /// oldest running op, which still patches its end when it completes:
+    /// only entries below it fold. Lowering it is always allowed, and only
+    /// ops started afterwards are held.
     pub(crate) fn keep_trace_from(&mut self, mark: usize) -> usize {
-        assert!(
-            mark <= self.trace.floor() || ENGINES.iter().all(|&k| self.engine(k).active.is_none()),
-            "trace floor raised with ops running"
-        );
+        let mark = if mark > self.trace.floor() {
+            let running = ENGINES
+                .iter()
+                .filter_map(|&k| self.engine(k).active.as_ref()?.trace_idx);
+            running.fold(mark, usize::min)
+        } else {
+            mark
+        };
         self.trace.keep_from(mark)
     }
 
@@ -518,6 +623,11 @@ impl Sim {
 
     pub(crate) fn event_exists(&self, ev: EventId) -> bool {
         ev.0 < self.event_base + self.events.len()
+    }
+
+    /// The instant-op slot of event `ev` in this batch.
+    fn event_slot(&self, ev: usize) -> u32 {
+        idx32(ev - self.event_origin)
     }
 
     /// Enqueues an engine op and returns its global id. Copies come
@@ -580,10 +690,10 @@ impl Sim {
 
     /// Creates an event and enqueues its record on `stream`.
     pub(crate) fn record_event(&mut self, stream: StreamId) -> EventId {
-        let slot = self.events.len();
+        let ev = self.event_base + self.events.len();
         self.events.push(false);
-        self.enqueue_instant(stream, InstantOp::record(idx32(slot)));
-        EventId(self.event_base + slot)
+        self.enqueue_instant(stream, InstantOp::record(self.event_slot(ev)));
+        EventId(ev)
     }
 
     /// Enqueues a wait for `ev` on `stream`. An event retired with an
@@ -592,14 +702,13 @@ impl Sim {
     /// set.
     pub(crate) fn wait_event(&mut self, stream: StreamId, ev: EventId) {
         debug_assert!(self.event_exists(ev));
-        let slot = match ev.0.checked_sub(self.event_base) {
-            Some(slot) => slot,
-            None => {
-                self.events.push(true);
-                self.events.len() - 1
-            }
+        let ev = if ev.0 >= self.event_origin {
+            ev.0
+        } else {
+            self.events.push(true);
+            self.event_base + self.events.len() - 1
         };
-        self.enqueue_instant(stream, InstantOp::wait(idx32(slot)));
+        self.enqueue_instant(stream, InstantOp::wait(self.event_slot(ev)));
     }
 
     /// True if no queued or active work remains.
@@ -614,36 +723,50 @@ impl Sim {
     }
 
     /// Whether `ev` has been recorded: an event retired with an earlier
-    /// batch was.
+    /// batch, or dropped from this one, was.
     pub(crate) fn recorded(&self, ev: EventId) -> bool {
         ev.0.checked_sub(self.event_base)
             .is_none_or(|slot| self.events[slot])
     }
 
-    /// Runs the simulation until idle, or, with `until`, until that event
-    /// is recorded and the instant it is recorded at is stabilized; later
+    /// Runs the simulation until `stop`: idle, an event recorded (and the
+    /// instant it is recorded at stabilized), or a virtual instant; later
     /// work stays queued or in flight. Calls `on_complete` with each engine
-    /// op's id in completion order, and retires the batch once idle.
-    /// Instants carry no functional effect, so they are not reported.
+    /// op's id in completion order, and retires the batch once idle (a
+    /// timed stop then moves the clock on to its instant). Instants carry
+    /// no functional effect, so they are not reported.
+    ///
+    /// A timed stop without an event starts nothing on a simulator with no
+    /// op running: only the clock moves, and queued work waits for the next
+    /// run, as it does between an enqueue and a synchronize.
     ///
     /// # Panics
     ///
     /// Panics if the enqueued schedule deadlocks (a stream waits on an event
     /// that can never be recorded).
-    pub(crate) fn run(&mut self, until: Option<EventId>, mut on_complete: impl FnMut(OpId)) {
+    pub(crate) fn run(&mut self, stop: Stop, mut on_complete: impl FnMut(OpId)) {
+        let at_ns = stop.at_ns();
+        if let Stop::Time { at_ns, event: None } = stop {
+            if !self.running() {
+                self.now_ns = self.now_ns.max(at_ns);
+                return;
+            }
+        }
         loop {
             let progressed = self.stabilize();
             if self.idle() {
                 self.retire();
+                if !stop.event().is_some_and(|ev| self.recorded(ev)) {
+                    self.now_ns = self.now_ns.max(at_ns.unwrap_or(0));
+                }
                 return;
             }
-            if until.is_some_and(|ev| self.recorded(ev)) {
-                return;
+            if stop.event().is_some_and(|ev| self.recorded(ev))
+                || at_ns.is_some_and(|at| self.now_ns >= at)
+            {
+                break;
             }
-            let any_active = self.h2d.active.is_some()
-                || self.d2h.active.is_some()
-                || self.compute.active.is_some();
-            if !any_active {
+            if !self.running() {
                 assert!(
                     progressed,
                     "simulated schedule deadlocked at {}: streams blocked on unrecorded events",
@@ -651,8 +774,9 @@ impl Sim {
                 );
                 continue;
             }
-            self.advance(&mut on_complete);
+            self.advance(at_ns, &mut on_complete);
         }
+        self.trim();
     }
 
     /// Processes everything that can happen without time passing: completes
@@ -679,11 +803,16 @@ impl Sim {
                 let (head, tail) = self.streams[s].expect("busy stream is non-empty");
                 if head & INSTANT_LINK != 0 {
                     let op = self.instants[head & !INSTANT_LINK];
-                    let event = &mut self.events[op.slot() as usize];
-                    if !op.is_wait() {
-                        *event = true;
-                    } else if !*event {
-                        return true;
+                    // A slot below `event_base` was recorded and dropped.
+                    let ev = self.event_origin + op.slot() as usize;
+                    if let Some(event) =
+                        ev.checked_sub(self.event_base).map(|i| &mut self.events[i])
+                    {
+                        if !op.is_wait() {
+                            *event = true;
+                        } else if !*event {
+                            return true;
+                        }
                     }
                     progressed = true;
                     self.instants.pass(head & !INSTANT_LINK);
@@ -795,7 +924,7 @@ impl Sim {
         let trace_idx = self.trace.record(|| {
             let op_id = self.base + op.seq as usize;
             let mut entry = TraceEntry::new(op_id, StreamId(queued.stream), engine_kind, now, now);
-            entry.tag = interned(&self.tags, op.tag);
+            entry.tag = interned(&self.tags, self.tags_dropped, op.tag);
             match shape {
                 Some(shape) => entry.with_kernel(shape),
                 None => entry.with_bytes(copy_bytes(kind)),
@@ -869,8 +998,9 @@ impl Sim {
     }
 
     /// Advances virtual time to the earliest phase boundary among active
-    /// ops, applying payload progress and completing finished ops.
-    fn advance(&mut self, on_complete: &mut impl FnMut(OpId)) {
+    /// ops, or to `horizon` if that comes first, applying payload progress
+    /// and completing finished ops.
+    fn advance(&mut self, horizon: Option<u64>, on_complete: &mut impl FnMut(OpId)) {
         // Snapshot rates *before* mutating anything: they are constant over
         // the interval we are about to traverse.
         let rates = ENGINES.map(|k| self.dir_rate(k));
@@ -887,6 +1017,10 @@ impl Sim {
         // next iteration re-snapshots rates at the boundary.
         if let Some(boundary) = self.next_degrade_boundary_ns() {
             dt = dt.min(boundary - self.now_ns);
+        }
+        // A host wait's instant clamps the same way.
+        if let Some(at) = horizon {
+            dt = dt.min(at - self.now_ns);
         }
         self.now_ns += dt;
         let dt_secs = dt as f64 / 1e9;
@@ -938,6 +1072,12 @@ impl Sim {
             self.kernels.len,
             self.tags.len(),
         ]
+    }
+
+    /// Event slots and interned tags held.
+    #[cfg(test)]
+    pub(crate) fn bookkeeping_lens(&self) -> (usize, usize) {
+        (self.events.len(), self.tags.len())
     }
 
     /// Bytes reserved by the pending tables and the trace.
@@ -1036,8 +1176,14 @@ mod tests {
     /// Runs to idle and returns the completed op ids in completion order.
     fn run_all(sim: &mut Sim) -> Vec<OpId> {
         let mut done = Vec::new();
-        sim.run(None, |op| done.push(op));
+        sim.run(Stop::Idle, |op| done.push(op));
         done
+    }
+
+    /// A host wait of `ns` from the current instant, without an event.
+    fn wait(sim: &mut Sim, ns: u64) {
+        let at_ns = sim.now().as_nanos() + ns;
+        sim.run(Stop::Time { at_ns, event: None }, |_| {});
     }
 
     #[test]
@@ -1319,14 +1465,89 @@ mod tests {
     }
 
     #[test]
-    fn advance_by_moves_idle_clock() {
+    fn a_wait_with_nothing_running_moves_only_the_clock() {
         let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
-        sim.advance_by(1_500);
+        wait(&mut sim, 1_500);
         assert_eq!(sim.now().as_nanos(), 1_500);
+        // Queued work that no run started waits for the next run.
         let s = sim.create_stream();
         kernel(&mut sim, s, 1e-3);
+        wait(&mut sim, 500);
+        assert_eq!(sim.now().as_nanos(), 2_000);
+        assert!(!sim.running());
         run_all(&mut sim);
-        assert_eq!(sim.now().as_nanos(), 1_001_500);
+        assert_eq!(sim.now().as_nanos(), 1_002_000);
+    }
+
+    #[test]
+    fn a_wait_runs_work_in_flight_up_to_its_instant() {
+        // Two 1 ms kernels split by an event; the host stops at the event,
+        // waits 0.4 ms while the second kernel runs, and the run ends where
+        // one uninterrupted run ends.
+        let straight = {
+            let mut sim = Sim::new(testbed_i().link, NoiseSpec::REALISTIC, 5);
+            let s = sim.create_stream();
+            kernel(&mut sim, s, 1e-3);
+            sim.record_event(s);
+            kernel(&mut sim, s, 1e-3);
+            run_all(&mut sim);
+            sim.now().as_nanos()
+        };
+        let mut sim = Sim::new(testbed_i().link, NoiseSpec::REALISTIC, 5);
+        sim.keep_trace_from(0);
+        let s = sim.create_stream();
+        kernel(&mut sim, s, 1e-3);
+        let ev = sim.record_event(s);
+        kernel(&mut sim, s, 1e-3);
+        sim.run(Stop::Event(ev), |_| {});
+        let at = sim.now().as_nanos();
+        assert!(sim.running());
+        wait(&mut sim, 400_000);
+        assert_eq!(sim.now().as_nanos(), at + 400_000);
+        assert!(sim.running(), "the second kernel is still running");
+        assert_eq!(sim.trace().entries()[1].start.as_nanos(), at);
+        run_all(&mut sim);
+        assert_eq!(sim.now().as_nanos(), straight);
+        // A wait past the end of the work leaves the device idle there.
+        wait(&mut sim, 7);
+        assert_eq!(sim.now().as_nanos(), straight + 7);
+    }
+
+    #[test]
+    fn a_wait_with_an_event_stops_at_whichever_comes_first() {
+        let setup = || {
+            let mut sim = Sim::new(quiet_link(), NoiseSpec::NONE, 1);
+            let s = sim.create_stream();
+            kernel(&mut sim, s, 1e-3);
+            let ev = sim.record_event(s);
+            kernel(&mut sim, s, 1e-3);
+            (sim, ev)
+        };
+        // The event first: queued work starts although nothing ran yet.
+        let (mut sim, ev) = setup();
+        sim.run(
+            Stop::Time {
+                at_ns: 5_000_000,
+                event: Some(ev),
+            },
+            |_| {},
+        );
+        assert_eq!(sim.now().as_nanos(), 1_000_000);
+        assert!(sim.recorded(ev) && sim.running());
+        // The instant first.
+        let (mut sim, ev) = setup();
+        sim.run(
+            Stop::Time {
+                at_ns: 600_000,
+                event: Some(ev),
+            },
+            |_| {},
+        );
+        assert_eq!(sim.now().as_nanos(), 600_000);
+        assert!(!sim.recorded(ev) && sim.running());
+        // The split step may round the kernel's rest up by a nanosecond.
+        run_all(&mut sim);
+        assert!((2_000_000..=2_000_001).contains(&sim.now().as_nanos()));
     }
 
     #[test]
@@ -1729,7 +1950,8 @@ mod tests {
             assert_eq!(sim.next_degrade_boundary_ns(), next, "boundary after {t}");
         };
         for &(t, factor, next) in &expected {
-            sim.advance_by(t - sim.now().as_nanos());
+            let dt = t - sim.now().as_nanos();
+            wait(&mut sim, dt);
             check(&sim, t, factor, next);
         }
         // Walking back with rewinds reads the same segments.
@@ -1772,7 +1994,7 @@ mod tests {
                     .min();
                 assert_eq!(sim.degrade_factor_now(), factor, "{windows:?} at {t}");
                 assert_eq!(sim.next_degrade_boundary_ns(), next, "{windows:?} at {t}");
-                sim.advance_by(1);
+                wait(&mut sim, 1);
             }
         }
     }

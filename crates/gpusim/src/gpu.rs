@@ -1,7 +1,7 @@
 //! The public device facade: a CUDA-like asynchronous API over the
 //! discrete-event engine.
 
-use crate::engine::Sim;
+use crate::engine::{Sim, Stop};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSite, FaultSpec, FaultStats};
 use crate::funcexec::{self, Effect};
@@ -30,7 +30,9 @@ pub enum ExecMode {
 /// asynchronous strided matrix copies (`cublasSetMatrixAsync` /
 /// `cublasGetMatrixAsync`), kernel launches, events, and device-wide
 /// synchronisation. All enqueue calls are instantaneous on the virtual
-/// clock; time advances in [`synchronize`](Gpu::synchronize).
+/// clock; time advances in [`synchronize`](Gpu::synchronize),
+/// [`synchronize_event`](Gpu::synchronize_event) and the host wait
+/// [`wait_until`](Gpu::wait_until).
 ///
 /// # Example
 ///
@@ -146,10 +148,46 @@ impl Gpu {
         self.faults.is_lost()
     }
 
-    /// Advances the virtual clock by `dt` while no work is in flight — the
-    /// host-side wait primitive behind retry backoff in virtual time.
-    pub fn advance_clock(&mut self, dt: SimTime) {
-        self.sim.advance_by(dt.as_nanos());
+    /// The host waits until virtual time `at`, or until `event` is
+    /// recorded if it is given and that comes first, and the call returns
+    /// the instant it stopped at; a time already past returns at once.
+    /// Work in flight keeps running through the wait exactly as a
+    /// [`synchronize`](Gpu::synchronize) would run it, applying data
+    /// effects as ops complete, so one op's transfers can run under
+    /// another's kernel while the host sleeps. A wait with an event starts
+    /// queued work like a synchronize does. Without an event, a device
+    /// with no op running (none started by an earlier run and still busy)
+    /// only moves its clock: queued work waits for the next run, as it
+    /// does between an enqueue and a synchronize. This is the one host
+    /// wait behind retry backoff, arrival floors and probation jumps.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownEvent`] for stale ids, functional-execution
+    /// errors as for [`synchronize`](Gpu::synchronize), and
+    /// [`SimError::DeviceLost`] on a lost device, whose clock still moves
+    /// to `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule deadlocks before the wait ends.
+    pub fn wait_until(&mut self, at: SimTime, event: Option<EventId>) -> Result<SimTime, SimError> {
+        if let Some(ev) = event.filter(|&ev| !self.sim.event_exists(ev)) {
+            return Err(SimError::UnknownEvent { id: ev.0 });
+        }
+        let at_ns = at.as_nanos();
+        if self.faults.is_lost() {
+            self.abort_all();
+            self.sim.run(Stop::Time { at_ns, event: None }, |_| {});
+            return Err(SimError::DeviceLost);
+        }
+        self.run(Stop::Time { at_ns, event })
+    }
+
+    /// Whether `event` has been recorded (`cudaEventQuery`): an unknown id
+    /// reads as not recorded.
+    pub fn event_recorded(&self, event: EventId) -> bool {
+        self.sim.event_exists(event) && self.sim.recorded(event)
     }
 
     /// Cancels everything the device did after `at`: rewinds the idle
@@ -264,18 +302,23 @@ impl Gpu {
         self.dev.alloc(dtype, len, self.is_functional())
     }
 
-    /// Frees a device buffer.
+    /// Frees a device buffer. Work that does not name the buffer may still
+    /// be queued or running: a host that waited for one call's last op can
+    /// free that call's buffers while later calls run.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BufferInUse`] if work is still queued or running
-    /// (call [`synchronize`](Gpu::synchronize) first), or
+    /// Returns [`SimError::BufferInUse`] if an op that names the buffer is
+    /// still queued or running (wait for it first), or
     /// [`SimError::UnknownBuffer`] for stale ids.
     pub fn free_device(&mut self, id: DevBufId) -> Result<(), SimError> {
-        if !self.sim.idle() {
-            return Err(SimError::BufferInUse {
-                what: format!("device buffer {} freed while work is queued", id.0),
-            });
+        let oldest = self.sim.oldest_pending_op();
+        if let (Some(used), Some(oldest)) = (self.dev.last_use(id), oldest) {
+            if used >= oldest {
+                return Err(SimError::BufferInUse {
+                    what: format!("device buffer {} freed while op {used} is pending", id.0),
+                });
+            }
         }
         self.dev.free(id)
     }
@@ -377,6 +420,7 @@ impl Gpu {
         let (bytes, pageable) = self.check_copy(&desc)?;
         self.fault_gate(FaultSite::H2d)?;
         let op = self.sim.enqueue(stream, OpKind::H2d { bytes, pageable });
+        self.dev.note_use(desc.dev, op);
         self.keep_effect(op, Effect::H2d(desc));
         Ok(())
     }
@@ -392,6 +436,7 @@ impl Gpu {
         let (bytes, pageable) = self.check_copy(&desc)?;
         self.fault_gate(FaultSite::D2h)?;
         let op = self.sim.enqueue(stream, OpKind::D2h { bytes, pageable });
+        self.dev.note_use(desc.dev, op);
         self.keep_effect(op, Effect::D2h(desc));
         Ok(())
     }
@@ -531,6 +576,9 @@ impl Gpu {
         let base_secs = kernel_time(&self.spec.gpu, &shape);
         let op = self.sim.enqueue_kernel(stream, shape, base_secs);
         if let Some(args) = args {
+            for buf in args.buffers() {
+                self.dev.note_use(buf, op);
+            }
             self.keep_effect(op, Effect::Kernel(shape, args));
         }
         Ok(())
@@ -574,7 +622,7 @@ impl Gpu {
     ///
     /// Panics if the schedule deadlocks on an event that is never recorded.
     pub fn synchronize(&mut self) -> Result<SimTime, SimError> {
-        self.run(None)
+        self.run(Stop::Idle)
     }
 
     /// Runs the device until `event` is recorded (`cudaEventSynchronize`)
@@ -604,12 +652,12 @@ impl Gpu {
         if !self.sim.event_exists(event) {
             return Err(SimError::UnknownEvent { id: event.0 });
         }
-        self.run(Some(event))
+        self.run(Stop::Event(event))
     }
 
-    /// Runs the device until idle, or until `until` is recorded, applying
-    /// the data effects of the ops that complete.
-    fn run(&mut self, until: Option<EventId>) -> Result<SimTime, SimError> {
+    /// Runs the device until `stop`, applying the data effects of the ops
+    /// that complete.
+    fn run(&mut self, stop: Stop) -> Result<SimTime, SimError> {
         if self.faults.is_lost() {
             // In-flight work was already aborted at the loss transition;
             // clearing again keeps this idempotent for cleanup callers that
@@ -618,7 +666,7 @@ impl Gpu {
             return Err(SimError::DeviceLost);
         }
         if !self.is_functional() {
-            self.sim.run(until, |_| {});
+            self.sim.run(stop, |_| {});
             return Ok(self.sim.now());
         }
         // Effects apply in completion order; the first error skips the
@@ -626,7 +674,7 @@ impl Gpu {
         // effect.
         let mut result = Ok(());
         let (host, dev, effects) = (&mut self.host, &mut self.dev, &mut self.effects);
-        self.sim.run(until, |op| {
+        self.sim.run(stop, |op| {
             if let Some(effect) = effects.remove(&op) {
                 if result.is_ok() {
                     result = funcexec::apply(&effect, host, dev);
@@ -1163,10 +1211,98 @@ mod tests {
     }
 
     #[test]
-    fn advance_clock_moves_virtual_time() {
+    fn wait_until_moves_an_idle_clock() {
         let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
-        gpu.advance_clock(SimTime::from_secs_f64(1e-4));
-        assert!((gpu.now().as_secs_f64() - 1e-4).abs() < 1e-12);
+        let at = SimTime::from_secs_f64(1e-4);
+        assert_eq!(gpu.wait_until(at, None).expect("wait"), at);
+        assert_eq!(gpu.now(), at);
+        // A time already past returns at once.
+        assert_eq!(gpu.wait_until(SimTime::ZERO, None).expect("wait"), at);
+        assert!(matches!(
+            gpu.wait_until(at, Some(EventId(7))),
+            Err(SimError::UnknownEvent { .. })
+        ));
+    }
+
+    #[test]
+    fn a_wait_lets_the_copy_in_flight_finish_and_apply_its_data() {
+        let (mut gpu, ev, d, h_dst) = copy_record_copy_back();
+        let at = gpu.synchronize_event(ev).expect("sync to the event");
+        let later = SimTime::from_secs_f64(at.as_secs_f64() + 1.0);
+        assert_eq!(gpu.wait_until(later, None).expect("wait"), later);
+        assert_eq!(gpu.host_payload(h_dst).expect("buf").as_f64()[99], 99.0);
+        gpu.free_device(d).expect("the copy back is done");
+    }
+
+    #[test]
+    fn a_buffer_no_pending_op_names_frees_while_other_work_runs() {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        let (s1, s2) = (gpu.create_stream(), gpu.create_stream());
+        let h = gpu.register_host_ghost(Dtype::F64, 1 << 16, true);
+        let [a, b, idle] = [(); 3].map(|()| gpu.alloc_device(Dtype::F64, 1 << 16).expect("alloc"));
+        gpu.memcpy_h2d_async(s1, CopyDesc::contiguous(h, a, 1 << 16))
+            .expect("h2d");
+        let ev = gpu.record_event(s1).expect("record");
+        gpu.wait_event(s2, ev).expect("wait");
+        gpu.memcpy_d2h_async(s2, CopyDesc::contiguous(h, b, 1 << 16))
+            .expect("d2h");
+        gpu.free_device(idle).expect("no op names it");
+        assert!(matches!(
+            gpu.free_device(a),
+            Err(SimError::BufferInUse { .. })
+        ));
+        gpu.synchronize_event(ev).expect("sync to the event");
+        // `a`'s copy is done; `b`'s starts at the event and still runs.
+        gpu.free_device(a).expect("its copy completed");
+        assert!(matches!(
+            gpu.free_device(b),
+            Err(SimError::BufferInUse { .. })
+        ));
+        gpu.synchronize().expect("sync");
+        gpu.free_device(b).expect("idle");
+        assert_eq!(gpu.device_mem_used(), 0);
+    }
+
+    #[test]
+    fn a_window_of_calls_on_a_busy_device_holds_constant_bookkeeping() {
+        // 100 000 one-tile calls (copy in, kernel, copy out, each on its
+        // own stream and ordered by events), each tagged with its own call
+        // id, through a host window of 4 calls: the device never goes
+        // idle, yet its event slots and interned tags stay the window's.
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        let [h2d, exec, d2h] = [(); 3].map(|()| gpu.create_stream());
+        let host = gpu.register_host_ghost(Dtype::F64, 64, true);
+        let buf = gpu.alloc_device(Dtype::F64, 64).expect("alloc");
+        let desc = CopyDesc::contiguous(host, buf, 64);
+        let shape = KernelShape::Axpy {
+            dtype: Dtype::F64,
+            n: 64,
+        };
+        let mut ends = std::collections::VecDeque::new();
+        let mut held = Vec::new();
+        for call in 0..100_000u64 {
+            if ends.len() == 4 {
+                gpu.synchronize_event(ends.pop_front().expect("full"))
+                    .expect("window wait");
+                held.push(gpu.sim.bookkeeping_lens());
+            }
+            gpu.set_op_tag(OpTag::new(Routine::Axpy, call, (0, 0)));
+            gpu.memcpy_h2d_async(h2d, desc).expect("h2d");
+            let fetched = gpu.record_event(h2d).expect("record");
+            gpu.wait_event(exec, fetched).expect("wait");
+            gpu.launch_kernel(exec, shape, None).expect("kernel");
+            let done = gpu.record_event(exec).expect("record");
+            gpu.wait_event(d2h, done).expect("wait");
+            gpu.memcpy_d2h_async(d2h, desc).expect("d2h");
+            ends.push_back(gpu.record_event(d2h).expect("record"));
+        }
+        gpu.clear_op_tag();
+        assert!(!gpu.sim.idle(), "the window kept the device busy");
+        let steady = held[10];
+        assert_eq!(steady, (8, 3), "event slots and tags of the window");
+        assert!(held[10..].iter().all(|&h| h == steady), "{steady:?}");
+        gpu.synchronize().expect("drain");
+        assert_eq!(gpu.sim.bookkeeping_lens(), (0, 0));
     }
 
     #[test]
@@ -1371,11 +1507,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trace floor raised with ops running")]
-    fn raising_the_floor_with_an_op_in_flight_panics() {
+    fn raising_the_floor_with_an_op_in_flight_stops_at_the_oldest_running_op() {
         let (mut gpu, ev, _, _) = copy_record_copy_back();
         gpu.synchronize_event(ev).expect("sync to the event");
+        // The copy in is done and the copy back (entry 1) is running: a
+        // raise past both folds only the first.
+        assert_eq!(gpu.keep_trace_from(usize::MAX), 0);
+        assert_eq!(gpu.trace().entries().len(), 1);
+        assert_eq!(gpu.trace().entries()[0].engine, EngineKind::CopyD2h);
+        let end = gpu.synchronize().expect("sync");
+        assert_eq!(gpu.trace().entries()[0].end, end, "its end was patched");
         gpu.keep_trace_from(usize::MAX);
+        assert!(gpu.trace().entries().is_empty());
+        assert_eq!(gpu.trace().len(), 2);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! only remember their type and length.
 
 use crate::error::SimError;
+use crate::op::OpId;
 use cocopelia_hostblas::Dtype;
 
 /// Slot index and generation shared by both buffer-id kinds (8 bytes). A
@@ -356,6 +357,9 @@ pub(crate) struct DeviceMemory {
     capacity: usize,
     used: usize,
     bufs: Slots<Payload>,
+    /// Per slot, the global id of the last enqueued op that names the
+    /// buffer in it (`None` until one does).
+    last_use: Vec<Option<OpId>>,
 }
 
 fn unknown_dev(id: DevBufId) -> SimError {
@@ -370,6 +374,7 @@ impl DeviceMemory {
             capacity,
             used: 0,
             bufs: Slots::default(),
+            last_use: Vec::new(),
         }
     }
 
@@ -420,9 +425,24 @@ impl DeviceMemory {
             });
         }
         self.used += bytes;
-        Ok(DevBufId(
-            self.bufs.insert(Payload::new(dtype, len, functional)),
-        ))
+        let id = self.bufs.insert(Payload::new(dtype, len, functional));
+        let slot = id.slot as usize;
+        if slot >= self.last_use.len() {
+            self.last_use.resize(slot + 1, None);
+        }
+        self.last_use[slot] = None;
+        Ok(DevBufId(id))
+    }
+
+    /// Notes that op `op`, just enqueued, names live buffer `id`.
+    pub(crate) fn note_use(&mut self, id: DevBufId, op: OpId) {
+        self.last_use[id.0.slot as usize] = Some(op);
+    }
+
+    /// The last enqueued op that names live buffer `id`, if any did.
+    pub(crate) fn last_use(&self, id: DevBufId) -> Option<OpId> {
+        self.bufs.get(id.0)?;
+        self.last_use[id.0.slot as usize]
     }
 
     pub(crate) fn free(&mut self, id: DevBufId) -> Result<(), SimError> {

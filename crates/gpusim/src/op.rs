@@ -204,6 +204,18 @@ pub enum KernelArgs {
     },
 }
 
+impl KernelArgs {
+    /// The device buffers the kernel names.
+    pub(crate) fn buffers(&self) -> [DevBufId; 3] {
+        match *self {
+            KernelArgs::Gemm { a, b, c, .. } => [a.buf, b.buf, c.buf],
+            KernelArgs::Axpy { x, y, .. } => [x.buf, y.buf, y.buf],
+            KernelArgs::Dot { x, y, out } => [x.buf, y.buf, out.buf],
+            KernelArgs::Gemv { a, x, y, .. } => [a.buf, x.buf, y.buf],
+        }
+    }
+}
+
 /// What an enqueued engine op does, reduced to what timing needs.
 /// Crate-internal; users go through the `Gpu` API. Functional payloads
 /// (copy regions, kernel arguments) live with the `Gpu`, not here. Stored

@@ -83,6 +83,11 @@ impl Observer {
         Observer::default()
     }
 
+    /// The id [`next_call_id`](Self::next_call_id) allocates next.
+    pub fn peek_call_id(&self) -> u64 {
+        self.next_call
+    }
+
     /// Allocates the next routine-call id (also used as `OpTag::call`).
     pub fn next_call_id(&mut self) -> u64 {
         let id = self.next_call;

@@ -6,12 +6,14 @@ use crate::operand::{DeviceMatrix, DeviceVector, MatOperand, TileChoice, VecOper
 use crate::request::{
     AxpyRequest, DotRequest, GemmRequest, GemvRequest, MatArg, RoutineRequest, VecArg,
 };
-use crate::scheduler::{OperandStore, Streams, TileFetcher, TilePlan};
+use crate::scheduler::{OperandStore, PlanRun, Streams, TileFetcher, TilePlan};
 use cocopelia_core::models::{ModelCtx, ModelKind};
 use cocopelia_core::params::{Loc, Operand, ProblemSpec, RoutineClass};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::select::{Selection, TileSelector};
-use cocopelia_gpusim::{CopyDesc, DevBufId, Gpu, HostBufId, Routine, SimScalar, SimTime};
+use cocopelia_gpusim::{
+    CopyDesc, DevBufId, EventId, Gpu, HostBufId, Payload, Routine, SimScalar, SimTime, TraceEntry,
+};
 use cocopelia_hostblas::{Dtype, Matrix};
 use cocopelia_obs::{score_models, CallObservation, DriftRecord, Observer, OverlapStats};
 use std::collections::HashMap;
@@ -49,7 +51,11 @@ impl SelectKey {
 /// Facts about one executed routine call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutineReport {
-    /// Virtual wall time of the call (enqueue through device sync).
+    /// Virtual wall time of the call: from its first enqueue to the end
+    /// of its last op (a direct call syncs the device there). A call the
+    /// serving layer overlaps with others on one device counts from its
+    /// issue, so the time it queued on the streams behind earlier calls
+    /// is included.
     pub elapsed: SimTime,
     /// Tiling size used.
     pub tile: usize,
@@ -153,6 +159,40 @@ pub struct Cocopelia {
     streams: Option<Streams>,
     cache: HashMap<SelectKey, Selection>,
     obs: Observer,
+    /// When the end event of the last call completed with one fired: the
+    /// next such call's end event queues behind it on the d2h stream.
+    last_end: SimTime,
+    /// The entries of the call [`close`](Self::close) reads when it ran
+    /// beside others, kept to reuse the storage.
+    own: Vec<TraceEntry>,
+}
+
+/// A routine call enqueued on the device with an end event and not yet
+/// completed ([`Cocopelia::issue`], [`Cocopelia::complete`]).
+#[derive(Debug)]
+pub(crate) struct Issued {
+    routine: &'static str,
+    problem: ProblemSpec,
+    tile: usize,
+    selection: Option<Selection>,
+    call: u64,
+    /// The clock at issue.
+    t0: SimTime,
+    /// The trace length at issue: the call's entries are recorded after it.
+    trace_start: usize,
+    run: PlanRun,
+}
+
+impl Issued {
+    /// The call id tagging every op of the call.
+    pub(crate) fn call(&self) -> u64 {
+        self.call
+    }
+
+    /// The event recorded behind the call's last op.
+    pub(crate) fn end(&self) -> Option<EventId> {
+        self.run.end()
+    }
 }
 
 impl Cocopelia {
@@ -164,6 +204,8 @@ impl Cocopelia {
             streams: None,
             cache: HashMap::new(),
             obs: Observer::new(),
+            last_end: SimTime::ZERO,
+            own: Vec::new(),
         }
     }
 
@@ -271,63 +313,108 @@ impl Cocopelia {
         }
     }
 
-    /// The one path of a direct call whose operands passed their dimension
-    /// checks (building `plan`): resolves the tile, holds the call's trace
-    /// entries while it reads them, and runs it ([`run_held`](Self::run_held)).
-    /// Returns the plan's output data.
+    /// The one path of a direct call: opens it (`open`, which issues the
+    /// call without an end event) and completes it at once
+    /// ([`close`](Self::close)), holding the call's trace entries while it
+    /// reads them. Returns the output's payload.
     ///
     /// The device holds the entries only while the call computes its
     /// overlap and feeds the observer: unless the caller already holds
     /// entries from before the call, the call lowers the trace floor to
     /// its own mark and hands back the floor it found when done, so it
     /// never raises or lowers a floor a caller set.
-    fn call<T: SimScalar, const N: usize>(
+    fn direct(
         &mut self,
-        routine: &'static str,
-        problem: &ProblemSpec,
-        choice: TileChoice,
-        plan: TilePlan,
-        stores: impl FnOnce(&mut Gpu) -> [OperandStore; N],
-    ) -> Result<(Option<Vec<T>>, RoutineReport), RuntimeError> {
-        let chosen = self.resolve_tile(problem, choice)?;
+        open: impl FnOnce(&mut Self) -> Result<Issued, RuntimeError>,
+    ) -> Result<(Option<Payload>, RoutineReport), RuntimeError> {
         let mark = self.gpu.trace().len();
         let found = if self.gpu.trace().entries().is_empty() {
             Some(self.gpu.keep_trace_from(mark))
         } else {
             None
         };
-        let result = self.run_held(routine, problem, chosen, plan, stores);
+        let result = open(self).and_then(|issued| self.close(issued));
         if let Some(found) = found {
             self.gpu.keep_trace_from(found);
         }
         result
     }
 
-    /// Runs a call at its `(tile, selection)`: opens it (streams, call id,
-    /// trace mark, start clock), stages the operands with `stores` and runs
-    /// `plan` at the tile, then scores the call against every evaluable
-    /// model, feeds the observer, and assembles its [`RoutineReport`].
-    fn run_held<T: SimScalar, const N: usize>(
+    /// Issues a call whose operands passed their dimension checks
+    /// (building `plan`): resolves the tile, opens the call (streams, call
+    /// id, trace mark, start clock), stages the operands with `stores` and
+    /// enqueues `plan` at the tile, with an end event when `end`.
+    fn open<T: SimScalar, const N: usize>(
         &mut self,
         routine: &'static str,
-        problem: &ProblemSpec,
-        (tile, selection): (usize, Option<Selection>),
+        problem: ProblemSpec,
+        choice: TileChoice,
         plan: TilePlan,
         stores: impl FnOnce(&mut Gpu) -> [OperandStore; N],
-    ) -> Result<(Option<Vec<T>>, RoutineReport), RuntimeError> {
+        end: bool,
+    ) -> Result<Issued, RuntimeError> {
+        let (tile, selection) = self.resolve_tile(&problem, choice)?;
         let streams = self.ensure_streams();
         let call = self.obs.next_call_id();
         let trace_start = self.gpu.trace().len();
         let t0 = self.gpu.now();
         let stores = stores(&mut self.gpu);
         let fetcher = TileFetcher::new(streams);
-        let (out, run) = plan.run::<T>(&mut self.gpu, fetcher, call, tile, &stores)?;
-        let elapsed = self.gpu.now().saturating_since(t0);
+        let run = plan.issue::<T>(&mut self.gpu, fetcher, call, tile, &stores, end)?;
+        Ok(Issued {
+            routine,
+            problem,
+            tile,
+            selection,
+            call,
+            t0,
+            trace_start,
+            run,
+        })
+    }
+
+    /// Completes an issued call: waits for it and releases its buffers,
+    /// then scores it against every evaluable model, feeds the observer,
+    /// and assembles its [`RoutineReport`] from the call's own entries.
+    /// Returns the output's payload too.
+    ///
+    /// A call with an end event may have run beside later calls, and the
+    /// device may have run past its end while the host waited for
+    /// something else: the call ends when its end event fired, which is
+    /// its own last op's end or the previous such call's end, whichever
+    /// is later (both events sit on the d2h stream).
+    fn close(&mut self, issued: Issued) -> Result<(Option<Payload>, RoutineReport), RuntimeError> {
+        let Issued {
+            routine,
+            problem,
+            tile,
+            selection,
+            call,
+            t0,
+            trace_start,
+            run,
+        } = issued;
+        let overlapped = run.end().is_some();
+        let (out, stats) = run.finish(&mut self.gpu)?;
+        let entries = self.gpu.trace().entries_since(trace_start);
+        let (entries, end) = if overlapped {
+            let own = &mut self.own;
+            own.clear();
+            let tagged = |e: &&TraceEntry| e.tag.is_some_and(|t| u64::from(t.call) == call);
+            own.extend(entries.iter().filter(tagged).cloned());
+            let last = own.iter().map(|e| e.end).max().unwrap_or(t0);
+            let end = last.max(self.last_end).max(t0);
+            self.last_end = end;
+            (&own[..], end)
+        } else {
+            (entries, self.gpu.now())
+        };
+        let elapsed = end.saturating_since(t0);
         let actual_secs = elapsed.as_secs_f64();
         let drift = match self.profile.exec_table(problem.routine, problem.dtype) {
             Some(exec) => {
                 let mctx = ModelCtx {
-                    problem,
+                    problem: &problem,
                     transfer: &self.profile.transfer,
                     exec,
                     full_kernel_time: None,
@@ -336,34 +423,68 @@ impl Cocopelia {
             }
             None => Vec::new(),
         };
-        let entries = self.gpu.trace().entries_since(trace_start);
         let overlap = OverlapStats::from_entries(entries);
         self.obs.observe_call(CallObservation {
             routine,
             call,
             tile,
             model: selection.as_ref().map(|s| s.prediction.model),
-            subkernels: run.subkernels,
+            subkernels: stats.subkernels,
             elapsed_secs: actual_secs,
             entries,
             overlap,
-            tile_hits: run.tile_hits,
-            tile_misses: run.tile_misses,
+            tile_hits: stats.tile_hits,
+            tile_misses: stats.tile_misses,
             drift: drift.clone(),
         });
         let report = RoutineReport {
             elapsed,
             tile,
-            subkernels: run.subkernels,
+            subkernels: stats.subkernels,
             flops: problem.flops(),
             selection,
             overlap,
             drift,
-            tile_hits: run.tile_hits,
-            tile_misses: run.tile_misses,
-            op_retries: run.retries,
+            tile_hits: stats.tile_hits,
+            tile_misses: stats.tile_misses,
+            op_retries: stats.retries,
         };
         Ok((out, report))
+    }
+
+    /// Issues a type-erased [`RoutineRequest`] on the device's three
+    /// streams with an end event, and returns at once: later calls issued
+    /// on the same streams overlap with it (one call's transfers run under
+    /// another's kernels). Finish it with [`complete`](Self::complete),
+    /// calls in issue order. The caller holds the device's trace entries
+    /// from before the issue until the call completes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`submit`](Self::submit), for what fails at enqueue.
+    pub(crate) fn issue(&mut self, req: RoutineRequest) -> Result<Issued, RuntimeError> {
+        match req {
+            RoutineRequest::GemmF64(r) => self.open_gemm(r, true),
+            RoutineRequest::GemmF32(r) => self.open_gemm(r, true),
+            RoutineRequest::AxpyF64(r) => self.open_axpy(r, true),
+            RoutineRequest::DotF64(r) => self.open_dot(r, true),
+            RoutineRequest::GemvF64(r) => self.open_gemv(r, true),
+        }
+    }
+
+    /// Completes a call [`issue`](Self::issue) enqueued: waits for its end
+    /// event, releases its buffers and reports it.
+    ///
+    /// # Errors
+    ///
+    /// Simulator failures at the wait, such as a lost device.
+    pub(crate) fn complete(&mut self, issued: Issued) -> Result<RoutineReport, RuntimeError> {
+        Ok(self.close(issued)?.1)
+    }
+
+    /// The id the next call will get.
+    pub(crate) fn next_call(&self) -> u64 {
+        self.obs.peek_call_id()
     }
 
     /// Executes a [`GemmRequest`]: `C ← α·A·B + β·C` with 3-way overlap.
@@ -376,6 +497,20 @@ impl Cocopelia {
         &mut self,
         req: GemmRequest<T>,
     ) -> Result<GemmResult<T>, RuntimeError> {
+        let (m, n) = (req.c.rows(), req.c.cols());
+        let (c, report) = self.direct(|ctx| ctx.open_gemm(req, false))?;
+        Ok(GemmResult {
+            c: c.map(|p| Matrix::from_vec(m, n, T::payload_into_vec(p))),
+            report,
+        })
+    }
+
+    /// Opens a gemm call ([`open`](Self::open)).
+    fn open_gemm<T: SimScalar>(
+        &mut self,
+        req: GemmRequest<T>,
+        end: bool,
+    ) -> Result<Issued, RuntimeError> {
         let (routine, problem) = (req.routine(), req.problem_spec());
         let GemmRequest {
             a,
@@ -394,14 +529,14 @@ impl Cocopelia {
             beta,
             &[shape(&a), shape(&b), shape(&c)],
         )?;
-        let (m, n) = shape(&c);
-        let (c, report) = self.call(routine, &problem, choice, plan, |gpu| {
-            [a, b, c].map(|op| OperandStore::from_mat(gpu, op))
-        })?;
-        Ok(GemmResult {
-            c: c.map(|v| Matrix::from_vec(m, n, v)),
-            report,
-        })
+        self.open::<T, 3>(
+            routine,
+            problem,
+            choice,
+            plan,
+            |gpu| [a, b, c].map(|op| OperandStore::from_mat(gpu, op)),
+            end,
+        )
     }
 
     /// Executes an [`AxpyRequest`]: `y ← α·x + y` with 3-way overlap.
@@ -413,6 +548,17 @@ impl Cocopelia {
         &mut self,
         req: AxpyRequest<T>,
     ) -> Result<VecResult<T>, RuntimeError> {
+        let (y, report) = self.direct(|ctx| ctx.open_axpy(req, false))?;
+        let y = y.map(T::payload_into_vec);
+        Ok(VecResult { y, report })
+    }
+
+    /// Opens an axpy call ([`open`](Self::open)).
+    fn open_axpy<T: SimScalar>(
+        &mut self,
+        req: AxpyRequest<T>,
+        end: bool,
+    ) -> Result<Issued, RuntimeError> {
         let (routine, problem) = (req.routine(), req.problem_spec());
         let AxpyRequest {
             alpha,
@@ -423,10 +569,14 @@ impl Cocopelia {
         } = req;
         let (x, y) = (inline_vec(x)?, inline_vec(y)?);
         let plan = TilePlan::new(Routine::Axpy, alpha, 1.0, &[(x.len(), 1), (y.len(), 1)])?;
-        let (y, report) = self.call(routine, &problem, choice, plan, |gpu| {
-            [x, y].map(|op| OperandStore::from_vec(gpu, op))
-        })?;
-        Ok(VecResult { y, report })
+        self.open::<T, 2>(
+            routine,
+            problem,
+            choice,
+            plan,
+            |gpu| [x, y].map(|op| OperandStore::from_vec(gpu, op)),
+            end,
+        )
     }
 
     /// Executes a [`DotRequest`]: tiled reduction `result ← xᵀy` with
@@ -437,6 +587,18 @@ impl Cocopelia {
     ///
     /// As for [`run_gemm`](Self::run_gemm).
     pub fn run_dot<T: SimScalar>(&mut self, req: DotRequest<T>) -> Result<DotResult, RuntimeError> {
+        let (partials, report) = self.direct(|ctx| ctx.open_dot(req, false))?;
+        let partials = partials.map(T::payload_into_vec);
+        let value = partials.map(|p| p.iter().map(|v| v.to_f64()).sum());
+        Ok(DotResult { value, report })
+    }
+
+    /// Opens a dot call ([`open`](Self::open)).
+    fn open_dot<T: SimScalar>(
+        &mut self,
+        req: DotRequest<T>,
+        end: bool,
+    ) -> Result<Issued, RuntimeError> {
         let (routine, problem) = (req.routine(), req.problem_spec());
         let DotRequest {
             x,
@@ -446,11 +608,14 @@ impl Cocopelia {
         } = req;
         let (x, y) = (inline_vec(x)?, inline_vec(y)?);
         let plan = TilePlan::new(Routine::Dot, 1.0, 1.0, &[(x.len(), 1), (y.len(), 1)])?;
-        let (partials, report) = self.call::<T, 2>(routine, &problem, choice, plan, |gpu| {
-            [x, y].map(|op| OperandStore::from_vec(gpu, op))
-        })?;
-        let value = partials.map(|p| p.iter().map(|v| v.to_f64()).sum());
-        Ok(DotResult { value, report })
+        self.open::<T, 2>(
+            routine,
+            problem,
+            choice,
+            plan,
+            |gpu| [x, y].map(|op| OperandStore::from_vec(gpu, op)),
+            end,
+        )
     }
 
     /// Executes a [`GemvRequest`]: `y ← α·A·x + β·y` with 3-way overlap
@@ -463,6 +628,17 @@ impl Cocopelia {
         &mut self,
         req: GemvRequest<T>,
     ) -> Result<VecResult<T>, RuntimeError> {
+        let (y, report) = self.direct(|ctx| ctx.open_gemv(req, false))?;
+        let y = y.map(T::payload_into_vec);
+        Ok(VecResult { y, report })
+    }
+
+    /// Opens a gemv call ([`open`](Self::open)).
+    fn open_gemv<T: SimScalar>(
+        &mut self,
+        req: GemvRequest<T>,
+        end: bool,
+    ) -> Result<Issued, RuntimeError> {
         let (routine, problem) = (req.routine(), req.problem_spec());
         let GemvRequest {
             alpha,
@@ -476,15 +652,15 @@ impl Cocopelia {
         let (a, x, y) = (inline_mat(a)?, inline_vec(x)?, inline_vec(y)?);
         let shapes = [(a.rows(), a.cols()), (x.len(), 1), (y.len(), 1)];
         let plan = TilePlan::new(Routine::Gemv, alpha, beta, &shapes)?;
-        let (y, report) = self.call(routine, &problem, choice, plan, |gpu| {
+        let stores = |gpu: &mut Gpu| {
             let a = OperandStore::from_mat(gpu, a);
             [
                 a,
                 OperandStore::from_vec(gpu, x),
                 OperandStore::from_vec(gpu, y),
             ]
-        })?;
-        Ok(VecResult { y, report })
+        };
+        self.open::<T, 3>(routine, problem, choice, plan, stores, end)
     }
 
     /// Executes a type-erased [`RoutineRequest`], returning its report.

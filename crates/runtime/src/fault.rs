@@ -3,10 +3,11 @@
 //! The tile schedulers retry an enqueue that fails with a retryable fault
 //! (see [`RuntimeError::fault_class`](crate::RuntimeError::fault_class))
 //! up to [`MAX_ATTEMPTS`] times in all, waiting [`backoff_secs`] before
-//! each retry. Backoff waits advance the device's *virtual* clock
-//! ([`Gpu::advance_clock`](cocopelia_gpusim::Gpu::advance_clock)), so retry
+//! each retry. Backoff is a host wait in *virtual* time
+//! ([`Gpu::wait_until`](cocopelia_gpusim::Gpu::wait_until)), so retry
 //! latency is visible in every simulated timing result exactly as a real
-//! host-side `usleep` loop would be.
+//! host-side `usleep` loop would be, and work already in flight keeps
+//! running through it.
 
 /// Attempts per tile-level operation, the first included.
 pub(crate) const MAX_ATTEMPTS: u32 = 3;

@@ -21,7 +21,7 @@
 
 mod plan;
 
-pub(crate) use plan::TilePlan;
+pub(crate) use plan::{PlanRun, TilePlan};
 
 use crate::error::RuntimeError;
 use crate::fault::{backoff_secs, MAX_ATTEMPTS};
@@ -163,10 +163,10 @@ impl TileFetcher {
     }
 
     /// Runs an enqueue-level device call, retrying transient faults with
-    /// exponential backoff (see [`crate::fault`]). Backoff waits advance the
-    /// device's virtual clock, so retry latency shows up in timing results
-    /// (and delays everything enqueued afterwards, as a host-side sleep
-    /// would). Out-of-memory never reaches this helper — allocations are not
+    /// exponential backoff (see [`crate::fault`]). Backoff is a host wait
+    /// in virtual time, so retry latency shows up in timing results (and
+    /// delays everything enqueued afterwards, as a host-side sleep would).
+    /// Out-of-memory never reaches this helper — allocations are not
     /// wrapped, because recovering from OOM requires an executor-level
     /// reclaim, not a blind retry.
     fn retry_sim<R>(
@@ -178,7 +178,8 @@ impl TileFetcher {
         loop {
             match f(gpu).map_err(RuntimeError::Sim) {
                 Err(e) if e.fault_class().retryable() && attempt + 1 < MAX_ATTEMPTS => {
-                    gpu.advance_clock(SimTime::from_secs_f64(backoff_secs(attempt)));
+                    let backoff = SimTime::from_secs_f64(backoff_secs(attempt));
+                    gpu.wait_until(gpu.now() + backoff, None)?;
                     attempt += 1;
                     self.stats.retries += 1;
                 }
@@ -299,11 +300,28 @@ impl TileFetcher {
         self.retry_sim(gpu, |g| g.memcpy_d2h_async(d2h, desc))
     }
 
-    /// Ends a routine's schedule: clears the op tag, waits for the device,
-    /// frees every tile buffer this fetcher allocated, and reports the run.
-    pub(crate) fn finish(self, gpu: &mut Gpu) -> Result<RunStats, RuntimeError> {
-        gpu.clear_op_tag();
-        gpu.synchronize()?;
+    /// Records an event behind everything the schedule enqueued: the exec
+    /// stream's last kernel and the d2h stream's last copy (every fetch
+    /// precedes a kernel that waits on it).
+    pub(crate) fn end(&self, gpu: &mut Gpu) -> Result<EventId, RuntimeError> {
+        let Streams { exec, d2h, .. } = self.streams;
+        let done = gpu.record_event(exec)?;
+        gpu.wait_event(d2h, done)?;
+        Ok(gpu.record_event(d2h)?)
+    }
+
+    /// Ends a routine's schedule: waits for `end` (the whole device when
+    /// `None`), frees every tile buffer this fetcher allocated, and reports
+    /// the run.
+    pub(crate) fn finish(
+        self,
+        gpu: &mut Gpu,
+        end: Option<EventId>,
+    ) -> Result<RunStats, RuntimeError> {
+        match end {
+            Some(ev) => gpu.synchronize_event(ev)?,
+            None => gpu.synchronize()?,
+        };
         for buf in self.allocated {
             gpu.free_device(buf)?;
         }
@@ -410,7 +428,7 @@ mod tests {
             .expect("other tile");
         assert_ne!(t1.mat.buf, t3.mat.buf);
         assert_eq!(f.cache.len(), 2);
-        let stats = f.finish(&mut gpu).expect("finish");
+        let stats = f.finish(&mut gpu, None).expect("finish");
         assert_eq!((stats.tile_hits, stats.tile_misses), (1, 2));
         assert_eq!(gpu.device_mem_used(), 0);
     }

@@ -29,7 +29,8 @@
 use super::{region, span, view, OperandStore, RunStats, TileFetcher, TileRef};
 use crate::error::RuntimeError;
 use cocopelia_gpusim::{
-    DevVecRef, Gpu, KernelArgs, KernelShape, OpTag, OperandRole, Routine, SimScalar,
+    DevBufId, DevVecRef, EventId, Gpu, HostBufId, KernelArgs, KernelShape, OpTag, OperandRole,
+    Payload, Routine, SimScalar,
 };
 use cocopelia_hostblas::tiling::{tile_count, TileRange};
 
@@ -141,14 +142,35 @@ impl TilePlan {
     /// and returns the host data of its output (`C`, `y`, or dot's
     /// partials) when the output was staged on the host in functional mode.
     /// Every host buffer the stores staged is released.
+    #[cfg(test)]
     pub(crate) fn run<T: SimScalar>(
+        &self,
+        gpu: &mut Gpu,
+        fetcher: TileFetcher,
+        call: u64,
+        t: usize,
+        stores: &[OperandStore],
+    ) -> Result<(Option<Vec<T>>, RunStats), RuntimeError> {
+        let (data, stats) = self
+            .issue::<T>(gpu, fetcher, call, t, stores, false)?
+            .finish(gpu)?;
+        Ok((data.map(T::payload_into_vec), stats))
+    }
+
+    /// Enqueues the plan over `stores` (one per operand, in order) through
+    /// `fetcher` at tile size `t`, tagging every op with call id `call`,
+    /// and hands back the run for [`PlanRun::finish`]. With `end`, an
+    /// event is recorded behind the whole schedule: the host can wait for
+    /// this call alone while later calls run.
+    pub(crate) fn issue<T: SimScalar>(
         &self,
         gpu: &mut Gpu,
         mut fetcher: TileFetcher,
         call: u64,
         t: usize,
         stores: &[OperandStore],
-    ) -> Result<(Option<Vec<T>>, RunStats), RuntimeError> {
+        end: bool,
+    ) -> Result<PlanRun, RuntimeError> {
         let counts = self.extents.map(|e| tile_count(e, t));
         let range = |axis: Axis, at: [usize; 3]| {
             let start = at[axis] * t;
@@ -233,20 +255,62 @@ impl TilePlan {
                 stores[drained.expect("a plan without partials drains an operand")]
             }
         };
-        let stats = fetcher.finish(gpu)?;
-        if let Some((_, buf)) = partials {
+        gpu.clear_op_tag();
+        let end = if end { Some(fetcher.end(gpu)?) } else { None };
+        let mut staged = [None; 3];
+        let others = stores.iter().filter_map(|s| s.host_id());
+        for (slot, h) in staged
+            .iter_mut()
+            .zip(others.filter(|&h| Some(h) != output.host_id()))
+        {
+            *slot = Some(h);
+        }
+        Ok(PlanRun {
+            fetcher,
+            partials: partials.map(|(_, buf)| buf),
+            output: output.host_id(),
+            staged,
+            end,
+        })
+    }
+}
+
+/// A plan whose schedule is enqueued, with what finishing it waits for
+/// and releases.
+#[derive(Debug)]
+pub(crate) struct PlanRun {
+    fetcher: TileFetcher,
+    /// Dot's partials buffer.
+    partials: Option<DevBufId>,
+    /// The host buffer the output drains to, when staged on the host.
+    output: Option<HostBufId>,
+    /// The other host buffers the stores staged.
+    staged: [Option<HostBufId>; 3],
+    /// The event behind the whole schedule, when issued with one.
+    end: Option<EventId>,
+}
+
+impl PlanRun {
+    /// The event behind the whole schedule, when issued with one.
+    pub(crate) fn end(&self) -> Option<EventId> {
+        self.end
+    }
+
+    /// Waits for the schedule (for its end event when it has one, else for
+    /// the whole device), frees the tile buffers, and releases every host
+    /// buffer the stores staged. Returns the output's payload when it was
+    /// staged on the host in functional mode.
+    pub(crate) fn finish(self, gpu: &mut Gpu) -> Result<(Option<Payload>, RunStats), RuntimeError> {
+        let stats = self.fetcher.finish(gpu, self.end)?;
+        if let Some(buf) = self.partials {
             gpu.free_device(buf)?;
         }
         // The output's buffer goes first; its payload is the result.
-        let data = output.host_id().map(|h| gpu.take_host(h)).transpose()?;
-        for store in stores {
-            if let Some(h) = store.host_id().filter(|&h| Some(h) != output.host_id()) {
-                gpu.take_host(h)?;
-            }
+        let data = self.output.map(|h| gpu.take_host(h)).transpose()?;
+        for h in self.staged.into_iter().flatten() {
+            gpu.take_host(h)?;
         }
-        let data = data.map(|b| b.payload).filter(|p| p.is_functional());
-        let data = data.map(T::payload_into_vec);
-        Ok((data, stats))
+        Ok((data.map(|b| b.payload).filter(|p| p.is_functional()), stats))
     }
 }
 

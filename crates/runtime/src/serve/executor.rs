@@ -1,7 +1,7 @@
 //! The dispatch engine behind [`ServeSession`]: admission, placement,
 //! residency, retry, hedging, and probation.
 
-use crate::ctx::{Cocopelia, RoutineReport};
+use crate::ctx::{Cocopelia, Issued, RoutineReport};
 use crate::error::{FaultClass, RequestError, RequestId, RuntimeError};
 use crate::multigpu::MultiGpu;
 use crate::operand::{MatOperand, TileChoice};
@@ -15,6 +15,7 @@ use cocopelia_core::models::Prediction;
 use cocopelia_gpusim::{AllocMark, DevBufId, EngineKind, HostBufId, SimError, SimTime, TraceEntry};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftAccountant, DriftRecord, OverlapStats, Registry, ServeTrace};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -46,6 +47,13 @@ const MAX_RETRIES: u32 = 3;
 /// the device stops receiving work and its residency cache is
 /// invalidated.
 const QUARANTINE_AFTER: u32 = 2;
+
+/// Attempts a warm pool device keeps issued on its three streams at
+/// once, so one request's transfers run under another's kernels: on a
+/// deep queue of single-tile requests the makespan falls with the window
+/// until the engines, not call boundaries, bound it (DESIGN.md §6).
+/// Hedged sessions keep one: a hedge race rewinds a whole device.
+const WINDOW: usize = 4;
 
 /// Host-BLAS throughput (GFLOP/s) assumed for graceful degradation: when
 /// every device in the pool is quarantined, requests complete on the host
@@ -292,21 +300,57 @@ pub(super) struct Attempt {
     /// The device's engine-trace length at the start: the run's entries
     /// follow it.
     trace_len: usize,
+    /// The run's call id when it ran beside other attempts on its device:
+    /// its entries are the ones tagged with it. `None` for a run alone on
+    /// its device, whose entries are all that follow `trace_len`.
+    call: Option<u64>,
+    /// Raw instant the attempt settled before this one on its device
+    /// ended, when the run ran beside other attempts (0 alone): the
+    /// run's service starts no earlier.
+    after_ns: u64,
     result: Result<RoutineReport, RuntimeError>,
 }
 
 impl Attempt {
     /// The engine-trace entries the run left on its device.
-    fn entries<'a>(&self, pool: &'a MultiGpu) -> &'a [TraceEntry] {
-        pool.devices()[self.device]
+    fn entries<'a>(&self, pool: &'a MultiGpu) -> Cow<'a, [TraceEntry]> {
+        let entries = pool.devices()[self.device]
             .gpu()
             .trace()
-            .entries_since(self.trace_len)
+            .entries_since(self.trace_len);
+        match self.call {
+            None => Cow::Borrowed(entries),
+            Some(call) => Cow::Owned(
+                entries
+                    .iter()
+                    .filter(|e| e.tag.is_some_and(|t| u64::from(t.call) == call))
+                    .cloned()
+                    .collect(),
+            ),
+        }
     }
 
-    /// Virtual seconds from the run's start to its end.
+    /// The run's service time in virtual seconds: from its start, or from
+    /// the end of the attempt before it on the device when that is later,
+    /// to its end. Alone on its device this is start to end; beside
+    /// others it is what the run added to the device's timeline, which is
+    /// what placement's frontier advances by.
     fn secs(&self) -> f64 {
-        SimTime::from_nanos(self.end_ns.saturating_sub(self.start_ns)).as_secs_f64()
+        let from = self.start_ns.max(self.after_ns);
+        SimTime::from_nanos(self.end_ns.saturating_sub(from)).as_secs_f64()
+    }
+
+    /// The run's own busy time in virtual seconds, which drift holds
+    /// against the price of a run alone: beside other attempts, the union
+    /// of its own ops' intervals, so the time it waited behind their ops
+    /// is left out; alone, its service time ([`secs`](Self::secs)).
+    fn busy_secs(&self) -> f64 {
+        match (&self.result, self.call) {
+            (Ok(report), Some(_)) => {
+                SimTime::from_nanos(report.overlap.union_busy_ns).as_secs_f64()
+            }
+            _ => self.secs(),
+        }
     }
 }
 
@@ -323,6 +367,8 @@ impl Attempt {
             start_ns,
             end_ns,
             trace_len: 0,
+            call: None,
+            after_ns: 0,
             result: Err(RuntimeError::NotFunctional),
         }
     }
@@ -443,7 +489,9 @@ impl RequestOutcome {
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Terminal records: submission-time rejections first (in submit
-    /// order), then served requests in dispatch order.
+    /// order), then the others as they settle. A device runs several
+    /// requests at once, so served requests settle in completion order,
+    /// which need not be dispatch order.
     pub outcomes: Vec<RequestOutcome>,
     /// Virtual makespan of the run: the busiest device's elapsed time.
     pub makespan: SimTime,
@@ -670,6 +718,65 @@ pub(super) struct Queued {
     /// returns exactly this share, even when residency (and thus the
     /// estimate) changed while the request waited.
     pub(super) backlog_secs: f64,
+}
+
+/// A request between dispatch and its terminal status: its queue record,
+/// the arrivals riding on it, and what its attempts so far decided.
+#[derive(Debug)]
+pub(super) struct Job {
+    id: RequestId,
+    req: RoutineRequest,
+    arrival_ns: u64,
+    /// The scheduling policy's device pick; the first attempt only tries
+    /// it, a retry after a fault re-chooses among the devices still
+    /// healthy.
+    preferred: Option<usize>,
+    /// Coalesced arrivals that complete with this request.
+    followers: Vec<Queued>,
+    retries: u32,
+    /// The device of the latest attempt.
+    device: Option<usize>,
+    /// End of the latest attempt, raw ns: a re-issued attempt must never
+    /// start earlier (span invariant 3).
+    not_before_ns: u64,
+    /// Whether the queue span is recorded (once, at the first attempt's
+    /// start).
+    queued_recorded: bool,
+    /// Armed when the retry budget's circuit breaker denies a retry: the
+    /// request skips further device picks and fails fast to host.
+    budget_fastfail: bool,
+}
+
+/// An issued call with its residency fills and the request's shared keys.
+type Launched = (Issued, [Option<Fill>; 3], Vec<String>);
+
+/// An attempt issued on a device's streams and not yet settled.
+#[derive(Debug)]
+pub(super) struct InFlight {
+    job: Job,
+    mark: AllocMark,
+    price: (Option<Prediction>, f64),
+    start_ns: u64,
+    trace_len: usize,
+    issued: Issued,
+    fills: [Option<Fill>; 3],
+    /// The request's shared keys, in operand order: pinned in the
+    /// residency cache until the attempt settles.
+    keys: Vec<String>,
+}
+
+impl InFlight {
+    /// The device's engine-trace length when the attempt was issued: its
+    /// entries follow it.
+    pub(super) fn trace_len(&self) -> usize {
+        self.trace_len
+    }
+
+    /// Whether the attempt is filling `key` into a residency entry.
+    fn fills(&self, key: &str) -> bool {
+        let mut fills = self.keys.iter().zip(&self.fills);
+        fills.any(|(k, f)| k == key && f.is_some_and(|f| f.cached))
+    }
 }
 
 /// A queued leader and the arrivals riding on its execution. A follower
@@ -999,19 +1106,19 @@ impl ServeSession {
         self.telemetry_tick(flow_secs);
     }
 
-    /// Completes `followers` at the completion instant of their leader,
-    /// the outcome settled last. Each follower gets a copy of the leader's
-    /// report judged against the follower's *own* arrival time and
+    /// Completes `followers` at `end_ns`, the completion instant of their
+    /// leader, the outcome settled last. Each follower gets a copy of the
+    /// leader's report judged against the follower's *own* arrival time and
     /// deadline: a follower that arrived later has a shorter flow and may
     /// meet a deadline the leader missed — and vice versa. A failed
     /// leader fails its followers with the same error.
-    fn fan_out(&mut self, followers: Vec<Queued>) {
+    fn fan_out(&mut self, followers: Vec<Queued>, end_ns: u64) {
         if followers.is_empty() {
             return;
         }
         let leader = self.outcomes.last().expect("leader settled").clone();
         let end_ns = match leader.device {
-            Some(d) if !leader.host_fallback => self.pool.devices()[d].gpu().now().as_nanos(),
+            Some(_) if !leader.host_fallback => end_ns,
             _ => self.tracer.as_ref().map(|t| t.host_now_ns()).unwrap_or(0),
         };
         for f in followers {
@@ -1021,6 +1128,7 @@ impl ServeSession {
                         leader.device,
                         leader.host_fallback,
                         f.arrival_ns,
+                        end_ns,
                         r.elapsed,
                     );
                     (judge(r.clone(), flow, f.req.deadline()), flow)
@@ -1043,25 +1151,24 @@ impl ServeSession {
         }
     }
 
-    /// Flow time of a request that executed, virtual seconds: the serving
-    /// device's clock advance since the drain began, minus the request's
-    /// arrival offset (zero for closed-queue submissions), so queueing
-    /// delay counts against the deadline while an open arrival's budget
-    /// starts at arrival. Host runs advance no device clock; their own
-    /// `elapsed` is the closest flow measure available.
+    /// Flow time of a request that executed, virtual seconds: from the
+    /// drain's start on the serving device's clock to `end_ns`, the raw
+    /// instant its run ended, minus the request's arrival offset (zero for
+    /// closed-queue submissions), so queueing delay counts against the
+    /// deadline while an open arrival's budget starts at arrival. Host
+    /// runs advance no device clock; their own `elapsed` is the closest
+    /// flow measure available.
     fn flow_secs(
         &self,
         device: Option<usize>,
         host_fallback: bool,
         arrival_ns: u64,
+        end_ns: u64,
         elapsed: SimTime,
     ) -> f64 {
         match device {
             Some(d) if !host_fallback => {
-                let raw = self.pool.devices()[d]
-                    .gpu()
-                    .now()
-                    .saturating_since(self.devices[d].drain_start);
+                let raw = SimTime::from_nanos(end_ns).saturating_since(self.devices[d].drain_start);
                 SimTime::from_nanos(raw.as_nanos().saturating_sub(arrival_ns)).as_secs_f64()
             }
             _ => elapsed.as_secs_f64(),
@@ -1104,9 +1211,27 @@ impl ServeSession {
         }
         while let Some((job, preferred)) = self.next_event() {
             let followers = self.disband(&job);
-            let (outcome, flow) = self.dispatch(job, preferred);
-            self.settle(outcome, flow);
-            self.fan_out(followers);
+            self.dispatch(Job {
+                id: job.id,
+                req: job.req,
+                arrival_ns: job.arrival_ns,
+                preferred,
+                followers,
+                retries: 0,
+                device: None,
+                not_before_ns: 0,
+                queued_recorded: false,
+                budget_fastfail: false,
+            });
+            self.retire_traces();
+        }
+        // Settle what is still in flight, the device whose clock lags most
+        // first (its attempts likely end first).
+        while let Some(d) = (0..self.devices.len())
+            .filter(|&d| !self.devices[d].inflight.is_empty())
+            .min_by_key(|&d| self.pool.devices()[d].gpu().now())
+        {
+            self.settle_oldest(d);
             self.retire_traces();
         }
         let per_device_busy: Vec<SimTime> = self.busy().collect();
@@ -1169,9 +1294,9 @@ impl ServeSession {
         }
     }
 
-    /// Runs one admitted request through to a terminal status: dispatch to
-    /// `preferred` (the scheduling policy's device pick) or the best
-    /// healthy device, retry with device reclaim on retryable faults
+    /// Runs one admitted request toward a terminal status: dispatch to the
+    /// scheduling policy's device pick or the best healthy device, retry
+    /// with device reclaim on retryable faults
     /// ([`RuntimeError::fault_class`]), quarantine devices that fault
     /// repeatedly or are lost (re-dispatching the request to a healthy
     /// peer), and degrade gracefully to host BLAS when no healthy device
@@ -1181,69 +1306,51 @@ impl ServeSession {
     /// For an open arrival, the record's arrival offset floors the serving
     /// device's clock — work cannot begin before the request exists — and
     /// is subtracted from the flow so the deadline budget starts at
-    /// arrival, not at drain start. Returns the outcome with its flow
-    /// seconds (NaN when the request failed).
-    fn dispatch(&mut self, job: Queued, mut preferred: Option<usize>) -> (RequestOutcome, f64) {
-        let Queued {
-            id,
-            req,
-            arrival_ns,
-            ..
-        } = job;
-        let routine = req.routine();
-        let deadline = req.deadline();
-        let mut retries: u32 = 0;
-        let mut host_fallback = false;
-        let mut device: Option<usize> = None;
-        // End of the previous attempt, in virtual ns: a re-issued attempt
-        // must never start earlier (span invariant 3), and the queue span
-        // is recorded once, at the first attempt's start.
-        let mut not_before_ns: u64 = 0;
-        let mut queued_recorded = false;
-        // Armed when the retry budget's circuit breaker denies a retry:
-        // the request skips further device picks and fails fast to host.
-        let mut budget_fastfail = false;
-        let result = loop {
-            // The policy's pick applies to the first attempt only; a retry
-            // after a fault re-chooses among the devices still healthy.
-            let pick = if budget_fastfail {
+    /// arrival, not at drain start.
+    ///
+    /// Without hedging, an attempt is issued beside the others in flight
+    /// on its device ([`overlap`](Self::overlap)) and the request settles
+    /// when the attempt does ([`settle_oldest`](Self::settle_oldest)); a
+    /// hedged session runs each attempt to completion here.
+    fn dispatch(&mut self, mut job: Job) {
+        loop {
+            let pick = if job.budget_fastfail {
                 None
             } else {
-                preferred
+                job.preferred
                     .take()
                     .filter(|&p| !self.devices[p].is_quarantined())
-                    .or_else(|| self.choose_device(&req, None).map(|(d, _)| d))
+                    .or_else(|| self.choose_device(&job.req, None).map(|(d, _)| d))
             };
             let Some(d) = pick else {
                 // Probation may heal the pool before we give up on
                 // devices entirely: jump virtual time to the probe
                 // schedule and re-pick if a canary re-admits a device.
-                if !budget_fastfail && self.try_heal_pool() {
+                if !job.budget_fastfail && self.try_heal_pool() {
                     continue;
                 }
                 // Graceful degradation: the whole pool is quarantined, so
                 // the request completes on the host instead of failing.
-                host_fallback = true;
-                device = None;
+                job.device = None;
                 self.metrics.counter_add("fault_host_fallback_total", 1);
-                let report = self.execute_host(&req);
+                let report = self.execute_host(&job.req);
                 if let Some(t) = self.tracer.as_mut() {
                     // A request that never reached a device links its
                     // queue flow to the host run.
-                    if !queued_recorded {
-                        t.queue_wait(id.0, arrival_ns, not_before_ns);
+                    if !job.queued_recorded {
+                        t.queue_wait(job.id.0, job.arrival_ns, job.not_before_ns);
                     }
                     let elapsed_ns = report.elapsed.as_nanos();
-                    t.host_fallback(id.0, not_before_ns, elapsed_ns, !queued_recorded);
+                    t.host_fallback(
+                        job.id.0,
+                        job.not_before_ns,
+                        elapsed_ns,
+                        !job.queued_recorded,
+                    );
                 }
-                break Ok(report);
+                self.finish(job, Ok(report), true);
+                return;
             };
-            if device.is_some_and(|prev| self.devices[prev].is_quarantined()) {
-                // The previous attempt's device was quarantined under the
-                // request; it is now re-dispatched to a healthy peer.
-                self.metrics.counter_add("quarantine_redispatch_total", 1);
-            }
-            device = Some(d);
             // A request cannot restart before the fault that re-issued it
             // occurred: a re-dispatch target whose virtual clock lags the
             // previous attempt's end is lifted to it. (Per-device clocks
@@ -1254,76 +1361,160 @@ impl ServeSession {
             // does not exist yet. Closed-queue submissions have offset 0,
             // making the floor a no-op (clocks never run backwards from
             // the drain start).
-            let floor_ns = self.devices[d].drain_start.as_nanos() + arrival_ns;
-            let attempt_no = retries;
-            let mut run = self.attempt(d, not_before_ns.max(floor_ns), req.clone());
-            if !queued_recorded {
-                queued_recorded = true;
-                if let Some(t) = self.tracer.as_mut() {
-                    t.queue_wait(id.0, arrival_ns, run.start_ns);
-                }
-            }
-            // Straggler defense: a successful attempt that overran its
-            // prediction far enough races a speculative hedge on the best
-            // other healthy device. The race resolves retroactively in
-            // virtual time, so replay is bit-identical; the hedge path
-            // records the attempt span, next to any hedge's own.
-            let won = if let Err(e) = &run.result {
-                if let Some(t) = self.tracer.as_mut() {
-                    let (fault, entries) = (e.to_string(), run.entries(&self.pool));
-                    t.attempt(id.0, attempt_no, &run, entries, Some(&fault));
-                }
-                None
+            let floor_ns = self.devices[d].drain_start.as_nanos() + job.arrival_ns;
+            let floor_ns = job.not_before_ns.max(floor_ns);
+            let attempt_no = job.retries;
+            let run = if self.hedge.is_some() {
+                self.redispatched(&mut job, d);
+                self.attempt(d, floor_ns, job.req.clone())
             } else {
-                self.devices[d].succeeded();
-                self.budget_note_success();
-                // The primary's whole run calibrates its device, also
-                // when a winning hedge cancels it: that overrun is the
-                // evidence the device is slow.
-                let actual = run.secs();
-                let won = self.maybe_hedge(id, &req, attempt_no, &mut run);
-                if let (Some(_), predicted) = run.price {
-                    self.devices[d].calibrate(predicted, actual);
+                match self.overlap(d, floor_ns, job) {
+                    Ok(()) => return,
+                    Err(back) => {
+                        let (back, run) = *back;
+                        job = back;
+                        // Without an attempt, making room quarantined the
+                        // device or priced its first attempt: re-pick.
+                        let Some(run) = run else { continue };
+                        run
+                    }
                 }
-                won
             };
-            not_before_ns = run.end_ns;
-            if let Some((report, hedge_device)) = won {
-                device = Some(hedge_device);
-                break Ok(report);
+            self.dispatched(&mut job, run.start_ns);
+            if let Some(result) = self.conclude(&mut job, attempt_no, run) {
+                self.finish(job, result, false);
+                return;
             }
-            if run.result.is_ok() {
-                // Predicted duration against the actual clock advance,
-                // under every policy, so FIFO/EDF runs expose the same
-                // misprediction accounting the predictive policy
-                // schedules by.
-                if let (Some(pred), predicted) = run.price {
-                    self.record_drift(routine, id.0, &pred, predicted, run.secs());
-                }
-                break run.result;
+        }
+    }
+
+    /// Notes that `job` is about to run on device `d`, counting a
+    /// re-dispatch away from a device quarantined under it.
+    fn redispatched(&mut self, job: &mut Job, d: usize) {
+        if job
+            .device
+            .is_some_and(|prev| self.devices[prev].is_quarantined())
+        {
+            // The previous attempt's device was quarantined under the
+            // request; it is now re-dispatched to a healthy peer.
+            self.metrics.counter_add("quarantine_redispatch_total", 1);
+        }
+        job.device = Some(d);
+    }
+
+    /// Records `job`'s queue span, once, ending where its first attempt
+    /// started (raw `start_ns`).
+    fn dispatched(&mut self, job: &mut Job, start_ns: u64) {
+        if !job.queued_recorded {
+            job.queued_recorded = true;
+            if let Some(t) = self.tracer.as_mut() {
+                t.queue_wait(job.id.0, job.arrival_ns, start_ns);
             }
-            // A lost device is quarantined but the request is innocent:
-            // it re-dispatches like a retryable fault.
-            let retryable = self.on_attempt_fault(id.0, &run, retries < MAX_RETRIES);
-            if !retryable || retries >= MAX_RETRIES {
-                break run.result;
+        }
+    }
+
+    /// What a finished attempt `run` (attempt number `attempt_no`) means
+    /// for `job`: its result when the request is done with devices (it
+    /// succeeded, possibly through a winning hedge, or failed for good),
+    /// or `None` when the request must be re-dispatched (a retryable
+    /// fault, or a breaker that sends it to the host).
+    fn conclude(
+        &mut self,
+        job: &mut Job,
+        attempt_no: u32,
+        mut run: Attempt,
+    ) -> Option<Result<RoutineReport, RuntimeError>> {
+        let (id, d) = (job.id, run.device);
+        // Straggler defense: a successful attempt that overran its
+        // prediction far enough races a speculative hedge on the best
+        // other healthy device. The race resolves retroactively in
+        // virtual time, so replay is bit-identical; the hedge path
+        // records the attempt span, next to any hedge's own.
+        let won = if let Err(e) = &run.result {
+            if let Some(t) = self.tracer.as_mut() {
+                let (fault, entries) = (e.to_string(), run.entries(&self.pool));
+                t.attempt(id.0, attempt_no, &run, &entries, Some(&fault));
             }
-            if !self.budget_allow_retry(run.end_ns) {
-                // The session retry budget ran dry (or its breaker is
-                // open): fail fast to host fallback instead of burning
-                // more device time on a sustained fault storm.
-                budget_fastfail = true;
-                continue;
+            None
+        } else {
+            self.devices[d].succeeded();
+            self.budget_note_success();
+            // The primary's whole run calibrates its device, also
+            // when a winning hedge cancels it: that overrun is the
+            // evidence the device is slow.
+            let actual = run.secs();
+            let won = self.maybe_hedge(id, &job.req, attempt_no, &mut run);
+            if let (Some(_), predicted) = run.price {
+                self.devices[d].calibrate(predicted, actual);
             }
-            retries += 1;
-            self.metrics.counter_add("serve_retries_total", 1);
+            won
         };
+        job.not_before_ns = run.end_ns;
+        if let Some((report, hedge_device)) = won {
+            job.device = Some(hedge_device);
+            return Some(Ok(report));
+        }
+        if run.result.is_ok() {
+            // Predicted duration against the actual clock advance,
+            // under every policy, so FIFO/EDF runs expose the same
+            // misprediction accounting the predictive policy
+            // schedules by.
+            if let (Some(pred), predicted) = run.price {
+                let actual = run.busy_secs();
+                self.record_drift(job.req.routine(), id.0, &pred, predicted, actual);
+            }
+            return Some(run.result);
+        }
+        // A lost device is quarantined but the request is innocent:
+        // it re-dispatches like a retryable fault.
+        let retryable = self.on_attempt_fault(id.0, &run, job.retries < MAX_RETRIES);
+        if !retryable || job.retries >= MAX_RETRIES {
+            return Some(run.result);
+        }
+        if !self.budget_allow_retry(run.end_ns) {
+            // The session retry budget ran dry (or its breaker is
+            // open): fail fast to host fallback instead of burning
+            // more device time on a sustained fault storm.
+            job.budget_fastfail = true;
+            return None;
+        }
+        job.retries += 1;
+        self.metrics.counter_add("serve_retries_total", 1);
+        None
+    }
+
+    /// Settles `job` with its final `result`: judges it on its flow time,
+    /// records its completion instant, settles its outcome and completes
+    /// its followers with it.
+    fn finish(
+        &mut self,
+        job: Job,
+        result: Result<RoutineReport, RuntimeError>,
+        host_fallback: bool,
+    ) {
+        let Job {
+            id,
+            req,
+            arrival_ns,
+            followers,
+            retries,
+            device,
+            not_before_ns,
+            ..
+        } = job;
+        let routine = req.routine();
         let (status, flow) = match result {
             Ok(report) => {
                 self.metrics
                     .counter_add("retry_tile_ops_total", report.op_retries);
-                let flow = self.flow_secs(device, host_fallback, arrival_ns, report.elapsed);
-                (judge(report, flow, deadline), flow)
+                let flow = self.flow_secs(
+                    device,
+                    host_fallback,
+                    arrival_ns,
+                    not_before_ns,
+                    report.elapsed,
+                );
+                (judge(report, flow, req.deadline()), flow)
             }
             Err(e) => {
                 let error = RequestError::new(id, routine, e);
@@ -1347,7 +1538,211 @@ impl ServeSession {
             host_fallback,
             coalesced: false,
         };
-        (outcome, flow)
+        self.settle(outcome, flow);
+        self.fan_out(followers, not_before_ns);
+    }
+
+    /// Issues `job` on device `d`, no earlier than raw instant `floor_ns`,
+    /// beside the attempts already in flight there, and leaves it running.
+    /// First the device makes room ([`make_room`](Self::make_room)) and
+    /// the host waits for the floor, settling every attempt that ends
+    /// before it. A failed issue settles the device's window before it is
+    /// handed back as a finished attempt for the retry and quarantine
+    /// path. The job comes back with no attempt, to be placed again, when
+    /// settling quarantined the device, priced its first attempt, or
+    /// re-dispatched a retry onto it that took the room.
+    fn overlap(
+        &mut self,
+        d: usize,
+        floor_ns: u64,
+        mut job: Job,
+    ) -> Result<(), Box<(Job, Option<Attempt>)>> {
+        let cold = !self.devices[d].is_warm();
+        self.make_room(d, &job.req);
+        self.wait_for_floor(d, floor_ns);
+        // A device quarantined meanwhile takes no work, one whose first
+        // attempt just priced it is chosen again with that price, and a
+        // retry settling re-dispatched here may have taken the room.
+        let state = &self.devices[d];
+        if state.is_quarantined() || (cold && state.is_warm()) || !self.has_room(d, &job.req) {
+            return Err(Box::new((job, None)));
+        }
+        self.redispatched(&mut job, d);
+        let dev = &self.pool.devices()[d];
+        let gpu = dev.gpu();
+        let (mark, start_ns, trace_len) = (gpu.alloc_mark(), gpu.now(), gpu.trace().len());
+        let call = dev.next_call();
+        let price = self.price(d, &job.req);
+        match self.issue_once(d, job.req.clone()) {
+            Ok((issued, fills, keys)) => {
+                self.dispatched(&mut job, start_ns.as_nanos());
+                // Start the attempt's ops at the issue instant.
+                let end = issued.end().expect("issued with an end event");
+                let _ = self
+                    .pool
+                    .device_mut(d)
+                    .gpu_mut()
+                    .wait_until(start_ns, Some(end));
+                let state = &mut self.devices[d];
+                state.frontier =
+                    state.ready_secs(start_ns.as_secs_f64()) + price.1 * state.factor();
+                state.inflight.push_back(InFlight {
+                    job,
+                    mark,
+                    price,
+                    start_ns: start_ns.as_nanos(),
+                    trace_len,
+                    issued,
+                    fills,
+                    keys,
+                });
+                Ok(())
+            }
+            Err(e) => {
+                let end_ns = self.pool.devices()[d].gpu().now().as_nanos();
+                while !self.devices[d].inflight.is_empty() {
+                    self.settle_oldest(d);
+                }
+                let run = Attempt {
+                    device: d,
+                    mark,
+                    price,
+                    start_ns: start_ns.as_nanos(),
+                    end_ns,
+                    trace_len,
+                    call: Some(call),
+                    after_ns: 0,
+                    result: Err(e),
+                };
+                Err(Box::new((job, Some(run))))
+            }
+        }
+    }
+
+    /// Settles device `d`'s oldest attempts until `req` may be issued
+    /// there ([`has_room`](Self::has_room)).
+    fn make_room(&mut self, d: usize, req: &RoutineRequest) {
+        while !self.has_room(d, req) {
+            self.settle_oldest(d);
+        }
+    }
+
+    /// Whether `req` may be issued on device `d` now: nothing is in
+    /// flight there, or fewer than [`WINDOW`] attempts are (one on a
+    /// device not yet warm), `req`'s worst-case footprint fits beside the
+    /// device memory in use, and no attempt in flight is still filling a
+    /// residency entry `req` reads (it waits for that attempt's end).
+    fn has_room(&self, d: usize, req: &RoutineRequest) -> bool {
+        let state = &self.devices[d];
+        if state.inflight.is_empty() {
+            return true;
+        }
+        let gpu = self.pool.devices()[d].gpu();
+        let window = if state.is_warm() { WINDOW } else { 1 };
+        let filling = || {
+            req.shared_operands()
+                .any(|s| state.inflight.iter().any(|f| f.fills(s.key)))
+        };
+        state.inflight.len() < window
+            && gpu.device_mem_used() + req.footprint_bytes() <= gpu.device_mem_capacity()
+            && !filling()
+    }
+
+    /// The host waits on device `d` until raw instant `floor_ns`, settling
+    /// each attempt in flight whose end event fires first, so every
+    /// settled attempt ends where its own event fired.
+    fn wait_for_floor(&mut self, d: usize, floor_ns: u64) {
+        let at = SimTime::from_nanos(floor_ns);
+        while let Some(end) = self.devices[d]
+            .inflight
+            .front()
+            .and_then(|f| f.issued.end())
+        {
+            let gpu = self.pool.device_mut(d).gpu_mut();
+            if gpu.now() >= at {
+                return;
+            }
+            let _ = gpu.wait_until(at, Some(end));
+            if !gpu.event_recorded(end) {
+                return;
+            }
+            self.settle_oldest(d);
+        }
+        let _ = self.pool.device_mut(d).gpu_mut().wait_until(at, None);
+    }
+
+    /// Settles device `d`'s oldest attempt in flight: completes it and
+    /// concludes it (a retry re-dispatches the request). When it failed
+    /// (its device was lost), the rest of the window is completed first,
+    /// so the fault path's scrub never frees a buffer an attempt still
+    /// holds, then every completed attempt concludes in issue order.
+    fn settle_oldest(&mut self, d: usize) {
+        let Some(first) = self.devices[d].inflight.pop_front() else {
+            return;
+        };
+        let first = self.complete(d, first);
+        let rest: Vec<(Job, Attempt)> = if first.1.result.is_err() {
+            let window: Vec<InFlight> = self.devices[d].inflight.drain(..).collect();
+            window.into_iter().map(|f| self.complete(d, f)).collect()
+        } else {
+            Vec::new()
+        };
+        for (mut job, run) in std::iter::once(first).chain(rest) {
+            let attempt_no = job.retries;
+            match self.conclude(&mut job, attempt_no, run) {
+                Some(result) => self.finish(job, result, false),
+                None => self.dispatch(job),
+            }
+        }
+    }
+
+    /// Completes an attempt in flight on device `d`: waits for its end
+    /// event, reports it, and settles its residency fills.
+    fn complete(&mut self, d: usize, f: InFlight) -> (Job, Attempt) {
+        let InFlight {
+            job,
+            mark,
+            price,
+            start_ns,
+            trace_len,
+            issued,
+            fills,
+            keys,
+        } = f;
+        let call = issued.call();
+        let ServeSession {
+            pool,
+            devices,
+            metrics,
+            ..
+        } = &mut *self;
+        let dev = pool.device_mut(d);
+        let result = dev.complete(issued);
+        settle_fills(
+            dev,
+            &mut devices[d].residency,
+            metrics,
+            &keys,
+            fills,
+            result.is_ok(),
+        );
+        let end_ns = match &result {
+            Ok(report) => start_ns + report.elapsed.as_nanos(),
+            Err(_) => dev.gpu().now().as_nanos().max(start_ns),
+        };
+        let after_ns = std::mem::replace(&mut devices[d].last_end_ns, end_ns);
+        let run = Attempt {
+            device: d,
+            mark,
+            price,
+            start_ns,
+            end_ns,
+            trace_len,
+            call: Some(call),
+            after_ns,
+            result,
+        };
+        (job, run)
     }
 
     /// Max device-clock advance since the drain began — the virtual
@@ -1393,7 +1788,10 @@ impl ServeSession {
     /// the trace's length when untraced), folding the entries below it, so
     /// a device holds only the entries some reader still needs while
     /// [`Trace::len`](cocopelia_gpusim::Trace::len) and the per-engine
-    /// totals keep counting all of them. Each device's observer drops its
+    /// totals keep counting all of them; a device with attempts in flight
+    /// keeps every entry from its oldest one's issue on, so a device that
+    /// never goes idle holds entries only for unsettled attempts. Each
+    /// device's observer drops its
     /// per-call history the same way
     /// ([`Observer::retire_history`](cocopelia_obs::Observer::retire_history)):
     /// serving reads outcomes and the session's own drift, never a pool
@@ -1402,6 +1800,9 @@ impl ServeSession {
         for d in 0..self.pool.device_count() {
             let len = self.pool.devices()[d].gpu().trace().len();
             let floor = self.tracer.as_ref().map_or(len, |t| t.retire_floor(d, len));
+            // Attempts in flight read their entries when they settle.
+            let unsettled = self.devices[d].inflight.front().map(InFlight::trace_len);
+            let floor = unsettled.map_or(floor, |u| floor.min(u));
             let dev = self.pool.device_mut(d);
             dev.gpu_mut().keep_trace_from(floor);
             dev.observer_mut().retire_history();
@@ -1445,19 +1846,14 @@ impl ServeSession {
         self.devices[d].health = Health::Quarantined { probe };
     }
 
-    /// Runs `req` once on device `d`, starting no earlier than raw
-    /// instant `floor_ns`: lifts a lagging device clock to the floor,
-    /// marks the device's allocations, prices the run, and samples the
-    /// clock and engine-trace length around
-    /// [`execute_once`](Self::execute_once).
+    /// Runs `req` once on device `d`, alone on the device, starting no
+    /// earlier than raw instant `floor_ns`: the host waits for the floor
+    /// (a lagging idle device's clock is lifted to it), marks the device's
+    /// allocations, prices the run, and samples the clock and engine-trace
+    /// length around [`execute_once`](Self::execute_once).
     fn attempt(&mut self, d: usize, floor_ns: u64, req: RoutineRequest) -> Attempt {
-        let behind = floor_ns.saturating_sub(self.pool.devices()[d].gpu().now().as_nanos());
-        if behind > 0 {
-            self.pool
-                .device_mut(d)
-                .gpu_mut()
-                .advance_clock(SimTime::from_nanos(behind));
-        }
+        let gpu = self.pool.device_mut(d).gpu_mut();
+        let _ = gpu.wait_until(SimTime::from_nanos(floor_ns), None);
         let gpu = self.pool.devices()[d].gpu();
         let (mark, start_ns, trace_len) =
             (gpu.alloc_mark(), gpu.now().as_nanos(), gpu.trace().len());
@@ -1470,6 +1866,8 @@ impl ServeSession {
             start_ns,
             end_ns: self.pool.devices()[d].gpu().now().as_nanos(),
             trace_len,
+            call: None,
+            after_ns: 0,
             result,
         }
     }
@@ -1527,7 +1925,13 @@ impl ServeSession {
     ) -> Option<(RoutineReport, usize)> {
         let Some((b, trigger_ns)) = self.hedge_target(req, primary) else {
             if let Some(t) = self.tracer.as_mut() {
-                t.attempt(id.0, attempt_no, primary, primary.entries(&self.pool), None);
+                t.attempt(
+                    id.0,
+                    attempt_no,
+                    primary,
+                    &primary.entries(&self.pool),
+                    None,
+                );
             }
             return None;
         };
@@ -1566,13 +1970,13 @@ impl ServeSession {
         if let Some(t) = self.tracer.as_mut() {
             let cancelled = won.then_some("cancelled: hedge won");
             let entries = primary.entries(&self.pool);
-            t.attempt(id.0, attempt_no, primary, entries, cancelled);
+            t.attempt(id.0, attempt_no, primary, &entries, cancelled);
             if won {
                 let label = format!("cancelled by hedge on dev{b}");
                 t.cancel(id.0, d, primary.end_ns, &label);
             }
             let label = format!("hedge on dev{b}{verdict}");
-            t.hedge(id.0, &hedge, hedge.entries(&self.pool), &label);
+            t.hedge(id.0, &hedge, &hedge.entries(&self.pool), &label);
             if hedge.result.is_ok() && !won {
                 t.cancel(id.0, b, hedge.end_ns, "hedge lost");
             }
@@ -1944,23 +2348,46 @@ impl ServeSession {
         } = &mut *self;
         let dev = pool.device_mut(d);
         let cache = &mut devices[d].residency;
-        let result = resolve_request(dev, cache, metrics, &mut fills, &pinned, req)
+        let is_pinned = |k: &str| pinned.iter().any(|p| p == k);
+        let result = resolve_request(dev, cache, metrics, &mut fills, is_pinned, req)
             .and_then(|resolved| dev.submit(resolved));
-        for (key, fill) in pinned.iter().zip(fills) {
-            let Some(fill) = fill else {
-                continue;
-            };
-            if result.is_ok() {
-                metrics.counter_add("residency_bytes_uploaded", fill.bytes as u64);
-                let _ = dev.gpu_mut().take_host(fill.ghost);
-                if !fill.cached {
-                    free_resident(dev, fill.buf);
-                }
-            } else if fill.cached {
-                cache.remove(key);
+        settle_fills(dev, cache, metrics, &pinned, fills, result.is_ok());
+        result
+    }
+
+    /// Issues `req` on device `d` beside its attempts in flight, which
+    /// stay pinned in the residency cache: resolves shared operands as
+    /// [`execute_once`](Self::execute_once) does and issues the routine
+    /// ([`Cocopelia::issue`]). Returns the call with its fills and the
+    /// request's shared keys; a failed issue removes the entries its
+    /// fills inserted, as a failed run does.
+    fn issue_once(&mut self, d: usize, req: RoutineRequest) -> Result<Launched, RuntimeError> {
+        let keys: Vec<String> = req.shared_operands().map(|s| s.key.to_owned()).collect();
+        let mut fills = [None; 3];
+        let ServeSession {
+            pool,
+            devices,
+            metrics,
+            ..
+        } = &mut *self;
+        let dev = pool.device_mut(d);
+        let state = &mut devices[d];
+        let cache = &mut state.residency;
+        let inflight = &state.inflight;
+        let pinned = |k: &str| {
+            keys.iter()
+                .chain(inflight.iter().flat_map(|f| &f.keys))
+                .any(|p| p == k)
+        };
+        let result = resolve_request(dev, cache, metrics, &mut fills, pinned, req)
+            .and_then(|resolved| dev.issue(resolved));
+        match result {
+            Ok(issued) => Ok((issued, fills, keys)),
+            Err(e) => {
+                settle_fills(dev, cache, metrics, &keys, fills, false);
+                Err(e)
             }
         }
-        result
     }
 
     /// Frees device `d`'s buffers once its in-flight work is done: every
@@ -1969,6 +2396,10 @@ impl ServeSession {
     /// `evict`, the cache is emptied first and its entries freed too;
     /// returns how many entries it held.
     fn scrub(&mut self, d: usize, mark: Option<AllocMark>, evict: bool) -> usize {
+        debug_assert!(
+            self.devices[d].inflight.is_empty(),
+            "scrub with attempts in flight"
+        );
         let cache = &mut self.devices[d].residency;
         let evicted = if evict { cache.clear() } else { Vec::new() };
         let gpu = self.pool.devices()[d].gpu();
@@ -2000,6 +2431,35 @@ impl ServeSession {
     }
 }
 
+/// Settles the residency fills of an attempt over the request's shared
+/// `keys`: after a run that succeeded, each fill's bytes count as
+/// uploaded, its host ghost is released and a bypass buffer freed; after
+/// a failure, the entries the fills inserted leave the cache, so a partly
+/// filled buffer never serves a hit (the failure's scrub frees them).
+fn settle_fills(
+    dev: &mut Cocopelia,
+    cache: &mut ResidencyCache,
+    metrics: &mut Registry,
+    keys: &[String],
+    fills: [Option<Fill>; 3],
+    ok: bool,
+) {
+    for (key, fill) in keys.iter().zip(fills) {
+        let Some(fill) = fill else {
+            continue;
+        };
+        if ok {
+            metrics.counter_add("residency_bytes_uploaded", fill.bytes as u64);
+            let _ = dev.gpu_mut().take_host(fill.ghost);
+            if !fill.cached {
+                free_resident(dev, fill.buf);
+            }
+        } else if fill.cached {
+            cache.remove(key);
+        }
+    }
+}
+
 /// Frees a cached or bypass device allocation, ignoring stale buffers
 /// (reclaim may already have freed them).
 fn free_resident(dev: &mut Cocopelia, buf: DevBufId) {
@@ -2023,18 +2483,19 @@ struct Fill {
 /// operand order. A hit binds the cached buffer. A miss allocates the
 /// operand's buffer, evicting least-recently-used entries to make room,
 /// registers a host ghost of the operand, binds the argument to both and
-/// records the [`Fill`] in `fills` at the key's index in `pinned`: the
-/// routine's tile schedule copies each region on its first read. A key
-/// the request already missed on binds to that same fill, so each region
-/// is copied once. `pinned` names the request's shared keys in operand
-/// order, which eviction must not touch; an operand that cannot fit
-/// alongside them bypasses the cache instead.
+/// records the [`Fill`] in `fills` at the key's index among the request's
+/// shared operands: the routine's tile schedule copies each region on its
+/// first read. A key the request already missed on binds to that same
+/// fill, so each region is copied once. `pinned` holds the request's
+/// shared keys and those of the attempts in flight on the device, which
+/// eviction must not touch; an operand that cannot fit alongside them
+/// bypasses the cache instead.
 fn resolve_request(
     dev: &mut Cocopelia,
     cache: &mut ResidencyCache,
     metrics: &mut Registry,
     fills: &mut [Option<Fill>; 3],
-    pinned: &[String],
+    pinned: impl Fn(&str) -> bool + Copy,
     mut req: RoutineRequest,
 ) -> Result<RoutineRequest, RuntimeError> {
     let args = req.operands_mut().into_iter().flatten();
@@ -2175,6 +2636,83 @@ mod tests {
         s.readmit(0);
         assert_eq!(s.devices[0].health, Health::SERVING);
         assert_eq!(s.devices[0].factor(), 1.0);
+    }
+
+    #[test]
+    fn overlapped_requests_on_one_device_compute_the_host_reference() {
+        use crate::operand::{DeviceMatrix, VecOperand};
+        use crate::request::AxpyRequest;
+        use cocopelia_gpusim::NoiseSpec;
+        use cocopelia_hostblas::{level1, level3, validate, Matrix};
+        // One functional device; `C` and `y` stay resident across a chain
+        // of requests that each read the previous one's result, with `A`,
+        // `B` and `x` staged from the host every time.
+        let mut tb = testbed_i();
+        tb.noise = NoiseSpec::NONE;
+        let free = LatBw { t_l: 0.0, t_b: 0.0 };
+        let transfer = TransferModel {
+            h2d: free,
+            d2h: free,
+            sl_h2d: 1.0,
+            sl_d2h: 1.0,
+        };
+        let profile = SystemProfile::new("functional", transfer);
+        let mut pool = MultiGpu::new(&tb, 1, ExecMode::Functional, 3, profile);
+        let n = 96;
+        let val = |i: usize, j: usize, salt: usize| ((i * 31 + j * 17 + salt) % 19) as f64 / 19.0;
+        let a = Matrix::<f64>::from_fn(n, n, |i, j| val(i, j, 1) - 0.5);
+        let b = Matrix::<f64>::from_fn(n, n, |i, j| val(i, j, 2) - 0.5);
+        let c0 = Matrix::<f64>::from_fn(n, n, |i, j| val(i, j, 3));
+        let x: Vec<f64> = (0..n * n).map(|i| val(i, 0, 4)).collect();
+        let y0: Vec<f64> = (0..n * n).map(|i| val(i, 1, 5)).collect();
+        let dev = pool.device_mut(0);
+        let c: DeviceMatrix = dev.upload_matrix(&c0).expect("upload C");
+        let y = dev.upload_vector(&y0).expect("upload y");
+        let opts = crate::serve::ServeOptions::new().tracing();
+        let mut s = ServeSession::with_options(pool, ExecutorConfig::default(), opts)
+            .expect("no telemetry stream");
+        let rounds = 6;
+        for _ in 0..rounds {
+            s.submit(
+                GemmRequest::<f64>::new(a.clone(), b.clone(), MatOperand::Device(c))
+                    .alpha(0.5)
+                    .beta(1.0)
+                    .tile(TileChoice::Fixed(32)),
+            );
+            s.submit(
+                AxpyRequest::<f64>::new(x.clone(), VecOperand::Device(y))
+                    .alpha(0.25)
+                    .tile(TileChoice::Fixed(2048)),
+            );
+        }
+        let report = s.drain();
+        assert_eq!(report.completed(), 2 * rounds, "{}", report.render());
+        // Requests overlapped: some attempt was issued before the one
+        // before it ended.
+        let trace = report.trace.as_ref().expect("tracing armed");
+        let mut runs: Vec<(u64, u64)> = trace
+            .spans
+            .iter()
+            .filter(|sp| sp.phase == cocopelia_obs::SpanPhase::Dispatch)
+            .map(|sp| (sp.start_ns, sp.end_ns))
+            .collect();
+        runs.sort_unstable();
+        assert!(runs.windows(2).any(|w| w[1].0 < w[0].1), "{runs:?}");
+        let mut want_c = c0;
+        let mut want_y = y0;
+        for _ in 0..rounds {
+            level3::gemm(0.5, &a.view(), &b.view(), 1.0, &mut want_c.view_mut());
+            level1::axpy(0.25, &x, &mut want_y);
+        }
+        let dev = s.pool.device_mut(0);
+        let got_c = dev.download_matrix::<f64>(&c).expect("download C");
+        let got_y = dev.download_vector::<f64>(&y).expect("download y");
+        let err = validate::max_rel_err(got_c.as_slice(), want_c.as_slice());
+        assert!(
+            err <= rounds as f64 * validate::gemm_tolerance::<f64>(n),
+            "C err {err:e}"
+        );
+        assert!(validate::max_rel_err(&got_y, &want_y) <= 1e-12, "y");
     }
 
     #[test]

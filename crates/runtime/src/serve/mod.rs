@@ -22,13 +22,13 @@
 //!    host, plus what a degraded link adds to those fetches.
 //!    The device scan scales it by the device's observed actual/predicted
 //!    ratio once that leaves a dead band around 1 and adds the device's
-//!    virtual clock — so an idle device steals work once the affine
+//!    virtual clock (or its frontier, below) — so an idle device steals work once the affine
 //!    device falls far enough behind, and a degraded one stops pulling
 //!    work after its first overrun. The session keeps one record per
-//!    device (residency cache, drain-start clock, and health: serving
-//!    with a fault streak and calibration, or quarantined with an
-//!    optional probation probe), so quarantine and readmission are one
-//!    transition each.
+//!    device (residency cache, drain-start clock, attempts in flight,
+//!    and health: serving with a fault streak and calibration, or
+//!    quarantined with an optional probation probe), so quarantine and
+//!    readmission are one transition each.
 //! 3. **Cross-request residency.** Operands named by key
 //!    ([`MatArg::shared`](crate::MatArg::shared),
 //!    [`VecArg::shared`](crate::VecArg::shared)) live in a per-device LRU
@@ -38,6 +38,16 @@
 //!    once on first read and overlapped with its kernels. Matrices and vectors share one kind of
 //!    entry, matched on key, dtype and shape, and one resolution walk
 //!    over the request's operands.
+//!
+//! Each device keeps a bounded window of attempts in flight on its three
+//! streams (the h2d, exec and d2h streams of §IV-C): a call is issued with
+//! an end event and completed when that event fires, so one request's
+//! transfers run under another's kernels. Placement then reads a
+//! device's *frontier*, the predicted end of its newest attempt in
+//! flight, in place of its clock; keys an attempt in flight reads stay
+//! pinned in its device's cache until it settles; and outcomes settle in
+//! completion order. A hedged session keeps one attempt in flight per
+//! device, because a hedge race rewinds a whole device.
 //!
 //! Each request terminates in exactly one [`RequestStatus`]. The session
 //! is fault-tolerant: retryable faults

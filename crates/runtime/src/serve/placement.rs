@@ -7,11 +7,13 @@
 
 use crate::operand::TileChoice;
 use crate::request::RoutineRequest;
+use crate::serve::executor::InFlight;
 use crate::serve::residency::ResidencyCache;
 use crate::serve::session::ServeSession;
 use cocopelia_core::models::Prediction;
 use cocopelia_core::params::Loc;
 use cocopelia_gpusim::SimTime;
+use std::collections::VecDeque;
 
 /// Upper edge of the calibration dead band (the lower edge is its
 /// inverse). Fault-free serving runs read actual/predicted ratios of
@@ -81,6 +83,11 @@ pub(super) enum Health {
         fault_streak: u32,
         /// Scales the device's price outside a dead band.
         calibration: Calibration,
+        /// Whether an attempt succeeded on the device since it entered
+        /// service. Until one does, the device runs one attempt at a
+        /// time, so its first attempt prices it before more work queues
+        /// behind it.
+        warm: bool,
     },
     /// Removed from dispatch after repeated faults or loss.
     Quarantined {
@@ -95,6 +102,7 @@ impl Health {
     pub(super) const SERVING: Health = Health::Serving {
         fault_streak: 0,
         calibration: Calibration { ratio: None },
+        warm: false,
     };
 }
 
@@ -107,6 +115,16 @@ pub(super) struct DeviceState {
     /// arrival offsets, flow times and busy times. Set by `drain`.
     pub(super) drain_start: SimTime,
     pub(super) health: Health,
+    /// Attempts issued on the device's streams and not yet settled,
+    /// oldest first.
+    pub(super) inflight: VecDeque<InFlight>,
+    /// Predicted end of the newest attempt in flight, virtual seconds:
+    /// its start (the device's clock, or the previous frontier while
+    /// attempts were in flight) plus its price times the device's factor.
+    pub(super) frontier: f64,
+    /// Raw instant the last attempt settled from the device's window
+    /// ended.
+    pub(super) last_end_ns: u64,
 }
 
 impl DeviceState {
@@ -116,6 +134,21 @@ impl DeviceState {
             residency: ResidencyCache::new(budget_bytes),
             drain_start: SimTime::ZERO,
             health: Health::SERVING,
+            inflight: VecDeque::new(),
+            frontier: 0.0,
+            last_end_ns: 0,
+        }
+    }
+
+    /// When the device is predicted to be free for new work, virtual
+    /// seconds: `now_secs`, its clock, with nothing in flight, else the
+    /// predicted end of its newest attempt in flight (never before the
+    /// clock).
+    pub(super) fn ready_secs(&self, now_secs: f64) -> f64 {
+        if self.inflight.is_empty() {
+            now_secs
+        } else {
+            self.frontier.max(now_secs)
         }
     }
 
@@ -141,11 +174,22 @@ impl DeviceState {
         }
     }
 
-    /// Notes a successful attempt: the fault streak restarts.
+    /// Notes a successful attempt: the fault streak restarts, and the
+    /// device is warm.
     pub(super) fn succeeded(&mut self) {
-        if let Health::Serving { fault_streak, .. } = &mut self.health {
+        if let Health::Serving {
+            fault_streak, warm, ..
+        } = &mut self.health
+        {
             *fault_streak = 0;
+            *warm = true;
         }
+    }
+
+    /// Whether the device serves and an attempt succeeded on it since it
+    /// entered service.
+    pub(super) fn is_warm(&self) -> bool {
+        matches!(self.health, Health::Serving { warm: true, .. })
     }
 
     /// Notes a retryable fault, returning the consecutive-fault streak it
@@ -221,8 +265,10 @@ impl ServeSession {
     }
 
     /// The healthy device that pulls `req` — lowest estimated completion,
-    /// then lowest index — with that completion: the device's clock plus
-    /// its [`price`](Self::price) scaled by its calibration factor. A
+    /// then lowest index — with that completion: when the device is free
+    /// ([`DeviceState::ready_secs`]: its clock, or the predicted end of its
+    /// newest attempt in flight) plus its [`price`](Self::price) scaled by
+    /// its calibration factor. A
     /// device whose attempts keep running past the model (a degraded
     /// link) thus prices as slow before the next request lands on it,
     /// even while a winning hedge has rewound its clock to look idle;
@@ -243,8 +289,8 @@ impl ServeSession {
             if Some(d) == skip || dev.is_quarantined() {
                 continue;
             }
-            let cost = self.pool.devices()[d].gpu().now().as_secs_f64()
-                + self.price(d, req).1 * dev.factor();
+            let now = self.pool.devices()[d].gpu().now().as_secs_f64();
+            let cost = dev.ready_secs(now) + self.price(d, req).1 * dev.factor();
             if cost < best.map_or(f64::INFINITY, |b| b.1) {
                 best = Some((d, cost));
             }

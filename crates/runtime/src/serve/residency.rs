@@ -80,16 +80,17 @@ impl ResidencyCache {
     }
 
     /// True when an operand of `bytes` can be cached without evicting any
-    /// `pinned` entry: the bytes plus every resident pinned entry must fit
-    /// in the budget. The executor pins the keys of the request being
-    /// resolved so a later operand never evicts an earlier one.
-    pub(crate) fn fits_pinned(&self, bytes: usize, pinned: &[String]) -> bool {
+    /// entry whose key is `pinned`: the bytes plus every resident pinned
+    /// entry must fit in the budget. The executor pins the keys of the
+    /// request being resolved so a later operand never evicts an earlier
+    /// one, and those of the attempts in flight on the device.
+    pub(crate) fn fits_pinned(&self, bytes: usize, pinned: impl Fn(&str) -> bool) -> bool {
         // Iterate entries, not `pinned`: a self-referencing request (W·W)
         // pins the same key twice, which must not double-count.
         let pinned_bytes: usize = self
             .entries
             .values()
-            .filter(|e| pinned.contains(&e.key))
+            .filter(|e| pinned(&e.key))
             .map(|e| e.bytes)
             .sum();
         bytes + pinned_bytes <= self.budget_bytes
@@ -125,10 +126,15 @@ impl ResidencyCache {
 
     /// Evicts least-recently-used entries until `bytes` more would fit in
     /// the budget, returning the evicted entries for the executor to free.
-    /// `pinned` keys are never evicted (the current request's operands);
+    /// `pinned` keys are never evicted (see
+    /// [`fits_pinned`](Self::fits_pinned));
     /// call only after a miss, and only when
     /// [`fits_pinned`](Self::fits_pinned) said the bytes can be made to fit.
-    pub(crate) fn evict_for(&mut self, bytes: usize, pinned: &[String]) -> Vec<Resident> {
+    pub(crate) fn evict_for(
+        &mut self,
+        bytes: usize,
+        pinned: impl Fn(&str) -> bool,
+    ) -> Vec<Resident> {
         let mut evicted = Vec::new();
         while self.used_bytes + bytes > self.budget_bytes {
             // `last_use` stamps are unique, so the minimum is a single
@@ -136,7 +142,7 @@ impl ResidencyCache {
             let Some(key) = self
                 .entries
                 .values()
-                .filter(|e| !pinned.contains(&e.key))
+                .filter(|e| !pinned(&e.key))
                 .min_by_key(|e| e.last_use)
                 .map(|e| e.key.clone())
             else {
@@ -249,7 +255,7 @@ mod tests {
             .lookup("A", Dtype::F64, MAT)
             .expect("shape ok")
             .expect("hit");
-        let evicted = cache.evict_for(800, &[]);
+        let evicted = cache.evict_for(800, |_| false);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].key, "B");
         assert_eq!(cache.used_bytes(), 800);
@@ -265,18 +271,18 @@ mod tests {
         let mut cache = ResidencyCache::new(2000);
         put(&mut cache, &mut g, "A", MAT);
         put(&mut cache, &mut g, "B", MAT);
-        let pinned = vec!["A".to_owned(), "B".to_owned(), "C".to_owned()];
+        let pinned = |k: &str| ["A", "B", "C"].contains(&k);
         // C (800 B) cannot join A+B (1600 B pinned) under a 2000 B budget.
-        assert!(!cache.fits_pinned(800, &pinned));
-        assert!(cache.fits_pinned(400, &pinned));
+        assert!(!cache.fits_pinned(800, pinned));
+        assert!(cache.fits_pinned(400, pinned));
         // Even when asked to make room, pinned entries stay resident.
-        let evicted = cache.evict_for(800, &pinned);
+        let evicted = cache.evict_for(800, pinned);
         assert!(evicted.is_empty());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.used_bytes(), 1600);
         // An unpinned entry is still fair game.
         put(&mut cache, &mut g, "D", Shape::Mat(5, 5));
-        let evicted = cache.evict_for(400, &pinned);
+        let evicted = cache.evict_for(400, pinned);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].key, "D");
     }

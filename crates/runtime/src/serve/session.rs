@@ -159,7 +159,9 @@ impl ServeOptions {
     /// [`HedgeConfig`]) is speculatively re-run on the best other healthy
     /// device; the first completion wins and the loser is cancelled with
     /// its work rolled back. Requires a deployed profile (no prediction,
-    /// no overrun). A non-positive multiplier disarms.
+    /// no overrun). A non-positive multiplier disarms. An armed hedge
+    /// keeps one attempt in flight per device instead of a window: the
+    /// cancel rewinds a whole device.
     pub fn hedge(mut self, cfg: HedgeConfig) -> Self {
         self.hedge = Some(cfg);
         self

@@ -10,7 +10,8 @@ use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, Gpu, NoiseSpec, TestbedS
 use cocopelia_hostblas::Dtype;
 use cocopelia_obs::{check_spans, SpanPhase};
 use cocopelia_runtime::serve::{
-    ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
+    ExecutorConfig, HedgeConfig, RequestStatus, ServeOptions, ServeReport, ServeSession,
+    TelemetryConfig,
 };
 use cocopelia_runtime::{
     AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, MultiGpu,
@@ -288,12 +289,17 @@ fn affinity_holds_between_equally_loaded_devices() {
         .into()
     };
     let mut exec = ServeSession::new(pool(&small_tb(256 * MB), 2), ExecutorConfig::default());
-    for req in [shared_gemm(), gemm_cd(), shared_gemm(), gemm_cd()] {
-        exec.submit(req);
-    }
+    let ids: Vec<_> = [shared_gemm(), gemm_cd(), shared_gemm(), gemm_cd()]
+        .into_iter()
+        .map(|req| exec.submit(req))
+        .collect();
     let report = exec.drain();
     assert_eq!(report.completed(), 4, "{}", report.render());
-    let device = |i: usize| report.outcomes[i].device.expect("served");
+    // Outcomes settle in completion order: look requests up by id.
+    let device = |i: usize| {
+        let outcome = report.outcomes.iter().find(|o| o.id == ids[i]);
+        outcome.and_then(|o| o.device).expect("served")
+    };
     assert_eq!(device(0), device(2), "A/B requests must share a device");
     assert_eq!(device(1), device(3), "C2/D2 requests must share a device");
     assert_ne!(device(0), device(1), "families must split across the pool");
@@ -509,7 +515,13 @@ fn drains_retire_device_observer_history_but_keep_its_counts() {
         .tile(TileChoice::Fixed(n))
     };
     let devices = || MultiGpu::new(&tb, 2, ExecMode::TimingOnly, 42, profile.clone());
-    let mut exec = ServeSession::new(devices(), ExecutorConfig::default());
+    // A hedged session runs each call alone on its device, as the twin
+    // below does, so both time every call alike; this hedge never fires.
+    let alone = ServeOptions::new().hedge(HedgeConfig {
+        multiplier: f64::MAX,
+    });
+    let mut exec = ServeSession::with_options(devices(), ExecutorConfig::default(), alone)
+        .expect("no telemetry stream to open");
     for _ in 0..REQUESTS {
         exec.submit(axpy());
     }

@@ -9,6 +9,10 @@
 //! the request's own tile pipeline: exactly the operand's bytes, each
 //! region once, ahead of every kernel that reads it; a failed fill is
 //! never cached, and a won hedge keeps only what its primary finished.
+//! Each device overlaps the requests it serves on its three streams: a
+//! random fault-free drain conserves requests, flops and buffers, its
+//! spans stay invariant-clean, and each device's makespan lies between
+//! its busiest engine's busy time and the sum of its attempts' own spans.
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
@@ -17,14 +21,14 @@ use cocopelia_gpusim::{
     testbed_i, DegradeWindow, EngineKind, ExecMode, FaultSpec, NoiseSpec, OperandRole, Routine,
     SimTime, TestbedSpec, TraceEntry,
 };
-use cocopelia_obs::SpanPhase;
+use cocopelia_obs::{check_spans, SpanPhase};
 use cocopelia_runtime::serve::{
-    ExecutorConfig, HedgeConfig, RequestStatus, ServeOptions, ServeReport, ServeSession,
-    TelemetryConfig,
+    ExecutorConfig, HedgeConfig, RequestStatus, SchedulePolicy, ServeOptions, ServeReport,
+    ServeSession, TelemetryConfig,
 };
 use cocopelia_runtime::{
-    AxpyRequest, GemmRequest, MatArg, MatOperand, MultiGpu, RoutineRequest, SharedMat, SharedVec,
-    TileChoice, VecOperand,
+    AxpyRequest, DotRequest, GemmRequest, GemvRequest, MatArg, MatOperand, MultiGpu,
+    RoutineRequest, SharedMat, SharedVec, TileChoice, VecOperand,
 };
 use cocopelia_xp::ArrivalSpec;
 use proptest::prelude::*;
@@ -781,4 +785,203 @@ fn a_won_hedge_keeps_only_the_entries_its_primary_finished_filling() {
             "dev{d} pins host buffers"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Each device overlaps the requests it serves.
+// ---------------------------------------------------------------------------
+
+/// Busy nanoseconds of each engine in `entries`.
+fn engine_busy_ns(entries: &[TraceEntry]) -> [u64; 3] {
+    let mut busy = [0; 3];
+    for e in entries {
+        let i = match e.engine {
+            EngineKind::CopyH2d => 0,
+            EngineKind::Compute => 1,
+            EngineKind::CopyD2h => 2,
+        };
+        busy[i] += e.duration().as_nanos();
+    }
+    busy
+}
+
+/// Each device's attempts' own spans summed, in ns: from an attempt's
+/// first engine child span's start to its last one's end.
+fn own_spans_ns(report: &ServeReport, devices: usize) -> Vec<u64> {
+    let trace = report.trace.as_ref().expect("tracing armed");
+    let mut sums = vec![0; devices];
+    for run in trace
+        .spans
+        .iter()
+        .filter(|s| matches!(s.phase, SpanPhase::Dispatch | SpanPhase::Retry) && s.device.is_some())
+    {
+        let children = trace.spans.iter().filter(|c| c.parent == Some(run.id));
+        let (lo, hi) = children.fold((u64::MAX, 0), |(lo, hi), c| {
+            (lo.min(c.start_ns), hi.max(c.end_ns))
+        });
+        if lo <= hi {
+            sums[run.device.expect("device run")] += hi - lo;
+        }
+    }
+    sums
+}
+
+/// A seeded xorshift64* stream of draws.
+struct Draws(u64);
+
+impl Draws {
+    fn new(seed: u64) -> Self {
+        Draws(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    /// A draw in `lo..hi`.
+    fn range(&mut self, lo: usize, hi: usize) -> usize {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        let r = self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11;
+        lo + (r % (hi - lo) as u64) as usize
+    }
+}
+
+/// A random fault-free request: gemm, axpy, dot or gemv, on shared or
+/// private operands, single- or multi-tile.
+fn random_request(rng: &mut Draws) -> RoutineRequest {
+    let n = [256, 512, 1024][rng.range(0, 3)];
+    let tile = TileChoice::Fixed([256, 512][rng.range(0, 2)]);
+    let len = 1 << rng.range(14, 18);
+    match rng.range(0, 6) {
+        0 => gemm_over(
+            SharedMat::new("A", 1024, 1024),
+            SharedMat::new("B", 1024, 1024),
+        ),
+        // A deadline for EDF to order by; a late run still did its work.
+        1 => ghost_gemm(n)
+            .tile(tile)
+            .deadline_secs(rng.range(1, 200) as f64 * 1e-3)
+            .into(),
+        2 => AxpyRequest::<f64>::new(
+            SharedVec::new("X", 1 << 16),
+            VecOperand::HostGhost { len: 1 << 16 },
+        )
+        .tile(TileChoice::Fixed(1 << 14))
+        .into(),
+        3 => AxpyRequest::<f64>::new(VecOperand::HostGhost { len }, VecOperand::HostGhost { len })
+            .tile(TileChoice::Fixed(len / 2))
+            .into(),
+        4 => DotRequest::<f64>::new(VecOperand::HostGhost { len }, VecOperand::HostGhost { len })
+            .tile(TileChoice::Fixed(len / 4))
+            .into(),
+        _ => GemvRequest::<f64>::new(
+            ghost(n),
+            VecOperand::HostGhost { len: n },
+            VecOperand::HostGhost { len: n },
+        )
+        .tile(tile)
+        .into(),
+    }
+}
+
+/// Random fault-free closed-queue drains, FIFO, EDF and Predictive on 1 to
+/// 4 devices: every request ends once, the devices run exactly the
+/// submitted flops, nothing leaks, the spans are invariant-clean, and
+/// each device's makespan lies between its busiest engine's busy time
+/// (engines run one op at a time) and the sum of its attempts' own spans
+/// (overlap only removes time). The vendored proptest does not shrink, so
+/// cases are drawn from plain seeds and a failure names its seed.
+#[test]
+fn overlapped_drains_conserve_work_and_bound_each_makespan() {
+    let policies = [
+        SchedulePolicy::Fifo,
+        SchedulePolicy::Edf,
+        SchedulePolicy::Predictive,
+    ];
+    for seed in 0..24u64 {
+        let mut rng = Draws::new(seed);
+        let devices = rng.range(1, 5);
+        let policy = policies[rng.range(0, 3)];
+        let opts = ServeOptions::new().policy(policy).tracing();
+        let mut session =
+            ServeSession::with_options(pool(devices), ExecutorConfig::default(), opts)
+                .expect("session");
+        let mut flops = 0.0;
+        let mut ids: Vec<u64> = (0..rng.range(4, 40))
+            .map(|_| {
+                let req = random_request(&mut rng);
+                flops += req.problem_spec().flops();
+                session.submit(req).0
+            })
+            .collect();
+        let report = session.drain();
+
+        let mut terminal: Vec<u64> = report.outcomes.iter().map(|o| o.id.0).collect();
+        terminal.sort_unstable();
+        ids.sort_unstable();
+        assert_eq!(
+            terminal, ids,
+            "case seed {seed}: one terminal outcome per request"
+        );
+        let executed = report.completed() + report.timed_out();
+        assert_eq!(executed, ids.len(), "case seed {seed}: {}", report.render());
+        let close = (report.total_flops - flops).abs() <= 1e-9 * flops;
+        assert!(
+            close,
+            "case seed {seed}: device flops {} of {flops}",
+            report.total_flops
+        );
+        for (d, dev) in session.pool().devices().iter().enumerate() {
+            let live: BTreeSet<_> = dev.gpu().live_device_buffers().into_iter().collect();
+            let cached: BTreeSet<_> = session.residency(d).device_buffers().into_iter().collect();
+            assert_eq!(
+                live, cached,
+                "case seed {seed}: dev{d} leaks device buffers"
+            );
+            assert!(
+                dev.gpu().live_host_buffers().is_empty(),
+                "case seed {seed}: dev{d} host"
+            );
+        }
+        let trace = report.trace.as_ref().expect("tracing armed");
+        if let Err(problems) = check_spans(&trace.spans) {
+            panic!("case seed {seed}: {problems:?}");
+        }
+        for (d, spans) in own_spans_ns(&report, devices).into_iter().enumerate() {
+            let busiest = engine_busy_ns(lane(&report, d))
+                .into_iter()
+                .max()
+                .unwrap_or(0);
+            let makespan = report.per_device_busy[d].as_nanos();
+            assert!(
+                busiest <= makespan && makespan <= spans,
+                "case seed {seed} ({policy:?}, {devices} devices): dev{d} busiest engine \
+                 {busiest} ns, makespan {makespan} ns, own spans {spans} ns"
+            );
+        }
+    }
+}
+
+/// Sixteen single-tile dgemm 512³ on one device, `A` and `B` resident
+/// after the first: each call's copy of `C` in and out runs under its
+/// neighbours' kernels, so the makespan is well under the engines' summed
+/// busy time, which one call at a time would equal.
+#[test]
+fn one_device_overlaps_consecutive_single_tile_calls() {
+    let single = || -> RoutineRequest {
+        GemmRequest::<f64>::new(
+            SharedMat::new("A", 512, 512),
+            SharedMat::new("B", 512, 512),
+            ghost(512),
+        )
+        .alpha(1.0)
+        .beta(1.0)
+        .tile(TileChoice::Fixed(512))
+        .into()
+    };
+    let (report, _) = traced_drain(pool(1), (0..16).map(|_| single()).collect());
+    let busy: u64 = engine_busy_ns(lane(&report, 0)).into_iter().sum();
+    let makespan = report.makespan.as_nanos();
+    assert!(
+        (makespan as f64) < 0.6 * busy as f64,
+        "makespan {makespan} ns against {busy} ns of summed engine busy time"
+    );
 }

@@ -367,7 +367,8 @@ fn degraded_link_dispatch_prefers_healthy_peer() {
     for (d, secs) in [(0, 1.0), (1, 1.1)] {
         pool.device_mut(d)
             .gpu_mut()
-            .advance_clock(SimTime::from_secs_f64(secs));
+            .wait_until(SimTime::from_secs_f64(secs), None)
+            .expect("an idle device waits");
     }
     let mut exec = ServeSession::new(pool, ExecutorConfig::default());
     exec.submit(shared_gemm());
